@@ -450,10 +450,40 @@ type BatchCampaign struct {
 	// Width is pure mechanism: it never changes results.
 	Width int
 
-	// statePool recycles worker tile states across RunFrom calls, so a
+	// states recycles worker tile states across RunFrom calls, so a
 	// campaign advanced chunk by chunk (the sweep engine's shape) pays
-	// its state allocation once, not once per chunk.
-	statePool sync.Pool
+	// its state allocation once, not once per chunk. It is a plain free
+	// list, not a sync.Pool: the runtime keeps every used Pool on a
+	// global list for two more GC cycles, and a Pool embedded here pins
+	// its whole campaign (simulator, program, tile states) with it — a
+	// sweep of thousands of short points, or a daemon building 160
+	// campaigns per request, then carries cycles' worth of finished
+	// campaigns as live heap, how much depending on when the GC ran.
+	stateMu sync.Mutex
+	states  []*BatchState
+}
+
+// getState hands a worker a recycled tile state tw words wide, or a
+// fresh one.
+func (c *BatchCampaign) getState(tw int) *BatchState {
+	var st *BatchState
+	c.stateMu.Lock()
+	if n := len(c.states); n > 0 {
+		st, c.states[n-1] = c.states[n-1], nil
+		c.states = c.states[:n-1]
+	}
+	c.stateMu.Unlock()
+	if st == nil {
+		st = c.Sim.NewTileState(tw)
+	}
+	return st
+}
+
+// putState returns a worker's tile state for the next RunFrom call.
+func (c *BatchCampaign) putState(st *BatchState) {
+	c.stateMu.Lock()
+	c.states = append(c.states, st)
+	c.stateMu.Unlock()
 }
 
 // Run executes shots shots deterministically (see RunFrom).
@@ -510,11 +540,8 @@ func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			st, _ := c.statePool.Get().(*BatchState)
-			if st == nil {
-				st = c.Sim.NewTileState(tw)
-			}
-			defer c.statePool.Put(st)
+			st := c.getState(tw)
+			defer c.putState(st)
 			// Per-word RNG streams are pooled: SplitInto re-derives each
 			// word's stream into a fixed Source, so the steady-state
 			// loop allocates nothing.

@@ -1,7 +1,10 @@
 package frame
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
+	"weak"
 
 	"radqec/internal/arch"
 	"radqec/internal/noise"
@@ -18,7 +21,14 @@ func tileCampaign(t testing.TB, d int, p float64, width int) *BatchCampaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := (2*d + 4) / 5
+	return tileCampaignOf(t, code, p, width)
+}
+
+// tileCampaignOf is tileCampaign for a repetition code already built
+// (at any number of rounds).
+func tileCampaignOf(t testing.TB, code *qec.Code, p float64, width int) *BatchCampaign {
+	t.Helper()
+	cols := (2*code.DZ + 4) / 5
 	tr, err := arch.Transpile(code.Circ, arch.Mesh(5, cols))
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +94,36 @@ func TestTileRunFromSplitsMerge(t *testing.T) {
 	}
 }
 
+// tileScratch is everything one full-width tile pass of a campaign
+// reuses: the tile state, the per-word streams and their master, the
+// live masks and the decoded words.
+type tileScratch struct {
+	st        *BatchState
+	streams   [MaxTileWords]rng.Source
+	master    *rng.Source
+	live, out [MaxTileWords]uint64
+}
+
+// tilePass returns a closure that runs one full-width tile of c —
+// stream re-derivation, RunTile, DecodeTile — on scratch it reuses, so
+// every call replays the same tile.
+func tilePass(c *BatchCampaign, seed uint64) (func(), *tileScratch) {
+	const tw = MaxTileWords
+	p := &tileScratch{st: c.Sim.NewTileState(tw), master: rng.New(seed)}
+	var srcs [MaxTileWords]*rng.Source
+	for k := range srcs {
+		srcs[k] = &p.streams[k]
+		p.live[k] = ^uint64(0)
+	}
+	return func() {
+		for k := 0; k < tw; k++ {
+			p.master.SplitInto(batchSplitSalt^uint64(k), &p.streams[k])
+		}
+		c.Sim.RunTile(srcs[:tw], p.st)
+		c.DecodeTile(p.st.Rec, tw, p.live[:tw], p.out[:tw])
+	}, p
+}
+
 // TestTileSteadyStateZeroAlloc is the zero-allocation acceptance guard:
 // once the per-worker state, RNG streams and syndrome memo are warm, a
 // full tile pass — stream re-derivation, RunTile and DecodeTile — must
@@ -91,37 +131,66 @@ func TestTileRunFromSplitsMerge(t *testing.T) {
 // path, which shares the machinery.
 func TestTileSteadyStateZeroAlloc(t *testing.T) {
 	c := tileCampaign(t, 5, 0.01, TileShots)
-	const tw = MaxTileWords
-	st := c.Sim.NewTileState(tw)
-	var streams [MaxTileWords]rng.Source
-	var srcs [MaxTileWords]*rng.Source
-	for k := range srcs {
-		srcs[k] = &streams[k]
-	}
-	var live, out [MaxTileWords]uint64
-	for k := 0; k < tw; k++ {
-		live[k] = ^uint64(0)
-	}
-	master := rng.New(29)
-	tile := func() {
-		for k := 0; k < tw; k++ {
-			master.SplitInto(batchSplitSalt^uint64(k), &streams[k])
-		}
-		c.Sim.RunTile(srcs[:tw], st)
-		c.DecodeTile(st.Rec, tw, live[:tw], out[:tw])
-	}
+	tile, p := tilePass(c, 29)
 	tile() // warm: pooled scratch grown, memo populated for these streams
 	if n := testing.AllocsPerRun(50, tile); n > 0 {
 		t.Errorf("steady-state tile pass allocates %.1f times per run, want 0", n)
 	}
 
 	word := func() {
-		master.SplitInto(batchSplitSalt^uint64(1), &streams[0])
-		c.Sim.RunWord(&streams[0], st)
-		c.DecodeTile(st.Rec, 1, live[:1], out[:1])
+		p.master.SplitInto(batchSplitSalt^uint64(1), &p.streams[0])
+		c.Sim.RunWord(&p.streams[0], p.st)
+		c.DecodeTile(p.st.Rec, 1, p.live[:1], p.out[:1])
 	}
 	word()
 	if n := testing.AllocsPerRun(50, word); n > 0 {
 		t.Errorf("steady-state word pass allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestCampaignCollectableAfterUse: a campaign that has run and been
+// dropped must be garbage at the very next collection. Its recycled
+// tile states used to sit in an embedded sync.Pool, which the runtime
+// keeps on a global list for two more cycles — pinning the whole
+// campaign through the interior pointer — so a sweep's or a daemon's
+// live heap carried cycles' worth of finished campaigns.
+func TestCampaignCollectableAfterUse(t *testing.T) {
+	c := tileCampaign(t, 5, 0.01, TileShots)
+	c.RunFrom(7, 0, 2*TileShots)
+	c.RunFrom(7, 2*TileShots, TileShots) // reuses a recycled state
+	gone := weak.Make(c)
+	c = nil
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Fatal("a dropped campaign survived a collection")
+	}
+}
+
+// TestTileMissTierZeroAlloc extends the guard past the memo boundary.
+// Rep-(15,1) at 9 rounds has 140 detector bits, more than a memo key
+// holds, so under a saturating strike every triggered lane of every
+// tile builds its defect graph and runs blossom — and once the pooled
+// scratch has seen one tile, that allocates nothing either. (The
+// cacheable-code half, a memo swapped for an empty one before each
+// tile, needs the memo in hand and sits in internal/qec.)
+func TestTileMissTierZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	code, err := qec.NewRepetitionRounds(15, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tile, p := tilePass(tileCampaignOf(t, code, 0.01, TileShots), 31)
+	tile() // warm: pooled scratch and blossom workspace grown
+	word0 := make([]uint64, len(p.st.Rec)/MaxTileWords)
+	for cb := range word0 {
+		word0[cb] = p.st.Rec[cb*MaxTileWords]
+	}
+	if _, anyw := code.DetectionEventWords(word0, nil); bits.OnesCount64(anyw) < 32 {
+		t.Fatalf("only %d of 64 lanes carry a syndrome; the strike does not saturate", bits.OnesCount64(anyw))
+	}
+	if n := testing.AllocsPerRun(5, tile); n > 0 {
+		t.Errorf("miss-tier tile pass allocates %.1f times per run, want 0", n)
 	}
 }

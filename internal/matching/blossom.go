@@ -6,71 +6,183 @@
 // max_weight_matching call used by the paper's qtcodes decoding stack.
 package matching
 
+import "sync"
+
 // Edge is a weighted undirected edge between vertices I and J.
 type Edge struct {
 	I, J int
 	W    int64
 }
 
-// maxWeightMatching computes a maximum-weight matching of the graph. If
+// Workspace owns every piece of storage one blossom run needs — the
+// flat graph, the label/dual arrays, the per-blossom child, endpoint
+// and best-edge lists — and reuses it by capacity, so a matching on a
+// warm workspace allocates nothing. The zero value is ready to use. A
+// workspace serves one call at a time; the mate slice a call returns
+// aliases workspace storage and is valid until the next call.
+//
+// The algorithm is the line-by-line port of networkx
+// max_weight_matching the repository has always decoded with: the same
+// operations in the same order, so mate arrays — tie-breaks included —
+// are identical to referenceMaxWeightMatching in reference_test.go,
+// which the differential and fuzz tests hold it to.
+type Workspace struct {
+	nvertex int
+
+	// endpoint[p] is the vertex at endpoint p; edge k owns endpoints 2k
+	// (its I side) and 2k+1 (its J side) and has weight[k].
+	endpoint []int
+	weight   []int64
+	// The remote endpoints of the edges incident to v, in edge order,
+	// are nbList[nbStart[v]:nbStart[v+1]] (CSR adjacency).
+	nbStart []int
+	nbList  []int
+
+	// mate[v] is the remote endpoint of v's matched edge, or -1.
+	mate []int
+	// label: 0 free, 1 S-vertex/blossom, 2 T, 5 temporary mark.
+	label            []int
+	labelend         []int
+	inblossom        []int
+	blossomparent    []int
+	blossombase      []int
+	bestedge         []int
+	dualvar          []int64
+	allowedge        []bool
+	queue            []int
+	unusedblossoms   []int
+	blossomchilds    [][]int
+	blossomendps     [][]int
+	blossombestedges [][]int
+
+	// Scratch of single steps: scanBlossom's trail, addBlossom's
+	// per-neighbour best edges, a blossom's leaves, a rotation's head.
+	scanPath   []int
+	bestedgeto []int
+	leafBuf    []int
+	rotBuf     []int
+
+	// edgeBuf holds the derived edge list of a front end: the greedy
+	// matcher's weight-ordered copy, the float matcher's quantized one.
+	edgeBuf []Edge
+}
+
+// workspaces backs the package-level wrappers, which have no caller to
+// own a workspace.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// MaxWeightMatching computes a maximum-weight matching. The result maps
+// each vertex to its mate (-1 when unmatched).
+func MaxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	return append([]int(nil), ws.MaxWeightMatching(nvertex, edges, maxCardinality)...)
+}
+
+// grow returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// freshMate returns the mate array sized for n vertices, all unmatched.
+func (ws *Workspace) freshMate(n int) []int {
+	ws.mate = grow(ws.mate, n)
+	for i := range ws.mate {
+		ws.mate[i] = -1
+	}
+	return ws.mate
+}
+
+func growLists(s [][]int, n int) [][]int {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]int, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
+}
+
+// MaxWeightMatching computes a maximum-weight matching of the graph. If
 // maxCardinality is true it computes a maximum-cardinality matching of
 // maximum weight among those. The result maps each vertex to its mate
-// (-1 when unmatched).
+// (-1 when unmatched) and is valid until the workspace's next call.
 //
 // Weights must be integers; the algorithm keeps all dual variables
 // integral, so the result is exact.
-func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
+func (ws *Workspace) MaxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
+	return ws.run(nvertex, edges, 1, maxCardinality)
+}
+
+// run matches the graph whose edge k weighs sign·edges[k].W.
+func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality bool) []int {
+	mate := ws.freshMate(nvertex)
 	if nvertex == 0 || len(edges) == 0 {
-		out := make([]int, nvertex)
-		for i := range out {
-			out[i] = -1
-		}
-		return out
+		return mate
 	}
+	ws.nvertex = nvertex
 	nedge := len(edges)
+
+	ws.endpoint = grow(ws.endpoint, 2*nedge)
+	ws.weight = grow(ws.weight, nedge)
+	ws.nbStart = grow(ws.nbStart, nvertex+1)
+	ws.nbList = grow(ws.nbList, 2*nedge)
+	endpoint, nbStart, nbList := ws.endpoint, ws.nbStart, ws.nbList
+	for i := range nbStart {
+		nbStart[i] = 0
+	}
 	var maxweight int64
-	for _, e := range edges {
+	for k, e := range edges {
 		if e.I < 0 || e.I >= nvertex || e.J < 0 || e.J >= nvertex || e.I == e.J {
 			panic("matching: edge endpoints out of range or self loop")
 		}
-		if e.W > maxweight {
-			maxweight = e.W
+		w := sign * e.W
+		if w > maxweight {
+			maxweight = w
 		}
-	}
-
-	// endpoint[p] is the vertex at endpoint p; edge k owns endpoints
-	// 2k (its I side) and 2k+1 (its J side).
-	endpoint := make([]int, 2*nedge)
-	for k, e := range edges {
+		ws.weight[k] = w
 		endpoint[2*k] = e.I
 		endpoint[2*k+1] = e.J
+		nbStart[e.I+1]++
+		nbStart[e.J+1]++
 	}
-	// neighbend[v] lists the remote endpoints of edges incident to v.
-	neighbend := make([][]int, nvertex)
+	for v := 0; v < nvertex; v++ {
+		nbStart[v+1] += nbStart[v]
+	}
+	// Fill in edge order with nbStart[v] as v's cursor, then shift the
+	// cursors (now each list's end) back to the list starts.
 	for k, e := range edges {
-		neighbend[e.I] = append(neighbend[e.I], 2*k+1)
-		neighbend[e.J] = append(neighbend[e.J], 2*k)
+		nbList[nbStart[e.I]] = 2*k + 1
+		nbStart[e.I]++
+		nbList[nbStart[e.J]] = 2 * k
+		nbStart[e.J]++
 	}
+	copy(nbStart[1:], nbStart[:nvertex])
+	nbStart[0] = 0
 
-	// mate[v] is the remote endpoint of v's matched edge, or -1.
-	mate := make([]int, nvertex)
-	for i := range mate {
-		mate[i] = -1
-	}
-	// label: 0 free, 1 S-vertex/blossom, 2 T, 5 temporary mark.
-	label := make([]int, 2*nvertex)
-	labelend := make([]int, 2*nvertex)
-	inblossom := make([]int, nvertex)
-	blossomparent := make([]int, 2*nvertex)
-	blossomchilds := make([][]int, 2*nvertex)
-	blossombase := make([]int, 2*nvertex)
-	blossomendps := make([][]int, 2*nvertex)
-	bestedge := make([]int, 2*nvertex)
-	blossombestedges := make([][]int, 2*nvertex)
-	var unusedblossoms []int
-	dualvar := make([]int64, 2*nvertex)
-	allowedge := make([]bool, nedge)
-	var queue []int
+	ws.label = grow(ws.label, 2*nvertex)
+	ws.labelend = grow(ws.labelend, 2*nvertex)
+	ws.inblossom = grow(ws.inblossom, nvertex)
+	ws.blossomparent = grow(ws.blossomparent, 2*nvertex)
+	ws.blossombase = grow(ws.blossombase, 2*nvertex)
+	ws.bestedge = grow(ws.bestedge, 2*nvertex)
+	ws.bestedgeto = grow(ws.bestedgeto, 2*nvertex)
+	ws.blossomchilds = growLists(ws.blossomchilds, 2*nvertex)
+	ws.blossomendps = growLists(ws.blossomendps, 2*nvertex)
+	ws.blossombestedges = growLists(ws.blossombestedges, 2*nvertex)
+	ws.dualvar = grow(ws.dualvar, 2*nvertex)
+	ws.allowedge = grow(ws.allowedge, nedge)
+	ws.queue = ws.queue[:0]
+	ws.unusedblossoms = ws.unusedblossoms[:0]
+
+	label, labelend, inblossom := ws.label, ws.labelend, ws.inblossom
+	blossomparent, blossombase, bestedge := ws.blossomparent, ws.blossombase, ws.bestedge
+	dualvar, allowedge := ws.dualvar, ws.allowedge
 
 	for v := 0; v < nvertex; v++ {
 		inblossom[v] = v
@@ -84,322 +196,8 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 	}
 	for b := nvertex; b < 2*nvertex; b++ {
 		blossombase[b] = -1
-		unusedblossoms = append(unusedblossoms, b)
-	}
-
-	slack := func(k int) int64 {
-		return dualvar[edges[k].I] + dualvar[edges[k].J] - 2*edges[k].W
-	}
-
-	var blossomLeaves func(b int, fn func(v int))
-	blossomLeaves = func(b int, fn func(v int)) {
-		if b < nvertex {
-			fn(b)
-			return
-		}
-		for _, t := range blossomchilds[b] {
-			blossomLeaves(t, fn)
-		}
-	}
-
-	var assignLabel func(w, t, p int)
-	assignLabel = func(w, t, p int) {
-		b := inblossom[w]
-		label[w] = t
-		label[b] = t
-		labelend[w] = p
-		labelend[b] = p
-		bestedge[w] = -1
-		bestedge[b] = -1
-		if t == 1 {
-			blossomLeaves(b, func(v int) { queue = append(queue, v) })
-		} else if t == 2 {
-			base := blossombase[b]
-			assignLabel(endpoint[mate[base]], 1, mate[base]^1)
-		}
-	}
-
-	// scanBlossom traces back from v and w to discover either a new
-	// blossom base (returned) or an augmenting path (-1).
-	scanBlossom := func(v, w int) int {
-		var path []int
-		base := -1
-		for v != -1 || w != -1 {
-			b := inblossom[v]
-			if label[b]&4 != 0 {
-				base = blossombase[b]
-				break
-			}
-			path = append(path, b)
-			label[b] = 5
-			if labelend[b] == -1 {
-				v = -1
-			} else {
-				v = endpoint[labelend[b]]
-				b = inblossom[v]
-				v = endpoint[labelend[b]]
-			}
-			if w != -1 {
-				v, w = w, v
-			}
-		}
-		for _, b := range path {
-			label[b] = 1
-		}
-		return base
-	}
-
-	addBlossom := func(base, k int) {
-		v, w := edges[k].I, edges[k].J
-		bb := inblossom[base]
-		bv := inblossom[v]
-		bw := inblossom[w]
-		b := unusedblossoms[len(unusedblossoms)-1]
-		unusedblossoms = unusedblossoms[:len(unusedblossoms)-1]
-		blossombase[b] = base
-		blossomparent[b] = -1
-		blossomparent[bb] = b
-		var path, endps []int
-		for bv != bb {
-			blossomparent[bv] = b
-			path = append(path, bv)
-			endps = append(endps, labelend[bv])
-			v = endpoint[labelend[bv]]
-			bv = inblossom[v]
-		}
-		path = append(path, bb)
-		// Reverse so the base comes first.
-		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-			path[i], path[j] = path[j], path[i]
-		}
-		for i, j := 0, len(endps)-1; i < j; i, j = i+1, j-1 {
-			endps[i], endps[j] = endps[j], endps[i]
-		}
-		endps = append(endps, 2*k)
-		for bw != bb {
-			blossomparent[bw] = b
-			path = append(path, bw)
-			endps = append(endps, labelend[bw]^1)
-			w = endpoint[labelend[bw]]
-			bw = inblossom[w]
-		}
-		blossomchilds[b] = path
-		blossomendps[b] = endps
-		label[b] = 1
-		labelend[b] = labelend[bb]
 		dualvar[b] = 0
-		blossomLeaves(b, func(lv int) {
-			if label[inblossom[lv]] == 2 {
-				queue = append(queue, lv)
-			}
-			inblossom[lv] = b
-		})
-		// Recompute the best-edge cache for the new blossom.
-		bestedgeto := make([]int, 2*nvertex)
-		for i := range bestedgeto {
-			bestedgeto[i] = -1
-		}
-		for _, bvv := range path {
-			var nblists [][]int
-			if blossombestedges[bvv] == nil {
-				blossomLeaves(bvv, func(lv int) {
-					lst := make([]int, 0, len(neighbend[lv]))
-					for _, p := range neighbend[lv] {
-						lst = append(lst, p/2)
-					}
-					nblists = append(nblists, lst)
-				})
-			} else {
-				nblists = [][]int{blossombestedges[bvv]}
-			}
-			for _, nblist := range nblists {
-				for _, kk := range nblist {
-					i, j := edges[kk].I, edges[kk].J
-					if inblossom[j] == b {
-						i, j = j, i
-					}
-					_ = i
-					bj := inblossom[j]
-					if bj != b && label[bj] == 1 &&
-						(bestedgeto[bj] == -1 || slack(kk) < slack(bestedgeto[bj])) {
-						bestedgeto[bj] = kk
-					}
-				}
-			}
-			blossombestedges[bvv] = nil
-			bestedge[bvv] = -1
-		}
-		blossombestedges[b] = nil
-		for _, kk := range bestedgeto {
-			if kk != -1 {
-				blossombestedges[b] = append(blossombestedges[b], kk)
-			}
-		}
-		bestedge[b] = -1
-		for _, kk := range blossombestedges[b] {
-			if bestedge[b] == -1 || slack(kk) < slack(bestedge[b]) {
-				bestedge[b] = kk
-			}
-		}
-	}
-
-	var expandBlossom func(b int, endstage bool)
-	expandBlossom = func(b int, endstage bool) {
-		for _, s := range blossomchilds[b] {
-			blossomparent[s] = -1
-			if s < nvertex {
-				inblossom[s] = s
-			} else if endstage && dualvar[s] == 0 {
-				expandBlossom(s, endstage)
-			} else {
-				blossomLeaves(s, func(v int) { inblossom[v] = s })
-			}
-		}
-		if !endstage && label[b] == 2 {
-			// The expanded T-blossom's children must be relabelled.
-			entrychild := inblossom[endpoint[labelend[b]^1]]
-			j := 0
-			for i, c := range blossomchilds[b] {
-				if c == entrychild {
-					j = i
-					break
-				}
-			}
-			var jstep, endptrick int
-			if j&1 != 0 {
-				j -= len(blossomchilds[b])
-				jstep = 1
-				endptrick = 0
-			} else {
-				jstep = -1
-				endptrick = 1
-			}
-			idx := func(i int) int {
-				n := len(blossomchilds[b])
-				return ((i % n) + n) % n
-			}
-			p := labelend[b]
-			for j != 0 {
-				label[endpoint[p^1]] = 0
-				label[endpoint[blossomendps[b][idx(j-endptrick)]^endptrick^1]] = 0
-				assignLabel(endpoint[p^1], 2, p)
-				allowedge[blossomendps[b][idx(j-endptrick)]/2] = true
-				j += jstep
-				p = blossomendps[b][idx(j-endptrick)] ^ endptrick
-				allowedge[p/2] = true
-				j += jstep
-			}
-			bv := blossomchilds[b][idx(j)]
-			label[endpoint[p^1]] = 2
-			label[bv] = 2
-			labelend[endpoint[p^1]] = p
-			labelend[bv] = p
-			bestedge[bv] = -1
-			j += jstep
-			for blossomchilds[b][idx(j)] != entrychild {
-				bv := blossomchilds[b][idx(j)]
-				if label[bv] == 1 {
-					j += jstep
-					continue
-				}
-				var vv int = -1
-				blossomLeaves(bv, func(lv int) {
-					if vv == -1 && label[lv] != 0 {
-						vv = lv
-					}
-				})
-				if vv != -1 {
-					label[vv] = 0
-					label[endpoint[mate[blossombase[bv]]]] = 0
-					assignLabel(vv, 2, labelend[vv])
-				}
-				j += jstep
-			}
-		}
-		label[b] = -1
-		labelend[b] = -1
-		blossomchilds[b] = nil
-		blossomendps[b] = nil
-		blossombase[b] = -1
-		blossombestedges[b] = nil
-		bestedge[b] = -1
-		unusedblossoms = append(unusedblossoms, b)
-	}
-
-	var augmentBlossom func(b, v int)
-	augmentBlossom = func(b, v int) {
-		t := v
-		for blossomparent[t] != b {
-			t = blossomparent[t]
-		}
-		if t >= nvertex {
-			augmentBlossom(t, v)
-		}
-		i := 0
-		for ii, c := range blossomchilds[b] {
-			if c == t {
-				i = ii
-				break
-			}
-		}
-		j := i
-		var jstep, endptrick int
-		if i&1 != 0 {
-			j -= len(blossomchilds[b])
-			jstep = 1
-			endptrick = 0
-		} else {
-			jstep = -1
-			endptrick = 1
-		}
-		idx := func(k int) int {
-			n := len(blossomchilds[b])
-			return ((k % n) + n) % n
-		}
-		for j != 0 {
-			j += jstep
-			t := blossomchilds[b][idx(j)]
-			p := blossomendps[b][idx(j-endptrick)] ^ endptrick
-			if t >= nvertex {
-				augmentBlossom(t, endpoint[p])
-			}
-			j += jstep
-			t = blossomchilds[b][idx(j)]
-			if t >= nvertex {
-				augmentBlossom(t, endpoint[p^1])
-			}
-			mate[endpoint[p]] = p ^ 1
-			mate[endpoint[p^1]] = p
-		}
-		// Rotate the child list so the new base comes first.
-		blossomchilds[b] = append(blossomchilds[b][i:], blossomchilds[b][:i]...)
-		blossomendps[b] = append(blossomendps[b][i:], blossomendps[b][:i]...)
-		blossombase[b] = blossombase[blossomchilds[b][0]]
-	}
-
-	augmentMatching := func(k int) {
-		for _, sp := range [2][2]int{{edges[k].I, 2*k + 1}, {edges[k].J, 2 * k}} {
-			s, p := sp[0], sp[1]
-			for {
-				bs := inblossom[s]
-				if bs >= nvertex {
-					augmentBlossom(bs, s)
-				}
-				mate[s] = p
-				if labelend[bs] == -1 {
-					break
-				}
-				t := endpoint[labelend[bs]]
-				bt := inblossom[t]
-				s = endpoint[labelend[bt]]
-				j := endpoint[labelend[bt]^1]
-				if bt >= nvertex {
-					augmentBlossom(bt, j)
-				}
-				mate[j] = labelend[bt]
-				p = labelend[bt] ^ 1
-			}
-		}
+		ws.unusedblossoms = append(ws.unusedblossoms, b)
 	}
 
 	// Main loop: one stage per augmentation opportunity.
@@ -411,23 +209,23 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 			bestedge[i] = -1
 		}
 		for b := nvertex; b < 2*nvertex; b++ {
-			blossombestedges[b] = nil
+			ws.blossombestedges[b] = ws.blossombestedges[b][:0]
 		}
 		for i := range allowedge {
 			allowedge[i] = false
 		}
-		queue = queue[:0]
+		ws.queue = ws.queue[:0]
 		for v := 0; v < nvertex; v++ {
 			if mate[v] == -1 && label[inblossom[v]] == 0 {
-				assignLabel(v, 1, -1)
+				ws.assignLabel(v, 1, -1)
 			}
 		}
 		augmented := false
 		for {
-			for len(queue) > 0 && !augmented {
-				v := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				for _, p := range neighbend[v] {
+			for len(ws.queue) > 0 && !augmented {
+				v := ws.queue[len(ws.queue)-1]
+				ws.queue = ws.queue[:len(ws.queue)-1]
+				for _, p := range nbList[nbStart[v]:nbStart[v+1]] {
 					k := p / 2
 					w := endpoint[p]
 					if inblossom[v] == inblossom[w] {
@@ -435,7 +233,7 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 					}
 					var kslack int64
 					if !allowedge[k] {
-						kslack = slack(k)
+						kslack = ws.slack(k)
 						if kslack <= 0 {
 							allowedge[k] = true
 						}
@@ -443,13 +241,13 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 					if allowedge[k] {
 						switch {
 						case label[inblossom[w]] == 0:
-							assignLabel(w, 2, p^1)
+							ws.assignLabel(w, 2, p^1)
 						case label[inblossom[w]] == 1:
-							base := scanBlossom(v, w)
+							base := ws.scanBlossom(v, w)
 							if base >= 0 {
-								addBlossom(base, k)
+								ws.addBlossom(base, k)
 							} else {
-								augmentMatching(k)
+								ws.augmentMatching(k)
 								augmented = true
 							}
 						case label[w] == 0:
@@ -461,11 +259,11 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 						}
 					} else if label[inblossom[w]] == 1 {
 						b := inblossom[v]
-						if bestedge[b] == -1 || kslack < slack(bestedge[b]) {
+						if bestedge[b] == -1 || kslack < ws.slack(bestedge[b]) {
 							bestedge[b] = k
 						}
 					} else if label[w] == 0 {
-						if bestedge[w] == -1 || kslack < slack(bestedge[w]) {
+						if bestedge[w] == -1 || kslack < ws.slack(bestedge[w]) {
 							bestedge[w] = k
 						}
 					}
@@ -489,7 +287,7 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 			}
 			for v := 0; v < nvertex; v++ {
 				if label[inblossom[v]] == 0 && bestedge[v] != -1 {
-					d := slack(bestedge[v])
+					d := ws.slack(bestedge[v])
 					if deltatype == -1 || d < delta {
 						delta = d
 						deltatype = 2
@@ -499,7 +297,7 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 			}
 			for b := 0; b < 2*nvertex; b++ {
 				if blossomparent[b] == -1 && label[b] == 1 && bestedge[b] != -1 {
-					d := slack(bestedge[b]) / 2
+					d := ws.slack(bestedge[b]) / 2
 					if deltatype == -1 || d < delta {
 						delta = d
 						deltatype = 3
@@ -554,16 +352,16 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 				// Optimum reached.
 			case 2:
 				allowedge[deltaedge] = true
-				i := edges[deltaedge].I
+				i := endpoint[2*deltaedge]
 				if label[inblossom[i]] == 0 {
-					i = edges[deltaedge].J
+					i = endpoint[2*deltaedge+1]
 				}
-				queue = append(queue, i)
+				ws.queue = append(ws.queue, i)
 			case 3:
 				allowedge[deltaedge] = true
-				queue = append(queue, edges[deltaedge].I)
+				ws.queue = append(ws.queue, endpoint[2*deltaedge])
 			case 4:
-				expandBlossom(deltablossom, false)
+				ws.expandBlossom(deltablossom, false)
 			}
 			if deltatype == 1 {
 				break
@@ -575,24 +373,363 @@ func maxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
 		// End of stage: expand unlabelled S-blossoms with zero dual.
 		for b := nvertex; b < 2*nvertex; b++ {
 			if blossomparent[b] == -1 && blossombase[b] >= 0 && label[b] == 1 && dualvar[b] == 0 {
-				expandBlossom(b, true)
+				ws.expandBlossom(b, true)
 			}
 		}
 	}
 
-	out := make([]int, nvertex)
 	for v := 0; v < nvertex; v++ {
 		if mate[v] >= 0 {
-			out[v] = endpoint[mate[v]]
-		} else {
-			out[v] = -1
+			mate[v] = endpoint[mate[v]]
 		}
 	}
-	return out
+	return mate
 }
 
-// MaxWeightMatching computes a maximum-weight matching. The result maps
-// each vertex to its mate (-1 when unmatched).
-func MaxWeightMatching(nvertex int, edges []Edge, maxCardinality bool) []int {
-	return maxWeightMatching(nvertex, edges, maxCardinality)
+func (ws *Workspace) slack(k int) int64 {
+	return ws.dualvar[ws.endpoint[2*k]] + ws.dualvar[ws.endpoint[2*k+1]] - 2*ws.weight[k]
+}
+
+// appendLeaves appends the vertices of (sub-)blossom b to dst in
+// child order, depth first.
+func (ws *Workspace) appendLeaves(dst []int, b int) []int {
+	if b < ws.nvertex {
+		return append(dst, b)
+	}
+	for _, t := range ws.blossomchilds[b] {
+		dst = ws.appendLeaves(dst, t)
+	}
+	return dst
+}
+
+func (ws *Workspace) assignLabel(w, t, p int) {
+	for {
+		b := ws.inblossom[w]
+		ws.label[w] = t
+		ws.label[b] = t
+		ws.labelend[w] = p
+		ws.labelend[b] = p
+		ws.bestedge[w] = -1
+		ws.bestedge[b] = -1
+		if t == 1 {
+			ws.queue = ws.appendLeaves(ws.queue, b)
+			return
+		}
+		// t == 2: a T-blossom's base is matched; its mate becomes an
+		// S-vertex.
+		base := ws.blossombase[b]
+		w, t, p = ws.endpoint[ws.mate[base]], 1, ws.mate[base]^1
+	}
+}
+
+// scanBlossom traces back from v and w to discover either a new
+// blossom base (returned) or an augmenting path (-1).
+func (ws *Workspace) scanBlossom(v, w int) int {
+	label, labelend, inblossom, endpoint := ws.label, ws.labelend, ws.inblossom, ws.endpoint
+	path := ws.scanPath[:0]
+	base := -1
+	for v != -1 || w != -1 {
+		b := inblossom[v]
+		if label[b]&4 != 0 {
+			base = ws.blossombase[b]
+			break
+		}
+		path = append(path, b)
+		label[b] = 5
+		if labelend[b] == -1 {
+			v = -1
+		} else {
+			v = endpoint[labelend[b]]
+			b = inblossom[v]
+			v = endpoint[labelend[b]]
+		}
+		if w != -1 {
+			v, w = w, v
+		}
+	}
+	for _, b := range path {
+		label[b] = 1
+	}
+	ws.scanPath = path
+	return base
+}
+
+func (ws *Workspace) addBlossom(base, k int) {
+	label, labelend, inblossom, endpoint := ws.label, ws.labelend, ws.inblossom, ws.endpoint
+	blossomparent, bestedge := ws.blossomparent, ws.bestedge
+	v, w := endpoint[2*k], endpoint[2*k+1]
+	bb := inblossom[base]
+	bv := inblossom[v]
+	bw := inblossom[w]
+	b := ws.unusedblossoms[len(ws.unusedblossoms)-1]
+	ws.unusedblossoms = ws.unusedblossoms[:len(ws.unusedblossoms)-1]
+	ws.blossombase[b] = base
+	blossomparent[b] = -1
+	blossomparent[bb] = b
+	path, endps := ws.blossomchilds[b][:0], ws.blossomendps[b][:0]
+	for bv != bb {
+		blossomparent[bv] = b
+		path = append(path, bv)
+		endps = append(endps, labelend[bv])
+		v = endpoint[labelend[bv]]
+		bv = inblossom[v]
+	}
+	path = append(path, bb)
+	// Reverse so the base comes first.
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	for i, j := 0, len(endps)-1; i < j; i, j = i+1, j-1 {
+		endps[i], endps[j] = endps[j], endps[i]
+	}
+	endps = append(endps, 2*k)
+	for bw != bb {
+		blossomparent[bw] = b
+		path = append(path, bw)
+		endps = append(endps, labelend[bw]^1)
+		w = endpoint[labelend[bw]]
+		bw = inblossom[w]
+	}
+	ws.blossomchilds[b] = path
+	ws.blossomendps[b] = endps
+	label[b] = 1
+	labelend[b] = labelend[bb]
+	ws.dualvar[b] = 0
+	ws.leafBuf = ws.appendLeaves(ws.leafBuf[:0], b)
+	for _, lv := range ws.leafBuf {
+		if label[inblossom[lv]] == 2 {
+			ws.queue = append(ws.queue, lv)
+		}
+		inblossom[lv] = b
+	}
+	// Recompute the best-edge cache for the new blossom.
+	bestedgeto := ws.bestedgeto
+	for i := range bestedgeto {
+		bestedgeto[i] = -1
+	}
+	for _, bvv := range path {
+		if len(ws.blossombestedges[bvv]) == 0 {
+			// No list of least-slack edges (a vertex, or a sub-blossom
+			// whose list came out empty): walk the leaves' edges.
+			ws.leafBuf = ws.appendLeaves(ws.leafBuf[:0], bvv)
+			for _, lv := range ws.leafBuf {
+				for _, p := range ws.nbList[ws.nbStart[lv]:ws.nbStart[lv+1]] {
+					ws.offerBestEdge(b, p/2)
+				}
+			}
+		} else {
+			for _, kk := range ws.blossombestedges[bvv] {
+				ws.offerBestEdge(b, kk)
+			}
+		}
+		ws.blossombestedges[bvv] = ws.blossombestedges[bvv][:0]
+		bestedge[bvv] = -1
+	}
+	best := ws.blossombestedges[b][:0]
+	for _, kk := range bestedgeto {
+		if kk != -1 {
+			best = append(best, kk)
+		}
+	}
+	ws.blossombestedges[b] = best
+	bestedge[b] = -1
+	for _, kk := range best {
+		if bestedge[b] == -1 || ws.slack(kk) < ws.slack(bestedge[b]) {
+			bestedge[b] = kk
+		}
+	}
+}
+
+// offerBestEdge offers edge kk as the least-slack edge from the new
+// blossom b to the S-blossom at its far end.
+func (ws *Workspace) offerBestEdge(b, kk int) {
+	j := ws.endpoint[2*kk+1]
+	if ws.inblossom[j] == b {
+		j = ws.endpoint[2*kk]
+	}
+	bj := ws.inblossom[j]
+	if bj != b && ws.label[bj] == 1 &&
+		(ws.bestedgeto[bj] == -1 || ws.slack(kk) < ws.slack(ws.bestedgeto[bj])) {
+		ws.bestedgeto[bj] = kk
+	}
+}
+
+// wrap maps a possibly negative child index onto [0, n).
+func wrap(i, n int) int {
+	i %= n
+	if i < 0 {
+		i += n
+	}
+	return i
+}
+
+func (ws *Workspace) expandBlossom(b int, endstage bool) {
+	nvertex := ws.nvertex
+	label, labelend, inblossom, endpoint := ws.label, ws.labelend, ws.inblossom, ws.endpoint
+	childs, endps := ws.blossomchilds[b], ws.blossomendps[b]
+	for _, s := range childs {
+		ws.blossomparent[s] = -1
+		if s < nvertex {
+			inblossom[s] = s
+		} else if endstage && ws.dualvar[s] == 0 {
+			ws.expandBlossom(s, endstage)
+		} else {
+			ws.leafBuf = ws.appendLeaves(ws.leafBuf[:0], s)
+			for _, v := range ws.leafBuf {
+				inblossom[v] = s
+			}
+		}
+	}
+	if !endstage && label[b] == 2 {
+		// The expanded T-blossom's children must be relabelled.
+		n := len(childs)
+		entrychild := inblossom[endpoint[labelend[b]^1]]
+		j := 0
+		for i, c := range childs {
+			if c == entrychild {
+				j = i
+				break
+			}
+		}
+		var jstep, endptrick int
+		if j&1 != 0 {
+			j -= n
+			jstep = 1
+			endptrick = 0
+		} else {
+			jstep = -1
+			endptrick = 1
+		}
+		p := labelend[b]
+		for j != 0 {
+			label[endpoint[p^1]] = 0
+			label[endpoint[endps[wrap(j-endptrick, n)]^endptrick^1]] = 0
+			ws.assignLabel(endpoint[p^1], 2, p)
+			ws.allowedge[endps[wrap(j-endptrick, n)]/2] = true
+			j += jstep
+			p = endps[wrap(j-endptrick, n)] ^ endptrick
+			ws.allowedge[p/2] = true
+			j += jstep
+		}
+		bv := childs[wrap(j, n)]
+		label[endpoint[p^1]] = 2
+		label[bv] = 2
+		labelend[endpoint[p^1]] = p
+		labelend[bv] = p
+		ws.bestedge[bv] = -1
+		j += jstep
+		for childs[wrap(j, n)] != entrychild {
+			bv := childs[wrap(j, n)]
+			if label[bv] == 1 {
+				j += jstep
+				continue
+			}
+			vv := -1
+			ws.leafBuf = ws.appendLeaves(ws.leafBuf[:0], bv)
+			for _, lv := range ws.leafBuf {
+				if label[lv] != 0 {
+					vv = lv
+					break
+				}
+			}
+			if vv != -1 {
+				label[vv] = 0
+				label[endpoint[ws.mate[ws.blossombase[bv]]]] = 0
+				ws.assignLabel(vv, 2, labelend[vv])
+			}
+			j += jstep
+		}
+	}
+	label[b] = -1
+	labelend[b] = -1
+	ws.blossomchilds[b] = childs[:0]
+	ws.blossomendps[b] = endps[:0]
+	ws.blossombase[b] = -1
+	ws.blossombestedges[b] = ws.blossombestedges[b][:0]
+	ws.bestedge[b] = -1
+	ws.unusedblossoms = append(ws.unusedblossoms, b)
+}
+
+// rotate moves s[i:] to the front of s, in place.
+func (ws *Workspace) rotate(s []int, i int) {
+	ws.rotBuf = append(ws.rotBuf[:0], s[:i]...)
+	copy(s, s[i:])
+	copy(s[len(s)-i:], ws.rotBuf)
+}
+
+func (ws *Workspace) augmentBlossom(b, v int) {
+	nvertex := ws.nvertex
+	endpoint, mate := ws.endpoint, ws.mate
+	t := v
+	for ws.blossomparent[t] != b {
+		t = ws.blossomparent[t]
+	}
+	if t >= nvertex {
+		ws.augmentBlossom(t, v)
+	}
+	childs, endps := ws.blossomchilds[b], ws.blossomendps[b]
+	n := len(childs)
+	i := 0
+	for ii, c := range childs {
+		if c == t {
+			i = ii
+			break
+		}
+	}
+	j := i
+	var jstep, endptrick int
+	if i&1 != 0 {
+		j -= n
+		jstep = 1
+		endptrick = 0
+	} else {
+		jstep = -1
+		endptrick = 1
+	}
+	for j != 0 {
+		j += jstep
+		t := childs[wrap(j, n)]
+		p := endps[wrap(j-endptrick, n)] ^ endptrick
+		if t >= nvertex {
+			ws.augmentBlossom(t, endpoint[p])
+		}
+		j += jstep
+		t = childs[wrap(j, n)]
+		if t >= nvertex {
+			ws.augmentBlossom(t, endpoint[p^1])
+		}
+		mate[endpoint[p]] = p ^ 1
+		mate[endpoint[p^1]] = p
+	}
+	// Rotate the child list so the new base comes first.
+	ws.rotate(childs, i)
+	ws.rotate(endps, i)
+	ws.blossombase[b] = ws.blossombase[childs[0]]
+}
+
+func (ws *Workspace) augmentMatching(k int) {
+	nvertex := ws.nvertex
+	labelend, inblossom, endpoint, mate := ws.labelend, ws.inblossom, ws.endpoint, ws.mate
+	for side := 0; side < 2; side++ {
+		s, p := endpoint[2*k+side], 2*k+1-side
+		for {
+			bs := inblossom[s]
+			if bs >= nvertex {
+				ws.augmentBlossom(bs, s)
+			}
+			mate[s] = p
+			if labelend[bs] == -1 {
+				break
+			}
+			t := endpoint[labelend[bs]]
+			bt := inblossom[t]
+			s = endpoint[labelend[bt]]
+			j := endpoint[labelend[bt]^1]
+			if bt >= nvertex {
+				ws.augmentBlossom(bt, j)
+			}
+			mate[j] = labelend[bt]
+			p = labelend[bt] ^ 1
+		}
+	}
 }

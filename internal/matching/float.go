@@ -32,12 +32,16 @@ func QuantizeWeight(w float64) int64 {
 // QuantizeWeight and delegating to the exact integer blossom matcher.
 // Weights must be finite and non-negative.
 func MinWeightPerfectMatchingFloat(nvertex int, edges []EdgeF) ([][2]int, error) {
-	q := make([]Edge, len(edges))
-	for i, e := range edges {
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	q := ws.edgeBuf[:0]
+	for _, e := range edges {
 		if math.IsNaN(e.W) || math.IsInf(e.W, 0) || e.W < 0 {
 			return nil, fmt.Errorf("matching: edge (%d,%d) has invalid weight %v", e.I, e.J, e.W)
 		}
-		q[i] = Edge{I: e.I, J: e.J, W: QuantizeWeight(e.W)}
+		q = append(q, Edge{I: e.I, J: e.J, W: QuantizeWeight(e.W)})
 	}
-	return MinWeightPerfectMatching(nvertex, q)
+	ws.edgeBuf = q
+	mate, err := ws.MinWeightPerfectMatching(nvertex, q)
+	return matePairs(mate), err
 }

@@ -76,32 +76,56 @@ func TestTriangleBlossom(t *testing.T) {
 	}
 }
 
-func TestKnownTrickyCases(t *testing.T) {
-	// Cases from the reference implementation's regression suite
-	// (s-blossom, t-blossom, nested blossoms, relabelling and expansion).
-	cases := []struct {
-		n     int
-		edges []Edge
-		want  []int
-	}{
-		// create S-blossom and use it for augmentation
-		{6, []Edge{{1, 2, 8}, {1, 3, 9}, {2, 3, 10}, {3, 4, 7}}, []int{-1, 2, 1, 4, 3, -1}},
-		{7, []Edge{{1, 2, 8}, {1, 3, 9}, {2, 3, 10}, {3, 4, 7}, {1, 6, 5}, {4, 5, 6}}, []int{-1, 6, 3, 2, 5, 4, 1}},
-		// create S-blossom, relabel as T-blossom, use for augmentation
-		{7, []Edge{{1, 2, 9}, {1, 3, 8}, {2, 3, 10}, {1, 4, 5}, {4, 5, 4}, {1, 6, 3}}, []int{-1, 6, 3, 2, 5, 4, 1}},
-		{7, []Edge{{1, 2, 9}, {1, 3, 8}, {2, 3, 10}, {1, 4, 5}, {4, 5, 3}, {1, 6, 4}}, []int{-1, 6, 3, 2, 5, 4, 1}},
-		{7, []Edge{{1, 2, 9}, {1, 3, 8}, {2, 3, 10}, {1, 4, 5}, {4, 5, 3}, {3, 6, 4}}, []int{-1, 2, 1, 6, 5, 4, 3}},
-		// create nested S-blossom, use for augmentation
-		{7, []Edge{{1, 2, 9}, {1, 3, 9}, {2, 3, 10}, {2, 4, 8}, {3, 5, 8}, {4, 5, 10}, {5, 6, 6}}, []int{-1, 3, 4, 1, 2, 6, 5}},
-		// create S-blossom, relabel as S, include in nested S-blossom
-		{9, []Edge{{1, 2, 10}, {1, 7, 10}, {2, 3, 12}, {3, 4, 20}, {3, 5, 20}, {4, 5, 25}, {5, 6, 10}, {6, 7, 10}, {7, 8, 8}}, []int{-1, 2, 1, 4, 3, 6, 5, 8, 7}},
-		// create nested S-blossom, augment, expand recursively
-		{9, []Edge{{1, 2, 8}, {1, 3, 8}, {2, 3, 10}, {2, 4, 12}, {3, 5, 12}, {4, 5, 14}, {4, 6, 12}, {5, 7, 12}, {6, 7, 14}, {7, 8, 12}}, []int{-1, 2, 1, 5, 6, 3, 4, 8, 7}},
-		// create S-blossom, relabel as T, expand
-		{9, []Edge{{1, 2, 23}, {1, 5, 22}, {1, 6, 15}, {2, 3, 25}, {3, 4, 22}, {4, 5, 25}, {4, 8, 14}, {5, 7, 13}}, []int{-1, 6, 3, 2, 8, 7, 1, 5, 4}},
-		// create nested S-blossom, relabel as T, expand
-		{9, []Edge{{1, 2, 19}, {1, 3, 20}, {1, 8, 8}, {2, 3, 25}, {2, 4, 18}, {3, 5, 18}, {4, 5, 13}, {4, 7, 7}, {5, 6, 7}}, []int{-1, 8, 3, 2, 7, 6, 5, 4, 1}},
-	}
+// matchCase is a graph with the mate array the reference
+// implementation's regression suite expects (vertex 0 is unused).
+type matchCase struct {
+	n     int
+	edges []Edge
+	want  []int
+}
+
+// knownTrickyCases come from the reference implementation's regression
+// suite (s-blossom, t-blossom, nested blossoms, relabelling and
+// expansion).
+var knownTrickyCases = []matchCase{
+	// create S-blossom and use it for augmentation
+	{6, []Edge{{1, 2, 8}, {1, 3, 9}, {2, 3, 10}, {3, 4, 7}}, []int{-1, 2, 1, 4, 3, -1}},
+	{7, []Edge{{1, 2, 8}, {1, 3, 9}, {2, 3, 10}, {3, 4, 7}, {1, 6, 5}, {4, 5, 6}}, []int{-1, 6, 3, 2, 5, 4, 1}},
+	// create S-blossom, relabel as T-blossom, use for augmentation
+	{7, []Edge{{1, 2, 9}, {1, 3, 8}, {2, 3, 10}, {1, 4, 5}, {4, 5, 4}, {1, 6, 3}}, []int{-1, 6, 3, 2, 5, 4, 1}},
+	{7, []Edge{{1, 2, 9}, {1, 3, 8}, {2, 3, 10}, {1, 4, 5}, {4, 5, 3}, {1, 6, 4}}, []int{-1, 6, 3, 2, 5, 4, 1}},
+	{7, []Edge{{1, 2, 9}, {1, 3, 8}, {2, 3, 10}, {1, 4, 5}, {4, 5, 3}, {3, 6, 4}}, []int{-1, 2, 1, 6, 5, 4, 3}},
+	// create nested S-blossom, use for augmentation
+	{7, []Edge{{1, 2, 9}, {1, 3, 9}, {2, 3, 10}, {2, 4, 8}, {3, 5, 8}, {4, 5, 10}, {5, 6, 6}}, []int{-1, 3, 4, 1, 2, 6, 5}},
+	// create S-blossom, relabel as S, include in nested S-blossom
+	{9, []Edge{{1, 2, 10}, {1, 7, 10}, {2, 3, 12}, {3, 4, 20}, {3, 5, 20}, {4, 5, 25}, {5, 6, 10}, {6, 7, 10}, {7, 8, 8}}, []int{-1, 2, 1, 4, 3, 6, 5, 8, 7}},
+	// create nested S-blossom, augment, expand recursively
+	{9, []Edge{{1, 2, 8}, {1, 3, 8}, {2, 3, 10}, {2, 4, 12}, {3, 5, 12}, {4, 5, 14}, {4, 6, 12}, {5, 7, 12}, {6, 7, 14}, {7, 8, 12}}, []int{-1, 2, 1, 5, 6, 3, 4, 8, 7}},
+	// create S-blossom, relabel as T, expand
+	{9, []Edge{{1, 2, 23}, {1, 5, 22}, {1, 6, 15}, {2, 3, 25}, {3, 4, 22}, {4, 5, 25}, {4, 8, 14}, {5, 7, 13}}, []int{-1, 6, 3, 2, 8, 7, 1, 5, 4}},
+	// create nested S-blossom, relabel as T, expand
+	{9, []Edge{{1, 2, 19}, {1, 3, 20}, {1, 8, 8}, {2, 3, 25}, {2, 4, 18}, {3, 5, 18}, {4, 5, 13}, {4, 7, 7}, {5, 6, 7}}, []int{-1, 8, 3, 2, 7, 6, 5, 4, 1}},
+}
+
+// tBlossomExpansionCases: create blossom, relabel as T in more than one
+// way, expand, augment.
+var tBlossomExpansionCases = []matchCase{
+	{11, []Edge{{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 35}, {5, 7, 26}, {9, 10, 5}},
+		[]int{-1, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9}},
+	{11, []Edge{{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 26}, {5, 7, 40}, {9, 10, 5}},
+		[]int{-1, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9}},
+	// create blossom, relabel as T, expand such that a new least-slack
+	// S-to-free edge is produced, augment
+	{11, []Edge{{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 28}, {5, 7, 26}, {9, 10, 5}},
+		[]int{-1, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9}},
+	// create nested blossom, relabel as T in more than one way, expand
+	// outer blossom such that inner blossom ends up on an augmenting path
+	{13, []Edge{{1, 2, 45}, {1, 7, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 95}, {4, 6, 94}, {5, 6, 94}, {6, 7, 50}, {1, 8, 30}, {3, 11, 35}, {5, 9, 36}, {7, 10, 26}, {11, 12, 5}},
+		[]int{-1, 8, 3, 2, 6, 9, 4, 10, 1, 5, 7, 12, 11}},
+}
+
+func checkMatchCases(t *testing.T, cases []matchCase) {
+	t.Helper()
 	for ci, c := range cases {
 		mate := MaxWeightMatching(c.n, c.edges, false)
 		for v := 1; v < c.n; v++ {
@@ -112,35 +136,9 @@ func TestKnownTrickyCases(t *testing.T) {
 	}
 }
 
-func TestTBlossomExpansionCases(t *testing.T) {
-	// create blossom, relabel as T in more than one way, expand, augment
-	cases := []struct {
-		n     int
-		edges []Edge
-		want  []int
-	}{
-		{11, []Edge{{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 35}, {5, 7, 26}, {9, 10, 5}},
-			[]int{-1, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9}},
-		{11, []Edge{{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 26}, {5, 7, 40}, {9, 10, 5}},
-			[]int{-1, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9}},
-		// create blossom, relabel as T, expand such that a new least-slack
-		// S-to-free edge is produced, augment
-		{11, []Edge{{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 28}, {5, 7, 26}, {9, 10, 5}},
-			[]int{-1, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9}},
-		// create nested blossom, relabel as T in more than one way, expand
-		// outer blossom such that inner blossom ends up on an augmenting path
-		{13, []Edge{{1, 2, 45}, {1, 7, 45}, {2, 3, 50}, {3, 4, 45}, {4, 5, 95}, {4, 6, 94}, {5, 6, 94}, {6, 7, 50}, {1, 8, 30}, {3, 11, 35}, {5, 9, 36}, {7, 10, 26}, {11, 12, 5}},
-			[]int{-1, 8, 3, 2, 6, 9, 4, 10, 1, 5, 7, 12, 11}},
-	}
-	for ci, c := range cases {
-		mate := MaxWeightMatching(c.n, c.edges, false)
-		for v := 1; v < c.n; v++ {
-			if mate[v] != c.want[v] {
-				t.Fatalf("case %d: mate = %v, want %v", ci, mate, c.want)
-			}
-		}
-	}
-}
+func TestKnownTrickyCases(t *testing.T) { checkMatchCases(t, knownTrickyCases) }
+
+func TestTBlossomExpansionCases(t *testing.T) { checkMatchCases(t, tBlossomExpansionCases) }
 
 func TestMatchingSymmetricAndDisjoint(t *testing.T) {
 	prop := func(seed uint64) bool {

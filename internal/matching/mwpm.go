@@ -13,33 +13,44 @@ import (
 // detection events (and boundary images) so that the total correction
 // weight is minimal, exactly as qtcodes does through networkx.
 func MinWeightPerfectMatching(nvertex int, edges []Edge) ([][2]int, error) {
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	mate, err := ws.MinWeightPerfectMatching(nvertex, edges)
+	return matePairs(mate), err
+}
+
+// MinWeightPerfectMatching is the package-level function on caller-owned
+// storage: it returns the mate of every vertex instead of a pair list.
+// The slice is valid until the workspace's next call.
+func (ws *Workspace) MinWeightPerfectMatching(nvertex int, edges []Edge) ([]int, error) {
 	if nvertex%2 != 0 {
 		return nil, fmt.Errorf("matching: perfect matching impossible on %d (odd) vertices", nvertex)
 	}
-	if nvertex == 0 {
-		return nil, nil
-	}
-	// Negate weights: a maximum-weight maximum-cardinality matching of
-	// the negated graph is a minimum-weight perfect matching of the
-	// original, whenever a perfect matching exists.
-	neg := make([]Edge, len(edges))
-	for i, e := range edges {
-		neg[i] = Edge{I: e.I, J: e.J, W: -e.W}
-	}
-	mate := maxWeightMatching(nvertex, neg, true)
-	var pairs [][2]int
+	// A maximum-weight maximum-cardinality matching of the negated graph
+	// is a minimum-weight perfect matching of the original, whenever a
+	// perfect matching exists.
+	mate := ws.run(nvertex, edges, -1, true)
 	for v, m := range mate {
 		if m == -1 {
 			return nil, fmt.Errorf("matching: vertex %d unmatched; no perfect matching", v)
 		}
+	}
+	return mate, nil
+}
+
+// matePairs lists each matched pair of a perfect mate array once, I < J
+// by vertex index.
+func matePairs(mate []int) [][2]int {
+	if len(mate) == 0 {
+		return nil
+	}
+	pairs := make([][2]int, 0, len(mate)/2)
+	for v, m := range mate {
 		if v < m {
 			pairs = append(pairs, [2]int{v, m})
 		}
 	}
-	if len(pairs) != nvertex/2 {
-		return nil, fmt.Errorf("matching: incomplete matching (%d pairs for %d vertices)", len(pairs), nvertex)
-	}
-	return pairs, nil
+	return pairs
 }
 
 // MatchingWeight sums the weight of the given pairs using the edge list
@@ -74,11 +85,22 @@ func MatchingWeight(edges []Edge, pairs [][2]int) int64 {
 // GreedyPerfectMatching is the ablation baseline decoder: it sorts the
 // edges by weight and matches greedily. It is fast but not optimal; the
 // ablation bench quantifies the accuracy it gives up versus blossom.
+// Pairs come back as MinWeightPerfectMatching lists them.
 func GreedyPerfectMatching(nvertex int, edges []Edge) ([][2]int, error) {
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	mate, err := ws.GreedyPerfectMatching(nvertex, edges)
+	return matePairs(mate), err
+}
+
+// GreedyPerfectMatching is the package-level function on caller-owned
+// storage, returning mates like the workspace's MinWeightPerfectMatching.
+func (ws *Workspace) GreedyPerfectMatching(nvertex int, edges []Edge) ([]int, error) {
 	if nvertex%2 != 0 {
 		return nil, fmt.Errorf("matching: perfect matching impossible on %d (odd) vertices", nvertex)
 	}
-	sorted := append([]Edge(nil), edges...)
+	ws.edgeBuf = append(ws.edgeBuf[:0], edges...)
+	sorted := ws.edgeBuf
 	// Insertion sort keeps this dependency-free and is fine for decoder
 	// graph sizes; swap in sort.Slice if profiles ever say otherwise.
 	for i := 1; i < len(sorted); i++ {
@@ -86,23 +108,18 @@ func GreedyPerfectMatching(nvertex int, edges []Edge) ([][2]int, error) {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	matched := make([]bool, nvertex)
-	var pairs [][2]int
+	mate := ws.freshMate(nvertex)
+	npairs := 0
 	for _, e := range sorted {
-		if !matched[e.I] && !matched[e.J] {
-			matched[e.I] = true
-			matched[e.J] = true
-			if e.I < e.J {
-				pairs = append(pairs, [2]int{e.I, e.J})
-			} else {
-				pairs = append(pairs, [2]int{e.J, e.I})
-			}
+		if mate[e.I] == -1 && mate[e.J] == -1 {
+			mate[e.I], mate[e.J] = e.J, e.I
+			npairs++
 		}
 	}
-	if len(pairs) != nvertex/2 {
+	if npairs != nvertex/2 {
 		return nil, fmt.Errorf("matching: greedy failed to perfect-match")
 	}
-	return pairs, nil
+	return mate, nil
 }
 
 // bruteForceMinPerfect enumerates all perfect matchings and returns the

@@ -3,6 +3,8 @@ package qec
 import (
 	mathbits "math/bits"
 	"sync"
+
+	"radqec/internal/matching"
 )
 
 // DecodeBatch is the word-parallel counterpart of Decode: rec is a
@@ -57,22 +59,31 @@ func (c *Code) DecodeUnionFindBatch(rec []uint64, live uint64) uint64 {
 // with no per-word re-slicing: rec[c·w+k] holds classical bit c of tile
 // word k (64·w lanes total), live[k] masks word k's live lanes, and
 // out[k] receives word k's decoded logical word. All three tiers of
-// DecodeBatch run tile-wide; the steady state allocates nothing (the
-// extraction scratch is pooled, the syndrome memo is allocation-free).
+// DecodeBatch run tile-wide and none of them allocates once the pooled
+// scratch is warm: extraction and memo probes never did, and a miss
+// builds its defect graph, runs blossom and folds the correction inside
+// the same pooled decodeBuf.
 // Word k of out always equals DecodeBatch of word k's re-sliced record.
 func (c *Code) DecodeTile(rec []uint64, w int, live, out []uint64) {
-	c.decodeTile(rec, w, live, out, c.mwpmMemo, func(defects []defect) uint64 {
-		return c.flipParity(c.matchDefects(defects))
-	})
+	c.decodeTile(rec, w, live, out, c.mwpmMemo, mwpmParity)
 }
 
 // DecodeUnionFindTile is DecodeUnionFindBatch over a w-word tile; see
 // DecodeTile for the tile layout.
 func (c *Code) DecodeUnionFindTile(rec []uint64, w int, live, out []uint64) {
-	m := c.DEM()
-	c.decodeTile(rec, w, live, out, c.ufMemo, func(defects []defect) uint64 {
-		return c.flipParity(ufDecode(m, defects, c.Data.Size))
-	})
+	c.decodeTile(rec, w, live, out, c.ufMemo, ufParity)
+}
+
+// parityOracle evaluates the flip parity of one novel defect pattern on
+// the tile's scratch: decodeTile's miss tier.
+type parityOracle func(c *Code, buf *decodeBuf, defects []defect) uint64
+
+func mwpmParity(c *Code, buf *decodeBuf, defects []defect) uint64 {
+	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).MinWeightPerfectMatching))
+}
+
+func ufParity(c *Code, _ *decodeBuf, defects []defect) uint64 {
+	return c.flipParity(ufDecode(c.DEM(), defects, c.Data.Size))
 }
 
 // flipParity folds a correction mask onto the logical support.
@@ -141,10 +152,13 @@ func (c *Code) detectionEventTile(rec []uint64, w int, dst, anyw []uint64) {
 // localised strike while keeping the arrays L1-resident (8 KiB).
 const frontSize = 256
 
-// decodeBuf is the pooled scratch of one decodeTile call: the extracted
-// detection-event tile, the per-word defect accumulator masks, and the
-// defect list handed to the matcher. One pool serves every code — the
-// slices grow to the largest tile decoded and are reused verbatim.
+// decodeBuf is the pooled scratch of one decode: the extracted
+// detection-event tile, the per-word defect accumulator masks, the
+// defect list of a lane that missed the memo, and everything matching
+// that list needs — the defect-graph edges, the blossom workspace and
+// the correction mask. One pool serves every code, tile-wide and
+// scalar decodes alike — the slices grow to the largest decode seen and
+// are reused verbatim.
 //
 // The front arrays are a goroutine-private direct-mapped cache in front
 // of the shared parityMemo: while a buf is checked out its owner probes
@@ -157,6 +171,10 @@ type decodeBuf struct {
 	events  []uint64
 	anyw    []uint64
 	defects []defect
+
+	edges []matching.Edge
+	ws    matching.Workspace
+	flips []bool
 
 	frontGen [frontSize]uint64
 	frontK0  [frontSize]uint64
@@ -187,7 +205,7 @@ func (b *decodeBuf) grow(n, w int) (events, anyw []uint64) {
 // DecodeTile and DecodeUnionFindTile: tiered extraction + memoisation
 // around a flip-parity oracle evaluated only on novel defect patterns.
 func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityMemo,
-	parityOf func(defects []defect) uint64) {
+	parityOf parityOracle) {
 	layers := len(c.CRounds) + 1
 	nz := len(c.zStabData)
 	// Uncorrected logical parity of every lane: the fast-path answer.
@@ -209,8 +227,8 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	// Key width is fixed per code: up to 64 detector bits fill only the
 	// low key word (the 2-round hot path), up to 128 both words of the
 	// key that keeps memory-depth campaigns cached.
-	nbits := nz * layers
-	cacheable := nbits <= 128
+	nbits := c.detectorBits()
+	cacheable := nbits <= memoKeyBits
 	defects := buf.defects
 	for k := 0; k < w; k++ {
 		slow := anyw[k] & live[k]
@@ -252,7 +270,7 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 					}
 				}
 			}
-			flipParity := parityOf(defects)
+			flipParity := parityOf(c, buf, defects)
 			if cacheable {
 				memo.store(h, k0, k1, flipParity)
 				buf.frontGen[fi], buf.frontK0[fi], buf.frontK1[fi], buf.frontVal[fi] = memo.gen, k0, k1, flipParity
@@ -278,8 +296,8 @@ func (c *Code) RawLogicalTile(rec []uint64, w int, live, out []uint64) {
 
 // batchMemoEntries reports the current MWPM syndrome-memo population
 // (test hook).
-func (c *Code) batchMemoEntries() int64 { return c.mwpmMemo.size.Load() }
+func (c *Code) batchMemoEntries() int64 { return c.mwpmMemo.entries() }
 
 // ufMemoEntries reports the union-find syndrome-memo population (test
 // hook).
-func (c *Code) ufMemoEntries() int64 { return c.ufMemo.size.Load() }
+func (c *Code) ufMemoEntries() int64 { return c.ufMemo.entries() }

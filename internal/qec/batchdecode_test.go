@@ -1,6 +1,7 @@
 package qec
 
 import (
+	"sync"
 	"testing"
 
 	"radqec/internal/rng"
@@ -298,5 +299,186 @@ func BenchmarkDEMCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 		c.DEM()
+	}
+}
+
+// tileRecord packs a w-word tile (rec[c·w+k] = bit c of word k): even
+// words carry uniform random bits, odd words sparse ones (one bit in
+// eight), so both saturated and physical-looking syndromes are decoded.
+func tileRecord(c *Code, w int, src *rng.Source) []uint64 {
+	rec := make([]uint64, c.Circ.NumClbits*w)
+	for i := range rec {
+		rec[i] = src.Uint64()
+		if (i%w)%2 == 1 {
+			rec[i] &= src.Uint64() & src.Uint64()
+		}
+	}
+	return rec
+}
+
+// TestDecodeTileMatchesScalarOnFigureCodes runs the tile decoder against
+// the scalar one, lane for lane, on every code fig6 and the memory
+// experiment build. Both now match on the same pooled workspace, so the
+// comparison also shows that neither leaves anything behind in it for
+// the other: tile and scalar decodes of different sizes interleave.
+func TestDecodeTileMatchesScalarOnFigureCodes(t *testing.T) {
+	var codes []*Code
+	add := func(c *Code, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes = append(codes, c)
+	}
+	for _, d := range RepetitionDistances() {
+		add(NewRepetition(d))
+	}
+	for _, dd := range XXZZDistances() {
+		add(NewXXZZ(dd[0], dd[1]))
+	}
+	for _, r := range []int{3, 4, 5, 6, 8} {
+		add(NewRepetitionRounds(5, r))
+		add(NewXXZZRounds(3, 3, r))
+	}
+	for _, r := range []int{3, 4, 6, 8, 9} {
+		add(NewRepetitionRounds(9, r))
+	}
+	const w = 2
+	live := []uint64{^uint64(0), ^uint64(0)}
+	out := make([]uint64, w)
+	bits := make([]int, 0, 256)
+	for ci, c := range codes {
+		rec := tileRecord(c, w, rng.New(uint64(100+ci)))
+		c.DecodeTile(rec, w, live, out)
+		for k := 0; k < w; k++ {
+			for lane := uint(0); lane < 64; lane++ {
+				bits = bits[:0]
+				for cb := 0; cb < c.Circ.NumClbits; cb++ {
+					bits = append(bits, int(rec[cb*w+k]>>lane)&1)
+				}
+				if got, want := int(out[k]>>lane)&1, c.Decode(bits); got != want {
+					t.Fatalf("%s rounds %d word %d lane %d: DecodeTile %d, Decode %d",
+						c.Name, c.Rounds, k, lane, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeTileMissTierZeroAllocFreshMemo: a cacheable code whose memo
+// is swapped for an empty one before every tile sends each pattern's
+// first sighting through the matcher and the memo insert, and none of
+// that may allocate once the pooled scratch has seen one tile. Growing
+// a memo's table is the one allocation decoding keeps, so the empty
+// memos here come with full-size tables. (The uncacheable-code half of
+// this guard, where every triggered lane reaches the matcher, sits with
+// the engine in internal/frame.)
+func TestDecodeTileMissTierZeroAllocFreshMemo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	c, err := NewXXZZ(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w, runs = 8, 20
+	rec := tileRecord(c, w, rng.New(5))
+	live := make([]uint64, w)
+	for k := range live {
+		live[k] = ^uint64(0)
+	}
+	out := make([]uint64, w)
+	memos := make([]*parityMemo, runs+2)
+	for i := range memos {
+		m := newParityMemo(c.detectorBits())
+		for tab := m.grow(nil); len(tab.slots) < m.maxSlots; {
+			tab = m.grow(tab)
+		}
+		memos[i] = m
+	}
+	next := 0
+	tile := func() {
+		c.mwpmMemo = memos[next]
+		next++
+		c.DecodeTile(rec, w, live, out)
+	}
+	tile() // warm: pooled scratch and workspace grown
+	if n := testing.AllocsPerRun(runs, tile); n != 0 {
+		t.Fatalf("miss tier allocates %v times per tile on a fresh memo, want 0", n)
+	}
+	if got := memos[next-1].entries(); got < 100 {
+		t.Fatalf("fresh memo holds %d entries after a tile; the miss tier did not run", got)
+	}
+}
+
+// TestParityMemoGrowsWithContent: no table before the first insert, a
+// ceiling from the code's detector bits, and growth in between that
+// loses nothing — a small DEM's whole pattern space ends up cached.
+func TestParityMemoGrowsWithContent(t *testing.T) {
+	for _, tc := range []struct{ bits, maxSlots int }{{2, 8}, {12, 8192}, {14, 32768}, {24, 32768}, {128, 32768}} {
+		if got := newParityMemo(tc.bits).maxSlots; got != tc.maxSlots {
+			t.Errorf("%d detector bits: ceiling %d slots, want %d", tc.bits, got, tc.maxSlots)
+		}
+	}
+	m := newParityMemo(12)
+	if m.table.Load() != nil {
+		t.Fatal("empty memo already holds a table")
+	}
+	m.store(memoHash(1, 0), 1, 0, 1)
+	if got := len(m.table.Load().slots); got != 1<<memoMinSlotBits {
+		t.Fatalf("first table has %d slots, want %d", got, 1<<memoMinSlotBits)
+	}
+	// Two passes, as decoding does it: a pattern whose insert ran out of
+	// probes in a nearly full small table misses later and is stored
+	// again.
+	for pass := 0; pass < 2; pass++ {
+		for k := uint64(0); k < 1<<12; k++ {
+			m.store(memoHash(k, 0), k, 0, k&1)
+		}
+	}
+	for k := uint64(0); k < 1<<12; k++ {
+		if v, ok := m.load(memoHash(k, 0), k, 0); !ok || v != k&1 {
+			t.Fatalf("pattern %#x: load = (%d, %v) after growth", k, v, ok)
+		}
+	}
+	if got := len(m.table.Load().slots); got != m.maxSlots {
+		t.Fatalf("table stopped at %d slots, ceiling %d", got, m.maxSlots)
+	}
+	if got := m.entries(); got != 1<<12 {
+		t.Fatalf("%d entries for %d patterns", got, 1<<12)
+	}
+}
+
+// TestParityMemoConcurrentGrowth hammers one memo from several
+// goroutines while it grows from empty to its ceiling (run under
+// -race): a load may miss, but it must never return a wrong parity,
+// and the table must end up holding most of what was stored.
+func TestParityMemoConcurrentGrowth(t *testing.T) {
+	const workers, keys = 4, 20000
+	m := newParityMemo(40)
+	parityOf := func(k uint64) uint64 { return (k * 0x9e3779b97f4a7c15) >> 63 }
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			src := rng.New(uint64(g))
+			for i := 0; i < keys; i++ {
+				k := uint64(src.Intn(keys))
+				h := memoHash(k, k>>3)
+				if v, ok := m.load(h, k, k>>3); ok && v != parityOf(k) {
+					t.Errorf("key %d: cached parity %d, want %d", k, v, parityOf(k))
+					return
+				}
+				m.store(h, k, k>>3, parityOf(k))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := len(m.table.Load().slots); got != m.maxSlots {
+		t.Fatalf("table at %d slots after %d distinct keys, ceiling %d", got, keys, m.maxSlots)
+	}
+	if got := m.entries(); got < keys/2 {
+		t.Fatalf("only %d entries survived growth under contention", got)
 	}
 }

@@ -91,6 +91,10 @@ func (c *Code) NumZStabs() int { return len(c.zStabData) }
 // NumXStabs returns the number of X-type (phase-flip detecting) stabilizers.
 func (c *Code) NumXStabs() int { return len(c.xStabData) }
 
+// detectorBits is the width of a shot's space-time defect pattern: one
+// bit per Z stabilizer per detection layer.
+func (c *Code) detectorBits() int { return len(c.zStabData) * (len(c.CRounds) + 1) }
+
 // ExpectedLogical is the decoded output in the absence of faults.
 func (c *Code) ExpectedLogical() int { return 1 }
 
@@ -132,8 +136,8 @@ func (c *Code) stabRound(creg circuit.Register) {
 // transversal X, which is applied between the first and second round
 // exactly as in the paper's protocol.
 func (c *Code) finishCircuit(logicalXSupport []int) {
-	c.mwpmMemo = newParityMemo()
-	c.ufMemo = newParityMemo()
+	c.mwpmMemo = newParityMemo(c.detectorBits())
+	c.ufMemo = newParityMemo(c.detectorBits())
 	circ := c.Circ
 	c.stabRound(c.CRounds[0])
 	circ.Barrier()

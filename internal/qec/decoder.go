@@ -56,8 +56,8 @@ func (c *Code) SetPrior(pr dem.Prior) error {
 	}
 	c.prior = pr
 	c.dm.Store(m)
-	c.mwpmMemo = newParityMemo()
-	c.ufMemo = newParityMemo()
+	c.mwpmMemo = newParityMemo(c.detectorBits())
+	c.ufMemo = newParityMemo(c.detectorBits())
 	return nil
 }
 
@@ -115,32 +115,42 @@ type defect struct {
 // weighted; all equal under the default unit prior), and corrections
 // are the flattened flip sets of the matched chains.
 func (c *Code) Decode(bits []int) int {
-	defects := c.detectionEvents(bits)
-	flips := c.matchDefects(defects)
-	return c.logicalValue(bits, flips)
+	return c.decodeWith(bits, (*matching.Workspace).MinWeightPerfectMatching)
 }
 
 // DecodeGreedy is the ablation decoder: identical detection events and
 // correction model, but greedy matching instead of blossom.
 func (c *Code) DecodeGreedy(bits []int) int {
-	defects := c.detectionEvents(bits)
-	flips := c.matchDefectsWith(defects, matching.GreedyPerfectMatching)
-	return c.logicalValue(bits, flips)
+	return c.decodeWith(bits, (*matching.Workspace).GreedyPerfectMatching)
 }
 
-// detectionEvents derives the Z-graph space-time detection events from a
-// shot record: round 0 versus the expected all-zero syndrome, the
-// differences between consecutive rounds, and the last-round/final
-// difference where the final syndrome is recomputed from the data
-// readout parities. With R rounds this yields R+1 detection layers.
-func (c *Code) detectionEvents(bits []int) []defect {
-	var defects []defect
+// matcher perfectly matches a defect graph on a workspace and returns
+// every vertex's mate.
+type matcher func(ws *matching.Workspace, nvertex int, edges []matching.Edge) ([]int, error)
+
+// decodeWith is the scalar decode on pooled scratch: events, graph,
+// matching and correction all live in one decodeBuf.
+func (c *Code) decodeWith(bits []int, match matcher) int {
+	buf := decodeBufPool.Get().(*decodeBuf)
+	buf.defects = c.detectionEvents(buf.defects[:0], bits)
+	v := c.logicalValue(bits, c.matchDefects(buf, buf.defects, match))
+	decodeBufPool.Put(buf)
+	return v
+}
+
+// detectionEvents appends to dst the Z-graph space-time detection
+// events of a shot record: round 0 versus the expected all-zero
+// syndrome, the differences between consecutive rounds, and the
+// last-round/final difference where the final syndrome is recomputed
+// from the data readout parities. With R rounds this yields R+1
+// detection layers.
+func (c *Code) detectionEvents(dst []defect, bits []int) []defect {
 	for s, datas := range c.zStabData {
 		prev := 0
 		for r, creg := range c.CRounds {
 			cur := bits[creg.Start+s]
 			if prev^cur != 0 {
-				defects = append(defects, defect{s, r})
+				dst = append(dst, defect{s, r})
 			}
 			prev = cur
 		}
@@ -149,20 +159,23 @@ func (c *Code) detectionEvents(bits []int) []defect {
 			final ^= bits[c.DataRead.Start+d]
 		}
 		if prev^final != 0 {
-			defects = append(defects, defect{s, len(c.CRounds)})
+			dst = append(dst, defect{s, len(c.CRounds)})
 		}
 	}
-	return defects
+	return dst
 }
 
-// matchDefects pairs the detection events with blossom MWPM and returns
-// the resulting data-qubit flip multiset as a parity mask.
-func (c *Code) matchDefects(defects []defect) []bool {
-	return c.matchDefectsWith(defects, matching.MinWeightPerfectMatching)
-}
-
-func (c *Code) matchDefectsWith(defects []defect, match func(int, []matching.Edge) ([][2]int, error)) []bool {
-	flips := make([]bool, c.Data.Size)
+// matchDefects pairs the detection events with match and returns the
+// resulting data-qubit flip multiset as a parity mask. Graph, matching
+// and mask all live in buf; the mask is valid until buf's next use.
+func (c *Code) matchDefects(buf *decodeBuf, defects []defect, match matcher) []bool {
+	if cap(buf.flips) < c.Data.Size {
+		buf.flips = make([]bool, c.Data.Size)
+	}
+	flips := buf.flips[:c.Data.Size]
+	for d := range flips {
+		flips[d] = false
+	}
 	nd := len(defects)
 	if nd == 0 {
 		return flips
@@ -171,7 +184,7 @@ func (c *Code) matchDefectsWith(defects []defect, match func(int, []matching.Edg
 	// Nodes 0..nd-1 are defects; nd..2nd-1 their private boundary
 	// images. Boundary images interconnect at zero cost so unused ones
 	// pair among themselves.
-	var edges []matching.Edge
+	edges := buf.edges[:0]
 	for i := 0; i < nd; i++ {
 		for j := i + 1; j < nd; j++ {
 			w := m.Dist(defects[i].stab, defects[i].round, defects[j].stab, defects[j].round)
@@ -187,22 +200,22 @@ func (c *Code) matchDefectsWith(defects []defect, match func(int, []matching.Edg
 			edges = append(edges, matching.Edge{I: nd + i, J: nd + j, W: 0})
 		}
 	}
-	pairs, err := match(2*nd, edges)
+	buf.edges = edges
+	mate, err := match(&buf.ws, 2*nd, edges)
 	if err != nil {
 		// No perfect matching means the syndrome is undecodable (cannot
 		// happen on connected decode graphs); fail open with no
 		// correction rather than crash a campaign.
 		return flips
 	}
-	for _, p := range pairs {
-		i, j := p[0], p[1]
+	for i, j := range mate[:nd] {
 		switch {
-		case i < nd && j < nd:
-			for _, d := range m.PathFlips(defects[i].stab, defects[j].stab) {
+		case j >= nd:
+			for _, d := range m.BoundaryFlips(defects[i].stab) {
 				flips[d] = !flips[d]
 			}
-		case i < nd && j >= nd:
-			for _, d := range m.BoundaryFlips(defects[i].stab) {
+		case i < j:
+			for _, d := range m.PathFlips(defects[i].stab, defects[j].stab) {
 				flips[d] = !flips[d]
 			}
 		}

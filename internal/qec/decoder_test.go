@@ -3,6 +3,7 @@ package qec
 import (
 	"testing"
 
+	"radqec/internal/matching"
 	"radqec/internal/rng"
 )
 
@@ -196,7 +197,7 @@ func TestSetPriorResetsMemos(t *testing.T) {
 func TestDetectionEventsOnCleanRecord(t *testing.T) {
 	c := mustXXZZ(t, 3, 3)
 	bits := cleanRun(t, c, 3)
-	if defects := c.detectionEvents(bits); len(defects) != 0 {
+	if defects := c.detectionEvents(nil, bits); len(defects) != 0 {
 		t.Fatalf("clean record produced defects: %v", defects)
 	}
 }
@@ -208,7 +209,7 @@ func TestDetectionEventsLayering(t *testing.T) {
 	// (disappearance) for that stabilizer.
 	bits := append([]int(nil), base...)
 	bits[c.C0.Start+2] ^= 1
-	defects := c.detectionEvents(bits)
+	defects := c.detectionEvents(nil, bits)
 	if len(defects) != 2 {
 		t.Fatalf("defects = %v", defects)
 	}
@@ -224,7 +225,7 @@ func TestDetectionEventsLayering(t *testing.T) {
 	// A final-readout flip on data 2 -> defects at layer 2 on stabs 1,2.
 	bits = append([]int(nil), base...)
 	bits[c.DataRead.Start+2] ^= 1
-	defects = c.detectionEvents(bits)
+	defects = c.detectionEvents(nil, bits)
 	if len(defects) != 2 {
 		t.Fatalf("readout defects = %v", defects)
 	}
@@ -237,7 +238,7 @@ func TestDetectionEventsLayering(t *testing.T) {
 
 func TestMatchDefectsEmpty(t *testing.T) {
 	c := mustRep(t, 5)
-	flips := c.matchDefects(nil)
+	flips := c.matchDefects(new(decodeBuf), nil, (*matching.Workspace).MinWeightPerfectMatching)
 	for d, f := range flips {
 		if f {
 			t.Fatalf("no-defect correction flipped data %d", d)

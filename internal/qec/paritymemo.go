@@ -1,27 +1,35 @@
 package qec
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // The syndrome memo used to be a sync.Map keyed by boxed uint64/[2]uint64
 // values, which cost one interface allocation and a runtime hash per
 // decoded lane — the dominant term of the batch-decode hot path once
 // detection-event extraction went word-parallel. parityMemo replaces it
-// with a fixed-size open-addressed table of 128-bit keys that is
-// allocation-free on both lookup and insert.
+// with an open-addressed table of 128-bit keys whose lookups and
+// inserts allocate nothing; only growing the table does.
 const (
-	// memoSlotBits sizes the table; with the 3/4 load cap below the
-	// entry capacity stays close to the old batchCacheCap while linear
-	// probes stay short.
-	memoSlotBits = 15
-	memoSlots    = 1 << memoSlotBits
+	// memoKeyBits is the widest defect pattern a memo key holds; a code
+	// with more detector bits decodes every triggered lane directly and
+	// never touches its memos.
+	memoKeyBits = 128
+	// memoMinSlotBits and memoMaxSlotBits bound the table: it starts at
+	// 1024 slots (24 KB) and stops growing at 32768 (786 KB) — or at
+	// twice the code's pattern space when that is smaller; with the 3/4
+	// load cap below the final entry capacity stays close to the old
+	// batchCacheCap while linear probes stay short.
+	memoMinSlotBits = 10
+	memoMaxSlotBits = 15
+	// memoGrowShift is the growth step: a table at its load cap is
+	// replaced by one four times the size.
+	memoGrowShift = 2
 	// memoProbeCap bounds a probe sequence; a key that cannot find a
 	// home within it is simply not cached (the decode still runs, it
 	// just is not memoised), mirroring the old cap fallback.
 	memoProbeCap = 32
-	// memoEntryCap is the insert cap: beyond it adversarial workloads
-	// (huge codes under saturating faults) fall back to decoding
-	// directly instead of growing the table's effective load factor.
-	memoEntryCap = memoSlots * 3 / 4
 )
 
 // memoSlot is one table entry. state moves 0 (empty) -> 1 (writing) ->
@@ -34,13 +42,34 @@ type memoSlot struct {
 	k0, k1 uint64
 }
 
-// parityMemo is a bounded lock-free syndrome-to-flip-parity cache. The
-// table is allocated lazily on first insert, so the many Code values
-// tests construct but never batch-decode cost four words, not a
-// megabyte.
-type parityMemo struct {
-	slots atomic.Pointer[[memoSlots]memoSlot]
+// memoTable is one generation of a memo's storage: a power-of-two slot
+// array and its population.
+type memoTable struct {
+	slots []memoSlot
 	size  atomic.Int64
+}
+
+// entryCap is the insert cap, 3/4 of the slots: a table that reaches it
+// grows, or — at full size, where adversarial workloads (huge codes
+// under saturating faults) would only raise the load factor — stops
+// taking inserts and lets those decodes run directly.
+func (t *memoTable) entryCap() int64 { return int64(len(t.slots)) * 3 / 4 }
+
+// parityMemo is a bounded lock-free syndrome-to-flip-parity cache. Its
+// table follows what the code actually sees: nothing until the first
+// insert (the many Code values that are built but never batch-decoded —
+// a daemon replaying stored campaigns, tests — cost a few words), then
+// 1024 slots, then four times more whenever the load cap is reached, up
+// to twice the code's pattern space or 32768 slots. A 12-bit DEM under
+// a localised strike stays at 24 KB where a 24-bit one under saturating
+// strikes climbs to the full 786 KB.
+type parityMemo struct {
+	table atomic.Pointer[memoTable]
+	// growMu serialises table replacement; lookups and inserts never
+	// take it.
+	growMu sync.Mutex
+	// maxSlots is the size the table stops growing at.
+	maxSlots int
 	// gen is this memo's process-unique identity, tagged onto front-cache
 	// entries (see decodeBuf) so an entry can never outlive or alias its
 	// memo — not even across a SetPrior swap or a recycled allocation.
@@ -51,9 +80,21 @@ type parityMemo struct {
 // so the zero generation never matches a memo.
 var memoGen atomic.Uint64
 
-// newParityMemo builds an empty memo with a fresh identity.
-func newParityMemo() *parityMemo {
-	return &parityMemo{gen: memoGen.Add(1)}
+// newParityMemo builds an empty memo with a fresh identity for a code
+// with the given number of detector bits.
+func newParityMemo(detectorBits int) *parityMemo {
+	return &parityMemo{
+		maxSlots: 1 << min(memoMaxSlotBits, detectorBits+1),
+		gen:      memoGen.Add(1),
+	}
+}
+
+// entries reports the memo's population.
+func (m *parityMemo) entries() int64 {
+	if t := m.table.Load(); t != nil {
+		return t.size.Load()
+	}
+	return 0
 }
 
 // memoHash mixes a 128-bit defect pattern into a table index
@@ -71,12 +112,13 @@ func memoHash(k0, k1 uint64) uint64 {
 // h must be memoHash(k0, k1); callers share one hash across the front
 // cache, the probe and the insert.
 func (m *parityMemo) load(h, k0, k1 uint64) (uint64, bool) {
-	t := m.slots.Load()
+	t := m.table.Load()
 	if t == nil {
 		return 0, false
 	}
-	for i := uint64(0); i < memoProbeCap; i++ {
-		s := &t[(h+i)&(memoSlots-1)]
+	mask := uint64(len(t.slots) - 1)
+	for i := uint64(0); i < min(memoProbeCap, uint64(len(t.slots))); i++ {
+		s := &t.slots[(h+i)&mask]
 		switch s.state.Load() {
 		case 0:
 			// An insert claims the first empty slot of its probe
@@ -93,23 +135,51 @@ func (m *parityMemo) load(h, k0, k1 uint64) (uint64, bool) {
 }
 
 // store caches the flip parity of the defect pattern (k0, k1). Losing a
-// claim race, hitting the entry cap or exhausting the probe budget just
-// skips the insert — correctness never depends on a store landing. h
-// must be memoHash(k0, k1).
+// claim race, hitting the entry cap of a full-size table or exhausting
+// the probe budget just skips the insert — correctness never depends on
+// a store landing. h must be memoHash(k0, k1).
 func (m *parityMemo) store(h, k0, k1, parity uint64) {
-	if m.size.Load() >= memoEntryCap {
-		return
+	t := m.table.Load()
+	if t == nil || (t.size.Load() >= t.entryCap() && len(t.slots) < m.maxSlots) {
+		t = m.grow(t)
 	}
-	t := m.slots.Load()
-	if t == nil {
-		fresh := new([memoSlots]memoSlot)
-		if !m.slots.CompareAndSwap(nil, fresh) {
-			fresh = nil // lost the race; use the winner's table
+	if t.size.Load() < t.entryCap() {
+		t.insert(h, k0, k1, parity)
+	}
+}
+
+// grow replaces the table the caller found full (or absent) by the next
+// size up, carrying the ready entries over, and returns the current
+// table. Readers keep using the old table until the swap; an insert
+// that lands in the old table after its slot was carried over is lost,
+// which costs that pattern one more decode and nothing else.
+func (m *parityMemo) grow(old *memoTable) *memoTable {
+	m.growMu.Lock()
+	defer m.growMu.Unlock()
+	if cur := m.table.Load(); cur != old {
+		return cur // another goroutine grew it first
+	}
+	nslots := min(1<<memoMinSlotBits, m.maxSlots)
+	if old != nil {
+		nslots = min(len(old.slots)<<memoGrowShift, m.maxSlots)
+	}
+	t := &memoTable{slots: make([]memoSlot, nslots)}
+	if old != nil {
+		for i := range old.slots {
+			if s := &old.slots[i]; s.state.Load() == 2 {
+				t.insert(memoHash(s.k0, s.k1), s.k0, s.k1, uint64(s.parity))
+			}
 		}
-		t = m.slots.Load()
 	}
-	for i := uint64(0); i < memoProbeCap; i++ {
-		s := &t[(h+i)&(memoSlots-1)]
+	m.table.Store(t)
+	return t
+}
+
+// insert claims the first empty slot of the key's probe sequence.
+func (t *memoTable) insert(h, k0, k1, parity uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for i := uint64(0); i < min(memoProbeCap, uint64(len(t.slots))); i++ {
+		s := &t.slots[(h+i)&mask]
 		st := s.state.Load()
 		if st == 2 {
 			if s.k0 == k0 && s.k1 == k1 {
@@ -121,7 +191,7 @@ func (m *parityMemo) store(h, k0, k1, parity uint64) {
 			s.k0, s.k1 = k0, k1
 			s.parity = uint32(parity)
 			s.state.Store(2)
-			m.size.Add(1)
+			t.size.Add(1)
 			return
 		}
 		// Claim lost or a writer is mid-flight: treat as occupied. Two

@@ -202,7 +202,7 @@ func ufDecode(m *dem.Model, defects []defect, numData int) []bool {
 // correction model are shared with Decode, so accuracy differences
 // isolate the matching strategy.
 func (c *Code) DecodeUnionFind(bits []int) int {
-	defects := c.detectionEvents(bits)
+	defects := c.detectionEvents(nil, bits)
 	flips := ufDecode(c.DEM(), defects, c.Data.Size)
 	return c.logicalValue(bits, flips)
 }

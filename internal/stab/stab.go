@@ -313,9 +313,10 @@ func (t *Tableau) ExpectationZ(q int) int {
 	if !t.IsDeterministicZ(q) {
 		return 0
 	}
-	// Peek at the deterministic outcome without disturbing the state.
-	c := t.Clone()
-	if c.MeasureZ(q, rng.New(0)) == 0 {
+	// MeasureZ's deterministic branch reads the generators, writes only
+	// the scratch row and draws no coin, so it peeks at the outcome in
+	// place: the state is undisturbed and nothing is allocated.
+	if t.MeasureZ(q, nil) == 0 {
 		return 1
 	}
 	return -1

@@ -304,6 +304,47 @@ func TestExpectationZDoesNotDisturb(t *testing.T) {
 	}
 }
 
+// TestExpectationZInPlace: ExpectationZ peeks in place, so on random
+// Clifford states (some qubits collapsed by measurement, one- and
+// two-word tableaus) it must agree with measuring a clone, leave every
+// stabilizer generator as it was, and allocate nothing.
+func TestExpectationZInPlace(t *testing.T) {
+	for _, n := range []int{6, 70} {
+		src := rng.New(uint64(n))
+		for trial := 0; trial < 40; trial++ {
+			tab := New(n)
+			applyRandom(tab, src, n, 8*n)
+			for m := 0; m < n/3; m++ {
+				tab.MeasureZ(src.Intn(n), src)
+			}
+			applyRandom(tab, src, n, n)
+			before := tab.StabilizerStrings()
+			for q := 0; q < n; q++ {
+				want := 0
+				if tab.IsDeterministicZ(q) {
+					want = 1 - 2*tab.Clone().MeasureZ(q, rng.New(0))
+				}
+				if got := tab.ExpectationZ(q); got != want {
+					t.Fatalf("n=%d trial %d: <Z%d> = %d, clone says %d", n, trial, q, got, want)
+				}
+			}
+			after := tab.StabilizerStrings()
+			for i := range before {
+				if before[i] != after[i] {
+					t.Fatalf("n=%d trial %d: generator %d moved: %s -> %s", n, trial, i, before[i], after[i])
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, func() {
+				for q := 0; q < n; q++ {
+					tab.ExpectationZ(q)
+				}
+			}); allocs != 0 {
+				t.Fatalf("ExpectationZ allocated %v times per %d-qubit sweep", allocs, n)
+			}
+		}
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	tab := New(2)
 	tab.H(0)

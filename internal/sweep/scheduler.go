@@ -592,6 +592,11 @@ func (s *Scheduler) requeue(q *schedQueue, i int) {
 // an OnResult call — their campaign is erroring out, and whatever
 // progress they held is already checkpointed.
 func (s *Scheduler) complete(q *schedQueue, i int) {
+	// The point has run its last chunk: drop its engine campaign
+	// (simulator, reference frame, tile states) now rather than when the
+	// whole campaign retires, so the heap a campaign holds does not grow
+	// with the points it has finished.
+	q.runs[i].runner = nil
 	aborted := q.runs[i].aborted
 	if !aborted {
 		q.results[i] = q.runs[i].res

@@ -3,9 +3,11 @@ package sweep
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 )
 
 // TestSchedulerMatchesPrivatePool: a sweep run on a shared scheduler
@@ -205,4 +207,34 @@ func (c *mapCache) Commit(h string, p CachedPoint) {
 	p.BatchRates = append([]float64(nil), p.BatchRates...)
 	c.commits[h] = p
 	delete(c.ckpts, h)
+}
+
+// TestFinishedPointReleasesRunner: a point's runner — the engine
+// campaign with its simulator and tile states — must become collectable
+// when the point finishes, not when its campaign does; a campaign's heap
+// would otherwise grow with every point it has completed.
+func TestFinishedPointReleasesRunner(t *testing.T) {
+	type engine struct{ state [1 << 12]uint64 }
+	var first weak.Pointer[engine]
+	firstGone := false
+	points := []Point{
+		{Key: "first", Prepare: func() BatchRunner {
+			e := &engine{}
+			first = weak.Make(e)
+			return func(start, n int) Counts { return Counts{Shots: n, Errors: int(e.state[0])} }
+		}},
+		{Key: "second", Prepare: func() BatchRunner {
+			return func(start, n int) Counts {
+				runtime.GC()
+				firstGone = first.Value() == nil
+				return Counts{Shots: n}
+			}
+		}},
+	}
+	// One worker, static policy: "second" starts after "first" completed,
+	// inside the same campaign.
+	runT(t, Config{Policy: Policy{Shots: 1}, Mechanism: Mechanism{Workers: 1}}, points)
+	if !firstGone {
+		t.Fatal("the finished point's runner was still reachable while its campaign ran on")
+	}
 }

@@ -330,15 +330,22 @@ func (r *Registry) New(experiment string) *Campaign {
 	return c
 }
 
-// Finish marks the campaign done and moves it to the recent tail.
+// Finish marks the campaign done and moves it to the recent tail. The
+// tail is shifted down in place rather than re-sliced forward: a slice
+// that only advances its start keeps every rotated-out campaign (ring
+// and signals, ~170 KB for a fig5 run) reachable through the backing
+// array until append outgrows it, so the daemon's heap would saw
+// between keepRecent and 2·keepRecent retained campaigns.
 func (r *Registry) Finish(c *Campaign) {
 	c.Finish()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.active, c.id)
 	r.recent = append(r.recent, c)
-	if len(r.recent) > keepRecent {
-		r.recent = r.recent[len(r.recent)-keepRecent:]
+	if over := len(r.recent) - keepRecent; over > 0 {
+		n := copy(r.recent, r.recent[over:])
+		clear(r.recent[n:])
+		r.recent = r.recent[:n]
 	}
 }
 

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 )
 
 func TestRecordAssignsDenseSequence(t *testing.T) {
@@ -165,6 +167,29 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, ok := r.Get(99); ok {
 		t.Fatal("unknown id found")
 	}
+}
+
+// TestRegistryRecentTailReleasesRotatedOut pins what the tail keeps
+// reachable, not just what Get finds: a rotated-out campaign must be
+// collectable at once, not parked in the tail's backing array until
+// append happens to outgrow it.
+func TestRegistryRecentTailReleasesRotatedOut(t *testing.T) {
+	r := NewRegistry()
+	first := r.New("e")
+	r.Finish(first)
+	gone := weak.Make(first)
+	first = nil
+	for i := 0; i < keepRecent+1; i++ {
+		r.Finish(r.New("e"))
+	}
+	if len(r.recent) != keepRecent {
+		t.Fatalf("tail holds %d campaigns, want %d", len(r.recent), keepRecent)
+	}
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Fatal("rotated-out campaign is still reachable from the registry")
+	}
+	runtime.KeepAlive(r)
 }
 
 func TestRegistryRecentTailBounded(t *testing.T) {
