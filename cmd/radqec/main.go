@@ -424,13 +424,22 @@ func main() {
 }
 
 // printStats writes the -stats telemetry summary for one experiment to
-// stderr: aggregate engine throughput, chunk/batch counts, cache
-// traffic, allocation pressure and the engine-routing decision.
+// stderr: aggregate engine throughput, the points' set-up time beside
+// it, chunk/batch counts, cache traffic, allocation pressure and the
+// engine-routing decision.
 func printStats(st telemetry.Stats) {
 	fmt.Fprintf(os.Stderr,
 		"radqec: %s: %d shots (%d errors) over %d points in %d chunks / %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses; %.1f MiB allocated\n",
 		st.Experiment, st.Shots, st.Errors, st.PointsDone, st.Chunks, st.Batches,
 		st.ShotsPerSec, st.CacheHits, st.CacheMisses, float64(st.AllocBytes)/(1<<20))
+	if engine := st.PrepareNS + st.WallNS; engine > 0 {
+		fmt.Fprintf(os.Stderr, "radqec: %s: engine time %v = set-up %v (%.1f%%) + run %v; throughput counts run only\n",
+			st.Experiment,
+			time.Duration(engine).Round(time.Millisecond),
+			time.Duration(st.PrepareNS).Round(time.Millisecond),
+			100*float64(st.PrepareNS)/float64(engine),
+			time.Duration(st.WallNS).Round(time.Millisecond))
+	}
 	if st.ChunkSize > 0 {
 		fmt.Fprintf(os.Stderr, "radqec: %s: controller chunk size %d (dwell %d left)\n",
 			st.Experiment, st.ChunkSize, st.DwellLeft)

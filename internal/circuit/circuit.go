@@ -9,6 +9,8 @@ package circuit
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // GateKind enumerates every operation the IR supports. The set is the
@@ -97,13 +99,19 @@ type Register struct {
 func (r Register) Contains(i int) bool { return i >= r.Start && i < r.Start+r.Size }
 
 // Circuit is an ordered operation stream over NumQubits qubits and
-// NumClbits classical bits.
+// NumClbits classical bits. A Circuit must not be copied after first
+// use; Clone makes an independent one.
 type Circuit struct {
 	NumQubits int
 	NumClbits int
 	Ops       []Op
 	QRegs     []Register
 	CRegs     []Register
+
+	// compiled is the one artefact compiled from Ops (see Compiled),
+	// nil until first use and again after any append.
+	compiled   atomic.Pointer[any]
+	compiledMu sync.Mutex
 }
 
 // New returns an empty circuit with the given quantum and classical
@@ -113,6 +121,34 @@ func New(numQubits, numClbits int) *Circuit {
 		panic("circuit: negative register width")
 	}
 	return &Circuit{NumQubits: numQubits, NumClbits: numClbits}
+}
+
+// Compiled returns the artefact compiled from the circuit's ops,
+// calling build on the circuit for it on first use; concurrent first
+// users get one build and the same value. The circuit owns the slot, not its type:
+// package stab keeps the compiled noiseless reference here, so that it
+// is shared by every simulator of the circuit and collected with it.
+// Appending an op drops the value; ops written through the Ops field
+// directly must not follow a first use.
+func (c *Circuit) Compiled(build func(*Circuit) any) any {
+	if v := c.compiled.Load(); v != nil {
+		return *v
+	}
+	c.compiledMu.Lock()
+	defer c.compiledMu.Unlock()
+	if v := c.compiled.Load(); v != nil {
+		return *v
+	}
+	v := build(c)
+	c.compiled.Store(&v)
+	return v
+}
+
+// appendOp is the one place Ops grows: whatever was compiled from the
+// shorter op list is stale.
+func (c *Circuit) appendOp(op Op) {
+	c.Ops = append(c.Ops, op)
+	c.compiled.Store(nil)
 }
 
 // AddQReg appends a named qubit register covering the next size qubits
@@ -169,7 +205,7 @@ func (c *Circuit) checkC(b int) {
 
 func (c *Circuit) append1(kind GateKind, q int) {
 	c.checkQ(q)
-	c.Ops = append(c.Ops, Op{Kind: kind, Qubits: []int{q}, Clbit: -1})
+	c.appendOp(Op{Kind: kind, Qubits: []int{q}, Clbit: -1})
 }
 
 func (c *Circuit) append2(kind GateKind, a, b int) {
@@ -178,7 +214,7 @@ func (c *Circuit) append2(kind GateKind, a, b int) {
 	if a == b {
 		panic("circuit: two-qubit gate on identical qubits")
 	}
-	c.Ops = append(c.Ops, Op{Kind: kind, Qubits: []int{a, b}, Clbit: -1})
+	c.appendOp(Op{Kind: kind, Qubits: []int{a, b}, Clbit: -1})
 }
 
 // H appends a Hadamard on q.
@@ -209,7 +245,7 @@ func (c *Circuit) SWAP(a, b int) { c.append2(KindSWAP, a, b) }
 func (c *Circuit) Measure(q, bit int) {
 	c.checkQ(q)
 	c.checkC(bit)
-	c.Ops = append(c.Ops, Op{Kind: KindMeasure, Qubits: []int{q}, Clbit: bit})
+	c.appendOp(Op{Kind: KindMeasure, Qubits: []int{q}, Clbit: bit})
 }
 
 // Reset appends a non-unitary reset of q to |0>.
@@ -227,7 +263,7 @@ func (c *Circuit) Barrier(qs ...int) {
 	for _, q := range qs {
 		c.checkQ(q)
 	}
-	c.Ops = append(c.Ops, Op{Kind: KindBarrier, Qubits: append([]int(nil), qs...), Clbit: -1})
+	c.appendOp(Op{Kind: KindBarrier, Qubits: append([]int(nil), qs...), Clbit: -1})
 }
 
 // Append copies every operation of other onto the end of c. The two
@@ -239,7 +275,7 @@ func (c *Circuit) Append(other *Circuit) {
 	for _, op := range other.Ops {
 		cp := op
 		cp.Qubits = append([]int(nil), op.Qubits...)
-		c.Ops = append(c.Ops, cp)
+		c.appendOp(cp)
 	}
 }
 
@@ -296,7 +332,9 @@ func (c *Circuit) Depth() int {
 	return depth
 }
 
-// Clone returns a deep copy of the circuit.
+// Clone returns a deep copy of the circuit's registers and ops. The
+// compiled slot is neither shared nor copied: the clone compiles its
+// own on first use.
 func (c *Circuit) Clone() *Circuit {
 	cp := &Circuit{
 		NumQubits: c.NumQubits,

@@ -30,24 +30,34 @@ func tableHash(tab *Table) string {
 // TestGoldenTablesAcrossCommits pins the byte-identical-tables invariant
 // across commits: the other determinism tests compare two runs of one
 // build (engines, widths, workers, resume), so a tie-break drift in the
-// matcher or a reordered shot stream would pass all of them. The hashes
-// were recorded at commit 1d10355, before the blossom workspace replaced
-// the allocating matcher; default shots, seed 1, batch engine, mwpm.
+// matcher or a reordered shot stream would pass all of them. The first
+// three hashes were recorded at commit 1d10355, before the blossom
+// workspace replaced the allocating matcher; fig5, fig7, fig8 and
+// threshold at 20879a9, before the per-seed tableau reference became a
+// compiled one evaluated per seed (fig8's XXZZ on heavy-hex with SWAP
+// routing is the circuit family with measurement coins and the most
+// strikeable sites). Default shots unless stated, seed 1, batch engine,
+// mwpm.
 // A change that moves one must say why the tables were allowed to move.
 func TestGoldenTablesAcrossCommits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size fig6/memory campaigns")
 	}
-	cfg := Config{Seed: 1, Engine: EngineBatch, Decoder: DecoderMWPM}
 	for _, g := range []struct {
-		name string
-		run  func(Config) (*Table, error)
-		want string
+		name  string
+		run   func(Config) (*Table, error)
+		shots int // 0: the experiment's default
+		want  string
 	}{
-		{"fig6", Fig6, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
-		{"memory", Memory, "1a4d16c5d82230fe12fd6d4365528dc929ad3b6bca3216313078b3e816d010f3"},
-		{"ablation-decoder", AblationDecoder, "234d08677ec13def21e2834f6ea33b0dcda37e30f0f517bc5634f49700f83f58"},
+		{"fig6", Fig6, 0, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
+		{"memory", Memory, 0, "1a4d16c5d82230fe12fd6d4365528dc929ad3b6bca3216313078b3e816d010f3"},
+		{"ablation-decoder", AblationDecoder, 0, "234d08677ec13def21e2834f6ea33b0dcda37e30f0f517bc5634f49700f83f58"},
+		{"fig5", Fig5, 0, "15a2cf50b402e7b9c860017952567ac2577982cf6c7d3a64c2d6682f5da265e2"},
+		{"fig7", Fig7, 0, "0b70f284146f99fb55441f7efb9167244bf63af78753dd988df1d680026395f9"},
+		{"fig8", Fig8, 512, "86a029bb4d9bae1b9b9d46bac6d42b00765c431f537402b650d62e04e557249d"},
+		{"threshold", Threshold, 0, "a239adea1e76a9b06aefacc0a88fd32fe0ca072ad497d3c1ee7aa4effc5af13a"},
 	} {
+		cfg := Config{Seed: 1, Shots: g.shots, Engine: EngineBatch, Decoder: DecoderMWPM}
 		tab, err := g.run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)

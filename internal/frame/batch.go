@@ -31,30 +31,15 @@ import (
 //     (qec.(*Code).DecodeBatch).
 type BatchSimulator struct {
 	sim *Simulator
-	// siteBase[i] is the base index of op i's noise sites in the
-	// flattened per-shot noise-site stream (barriers contribute none).
-	siteBase []int
-	numSites int
 	// depInvLog caches 1/ln(1-P) for geometric skip-sampling.
 	depInvLog float64
 }
 
 // NewBatchSimulator wraps a scalar frame simulator for bit-parallel
 // sampling. The two engines share the recorded reference trajectory, so
-// building the batch view costs O(ops) and no tableau work.
+// building the batch view costs O(1) and no tableau work.
 func NewBatchSimulator(sim *Simulator) *BatchSimulator {
-	b := &BatchSimulator{
-		sim:      sim,
-		siteBase: make([]int, len(sim.circ.Ops)),
-	}
-	n := 0
-	for i, op := range sim.circ.Ops {
-		b.siteBase[i] = n
-		if op.Kind != circuit.KindBarrier {
-			n += len(op.Qubits)
-		}
-	}
-	b.numSites = n
+	b := &BatchSimulator{sim: sim}
 	if p := sim.dep.P; p > 0 && p < 1 {
 		b.depInvLog = 1 / math.Log1p(-p)
 	}
@@ -184,8 +169,11 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 	w := len(srcs)
 	st.reshape(w)
 	sim := s.sim
+	// siteBase[i] is the base index of op i's sites in the flattened
+	// per-shot (op, qubit) stream (barriers contribute none).
+	hasH, siteBase := sim.comp.HasH, sim.comp.SiteBase
 	x, z := st.x, st.z
-	if sim.hasH {
+	if hasH {
 		// State preparation is a collapse point: every lane of every
 		// qubit draws its branch coin (see the package comment).
 		for q := 0; q < st.nq; q++ {
@@ -197,7 +185,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 	}
 	// nextErr[k] is the absolute position of tile word k's next
 	// depolarizing error in the flattened (site, lane) bit-stream of
-	// numSites*64 positions.
+	// NumSites*64 positions.
 	p := sim.dep.P
 	var nextErr [MaxTileWords]int64
 	for k := 0; k < w; k++ {
@@ -246,7 +234,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			// its deviation phase is replaced by fresh branch coins.
 			// Measuring a Z eigenstate leaves the deviation untouched
 			// (see the scalar Run).
-			if sim.hasH && !sim.ref.Deterministic[mi] {
+			if hasH && !sim.ref.Deterministic[mi] {
 				for k := 0; k < w; k++ {
 					z[q+k] = srcs[k].Uint64()
 				}
@@ -255,7 +243,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			q := op.Qubits[0] * w
 			tileZero(x[q : q+w])
 			tileZero(z[q : q+w])
-			if sim.hasH {
+			if hasH {
 				for k := 0; k < w; k++ {
 					z[q+k] = srcs[k].Uint64()
 				}
@@ -266,7 +254,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 		// Noise is consumed per tile word so each word's stream sees
 		// exactly RunWord's draw order: this op's depolarizing errors,
 		// then its radiation coins.
-		hasRad := sim.refZ[i] != nil
+		hasRad := sim.fires[i]
 		if p == 0 && !hasRad {
 			continue
 		}
@@ -279,12 +267,12 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			// 3-way type draw completes the X/Y/Z at P/3 channel of the
 			// scalar engines.
 			if p > 0 {
-				base := int64(s.siteBase[i]) << 6
+				base := int64(siteBase[i]) << 6
 				end := base + int64(len(op.Qubits))<<6
 				ne := nextErr[k]
 				for ne < end {
 					lane := uint(ne & 63)
-					q := op.Qubits[int(ne>>6)-s.siteBase[i]]*w + k
+					q := op.Qubits[int(ne>>6)-siteBase[i]]*w + k
 					switch src.Intn(3) {
 					case 0: // X
 						x[q] ^= 1 << lane
@@ -318,7 +306,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 						continue
 					}
 					q := qq*w + k
-					switch sim.refZ[i][j] {
+					switch sim.refZ[siteBase[i]+j] {
 					case -1: // reference holds |1>, actual pinned to |0>
 						x[q] &^= fire
 						z[q] &^= fire
@@ -328,17 +316,17 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 						z[q] &^= fire
 					case 0:
 						coin := fire & src.Uint64()
-						br := sim.branch[i][j]
-						for _, a := range br.xs {
+						br := sim.comp.Branch(siteBase[i] + j)
+						for _, a := range br.Xs {
 							x[a*w+k] ^= coin
 						}
-						for _, a := range br.zs {
+						for _, a := range br.Zs {
 							z[a*w+k] ^= coin
 						}
 						x[q] &^= fire
 						z[q] &^= fire
 					}
-					if sim.hasH {
+					if hasH {
 						z[q] |= fire & src.Uint64()
 					}
 				}

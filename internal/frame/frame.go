@@ -6,15 +6,27 @@
 // Clifford circuit. Gates cost O(1) per qubit-word instead of O(n), and
 // measurements O(1) instead of O(n²).
 //
+// "Once" is once per circuit, not once per simulator: one reference is
+// compiled per circuit and evaluated per seed. A simulator's reference
+// is the tableau run at its reference seed, but in that run only the
+// sign bits depend on the measurement coins, and affinely over GF(2):
+// gates XOR bit-determined constants into signs, rowsum XORs two signs
+// and a bit-determined phase, a random measurement sets a sign to a
+// fresh coin, a reset XORs its outcome into the signs of the rows with
+// a Z on the qubit. stab.Compile records the record and every site's
+// Z-value as such forms, and the determinism flags, superposed sites
+// and branch operators as the plain facts of the circuit they are; New
+// draws the seed's coins and evaluates, and runs no tableau.
+//
 // The engine is universal over the Clifford set: H, S, CX, CZ, SWAP,
 // Paulis, measurement and reset are all propagated exactly. Measurement
 // sampling follows Stim's reference-record construction — a shot's
 // outcome is the reference outcome XOR the frame's X component, and the
 // frame's Z component is re-randomised at every collapse point: state
 // preparation, each reset, and each measurement whose reference outcome
-// is non-deterministic (per-measurement flags recorded by
-// stab.RunReference; a deterministic measurement reads a Z eigenstate
-// and collapses nothing). Injecting a 50% Z there
+// is non-deterministic (per-measurement flags of the compiled
+// reference; a deterministic measurement reads a Z eigenstate and
+// collapses nothing). Injecting a 50% Z there
 // is physically a no-op (the qubit is a Z eigenstate) but decorrelates
 // the branch labels of non-deterministic measurements from the
 // reference branch, so the sampled records follow the exact joint
@@ -55,13 +67,6 @@ import (
 	"radqec/internal/stab"
 )
 
-// branchOp is the sparse branch operator of a superposed radiation
-// site: a reference stabilizer anti-commuting with Z on the struck
-// qubit, injected into the frame on a fair coin when the reset fires.
-type branchOp struct {
-	xs, zs []int
-}
-
 // Simulator samples shots of one circuit under depolarizing noise and a
 // radiation event, using Pauli-frame propagation.
 type Simulator struct {
@@ -71,28 +76,32 @@ type Simulator struct {
 	// samp is the immutable skip-sampling template for the depolarizing
 	// channel; each shot copies and reseeds it.
 	samp noise.SkipSampler
-	// ref is the recorded noiseless reference execution, including the
-	// per-measurement determinism flags.
+	// comp is the circuit's compiled reference: everything about the
+	// noiseless execution that no seed changes, shared by every
+	// simulator of the circuit. Its branch operator of a superposed
+	// site (a reference stabilizer anti-commuting with Z on the struck
+	// qubit) is what a firing reset injects on a fair coin.
+	comp *stab.Compiled
+	// ref is comp evaluated at the reference seed: the measurement
+	// record, with comp's determinism flags and op mapping.
 	ref *stab.Reference
-	// refZ[i][j] is the reference Z-expectation (+1, -1, or 0 for
-	// superposed) of op i's j-th qubit right after the op, recorded only
-	// where the radiation event can fire.
-	refZ [][]int
-	// branch[i][j] is the branch operator of op i's j-th qubit, recorded
-	// only where refZ is 0 (superposed strikeable sites).
-	branch [][]branchOp
-	// hasH records whether the circuit contains a Hadamard. Only H moves
-	// Z frame bits into the X plane, so without one the collapse-point Z
-	// coins are unobservable and are skipped entirely.
-	hasH bool
+	// fires[i] reports whether the radiation event can strike a qubit
+	// of op i.
+	fires []bool
+	// refZ[comp.SiteBase[i]+j] is the reference Z-expectation (+1, -1,
+	// or 0 for superposed) of op i's j-th qubit right after the op,
+	// filled only where fires[i].
+	refZ []int8
 	// radExact records whether every strikeable site is a Z eigenstate
-	// in the reference (no branch operators recorded).
+	// in the reference (no branch operator can be injected).
 	radExact bool
 }
 
-// New builds a frame simulator. The reference execution runs the
-// noiseless circuit once on the tableau simulator with a stream derived
-// from refSeed; rad may be nil.
+// New builds a frame simulator. The reference execution is the
+// circuit's compiled reference (stab.CompiledOf, built once per
+// circuit) evaluated at the coins of the stream seeded by refSeed — the
+// record and Z-values a tableau run with that seed would give, with no
+// tableau run here; rad may be nil.
 func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEvent, refSeed uint64) *Simulator {
 	if rad == nil {
 		rad = noise.NoRadiation(circ.NumQubits)
@@ -101,50 +110,38 @@ func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEven
 		panic(fmt.Sprintf("frame: radiation table covers %d qubits, circuit has %d",
 			len(rad.Probs), circ.NumQubits))
 	}
+	comp := stab.CompiledOf(circ)
+	coins := comp.Coins(refSeed)
 	s := &Simulator{
 		circ:     circ,
 		dep:      dep,
 		rad:      rad,
 		samp:     dep.Skip(),
-		refZ:     make([][]int, len(circ.Ops)),
-		branch:   make([][]branchOp, len(circ.Ops)),
+		comp:     comp,
+		ref:      comp.Reference(coins),
+		fires:    make([]bool, len(circ.Ops)),
+		refZ:     make([]int8, comp.NumSites),
 		radExact: true,
 	}
-	for _, op := range circ.Ops {
-		if op.Kind == circuit.KindH {
-			s.hasH = true
-			break
-		}
-	}
-	// Record the reference trajectory. Wherever a radiation reset could
-	// strike, also record the reference Z-value of the struck qubit
-	// (needed to express the reset fault as a Pauli frame update) and,
-	// on superposed sites, the branch operator that carries the
-	// projection's correlated damage to entangled partners.
-	s.ref = stab.RunReference(circ, refSeed, func(i int, tab *stab.Tableau) {
-		op := circ.Ops[i]
+	// Wherever a radiation reset could strike, evaluate the reference
+	// Z-value of the struck qubit (needed to express the reset fault as
+	// a Pauli frame update); on superposed sites the compiled branch
+	// operator carries the projection's correlated damage to entangled
+	// partners.
+	for i, op := range circ.Ops {
 		if !s.mayFire(op) {
-			return
+			continue
 		}
-		vals := make([]int, len(op.Qubits))
-		var ops []branchOp
-		for j, q := range op.Qubits {
-			vals[j] = tab.ExpectationZ(q) // +1 |0>, -1 |1>, 0 superposed
-			if vals[j] == 0 {
-				if ops == nil {
-					ops = make([]branchOp, len(op.Qubits))
-				}
-				xs, zs, ok := tab.AnticommutingStabilizer(q)
-				if !ok {
-					panic("frame: superposed site without branch operator")
-				}
-				ops[j] = branchOp{xs: xs, zs: zs}
+		s.fires[i] = true
+		base := comp.SiteBase[i]
+		for j := range op.Qubits {
+			v := comp.SiteZ(base+j, coins) // +1 |0>, -1 |1>, 0 superposed
+			s.refZ[base+j] = int8(v)
+			if v == 0 {
 				s.radExact = false
 			}
 		}
-		s.refZ[i] = vals
-		s.branch[i] = ops
-	})
+	}
 	return s
 }
 
@@ -224,7 +221,7 @@ func (f *Frame) swapXZ(q int) {
 // the package comment). Skipped for circuits without H, where the coin
 // could never reach an X plane.
 func (s *Simulator) collapseZ(src *rng.Source, f *Frame, q int) {
-	if !s.hasH {
+	if !s.comp.HasH {
 		return
 	}
 	w, b := q/64, uint(q%64)
@@ -236,7 +233,7 @@ func (s *Simulator) collapseZ(src *rng.Source, f *Frame, q int) {
 // cleared first, so frames can be reused across shots.
 func (s *Simulator) Run(src *rng.Source, f *Frame, bits []int) {
 	f.Clear()
-	if s.hasH {
+	if s.comp.HasH {
 		// State preparation is a collapse point for every qubit.
 		for w := range f.z {
 			f.z[w] = src.Uint64()
@@ -325,12 +322,13 @@ func (s *Simulator) Run(src *rng.Source, f *Frame, bits []int) {
 		// picks the collapse branch and conditionally injects the
 		// recorded branch operator, spreading the projection's damage to
 		// entangled partners before the struck site is pinned.
-		if s.refZ[i] != nil {
+		if s.fires[i] {
+			base := s.comp.SiteBase[i]
 			for j, q := range op.Qubits {
 				if !s.rad.Fires(q, src) {
 					continue
 				}
-				switch s.refZ[i][j] {
+				switch s.refZ[base+j] {
 				case -1: // reference holds |1>, actual pinned to |0>
 					f.clearQ(q)
 					f.flipX(q)
@@ -338,11 +336,11 @@ func (s *Simulator) Run(src *rng.Source, f *Frame, bits []int) {
 					f.clearQ(q)
 				case 0:
 					if src.Uint64()&1 == 1 {
-						br := s.branch[i][j]
-						for _, a := range br.xs {
+						br := s.comp.Branch(base + j)
+						for _, a := range br.Xs {
 							f.flipX(a)
 						}
-						for _, a := range br.zs {
+						for _, a := range br.Zs {
 							f.flipZ(a)
 						}
 					}

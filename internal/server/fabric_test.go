@@ -218,9 +218,12 @@ func TestChaosFabricDuplicateSubmissionSingleFlight(t *testing.T) {
 }
 
 // TestChaosFabricPeerDownAtSubmit: the peer is dead before the
-// campaign is even submitted. Fan-out fails, its points reassign to
-// the surviving node via takeover, and the table is still
-// byte-identical — just computed entirely locally.
+// campaign is even submitted. Fan-out fails and marks it down, its
+// points all land on the surviving node, and the table is still
+// byte-identical — just computed entirely locally. How they land is a
+// race the test does not pin: points parked on the peer before the
+// mark come back by takeover (fabric_takeovers_total moves), points
+// placed after it are routed here by the ring directly (it does not).
 func TestChaosFabricPeerDownAtSubmit(t *testing.T) {
 	nodes := newFabricRing(t, 2, func(o *fabric.Options) {
 		o.RetryLimit = 1
@@ -240,9 +243,6 @@ func TestChaosFabricPeerDownAtSubmit(t *testing.T) {
 	waitIdle(t, nodes[0].srv)
 	if got := metricValue(t, nodes[0].ts, "points_computed_total"); got != 15 {
 		t.Fatalf("survivor computed %v points, want all 15", got)
-	}
-	if tk := metricValue(t, nodes[0].ts, "fabric_takeovers_total"); tk == 0 {
-		t.Fatal("no takeovers recorded though the peer was dead")
 	}
 	if alive := metricValue(t, nodes[0].ts, "fabric_peers_alive"); alive != 1 {
 		t.Fatalf("fabric_peers_alive = %v, want 1", alive)

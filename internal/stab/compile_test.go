@@ -1,0 +1,377 @@
+package stab_test
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"weak"
+
+	"radqec/internal/arch"
+	"radqec/internal/circuit"
+	"radqec/internal/exp"
+	"radqec/internal/frame"
+	"radqec/internal/noise"
+	"radqec/internal/qec"
+	"radqec/internal/rng"
+	"radqec/internal/stab"
+)
+
+// checkCompiledMatchesRun compares the compiled reference evaluated at
+// each seed with a concrete tableau run at that seed: the record, the
+// determinism flags, the op mapping, and at every (op, qubit) site the
+// Z expectation and, where superposed, the branch operator's supports.
+func checkCompiledMatchesRun(t testing.TB, circ *circuit.Circuit, seeds ...uint64) {
+	t.Helper()
+	comp := stab.Compile(circ)
+	for _, seed := range seeds {
+		coins := comp.Coins(seed)
+		got := comp.Reference(coins)
+		sites := 0
+		want := stab.RunReference(circ, seed, func(i int, tab *stab.Tableau) {
+			if t.Failed() {
+				return
+			}
+			for j, q := range circ.Ops[i].Qubits {
+				site := comp.SiteBase[i] + j
+				sites++
+				if g, w := comp.SiteZ(site, coins), tab.ExpectationZ(q); g != w {
+					t.Errorf("seed %d op %d qubit %d: compiled Z = %d, tableau %d", seed, i, q, g, w)
+				}
+				xs, zs, ok := tab.AnticommutingStabilizer(q)
+				br := comp.Branch(site)
+				if ok != (br != nil) {
+					t.Errorf("seed %d op %d qubit %d: branch operator present %v, tableau superposed %v",
+						seed, i, q, br != nil, ok)
+				} else if ok && (!slices.Equal(br.Xs, xs) || !slices.Equal(br.Zs, zs)) {
+					t.Errorf("seed %d op %d qubit %d: branch supports X%v Z%v, tableau X%v Z%v",
+						seed, i, q, br.Xs, br.Zs, xs, zs)
+				}
+			}
+		})
+		if t.Failed() {
+			return
+		}
+		if sites != comp.NumSites {
+			t.Fatalf("seed %d: observer saw %d sites, compiled numbers %d", seed, sites, comp.NumSites)
+		}
+		if !slices.Equal(got.Record, want.Record) {
+			t.Fatalf("seed %d: record %v, tableau %v", seed, got.Record, want.Record)
+		}
+		if !slices.Equal(got.Deterministic, want.Deterministic) {
+			t.Fatalf("seed %d: determinism flags %v, tableau %v", seed, got.Deterministic, want.Deterministic)
+		}
+		if !slices.Equal(got.MeasIndex, want.MeasIndex) {
+			t.Fatalf("seed %d: MeasIndex %v, tableau %v", seed, got.MeasIndex, want.MeasIndex)
+		}
+	}
+}
+
+func seedRange(n int) []uint64 {
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	return seeds
+}
+
+// figureCircuits transpiles every (code, topology) pair fig5–fig8 and
+// memory run, keyed by name. TestCompilesPerFigure holds the list to
+// the figures' own circuit counts.
+func figureCircuits(t *testing.T) map[string]*circuit.Circuit {
+	t.Helper()
+	out := map[string]*circuit.Circuit{}
+	add := func(code *qec.Code, err error, topos ...arch.Topology) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, topo := range topos {
+			tr, err := arch.Transpile(code.Circ, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s/r%d/%s", code.Name, code.Rounds, topo.Name)] = tr.Circuit
+		}
+	}
+	rep := func(d, rounds int) (*qec.Code, error) { return qec.NewRepetitionRounds(d, rounds) }
+	xxzz := func(dz, dx, rounds int) (*qec.Code, error) { return qec.NewXXZZRounds(dz, dx, rounds) }
+	// fig5
+	c, err := rep(5, 2)
+	add(c, err, arch.Mesh(5, 2))
+	c, err = xxzz(3, 3, 2)
+	add(c, err, arch.Mesh(5, 4))
+	// fig6, and fig7's two codes among them
+	for _, d := range qec.RepetitionDistances() {
+		c, err = rep(d, 2)
+		add(c, err, arch.Mesh(5, 6))
+	}
+	for _, dd := range qec.XXZZDistances() {
+		c, err = xxzz(dd[0], dd[1], 2)
+		add(c, err, arch.Mesh(5, 6))
+	}
+	// fig8
+	c, err = rep(11, 2)
+	add(c, err, exp.Fig8RepTopologies()...)
+	c, err = xxzz(3, 3, 2)
+	add(c, err, exp.Fig8XXZZTopologies()...)
+	// memory: the round ladder plus rounds = d
+	for _, rounds := range []int{2, 3, 4, 5, 6, 8, 9} {
+		if rounds != 9 {
+			c, err = rep(5, rounds)
+			add(c, err, arch.Mesh(5, 6))
+		}
+		if rounds != 5 {
+			c, err = rep(9, rounds)
+			add(c, err, arch.Mesh(5, 6))
+		}
+		if rounds != 5 && rounds != 9 {
+			c, err = xxzz(3, 3, rounds)
+			add(c, err, arch.Mesh(5, 6))
+		}
+	}
+	return out
+}
+
+// TestCompiledReferenceMatchesRunOnFigures is the differential test on
+// the circuits the figures actually run: each code on each of its
+// topologies, 64 seeds.
+func TestCompiledReferenceMatchesRunOnFigures(t *testing.T) {
+	seeds := seedRange(64)
+	if testing.Short() {
+		seeds = seeds[:4]
+	}
+	for name, circ := range figureCircuits(t) {
+		t.Run(name, func(t *testing.T) { checkCompiledMatchesRun(t, circ, seeds...) })
+	}
+}
+
+// randomClifford decodes bytes into a Clifford circuit on at most 12
+// qubits with mid-circuit measurements and resets: the first byte picks
+// the width, then each op takes one byte for its kind and one per
+// qubit. Any byte string is a valid circuit, so the fuzzer and the
+// seeded property test share it.
+func randomClifford(data []byte) *circuit.Circuit {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	n := 1 + int(data[0])%12
+	data = data[1:]
+	c := circuit.New(n, 0)
+	clbits := 0
+	for _, b := range data {
+		if b%10 == 8 {
+			clbits++
+		}
+	}
+	c.AddCReg("c", clbits)
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	bit := 0
+	for len(data) > 0 {
+		kind := next() % 10
+		q := next() % n
+		q2 := next() % n
+		if q2 == q {
+			q2 = (q + 1) % n
+		}
+		switch {
+		case kind == 0:
+			c.H(q)
+		case kind == 1:
+			c.S(q)
+		case kind == 2:
+			c.X(q)
+		case kind == 3:
+			c.Y(q)
+		case kind == 4:
+			c.Z(q)
+		case kind == 8 && bit < clbits:
+			c.Measure(q, bit)
+			bit++
+		case kind == 9:
+			c.Reset(q)
+		case n == 1:
+			c.H(q)
+		case kind == 5:
+			c.CNOT(q, q2)
+		case kind == 6:
+			c.CZ(q, q2)
+		default:
+			c.SWAP(q, q2)
+		}
+	}
+	return c
+}
+
+// randomCliffordBytes draws a circuit encoding of the given length from
+// a seeded stream.
+func randomCliffordBytes(seed uint64, length int) []byte {
+	src := rng.New(seed)
+	data := make([]byte, length)
+	for i := range data {
+		data[i] = byte(src.Uint64())
+	}
+	return data
+}
+
+// regressionSeeds are property-test seeds that once failed; they run
+// first and stay forever. (None has failed yet.)
+var regressionSeeds = []uint64{}
+
+// TestCompiledReferenceMatchesRunOnRandomCliffords is the differential
+// test as a property over random Clifford circuits.
+func TestCompiledReferenceMatchesRunOnRandomCliffords(t *testing.T) {
+	n := 1000
+	if testing.Short() {
+		n = 200
+	}
+	seeds := slices.Clone(regressionSeeds)
+	for i := 0; i < n; i++ {
+		seeds = append(seeds, uint64(i)+1000)
+	}
+	for _, seed := range seeds {
+		circ := randomClifford(randomCliffordBytes(seed, 30+int(seed%7)*60))
+		checkCompiledMatchesRun(t, circ, seedRange(8)...)
+		if t.Failed() {
+			t.Fatalf("circuit seed %d fails (add it to regressionSeeds):\n%s", seed, circ)
+		}
+	}
+}
+
+func FuzzCompiledReferenceMatchesRun(f *testing.F) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		f.Add(randomCliffordBytes(seed, 120), seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		if len(data) > 4096 {
+			t.Skip("longer than any circuit worth a tableau run per input")
+		}
+		checkCompiledMatchesRun(t, randomClifford(data), seed, seed+1)
+	})
+}
+
+// TestCompiledReferenceMoreThan64Coins: no code in the repo flips more
+// than 8 coins per execution, so the multi-word dependency sets need a
+// synthetic circuit. Each of 70 rounds flips a coin by measurement and
+// one by reset, folds the measured one into an accumulator qubit, and
+// the accumulator's final measurement depends on coins in both words.
+func TestCompiledReferenceMoreThan64Coins(t *testing.T) {
+	const rounds = 70
+	c := circuit.New(3, rounds+1)
+	for k := 0; k < rounds; k++ {
+		c.H(0)
+		c.Measure(0, k)
+		c.CNOT(0, 2)
+		c.Reset(0)
+		c.H(1)
+		c.Reset(1)
+	}
+	c.Measure(2, rounds)
+	if got := stab.Compile(c).NumCoins; got != 2*rounds {
+		t.Fatalf("NumCoins = %d, want %d", got, 2*rounds)
+	}
+	checkCompiledMatchesRun(t, c, seedRange(64)...)
+}
+
+// TestCompilesPerFigure: the compiled reference is built once per
+// transpiled circuit, however many points, seeds and workers share it —
+// fig8's 2470 points make 12 compiles, fig5's 160 make 2. A cache keyed
+// by seed or by point, or none, fails this.
+func TestCompilesPerFigure(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		run  func(exp.Config) (*exp.Table, error)
+		want int64
+	}{
+		{"fig8", exp.Fig8, 12},
+		{"fig5", exp.Fig5, 2},
+	} {
+		before := stab.CompileCount()
+		if _, err := g.run(exp.Config{Shots: 64, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := stab.CompileCount() - before; got != g.want {
+			t.Errorf("%s compiled %d references, want %d", g.name, got, g.want)
+		}
+	}
+}
+
+// TestConcurrentRunnersCompileOnce: two workers reach a fresh circuit
+// together in every sweep; eight do here, and one compile serves them.
+func TestConcurrentRunnersCompileOnce(t *testing.T) {
+	code, err := qec.NewXXZZRounds(3, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ := code.Circ.Clone()
+	before := stab.CompileCount()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			<-start
+			frame.NewBatch(circ, noise.NewDepolarizing(0.01), nil, seed)
+		}(uint64(g))
+	}
+	close(start)
+	wg.Wait()
+	if got := stab.CompileCount() - before; got != 1 {
+		t.Fatalf("8 concurrent simulators of one fresh circuit compiled %d times, want 1", got)
+	}
+}
+
+// TestCompiledOfFollowsTheCircuit: an op appended after first use
+// yields a fresh compile, and a clone compiles its own.
+func TestCompiledOfFollowsTheCircuit(t *testing.T) {
+	c := circuit.New(1, 2)
+	c.H(0)
+	c.Measure(0, 0)
+	first := stab.CompiledOf(c)
+	if stab.CompiledOf(c) != first {
+		t.Fatal("second use recompiled an unchanged circuit")
+	}
+	cl := c.Clone()
+	if stab.CompiledOf(cl) == first {
+		t.Fatal("a clone shares its original's compiled reference")
+	}
+	c.Measure(0, 1)
+	second := stab.CompiledOf(c)
+	if second == first || len(second.Deterministic) != 2 {
+		t.Fatalf("after an append: same object %v, %d measurements compiled, want a fresh one with 2",
+			second == first, len(second.Deterministic))
+	}
+	if got := stab.CompiledOf(cl); len(got.Deterministic) != 1 {
+		t.Fatalf("the clone's reference followed the original's append: %d measurements", len(got.Deterministic))
+	}
+}
+
+// TestCompiledCollectedWithCircuit: the compiled reference hangs off
+// its circuit and nothing else, so both are garbage at the first
+// collection after the circuit is dropped. A package-level cache keyed
+// by circuit would keep every campaign's references in a daemon's heap.
+func TestCompiledCollectedWithCircuit(t *testing.T) {
+	code, err := qec.NewXXZZRounds(3, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ := code.Circ.Clone()
+	sim := frame.NewBatch(circ, noise.NewDepolarizing(0.01), nil, 3)
+	goneCirc, goneComp := weak.Make(circ), weak.Make(stab.CompiledOf(circ))
+	runtime.KeepAlive(sim)
+	sim, circ = nil, nil
+	runtime.GC()
+	if goneCirc.Value() != nil || goneComp.Value() != nil {
+		t.Fatalf("after dropping the circuit and its simulator: circuit alive %v, compiled reference alive %v",
+			goneCirc.Value() != nil, goneComp.Value() != nil)
+	}
+}

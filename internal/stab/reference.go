@@ -43,34 +43,42 @@ func RunReference(circ *circuit.Circuit, seed uint64, observe func(opIndex int, 
 	for i, op := range circ.Ops {
 		ref.MeasIndex[i] = -1
 		switch op.Kind {
-		case circuit.KindH:
-			tab.H(op.Qubits[0])
-		case circuit.KindX:
-			tab.X(op.Qubits[0])
-		case circuit.KindY:
-			tab.Y(op.Qubits[0])
-		case circuit.KindZ:
-			tab.Z(op.Qubits[0])
-		case circuit.KindS:
-			tab.S(op.Qubits[0])
-		case circuit.KindCNOT:
-			tab.CNOT(op.Qubits[0], op.Qubits[1])
-		case circuit.KindCZ:
-			tab.CZ(op.Qubits[0], op.Qubits[1])
-		case circuit.KindSWAP:
-			tab.SWAP(op.Qubits[0], op.Qubits[1])
 		case circuit.KindMeasure:
 			ref.MeasIndex[i] = len(ref.Record)
 			ref.Deterministic = append(ref.Deterministic, tab.IsDeterministicZ(op.Qubits[0]))
 			ref.Record = append(ref.Record, tab.MeasureZ(op.Qubits[0], src))
 		case circuit.KindReset:
 			tab.Reset(op.Qubits[0], src)
+		default:
+			applyGate(tab, op)
 		}
 		if observe != nil && op.Kind != circuit.KindBarrier {
 			observe(i, tab)
 		}
 	}
 	return ref
+}
+
+// applyGate applies a unitary op to the tableau; barriers do nothing.
+func applyGate(tab *Tableau, op circuit.Op) {
+	switch op.Kind {
+	case circuit.KindH:
+		tab.H(op.Qubits[0])
+	case circuit.KindX:
+		tab.X(op.Qubits[0])
+	case circuit.KindY:
+		tab.Y(op.Qubits[0])
+	case circuit.KindZ:
+		tab.Z(op.Qubits[0])
+	case circuit.KindS:
+		tab.S(op.Qubits[0])
+	case circuit.KindCNOT:
+		tab.CNOT(op.Qubits[0], op.Qubits[1])
+	case circuit.KindCZ:
+		tab.CZ(op.Qubits[0], op.Qubits[1])
+	case circuit.KindSWAP:
+		tab.SWAP(op.Qubits[0], op.Qubits[1])
+	}
 }
 
 // AnticommutingStabilizer returns the support of one stabilizer

@@ -9,10 +9,20 @@
 // The tableau stores n destabilizer rows, n stabilizer rows and one
 // scratch row; each row is a Pauli string (bit-packed X and Z components)
 // with a sign bit.
+//
+// In a circuit whose gates do not depend on measurement outcomes the X/Z
+// bits never depend on an outcome either; only the signs do, and every
+// sign is an affine GF(2) function of the random-measurement coins.
+// Gates XOR a bit-determined constant into signs, rowsum XORs two signs
+// and a bit-determined phase, a random measurement sets one sign to a
+// fresh coin, and a reset's conditional X XORs the outcome into the
+// signs of the rows with a Z on the qubit. The tableau's symbolic-sign
+// mode (see Compile) carries that function instead of a drawn value.
 package stab
 
 import (
 	"fmt"
+	"math/bits"
 
 	"radqec/internal/rng"
 )
@@ -26,6 +36,12 @@ type Tableau struct {
 	x [][]uint64
 	z [][]uint64
 	r []uint8 // sign bit per row (0 => +1, 1 => -1)
+	// dep is non-nil in symbolic-sign mode: row i's sign is r[i] XOR the
+	// parity of the coins in the bitset dep[i], and a random measurement
+	// issues the next coin instead of drawing one. Only rowsum, measure
+	// and Reset touch it.
+	dep   [][]uint64
+	coins int // coins issued so far (symbolic-sign mode)
 }
 
 // New returns a tableau for n qubits in the all-zeros state.
@@ -49,6 +65,19 @@ func New(n int) *Tableau {
 	for q := 0; q < n; q++ {
 		t.x[q][q/64] |= 1 << (q % 64)   // destabilizer q = X_q
 		t.z[n+q][q/64] |= 1 << (q % 64) // stabilizer q   = Z_q
+	}
+	return t
+}
+
+// newSymbolic returns an all-zeros tableau in symbolic-sign mode with
+// room for maxCoins coins.
+func newSymbolic(n, maxCoins int) *Tableau {
+	t := New(n)
+	dw := (maxCoins + 63) / 64
+	t.dep = make([][]uint64, 2*n+1)
+	backing := make([]uint64, (2*n+1)*dw)
+	for i := range t.dep {
+		t.dep[i], backing = backing[:dw:dw], backing[dw:]
 	}
 	return t
 }
@@ -198,41 +227,47 @@ func (t *Tableau) SWAP(a, b int) {
 	}
 }
 
-// phaseExponent returns the exponent of i (mod 4 contribution) from
-// multiplying the single-qubit Paulis (x1,z1)·(x2,z2), per the
-// Aaronson–Gottesman g function.
-func phaseExponent(x1, z1, x2, z2 uint64) int {
-	switch {
-	case x1 == 0 && z1 == 0:
-		return 0
-	case x1 == 1 && z1 == 1: // Y
-		return int(z2) - int(x2)
-	case x1 == 1 && z1 == 0: // X
-		return int(z2) * (2*int(x2) - 1)
-	default: // Z
-		return int(x2) * (1 - 2*int(z2))
-	}
-}
-
 // rowsum multiplies row i into row h (h <- h * i), maintaining signs.
+// The phase is the Aaronson–Gottesman g function summed over the
+// qubits, a word at a time: per word, one mask of the qubits that
+// contribute +1 to the exponent of i and one of those that contribute
+// -1, and a popcount of each.
 func (t *Tableau) rowsum(h, i int) {
-	sum := 2*int(t.r[h]) + 2*int(t.r[i])
-	for q := 0; q < t.n; q++ {
-		sum += phaseExponent(t.getX(i, q), t.getZ(i, q), t.getX(h, q), t.getZ(h, q))
+	sum := 0
+	xi, zi, xh, zh := t.x[i], t.z[i], t.x[h], t.z[h]
+	for w := range xi {
+		x1, z1, x2, z2 := xi[w], zi[w], xh[w], zh[w]
+		// Row i holds Y, X or Z; the factor from row h decides the sign:
+		// Y·Z, X·Y and Z·X give +i, Y·X, X·Z and Z·Y give -i.
+		y1, xo1, zo1 := x1&z1, x1&^z1, z1&^x1
+		y2, xo2, zo2 := x2&z2, x2&^z2, z2&^x2
+		pos := y1&zo2 | xo1&y2 | zo1&xo2
+		neg := y1&xo2 | xo1&zo2 | zo1&y2
+		sum += bits.OnesCount64(pos) - bits.OnesCount64(neg)
+		xh[w] = x2 ^ x1
+		zh[w] = z2 ^ z1
 	}
-	sum = ((sum % 4) + 4) % 4
+	sum &= 3
 	// Stabilizer (and scratch) rows always multiply commuting Paulis, so
 	// their product phase is real. Destabilizer rows may pick up an
 	// imaginary phase when multiplied by their paired stabilizer, but
 	// destabilizer signs are never read by the algorithm, so any value
 	// is acceptable there.
-	if h >= t.n && sum != 0 && sum != 2 {
+	if h >= t.n && sum&1 != 0 {
 		panic("stab: rowsum produced imaginary phase; tableau corrupted")
 	}
-	t.r[h] = uint8(sum / 2)
-	for w := 0; w < t.words; w++ {
-		t.x[h][w] ^= t.x[i][w]
-		t.z[h][w] ^= t.z[i][w]
+	// (2·r[h] + 2·r[i] + sum mod 4) / 2, which is linear in the signs.
+	t.r[h] ^= uint8(sum >> 1)
+	t.xorSign(h, i)
+}
+
+// xorSign XORs the sign of row src into that of row dst.
+func (t *Tableau) xorSign(dst, src int) {
+	t.r[dst] ^= t.r[src]
+	if t.dep != nil {
+		for w, d := range t.dep[src] {
+			t.dep[dst][w] ^= d
+		}
 	}
 }
 
@@ -252,6 +287,14 @@ func (t *Tableau) IsDeterministicZ(q int) bool {
 // MeasureZ measures qubit q in the computational basis and returns the
 // outcome bit. Random outcomes draw from src.
 func (t *Tableau) MeasureZ(q int, src *rng.Source) int {
+	return int(t.r[t.measure(q, src)])
+}
+
+// measure measures qubit q and returns the row whose sign is the
+// outcome: the collapsed stabilizer Z_q when the outcome is random, the
+// scratch row when it is deterministic. A random outcome is a coin from
+// src, or in symbolic-sign mode the next coin.
+func (t *Tableau) measure(q int, src *rng.Source) int {
 	t.checkQ(q)
 	w, b := q/64, uint(q%64)
 	// Find a stabilizer with an X component on q: outcome is random.
@@ -277,12 +320,19 @@ func (t *Tableau) MeasureZ(q int, src *rng.Source) int {
 			t.z[p][ww] = 0
 		}
 		t.z[p][w] = 1 << b
-		outcome := 0
-		if src.Bool(0.5) {
-			outcome = 1
+		if t.dep != nil {
+			copy(t.dep[p-t.n], t.dep[p])
+			clear(t.dep[p])
+			t.dep[p][t.coins/64] = 1 << (t.coins % 64)
+			t.coins++
+			t.r[p] = 0
+			return p
 		}
-		t.r[p] = uint8(outcome)
-		return outcome
+		t.r[p] = 0
+		if src.Bool(0.5) {
+			t.r[p] = 1
+		}
+		return p
 	}
 	// Deterministic: accumulate destabilizer products into scratch.
 	scratch := 2 * t.n
@@ -291,19 +341,39 @@ func (t *Tableau) MeasureZ(q int, src *rng.Source) int {
 		t.z[scratch][ww] = 0
 	}
 	t.r[scratch] = 0
+	if t.dep != nil {
+		clear(t.dep[scratch])
+	}
 	for i := 0; i < t.n; i++ {
 		if (t.x[i][w]>>b)&1 == 1 {
 			t.rowsum(scratch, i+t.n)
 		}
 	}
-	return int(t.r[scratch])
+	return scratch
 }
 
 // Reset forces qubit q to |0>: it measures q and corrects with X when
 // the outcome is 1. This is the non-unitary radiation fault channel.
 func (t *Tableau) Reset(q int, src *rng.Source) {
-	if t.MeasureZ(q, src) == 1 {
-		t.X(q)
+	row := t.measure(q, src)
+	if t.dep == nil {
+		if t.r[row] == 1 {
+			t.X(q)
+		}
+		return
+	}
+	// The conditional X as a sign update: the outcome is XORed into the
+	// sign of every row with a Z on q. The outcome row may be one of
+	// them (Z_q itself after a collapse), so it goes last.
+	w, b := q/64, uint(q%64)
+	for i := range t.x {
+		if i != row && (t.z[i][w]>>b)&1 == 1 {
+			t.xorSign(i, row)
+		}
+	}
+	if (t.z[row][w]>>b)&1 == 1 {
+		t.r[row] = 0
+		clear(t.dep[row])
 	}
 }
 

@@ -223,20 +223,28 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 }
 
 // TestTelemetryObservesCampaign: the telemetry campaign attached to a
-// sweep sees every shot, batch and point, and cache replays surface as
-// hits rather than engine work.
+// sweep sees every shot, batch and point and the time points spend in
+// Prepare, and cache replays surface as hits rather than engine work.
 func TestTelemetryObservesCampaign(t *testing.T) {
 	cache := newMapCache()
 	tel := telemetry.NewCampaign(1, "test")
 	cfg := Config{Policy: Policy{Shots: 640, Align: 64}, Mechanism: Mechanism{
 		Workers: 2, Cache: cache, Control: control.Default(), Telemetry: tel,
 	}}
+	const setUp = 20 * time.Millisecond
 	pts := []Point{
-		{Key: "a", Hash: "ha", Prepare: bernoulliPoint("a", 1, 0.1).Prepare},
+		{Key: "a", Hash: "ha", Prepare: func() BatchRunner {
+			time.Sleep(setUp)
+			return bernoulliPoint("a", 1, 0.1).Prepare()
+		}},
 		{Key: "b", Hash: "hb", Prepare: bernoulliPoint("b", 2, 0.3).Prepare},
 	}
 	res := runT(t, cfg, pts)
 	st := tel.Stats()
+	if st.PrepareNS < setUp.Nanoseconds() || st.WallNS >= setUp.Nanoseconds() {
+		t.Fatalf("a %v Prepare shows as %v of set-up and %v of run time; set-up must be counted, and apart from the chunks",
+			setUp, time.Duration(st.PrepareNS), time.Duration(st.WallNS))
+	}
 	wantShots := int64(res[0].Shots + res[1].Shots)
 	if st.Shots != wantShots {
 		t.Fatalf("telemetry shots %d, results say %d", st.Shots, wantShots)
@@ -261,7 +269,7 @@ func TestTelemetryObservesCampaign(t *testing.T) {
 		{Key: "a", Hash: "ha", Prepare: func() BatchRunner { t.Fatal("prepared despite commit"); return nil }},
 	})
 	st2 := tel2.Stats()
-	if st2.CacheHits != 1 || st2.CacheMisses != 0 || st2.Shots != int64(res[0].Shots) {
+	if st2.CacheHits != 1 || st2.CacheMisses != 0 || st2.Shots != int64(res[0].Shots) || st2.PrepareNS != 0 {
 		t.Fatalf("warm-run stats: %+v", st2)
 	}
 }

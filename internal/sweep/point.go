@@ -132,7 +132,11 @@ func (pr *pointRun) begin() bool {
 	if tel != nil && pr.cfg.Cache != nil {
 		tel.CacheMiss()
 	}
+	t0 := time.Now()
 	pr.runner = pr.p.Prepare()
+	if tel != nil {
+		tel.Prepared(time.Since(t0))
+	}
 	return false
 }
 

@@ -118,6 +118,7 @@ type Campaign struct {
 	chunks      atomic.Int64
 	batches     atomic.Int64
 	wallNS      atomic.Int64
+	prepareNS   atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	pointsDone  atomic.Int64
@@ -180,6 +181,12 @@ func (c *Campaign) Record(s Signal) {
 	s.Seq = c.seq.Add(1) - 1
 	c.slots[s.Seq%RingSize].Store(&s)
 }
+
+// Prepared adds the time one point spent building its runner (decoder
+// resolution, simulator set-up) before its first chunk. Chunk WallNS
+// starts after it, so set-up and run are disjoint and sum to the
+// engine time the campaign's points cost.
+func (c *Campaign) Prepared(d time.Duration) { c.prepareNS.Add(d.Nanoseconds()) }
 
 // BatchDone counts one completed policy batch.
 func (c *Campaign) BatchDone() { c.batches.Add(1) }
@@ -249,6 +256,7 @@ type Stats struct {
 	Chunks      int64   `json:"chunks"`
 	Batches     int64   `json:"batches"`
 	WallNS      int64   `json:"wall_ns"`
+	PrepareNS   int64   `json:"prepare_ns"`
 	ShotsPerSec float64 `json:"shots_per_sec"`
 	CacheHits   int64   `json:"cache_hits"`
 	CacheMisses int64   `json:"cache_misses"`
@@ -267,7 +275,8 @@ type Stats struct {
 
 // Stats snapshots the campaign. ShotsPerSec is engine throughput —
 // shots over summed engine wall time, not elapsed time — so it is
-// comparable across campaigns that share a worker pool.
+// comparable across campaigns that share a worker pool. It counts the
+// chunks' run time only; the points' set-up is PrepareNS.
 func (c *Campaign) Stats() Stats {
 	wall := c.wallNS.Load()
 	shots := c.shots.Load()
@@ -284,6 +293,7 @@ func (c *Campaign) Stats() Stats {
 		Chunks:      c.chunks.Load(),
 		Batches:     c.batches.Load(),
 		WallNS:      wall,
+		PrepareNS:   c.prepareNS.Load(),
 		ShotsPerSec: sps,
 		CacheHits:   c.cacheHits.Load(),
 		CacheMisses: c.cacheMisses.Load(),

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"weak"
 )
 
@@ -103,6 +104,8 @@ func TestStatsAggregation(t *testing.T) {
 	c.Record(Signal{Shots: 1000, Errors: 10, WallNS: 5e8, AllocBytes: 100})
 	c.Record(Signal{Shots: 1000, Errors: 20, WallNS: 5e8, AllocBytes: 200})
 	c.Record(Signal{Shots: 500, CacheHit: true})
+	c.Prepared(3 * time.Millisecond)
+	c.Prepared(time.Millisecond)
 	c.BatchDone()
 	c.BatchDone()
 	c.CacheMiss()
@@ -120,8 +123,12 @@ func TestStatsAggregation(t *testing.T) {
 	if st.CacheHits != 1 || st.CacheMisses != 1 || st.PointsDone != 1 || st.AllocBytes != 300 {
 		t.Fatalf("cache/alloc: %+v", st)
 	}
+	if st.PrepareNS != 4e6 || st.WallNS != 1e9 {
+		t.Fatalf("set-up %dns beside run %dns, want 4e6 beside 1e9", st.PrepareNS, st.WallNS)
+	}
 	// Engine throughput: shots over summed engine wall time (1s here),
-	// so the zero-wall cache replay does not inflate the rate base.
+	// so neither the zero-wall cache replay nor set-up moves the rate
+	// base.
 	if st.ShotsPerSec != 2500 {
 		t.Fatalf("shots/s = %v, want 2500", st.ShotsPerSec)
 	}
