@@ -370,7 +370,12 @@ func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed u
 // allocation policy, a different engine shot-stream contract — so a
 // stale store misses instead of serving results computed under
 // different semantics.
-const fingerprintVersion = 1
+//
+// 2: the batched engine samples strike probabilities in (0, 1/32) by
+// geometric gaps and depolarizing rates >= 1/32 by Bernoulli words
+// (noise.LaneSampler), which moved the shot streams of every point with
+// such a probability; results cached under 1 are a different sample.
+const fingerprintVersion = 2
 
 // specFingerprint is the canonical serialized identity of one sweep
 // point: everything that determines its result — the routed circuit,

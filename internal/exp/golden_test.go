@@ -5,6 +5,9 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"radqec/internal/arch"
+	"radqec/internal/qec"
 )
 
 // tableHash is the SHA-256 of a table's title, header, rows and notes,
@@ -30,34 +33,50 @@ func tableHash(tab *Table) string {
 // TestGoldenTablesAcrossCommits pins the byte-identical-tables invariant
 // across commits: the other determinism tests compare two runs of one
 // build (engines, widths, workers, resume), so a tie-break drift in the
-// matcher or a reordered shot stream would pass all of them. The first
-// three hashes were recorded at commit 1d10355, before the blossom
-// workspace replaced the allocating matcher; fig5, fig7, fig8 and
-// threshold at 20879a9, before the per-seed tableau reference became a
-// compiled one evaluated per seed (fig8's XXZZ on heavy-hex with SWAP
-// routing is the circuit family with measurement coins and the most
-// strikeable sites). Default shots unless stated, seed 1, batch engine,
-// mwpm.
+// matcher or a reordered shot stream would pass all of them. Default
+// shots unless stated, seed 1, mwpm.
+//
+// fig6 was recorded at commit 1d10355, before the blossom workspace
+// replaced the allocating matcher, and has not moved since. The scalar
+// frame and tableau fig7 tables were recorded at ceb1e49, before the
+// batched kernel's regime rule (noise.LaneSampler) went in: that change
+// does not touch the scalar engines, and fig6 — saturating strikes,
+// p = 1 or 0, and 1% intrinsic noise on the gap arm with its draw order
+// kept — draws exactly what it drew, so all three must pass unchanged.
+// memory, ablation-decoder, fig5, fig7, fig8 and threshold were
+// re-recorded once, on ceb1e49 plus that change (fingerprintVersion 2):
+// strike probabilities in (0, 1/32) are now sampled by geometric gaps
+// and depolarizing rates >= 1/32 by Bernoulli words, a different draw
+// order for the same distribution (the equivalence is pinned by
+// TestBatchMatchesScalarOnFig5 here and the LaneSampler tests in
+// internal/noise). Their earlier values were recorded at 1d10355 and
+// 20879a9.
 // A change that moves one must say why the tables were allowed to move.
 func TestGoldenTablesAcrossCommits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size fig6/memory campaigns")
 	}
 	for _, g := range []struct {
-		name  string
-		run   func(Config) (*Table, error)
-		shots int // 0: the experiment's default
-		want  string
+		name   string
+		run    func(Config) (*Table, error)
+		engine string
+		shots  int // 0: the experiment's default
+		want   string
 	}{
-		{"fig6", Fig6, 0, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
-		{"memory", Memory, 0, "1a4d16c5d82230fe12fd6d4365528dc929ad3b6bca3216313078b3e816d010f3"},
-		{"ablation-decoder", AblationDecoder, 0, "234d08677ec13def21e2834f6ea33b0dcda37e30f0f517bc5634f49700f83f58"},
-		{"fig5", Fig5, 0, "15a2cf50b402e7b9c860017952567ac2577982cf6c7d3a64c2d6682f5da265e2"},
-		{"fig7", Fig7, 0, "0b70f284146f99fb55441f7efb9167244bf63af78753dd988df1d680026395f9"},
-		{"fig8", Fig8, 512, "86a029bb4d9bae1b9b9d46bac6d42b00765c431f537402b650d62e04e557249d"},
-		{"threshold", Threshold, 0, "a239adea1e76a9b06aefacc0a88fd32fe0ca072ad497d3c1ee7aa4effc5af13a"},
+		{"fig6", Fig6, EngineBatch, 0, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
+		{"fig7/frame", Fig7, EngineFrame, 0, "197a48e1b078252e1868e6e5846ed9f1b4334ae1d5fe7a3bf11d4c07b79e8c3a"},
+		{"fig7/tableau", Fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
+		{"memory", Memory, EngineBatch, 0, "6501078d3c6384019a36424d71b43a21039e586de06e24e7df3beff292ffdac6"},
+		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "b0455718f699062e736cfa9ed89acd95e229b43bbb619daafc45197d537b8815"},
+		{"fig5", Fig5, EngineBatch, 0, "6c4b958680c1da3b59b3b324a4d9f2775dce52540b398e6ae2f8992a1c3db583"},
+		{"fig7", Fig7, EngineBatch, 0, "56b195874dff391e19dfdd6890ae4cc6e1329dc2e3b57476ca4fc360e90a8b3e"},
+		{"fig8", Fig8, EngineBatch, 512, "5864a79fbc80a01913e56d4e1befae00b975ee1155772f09674ff272f1a3a7d0"},
+		{"threshold", Threshold, EngineBatch, 0, "45d692233dd88421aa73901ff8f6b7fa767fcb1db0b403a788af672bfde0901b"},
 	} {
-		cfg := Config{Seed: 1, Shots: g.shots, Engine: EngineBatch, Decoder: DecoderMWPM}
+		if raceEnabled && g.engine != EngineBatch {
+			continue // one deterministic table, ten times slower
+		}
+		cfg := Config{Seed: 1, Shots: g.shots, Engine: g.engine, Decoder: DecoderMWPM}
 		tab, err := g.run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
@@ -65,5 +84,48 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 		if got := tableHash(tab); got != g.want {
 			t.Errorf("%s table moved: sha256 %s, recorded %s", g.name, got, g.want)
 		}
+	}
+}
+
+// TestThresholdGapArmCountsAcrossCommits pins, count for count, the
+// twelve threshold points whose depolarizing rate is below 1/32: there
+// the batched kernel's gap arm keeps the draw order it had before the
+// regime rule, so these error counts (recorded at ceb1e49, 20000 shots,
+// seed 1) do not move when the p = 0.1 column does.
+func TestThresholdGapArmCountsAcrossCommits(t *testing.T) {
+	want := map[string]int{
+		"threshold/rep-(3,1)/p1e-03": 1, "threshold/rep-(7,1)/p1e-03": 0, "threshold/rep-(11,1)/p1e-03": 0,
+		"threshold/rep-(3,1)/p3e-03": 3, "threshold/rep-(7,1)/p3e-03": 0, "threshold/rep-(11,1)/p3e-03": 0,
+		"threshold/rep-(3,1)/p1e-02": 45, "threshold/rep-(7,1)/p1e-02": 2, "threshold/rep-(11,1)/p1e-02": 0,
+		"threshold/rep-(3,1)/p3e-02": 321, "threshold/rep-(7,1)/p3e-02": 40, "threshold/rep-(11,1)/p3e-02": 6,
+	}
+	cfg := Config{Seed: 1, Shots: 20000, Engine: EngineBatch, Decoder: DecoderMWPM}
+	got := pointCounts(t, Threshold, cfg)
+	for key, errors := range want {
+		if c, ok := got[key]; !ok || c.Errors != errors || c.Shots != cfg.Shots {
+			t.Errorf("%s: %d errors in %d shots, recorded %d in %d", key, c.Errors, c.Shots, errors, cfg.Shots)
+		}
+	}
+}
+
+// TestFingerprintLiteral pins the content address of one fixed spec as
+// a literal. The address covers fingerprintVersion, so a change to what
+// a cached result means cannot forget the bump silently: it either
+// bumps the version and re-records this string on purpose, or leaves
+// both alone.
+func TestFingerprintLiteral(t *testing.T) {
+	code, err := qec.NewRepetition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := prepare(code, arch.Mesh(5, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shots: 2000, Seed: 1, P: 0.01, NS: 10, Engine: EngineBatch, Decoder: DecoderMWPM}
+	spec := p.spec("golden/rep-(3,1)", cfg, p.strikeAt(Fig5Root, 0.25, true), 42)
+	const want = "ef02ce5640c1a520311b758a52ba04d7c21f1cbca53f00ec59bd9aeac7ae4d0e"
+	if got := spec.fingerprint(cfg); got != want {
+		t.Errorf("fingerprint of the fixed spec is %s, recorded %s (fingerprintVersion %d)", got, want, fingerprintVersion)
 	}
 }

@@ -1,7 +1,6 @@
 package frame
 
 import (
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -20,28 +19,62 @@ import (
 //
 //   - Frame state is stored shot-major as bit-planes x[qubit], z[qubit],
 //     each word holding the frame bit of 64 concurrent shots.
-//   - Depolarizing noise is sampled by geometric skip-sampling over the
-//     flattened (site, lane) bit-stream: the RNG is consulted once per
-//     error (plus once per shot-word), not once per op-qubit-lane, so
-//     small physical error rates cost almost nothing.
-//   - Radiation faults are sampled as Bernoulli bit-words
-//     (rng.Bernoulli64), ~8 draws per struck op-qubit for all 64 lanes.
+//   - Both noise channels are Bernoulli(p) processes over (site, lane)
+//     bits, and one rule, decided once per simulator from p alone — for
+//     the depolarizing rate and for each distinct strike probability —
+//     picks how each is sampled (noise.LaneSampler): p <= 0
+//     never fires and p >= 1 fires every lane, neither drawing
+//     anything; p < 1/32 — fewer than two expected events per 64-lane
+//     word — walks geometric gaps with a persistent cursor, so a site
+//     costs a compare-and-subtract and only an actual event costs a
+//     draw; anything denser takes one rng.Bernoulli64 word per site
+//     (~7.5 RNG words whatever p is). The paper's strikes are sparse by
+//     construction (e^-k over the temporal samples, 1/(d+1)² with
+//     distance: 78% of fig5's struck site-words sit below 1/32, 88% of
+//     fig8's), the saturating root of fig6 is p = 1, and intrinsic
+//     noise at the paper's 1% is a gap process; only p >= 1/32
+//     depolarizing (threshold's 0.1 column) and the first temporal
+//     samples near the root use the word arm. The boundary is a
+//     measured, flat basin (see noise.LaneSampler), not a knob.
+//   - A depolarizing event draws its Pauli uniformly: one Intn(3) per
+//     event on the gap arm, noise.PauliWords for a whole error word on
+//     the dense arms.
 //   - Measurement records are emitted as bit-packed words (one uint64
 //     per classical bit), ready for word-parallel decoding
 //     (qec.(*Code).DecodeBatch).
 type BatchSimulator struct {
 	sim *Simulator
-	// depInvLog caches 1/ln(1-P) for geometric skip-sampling.
-	depInvLog float64
+	// dep is the regime rule applied to the depolarizing rate.
+	dep noise.LaneSampler
+	// strikes holds the rule applied to each distinct strike
+	// probability of the event, and strike[q] indexes qubit q's. Qubits
+	// struck with one probability (one distance from the root) are one
+	// Bernoulli process over their merged sites, so they share a
+	// sampler and, on the gap arm, one cursor per tile word.
+	strikes []noise.LaneSampler
+	strike  []int32
 }
 
 // NewBatchSimulator wraps a scalar frame simulator for bit-parallel
 // sampling. The two engines share the recorded reference trajectory, so
 // building the batch view costs O(1) and no tableau work.
 func NewBatchSimulator(sim *Simulator) *BatchSimulator {
-	b := &BatchSimulator{sim: sim}
-	if p := sim.dep.P; p > 0 && p < 1 {
-		b.depInvLog = 1 / math.Log1p(-p)
+	b := &BatchSimulator{
+		sim:    sim,
+		dep:    noise.Lanes(sim.dep.P),
+		strike: make([]int32, len(sim.rad.Probs)),
+	}
+	distinct := make([]float64, 0, 16) // a spreading strike has one per distance
+	for q, p := range sim.rad.Probs {
+		c := 0
+		for c < len(distinct) && distinct[c] != p {
+			c++
+		}
+		if c == len(distinct) {
+			distinct = append(distinct, p)
+			b.strikes = append(b.strikes, noise.Lanes(p))
+		}
+		b.strike[q] = int32(c)
 	}
 	return b
 }
@@ -80,6 +113,12 @@ type BatchState struct {
 	// x and z are frame bit-planes: x[q·w+k] holds the X frame bit of
 	// qubit q for the 64 lanes of tile word k.
 	x, z []uint64
+	// radCur[c·w+k] is the gap cursor of the simulator's c-th strike
+	// process in tile word k (lanes left before its next reset fault),
+	// read only for processes on the gap arm. RunTile draws every one
+	// of those afresh at tile start, so a recycled state carries nothing
+	// over.
+	radCur []int64
 	// Rec is the packed classical record: Rec[c·w+k] holds classical
 	// bit c of tile word k's 64 lanes. At width one this is exactly the
 	// legacy one-word-per-clbit layout.
@@ -183,19 +222,27 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			}
 		}
 	}
-	// nextErr[k] is the absolute position of tile word k's next
-	// depolarizing error in the flattened (site, lane) bit-stream of
-	// NumSites*64 positions.
-	p := sim.dep.P
-	var nextErr [MaxTileWords]int64
-	for k := 0; k < w; k++ {
-		switch {
-		case p >= 1:
-			nextErr[k] = 0
-		case p > 0:
-			nextErr[k] = noise.GeometricSkip(srcs[k], s.depInvLog)
-		default:
-			nextErr[k] = 1 << 62
+	// Gap-arm processes start their cursors here, each tile word from
+	// its own stream: the depolarizing cursor, then the strike
+	// processes' in the order of s.strikes. depCur[k] counts the lanes
+	// of the flattened (site, lane) bit-stream left before word k's next
+	// depolarizing error.
+	dep := &s.dep
+	var depCur [MaxTileWords]int64
+	if dep.Arm == noise.LaneGaps {
+		for k := 0; k < w; k++ {
+			depCur[k] = dep.Start(srcs[k])
+		}
+	}
+	if n := len(s.strikes) * st.capW; len(st.radCur) < n {
+		st.radCur = make([]int64, n)
+	}
+	radCur := st.radCur
+	for c := range s.strikes {
+		if lane := &s.strikes[c]; lane.Arm == noise.LaneGaps {
+			for k := 0; k < w; k++ {
+				radCur[c*w+k] = lane.Start(srcs[k])
+			}
 		}
 	}
 	for i, op := range sim.circ.Ops {
@@ -251,84 +298,98 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 		case circuit.KindBarrier:
 			continue
 		}
-		// Noise is consumed per tile word so each word's stream sees
-		// exactly RunWord's draw order: this op's depolarizing errors,
-		// then its radiation coins.
+		// Each tile word's stream sees this op's depolarizing errors,
+		// then its radiation coins, whatever the tile width: the words'
+		// streams are independent, so only the order within one matters.
 		hasRad := sim.fires[i]
-		if p == 0 && !hasRad {
+		if dep.Arm == noise.LaneNever && !hasRad {
 			continue
 		}
-		for k := 0; k < w; k++ {
-			src := srcs[k]
-			// Intrinsic depolarizing noise: consume the error positions
-			// that fall inside this op's slice of the flattened site
-			// stream. The geometric gaps make error positions iid
-			// Bernoulli(P) over every (site, lane) bit, and the uniform
-			// 3-way type draw completes the X/Y/Z at P/3 channel of the
-			// scalar engines.
-			if p > 0 {
-				base := int64(siteBase[i]) << 6
-				end := base + int64(len(op.Qubits))<<6
-				ne := nextErr[k]
-				for ne < end {
-					lane := uint(ne & 63)
-					q := op.Qubits[int(ne>>6)-siteBase[i]]*w + k
-					switch src.Intn(3) {
-					case 0: // X
-						x[q] ^= 1 << lane
-					case 1: // Y
-						x[q] ^= 1 << lane
-						z[q] ^= 1 << lane
-					default: // Z
-						z[q] ^= 1 << lane
-					}
-					if p >= 1 {
-						ne++
-					} else {
-						ne += 1 + noise.GeometricSkip(src, s.depInvLog)
-					}
-				}
-				nextErr[k] = ne
-			}
-			// Radiation reset faults, word-wide: the frame on fired
-			// lanes is erased and its X bit set from the recorded
-			// reference Z-value; superposed sites first inject the
-			// branch operator on a fair per-lane coin (see the scalar
-			// Run for the physics).
-			if hasRad {
-				for j, qq := range op.Qubits {
-					pq := sim.rad.Probs[qq]
-					if pq <= 0 {
-						continue
-					}
-					fire := src.Bernoulli64(pq)
-					if fire == 0 {
-						continue
-					}
+		// Intrinsic depolarizing noise: iid Bernoulli(P) over every
+		// (site, lane) bit, and a uniform 3-way type draw completes the
+		// X/Y/Z at P/3 channel of the scalar engines.
+		switch dep.Arm {
+		case noise.LaneNever:
+		case noise.LaneGaps:
+			// One cursor runs through the whole flattened stream, and
+			// each event draws its type before the gap to the next.
+			for k := 0; k < w; k++ {
+				src := srcs[k]
+				c := depCur[k]
+				for _, qq := range op.Qubits {
 					q := qq*w + k
-					switch sim.refZ[siteBase[i]+j] {
-					case -1: // reference holds |1>, actual pinned to |0>
-						x[q] &^= fire
-						z[q] &^= fire
-						x[q] |= fire
-					case 1:
-						x[q] &^= fire
-						z[q] &^= fire
-					case 0:
-						coin := fire & src.Uint64()
-						br := sim.comp.Branch(siteBase[i] + j)
-						for _, a := range br.Xs {
-							x[a*w+k] ^= coin
+					for c < 64 {
+						lane := uint(c)
+						switch src.Intn(3) {
+						case 0: // X
+							x[q] ^= 1 << lane
+						case 1: // Y
+							x[q] ^= 1 << lane
+							z[q] ^= 1 << lane
+						default: // Z
+							z[q] ^= 1 << lane
 						}
-						for _, a := range br.Zs {
-							z[a*w+k] ^= coin
-						}
-						x[q] &^= fire
-						z[q] &^= fire
+						c += dep.Gap(src)
 					}
-					if hasH {
-						z[q] |= fire & src.Uint64()
+					c -= 64
+				}
+				depCur[k] = c
+			}
+		default:
+			// An error word per site (the dense arms keep no cursor),
+			// then its Pauli types.
+			for k := 0; k < w; k++ {
+				for _, qq := range op.Qubits {
+					q := qq*w + k
+					xs, zs := noise.PauliWords(srcs[k], dep.Word(srcs[k], nil))
+					x[q] ^= xs
+					z[q] ^= zs
+				}
+			}
+		}
+		// Radiation reset faults, word-wide: the frame on fired lanes is
+		// erased and its X bit set from the recorded reference Z-value;
+		// superposed sites first inject the branch operator on a fair
+		// per-lane coin (see the scalar Run for the physics).
+		if !hasRad {
+			continue
+		}
+		for j, qq := range op.Qubits {
+			c := int(s.strike[qq])
+			lane := &s.strikes[c]
+			if lane.Arm == noise.LaneNever {
+				continue
+			}
+			site := siteBase[i] + j
+			refZ := sim.refZ[site]
+			for k := 0; k < w; k++ {
+				src := srcs[k]
+				q := qq*w + k
+				fire := lane.Word(src, &radCur[c*w+k])
+				if fire == 0 {
+					continue
+				}
+				switch refZ {
+				case -1: // reference holds |1>, actual pinned to |0>
+					x[q] |= fire
+					z[q] &^= fire
+				case 1:
+					x[q] &^= fire
+					z[q] &^= fire
+				case 0:
+					coin := fire & src.Uint64()
+					br := sim.comp.Branch(site)
+					for _, a := range br.Xs {
+						x[a*w+k] ^= coin
 					}
+					for _, a := range br.Zs {
+						z[a*w+k] ^= coin
+					}
+					x[q] &^= fire
+					z[q] &^= fire
+				}
+				if hasH {
+					z[q] |= fire & src.Uint64()
 				}
 			}
 		}

@@ -82,17 +82,24 @@ func TestBatchRunWordDeterministic(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesScalarWithinWilson(t *testing.T) {
+// crossEngineShots and crossEngineZ state the cross-engine agreement
+// tests as what they are: two independent samples of one distribution,
+// compared by a pooled two-sample z-score. (Asking one 4096-shot rate
+// to sit inside the other's 95% Wilson interval fails about one seed in
+// six for two equal samplers.)
+const (
+	crossEngineShots = 32768
+	crossEngineZ     = 4.0
+)
+
+func TestBatchMatchesScalar(t *testing.T) {
 	// Radiation + depolarizing on the repetition code (frame-exact):
-	// the batched rate must land inside the scalar campaign's Wilson
-	// interval at a matched shot budget.
+	// the batched and the scalar campaign sample one distribution.
 	scalar, batched := repCampaigns(t, 15, 0.01, 3)
-	const shots = 4096
-	s := scalar.Run(5, shots)
-	b := batched.Run(6, shots)
-	lo, hi := stats.WilsonCI(s.Errors, s.Shots)
-	if r := b.Rate(); r < lo || r > hi {
-		t.Fatalf("batched rate %.4f outside scalar Wilson interval [%.4f, %.4f]", r, lo, hi)
+	s := scalar.Run(5, crossEngineShots)
+	b := batched.Run(6, crossEngineShots)
+	if z := stats.TwoSampleZ(b.Errors, b.Shots, s.Errors, s.Shots); math.Abs(z) >= crossEngineZ {
+		t.Fatalf("batched rate %.4f vs scalar %.4f: z = %.2f", b.Rate(), s.Rate(), z)
 	}
 	if b.Errors == 0 {
 		t.Fatal("batched engine saw no errors under a full-impact strike")
@@ -333,17 +340,15 @@ func xxzzStrike(t testing.TB) *noise.RadiationEvent {
 	return noise.NewRadiationEvent(dist[2], 1.0, true)
 }
 
-func TestBatchXXZZMatchesScalarWithinWilson(t *testing.T) {
+func TestBatchXXZZMatchesScalar(t *testing.T) {
 	// Depolarizing + radiation on XXZZ: scalar and batched engines share
-	// the identical validity domain (and approximation), so their rates
-	// must agree within the scalar campaign's Wilson interval.
+	// the identical validity domain (and approximation), so they sample
+	// one distribution.
 	scalar, batched := xxzzCampaigns(t, 0.01, xxzzStrike(t), 3)
-	const shots = 4096
-	s := scalar.Run(5, shots)
-	b := batched.Run(6, shots)
-	lo, hi := stats.WilsonCI(s.Errors, s.Shots)
-	if r := b.Rate(); r < lo || r > hi {
-		t.Fatalf("batched XXZZ rate %.4f outside scalar Wilson interval [%.4f, %.4f]", r, lo, hi)
+	s := scalar.Run(5, crossEngineShots)
+	b := batched.Run(6, crossEngineShots)
+	if z := stats.TwoSampleZ(b.Errors, b.Shots, s.Errors, s.Shots); math.Abs(z) >= crossEngineZ {
+		t.Fatalf("batched XXZZ rate %.4f vs scalar %.4f: z = %.2f", b.Rate(), s.Rate(), z)
 	}
 	if b.Errors == 0 {
 		t.Fatal("batched engine saw no errors under a full-impact XXZZ strike")

@@ -28,13 +28,38 @@ func tileCampaign(t testing.TB, d int, p float64, width int) *BatchCampaign {
 // (at any number of rounds).
 func tileCampaignOf(t testing.TB, code *qec.Code, p float64, width int) *BatchCampaign {
 	t.Helper()
+	return tileCampaignAt(t, code, p, 1.0, width)
+}
+
+// sparseRoot is a root probability just under the regime rule's 1/32
+// boundary: every struck qubit of the spreading strike is on the gap
+// arm, with events as frequent as that arm sees them.
+const sparseRoot = 0.03
+
+// noiseRegimes are the (depolarizing rate, root strike probability)
+// corners of the kernel's regime rule: the saturating strike with its
+// word-arm neighbours over gap-arm intrinsic noise, the all-gap sparse
+// strike, and dense intrinsic noise.
+var noiseRegimes = []struct {
+	name    string
+	p, root float64
+}{
+	{"saturating strike", 0.01, 1.0},
+	{"sparse strike", 0.01, sparseRoot},
+	{"dense depolarizing", 0.1, sparseRoot},
+}
+
+// tileCampaignAt is tileCampaignOf with the strike's root probability
+// chosen (it spreads from physical qubit 2).
+func tileCampaignAt(t testing.TB, code *qec.Code, p, root float64, width int) *BatchCampaign {
+	t.Helper()
 	cols := (2*code.DZ + 4) / 5
 	tr, err := arch.Transpile(code.Circ, arch.Mesh(5, cols))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dist := tr.Topo.Graph.AllPairsShortestPaths()
-	ev := noise.NewRadiationEvent(dist[2], 1.0, true)
+	ev := noise.NewRadiationEvent(dist[2], root, true)
 	sim := New(tr.Circuit, noise.NewDepolarizing(p), ev, 3)
 	return &BatchCampaign{
 		Sim:        NewBatchSimulator(sim),
@@ -51,22 +76,28 @@ func tileCampaignOf(t testing.TB, code *qec.Code, p float64, width int) *BatchCa
 // decoder path (which forces width one regardless of the request).
 func TestTileWidthResultsInvariant(t *testing.T) {
 	const seed, shots = 11, 1337 // 20 full words + 57 lanes; straddles tiles at every width
-	ref := tileCampaign(t, 5, 0.01, 64).Run(seed, shots)
-	if ref.Shots != shots {
-		t.Fatalf("reference ran %d shots, want %d", ref.Shots, shots)
-	}
-	for _, width := range TileWidths() {
-		if got := tileCampaign(t, 5, 0.01, width).Run(seed, shots); got != ref {
-			t.Errorf("width %d: %+v, want %+v", width, got, ref)
-		}
-	}
-	// Legacy per-word decoder under a wide width request: tileWords
-	// clamps to one word and the results still match.
-	legacy := tileCampaign(t, 5, 0.01, 512)
 	code, err := qec.NewRepetition(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every arm of the regime rule: a gap cursor indexed or started by
+	// anything but its own word would give each width its own counts.
+	const many = 16*TileShots + shots // enough for the sparse strike to show
+	for _, r := range noiseRegimes {
+		want := tileCampaignAt(t, code, r.p, r.root, 64).Run(seed, many)
+		if want.Shots != many || want.Errors < 10 {
+			t.Fatalf("%s: reference ran %+v, want %d shots and some errors", r.name, want, many)
+		}
+		for _, width := range TileWidths() {
+			if got := tileCampaignAt(t, code, r.p, r.root, width).Run(seed, many); got != want {
+				t.Errorf("%s, width %d: %+v, want %+v", r.name, width, got, want)
+			}
+		}
+	}
+	ref := tileCampaign(t, 5, 0.01, 64).Run(seed, shots)
+	// Legacy per-word decoder under a wide width request: tileWords
+	// clamps to one word and the results still match.
+	legacy := tileCampaign(t, 5, 0.01, 512)
 	legacy.DecodeTile = nil
 	legacy.DecodeBatch = code.DecodeBatch
 	if got := legacy.Run(seed, shots); got != ref {
@@ -89,6 +120,67 @@ func TestTileRunFromSplitsMerge(t *testing.T) {
 			got := Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}
 			if got != ref {
 				t.Errorf("width %d cut %d: %+v, want %+v", width, cut, got, ref)
+			}
+		}
+	}
+	// [0, 1000) + [1000, 10000) re-runs word 15 with disjoint live masks,
+	// once as the last word of a wide tile and once as a narrow tile's
+	// first: its cursors must start from its own stream alone.
+	code, err := qec.NewRepetition(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range noiseRegimes {
+		for _, width := range TileWidths() {
+			c := tileCampaignAt(t, code, r.p, r.root, width)
+			whole := c.Run(seed, 10000)
+			a, b := c.RunFrom(seed, 0, 1000), c.RunFrom(seed, 1000, 9000)
+			if got := (Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}); got != whole {
+				t.Errorf("%s, width %d: halves merge to %+v, whole run %+v", r.name, width, got, whole)
+			}
+		}
+	}
+}
+
+// TestRecycledStateCarriesNoCursor: a tile state handed from one tile
+// to the next, or from one point's simulator to another's, starts every
+// gap cursor afresh — tile B on a state that just ran tile A is bit for
+// bit tile B on a new state.
+func TestRecycledStateCarriesNoCursor(t *testing.T) {
+	code, err := qec.NewRepetition(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tw = MaxTileWords
+	run := func(sim *BatchSimulator, st *BatchState, firstWord int) {
+		master := rng.New(23)
+		var streams [tw]rng.Source
+		var srcs [tw]*rng.Source
+		for k := range srcs {
+			srcs[k] = &streams[k]
+			master.SplitInto(batchSplitSalt^uint64(firstWord+k), srcs[k])
+		}
+		sim.RunTile(srcs[:], st)
+	}
+	// Points A and B differ in every strike probability and in the
+	// intrinsic rate.
+	a := tileCampaignAt(t, code, 0.01, sparseRoot, TileShots).Sim
+	b := tileCampaignAt(t, code, 0.02, sparseRoot/2, TileShots).Sim
+	for _, c := range []struct {
+		name  string
+		first *BatchSimulator
+		word  int
+	}{
+		{"previous tile", b, 0},
+		{"previous point", a, tw},
+	} {
+		fresh, reused := b.NewTileState(tw), b.NewTileState(tw)
+		run(c.first, reused, c.word)
+		run(b, reused, tw)
+		run(b, fresh, tw)
+		for i := range fresh.Rec {
+			if fresh.Rec[i] != reused.Rec[i] {
+				t.Fatalf("%s: record word %d differs on a recycled state", c.name, i)
 			}
 		}
 	}
@@ -130,6 +222,24 @@ func tilePass(c *BatchCampaign, seed uint64) (func(), *tileScratch) {
 // not allocate. The same guard covers the width-one RunWord→DecodeBatch
 // path, which shares the machinery.
 func TestTileSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		// Every DecodeTile call takes its scratch from the pool; one
+		// race run in ten dropped enough of them to read 1 alloc/run.
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	code, err := qec.NewRepetition(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gap cursors live in the tile state, so no arm of the regime
+	// rule allocates once the state has run one tile.
+	for _, r := range noiseRegimes[1:] {
+		tile, _ := tilePass(tileCampaignAt(t, code, r.p, r.root, TileShots), 29)
+		tile()
+		if n := testing.AllocsPerRun(50, tile); n > 0 {
+			t.Errorf("%s: steady-state tile pass allocates %.1f times per run, want 0", r.name, n)
+		}
+	}
 	c := tileCampaign(t, 5, 0.01, TileShots)
 	tile, p := tilePass(c, 29)
 	tile() // warm: pooled scratch grown, memo populated for these streams

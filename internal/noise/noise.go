@@ -3,6 +3,15 @@
 // device and the radiation-induced transient fault with its temporal
 // decay T(t), spatial damping S(d), and combined transient error decay
 // function F(t, d) = T(t)·S(d).
+//
+// It also holds the samplers the engines draw both processes with.
+// SkipSampler serves the scalar engines, one site at a time: geometric
+// gaps below skipThreshold, a draw per site above. LaneSampler is its
+// batched twin for the 64-lane tile kernel, one site-word at a time,
+// for either channel: nothing drawn at p <= 0 and p >= 1, geometric
+// gaps with a carried cursor below 1/32, one rng.Bernoulli64 word per
+// site from there up; PauliWords types a whole word of depolarizing
+// errors at once.
 package noise
 
 import "math"

@@ -214,3 +214,18 @@ func TestVarianceAndStdDev(t *testing.T) {
 		t.Fatal("single-sample variance nonzero")
 	}
 }
+
+func TestTwoSampleZ(t *testing.T) {
+	// 60/100 vs 40/100: pooled rate 0.5, se = sqrt(0.25·0.02).
+	if got, want := TwoSampleZ(60, 100, 40, 100), 0.2/math.Sqrt(0.005); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("z = %v, want %v", got, want)
+	}
+	if got := TwoSampleZ(40, 100, 60, 100); got >= 0 {
+		t.Fatalf("z = %v, want the sign of rate1 - rate2", got)
+	}
+	for _, c := range [][4]int{{0, 0, 5, 10}, {5, 10, 0, 0}, {0, 10, 0, 20}, {10, 10, 20, 20}} {
+		if got := TwoSampleZ(c[0], c[1], c[2], c[3]); got != 0 {
+			t.Fatalf("TwoSampleZ%v = %v, want 0", c, got)
+		}
+	}
+}

@@ -123,7 +123,10 @@ print(f"daemon_smoke: {len(cli_pts)} points: daemon==CLI, "
 EOF
 
 echo "== cancel a campaign mid-stream"
-CANCEL_SHOTS=20000
+# Enough shots that the campaign is still running when the DELETE lands:
+# at ~15M shots/s the kernel finishes fig5 at 20000 shots per point in
+# 0.2 s, inside the header poll below; 400000 gives it several seconds.
+CANCEL_SHOTS=400000
 CANCEL_SEED=11
 cancel_body=$(printf '{"experiment":"%s","shots":%d,"seed":%d}' "$EXPERIMENT" "$CANCEL_SHOTS" "$CANCEL_SEED")
 curl -sS -N -D "$workdir/cancel.headers" -X POST "http://$addr/v1/campaigns" \
