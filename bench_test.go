@@ -11,7 +11,6 @@ package radqec
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -371,9 +370,9 @@ func BenchmarkSweepMixedCampaignsController(b *testing.B) {
 
 // Tracing variants of the controller mix. TracingOff is the daemon's
 // default configuration (sampling off — the zero SpanContext the
-// zero-cost contract is about) and is gated against the Controller
-// anchor by scripts/bench_gate.sh; TracingSampled records the full
-// span tree and measures what sampling a campaign costs.
+// zero-cost contract is about), to be read against the Controller
+// anchor; TracingSampled records the full span tree and measures what
+// sampling a campaign costs.
 func BenchmarkSweepMixedCampaignsTracingOff(b *testing.B) {
 	var shots int64
 	benchMixedCampaigns(b, control.Default(), &shots, false)
@@ -421,7 +420,6 @@ func benchFig5RepGrid(b *testing.B, batched bool) {
 					DecodeTile: code.DecodeTile,
 					Expected:   code.ExpectedLogical(),
 					Workers:    1,
-					Width:      frame.TileShots,
 				}
 				grid = append(grid, gridRun{camp.Run, seed})
 			} else {
@@ -457,9 +455,8 @@ func BenchmarkFrameEnginesFig5Rep(b *testing.B) {
 // included) sampled by the exact-oracle tableau engine versus the
 // universal batched frame engine. The reported shots/s ratio is the
 // acceptance metric of the universal engine: >= 5x tableau on this
-// grid. CI records both series as BENCH_xxzz.json and benchstat-gates
-// regressions against main.
-func benchFig6XXZZGrid(b *testing.B, engine string, width int) {
+// grid.
+func benchFig6XXZZGrid(b *testing.B, engine string) {
 	code, err := qec.NewXXZZ(3, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -484,7 +481,7 @@ func benchFig6XXZZGrid(b *testing.B, engine string, width int) {
 		seed := uint64(ri*1009 + 7)
 		runs[ri] = core.NewEngineRunner(engine, tr.Circuit,
 			noise.NewDepolarizing(0.01), ev, seed,
-			code.ExpectedLogical(), code.Decode, code.DecodeTile, width, 1)
+			code.ExpectedLogical(), code.Decode, code.DecodeTile, 0, 1)
 	}
 	total := 0
 	b.ResetTimer()
@@ -499,66 +496,8 @@ func benchFig6XXZZGrid(b *testing.B, engine string, width int) {
 }
 
 func BenchmarkFrameEnginesFig6XXZZ(b *testing.B) {
-	b.Run("tableau", func(b *testing.B) { benchFig6XXZZGrid(b, core.EngineTableau, 0) })
-	// "batched" is the acceptance series (auto width resolves to the
-	// widest tile); "batched64" pins the single-word engine so the
-	// tile speedup stays measurable in one run.
-	b.Run("batched", func(b *testing.B) { benchFig6XXZZGrid(b, core.EngineBatch, 0) })
-	b.Run("batched64", func(b *testing.B) { benchFig6XXZZGrid(b, core.EngineBatch, 64) })
-}
-
-// BenchmarkEngineWidthMatrix is the shots/s matrix behind the CI width
-// artifact: every (code, distance, rounds) workload crossed with every
-// supported tile width. CI runs it with -benchmem, stores the raw
-// series as BENCH_widths.json and flattens the shots/s metric into
-// bench_widths.csv (scripts/bench_widths_csv.sh) so a width regression
-// is visible as a column, not a diff.
-func BenchmarkEngineWidthMatrix(b *testing.B) {
-	type workload struct {
-		name   string
-		code   *qec.Code
-		mesh   [2]int
-		rounds int
-	}
-	mk := func(name string, c *qec.Code, err error, mw, mh, rounds int) workload {
-		if err != nil {
-			b.Fatal(err)
-		}
-		return workload{name, c, [2]int{mw, mh}, rounds}
-	}
-	rep15r4, err15 := qec.NewRepetitionRounds(15, 4)
-	xx33, err33 := qec.NewXXZZ(3, 3)
-	xx33r4, err334 := qec.NewXXZZRounds(3, 3, 4)
-	workloads := []workload{
-		mk("rep-d15-r4", rep15r4, err15, 5, 6, 4),
-		mk("xxzz-d3-r2", xx33, err33, 5, 4, 2),
-		mk("xxzz-d3-r4", xx33r4, err334, 5, 4, 4),
-	}
-	for _, w := range workloads {
-		tr, err := arch.Transpile(w.code.Circ, arch.Mesh(w.mesh[0], w.mesh[1]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		dist := tr.Topo.Graph.AllPairsShortestPaths()
-		root := tr.Used()[0]
-		for _, width := range frame.TileWidths() {
-			b.Run(fmt.Sprintf("%s/w%d", w.name, width), func(b *testing.B) {
-				ev := noise.NewRadiationEvent(dist[root], 1.0, false)
-				run := core.NewEngineRunner(core.EngineBatch, tr.Circuit,
-					noise.NewDepolarizing(0.01), ev, 7,
-					w.code.ExpectedLogical(), w.code.Decode, w.code.DecodeTile, width, 1)
-				const shots = 2048
-				total := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run(0, shots)
-					total += shots
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "shots/s")
-			})
-		}
-	}
+	b.Run("tableau", func(b *testing.B) { benchFig6XXZZGrid(b, core.EngineTableau) })
+	b.Run("batched", func(b *testing.B) { benchFig6XXZZGrid(b, core.EngineBatch) })
 }
 
 // Microbenches for the hot substrates.

@@ -21,15 +21,10 @@
 //	             detector-error model)
 //	-engine E    simulation engine: auto (default), tableau, frame, or
 //	             batch. auto runs every campaign on the bit-parallel
-//	             batched frame engine (universal over the Clifford set;
-//	             radiation resets on superposed XXZZ sites use the
-//	             collapsed-branch approximation); tableau forces the
-//	             exact-oracle stabilizer tableau
-//	-engine-width W  batched engine tile width in lanes: auto (default),
-//	             64, 256, or 512. auto picks the widest tile whose frame
-//	             state fits the cache budget. Width never changes
-//	             results — shot i always lives in lane i%64 of absolute
-//	             word i/64 — only throughput
+//	             batched frame engine, 512 shots per tile (universal
+//	             over the Clifford set; radiation resets on superposed
+//	             XXZZ sites use the collapsed-branch approximation);
+//	             tableau forces the exact-oracle stabilizer tableau
 //	-decoder D   syndrome decoder: mwpm (default, blossom matching) or
 //	             uf (almost-linear union-find); both have tile-parallel
 //	             twins for the batched engine
@@ -116,7 +111,6 @@ func main() {
 	p := flag.Float64("p", 0.01, "intrinsic physical error rate")
 	ns := flag.Int("ns", 10, "temporal samples of the fault decay")
 	engine := flag.String("engine", exp.EngineAuto, "simulation engine: auto, tableau, frame, or batch")
-	engineWidth := flag.String("engine-width", core.WidthAuto, "batched engine tile width in lanes: auto, 64, 256, or 512")
 	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", 2, "stabilization rounds per code (>= 2; >2 opens the multi-round memory workload)")
 	ci := flag.Float64("ci", 0, "target Wilson 95% half-width per point (>0 enables adaptive shots)")
@@ -153,9 +147,6 @@ func main() {
 	}
 	if !slices.Contains(exp.Decoders(), *decoder) {
 		usageError(fmt.Sprintf("unknown decoder %q (want one of %v)", *decoder, exp.Decoders()))
-	}
-	if _, err := core.ResolveEngineWidth(*engineWidth); err != nil {
-		usageError(fmt.Sprintf("unknown engine width %q (want one of %v)", *engineWidth, core.Widths()))
 	}
 	// Numeric flags are validated the same way: a constraint violation
 	// is a usage error naming the constraint, never a deep panic or a
@@ -215,7 +206,6 @@ func main() {
 		CI:       *ci,
 		MaxShots: *maxShots,
 		Engine:   *engine,
-		Width:    *engineWidth,
 		Decoder:  *decoder,
 		Resume:   *resume,
 	}
@@ -447,10 +437,6 @@ func printStats(st telemetry.Stats) {
 	if r := st.Route; r != nil {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s -> %s (%s)\n",
 			st.Experiment, r.Requested, r.Resolved, r.Reason)
-		if r.Width > 0 {
-			fmt.Fprintf(os.Stderr, "radqec: %s: engine width %d lanes (%s)\n",
-				st.Experiment, r.Width, r.WidthReason)
-		}
 	}
 }
 

@@ -23,10 +23,6 @@
 //	                 for campaigns (default on); a campaign request's
 //	                 "controller" field overrides per campaign. Tables
 //	                 are byte-identical either way
-//	-engine-width W  default batched-engine tile width in lanes: auto
-//	                 (default), 64, 256, or 512; a campaign request's
-//	                 "engine_width" field overrides per campaign. Width
-//	                 never changes results, only throughput
 //	-dwell N         default policy batches the controller holds a chunk
 //	                 size before re-scoring (default 4)
 //	-hysteresis H    default relative score advantage a challenger chunk
@@ -72,7 +68,6 @@ import (
 	"time"
 
 	"radqec/internal/control"
-	"radqec/internal/core"
 	"radqec/internal/fabric"
 	"radqec/internal/logsetup"
 	"radqec/internal/server"
@@ -85,7 +80,6 @@ func main() {
 	workers := flag.Int("workers", 0, "shared sweep worker pool size (0 = GOMAXPROCS)")
 	lru := flag.Int("lru", 0, "decoded results held in memory (0 = default)")
 	controller := flag.String("controller", "on", "default score-driven batch/allocation controller: on or off")
-	engineWidth := flag.String("engine-width", "auto", "default batched-engine tile width in lanes: auto, 64, 256, or 512 (requests may override per campaign)")
 	dwell := flag.Int("dwell", 4, "default policy batches the controller holds a chunk size before re-scoring")
 	hysteresis := flag.Float64("hysteresis", 0.15, "default relative score advantage needed to displace the incumbent chunk size")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time allowed to read a request's headers")
@@ -111,9 +105,6 @@ func main() {
 	}
 	if *controller != "on" && *controller != "off" {
 		usageError(fmt.Sprintf("-controller %q out of range (want on or off)", *controller))
-	}
-	if _, err := core.ResolveEngineWidth(*engineWidth); err != nil {
-		usageError(fmt.Sprintf("unknown engine width %q (want one of %v)", *engineWidth, core.Widths()))
 	}
 	if *dwell < 1 {
 		usageError(fmt.Sprintf("-dwell %d out of range (want >= 1 policy batches)", *dwell))
@@ -192,7 +183,6 @@ func main() {
 		Workers:     *workers,
 		Control:     ctrl,
 		Fabric:      coord,
-		EngineWidth: *engineWidth,
 		TraceSample: *traceSample,
 		Logger:      log,
 		Pprof:       *pprofOn,

@@ -39,19 +39,14 @@ type CampaignRequest struct {
 	Shots      int    `json:"shots,omitempty"`
 	// Seed is a pointer so an omitted field takes the CLI's default
 	// seed (1) while an explicit {"seed":0} still means seed zero.
-	Seed   *uint64 `json:"seed,omitempty"`
-	P      float64 `json:"p,omitempty"`
-	NS     int     `json:"ns,omitempty"`
-	Rounds int     `json:"rounds,omitempty"`
-	Engine string  `json:"engine,omitempty"`
-	// EngineWidth selects the batched engine's tile width by name
-	// ("auto", "64", "256" or "512"; omitted = the daemon's default).
-	// Width never changes results, only throughput; the resolved width
-	// is reported in the campaign's route signal.
-	EngineWidth string  `json:"engine_width,omitempty"`
-	Decoder     string  `json:"decoder,omitempty"`
-	CI          float64 `json:"ci,omitempty"`
-	MaxShots    int     `json:"maxshots,omitempty"`
+	Seed     *uint64 `json:"seed,omitempty"`
+	P        float64 `json:"p,omitempty"`
+	NS       int     `json:"ns,omitempty"`
+	Rounds   int     `json:"rounds,omitempty"`
+	Engine   string  `json:"engine,omitempty"`
+	Decoder  string  `json:"decoder,omitempty"`
+	CI       float64 `json:"ci,omitempty"`
+	MaxShots int     `json:"maxshots,omitempty"`
 	// Workers caps this campaign's concurrency inside the shared pool
 	// (0 = the whole pool). It never grows the pool.
 	Workers int `json:"workers,omitempty"`
@@ -151,29 +146,20 @@ func New(addr string, hc *http.Client) *Client {
 func (c *Client) Base() string { return c.base }
 
 // decodeError turns a non-2xx response into an *Error. It parses the
-// v1 envelope {"error":{"code","message"}}, tolerates the legacy flat
-// {"error":"msg"} shape one release back, and falls back to the raw
-// body for non-JSON responses.
+// v1 envelope {"error":{"code","message"}} and falls back to the raw
+// body for anything else.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	e := &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(body))}
 	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(body, &env) == nil && len(env.Error) > 0 {
-		var inner struct {
+		Error struct {
 			Code    string `json:"code"`
 			Message string `json:"message"`
-		}
-		if json.Unmarshal(env.Error, &inner) == nil && inner.Message != "" {
-			e.Code, e.Message = inner.Code, inner.Message
-			return e
-		}
-		var flat string
-		if json.Unmarshal(env.Error, &flat) == nil && flat != "" {
-			e.Message = flat // legacy pre-envelope daemon
-			return e
-		}
+		} `json:"error"`
+	}
+	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
+		e.Code, e.Message = env.Error.Code, env.Error.Message
+		return e
 	}
 	if e.Message == "" {
 		e.Message = resp.Status

@@ -48,7 +48,7 @@ const (
 	// shot, approximate only for radiation resets on superposed sites.
 	EngineFrame = "frame"
 	// EngineBatch forces the bit-parallel frame engine: 64 shots per
-	// uint64 word, same validity domain as EngineFrame.
+	// uint64 word, 512 per tile, same validity domain as EngineFrame.
 	EngineBatch = "batch"
 )
 
@@ -85,81 +85,9 @@ func ResolveDecoder(name string, code *qec.Code) (func(bits []int) int, frame.Ti
 	}
 }
 
-// Engine width names for Options.Width and the -engine-width flag.
-const (
-	// WidthAuto (the default) picks the widest tile whose frame state
-	// fits the cache budget — in practice 512 lanes for every code in
-	// the repo; see AutoWidth.
-	WidthAuto = "auto"
-	// Width64, Width256 and Width512 force the engine width in lanes
-	// (1, 4 and 8 uint64 words per tile). Width is pure mechanism:
-	// every width produces byte-identical tables.
-	Width64  = "64"
-	Width256 = "256"
-	Width512 = "512"
-)
-
-// Widths lists the recognised engine width names.
-func Widths() []string { return []string{WidthAuto, Width64, Width256, Width512} }
-
-// ResolveEngineWidth maps a width name onto lanes: "" and WidthAuto
-// return 0 (resolve per circuit via AutoWidth), explicit names return
-// their lane count. Unknown names are an error naming the valid set —
-// the single width-validation policy shared by the CLI flags, the
-// daemon's request validation and the experiment sweeps.
-func ResolveEngineWidth(name string) (int, error) {
-	switch name {
-	case "", WidthAuto:
-		return 0, nil
-	case Width64:
-		return 64, nil
-	case Width256:
-		return 256, nil
-	case Width512:
-		return 512, nil
-	default:
-		return 0, fmt.Errorf("core: unknown engine width %q (want one of %v)", name, Widths())
-	}
-}
-
-// autoWidthBudget is the per-tile cache budget AutoWidth fits the frame
-// state into: two bit-planes plus the packed record, all words of the
-// tile, must sit comfortably in L2 next to the decoder's scratch.
-const autoWidthBudget = 128 << 10
-
-// AutoWidth picks the widest supported engine width whose tile state
-// (x/z bit-planes plus packed record) fits the cache budget, and
-// reports the heuristic's rationale for the telemetry route signal.
-// Every code family in the repo fits at 512 lanes; only circuits with
-// thousands of qubits step down.
-func AutoWidth(circ *circuit.Circuit) (lanes int, reason string) {
-	perWord := (2*circ.NumQubits + circ.NumClbits) * 8
-	widths := frame.TileWidths()
-	for i := len(widths) - 1; i >= 0; i-- {
-		lanes = widths[i]
-		if perWord*(lanes/64) <= autoWidthBudget || i == 0 {
-			break
-		}
-	}
-	return lanes, fmt.Sprintf(
-		"auto: widest tile fitting cache: %d lanes (%d state bytes per lane-word, %d KiB budget)",
-		lanes, perWord, autoWidthBudget>>10)
-}
-
-// ResolveWidthRoute resolves a width name against a circuit: explicit
-// widths resolve to themselves, "" and WidthAuto run the AutoWidth
-// heuristic. The reason string feeds the campaign route signal.
-func ResolveWidthRoute(name string, circ *circuit.Circuit) (lanes int, reason string, err error) {
-	lanes, err = ResolveEngineWidth(name)
-	if err != nil {
-		return 0, "", err
-	}
-	if lanes == 0 {
-		lanes, reason = AutoWidth(circ)
-		return lanes, reason, nil
-	}
-	return lanes, fmt.Sprintf("explicit width request: %d lanes", lanes), nil
-}
+// WidthAuto is pinned by the frozen bench/ harness, which passes it as
+// exp.Config.Width; the tile width is the constant frame.MaxTileWords.
+const WidthAuto = "auto"
 
 // CodeSpec selects a surface code, its distance tuple and its memory
 // depth.
@@ -200,10 +128,6 @@ type Options struct {
 	// Decoder selects the syndrome decoder (DecoderMWPM or DecoderUF);
 	// empty means DecoderMWPM.
 	Decoder string
-	// Width selects the batched engine's width (WidthAuto, Width64,
-	// Width256 or Width512); empty means WidthAuto. Only the batched
-	// engine consumes it; width never changes results.
-	Width string
 }
 
 func (o Options) withDefaults() Options {
@@ -276,11 +200,9 @@ type Simulator struct {
 	tr   *arch.Transpiled
 	dist [][]int
 	// decode and decodeTile are the scalar and tile-parallel views of
-	// the configured decoder, resolved once at construction; width is
-	// the engine width in lanes resolved against the routed circuit.
+	// the configured decoder, resolved once at construction.
 	decode     func(bits []int) int
 	decodeTile frame.TileDecodeFunc
-	width      int
 }
 
 // NewSimulator builds the code, transpiles it onto the topology and
@@ -321,10 +243,6 @@ func NewSimulator(opts Options) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	width, _, err := ResolveWidthRoute(opts.Width, tr.Circuit)
-	if err != nil {
-		return nil, err
-	}
 	return &Simulator{
 		opts:       opts,
 		code:       code,
@@ -332,7 +250,6 @@ func NewSimulator(opts Options) (*Simulator, error) {
 		dist:       topo.Graph.AllPairsShortestPaths(),
 		decode:     decode,
 		decodeTile: decodeTile,
-		width:      width,
 	}, nil
 }
 
@@ -359,25 +276,21 @@ type EngineRunner func(start, n int) (shots, errors int)
 // the core façade and the experiment sweeps. decode and decodeTile are
 // the scalar and tile-parallel views of the same decoder; the batched
 // engine prefers decodeTile and falls back to unpacking lanes through
-// decode. width is the batched engine's lane width (0 picks AutoWidth);
-// seed doubles as the frame engines' reference seed.
+// decode. seed doubles as the frame engines' reference seed. The unnamed
+// int is inert: the frozen bench/ harness passes a width there.
 func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizing,
 	ev *noise.RadiationEvent, seed uint64, expected int,
-	decode func(bits []int) int, decodeTile frame.TileDecodeFunc, width, workers int) EngineRunner {
+	decode func(bits []int) int, decodeTile frame.TileDecodeFunc, _ int, workers int) EngineRunner {
 	switch engine {
 	case EngineBatch:
 		if decodeTile == nil {
 			decodeTile = frame.LaneDecodeTile(decode, circ.NumClbits)
-		}
-		if width == 0 {
-			width, _ = AutoWidth(circ)
 		}
 		camp := &frame.BatchCampaign{
 			Sim:        frame.NewBatch(circ, dep, ev, seed),
 			DecodeTile: decodeTile,
 			Expected:   expected,
 			Workers:    workers,
-			Width:      width,
 		}
 		return func(start, n int) (int, int) {
 			r := camp.RunFrom(seed, start, n)
@@ -414,17 +327,11 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 
 // EngineRoute records one engine-resolution decision: the requested
 // name, the engine that will actually run, and the policy signal that
-// justified the route — plus, for the batched engine, the resolved
-// lane width and the width heuristic's rationale. The telemetry layer
-// carries it per campaign so the daemon's signals stream and the CLI's
-// -stats report can explain why a campaign ran where it did.
+// justified the route. The telemetry layer carries it per campaign so
+// the daemon's signals stream and the CLI's -stats report can explain
+// why a campaign ran where it did.
 type EngineRoute struct {
 	Requested, Resolved, Reason string
-	// Width is the resolved engine width in lanes (0 when the resolved
-	// engine is not the batched one or the width is not yet bound to a
-	// circuit); WidthReason is the width decision's rationale.
-	Width       int
-	WidthReason string
 }
 
 // ResolveEngineRoute maps a configured engine name onto the engine that
@@ -472,7 +379,7 @@ func (s *Simulator) runWith(ev *noise.RadiationEvent, seed uint64,
 	decode func([]int) int, decodeTile frame.TileDecodeFunc) Result {
 	run := NewEngineRunner(s.engine(), s.tr.Circuit,
 		noise.NewDepolarizing(s.opts.PhysicalErrorRate), ev, seed,
-		s.code.ExpectedLogical(), decode, decodeTile, s.width, s.opts.Workers)
+		s.code.ExpectedLogical(), decode, decodeTile, 0, s.opts.Workers)
 	shots, errors := run(0, s.opts.Shots)
 	return Result{Shots: shots, Errors: errors}
 }

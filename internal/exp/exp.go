@@ -100,13 +100,7 @@ type Config struct {
 	// means DecoderMWPM. Unrecognised names panic like Engine; the CLI
 	// validates its flag first.
 	Decoder string
-	// Width selects the batched engine's tile width by name ("",
-	// core.WidthAuto, "64", "256" or "512"); empty means auto (the
-	// widest tile whose frame state fits the cache budget — see
-	// core.AutoWidth). Width never changes results, only throughput:
-	// shot i always lives in lane i%64 of absolute word i/64, and tiles
-	// group words on the absolute word grid. Unrecognised names panic
-	// like Engine; the CLI validates its flag first.
+	// Width is accepted and ignored: the frozen bench/ harness sets it.
 	Width string
 	// Rounds is the number of stabilization rounds every figure builds
 	// its codes with (0 means the paper's 2). The memory experiment
@@ -195,14 +189,13 @@ func (c Config) Defaults() Config {
 }
 
 // sweepConfig maps the experiment configuration onto the sweep engine.
-// Batches are always aligned to the batched engine's widest tile
-// (frame.TileShots) — bit-parallel campaigns fill whole tiles at every
-// width, and every engine and width sees the same chunking, so
-// `-engine auto`, an explicit engine, and any `-engine-width` produce
-// identical output (tables and tail columns alike) for the points they
-// resolve alike. Alignment never changes merged counts (the
-// BatchRunner contract), only how the work is chunked into the
-// per-batch tail statistics.
+// Batches are always aligned to the batched engine's tile
+// (frame.TileShots) — bit-parallel campaigns fill whole tiles, and
+// every engine sees the same chunking, so `-engine auto` and an
+// explicit engine produce identical output (tables and tail columns
+// alike) for the points they resolve alike. Alignment never changes
+// merged counts (the BatchRunner contract), only how the work is
+// chunked into the per-batch tail statistics.
 func (c Config) sweepConfig() sweep.Config {
 	return sweep.Config{
 		Policy: sweep.Policy{
@@ -401,10 +394,7 @@ type specFingerprint struct {
 // fingerprint returns the point's content address under cfg. Specs
 // that override the decode function are still distinguished, because
 // every such spec carries the variant in its key (e.g. the
-// ablation-decoder rows). The engine width is deliberately absent:
-// width never changes a point's counts or chunking (the tile
-// determinism contract, pinned by the cross-width tests), so results
-// computed at any width serve every width.
+// ablation-decoder rows).
 func (s pointSpec) fingerprint(cfg Config) string {
 	fp := specFingerprint{
 		V:        fingerprintVersion,
@@ -442,7 +432,7 @@ func (s pointSpec) fingerprint(cfg Config) string {
 // batched engine decodes lane-for-lane identically to the scalar
 // ones); specs that set decode keep their override. shotWorkers caps
 // the campaign's internal shot parallelism.
-func (s pointSpec) point(engine, decoder, width string, shotWorkers int, tc trace.SpanContext) sweep.Point {
+func (s pointSpec) point(engine, decoder string, shotWorkers int, tc trace.SpanContext) sweep.Point {
 	eng := s.engineFor(engine)
 	return sweep.Point{
 		Key: s.key,
@@ -465,16 +455,9 @@ func (s pointSpec) point(engine, decoder, width string, shotWorkers int, tc trac
 				decNS = &atomicNS{}
 				decode, dec = wrapDecode(decode, dec, decNS)
 			}
-			// Width resolves against this spec's routed circuit (specs in
-			// one campaign can carry different codes); unknown names panic
-			// like engineFor — the CLI and daemon validate first.
-			lanes, _, err := core.ResolveWidthRoute(width, s.prep.tr.Circuit)
-			if err != nil {
-				panic(fmt.Sprintf("exp: %v", err))
-			}
 			run := core.NewEngineRunner(eng, s.prep.tr.Circuit,
 				noise.NewDepolarizing(s.phys), s.ev, s.seed,
-				s.prep.code.ExpectedLogical(), decode, dec, lanes, shotWorkers)
+				s.prep.code.ExpectedLogical(), decode, dec, 0, shotWorkers)
 			if decNS == nil {
 				return func(start, n int) sweep.Counts {
 					shots, errors := run(start, n)
@@ -572,23 +555,16 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 	}
 	if tel := cfg.Telemetry; tel != nil {
 		if route, err := core.ResolveEngineRoute(cfg.Engine); err == nil {
-			r := telemetry.Route{
+			tel.SetRoute(telemetry.Route{
 				Requested: route.Requested,
 				Resolved:  route.Resolved,
 				Reason:    route.Reason,
-			}
-			// The campaign-level width signal resolves against the first
-			// spec's circuit (per-spec widths can differ; the signal
-			// reports the representative route, like Reason does).
-			if lanes, wr, err := core.ResolveWidthRoute(cfg.Width, specs[0].prep.tr.Circuit); err == nil {
-				r.Width, r.WidthReason = lanes, wr
-			}
-			tel.SetRoute(r)
+			})
 		}
 	}
 	points := make([]sweep.Point, len(specs))
 	for i, s := range specs {
-		points[i] = s.point(cfg.Engine, cfg.Decoder, cfg.Width, shotWorkers, cfg.Trace)
+		points[i] = s.point(cfg.Engine, cfg.Decoder, shotWorkers, cfg.Trace)
 		points[i].TailSensitive = cfg.TailSensitive
 		if cfg.Cache != nil {
 			points[i].Hash = s.fingerprint(cfg)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"radqec/internal/arch"
+	"radqec/internal/core"
 	"radqec/internal/frame"
 	"radqec/internal/inject"
 	"radqec/internal/noise"
@@ -190,12 +191,26 @@ func TestFixedSweepMatchesDirectCampaign(t *testing.T) {
 	batchCfg := cfg
 	batchCfg.Engine = EngineBatch
 	bcamp := &frame.BatchCampaign{
-		Sim:         frame.NewBatch(p.tr.Circuit, noise.NewDepolarizing(cfg.P), ev, 77),
-		DecodeBatch: code.DecodeBatch,
-		Expected:    code.ExpectedLogical(),
+		Sim:        frame.NewBatch(p.tr.Circuit, noise.NewDepolarizing(cfg.P), ev, 77),
+		DecodeTile: code.DecodeTile,
+		Expected:   code.ExpectedLogical(),
 	}
-	if got, want := p.rate(batchCfg, ev, 77), bcamp.Run(77, cfg.Shots).Rate(); got != want {
+	direct := bcamp.Run(77, cfg.Shots)
+	if got, want := p.rate(batchCfg, ev, 77), direct.Rate(); got != want {
 		t.Fatalf("batched sweep rate %v != direct batched campaign rate %v", got, want)
+	}
+
+	// The names bench/ pins are inert, not errors: a Config.Width and a
+	// NewEngineRunner width argument are accepted and change nothing.
+	widthCfg := batchCfg
+	widthCfg.Width = "64"
+	if got, want := p.rate(widthCfg, ev, 77), direct.Rate(); got != want {
+		t.Fatalf("Config.Width changed the rate: %v, want %v", got, want)
+	}
+	run := core.NewEngineRunner(core.EngineBatch, p.tr.Circuit, noise.NewDepolarizing(cfg.P), ev, 77,
+		code.ExpectedLogical(), code.Decode, code.DecodeTile, 64, 0)
+	if shots, errors := run(0, cfg.Shots); shots != direct.Shots || errors != direct.Errors {
+		t.Fatalf("NewEngineRunner with a width argument ran %d/%d, want %+v", errors, shots, direct)
 	}
 }
 

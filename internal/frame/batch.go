@@ -40,8 +40,8 @@ import (
 //     event on the gap arm, noise.PauliWords for a whole error word on
 //     the dense arms.
 //   - Measurement records are emitted as bit-packed words (one uint64
-//     per classical bit), ready for word-parallel decoding
-//     (qec.(*Code).DecodeBatch).
+//     per classical bit and tile word), ready for word-parallel
+//     decoding (qec.(*Code).DecodeTile).
 type BatchSimulator struct {
 	sim *Simulator
 	// dep is the regime rule applied to the depolarizing rate.
@@ -85,22 +85,19 @@ func NewBatch(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.Radiatio
 	return NewBatchSimulator(New(circ, dep, rad, refSeed))
 }
 
-// Tile geometry: the engine processes W-word tiles, W in {1, 4, 8},
-// i.e. 64, 256 or 512 shot lanes per kernel pass. Wider tiles amortise
-// the per-op dispatch over more lanes and give the compiler fixed-width
-// inner loops; the word→stream mapping is unchanged, so every width
-// produces bit-identical results (see BatchCampaign).
+// Tile geometry: a tile is up to MaxTileWords 64-lane words on the
+// absolute word grid, i.e. up to 512 shot lanes sharing one pass over
+// the op list. That amortises the per-op dispatch over the lanes; each
+// word still draws from its own stream, so how words are grouped never
+// changes a result (see BatchCampaign). The width is a constant, not an
+// option: no workload ran faster on a narrower tile.
 const (
-	// MaxTileWords is the widest supported tile in 64-lane words.
+	// MaxTileWords is the tile width in 64-lane words.
 	MaxTileWords = 8
-	// TileShots is the widest tile's lane count — the batch alignment
-	// that keeps policy batches tile-shaped at every engine width.
+	// TileShots is a full tile's lane count — the batch alignment that
+	// keeps policy batches tile-shaped.
 	TileShots = MaxTileWords * 64
 )
-
-// TileWidths lists the supported engine widths in lanes, narrowest
-// first.
-func TileWidths() []int { return []int{64, 256, 512} }
 
 // BatchState is the reusable frame and record state of one shot tile:
 // up to 64·w concurrent lanes stored as w-word qubit-major tiles.
@@ -120,14 +117,9 @@ type BatchState struct {
 	// over.
 	radCur []int64
 	// Rec is the packed classical record: Rec[c·w+k] holds classical
-	// bit c of tile word k's 64 lanes. At width one this is exactly the
-	// legacy one-word-per-clbit layout.
+	// bit c of tile word k's 64 lanes.
 	Rec []uint64
 }
-
-// NewBatchState allocates single-word (64-lane) state for the
-// simulator's circuit.
-func (s *BatchSimulator) NewBatchState() *BatchState { return s.NewTileState(1) }
 
 // NewTileState allocates lane state for tiles of up to w words.
 func (s *BatchSimulator) NewTileState(w int) *BatchState {
@@ -189,21 +181,13 @@ func (st *BatchState) Clear() {
 	}
 }
 
-// RunWord executes one word of 64 shots into st (cleared first). Every
-// lane owns statistically independent noise; all randomness is drawn
-// from src, so identical sources reproduce identical words. It is
-// RunTile at width one.
-func (s *BatchSimulator) RunWord(src *rng.Source, st *BatchState) {
-	srcs := [1]*rng.Source{src}
-	s.RunTile(srcs[:], st)
-}
-
 // RunTile executes one tile of len(srcs) shot words (64·len(srcs)
-// lanes) into st, reshaping it to the tile width first. Tile word k
-// draws all of its randomness from srcs[k] in exactly the order RunWord
-// consumes a single stream, so a w-word tile is bit-for-bit the w
-// RunWord calls it replaces — engine width never changes results, only
-// how many lanes share one pass over the op list.
+// lanes, at most MaxTileWords words) into st, reshaping it to the tile
+// width first. Every lane owns statistically independent noise. Tile
+// word k draws all of its randomness from srcs[k], in an order that
+// does not depend on len(srcs), so a w-word tile is bit-for-bit the w
+// one-word tiles of the same streams: how many words share a pass —
+// edge tiles run narrow — never changes results.
 func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 	w := len(srcs)
 	st.reshape(w)
@@ -396,59 +380,18 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 	}
 }
 
-// BatchDecodeFunc maps one word of packed classical records to the word
-// of decoded logical values. Only lanes set in live carry meaningful
-// records; a decoder may leave dead lanes arbitrary.
-type BatchDecodeFunc func(rec []uint64, live uint64) uint64
-
 // TileDecodeFunc maps a w-word tile of packed classical records
 // (rec[c·w+k] holds classical bit c of tile word k) to per-word decoded
 // logical values: out[k] receives word k's decoded word, and only lanes
-// set in live[k] carry meaningful records. qec.(*Code).DecodeTile is
-// the word-parallel implementation; WordDecodeTile adapts a per-word
-// decoder.
+// set in live[k] carry meaningful records; a decoder may leave dead
+// lanes arbitrary. qec.(*Code).DecodeTile is the word-parallel
+// implementation; LaneDecodeTile adapts a scalar decoder.
 type TileDecodeFunc func(rec []uint64, w int, live, out []uint64)
 
-// WordDecodeTile lifts a per-word decoder onto tiles by re-slicing each
-// tile word's records into a scratch buffer — the compatibility path
-// for BatchDecodeFunc decoders that predate the tile layout.
-func WordDecodeTile(decode BatchDecodeFunc, numClbits int) TileDecodeFunc {
-	return func(rec []uint64, w int, live, out []uint64) {
-		if w == 1 {
-			out[0] = decode(rec, live[0])
-			return
-		}
-		scratch := make([]uint64, numClbits)
-		for k := 0; k < w; k++ {
-			for c := range scratch {
-				scratch[c] = rec[c*w+k]
-			}
-			out[k] = decode(scratch, live[k])
-		}
-	}
-}
-
-// LaneDecode lifts a scalar record decoder onto packed records by
-// unpacking each live lane. It is the compatibility path for decoders
-// without a word-parallel implementation; the frame propagation is still
-// bit-parallel, only the decode runs per lane.
-func LaneDecode(decode func(bits []int) int, numClbits int) BatchDecodeFunc {
-	return func(rec []uint64, live uint64) uint64 {
-		scratch := make([]int, numClbits)
-		var out uint64
-		for m := live; m != 0; m &= m - 1 {
-			lane := uint(bits.TrailingZeros64(m))
-			for i := range scratch {
-				scratch[i] = int(rec[i]>>lane) & 1
-			}
-			out |= uint64(decode(scratch)&1) << lane
-		}
-		return out
-	}
-}
-
-// LaneDecodeTile is LaneDecode over tiles: each live lane of each tile
-// word is unpacked through the scalar decoder.
+// LaneDecodeTile lifts a scalar record decoder onto packed tiles by
+// unpacking each live lane of each tile word. It is the path for
+// decoders without a word-parallel implementation; the frame
+// propagation is still bit-parallel, only the decode runs per lane.
 func LaneDecodeTile(decode func(bits []int) int, numClbits int) TileDecodeFunc {
 	return func(rec []uint64, w int, live, out []uint64) {
 		scratch := make([]int, numClbits)
@@ -474,10 +417,10 @@ const batchSplitSalt = 0xb5ad4eceda1ce2a9
 // engine. It honours the sweep.BatchRunner determinism contract at word
 // granularity: shot i always lives in lane i%64 of word i/64, and word w
 // always consumes the stream split(seed, salt^w), so results are
-// invariant under worker count, batch boundaries AND engine width
-// (word-straddling batches re-run the word with disjoint live masks and
-// merge exactly; a tile is just several words sharing one kernel pass,
-// each still on its own word stream, grouped on the absolute word grid).
+// invariant under worker count and batch boundaries (word-straddling
+// batches re-run the word with disjoint live masks and merge exactly; a
+// tile is just up to MaxTileWords words sharing one kernel pass, each
+// still on its own word stream, grouped on the absolute word grid).
 // The engine defines its own seed-to-stream mapping: rates are
 // statistically equivalent to, but not bit-identical with, the scalar
 // engines at the same seed.
@@ -485,19 +428,12 @@ type BatchCampaign struct {
 	// Sim samples the shot words.
 	Sim *BatchSimulator
 	// DecodeTile maps packed record tiles to decoded logical words,
-	// e.g. qec.(*Code).DecodeTile or a LaneDecodeTile adapter. When nil
-	// the campaign falls back to DecodeBatch at width one.
+	// e.g. qec.(*Code).DecodeTile or a LaneDecodeTile adapter. Required.
 	DecodeTile TileDecodeFunc
-	// DecodeBatch is the legacy per-word decoder, honoured (at width
-	// one) when DecodeTile is nil.
-	DecodeBatch BatchDecodeFunc
 	// Expected is the fault-free decoded output.
 	Expected int
-	// Workers caps parallel word runners; 0 means GOMAXPROCS.
+	// Workers caps parallel tile runners; 0 means GOMAXPROCS.
 	Workers int
-	// Width is the engine width in lanes (64, 256 or 512); 0 means 64.
-	// Width is pure mechanism: it never changes results.
-	Width int
 
 	// states recycles worker tile states across RunFrom calls, so a
 	// campaign advanced chunk by chunk (the sweep engine's shape) pays
@@ -512,9 +448,8 @@ type BatchCampaign struct {
 	states  []*BatchState
 }
 
-// getState hands a worker a recycled tile state tw words wide, or a
-// fresh one.
-func (c *BatchCampaign) getState(tw int) *BatchState {
+// getState hands a worker a recycled tile state, or a fresh one.
+func (c *BatchCampaign) getState() *BatchState {
 	var st *BatchState
 	c.stateMu.Lock()
 	if n := len(c.states); n > 0 {
@@ -523,7 +458,7 @@ func (c *BatchCampaign) getState(tw int) *BatchState {
 	}
 	c.stateMu.Unlock()
 	if st == nil {
-		st = c.Sim.NewTileState(tw)
+		st = c.Sim.NewTileState(MaxTileWords)
 	}
 	return st
 }
@@ -540,31 +475,19 @@ func (c *BatchCampaign) Run(seed uint64, shots int) Result {
 	return c.RunFrom(seed, 0, shots)
 }
 
-// tileWords resolves the campaign's tile width in words.
-func (c *BatchCampaign) tileWords() int {
-	tw := c.Width / 64
-	if tw < 1 {
-		tw = 1
-	}
-	if tw > MaxTileWords {
-		tw = MaxTileWords
-	}
-	if c.DecodeTile == nil && c.DecodeBatch != nil {
-		tw = 1 // per-word decoders predate the tile layout
-	}
-	return tw
-}
-
 // RunFrom executes the shot range [start, start+shots). Partitioning a
 // campaign into ranges — word-aligned or not — merges to exactly the
 // result of one Run over the whole range.
 func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
+	if c.DecodeTile == nil {
+		panic("frame: BatchCampaign.DecodeTile is nil")
+	}
 	if shots <= 0 {
 		return Result{}
 	}
+	const tw = MaxTileWords
 	firstWord := start >> 6
 	lastWord := (start + shots - 1) >> 6
-	tw := c.tileWords()
 	// Tiles sit on the absolute word grid, so a tile's word membership —
 	// and therefore which words share a kernel pass — is independent of
 	// the range being run; edge tiles simply run narrow.
@@ -589,7 +512,7 @@ func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			st := c.getState(tw)
+			st := c.getState()
 			defer c.putState(st)
 			// Per-word RNG streams are pooled: SplitInto re-derives each
 			// word's stream into a fixed Source, so the steady-state
@@ -625,11 +548,7 @@ func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 					master.SplitInto(batchSplitSalt^uint64(word), &streams[k])
 				}
 				c.Sim.RunTile(srcs[:wc], st)
-				if c.DecodeTile != nil {
-					c.DecodeTile(st.Rec, wc, live[:wc], out[:wc])
-				} else {
-					out[0] = c.DecodeBatch(st.Rec, live[0])
-				}
+				c.DecodeTile(st.Rec, wc, live[:wc], out[:wc])
 				for k := 0; k < wc; k++ {
 					local.Shots += bits.OnesCount64(live[k])
 					local.Errors += bits.OnesCount64((out[k] ^ expected) & live[k])

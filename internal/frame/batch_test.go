@@ -34,11 +34,23 @@ func repCampaigns(t testing.TB, d int, p float64, refSeed uint64) (*Campaign, *B
 		Expected: code.ExpectedLogical(),
 	}
 	batched := &BatchCampaign{
-		Sim:         NewBatchSimulator(sim),
-		DecodeBatch: code.DecodeBatch,
-		Expected:    code.ExpectedLogical(),
+		Sim:        NewBatchSimulator(sim),
+		DecodeTile: code.DecodeTile,
+		Expected:   code.ExpectedLogical(),
 	}
 	return scalar, batched
+}
+
+// runOne and decodeOne are the one-word (w = 1) views of RunTile and
+// of a TileDecodeFunc that the per-word assertions read through.
+func runOne(s *BatchSimulator, src *rng.Source, st *BatchState) {
+	s.RunTile([]*rng.Source{src}, st)
+}
+
+func decodeOne(dec TileDecodeFunc, rec []uint64, live uint64) uint64 {
+	var out [1]uint64
+	dec(rec, 1, []uint64{live}, out[:])
+	return out[0]
 }
 
 func TestBatchDeterministicCircuitExact(t *testing.T) {
@@ -56,8 +68,8 @@ func TestBatchDeterministicCircuitExact(t *testing.T) {
 	bits := make([]int, 3)
 	sim.Run(rng.New(2), f, bits)
 	b := NewBatchSimulator(sim)
-	st := b.NewBatchState()
-	b.RunWord(rng.New(2), st)
+	st := b.NewTileState(1)
+	runOne(b, rng.New(2), st)
 	for i, want := range bits {
 		word := uint64(0)
 		if want == 1 {
@@ -71,10 +83,10 @@ func TestBatchDeterministicCircuitExact(t *testing.T) {
 
 func TestBatchRunWordDeterministic(t *testing.T) {
 	_, batched := repCampaigns(t, 5, 0.01, 3)
-	a := batched.Sim.NewBatchState()
-	b := batched.Sim.NewBatchState()
-	batched.Sim.RunWord(rng.New(9), a)
-	batched.Sim.RunWord(rng.New(9), b)
+	a := batched.Sim.NewTileState(1)
+	b := batched.Sim.NewTileState(1)
+	runOne(batched.Sim, rng.New(9), a)
+	runOne(batched.Sim, rng.New(9), b)
 	for i := range a.Rec {
 		if a.Rec[i] != b.Rec[i] {
 			t.Fatalf("identical sources diverged at clbit %d", i)
@@ -115,9 +127,9 @@ func TestBatchDepolarizingOnlyMatchesScalar(t *testing.T) {
 	sim := New(code.Circ, noise.NewDepolarizing(p), nil, 7)
 	scalar := &Campaign{Sim: sim, Decode: code.Decode, Expected: 1}
 	batched := &BatchCampaign{
-		Sim:         NewBatchSimulator(sim),
-		DecodeBatch: code.DecodeBatch,
-		Expected:    1,
+		Sim:        NewBatchSimulator(sim),
+		DecodeTile: code.DecodeTile,
+		Expected:   1,
 	}
 	const shots = 6000
 	s := scalar.Run(11, shots)
@@ -140,9 +152,9 @@ func TestBatchCleanRunErrorFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		camp := &BatchCampaign{
-			Sim:         NewBatch(code.Circ, noise.Depolarizing{}, nil, 9),
-			DecodeBatch: code.DecodeBatch,
-			Expected:    1,
+			Sim:        NewBatch(code.Circ, noise.Depolarizing{}, nil, 9),
+			DecodeTile: code.DecodeTile,
+			Expected:   1,
 		}
 		if r := camp.Run(1, 500); r.Errors != 0 || r.Shots != 500 {
 			t.Fatalf("%s: clean batched campaign produced %+v", code.Name, r)
@@ -191,13 +203,13 @@ func TestLaneDecodeMatchesWordDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewBatch(code.Circ, noise.NewDepolarizing(0.1), nil, 3)
-	st := sim.NewBatchState()
-	lane := LaneDecode(code.Decode, code.Circ.NumClbits)
+	st := sim.NewTileState(1)
+	lane := LaneDecodeTile(code.Decode, code.Circ.NumClbits)
 	for seed := uint64(0); seed < 8; seed++ {
-		sim.RunWord(rng.New(seed), st)
+		runOne(sim, rng.New(seed), st)
 		live := ^uint64(0)
-		if got, want := code.DecodeBatch(st.Rec, live), lane(st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeBatch %x != LaneDecode %x", seed, got, want)
+		if got, want := decodeOne(code.DecodeTile, st.Rec, live), decodeOne(lane, st.Rec, live); got != want {
+			t.Fatalf("seed %d: DecodeTile %x != LaneDecodeTile %x", seed, got, want)
 		}
 	}
 }
@@ -209,9 +221,9 @@ func TestBatchExpectedZero(t *testing.T) {
 	c.X(0)
 	c.Measure(0, 0)
 	camp := &BatchCampaign{
-		Sim:         NewBatch(c, noise.Depolarizing{}, nil, 1),
-		DecodeBatch: func(rec []uint64, live uint64) uint64 { return rec[0] },
-		Expected:    0,
+		Sim:        NewBatch(c, noise.Depolarizing{}, nil, 1),
+		DecodeTile: func(rec []uint64, w int, live, out []uint64) { copy(out, rec[:w]) },
+		Expected:   0,
 	}
 	if r := camp.Run(1, 130); r.Errors != 130 {
 		t.Fatalf("X|0> vs expected 0: %+v", r)
@@ -244,10 +256,10 @@ func benchFig5Rep(b *testing.B, batched bool) {
 	b.ResetTimer()
 	if batched {
 		camp := &BatchCampaign{
-			Sim:         NewBatchSimulator(sim),
-			DecodeBatch: code.DecodeBatch,
-			Expected:    1,
-			Workers:     1,
+			Sim:        NewBatchSimulator(sim),
+			DecodeTile: code.DecodeTile,
+			Expected:   1,
+			Workers:    1,
 		}
 		for i := 0; i < b.N; i++ {
 			camp.Run(uint64(i), shots)
@@ -317,9 +329,9 @@ func xxzzCampaigns(t testing.TB, p float64, ev *noise.RadiationEvent, refSeed ui
 		Expected: code.ExpectedLogical(),
 	}
 	batched := &BatchCampaign{
-		Sim:         NewBatchSimulator(sim),
-		DecodeBatch: code.DecodeBatch,
-		Expected:    code.ExpectedLogical(),
+		Sim:        NewBatchSimulator(sim),
+		DecodeTile: code.DecodeTile,
+		Expected:   code.ExpectedLogical(),
 	}
 	return scalar, batched
 }
@@ -409,17 +421,17 @@ func TestLaneDecodeMatchesWordDecoderXXZZ(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewBatch(code.Circ, noise.NewDepolarizing(0.05), nil, 3)
-	st := sim.NewBatchState()
-	mwpm := LaneDecode(code.Decode, code.Circ.NumClbits)
-	uf := LaneDecode(code.DecodeUnionFind, code.Circ.NumClbits)
+	st := sim.NewTileState(1)
+	mwpm := LaneDecodeTile(code.Decode, code.Circ.NumClbits)
+	uf := LaneDecodeTile(code.DecodeUnionFind, code.Circ.NumClbits)
 	for seed := uint64(0); seed < 8; seed++ {
-		sim.RunWord(rng.New(seed), st)
+		runOne(sim, rng.New(seed), st)
 		live := ^uint64(0)
-		if got, want := code.DecodeBatch(st.Rec, live), mwpm(st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeBatch %x != LaneDecode(Decode) %x", seed, got, want)
+		if got, want := decodeOne(code.DecodeTile, st.Rec, live), decodeOne(mwpm, st.Rec, live); got != want {
+			t.Fatalf("seed %d: DecodeTile %x != LaneDecodeTile(Decode) %x", seed, got, want)
 		}
-		if got, want := code.DecodeUnionFindBatch(st.Rec, live), uf(st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeUnionFindBatch %x != LaneDecode(DecodeUnionFind) %x", seed, got, want)
+		if got, want := decodeOne(code.DecodeUnionFindTile, st.Rec, live), decodeOne(uf, st.Rec, live); got != want {
+			t.Fatalf("seed %d: DecodeUnionFindTile %x != LaneDecodeTile(DecodeUnionFind) %x", seed, got, want)
 		}
 	}
 }
@@ -434,8 +446,8 @@ func TestPerRoundPackedRecordsFeedDetectionEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewBatch(code.Circ, noise.NewDepolarizing(0.05), nil, 7)
-	st := sim.NewBatchState()
-	sim.RunWord(rng.New(3), st)
+	st := sim.NewTileState(1)
+	runOne(sim, rng.New(3), st)
 
 	nz := code.NumZStabs()
 	layers := code.Rounds + 1

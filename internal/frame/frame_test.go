@@ -346,12 +346,12 @@ func engineDists(t *testing.T, c *circuit.Circuit, shots int) (tab, scalar, batc
 		sim.Run(rng.New(uint64(5000+i)), f, bits)
 	})
 	b := NewBatchSimulator(sim)
-	st := b.NewBatchState()
+	st := b.NewTileState(1)
 	words := (shots + 63) / 64
 	counts := map[string]float64{}
 	key := make([]byte, c.NumClbits)
 	for w := 0; w < words; w++ {
-		b.RunWord(rng.New(uint64(9000+w)), st)
+		runOne(b, rng.New(uint64(9000+w)), st)
 		for lane := uint(0); lane < 64; lane++ {
 			for j, word := range st.Rec {
 				key[j] = byte('0' + (word>>lane)&1)

@@ -3,6 +3,8 @@ package frame
 import (
 	"math/bits"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"weak"
 
@@ -13,22 +15,22 @@ import (
 )
 
 // tileCampaign builds a batched repetition-code campaign wired through
-// the tile decoder at the given engine width (radiation strike plus
-// depolarizing noise, frame-exact).
-func tileCampaign(t testing.TB, d int, p float64, width int) *BatchCampaign {
+// the tile decoder (radiation strike plus depolarizing noise,
+// frame-exact).
+func tileCampaign(t testing.TB, d int, p float64) *BatchCampaign {
 	t.Helper()
 	code, err := qec.NewRepetition(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tileCampaignOf(t, code, p, width)
+	return tileCampaignOf(t, code, p)
 }
 
 // tileCampaignOf is tileCampaign for a repetition code already built
 // (at any number of rounds).
-func tileCampaignOf(t testing.TB, code *qec.Code, p float64, width int) *BatchCampaign {
+func tileCampaignOf(t testing.TB, code *qec.Code, p float64) *BatchCampaign {
 	t.Helper()
-	return tileCampaignAt(t, code, p, 1.0, width)
+	return tileCampaignAt(t, code, p, 1.0)
 }
 
 // sparseRoot is a root probability just under the regime rule's 1/32
@@ -51,7 +53,7 @@ var noiseRegimes = []struct {
 
 // tileCampaignAt is tileCampaignOf with the strike's root probability
 // chosen (it spreads from physical qubit 2).
-func tileCampaignAt(t testing.TB, code *qec.Code, p, root float64, width int) *BatchCampaign {
+func tileCampaignAt(t testing.TB, code *qec.Code, p, root float64) *BatchCampaign {
 	t.Helper()
 	cols := (2*code.DZ + 4) / 5
 	tr, err := arch.Transpile(code.Circ, arch.Mesh(5, cols))
@@ -65,62 +67,69 @@ func tileCampaignAt(t testing.TB, code *qec.Code, p, root float64, width int) *B
 		Sim:        NewBatchSimulator(sim),
 		DecodeTile: code.DecodeTile,
 		Expected:   code.ExpectedLogical(),
-		Width:      width,
 	}
 }
 
-// TestTileWidthResultsInvariant pins the tentpole determinism contract:
-// engine width is pure mechanism, so the same campaign produces the
-// exact same Result at 64, 256 and 512 lanes — including shot counts
-// that straddle word and tile boundaries, and the legacy per-word
-// decoder path (which forces width one regardless of the request).
+// TestTileWidthResultsInvariant pins the kernel's determinism contract:
+// how many words share a RunTile pass is pure mechanism. For every tile
+// width an edge tile can take, each word's record rows equal the
+// one-word run of the same stream — in every arm of the regime rule (a
+// gap cursor indexed or started by anything but its own word would give
+// each width its own records).
 func TestTileWidthResultsInvariant(t *testing.T) {
-	const seed, shots = 11, 1337 // 20 full words + 57 lanes; straddles tiles at every width
 	code, err := qec.NewRepetition(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every arm of the regime rule: a gap cursor indexed or started by
-	// anything but its own word would give each width its own counts.
-	const many = 16*TileShots + shots // enough for the sparse strike to show
 	for _, r := range noiseRegimes {
-		want := tileCampaignAt(t, code, r.p, r.root, 64).Run(seed, many)
-		if want.Shots != many || want.Errors < 10 {
-			t.Fatalf("%s: reference ran %+v, want %d shots and some errors", r.name, want, many)
-		}
-		for _, width := range TileWidths() {
-			if got := tileCampaignAt(t, code, r.p, r.root, width).Run(seed, many); got != want {
-				t.Errorf("%s, width %d: %+v, want %+v", r.name, width, got, want)
+		sim := tileCampaignAt(t, code, r.p, r.root).Sim
+		for seed := uint64(11); seed < 15; seed++ {
+			stream := func(word int) *rng.Source {
+				src := new(rng.Source)
+				rng.New(seed).SplitInto(batchSplitSalt^uint64(word), src)
+				return src
+			}
+			var ref [MaxTileWords][]uint64
+			for k := range ref {
+				st := sim.NewTileState(1)
+				runOne(sim, stream(k), st)
+				ref[k] = st.Rec
+			}
+			if slices.Equal(ref[0], ref[1]) {
+				t.Fatalf("%s: words 0 and 1 sampled the same record; the streams carry no noise", r.name)
+			}
+			for _, w := range []int{1, 3, 4, MaxTileWords} {
+				srcs := make([]*rng.Source, w)
+				for k := range srcs {
+					srcs[k] = stream(k)
+				}
+				st := sim.NewTileState(w)
+				sim.RunTile(srcs, st)
+				for i, got := range st.Rec {
+					if c, k := i/w, i%w; got != ref[k][c] {
+						t.Fatalf("%s, seed %d, %d-word tile: clbit %d of word %d is %x, one-word run %x",
+							r.name, seed, w, c, k, got, ref[k][c])
+					}
+				}
 			}
 		}
-	}
-	ref := tileCampaign(t, 5, 0.01, 64).Run(seed, shots)
-	// Legacy per-word decoder under a wide width request: tileWords
-	// clamps to one word and the results still match.
-	legacy := tileCampaign(t, 5, 0.01, 512)
-	legacy.DecodeTile = nil
-	legacy.DecodeBatch = code.DecodeBatch
-	if got := legacy.Run(seed, shots); got != ref {
-		t.Errorf("legacy word decoder at width 512: %+v, want %+v", got, ref)
 	}
 }
 
 // TestTileRunFromSplitsMerge: partitioning a campaign into RunFrom
 // ranges — mid-word, word-aligned, mid-tile and tile-aligned cuts —
-// merges to exactly the uninterrupted Run at every engine width. This
-// is the resume contract the sweep engine's checkpointing relies on.
+// merges to exactly the uninterrupted Run. This is the resume contract
+// the sweep engine's checkpointing relies on.
 func TestTileRunFromSplitsMerge(t *testing.T) {
 	const seed, shots = 17, 1337
-	for _, width := range TileWidths() {
-		c := tileCampaign(t, 5, 0.01, width)
-		ref := c.Run(seed, shots)
-		for _, cut := range []int{1, 63, 64, 100, 512, 600, 1024, 1336} {
-			a := c.RunFrom(seed, 0, cut)
-			b := c.RunFrom(seed, cut, shots-cut)
-			got := Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}
-			if got != ref {
-				t.Errorf("width %d cut %d: %+v, want %+v", width, cut, got, ref)
-			}
+	c := tileCampaign(t, 5, 0.01)
+	ref := c.Run(seed, shots)
+	for _, cut := range []int{1, 63, 64, 100, 512, 600, 1024, 1336} {
+		a := c.RunFrom(seed, 0, cut)
+		b := c.RunFrom(seed, cut, shots-cut)
+		got := Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}
+		if got != ref {
+			t.Errorf("cut %d: %+v, want %+v", cut, got, ref)
 		}
 	}
 	// [0, 1000) + [1000, 10000) re-runs word 15 with disjoint live masks,
@@ -131,15 +140,29 @@ func TestTileRunFromSplitsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range noiseRegimes {
-		for _, width := range TileWidths() {
-			c := tileCampaignAt(t, code, r.p, r.root, width)
-			whole := c.Run(seed, 10000)
-			a, b := c.RunFrom(seed, 0, 1000), c.RunFrom(seed, 1000, 9000)
-			if got := (Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}); got != whole {
-				t.Errorf("%s, width %d: halves merge to %+v, whole run %+v", r.name, width, got, whole)
-			}
+		c := tileCampaignAt(t, code, r.p, r.root)
+		whole := c.Run(seed, 10000)
+		if whole.Errors < 10 {
+			t.Fatalf("%s: whole run %+v saw too few errors to tell runs apart", r.name, whole)
+		}
+		a, b := c.RunFrom(seed, 0, 1000), c.RunFrom(seed, 1000, 9000)
+		if got := (Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}); got != whole {
+			t.Errorf("%s: halves merge to %+v, whole run %+v", r.name, got, whole)
 		}
 	}
+}
+
+// TestBatchCampaignRequiresDecodeTile: a campaign built without its
+// decoder fails at the call that would use it, naming the field.
+func TestBatchCampaignRequiresDecodeTile(t *testing.T) {
+	c := tileCampaign(t, 5, 0.01)
+	c.DecodeTile = nil
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "DecodeTile") {
+			t.Fatalf("Run with nil DecodeTile: recovered %q, want a panic naming DecodeTile", msg)
+		}
+	}()
+	c.Run(1, 64)
 }
 
 // TestRecycledStateCarriesNoCursor: a tile state handed from one tile
@@ -164,8 +187,8 @@ func TestRecycledStateCarriesNoCursor(t *testing.T) {
 	}
 	// Points A and B differ in every strike probability and in the
 	// intrinsic rate.
-	a := tileCampaignAt(t, code, 0.01, sparseRoot, TileShots).Sim
-	b := tileCampaignAt(t, code, 0.02, sparseRoot/2, TileShots).Sim
+	a := tileCampaignAt(t, code, 0.01, sparseRoot).Sim
+	b := tileCampaignAt(t, code, 0.02, sparseRoot/2).Sim
 	for _, c := range []struct {
 		name  string
 		first *BatchSimulator
@@ -219,8 +242,8 @@ func tilePass(c *BatchCampaign, seed uint64) (func(), *tileScratch) {
 // TestTileSteadyStateZeroAlloc is the zero-allocation acceptance guard:
 // once the per-worker state, RNG streams and syndrome memo are warm, a
 // full tile pass — stream re-derivation, RunTile and DecodeTile — must
-// not allocate. The same guard covers the width-one RunWord→DecodeBatch
-// path, which shares the machinery.
+// not allocate. The same guard covers a one-word edge tile, which
+// shares the machinery.
 func TestTileSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		// Every DecodeTile call takes its scratch from the pool; one
@@ -234,13 +257,13 @@ func TestTileSteadyStateZeroAlloc(t *testing.T) {
 	// The gap cursors live in the tile state, so no arm of the regime
 	// rule allocates once the state has run one tile.
 	for _, r := range noiseRegimes[1:] {
-		tile, _ := tilePass(tileCampaignAt(t, code, r.p, r.root, TileShots), 29)
+		tile, _ := tilePass(tileCampaignAt(t, code, r.p, r.root), 29)
 		tile()
 		if n := testing.AllocsPerRun(50, tile); n > 0 {
 			t.Errorf("%s: steady-state tile pass allocates %.1f times per run, want 0", r.name, n)
 		}
 	}
-	c := tileCampaign(t, 5, 0.01, TileShots)
+	c := tileCampaign(t, 5, 0.01)
 	tile, p := tilePass(c, 29)
 	tile() // warm: pooled scratch grown, memo populated for these streams
 	if n := testing.AllocsPerRun(50, tile); n > 0 {
@@ -249,7 +272,7 @@ func TestTileSteadyStateZeroAlloc(t *testing.T) {
 
 	word := func() {
 		p.master.SplitInto(batchSplitSalt^uint64(1), &p.streams[0])
-		c.Sim.RunWord(&p.streams[0], p.st)
+		runOne(c.Sim, &p.streams[0], p.st)
 		c.DecodeTile(p.st.Rec, 1, p.live[:1], p.out[:1])
 	}
 	word()
@@ -265,7 +288,7 @@ func TestTileSteadyStateZeroAlloc(t *testing.T) {
 // campaign through the interior pointer — so a sweep's or a daemon's
 // live heap carried cycles' worth of finished campaigns.
 func TestCampaignCollectableAfterUse(t *testing.T) {
-	c := tileCampaign(t, 5, 0.01, TileShots)
+	c := tileCampaign(t, 5, 0.01)
 	c.RunFrom(7, 0, 2*TileShots)
 	c.RunFrom(7, 2*TileShots, TileShots) // reuses a recycled state
 	gone := weak.Make(c)
@@ -291,7 +314,7 @@ func TestTileMissTierZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile, p := tilePass(tileCampaignOf(t, code, 0.01, TileShots), 31)
+	tile, p := tilePass(tileCampaignOf(t, code, 0.01), 31)
 	tile() // warm: pooled scratch and blossom workspace grown
 	word0 := make([]uint64, len(p.st.Rec)/MaxTileWords)
 	for cb := range word0 {

@@ -1,14 +1,8 @@
-//go:build !amd64.v3
-
 package frame
 
 // Tile micro-kernels: the word-wide inner loops every Clifford gate of
-// RunTile reduces to. Each operates on one qubit's tile row (len 1, 4
-// or 8 words). This is the portable variant; tileops_amd64v3.go carries
-// the GOAMD64=v3 build's fixed-width unrolled twins, which convert the
-// hot 8-word rows to array pointers so the inner loops are gather-free
-// and bounds-check-free. The two variants are semantically identical —
-// the cross-width determinism tests hold under either build.
+// RunTile reduces to. Each operates on one qubit's tile row (1 to
+// MaxTileWords words).
 
 // tileXor XORs src into dst (dst ^= src), len(dst) == len(src).
 func tileXor(dst, src []uint64) {

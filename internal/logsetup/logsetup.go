@@ -22,7 +22,7 @@ const (
 // "text" is the human-readable key=value handler, "json" one JSON
 // object per line for log shippers. Unknown format or level names are
 // an error so the binaries can reject them as usage errors (exit 2),
-// exactly like -engine-width.
+// exactly like -engine.
 func Init(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	switch level {

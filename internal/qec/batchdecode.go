@@ -7,11 +7,12 @@ import (
 	"radqec/internal/matching"
 )
 
-// DecodeBatch is the word-parallel counterpart of Decode: rec is a
-// bit-packed classical record where rec[c] holds classical bit c of 64
-// concurrent shots ("lanes"), and the result word holds the decoded
-// logical value of each lane. Only lanes set in live are decoded; dead
-// lanes of the result carry the uncorrected logical parity.
+// DecodeTile is the word-parallel counterpart of Decode over a w-word
+// tile of packed records: rec[c·w+k] holds classical bit c of the 64
+// concurrent shots ("lanes") of tile word k, live[k] masks word k's
+// live lanes, and out[k] receives the decoded logical value of each of
+// its lanes. Only live lanes are decoded; dead lanes of the result
+// carry the uncorrected logical parity.
 //
 // Three tiers keep the decoder off the hot path:
 //
@@ -33,43 +34,23 @@ import (
 //     compiled detector-error model, reusing the already-extracted
 //     defect words instead of re-deriving events from scalar bits.
 //
-// Lane l of the result always equals Decode of lane l's unpacked record
+// All three tiers run tile-wide and none of them allocates once the
+// pooled scratch is warm: extraction and memo probes never did, and a
+// miss builds its defect graph, runs blossom and folds the correction
+// inside the same pooled decodeBuf.
+//
+// Every lane of the result equals Decode of that lane's unpacked record
 // (the memo stores Decode's own matching, so even tie-broken matchings
 // agree bit for bit).
-func (c *Code) DecodeBatch(rec []uint64, live uint64) uint64 {
-	var liveT, outT [1]uint64
-	liveT[0] = live
-	c.DecodeTile(rec, 1, liveT[:], outT[:])
-	return outT[0]
-}
-
-// DecodeUnionFindBatch is the word-parallel counterpart of
-// DecodeUnionFind: identical detection-event extraction, fast path and
-// memoisation as DecodeBatch, with the union-find grower/peeler in
-// place of the blossom matcher on novel syndromes. Lane l of the result
-// always equals DecodeUnionFind of lane l's unpacked record.
-func (c *Code) DecodeUnionFindBatch(rec []uint64, live uint64) uint64 {
-	var liveT, outT [1]uint64
-	liveT[0] = live
-	c.DecodeUnionFindTile(rec, 1, liveT[:], outT[:])
-	return outT[0]
-}
-
-// DecodeTile is DecodeBatch over a w-word tile consumed in one call,
-// with no per-word re-slicing: rec[c·w+k] holds classical bit c of tile
-// word k (64·w lanes total), live[k] masks word k's live lanes, and
-// out[k] receives word k's decoded logical word. All three tiers of
-// DecodeBatch run tile-wide and none of them allocates once the pooled
-// scratch is warm: extraction and memo probes never did, and a miss
-// builds its defect graph, runs blossom and folds the correction inside
-// the same pooled decodeBuf.
-// Word k of out always equals DecodeBatch of word k's re-sliced record.
 func (c *Code) DecodeTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.mwpmMemo, mwpmParity)
 }
 
-// DecodeUnionFindTile is DecodeUnionFindBatch over a w-word tile; see
-// DecodeTile for the tile layout.
+// DecodeUnionFindTile is the word-parallel counterpart of
+// DecodeUnionFind: the tile layout, detection-event extraction, fast
+// path and memoisation of DecodeTile, with the union-find grower/peeler
+// in place of the blossom matcher on novel syndromes. Every lane of the
+// result equals DecodeUnionFind of that lane's unpacked record.
 func (c *Code) DecodeUnionFindTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.ufMemo, ufParity)
 }
@@ -104,7 +85,7 @@ func (c *Code) flipParity(flips []bool) uint64 {
 // all-zero syndrome, consecutive rounds XOR-differenced, and the last
 // round against the syndrome recomputed from the packed data readout.
 // The second return value ORs every detection word (zero means no lane
-// saw any defect). This is the extraction tier DecodeBatch runs; it is
+// saw any defect). This is the extraction tier DecodeTile runs; it is
 // exported so diagnostics and tests can observe detection events
 // without decoding.
 func (c *Code) DetectionEventWords(rec []uint64, dst []uint64) ([]uint64, uint64) {
@@ -282,14 +263,9 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	decodeBufPool.Put(buf)
 }
 
-// RawLogicalBatch is the word-parallel RawLogical: the packed
-// uncorrected ancilla readout of all 64 lanes.
-func (c *Code) RawLogicalBatch(rec []uint64, live uint64) uint64 {
-	return rec[c.AncRead.Start]
-}
-
-// RawLogicalTile is RawLogicalBatch over a w-word tile; see DecodeTile
-// for the tile layout.
+// RawLogicalTile is the word-parallel RawLogical: the packed
+// uncorrected ancilla readout of every lane; see DecodeTile for the
+// tile layout.
 func (c *Code) RawLogicalTile(rec []uint64, w int, live, out []uint64) {
 	copy(out[:w], rec[c.AncRead.Start*w:c.AncRead.Start*w+w])
 }

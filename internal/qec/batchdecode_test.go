@@ -28,16 +28,24 @@ func unpackLane(rec []uint64, lane uint) []int {
 	return bits
 }
 
-func checkDecodeBatchMatches(t *testing.T, c *Code, words int, seed uint64) {
+// decodeOne reads DecodeTile, DecodeUnionFindTile or RawLogicalTile
+// through a one-word (w = 1) tile.
+func decodeOne(dec func(rec []uint64, w int, live, out []uint64), rec []uint64, live uint64) uint64 {
+	var out [1]uint64
+	dec(rec, 1, []uint64{live}, out[:])
+	return out[0]
+}
+
+func checkDecodeTileMatches(t *testing.T, c *Code, words int, seed uint64) {
 	t.Helper()
 	src := rng.New(seed)
 	for w := 0; w < words; w++ {
 		rec := randomRecord(t, c, src)
-		got := c.DecodeBatch(rec, ^uint64(0))
+		got := decodeOne(c.DecodeTile, rec, ^uint64(0))
 		for lane := uint(0); lane < 64; lane++ {
 			want := c.Decode(unpackLane(rec, lane))
 			if int((got>>lane)&1) != want {
-				t.Fatalf("word %d lane %d: DecodeBatch %d, Decode %d", w, lane, (got>>lane)&1, want)
+				t.Fatalf("word %d lane %d: DecodeTile %d, Decode %d", w, lane, (got>>lane)&1, want)
 			}
 		}
 	}
@@ -48,13 +56,13 @@ func TestDecodeBatchMatchesDecodeRepetition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDecodeBatchMatches(t, c, 6, 11)
+	checkDecodeTileMatches(t, c, 6, 11)
 	if c.batchMemoEntries() == 0 {
 		t.Fatal("dense random syndromes never populated the memo")
 	}
 	// A second pass over fresh random records decodes through the warm
 	// memo; equality must still hold lane for lane.
-	checkDecodeBatchMatches(t, c, 6, 12)
+	checkDecodeTileMatches(t, c, 6, 12)
 }
 
 func TestDecodeBatchMatchesDecodeXXZZ(t *testing.T) {
@@ -62,7 +70,7 @@ func TestDecodeBatchMatchesDecodeXXZZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDecodeBatchMatches(t, c, 4, 21)
+	checkDecodeTileMatches(t, c, 4, 21)
 }
 
 func TestDecodeBatchMatchesDecodeManyRounds(t *testing.T) {
@@ -73,7 +81,7 @@ func TestDecodeBatchMatchesDecodeManyRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDecodeBatchMatches(t, c, 2, 31)
+	checkDecodeTileMatches(t, c, 2, 31)
 	if c.batchMemoEntries() == 0 {
 		t.Fatal("98-bit defect patterns never populated the 128-bit memo")
 	}
@@ -86,7 +94,7 @@ func TestDecodeBatchMatchesDecodeUncacheableRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDecodeBatchMatches(t, c, 1, 37)
+	checkDecodeTileMatches(t, c, 1, 37)
 	if c.batchMemoEntries() != 0 {
 		t.Fatal("uncacheable code populated the memo")
 	}
@@ -101,12 +109,12 @@ func TestUnionFindBatchMatchesScalarManyRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUnionFindBatchMatches(t, c, 2, 41)
+	checkUnionFindTileMatches(t, c, 2, 41)
 	x, err := NewXXZZRounds(3, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUnionFindBatchMatches(t, x, 2, 43)
+	checkUnionFindTileMatches(t, x, 2, 43)
 }
 
 func TestDecodeBatchZeroSyndromeFastPath(t *testing.T) {
@@ -121,7 +129,7 @@ func TestDecodeBatchZeroSyndromeFastPath(t *testing.T) {
 		rec[c.DataRead.Start+d] = ^uint64(0)
 	}
 	before := c.batchMemoEntries()
-	if got := c.DecodeBatch(rec, ^uint64(0)); got != ^uint64(0) {
+	if got := decodeOne(c.DecodeTile, rec, ^uint64(0)); got != ^uint64(0) {
 		t.Fatalf("clean record decoded to %x", got)
 	}
 	if c.batchMemoEntries() != before {
@@ -139,7 +147,7 @@ func TestDecodeBatchRespectsLiveMask(t *testing.T) {
 	rec := make([]uint64, c.Circ.NumClbits)
 	rec[c.C0.Start] = 1 << 63 // defect in lane 63 only
 	live := uint64(1)<<63 - 1 // lanes 0..62
-	got := c.DecodeBatch(rec, live)
+	got := decodeOne(c.DecodeTile, rec, live)
 	for lane := uint(0); lane < 63; lane++ {
 		want := c.Decode(unpackLane(rec, lane))
 		if int((got>>lane)&1) != want {
@@ -155,52 +163,21 @@ func TestRawLogicalBatch(t *testing.T) {
 	}
 	rec := make([]uint64, c.Circ.NumClbits)
 	rec[c.AncRead.Start] = 0xdeadbeef
-	if got := c.RawLogicalBatch(rec, ^uint64(0)); got != 0xdeadbeef {
-		t.Fatalf("RawLogicalBatch = %x", got)
+	if got := decodeOne(c.RawLogicalTile, rec, ^uint64(0)); got != 0xdeadbeef {
+		t.Fatalf("RawLogicalTile = %x", got)
 	}
 }
 
-func BenchmarkDecodeBatchSparse(b *testing.B) {
-	c, err := NewRepetition(5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := make([]uint64, c.Circ.NumClbits)
-	for d := 0; d < c.Data.Size; d++ {
-		rec[c.DataRead.Start+d] = ^uint64(0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DecodeBatch(rec, ^uint64(0))
-	}
-}
-
-func BenchmarkDecodeBatchDense(b *testing.B) {
-	c, err := NewRepetition(5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(7)
-	rec := make([]uint64, c.Circ.NumClbits)
-	for i := range rec {
-		rec[i] = src.Uint64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DecodeBatch(rec, ^uint64(0))
-	}
-}
-
-func checkUnionFindBatchMatches(t *testing.T, c *Code, words int, seed uint64) {
+func checkUnionFindTileMatches(t *testing.T, c *Code, words int, seed uint64) {
 	t.Helper()
 	src := rng.New(seed)
 	for w := 0; w < words; w++ {
 		rec := randomRecord(t, c, src)
-		got := c.DecodeUnionFindBatch(rec, ^uint64(0))
+		got := decodeOne(c.DecodeUnionFindTile, rec, ^uint64(0))
 		for lane := uint(0); lane < 64; lane++ {
 			want := c.DecodeUnionFind(unpackLane(rec, lane))
 			if int((got>>lane)&1) != want {
-				t.Fatalf("word %d lane %d: DecodeUnionFindBatch %d, DecodeUnionFind %d",
+				t.Fatalf("word %d lane %d: DecodeUnionFindTile %d, DecodeUnionFind %d",
 					w, lane, (got>>lane)&1, want)
 			}
 		}
@@ -212,12 +189,12 @@ func TestDecodeUnionFindBatchMatchesScalarRepetition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUnionFindBatchMatches(t, c, 4, 11)
+	checkUnionFindTileMatches(t, c, 4, 11)
 	if c.ufMemoEntries() == 0 {
 		t.Fatal("dense random syndromes never populated the union-find memo")
 	}
 	// A second pass decodes through the warm memo; equality must hold.
-	checkUnionFindBatchMatches(t, c, 4, 12)
+	checkUnionFindTileMatches(t, c, 4, 12)
 }
 
 func TestDecodeUnionFindBatchMatchesScalarXXZZ(t *testing.T) {
@@ -225,7 +202,7 @@ func TestDecodeUnionFindBatchMatchesScalarXXZZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUnionFindBatchMatches(t, c, 3, 21)
+	checkUnionFindTileMatches(t, c, 3, 21)
 }
 
 func TestDecoderMemosAreIndependent(t *testing.T) {
@@ -239,8 +216,8 @@ func TestDecoderMemosAreIndependent(t *testing.T) {
 	src := rng.New(31)
 	for w := 0; w < 3; w++ {
 		rec := randomRecord(t, c, src)
-		mwpm := c.DecodeBatch(rec, ^uint64(0))
-		uf := c.DecodeUnionFindBatch(rec, ^uint64(0))
+		mwpm := decodeOne(c.DecodeTile, rec, ^uint64(0))
+		uf := decodeOne(c.DecodeUnionFindTile, rec, ^uint64(0))
 		for lane := uint(0); lane < 64; lane++ {
 			bits := unpackLane(rec, lane)
 			if int((mwpm>>lane)&1) != c.Decode(bits) {
@@ -253,40 +230,30 @@ func TestDecoderMemosAreIndependent(t *testing.T) {
 	}
 }
 
-func BenchmarkDecodeBatchSpacetime(b *testing.B) {
-	// Multi-round decoding over the space-time DEM: rep-9 at rounds=9
-	// (the canonical rounds=d memory point) under moderately dense
-	// random syndromes, through the 128-bit memo.
+func BenchmarkDecodeUnionFindTileSpacetime(b *testing.B) {
+	// Multi-round union-find decoding over the space-time DEM: rep-9 at
+	// rounds=9 (the canonical rounds=d memory point), a full tile of
+	// moderately dense random syndromes through the 128-bit memo. No
+	// bench/ layer runs this decoder; the MWPM twin is its qec.decode_*
+	// rows.
 	c, err := NewRepetitionRounds(9, 9)
 	if err != nil {
 		b.Fatal(err)
 	}
+	const w = 8
 	src := rng.New(13)
-	rec := make([]uint64, c.Circ.NumClbits)
+	rec := make([]uint64, c.Circ.NumClbits*w)
 	for i := range rec {
 		rec[i] = src.Uint64() & src.Uint64() & src.Uint64() // ~12.5% bit density
+	}
+	var live, out [w]uint64
+	for k := range live {
+		live[k] = ^uint64(0)
 	}
 	c.DEM() // compile outside the timed loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DecodeBatch(rec, ^uint64(0))
-	}
-}
-
-func BenchmarkDecodeUnionFindBatchSpacetime(b *testing.B) {
-	c, err := NewRepetitionRounds(9, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(13)
-	rec := make([]uint64, c.Circ.NumClbits)
-	for i := range rec {
-		rec[i] = src.Uint64() & src.Uint64() & src.Uint64()
-	}
-	c.DEM()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DecodeUnionFindBatch(rec, ^uint64(0))
+		c.DecodeUnionFindTile(rec, w, live[:], out[:])
 	}
 }
 

@@ -66,7 +66,7 @@ type Code struct {
 	// value. Each decoder owns its memo (their corrections differ); both
 	// are shared by every campaign decoding this code, and SetPrior
 	// replaces them (cached parities belong to the compiled model). See
-	// DecodeBatch and DecodeUnionFindBatch.
+	// DecodeTile and DecodeUnionFindTile.
 	mwpmMemo *parityMemo
 	ufMemo   *parityMemo
 }

@@ -175,13 +175,13 @@ func TestNoisePriorChangesWeights(t *testing.T) {
 	if minW == maxW {
 		t.Fatal("NoisePrior produced a flat weight profile on xxzz-(3,5)")
 	}
-	checkDecodeBatchMatches(t, c, 2, 23)
-	checkUnionFindBatchMatches(t, c, 2, 29)
+	checkDecodeTileMatches(t, c, 2, 23)
+	checkUnionFindTileMatches(t, c, 2, 29)
 }
 
 func TestSetPriorResetsMemos(t *testing.T) {
 	c := mustRep(t, 5)
-	checkDecodeBatchMatches(t, c, 2, 5)
+	checkDecodeTileMatches(t, c, 2, 5)
 	if c.batchMemoEntries() == 0 {
 		t.Fatal("memo never populated")
 	}
@@ -191,7 +191,7 @@ func TestSetPriorResetsMemos(t *testing.T) {
 	if c.batchMemoEntries() != 0 {
 		t.Fatal("SetPrior kept stale memo entries")
 	}
-	checkDecodeBatchMatches(t, c, 2, 6)
+	checkDecodeTileMatches(t, c, 2, 6)
 }
 
 func TestDetectionEventsOnCleanRecord(t *testing.T) {

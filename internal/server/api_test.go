@@ -1,8 +1,7 @@
 package server
 
 // v1 surface tests: the uniform error envelope and its stable codes,
-// the one-release legacy negotiation, and the consolidated cache
-// endpoints with their deprecated aliases.
+// the request body bound, and the consolidated cache endpoints.
 
 import (
 	"encoding/json"
@@ -98,28 +97,25 @@ func TestErrorEnvelopeStorelessDaemon(t *testing.T) {
 	}
 }
 
-// TestErrorLegacyNegotiation: a client that explicitly Accepts the v0
-// media type gets the pre-envelope flat {"error":"msg"} shape, marked
-// Deprecation, for one release.
-func TestErrorLegacyNegotiation(t *testing.T) {
+// TestCampaignBodyBounded: a body past maxCampaignBody is refused with
+// the bad_request envelope once the bound is crossed — the handler
+// neither buffers nor drains the rest.
+func TestCampaignBodyBounded(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	resp, body := doRaw(t, ts, http.MethodDelete, "/v1/campaigns/999", "",
-		map[string]string{"Accept": "application/vnd.radqec.v0+json"})
-	if resp.StatusCode != 404 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	// Valid JSON throughout, so only the size can be at fault.
+	body := `{"experiment":"threshold"` + strings.Repeat(" ", 2<<20) + `}`
+	resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", body, nil)
+	var env envelope
+	if resp.StatusCode != 400 || json.Unmarshal(msg, &env) != nil || env.Error.Code != "bad_request" {
+		t.Fatalf("2 MiB body: status=%d body=%q, want 400 bad_request", resp.StatusCode, msg)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy error shape not marked Deprecation")
-	}
-	var flat map[string]string
-	if err := json.Unmarshal(body, &flat); err != nil || flat["error"] == "" {
-		t.Fatalf("body %q is not the legacy flat error shape", body)
+	if !strings.Contains(env.Error.Message, "too large") {
+		t.Fatalf("message %q does not say the body was too large", env.Error.Message)
 	}
 }
 
-// TestCacheEndpointConsolidation: the new entry-scoped cache routes
-// work, the renamed compact action works, and the deprecated aliases
-// still function but advertise their successors.
+// TestCacheEndpointConsolidation: the entry-scoped cache routes and
+// the compact action work, and the pre-v1 aliases are gone.
 func TestCacheEndpointConsolidation(t *testing.T) {
 	_, ts, st := newTestServer(t)
 	submit(t, ts, CampaignRequest{Experiment: "threshold", Shots: 64, Seed: seed(5)})
@@ -145,30 +141,28 @@ func TestCacheEndpointConsolidation(t *testing.T) {
 		t.Fatalf("GET entry body = %q (%v)", body, err)
 	}
 
-	// Canonical invalidate.
+	// Invalidate one entry, compact the segment.
 	resp, _ = doRaw(t, ts, http.MethodDelete, "/v1/cache/entries/"+hash, "", nil)
-	if resp.StatusCode != 200 || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("canonical DELETE: status=%d deprecation=%q", resp.StatusCode, resp.Header.Get("Deprecation"))
+	if resp.StatusCode != 200 {
+		t.Fatalf("DELETE entry: status = %d", resp.StatusCode)
+	}
+	resp, _ = doRaw(t, ts, http.MethodPost, "/v1/cache:compact", "", nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("POST /v1/cache:compact: status = %d", resp.StatusCode)
 	}
 
-	// Deprecated invalidate alias still works, flagged.
+	// The old aliases route nowhere, and the entry they named survives.
+	left := len(st.Entries())
 	hash2 := st.Entries()[0].Hash
 	resp, _ = doRaw(t, ts, http.MethodDelete, "/v1/cache/"+hash2, "", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("deprecated DELETE alias: status = %d", resp.StatusCode)
+	if resp.StatusCode != 404 && resp.StatusCode != 405 {
+		t.Fatalf("removed DELETE /v1/cache/{hash}: status = %d, want 404 or 405", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") != "true" || resp.Header.Get("X-Radqec-Successor") == "" {
-		t.Fatal("deprecated DELETE alias not flagged")
-	}
-
-	// Canonical compact action.
-	resp, _ = doRaw(t, ts, http.MethodPost, "/v1/cache:compact", "", nil)
-	if resp.StatusCode != 200 || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("POST /v1/cache:compact: status=%d deprecation=%q", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
-	// Deprecated compact alias still works, flagged.
 	resp, _ = doRaw(t, ts, http.MethodPost, "/v1/cache/compact", "", nil)
-	if resp.StatusCode != 200 || resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("deprecated compact alias: status=%d deprecation=%q", resp.StatusCode, resp.Header.Get("Deprecation"))
+	if resp.StatusCode != 404 && resp.StatusCode != 405 {
+		t.Fatalf("removed POST /v1/cache/compact: status = %d, want 404 or 405", resp.StatusCode)
+	}
+	if got := len(st.Entries()); got != left {
+		t.Fatalf("a removed alias changed the store: %d entries, had %d", got, left)
 	}
 }

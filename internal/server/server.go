@@ -35,11 +35,8 @@
 //	GET    /healthz                     liveness + basic shape
 //	GET    /metrics                     Prometheus text exposition
 //
-// Deprecated aliases, kept one release: DELETE /v1/cache/{hash} and
-// POST /v1/cache/compact. Errors are a uniform JSON envelope
-// {"error":{"code","message"}} with stable machine-readable codes;
-// clients of the pre-envelope flat shape opt back into it for one
-// release with Accept: application/vnd.radqec.v0+json.
+// Errors are a uniform JSON envelope {"error":{"code","message"}} with
+// stable machine-readable codes.
 package server
 
 import (
@@ -85,11 +82,6 @@ type Config struct {
 	// Fabric is this node's ring coordinator; nil runs single-node.
 	// Fabric mode requires a Store — fetched peer results land there.
 	Fabric *fabric.Coordinator
-	// EngineWidth is the default batched-engine tile width name for
-	// campaigns that do not set engine_width ("" = auto). A request's
-	// field overrides it per campaign. Width never changes results —
-	// only throughput — so mixed-width rings stay byte-identical.
-	EngineWidth string
 	// TraceSample is the sampling default for campaigns that do not set
 	// trace_sample: "on" records spans for every campaign, "off" (or
 	// empty) records none. A request's field — or a sampled incoming
@@ -112,7 +104,6 @@ type Server struct {
 	sched   *sweep.Scheduler
 	workers int
 	control *control.Policy
-	width   string
 	fabric  *fabric.Coordinator
 	// leases arbitrates compute claims on this node's owned hashes:
 	// the coordinator's table in fabric mode, a private one otherwise
@@ -155,7 +146,6 @@ func New(cfg Config) *Server {
 		sched:        sweep.NewScheduler(workers),
 		workers:      workers,
 		control:      cfg.Control,
-		width:        cfg.EngineWidth,
 		fabric:       cfg.Fabric,
 		tele:         telemetry.NewRegistry(),
 		traces:       trace.NewRegistry(),
@@ -189,10 +179,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/cache", s.handleCacheClear)
 	s.mux.HandleFunc("DELETE /v1/cache/entries/{hash}", s.handleCacheInvalidate)
 	s.mux.HandleFunc("POST /v1/cache:compact", s.handleCacheCompact)
-	// Deprecated aliases, kept one release. Responses carry a
-	// Deprecation header naming the replacement.
-	s.mux.HandleFunc("DELETE /v1/cache/{hash}", deprecated("DELETE /v1/cache/entries/{hash}", s.handleCacheInvalidate))
-	s.mux.HandleFunc("POST /v1/cache/compact", deprecated("POST /v1/cache:compact", s.handleCacheCompact))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.Pprof {
@@ -203,17 +189,6 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return s
-}
-
-// deprecated wraps a handler for a surface kept one release past its
-// replacement: the response advertises the successor in a Deprecation
-// header (draft-ietf-httpapi-deprecation-header shape).
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("X-Radqec-Successor", successor)
-		h(w, r)
-	}
 }
 
 // Handler returns the HTTP handler tree.
@@ -241,11 +216,6 @@ func validateRequest(r CampaignRequest) error {
 	}
 	if r.Decoder != "" && !slices.Contains(exp.Decoders(), r.Decoder) {
 		return fmt.Errorf("unknown decoder %q (want one of %v)", r.Decoder, exp.Decoders())
-	}
-	if r.EngineWidth != "" {
-		if _, err := core.ResolveEngineWidth(r.EngineWidth); err != nil {
-			return fmt.Errorf("unknown engine width %q (want one of %v)", r.EngineWidth, core.Widths())
-		}
 	}
 	if r.Shots < 0 {
 		return fmt.Errorf("shots %d out of range (want >= 0; 0 = default)", r.Shots)
@@ -341,10 +311,6 @@ func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
 	if r.Seed != nil {
 		seed = *r.Seed
 	}
-	width := s.width
-	if r.EngineWidth != "" {
-		width = r.EngineWidth
-	}
 	cfg := exp.Config{
 		Shots:     r.Shots,
 		Seed:      seed,
@@ -355,7 +321,6 @@ func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
 		CI:        r.CI,
 		MaxShots:  r.MaxShots,
 		Engine:    r.Engine,
-		Width:     width,
 		Decoder:   r.Decoder,
 		Scheduler: s.sched,
 		Resume:    true,
@@ -387,21 +352,28 @@ type errorRecord struct {
 // /v1/campaigns/{id}; sweep.Run returns it as the campaign error.
 var errCancelled = errors.New("campaign cancelled by DELETE /v1/campaigns/{id}")
 
+// maxCampaignBody bounds the POST /v1/campaigns body. The largest
+// legitimate request — every field set — is a few hundred bytes; 1 MiB
+// leaves room for any client's formatting and stops one request from
+// growing the daemon's memory.
+const maxCampaignBody = 1 << 20
+
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxCampaignBody)
 	defer io.Copy(io.Discard, r.Body)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req CampaignRequest
 	if err := dec.Decode(&req); err != nil {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if err := validateRequest(req); err != nil {
-		apiError(w, r, http.StatusBadRequest, codeInvalidArgument, err.Error())
+		apiError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
 		return
 	}
 	if req.Fabric && s.fabric == nil {
-		apiError(w, r, http.StatusBadRequest, codeInvalidArgument,
+		apiError(w, http.StatusBadRequest, codeInvalidArgument,
 			"fabric submission to a node with no -peers ring")
 		return
 	}
@@ -564,14 +536,14 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
+		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
 		return
 	}
 	s.cancelMu.Lock()
 	cancel, ok := s.cancels[id]
 	s.cancelMu.Unlock()
 	if !ok {
-		apiError(w, r, http.StatusNotFound, codeNotFound, fmt.Sprintf("campaign %d is not running", id))
+		apiError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("campaign %d is not running", id))
 		return
 	}
 	cancel(errCancelled)
@@ -613,19 +585,19 @@ type statsRecord struct {
 func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
+		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
 		return
 	}
 	c, ok := s.tele.Get(id)
 	if !ok {
-		apiError(w, r, http.StatusNotFound, codeNotFound, fmt.Sprintf("campaign %d unknown (not active or rotated out of the recent-campaign tail)", id))
+		apiError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("campaign %d unknown (not active or rotated out of the recent-campaign tail)", id))
 		return
 	}
 	var seq uint64
 	if from := r.URL.Query().Get("from"); from != "" {
 		seq, err = strconv.ParseUint(from, 10, 64)
 		if err != nil {
-			apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad from sequence %q", from))
+			apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad from sequence %q", from))
 			return
 		}
 	}
@@ -681,12 +653,12 @@ const peerTraceTimeout = 5 * time.Second
 func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
+		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
 		return
 	}
 	rec := s.traces.ByCampaign(id)
 	if rec == nil {
-		apiError(w, r, http.StatusNotFound, codeNotFound,
+		apiError(w, http.StatusNotFound, codeNotFound,
 			fmt.Sprintf("campaign %d has no recorded trace (unsampled, unknown, or rotated out of the recent-campaign tail)", id))
 		return
 	}
@@ -699,13 +671,13 @@ func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	tid, ok := parseTraceID(r.PathValue("trace_id"))
 	if !ok {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest,
+		apiError(w, http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("bad trace id %q (want 32 hex characters)", r.PathValue("trace_id")))
 		return
 	}
 	rec := s.traces.ByTrace(tid)
 	if rec == nil {
-		apiError(w, r, http.StatusNotFound, codeNotFound,
+		apiError(w, http.StatusNotFound, codeNotFound,
 			fmt.Sprintf("trace %s not recorded on this node", tid))
 		return
 	}
@@ -747,7 +719,7 @@ func hexVal(c byte) int {
 func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request, rec *trace.Recorder) {
 	format := r.URL.Query().Get("format")
 	if format != "" && format != "ndjson" && format != "chrome" {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad format %q (want ndjson or chrome)", format))
+		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad format %q (want ndjson or chrome)", format))
 		return
 	}
 	spans := rec.Spans()
@@ -834,7 +806,7 @@ var errNoStore = errors.New("no store attached (start the daemon with -store)")
 // the handler may proceed.
 func (s *Server) requireStore(w http.ResponseWriter, r *http.Request) bool {
 	if s.st == nil {
-		apiError(w, r, http.StatusNotFound, codeNoStore, errNoStore.Error())
+		apiError(w, http.StatusNotFound, codeNoStore, errNoStore.Error())
 		return false
 	}
 	return true
@@ -861,7 +833,7 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	cp, ok := s.st.Lookup(hash)
 	if !ok {
-		apiError(w, r, http.StatusNotFound, codeNotFound, fmt.Sprintf("hash %q not committed in store", hash))
+		apiError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("hash %q not committed in store", hash))
 		return
 	}
 	writeJSON(w, client.PointResponse{Hash: hash, Point: cp})
@@ -872,7 +844,7 @@ func (s *Server) handleCacheClear(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.st.Clear(); err != nil {
-		apiError(w, r, http.StatusInternalServerError, codeStoreError, err.Error())
+		apiError(w, http.StatusInternalServerError, codeStoreError, err.Error())
 		return
 	}
 	writeJSON(w, map[string]string{"status": "cleared"})
@@ -884,7 +856,7 @@ func (s *Server) handleCacheInvalidate(w http.ResponseWriter, r *http.Request) {
 	}
 	hash := r.PathValue("hash")
 	if !s.st.Invalidate(hash) {
-		apiError(w, r, http.StatusNotFound, codeNotFound, fmt.Sprintf("hash %q not in store", hash))
+		apiError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("hash %q not in store", hash))
 		return
 	}
 	writeJSON(w, map[string]string{"status": "invalidated", "hash": hash})
@@ -895,7 +867,7 @@ func (s *Server) handleCacheCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.st.Compact(); err != nil {
-		apiError(w, r, http.StatusInternalServerError, codeStoreError, err.Error())
+		apiError(w, http.StatusInternalServerError, codeStoreError, err.Error())
 		return
 	}
 	writeJSON(w, s.st.Stats())
@@ -921,7 +893,7 @@ func (s *Server) handlePointLookup(w http.ResponseWriter, r *http.Request) {
 	if ws := r.URL.Query().Get("wait"); ws != "" {
 		var err error
 		if wait, err = time.ParseDuration(ws); err != nil {
-			apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad wait duration %q", ws))
+			apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad wait duration %q", ws))
 			return
 		}
 		if wait > pointWaitMax {
@@ -935,7 +907,7 @@ func (s *Server) handlePointLookup(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if wait <= 0 || !time.Now().Before(deadline) {
-			apiError(w, r, http.StatusNotFound, codeNotCommitted, fmt.Sprintf("hash %q has no committed result on this node", hash))
+			apiError(w, http.StatusNotFound, codeNotCommitted, fmt.Sprintf("hash %q has no committed result on this node", hash))
 			return
 		}
 		select {
@@ -962,11 +934,11 @@ func (s *Server) handlePointClaim(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	var req claimRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		apiError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if req.Owner == "" {
-		apiError(w, r, http.StatusBadRequest, codeInvalidArgument, "owner is required")
+		apiError(w, http.StatusBadRequest, codeInvalidArgument, "owner is required")
 		return
 	}
 	// A committed result beats any lease: the arbitration exists only
@@ -1101,12 +1073,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("campaign_batch_size", "Chunk size the controller currently hands to engines.", func(st telemetry.Stats) any { return st.ChunkSize })
 	gauge("campaign_queue_depth", "Points of the campaign still queued on the scheduler.", func(st telemetry.Stats) any { return st.QueueDepth })
 	gauge("campaign_dwell_left", "Policy batches before the controller may re-choose its chunk size.", func(st telemetry.Stats) any { return st.DwellLeft })
-	gauge("campaign_engine_width_lanes", "Resolved batched-engine tile width of the campaign (0 = not yet routed).", func(st telemetry.Stats) any {
-		if st.Route == nil {
-			return 0
-		}
-		return st.Route.Width
-	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -1125,21 +1091,10 @@ const (
 	codeNotCommitted    = "point_not_committed"
 )
 
-// legacyAccept is the media type a pre-envelope client sends to keep
-// the flat {"error":"msg"} shape for one more release.
-const legacyAccept = "application/vnd.radqec.v0+json"
-
 // apiError writes the uniform v1 error envelope
-// {"error":{"code","message"}}. Clients that explicitly Accept the v0
-// media type get the legacy flat shape for one release (deprecated).
-func apiError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
+// {"error":{"code","message"}}.
+func apiError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
-	if r != nil && strings.Contains(r.Header.Get("Accept"), legacyAccept) {
-		w.Header().Set("Deprecation", "true")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(map[string]string{"error": msg})
-		return
-	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]any{
 		"error": map[string]string{"code": code, "message": msg},

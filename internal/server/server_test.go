@@ -18,7 +18,6 @@ import (
 	"radqec/internal/client"
 	"radqec/internal/exp"
 	"radqec/internal/store"
-	"radqec/internal/telemetry"
 )
 
 // seed builds the request's optional seed field.
@@ -123,33 +122,6 @@ func TestCampaignStreamMatchesDirectRun(t *testing.T) {
 	if computed != 15 {
 		t.Fatalf("points_computed_total = %v", computed)
 	}
-	// The auto-resolved engine width lands in the campaign's route
-	// signal: every repo code fits the widest 512-lane tile.
-	sigs, err := client.New(ts.URL, ts.Client()).Signals(context.Background(), 1, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sigs.Close()
-	var stats *telemetry.Stats
-	for {
-		rec, err := sigs.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Stats != nil {
-			stats = rec.Stats
-		}
-	}
-	if stats == nil || stats.Route == nil {
-		t.Fatalf("signals stream carried no routed stats: %+v", stats)
-	}
-	if stats.Route.Width != 512 || stats.Route.WidthReason == "" {
-		t.Fatalf("route width = %d (%q), want auto-resolved 512", stats.Route.Width, stats.Route.WidthReason)
-	}
-
 	// Warm re-submission: identical table, zero engine work.
 	points2, table2 := submit(t, ts, req)
 	if !reflect.DeepEqual(table2.Rows, table.Rows) {
@@ -173,7 +145,6 @@ func TestCampaignValidation(t *testing.T) {
 	for name, req := range map[string]CampaignRequest{
 		"experiment": {Experiment: "nope"},
 		"engine":     {Experiment: "fig5", Engine: "warp"},
-		"width":      {Experiment: "fig5", EngineWidth: "128"},
 		"decoder":    {Experiment: "fig5", Decoder: "oracle"},
 		"ci":         {Experiment: "fig5", CI: 0.7},
 		"rounds":     {Experiment: "fig5", Rounds: 1},
@@ -189,16 +160,22 @@ func TestCampaignValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	// Unknown body fields are rejected, catching client typos like
-	// "shot" for "shots" that would silently fall back to defaults.
-	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
-		strings.NewReader(`{"experiment":"fig5","shot":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status = %d, want 400", resp.StatusCode)
+	// Unknown body fields are rejected by name, catching client typos
+	// like "shot" for "shots" that would silently fall back to defaults
+	// — and the removed "engine_width", which no longer selects anything.
+	for field, body := range map[string]string{
+		"shot":         `{"experiment":"fig5","shot":3}`,
+		"engine_width": `{"experiment":"fig5","engine_width":"64"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
+			t.Errorf("unknown field %q: status = %d, body %s; want a 400 naming it", field, resp.StatusCode, msg)
+		}
 	}
 }
 
@@ -277,7 +254,7 @@ func TestCacheEndpoints(t *testing.T) {
 		}
 		return resp
 	}
-	resp = doReq(http.MethodDelete, "/v1/cache/"+entries[0].Hash)
+	resp = doReq(http.MethodDelete, "/v1/cache/entries/"+entries[0].Hash)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("invalidate status = %d", resp.StatusCode)
@@ -294,7 +271,7 @@ func TestCacheEndpoints(t *testing.T) {
 	}
 
 	// Compact, then clear.
-	resp = doReq(http.MethodPost, "/v1/cache/compact")
+	resp = doReq(http.MethodPost, "/v1/cache:compact")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compact status = %d", resp.StatusCode)

@@ -203,8 +203,8 @@ func TestTraceEndpointValidation(t *testing.T) {
 		t.Errorf("bad format status = %d, want 400", resp.StatusCode)
 	}
 
-	// trace_sample validation mirrors -engine-width: parsed fine,
-	// rejected by constraint.
+	// trace_sample validation mirrors -engine: parsed fine, rejected
+	// by constraint.
 	resp, err = http.Post(ts.URL+"/v1/campaigns", "application/json",
 		strings.NewReader(`{"experiment":"threshold","trace_sample":"always"}`))
 	if err != nil {

@@ -90,16 +90,11 @@ const (
 // Route records the engine-resolution decision behind a campaign: the
 // requested engine name, what it resolved to, and the policy reason —
 // the signal that justified the route, kept so the stream and -stats
-// can explain why a campaign ran where it did. Width and WidthReason
-// carry the batched engine's resolved tile width (in lanes) and the
-// heuristic or explicit request that picked it; both are zero/empty
-// for campaigns that never resolved a width.
+// can explain why a campaign ran where it did.
 type Route struct {
-	Requested   string `json:"requested"`
-	Resolved    string `json:"resolved"`
-	Reason      string `json:"reason"`
-	Width       int    `json:"width,omitempty"`
-	WidthReason string `json:"width_reason,omitempty"`
+	Requested string `json:"requested"`
+	Resolved  string `json:"resolved"`
+	Reason    string `json:"reason"`
 }
 
 // Campaign is one campaign's telemetry: a lock-free signal ring plus
