@@ -39,15 +39,6 @@
 //	             radqecd daemon serves
 //	-resume      with -store, pick interrupted points back up at their
 //	             last checkpointed batch instead of shot zero
-//	-controller on|off  score-driven batch/allocation controller
-//	             (default on): telemetry-scored chunk sizing, priority
-//	             handouts and tail-aware shot allocation. Tables are
-//	             byte-identical either way — the controller only
-//	             reorders mechanism, never policy
-//	-dwell N     policy batches the controller holds a chunk size
-//	             before re-scoring (default 4; higher = calmer)
-//	-hysteresis H  relative score advantage a challenger chunk size
-//	             needs to displace the incumbent (default 0.15)
 //	-stats       print a per-experiment telemetry summary to stderr:
 //	             shots/s, chunk/batch counts, cache traffic, allocation
 //	             and the engine-routing decision
@@ -94,7 +85,6 @@ import (
 	"syscall"
 	"time"
 
-	"radqec/internal/control"
 	"radqec/internal/core"
 	"radqec/internal/exp"
 	"radqec/internal/logsetup"
@@ -117,9 +107,6 @@ func main() {
 	maxShots := flag.Int("maxshots", 0, "adaptive per-point shot cap (0 = worst-case count for -ci)")
 	storeDir := flag.String("store", "", "content-addressed result store directory (empty disables caching)")
 	resume := flag.Bool("resume", false, "with -store, resume interrupted points from their last checkpoint")
-	controller := flag.String("controller", "on", "score-driven batch/allocation controller: on or off")
-	dwell := flag.Int("dwell", 4, "policy batches the controller holds a chunk size before re-scoring")
-	hysteresis := flag.Float64("hysteresis", 0.15, "relative score advantage needed to displace the incumbent chunk size")
 	statsOut := flag.Bool("stats", false, "print a per-experiment telemetry summary to stderr")
 	traceSample := flag.String("trace-sample", "off", "record distributed-trace spans for the run: on or off")
 	traceOut := flag.String("trace-out", "", "write recorded spans to this file as NDJSON")
@@ -175,15 +162,6 @@ func main() {
 	if *resume && *storeDir == "" {
 		usageError("-resume requires -store DIR")
 	}
-	if *controller != "on" && *controller != "off" {
-		usageError(fmt.Sprintf("-controller %q out of range (want on or off)", *controller))
-	}
-	if *dwell < 1 {
-		usageError(fmt.Sprintf("-dwell %d out of range (want >= 1 policy batches)", *dwell))
-	}
-	if *hysteresis < 0 || *hysteresis >= 1 {
-		usageError(fmt.Sprintf("-hysteresis %g out of range (want 0 <= hysteresis < 1)", *hysteresis))
-	}
 	if *traceSample != "on" && *traceSample != "off" {
 		usageError(fmt.Sprintf("-trace-sample %q out of range (want on or off)", *traceSample))
 	}
@@ -208,9 +186,6 @@ func main() {
 		Engine:   *engine,
 		Decoder:  *decoder,
 		Resume:   *resume,
-	}
-	if *controller == "on" {
-		cfg.Control = &control.Policy{Enabled: true, Dwell: *dwell, Hysteresis: *hysteresis}
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{})
@@ -429,10 +404,6 @@ func printStats(st telemetry.Stats) {
 			time.Duration(st.PrepareNS).Round(time.Millisecond),
 			100*float64(st.PrepareNS)/float64(engine),
 			time.Duration(st.WallNS).Round(time.Millisecond))
-	}
-	if st.ChunkSize > 0 {
-		fmt.Fprintf(os.Stderr, "radqec: %s: controller chunk size %d (dwell %d left)\n",
-			st.Experiment, st.ChunkSize, st.DwellLeft)
 	}
 	if r := st.Route; r != nil {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s -> %s (%s)\n",

@@ -19,14 +19,6 @@
 //	                 all concurrent campaigns are multiplexed fairly
 //	                 over this one budget
 //	-lru N           decoded results held in memory (default 4096)
-//	-controller on|off  default score-driven batch/allocation controller
-//	                 for campaigns (default on); a campaign request's
-//	                 "controller" field overrides per campaign. Tables
-//	                 are byte-identical either way
-//	-dwell N         default policy batches the controller holds a chunk
-//	                 size before re-scoring (default 4)
-//	-hysteresis H    default relative score advantage a challenger chunk
-//	                 size needs to displace the incumbent (default 0.15)
 //	-read-header-timeout D  time allowed to read a request's headers
 //	                 (default 10s); bounds slowloris-style half-open
 //	                 connections
@@ -67,7 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"radqec/internal/control"
 	"radqec/internal/fabric"
 	"radqec/internal/logsetup"
 	"radqec/internal/server"
@@ -79,9 +70,6 @@ func main() {
 	storeDir := flag.String("store", "radqec-store", "result store directory (empty disables persistence)")
 	workers := flag.Int("workers", 0, "shared sweep worker pool size (0 = GOMAXPROCS)")
 	lru := flag.Int("lru", 0, "decoded results held in memory (0 = default)")
-	controller := flag.String("controller", "on", "default score-driven batch/allocation controller: on or off")
-	dwell := flag.Int("dwell", 4, "default policy batches the controller holds a chunk size before re-scoring")
-	hysteresis := flag.Float64("hysteresis", 0.15, "default relative score advantage needed to displace the incumbent chunk size")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time allowed to read a request's headers")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle limit")
 	maxHeaderBytes := flag.Int("max-header-bytes", 1<<20, "request header size cap in bytes")
@@ -102,15 +90,6 @@ func main() {
 	}
 	if *lru < 0 {
 		usageError(fmt.Sprintf("-lru %d out of range (want >= 0; 0 = default)", *lru))
-	}
-	if *controller != "on" && *controller != "off" {
-		usageError(fmt.Sprintf("-controller %q out of range (want on or off)", *controller))
-	}
-	if *dwell < 1 {
-		usageError(fmt.Sprintf("-dwell %d out of range (want >= 1 policy batches)", *dwell))
-	}
-	if *hysteresis < 0 || *hysteresis >= 1 {
-		usageError(fmt.Sprintf("-hysteresis %g out of range (want 0 <= hysteresis < 1)", *hysteresis))
 	}
 	if *readHeaderTimeout <= 0 {
 		usageError(fmt.Sprintf("-read-header-timeout %v out of range (want > 0)", *readHeaderTimeout))
@@ -165,10 +144,6 @@ func main() {
 		log.Warn("radqecd: running without a store; every campaign recomputes")
 	}
 
-	var ctrl *control.Policy
-	if *controller == "on" {
-		ctrl = &control.Policy{Enabled: true, Dwell: *dwell, Hysteresis: *hysteresis}
-	}
 	var coord *fabric.Coordinator
 	if len(ring) > 0 {
 		var err error
@@ -181,7 +156,6 @@ func main() {
 	srv := server.New(server.Config{
 		Store:       st,
 		Workers:     *workers,
-		Control:     ctrl,
 		Fabric:      coord,
 		TraceSample: *traceSample,
 		Logger:      log,

@@ -53,16 +53,6 @@ type CampaignRequest struct {
 	// NoCache bypasses the store for this campaign: nothing is read
 	// from or written to it (and the fabric never shards it).
 	NoCache bool `json:"no_cache,omitempty"`
-	// Controller overrides the daemon's default controller policy for
-	// this campaign (omitted = the daemon's -controller setting).
-	// Results are byte-identical either way; only scheduling changes.
-	Controller *bool `json:"controller,omitempty"`
-	// Dwell and Hysteresis tune the controller's scorer when it is
-	// enabled: policy batches a chunk-size decision is pinned (0 = the
-	// daemon default), and the score margin a challenger must clear
-	// (0 = the daemon default).
-	Dwell      int     `json:"dwell,omitempty"`
-	Hysteresis float64 `json:"hysteresis,omitempty"`
 	// Fabric marks an intra-ring fan-out submission: the receiving
 	// node runs the campaign in fabric mode (computing only the points
 	// it owns) but does not fan out again. Set by the coordinator,

@@ -1,341 +1,13 @@
-// Package control is the scoring controller that closes the loop
-// between the telemetry signals layer and the sweep scheduler. It
-// makes three kinds of decisions, all of them pure scheduling under
-// the BatchRunner (start, n) determinism contract — the controller can
-// change wall-clock time and interleaving but never a result:
-//
-//   - Mechanism chunk size: how finely a deterministic policy batch is
-//     split into engine invocations. Large chunks amortise per-call
-//     overhead; small chunks yield fresh telemetry and frequent
-//     scheduling points. The scorer picks among aligned candidate
-//     sizes by observed throughput with convex penalties, hysteresis
-//     and dwell time (the fec_score_formula shape from the related
-//     FEC-controller work).
-//   - Point priority: which pending point of a campaign runs next.
-//     Tail-sensitive points with the widest tail-CI get budget first,
-//     then the least-converged adaptive points, then fixed points by
-//     remaining work.
-//   - Campaign weight: how a shared worker pool splits handouts across
-//     concurrent campaigns (deficit scheduling in the sweep scheduler
-//     divides service counters by this weight).
-//
-// The chunk-size score of a candidate c is
-//
-//	score(c) = T̂(c)/T* − κ_lat·q·(c/C_max)² − κ_mem·(Â(c)/A* − 1)
-//
-// where T̂ is the EWMA shots/s observed at size c, T* the best observed
-// across candidates, q ∈ [0,1] the scheduler's queue pressure, Â the
-// EWMA allocated bytes/shot and A* its best. Both penalties are convex
-// in their argument, so oversized chunks and allocation-heavy regimes
-// are punished progressively, not cliff-edged. An incumbent is only
-// displaced when the challenger clears a hysteresis margin, and never
-// before the dwell budget (in policy batches) has elapsed — the two
-// standard guards against decision flapping on noisy signals.
+// Package control holds what is left of the retired scoring controller:
+// the Policy struct the frozen bench/ harness constructs. The sweep
+// scheduler has one policy and reads none of it.
 package control
 
-import "sync"
-
-// Defaults for Policy fields left zero.
-const (
-	DefaultDwell      = 4
-	DefaultHysteresis = 0.15
-	DefaultMaxChunk   = 1 << 16
-)
-
-// Scorer coefficients: the latency penalty weight (scaled by queue
-// pressure) and the allocation penalty weight. They shape relative
-// scores only, so their absolute magnitude matters less than the
-// convexity of the terms they multiply.
-const (
-	latPenaltyWeight   = 0.25
-	allocPenaltyWeight = 0.10
-	// ewmaAlpha is the smoothing factor of the throughput and
-	// allocation estimators: ~63% of weight inside the last 1/α
-	// observations.
-	ewmaAlpha = 0.3
-)
-
-// Policy is the operator-facing knob set of the controller, carried by
-// sweep.Mechanism. A nil *Policy (or Enabled false) keeps the static
-// legacy scheduler: FIFO point handouts, least-recently-served
-// campaign rotation, one engine call per policy batch, and no
-// in-flight single-flight.
+// Policy is ignored wherever it is accepted (sweep.Mechanism.Control,
+// exp.Config.Control). A benchmark-archetype PR that edits bench/ drops
+// it.
 type Policy struct {
-	// Enabled turns the closed loop on.
-	Enabled bool
-	// Dwell is how many policy batches a chunk-size decision is pinned
-	// before the scorer may switch (0 = DefaultDwell; minimum 1).
-	Dwell int
-	// Hysteresis is the relative score margin a challenger chunk size
-	// must clear to displace the incumbent (0 = DefaultHysteresis).
+	Enabled    bool
+	Dwell      int
 	Hysteresis float64
-	// MaxChunk caps the mechanism chunk size in shots
-	// (0 = DefaultMaxChunk).
-	MaxChunk int
-}
-
-// Default returns the controller policy the CLI and daemon enable by
-// default.
-func Default() *Policy { return &Policy{Enabled: true} }
-
-// withDefaults fills zero knobs.
-func (p Policy) withDefaults() Policy {
-	if p.Dwell <= 0 {
-		p.Dwell = DefaultDwell
-	}
-	if p.Hysteresis <= 0 {
-		p.Hysteresis = DefaultHysteresis
-	}
-	if p.MaxChunk <= 0 {
-		p.MaxChunk = DefaultMaxChunk
-	}
-	return p
-}
-
-// ewma is an exponentially weighted moving average.
-type ewma struct {
-	v   float64
-	set bool
-}
-
-func (e *ewma) observe(x float64) {
-	if !e.set {
-		e.v, e.set = x, true
-		return
-	}
-	e.v += ewmaAlpha * (x - e.v)
-}
-
-// Controller is the per-campaign scoring state. All methods are safe
-// for concurrent use by the sweep workers executing the campaign's
-// points.
-type Controller struct {
-	policy Policy
-
-	mu sync.Mutex
-	// candidates are the legal chunk sizes: align·4^k up to MaxChunk.
-	candidates []int
-	cur        int // index into candidates
-	dwellLeft  int
-	probe      int    // next unobserved candidate to try once
-	thr        []ewma // shots/s per candidate
-	alloc      []ewma // bytes/shot per candidate
-	pressure   float64
-}
-
-// New builds a controller for one campaign whose batches are aligned
-// to align shots (the chunk-size candidates are multiples of it).
-// Returns nil for a nil or disabled policy — the static scheduler.
-func New(p *Policy, align int) *Controller {
-	if p == nil || !p.Enabled {
-		return nil
-	}
-	pol := p.withDefaults()
-	if align < 1 {
-		align = 1
-	}
-	var cands []int
-	for c := align; c <= pol.MaxChunk; c *= 4 {
-		cands = append(cands, c)
-	}
-	if len(cands) == 0 {
-		cands = []int{align}
-	}
-	return &Controller{
-		policy:     pol,
-		candidates: cands,
-		cur:        len(cands) - 1, // start throughput-safe: the largest chunk
-		dwellLeft:  pol.Dwell,
-		thr:        make([]ewma, len(cands)),
-		alloc:      make([]ewma, len(cands)),
-	}
-}
-
-// ChunkSize returns the current mechanism chunk size in shots.
-func (c *Controller) ChunkSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.candidates[c.cur]
-}
-
-// SetPressure updates the scheduler's queue-pressure signal q ∈ [0,1]:
-// 0 when the pool is idle (nothing gains from small chunks), 1 when
-// every worker has queued work waiting (responsiveness matters most).
-func (c *Controller) SetPressure(q float64) {
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	c.mu.Lock()
-	c.pressure = q
-	c.mu.Unlock()
-}
-
-// ObserveChunk feeds one executed chunk back into the estimators.
-func (c *Controller) ObserveChunk(size, shots int, wallNS, allocBytes int64) {
-	if shots <= 0 || wallNS <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := c.candidateIndex(size)
-	c.thr[i].observe(float64(shots) / (float64(wallNS) / 1e9))
-	c.alloc[i].observe(float64(allocBytes) / float64(shots))
-}
-
-// candidateIndex maps an executed size onto the nearest candidate at
-// or below it (final chunks of a batch are truncated, so observed
-// sizes between candidates credit the size that produced them).
-func (c *Controller) candidateIndex(size int) int {
-	i := 0
-	for i+1 < len(c.candidates) && c.candidates[i+1] <= size {
-		i++
-	}
-	return i
-}
-
-// BatchDone advances the dwell clock at a policy-batch boundary and
-// rescores when it expires. Unobserved candidates are probed once each
-// (in size order) before steady-state scoring, so the estimators cover
-// the whole candidate set deterministically. It returns the chunk size
-// for the next batch and the dwell budget left — the controller gauges.
-func (c *Controller) BatchDone() (chunkSize, dwellLeft int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dwellLeft > 0 {
-		c.dwellLeft--
-	}
-	if c.dwellLeft == 0 {
-		if next, ok := c.nextProbe(); ok {
-			c.cur = next
-		} else if best := c.bestScored(); best != c.cur &&
-			c.score(best) > c.score(c.cur)+c.policy.Hysteresis {
-			c.cur = best
-		}
-		c.dwellLeft = c.policy.Dwell
-	}
-	return c.candidates[c.cur], c.dwellLeft
-}
-
-// nextProbe returns the next candidate without a throughput estimate.
-func (c *Controller) nextProbe() (int, bool) {
-	for ; c.probe < len(c.candidates); c.probe++ {
-		if !c.thr[c.probe].set {
-			return c.probe, true
-		}
-	}
-	return 0, false
-}
-
-// bestScored returns the candidate with the highest score among those
-// with observations (ties to the larger chunk, which amortises best).
-func (c *Controller) bestScored() int {
-	best, bestScore := c.cur, c.score(c.cur)
-	for i := range c.candidates {
-		if !c.thr[i].set || i == c.cur {
-			continue
-		}
-		if s := c.score(i); s > bestScore || (s == bestScore && i > best) {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}
-
-// score evaluates one candidate under the documented formula. All
-// terms are dimensionless: throughput and allocation are normalised by
-// the best observed value across candidates.
-func (c *Controller) score(i int) float64 {
-	var thrMax, allocMin float64
-	for j := range c.candidates {
-		if c.thr[j].set && c.thr[j].v > thrMax {
-			thrMax = c.thr[j].v
-		}
-		if c.alloc[j].set && c.alloc[j].v > 0 && (allocMin == 0 || c.alloc[j].v < allocMin) {
-			allocMin = c.alloc[j].v
-		}
-	}
-	s := 1.0 // unobserved candidates score optimistically (T̂ = T*)
-	if thrMax > 0 && c.thr[i].set {
-		s = c.thr[i].v / thrMax
-	}
-	frac := float64(c.candidates[i]) / float64(c.policy.MaxChunk)
-	s -= latPenaltyWeight * c.pressure * frac * frac
-	if allocMin > 0 && c.alloc[i].set {
-		rel := c.alloc[i].v/allocMin - 1
-		s -= allocPenaltyWeight * rel * rel
-	}
-	return s
-}
-
-// DwellState snapshots the controller gauges without advancing them.
-func (c *Controller) DwellState() (chunkSize, dwellLeft int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.candidates[c.cur], c.dwellLeft
-}
-
-// PointSignals is the per-point state the priority function scores —
-// plain numbers so package sweep can call in without a dependency
-// cycle.
-type PointSignals struct {
-	// HalfWidth is the point's current Wilson 95% half-width (0 before
-	// any shots).
-	HalfWidth float64
-	// TailWidth is the CI half-width of the point's tail statistic;
-	// meaningful only when TailSensitive.
-	TailWidth float64
-	// TailSensitive marks points whose experiment declared its
-	// CVaR/quantile columns paper-relevant.
-	TailSensitive bool
-	// RemainingFrac is the fraction of the point's fixed shot budget
-	// still unexecuted (fixed-mode points only).
-	RemainingFrac float64
-}
-
-// Priority ranks pending points of a campaign, higher first:
-// tail-sensitive points by tail-CI width (the widest tail gets budget
-// first, per the VaR/CVaR co-control literature), then adaptive points
-// by Wilson half-width (least converged first), then fixed points by
-// remaining work. The bands are disjoint: every tail-sensitive point
-// outranks every non-tail point, which outranks every fixed point.
-func Priority(s PointSignals) float64 {
-	switch {
-	case s.TailSensitive:
-		return 2 + s.TailWidth
-	case s.HalfWidth > 0:
-		return 1 + s.HalfWidth
-	default:
-		return s.RemainingFrac
-	}
-}
-
-// CampaignSignals is the per-campaign state behind Weight.
-type CampaignSignals struct {
-	// Pending is the campaign's queued (not running) point count.
-	Pending int
-	// TailPressure is the widest tail-CI width among its pending
-	// tail-sensitive points (0 when none).
-	TailPressure float64
-}
-
-// Weight returns the campaign's share multiplier for deficit
-// scheduling, in [1, 4]: campaigns with deep backlogs and wide
-// unresolved tails draw proportionally more handouts from the shared
-// pool. With every weight equal the scheduler degrades to the fair
-// rotation of the static policy.
-func Weight(s CampaignSignals) float64 {
-	w := 1.0
-	// log2-ish backlog boost, saturating at +2 for 1024 pending points.
-	for n := s.Pending; n > 1 && w < 3; n >>= 1 {
-		w += 0.2
-	}
-	if s.TailPressure > 0 {
-		w += s.TailPressure // tail widths are <= 1
-	}
-	if w > 4 {
-		w = 4
-	}
-	return w
 }

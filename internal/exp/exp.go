@@ -127,20 +127,17 @@ type Config struct {
 	// Results are byte-identical with or without it — remote points
 	// replay via the same CachedPoint path a warm local cache uses.
 	Remote sweep.RemoteResolver
-	// Control, when set and enabled, runs every sweep under the scoring
-	// controller: scored batch chunking, tail-aware point priorities,
-	// weighted campaign shares and in-flight single-flight. Results are
-	// byte-identical with it on or off (the sweep determinism contract).
+	// Control is ignored: the sweep scheduler has one policy. The field
+	// stays only because the frozen bench/ harness sets it.
 	Control *control.Policy
-	// Telemetry, when set, receives per-chunk signals, counters and
-	// controller gauges for the experiment's sweeps — the ring behind
-	// the daemon's signals stream and the CLI's -stats report.
+	// Telemetry, when set, receives per-chunk signals and counters for
+	// the experiment's sweeps — the ring behind the daemon's signals
+	// stream and the CLI's -stats report.
 	Telemetry *telemetry.Campaign
 	// TailSensitive marks every measured point's tail statistics (the
-	// CVaR/quantile columns) as the quantity of interest, steering the
-	// controller's shot allocation. Experiment.Run sets it from the
-	// registry's TailCols declaration; setting it by hand is a harmless
-	// scheduling hint.
+	// CVaR/quantile columns) as the quantity of interest, which puts
+	// tail_width on the points' telemetry signals. Experiment.Run sets
+	// it from the registry's TailCols declaration.
 	TailSensitive bool
 	// Trace, when sampled, is the campaign's root span context: sweeps
 	// record point/chunk/commit spans under it and the engine's decode
@@ -211,7 +208,6 @@ func (c Config) sweepConfig() sweep.Config {
 			Resume:    c.Resume,
 			Scheduler: c.Scheduler,
 			Remote:    c.Remote,
-			Control:   c.Control,
 			Telemetry: c.Telemetry,
 			Trace:     c.Trace,
 		},

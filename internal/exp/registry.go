@@ -19,9 +19,8 @@ type Experiment struct {
 	// whose tail statistics are the experiment's quantity of interest —
 	// the CVaR/quantile columns the paper reads for radiation-strike
 	// campaigns. A non-empty list marks every point of the experiment
-	// tail-sensitive: the scoring controller steers shot budget toward
-	// the widest tail CIs first. Purely a scheduling declaration —
-	// tables and records are unaffected.
+	// tail-sensitive: its telemetry signals carry tail_width. Tables and
+	// records are unaffected.
 	TailCols []string
 }
 

@@ -298,11 +298,14 @@ func (c *Coordinator) watch(ctx context.Context, hash string, done func(takeover
 			continue
 		}
 		cp, found, err := c.lookupAt(ctx, owner, hash)
+		if err != nil && ctx.Err() != nil {
+			// Our own campaign ended mid-call: that says nothing about
+			// the peer, and charging it would take its points over from
+			// under a sibling campaign still watching them.
+			return
+		}
 		c.observe(owner, err)
 		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
 			if !c.sleep(ctx) {
 				return
 			}

@@ -4,6 +4,7 @@ package server
 // the request body bound, and the consolidated cache endpoints.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -112,6 +113,46 @@ func TestCampaignBodyBounded(t *testing.T) {
 	if !strings.Contains(env.Error.Message, "too large") {
 		t.Fatalf("message %q does not say the body was too large", env.Error.Message)
 	}
+}
+
+// FuzzCampaignRequestDecode: arbitrary bytes never panic the daemon's
+// request decoder, and yield either a request that passes validation
+// and lowers onto a campaign config, or a 400 in the v1 envelope.
+func FuzzCampaignRequestDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"experiment":"fig5"}`,
+		`{"experiment":"fig6","shots":512,"seed":0,"ci":0.01,"workers":2,"trace_sample":"on"}`,
+		`{"experiment":"fig5","controller":false}`,
+		`{"experiment":"fig5","dwell":4}`,
+		`{"experiment":"fig5","hysteresis":0.15}`,
+		`{"experiment":"fig5","engine_width":64}`,
+		`{"experiment":"fig5","p":1e999}`,
+		`{"experiment":"nope"}`,
+		`{"experiment":`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := New(Config{Workers: 1})
+	f.Cleanup(srv.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, code, err := decodeCampaignRequest(bytes.NewReader(body))
+		if err == nil {
+			if verr := validateRequest(req); verr != nil {
+				t.Fatalf("accepted request %+v fails validation: %v", req, verr)
+			}
+			srv.campaignConfig(req)
+			return
+		}
+		rec := httptest.NewRecorder()
+		apiError(rec, http.StatusBadRequest, code, err.Error())
+		var env envelope
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+			(env.Error.Code != "bad_request" && env.Error.Code != "invalid_argument") || env.Error.Message == "" {
+			t.Fatalf("body %q: answer %d %q is not a 400 v1 envelope", body, rec.Code, rec.Body.Bytes())
+		}
+	})
 }
 
 // TestCacheEndpointConsolidation: the entry-scoped cache routes and

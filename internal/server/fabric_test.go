@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"radqec/internal/client"
-	"radqec/internal/control"
 	"radqec/internal/exp"
 	"radqec/internal/fabric"
 	"radqec/internal/faultinject"
@@ -81,9 +80,7 @@ func newFabricRing(t *testing.T, n int, tune func(*fabric.Options)) []*fabricNod
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The controller must be on: in-process single-flight (leader
-		// computes, follower replays) only claims flights under it.
-		srv := New(Config{Store: st, Workers: 4, Control: &control.Policy{Enabled: true}, Fabric: coord})
+		srv := New(Config{Store: st, Workers: 4, Fabric: coord})
 		ts := &httptest.Server{Listener: listeners[i], Config: &http.Server{Handler: srv.Handler()}}
 		ts.Start()
 		nodes[i] = &fabricNode{srv: srv, ts: ts, st: st, coord: coord, addr: addrs[i]}

@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"radqec/internal/client"
-	"radqec/internal/control"
 	"radqec/internal/core"
 	"radqec/internal/exp"
 	"radqec/internal/fabric"
@@ -75,10 +74,6 @@ type Config struct {
 	Store *store.Store
 	// Workers sizes the shared sweep worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Control is the default controller policy campaigns run under;
-	// nil or disabled keeps the static legacy scheduling. A request's
-	// "controller" field overrides the default per campaign.
-	Control *control.Policy
 	// Fabric is this node's ring coordinator; nil runs single-node.
 	// Fabric mode requires a Store — fetched peer results land there.
 	Fabric *fabric.Coordinator
@@ -103,7 +98,6 @@ type Server struct {
 	st      *store.Store
 	sched   *sweep.Scheduler
 	workers int
-	control *control.Policy
 	fabric  *fabric.Coordinator
 	// leases arbitrates compute claims on this node's owned hashes:
 	// the coordinator's table in fabric mode, a private one otherwise
@@ -145,7 +139,6 @@ func New(cfg Config) *Server {
 		st:           cfg.Store,
 		sched:        sweep.NewScheduler(workers),
 		workers:      workers,
-		control:      cfg.Control,
 		fabric:       cfg.Fabric,
 		tele:         telemetry.NewRegistry(),
 		traces:       trace.NewRegistry(),
@@ -238,12 +231,6 @@ func validateRequest(r CampaignRequest) error {
 	if r.Workers < 0 {
 		return fmt.Errorf("workers %d out of range (want >= 0; 0 = whole pool)", r.Workers)
 	}
-	if r.Dwell < 0 {
-		return fmt.Errorf("dwell %d out of range (want >= 0 policy batches; 0 = default)", r.Dwell)
-	}
-	if r.Hysteresis < 0 || r.Hysteresis >= 1 {
-		return fmt.Errorf("hysteresis %g out of range (want 0 <= hysteresis < 1; 0 = default)", r.Hysteresis)
-	}
 	if r.TraceSample != "" && r.TraceSample != "on" && r.TraceSample != "off" {
 		return fmt.Errorf("bad trace_sample %q (want on or off; empty = daemon default)", r.TraceSample)
 	}
@@ -276,30 +263,6 @@ func (s *Server) traceRecorder(r *http.Request, req CampaignRequest) *trace.Reco
 	return trace.New(s.node)
 }
 
-// controlPolicy resolves the campaign's controller policy: the request
-// override wins, then the daemon default; knobs left zero inherit the
-// daemon's, then the package defaults.
-func (s *Server) controlPolicy(r CampaignRequest) *control.Policy {
-	enabled := s.control != nil && s.control.Enabled
-	if r.Controller != nil {
-		enabled = *r.Controller
-	}
-	if !enabled {
-		return nil
-	}
-	pol := control.Policy{Enabled: true, Dwell: r.Dwell, Hysteresis: r.Hysteresis}
-	if s.control != nil {
-		if pol.Dwell == 0 {
-			pol.Dwell = s.control.Dwell
-		}
-		if pol.Hysteresis == 0 {
-			pol.Hysteresis = s.control.Hysteresis
-		}
-		pol.MaxChunk = s.control.MaxChunk
-	}
-	return &pol
-}
-
 // campaignConfig lowers the request onto an experiment config bound to
 // the server's shared scheduler, store and (in fabric mode) ring.
 func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
@@ -324,7 +287,6 @@ func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
 		Decoder:   r.Decoder,
 		Scheduler: s.sched,
 		Resume:    true,
-		Control:   s.controlPolicy(r),
 	}
 	if s.st != nil && !r.NoCache {
 		cfg.Cache = s.st
@@ -358,18 +320,27 @@ var errCancelled = errors.New("campaign cancelled by DELETE /v1/campaigns/{id}")
 // growing the daemon's memory.
 const maxCampaignBody = 1 << 20
 
+// decodeCampaignRequest parses and validates a POST /v1/campaigns body.
+// On failure code is the envelope's error code; either way the daemon
+// answers 400.
+func decodeCampaignRequest(body io.Reader) (req CampaignRequest, code string, err error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, codeBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+	if err := validateRequest(req); err != nil {
+		return req, codeInvalidArgument, err
+	}
+	return req, "", nil
+}
+
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxCampaignBody)
 	defer io.Copy(io.Discard, r.Body)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req CampaignRequest
-	if err := dec.Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if err := validateRequest(req); err != nil {
-		apiError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
+	req, code, err := decodeCampaignRequest(r.Body)
+	if err != nil {
+		apiError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	if req.Fabric && s.fabric == nil {
@@ -981,10 +952,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves Prometheus text exposition format 0.0.4: every
-// series carries # HELP and # TYPE lines, and the controller's
-// per-campaign gauges are labelled by campaign id and experiment. A
-// scrape that Accepts application/openmetrics-text gets the
-// OpenMetrics rendering instead, whose latency-histogram buckets carry
+// series carries # HELP and # TYPE lines, and the per-campaign gauges
+// are labelled by campaign id and experiment. A scrape that Accepts
+// application/openmetrics-text gets the OpenMetrics rendering
+// instead, whose latency-histogram buckets carry
 // trace-id exemplars (the classic 0.0.4 parser can't represent
 // exemplars, so they are omitted there).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1046,8 +1017,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	write("fabric_leases_granted_total", "counter", "Point compute leases granted by this node.", s.leases.Granted())
 	write("fabric_leases_denied_total", "counter", "Point compute leases denied while held.", s.leases.Denied())
-	// Per-campaign controller gauges, one labelled line per active
-	// campaign under a single HELP/TYPE block per series.
+	// Per-campaign gauges, one labelled line per active campaign under
+	// a single HELP/TYPE block per series.
 	active := s.tele.Active()
 	if len(active) == 0 {
 		return
@@ -1070,9 +1041,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	gauge("campaign_shots_per_sec", "Aggregate engine shot rate of the campaign.", func(st telemetry.Stats) any { return st.ShotsPerSec })
-	gauge("campaign_batch_size", "Chunk size the controller currently hands to engines.", func(st telemetry.Stats) any { return st.ChunkSize })
 	gauge("campaign_queue_depth", "Points of the campaign still queued on the scheduler.", func(st telemetry.Stats) any { return st.QueueDepth })
-	gauge("campaign_dwell_left", "Policy batches before the controller may re-choose its chunk size.", func(st telemetry.Stats) any { return st.DwellLeft })
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

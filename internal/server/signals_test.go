@@ -6,11 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
-
-	"radqec/internal/control"
 )
 
 // submitForID posts a campaign, drains its stream, and returns the
@@ -170,13 +167,13 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestCampaignGaugesLabelActiveCampaigns: the per-campaign controller
-// gauges appear in /metrics while a campaign is registered as active.
+// TestCampaignGaugesLabelActiveCampaigns: the per-campaign gauges
+// appear in /metrics while a campaign is registered as active, and the
+// retired controller's two are gone.
 func TestCampaignGaugesLabelActiveCampaigns(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	c := srv.tele.New("fig5")
 	defer srv.tele.Finish(c)
-	c.SetControl(4096, 2)
 	c.SetQueueDepth(7)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -190,76 +187,37 @@ func TestCampaignGaugesLabelActiveCampaigns(t *testing.T) {
 	text := body.String()
 	for _, want := range []string{
 		`# TYPE radqecd_campaign_shots_per_sec gauge`,
-		`radqecd_campaign_batch_size{campaign="1",experiment="fig5"} 4096`,
 		`radqecd_campaign_queue_depth{campaign="1",experiment="fig5"} 7`,
-		`radqecd_campaign_dwell_left{campaign="1",experiment="fig5"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	for _, gone := range []string{"radqecd_campaign_batch_size", "radqecd_campaign_dwell_left"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still export %s", gone)
+		}
+	}
 }
 
-// TestControllerRequestValidation: controller knobs outside their
-// constraints are 400s, and the controller field round-trips into the
-// campaign config.
+// TestControllerRequestValidation: the retired controller's request
+// fields are unknown fields now — each answers 400 in the structured
+// envelope, naming the field.
 func TestControllerRequestValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	for name, body := range map[string]string{
-		"dwell":      `{"experiment":"fig5","dwell":-1}`,
-		"hysteresis": `{"experiment":"fig5","hysteresis":1.5}`,
+	for field, body := range map[string]string{
+		"controller": `{"experiment":"fig5","controller":false}`,
+		"dwell":      `{"experiment":"fig5","dwell":4}`,
+		"hysteresis": `{"experiment":"fig5","hysteresis":0.15}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", body, nil)
+		var env envelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(msg, &env) != nil || env.Error.Code != "bad_request" {
+			t.Errorf("%s: status=%d body=%q, want 400 bad_request", field, resp.StatusCode, msg)
+			continue
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		if !strings.Contains(env.Error.Message, `unknown field "`+field+`"`) {
+			t.Errorf("%s: message %q does not name the unknown field", field, env.Error.Message)
 		}
 	}
-}
-
-// TestControllerPolicyResolution: the request override beats the daemon
-// default, knobs inherit, and disabled yields nil (static scheduling).
-func TestControllerPolicyResolution(t *testing.T) {
-	off := false
-	on := true
-	s := New(Config{Workers: 1, Control: defaultTestPolicy()})
-	defer s.Close()
-	if got := s.campaignConfig(CampaignRequest{Experiment: "fig5"}).Control; got == nil || got.Dwell != 6 {
-		t.Fatalf("daemon default not inherited: %+v", got)
-	}
-	if got := s.campaignConfig(CampaignRequest{Experiment: "fig5", Controller: &off}).Control; got != nil {
-		t.Fatalf("request opt-out ignored: %+v", got)
-	}
-	if got := s.campaignConfig(CampaignRequest{Experiment: "fig5", Dwell: 9}).Control; got == nil || got.Dwell != 9 || got.Hysteresis != 0.2 {
-		t.Fatalf("request knob did not override daemon default: %+v", got)
-	}
-	sOff := New(Config{Workers: 1})
-	defer sOff.Close()
-	if got := sOff.campaignConfig(CampaignRequest{Experiment: "fig5"}).Control; got != nil {
-		t.Fatalf("controller on without a daemon default or request opt-in: %+v", got)
-	}
-	if got := sOff.campaignConfig(CampaignRequest{Experiment: "fig5", Controller: &on}).Control; got == nil || !got.Enabled {
-		t.Fatalf("request opt-in ignored on a controller-off daemon: %+v", got)
-	}
-}
-
-// TestControllerOnOffTablesMatchOverDaemon: the same campaign submitted
-// with the controller on and off (cache bypassed so both compute)
-// streams identical tables.
-func TestControllerOnOffTablesMatchOverDaemon(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	off := false
-	_, tabOn := submit(t, ts, CampaignRequest{Experiment: "threshold", Shots: 96, Seed: seed(4), NoCache: true})
-	_, tabOff := submit(t, ts, CampaignRequest{Experiment: "threshold", Shots: 96, Seed: seed(4), NoCache: true, Controller: &off})
-	tabOn.ElapsedMS, tabOff.ElapsedMS = 0, 0
-	if !reflect.DeepEqual(tabOn, tabOff) {
-		t.Fatalf("controller on/off tables diverged over the daemon:\n%+v\nvs\n%+v", tabOn, tabOff)
-	}
-}
-
-func defaultTestPolicy() *control.Policy {
-	return &control.Policy{Enabled: true, Dwell: 6, Hysteresis: 0.2}
 }

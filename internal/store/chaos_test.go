@@ -252,35 +252,43 @@ func TestChaosCRCCatchesSemanticFlip(t *testing.T) {
 	}
 }
 
-// TestChaosLegacySegmentStillServes: pre-CRC segments (bare record
-// lines, no envelope) replay and serve unchanged, and new appends use
-// the envelope alongside them.
-func TestChaosLegacySegmentStillServes(t *testing.T) {
+// TestChaosBareLineRejected: a line without a valid {"crc","rec"}
+// envelope — a well-formed record a pre-CRC release would have written
+// — is handled exactly like a CRC mismatch: never served, quarantined,
+// and the valid enveloped records after it are kept.
+func TestChaosBareLineRejected(t *testing.T) {
 	dir := t.TempDir()
-	legacy := `{"kind":"commit","hash":"old1","point":{"key":"k1","shots":8,"errors":1,"batch_rates":[0.125]}}` + "\n" +
-		`{"kind":"ckpt","hash":"old2","point":{"key":"k2","shots":4,"errors":0,"batch_rates":[0]}}` + "\n"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, SegmentName), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	s := openT(t, dir, Options{})
-	if got, ok := s.Lookup("old1"); !ok || got.Shots != 8 {
-		t.Fatalf("legacy commit not served: %+v, %v", got, ok)
-	}
-	if got, ok := s.LookupPartial("old2"); !ok || got.Shots != 4 {
-		t.Fatalf("legacy checkpoint not served: %+v, %v", got, ok)
-	}
-	s.Commit("new1", pt("k3", 16, 2))
-	if err := s.Sync(); err != nil {
+	s.Commit("h1", pt("k1", 16, 2))
+	s.Close()
+	bare := `{"kind":"commit","hash":"old1","point":{"key":"k1","shots":8,"errors":1,"batch_rates":[0.125]}}` + "\n" +
+		`{"kind":"ckpt","hash":"old2","point":{"key":"k2","shots":4,"errors":0,"batch_rates":[0]}}` + "\n"
+	enveloped := strings.Join(segmentLines(t, dir), "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, SegmentName), []byte(bare+enveloped), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	r := openT(t, dir, Options{})
-	for _, h := range []string{"old1", "new1"} {
-		if _, ok := r.Lookup(h); !ok {
-			t.Fatalf("%s lost across a mixed legacy/envelope reopen", h)
+	if _, ok := r.Lookup("old1"); ok {
+		t.Fatal("bare commit line served")
+	}
+	if _, ok := r.LookupPartial("old2"); ok {
+		t.Fatal("bare checkpoint line served")
+	}
+	if st := r.Stats(); st.Quarantined != 2 || st.Commits != 1 {
+		t.Fatalf("quarantined = %d, commits = %d; want the 2 bare lines quarantined beside 1 commit", st.Quarantined, st.Commits)
+	}
+	if got, ok := r.Lookup("h1"); !ok || got.Shots != 16 {
+		t.Fatalf("enveloped record after the bare lines lost: %+v, %v", got, ok)
+	}
+	r.Commit("new1", pt("k3", 16, 2))
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	r2 := openT(t, dir, Options{})
+	for _, h := range []string{"h1", "new1"} {
+		if _, ok := r2.Lookup(h); !ok {
+			t.Fatalf("%s lost across a reopen past the rejected lines", h)
 		}
 	}
 }

@@ -48,8 +48,8 @@ type record struct {
 // CRC32C of exactly those bytes, so replay can tell a bit-rotted
 // record from a valid one without trusting JSON well-formedness (a
 // flipped digit keeps a line parseable while silently changing its
-// counts). Legacy segments whose lines are bare records still decode —
-// decodeLine falls back when no "rec" field is present.
+// counts). A line without the envelope is as invalid as one whose
+// checksum does not match.
 type envelope struct {
 	CRC uint32          `json:"crc"`
 	Rec json.RawMessage `json:"rec"`
@@ -72,29 +72,22 @@ func encodeRecord(rec record) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// decodeLine validates one segment line: CRC-framed lines are checked
-// against their checksum, legacy (pre-CRC) lines decode directly with
-// a structural kind check standing in for the missing checksum.
+// decodeLine validates one segment line against its envelope's
+// checksum and decodes the record inside.
 func decodeLine(line []byte) (record, error) {
 	var rec record
 	var env envelope
-	if err := json.Unmarshal(line, &env); err == nil && env.Rec != nil {
-		if crc32.Checksum(env.Rec, castagnoli) != env.CRC {
-			return rec, fmt.Errorf("crc mismatch")
-		}
-		if err := json.Unmarshal(env.Rec, &rec); err != nil {
-			return rec, err
-		}
-		return rec, nil
-	}
-	if err := json.Unmarshal(line, &rec); err != nil {
+	if err := json.Unmarshal(line, &env); err != nil {
 		return rec, err
 	}
-	switch rec.Kind {
-	case "commit", "ckpt", "del":
-		return rec, nil
+	if env.Rec == nil {
+		return rec, fmt.Errorf("no crc envelope")
 	}
-	return rec, fmt.Errorf("unknown record kind %q", rec.Kind)
+	if crc32.Checksum(env.Rec, castagnoli) != env.CRC {
+		return rec, fmt.Errorf("crc mismatch")
+	}
+	err := json.Unmarshal(env.Rec, &rec)
+	return rec, err
 }
 
 // Options tunes a store.

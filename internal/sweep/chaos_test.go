@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"radqec/internal/control"
 	"radqec/internal/faultinject"
 )
 
@@ -57,47 +56,44 @@ func normalize(rs []Result) []Result {
 // TestChaosCancelEveryBoundaryResumesByteIdentical is the core
 // recovery guarantee: a campaign cancelled after ANY batch boundary
 // and resubmitted against the same cache reproduces the uninterrupted
-// run exactly — counts, batch streams, intervals, tails — with the
-// controller both off and on.
+// run exactly — counts, batch streams, intervals, tails.
 func TestChaosCancelEveryBoundaryResumesByteIdentical(t *testing.T) {
 	const n = 6
 	pol := Policy{Shots: 600, Batch: 100, Align: 64}
-	for _, ctrl := range []*control.Policy{nil, control.Default()} {
-		mech := func(cache PointCache) Mechanism {
-			return Mechanism{Workers: 2, Cache: cache, Resume: true, Control: ctrl}
+	mech := func(cache PointCache) Mechanism {
+		return Mechanism{Workers: 2, Cache: cache, Resume: true}
+	}
+	baseline := runT(t, Config{Policy: pol, Mechanism: mech(newMapCache())}, chaosPoints(n))
+	// Count the boundaries an uninterrupted run crosses, then kill
+	// a fresh campaign at each one in turn.
+	counter := &cancellingCache{PointCache: newMapCache(), cancel: func() {}, after: -1}
+	runT(t, Config{Policy: pol, Mechanism: mech(counter)}, chaosPoints(n))
+	boundaries := counter.seen.Load()
+	if boundaries < int64(n) {
+		t.Fatalf("only %d checkpoints observed", boundaries)
+	}
+	for k := int64(1); k <= boundaries; k++ {
+		cache := newMapCache()
+		ctx, cancel := context.WithCancel(context.Background())
+		cc := &cancellingCache{PointCache: cache, cancel: cancel, after: k}
+		_, err := Run(ctx, Config{Policy: pol, Mechanism: mech(cc)}, chaosPoints(n))
+		cancel()
+		if err == nil {
+			// The cancel landed after the campaign's last boundary;
+			// the run completed normally. Resubmission is then a
+			// pure cache replay, which the k<boundaries cases and
+			// the final equality below still verify.
+			continue
 		}
-		baseline := runT(t, Config{Policy: pol, Mechanism: mech(newMapCache())}, chaosPoints(n))
-		// Count the boundaries an uninterrupted run crosses, then kill
-		// a fresh campaign at each one in turn.
-		counter := &cancellingCache{PointCache: newMapCache(), cancel: func() {}, after: -1}
-		runT(t, Config{Policy: pol, Mechanism: mech(counter)}, chaosPoints(n))
-		boundaries := counter.seen.Load()
-		if boundaries < int64(n) {
-			t.Fatalf("controller %v: only %d checkpoints observed", ctrl, boundaries)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: cancelled run returned %v", k, err)
 		}
-		for k := int64(1); k <= boundaries; k++ {
-			cache := newMapCache()
-			ctx, cancel := context.WithCancel(context.Background())
-			cc := &cancellingCache{PointCache: cache, cancel: cancel, after: k}
-			_, err := Run(ctx, Config{Policy: pol, Mechanism: mech(cc)}, chaosPoints(n))
-			cancel()
-			if err == nil {
-				// The cancel landed after the campaign's last boundary;
-				// the run completed normally. Resubmission is then a
-				// pure cache replay, which the k<boundaries cases and
-				// the final equality below still verify.
-				continue
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("controller %v k=%d: cancelled run returned %v", ctrl, k, err)
-			}
-			resumed, err := Run(context.Background(), Config{Policy: pol, Mechanism: mech(cache)}, chaosPoints(n))
-			if err != nil {
-				t.Fatalf("controller %v k=%d: resumed run failed: %v", ctrl, k, err)
-			}
-			if !reflect.DeepEqual(normalize(resumed), normalize(baseline)) {
-				t.Fatalf("controller %v: resume after boundary %d diverged from the uninterrupted run", ctrl, k)
-			}
+		resumed, err := Run(context.Background(), Config{Policy: pol, Mechanism: mech(cache)}, chaosPoints(n))
+		if err != nil {
+			t.Fatalf("k=%d: resumed run failed: %v", k, err)
+		}
+		if !reflect.DeepEqual(normalize(resumed), normalize(baseline)) {
+			t.Fatalf("resume after boundary %d diverged from the uninterrupted run", k)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"radqec/internal/control"
 	"radqec/internal/faultinject"
 	"radqec/internal/stats"
 	"radqec/internal/telemetry"
@@ -21,8 +20,8 @@ type workerState struct {
 }
 
 // allocBytes reads the process-wide cumulative heap-allocation counter.
-// The delta across a chunk is a memory-pressure signal attributed to
-// the chunk but global to the process, as documented on the telemetry
+// The delta across a batch is a memory-pressure signal attributed to
+// the batch but global to the process, as documented on the telemetry
 // Signal.
 func (ws *workerState) allocBytes() int64 {
 	if ws.msample == nil {
@@ -32,13 +31,12 @@ func (ws *workerState) allocBytes() int64 {
 	return int64(ws.msample[0].Value.Uint64())
 }
 
-// pointRun is the resumable execution state of one point — the old
-// runPoint loop unrolled into a state machine so the scheduler can run
-// a point one policy batch at a time and interleave campaigns between
-// batches. The policy-batch boundaries, stop-rule evaluations and
-// checkpoint/commit decisions replicate the loop exactly; only the
-// mechanism (how a batch is split into engine calls, and when the next
-// batch is scheduled) is in the scheduler's hands.
+// pointRun is the resumable execution state of one point: a state
+// machine the scheduler advances one policy batch at a time,
+// interleaving points and campaigns between batches. Batch boundaries,
+// stop-rule evaluations and checkpoint/commit decisions are pure
+// functions of the policy and the observed counts; only when the next
+// batch runs is in the scheduler's hands.
 type pointRun struct {
 	cfg *Config
 	p   Point
@@ -47,15 +45,9 @@ type pointRun struct {
 	runner  BatchRunner
 	cache   PointCache // nil when the point has no hash
 	started bool
-	inBatch bool
-	// batchN is the current policy batch's size; batchCounts accumulates
-	// its chunks. record() sees exactly one merged Counts per policy
-	// batch, so BatchRates are identical however the batch was chunked.
-	batchN      int
-	batchCounts Counts
-	// prio is the controller priority as of the last batch boundary;
+	// batchN is the size of the policy batch startBatch opened.
+	batchN int
 	// claimed marks the single-flight claim this point holds.
-	prio    float64
 	claimed bool
 	// parked marks a point owned by another fabric node: handouts skip
 	// it until the resolver unparks it with the owner's committed
@@ -140,10 +132,9 @@ func (pr *pointRun) begin() bool {
 	return false
 }
 
-// startBatch evaluates the stop rule at a policy-batch boundary — the
-// same check, in the same order, as the top of the legacy runFixed and
-// runAdaptive loops — and opens the next batch. It returns false when
-// the point is done (converged, budget spent, or cap reached).
+// startBatch evaluates the stop rule at a policy-batch boundary and
+// opens the next batch. It returns false when the point is done
+// (converged, budget spent, or cap reached).
 func (pr *pointRun) startBatch() bool {
 	cfg := pr.cfg
 	if cfg.CI <= 0 {
@@ -172,102 +163,69 @@ func (pr *pointRun) startBatch() bool {
 		}
 		pr.batchN = n
 	}
-	pr.inBatch = true
-	pr.batchCounts = Counts{}
 	return true
 }
 
-// runChunk executes up to chunk shots of the current policy batch (the
-// whole remainder when chunk <= 0) and feeds the telemetry ring and the
-// controller estimators. The chunk boundary is invisible to the policy:
-// stop rules, batch rates and checkpoints only ever see the merged
-// batch counts, and the (start, n) ranges of a batch's chunks tile the
-// exact range the legacy single call covered.
-func (pr *pointRun) runChunk(chunk int, ctrl *control.Controller, ws *workerState) {
+// runBatch executes the open policy batch as one engine call over the
+// shot range [Shots, Shots+batchN) and folds it into the result.
+func (pr *pointRun) runBatch(ws *workerState) {
 	// The chaos harness's worker fault: a panic here exercises the
 	// scheduler's recover boundary exactly where an engine bug would.
 	if err := faultinject.Eval(faultinject.WorkerPanic); err != nil {
 		panic(err)
 	}
-	n := pr.batchN - pr.batchCounts.Shots
-	if chunk > 0 && chunk < n {
-		n = chunk
-	}
-	start := pr.res.Shots + pr.batchCounts.Shots
+	start := pr.res.Shots
 	tel := pr.cfg.Telemetry
-	observing := tel != nil || ctrl != nil
 	var t0 time.Time
 	var alloc0 int64
 	var hwBefore float64
-	if observing {
-		if tel != nil {
-			m := pr.res.Counts
-			m.merge(pr.batchCounts)
-			hwBefore = stats.WilsonHalfWidth(m.Errors, m.Shots)
-		}
+	if tel != nil {
+		hwBefore = stats.WilsonHalfWidth(pr.res.Errors, pr.res.Shots)
 		alloc0 = ws.allocBytes()
 		t0 = time.Now()
 	}
 	cs := pr.span.Context().Start(trace.SpanChunkRun, pr.p.Key)
-	c := pr.runner(start, n)
-	pr.batchCounts.merge(c)
+	c := pr.runner(start, pr.batchN)
 	if cs.Sampled() {
 		cs.SetShots(c.Shots)
 		cs.End()
 	}
-	if !observing {
-		return
+	if tel != nil {
+		wall := time.Since(t0).Nanoseconds()
+		alloc := ws.allocBytes() - alloc0
+		m := pr.res.Counts
+		m.merge(c)
+		var sps float64
+		if wall > 0 {
+			sps = float64(c.Shots) / (float64(wall) / 1e9)
+		}
+		tel.Record(telemetry.Signal{
+			TimeNS:      time.Now().UnixNano(),
+			Key:         pr.p.Key,
+			Batch:       len(pr.res.BatchRates),
+			Start:       start,
+			Shots:       c.Shots,
+			Errors:      c.Errors,
+			WallNS:      wall,
+			ShotsPerSec: sps,
+			HWBefore:    hwBefore,
+			HWAfter:     stats.WilsonHalfWidth(m.Errors, m.Shots),
+			TailWidth:   pr.tailWidth(ws),
+			AllocBytes:  alloc,
+		})
+		tel.BatchDone()
 	}
-	wall := time.Since(t0).Nanoseconds()
-	alloc := ws.allocBytes() - alloc0
-	if ctrl != nil {
-		ctrl.ObserveChunk(n, c.Shots, wall, alloc)
-	}
-	if tel == nil {
-		return
-	}
-	m := pr.res.Counts
-	m.merge(pr.batchCounts)
-	var sps float64
-	if wall > 0 {
-		sps = float64(c.Shots) / (float64(wall) / 1e9)
-	}
-	tel.Record(telemetry.Signal{
-		TimeNS:      time.Now().UnixNano(),
-		Key:         pr.p.Key,
-		Batch:       len(pr.res.BatchRates),
-		Start:       start,
-		Shots:       c.Shots,
-		Errors:      c.Errors,
-		WallNS:      wall,
-		ShotsPerSec: sps,
-		HWBefore:    hwBefore,
-		HWAfter:     stats.WilsonHalfWidth(m.Errors, m.Shots),
-		TailWidth:   pr.tailWidth(ws),
-		AllocBytes:  alloc,
-	})
+	pr.res.record(c)
 }
 
-// finishBatch folds the completed policy batch into the result and
-// checkpoints exactly when the legacy loop did: never on a batch the
-// commit that follows immediately would supersede.
-func (pr *pointRun) finishBatch() {
-	pr.res.record(pr.batchCounts)
-	pr.inBatch = false
-	cfg := pr.cfg
-	var last bool
-	if cfg.CI <= 0 {
-		last = pr.res.Shots >= cfg.Shots
-	} else {
-		last = stats.WilsonHalfWidth(pr.res.Errors, pr.res.Shots) <= cfg.CI ||
-			pr.res.Shots >= cfg.MaxShots
-	}
-	if !last && pr.cache != nil {
+// checkpoint makes the point's progress durable at a batch boundary,
+// unless the latest checkpoint already covers it. The scheduler never
+// checkpoints the batch a point stops on: the commit that follows
+// immediately would supersede it.
+func (pr *pointRun) checkpoint() {
+	if pr.cache != nil && pr.res.Shots > pr.ckptShots {
 		pr.cache.Checkpoint(pr.p.Hash, pr.res.cachedPoint())
 		pr.ckptShots = pr.res.Shots
-	}
-	if tel := cfg.Telemetry; tel != nil {
-		tel.BatchDone()
 	}
 }
 
@@ -284,10 +242,7 @@ func (pr *pointRun) abort() {
 		return
 	}
 	pr.endSpan("cancelled at batch boundary", nil)
-	if pr.cache != nil && pr.res.Shots > pr.ckptShots {
-		pr.cache.Checkpoint(pr.p.Hash, pr.res.cachedPoint())
-		pr.ckptShots = pr.res.Shots
-	}
+	pr.checkpoint()
 	if tel := pr.cfg.Telemetry; tel != nil {
 		tel.Record(telemetry.Signal{
 			TimeNS: time.Now().UnixNano(),
@@ -300,8 +255,7 @@ func (pr *pointRun) abort() {
 }
 
 // finalize commits live points to the cache and derives the interval
-// and tail statistics — the same computation, in the same order, as the
-// legacy runPoint tail.
+// and tail statistics.
 func (pr *pointRun) finalize(ws *workerState) {
 	if pr.cache != nil && !pr.res.Cached {
 		cs := pr.span.Context().Start(trace.SpanStoreCommit, pr.p.Key)
@@ -317,8 +271,8 @@ func (pr *pointRun) finalize(ws *workerState) {
 	pr.res = pr.res.finalize(&ws.scratch)
 }
 
-// tailWidth is the CI half-width of the point's tail statistic — the
-// shot-allocation signal for tail-sensitive points; 0 otherwise.
+// tailWidth is the CI half-width of the point's tail statistic, reported
+// on the telemetry signals of tail-sensitive points; 0 otherwise.
 func (pr *pointRun) tailWidth(ws *workerState) float64 {
 	if !pr.p.TailSensitive {
 		return 0
@@ -327,31 +281,4 @@ func (pr *pointRun) tailWidth(ws *workerState) float64 {
 	sort.Float64s(s)
 	ws.scratch = s
 	return stats.CVaRHalfWidth(s, 0.90)
-}
-
-// priority scores the point for the controller's handout ordering:
-// tail-sensitive points by tail-CI width, adaptive points by Wilson
-// half-width, fixed points by remaining work. Unstarted points take the
-// widest value of their band, so every point gets a first batch before
-// refinement begins.
-func (pr *pointRun) priority(ws *workerState) float64 {
-	cfg := pr.cfg
-	sig := control.PointSignals{TailSensitive: pr.p.TailSensitive}
-	adaptive := cfg.CI > 0
-	if pr.res.Shots == 0 {
-		if adaptive {
-			sig.HalfWidth = 1
-		}
-		sig.RemainingFrac = 1
-	} else {
-		if adaptive {
-			sig.HalfWidth = stats.WilsonHalfWidth(pr.res.Errors, pr.res.Shots)
-		} else if cfg.Shots > 0 {
-			sig.RemainingFrac = float64(cfg.Shots-pr.res.Shots) / float64(cfg.Shots)
-		}
-	}
-	if sig.TailSensitive {
-		sig.TailWidth = pr.tailWidth(ws)
-	}
-	return control.Priority(sig)
 }

@@ -7,48 +7,42 @@ import (
 	"sync"
 	"time"
 
-	"radqec/internal/control"
 	"radqec/internal/telemetry"
 )
 
 // Scheduler owns a fixed pool of point workers and multiplexes any
 // number of concurrent sweeps over it. Each Run enqueues its points as
-// one campaign; workers hand out work across the active campaigns under
-// deficit scheduling, so N concurrent clients share the pool fairly
-// instead of each spawning its own worker set and oversubscribing the
-// CPU. A lone campaign still gets the whole pool.
+// one campaign, and N concurrent clients share the pool fairly instead
+// of each spawning its own worker set and oversubscribing the CPU. A
+// lone campaign still gets the whole pool, up to its Workers cap.
 //
-// Campaigns without a controller (Mechanism.Control nil or disabled)
-// run under the static legacy policy: FIFO point handouts, every weight
-// 1 (which degrades deficit scheduling to the old least-recently-served
-// rotation), a point runs to completion once handed out, and Workers is
-// a hard concurrency cap. Controller campaigns run one policy batch per
-// handout, ordered by tail-aware point priorities and weighted campaign
-// shares, with identical in-flight points single-flighted through the
-// cache; their Workers is a share hint — when every other campaign is
-// drained or capped, a controller campaign borrows the idle slots so
-// the pool stays work-conserving.
+// There is one scheduling policy. A handout is one turn: one policy
+// batch of one point, run as one engine call. A point whose stop rule
+// is satisfied after that batch finalizes in the same turn; otherwise
+// it goes to the back of its campaign's FIFO queue, so a pool's tail is
+// one batch long, not one point long. Campaigns rotate
+// least-recently-served. A pending point whose content hash is already
+// computing on the pool is skipped until the holder commits, then
+// replays the commit from the cache (single-flight; campaigns without a
+// cache never skip). Workers is a hard per-campaign concurrency cap.
 //
 // Point results are pure functions of (Policy, Point) — the determinism
-// contract of Run — so interleaving campaigns or enabling the
-// controller changes only wall-clock time and completion order, never
-// the results.
+// contract of Run — so interleaving batches and campaigns changes only
+// wall-clock time and completion order, never the results.
 type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// queues holds the active campaigns in service order: a campaign
-	// moves to the back each time it is handed a point, and a new
-	// campaign enters at the front with its service counter levelled to
-	// the least-served active campaign — so handouts alternate across
-	// campaigns regardless of arrival order or campaign length.
+	// moves to the back each time it is handed a turn and a new campaign
+	// enters at the front, so handouts alternate across campaigns
+	// regardless of arrival order or campaign length.
 	queues []*schedQueue
 	// flights keys the points currently computing by content hash: a
-	// controller campaign's point whose hash is already in flight parks
-	// until the holder commits, then replays the committed result from
-	// the cache instead of recomputing it.
+	// pending point whose hash is already in flight is skipped until the
+	// holder commits, then replays the committed result from the cache
+	// instead of recomputing it.
 	flights map[string]struct{}
 	closed  bool
-	workers int
 	wg      sync.WaitGroup
 }
 
@@ -67,23 +61,16 @@ type schedQueue struct {
 	// err is the campaign's first terminal failure (a *PointError from
 	// a recovered panic), written under the scheduler mutex.
 	err error
-	// runs holds each point's execution state machine; ctrl is the
-	// campaign's scoring controller (nil under the static policy).
+	// runs holds each point's execution state machine.
 	runs []pointRun
-	ctrl *control.Controller
-	// queue is the pending-point set: scanned in order (FIFO) under the
-	// static policy, by priority under the controller policy. Parked
-	// points (remotely owned, awaiting their fabric resolution) stay in
-	// the queue but are skipped by claimable until unpark clears them.
+	// queue is the pending-point set, FIFO: a point between batches
+	// re-enters at the back. Parked points (remotely owned, awaiting
+	// their fabric resolution) and points behind an in-flight hash stay
+	// in the queue but are skipped by claimable.
 	queue      []int
 	running    int // points of this campaign currently executing
 	unfinished int // points not yet completed
-	// served and topPrio feed deficit scheduling: handouts received so
-	// far, and the best pending priority (claimable refreshes it) whose
-	// tail band sets the campaign's weight.
-	served  float64
-	topPrio float64
-	done    chan struct{}
+	done       chan struct{}
 	// resMu serialises this campaign's OnResult calls, matching the
 	// single-campaign Run contract; campaigns do not block each other.
 	resMu sync.Mutex
@@ -95,10 +82,7 @@ func NewScheduler(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{
-		flights: make(map[string]struct{}),
-		workers: workers,
-	}
+	s := &Scheduler{flights: make(map[string]struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -131,8 +115,7 @@ func (s *Scheduler) Close() {
 // Run executes one campaign on the shared pool and returns results in
 // input order, exactly like the package-level Run. Concurrent Runs are
 // interleaved fairly. cfg.Workers caps how many of this campaign's
-// points execute at once within the pool; under the controller policy
-// the cap softens to a share hint and idle slots are borrowed.
+// points execute at once within the pool.
 //
 // ctx carries the campaign's cancellation, observed at policy-batch
 // boundaries (see the package-level Run). A cancelled or panicked
@@ -159,19 +142,12 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 		cancel:     qcancel,
 		unfinished: len(points),
 		done:       make(chan struct{}),
-		ctrl:       control.New(cfg.Control, cfg.Align),
 	}
 	q.runs = make([]pointRun, len(points))
 	q.queue = make([]int, len(points))
 	for i := range q.runs {
 		q.runs[i] = pointRun{cfg: &q.cfg, p: points[i]}
 		q.queue[i] = i
-	}
-	if q.ctrl != nil {
-		var ws workerState
-		for i := range points {
-			q.runs[i].prio = q.runs[i].priority(&ws)
-		}
 	}
 	// Fabric sharding: points owned by another node park before the
 	// campaign is published, so no worker ever claims one. Locally
@@ -193,21 +169,11 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 	}
 	if tel := cfg.Telemetry; tel != nil {
 		tel.SetQueueDepth(len(points))
-		if q.ctrl != nil {
-			tel.SetControl(q.ctrl.DwellState())
-		}
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		panic("sweep: Run on closed Scheduler")
-	}
-	// A new campaign starts level with the least-served active campaign,
-	// preserving the alternating handouts of the legacy rotation.
-	for i, o := range s.queues {
-		if i == 0 || o.served < q.served {
-			q.served = o.served
-		}
 	}
 	s.queues = append([]*schedQueue{q}, s.queues...)
 	s.mu.Unlock()
@@ -284,14 +250,15 @@ func (q *schedQueue) safeTurn(i int, ws *workerState) (done bool, err error) {
 // cancelled (by the caller, or by fail after a sibling point panicked).
 func (q *schedQueue) aborted() bool { return q.ctx.Err() != nil }
 
-// runTurn advances one point. The static policy runs the point to
-// completion in one turn — the legacy worker behaviour. The controller
-// policy runs exactly one policy batch, chunked at the controller's
-// current size, then yields the worker so the next handout can re-order
-// on fresh priorities. Returns true when the point finished.
+// runTurn advances one point by one policy batch, run as one engine
+// call, then yields the worker. It returns true when the point is
+// finished: served from the cache, stopped by its stop rule (evaluated
+// right after the batch, so a point's last batch and its finalize share
+// a turn), or aborted. A started point waiting in the queue always has
+// its next batch open.
 //
 // Cancellation is observed here and only here — at the top of a turn
-// and at policy-batch boundaries — so an abort never tears a batch:
+// and at the policy-batch boundary — so an abort never tears a batch:
 // whatever the abort flushes is a whole-batch checkpoint the resumed
 // campaign replays byte-identically.
 func (q *schedQueue) runTurn(i int, ws *workerState) bool {
@@ -300,43 +267,23 @@ func (q *schedQueue) runTurn(i int, ws *workerState) bool {
 		pr.abort()
 		return true
 	}
-	if !pr.started && pr.begin() {
-		pr.finalize(ws) // served from the cache: no batches to run
-		return true
-	}
-	if q.ctrl == nil {
-		for pr.startBatch() {
-			for pr.batchCounts.Shots < pr.batchN {
-				pr.runChunk(0, nil, ws)
-			}
-			pr.finishBatch()
-			if q.aborted() {
-				pr.abort()
-				return true
-			}
-		}
+	// A first turn with nothing to run: a committed cache entry, or a
+	// resumed checkpoint that already satisfies the stop rule.
+	if !pr.started && (pr.begin() || !pr.startBatch()) {
 		pr.finalize(ws)
 		return true
 	}
-	if !pr.startBatch() {
-		pr.finalize(ws)
-		return true
-	}
-	chunk := q.ctrl.ChunkSize()
-	for pr.batchCounts.Shots < pr.batchN {
-		pr.runChunk(chunk, q.ctrl, ws)
-	}
-	pr.finishBatch()
+	pr.runBatch(ws)
 	if q.aborted() {
 		pr.abort()
 		return true
 	}
-	chunkSize, dwell := q.ctrl.BatchDone()
-	if tel := q.cfg.Telemetry; tel != nil {
-		tel.SetControl(chunkSize, dwell)
+	if pr.startBatch() {
+		pr.checkpoint()
+		return false
 	}
-	pr.prio = pr.priority(ws)
-	return false
+	pr.finalize(ws)
+	return true
 }
 
 // fail records a point's terminal error as its campaign's, cancels the
@@ -395,9 +342,9 @@ func (s *Scheduler) unpark(q *schedQueue, i int, takeover bool) {
 	}
 }
 
-// take claims the best runnable point, blocking while every campaign is
-// drained, parked, or at its per-campaign worker cap. It returns nil
-// once the pool is closed and no campaign remains.
+// take claims the next runnable point, blocking while every campaign is
+// drained, parked, behind an in-flight hash, or at its worker cap. It
+// returns nil once the pool is closed and no campaign remains.
 func (s *Scheduler) take() (*schedQueue, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,142 +359,67 @@ func (s *Scheduler) take() (*schedQueue, int) {
 	}
 }
 
-// pick claims a point under deficit scheduling: among eligible
-// campaigns (points pending, below the per-campaign worker cap) the one
-// with the lowest served/weight ratio wins the handout and rotates to
-// the back of the service order. With every weight 1 — the static
-// policy — counters stay level, ties decide, and ties go to the scan
-// order the rotation maintains: exactly the legacy least-recently-
-// served alternation.
-//
-// Worker shares are work-conserving for controller campaigns: Workers
-// is the campaign's share under contention, but when no campaign below
-// its cap has claimable work, a controller campaign may borrow the idle
-// slot rather than leave it empty. Static campaigns keep the legacy
-// hard cap.
+// pick hands the first eligible campaign in service order (claimable
+// work, below its Workers cap) its first claimable point and rotates
+// the campaign to the back: least-recently-served round-robin.
 func (s *Scheduler) pick() (*schedQueue, int) {
-	var (
-		best      *schedQueue
-		bestIdx   int
-		bestKey   float64
-		bestPoint int
-	)
-	for _, borrow := range [2]bool{false, true} {
-		for idx, q := range s.queues {
-			// A cancelled campaign's handouts are aborts — near-free
-			// turns that flush checkpoints — so its worker cap no
-			// longer applies: drain it as fast as workers free up.
-			if q.running >= q.cfg.Workers && !q.aborted() && !(borrow && q.ctrl != nil) {
-				continue
-			}
-			i, ok := q.claimable(s.flights)
-			if !ok {
-				continue
-			}
-			key := q.served / q.weight()
-			if best == nil || key < bestKey {
-				best, bestIdx, bestKey, bestPoint = q, idx, key, i
-			}
+	for idx, q := range s.queues {
+		// A cancelled campaign's handouts are aborts — near-free turns
+		// that flush checkpoints — so its worker cap no longer applies:
+		// drain it as fast as workers free up.
+		if q.running >= q.cfg.Workers && !q.aborted() {
+			continue
 		}
-		if best != nil {
-			break
+		j, ok := q.claimable(s.flights)
+		if !ok {
+			continue
 		}
-	}
-	if best == nil {
-		return nil, 0
-	}
-	best.served++
-	best.running++
-	for j, i := range best.queue {
-		if i == bestPoint {
-			best.queue = append(best.queue[:j], best.queue[j+1:]...)
-			break
-		}
-	}
-	if best.ctrl != nil {
+		i := q.queue[j]
+		q.queue = append(q.queue[:j], q.queue[j+1:]...)
+		q.running++
 		// An aborting point does no engine work, so claiming its hash
-		// would only park siblings behind a computation that will
-		// never commit.
-		if h := best.flightKey(bestPoint); h != "" && !best.runs[bestPoint].claimed && !best.aborted() {
+		// would only hold siblings behind a computation that will never
+		// commit.
+		if h := q.flightKey(i); h != "" && !q.runs[i].claimed && !q.aborted() {
 			s.flights[h] = struct{}{}
-			best.runs[bestPoint].claimed = true
+			q.runs[i].claimed = true
 		}
-		best.ctrl.SetPressure(s.pressure())
+		copy(s.queues[idx:], s.queues[idx+1:])
+		s.queues[len(s.queues)-1] = q
+		return q, i
 	}
-	copy(s.queues[bestIdx:], s.queues[bestIdx+1:])
-	s.queues[len(s.queues)-1] = best
-	return best, bestPoint
+	return nil, 0
 }
 
-// pressure is the queued-work-per-worker signal the controller's
-// latency penalty scales with: 0 with an idle pool, 1 when at least one
-// point waits per worker.
-func (s *Scheduler) pressure() float64 {
-	pending := 0
-	for _, q := range s.queues {
-		pending += q.pendingCount()
-	}
-	p := float64(pending) / float64(s.workers)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
-// pendingCount is how many of the campaign's points await a handout.
-func (q *schedQueue) pendingCount() int { return len(q.queue) }
-
-// claimable scans for the campaign's best claimable point: the first
-// pending point in input order under the static policy; the
-// highest-priority pending point whose single-flight key is unclaimed
-// under the controller policy (priority ties go to input order). Points
-// parked on a fabric resolution are skipped under both policies. It
-// refreshes q.topPrio as a side effect — the tail-pressure input to
-// the campaign weight.
+// claimable returns the queue position of the campaign's first pending
+// point that is neither parked on a fabric resolution nor behind
+// another point computing the same hash.
 func (q *schedQueue) claimable(flights map[string]struct{}) (int, bool) {
-	if q.aborted() {
-		// Draining a cancelled campaign: any pending point will do —
-		// its handout aborts immediately, so priorities, single-flight
-		// and fabric parking no longer apply.
-		if len(q.queue) > 0 {
-			return q.queue[0], true
+	// Draining a cancelled campaign: any pending point will do — its
+	// handout aborts immediately, so single-flight and fabric parking
+	// no longer apply.
+	draining := q.aborted()
+	for j, i := range q.queue {
+		if draining {
+			return j, true
 		}
-		return 0, false
-	}
-	if q.ctrl == nil {
-		for _, i := range q.queue {
-			if !q.runs[i].parked {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	best, bestPrio, found := 0, 0.0, false
-	q.topPrio = 0
-	for _, i := range q.queue {
 		if q.runs[i].parked {
-			continue // awaiting its fabric resolution
-		}
-		prio := q.runs[i].prio
-		if prio > q.topPrio {
-			q.topPrio = prio
+			continue
 		}
 		if h := q.flightKey(i); h != "" && !q.runs[i].claimed {
 			if _, busy := flights[h]; busy {
-				continue // parked behind another point computing this hash
+				continue
 			}
 		}
-		if !found || prio > bestPrio {
-			best, bestPrio, found = i, prio, true
-		}
+		return j, true
 	}
-	return best, found
+	return 0, false
 }
 
 // flightKey is the single-flight key of a point: its content hash, when
 // the campaign has a cache for a follower to replay the leader's commit
 // from. Without a cache deduplication would have no way to hand the
-// follower a result, so such points never park.
+// follower a result, so such points are never skipped.
 func (q *schedQueue) flightKey(i int) string {
 	if q.cfg.Cache == nil {
 		return ""
@@ -555,30 +427,13 @@ func (q *schedQueue) flightKey(i int) string {
 	return q.points[i].Hash
 }
 
-// weight is the campaign's deficit-scheduling share. Static campaigns
-// weigh 1 (the legacy fair rotation); controller campaigns weigh by
-// backlog depth and tail pressure.
-func (q *schedQueue) weight() float64 {
-	if q.ctrl == nil {
-		return 1
-	}
-	tp := q.topPrio - 2 // the tail band of Priority is 2 + TailWidth
-	if tp < 0 {
-		tp = 0
-	}
-	return control.Weight(control.CampaignSignals{
-		Pending:      len(q.queue),
-		TailPressure: tp,
-	})
-}
-
-// requeue returns a between-batches point to its campaign's pending set
-// with the priority runTurn just refreshed.
+// requeue returns a between-batches point to the back of its campaign's
+// queue.
 func (s *Scheduler) requeue(q *schedQueue, i int) {
 	s.mu.Lock()
 	q.running--
 	q.queue = append(q.queue, i)
-	depth := q.pendingCount()
+	depth := len(q.queue)
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	if tel := q.cfg.Telemetry; tel != nil {
@@ -621,10 +476,10 @@ func (s *Scheduler) complete(q *schedQueue, i int) {
 			}
 		}
 	}
-	depth := q.pendingCount()
+	depth := len(q.queue)
 	s.mu.Unlock()
-	// A worker slot, a parked duplicate, or the closed pool may now
-	// drain.
+	// A worker slot, a point behind this hash, or the closed pool may
+	// now drain.
 	s.cond.Broadcast()
 	if tel := q.cfg.Telemetry; tel != nil {
 		tel.SetQueueDepth(depth)

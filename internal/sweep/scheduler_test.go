@@ -231,7 +231,7 @@ func TestFinishedPointReleasesRunner(t *testing.T) {
 			}
 		}},
 	}
-	// One worker, static policy: "second" starts after "first" completed,
+	// One worker, one batch each: "second" starts after "first" completed,
 	// inside the same campaign.
 	runT(t, Config{Policy: Policy{Shots: 1}, Mechanism: Mechanism{Workers: 1}}, points)
 	if !firstGone {

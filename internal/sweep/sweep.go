@@ -66,10 +66,9 @@ type Point struct {
 	// built once and reused across every batch of the point.
 	Prepare func() BatchRunner
 	// TailSensitive marks the point's tail statistics (the CVaR and
-	// quantile columns) as the quantity of interest: the scoring
-	// controller allocates shot budget to the widest tail CIs first and
-	// telemetry reports the tail width on every chunk. Purely a
-	// scheduling hint — results are unaffected.
+	// quantile columns) as the quantity of interest: telemetry reports
+	// the tail CI width (tail_width) on every signal of the point. It
+	// has no scheduling meaning and never affects results.
 	TailSensitive bool
 }
 
@@ -102,9 +101,9 @@ type Policy struct {
 }
 
 // Mechanism is the execution half of the configuration: parallelism,
-// caching, delivery, and the closed-loop controller and telemetry
-// hooks. Mechanism settings steer wall-clock time, engine-call
-// granularity and completion order — never the Results.
+// caching, delivery, and the telemetry and tracing hooks. Mechanism
+// settings steer wall-clock time and completion order — never the
+// Results.
 type Mechanism struct {
 	// Workers caps how many points run concurrently (0 = GOMAXPROCS).
 	Workers int
@@ -135,14 +134,8 @@ type Mechanism struct {
 	// for local takeover compute instead. Points without a hash, and
 	// campaigns without a Cache, ignore Remote entirely.
 	Remote RemoteResolver
-	// Control, when set and enabled, closes the loop for this campaign:
-	// policy batches are chunked at controller-scored sizes, point
-	// handouts follow tail-aware priorities instead of FIFO, campaign
-	// worker shares follow deficit weights, and identical in-flight
-	// points are single-flighted through the cache. nil (or disabled)
-	// keeps the static legacy scheduling. The controller only re-orders
-	// and re-chunks work within the BatchRunner (start, n) contract, so
-	// results are byte-identical with it on or off.
+	// Control is ignored: the scheduler has one policy (see Scheduler).
+	// The field stays only because the frozen bench/ harness sets it.
 	Control *control.Policy
 	// Telemetry, when set, receives a Signal for every engine invocation
 	// plus batch, point and cache counters. Strictly observational.
@@ -403,9 +396,8 @@ func nextBatch(cfg Config, c Counts) int {
 	}
 	n := cfg.Batch
 	if c.Shots > 0 {
-		// Wald-style inversion n* ≈ z²·p(1-p)/ci²; the loop in
-		// runAdaptive re-checks the exact Wilson width, so this only
-		// has to land close.
+		// Wald-style inversion n* ≈ z²·p(1-p)/ci²; startBatch re-checks
+		// the exact Wilson width, so this only has to land close.
 		p := c.Rate()
 		need := int(stats.Z95*stats.Z95*p*(1-p)/(cfg.CI*cfg.CI)) - c.Shots
 		if need > n {

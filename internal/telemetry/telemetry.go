@@ -3,15 +3,12 @@
 // Signal — shots, wall time, throughput, the Wilson half-width before
 // and after the chunk, the tail-CI width for tail-sensitive points,
 // cache hits and process allocation deltas — onto a lock-free
-// per-campaign ring. The sweep scheduler, the scoring controller
-// (package control), the HTTP daemon's /metrics and signals stream,
-// and the CLI's -stats report all consume the same structs, replacing
-// the ad-hoc counters each layer kept before.
+// per-campaign ring. The HTTP daemon's /metrics and signals stream and
+// the CLI's -stats report all consume the same structs.
 //
 // Telemetry is strictly observational: nothing in this package feeds
-// back into shot streams or batch boundaries, so recording signals can
-// never perturb results (the controller reads them to re-order pure
-// scheduling decisions only).
+// back into shot streams, batch boundaries or scheduling, so recording
+// signals can never perturb results.
 package telemetry
 
 import (
@@ -28,8 +25,8 @@ import (
 // ring only has to bridge poll gaps, not hold a whole campaign.
 const RingSize = 1024
 
-// Signal is the telemetry record of one engine invocation (one
-// mechanism chunk of one policy batch of one sweep point).
+// Signal is the telemetry record of one engine invocation — a chunk:
+// one policy batch of one sweep point.
 type Signal struct {
 	// Seq is the campaign-wide sequence number, dense from 0.
 	Seq uint64 `json:"seq"`
@@ -50,7 +47,7 @@ type Signal struct {
 	WallNS      int64   `json:"wall_ns"`
 	ShotsPerSec float64 `json:"shots_per_sec"`
 	// HWBefore and HWAfter bracket the point's Wilson 95% half-width
-	// across the chunk — the CI-shrink signal the controller scores.
+	// across the chunk.
 	HWBefore float64 `json:"hw_before"`
 	HWAfter  float64 `json:"hw_after"`
 	// TailWidth is the half-width of the CI on the point's tail
@@ -98,7 +95,7 @@ type Route struct {
 }
 
 // Campaign is one campaign's telemetry: a lock-free signal ring plus
-// monotonic counters and controller gauges. All methods are safe for
+// monotonic counters and the queue-depth gauge. All methods are safe for
 // concurrent use by any number of sweep workers and readers.
 type Campaign struct {
 	id         int64
@@ -123,11 +120,8 @@ type Campaign struct {
 	remoteHits  atomic.Int64
 	takeovers   atomic.Int64
 
-	// Controller gauges, written by the scheduler/controller and read
-	// by /metrics and -stats.
-	chunkSize  atomic.Int64
+	// queueDepth is written by the scheduler and read by /metrics.
 	queueDepth atomic.Int64
-	dwellLeft  atomic.Int64
 
 	route atomic.Pointer[Route]
 	done  atomic.Bool
@@ -192,13 +186,6 @@ func (c *Campaign) CacheMiss() { c.cacheMisses.Add(1) }
 // PointDone counts one completed point.
 func (c *Campaign) PointDone() { c.pointsDone.Add(1) }
 
-// SetControl updates the controller gauges: the chosen mechanism chunk
-// size and the dwell budget left before the scorer may switch again.
-func (c *Campaign) SetControl(chunkSize, dwellLeft int) {
-	c.chunkSize.Store(int64(chunkSize))
-	c.dwellLeft.Store(int64(dwellLeft))
-}
-
 // SetQueueDepth updates the campaign's pending-point gauge.
 func (c *Campaign) SetQueueDepth(depth int) { c.queueDepth.Store(int64(depth)) }
 
@@ -261,9 +248,7 @@ type Stats struct {
 	Cancels     int64   `json:"cancels,omitempty"`
 	RemoteHits  int64   `json:"remote_hits,omitempty"`
 	Takeovers   int64   `json:"takeovers,omitempty"`
-	ChunkSize   int64   `json:"chunk_size"`
 	QueueDepth  int64   `json:"queue_depth"`
-	DwellLeft   int64   `json:"dwell_left"`
 	Done        bool    `json:"done"`
 	Route       *Route  `json:"route,omitempty"`
 }
@@ -298,9 +283,7 @@ func (c *Campaign) Stats() Stats {
 		Cancels:     c.cancels.Load(),
 		RemoteHits:  c.remoteHits.Load(),
 		Takeovers:   c.takeovers.Load(),
-		ChunkSize:   c.chunkSize.Load(),
 		QueueDepth:  c.queueDepth.Load(),
-		DwellLeft:   c.dwellLeft.Load(),
 		Done:        c.done.Load(),
 		Route:       c.route.Load(),
 	}

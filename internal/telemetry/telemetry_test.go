@@ -110,7 +110,6 @@ func TestStatsAggregation(t *testing.T) {
 	c.BatchDone()
 	c.CacheMiss()
 	c.PointDone()
-	c.SetControl(4096, 3)
 	c.SetQueueDepth(9)
 	c.SetRoute(Route{Requested: "auto", Resolved: "batch", Reason: "r"})
 	st := c.Stats()
@@ -132,8 +131,8 @@ func TestStatsAggregation(t *testing.T) {
 	if st.ShotsPerSec != 2500 {
 		t.Fatalf("shots/s = %v, want 2500", st.ShotsPerSec)
 	}
-	if st.ChunkSize != 4096 || st.DwellLeft != 3 || st.QueueDepth != 9 {
-		t.Fatalf("gauges: %+v", st)
+	if st.QueueDepth != 9 {
+		t.Fatalf("gauge: %+v", st)
 	}
 	if st.Route == nil || st.Route.Resolved != "batch" {
 		t.Fatalf("route: %+v", st.Route)
