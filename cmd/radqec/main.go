@@ -34,20 +34,18 @@
 //	             guaranteeing -ci at any rate)
 //	-store DIR   content-addressed result store: completed points are
 //	             served from DIR instead of recomputed, new points are
-//	             committed to it, and batch-level checkpoints make an
-//	             interrupted run resumable; the same directory a
-//	             radqecd daemon serves
-//	-resume      with -store, pick interrupted points back up at their
-//	             last checkpointed batch instead of shot zero
+//	             committed to it, and an interrupted run's points pick
+//	             back up at their last checkpointed batch; the same
+//	             directory a radqecd daemon serves
 //	-stats       print a per-experiment telemetry summary to stderr:
-//	             shots/s, chunk/batch counts, cache traffic, allocation
-//	             and the engine-routing decision
-//	-trace-sample on|off  record distributed-trace spans for the run
-//	             (default off). Requires -trace-out or -trace-chrome;
-//	             tracing never changes results, only observability
-//	-trace-out F   write the recorded spans to F as NDJSON (one span
-//	             per line, the /v1/campaigns/{id}/trace record shape)
-//	-trace-chrome F  write the recorded spans to F as Chrome
+//	             shots/s, chunk/batch counts, set-up vs run time and the
+//	             decode share of run, cache traffic, allocation and the
+//	             engine-routing decision
+//	-trace-out F   record distributed-trace spans for the run and write
+//	             them to F as NDJSON (one span per line, the
+//	             /v1/campaigns/{id}/trace record shape); tracing never
+//	             changes results, only observability
+//	-trace-chrome F  record spans and write them to F as Chrome
 //	             trace-event JSON, loadable in Perfetto or
 //	             chrome://tracing
 //	-log-format text|json  structured-log rendering (default text)
@@ -106,11 +104,9 @@ func main() {
 	ci := flag.Float64("ci", 0, "target Wilson 95% half-width per point (>0 enables adaptive shots)")
 	maxShots := flag.Int("maxshots", 0, "adaptive per-point shot cap (0 = worst-case count for -ci)")
 	storeDir := flag.String("store", "", "content-addressed result store directory (empty disables caching)")
-	resume := flag.Bool("resume", false, "with -store, resume interrupted points from their last checkpoint")
 	statsOut := flag.Bool("stats", false, "print a per-experiment telemetry summary to stderr")
-	traceSample := flag.String("trace-sample", "off", "record distributed-trace spans for the run: on or off")
-	traceOut := flag.String("trace-out", "", "write recorded spans to this file as NDJSON")
-	traceChrome := flag.String("trace-chrome", "", "write recorded spans to this file as Chrome trace-event JSON")
+	traceOut := flag.String("trace-out", "", "record trace spans and write them to this file as NDJSON")
+	traceChrome := flag.String("trace-chrome", "", "record trace spans and write them to this file as Chrome trace-event JSON")
 	logFormat := flag.String("log-format", "text", "structured-log rendering: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
@@ -159,18 +155,6 @@ func main() {
 	if *maxShots < 0 {
 		usageError(fmt.Sprintf("-maxshots %d out of range (want >= 0; 0 = worst-case count for -ci)", *maxShots))
 	}
-	if *resume && *storeDir == "" {
-		usageError("-resume requires -store DIR")
-	}
-	if *traceSample != "on" && *traceSample != "off" {
-		usageError(fmt.Sprintf("-trace-sample %q out of range (want on or off)", *traceSample))
-	}
-	if *traceSample == "on" && *traceOut == "" && *traceChrome == "" {
-		usageError("-trace-sample on requires -trace-out FILE or -trace-chrome FILE (nowhere to write the spans)")
-	}
-	if *traceSample != "on" && (*traceOut != "" || *traceChrome != "") {
-		usageError("-trace-out/-trace-chrome require -trace-sample on")
-	}
 	if _, err := logsetup.Init(os.Stderr, *logFormat, *logLevel); err != nil {
 		usageError(err.Error())
 	}
@@ -185,7 +169,6 @@ func main() {
 		MaxShots: *maxShots,
 		Engine:   *engine,
 		Decoder:  *decoder,
-		Resume:   *resume,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{})
@@ -261,13 +244,13 @@ func main() {
 			writeHeapProfile(path)
 		}
 	}
-	// Local trace recording: one recorder spans the whole invocation
-	// (each experiment gets its own campaign root span under it), and
-	// the dump rides the flushProfiles chain so an errored or
-	// interrupted run still writes the spans it collected — exactly
-	// when the trace is wanted.
+	// Local trace recording, on exactly when there is somewhere to write
+	// the spans: one recorder spans the whole invocation (each experiment
+	// gets its own campaign root span under it), and the dump rides the
+	// flushProfiles chain so an errored or interrupted run still writes
+	// the spans it collected — exactly when the trace is wanted.
 	var recorder *trace.Recorder
-	if *traceSample == "on" {
+	if *traceOut != "" || *traceChrome != "" {
 		recorder = trace.New("cli")
 		rec, nd, chrome := recorder, *traceOut, *traceChrome
 		prev := flushProfiles
@@ -309,7 +292,7 @@ func main() {
 		flushOnce()
 		if resultStore != nil {
 			closeStoreOnce()
-			slog.Warn("radqec: store flushed; rerun with -store -resume to continue", "signal", sig.String(), "store", *storeDir)
+			slog.Warn("radqec: store flushed; rerun with -store to continue", "signal", sig.String(), "store", *storeDir)
 		}
 		if n, ok := sig.(syscall.Signal); ok {
 			os.Exit(128 + int(n))
@@ -346,7 +329,7 @@ func main() {
 			campaignID++
 			cfg.Telemetry = telemetry.NewCampaign(campaignID, e.Name)
 		}
-		root := recorder.Campaign(e.Name) // inert when -trace-sample off
+		root := recorder.Campaign(e.Name) // inert without a trace file
 		cfg.Trace = root.Context()
 		start := time.Now()
 		tab, err := e.Run(cfg)
@@ -360,7 +343,7 @@ func main() {
 				flushOnce()
 				if resultStore != nil {
 					closeStoreOnce()
-					slog.Warn("radqec: interrupted; store flushed; rerun with -store -resume to continue", "store", *storeDir)
+					slog.Warn("radqec: interrupted; store flushed; rerun with -store to continue", "store", *storeDir)
 				}
 				if sig > 0 {
 					os.Exit(128 + int(sig))
@@ -390,20 +373,25 @@ func main() {
 
 // printStats writes the -stats telemetry summary for one experiment to
 // stderr: aggregate engine throughput, the points' set-up time beside
-// it, chunk/batch counts, cache traffic, allocation pressure and the
-// engine-routing decision.
+// it and the decoder's share of their run time, chunk/batch counts,
+// cache traffic, allocation pressure and the engine-routing decision.
 func printStats(st telemetry.Stats) {
 	fmt.Fprintf(os.Stderr,
 		"radqec: %s: %d shots (%d errors) over %d points in %d chunks / %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses; %.1f MiB allocated\n",
 		st.Experiment, st.Shots, st.Errors, st.PointsDone, st.Chunks, st.Batches,
 		st.ShotsPerSec, st.CacheHits, st.CacheMisses, float64(st.AllocBytes)/(1<<20))
 	if engine := st.PrepareNS + st.WallNS; engine > 0 {
-		fmt.Fprintf(os.Stderr, "radqec: %s: engine time %v = set-up %v (%.1f%%) + run %v; throughput counts run only\n",
+		var decodeShare float64
+		if st.WallNS > 0 {
+			decodeShare = 100 * float64(st.DecodeNS) / float64(st.WallNS)
+		}
+		fmt.Fprintf(os.Stderr, "radqec: %s: engine time %v = set-up %v (%.1f%%) + run %v (decode %.1f%% of run); throughput counts run only\n",
 			st.Experiment,
 			time.Duration(engine).Round(time.Millisecond),
 			time.Duration(st.PrepareNS).Round(time.Millisecond),
 			100*float64(st.PrepareNS)/float64(engine),
-			time.Duration(st.WallNS).Round(time.Millisecond))
+			time.Duration(st.WallNS).Round(time.Millisecond),
+			decodeShare)
 	}
 	if r := st.Route; r != nil {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s -> %s (%s)\n",

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,18 +22,86 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedEngineWidthFlagIsUsageError: the tile width is a constant,
-// so the flag that used to select it is unknown — exit 2 naming it, not
-// a silently ignored option.
-func TestRemovedEngineWidthFlagIsUsageError(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-engine-width", "64", "fig5")
+// run re-executes the test binary as radqec on args.
+func run(t *testing.T, args ...string) (out string, exitCode int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RADQEC_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
+	b, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("radqec -engine-width 64 fig5: err = %v, want exit status 2\n%s", err, out)
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		exitCode = exit.ExitCode()
+	default:
+		t.Fatalf("radqec %v: %v", args, err)
 	}
-	if !strings.Contains(string(out), "engine-width") {
-		t.Fatalf("usage error does not name the flag:\n%s", out)
+	return string(b), exitCode
+}
+
+// TestRemovedFlagsAreUsageErrors: an option that only ever had one
+// value is not a flag — the tile width is a constant, a point with a
+// store always restarts from its checkpoint, and spans are recorded
+// exactly when -trace-out/-trace-chrome name somewhere to write them.
+// Passing the retired flag exits 2 naming it, never a silently ignored
+// option.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engine-width", "64", "fig5"},
+		{"-resume", "fig5"},
+		{"-trace-sample", "on", "fig5"},
+	} {
+		out, code := run(t, args...)
+		if code != 2 {
+			t.Errorf("radqec %v: exit %d, want 2\n%s", args, code, out)
+		}
+		if !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("radqec %v: usage error does not name the flag:\n%s", args, out)
+		}
+	}
+}
+
+// TestFlagSet pins the CLI's flag surface: a new flag is a reviewed
+// line here, not a drive-by.
+func TestFlagSet(t *testing.T) {
+	want := []string{
+		"ci", "cpuprofile", "csv", "decoder", "engine", "json", "log-format",
+		"log-level", "maxshots", "memprofile", "ns", "o", "p", "rounds", "seed",
+		"shots", "stats", "store", "trace-chrome", "trace-out", "workers",
+	}
+	out, code := run(t, "-h")
+	if code != 0 {
+		t.Fatalf("radqec -h: exit %d\n%s", code, out)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(out, -1) {
+		if !strings.HasPrefix(m[1], "test.") { // the re-executed test binary's own flags
+			got = append(got, m[1])
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("radqec -h lists %d flags %v, want %d %v", len(got), got, len(want), want)
+	}
+}
+
+// TestTraceOutAloneRecordsSpans: naming a span file is the sampling
+// decision — no second switch has to agree with it.
+func TestTraceOutAloneRecordsSpans(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "S.ndjson")
+	out, code := run(t, "-shots", "64", "-ns", "2", "-csv", "-trace-out", path, "fig5")
+	if code != 0 {
+		t.Fatalf("radqec -trace-out: exit %d\n%s", code, out)
+	}
+	if !strings.Contains(out, "trace written") {
+		t.Errorf("no `trace written` log line:\n%s", out)
+	}
+	spans, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{`"name":"campaign"`, `"name":"point"`, `"name":"chunk-run"`, `"name":"decode"`} {
+		if !bytes.Contains(spans, []byte(kind)) {
+			t.Errorf("span file has no %s span", kind)
+		}
 	}
 }

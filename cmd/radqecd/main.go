@@ -19,11 +19,6 @@
 //	                 all concurrent campaigns are multiplexed fairly
 //	                 over this one budget
 //	-lru N           decoded results held in memory (default 4096)
-//	-read-header-timeout D  time allowed to read a request's headers
-//	                 (default 10s); bounds slowloris-style half-open
-//	                 connections
-//	-idle-timeout D  keep-alive connection idle limit (default 2m)
-//	-max-header-bytes N  request header size cap (default 1 MiB)
 //	-peers H1,H2,... static fabric ring, self included: campaigns shard
 //	                 across these nodes by content hash, with results
 //	                 byte-identical to a single-node run. Requires
@@ -70,9 +65,6 @@ func main() {
 	storeDir := flag.String("store", "radqec-store", "result store directory (empty disables persistence)")
 	workers := flag.Int("workers", 0, "shared sweep worker pool size (0 = GOMAXPROCS)")
 	lru := flag.Int("lru", 0, "decoded results held in memory (0 = default)")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time allowed to read a request's headers")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle limit")
-	maxHeaderBytes := flag.Int("max-header-bytes", 1<<20, "request header size cap in bytes")
 	peers := flag.String("peers", "", "comma-separated static fabric ring, self included (empty = single node)")
 	self := flag.String("self", "", "this node's own address as it appears in -peers")
 	traceSample := flag.String("trace-sample", "off", "default distributed-trace sampling for campaigns: on or off (requests may override per campaign)")
@@ -90,15 +82,6 @@ func main() {
 	}
 	if *lru < 0 {
 		usageError(fmt.Sprintf("-lru %d out of range (want >= 0; 0 = default)", *lru))
-	}
-	if *readHeaderTimeout <= 0 {
-		usageError(fmt.Sprintf("-read-header-timeout %v out of range (want > 0)", *readHeaderTimeout))
-	}
-	if *idleTimeout <= 0 {
-		usageError(fmt.Sprintf("-idle-timeout %v out of range (want > 0)", *idleTimeout))
-	}
-	if *maxHeaderBytes <= 0 {
-		usageError(fmt.Sprintf("-max-header-bytes %d out of range (want > 0)", *maxHeaderBytes))
 	}
 	if *traceSample != "on" && *traceSample != "off" {
 		usageError(fmt.Sprintf("-trace-sample %q out of range (want on or off)", *traceSample))
@@ -164,14 +147,14 @@ func main() {
 	// No blanket ReadTimeout/WriteTimeout: campaign streams legitimately
 	// run for minutes and per-write deadlines already guard them (see
 	// server.streamWriteTimeout). The header and idle limits below are
-	// what keep half-open or abandoned connections from pinning the
-	// daemon.
+	// what keep half-open (slowloris-style) or abandoned connections from
+	// pinning the daemon.
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: *readHeaderTimeout,
-		IdleTimeout:       *idleTimeout,
-		MaxHeaderBytes:    *maxHeaderBytes,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    1 << 20,
 	}
 
 	// SIGINT/SIGTERM: stop accepting, drain in-flight campaigns (their

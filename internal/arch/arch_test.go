@@ -92,7 +92,7 @@ func TestHeavyHexDegreeBound(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range []string{"linear", "mesh", "complete", "almaden", "johannesburg", "cairo", "cambridge", "brooklyn"} {
 		topo, err := ByName(name, 10)
 		if err != nil {
 			t.Fatalf("ByName(%s): %v", name, err)

@@ -8,7 +8,6 @@ package arch
 
 import (
 	"fmt"
-	"sort"
 
 	"radqec/internal/graph"
 )
@@ -111,11 +110,4 @@ func checkSize(t Topology, minQubits int) error {
 		return fmt.Errorf("arch: topology %s has %d qubits, need %d", t.Name, t.Graph.N(), minQubits)
 	}
 	return nil
-}
-
-// Names lists every topology understood by ByName, sorted.
-func Names() []string {
-	names := []string{"linear", "mesh", "complete", "almaden", "johannesburg", "cairo", "cambridge", "brooklyn"}
-	sort.Strings(names)
-	return names
 }

@@ -55,27 +55,6 @@ func (k GateKind) String() string {
 	return fmt.Sprintf("gate(%d)", int(k))
 }
 
-// IsUnitary reports whether the kind is a unitary quantum gate.
-func (k GateKind) IsUnitary() bool {
-	switch k {
-	case KindMeasure, KindReset, KindBarrier:
-		return false
-	}
-	return true
-}
-
-// Arity returns the number of qubits the kind acts on (barriers vary).
-func (k GateKind) Arity() int {
-	switch k {
-	case KindCNOT, KindCZ, KindSWAP:
-		return 2
-	case KindBarrier:
-		return -1
-	default:
-		return 1
-	}
-}
-
 // Op is one operation in a circuit.
 type Op struct {
 	Kind   GateKind
@@ -279,15 +258,6 @@ func (c *Circuit) Append(other *Circuit) {
 	}
 }
 
-// GateCounts returns the number of operations per kind.
-func (c *Circuit) GateCounts() map[GateKind]int {
-	counts := make(map[GateKind]int)
-	for _, op := range c.Ops {
-		counts[op.Kind]++
-	}
-	return counts
-}
-
 // CountTwoQubit returns the number of two-qubit gates (CNOT, CZ, SWAP).
 func (c *Circuit) CountTwoQubit() int {
 	n := 0
@@ -298,38 +268,6 @@ func (c *Circuit) CountTwoQubit() int {
 		}
 	}
 	return n
-}
-
-// Depth returns the circuit depth: the longest chain of operations that
-// share a qubit or a classical bit. Barriers synchronise but add no depth.
-func (c *Circuit) Depth() int {
-	qDepth := make([]int, c.NumQubits)
-	cDepth := make([]int, c.NumClbits)
-	depth := 0
-	for _, op := range c.Ops {
-		level := 0
-		for _, q := range op.Qubits {
-			if qDepth[q] > level {
-				level = qDepth[q]
-			}
-		}
-		if op.Clbit >= 0 && cDepth[op.Clbit] > level {
-			level = cDepth[op.Clbit]
-		}
-		if op.Kind != KindBarrier {
-			level++
-		}
-		for _, q := range op.Qubits {
-			qDepth[q] = level
-		}
-		if op.Clbit >= 0 {
-			cDepth[op.Clbit] = level
-		}
-		if level > depth {
-			depth = level
-		}
-	}
-	return depth
 }
 
 // Clone returns a deep copy of the circuit's registers and ops. The

@@ -122,54 +122,6 @@ func TestRegisters(t *testing.T) {
 	}
 }
 
-func TestDepthSerialVsParallel(t *testing.T) {
-	serial := New(1, 0)
-	serial.H(0)
-	serial.X(0)
-	serial.Z(0)
-	if d := serial.Depth(); d != 3 {
-		t.Fatalf("serial depth = %d, want 3", d)
-	}
-	parallel := New(3, 0)
-	parallel.H(0)
-	parallel.H(1)
-	parallel.H(2)
-	if d := parallel.Depth(); d != 1 {
-		t.Fatalf("parallel depth = %d, want 1", d)
-	}
-}
-
-func TestDepthTwoQubitChains(t *testing.T) {
-	c := New(3, 0)
-	c.CNOT(0, 1)
-	c.CNOT(1, 2)
-	if d := c.Depth(); d != 2 {
-		t.Fatalf("depth = %d, want 2", d)
-	}
-}
-
-func TestDepthBarrierSynchronises(t *testing.T) {
-	c := New(2, 0)
-	c.H(0) // depth 1 on q0
-	c.Barrier()
-	c.H(1) // must come after the barrier: depth 2
-	if d := c.Depth(); d != 2 {
-		t.Fatalf("depth with barrier = %d, want 2", d)
-	}
-}
-
-func TestGateCounts(t *testing.T) {
-	c := New(2, 1)
-	c.H(0)
-	c.H(1)
-	c.CNOT(0, 1)
-	c.Measure(0, 0)
-	counts := c.GateCounts()
-	if counts[KindH] != 2 || counts[KindCNOT] != 1 || counts[KindMeasure] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	c := New(2, 1)
 	c.CNOT(0, 1)
@@ -221,94 +173,5 @@ func TestStringRendering(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if KindCNOT.String() != "cx" || KindReset.String() != "reset" {
 		t.Fatal("kind mnemonics wrong")
-	}
-}
-
-func TestKindProperties(t *testing.T) {
-	if !KindH.IsUnitary() || KindMeasure.IsUnitary() || KindReset.IsUnitary() {
-		t.Fatal("IsUnitary misclassifies")
-	}
-	if KindCNOT.Arity() != 2 || KindH.Arity() != 1 || KindBarrier.Arity() != -1 {
-		t.Fatal("Arity misclassifies")
-	}
-}
-
-func TestDAGLinearChain(t *testing.T) {
-	c := New(1, 0)
-	c.H(0)
-	c.X(0)
-	c.Z(0)
-	d := BuildDAG(c)
-	if d.NumNodes() != 3 {
-		t.Fatalf("nodes = %d", d.NumNodes())
-	}
-	if len(d.Successors(0)) != 1 || d.Successors(0)[0] != 1 {
-		t.Fatalf("succ(0) = %v", d.Successors(0))
-	}
-	if len(d.Predecessors(2)) != 1 || d.Predecessors(2)[0] != 1 {
-		t.Fatalf("pred(2) = %v", d.Predecessors(2))
-	}
-}
-
-func TestDAGIndependentOps(t *testing.T) {
-	c := New(2, 0)
-	c.H(0)
-	c.H(1)
-	d := BuildDAG(c)
-	if len(d.Successors(0)) != 0 || len(d.Successors(1)) != 0 {
-		t.Fatal("independent ops should have no edges")
-	}
-}
-
-func TestDAGDescendants(t *testing.T) {
-	c := New(3, 0)
-	c.H(0)       // 0
-	c.CNOT(0, 1) // 1 depends on 0
-	c.CNOT(1, 2) // 2 depends on 1
-	c.H(2)       // 3 depends on 2
-	d := BuildDAG(c)
-	if got := d.DescendantCount(0); got != 3 {
-		t.Fatalf("descendants of op 0 = %d, want 3", got)
-	}
-	if got := d.DescendantCount(3); got != 0 {
-		t.Fatalf("descendants of last op = %d, want 0", got)
-	}
-}
-
-func TestDAGClassicalDependency(t *testing.T) {
-	c := New(2, 1)
-	c.Measure(0, 0) // writes c0
-	c.Measure(1, 0) // also writes c0: must be ordered after
-	d := BuildDAG(c)
-	if len(d.Successors(0)) != 1 {
-		t.Fatal("classical bit dependency not tracked")
-	}
-}
-
-func TestQubitFirstUse(t *testing.T) {
-	c := New(3, 0)
-	c.H(1)
-	c.CNOT(1, 2)
-	d := BuildDAG(c)
-	first := d.QubitFirstUse()
-	if first[0] != -1 || first[1] != 0 || first[2] != 1 {
-		t.Fatalf("first use = %v", first)
-	}
-}
-
-func TestQubitInfluenceGradient(t *testing.T) {
-	// In a CNOT ladder 0->1->2->3 the earlier qubits influence strictly
-	// more downstream operations — the mechanism behind Observation VII.
-	c := New(4, 0)
-	c.CNOT(0, 1)
-	c.CNOT(1, 2)
-	c.CNOT(2, 3)
-	d := BuildDAG(c)
-	infl := d.QubitInfluence()
-	if !(infl[0] >= infl[2] && infl[1] >= infl[3]) {
-		t.Fatalf("influence not monotone along the ladder: %v", infl)
-	}
-	if infl[0] != 3 {
-		t.Fatalf("influence[0] = %d, want 3", infl[0])
 	}
 }

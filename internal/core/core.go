@@ -107,7 +107,7 @@ type CodeSpec struct {
 type Options struct {
 	// Code selects the surface code.
 	Code CodeSpec
-	// Topology names the architecture graph (see arch.Names); it is
+	// Topology names the architecture graph (see arch.ByName); it is
 	// sized automatically to fit the code.
 	Topology string
 	// PhysicalErrorRate is the intrinsic depolarizing rate p
@@ -354,7 +354,7 @@ func ResolveEngineRoute(engine string) (EngineRoute, error) {
 		return EngineRoute{
 			Requested: EngineAuto,
 			Resolved:  EngineBatch,
-			Reason:    "auto: universal frame engine covers the full Clifford set; 64-shot bit-parallel path",
+			Reason:    "auto: universal frame engine covers the full Clifford set; 512-shot bit-parallel tiles",
 		}, nil
 	default:
 		return EngineRoute{}, fmt.Errorf("core: unknown engine %q (want one of %v)", engine, Engines())
@@ -374,18 +374,13 @@ func (s *Simulator) engine() string {
 	return eng
 }
 
-// runWith executes one fixed-shot campaign on the resolved engine.
-func (s *Simulator) runWith(ev *noise.RadiationEvent, seed uint64,
-	decode func([]int) int, decodeTile frame.TileDecodeFunc) Result {
+// run executes one fixed-shot campaign on the resolved engine.
+func (s *Simulator) run(ev *noise.RadiationEvent, seed uint64) Result {
 	run := NewEngineRunner(s.engine(), s.tr.Circuit,
 		noise.NewDepolarizing(s.opts.PhysicalErrorRate), ev, seed,
-		s.code.ExpectedLogical(), decode, decodeTile, 0, s.opts.Workers)
+		s.code.ExpectedLogical(), s.decode, s.decodeTile, 0, s.opts.Workers)
 	shots, errors := run(0, s.opts.Shots)
 	return Result{Shots: shots, Errors: errors}
-}
-
-func (s *Simulator) run(ev *noise.RadiationEvent, seed uint64) Result {
-	return s.runWith(ev, seed, s.decode, s.decodeTile)
 }
 
 // Clean estimates the logical error rate with intrinsic noise only.
@@ -397,23 +392,13 @@ func (s *Simulator) Clean() Result {
 // qubit: the fault spreads spatially with S(d) and decays over the ns
 // temporal samples of T̂(t).
 func (s *Simulator) Strike(root int) EvolutionResult {
-	return s.strike(root, true)
-}
-
-// StrikeNoSpread is Strike with the spatial expansion removed — the
-// erasure configuration of the paper's Figures 6 and 7.
-func (s *Simulator) StrikeNoSpread(root int) EvolutionResult {
-	return s.strike(root, false)
-}
-
-func (s *Simulator) strike(root int, spread bool) EvolutionResult {
 	if root < 0 || root >= s.NumPhysicalQubits() {
 		panic(fmt.Sprintf("core: strike root %d out of range", root))
 	}
 	samples := noise.TemporalSamples(s.opts.TemporalSamples)
 	out := EvolutionResult{Samples: make([]Result, len(samples))}
 	for k, rootProb := range samples {
-		ev := noise.NewRadiationEvent(s.dist[root], rootProb, spread)
+		ev := noise.NewRadiationEvent(s.dist[root], rootProb, true)
 		out.Samples[k] = s.run(ev, s.opts.Seed+uint64(k)*7919)
 	}
 	return out
@@ -437,11 +422,4 @@ func (s *Simulator) Erase(members []int) Result {
 		probs[q] = 1
 	}
 	return s.run(&noise.RadiationEvent{Probs: probs}, s.opts.Seed)
-}
-
-// RawReadoutStrike estimates the error of the uncorrected ancilla
-// readout under a full-impact strike, for decoder-vs-raw comparisons.
-func (s *Simulator) RawReadoutStrike(root int, spread bool) Result {
-	ev := noise.NewRadiationEvent(s.dist[root], 1.0, spread)
-	return s.runWith(ev, s.opts.Seed, s.code.RawLogical, s.code.RawLogicalTile)
 }

@@ -156,14 +156,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRawReadoutStrike(t *testing.T) {
-	sim := quickSim(t, CodeSpec{Family: FamilyRepetition, DZ: 5}, "mesh")
-	res := sim.RawReadoutStrike(sim.UsedQubits()[0], true)
-	if res.Shots != 200 {
-		t.Fatalf("shots = %d", res.Shots)
-	}
-}
-
 func TestSimulatorOnIBMDevices(t *testing.T) {
 	for _, topo := range []string{"cairo", "almaden", "brooklyn", "cambridge", "johannesburg"} {
 		sim := quickSim(t, CodeSpec{Family: FamilyXXZZ, DZ: 3, DX: 3}, topo)

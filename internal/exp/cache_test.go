@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"radqec/internal/arch"
 	"radqec/internal/store"
 	"radqec/internal/sweep"
+	"radqec/internal/telemetry"
 )
 
 // fingerprintFor builds a small spec and fingerprints it under cfg.
@@ -62,8 +65,8 @@ func tableText(t *testing.T, tab *Table) string {
 
 // TestStoreResumeByteIdenticalTables is the acceptance-criterion test
 // at the experiment level: a campaign killed mid-flight (its store
-// left holding only batch checkpoints) and resumed with -store/-resume
-// semantics emits a byte-identical table to an uninterrupted run, and
+// left holding only batch checkpoints) and rerun against that store
+// emits a byte-identical table to an uninterrupted run, and
 // a warm re-run serves every point from the cache without touching the
 // engines.
 func TestStoreResumeByteIdenticalTables(t *testing.T) {
@@ -120,7 +123,6 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 	}
 	rcfg := base
 	rcfg.Cache = killed
-	rcfg.Resume = true
 	var resumedCached int
 	rcfg.OnPoint = func(r sweep.Result) {
 		if r.Cached {
@@ -159,6 +161,67 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 		t.Fatalf("warm run: %d/%d points cached", cached, points)
 	}
 	killed.Close()
+}
+
+// TestCancelledStoreRunResumesWithoutAnOption: a -store run cancelled at
+// a batch boundary and rerun with the same Config — there is no resume
+// option to set — starts its interrupted points at their checkpoints
+// (the first engine call of such a point begins past shot zero, and the
+// rerun executes fewer shots than a cold run) and emits the
+// byte-identical table. One worker makes the schedule exact: every
+// point runs its first batch before the first point runs its second,
+// finishes and triggers the cancel.
+func TestCancelledStoreRunResumesWithoutAnOption(t *testing.T) {
+	base := Config{Shots: 1024, Seed: 12345, Workers: 1}
+	ref, err := Threshold(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cfg := base
+	cfg.Cache = st
+	cfg.Context = ctx
+	cfg.OnPoint = func(sweep.Result) { cancel(errors.New("killed")) }
+	threshold, _ := Find("threshold") // the registry's guard turns the abort into an error
+	if _, err := threshold.Run(cfg); err == nil {
+		t.Fatal("cancelled run reported success")
+	}
+
+	tel := telemetry.NewCampaign(1, "threshold")
+	rcfg := base
+	rcfg.Cache = st
+	rcfg.Telemetry = tel
+	rerun, err := Threshold(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tableText(t, rerun), tableText(t, ref); got != want {
+		t.Fatalf("rerun diverged from uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	sigs, _ := tel.Since(0, telemetry.RingSize)
+	seen := make(map[string]bool)
+	var resumed, engineShots int
+	for _, s := range sigs {
+		if s.CacheHit || s.Event != "" {
+			continue
+		}
+		engineShots += s.Shots
+		if !seen[s.Key] && s.Start > 0 {
+			resumed++
+		}
+		seen[s.Key] = true
+	}
+	if resumed == 0 {
+		t.Fatal("no interrupted point started from its checkpoint")
+	}
+	if cold := int(tel.Stats().PointsDone) * base.Shots; engineShots >= cold {
+		t.Fatalf("rerun executed %d engine shots, a cold run executes %d", engineShots, cold)
+	}
 }
 
 // TestSharedSchedulerMatchesPrivatePool: running an experiment on an

@@ -108,14 +108,10 @@ type Config struct {
 	Rounds int
 	// Cache, when set, persists every sweep point under its canonical
 	// spec hash (see specFingerprint): committed points are served
-	// without re-running the engine, and batch-boundary checkpoints
-	// leave interrupted campaigns resumable. The disk-backed
+	// without re-running the engine, and interrupted points restart at
+	// their last batch-boundary checkpoint. The disk-backed
 	// implementation is store.Store.
 	Cache sweep.PointCache
-	// Resume consumes partial checkpoints from Cache, restarting
-	// interrupted points at their last batch boundary instead of shot
-	// zero. Committed points are served regardless of Resume.
-	Resume bool
 	// Scheduler, when set, runs every sweep on this shared worker pool
 	// — the daemon sets it so concurrent client campaigns share one CPU
 	// budget fairly instead of oversubscribing.
@@ -140,8 +136,7 @@ type Config struct {
 	// it from the registry's TailCols declaration.
 	TailSensitive bool
 	// Trace, when sampled, is the campaign's root span context: sweeps
-	// record point/chunk/commit spans under it and the engine's decode
-	// share is timed into per-chunk decode spans. Like Telemetry it is
+	// record point/chunk/decode/commit spans under it. Like Telemetry it is
 	// pure mechanism — deliberately absent from specFingerprint, so
 	// tracing never perturbs results or content addresses.
 	Trace trace.SpanContext
@@ -205,7 +200,6 @@ func (c Config) sweepConfig() sweep.Config {
 			Workers:   c.Workers,
 			OnResult:  c.OnPoint,
 			Cache:     c.Cache,
-			Resume:    c.Resume,
 			Scheduler: c.Scheduler,
 			Remote:    c.Remote,
 			Telemetry: c.Telemetry,
@@ -426,9 +420,11 @@ func (s pointSpec) fingerprint(cfg Config) string {
 // Specs that leave decode nil read the campaign through the configured
 // decoder (scalar and word-parallel views resolved together, so the
 // batched engine decodes lane-for-lane identically to the scalar
-// ones); specs that set decode keep their override. shotWorkers caps
-// the campaign's internal shot parallelism.
-func (s pointSpec) point(engine, decoder string, shotWorkers int, tc trace.SpanContext) sweep.Point {
+// ones); specs that set decode keep their override. Every engine call
+// reports its decode time in Counts.DecodeNS: two clock reads per
+// 512-shot tile on the batched engine, two per shot on the scalar
+// ones. shotWorkers caps the campaign's internal shot parallelism.
+func (s pointSpec) point(engine, decoder string, shotWorkers int) sweep.Point {
 	eng := s.engineFor(engine)
 	return sweep.Point{
 		Key: s.key,
@@ -441,81 +437,33 @@ func (s pointSpec) point(engine, decoder string, shotWorkers int, tc trace.SpanC
 					panic(fmt.Sprintf("exp: %v", err))
 				}
 			}
-			// Sampled campaigns time the decode share of every chunk
-			// into one decode span per engine call. The wrap happens
-			// only here, behind the sampling decision, so the unsampled
-			// hot path runs the exact pre-trace closures (the zero-alloc
-			// tile guard and the tracing-off bench measure that path).
-			var decNS *atomicNS
-			if tc.Sampled() {
-				decNS = &atomicNS{}
-				decode, dec = wrapDecode(decode, dec, decNS)
+			// decNS accumulates across the (possibly parallel) decode
+			// calls of one engine call.
+			var decNS atomic.Int64
+			timedDecode := func(bits []int) int {
+				t0 := time.Now()
+				v := decode(bits)
+				decNS.Add(time.Since(t0).Nanoseconds())
+				return v
+			}
+			timedTile := dec
+			if dec != nil {
+				timedTile = func(rec []uint64, w int, live, out []uint64) {
+					t0 := time.Now()
+					dec(rec, w, live, out)
+					decNS.Add(time.Since(t0).Nanoseconds())
+				}
 			}
 			run := core.NewEngineRunner(eng, s.prep.tr.Circuit,
 				noise.NewDepolarizing(s.phys), s.ev, s.seed,
-				s.prep.code.ExpectedLogical(), decode, dec, 0, shotWorkers)
-			if decNS == nil {
-				return func(start, n int) sweep.Counts {
-					shots, errors := run(start, n)
-					return sweep.Counts{Shots: shots, Errors: errors}
-				}
-			}
-			key := s.key
+				s.prep.code.ExpectedLogical(), timedDecode, timedTile, 0, shotWorkers)
 			return func(start, n int) sweep.Counts {
-				decNS.v.Store(0)
+				decNS.Store(0)
 				shots, errors := run(start, n)
-				emitDecodeSpan(tc, key, shots, decNS.v.Load())
-				return sweep.Counts{Shots: shots, Errors: errors}
+				return sweep.Counts{Shots: shots, Errors: errors, DecodeNS: decNS.Load()}
 			}
 		},
 	}
-}
-
-// atomicNS accumulates decode nanoseconds across the (possibly
-// parallel) decode calls of one engine chunk.
-type atomicNS struct{ v atomic.Int64 }
-
-// wrapDecode instruments the scalar and tile decode paths with wall
-// time accumulation. Only sampled campaigns install it; the tile path
-// adds two clock reads per 512-shot tile, the scalar path two per
-// shot word.
-func wrapDecode(decode func(bits []int) int, dec frame.TileDecodeFunc, ns *atomicNS) (func(bits []int) int, frame.TileDecodeFunc) {
-	wrappedScalar := decode
-	if decode != nil {
-		wrappedScalar = func(bits []int) int {
-			t0 := time.Now()
-			v := decode(bits)
-			ns.v.Add(time.Since(t0).Nanoseconds())
-			return v
-		}
-	}
-	wrappedTile := dec
-	if dec != nil {
-		wrappedTile = func(rec []uint64, w int, live, out []uint64) {
-			t0 := time.Now()
-			dec(rec, w, live, out)
-			ns.v.Add(time.Since(t0).Nanoseconds())
-		}
-	}
-	return wrappedScalar, wrappedTile
-}
-
-// emitDecodeSpan records one chunk's aggregated decode time as a
-// decode span under the point's open span (falling back to the
-// campaign span if the directory misses). The span is recorded at the
-// chunk's end, positioned to span exactly the accumulated decode
-// time.
-func emitDecodeSpan(tc trace.SpanContext, key string, shots int, ns int64) {
-	if !tc.Sampled() || ns <= 0 {
-		return
-	}
-	parent := tc.Recorder().PointSpan(key)
-	if !parent.Sampled() {
-		parent = tc
-	}
-	sp := parent.StartAt(trace.SpanDecode, key, time.Now().Add(-time.Duration(ns)))
-	sp.SetShots(shots)
-	sp.End()
 }
 
 // runSpecs fans the specs through the sweep engine, returning per-spec
@@ -560,7 +508,7 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 	}
 	points := make([]sweep.Point, len(specs))
 	for i, s := range specs {
-		points[i] = s.point(cfg.Engine, cfg.Decoder, shotWorkers, cfg.Trace)
+		points[i] = s.point(cfg.Engine, cfg.Decoder, shotWorkers)
 		points[i].TailSensitive = cfg.TailSensitive
 		if cfg.Cache != nil {
 			points[i].Hash = s.fingerprint(cfg)
@@ -643,12 +591,6 @@ func (p *prepared) evolutionSpecs(key string, cfg Config, root int, spread bool,
 			p.strikeAt(root, rootProb, spread), seed+uint64(k)*7919)
 	}
 	return specs
-}
-
-// evolutionRates returns the per-temporal-sample logical error rates of
-// a full strike evolution rooted at the given physical qubit.
-func (p *prepared) evolutionRates(cfg Config, root int, spread bool, seed uint64) []float64 {
-	return resultRates(runSpecs(cfg, p.evolutionSpecs(fmt.Sprintf("root%d", root), cfg, root, spread, seed)))
 }
 
 // usedRoots returns the physical qubits hosting circuit activity, the

@@ -495,8 +495,8 @@ func TestObservationVII(t *testing.T) {
 	// last-used data qubit, with full spread and time evolution.
 	first := p.tr.Initial.LogToPhys[code.Data.Start]
 	last := p.tr.Initial.LogToPhys[code.Data.Start+code.Data.Size-1]
-	early := stats.Mean(p.evolutionRates(cfg, first, true, 71))
-	late := stats.Mean(p.evolutionRates(cfg, last, true, 72))
+	early := stats.Mean(resultRates(runSpecs(cfg, p.evolutionSpecs("early", cfg, first, true, 71))))
+	late := stats.Mean(resultRates(runSpecs(cfg, p.evolutionSpecs("late", cfg, last, true, 72))))
 	if early < late-0.05 {
 		t.Fatalf("early-qubit strike (%.3f) should not be milder than late-qubit strike (%.3f)", early, late)
 	}

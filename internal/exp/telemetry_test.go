@@ -14,7 +14,7 @@ func TestTelemetryRecordsEngineRoute(t *testing.T) {
 	if _, err := Threshold(cfg); err != nil {
 		t.Fatal(err)
 	}
-	r := tel.Route()
+	r := tel.Stats().Route
 	if r == nil {
 		t.Fatal("no engine route recorded")
 	}

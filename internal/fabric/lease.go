@@ -56,17 +56,6 @@ func (t *LeaseTable) Claim(hash, owner string, ttl time.Duration) (ok bool, hold
 	return true, owner, ttl
 }
 
-// Release drops owner's lease on hash, if it still holds it — called
-// after the result commits, at which point the committed record (not
-// the lease) is what excludes recomputation.
-func (t *LeaseTable) Release(hash, owner string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l, live := t.leases[hash]; live && l.owner == owner {
-		delete(t.leases, hash)
-	}
-}
-
 // Holder returns the live lease holder of hash, or "" when the hash is
 // unleased or the lease has expired.
 func (t *LeaseTable) Holder(hash string) string {

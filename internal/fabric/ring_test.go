@@ -107,16 +107,3 @@ func TestLeaseClaimDenyExpiry(t *testing.T) {
 		t.Fatalf("counters granted=%d denied=%d, want 3/1", lt.Granted(), lt.Denied())
 	}
 }
-
-func TestLeaseRelease(t *testing.T) {
-	lt := NewLeaseTable()
-	lt.Claim("h1", "n1", time.Minute)
-	lt.Release("h1", "n2") // not the holder: no-op
-	if h := lt.Holder("h1"); h != "n1" {
-		t.Fatalf("release by non-holder dropped lease (holder=%q)", h)
-	}
-	lt.Release("h1", "n1")
-	if h := lt.Holder("h1"); h != "" {
-		t.Fatalf("lease survives holder release: %q", h)
-	}
-}

@@ -52,8 +52,7 @@
 //     anti-commuting with Z on the struck site), so entangled partners
 //     take correlated damage, and the struck site is then pinned to
 //     |0>. The residual error is the difference between the projected
-//     and unprojected reference trajectory; RadiationExact reports
-//     whether a campaign has any such site, and the tableau engine
+//     and unprojected reference trajectory; the tableau engine
 //     (package inject) remains the oracle for faithful heavy-radiation
 //     XXZZ campaigns.
 package frame
@@ -92,9 +91,6 @@ type Simulator struct {
 	// or 0 for superposed) of op i's j-th qubit right after the op,
 	// filled only where fires[i].
 	refZ []int8
-	// radExact records whether every strikeable site is a Z eigenstate
-	// in the reference (no branch operator can be injected).
-	radExact bool
 }
 
 // New builds a frame simulator. The reference execution is the
@@ -113,15 +109,14 @@ func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEven
 	comp := stab.CompiledOf(circ)
 	coins := comp.Coins(refSeed)
 	s := &Simulator{
-		circ:     circ,
-		dep:      dep,
-		rad:      rad,
-		samp:     dep.Skip(),
-		comp:     comp,
-		ref:      comp.Reference(coins),
-		fires:    make([]bool, len(circ.Ops)),
-		refZ:     make([]int8, comp.NumSites),
-		radExact: true,
+		circ:  circ,
+		dep:   dep,
+		rad:   rad,
+		samp:  dep.Skip(),
+		comp:  comp,
+		ref:   comp.Reference(coins),
+		fires: make([]bool, len(circ.Ops)),
+		refZ:  make([]int8, comp.NumSites),
 	}
 	// Wherever a radiation reset could strike, evaluate the reference
 	// Z-value of the struck qubit (needed to express the reset fault as
@@ -135,29 +130,11 @@ func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEven
 		s.fires[i] = true
 		base := comp.SiteBase[i]
 		for j := range op.Qubits {
-			v := comp.SiteZ(base+j, coins) // +1 |0>, -1 |1>, 0 superposed
-			s.refZ[base+j] = int8(v)
-			if v == 0 {
-				s.radExact = false
-			}
+			s.refZ[base+j] = int8(comp.SiteZ(base+j, coins)) // +1 |0>, -1 |1>, 0 superposed
 		}
 	}
 	return s
 }
-
-// Reference returns the recorded noiseless reference execution (shared,
-// not a copy): measurement record, determinism flags, op mapping.
-func (s *Simulator) Reference() *stab.Reference { return s.ref }
-
-// RadiationExact reports whether this campaign's radiation faults are
-// reproduced exactly: every site the event can strike holds a Z
-// eigenstate in the reference, so every reset deviation is a plain
-// Pauli. Depolarizing noise is always exact; this predicate only
-// concerns the radiation channel. The whole repetition family is
-// radiation-exact on every topology; XXZZ circuits under spreading
-// strikes are not (superposed mid-plaquette sites), and their rates
-// carry the documented collapsed-branch approximation.
-func (s *Simulator) RadiationExact() bool { return s.radExact }
 
 // mayFire reports whether the radiation event can strike any qubit of
 // the op (so reference Z-values are only recorded where needed).

@@ -463,39 +463,6 @@ func TestUniversalSamplingGHZ(t *testing.T) {
 	}
 }
 
-// TestRadiationExactPredicate pins the per-campaign exactness oracle:
-// repetition circuits are radiation-exact everywhere, XXZZ under a
-// spreading strike is not, and any circuit without radiation is.
-func TestRadiationExactPredicate(t *testing.T) {
-	rep, err := qec.NewRepetition(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trRep, err := arch.Transpile(rep.Circ, arch.Mesh(5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	distRep := trRep.Topo.Graph.AllPairsShortestPaths()
-	if !New(trRep.Circuit, noise.NewDepolarizing(0.01), noise.NewRadiationEvent(distRep[2], 1.0, true), 1).RadiationExact() {
-		t.Fatal("repetition radiation campaign should be radiation-exact")
-	}
-	xxzz, err := qec.NewXXZZ(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trXX, err := arch.Transpile(xxzz.Circ, arch.Mesh(5, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	distXX := trXX.Topo.Graph.AllPairsShortestPaths()
-	if New(trXX.Circuit, noise.NewDepolarizing(0.01), noise.NewRadiationEvent(distXX[2], 1.0, true), 1).RadiationExact() {
-		t.Fatal("XXZZ spreading strike should not be radiation-exact")
-	}
-	if !New(trXX.Circuit, noise.NewDepolarizing(0.01), nil, 1).RadiationExact() {
-		t.Fatal("radiation-free campaign should be radiation-exact")
-	}
-}
-
 // TestFrameXXZZDepolarizingMatchesTableau pins the universal engine's
 // exact domain on the paper's headline code: depolarizing-only XXZZ
 // rates from the frame engine must agree with the tableau within tight

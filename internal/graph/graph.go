@@ -2,14 +2,11 @@
 // hardware connectivity (architecture graphs) and the algorithms the
 // radiation study needs on them: shortest paths for SWAP routing and for
 // the spatial decay of a particle strike, connectivity checks, and the
-// connected-subgraph enumeration used to build correlated "hypernode"
+// connected-subgraph sampling used to build correlated "hypernode"
 // fault groups.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is a simple undirected graph on vertices 0..N-1 with unit edge
 // weights (the paper fixes every architecture edge weight to 1).
@@ -78,25 +75,6 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
-// Edges returns every edge once, as ordered pairs with u < v, sorted.
-func (g *Graph) Edges() [][2]int {
-	var out [][2]int
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				out = append(out, [2]int{u, v})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int {
 	total := 0
@@ -104,14 +82,6 @@ func (g *Graph) NumEdges() int {
 		total += len(a)
 	}
 	return total / 2
-}
-
-// AverageDegree returns the mean vertex degree, 0 for an empty graph.
-func (g *Graph) AverageDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(g.n)
 }
 
 // BFSFrom returns the unit-weight distance from src to every vertex.
@@ -136,12 +106,6 @@ func (g *Graph) BFSFrom(src int) []int {
 		}
 	}
 	return dist
-}
-
-// Distance returns the shortest-path length between u and v, or -1 when
-// disconnected.
-func (g *Graph) Distance(u, v int) int {
-	return g.BFSFrom(u)[v]
 }
 
 // AllPairsShortestPaths returns the full distance matrix (unit weights).
@@ -211,34 +175,6 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Components returns the connected components as sorted vertex lists.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for v := 0; v < g.n; v++ {
-		if seen[v] {
-			continue
-		}
-		var comp []int
-		queue := []int{v}
-		seen[v] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, w := range g.adj[u] {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // InducedConnected reports whether the sub-graph induced by vs is
 // connected and non-empty.
 func (g *Graph) InducedConnected(vs []int) bool {
@@ -263,17 +199,4 @@ func (g *Graph) InducedConnected(vs []int) bool {
 		}
 	}
 	return len(seen) == len(in)
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c
 }

@@ -82,20 +82,6 @@ func TestDegreeAndNeighbors(t *testing.T) {
 	}
 }
 
-func TestEdgesSortedUnique(t *testing.T) {
-	g := cycle(4)
-	edges := g.Edges()
-	want := [][2]int{{0, 1}, {0, 3}, {1, 2}, {2, 3}}
-	if len(edges) != len(want) {
-		t.Fatalf("got %d edges, want %d", len(edges), len(want))
-	}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Fatalf("edge %d = %v, want %v", i, edges[i], want[i])
-		}
-	}
-}
-
 func TestBFSPathGraph(t *testing.T) {
 	g := path(5)
 	d := g.BFSFrom(0)
@@ -112,17 +98,6 @@ func TestBFSDisconnected(t *testing.T) {
 	d := g.BFSFrom(0)
 	if d[2] != -1 || d[3] != -1 {
 		t.Fatalf("disconnected distances = %v, want -1", d[2:])
-	}
-}
-
-func TestDistanceGrid(t *testing.T) {
-	g := grid(5, 6)
-	// Manhattan distance on a grid without diagonals.
-	if got := g.Distance(0, 4); got != 4 {
-		t.Fatalf("Distance = %d, want 4", got)
-	}
-	if got := g.Distance(0, 29); got != 4+5 {
-		t.Fatalf("corner-to-corner = %d, want 9", got)
 	}
 }
 
@@ -147,7 +122,7 @@ func TestShortestPathEndpoints(t *testing.T) {
 	if p[0] != 0 || p[len(p)-1] != 24 {
 		t.Fatalf("path endpoints wrong: %v", p)
 	}
-	if len(p) != g.Distance(0, 24)+1 {
+	if len(p) != g.BFSFrom(0)[24]+1 {
 		t.Fatalf("path length %d inconsistent with distance", len(p))
 	}
 	for i := 0; i+1 < len(p); i++ {
@@ -188,16 +163,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(3, 4)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-}
-
 func TestInducedConnected(t *testing.T) {
 	g := grid(3, 3)
 	if !g.InducedConnected([]int{0, 1, 2}) {
@@ -208,78 +173,6 @@ func TestInducedConnected(t *testing.T) {
 	}
 	if g.InducedConnected(nil) {
 		t.Fatal("empty set should not be connected")
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := cycle(5)
-	c := g.Clone()
-	c.AddEdge(0, 2)
-	if g.HasEdge(0, 2) {
-		t.Fatal("clone shares state with original")
-	}
-	if c.NumEdges() != g.NumEdges()+1 {
-		t.Fatal("clone missing edges")
-	}
-}
-
-func TestAverageDegree(t *testing.T) {
-	if got := cycle(6).AverageDegree(); got != 2 {
-		t.Fatalf("cycle average degree = %v, want 2", got)
-	}
-	if got := New(0).AverageDegree(); got != 0 {
-		t.Fatalf("empty graph average degree = %v", got)
-	}
-}
-
-func TestConnectedSubgraphsPath(t *testing.T) {
-	// A path with n vertices has exactly n-k+1 connected subgraphs of
-	// size k (the contiguous windows).
-	g := path(6)
-	for k := 1; k <= 6; k++ {
-		subs := g.ConnectedSubgraphs(k, 0)
-		if len(subs) != 6-k+1 {
-			t.Fatalf("path(6) size-%d subgraphs = %d, want %d", k, len(subs), 6-k+1)
-		}
-		for _, s := range subs {
-			if !g.InducedConnected(s) {
-				t.Fatalf("subgraph %v not connected", s)
-			}
-		}
-	}
-}
-
-func TestConnectedSubgraphsNoDuplicates(t *testing.T) {
-	g := grid(3, 3)
-	subs := g.ConnectedSubgraphs(3, 0)
-	seen := map[string]bool{}
-	for _, s := range subs {
-		key := ""
-		for _, v := range s {
-			key += string(rune('a' + v))
-		}
-		if seen[key] {
-			t.Fatalf("duplicate subgraph %v", s)
-		}
-		seen[key] = true
-	}
-}
-
-func TestConnectedSubgraphsLimit(t *testing.T) {
-	g := grid(4, 4)
-	subs := g.ConnectedSubgraphs(4, 5)
-	if len(subs) != 5 {
-		t.Fatalf("limit ignored: got %d", len(subs))
-	}
-}
-
-func TestConnectedSubgraphsEdgeCases(t *testing.T) {
-	g := path(3)
-	if got := g.ConnectedSubgraphs(0, 0); got != nil {
-		t.Fatal("k=0 should return nil")
-	}
-	if got := g.ConnectedSubgraphs(4, 0); got != nil {
-		t.Fatal("k>n should return nil")
 	}
 }
 

@@ -6,88 +6,6 @@ import (
 	"radqec/internal/rng"
 )
 
-// ConnectedSubgraphs enumerates every connected induced subgraph with
-// exactly k vertices, up to limit results (limit <= 0 means unlimited).
-// Each result is a sorted vertex list. The enumeration is deterministic.
-//
-// The paper builds its "hypernode" fault groups (Figures 6 and 7) by
-// selecting connected subgraphs of the 5x6 architecture lattice and
-// resetting every qubit inside the group simultaneously.
-func (g *Graph) ConnectedSubgraphs(k, limit int) [][]int {
-	if k <= 0 || k > g.n {
-		return nil
-	}
-	var out [][]int
-	// Standard enumeration without duplicates: grow each subgraph only
-	// from its numerically smallest root, and only add neighbors larger
-	// than the root.
-	for root := 0; root < g.n; root++ {
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-		cur := []int{root}
-		inCur := map[int]bool{root: true}
-		frontier := g.extendCandidates(cur, inCur, root)
-		g.growSubgraphs(cur, inCur, frontier, root, k, limit, &out)
-	}
-	return out
-}
-
-// extendCandidates lists vertices adjacent to cur, greater than root and
-// not already chosen, in ascending order.
-func (g *Graph) extendCandidates(cur []int, inCur map[int]bool, root int) []int {
-	seen := map[int]bool{}
-	var cands []int
-	for _, u := range cur {
-		for _, v := range g.adj[u] {
-			if v > root && !inCur[v] && !seen[v] {
-				seen[v] = true
-				cands = append(cands, v)
-			}
-		}
-	}
-	sort.Ints(cands)
-	return cands
-}
-
-func (g *Graph) growSubgraphs(cur []int, inCur map[int]bool, frontier []int, root, k, limit int, out *[][]int) {
-	if limit > 0 && len(*out) >= limit {
-		return
-	}
-	if len(cur) == k {
-		snapshot := append([]int(nil), cur...)
-		sort.Ints(snapshot)
-		*out = append(*out, snapshot)
-		return
-	}
-	// Choose the next vertex from the frontier; to avoid duplicates each
-	// candidate may only be taken while earlier candidates are excluded.
-	for i, v := range frontier {
-		cur = append(cur, v)
-		inCur[v] = true
-		// New frontier: remaining candidates after v, plus v's unseen
-		// neighbors.
-		next := append([]int(nil), frontier[i+1:]...)
-		for _, w := range g.adj[v] {
-			if w > root && !inCur[w] && !containsSorted(next, w) {
-				next = append(next, w)
-			}
-		}
-		sort.Ints(next)
-		g.growSubgraphs(cur, inCur, next, root, k, limit, out)
-		delete(inCur, v)
-		cur = cur[:len(cur)-1]
-		if limit > 0 && len(*out) >= limit {
-			return
-		}
-	}
-}
-
-func containsSorted(s []int, v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
-}
-
 // SampleConnectedSubgraphs returns up to count connected induced
 // subgraphs with k vertices, sampled by random BFS growth. Results may
 // repeat across draws but each returned set is connected and of size k.

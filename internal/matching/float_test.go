@@ -1,87 +1,6 @@
 package matching
 
-import (
-	"math"
-	"testing"
-
-	"radqec/internal/rng"
-)
-
-func TestFloatMatchingMatchesIntegerOnScaledWeights(t *testing.T) {
-	// Float weights that are integer multiples of a unit exactly
-	// representable on the fixed-point grid must produce exactly the
-	// matching of the integer matcher on the multiples — the shape of
-	// the invariant that keeps unit-prior decoding bit-identical to
-	// unit-weight decoding (the DEM quantizes each mechanism once and
-	// sums integers, so its path weights are exactly proportional too).
-	src := rng.New(9)
-	const unit = 11.0 / 16 // dyadic: unit*WeightScale is an exact integer
-	for trial := 0; trial < 20; trial++ {
-		n := 6 + 2*int(src.Intn(4))
-		var intEdges []Edge
-		var floatEdges []EdgeF
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				w := int64(src.Intn(9))
-				intEdges = append(intEdges, Edge{I: i, J: j, W: w})
-				floatEdges = append(floatEdges, EdgeF{I: i, J: j, W: float64(w) * unit})
-			}
-		}
-		want, err := MinWeightPerfectMatching(n, intEdges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MinWeightPerfectMatchingFloat(n, floatEdges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d pairs vs %d", trial, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: pair %d = %v, want %v", trial, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-func TestFloatMatchingIsOptimal(t *testing.T) {
-	// Generic float weights: the quantized matching must reach the
-	// brute-force optimum within quantization resolution.
-	src := rng.New(21)
-	for trial := 0; trial < 15; trial++ {
-		n := 6
-		var floatEdges []EdgeF
-		var intEdges []Edge
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				w := 10 * src.Float64()
-				floatEdges = append(floatEdges, EdgeF{I: i, J: j, W: w})
-				intEdges = append(intEdges, Edge{I: i, J: j, W: QuantizeWeight(w)})
-			}
-		}
-		pairs, err := MinWeightPerfectMatchingFloat(n, floatEdges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, bestW, ok := bruteForceMinPerfect(n, intEdges)
-		if !ok {
-			t.Fatal("brute force found no perfect matching")
-		}
-		if got := MatchingWeight(intEdges, pairs); got != bestW {
-			t.Fatalf("trial %d: matching weight %d, optimum %d", trial, got, bestW)
-		}
-	}
-}
-
-func TestFloatMatchingRejectsInvalidWeights(t *testing.T) {
-	for _, w := range []float64{math.NaN(), math.Inf(1), -1} {
-		if _, err := MinWeightPerfectMatchingFloat(2, []EdgeF{{I: 0, J: 1, W: w}}); err == nil {
-			t.Fatalf("weight %v accepted", w)
-		}
-	}
-}
+import "testing"
 
 func TestQuantizeWeightResolution(t *testing.T) {
 	if QuantizeWeight(0) != 0 {

@@ -285,10 +285,12 @@ func TestGreedyValidButMaybeSuboptimal(t *testing.T) {
 				edges = append(edges, Edge{i, j, int64(src.Intn(60))})
 			}
 		}
-		gp, err := GreedyPerfectMatching(n, edges)
+		var ws Workspace
+		mate, err := ws.GreedyPerfectMatching(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
+		gp := matePairs(mate)
 		if len(gp) != n/2 {
 			t.Fatalf("greedy pairs = %v", gp)
 		}

@@ -84,17 +84,8 @@ func MatchingWeight(edges []Edge, pairs [][2]int) int64 {
 
 // GreedyPerfectMatching is the ablation baseline decoder: it sorts the
 // edges by weight and matches greedily. It is fast but not optimal; the
-// ablation bench quantifies the accuracy it gives up versus blossom.
-// Pairs come back as MinWeightPerfectMatching lists them.
-func GreedyPerfectMatching(nvertex int, edges []Edge) ([][2]int, error) {
-	ws := workspaces.Get().(*Workspace)
-	defer workspaces.Put(ws)
-	mate, err := ws.GreedyPerfectMatching(nvertex, edges)
-	return matePairs(mate), err
-}
-
-// GreedyPerfectMatching is the package-level function on caller-owned
-// storage, returning mates like the workspace's MinWeightPerfectMatching.
+// ablation-decoder experiment quantifies the accuracy it gives up versus
+// blossom. Mates come back like the workspace's MinWeightPerfectMatching.
 func (ws *Workspace) GreedyPerfectMatching(nvertex int, edges []Edge) ([]int, error) {
 	if nvertex%2 != 0 {
 		return nil, fmt.Errorf("matching: perfect matching impossible on %d (odd) vertices", nvertex)

@@ -187,25 +187,3 @@ func (r *RadiationEvent) Fires(q int, src *rng.Source) bool {
 	}
 	return src.Bool(r.Probs[q])
 }
-
-// MaxProb returns the largest per-qubit probability in the event.
-func (r *RadiationEvent) MaxProb() float64 {
-	m := 0.0
-	for _, p := range r.Probs {
-		if p > m {
-			m = p
-		}
-	}
-	return m
-}
-
-// Affected returns the indices of qubits with non-zero fault probability.
-func (r *RadiationEvent) Affected() []int {
-	var out []int
-	for q, p := range r.Probs {
-		if p > 0 {
-			out = append(out, q)
-		}
-	}
-	return out
-}

@@ -86,16 +86,3 @@ func SpatialScaled(d int, n float64) float64 {
 	}
 	return n * n / ((float64(d) + n) * (float64(d) + n))
 }
-
-// Decay returns F(t, d) = T(t)·S(d), the transient error decay function
-// (Equation 7): the probability that a gate applied to a qubit at
-// architecture distance d from the impact point, at normalised time t,
-// is followed by a reset fault.
-func Decay(t float64, d int) float64 {
-	return Temporal(t) * Spatial(d)
-}
-
-// DecayStep is Decay with the step-approximated temporal component.
-func DecayStep(t float64, d, ns int) float64 {
-	return TemporalStep(t, ns) * Spatial(d)
-}

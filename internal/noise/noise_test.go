@@ -3,7 +3,6 @@ package noise
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"radqec/internal/rng"
 )
@@ -126,23 +125,6 @@ func TestSpatialMonotone(t *testing.T) {
 	}
 }
 
-func TestDecayProduct(t *testing.T) {
-	prop := func(rawT float64, rawD uint8) bool {
-		tt := math.Mod(math.Abs(rawT), 1)
-		d := int(rawD % 20)
-		return almostEqual(Decay(tt, d), Temporal(tt)*Spatial(d), 1e-12)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecayStepProduct(t *testing.T) {
-	if got, want := DecayStep(0.35, 2, 10), TemporalStep(0.35, 10)*Spatial(2); !almostEqual(got, want, 1e-12) {
-		t.Fatalf("DecayStep = %v, want %v", got, want)
-	}
-}
-
 func TestDepolarizingZeroRate(t *testing.T) {
 	d := NewDepolarizing(0)
 	src := rng.New(1)
@@ -231,11 +213,13 @@ func TestRadiationEventScalesWithTime(t *testing.T) {
 
 func TestNoRadiation(t *testing.T) {
 	ev := NoRadiation(4)
-	if ev.MaxProb() != 0 {
-		t.Fatal("NoRadiation has non-zero probability")
+	if len(ev.Probs) != 4 {
+		t.Fatalf("NoRadiation covers %d qubits, want 4", len(ev.Probs))
 	}
-	if got := ev.Affected(); got != nil {
-		t.Fatalf("NoRadiation affects %v", got)
+	for q, p := range ev.Probs {
+		if p != 0 {
+			t.Fatalf("NoRadiation strikes qubit %d with probability %v", q, p)
+		}
 	}
 }
 
@@ -267,27 +251,6 @@ func TestFiresRate(t *testing.T) {
 	}
 	if rate := float64(hits) / trials; !almostEqual(rate, 0.4, 0.01) {
 		t.Fatalf("fire rate = %v, want 0.4", rate)
-	}
-}
-
-func TestAffected(t *testing.T) {
-	ev := NewRadiationEvent([]int{3, 0, -1, 1}, 1, true)
-	got := ev.Affected()
-	want := []int{0, 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("affected = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("affected = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMaxProb(t *testing.T) {
-	ev := NewRadiationEvent([]int{1, 0, 2}, 0.9, true)
-	if !almostEqual(ev.MaxProb(), 0.9, 1e-12) {
-		t.Fatalf("MaxProb = %v", ev.MaxProb())
 	}
 }
 

@@ -176,24 +176,3 @@ func (s *Source) Bernoulli64(p float64) uint64 {
 	}
 	return lt
 }
-
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -165,44 +164,6 @@ func TestBoolRate(t *testing.T) {
 	rate := float64(hits) / trials
 	if math.Abs(rate-p) > 0.01 {
 		t.Fatalf("Bool(%v) rate = %v", p, rate)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed uint64, rawN uint8) bool {
-		n := int(rawN%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	s := New(18)
-	v := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range v {
-		sum += x
-	}
-	s.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	got := 0
-	for _, x := range v {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element sum: %d != %d", got, sum)
 	}
 }
 

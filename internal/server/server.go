@@ -286,7 +286,6 @@ func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
 		Engine:    r.Engine,
 		Decoder:   r.Decoder,
 		Scheduler: s.sched,
-		Resume:    true,
 	}
 	if s.st != nil && !r.NoCache {
 		cfg.Cache = s.st

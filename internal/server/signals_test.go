@@ -39,6 +39,7 @@ func submitForID(t *testing.T, ts *httptest.Server, req CampaignRequest) string 
 
 // TestSignalsStreamEndpoint: a completed campaign's signals replay over
 // GET /v1/campaigns/{id}/signals as NDJSON — per-chunk signal records
+// (each with the decoder's share of its wall time, sampled or not)
 // closed by one aggregate stats record carrying the engine route.
 func TestSignalsStreamEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t)
@@ -57,6 +58,7 @@ func TestSignalsStreamEndpoint(t *testing.T) {
 		}
 		var signals int
 		var shots int
+		var decodeNS int64
 		var last statsRecord
 		sawStats := false
 		sc := bufio.NewScanner(resp.Body)
@@ -79,6 +81,7 @@ func TestSignalsStreamEndpoint(t *testing.T) {
 				}
 				signals++
 				shots += rec.Shots
+				decodeNS += rec.DecodeNS
 			case "stats":
 				if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
 					t.Fatal(err)
@@ -100,6 +103,10 @@ func TestSignalsStreamEndpoint(t *testing.T) {
 		}
 		if !last.Done || last.Shots == 0 || int(last.Shots) != shots {
 			t.Fatalf("stats record inconsistent with signals: %+v (signal shots %d)", last.Stats, shots)
+		}
+		// The campaign is unsampled: decode time needs no tracing.
+		if decodeNS == 0 || last.DecodeNS != decodeNS {
+			t.Fatalf("stats decode_ns %d, chunks carry %d (want equal and non-zero)", last.DecodeNS, decodeNS)
 		}
 		if last.Route == nil || last.Route.Resolved == "" {
 			t.Fatalf("stats record missing the engine route: %+v", last.Stats)

@@ -391,32 +391,3 @@ func (t *Tableau) ExpectationZ(q int) int {
 	}
 	return -1
 }
-
-// StabilizerStrings renders the current stabilizer generators as Pauli
-// strings with signs, e.g. "+ZZI". Intended for tests and debugging.
-func (t *Tableau) StabilizerStrings() []string {
-	out := make([]string, t.n)
-	for i := t.n; i < 2*t.n; i++ {
-		buf := make([]byte, 0, t.n+1)
-		if t.r[i] == 1 {
-			buf = append(buf, '-')
-		} else {
-			buf = append(buf, '+')
-		}
-		for q := 0; q < t.n; q++ {
-			xb, zb := t.getX(i, q), t.getZ(i, q)
-			switch {
-			case xb == 1 && zb == 1:
-				buf = append(buf, 'Y')
-			case xb == 1:
-				buf = append(buf, 'X')
-			case zb == 1:
-				buf = append(buf, 'Z')
-			default:
-				buf = append(buf, 'I')
-			}
-		}
-		out[i-t.n] = string(buf)
-	}
-	return out
-}

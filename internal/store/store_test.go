@@ -369,7 +369,6 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 			s := openT(t, dir, Options{})
 			ccfg := cfg
 			ccfg.Cache = s
-			ccfg.Resume = true
 			got := mustRun(t, ccfg, []sweep.Point{point("h")})[0]
 			if got.Cached {
 				t.Fatalf("cfg %d k=%d: resumed run reported Cached", ci, k)

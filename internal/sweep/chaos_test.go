@@ -61,7 +61,7 @@ func TestChaosCancelEveryBoundaryResumesByteIdentical(t *testing.T) {
 	const n = 6
 	pol := Policy{Shots: 600, Batch: 100, Align: 64}
 	mech := func(cache PointCache) Mechanism {
-		return Mechanism{Workers: 2, Cache: cache, Resume: true}
+		return Mechanism{Workers: 2, Cache: cache}
 	}
 	baseline := runT(t, Config{Policy: pol, Mechanism: mech(newMapCache())}, chaosPoints(n))
 	// Count the boundaries an uninterrupted run crosses, then kill
@@ -106,7 +106,7 @@ func TestChaosCancelFlushesPartialCheckpoints(t *testing.T) {
 	cache := newMapCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cc := &cancellingCache{PointCache: cache, cancel: cancel, after: 4}
-	_, err := Run(ctx, Config{Policy: pol, Mechanism: Mechanism{Workers: 2, Cache: cc, Resume: true}}, chaosPoints(4))
+	_, err := Run(ctx, Config{Policy: pol, Mechanism: Mechanism{Workers: 2, Cache: cc}}, chaosPoints(4))
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -120,7 +120,7 @@ func TestChaosCancelFlushesPartialCheckpoints(t *testing.T) {
 	// Resume: progress must carry over, not restart from shot zero.
 	var computed atomic.Int64
 	cfg := Config{Policy: pol, Mechanism: Mechanism{
-		Workers: 2, Cache: cache, Resume: true,
+		Workers: 2, Cache: cache,
 		OnResult: func(r Result) {
 			if !r.Cached {
 				computed.Add(1)

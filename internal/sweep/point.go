@@ -73,7 +73,6 @@ func (pr *pointRun) endSpan(detail string, err error) {
 	if !pr.span.Sampled() {
 		return
 	}
-	pr.cfg.Trace.Recorder().ClearPointSpan(pr.p.Key)
 	pr.span.SetShots(pr.res.Shots)
 	if detail != "" {
 		pr.span.SetDetail(detail)
@@ -95,9 +94,6 @@ func (pr *pointRun) begin() bool {
 	pr.res = Result{Key: pr.p.Key}
 	pr.span = pr.cfg.Trace.Start(trace.SpanPoint, pr.p.Key)
 	pr.span.SetHash(pr.p.Hash)
-	if pr.span.Sampled() {
-		pr.cfg.Trace.Recorder().SetPointSpan(pr.p.Key, pr.span.Context())
-	}
 	tel := pr.cfg.Telemetry
 	if pr.cache != nil {
 		if cp, ok := pr.cache.Lookup(pr.p.Hash); ok {
@@ -114,11 +110,9 @@ func (pr *pointRun) begin() bool {
 			}
 			return true
 		}
-		if pr.cfg.Resume {
-			if cp, ok := pr.cache.LookupPartial(pr.p.Hash); ok {
-				pr.res.loadCached(cp)
-				pr.ckptShots = pr.res.Shots
-			}
+		if cp, ok := pr.cache.LookupPartial(pr.p.Hash); ok {
+			pr.res.loadCached(cp)
+			pr.ckptShots = pr.res.Shots
 		}
 	}
 	if tel != nil && pr.cfg.Cache != nil {
@@ -189,6 +183,13 @@ func (pr *pointRun) runBatch(ws *workerState) {
 	if cs.Sampled() {
 		cs.SetShots(c.Shots)
 		cs.End()
+		if c.DecodeNS > 0 {
+			// One decode span per chunk under the point span, placed to
+			// end with the chunk and last the accumulated decode time.
+			ds := pr.span.Context().StartAt(trace.SpanDecode, pr.p.Key, time.Now().Add(-time.Duration(c.DecodeNS)))
+			ds.SetShots(c.Shots)
+			ds.End()
+		}
 	}
 	if tel != nil {
 		wall := time.Since(t0).Nanoseconds()
@@ -207,6 +208,7 @@ func (pr *pointRun) runBatch(ws *workerState) {
 			Shots:       c.Shots,
 			Errors:      c.Errors,
 			WallNS:      wall,
+			DecodeNS:    c.DecodeNS,
 			ShotsPerSec: sps,
 			HWBefore:    hwBefore,
 			HWAfter:     stats.WilsonHalfWidth(m.Errors, m.Shots),

@@ -29,6 +29,12 @@ import (
 // Counts accumulates the shot outcomes of one point.
 type Counts struct {
 	Shots, Errors int
+	// DecodeNS is the time one engine call spent in the decoder, summed
+	// over its (possibly parallel) decode calls — how a BatchRunner
+	// reports it to the sweep, which puts it on the chunk's telemetry
+	// signal and decode span. merge never folds it, so it reaches no
+	// Result, CachedPoint, point record or fingerprint.
+	DecodeNS int64
 }
 
 func (c *Counts) merge(o Counts) {
@@ -94,9 +100,10 @@ type Policy struct {
 	Batch int
 	// Align, when above 1, rounds every batch size up to a multiple of
 	// it (capped by the remaining budget, so totals are unchanged).
-	// Bit-parallel campaigns set it to 64 so batches fill whole shot
-	// words; by the BatchRunner contract alignment never changes the
-	// merged counts, only how the work is chunked.
+	// Bit-parallel campaigns set it to the engine's tile (512 shots,
+	// frame.TileShots) so batches fill whole tiles; by the BatchRunner
+	// contract alignment never changes the merged counts, only how the
+	// work is chunked.
 	Align int
 }
 
@@ -114,14 +121,12 @@ type Mechanism struct {
 	// Cache, when set, persists point progress for the points that carry
 	// a content hash: committed results short-circuit the point without
 	// calling Prepare, and every completed batch is checkpointed so a
-	// killed sweep can resume mid-point. Results are unchanged by the
-	// cache — a hit replays exactly what an uninterrupted run produced.
+	// killed sweep picks its interrupted points back up at their last
+	// batch boundary (by the BatchRunner's (start, n) contract that is
+	// byte-identical to restarting from shot zero). Results are unchanged
+	// by the cache — a hit replays exactly what an uninterrupted run
+	// produced.
 	Cache PointCache
-	// Resume consumes batch-level checkpoints for points the cache holds
-	// partial progress on: the point restarts from the last batch
-	// boundary via the BatchRunner's (start, n) contract instead of from
-	// shot zero. Committed results are served regardless of Resume.
-	Resume bool
 	// Scheduler, when set, runs the sweep's points on this shared worker
 	// pool (fair across concurrent campaigns) instead of a private one.
 	Scheduler *Scheduler
@@ -141,7 +146,7 @@ type Mechanism struct {
 	// plus batch, point and cache counters. Strictly observational.
 	Telemetry *telemetry.Campaign
 	// Trace, when sampled, is the campaign's root span context: every
-	// point records point/chunk-run/store-commit spans under it. The
+	// point records point/chunk-run/decode/store-commit spans under it. The
 	// zero value (sampling off) keeps the hot path at a single pointer
 	// test — tracing, like Telemetry, is pure Mechanism and never
 	// reaches a Result.

@@ -1,10 +1,11 @@
 // Package telemetry is the runtime-signals layer of the campaign
 // engine: every engine invocation the sweep mechanism makes emits one
-// Signal — shots, wall time, throughput, the Wilson half-width before
-// and after the chunk, the tail-CI width for tail-sensitive points,
-// cache hits and process allocation deltas — onto a lock-free
-// per-campaign ring. The HTTP daemon's /metrics and signals stream and
-// the CLI's -stats report all consume the same structs.
+// Signal — shots, wall time, the decoder's part of it, throughput, the
+// Wilson half-width before and after the chunk, the tail-CI width for
+// tail-sensitive points, cache hits and process allocation deltas —
+// onto a lock-free per-campaign ring. The HTTP daemon's /metrics and
+// signals stream and the CLI's -stats report all consume the same
+// structs.
 //
 // Telemetry is strictly observational: nothing in this package feeds
 // back into shot streams, batch boundaries or scheduling, so recording
@@ -46,6 +47,10 @@ type Signal struct {
 	// throughput.
 	WallNS      int64   `json:"wall_ns"`
 	ShotsPerSec float64 `json:"shots_per_sec"`
+	// DecodeNS is the part of the chunk spent in the decoder, summed
+	// over its decode calls: a share of WallNS on one shot worker, up to
+	// the worker count times WallNS when a point fans its shots out.
+	DecodeNS int64 `json:"decode_ns,omitempty"`
 	// HWBefore and HWAfter bracket the point's Wilson 95% half-width
 	// across the chunk.
 	HWBefore float64 `json:"hw_before"`
@@ -110,6 +115,7 @@ type Campaign struct {
 	chunks      atomic.Int64
 	batches     atomic.Int64
 	wallNS      atomic.Int64
+	decodeNS    atomic.Int64
 	prepareNS   atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
@@ -152,6 +158,7 @@ func (c *Campaign) Record(s Signal) {
 		c.errors.Add(int64(s.Errors))
 		c.chunks.Add(1)
 		c.wallNS.Add(s.WallNS)
+		c.decodeNS.Add(s.DecodeNS)
 		c.allocBytes.Add(s.AllocBytes)
 		if s.CacheHit {
 			c.cacheHits.Add(1)
@@ -191,9 +198,6 @@ func (c *Campaign) SetQueueDepth(depth int) { c.queueDepth.Store(int64(depth)) }
 
 // SetRoute records the engine-resolution decision for the campaign.
 func (c *Campaign) SetRoute(r Route) { c.route.Store(&r) }
-
-// Route returns the recorded engine route, or nil before SetRoute.
-func (c *Campaign) Route() *Route { return c.route.Load() }
 
 // Finish marks the campaign complete; the signals stream uses it to
 // terminate follows.
@@ -238,6 +242,7 @@ type Stats struct {
 	Chunks      int64   `json:"chunks"`
 	Batches     int64   `json:"batches"`
 	WallNS      int64   `json:"wall_ns"`
+	DecodeNS    int64   `json:"decode_ns"`
 	PrepareNS   int64   `json:"prepare_ns"`
 	ShotsPerSec float64 `json:"shots_per_sec"`
 	CacheHits   int64   `json:"cache_hits"`
@@ -256,7 +261,8 @@ type Stats struct {
 // Stats snapshots the campaign. ShotsPerSec is engine throughput —
 // shots over summed engine wall time, not elapsed time — so it is
 // comparable across campaigns that share a worker pool. It counts the
-// chunks' run time only; the points' set-up is PrepareNS.
+// chunks' run time only; the points' set-up is PrepareNS, and DecodeNS
+// is the decoder's part of WallNS.
 func (c *Campaign) Stats() Stats {
 	wall := c.wallNS.Load()
 	shots := c.shots.Load()
@@ -273,6 +279,7 @@ func (c *Campaign) Stats() Stats {
 		Chunks:      c.chunks.Load(),
 		Batches:     c.batches.Load(),
 		WallNS:      wall,
+		DecodeNS:    c.decodeNS.Load(),
 		PrepareNS:   c.prepareNS.Load(),
 		ShotsPerSec: sps,
 		CacheHits:   c.cacheHits.Load(),

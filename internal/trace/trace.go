@@ -182,14 +182,6 @@ type Recorder struct {
 
 	seq   atomic.Uint64
 	slots [RingSize]atomic.Pointer[Span]
-
-	// pointSpans is the live point-span directory: the sweep registers
-	// each point's open span under its key so lower layers (the engine
-	// decode wrapper) parent their spans under the right point without
-	// threading contexts through the BatchRunner signature. Touched
-	// only on sampled campaigns.
-	mu         sync.Mutex
-	pointSpans map[string]SpanContext
 }
 
 // New starts a fresh sampled trace rooted at this node.
@@ -225,40 +217,6 @@ func (r *Recorder) Campaign(key string) ActiveSpan {
 	a.parent = r.remoteParent
 	a.key = key
 	return a
-}
-
-// SetPointSpan registers a point's open span under its key.
-func (r *Recorder) SetPointSpan(key string, sc SpanContext) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.pointSpans == nil {
-		r.pointSpans = make(map[string]SpanContext)
-	}
-	r.pointSpans[key] = sc
-	r.mu.Unlock()
-}
-
-// ClearPointSpan drops a retired point's directory entry.
-func (r *Recorder) ClearPointSpan(key string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.pointSpans, key)
-	r.mu.Unlock()
-}
-
-// PointSpan returns the open span of the point with the given key,
-// zero when none is registered.
-func (r *Recorder) PointSpan(key string) SpanContext {
-	if r == nil {
-		return SpanContext{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pointSpans[key]
 }
 
 // record publishes one finished span into the ring.
@@ -308,9 +266,6 @@ type SpanContext struct {
 
 // Sampled reports whether this context belongs to a sampled campaign.
 func (sc SpanContext) Sampled() bool { return sc.rec != nil }
-
-// Recorder exposes the owning recorder (nil when unsampled).
-func (sc SpanContext) Recorder() *Recorder { return sc.rec }
 
 // TraceID returns the trace id (zero when unsampled).
 func (sc SpanContext) TraceID() TraceID { return sc.rec.TraceID() }
