@@ -373,13 +373,13 @@ func main() {
 
 // printStats writes the -stats telemetry summary for one experiment to
 // stderr: aggregate engine throughput, the points' set-up time beside
-// it and the decoder's share of their run time, chunk/batch counts,
-// cache traffic, allocation pressure and the engine-routing decision.
+// it and the decoder's share of their run time, batch counts, cache
+// traffic and the engine the points ran on.
 func printStats(st telemetry.Stats) {
 	fmt.Fprintf(os.Stderr,
-		"radqec: %s: %d shots (%d errors) over %d points in %d chunks / %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses; %.1f MiB allocated\n",
-		st.Experiment, st.Shots, st.Errors, st.PointsDone, st.Chunks, st.Batches,
-		st.ShotsPerSec, st.CacheHits, st.CacheMisses, float64(st.AllocBytes)/(1<<20))
+		"radqec: %s: %d shots (%d errors) over %d points in %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses\n",
+		st.Experiment, st.Shots, st.Errors, st.PointsDone, st.Batches,
+		st.ShotsPerSec, st.CacheHits, st.CacheMisses)
 	if engine := st.PrepareNS + st.WallNS; engine > 0 {
 		var decodeShare float64
 		if st.WallNS > 0 {
@@ -393,9 +393,8 @@ func printStats(st telemetry.Stats) {
 			time.Duration(st.WallNS).Round(time.Millisecond),
 			decodeShare)
 	}
-	if r := st.Route; r != nil {
-		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s -> %s (%s)\n",
-			st.Experiment, r.Requested, r.Resolved, r.Reason)
+	if st.Engine != "" {
+		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s\n", st.Experiment, st.Engine)
 	}
 }
 

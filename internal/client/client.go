@@ -1,8 +1,9 @@
 // Package client is the typed Go client of the radqecd v1 API — the
-// one place the wire surface is spelled out. The fabric coordinator,
-// the server's own tests and the smoke harness's Go helper all speak
-// through it instead of hand-rolling http.Get and NDJSON parsing, so a
-// surface change breaks one package loudly rather than three quietly.
+// one place the calls this tree makes are spelled out. The fabric
+// coordinator, the server's own tests and the smoke harness's Go helper
+// all speak through it instead of hand-rolling http.Get and NDJSON
+// parsing, so a surface change breaks one package loudly rather than
+// three quietly.
 //
 // The request and record types here are the protocol: package server
 // aliases CampaignRequest as its POST /v1/campaigns body, and the
@@ -15,6 +16,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -84,31 +86,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("radqecd: %s (HTTP %d)", e.Message, e.Status)
 }
 
-// ErrorCode returns err's stable API error code, or "" when err is not
-// a v1 API error.
-func ErrorCode(err error) string {
-	var ae *Error
-	if ok := asError(err, &ae); ok {
-		return ae.Code
-	}
-	return ""
-}
-
-func asError(err error, target **Error) bool {
-	for err != nil {
-		if e, ok := err.(*Error); ok {
-			*target = e
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // Client calls one radqecd node. The zero value is not usable; build
 // with New. Safe for concurrent use.
 type Client struct {
@@ -131,9 +108,6 @@ func New(addr string, hc *http.Client) *Client {
 	}
 	return &Client{base: base, hc: hc}
 }
-
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }
 
 // decodeError turns a non-2xx response into an *Error. It parses the
 // v1 envelope {"error":{"code","message"}} and falls back to the raw
@@ -460,19 +434,6 @@ func (c *Client) traceNDJSON(ctx context.Context, path string) ([]trace.Span, er
 	return spans, sc.Err()
 }
 
-// ExperimentInfo is one row of GET /v1/experiments.
-type ExperimentInfo struct {
-	Name    string `json:"name"`
-	Desc    string `json:"desc"`
-	XXZZRad bool   `json:"xxzz_rad"`
-}
-
-// Experiments lists the daemon's runnable experiments.
-func (c *Client) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
-	var out []ExperimentInfo
-	return out, c.getJSON(ctx, "/v1/experiments", &out)
-}
-
 // CacheStats returns the daemon's result-store statistics.
 func (c *Client) CacheStats(ctx context.Context) (store.Stats, error) {
 	var out store.Stats
@@ -493,31 +454,6 @@ type PointResponse struct {
 	Point sweep.CachedPoint `json:"point"`
 }
 
-// CacheEntry returns one committed point by content hash.
-func (c *Client) CacheEntry(ctx context.Context, hash string) (sweep.CachedPoint, error) {
-	var out PointResponse
-	err := c.getJSON(ctx, "/v1/cache/entries/"+url.PathEscape(hash), &out)
-	return out.Point, err
-}
-
-// InvalidateEntry drops one committed point or checkpoint from the
-// store (DELETE /v1/cache/entries/{hash}).
-func (c *Client) InvalidateEntry(ctx context.Context, hash string) error {
-	return c.doJSON(ctx, http.MethodDelete, "/v1/cache/entries/"+url.PathEscape(hash), nil, nil)
-}
-
-// ClearCache empties the store.
-func (c *Client) ClearCache(ctx context.Context) error {
-	return c.doJSON(ctx, http.MethodDelete, "/v1/cache", nil, nil)
-}
-
-// CompactCache rewrites the store segment down to live records and
-// returns the post-compaction statistics (POST /v1/cache:compact).
-func (c *Client) CompactCache(ctx context.Context) (store.Stats, error) {
-	var out store.Stats
-	return out, c.doJSON(ctx, http.MethodPost, "/v1/cache:compact", nil, &out)
-}
-
 // CodeNotCommitted is the API code of a point lookup that found no
 // committed result.
 const CodeNotCommitted = "point_not_committed"
@@ -536,7 +472,7 @@ func (c *Client) LookupPoint(ctx context.Context, hash string, wait time.Duratio
 	err := c.getJSON(ctx, path, &out)
 	if err != nil {
 		var ae *Error
-		if asError(err, &ae) && ae.Code == CodeNotCommitted {
+		if errors.As(err, &ae) && ae.Code == CodeNotCommitted {
 			return sweep.CachedPoint{}, false, nil
 		}
 		return sweep.CachedPoint{}, false, err
@@ -579,20 +515,4 @@ func (c *Client) ClaimPoint(ctx context.Context, hash, owner string, ttl time.Du
 	err := c.doJSON(ctx, http.MethodPost, "/v1/points/"+url.PathEscape(hash)+"/claim",
 		claimRequest{Owner: owner, TTLMS: ttl.Milliseconds()}, &out)
 	return out, err
-}
-
-// Health is the body of GET /healthz.
-type Health struct {
-	Status          string  `json:"status"`
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	Workers         int     `json:"workers"`
-	Store           bool    `json:"store"`
-	CampaignsActive int64   `json:"campaigns_active"`
-	StoreDegraded   bool    `json:"store_degraded,omitempty"`
-}
-
-// Healthz returns the daemon's liveness report.
-func (c *Client) Healthz(ctx context.Context) (Health, error) {
-	var out Health
-	return out, c.getJSON(ctx, "/healthz", &out)
 }

@@ -325,46 +325,23 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 	}
 }
 
-// EngineRoute records one engine-resolution decision: the requested
-// name, the engine that will actually run, and the policy signal that
-// justified the route. The telemetry layer carries it per campaign so
-// the daemon's signals stream and the CLI's -stats report can explain
-// why a campaign ran where it did.
-type EngineRoute struct {
-	Requested, Resolved, Reason string
-}
-
-// ResolveEngineRoute maps a configured engine name onto the engine that
-// will actually run, with the routing rationale: explicit names resolve
-// to themselves, "" and EngineAuto pick EngineBatch — the universal
-// frame engine covers the full Clifford set, so every campaign in the
-// repo rides the bit-parallel fast path by default, with EngineTableau
-// kept as the explicit oracle. Unknown names are an error. This is the
-// single auto-selection policy shared by the core façade and the
-// experiment sweeps.
-func ResolveEngineRoute(engine string) (EngineRoute, error) {
+// ResolveEngine maps a configured engine name onto the engine that
+// will actually run: explicit names resolve to themselves, "" and
+// EngineAuto pick EngineBatch — the universal frame engine covers the
+// full Clifford set, so every campaign in the repo rides the
+// bit-parallel fast path (512-shot tiles) by default, with
+// EngineTableau kept as the explicit oracle. Unknown names are an
+// error. This is the single auto-selection policy shared by the core
+// façade and the experiment sweeps.
+func ResolveEngine(engine string) (string, error) {
 	switch engine {
 	case EngineTableau, EngineFrame, EngineBatch:
-		return EngineRoute{
-			Requested: engine,
-			Resolved:  engine,
-			Reason:    "explicit engine request",
-		}, nil
+		return engine, nil
 	case "", EngineAuto:
-		return EngineRoute{
-			Requested: EngineAuto,
-			Resolved:  EngineBatch,
-			Reason:    "auto: universal frame engine covers the full Clifford set; 512-shot bit-parallel tiles",
-		}, nil
+		return EngineBatch, nil
 	default:
-		return EngineRoute{}, fmt.Errorf("core: unknown engine %q (want one of %v)", engine, Engines())
+		return "", fmt.Errorf("core: unknown engine %q (want one of %v)", engine, Engines())
 	}
-}
-
-// ResolveEngine is ResolveEngineRoute without the rationale.
-func ResolveEngine(engine string) (string, error) {
-	r, err := ResolveEngineRoute(engine)
-	return r.Resolved, err
 }
 
 // engine resolves the configured engine for this simulator; the name

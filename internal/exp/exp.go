@@ -126,15 +126,10 @@ type Config struct {
 	// Control is ignored: the sweep scheduler has one policy. The field
 	// stays only because the frozen bench/ harness sets it.
 	Control *control.Policy
-	// Telemetry, when set, receives per-chunk signals and counters for
+	// Telemetry, when set, receives one signal per scheduler turn of
 	// the experiment's sweeps — the ring behind the daemon's signals
 	// stream and the CLI's -stats report.
 	Telemetry *telemetry.Campaign
-	// TailSensitive marks every measured point's tail statistics (the
-	// CVaR/quantile columns) as the quantity of interest, which puts
-	// tail_width on the points' telemetry signals. Experiment.Run sets
-	// it from the registry's TailCols declaration.
-	TailSensitive bool
 	// Trace, when sampled, is the campaign's root span context: sweeps
 	// record point/chunk/decode/commit spans under it. Like Telemetry it is
 	// pure mechanism — deliberately absent from specFingerprint, so
@@ -498,18 +493,11 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 		}
 	}
 	if tel := cfg.Telemetry; tel != nil {
-		if route, err := core.ResolveEngineRoute(cfg.Engine); err == nil {
-			tel.SetRoute(telemetry.Route{
-				Requested: route.Requested,
-				Resolved:  route.Resolved,
-				Reason:    route.Reason,
-			})
-		}
+		tel.SetEngine(specs[0].engineFor(cfg.Engine))
 	}
 	points := make([]sweep.Point, len(specs))
 	for i, s := range specs {
 		points[i] = s.point(cfg.Engine, cfg.Decoder, shotWorkers)
-		points[i].TailSensitive = cfg.TailSensitive
 		if cfg.Cache != nil {
 			points[i].Hash = s.fingerprint(cfg)
 		}

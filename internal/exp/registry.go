@@ -15,52 +15,28 @@ type Experiment struct {
 	// domain of the frame engines (see package frame). Repetition-only
 	// and radiation-free experiments are frame-exact on every engine.
 	XXZZRad bool
-	// TailCols names the per-point record columns (see PointRecord)
-	// whose tail statistics are the experiment's quantity of interest —
-	// the CVaR/quantile columns the paper reads for radiation-strike
-	// campaigns. A non-empty list marks every point of the experiment
-	// tail-sensitive: its telemetry signals carry tail_width. Tables and
-	// records are unaffected.
-	TailCols []string
 }
 
-// strikeTailCols are the tail columns the radiation-strike experiments
-// declare: the upper quantiles and the expected shortfall of the
-// per-batch rate stream.
-var strikeTailCols = []string{"q90", "q99", "cvar90"}
-
-// Experiments lists every experiment in presentation order. Experiments
-// that declare TailCols have their run function wrapped so every config
-// they receive carries the tail-sensitivity hint down to sweep points.
+// Experiments lists every experiment in presentation order.
 func Experiments() []Experiment {
 	wrap := func(f func(Config) *Table) func(Config) (*Table, error) {
 		return func(c Config) (*Table, error) { return f(c), nil }
 	}
 	exps := []Experiment{
-		{"fig3", "temporal decay T(t) and its step approximation", wrap(Fig3), false, nil},
-		{"fig4", "spatial decay S(d) over architecture distance", wrap(Fig4), false, nil},
-		{"fig5", "logical error landscape: noise x radiation", Fig5, true, strikeTailCols},
-		{"fig6", "criticality by code distance (single erasure)", Fig6, true, strikeTailCols},
-		{"fig7", "correlated spread vs independent erasures", Fig7, true, strikeTailCols},
-		{"fig8", "per-qubit criticality across architectures", Fig8, true, strikeTailCols},
-		{"fig8summary", "architecture comparison summary", Fig8Summary, true, strikeTailCols},
-		{"ablation-decoder", "blossom vs union-find vs greedy decoding", AblationDecoder, true, nil},
-		{"ablation-ns", "temporal sample count sweep", AblationTemporalSamples, false, nil},
-		{"ablation-layout", "initial layout strategy", AblationLayout, true, nil},
-		{"ablation-rounds", "stabilization round count sweep", AblationRounds, false, nil},
-		{"memory", "logical error vs rounds at fixed distance (space-time decoding)", Memory, true, strikeTailCols},
-		{"threshold", "intrinsic-noise baseline by distance (no radiation)", Threshold, false, nil},
-		{"logical", "post-QEC logical-layer fault injection (future work)", LogicalLayer, true, nil},
-	}
-	for i := range exps {
-		if len(exps[i].TailCols) == 0 {
-			continue
-		}
-		run := exps[i].Run
-		exps[i].Run = func(c Config) (*Table, error) {
-			c.TailSensitive = true
-			return run(c)
-		}
+		{"fig3", "temporal decay T(t) and its step approximation", wrap(Fig3), false},
+		{"fig4", "spatial decay S(d) over architecture distance", wrap(Fig4), false},
+		{"fig5", "logical error landscape: noise x radiation", Fig5, true},
+		{"fig6", "criticality by code distance (single erasure)", Fig6, true},
+		{"fig7", "correlated spread vs independent erasures", Fig7, true},
+		{"fig8", "per-qubit criticality across architectures", Fig8, true},
+		{"fig8summary", "architecture comparison summary", Fig8Summary, true},
+		{"ablation-decoder", "blossom vs union-find vs greedy decoding", AblationDecoder, true},
+		{"ablation-ns", "temporal sample count sweep", AblationTemporalSamples, false},
+		{"ablation-layout", "initial layout strategy", AblationLayout, true},
+		{"ablation-rounds", "stabilization round count sweep", AblationRounds, false},
+		{"memory", "logical error vs rounds at fixed distance (space-time decoding)", Memory, true},
+		{"threshold", "intrinsic-noise baseline by distance (no radiation)", Threshold, false},
+		{"logical", "post-QEC logical-layer fault injection (future work)", LogicalLayer, true},
 	}
 	// Outermost guard: a sweep aborted by cancellation or an isolated
 	// worker panic unwinds the figure builder as a runAbort, converted

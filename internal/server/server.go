@@ -103,9 +103,10 @@ type Server struct {
 	// the coordinator's table in fabric mode, a private one otherwise
 	// (so the claim endpoint behaves identically either way).
 	leases *fabric.LeaseTable
-	tele   *telemetry.Registry
-	traces *trace.Registry
-	log    *slog.Logger
+	// tele is the one campaign table: each entry holds the campaign's
+	// telemetry and, when it is sampled, its trace recorder.
+	tele *telemetry.Registry
+	log  *slog.Logger
 	// node names this daemon in trace spans: the fabric self address in
 	// ring mode, "local" single-node.
 	node string
@@ -141,7 +142,6 @@ func New(cfg Config) *Server {
 		workers:      workers,
 		fabric:       cfg.Fabric,
 		tele:         telemetry.NewRegistry(),
-		traces:       trace.NewRegistry(),
 		log:          cfg.Logger,
 		node:         "local",
 		traceDefault: cfg.TraceSample == "on",
@@ -349,25 +349,17 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	e, _ := exp.Find(req.Experiment)
 	cfg := s.campaignConfig(req)
-	tc := s.tele.New(req.Experiment)
+	// Sampling decision, then the node-local campaign root span (inert
+	// when unsampled). Every local span parents under it, and — when the
+	// campaign arrived over the fabric — it parents under the submitter's
+	// span, so the whole ring stitches into one trace.
+	rec := s.traceRecorder(r, req)
+	tc := s.tele.New(req.Experiment, rec)
 	defer s.tele.Finish(tc)
 	cfg.Telemetry = tc
-
-	// Sampling decision, then the node-local campaign root span. Every
-	// local span parents under it, and — when the campaign arrived over
-	// the fabric — it parents under the submitter's span, so the whole
-	// ring stitches into one trace.
-	rec := s.traceRecorder(r, req)
-	var root trace.ActiveSpan
-	if rec.Sampled() {
-		s.traces.Add(tc.ID(), rec)
-		root = rec.Campaign(req.Experiment)
-		cfg.Trace = root.Context()
-		defer func() {
-			root.End()
-			s.traces.Finish(tc.ID())
-		}()
-	}
+	root := rec.Campaign(req.Experiment)
+	cfg.Trace = root.Context()
+	defer root.End()
 
 	// Campaign lifecycle: by default the campaign detaches from the
 	// connection (a vanished client must not waste the shots already
@@ -626,7 +618,10 @@ func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad campaign id %q", r.PathValue("id")))
 		return
 	}
-	rec := s.traces.ByCampaign(id)
+	var rec *trace.Recorder
+	if c, ok := s.tele.Get(id); ok {
+		rec = c.Recorder()
+	}
 	if rec == nil {
 		apiError(w, http.StatusNotFound, codeNotFound,
 			fmt.Sprintf("campaign %d has no recorded trace (unsampled, unknown, or rotated out of the recent-campaign tail)", id))
@@ -645,7 +640,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("bad trace id %q (want 32 hex characters)", r.PathValue("trace_id")))
 		return
 	}
-	rec := s.traces.ByTrace(tid)
+	rec := s.tele.ByTrace(tid)
 	if rec == nil {
 		apiError(w, http.StatusNotFound, codeNotFound,
 			fmt.Sprintf("trace %s not recorded on this node", tid))

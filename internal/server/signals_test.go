@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,9 +39,9 @@ func submitForID(t *testing.T, ts *httptest.Server, req CampaignRequest) string 
 }
 
 // TestSignalsStreamEndpoint: a completed campaign's signals replay over
-// GET /v1/campaigns/{id}/signals as NDJSON — per-chunk signal records
+// GET /v1/campaigns/{id}/signals as NDJSON — per-turn signal records
 // (each with the decoder's share of its wall time, sampled or not)
-// closed by one aggregate stats record carrying the engine route.
+// closed by one aggregate stats record carrying the resolved engine.
 func TestSignalsStreamEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	id := submitForID(t, ts, CampaignRequest{Experiment: "threshold", Shots: 128, Seed: seed(9)})
@@ -108,8 +109,8 @@ func TestSignalsStreamEndpoint(t *testing.T) {
 		if decodeNS == 0 || last.DecodeNS != decodeNS {
 			t.Fatalf("stats decode_ns %d, chunks carry %d (want equal and non-zero)", last.DecodeNS, decodeNS)
 		}
-		if last.Route == nil || last.Route.Resolved == "" {
-			t.Fatalf("stats record missing the engine route: %+v", last.Stats)
+		if last.Engine != "batch" {
+			t.Fatalf("stats record missing the resolved engine: %+v", last.Stats)
 		}
 	}
 
@@ -179,7 +180,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 // retired controller's two are gone.
 func TestCampaignGaugesLabelActiveCampaigns(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
-	c := srv.tele.New("fig5")
+	c := srv.tele.New("fig5", nil)
 	defer srv.tele.Finish(c)
 	c.SetQueueDepth(7)
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -226,5 +227,68 @@ func TestControllerRequestValidation(t *testing.T) {
 		if !strings.Contains(env.Error.Message, `unknown field "`+field+`"`) {
 			t.Errorf("%s: message %q does not name the unknown field", field, env.Error.Message)
 		}
+	}
+}
+
+// histogramExemplars scrapes /metrics as OpenMetrics and returns the
+// exemplar annotations of one histogram's bucket lines, in order.
+func histogramExemplars(t *testing.T, ts *httptest.Server, name string) []string {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if _, ex, ok := strings.Cut(line, " # {trace_id="); ok && strings.HasPrefix(line, "radqecd_"+name+"_bucket") {
+			out = append(out, ex)
+		}
+	}
+	return out
+}
+
+// TestUnsampledCampaignFeedsHistograms: the decode and store-commit
+// histograms are fed from every campaign's turn records, not from a
+// sampled campaign's spans — an unsampled cold campaign raises the
+// decode count, raises the store-commit count by exactly the points it
+// computed, and adds no exemplar; the warm replay moves neither. The
+// histograms are process-wide, so everything is a delta.
+func TestUnsampledCampaignFeedsHistograms(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	req := CampaignRequest{Experiment: "threshold", Shots: 128, Seed: seed(23), TraceSample: "off"}
+	read := func() (decode, commit, computed float64) {
+		return metricValue(t, ts, "decode_seconds_count"),
+			metricValue(t, ts, "store_commit_seconds_count"),
+			metricValue(t, ts, "points_computed_total")
+	}
+	decodeEx := histogramExemplars(t, ts, "decode_seconds")
+	commitEx := histogramExemplars(t, ts, "store_commit_seconds")
+	decode0, commit0, computed0 := read()
+	submitForID(t, ts, req)
+	decode1, commit1, computed1 := read()
+	if computed1 == computed0 {
+		t.Fatal("cold campaign computed no points")
+	}
+	if decode1 <= decode0 {
+		t.Fatalf("decode histogram count %v -> %v on an unsampled campaign, want it raised", decode0, decode1)
+	}
+	if got, want := commit1-commit0, computed1-computed0; got != want {
+		t.Fatalf("store-commit histogram count rose by %v, the campaign computed %v points", got, want)
+	}
+	if got := histogramExemplars(t, ts, "decode_seconds"); !slices.Equal(got, decodeEx) {
+		t.Fatalf("unsampled campaign changed the decode exemplars: %v -> %v", decodeEx, got)
+	}
+	if got := histogramExemplars(t, ts, "store_commit_seconds"); !slices.Equal(got, commitEx) {
+		t.Fatalf("unsampled campaign changed the store-commit exemplars: %v -> %v", commitEx, got)
+	}
+	submitForID(t, ts, req)
+	if decode2, commit2, computed2 := read(); decode2 != decode1 || commit2 != commit1 || computed2 != computed1 {
+		t.Fatalf("warm replay moved decode %v -> %v, store-commit %v -> %v, computed %v -> %v",
+			decode1, decode2, commit1, commit2, computed1, computed2)
 	}
 }

@@ -163,48 +163,3 @@ func TwoSampleZ(k1, n1, k2, n2 int) float64 {
 	}
 	return (float64(k1)/f1 - float64(k2)/f2) / se
 }
-
-// Variance returns the population variance, 0 for fewer than 2 samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// CVaRHalfWidth returns the normal-approximation 95% CI half-width of
-// the CVaR estimate at level alpha over an ascending-sorted sample:
-// z·s/√m, where s and m are the standard deviation and size of the tail
-// (the values at or above the alpha-quantile). With fewer than two tail
-// observations the estimator has no spread information and the width is
-// reported as 1 — the widest possible interval for a rate — so callers
-// steering shot budget by tail uncertainty rank unexplored tails first.
-// The result is capped at 1 for the same reason.
-func CVaRHalfWidth(sorted []float64, alpha float64) float64 {
-	if len(sorted) < 2 {
-		return 1
-	}
-	q := QuantileSorted(sorted, alpha)
-	lo := len(sorted)
-	for lo > 0 && sorted[lo-1] >= q {
-		lo--
-	}
-	tail := sorted[lo:]
-	if len(tail) < 2 {
-		return 1
-	}
-	hw := Z95 * StdDev(tail) / math.Sqrt(float64(len(tail)))
-	if hw > 1 {
-		hw = 1
-	}
-	return hw
-}

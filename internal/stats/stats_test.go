@@ -202,19 +202,6 @@ func TestWilsonCIShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !approx(got, 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !approx(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Fatal("single-sample variance nonzero")
-	}
-}
-
 func TestTwoSampleZ(t *testing.T) {
 	// 60/100 vs 40/100: pooled rate 0.5, se = sqrt(0.25·0.02).
 	if got, want := TwoSampleZ(60, 100, 40, 100), 0.2/math.Sqrt(0.005); math.Abs(got-want) > 1e-12 {

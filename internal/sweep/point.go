@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"runtime/metrics"
-	"sort"
 	"time"
 
 	"radqec/internal/faultinject"
@@ -11,24 +9,11 @@ import (
 	"radqec/internal/trace"
 )
 
-// workerState is the per-worker scratch a pool worker threads through
-// the points it executes: the sorted buffer for tail statistics and the
-// runtime/metrics sample used for allocation deltas.
-type workerState struct {
-	scratch []float64
-	msample []metrics.Sample
-}
-
-// allocBytes reads the process-wide cumulative heap-allocation counter.
-// The delta across a batch is a memory-pressure signal attributed to
-// the batch but global to the process, as documented on the telemetry
-// Signal.
-func (ws *workerState) allocBytes() int64 {
-	if ws.msample == nil {
-		ws.msample = []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	}
-	metrics.Read(ws.msample)
-	return int64(ws.msample[0].Value.Uint64())
+// turn is what one handout of one point measured: the record every
+// reader derives from, plus the two instants its leaf spans start at.
+type turn struct {
+	telemetry.Signal
+	runStart, commitStart time.Time
 }
 
 // pointRun is the resumable execution state of one point: a state
@@ -62,7 +47,7 @@ type pointRun struct {
 	ckptShots int
 	// span is the point's open trace span (zero when the campaign is
 	// unsampled); endSpan closes it exactly once on whichever of
-	// finalize/abort/fail retires the point.
+	// runTurn/abort/fail retires the point.
 	span trace.ActiveSpan
 }
 
@@ -85,7 +70,7 @@ func (pr *pointRun) endSpan(detail string, err error) {
 // begin resolves the cache path and prepares the runner. It returns
 // true when the point was served entirely from a committed cache entry
 // and has no batches to run.
-func (pr *pointRun) begin() bool {
+func (pr *pointRun) begin(t *turn) bool {
 	pr.started = true
 	pr.cache = pr.cfg.Cache
 	if pr.p.Hash == "" {
@@ -94,20 +79,11 @@ func (pr *pointRun) begin() bool {
 	pr.res = Result{Key: pr.p.Key}
 	pr.span = pr.cfg.Trace.Start(trace.SpanPoint, pr.p.Key)
 	pr.span.SetHash(pr.p.Hash)
-	tel := pr.cfg.Telemetry
 	if pr.cache != nil {
 		if cp, ok := pr.cache.Lookup(pr.p.Hash); ok {
 			pr.res.loadCached(cp)
 			pr.res.Cached = true
-			if tel != nil {
-				tel.Record(telemetry.Signal{
-					TimeNS:   time.Now().UnixNano(),
-					Key:      pr.p.Key,
-					Shots:    pr.res.Shots,
-					Errors:   pr.res.Errors,
-					CacheHit: true,
-				})
-			}
+			t.Shots, t.Errors, t.CacheHit = pr.res.Shots, pr.res.Errors, true
 			return true
 		}
 		if cp, ok := pr.cache.LookupPartial(pr.p.Hash); ok {
@@ -115,14 +91,9 @@ func (pr *pointRun) begin() bool {
 			pr.ckptShots = pr.res.Shots
 		}
 	}
-	if tel != nil && pr.cfg.Cache != nil {
-		tel.CacheMiss()
-	}
 	t0 := time.Now()
 	pr.runner = pr.p.Prepare()
-	if tel != nil {
-		tel.Prepared(time.Since(t0))
-	}
+	t.PrepareNS = time.Since(t0).Nanoseconds()
 	return false
 }
 
@@ -162,61 +133,17 @@ func (pr *pointRun) startBatch() bool {
 
 // runBatch executes the open policy batch as one engine call over the
 // shot range [Shots, Shots+batchN) and folds it into the result.
-func (pr *pointRun) runBatch(ws *workerState) {
+func (pr *pointRun) runBatch(t *turn) {
 	// The chaos harness's worker fault: a panic here exercises the
 	// scheduler's recover boundary exactly where an engine bug would.
 	if err := faultinject.Eval(faultinject.WorkerPanic); err != nil {
 		panic(err)
 	}
-	start := pr.res.Shots
-	tel := pr.cfg.Telemetry
-	var t0 time.Time
-	var alloc0 int64
-	var hwBefore float64
-	if tel != nil {
-		hwBefore = stats.WilsonHalfWidth(pr.res.Errors, pr.res.Shots)
-		alloc0 = ws.allocBytes()
-		t0 = time.Now()
-	}
-	cs := pr.span.Context().Start(trace.SpanChunkRun, pr.p.Key)
-	c := pr.runner(start, pr.batchN)
-	if cs.Sampled() {
-		cs.SetShots(c.Shots)
-		cs.End()
-		if c.DecodeNS > 0 {
-			// One decode span per chunk under the point span, placed to
-			// end with the chunk and last the accumulated decode time.
-			ds := pr.span.Context().StartAt(trace.SpanDecode, pr.p.Key, time.Now().Add(-time.Duration(c.DecodeNS)))
-			ds.SetShots(c.Shots)
-			ds.End()
-		}
-	}
-	if tel != nil {
-		wall := time.Since(t0).Nanoseconds()
-		alloc := ws.allocBytes() - alloc0
-		m := pr.res.Counts
-		m.merge(c)
-		var sps float64
-		if wall > 0 {
-			sps = float64(c.Shots) / (float64(wall) / 1e9)
-		}
-		tel.Record(telemetry.Signal{
-			TimeNS:      time.Now().UnixNano(),
-			Key:         pr.p.Key,
-			Batch:       len(pr.res.BatchRates),
-			Start:       start,
-			Shots:       c.Shots,
-			Errors:      c.Errors,
-			WallNS:      wall,
-			DecodeNS:    c.DecodeNS,
-			ShotsPerSec: sps,
-			HWBefore:    hwBefore,
-			HWAfter:     stats.WilsonHalfWidth(m.Errors, m.Shots),
-			TailWidth:   pr.tailWidth(ws),
-			AllocBytes:  alloc,
-		})
-		tel.BatchDone()
-	}
+	t.Batch, t.Start = len(pr.res.BatchRates), pr.res.Shots
+	t.runStart = time.Now()
+	c := pr.runner(t.Start, pr.batchN)
+	t.WallNS = time.Since(t.runStart).Nanoseconds()
+	t.Shots, t.Errors, t.DecodeNS = c.Shots, c.Errors, c.DecodeNS
 	pr.res.record(c)
 }
 
@@ -257,30 +184,52 @@ func (pr *pointRun) abort() {
 }
 
 // finalize commits live points to the cache and derives the interval
-// and tail statistics.
-func (pr *pointRun) finalize(ws *workerState) {
+// and tail statistics. The point's span stays open: runTurn closes it
+// once the turn's leaf spans are drawn under it.
+func (pr *pointRun) finalize(t *turn, scratch *[]float64) {
 	if pr.cache != nil && !pr.res.Cached {
-		cs := pr.span.Context().Start(trace.SpanStoreCommit, pr.p.Key)
-		cs.SetHash(pr.p.Hash)
+		t.commitStart = time.Now()
 		pr.cache.Commit(pr.p.Hash, pr.res.cachedPoint())
-		cs.End()
+		t.CommitNS = time.Since(t.commitStart).Nanoseconds()
 	}
-	detail := ""
-	if pr.res.Cached {
-		detail = "cache-hit"
-	}
-	pr.endSpan(detail, nil)
-	pr.res = pr.res.finalize(&ws.scratch)
+	t.Done = true
+	pr.res = pr.res.finalize(scratch)
 }
 
-// tailWidth is the CI half-width of the point's tail statistic, reported
-// on the telemetry signals of tail-sensitive points; 0 otherwise.
-func (pr *pointRun) tailWidth(ws *workerState) float64 {
-	if !pr.p.TailSensitive {
-		return 0
+// publish is the one writer of a turn. The decode and store-commit
+// histograms observe its record on every campaign (the trace id is zero,
+// so no exemplar, on an unsampled one); a sampled campaign's leaf spans
+// are drawn from the same numbers under the point span; the telemetry
+// ring stores it and Stats folds from it inside Record.
+func (pr *pointRun) publish(t *turn) {
+	t.Key = pr.p.Key
+	if pr.cache != nil {
+		t.Hash = pr.p.Hash
 	}
-	s := append(ws.scratch[:0], pr.res.BatchRates...)
-	sort.Float64s(s)
-	ws.scratch = s
-	return stats.CVaRHalfWidth(s, 0.90)
+	sc := pr.span.Context()
+	decode, commit := time.Duration(t.DecodeNS), time.Duration(t.CommitNS)
+	if decode > 0 {
+		trace.DecodeHist.Observe(decode, sc.TraceID())
+	}
+	if commit > 0 {
+		trace.CommitHist.Observe(commit, sc.TraceID())
+	}
+	if sc.Sampled() {
+		if !t.runStart.IsZero() {
+			wall := time.Duration(t.WallNS)
+			sc.Draw(trace.SpanChunkRun, t.Key, "", t.Shots, t.runStart, wall)
+			if decode > 0 {
+				// DecodeNS sums a point's parallel decode calls and can
+				// exceed the chunk's wall; the span stays inside the chunk.
+				sc.Draw(trace.SpanDecode, t.Key, "", t.Shots, t.runStart, min(decode, wall))
+			}
+		}
+		if commit > 0 {
+			sc.Draw(trace.SpanStoreCommit, t.Key, t.Hash, 0, t.commitStart, commit)
+		}
+	}
+	if tel := pr.cfg.Telemetry; tel != nil {
+		t.TimeNS = time.Now().UnixNano()
+		tel.Record(t.Signal)
+	}
 }

@@ -214,13 +214,15 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 // the worker or the pool.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	var ws workerState
+	// scratch is the worker's sort buffer for tail statistics, threaded
+	// through the points it finishes.
+	var scratch []float64
 	for {
 		q, i := s.take()
 		if q == nil {
 			return
 		}
-		done, err := q.safeTurn(i, &ws)
+		done, err := q.safeTurn(i, &scratch)
 		if err != nil {
 			s.fail(q, i, err)
 			continue
@@ -237,13 +239,13 @@ func (s *Scheduler) worker() {
 // panic anywhere in the point's turn — Prepare, the engine chunk, the
 // decode path — into a *PointError carrying the recovered value and
 // the worker's stack, leaving the worker goroutine intact.
-func (q *schedQueue) safeTurn(i int, ws *workerState) (done bool, err error) {
+func (q *schedQueue) safeTurn(i int, scratch *[]float64) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PointError{Key: q.points[i].Key, Hash: q.points[i].Hash, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return q.runTurn(i, ws), nil
+	return q.runTurn(i, scratch), nil
 }
 
 // aborted reports whether the campaign's lifecycle context has been
@@ -261,29 +263,43 @@ func (q *schedQueue) aborted() bool { return q.ctx.Err() != nil }
 // and at the policy-batch boundary — so an abort never tears a batch:
 // whatever the abort flushes is a whole-batch checkpoint the resumed
 // campaign replays byte-identically.
-func (q *schedQueue) runTurn(i int, ws *workerState) bool {
+//
+// The turn is also the unit of observation: whatever it did — set-up,
+// the engine call, the commit, a cache replay — lands on one record,
+// published once.
+func (q *schedQueue) runTurn(i int, scratch *[]float64) bool {
 	pr := &q.runs[i]
 	if q.aborted() {
 		pr.abort()
 		return true
 	}
-	// A first turn with nothing to run: a committed cache entry, or a
-	// resumed checkpoint that already satisfies the stop rule.
-	if !pr.started && (pr.begin() || !pr.startBatch()) {
-		pr.finalize(ws)
-		return true
+	var t turn
+	// A first turn may have nothing to run: a committed cache entry, or
+	// a resumed checkpoint that already satisfies the stop rule.
+	var cancelled, more bool
+	if pr.started || (!pr.begin(&t) && pr.startBatch()) {
+		pr.runBatch(&t)
+		if cancelled = q.aborted(); !cancelled {
+			more = pr.startBatch()
+		}
 	}
-	pr.runBatch(ws)
-	if q.aborted() {
-		pr.abort()
-		return true
-	}
-	if pr.startBatch() {
+	switch {
+	case cancelled:
+	case more:
 		pr.checkpoint()
-		return false
+	default:
+		pr.finalize(&t, scratch)
 	}
-	pr.finalize(ws)
-	return true
+	pr.publish(&t)
+	switch {
+	case cancelled:
+		pr.abort()
+	case t.CacheHit:
+		pr.endSpan("cache-hit", nil)
+	case t.Done:
+		pr.endSpan("", nil)
+	}
+	return cancelled || t.Done
 }
 
 // fail records a point's terminal error as its campaign's, cancels the
@@ -483,9 +499,6 @@ func (s *Scheduler) complete(q *schedQueue, i int) {
 	s.cond.Broadcast()
 	if tel := q.cfg.Telemetry; tel != nil {
 		tel.SetQueueDepth(depth)
-		if !aborted {
-			tel.PointDone()
-		}
 	}
 	if finished {
 		close(q.done)

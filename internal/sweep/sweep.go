@@ -31,9 +31,9 @@ type Counts struct {
 	Shots, Errors int
 	// DecodeNS is the time one engine call spent in the decoder, summed
 	// over its (possibly parallel) decode calls — how a BatchRunner
-	// reports it to the sweep, which puts it on the chunk's telemetry
-	// signal and decode span. merge never folds it, so it reaches no
-	// Result, CachedPoint, point record or fingerprint.
+	// reports it to the sweep, which puts it on the turn's telemetry
+	// record. merge never folds it, so it reaches no Result,
+	// CachedPoint, point record or fingerprint.
 	DecodeNS int64
 }
 
@@ -71,11 +71,6 @@ type Point struct {
 	// per-point state (executors, decode graphs, pooled simulators) is
 	// built once and reused across every batch of the point.
 	Prepare func() BatchRunner
-	// TailSensitive marks the point's tail statistics (the CVaR and
-	// quantile columns) as the quantity of interest: telemetry reports
-	// the tail CI width (tail_width) on every signal of the point. It
-	// has no scheduling meaning and never affects results.
-	TailSensitive bool
 }
 
 // Policy is the result-determining half of a sweep's configuration:
@@ -142,8 +137,9 @@ type Mechanism struct {
 	// Control is ignored: the scheduler has one policy (see Scheduler).
 	// The field stays only because the frozen bench/ harness sets it.
 	Control *control.Policy
-	// Telemetry, when set, receives a Signal for every engine invocation
-	// plus batch, point and cache counters. Strictly observational.
+	// Telemetry, when set, receives one Signal per scheduler turn (and
+	// per lifecycle event) and folds its counters from them. Strictly
+	// observational.
 	Telemetry *telemetry.Campaign
 	// Trace, when sampled, is the campaign's root span context: every
 	// point records point/chunk-run/decode/store-commit spans under it. The

@@ -1,11 +1,10 @@
 // Package telemetry is the runtime-signals layer of the campaign
-// engine: every engine invocation the sweep mechanism makes emits one
-// Signal — shots, wall time, the decoder's part of it, throughput, the
-// Wilson half-width before and after the chunk, the tail-CI width for
-// tail-sensitive points, cache hits and process allocation deltas —
-// onto a lock-free per-campaign ring. The HTTP daemon's /metrics and
-// signals stream and the CLI's -stats report all consume the same
-// structs.
+// engine. The sweep scheduler publishes one Signal per turn — one policy
+// batch of one point as one engine call, with the set-up before it and
+// the commit after it when the turn had them — onto a lock-free
+// per-campaign ring, and every aggregate (Stats) folds from those
+// records inside Record. The HTTP daemon's /metrics and signals stream
+// and the CLI's -stats report all read the same structs.
 //
 // Telemetry is strictly observational: nothing in this package feeds
 // back into shot streams, batch boundaries or scheduling, so recording
@@ -17,66 +16,65 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"radqec/internal/trace"
 )
 
 // RingSize is the per-campaign signal ring capacity. It must be a
 // power of two (the ring masks sequence numbers into slots). 1024
-// chunks of history is hours of signal for a converged campaign and a
+// turns of history is hours of signal for a converged campaign and a
 // few seconds for a hot one — the stream endpoint follows live, so the
 // ring only has to bridge poll gaps, not hold a whole campaign.
 const RingSize = 1024
 
-// Signal is the telemetry record of one engine invocation — a chunk:
-// one policy batch of one sweep point.
+// Signal is the record of one scheduler turn of one sweep point, or of
+// one lifecycle event (Event set). It is written once, by the sweep, and
+// is the only input of the signals ring, Stats, the decode and
+// store-commit histograms and a sampled campaign's leaf spans.
 type Signal struct {
 	// Seq is the campaign-wide sequence number, dense from 0.
 	Seq uint64 `json:"seq"`
-	// TimeNS is the wall-clock completion time in Unix nanoseconds.
+	// TimeNS is the wall-clock publication time in Unix nanoseconds.
 	TimeNS int64 `json:"time_ns"`
-	// Key is the sweep point the chunk belongs to.
-	Key string `json:"key"`
+	// Key is the sweep point the turn belongs to; Hash its content
+	// address, empty when the campaign has no cache.
+	Key  string `json:"key"`
+	Hash string `json:"hash,omitempty"`
 	// Batch is the policy-batch index within the point (the number of
-	// completed batches before this chunk's batch).
+	// completed batches before this turn's batch).
 	Batch int `json:"batch"`
-	// Start is the first shot index of the chunk; Shots and Errors are
-	// the chunk's counts.
+	// Start is the first shot index of the turn's batch; Shots and
+	// Errors are the batch's counts (the replayed totals on a cache hit).
 	Start  int `json:"start"`
 	Shots  int `json:"shots"`
 	Errors int `json:"errors"`
-	// WallNS is the chunk's execution time; ShotsPerSec the implied
-	// throughput.
-	WallNS      int64   `json:"wall_ns"`
-	ShotsPerSec float64 `json:"shots_per_sec"`
-	// DecodeNS is the part of the chunk spent in the decoder, summed
-	// over its decode calls: a share of WallNS on one shot worker, up to
-	// the worker count times WallNS when a point fans its shots out.
+	// PrepareNS is the time a point's first turn spent building its
+	// runner (decoder resolution, simulator set-up). WallNS, the engine
+	// call, starts after it, so set-up and run are disjoint and sum to
+	// the engine time the point cost.
+	PrepareNS int64 `json:"prepare_ns,omitempty"`
+	WallNS    int64 `json:"wall_ns"`
+	// DecodeNS is the part of the engine call spent in the decoder,
+	// summed over its decode calls: a share of WallNS on one shot worker,
+	// up to the worker count times WallNS when a point fans its shots
+	// out.
 	DecodeNS int64 `json:"decode_ns,omitempty"`
-	// HWBefore and HWAfter bracket the point's Wilson 95% half-width
-	// across the chunk.
-	HWBefore float64 `json:"hw_before"`
-	HWAfter  float64 `json:"hw_after"`
-	// TailWidth is the half-width of the CI on the point's tail
-	// statistic (CVaR of the per-batch rates), recorded only for points
-	// an experiment declared tail-sensitive; 1 (the widest possible
-	// width for a rate) until enough batches exist to estimate it.
-	TailWidth float64 `json:"tail_width,omitempty"`
+	// CommitNS is the time a point's last turn spent committing its
+	// result to the store.
+	CommitNS int64 `json:"commit_ns,omitempty"`
 	// CacheHit marks a point served from the result store without any
-	// engine work (Shots then counts the replayed shots).
+	// engine work.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// AllocBytes is the process-wide heap-allocation delta across the
-	// chunk via runtime/metrics — a memory-pressure signal, attributed
-	// per chunk but global to the process (concurrent campaigns bleed
-	// into each other's deltas).
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-	// Event marks lifecycle signals rather than engine chunks:
-	// EventPanic when the scheduler's recover boundary caught a panic
-	// in the point's turn, EventCancel when cancellation aborted the
-	// point between batches (its partial progress flushed as a
-	// checkpoint first), EventRemoteHit when a point parked on a fabric
-	// peer resolved from the peer's committed result, EventTakeover
-	// when the peer was declared dead (or ceded its lease) and the
-	// point fell back to local compute. Detail carries the
-	// human-readable cause.
+	// Done marks the turn that finished its point.
+	Done bool `json:"done,omitempty"`
+	// Event marks lifecycle signals rather than turns: EventPanic when
+	// the scheduler's recover boundary caught a panic in the point's
+	// turn, EventCancel when cancellation aborted the point between
+	// batches (its partial progress flushed as a checkpoint first),
+	// EventRemoteHit when a point parked on a fabric peer resolved from
+	// the peer's committed result, EventTakeover when the peer was
+	// declared dead (or ceded its lease) and the point fell back to
+	// local compute. Detail carries the human-readable cause.
 	Event  string `json:"event,omitempty"`
 	Detail string `json:"detail,omitempty"`
 }
@@ -89,38 +87,29 @@ const (
 	EventTakeover  = "takeover"
 )
 
-// Route records the engine-resolution decision behind a campaign: the
-// requested engine name, what it resolved to, and the policy reason —
-// the signal that justified the route, kept so the stream and -stats
-// can explain why a campaign ran where it did.
-type Route struct {
-	Requested string `json:"requested"`
-	Resolved  string `json:"resolved"`
-	Reason    string `json:"reason"`
-}
-
-// Campaign is one campaign's telemetry: a lock-free signal ring plus
-// monotonic counters and the queue-depth gauge. All methods are safe for
+// Campaign is one campaign's telemetry: a lock-free signal ring, the
+// counters Record folds from it, the queue-depth gauge and — when the
+// campaign is sampled — its trace recorder. All methods are safe for
 // concurrent use by any number of sweep workers and readers.
 type Campaign struct {
 	id         int64
 	experiment string
 	start      time.Time
+	rec        *trace.Recorder // nil when the campaign is unsampled
 
 	seq   atomic.Uint64                    // next sequence number
 	slots [RingSize]atomic.Pointer[Signal] // seq % RingSize
 
 	shots       atomic.Int64
 	errors      atomic.Int64
-	chunks      atomic.Int64
 	batches     atomic.Int64
 	wallNS      atomic.Int64
 	decodeNS    atomic.Int64
 	prepareNS   atomic.Int64
+	commitNS    atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	pointsDone  atomic.Int64
-	allocBytes  atomic.Int64
 	panics      atomic.Int64
 	cancels     atomic.Int64
 	remoteHits  atomic.Int64
@@ -129,8 +118,8 @@ type Campaign struct {
 	// queueDepth is written by the scheduler and read by /metrics.
 	queueDepth atomic.Int64
 
-	route atomic.Pointer[Route]
-	done  atomic.Bool
+	engine atomic.Pointer[string]
+	done   atomic.Bool
 }
 
 // NewCampaign builds a standalone campaign record (the CLI's -stats
@@ -145,26 +134,36 @@ func (c *Campaign) ID() int64 { return c.id }
 // Experiment returns the campaign's experiment name.
 func (c *Campaign) Experiment() string { return c.experiment }
 
-// Record publishes one signal: it claims the next sequence number,
-// stamps the signal with it, folds the counters, and stores the signal
-// in its ring slot. Lock-free: concurrent recorders claim distinct
-// slots via the atomic sequence counter.
+// Recorder returns the campaign's trace recorder, nil when unsampled.
+func (c *Campaign) Recorder() *trace.Recorder { return c.rec }
+
+// Record publishes one signal: it folds the counters, claims the next
+// sequence number, stamps the signal with it and stores it in its ring
+// slot. Lock-free: concurrent recorders claim distinct slots via the
+// atomic sequence counter.
 func (c *Campaign) Record(s Signal) {
-	if s.Event == "" {
-		// Lifecycle events (panic/cancel) are markers, not engine
-		// chunks: they ride the ring for the signals stream but fold
-		// into their own counters, not the chunk/shot aggregates.
+	switch s.Event {
+	case "":
+		// Lifecycle events are markers, not turns: they ride the ring
+		// for the signals stream but fold into their own counters.
 		c.shots.Add(int64(s.Shots))
 		c.errors.Add(int64(s.Errors))
-		c.chunks.Add(1)
+		c.prepareNS.Add(s.PrepareNS)
 		c.wallNS.Add(s.WallNS)
 		c.decodeNS.Add(s.DecodeNS)
-		c.allocBytes.Add(s.AllocBytes)
-		if s.CacheHit {
+		c.commitNS.Add(s.CommitNS)
+		switch {
+		case s.CacheHit:
 			c.cacheHits.Add(1)
+		case s.Shots > 0:
+			c.batches.Add(1) // an engine call ran
 		}
-	}
-	switch s.Event {
+		if s.Done {
+			c.pointsDone.Add(1)
+			if !s.CacheHit && s.Hash != "" {
+				c.cacheMisses.Add(1) // a cached campaign's point the engines computed
+			}
+		}
 	case EventPanic:
 		c.panics.Add(1)
 	case EventCancel:
@@ -178,26 +177,11 @@ func (c *Campaign) Record(s Signal) {
 	c.slots[s.Seq%RingSize].Store(&s)
 }
 
-// Prepared adds the time one point spent building its runner (decoder
-// resolution, simulator set-up) before its first chunk. Chunk WallNS
-// starts after it, so set-up and run are disjoint and sum to the
-// engine time the campaign's points cost.
-func (c *Campaign) Prepared(d time.Duration) { c.prepareNS.Add(d.Nanoseconds()) }
-
-// BatchDone counts one completed policy batch.
-func (c *Campaign) BatchDone() { c.batches.Add(1) }
-
-// CacheMiss counts one point that had to run the engines.
-func (c *Campaign) CacheMiss() { c.cacheMisses.Add(1) }
-
-// PointDone counts one completed point.
-func (c *Campaign) PointDone() { c.pointsDone.Add(1) }
-
 // SetQueueDepth updates the campaign's pending-point gauge.
 func (c *Campaign) SetQueueDepth(depth int) { c.queueDepth.Store(int64(depth)) }
 
-// SetRoute records the engine-resolution decision for the campaign.
-func (c *Campaign) SetRoute(r Route) { c.route.Store(&r) }
+// SetEngine records the engine the campaign's points resolved to.
+func (c *Campaign) SetEngine(name string) { c.engine.Store(&name) }
 
 // Finish marks the campaign complete; the signals stream uses it to
 // terminate follows.
@@ -233,35 +217,35 @@ func (c *Campaign) Since(seq uint64, max int) ([]Signal, uint64) {
 
 // Stats is the aggregate point-in-time view of a campaign, shared by
 // /metrics, the signals stream's summary record and the CLI's -stats.
+// Every counter but QueueDepth is a fold of the campaign's signals.
 type Stats struct {
 	ID          int64   `json:"id"`
 	Experiment  string  `json:"experiment"`
+	Engine      string  `json:"engine,omitempty"`
 	ElapsedNS   int64   `json:"elapsed_ns"`
 	Shots       int64   `json:"shots"`
 	Errors      int64   `json:"errors"`
-	Chunks      int64   `json:"chunks"`
 	Batches     int64   `json:"batches"`
 	WallNS      int64   `json:"wall_ns"`
 	DecodeNS    int64   `json:"decode_ns"`
 	PrepareNS   int64   `json:"prepare_ns"`
+	CommitNS    int64   `json:"commit_ns"`
 	ShotsPerSec float64 `json:"shots_per_sec"`
 	CacheHits   int64   `json:"cache_hits"`
 	CacheMisses int64   `json:"cache_misses"`
 	PointsDone  int64   `json:"points_done"`
-	AllocBytes  int64   `json:"alloc_bytes"`
 	Panics      int64   `json:"panics,omitempty"`
 	Cancels     int64   `json:"cancels,omitempty"`
 	RemoteHits  int64   `json:"remote_hits,omitempty"`
 	Takeovers   int64   `json:"takeovers,omitempty"`
 	QueueDepth  int64   `json:"queue_depth"`
 	Done        bool    `json:"done"`
-	Route       *Route  `json:"route,omitempty"`
 }
 
 // Stats snapshots the campaign. ShotsPerSec is engine throughput —
 // shots over summed engine wall time, not elapsed time — so it is
 // comparable across campaigns that share a worker pool. It counts the
-// chunks' run time only; the points' set-up is PrepareNS, and DecodeNS
+// turns' run time only; the points' set-up is PrepareNS, and DecodeNS
 // is the decoder's part of WallNS.
 func (c *Campaign) Stats() Stats {
 	wall := c.wallNS.Load()
@@ -270,34 +254,37 @@ func (c *Campaign) Stats() Stats {
 	if wall > 0 {
 		sps = float64(shots) / (float64(wall) / 1e9)
 	}
-	return Stats{
+	st := Stats{
 		ID:          c.id,
 		Experiment:  c.experiment,
 		ElapsedNS:   time.Since(c.start).Nanoseconds(),
 		Shots:       shots,
 		Errors:      c.errors.Load(),
-		Chunks:      c.chunks.Load(),
 		Batches:     c.batches.Load(),
 		WallNS:      wall,
 		DecodeNS:    c.decodeNS.Load(),
 		PrepareNS:   c.prepareNS.Load(),
+		CommitNS:    c.commitNS.Load(),
 		ShotsPerSec: sps,
 		CacheHits:   c.cacheHits.Load(),
 		CacheMisses: c.cacheMisses.Load(),
 		PointsDone:  c.pointsDone.Load(),
-		AllocBytes:  c.allocBytes.Load(),
 		Panics:      c.panics.Load(),
 		Cancels:     c.cancels.Load(),
 		RemoteHits:  c.remoteHits.Load(),
 		Takeovers:   c.takeovers.Load(),
 		QueueDepth:  c.queueDepth.Load(),
 		Done:        c.done.Load(),
-		Route:       c.route.Load(),
 	}
+	if e := c.engine.Load(); e != nil {
+		st.Engine = *e
+	}
+	return st
 }
 
-// Registry tracks campaign telemetry for the daemon: active campaigns
-// plus a bounded tail of recently finished ones, so a signals-stream
+// Registry is the daemon's campaign table: active campaigns plus a
+// bounded tail of recently finished ones, each holding its telemetry
+// and (when sampled) its trace recorder, so a signals-stream or trace
 // client that connects just after a short campaign completes still
 // finds it.
 type Registry struct {
@@ -315,12 +302,14 @@ func NewRegistry() *Registry {
 	return &Registry{active: make(map[int64]*Campaign)}
 }
 
-// New allocates the next campaign ID and registers its telemetry.
-func (r *Registry) New(experiment string) *Campaign {
+// New allocates the next campaign ID and registers its telemetry and,
+// for a sampled campaign, its recorder (nil otherwise).
+func (r *Registry) New(experiment string, rec *trace.Recorder) *Campaign {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++
 	c := NewCampaign(r.nextID, experiment)
+	c.rec = rec
 	r.active[c.id] = c
 	return c
 }
@@ -357,6 +346,31 @@ func (r *Registry) Get(id int64) (*Campaign, bool) {
 		}
 	}
 	return nil, false
+}
+
+// ByTrace returns this node's recorder for a trace id, nil if no
+// retained campaign recorded under it (peer fan-in when stitching a
+// distributed trace). When several campaigns share the trace, the first
+// registered — the lowest campaign id — wins.
+func (r *Registry) ByTrace(id trace.TraceID) *trace.Recorder {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var first *Campaign
+	consider := func(c *Campaign) {
+		if c.rec != nil && c.rec.TraceID() == id && (first == nil || c.id < first.id) {
+			first = c
+		}
+	}
+	for _, c := range r.active {
+		consider(c)
+	}
+	for _, c := range r.recent {
+		consider(c)
+	}
+	if first == nil {
+		return nil
+	}
+	return first.rec
 }
 
 // Active returns the active campaigns in ID order.

@@ -4,8 +4,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 	"weak"
+
+	"radqec/internal/trace"
 )
 
 func TestRecordAssignsDenseSequence(t *testing.T) {
@@ -86,7 +87,7 @@ func TestRecordConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Chunks != workers*each || st.Shots != workers*each {
+	if st.Batches != workers*each || st.Shots != workers*each {
 		t.Fatalf("stats after concurrent record: %+v", st)
 	}
 	sigs, _ := c.Since(0, RingSize)
@@ -99,31 +100,31 @@ func TestRecordConcurrent(t *testing.T) {
 	}
 }
 
+// TestStatsAggregation: every Stats counter but the gauge and the
+// engine name is a fold of the recorded signals.
 func TestStatsAggregation(t *testing.T) {
 	c := NewCampaign(7, "fig6")
-	c.Record(Signal{Shots: 1000, Errors: 10, WallNS: 5e8, AllocBytes: 100})
-	c.Record(Signal{Shots: 1000, Errors: 20, WallNS: 5e8, AllocBytes: 200})
-	c.Record(Signal{Shots: 500, CacheHit: true})
-	c.Prepared(3 * time.Millisecond)
-	c.Prepared(time.Millisecond)
-	c.BatchDone()
-	c.BatchDone()
-	c.CacheMiss()
-	c.PointDone()
+	// A two-turn point of a cached campaign, a cache replay, a point of
+	// an uncached campaign, and a resumed checkpoint that only commits.
+	c.Record(Signal{Hash: "a", Shots: 1000, Errors: 10, PrepareNS: 3e6, WallNS: 5e8, DecodeNS: 1e8})
+	c.Record(Signal{Hash: "a", Shots: 1000, Errors: 20, WallNS: 5e8, DecodeNS: 2e8, CommitNS: 7e5, Done: true})
+	c.Record(Signal{Hash: "b", Shots: 500, CacheHit: true, Done: true})
+	c.Record(Signal{PrepareNS: 1e6, Done: true})
+	c.Record(Signal{Event: EventCancel, Shots: 99})
 	c.SetQueueDepth(9)
-	c.SetRoute(Route{Requested: "auto", Resolved: "batch", Reason: "r"})
+	c.SetEngine("batch")
 	st := c.Stats()
 	if st.ID != 7 || st.Experiment != "fig6" {
 		t.Fatalf("identity: %+v", st)
 	}
-	if st.Shots != 2500 || st.Errors != 30 || st.Chunks != 3 || st.Batches != 2 {
+	if st.Shots != 2500 || st.Errors != 30 || st.Batches != 2 || st.Cancels != 1 {
 		t.Fatalf("counters: %+v", st)
 	}
-	if st.CacheHits != 1 || st.CacheMisses != 1 || st.PointsDone != 1 || st.AllocBytes != 300 {
-		t.Fatalf("cache/alloc: %+v", st)
+	if st.CacheHits != 1 || st.CacheMisses != 1 || st.PointsDone != 3 {
+		t.Fatalf("cache/points: %+v", st)
 	}
-	if st.PrepareNS != 4e6 || st.WallNS != 1e9 {
-		t.Fatalf("set-up %dns beside run %dns, want 4e6 beside 1e9", st.PrepareNS, st.WallNS)
+	if st.PrepareNS != 4e6 || st.WallNS != 1e9 || st.DecodeNS != 3e8 || st.CommitNS != 7e5 {
+		t.Fatalf("set-up %d, run %d, decode %d, commit %d ns", st.PrepareNS, st.WallNS, st.DecodeNS, st.CommitNS)
 	}
 	// Engine throughput: shots over summed engine wall time (1s here),
 	// so neither the zero-wall cache replay nor set-up moves the rate
@@ -131,11 +132,8 @@ func TestStatsAggregation(t *testing.T) {
 	if st.ShotsPerSec != 2500 {
 		t.Fatalf("shots/s = %v, want 2500", st.ShotsPerSec)
 	}
-	if st.QueueDepth != 9 {
-		t.Fatalf("gauge: %+v", st)
-	}
-	if st.Route == nil || st.Route.Resolved != "batch" {
-		t.Fatalf("route: %+v", st.Route)
+	if st.QueueDepth != 9 || st.Engine != "batch" {
+		t.Fatalf("gauge/engine: %+v", st)
 	}
 	if st.Done {
 		t.Fatal("done before Finish")
@@ -148,8 +146,8 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry()
-	a := r.New("fig5")
-	b := r.New("fig6")
+	a := r.New("fig5", nil)
+	b := r.New("fig6", nil)
 	if a.ID() != 1 || b.ID() != 2 {
 		t.Fatalf("ids %d, %d", a.ID(), b.ID())
 	}
@@ -181,12 +179,12 @@ func TestRegistryLifecycle(t *testing.T) {
 // append happens to outgrow it.
 func TestRegistryRecentTailReleasesRotatedOut(t *testing.T) {
 	r := NewRegistry()
-	first := r.New("e")
+	first := r.New("e", nil)
 	r.Finish(first)
 	gone := weak.Make(first)
 	first = nil
 	for i := 0; i < keepRecent+1; i++ {
-		r.Finish(r.New("e"))
+		r.Finish(r.New("e", nil))
 	}
 	if len(r.recent) != keepRecent {
 		t.Fatalf("tail holds %d campaigns, want %d", len(r.recent), keepRecent)
@@ -200,15 +198,43 @@ func TestRegistryRecentTailReleasesRotatedOut(t *testing.T) {
 
 func TestRegistryRecentTailBounded(t *testing.T) {
 	r := NewRegistry()
-	first := r.New("e")
+	first := r.New("e", nil)
 	r.Finish(first)
 	for i := 0; i < keepRecent; i++ {
-		r.Finish(r.New("e"))
+		r.Finish(r.New("e", nil))
 	}
 	if _, ok := r.Get(first.ID()); ok {
 		t.Fatal("oldest finished campaign should have rotated out")
 	}
 	if c, ok := r.Get(2); !ok || c.ID() != 2 {
 		t.Fatal("recent campaign inside the tail bound not found")
+	}
+}
+
+// TestRegistryByTrace: the one table answers lookups by trace id too —
+// live and from the recent tail, the first registered campaign winning
+// a shared trace — and forgets a recorder with its campaign.
+func TestRegistryByTrace(t *testing.T) {
+	r := NewRegistry()
+	rec := trace.New("n")
+	first := r.New("e", rec)
+	second := r.New("e", trace.Adopt(rec.TraceID(), trace.SpanID{1}, "n"))
+	r.New("e", nil)
+	if first.Recorder() != rec || r.ByTrace(rec.TraceID()) != rec {
+		t.Fatal("trace lookup failed while live")
+	}
+	r.Finish(second)
+	r.Finish(first)
+	if r.ByTrace(rec.TraceID()) != rec {
+		t.Fatal("a shared trace id must resolve to the first registered campaign")
+	}
+	if r.ByTrace(trace.NewTraceID()) != nil {
+		t.Fatal("unknown trace id found")
+	}
+	for i := 0; i < keepRecent; i++ {
+		r.Finish(r.New("e", nil))
+	}
+	if r.ByTrace(rec.TraceID()) != nil {
+		t.Fatal("rotated-out campaign still answers for its trace")
 	}
 }

@@ -1,8 +1,10 @@
 // Latency histograms for the four paths that bound campaign
-// wall-clock — decode, remote fetch, lease wait, store commit — fed
-// automatically when sampled spans of those kinds end, each bucket
-// remembering its latest exemplar trace id so a dashboard outlier
-// links straight to the trace that produced it.
+// wall-clock — decode, remote fetch, lease wait, store commit. The
+// sweep feeds decode and store commit from every turn's telemetry
+// record, sampled or not; remote fetch and lease wait are fed when the
+// fabric's sampled spans of those kinds end. A bucket remembers the
+// trace id of its latest sampled observation, so a dashboard outlier
+// links straight to a trace that produced one like it.
 package trace
 
 import (
@@ -44,7 +46,8 @@ func NewHistogram(path string) *Histogram { return &Histogram{path: path} }
 // Path returns the histogram's path label.
 func (h *Histogram) Path() string { return h.path }
 
-// Observe records one latency with its originating trace.
+// Observe records one latency; a non-zero trace id (a sampled
+// campaign's) becomes the bucket's exemplar.
 func (h *Histogram) Observe(d time.Duration, trace TraceID) {
 	sec := d.Seconds()
 	i := 0
@@ -73,7 +76,7 @@ func (h *Histogram) Count() uint64 {
 // exemplars (only valid when the scrape negotiated the OpenMetrics
 // content type; the classic 0.0.4 format must omit them).
 func (h *Histogram) WritePrometheus(w io.Writer, name string, exemplars bool) {
-	fmt.Fprintf(w, "# HELP %s Latency of the %s path, from sampled trace spans.\n", name, h.path)
+	fmt.Fprintf(w, "# HELP %s Latency of the %s path.\n", name, h.path)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	var cum uint64
 	for i := range h.counts {
@@ -97,9 +100,7 @@ func (h *Histogram) WritePrometheus(w io.Writer, name string, exemplars bool) {
 func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }
 
 // Process-wide path histograms. They aggregate across campaigns
-// (standard Prometheus practice); only sampled campaigns feed them,
-// which keeps unsampled campaigns at literal zero cost and guarantees
-// every observation has a trace exemplar.
+// (standard Prometheus practice).
 var (
 	DecodeHist = NewHistogram("decode")
 	FetchHist  = NewHistogram("remote_fetch")
@@ -113,17 +114,13 @@ func PathHistograms() []*Histogram {
 	return []*Histogram{DecodeHist, FetchHist, LeaseHist, CommitHist}
 }
 
-// observePath feeds the matching path histogram when a span of one of
-// the four instrumented kinds ends.
+// observePath feeds the fabric's two histograms when a span of their
+// kind ends.
 func observePath(name string, d time.Duration, trace TraceID) {
 	switch name {
-	case SpanDecode:
-		DecodeHist.Observe(d, trace)
 	case SpanRemoteFetch:
 		FetchHist.Observe(d, trace)
 	case SpanLeaseWait:
 		LeaseHist.Observe(d, trace)
-	case SpanStoreCommit:
-		CommitHist.Observe(d, trace)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,16 +30,13 @@ import (
 // stays dense, so readers can tell spans were dropped).
 const RingSize = 8192
 
-// keepRecent bounds how many finished campaigns' traces a Registry
-// retains for late readers, mirroring telemetry.Registry.
-const keepRecent = 64
-
 // Span kinds — the domain model. A campaign span is the root (one per
 // node participating in the campaign), point spans are its children,
 // and the leaf kinds hang off a point (chunk-run, decode,
-// store-commit) or off the campaign (the fabric kinds: remote-fetch,
-// lease-wait, takeover, which run while the point is parked and has
-// no span yet).
+// store-commit: drawn by the sweep from the numbers of the turn's
+// telemetry record) or off the campaign (the fabric kinds:
+// remote-fetch, lease-wait, takeover, which run while the point is
+// parked and has no span yet).
 const (
 	SpanCampaign    = "campaign"
 	SpanPoint       = "point"
@@ -309,6 +305,20 @@ func (sc SpanContext) StartAt(name, key string, start time.Time) ActiveSpan {
 	return a
 }
 
+// Draw records a finished child span from an interval measured
+// elsewhere: the sweep draws a turn's chunk-run, decode and store-commit
+// spans from the same numbers it publishes on the turn's telemetry
+// record, so the two can never disagree. A no-op on an unsampled
+// context.
+func (sc SpanContext) Draw(name, key, hash string, shots int, start time.Time, dur time.Duration) {
+	a := sc.StartAt(name, key, start)
+	if a.sc.rec == nil {
+		return
+	}
+	a.hash, a.shots = hash, shots
+	a.record(dur)
+}
+
 // ActiveSpan is an open span held by value on the recording
 // goroutine's stack; End publishes it. The zero value is inert.
 type ActiveSpan struct {
@@ -349,11 +359,17 @@ func (a *ActiveSpan) SetError(err error) {
 // End records the span. Safe (and free) on the zero value; calling
 // twice records twice, so don't.
 func (a *ActiveSpan) End() {
-	r := a.sc.rec
-	if r == nil {
+	if a.sc.rec == nil {
 		return
 	}
 	dur := time.Since(a.start)
+	a.record(dur)
+	observePath(a.name, dur, a.sc.rec.traceID)
+}
+
+// record publishes the span with the given duration.
+func (a *ActiveSpan) record(dur time.Duration) {
+	r := a.sc.rec
 	s := Span{
 		Trace:   r.traceID.String(),
 		ID:      a.sc.span.String(),
@@ -371,7 +387,6 @@ func (a *ActiveSpan) End() {
 		s.Parent = a.parent.String()
 	}
 	r.record(s)
-	observePath(a.name, dur, r.traceID)
 }
 
 // ctxKey carries a SpanContext through context.Context; the client
@@ -394,85 +409,4 @@ func FromContext(ctx context.Context) SpanContext {
 	}
 	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
 	return sc
-}
-
-// Registry tracks the recorders of live and recently finished
-// campaigns on one node, addressable by campaign id (the public
-// trace endpoint) and by trace id (peer fan-in when stitching a
-// distributed trace). Retention mirrors telemetry.Registry: live
-// recorders pin themselves; the keepRecent most recently finished
-// stay for late readers.
-type Registry struct {
-	mu         sync.Mutex
-	byCampaign map[int64]*Recorder
-	byTrace    map[TraceID]*Recorder
-	done       []int64 // finish order of retired campaigns, oldest first
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		byCampaign: make(map[int64]*Recorder),
-		byTrace:    make(map[TraceID]*Recorder),
-	}
-}
-
-// Add registers a campaign's recorder. A nil recorder (unsampled
-// campaign) is a no-op.
-func (g *Registry) Add(campaignID int64, r *Recorder) {
-	if g == nil || r == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.byCampaign[campaignID] = r
-	if _, taken := g.byTrace[r.traceID]; !taken {
-		g.byTrace[r.traceID] = r
-	}
-}
-
-// Finish marks a campaign's trace complete, retaining it among the
-// keepRecent most recent and evicting the oldest beyond that.
-func (g *Registry) Finish(campaignID int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	r := g.byCampaign[campaignID]
-	if r == nil {
-		return
-	}
-	g.done = append(g.done, campaignID)
-	for len(g.done) > keepRecent {
-		old := g.done[0]
-		g.done = g.done[1:]
-		if or := g.byCampaign[old]; or != nil {
-			if g.byTrace[or.traceID] == or {
-				delete(g.byTrace, or.traceID)
-			}
-			delete(g.byCampaign, old)
-		}
-	}
-}
-
-// ByCampaign returns the recorder for a campaign id, nil if unknown
-// (never sampled, or evicted).
-func (g *Registry) ByCampaign(id int64) *Recorder {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.byCampaign[id]
-}
-
-// ByTrace returns this node's recorder for a trace id, nil if unknown.
-func (g *Registry) ByTrace(id TraceID) *Recorder {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.byTrace[id]
 }

@@ -191,35 +191,6 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestRegistryRetention: lookups by campaign and trace id work while
-// live, and finishing more than keepRecent campaigns evicts the
-// oldest.
-func TestRegistryRetention(t *testing.T) {
-	g := NewRegistry()
-	first := New("n")
-	g.Add(1, first)
-	if g.ByCampaign(1) != first || g.ByTrace(first.TraceID()) != first {
-		t.Fatal("registry lookup failed while live")
-	}
-	g.Finish(1)
-	for i := int64(2); i <= keepRecent+1; i++ {
-		r := New("n")
-		g.Add(i, r)
-		g.Finish(i)
-	}
-	if g.ByCampaign(1) != nil {
-		t.Fatal("oldest finished trace not evicted")
-	}
-	if g.ByCampaign(keepRecent+1) == nil {
-		t.Fatal("recent finished trace evicted")
-	}
-	// Unsampled campaigns never register.
-	g.Add(99, nil)
-	if g.ByCampaign(99) != nil {
-		t.Fatal("nil recorder registered")
-	}
-}
-
 // TestHistogramExemplars: observations land in the right buckets, the
 // OpenMetrics rendering carries exemplars and the classic rendering
 // omits them.
@@ -286,16 +257,45 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestPathHistogramFeed: ending a sampled decode span feeds the
-// process-wide decode histogram.
+// TestPathHistogramFeed: ending a sampled span of a fabric kind feeds
+// its process-wide histogram; the decode and store-commit histograms
+// are fed by the sweep from the turn record, not by their spans.
 func TestPathHistogramFeed(t *testing.T) {
-	before := DecodeHist.Count()
+	fetch, decode := FetchHist.Count(), DecodeHist.Count()
 	r := New("n")
 	root := r.Campaign("c")
+	f := root.Context().Start(SpanRemoteFetch, "")
+	f.End()
 	d := root.Context().Start(SpanDecode, "k")
 	d.End()
+	root.Context().Draw(SpanDecode, "k", "", 64, time.Now(), time.Millisecond)
 	root.End()
-	if DecodeHist.Count() != before+1 {
-		t.Fatalf("decode histogram count %d, want %d", DecodeHist.Count(), before+1)
+	if FetchHist.Count() != fetch+1 {
+		t.Fatalf("remote-fetch histogram count %d, want %d", FetchHist.Count(), fetch+1)
+	}
+	if DecodeHist.Count() != decode {
+		t.Fatalf("decode histogram moved by %d on span ends", DecodeHist.Count()-decode)
+	}
+}
+
+// TestDrawRecordsGivenInterval: a drawn span carries exactly the start
+// and duration it was handed, under the drawing context.
+func TestDrawRecordsGivenInterval(t *testing.T) {
+	r := New("n")
+	root := r.Campaign("c")
+	start := time.Unix(1700000000, 42)
+	root.Context().Draw(SpanStoreCommit, "k", "h", 0, start, 1234*time.Nanosecond)
+	var unsampled SpanContext
+	unsampled.Draw(SpanStoreCommit, "k", "h", 0, start, time.Second)
+	spans := r.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("recorded %d spans, want 1", len(spans))
+	}
+	s := spans[0]
+	if s.Name != SpanStoreCommit || s.Key != "k" || s.Hash != "h" || s.Parent != root.Context().SpanID().String() {
+		t.Fatalf("drawn span %+v", s)
+	}
+	if s.StartNS != start.UnixNano() || s.DurNS != 1234 {
+		t.Fatalf("drawn interval start %d dur %d", s.StartNS, s.DurNS)
 	}
 }

@@ -25,26 +25,12 @@ import (
 //
 // Every entry carries its reason in one word:
 //
-//	bench-pin  the frozen bench/ contract names the client.* surface
 //	oracle     a test of another behaviour compares against it or
 //	           observes through it (reference code stays where it is)
 //	test-hook  test-only arming/inspection API of a production mechanism
 //	prior      the non-unit-prior producers (weighted DEM edges are the
 //	           matcher's next idea, see ROADMAP)
 var reachAllow = map[string]string{
-	"client.Client.Base":            "bench-pin",
-	"client.Client.CacheEntry":      "bench-pin",
-	"client.Client.Cancel":          "bench-pin",
-	"client.Client.ClearCache":      "bench-pin",
-	"client.Client.CompactCache":    "bench-pin",
-	"client.Client.Experiments":     "bench-pin",
-	"client.Client.Healthz":         "bench-pin",
-	"client.Client.InvalidateEntry": "bench-pin",
-	"client.Client.Signals":         "bench-pin",
-	"client.Client.TraceSpans":      "bench-pin",
-	"client.ErrorCode":              "bench-pin",
-	"client.SignalStream.Next":      "bench-pin",
-
 	// Reference implementations and the single-call conveniences the
 	// cross-engine and differential tests run them through.
 	"arch.VerifyRouted":                    "oracle",
@@ -80,6 +66,12 @@ var reachAllow = map[string]string{
 	"qec.Code.XStabilizers":        "oracle",
 	"qec.Code.ZStabilizers":        "oracle",
 	"trace.Histogram.Count":        "oracle",
+	// The client calls through which internal/server's tests read the
+	// signals stream and a campaign's trace, and cancel a campaign.
+	"client.Client.Cancel":     "oracle",
+	"client.Client.Signals":    "oracle",
+	"client.Client.TraceSpans": "oracle",
+	"client.SignalStream.Next": "oracle",
 
 	"faultinject.Armed":         "test-hook",
 	"faultinject.Disable":       "test-hook",
@@ -334,9 +326,9 @@ func TestReachability(t *testing.T) {
 			t.Errorf("reachAllow lists %s (%s) but no such function exists: drop the entry", name, reason)
 		}
 		switch reason {
-		case "bench-pin", "oracle", "test-hook", "prior":
+		case "oracle", "test-hook", "prior":
 		default:
-			t.Errorf("reachAllow[%s] = %q: want bench-pin, oracle, test-hook or prior", name, reason)
+			t.Errorf("reachAllow[%s] = %q: want oracle, test-hook or prior", name, reason)
 		}
 	}
 	sort.Strings(dead)

@@ -10,7 +10,9 @@
 #      points compare keyed; elapsed_ms is timing, so it is stripped)
 #   3. re-submit the campaign and assert a full cache hit: every point
 #      streams back flagged cached and the daemon's engine counter
-#      (radqecd_points_computed_total) does not advance
+#      (radqecd_points_computed_total) does not advance; the decode and
+#      store-commit histograms are fed by that cold, unsampled campaign
+#      (one commit observation per computed point) and not by the replay
 #   4. cancel a bigger campaign mid-stream with DELETE /v1/campaigns/{id},
 #      assert the stream ends in a cancelled error record, then resubmit
 #      and assert the resumed table is byte-identical to a CLI reference
@@ -67,12 +69,27 @@ echo "== CLI reference run"
 echo "== cold daemon submission (typed Go client)"
 "$bindir/smokeclient" -addr "$addr" -experiment "$EXPERIMENT" -shots "$SHOTS" -seed "$SEED" \
   >"$workdir/cold.ndjson" 2>/dev/null
-computed_cold=$(curl -fsS "http://$addr/metrics" | awk '/^radqecd_points_computed_total /{print $2}')
+metric() { curl -fsS "http://$addr/metrics" | awk -v m="radqecd_$1" '$1==m{print $2}'; }
+computed_cold=$(metric points_computed_total)
+commits_cold=$(metric store_commit_seconds_count)
+decodes_cold=$(metric decode_seconds_count)
+if [[ "$commits_cold" != "$computed_cold" ]]; then
+  echo "daemon_smoke: store_commit_seconds_count = $commits_cold after the cold campaign, points_computed_total = $computed_cold" >&2
+  exit 1
+fi
+if [[ "$decodes_cold" -le 0 ]]; then
+  echo "daemon_smoke: decode_seconds_count = $decodes_cold after an unsampled cold campaign, want > 0" >&2
+  exit 1
+fi
 
 echo "== warm daemon re-submission (must be a full cache hit)"
 "$bindir/smokeclient" -addr "$addr" -experiment "$EXPERIMENT" -shots "$SHOTS" -seed "$SEED" \
   >"$workdir/warm.ndjson" 2>/dev/null
-computed_warm=$(curl -fsS "http://$addr/metrics" | awk '/^radqecd_points_computed_total /{print $2}')
+computed_warm=$(metric points_computed_total)
+if [[ "$(metric store_commit_seconds_count)" != "$commits_cold" || "$(metric decode_seconds_count)" != "$decodes_cold" ]]; then
+  echo "daemon_smoke: the warm replay moved the decode or store-commit histogram" >&2
+  exit 1
+fi
 
 python3 - "$workdir" "$computed_cold" "$computed_warm" <<'EOF'
 import json, sys
@@ -159,7 +176,7 @@ if any(r.get("type") == "table" for r in recs):
 print(f"daemon_smoke: campaign cancelled after {len(recs)-1} streamed points")
 EOF
 
-cancelled_total=$(curl -fsS "http://$addr/metrics" | awk '/^radqecd_campaigns_cancelled_total /{print $2}')
+cancelled_total=$(metric campaigns_cancelled_total)
 if [[ "$cancelled_total" != "1" ]]; then
   echo "daemon_smoke: campaigns_cancelled_total = $cancelled_total, want 1" >&2
   exit 1
