@@ -374,7 +374,9 @@ func main() {
 // printStats writes the -stats telemetry summary for one experiment to
 // stderr: aggregate engine throughput, the points' set-up time beside
 // it and the decoder's share of their run time, batch counts, cache
-// traffic and the engine the points ran on.
+// traffic, the plan time spent before the sweeps' first turns (building
+// and addressing the points — what a warm -store run costs) and the
+// engine the points ran on.
 func printStats(st telemetry.Stats) {
 	fmt.Fprintf(os.Stderr,
 		"radqec: %s: %d shots (%d errors) over %d points in %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses\n",
@@ -392,6 +394,11 @@ func printStats(st telemetry.Stats) {
 			100*float64(st.PrepareNS)/float64(engine),
 			time.Duration(st.WallNS).Round(time.Millisecond),
 			decodeShare)
+	}
+	if st.PlanNS > 0 {
+		fmt.Fprintf(os.Stderr, "radqec: %s: plan time %v (%.1f%% of %v elapsed): points built and addressed before the first turn\n",
+			st.Experiment, time.Duration(st.PlanNS).Round(time.Microsecond),
+			100*float64(st.PlanNS)/float64(st.ElapsedNS), time.Duration(st.ElapsedNS).Round(time.Microsecond))
 	}
 	if st.Engine != "" {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s\n", st.Experiment, st.Engine)

@@ -48,6 +48,11 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 			t.Errorf("changing %s did not move the fingerprint", name)
 		}
 	}
+	// Seeds are written digit for digit: two above 2^53 that a float64
+	// round trip would merge stay distinct.
+	if a, b := fingerprintFor(t, Config{Shots: 64, Seed: 1<<64 - 1}), fingerprintFor(t, Config{Shots: 64, Seed: 1<<64 - 2}); a == b {
+		t.Error("seeds 2^64-1 and 2^64-2 hashed identically")
+	}
 	// EngineAuto and its resolution hash identically: the fingerprint
 	// records the engine that actually runs.
 	if got := fingerprintFor(t, Config{Shots: 64, Seed: 7, Engine: EngineBatch}); got != ref {

@@ -29,7 +29,6 @@ import (
 	"radqec/internal/qec"
 	"radqec/internal/rng"
 	"radqec/internal/stats"
-	"radqec/internal/store"
 	"radqec/internal/sweep"
 	"radqec/internal/telemetry"
 	"radqec/internal/trace"
@@ -281,20 +280,21 @@ type prepared struct {
 	code *qec.Code
 	tr   *arch.Transpiled
 	dist [][]int // all-pairs distances of the topology
-	// dump memoises the circuit's canonical serialization for
-	// fingerprinting — a figure shares one prepared circuit across its
-	// whole point grid, so it is dumped once, not per point. Filled
-	// lazily from runSpecs' single goroutine (before the sweep fans
-	// out), so no locking is needed.
-	dump string
+	// circuitJSON memoises the circuit's canonical serialization as the
+	// JSON string literal a fingerprint carries — a figure shares one
+	// prepared circuit across its whole point grid, so the 2-3 KB that
+	// dominate every point's address are dumped and escaped once, not
+	// per point. Filled lazily from runSpecs' single goroutine (before
+	// the sweep fans out), so no locking is needed.
+	circuitJSON []byte
 }
 
-// circuitDump returns the memoised canonical circuit serialization.
-func (p *prepared) circuitDump() string {
-	if p.dump == "" {
-		p.dump = p.tr.Circuit.String()
+// circuitLiteral returns the memoised circuit literal.
+func (p *prepared) circuitLiteral() []byte {
+	if p.circuitJSON == nil {
+		p.circuitJSON = appendJSONString(nil, p.tr.Circuit.String())
 	}
-	return p.dump
+	return p.circuitJSON
 }
 
 func prepare(code *qec.Code, topo arch.Topology) (*prepared, error) {
@@ -341,69 +341,6 @@ func (s pointSpec) engineFor(engine string) string {
 // rate.
 func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed uint64) pointSpec {
 	return pointSpec{key: key, prep: p, phys: cfg.P, ev: ev, seed: seed}
-}
-
-// fingerprintVersion versions the canonical spec serialization. Bump
-// it whenever the meaning of a cached result changes — a new
-// allocation policy, a different engine shot-stream contract — so a
-// stale store misses instead of serving results computed under
-// different semantics.
-//
-// 2: the batched engine samples strike probabilities in (0, 1/32) by
-// geometric gaps and depolarizing rates >= 1/32 by Bernoulli words
-// (noise.LaneSampler), which moved the shot streams of every point with
-// such a probability; results cached under 1 are a different sample.
-const fingerprintVersion = 2
-
-// specFingerprint is the canonical serialized identity of one sweep
-// point: everything that determines its result — the routed circuit,
-// the fault, the seed, the resolved engine and decoder, and the full
-// shot-allocation policy. Hashing goes through store.CanonicalHash, so
-// the address depends only on the values, never on field order or the
-// Go shape that produced them.
-type specFingerprint struct {
-	V        int       `json:"v"`
-	Key      string    `json:"key"`
-	Circuit  string    `json:"circuit"`
-	Phys     float64   `json:"phys"`
-	Event    []float64 `json:"event,omitempty"`
-	Seed     uint64    `json:"seed"`
-	Engine   string    `json:"engine"`
-	Decoder  string    `json:"decoder"`
-	Shots    int       `json:"shots"`
-	CI       float64   `json:"ci,omitempty"`
-	MaxShots int       `json:"max_shots,omitempty"`
-	Align    int       `json:"align"`
-}
-
-// fingerprint returns the point's content address under cfg. Specs
-// that override the decode function are still distinguished, because
-// every such spec carries the variant in its key (e.g. the
-// ablation-decoder rows).
-func (s pointSpec) fingerprint(cfg Config) string {
-	fp := specFingerprint{
-		V:        fingerprintVersion,
-		Key:      s.key,
-		Circuit:  s.prep.circuitDump(),
-		Phys:     s.phys,
-		Seed:     s.seed,
-		Engine:   s.engineFor(cfg.Engine),
-		Decoder:  cfg.DecoderName(),
-		Shots:    cfg.Shots,
-		CI:       cfg.CI,
-		MaxShots: cfg.MaxShots,
-		Align:    frame.TileShots,
-	}
-	if s.ev != nil {
-		fp.Event = s.ev.Probs
-	}
-	h, err := store.CanonicalHash(fp)
-	if err != nil {
-		// A plain struct of scalars and slices cannot fail to marshal;
-		// reaching here is programmer error in the fingerprint shape.
-		panic(fmt.Sprintf("exp: fingerprint: %v", err))
-	}
-	return h
 }
 
 // point lowers the spec onto the sweep engine. The campaign is built
@@ -471,6 +408,7 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 	if len(specs) == 0 {
 		return nil
 	}
+	t0 := time.Now()
 	budget := cfg.Workers
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
@@ -492,15 +430,16 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 			shotWorkers = 1
 		}
 	}
-	if tel := cfg.Telemetry; tel != nil {
-		tel.SetEngine(specs[0].engineFor(cfg.Engine))
-	}
 	points := make([]sweep.Point, len(specs))
 	for i, s := range specs {
 		points[i] = s.point(cfg.Engine, cfg.Decoder, shotWorkers)
 		if cfg.Cache != nil {
 			points[i].Hash = s.fingerprint(cfg)
 		}
+	}
+	if tel := cfg.Telemetry; tel != nil {
+		tel.SetEngine(specs[0].engineFor(cfg.Engine))
+		tel.AddPlan(time.Since(t0))
 	}
 	results, err := sweep.Run(cfg.context(), cfg.sweepConfig(), points)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"radqec/internal/arch"
+	"radqec/internal/noise"
 	"radqec/internal/qec"
 )
 
@@ -108,24 +109,61 @@ func TestThresholdGapArmCountsAcrossCommits(t *testing.T) {
 	}
 }
 
-// TestFingerprintLiteral pins the content address of one fixed spec as
-// a literal. The address covers fingerprintVersion, so a change to what
+// TestFingerprintLiteral pins the content addresses of fixed specs as
+// literals. The address covers fingerprintVersion, so a change to what
 // a cached result means cannot forget the bump silently: it either
-// bumps the version and re-records this string on purpose, or leaves
-// both alone.
+// bumps the version and re-records these strings on purpose, or leaves
+// both alone. The first was recorded at ceb1e49 plus the regime rule
+// (fingerprintVersion 2); the rest at 75793d0, while the address was
+// still the generic marshal -> untyped decode -> re-marshal -> SHA-256
+// (canonicalHash in fingerprint_test.go), one per branch of the direct
+// encoder that replaced it: an all-zero event (what threshold emits),
+// no event at all (the omitted key), ci and max_shots present, the
+// other engine and decoder names, and a 65-entry event with decayed
+// probabilities on both sides of the 'e' float format.
 func TestFingerprintLiteral(t *testing.T) {
-	code, err := qec.NewRepetition(3)
-	if err != nil {
-		t.Fatal(err)
+	rep := func(d int, topo arch.Topology) *prepared {
+		code, err := qec.NewRepetition(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := prepare(code, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	p, err := prepare(code, arch.Mesh(5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Shots: 2000, Seed: 1, P: 0.01, NS: 10, Engine: EngineBatch, Decoder: DecoderMWPM}
-	spec := p.spec("golden/rep-(3,1)", cfg, p.strikeAt(Fig5Root, 0.25, true), 42)
-	const want = "ef02ce5640c1a520311b758a52ba04d7c21f1cbca53f00ec59bd9aeac7ae4d0e"
-	if got := spec.fingerprint(cfg); got != want {
-		t.Errorf("fingerprint of the fixed spec is %s, recorded %s (fingerprintVersion %d)", got, want, fingerprintVersion)
+	base := Config{Shots: 2000, Seed: 1, P: 0.01, NS: 10, Engine: EngineBatch, Decoder: DecoderMWPM}
+	mesh := rep(3, arch.Mesh(5, 2))
+	threshold := rep(7, arch.Mesh(5, 6))
+	brooklyn := rep(5, arch.Brooklyn())
+	adaptive, oracle, low := base, base, base
+	adaptive.CI, adaptive.MaxShots = 0.01, 50000
+	oracle.Engine, oracle.Decoder = EngineTableau, DecoderUF
+	low.P = 1e-7
+	for _, g := range []struct {
+		name string
+		cfg  Config
+		spec pointSpec
+		want string
+	}{
+		{"strike", base, mesh.spec("golden/rep-(3,1)", base, mesh.strikeAt(Fig5Root, 0.25, true), 42),
+			"ef02ce5640c1a520311b758a52ba04d7c21f1cbca53f00ec59bd9aeac7ae4d0e"},
+		{"threshold", base, threshold.spec("threshold/rep-(7,1)/p1e-02", base,
+			noise.NoRadiation(threshold.tr.Circuit.NumQubits), 64),
+			"ed4b6b1cded81715861a139aa903e18462baa640a31ae8522ef4dad59a40784f"},
+		{"no-event", low, mesh.spec("golden/none", low, nil, 1<<63+5),
+			"adca09d26778bc974fca2b7e152929b3a6b11d208de6d3753686ecfb85a146f9"},
+		{"adaptive", adaptive, mesh.spec("golden/adaptive", adaptive, mesh.strikeAt(Fig5Root, 1, false), 7),
+			"1052ad5d47d2b6e9fd902689dc01b901d990b32fe9ab2f0742ba170c7dd5dfa6"},
+		{"tableau-uf", oracle, mesh.spec("golden/oracle", oracle, mesh.strikeAt(Fig5Root, 0.25, true), 42),
+			"15717543c8763e04deebfc08432acf33094305abb0db07cbb9618ab9e1e6a2e7"},
+		{"brooklyn", base, brooklyn.spec("golden/brooklyn", base, brooklyn.strikeAt(31, 1e-4, true), 42),
+			"4eb3a70a50414166fd2be0374f9cad908f8e377b20456862577b4b9fedc02a0e"},
+	} {
+		if got := g.spec.fingerprint(g.cfg); got != g.want {
+			t.Errorf("%s: fingerprint of the fixed spec is %s, recorded %s (fingerprintVersion %d)",
+				g.name, got, g.want, fingerprintVersion)
+		}
 	}
 }

@@ -451,6 +451,12 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		}
 		emit(exp.NewPointRecord(e.Name, res))
 	}
+	// The headers go out with the submission, not with the first point:
+	// the id is the client's cancel and signals handle, and the first
+	// point can sit behind another campaign's long batch.
+	if flusher != nil {
+		flusher.Flush()
+	}
 	start := time.Now()
 	tab, err := e.Run(cfg)
 	if err != nil {

@@ -349,3 +349,41 @@ func TestConcurrentCampaignsShareThePool(t *testing.T) {
 		}
 	}
 }
+
+// firstFlush records what the client has been sent when the handler
+// first flushes.
+type firstFlush struct {
+	*httptest.ResponseRecorder
+	flushed bool
+	id      string
+	body    int
+}
+
+func (f *firstFlush) Flush() {
+	if !f.flushed {
+		f.flushed = true
+		f.id = f.Header().Get("X-Radqec-Campaign-Id")
+		f.body = f.Body.Len()
+	}
+	f.ResponseRecorder.Flush()
+}
+
+// TestCampaignIDFlushedWithSubmission: the response headers — the id a
+// client cancels and follows signals by — reach the wire when the
+// campaign is accepted, before any point record, so a campaign queued
+// behind another's long batch can still be cancelled.
+func TestCampaignIDFlushedWithSubmission(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	body, err := json.Marshal(CampaignRequest{Experiment: "threshold", Shots: 64, Seed: seed(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &firstFlush{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(body)))
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"type":"table"`) {
+		t.Fatalf("campaign did not complete: %d %s", w.Code, w.Body)
+	}
+	if !w.flushed || w.id == "" || w.body != 0 {
+		t.Errorf("first flush: happened=%v campaign id %q after %d body bytes; want the id with no body yet", w.flushed, w.id, w.body)
+	}
+}

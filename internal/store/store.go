@@ -1,3 +1,11 @@
+// Package store persists sweep-point results on disk, content-
+// addressed by the hash the caller computed over each point's full
+// spec (exp's specFingerprint). The segment format is append-only
+// NDJSON with batch-level checkpoints, so an interrupted campaign
+// resumes from its last batch boundary and a crash can tear at most the
+// final line (which recovery discards). An in-memory LRU bounds the
+// decoded records held resident, and compaction rewrites the segment
+// atomically.
 package store
 
 import (

@@ -107,6 +107,7 @@ type Campaign struct {
 	decodeNS    atomic.Int64
 	prepareNS   atomic.Int64
 	commitNS    atomic.Int64
+	planNS      atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	pointsDone  atomic.Int64
@@ -183,6 +184,10 @@ func (c *Campaign) SetQueueDepth(depth int) { c.queueDepth.Store(int64(depth)) }
 // SetEngine records the engine the campaign's points resolved to.
 func (c *Campaign) SetEngine(name string) { c.engine.Store(&name) }
 
+// AddPlan adds the time one sweep of the campaign spent before its
+// first turn: building the points and, with a cache, addressing them.
+func (c *Campaign) AddPlan(d time.Duration) { c.planNS.Add(d.Nanoseconds()) }
+
 // Finish marks the campaign complete; the signals stream uses it to
 // terminate follows.
 func (c *Campaign) Finish() { c.done.Store(true) }
@@ -217,7 +222,9 @@ func (c *Campaign) Since(seq uint64, max int) ([]Signal, uint64) {
 
 // Stats is the aggregate point-in-time view of a campaign, shared by
 // /metrics, the signals stream's summary record and the CLI's -stats.
-// Every counter but QueueDepth is a fold of the campaign's signals.
+// Every counter but QueueDepth and PlanNS (the time before a sweep's
+// first turn, reported by its builder) is a fold of the campaign's
+// signals.
 type Stats struct {
 	ID          int64   `json:"id"`
 	Experiment  string  `json:"experiment"`
@@ -230,6 +237,7 @@ type Stats struct {
 	DecodeNS    int64   `json:"decode_ns"`
 	PrepareNS   int64   `json:"prepare_ns"`
 	CommitNS    int64   `json:"commit_ns"`
+	PlanNS      int64   `json:"plan_ns"`
 	ShotsPerSec float64 `json:"shots_per_sec"`
 	CacheHits   int64   `json:"cache_hits"`
 	CacheMisses int64   `json:"cache_misses"`
@@ -265,6 +273,7 @@ func (c *Campaign) Stats() Stats {
 		DecodeNS:    c.decodeNS.Load(),
 		PrepareNS:   c.prepareNS.Load(),
 		CommitNS:    c.commitNS.Load(),
+		PlanNS:      c.planNS.Load(),
 		ShotsPerSec: sps,
 		CacheHits:   c.cacheHits.Load(),
 		CacheMisses: c.cacheMisses.Load(),

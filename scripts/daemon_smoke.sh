@@ -159,6 +159,13 @@ if [[ -z "$cid" ]]; then
   echo "daemon_smoke: no campaign id header on the cancel run" >&2
   exit 1
 fi
+# The id arrives with the submission, before any point; "mid-stream"
+# means at least one point has committed and streamed, so the resumed
+# run below has something to replay.
+for _ in $(seq 1 600); do
+  if [[ -s "$workdir/cancelled.ndjson" ]]; then break; fi
+  sleep 0.05
+done
 curl -fsS -X DELETE "http://$addr/v1/campaigns/$cid" >/dev/null
 wait "$curl_pid" || true
 
