@@ -325,9 +325,11 @@ func main() {
 				}
 			}
 		}
+		var regBefore exp.RegistryStats
 		if *statsOut {
 			campaignID++
 			cfg.Telemetry = telemetry.NewCampaign(campaignID, e.Name)
+			regBefore = exp.Registry()
 		}
 		root := recorder.Campaign(e.Name) // inert without a trace file
 		cfg.Trace = root.Context()
@@ -354,7 +356,7 @@ func main() {
 		}
 		if tel := cfg.Telemetry; tel != nil {
 			tel.Finish()
-			printStats(tel.Stats())
+			printStats(tel.Stats(), regBefore, exp.Registry())
 			cfg.Telemetry = nil
 		}
 		switch {
@@ -376,8 +378,11 @@ func main() {
 // it and the decoder's share of their run time, batch counts, cache
 // traffic, the plan time spent before the sweeps' first turns (building
 // and addressing the points — what a warm -store run costs) and the
-// engine the points ran on.
-func printStats(st telemetry.Stats) {
+// engine the points ran on. before and after are the process's registry
+// counters around the experiment: the matcher calls and triggered lanes
+// are this experiment's own, the memo entries what every experiment so
+// far has left behind.
+func printStats(st telemetry.Stats, before, after exp.RegistryStats) {
 	fmt.Fprintf(os.Stderr,
 		"radqec: %s: %d shots (%d errors) over %d points in %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses\n",
 		st.Experiment, st.Shots, st.Errors, st.PointsDone, st.Batches,
@@ -399,6 +404,10 @@ func printStats(st telemetry.Stats) {
 		fmt.Fprintf(os.Stderr, "radqec: %s: plan time %v (%.1f%% of %v elapsed): points built and addressed before the first turn\n",
 			st.Experiment, time.Duration(st.PlanNS).Round(time.Microsecond),
 			100*float64(st.PlanNS)/float64(st.ElapsedNS), time.Duration(st.ElapsedNS).Round(time.Microsecond))
+	}
+	if lanes := after.Decoder.TriggeredLanes - before.Decoder.TriggeredLanes; lanes > 0 {
+		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls for %d triggered lanes, %d memo entries\n",
+			st.Experiment, after.Decoder.MatcherCalls-before.Decoder.MatcherCalls, lanes, after.Decoder.MemoEntries)
 	}
 	if st.Engine != "" {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s\n", st.Experiment, st.Engine)

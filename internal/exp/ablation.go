@@ -118,7 +118,7 @@ func AblationRounds(cfg Config) (*Table, error) {
 		prepped []*prepared
 	)
 	for _, r := range rounds {
-		code, err := qec.NewRepetitionRounds(15, r)
+		code, err := Config{Rounds: r}.repetition(15)
 		if err != nil {
 			return nil, err
 		}

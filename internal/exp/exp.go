@@ -18,6 +18,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,14 +137,15 @@ type Config struct {
 	Trace trace.SpanContext
 }
 
-// repetition builds the repetition code at the configured memory depth.
+// repetition and xxzz resolve the code at the configured memory depth
+// through the registry: the same distances and rounds return the same
+// *qec.Code, DEM, memos and all, for as long as the registry holds it.
 func (c Config) repetition(d int) (*qec.Code, error) {
-	return qec.NewRepetitionRounds(d, c.Rounds)
+	return codeRegistry.code(codeKey{dZ: d, dX: 1, rounds: c.Rounds})
 }
 
-// xxzz builds the XXZZ code at the configured memory depth.
 func (c Config) xxzz(dZ, dX int) (*qec.Code, error) {
-	return qec.NewXXZZRounds(dZ, dX, c.Rounds)
+	return codeRegistry.code(codeKey{xxzz: true, dZ: dZ, dX: dX, rounds: c.Rounds})
 }
 
 // DecoderName returns the decoder that will actually decode the
@@ -276,28 +278,39 @@ func pct(r float64) string { return fmt.Sprintf("%.2f%%", 100*r) }
 // all of them (radiation resets on superposed XXZZ sites carry the
 // collapsed-branch approximation documented in package frame; pass
 // EngineTableau for the exact oracle).
+//
+// Concurrent campaigns share one prepared circuit through the registry,
+// so everything here is either written before the value is published or
+// synchronised: circuitJSON by its Once, the compiled reference by the
+// circuit's own slot, the code's DEM and memos by the code.
 type prepared struct {
 	code *qec.Code
 	tr   *arch.Transpiled
 	dist [][]int // all-pairs distances of the topology
 	// circuitJSON memoises the circuit's canonical serialization as the
-	// JSON string literal a fingerprint carries — a figure shares one
-	// prepared circuit across its whole point grid, so the 2-3 KB that
-	// dominate every point's address are dumped and escaped once, not
-	// per point. Filled lazily from runSpecs' single goroutine (before
-	// the sweep fans out), so no locking is needed.
+	// JSON string literal a fingerprint carries, so the 2-3 KB that
+	// dominate every point's address are dumped and escaped once per
+	// prepared circuit, not per point — and only where a campaign has a
+	// cache to address.
+	circuitOnce sync.Once
 	circuitJSON []byte
 }
 
 // circuitLiteral returns the memoised circuit literal.
 func (p *prepared) circuitLiteral() []byte {
-	if p.circuitJSON == nil {
+	p.circuitOnce.Do(func() {
 		p.circuitJSON = appendJSONString(nil, p.tr.Circuit.String())
-	}
+	})
 	return p.circuitJSON
 }
 
+// prepare returns the code's circuit routed onto the topology, through
+// the registry.
 func prepare(code *qec.Code, topo arch.Topology) (*prepared, error) {
+	return codeRegistry.prepare(code, topo)
+}
+
+func newPrepared(code *qec.Code, topo arch.Topology) (*prepared, error) {
 	tr, err := arch.Transpile(code.Circ, topo)
 	if err != nil {
 		return nil, err

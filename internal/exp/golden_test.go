@@ -53,40 +53,63 @@ func tableHash(tab *Table) string {
 // internal/noise). Their earlier values were recorded at 1d10355 and
 // 20879a9.
 // A change that moves one must say why the tables were allowed to move.
+//
+// Every hash was recorded by a process that built its codes per
+// campaign, so each is a cold table. Here the codes come from the
+// process-wide registry, warm from whatever ran before: the list runs
+// forwards, then a fig5 at another seed leaves a different campaign's
+// syndromes in the memos, then the list runs backwards. Equality both
+// times is what "a warm table and a cold one are the same bytes, in any
+// order" means.
 func TestGoldenTablesAcrossCommits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size fig6/memory campaigns")
 	}
-	for _, g := range []struct {
+	type golden struct {
 		name   string
 		run    func(Config) (*Table, error)
 		engine string
 		shots  int // 0: the experiment's default
 		want   string
-	}{
+	}
+	list := []golden{
 		{"fig6", Fig6, EngineBatch, 0, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
 		{"fig7/frame", Fig7, EngineFrame, 0, "197a48e1b078252e1868e6e5846ed9f1b4334ae1d5fe7a3bf11d4c07b79e8c3a"},
 		{"fig7/tableau", Fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
 		{"memory", Memory, EngineBatch, 0, "6501078d3c6384019a36424d71b43a21039e586de06e24e7df3beff292ffdac6"},
 		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "b0455718f699062e736cfa9ed89acd95e229b43bbb619daafc45197d537b8815"},
-		{"fig5", Fig5, EngineBatch, 0, "6c4b958680c1da3b59b3b324a4d9f2775dce52540b398e6ae2f8992a1c3db583"},
+		{"fig5", Fig5, EngineBatch, 0, goldenFig5},
 		{"fig7", Fig7, EngineBatch, 0, "56b195874dff391e19dfdd6890ae4cc6e1329dc2e3b57476ca4fc360e90a8b3e"},
 		{"fig8", Fig8, EngineBatch, 512, "5864a79fbc80a01913e56d4e1befae00b975ee1155772f09674ff272f1a3a7d0"},
 		{"threshold", Threshold, EngineBatch, 0, "45d692233dd88421aa73901ff8f6b7fa767fcb1db0b403a788af672bfde0901b"},
-	} {
+	}
+	check := func(g golden, pass string) {
 		if raceEnabled && g.engine != EngineBatch {
-			continue // one deterministic table, ten times slower
+			return // one deterministic table, ten times slower
 		}
 		cfg := Config{Seed: 1, Shots: g.shots, Engine: g.engine, Decoder: DecoderMWPM}
 		tab, err := g.run(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", g.name, err)
+			t.Fatalf("%s (%s): %v", g.name, pass, err)
 		}
 		if got := tableHash(tab); got != g.want {
-			t.Errorf("%s table moved: sha256 %s, recorded %s", g.name, got, g.want)
+			t.Errorf("%s table moved (%s): sha256 %s, recorded %s", g.name, pass, got, g.want)
 		}
 	}
+	for _, g := range list {
+		check(g, "forwards")
+	}
+	if _, err := Fig5(Config{Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := len(list) - 1; i >= 0; i-- {
+		check(list[i], "backwards")
+	}
 }
+
+// goldenFig5 is fig5's table at default shots, seed 1, batch engine,
+// mwpm; TestRegistryBounded holds a rebuilt code to it as well.
+const goldenFig5 = "6c4b958680c1da3b59b3b324a4d9f2775dce52540b398e6ae2f8992a1c3db583"
 
 // TestThresholdGapArmCountsAcrossCommits pins, count for count, the
 // twelve threshold points whose depolarizing rate is below 1/32: there

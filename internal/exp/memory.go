@@ -54,9 +54,9 @@ func Memory(cfg Config) (*Table, error) {
 		d      int
 	}
 	entries := []entry{
-		{"repetition", func(r int) (*qec.Code, error) { return qec.NewRepetitionRounds(5, r) }, 5},
-		{"repetition", func(r int) (*qec.Code, error) { return qec.NewRepetitionRounds(9, r) }, 9},
-		{"xxzz", func(r int) (*qec.Code, error) { return qec.NewXXZZRounds(3, 3, r) }, 3},
+		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(5) }, 5},
+		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(9) }, 9},
+		{"xxzz", func(r int) (*qec.Code, error) { return Config{Rounds: r}.xxzz(3, 3) }, 3},
 	}
 	topo := arch.Mesh(5, 6)
 	type row struct {

@@ -211,8 +211,10 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	nbits := c.detectorBits()
 	cacheable := nbits <= memoKeyBits
 	defects := buf.defects
+	var triggered, misses int64
 	for k := 0; k < w; k++ {
 		slow := anyw[k] & live[k]
+		triggered += int64(mathbits.OnesCount64(slow))
 		for m := slow; m != 0; m &= m - 1 {
 			lane := uint(mathbits.TrailingZeros64(m))
 			mask := uint64(1) << lane
@@ -251,6 +253,7 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 					}
 				}
 			}
+			misses++
 			flipParity := parityOf(c, buf, defects)
 			if cacheable {
 				memo.store(h, k0, k1, flipParity)
@@ -261,6 +264,34 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	}
 	buf.defects = defects
 	decodeBufPool.Put(buf)
+	if triggered != 0 {
+		memo.triggered.Add(triggered)
+		memo.misses.Add(misses)
+	}
+}
+
+// DecoderCounters is the tile decoders' traffic on one code, both
+// decoders summed: of the lanes that saw a defect, how many reached the
+// miss tier instead of a memo, and what the memos hold. A code whose
+// pattern is too wide for a memo key counts every triggered lane as a
+// matcher call.
+type DecoderCounters struct {
+	TriggeredLanes int64
+	MatcherCalls   int64
+	MemoEntries    int64
+}
+
+// DecoderCounters reads the code's decode-tier counters. Safe while
+// campaigns decode; the three numbers are read one after another, not
+// as one snapshot.
+func (c *Code) DecoderCounters() DecoderCounters {
+	var d DecoderCounters
+	for _, m := range [...]*parityMemo{c.mwpmMemo, c.ufMemo} {
+		d.TriggeredLanes += m.triggered.Load()
+		d.MatcherCalls += m.misses.Load()
+		d.MemoEntries += m.entries()
+	}
+	return d
 }
 
 // RawLogicalTile is the word-parallel RawLogical: the packed

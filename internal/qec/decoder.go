@@ -40,8 +40,11 @@ func (c *Code) DEM() *dem.Model {
 // SetPrior recompiles the code's detector-error model against the given
 // noise prior (see dem.Prior; the zero value restores the unit prior)
 // and resets the batch syndrome memos, which cache decoder outputs of
-// the previous model. Call it before campaigns start; it is not
-// synchronised against in-flight decodes.
+// the previous model (their DecoderCounters start again from zero). Call
+// it before campaigns start, on a code no one else holds: it swaps the
+// memos without synchronising against decodes, so it must never be
+// called on a code that came out of package exp's registry, which every
+// campaign of the process shares.
 func (c *Code) SetPrior(pr dem.Prior) error {
 	c.demMu.Lock()
 	defer c.demMu.Unlock()

@@ -74,6 +74,10 @@ type parityMemo struct {
 	// entries (see decodeBuf) so an entry can never outlive or alias its
 	// memo — not even across a SetPrior swap or a recycled allocation.
 	gen uint64
+	// triggered and misses count the lanes decodeTile found a defect in
+	// and the ones among them that reached the miss tier (a blossom or
+	// union-find call), added once per tile; see Code.DecoderCounters.
+	triggered, misses atomic.Int64
 }
 
 // memoGen feeds newParityMemo's identities; it starts handing out at 1

@@ -987,6 +987,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("points_computed_total", "counter", "Sweep points computed by engines (cache misses).", s.pointsComputed.Load())
 	write("points_cached_total", "counter", "Sweep points served from the result store.", s.pointsCached.Load())
 	write("shots_computed_total", "counter", "Monte-Carlo shots executed by engines.", s.shotsComputed.Load())
+	// The process-wide code registry: matcher calls over triggered lanes
+	// is the decoder memos' miss rate, high on the first campaign after
+	// start-up and falling as they warm.
+	reg := exp.Registry()
+	write("decoder_triggered_lanes_total", "counter", "Tile-decoded lanes that saw a detection event.", reg.Decoder.TriggeredLanes)
+	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: blossom or union-find calls.", reg.Decoder.MatcherCalls)
+	write("decoder_memo_entries", "gauge", "Syndromes memoised on the resident codes, both decoders.", reg.Decoder.MemoEntries)
+	write("prepared_hits_total", "counter", "Circuit prepares served from the code registry.", reg.Hits)
+	write("prepared_misses_total", "counter", "Circuit prepares that transpiled.", reg.Misses)
+	write("prepared_evictions_total", "counter", "Codes dropped from the registry at its cap, with their prepared circuits.", reg.Evictions)
 	if s.st != nil {
 		st := s.st.Stats()
 		write("store_commits", "gauge", "Committed points resident in the result store.", st.Commits)

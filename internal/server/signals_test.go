@@ -157,6 +157,13 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"store_commits":         "gauge",
 		"store_hits_total":      "counter",
 		"store_misses_total":    "counter",
+
+		"decoder_triggered_lanes_total": "counter",
+		"decoder_matcher_calls_total":   "counter",
+		"decoder_memo_entries":          "gauge",
+		"prepared_hits_total":           "counter",
+		"prepared_misses_total":         "counter",
+		"prepared_evictions_total":      "counter",
 	} {
 		if !strings.Contains(text, "# HELP radqecd_"+name+" ") {
 			t.Errorf("series %s has no HELP line", name)
@@ -172,6 +179,11 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	// comment lines.
 	if metricValue(t, ts, "campaigns_total") < 1 {
 		t.Error("campaigns_total did not count the submitted campaign")
+	}
+	// The campaign decoded on the process's registry codes, so the
+	// registry's ledger is the daemon's.
+	if metricValue(t, ts, "decoder_triggered_lanes_total") < 1 || metricValue(t, ts, "prepared_misses_total") < 1 {
+		t.Error("the code registry's counters did not see the submitted campaign")
 	}
 }
 

@@ -79,7 +79,6 @@ var reachAllow = map[string]string{
 	"faultinject.Reset":         "test-hook",
 	"qec.Code.batchMemoEntries": "test-hook",
 	"qec.Code.ufMemoEntries":    "test-hook",
-	"qec.parityMemo.entries":    "test-hook",
 
 	"dem.Model.SpaceWeight": "prior",
 	"dem.Model.TimeWeight":  "prior",

@@ -13,11 +13,16 @@
 #      (radqecd_points_computed_total) does not advance; the decode and
 #      store-commit histograms are fed by that cold, unsampled campaign
 #      (one commit observation per computed point) and not by the replay
-#   4. cancel a bigger campaign mid-stream with DELETE /v1/campaigns/{id},
+#   4. submit the campaign at a new seed: every point is computed, not
+#      replayed (points_computed_total rises by the full point count),
+#      but on the codes the first campaign left in the process's registry
+#      (radqecd_prepared_hits_total > 0) and their warm decoder memos
+#      (fewer radqecd_decoder_matcher_calls_total than the first took)
+#   5. cancel a bigger campaign mid-stream with DELETE /v1/campaigns/{id},
 #      assert the stream ends in a cancelled error record, then resubmit
 #      and assert the resumed table is byte-identical to a CLI reference
 #      run at the same parameters (resume from checkpoints, not restart)
-#   5. SIGTERM the daemon and require a clean exit
+#   6. SIGTERM the daemon and require a clean exit
 #
 # Builds into BIN_DIR (default: a temp dir). Needs python3 and curl.
 set -euo pipefail
@@ -71,6 +76,7 @@ echo "== cold daemon submission (typed Go client)"
   >"$workdir/cold.ndjson" 2>/dev/null
 metric() { curl -fsS "http://$addr/metrics" | awk -v m="radqecd_$1" '$1==m{print $2}'; }
 computed_cold=$(metric points_computed_total)
+matcher_cold=$(metric decoder_matcher_calls_total)
 commits_cold=$(metric store_commit_seconds_count)
 decodes_cold=$(metric decode_seconds_count)
 if [[ "$commits_cold" != "$computed_cold" ]]; then
@@ -138,6 +144,28 @@ if computed_warm != computed_cold:
 print(f"daemon_smoke: {len(cli_pts)} points: daemon==CLI, "
       f"warm re-submission was a full cache hit ({computed_cold} computed)")
 EOF
+
+echo "== new seed: computed in full, on the first campaign's codes"
+NEW_SEED=8
+"$bindir/smokeclient" -addr "$addr" -experiment "$EXPERIMENT" -shots "$SHOTS" -seed "$NEW_SEED" \
+  >"$workdir/newseed.ndjson" 2>/dev/null
+npoints=$(grep -c '"type":"point"' "$workdir/newseed.ndjson")
+computed_new=$(metric points_computed_total)
+matcher_new=$(metric decoder_matcher_calls_total)
+prepared_hits=$(metric prepared_hits_total)
+if [[ $((computed_new - computed_warm)) -ne "$npoints" ]]; then
+  echo "daemon_smoke: seed $NEW_SEED computed $((computed_new - computed_warm)) of its $npoints points" >&2
+  exit 1
+fi
+if [[ "$prepared_hits" -le 0 ]]; then
+  echo "daemon_smoke: prepared_hits_total = $prepared_hits after a second campaign on the same codes" >&2
+  exit 1
+fi
+if [[ "$matcher_cold" -le 0 || $((matcher_new - matcher_cold)) -ge "$matcher_cold" ]]; then
+  echo "daemon_smoke: seed $NEW_SEED took $((matcher_new - matcher_cold)) matcher calls, the first campaign $matcher_cold: the memos did not stay warm" >&2
+  exit 1
+fi
+echo "daemon_smoke: seed $NEW_SEED: $npoints points computed, $prepared_hits prepared hits, matcher calls $matcher_cold -> $((matcher_new - matcher_cold))"
 
 echo "== cancel a campaign mid-stream"
 # Enough shots that the campaign is still running when the DELETE lands:
