@@ -1,9 +1,9 @@
 // Package radqec's root go-test benchmarks: the few series no layer of
 // the benchmark harness (bench/, `bash bench/run.sh`) covers — the
-// mixed-campaign pool with tracing off and sampled, and the two engine
-// acceptance pairs (scalar vs batched on the Fig. 5 repetition grid,
-// tableau vs batched on the Fig. 6 XXZZ grid). They are for by-hand
-// ratios; throughput claims go through the harness.
+// mixed-campaign pool with tracing off and sampled, the batched engine
+// on the Fig. 5 repetition grid, and the engine acceptance pair tableau
+// vs batched on the Fig. 6 XXZZ grid. They are for by-hand ratios;
+// throughput claims go through the harness.
 package radqec
 
 import (
@@ -95,13 +95,10 @@ func BenchmarkSweepMixedCampaigns(b *testing.B) { benchMixedCampaigns(b, false) 
 // read against the plain run it is what sampling a campaign costs.
 func BenchmarkSweepMixedCampaignsTracingSampled(b *testing.B) { benchMixedCampaigns(b, true) }
 
-// Engine benches: the Fig. 5 repetition-code campaign grid (8 physical
-// error rates x 10 temporal samples of a spreading strike at the
-// paper's root, decode included) sampled by the scalar frame engine
-// versus the bit-parallel batched engine. The reported shots/s is the
-// acceptance metric of the batched engine: >= 10x scalar on this grid.
-
-func benchFig5RepGrid(b *testing.B, batched bool) {
+// The Fig. 5 repetition-code campaign grid (8 physical error rates x 10
+// temporal samples of a spreading strike at the paper's root, decode
+// included) sampled by the bit-parallel batched engine.
+func BenchmarkFrameEnginesFig5Rep(b *testing.B) {
 	code, err := qec.NewRepetition(5)
 	if err != nil {
 		b.Fatal(err)
@@ -117,49 +114,32 @@ func benchFig5RepGrid(b *testing.B, batched bool) {
 	// steady-state engine throughput, matching how the sweep engine
 	// reuses one campaign across every chunk of a point.
 	type gridRun struct {
-		run  func(seed uint64, shots int) frame.Result
+		camp *frame.BatchCampaign
 		seed uint64
 	}
 	var grid []gridRun
 	for pi, p := range exp.Fig5PhysicalRates() {
 		for k, rootProb := range samples {
 			ev := noise.NewRadiationEvent(dist[exp.Fig5Root], rootProb, true)
-			sim := frame.New(tr.Circuit, noise.NewDepolarizing(p), ev, 1)
-			seed := uint64(pi*1009 + k*13)
-			if batched {
-				camp := &frame.BatchCampaign{
-					Sim:        frame.NewBatchSimulator(sim),
-					DecodeTile: code.DecodeTile,
-					Expected:   code.ExpectedLogical(),
-					Workers:    1,
-				}
-				grid = append(grid, gridRun{camp.Run, seed})
-			} else {
-				camp := &frame.Campaign{
-					Sim:      sim,
-					Decode:   code.Decode,
-					Expected: code.ExpectedLogical(),
-					Workers:  1,
-				}
-				grid = append(grid, gridRun{camp.Run, seed})
+			camp := &frame.BatchCampaign{
+				Sim:        frame.NewBatch(tr.Circuit, noise.NewDepolarizing(p), ev, 1),
+				DecodeTile: code.DecodeTile,
+				Expected:   code.ExpectedLogical(),
+				Workers:    1,
 			}
+			grid = append(grid, gridRun{camp, uint64(pi*1009 + k*13)})
 		}
 	}
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range grid {
-			g.run(g.seed, shots)
+			g.camp.Run(g.seed, shots)
 			total += shots
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "shots/s")
-}
-
-func BenchmarkFrameEnginesFig5Rep(b *testing.B) {
-	b.Run("scalar", func(b *testing.B) { benchFig5RepGrid(b, false) })
-	b.Run("batched", func(b *testing.B) { benchFig5RepGrid(b, true) })
 }
 
 // The XXZZ acceptance pair: a Fig. 6-style d=3 XXZZ grid (full-impact

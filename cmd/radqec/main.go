@@ -19,12 +19,12 @@
 //	-rounds N    stabilization rounds per code (default 2, the paper's
 //	             protocol; >2 decodes over the multi-round space-time
 //	             detector-error model)
-//	-engine E    simulation engine: auto (default), tableau, frame, or
-//	             batch. auto runs every campaign on the bit-parallel
-//	             batched frame engine, 512 shots per tile (universal
-//	             over the Clifford set; radiation resets on superposed
-//	             XXZZ sites use the collapsed-branch approximation);
-//	             tableau forces the exact-oracle stabilizer tableau
+//	-engine E    simulation engine: batch (default) or tableau. batch
+//	             is the bit-parallel Pauli-frame engine, 512 shots per
+//	             tile (universal over the Clifford set; radiation resets
+//	             on superposed XXZZ sites use the collapsed-branch
+//	             approximation); tableau is the exact-oracle stabilizer
+//	             tableau
 //	-decoder D   syndrome decoder: mwpm (default, blossom matching) or
 //	             uf (almost-linear union-find); both have tile-parallel
 //	             twins for the batched engine
@@ -83,7 +83,6 @@ import (
 	"syscall"
 	"time"
 
-	"radqec/internal/core"
 	"radqec/internal/exp"
 	"radqec/internal/logsetup"
 	"radqec/internal/store"
@@ -98,7 +97,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel shot runners (0 = GOMAXPROCS)")
 	p := flag.Float64("p", 0.01, "intrinsic physical error rate")
 	ns := flag.Int("ns", 10, "temporal samples of the fault decay")
-	engine := flag.String("engine", exp.EngineAuto, "simulation engine: auto, tableau, frame, or batch")
+	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
 	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", 2, "stabilization rounds per code (>= 2; >2 opens the multi-round memory workload)")
 	ci := flag.Float64("ci", 0, "target Wilson 95% half-width per point (>0 enables adaptive shots)")
@@ -299,15 +298,15 @@ func main() {
 		}
 		os.Exit(1)
 	}()
-	// The frame engines approximate radiation resets on superposed XXZZ
+	// The batch engine approximates radiation resets on superposed XXZZ
 	// sites (collapsed-branch coin; see package frame); say so once on
 	// stderr — only when a selected experiment actually enters that
 	// domain — so default-flag reproduction runs know the exact oracle.
-	if resolved, _ := core.ResolveEngine(*engine); resolved != core.EngineTableau {
+	if *engine != exp.EngineTableau {
 		for _, e := range selected {
 			if e.XXZZRad {
 				slog.Warn("radqec: radiation resets on superposed XXZZ sites use the collapsed-branch approximation; -engine tableau is the exact oracle",
-					"engine", string(resolved))
+					"engine", *engine)
 				break
 			}
 		}

@@ -61,6 +61,18 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRetiredEnginesAreUsageErrors: -engine takes tableau or batch. The
+// scalar frame engine left the program and auto was only ever batch;
+// either name exits 2 with the two that remain.
+func TestRetiredEnginesAreUsageErrors(t *testing.T) {
+	for _, engine := range []string{"frame", "auto"} {
+		out, code := run(t, "-engine", engine, "fig5")
+		if code != 2 || !strings.Contains(out, "[tableau batch]") {
+			t.Errorf("radqec -engine %s fig5: exit %d, want 2 naming [tableau batch]\n%s", engine, code, out)
+		}
+	}
+}
+
 // TestFlagSet pins the CLI's flag surface: a new flag is a reviewed
 // line here, not a drive-by.
 func TestFlagSet(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", core.EngineAuto, "simulation engine: auto, tableau, frame, or batch")
+	engine := flag.String("engine", core.EngineBatch, "simulation engine: batch or tableau")
 	decoder := flag.String("decoder", core.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
 	if _, err := core.ResolveEngine(*engine); err != nil {

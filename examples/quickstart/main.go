@@ -4,8 +4,9 @@
 //
 // Engine and decoder selection route through the shared resolution
 // policy (core.ResolveEngine / core.ResolveDecoder inside the
-// simulator), so the default run rides the bit-parallel batched frame
-// engine exactly like the radqec CLI does.
+// simulator), so the default run rides the bit-parallel batch engine
+// exactly like the radqec CLI does; -engine tableau runs the exact
+// oracle.
 package main
 
 import (
@@ -17,7 +18,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", core.EngineAuto, "simulation engine: auto, tableau, frame, or batch")
+	engine := flag.String("engine", core.EngineBatch, "simulation engine: batch or tableau")
 	decoder := flag.String("decoder", core.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", 2, "stabilization rounds (>= 2)")
 	flag.Parse()

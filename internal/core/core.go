@@ -34,28 +34,23 @@ const (
 
 // Engine names for Options.Engine.
 const (
-	// EngineAuto (the default) picks the bit-parallel batched frame
-	// engine for every campaign: the universal frame engine is exact for
-	// the full Clifford set under depolarizing noise and for radiation
-	// resets on Z-eigenstate sites, and carries only the documented
-	// collapsed-branch approximation for resets on superposed XXZZ
-	// sites. EngineTableau remains the exact oracle for those.
-	EngineAuto = "auto"
-	// EngineTableau forces the stabilizer tableau: exact for every
-	// circuit and fault, O(gates·n) per shot.
+	// EngineTableau is the stabilizer tableau: exact for every circuit
+	// and fault, O(gates·n) per shot — the oracle.
 	EngineTableau = "tableau"
-	// EngineFrame forces the scalar Pauli-frame engine: O(gates) per
-	// shot, approximate only for radiation resets on superposed sites.
-	EngineFrame = "frame"
-	// EngineBatch forces the bit-parallel frame engine: 64 shots per
-	// uint64 word, 512 per tile, same validity domain as EngineFrame.
+	// EngineBatch (the default) is the bit-parallel Pauli-frame engine:
+	// 64 shots per uint64 word, 512 per tile, exact for the full Clifford
+	// set under depolarizing noise and for radiation resets on
+	// Z-eigenstate sites, with the collapsed-branch approximation
+	// documented in package frame for resets on superposed XXZZ sites.
 	EngineBatch = "batch"
 )
 
+// EngineAuto is pinned by the frozen bench/ harness, which passes it as
+// exp.Config.Engine; it is the empty name, which resolves to EngineBatch.
+const EngineAuto = ""
+
 // Engines lists the recognised Options.Engine values.
-func Engines() []string {
-	return []string{EngineAuto, EngineTableau, EngineFrame, EngineBatch}
-}
+func Engines() []string { return []string{EngineTableau, EngineBatch} }
 
 // Decoder names for Options.Decoder.
 const (
@@ -122,8 +117,8 @@ type Options struct {
 	Seed uint64
 	// Workers caps shot parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Engine selects the simulation engine (EngineAuto, EngineTableau,
-	// EngineFrame or EngineBatch); empty means EngineAuto.
+	// Engine selects the simulation engine (EngineTableau or
+	// EngineBatch); empty means EngineBatch.
 	Engine string
 	// Decoder selects the syndrome decoder (DecoderMWPM or DecoderUF);
 	// empty means DecoderMWPM.
@@ -142,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Topology == "" {
 		o.Topology = "mesh"
-	}
-	if o.Engine == "" {
-		o.Engine = EngineAuto
 	}
 	return o
 }
@@ -276,7 +268,7 @@ type EngineRunner func(start, n int) (shots, errors int)
 // the core façade and the experiment sweeps. decode and decodeTile are
 // the scalar and tile-parallel views of the same decoder; the batched
 // engine prefers decodeTile and falls back to unpacking lanes through
-// decode. seed doubles as the frame engines' reference seed. The unnamed
+// decode. seed doubles as the batch engine's reference seed. The unnamed
 // int is inert: the frozen bench/ harness passes a width there.
 func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizing,
 	ev *noise.RadiationEvent, seed uint64, expected int,
@@ -296,17 +288,6 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 			r := camp.RunFrom(seed, start, n)
 			return r.Shots, r.Errors
 		}
-	case EngineFrame:
-		camp := &frame.Campaign{
-			Sim:      frame.New(circ, dep, ev, seed),
-			Decode:   decode,
-			Expected: expected,
-			Workers:  workers,
-		}
-		return func(start, n int) (int, int) {
-			r := camp.RunFrom(seed, start, n)
-			return r.Shots, r.Errors
-		}
 	case EngineTableau:
 		camp := &inject.Campaign{
 			Exec:     inject.NewExecutor(circ, dep, ev),
@@ -319,25 +300,25 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 			return r.Shots, r.Errors
 		}
 	default:
-		// "auto"/"" must go through ResolveEngine first; a silent
-		// tableau fallback here would forfeit auto-selection unnoticed.
+		// "" must go through ResolveEngine first; a silent tableau
+		// fallback here would forfeit the default unnoticed.
 		panic(fmt.Sprintf("core: NewEngineRunner requires a resolved engine, got %q", engine))
 	}
 }
 
 // ResolveEngine maps a configured engine name onto the engine that
-// will actually run: explicit names resolve to themselves, "" and
-// EngineAuto pick EngineBatch — the universal frame engine covers the
-// full Clifford set, so every campaign in the repo rides the
-// bit-parallel fast path (512-shot tiles) by default, with
-// EngineTableau kept as the explicit oracle. Unknown names are an
-// error. This is the single auto-selection policy shared by the core
-// façade and the experiment sweeps.
+// will actually run: explicit names resolve to themselves and ""
+// picks EngineBatch — the universal frame engine covers the full
+// Clifford set, so every campaign in the repo rides the bit-parallel
+// fast path (512-shot tiles) by default, with EngineTableau kept as the
+// explicit oracle. Unknown names are an error. This is the single
+// engine-selection policy shared by the core façade and the experiment
+// sweeps.
 func ResolveEngine(engine string) (string, error) {
 	switch engine {
-	case EngineTableau, EngineFrame, EngineBatch:
+	case EngineTableau, EngineBatch:
 		return engine, nil
-	case "", EngineAuto:
+	case "":
 		return EngineBatch, nil
 	default:
 		return "", fmt.Errorf("core: unknown engine %q (want one of %v)", engine, Engines())
@@ -384,6 +365,9 @@ func (s *Simulator) Strike(root int) EvolutionResult {
 // StrikeAtImpact estimates the rate at the moment of impact only
 // (temporal sample 0, root probability 100%).
 func (s *Simulator) StrikeAtImpact(root int, spread bool) Result {
+	if root < 0 || root >= s.NumPhysicalQubits() {
+		panic(fmt.Sprintf("core: strike root %d out of range", root))
+	}
 	ev := noise.NewRadiationEvent(s.dist[root], 1.0, spread)
 	return s.run(ev, s.opts.Seed)
 }

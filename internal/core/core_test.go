@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -91,24 +93,38 @@ func TestEraseMajorityFails(t *testing.T) {
 	}
 }
 
+// assertOutOfRangePanics checks that each method rejects a physical
+// qubit one off either end of the device with the package's own
+// message, not a raw index panic.
+func assertOutOfRangePanics(t *testing.T, sim *Simulator, methods map[string]func(q int)) {
+	t.Helper()
+	for name, call := range methods {
+		for _, q := range []int{-1, sim.NumPhysicalQubits()} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: ") || !strings.Contains(msg, "out of range") {
+						t.Errorf("%s(%d): recovered %q, want a core: ... out of range panic", name, q, msg)
+					}
+				}()
+				call(q)
+			}()
+		}
+	}
+}
+
 func TestErasePanicsOutOfRange(t *testing.T) {
 	sim := quickSim(t, CodeSpec{Family: FamilyRepetition, DZ: 3}, "mesh")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	sim.Erase([]int{9999})
+	assertOutOfRangePanics(t, sim, map[string]func(q int){
+		"Erase": func(q int) { sim.Erase([]int{q}) },
+	})
 }
 
 func TestStrikePanicsOutOfRange(t *testing.T) {
 	sim := quickSim(t, CodeSpec{Family: FamilyRepetition, DZ: 3}, "mesh")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	sim.Strike(-1)
+	assertOutOfRangePanics(t, sim, map[string]func(q int){
+		"Strike":         func(q int) { sim.Strike(q) },
+		"StrikeAtImpact": func(q int) { sim.StrikeAtImpact(q, true) },
+	})
 }
 
 func TestResultCI(t *testing.T) {
@@ -170,31 +186,37 @@ func TestSimulatorOnIBMDevices(t *testing.T) {
 }
 
 func TestResolveEngineUniversalAuto(t *testing.T) {
-	// Auto (and empty) resolve to the batched engine for every circuit;
-	// explicit names resolve to themselves; unknown names error.
-	for _, name := range []string{"", EngineAuto} {
-		if eng, err := ResolveEngine(name); err != nil || eng != EngineBatch {
-			t.Fatalf("ResolveEngine(%q) = %q, %v", name, eng, err)
-		}
+	// Empty resolves to the batched engine for every circuit; the two
+	// names resolve to themselves; anything else — the retired scalar
+	// "frame" and the "auto" alias included — is an error naming the two.
+	if got := Engines(); !slices.Equal(got, []string{EngineTableau, EngineBatch}) {
+		t.Fatalf("Engines() = %v, want [tableau batch]", got)
 	}
-	for _, name := range []string{EngineTableau, EngineFrame, EngineBatch} {
+	if eng, err := ResolveEngine(""); err != nil || eng != EngineBatch {
+		t.Fatalf("ResolveEngine(\"\") = %q, %v", eng, err)
+	}
+	for _, name := range Engines() {
 		if eng, err := ResolveEngine(name); err != nil || eng != name {
 			t.Fatalf("ResolveEngine(%q) = %q, %v", name, eng, err)
 		}
 	}
-	if _, err := ResolveEngine("qutrit"); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, name := range []string{"qutrit", "frame", "auto"} {
+		if _, err := ResolveEngine(name); err == nil || !strings.Contains(err.Error(), "[tableau batch]") {
+			t.Fatalf("ResolveEngine(%q): error %v, want one naming [tableau batch]", name, err)
+		}
 	}
 }
 
 func TestNewSimulatorRejectsUnknownEngineAndDecoder(t *testing.T) {
 	base := Options{Code: CodeSpec{Family: FamilyRepetition, DZ: 5}}
-	bad := base
-	bad.Engine = "warp"
-	if _, err := NewSimulator(bad); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, engine := range []string{"warp", "frame", "auto"} {
+		bad := base
+		bad.Engine = engine
+		if _, err := NewSimulator(bad); err == nil {
+			t.Fatalf("engine %q accepted", engine)
+		}
 	}
-	bad = base
+	bad := base
 	bad.Decoder = "psychic"
 	if _, err := NewSimulator(bad); err == nil {
 		t.Fatal("unknown decoder accepted")
@@ -236,7 +258,7 @@ func TestSimulatorRounds(t *testing.T) {
 	// Rounds flows from the spec into the built code, and multi-round
 	// campaigns run end-to-end on every engine/decoder combination over
 	// the space-time detector-error model.
-	for _, engine := range []string{EngineBatch, EngineFrame, EngineTableau} {
+	for _, engine := range Engines() {
 		for _, decoder := range []string{DecoderMWPM, DecoderUF} {
 			sim, err := NewSimulator(Options{
 				Code:     CodeSpec{Family: FamilyRepetition, DZ: 5, Rounds: 5},

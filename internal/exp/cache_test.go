@@ -53,10 +53,10 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	if a, b := fingerprintFor(t, Config{Shots: 64, Seed: 1<<64 - 1}), fingerprintFor(t, Config{Shots: 64, Seed: 1<<64 - 2}); a == b {
 		t.Error("seeds 2^64-1 and 2^64-2 hashed identically")
 	}
-	// EngineAuto and its resolution hash identically: the fingerprint
-	// records the engine that actually runs.
+	// The empty default and its resolution hash identically: the
+	// fingerprint records the engine that actually runs.
 	if got := fingerprintFor(t, Config{Shots: 64, Seed: 7, Engine: EngineBatch}); got != ref {
-		t.Error("auto vs resolved batch engine hashed differently")
+		t.Error("default vs resolved batch engine hashed differently")
 	}
 }
 

@@ -37,10 +37,11 @@ import (
 
 // Simulation engine names for Config.Engine, shared with the core
 // façade (see the core package for per-engine cost and validity).
+// EngineAuto is the empty default, kept as a name because the frozen
+// bench/ harness sets it.
 const (
 	EngineAuto    = core.EngineAuto
 	EngineTableau = core.EngineTableau
-	EngineFrame   = core.EngineFrame
 	EngineBatch   = core.EngineBatch
 )
 
@@ -89,8 +90,8 @@ type Config struct {
 	// OnPoint, when set, observes every completed sweep point as it
 	// finishes — the hook behind the CLI's streaming JSON output.
 	OnPoint func(sweep.Result)
-	// Engine selects the simulation engine (EngineAuto, EngineTableau,
-	// EngineFrame or EngineBatch); empty means EngineAuto. Unrecognised
+	// Engine selects the simulation engine (EngineTableau or
+	// EngineBatch); empty means EngineBatch. Unrecognised
 	// names panic when the sweep is built — programmer error, like the
 	// probability guards in package noise; the CLI validates its flag
 	// first, and library callers can pre-check with core.ResolveEngine.
@@ -179,8 +180,8 @@ func (c Config) Defaults() Config {
 // sweepConfig maps the experiment configuration onto the sweep engine.
 // Batches are always aligned to the batched engine's tile
 // (frame.TileShots) — bit-parallel campaigns fill whole tiles, and
-// every engine sees the same chunking, so `-engine auto` and an
-// explicit engine produce identical output (tables and tail columns
+// every engine sees the same chunking, so the default engine and an
+// explicit one produce identical output (tables and tail columns
 // alike) for the points they resolve alike. Alignment never changes
 // merged counts (the BatchRunner contract), only how the work is
 // chunked into the per-batch tail statistics.
@@ -274,7 +275,7 @@ func pct(r float64) string { return fmt.Sprintf("%.2f%%", 100*r) }
 
 // prepared couples a code with its routed circuit on a topology. Every
 // prepared circuit is batch-eligible: the universal frame engine covers
-// the full Clifford set, so EngineAuto rides the bit-parallel path for
+// the full Clifford set, so the default rides the bit-parallel path for
 // all of them (radiation resets on superposed XXZZ sites carry the
 // collapsed-branch approximation documented in package frame; pass
 // EngineTableau for the exact oracle).
@@ -358,17 +359,17 @@ func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed u
 
 // point lowers the spec onto the sweep engine. The campaign is built
 // once, on the sweep worker that owns the point, and reused across
-// every shot batch; for the scalar engines batch b covering shots
+// every shot batch; for the tableau engine batch b covering shots
 // [s, s+n) consumes exactly the streams split(seed, s..s+n-1), and the
 // batched engine maps shot i to lane i%64 of word i/64 with one stream
 // per word — either way batching and workers never perturb rates.
 // Specs that leave decode nil read the campaign through the configured
 // decoder (scalar and word-parallel views resolved together, so the
-// batched engine decodes lane-for-lane identically to the scalar
-// ones); specs that set decode keep their override. Every engine call
+// batched engine decodes lane-for-lane identically to the tableau
+// engine); specs that set decode keep their override. Every engine call
 // reports its decode time in Counts.DecodeNS: two clock reads per
-// 512-shot tile on the batched engine, two per shot on the scalar
-// ones. shotWorkers caps the campaign's internal shot parallelism.
+// 512-shot tile on the batched engine, two per shot on the tableau
+// engine. shotWorkers caps the campaign's internal shot parallelism.
 func (s pointSpec) point(engine, decoder string, shotWorkers int) sweep.Point {
 	eng := s.engineFor(engine)
 	return sweep.Point{

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -164,7 +165,7 @@ func TestSampleUsedSubgraphsStayInUsedSet(t *testing.T) {
 // The fixed-vs-adaptive equivalence guarantee, half one: at fixed-shot
 // settings a sweep-backed rate equals the direct campaign run, because
 // batches partition the same seed-derived shot streams (per-shot streams
-// for the scalar engines, per-word streams for the batched one).
+// for the tableau engine, per-word streams for the batched one).
 func TestFixedSweepMatchesDirectCampaign(t *testing.T) {
 	code, err := qec.NewRepetition(5)
 	if err != nil {
@@ -214,10 +215,11 @@ func TestFixedSweepMatchesDirectCampaign(t *testing.T) {
 	}
 }
 
-// EngineAuto must route every circuit — the repetition family AND the
-// XXZZ family — to the batched engine (the universal frame engine
-// covers the full Clifford set), and the batched rates must agree with
-// the tableau oracle statistically.
+// The default engine must route every circuit — the repetition family
+// AND the XXZZ family — to the batched engine (the universal frame
+// engine covers the full Clifford set), the two engine names resolve to
+// themselves, and the batched rates must agree with the tableau oracle
+// statistically.
 func TestEngineAutoSelection(t *testing.T) {
 	rep, err := qec.NewRepetition(5)
 	if err != nil {
@@ -235,11 +237,18 @@ func TestEngineAutoSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pRep.spec("", quickCfg, nil, 1).engineFor(EngineAuto); got != EngineBatch {
-		t.Fatalf("auto picked %q for repetition", got)
+	if got := Engines(); !slices.Equal(got, []string{EngineTableau, EngineBatch}) {
+		t.Fatalf("Engines() = %v, want [tableau batch]", got)
 	}
-	if got := pXX.spec("", quickCfg, nil, 1).engineFor(""); got != EngineBatch {
-		t.Fatalf("auto picked %q for XXZZ", got)
+	for name, p := range map[string]*prepared{"repetition": pRep, "XXZZ": pXX} {
+		if got := p.spec("", quickCfg, nil, 1).engineFor(""); got != EngineBatch {
+			t.Fatalf("the default picked %q for %s", got, name)
+		}
+		for _, eng := range Engines() {
+			if got := p.spec("", quickCfg, nil, 1).engineFor(eng); got != eng {
+				t.Fatalf("%s resolved to %q for %s", eng, got, name)
+			}
+		}
 	}
 
 	// Cross-engine agreement: the batched engine and the tableau oracle

@@ -38,19 +38,19 @@ func tableHash(tab *Table) string {
 // shots unless stated, seed 1, mwpm.
 //
 // fig6 was recorded at commit 1d10355, before the blossom workspace
-// replaced the allocating matcher, and has not moved since. The scalar
-// frame and tableau fig7 tables were recorded at ceb1e49, before the
-// batched kernel's regime rule (noise.LaneSampler) went in: that change
-// does not touch the scalar engines, and fig6 — saturating strikes,
-// p = 1 or 0, and 1% intrinsic noise on the gap arm with its draw order
-// kept — draws exactly what it drew, so all three must pass unchanged.
+// replaced the allocating matcher, and has not moved since. The tableau
+// fig7 table was recorded at ceb1e49, before the batched kernel's
+// regime rule (noise.LaneSampler) went in: that change does not touch
+// the tableau engine, and fig6 — saturating strikes, p = 1 or 0, and 1%
+// intrinsic noise on the gap arm with its draw order kept — draws
+// exactly what it drew, so both must pass unchanged.
 // memory, ablation-decoder, fig5, fig7, fig8 and threshold were
 // re-recorded once, on ceb1e49 plus that change (fingerprintVersion 2):
 // strike probabilities in (0, 1/32) are now sampled by geometric gaps
 // and depolarizing rates >= 1/32 by Bernoulli words, a different draw
 // order for the same distribution (the equivalence is pinned by
-// TestBatchMatchesScalarOnFig5 here and the LaneSampler tests in
-// internal/noise). Their earlier values were recorded at 1d10355 and
+// TestBatchMatchesScalarOnFig5 in internal/frame and the LaneSampler
+// tests in internal/noise). Their earlier values were recorded at 1d10355 and
 // 20879a9.
 // A change that moves one must say why the tables were allowed to move.
 //
@@ -74,7 +74,7 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 	}
 	list := []golden{
 		{"fig6", Fig6, EngineBatch, 0, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
-		{"fig7/frame", Fig7, EngineFrame, 0, "197a48e1b078252e1868e6e5846ed9f1b4334ae1d5fe7a3bf11d4c07b79e8c3a"},
+		// No fig7/frame row: the scalar frame engine is no longer an -engine value.
 		{"fig7/tableau", Fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
 		{"memory", Memory, EngineBatch, 0, "6501078d3c6384019a36424d71b43a21039e586de06e24e7df3beff292ffdac6"},
 		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "b0455718f699062e736cfa9ed89acd95e229b43bbb619daafc45197d537b8815"},

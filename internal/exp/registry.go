@@ -12,7 +12,7 @@ type Experiment struct {
 	Run func(Config) (*Table, error)
 	// XXZZRad marks experiments whose campaigns include radiation
 	// strikes on XXZZ circuits — the collapsed-branch approximation
-	// domain of the frame engines (see package frame). Repetition-only
+	// domain of the batch engine (see package frame). Repetition-only
 	// and radiation-free experiments are frame-exact on every engine.
 	XXZZRad bool
 }

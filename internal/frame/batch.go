@@ -10,81 +10,6 @@ import (
 	"radqec/internal/rng"
 )
 
-// BatchSimulator is the bit-parallel variant of the frame engine: one
-// uint64 word carries the same frame bit across 64 shots ("lanes"), so
-// every Clifford gate is a handful of branchless word operations and a
-// whole word of shots costs barely more than one scalar shot. The
-// validity domain is identical to the scalar Simulator (the two share
-// the reference trajectory); only the sampling layout differs:
-//
-//   - Frame state is stored shot-major as bit-planes x[qubit], z[qubit],
-//     each word holding the frame bit of 64 concurrent shots.
-//   - Both noise channels are Bernoulli(p) processes over (site, lane)
-//     bits, and one rule, decided once per simulator from p alone — for
-//     the depolarizing rate and for each distinct strike probability —
-//     picks how each is sampled (noise.LaneSampler): p <= 0
-//     never fires and p >= 1 fires every lane, neither drawing
-//     anything; p < 1/32 — fewer than two expected events per 64-lane
-//     word — walks geometric gaps with a persistent cursor, so a site
-//     costs a compare-and-subtract and only an actual event costs a
-//     draw; anything denser takes one rng.Bernoulli64 word per site
-//     (~7.5 RNG words whatever p is). The paper's strikes are sparse by
-//     construction (e^-k over the temporal samples, 1/(d+1)² with
-//     distance: 78% of fig5's struck site-words sit below 1/32, 88% of
-//     fig8's), the saturating root of fig6 is p = 1, and intrinsic
-//     noise at the paper's 1% is a gap process; only p >= 1/32
-//     depolarizing (threshold's 0.1 column) and the first temporal
-//     samples near the root use the word arm. The boundary is a
-//     measured, flat basin (see noise.LaneSampler), not a knob.
-//   - A depolarizing event draws its Pauli uniformly: one Intn(3) per
-//     event on the gap arm, noise.PauliWords for a whole error word on
-//     the dense arms.
-//   - Measurement records are emitted as bit-packed words (one uint64
-//     per classical bit and tile word), ready for word-parallel
-//     decoding (qec.(*Code).DecodeTile).
-type BatchSimulator struct {
-	sim *Simulator
-	// dep is the regime rule applied to the depolarizing rate.
-	dep noise.LaneSampler
-	// strikes holds the rule applied to each distinct strike
-	// probability of the event, and strike[q] indexes qubit q's. Qubits
-	// struck with one probability (one distance from the root) are one
-	// Bernoulli process over their merged sites, so they share a
-	// sampler and, on the gap arm, one cursor per tile word.
-	strikes []noise.LaneSampler
-	strike  []int32
-}
-
-// NewBatchSimulator wraps a scalar frame simulator for bit-parallel
-// sampling. The two engines share the recorded reference trajectory, so
-// building the batch view costs O(1) and no tableau work.
-func NewBatchSimulator(sim *Simulator) *BatchSimulator {
-	b := &BatchSimulator{
-		sim:    sim,
-		dep:    noise.Lanes(sim.dep.P),
-		strike: make([]int32, len(sim.rad.Probs)),
-	}
-	distinct := make([]float64, 0, 16) // a spreading strike has one per distance
-	for q, p := range sim.rad.Probs {
-		c := 0
-		for c < len(distinct) && distinct[c] != p {
-			c++
-		}
-		if c == len(distinct) {
-			distinct = append(distinct, p)
-			b.strikes = append(b.strikes, noise.Lanes(p))
-		}
-		b.strike[q] = int32(c)
-	}
-	return b
-}
-
-// NewBatch builds the batched engine directly from a circuit; it is
-// NewBatchSimulator(New(...)).
-func NewBatch(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEvent, refSeed uint64) *BatchSimulator {
-	return NewBatchSimulator(New(circ, dep, rad, refSeed))
-}
-
 // Tile geometry: a tile is up to MaxTileWords 64-lane words on the
 // absolute word grid, i.e. up to 512 shot lanes sharing one pass over
 // the op list. That amortises the per-op dispatch over the lanes; each
@@ -126,11 +51,11 @@ func (s *BatchSimulator) NewTileState(w int) *BatchState {
 	if w < 1 {
 		w = 1
 	}
-	n := s.sim.circ.NumQubits
+	n := s.circ.NumQubits
 	if n == 0 {
 		n = 1
 	}
-	st := &BatchState{nq: n, nc: s.sim.circ.NumClbits}
+	st := &BatchState{nq: n, nc: s.circ.NumClbits}
 	st.grow(w)
 	st.reshape(1)
 	return st
@@ -191,10 +116,9 @@ func (st *BatchState) Clear() {
 func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 	w := len(srcs)
 	st.reshape(w)
-	sim := s.sim
 	// siteBase[i] is the base index of op i's sites in the flattened
 	// per-shot (op, qubit) stream (barriers contribute none).
-	hasH, siteBase := sim.comp.HasH, sim.comp.SiteBase
+	hasH, siteBase := s.comp.HasH, s.comp.SiteBase
 	x, z := st.x, st.z
 	if hasH {
 		// State preparation is a collapse point: every lane of every
@@ -229,7 +153,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			}
 		}
 	}
-	for i, op := range sim.circ.Ops {
+	for i, op := range s.circ.Ops {
 		switch op.Kind {
 		case circuit.KindH:
 			q := op.Qubits[0] * w
@@ -254,9 +178,9 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			tileSwap(z[a:a+w], z[b:b+w])
 		case circuit.KindMeasure:
 			q := op.Qubits[0] * w
-			mi := sim.ref.MeasIndex[i]
+			mi := s.ref.MeasIndex[i]
 			ref := uint64(0)
-			if sim.ref.Record[mi] == 1 {
+			if s.ref.Record[mi] == 1 {
 				ref = ^uint64(0)
 			}
 			r := op.Clbit * w
@@ -264,8 +188,8 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 			// Only a non-deterministic measurement collapses anything:
 			// its deviation phase is replaced by fresh branch coins.
 			// Measuring a Z eigenstate leaves the deviation untouched
-			// (see the scalar Run).
-			if hasH && !sim.ref.Deterministic[mi] {
+			// (see the package comment).
+			if hasH && !s.ref.Deterministic[mi] {
 				for k := 0; k < w; k++ {
 					z[q+k] = srcs[k].Uint64()
 				}
@@ -285,13 +209,13 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 		// Each tile word's stream sees this op's depolarizing errors,
 		// then its radiation coins, whatever the tile width: the words'
 		// streams are independent, so only the order within one matters.
-		hasRad := sim.fires[i]
+		hasRad := s.fires[i]
 		if dep.Arm == noise.LaneNever && !hasRad {
 			continue
 		}
 		// Intrinsic depolarizing noise: iid Bernoulli(P) over every
 		// (site, lane) bit, and a uniform 3-way type draw completes the
-		// X/Y/Z at P/3 channel of the scalar engines.
+		// X/Y/Z at P/3 channel of the tableau engine.
 		switch dep.Arm {
 		case noise.LaneNever:
 		case noise.LaneGaps:
@@ -334,7 +258,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 		// Radiation reset faults, word-wide: the frame on fired lanes is
 		// erased and its X bit set from the recorded reference Z-value;
 		// superposed sites first inject the branch operator on a fair
-		// per-lane coin (see the scalar Run for the physics).
+		// per-lane coin (see the package comment for the physics).
 		if !hasRad {
 			continue
 		}
@@ -345,7 +269,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 				continue
 			}
 			site := siteBase[i] + j
-			refZ := sim.refZ[site]
+			refZ := s.refZ[site]
 			for k := 0; k < w; k++ {
 				src := srcs[k]
 				q := qq*w + k
@@ -362,7 +286,7 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 					z[q] &^= fire
 				case 0:
 					coin := fire & src.Uint64()
-					br := sim.comp.Branch(site)
+					br := s.comp.Branch(site)
 					for _, a := range br.Xs {
 						x[a*w+k] ^= coin
 					}
@@ -410,8 +334,21 @@ func LaneDecodeTile(decode func(bits []int) int, numClbits int) TileDecodeFunc {
 }
 
 // batchSplitSalt decorrelates the batched engine's word streams from the
-// scalar engines' per-shot streams derived from the same campaign seed.
+// tableau engine's per-shot streams derived from the same campaign seed.
 const batchSplitSalt = 0xb5ad4eceda1ce2a9
+
+// Result is the outcome of one campaign range.
+type Result struct {
+	Shots, Errors int
+}
+
+// Rate returns the logical error rate.
+func (r Result) Rate() float64 {
+	if r.Shots == 0 {
+		return 0
+	}
+	return float64(r.Errors) / float64(r.Shots)
+}
 
 // BatchCampaign estimates logical error rates with the bit-parallel
 // engine. It honours the sweep.BatchRunner determinism contract at word
@@ -422,8 +359,8 @@ const batchSplitSalt = 0xb5ad4eceda1ce2a9
 // tile is just up to MaxTileWords words sharing one kernel pass, each
 // still on its own word stream, grouped on the absolute word grid).
 // The engine defines its own seed-to-stream mapping: rates are
-// statistically equivalent to, but not bit-identical with, the scalar
-// engines at the same seed.
+// statistically equivalent to, but not bit-identical with, the tableau
+// engine at the same seed.
 type BatchCampaign struct {
 	// Sim samples the shot words.
 	Sim *BatchSimulator

@@ -14,7 +14,7 @@ import (
 
 // repCampaigns builds the scalar and batched frame campaigns of the same
 // repetition-code radiation setup (frame-exact, so both are exact).
-func repCampaigns(t testing.TB, d int, p float64, refSeed uint64) (*Campaign, *BatchCampaign) {
+func repCampaigns(t testing.TB, d int, p float64, refSeed uint64) (*scalarCampaign, *BatchCampaign) {
 	t.Helper()
 	code, err := qec.NewRepetition(d)
 	if err != nil {
@@ -27,14 +27,14 @@ func repCampaigns(t testing.TB, d int, p float64, refSeed uint64) (*Campaign, *B
 	}
 	dist := tr.Topo.Graph.AllPairsShortestPaths()
 	ev := noise.NewRadiationEvent(dist[2], 1.0, true)
-	sim := New(tr.Circuit, noise.NewDepolarizing(p), ev, refSeed)
-	scalar := &Campaign{
+	sim := newScalar(tr.Circuit, noise.NewDepolarizing(p), ev, refSeed)
+	scalar := &scalarCampaign{
 		Sim:      sim,
 		Decode:   code.Decode,
 		Expected: code.ExpectedLogical(),
 	}
 	batched := &BatchCampaign{
-		Sim:        NewBatchSimulator(sim),
+		Sim:        sim.BatchSimulator,
 		DecodeTile: code.DecodeTile,
 		Expected:   code.ExpectedLogical(),
 	}
@@ -63,11 +63,11 @@ func TestBatchDeterministicCircuitExact(t *testing.T) {
 	c.Measure(0, 0)
 	c.Measure(1, 1)
 	c.Measure(2, 2)
-	sim := New(c, noise.Depolarizing{}, nil, 1)
-	f := NewFrame(3)
+	sim := newScalar(c, noise.Depolarizing{}, nil, 1)
+	f := newShotFrame(3)
 	bits := make([]int, 3)
 	sim.Run(rng.New(2), f, bits)
-	b := NewBatchSimulator(sim)
+	b := sim.BatchSimulator
 	st := b.NewTileState(1)
 	runOne(b, rng.New(2), st)
 	for i, want := range bits {
@@ -124,10 +124,10 @@ func TestBatchDepolarizingOnlyMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 0.05
-	sim := New(code.Circ, noise.NewDepolarizing(p), nil, 7)
-	scalar := &Campaign{Sim: sim, Decode: code.Decode, Expected: 1}
+	sim := newScalar(code.Circ, noise.NewDepolarizing(p), nil, 7)
+	scalar := &scalarCampaign{Sim: sim, Decode: code.Decode, Expected: 1}
 	batched := &BatchCampaign{
-		Sim:        NewBatchSimulator(sim),
+		Sim:        sim.BatchSimulator,
 		DecodeTile: code.DecodeTile,
 		Expected:   1,
 	}
@@ -234,12 +234,11 @@ func TestBatchExpectedZero(t *testing.T) {
 	}
 }
 
-// The acceptance benchmark pair: Fig. 5 repetition-code sampling
-// throughput, scalar frame engine versus the batched engine, decode
-// included. The low-p regime is where campaigns spend their lives and
-// where the sparse-syndrome fast path pays; shots/s is the headline
+// Fig. 5 repetition-code sampling throughput on the batched engine,
+// decode included. The low-p regime is where campaigns spend their lives
+// and where the sparse-syndrome fast path pays; shots/s is the headline
 // metric.
-func benchFig5Rep(b *testing.B, batched bool) {
+func BenchmarkFig5RepFrameBatched(b *testing.B) {
 	code, err := qec.NewRepetition(5)
 	if err != nil {
 		b.Fatal(err)
@@ -251,68 +250,41 @@ func benchFig5Rep(b *testing.B, batched bool) {
 	dist := tr.Topo.Graph.AllPairsShortestPaths()
 	// Temporal sample 3 of the Fig. 5 evolution at p=1e-3.
 	ev := noise.NewRadiationEvent(dist[2], noise.TemporalStep(0.3, 10), true)
-	sim := New(tr.Circuit, noise.NewDepolarizing(1e-3), ev, 1)
+	camp := &BatchCampaign{
+		Sim:        NewBatch(tr.Circuit, noise.NewDepolarizing(1e-3), ev, 1),
+		DecodeTile: code.DecodeTile,
+		Expected:   1,
+		Workers:    1,
+	}
 	const shots = 4096
 	b.ResetTimer()
-	if batched {
-		camp := &BatchCampaign{
-			Sim:        NewBatchSimulator(sim),
-			DecodeTile: code.DecodeTile,
-			Expected:   1,
-			Workers:    1,
-		}
-		for i := 0; i < b.N; i++ {
-			camp.Run(uint64(i), shots)
-		}
-	} else {
-		camp := &Campaign{
-			Sim:      sim,
-			Decode:   code.Decode,
-			Expected: 1,
-			Workers:  1,
-		}
-		for i := 0; i < b.N; i++ {
-			camp.Run(uint64(i), shots)
-		}
+	for i := 0; i < b.N; i++ {
+		camp.Run(uint64(i), shots)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(shots*b.N)/b.Elapsed().Seconds(), "shots/s")
 }
 
-func BenchmarkFig5RepFrameScalar(b *testing.B)  { benchFig5Rep(b, false) }
-func BenchmarkFig5RepFrameBatched(b *testing.B) { benchFig5Rep(b, true) }
-
-// The same pair at the paper's default p=1e-2 under a full-impact
-// strike — the regime where the decoder slow path fires often — keeps
-// the speedup claim honest outside the sparse regime.
-func benchImpactRep(b *testing.B, batched bool) {
-	scalar, bat := repCampaigns(b, 15, 0.01, 1)
+// The same at the paper's default p=1e-2 under a full-impact strike —
+// the regime where the decoder slow path fires often.
+func BenchmarkImpactRep15FrameBatched(b *testing.B) {
+	_, bat := repCampaigns(b, 15, 0.01, 1)
 	const shots = 2048
-	scalar.Workers = 1
 	bat.Workers = 1
 	b.ResetTimer()
-	if batched {
-		for i := 0; i < b.N; i++ {
-			bat.Run(uint64(i), shots)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			scalar.Run(uint64(i), shots)
-		}
+	for i := 0; i < b.N; i++ {
+		bat.Run(uint64(i), shots)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(shots*b.N)/b.Elapsed().Seconds(), "shots/s")
 }
-
-func BenchmarkImpactRep15FrameScalar(b *testing.B)  { benchImpactRep(b, false) }
-func BenchmarkImpactRep15FrameBatched(b *testing.B) { benchImpactRep(b, true) }
 
 // --- XXZZ cross-checks: the universal engine on the paper's headline
 // code, mirroring the repetition-code suite above ---
 
 // xxzzCampaigns builds the scalar and batched frame campaigns of the
 // same XXZZ setup; ev may be nil for depolarizing-only campaigns.
-func xxzzCampaigns(t testing.TB, p float64, ev *noise.RadiationEvent, refSeed uint64) (*Campaign, *BatchCampaign) {
+func xxzzCampaigns(t testing.TB, p float64, ev *noise.RadiationEvent, refSeed uint64) (*scalarCampaign, *BatchCampaign) {
 	t.Helper()
 	code, err := qec.NewXXZZ(3, 3)
 	if err != nil {
@@ -322,14 +294,14 @@ func xxzzCampaigns(t testing.TB, p float64, ev *noise.RadiationEvent, refSeed ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := New(tr.Circuit, noise.NewDepolarizing(p), ev, refSeed)
-	scalar := &Campaign{
+	sim := newScalar(tr.Circuit, noise.NewDepolarizing(p), ev, refSeed)
+	scalar := &scalarCampaign{
 		Sim:      sim,
 		Decode:   code.Decode,
 		Expected: code.ExpectedLogical(),
 	}
 	batched := &BatchCampaign{
-		Sim:        NewBatchSimulator(sim),
+		Sim:        sim.BatchSimulator,
 		DecodeTile: code.DecodeTile,
 		Expected:   code.ExpectedLogical(),
 	}

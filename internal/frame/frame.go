@@ -15,8 +15,8 @@
 // fresh coin, a reset XORs its outcome into the signs of the rows with
 // a Z on the qubit. stab.Compile records the record and every site's
 // Z-value as such forms, and the determinism flags, superposed sites
-// and branch operators as the plain facts of the circuit they are; New
-// draws the seed's coins and evaluates, and runs no tableau.
+// and branch operators as the plain facts of the circuit they are;
+// NewBatch draws the seed's coins and evaluates, and runs no tableau.
 //
 // The engine is universal over the Clifford set: H, S, CX, CZ, SWAP,
 // Paulis, measurement and reset are all propagated exactly. Measurement
@@ -55,6 +55,10 @@
 //     and unprojected reference trajectory; the tableau engine
 //     (package inject) remains the oracle for faithful heavy-radiation
 //     XXZZ campaigns.
+//
+// The package's tests keep a scalar one-shot-at-a-time engine over the
+// same reference (scalar_test.go) as an independent sampler of this
+// physics to check the bit-parallel kernel against.
 package frame
 
 import (
@@ -62,19 +66,42 @@ import (
 
 	"radqec/internal/circuit"
 	"radqec/internal/noise"
-	"radqec/internal/rng"
 	"radqec/internal/stab"
 )
 
-// Simulator samples shots of one circuit under depolarizing noise and a
-// radiation event, using Pauli-frame propagation.
-type Simulator struct {
+// BatchSimulator samples shots of one circuit under depolarizing noise
+// and a radiation event by bit-parallel Pauli-frame propagation: one
+// uint64 word carries the same frame bit across 64 shots ("lanes"), so
+// every Clifford gate is a handful of branchless word operations and a
+// whole word of shots costs barely more than one shot would:
+//
+//   - Frame state is stored shot-major as bit-planes x[qubit], z[qubit],
+//     each word holding the frame bit of 64 concurrent shots.
+//   - Both noise channels are Bernoulli(p) processes over (site, lane)
+//     bits, and one rule, decided once per simulator from p alone — for
+//     the depolarizing rate and for each distinct strike probability —
+//     picks how each is sampled (noise.LaneSampler): p <= 0
+//     never fires and p >= 1 fires every lane, neither drawing
+//     anything; p < 1/32 — fewer than two expected events per 64-lane
+//     word — walks geometric gaps with a persistent cursor, so a site
+//     costs a compare-and-subtract and only an actual event costs a
+//     draw; anything denser takes one rng.Bernoulli64 word per site
+//     (~7.5 RNG words whatever p is). The paper's strikes are sparse by
+//     construction (e^-k over the temporal samples, 1/(d+1)² with
+//     distance: 78% of fig5's struck site-words sit below 1/32, 88% of
+//     fig8's), the saturating root of fig6 is p = 1, and intrinsic
+//     noise at the paper's 1% is a gap process; only p >= 1/32
+//     depolarizing (threshold's 0.1 column) and the first temporal
+//     samples near the root use the word arm. The boundary is a
+//     measured, flat basin (see noise.LaneSampler), not a knob.
+//   - A depolarizing event draws its Pauli uniformly: one Intn(3) per
+//     event on the gap arm, noise.PauliWords for a whole error word on
+//     the dense arms.
+//   - Measurement records are emitted as bit-packed words (one uint64
+//     per classical bit and tile word), ready for word-parallel
+//     decoding (qec.(*Code).DecodeTile).
+type BatchSimulator struct {
 	circ *circuit.Circuit
-	dep  noise.Depolarizing
-	rad  *noise.RadiationEvent
-	// samp is the immutable skip-sampling template for the depolarizing
-	// channel; each shot copies and reseeds it.
-	samp noise.SkipSampler
 	// comp is the circuit's compiled reference: everything about the
 	// noiseless execution that no seed changes, shared by every
 	// simulator of the circuit. Its branch operator of a superposed
@@ -91,14 +118,23 @@ type Simulator struct {
 	// or 0 for superposed) of op i's j-th qubit right after the op,
 	// filled only where fires[i].
 	refZ []int8
+	// dep is the regime rule applied to the depolarizing rate.
+	dep noise.LaneSampler
+	// strikes holds the rule applied to each distinct strike
+	// probability of the event, and strike[q] indexes qubit q's. Qubits
+	// struck with one probability (one distance from the root) are one
+	// Bernoulli process over their merged sites, so they share a
+	// sampler and, on the gap arm, one cursor per tile word.
+	strikes []noise.LaneSampler
+	strike  []int32
 }
 
-// New builds a frame simulator. The reference execution is the
-// circuit's compiled reference (stab.CompiledOf, built once per
-// circuit) evaluated at the coins of the stream seeded by refSeed — the
-// record and Z-values a tableau run with that seed would give, with no
-// tableau run here; rad may be nil.
-func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEvent, refSeed uint64) *Simulator {
+// NewBatch builds the simulator. The reference execution is the
+// circuit's compiled reference (stab.CompiledOf, built once per circuit)
+// evaluated at the coins of the stream seeded by refSeed — the record
+// and Z-values a tableau run with that seed would give, with no tableau
+// run here; rad may be nil.
+func NewBatch(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEvent, refSeed uint64) *BatchSimulator {
 	if rad == nil {
 		rad = noise.NoRadiation(circ.NumQubits)
 	}
@@ -108,15 +144,14 @@ func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEven
 	}
 	comp := stab.CompiledOf(circ)
 	coins := comp.Coins(refSeed)
-	s := &Simulator{
-		circ:  circ,
-		dep:   dep,
-		rad:   rad,
-		samp:  dep.Skip(),
-		comp:  comp,
-		ref:   comp.Reference(coins),
-		fires: make([]bool, len(circ.Ops)),
-		refZ:  make([]int8, comp.NumSites),
+	s := &BatchSimulator{
+		circ:   circ,
+		comp:   comp,
+		ref:    comp.Reference(coins),
+		fires:  make([]bool, len(circ.Ops)),
+		refZ:   make([]int8, comp.NumSites),
+		dep:    noise.Lanes(dep.P),
+		strike: make([]int32, len(rad.Probs)),
 	}
 	// Wherever a radiation reset could strike, evaluate the reference
 	// Z-value of the struck qubit (needed to express the reset fault as
@@ -124,7 +159,7 @@ func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEven
 	// operator carries the projection's correlated damage to entangled
 	// partners.
 	for i, op := range circ.Ops {
-		if !s.mayFire(op) {
+		if !mayFire(op, rad) {
 			continue
 		}
 		s.fires[i] = true
@@ -133,198 +168,31 @@ func New(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEven
 			s.refZ[base+j] = int8(comp.SiteZ(base+j, coins)) // +1 |0>, -1 |1>, 0 superposed
 		}
 	}
+	distinct := make([]float64, 0, 16) // a spreading strike has one per distance
+	for q, p := range rad.Probs {
+		c := 0
+		for c < len(distinct) && distinct[c] != p {
+			c++
+		}
+		if c == len(distinct) {
+			distinct = append(distinct, p)
+			s.strikes = append(s.strikes, noise.Lanes(p))
+		}
+		s.strike[q] = int32(c)
+	}
 	return s
 }
 
 // mayFire reports whether the radiation event can strike any qubit of
 // the op (so reference Z-values are only recorded where needed).
-func (s *Simulator) mayFire(op circuit.Op) bool {
+func mayFire(op circuit.Op, rad *noise.RadiationEvent) bool {
 	if op.Kind == circuit.KindBarrier {
 		return false
 	}
 	for _, q := range op.Qubits {
-		if q < len(s.rad.Probs) && s.rad.Probs[q] > 0 {
+		if q < len(rad.Probs) && rad.Probs[q] > 0 {
 			return true
 		}
 	}
 	return false
-}
-
-// Frame is the per-shot Pauli deviation state; reusable across shots.
-type Frame struct {
-	x, z []uint64
-}
-
-// NewFrame allocates a frame for n qubits.
-func NewFrame(n int) *Frame {
-	words := (n + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	return &Frame{x: make([]uint64, words), z: make([]uint64, words)}
-}
-
-// Clear zeroes the frame for reuse.
-func (f *Frame) Clear() {
-	for i := range f.x {
-		f.x[i] = 0
-		f.z[i] = 0
-	}
-}
-
-func (f *Frame) getX(q int) uint64 { return (f.x[q/64] >> (q % 64)) & 1 }
-func (f *Frame) flipX(q int)       { f.x[q/64] ^= 1 << (q % 64) }
-func (f *Frame) flipZ(q int)       { f.z[q/64] ^= 1 << (q % 64) }
-func (f *Frame) clearQ(q int) {
-	mask := ^(uint64(1) << (q % 64))
-	f.x[q/64] &= mask
-	f.z[q/64] &= mask
-}
-
-// swapXZ exchanges the X and Z frame bits of q (Hadamard conjugation).
-func (f *Frame) swapXZ(q int) {
-	w, b := q/64, uint(q%64)
-	xb := (f.x[w] >> b) & 1
-	zb := (f.z[w] >> b) & 1
-	if xb != zb {
-		f.x[w] ^= 1 << b
-		f.z[w] ^= 1 << b
-	}
-}
-
-// collapseZ re-randomises the Z frame bit of q at a collapse point: the
-// qubit is a Z eigenstate there, so the injection is physically a no-op
-// that decorrelates downstream branch labels from the reference (see
-// the package comment). Skipped for circuits without H, where the coin
-// could never reach an X plane.
-func (s *Simulator) collapseZ(src *rng.Source, f *Frame, q int) {
-	if !s.comp.HasH {
-		return
-	}
-	w, b := q/64, uint(q%64)
-	f.z[w] &^= 1 << b
-	f.z[w] |= (src.Uint64() & 1) << b
-}
-
-// Run executes one shot into bits (length NumClbits). The frame is
-// cleared first, so frames can be reused across shots.
-func (s *Simulator) Run(src *rng.Source, f *Frame, bits []int) {
-	f.Clear()
-	if s.comp.HasH {
-		// State preparation is a collapse point for every qubit.
-		for w := range f.z {
-			f.z[w] = src.Uint64()
-		}
-	}
-	samp := s.samp
-	samp.Reset(src)
-	for i, op := range s.circ.Ops {
-		switch op.Kind {
-		case circuit.KindH:
-			f.swapXZ(op.Qubits[0])
-		case circuit.KindS:
-			// S: X -> Y (adds a Z component); Z unchanged.
-			if f.getX(op.Qubits[0]) == 1 {
-				f.flipZ(op.Qubits[0])
-			}
-		case circuit.KindX, circuit.KindY, circuit.KindZ:
-			// Deterministic circuit Paulis are part of the reference;
-			// they commute with the frame up to global phase.
-		case circuit.KindCNOT:
-			c, t := op.Qubits[0], op.Qubits[1]
-			if f.getX(c) == 1 {
-				f.flipX(t)
-			}
-			if (f.z[t/64]>>(t%64))&1 == 1 {
-				f.flipZ(c)
-			}
-		case circuit.KindCZ:
-			a, b := op.Qubits[0], op.Qubits[1]
-			if f.getX(a) == 1 {
-				f.flipZ(b)
-			}
-			if f.getX(b) == 1 {
-				f.flipZ(a)
-			}
-		case circuit.KindSWAP:
-			a, b := op.Qubits[0], op.Qubits[1]
-			xa, xb := f.getX(a), f.getX(b)
-			if xa != xb {
-				f.flipX(a)
-				f.flipX(b)
-			}
-			za := (f.z[a/64] >> (a % 64)) & 1
-			zb := (f.z[b/64] >> (b % 64)) & 1
-			if za != zb {
-				f.flipZ(a)
-				f.flipZ(b)
-			}
-		case circuit.KindMeasure:
-			q := op.Qubits[0]
-			k := s.ref.MeasIndex[i]
-			bits[op.Clbit] = s.ref.Record[k] ^ int(f.getX(q))
-			// Only a non-deterministic measurement collapses anything:
-			// measuring a Z eigenstate leaves the state — and therefore
-			// the deviation — untouched, so the reference determinism
-			// flag decides where the fresh branch coin is injected.
-			if !s.ref.Deterministic[k] {
-				s.collapseZ(src, f, q)
-			}
-		case circuit.KindReset:
-			// Reset erases any deviation on the qubit, then collapses.
-			f.clearQ(op.Qubits[0])
-			s.collapseZ(src, f, op.Qubits[0])
-		case circuit.KindBarrier:
-			continue
-		}
-		// Intrinsic depolarizing noise toggles frame bits.
-		if s.dep.P > 0 {
-			for _, q := range op.Qubits {
-				switch samp.Sample(src) {
-				case noise.ErrX:
-					f.flipX(q)
-				case noise.ErrY:
-					f.flipX(q)
-					f.flipZ(q)
-				case noise.ErrZ:
-					f.flipZ(q)
-				}
-			}
-		}
-		// Radiation reset faults pin the actual qubit to |0>. Relative
-		// to the reference, which holds Z-value v at this site, the
-		// pinned state is X^[v=1] times the reference, so the frame is
-		// erased and its X bit set from v. On superposed reference sites
-		// (v unknown: non-CSS-aligned qubits mid-plaquette) a fair coin
-		// picks the collapse branch and conditionally injects the
-		// recorded branch operator, spreading the projection's damage to
-		// entangled partners before the struck site is pinned.
-		if s.fires[i] {
-			base := s.comp.SiteBase[i]
-			for j, q := range op.Qubits {
-				if !s.rad.Fires(q, src) {
-					continue
-				}
-				switch s.refZ[base+j] {
-				case -1: // reference holds |1>, actual pinned to |0>
-					f.clearQ(q)
-					f.flipX(q)
-				case 1:
-					f.clearQ(q)
-				case 0:
-					if src.Uint64()&1 == 1 {
-						br := s.comp.Branch(base + j)
-						for _, a := range br.Xs {
-							f.flipX(a)
-						}
-						for _, a := range br.Zs {
-							f.flipZ(a)
-						}
-					}
-					f.clearQ(q)
-				}
-				s.collapseZ(src, f, q)
-			}
-		}
-	}
 }

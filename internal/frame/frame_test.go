@@ -23,8 +23,8 @@ func TestDeterministicCircuitExact(t *testing.T) {
 	c.Measure(0, 0)
 	c.Measure(1, 1)
 	c.Measure(2, 2)
-	sim := New(c, noise.Depolarizing{}, nil, 1)
-	f := NewFrame(3)
+	sim := newScalar(c, noise.Depolarizing{}, nil, 1)
+	f := newShotFrame(3)
 	bits := make([]int, 3)
 	sim.Run(rng.New(2), f, bits)
 	want := inject.NewExecutor(c, noise.Depolarizing{}, nil).Run(rng.New(2))
@@ -49,8 +49,8 @@ func TestFrameNoiseStatisticsMatchTableau(t *testing.T) {
 		Decode:   code.Decode,
 		Expected: 1,
 	}
-	frCamp := Campaign{
-		Sim:      New(code.Circ, noise.NewDepolarizing(p), nil, 7),
+	frCamp := scalarCampaign{
+		Sim:      newScalar(code.Circ, noise.NewDepolarizing(p), nil, 7),
 		Decode:   code.Decode,
 		Expected: 1,
 	}
@@ -83,8 +83,8 @@ func TestFrameRadiationExactOnRepetition(t *testing.T) {
 		Decode:   code.Decode,
 		Expected: 1,
 	}
-	frCamp := Campaign{
-		Sim:      New(tr.Circuit, noise.NewDepolarizing(0.01), ev, 3),
+	frCamp := scalarCampaign{
+		Sim:      newScalar(tr.Circuit, noise.NewDepolarizing(0.01), ev, 3),
 		Decode:   code.Decode,
 		Expected: 1,
 	}
@@ -98,7 +98,7 @@ func TestFrameRadiationExactOnRepetition(t *testing.T) {
 func TestFrameRadiationCloseOnXXZZ(t *testing.T) {
 	// XXZZ has superposed reset sites. A reset there projects entangled
 	// partners — a nonlocal effect no local Pauli frame can represent —
-	// so under saturating strikes the frame engine's collapsed-branch
+	// so under saturating strikes the frame engines' collapsed-branch
 	// approximation biases toward a coin where the tableau shows a
 	// pinned-to-|0> bias (the package documents this validity boundary,
 	// and -engine tableau remains the oracle). The test pins the
@@ -120,16 +120,20 @@ func TestFrameRadiationCloseOnXXZZ(t *testing.T) {
 		Decode:   code.Decode,
 		Expected: 1,
 	}).Run(5, shots).Rate()
-	b := (&Campaign{
-		Sim:      New(tr.Circuit, noise.NewDepolarizing(0.01), ev, 3),
-		Decode:   code.Decode,
-		Expected: 1,
-	}).Run(6, shots).Rate()
-	if math.Abs(a-b) > 0.30 {
-		t.Fatalf("XXZZ radiation divergence regressed: tableau %.4f vs frame %.4f", a, b)
-	}
-	if b == 0 {
-		t.Fatal("frame engine saw no radiation errors at all")
+	sim := newScalar(tr.Circuit, noise.NewDepolarizing(0.01), ev, 3)
+	scalar := (&scalarCampaign{Sim: sim, Decode: code.Decode, Expected: 1}).Run(6, shots).Rate()
+	batch := (&BatchCampaign{Sim: sim.BatchSimulator, DecodeTile: code.DecodeTile, Expected: 1}).Run(6, shots).Rate()
+	t.Logf("tableau %.4f, scalar %.4f, batch %.4f", a, scalar, batch)
+	for _, e := range []struct {
+		name string
+		rate float64
+	}{{"scalar", scalar}, {"batch", batch}} {
+		if math.Abs(a-e.rate) > 0.30 {
+			t.Errorf("XXZZ radiation divergence regressed: tableau %.4f vs %s %.4f", a, e.name, e.rate)
+		}
+		if e.rate == 0 {
+			t.Errorf("%s engine saw no radiation errors at all", e.name)
+		}
 	}
 }
 
@@ -142,8 +146,8 @@ func TestFrameCleanRunErrorFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		camp := Campaign{
-			Sim:      New(code.Circ, noise.Depolarizing{}, nil, 9),
+		camp := scalarCampaign{
+			Sim:      newScalar(code.Circ, noise.Depolarizing{}, nil, 9),
 			Decode:   code.Decode,
 			Expected: 1,
 		}
@@ -159,8 +163,8 @@ func TestFrameDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(workers int) Result {
-		camp := Campaign{
-			Sim:      New(code.Circ, noise.NewDepolarizing(0.05), nil, 2),
+		camp := scalarCampaign{
+			Sim:      newScalar(code.Circ, noise.NewDepolarizing(0.05), nil, 2),
 			Decode:   code.Decode,
 			Expected: 1,
 			Workers:  workers,
@@ -177,8 +181,8 @@ func TestFrameRunFromPartitionsMatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp := Campaign{
-		Sim:      New(code.Circ, noise.NewDepolarizing(0.05), nil, 2),
+	camp := scalarCampaign{
+		Sim:      newScalar(code.Circ, noise.NewDepolarizing(0.05), nil, 2),
 		Decode:   code.Decode,
 		Expected: 1,
 	}
@@ -204,8 +208,8 @@ func TestFrameGatePropagation(t *testing.T) {
 	c.CNOT(0, 1)
 	c.Measure(0, 0)
 	c.Measure(1, 1)
-	sim := New(c, noise.Depolarizing{}, nil, 1)
-	f := NewFrame(2)
+	sim := newScalar(c, noise.Depolarizing{}, nil, 1)
+	f := newShotFrame(2)
 	bits := make([]int, 2)
 	// Manually seed an X deviation on qubit 0, then run ops by hand.
 	f.Clear()
@@ -226,7 +230,7 @@ func TestFrameGatePropagation(t *testing.T) {
 	c2.Measure(0, 0)
 	c2.Measure(1, 1)
 	ev := &noise.RadiationEvent{Probs: []float64{1, 0}}
-	fsim := New(c2, noise.Depolarizing{}, ev, 1)
+	fsim := newScalar(c2, noise.Depolarizing{}, ev, 1)
 	fbits := make([]int, 2)
 	fsim.Run(rng.New(1), f, fbits)
 	want := inject.NewExecutor(c2, noise.Depolarizing{}, ev).Run(rng.New(1))
@@ -246,7 +250,7 @@ func TestFramePanicsOnSizeMismatch(t *testing.T) {
 		}
 	}()
 	c := circuit.New(2, 0)
-	New(c, noise.Depolarizing{}, &noise.RadiationEvent{Probs: []float64{1}}, 1)
+	NewBatch(c, noise.Depolarizing{}, &noise.RadiationEvent{Probs: []float64{1}}, 1)
 }
 
 func TestHConjugatesFrames(t *testing.T) {
@@ -255,33 +259,12 @@ func TestHConjugatesFrames(t *testing.T) {
 	c.H(0)
 	c.H(0)
 	c.Measure(0, 0)
-	sim := New(c, noise.Depolarizing{}, nil, 1)
-	f := NewFrame(1)
+	sim := newScalar(c, noise.Depolarizing{}, nil, 1)
+	f := newShotFrame(1)
 	bits := make([]int, 1)
 	sim.Run(rng.New(5), f, bits)
 	if bits[0] != 0 {
 		t.Fatalf("HH|0> frame-measured %d", bits[0])
-	}
-}
-
-func BenchmarkFrameShotRep15(b *testing.B) {
-	code, err := qec.NewRepetition(15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := arch.Transpile(code.Circ, arch.Mesh(5, 6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dist := tr.Topo.Graph.AllPairsShortestPaths()
-	ev := noise.NewRadiationEvent(dist[12], 1.0, true)
-	sim := New(tr.Circuit, noise.NewDepolarizing(0.01), ev, 1)
-	f := NewFrame(tr.Circuit.NumQubits)
-	bits := make([]int, tr.Circuit.NumClbits)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Run(rng.New(uint64(i)), f, bits)
-		_ = code.Decode(bits)
 	}
 }
 
@@ -340,12 +323,12 @@ func engineDists(t *testing.T, c *circuit.Circuit, shots int) (tab, scalar, batc
 		copy(bits, got)
 		inject.ReleaseBits(got)
 	})
-	sim := New(c, noise.Depolarizing{}, nil, 42)
-	f := NewFrame(c.NumQubits)
+	sim := newScalar(c, noise.Depolarizing{}, nil, 42)
+	f := newShotFrame(c.NumQubits)
 	scalar = sampleDist(shots, c.NumClbits, func(i int, bits []int) {
 		sim.Run(rng.New(uint64(5000+i)), f, bits)
 	})
-	b := NewBatchSimulator(sim)
+	b := sim.BatchSimulator
 	st := b.NewTileState(1)
 	words := (shots + 63) / 64
 	counts := map[string]float64{}
@@ -479,8 +462,8 @@ func TestFrameXXZZDepolarizingMatchesTableau(t *testing.T) {
 		Decode:   code.Decode,
 		Expected: 1,
 	}).Run(11, shots).Rate()
-	b := (&Campaign{
-		Sim:      New(code.Circ, noise.NewDepolarizing(p), nil, 7),
+	b := (&scalarCampaign{
+		Sim:      newScalar(code.Circ, noise.NewDepolarizing(p), nil, 7),
 		Decode:   code.Decode,
 		Expected: 1,
 	}).Run(13, shots).Rate()

@@ -62,9 +62,8 @@ func tileCampaignAt(t testing.TB, code *qec.Code, p, root float64) *BatchCampaig
 	}
 	dist := tr.Topo.Graph.AllPairsShortestPaths()
 	ev := noise.NewRadiationEvent(dist[2], root, true)
-	sim := New(tr.Circuit, noise.NewDepolarizing(p), ev, 3)
 	return &BatchCampaign{
-		Sim:        NewBatchSimulator(sim),
+		Sim:        NewBatch(tr.Circuit, noise.NewDepolarizing(p), ev, 3),
 		DecodeTile: code.DecodeTile,
 		Expected:   code.ExpectedLogical(),
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,32 @@ func TestCampaignBodyBounded(t *testing.T) {
 	}
 }
 
+// TestAPIDocRequestBodyDecodes: the request body docs/api.md shows under
+// POST /v1/campaigns is one the daemon accepts, so the wire doc cannot
+// drift from the validator.
+func TestAPIDocRequestBodyDecodes(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(doc), "Request body")
+	if !ok {
+		t.Fatal(`docs/api.md has no "Request body" section`)
+	}
+	_, after, ok = strings.Cut(after, "```json\n")
+	body, _, closed := strings.Cut(after, "```")
+	if !ok || !closed {
+		t.Fatal(`docs/api.md has no fenced json block after "Request body"`)
+	}
+	req, code, err := decodeCampaignRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("documented request body rejected (%s): %v\n%s", code, err, body)
+	}
+	if req.Experiment == "" || req.Engine == "" {
+		t.Fatalf("documented request decoded to %+v; want the example's experiment and engine", req)
+	}
+}
+
 // FuzzCampaignRequestDecode: arbitrary bytes never panic the daemon's
 // request decoder, and yield either a request that passes validation
 // and lowers onto a campaign config, or a 400 in the v1 envelope.
@@ -126,6 +153,8 @@ func FuzzCampaignRequestDecode(f *testing.F) {
 		`{"experiment":"fig5","dwell":4}`,
 		`{"experiment":"fig5","hysteresis":0.15}`,
 		`{"experiment":"fig5","engine_width":64}`,
+		`{"experiment":"fig5","engine":"frame"}`,
+		`{"experiment":"fig5","engine":"auto"}`,
 		`{"experiment":"fig5","p":1e999}`,
 		`{"experiment":"nope"}`,
 		`{"experiment":`,

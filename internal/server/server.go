@@ -758,7 +758,7 @@ type experimentInfo struct {
 	Name string `json:"name"`
 	Desc string `json:"desc"`
 	// XXZZRad marks campaigns entering the collapsed-branch
-	// approximation domain of the frame engines (see package frame).
+	// approximation domain of the batch engine (see package frame).
 	XXZZRad bool `json:"xxzz_rad"`
 }
 

@@ -145,19 +145,22 @@ func TestCampaignValidation(t *testing.T) {
 	for name, req := range map[string]CampaignRequest{
 		"experiment": {Experiment: "nope"},
 		"engine":     {Experiment: "fig5", Engine: "warp"},
-		"decoder":    {Experiment: "fig5", Decoder: "oracle"},
-		"ci":         {Experiment: "fig5", CI: 0.7},
-		"rounds":     {Experiment: "fig5", Rounds: 1},
-		"p":          {Experiment: "fig5", P: 1.5},
+		// The retired scalar engine and the alias of the default.
+		"engine frame": {Experiment: "fig5", Engine: "frame"},
+		"engine auto":  {Experiment: "fig5", Engine: "auto"},
+		"decoder":      {Experiment: "fig5", Decoder: "oracle"},
+		"ci":           {Experiment: "fig5", CI: 0.7},
+		"rounds":       {Experiment: "fig5", Rounds: 1},
+		"p":            {Experiment: "fig5", P: 1.5},
 	} {
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", string(body), nil)
+		var env envelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(msg, &env) != nil || env.Error.Code != codeInvalidArgument {
+			t.Errorf("%s: status = %d, body %s; want 400 invalid_argument", name, resp.StatusCode, msg)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		if req.Engine != "" && !strings.Contains(env.Error.Message, "[tableau batch]") {
+			t.Errorf("%s: message %q does not name the engines [tableau batch]", name, env.Error.Message)
 		}
 	}
 	// Unknown body fields are rejected by name, catching client typos

@@ -6,9 +6,11 @@
 // batches until the Wilson 95% half-width of the point's logical error
 // rate drops to a target (subject to a hard per-point cap).
 //
-// Determinism contract: a point's BatchRunner must map shot i of its
-// campaign to the RNG stream split(seed, i), the same contract
-// inject.Campaign and frame.Campaign honour. Batch boundaries are pure
+// Determinism contract: a point's BatchRunner must draw shot i of its
+// campaign from RNG streams fixed by the seed and i alone, so any
+// partition of the shots into batches merges to one run —
+// inject.Campaign maps shot i to split(seed, i), frame.BatchCampaign to
+// lane i%64 of word i/64 on that word's own stream. Batch boundaries are pure
 // functions of the observed counts, and points never share random
 // state, so a sweep's per-point shot streams and rates are identical for
 // any Workers setting.

@@ -38,7 +38,6 @@ var reachAllow = map[string]string{
 	"circuit.Circuit.Clone":                "oracle",
 	"exp.prepared.rate":                    "oracle",
 	"frame.BatchCampaign.Run":              "oracle",
-	"frame.Campaign.Run":                   "oracle",
 	"frame.Result.Rate":                    "oracle",
 	"inject.Campaign.Run":                  "oracle",
 	"inject.Executor.Run":                  "oracle",
