@@ -378,9 +378,9 @@ func main() {
 // traffic, the plan time spent before the sweeps' first turns (building
 // and addressing the points — what a warm -store run costs) and the
 // engine the points ran on. before and after are the process's registry
-// counters around the experiment: the matcher calls and triggered lanes
-// are this experiment's own, the memo entries what every experiment so
-// far has left behind.
+// counters around the experiment: the matcher calls, their defects and
+// the triggered lanes are this experiment's own, the memo entries what
+// every experiment so far has left behind.
 func printStats(st telemetry.Stats, before, after exp.RegistryStats) {
 	fmt.Fprintf(os.Stderr,
 		"radqec: %s: %d shots (%d errors) over %d points in %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses\n",
@@ -405,8 +405,13 @@ func printStats(st telemetry.Stats, before, after exp.RegistryStats) {
 			100*float64(st.PlanNS)/float64(st.ElapsedNS), time.Duration(st.ElapsedNS).Round(time.Microsecond))
 	}
 	if lanes := after.Decoder.TriggeredLanes - before.Decoder.TriggeredLanes; lanes > 0 {
-		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls for %d triggered lanes, %d memo entries\n",
-			st.Experiment, after.Decoder.MatcherCalls-before.Decoder.MatcherCalls, lanes, after.Decoder.MemoEntries)
+		calls := after.Decoder.MatcherCalls - before.Decoder.MatcherCalls
+		var meanK float64
+		if calls > 0 {
+			meanK = float64(after.Decoder.MatchedDefects-before.Decoder.MatchedDefects) / float64(calls)
+		}
+		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls (mean k %.1f defects) for %d triggered lanes, %d memo entries\n",
+			st.Experiment, calls, meanK, lanes, after.Decoder.MemoEntries)
 	}
 	if st.Engine != "" {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s\n", st.Experiment, st.Engine)

@@ -152,6 +152,7 @@ func (r *registry) touch(e *codeEntry) {
 		r.evictions++
 		d := lru.code.DecoderCounters()
 		r.retired.MatcherCalls += d.MatcherCalls
+		r.retired.MatchedDefects += d.MatchedDefects
 		r.retired.TriggeredLanes += d.TriggeredLanes
 	}
 }
@@ -166,7 +167,8 @@ type RegistryStats struct {
 	Hits, Misses, Evictions int64
 	// Decoder sums the codes' tile-decode counters: MatcherCalls over
 	// TriggeredLanes is the memo miss rate, which falls campaign over
-	// campaign as the memos warm. MemoEntries covers resident codes only.
+	// campaign as the memos warm; MatchedDefects over MatcherCalls is the
+	// mean defect count per call. MemoEntries covers resident codes only.
 	Decoder qec.DecoderCounters
 }
 
@@ -179,6 +181,7 @@ func Registry() RegistryStats {
 	for _, e := range r.codes {
 		d := e.code.DecoderCounters()
 		st.Decoder.MatcherCalls += d.MatcherCalls
+		st.Decoder.MatchedDefects += d.MatchedDefects
 		st.Decoder.TriggeredLanes += d.TriggeredLanes
 		st.Decoder.MemoEntries += d.MemoEntries
 	}

@@ -6,7 +6,10 @@
 // max_weight_matching call used by the paper's qtcodes decoding stack.
 package matching
 
-import "sync"
+import (
+	mathbits "math/bits"
+	"sync"
+)
 
 // Edge is a weighted undirected edge between vertices I and J.
 type Edge struct {
@@ -21,11 +24,35 @@ type Edge struct {
 // workspace serves one call at a time; the mate slice a call returns
 // aliases workspace storage and is valid until the next call.
 //
-// The algorithm is the line-by-line port of networkx
-// max_weight_matching the repository has always decoded with: the same
-// operations in the same order, so mate arrays — tie-breaks included —
-// are identical to referenceMaxWeightMatching in reference_test.go,
-// which the differential and fuzz tests hold it to.
+// The algorithm is networkx max_weight_matching, the matcher the
+// repository has always decoded with, and it takes the same decisions
+// in the same order, so mate arrays — tie-breaks included — are
+// identical to referenceMaxWeightMatching in reference_test.go, which
+// the differential and fuzz tests hold it to. It does less work for
+// them:
+//
+//   - A least-slack edge carries its slack. Slacks change only when the
+//     duals do, so the dual adjustment refreshes the cached values and
+//     every comparison in between reads one number.
+//   - Per-stage state is reset by what the stage touched: allowed edges
+//     are stamped with their stage, blossoms' least-slack lists are
+//     logged, and the free vertices are kept as a list.
+//   - The image-pairing stages are replayed. The decoder's graph puts
+//     k boundary images at vertices k…2k-1 as a clique of weight-0
+//     edges and weighs everything else ≥ 0, so after negation every
+//     dual starts at the maximum weight 0 and every image edge is
+//     tight. Stage s then always does the same thing: the labelling
+//     pass pushes the free vertices in index order, so the highest one,
+//     image 2k-1-s, is scanned first; its first s edges lead to images
+//     k…k+s-1, matched by the earlier stages, which it T-labels; its
+//     next edge leads to image k+s, free and S-labelled, and the
+//     augmentation along that edge ends the stage. Nothing else
+//     survives the stage: duals, blossoms and best edges are untouched
+//     and labels and allowed edges are reset by the next one. So the
+//     first ⌊k/2⌋ stages are applied as their ⌊k/2⌋ pairs of mates,
+//     whenever the flat graph verifies the premise — each image's
+//     incident edges begin with the lower images in ascending order, at
+//     the maximum weight. Any other graph runs from stage 0.
 type Workspace struct {
 	nvertex int
 
@@ -33,38 +60,65 @@ type Workspace struct {
 	// (its I side) and 2k+1 (its J side) and has weight[k].
 	endpoint []int
 	weight   []int64
-	// The remote endpoints of the edges incident to v, in edge order,
-	// are nbList[nbStart[v]:nbStart[v+1]] (CSR adjacency).
+	// The edges incident to v, in edge order, are
+	// nbList[nbStart[v]:nbStart[v+1]] (CSR adjacency).
 	nbStart []int
-	nbList  []int
+	nbList  []arc
 
 	// mate[v] is the remote endpoint of v's matched edge, or -1.
 	mate []int
 	// label: 0 free, 1 S-vertex/blossom, 2 T, 5 temporary mark.
-	label            []int
-	labelend         []int
-	inblossom        []int
-	blossomparent    []int
-	blossombase      []int
-	bestedge         []int
-	dualvar          []int64
-	allowedge        []bool
-	queue            []int
-	unusedblossoms   []int
+	label         []int
+	labelend      []int
+	inblossom     []int
+	blossomparent []int
+	blossombase   []int
+	// bestedge[b] is b's least-slack edge (-1 when none) and, when it is
+	// set, bestslack[b] is that edge's slack at the current duals.
+	bestedge  []int
+	bestslack []int64
+	dualvar   []int64
+	// Edge k is allowed (known tight) in stage t when allowedge[k] ==
+	// stamp, stamp being t+1.
+	allowedge      []int32
+	stamp          int32
+	queue          []int
+	unusedblossoms []int
+	// Bit b of live is set while blossom b (≥ nvertex) is in use.
+	live             []uint64
 	blossomchilds    [][]int
 	blossomendps     [][]int
 	blossombestedges [][]int
+	// listed logs the blossoms given a least-slack list this stage;
+	// free lists the unmatched vertices in ascending order.
+	listed []int
+	free   []int
 
-	// Scratch of single steps: scanBlossom's trail, addBlossom's
-	// per-neighbour best edges, a blossom's leaves, a rotation's head.
-	scanPath   []int
-	bestedgeto []int
-	leafBuf    []int
-	rotBuf     []int
+	// Scratch of single steps: scanBlossom's trail; addBlossom's least
+	// slack edge to each S-blossom bj — bestedgeto[bj] with its slack
+	// bestslackto[bj], set where bit bj of bestto is — and the new
+	// blossom's leaves with each child's end in them; a rotation's head.
+	scanPath    []int
+	bestedgeto  []int
+	bestslackto []int64
+	bestto      []uint64
+	leafBuf     []int
+	leafEnds    []int
+	rotBuf      []int
+
+	// replayed counts the image-pairing stages the last call replayed.
+	replayed int
 
 	// edgeBuf holds the derived edge list of a front end: the greedy
 	// matcher's weight-ordered copy, the float matcher's quantized one.
 	edgeBuf []Edge
+}
+
+// arc is one entry of a vertex's adjacency: an incident edge's remote
+// endpoint p, the vertex w at it and the edge's weight.
+type arc struct {
+	p, w   int
+	weight int64
 }
 
 // workspaces backs the package-level wrappers, which have no caller to
@@ -122,6 +176,7 @@ func (ws *Workspace) MaxWeightMatching(nvertex int, edges []Edge, maxCardinality
 // run matches the graph whose edge k weighs sign·edges[k].W.
 func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality bool) []int {
 	mate := ws.freshMate(nvertex)
+	ws.replayed = 0
 	if nvertex == 0 || len(edges) == 0 {
 		return mate
 	}
@@ -132,20 +187,18 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 	ws.weight = grow(ws.weight, nedge)
 	ws.nbStart = grow(ws.nbStart, nvertex+1)
 	ws.nbList = grow(ws.nbList, 2*nedge)
-	endpoint, nbStart, nbList := ws.endpoint, ws.nbStart, ws.nbList
-	for i := range nbStart {
-		nbStart[i] = 0
-	}
+	endpoint, weight, nbStart, nbList := ws.endpoint, ws.weight, ws.nbStart, ws.nbList
+	clear(nbStart)
 	var maxweight int64
 	for k, e := range edges {
-		if e.I < 0 || e.I >= nvertex || e.J < 0 || e.J >= nvertex || e.I == e.J {
+		if uint(e.I) >= uint(nvertex) || uint(e.J) >= uint(nvertex) || e.I == e.J {
 			panic("matching: edge endpoints out of range or self loop")
 		}
 		w := sign * e.W
 		if w > maxweight {
 			maxweight = w
 		}
-		ws.weight[k] = w
+		weight[k] = w
 		endpoint[2*k] = e.I
 		endpoint[2*k+1] = e.J
 		nbStart[e.I+1]++
@@ -157,9 +210,9 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 	// Fill in edge order with nbStart[v] as v's cursor, then shift the
 	// cursors (now each list's end) back to the list starts.
 	for k, e := range edges {
-		nbList[nbStart[e.I]] = 2*k + 1
+		nbList[nbStart[e.I]] = arc{2*k + 1, e.J, weight[k]}
 		nbStart[e.I]++
-		nbList[nbStart[e.J]] = 2 * k
+		nbList[nbStart[e.J]] = arc{2 * k, e.I, weight[k]}
 		nbStart[e.J]++
 	}
 	copy(nbStart[1:], nbStart[:nvertex])
@@ -171,18 +224,27 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 	ws.blossomparent = grow(ws.blossomparent, 2*nvertex)
 	ws.blossombase = grow(ws.blossombase, 2*nvertex)
 	ws.bestedge = grow(ws.bestedge, 2*nvertex)
+	ws.bestslack = grow(ws.bestslack, 2*nvertex)
 	ws.bestedgeto = grow(ws.bestedgeto, 2*nvertex)
+	ws.bestslackto = grow(ws.bestslackto, 2*nvertex)
+	ws.bestto = grow(ws.bestto, (2*nvertex+63)/64)
+	clear(ws.bestto)
 	ws.blossomchilds = growLists(ws.blossomchilds, 2*nvertex)
 	ws.blossomendps = growLists(ws.blossomendps, 2*nvertex)
 	ws.blossombestedges = growLists(ws.blossombestedges, 2*nvertex)
 	ws.dualvar = grow(ws.dualvar, 2*nvertex)
 	ws.allowedge = grow(ws.allowedge, nedge)
+	clear(ws.allowedge)
+	ws.live = grow(ws.live, (2*nvertex+63)/64)
+	clear(ws.live)
 	ws.queue = ws.queue[:0]
 	ws.unusedblossoms = ws.unusedblossoms[:0]
+	ws.listed = ws.listed[:0]
 
 	label, labelend, inblossom := ws.label, ws.labelend, ws.inblossom
-	blossomparent, blossombase, bestedge := ws.blossomparent, ws.blossombase, ws.bestedge
-	dualvar, allowedge := ws.dualvar, ws.allowedge
+	blossomparent, blossombase := ws.blossomparent, ws.blossombase
+	bestedge, bestslack := ws.bestedge, ws.bestslack
+	dualvar, allowedge, live := ws.dualvar, ws.allowedge, ws.live
 
 	for v := 0; v < nvertex; v++ {
 		inblossom[v] = v
@@ -200,23 +262,29 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 		ws.unusedblossoms = append(ws.unusedblossoms, b)
 	}
 
-	// Main loop: one stage per augmentation opportunity.
-	for t := 0; t < nvertex; t++ {
-		for i := range label {
-			label[i] = 0
+	first := ws.replayImagePairs(maxweight)
+	free := ws.free[:0]
+	for v := 0; v < nvertex; v++ {
+		if mate[v] == -1 {
+			free = append(free, v)
 		}
+	}
+
+	// Main loop: one stage per augmentation opportunity.
+	for t := first; t < nvertex; t++ {
+		clear(label)
 		for i := range bestedge {
 			bestedge[i] = -1
 		}
-		for b := nvertex; b < 2*nvertex; b++ {
+		for _, b := range ws.listed {
 			ws.blossombestedges[b] = ws.blossombestedges[b][:0]
 		}
-		for i := range allowedge {
-			allowedge[i] = false
-		}
+		ws.listed = ws.listed[:0]
+		ws.stamp = int32(t + 1)
+		stamp := ws.stamp
 		ws.queue = ws.queue[:0]
-		for v := 0; v < nvertex; v++ {
-			if mate[v] == -1 && label[inblossom[v]] == 0 {
+		for _, v := range free {
+			if label[inblossom[v]] == 0 {
 				ws.assignLabel(v, 1, -1)
 			}
 		}
@@ -225,27 +293,30 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 			for len(ws.queue) > 0 && !augmented {
 				v := ws.queue[len(ws.queue)-1]
 				ws.queue = ws.queue[:len(ws.queue)-1]
-				for _, p := range nbList[nbStart[v]:nbStart[v+1]] {
-					k := p / 2
-					w := endpoint[p]
-					if inblossom[v] == inblossom[w] {
+				bv, dv := inblossom[v], dualvar[v]
+				for _, a := range nbList[nbStart[v]:nbStart[v+1]] {
+					p, w := a.p, a.w
+					k := p >> 1
+					bw := inblossom[w]
+					if bv == bw {
 						continue
 					}
 					var kslack int64
-					if !allowedge[k] {
-						kslack = ws.slack(k)
+					if allowedge[k] != stamp {
+						kslack = dv + dualvar[w] - 2*a.weight
 						if kslack <= 0 {
-							allowedge[k] = true
+							allowedge[k] = stamp
 						}
 					}
-					if allowedge[k] {
+					if allowedge[k] == stamp {
 						switch {
-						case label[inblossom[w]] == 0:
+						case label[bw] == 0:
 							ws.assignLabel(w, 2, p^1)
-						case label[inblossom[w]] == 1:
+						case label[bw] == 1:
 							base := ws.scanBlossom(v, w)
 							if base >= 0 {
 								ws.addBlossom(base, k)
+								bv = inblossom[v]
 							} else {
 								ws.augmentMatching(k)
 								augmented = true
@@ -257,14 +328,15 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 						if augmented {
 							break
 						}
-					} else if label[inblossom[w]] == 1 {
-						b := inblossom[v]
-						if bestedge[b] == -1 || kslack < ws.slack(bestedge[b]) {
-							bestedge[b] = k
+					} else if label[bw] == 1 {
+						if bestedge[bv] == -1 || kslack < bestslack[bv] {
+							bestedge[bv] = k
+							bestslack[bv] = kslack
 						}
 					} else if label[w] == 0 {
-						if bestedge[w] == -1 || kslack < ws.slack(bestedge[w]) {
+						if bestedge[w] == -1 || kslack < bestslack[w] {
 							bestedge[w] = k
+							bestslack[w] = kslack
 						}
 					}
 				}
@@ -272,7 +344,9 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 			if augmented {
 				break
 			}
-			// Compute the dual adjustment delta.
+			// Compute the dual adjustment delta: the first least
+			// candidate of each type, taken in type order so ties go as
+			// one pass over the types in turn would send them.
 			deltatype := -1
 			var delta int64
 			deltaedge, deltablossom := -1, -1
@@ -285,33 +359,51 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 					}
 				}
 			}
+			// Type 2: a free vertex's least-slack edge to an S-vertex.
+			// Type 3: a least-slack edge between S-blossoms, halved; the
+			// vertices come first, then the blossoms. Type 4: a T-blossom's
+			// dual.
+			d2, e2, d3, e3 := int64(0), -1, int64(0), -1
 			for v := 0; v < nvertex; v++ {
-				if label[inblossom[v]] == 0 && bestedge[v] != -1 {
-					d := ws.slack(bestedge[v])
-					if deltatype == -1 || d < delta {
-						delta = d
-						deltatype = 2
-						deltaedge = bestedge[v]
+				if bestedge[v] == -1 {
+					continue
+				}
+				if label[inblossom[v]] == 0 {
+					if e2 == -1 || bestslack[v] < d2 {
+						d2, e2 = bestslack[v], bestedge[v]
+					}
+				}
+				if blossomparent[v] == -1 && label[v] == 1 {
+					if d := bestslack[v] / 2; e3 == -1 || d < d3 {
+						d3, e3 = d, bestedge[v]
 					}
 				}
 			}
-			for b := 0; b < 2*nvertex; b++ {
-				if blossomparent[b] == -1 && label[b] == 1 && bestedge[b] != -1 {
-					d := ws.slack(bestedge[b]) / 2
-					if deltatype == -1 || d < delta {
-						delta = d
-						deltatype = 3
-						deltaedge = bestedge[b]
+			d4, b4 := int64(0), -1
+			for wi, word := range live {
+				for ; word != 0; word &= word - 1 {
+					b := wi*64 + mathbits.TrailingZeros64(word)
+					if blossomparent[b] != -1 {
+						continue
+					}
+					if label[b] == 1 && bestedge[b] != -1 {
+						if d := bestslack[b] / 2; e3 == -1 || d < d3 {
+							d3, e3 = d, bestedge[b]
+						}
+					}
+					if label[b] == 2 && (b4 == -1 || dualvar[b] < d4) {
+						d4, b4 = dualvar[b], b
 					}
 				}
 			}
-			for b := nvertex; b < 2*nvertex; b++ {
-				if blossombase[b] >= 0 && blossomparent[b] == -1 && label[b] == 2 &&
-					(deltatype == -1 || dualvar[b] < delta) {
-					delta = dualvar[b]
-					deltatype = 4
-					deltablossom = b
-				}
+			if e2 != -1 && (deltatype == -1 || d2 < delta) {
+				delta, deltatype, deltaedge = d2, 2, e2
+			}
+			if e3 != -1 && (deltatype == -1 || d3 < delta) {
+				delta, deltatype, deltaedge = d3, 3, e3
+			}
+			if b4 != -1 && (deltatype == -1 || d4 < delta) {
+				delta, deltatype, deltablossom = d4, 4, b4
 			}
 			if deltatype == -1 {
 				// No further progress possible (maxCardinality path):
@@ -328,7 +420,8 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 					delta = 0
 				}
 			}
-			// Apply the dual adjustment.
+			// Apply the dual adjustment, then bring the cached slacks of
+			// the best edges up to the new duals.
 			for v := 0; v < nvertex; v++ {
 				switch label[inblossom[v]] {
 				case 1:
@@ -337,13 +430,23 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 					dualvar[v] += delta
 				}
 			}
-			for b := nvertex; b < 2*nvertex; b++ {
-				if blossombase[b] >= 0 && blossomparent[b] == -1 {
-					switch label[b] {
-					case 1:
-						dualvar[b] += delta
-					case 2:
-						dualvar[b] -= delta
+			for wi, word := range live {
+				for ; word != 0; word &= word - 1 {
+					b := wi*64 + mathbits.TrailingZeros64(word)
+					if blossomparent[b] == -1 {
+						switch label[b] {
+						case 1:
+							dualvar[b] += delta
+						case 2:
+							dualvar[b] -= delta
+						}
+					}
+				}
+			}
+			if delta != 0 {
+				for b, k := range bestedge {
+					if k != -1 {
+						bestslack[b] = ws.slack(k)
 					}
 				}
 			}
@@ -351,14 +454,14 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 			case 1:
 				// Optimum reached.
 			case 2:
-				allowedge[deltaedge] = true
+				allowedge[deltaedge] = stamp
 				i := endpoint[2*deltaedge]
 				if label[inblossom[i]] == 0 {
 					i = endpoint[2*deltaedge+1]
 				}
 				ws.queue = append(ws.queue, i)
 			case 3:
-				allowedge[deltaedge] = true
+				allowedge[deltaedge] = stamp
 				ws.queue = append(ws.queue, endpoint[2*deltaedge])
 			case 4:
 				ws.expandBlossom(deltablossom, false)
@@ -370,13 +473,29 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 		if !augmented {
 			break
 		}
-		// End of stage: expand unlabelled S-blossoms with zero dual.
-		for b := nvertex; b < 2*nvertex; b++ {
-			if blossomparent[b] == -1 && blossombase[b] >= 0 && label[b] == 1 && dualvar[b] == 0 {
-				ws.expandBlossom(b, true)
+		// The augmentation matched two free vertices.
+		n := 0
+		for _, v := range free {
+			if mate[v] == -1 {
+				free[n] = v
+				n++
+			}
+		}
+		free = free[:n]
+		// End of stage: expand unlabelled S-blossoms with zero dual. An
+		// expansion only retires blossoms and lifts children of nonzero
+		// dual to the top level, so a word read before it still
+		// decides as the index loop would.
+		for wi, word := range live {
+			for ; word != 0; word &= word - 1 {
+				b := wi*64 + mathbits.TrailingZeros64(word)
+				if blossomparent[b] == -1 && blossombase[b] >= 0 && label[b] == 1 && dualvar[b] == 0 {
+					ws.expandBlossom(b, true)
+				}
 			}
 		}
 	}
+	ws.free = free
 
 	for v := 0; v < nvertex; v++ {
 		if mate[v] >= 0 {
@@ -384,6 +503,38 @@ func (ws *Workspace) run(nvertex int, edges []Edge, sign int64, maxCardinality b
 		}
 	}
 	return mate
+}
+
+// replayImagePairs applies the image-pairing stages (see Workspace) when
+// the flat graph verifies their premise, and returns how many it
+// applied: the stage the main loop starts at.
+func (ws *Workspace) replayImagePairs(maxweight int64) int {
+	n := ws.nvertex
+	if n%2 != 0 {
+		return 0
+	}
+	k := n / 2
+	for j := k + 1; j < n; j++ {
+		nb := ws.nbList[ws.nbStart[j]:ws.nbStart[j+1]]
+		if len(nb) < j-k {
+			return 0
+		}
+		for i, a := range nb[:j-k] {
+			if a.w != k+i || a.weight != maxweight {
+				return 0
+			}
+		}
+	}
+	for s := 0; s < k/2; s++ {
+		// Stage s matches image 2k-1-s along its (s+1)-th edge, the one
+		// to image k+s.
+		v := n - 1 - s
+		p := ws.nbList[ws.nbStart[v]+s].p
+		ws.mate[v] = p
+		ws.mate[ws.endpoint[p]] = p ^ 1
+	}
+	ws.replayed = k / 2
+	return k / 2
 }
 
 func (ws *Workspace) slack(k int) int64 {
@@ -463,6 +614,7 @@ func (ws *Workspace) addBlossom(base, k int) {
 	bw := inblossom[w]
 	b := ws.unusedblossoms[len(ws.unusedblossoms)-1]
 	ws.unusedblossoms = ws.unusedblossoms[:len(ws.unusedblossoms)-1]
+	ws.live[b/64] |= 1 << (b % 64)
 	ws.blossombase[b] = base
 	blossomparent[b] = -1
 	blossomparent[bb] = b
@@ -495,63 +647,82 @@ func (ws *Workspace) addBlossom(base, k int) {
 	label[b] = 1
 	labelend[b] = labelend[bb]
 	ws.dualvar[b] = 0
-	ws.leafBuf = ws.appendLeaves(ws.leafBuf[:0], b)
-	for _, lv := range ws.leafBuf {
+	// The leaves of b, child by child: child i's are
+	// leaves[ends[i-1]:ends[i]].
+	leaves, ends := ws.leafBuf[:0], ws.leafEnds[:0]
+	for _, c := range path {
+		leaves = ws.appendLeaves(leaves, c)
+		ends = append(ends, len(leaves))
+	}
+	ws.leafBuf, ws.leafEnds = leaves, ends
+	for _, lv := range leaves {
 		if label[inblossom[lv]] == 2 {
 			ws.queue = append(ws.queue, lv)
 		}
 		inblossom[lv] = b
 	}
-	// Recompute the best-edge cache for the new blossom.
-	bestedgeto := ws.bestedgeto
-	for i := range bestedgeto {
-		bestedgeto[i] = -1
-	}
-	for _, bvv := range path {
+	// Recompute the best-edge cache for the new blossom: the least-slack
+	// edge from b to each other S-blossom, collected in bestedgeto.
+	nbStart, nbList := ws.nbStart, ws.nbList
+	start := 0
+	for i, bvv := range path {
 		if len(ws.blossombestedges[bvv]) == 0 {
 			// No list of least-slack edges (a vertex, or a sub-blossom
-			// whose list came out empty): walk the leaves' edges.
-			ws.leafBuf = ws.appendLeaves(ws.leafBuf[:0], bvv)
-			for _, lv := range ws.leafBuf {
-				for _, p := range ws.nbList[ws.nbStart[lv]:ws.nbStart[lv+1]] {
-					ws.offerBestEdge(b, p/2)
+			// whose list came out empty): walk the leaves' edges. The
+			// far end of an edge from a leaf is its remote endpoint.
+			for _, lv := range leaves[start:ends[i]] {
+				dv := ws.dualvar[lv]
+				for _, a := range nbList[nbStart[lv]:nbStart[lv+1]] {
+					if bj := inblossom[a.w]; bj != b && label[bj] == 1 {
+						ws.offerBestEdge(bj, a.p>>1, dv+ws.dualvar[a.w]-2*a.weight)
+					}
 				}
 			}
 		} else {
 			for _, kk := range ws.blossombestedges[bvv] {
-				ws.offerBestEdge(b, kk)
+				j := endpoint[2*kk+1]
+				if inblossom[j] == b {
+					j = endpoint[2*kk]
+				}
+				if bj := inblossom[j]; bj != b && label[bj] == 1 {
+					ws.offerBestEdge(bj, kk, ws.slack(kk))
+				}
 			}
 		}
+		start = ends[i]
 		ws.blossombestedges[bvv] = ws.blossombestedges[bvv][:0]
 		bestedge[bvv] = -1
 	}
+	// Read the offers out in S-blossom order, clearing the marks, and
+	// keep the first of least slack as b's best edge.
 	best := ws.blossombestedges[b][:0]
-	for _, kk := range bestedgeto {
-		if kk != -1 {
+	bestedge[b] = -1
+	for wi, word := range ws.bestto {
+		for ; word != 0; word &= word - 1 {
+			bj := wi*64 + mathbits.TrailingZeros64(word)
+			kk, sl := ws.bestedgeto[bj], ws.bestslackto[bj]
 			best = append(best, kk)
+			if bestedge[b] == -1 || sl < ws.bestslack[b] {
+				bestedge[b] = kk
+				ws.bestslack[b] = sl
+			}
 		}
+		ws.bestto[wi] = 0
 	}
 	ws.blossombestedges[b] = best
-	bestedge[b] = -1
-	for _, kk := range best {
-		if bestedge[b] == -1 || ws.slack(kk) < ws.slack(bestedge[b]) {
-			bestedge[b] = kk
-		}
-	}
+	ws.listed = append(ws.listed, b)
 }
 
-// offerBestEdge offers edge kk as the least-slack edge from the new
-// blossom b to the S-blossom at its far end.
-func (ws *Workspace) offerBestEdge(b, kk int) {
-	j := ws.endpoint[2*kk+1]
-	if ws.inblossom[j] == b {
-		j = ws.endpoint[2*kk]
+// offerBestEdge offers edge kk, of slack sl, as the least-slack edge
+// from the new blossom to the S-blossom bj at its far end.
+func (ws *Workspace) offerBestEdge(bj, kk int, sl int64) {
+	if w, bit := bj/64, uint64(1)<<(bj%64); ws.bestto[w]&bit == 0 {
+		ws.bestto[w] |= bit
+	} else if sl >= ws.bestslackto[bj] {
+		return
 	}
-	bj := ws.inblossom[j]
-	if bj != b && ws.label[bj] == 1 &&
-		(ws.bestedgeto[bj] == -1 || ws.slack(kk) < ws.slack(ws.bestedgeto[bj])) {
-		ws.bestedgeto[bj] = kk
-	}
+	ws.bestedgeto[bj] = kk
+	ws.bestslackto[bj] = sl
 }
 
 // wrap maps a possibly negative child index onto [0, n).
@@ -605,10 +776,10 @@ func (ws *Workspace) expandBlossom(b int, endstage bool) {
 			label[endpoint[p^1]] = 0
 			label[endpoint[endps[wrap(j-endptrick, n)]^endptrick^1]] = 0
 			ws.assignLabel(endpoint[p^1], 2, p)
-			ws.allowedge[endps[wrap(j-endptrick, n)]/2] = true
+			ws.allowedge[endps[wrap(j-endptrick, n)]/2] = ws.stamp
 			j += jstep
 			p = endps[wrap(j-endptrick, n)] ^ endptrick
-			ws.allowedge[p/2] = true
+			ws.allowedge[p/2] = ws.stamp
 			j += jstep
 		}
 		bv := childs[wrap(j, n)]
@@ -648,6 +819,7 @@ func (ws *Workspace) expandBlossom(b int, endstage bool) {
 	ws.blossombestedges[b] = ws.blossombestedges[b][:0]
 	ws.bestedge[b] = -1
 	ws.unusedblossoms = append(ws.unusedblossoms, b)
+	ws.live[b/64] &^= 1 << (b % 64)
 }
 
 // rotate moves s[i:] to the front of s, in place.

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -308,6 +309,43 @@ func TestGreedyValidButMaybeSuboptimal(t *testing.T) {
 	}
 	if worse == 0 {
 		t.Log("greedy matched blossom on every trial (unusual but legal)")
+	}
+}
+
+// TestGreedyOrderMatchesInsertionSort holds the greedy matcher's
+// stable sort to the insertion sort it replaced: on random graphs, with
+// ties and parallel edges, the mates (or the failure) come out the same
+// as greedy matching over the insertion-sorted list.
+func TestGreedyOrderMatchesInsertionSort(t *testing.T) {
+	src := rng.New(17)
+	var ws Workspace
+	for g := 0; g < 500; g++ {
+		n := 2 * (1 + src.Intn(12))
+		edges := randomGraph(src, n)
+		sorted := slices.Clone(edges)
+		for i := 1; i < len(sorted); i++ {
+			for j := i; j > 0 && sorted[j].W < sorted[j-1].W; j-- {
+				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+			}
+		}
+		want := make([]int, n)
+		for v := range want {
+			want[v] = -1
+		}
+		pairs := 0
+		for _, e := range sorted {
+			if want[e.I] == -1 && want[e.J] == -1 {
+				want[e.I], want[e.J] = e.J, e.I
+				pairs++
+			}
+		}
+		got, err := ws.GreedyPerfectMatching(n, edges)
+		if (err == nil) != (pairs == n/2) {
+			t.Fatalf("graph %d: error %v, insertion-sorted greedy matched %d of %d pairs", g, err, pairs, n/2)
+		}
+		if err == nil && !slices.Equal(got, want) {
+			t.Fatalf("graph %d (edges %v):\nstable sort    %v\ninsertion sort %v", g, edges, got, want)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package matching
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // MinWeightPerfectMatching computes a perfect matching of minimum total
@@ -92,13 +94,8 @@ func (ws *Workspace) GreedyPerfectMatching(nvertex int, edges []Edge) ([]int, er
 	}
 	ws.edgeBuf = append(ws.edgeBuf[:0], edges...)
 	sorted := ws.edgeBuf
-	// Insertion sort keeps this dependency-free and is fine for decoder
-	// graph sizes; swap in sort.Slice if profiles ever say otherwise.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].W < sorted[j-1].W; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	// Stable: equal weights keep their input order, which decides ties.
+	slices.SortStableFunc(sorted, func(a, b Edge) int { return cmp.Compare(a.W, b.W) })
 	mate := ws.freshMate(nvertex)
 	npairs := 0
 	for _, e := range sorted {

@@ -40,9 +40,10 @@ func randomGraph(src *rng.Source, n int) []Edge {
 
 // decoderGraph draws a graph shaped like the decoder's: k defects with
 // pairwise distances (some pairs disconnected), each joined to its own
-// boundary image, and the k images a zero-weight clique. Edge order is
-// matchDefects' order.
-func decoderGraph(src *rng.Source, k int) []Edge {
+// boundary image, and the k images a zero-weight clique. With micro set
+// the edges come in bench/micro.go's order, else in qec's matchDefects
+// order.
+func decoderGraph(src *rng.Source, k int, micro bool) []Edge {
 	span := 1 + src.Intn(6)
 	var edges []Edge
 	for i := 0; i < k; i++ {
@@ -50,13 +51,49 @@ func decoderGraph(src *rng.Source, k int) []Edge {
 			if src.Bool(0.9) {
 				edges = append(edges, Edge{I: i, J: j, W: int64(1+src.Intn(span)) << 16})
 			}
+			if micro {
+				edges = append(edges, Edge{I: k + i, J: k + j, W: 0})
+			}
 		}
 		edges = append(edges, Edge{I: i, J: k + i, W: int64(1+src.Intn(span)) << 16})
-		for j := i + 1; j < k; j++ {
+		for j := i + 1; j < k && !micro; j++ {
 			edges = append(edges, Edge{I: k + i, J: k + j, W: 0})
 		}
 	}
 	return edges
+}
+
+// negated returns edges with every weight negated: the graph the
+// minimum-weight front end hands the maximum-weight core.
+func negated(edges []Edge) []Edge {
+	neg := make([]Edge, len(edges))
+	for i, e := range edges {
+		neg[i] = Edge{I: e.I, J: e.J, W: -e.W}
+	}
+	return neg
+}
+
+// checkDecoderGraph holds ws's minimum-weight perfect matching of a
+// graph on n vertices to the reference's maximum-cardinality matching
+// of its negation: the same mates, or an error where the reference
+// leaves a vertex unmatched.
+func checkDecoderGraph(t *testing.T, ws *Workspace, n int, edges []Edge) {
+	t.Helper()
+	want := referenceMaxWeightMatching(n, negated(edges), true)
+	got, err := ws.MinWeightPerfectMatching(n, edges)
+	if slices.Contains(want, -1) {
+		if err == nil {
+			t.Fatalf("n=%d, edges %v: workspace matched %v, reference leaves a vertex unmatched: %v",
+				n, edges, got, want)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("n=%d, edges %v: %v", n, edges, err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d, edges %v:\nworkspace %v\nreference %v", n, edges, got, want)
+	}
 }
 
 // TestWorkspaceMatchesReference holds one reused workspace to the
@@ -92,32 +129,35 @@ func TestWorkspaceMatchesReference(t *testing.T) {
 
 // TestWorkspaceMatchesReferenceOnDecoderGraphs is the same comparison
 // on the graphs the decoder builds, through the minimum-weight front
-// end it calls.
+// end it calls, out to the 36 defects memory-deep matches: random
+// weights with disconnected pairs and the unit-weight repetition
+// geometry with its ties, each in qec's and bench/micro.go's edge
+// order. Defect counts cycle small, memory-deep's mix, large.
 func TestWorkspaceMatchesReferenceOnDecoderGraphs(t *testing.T) {
-	graphs := 6000
+	graphs := 12000
 	if testing.Short() {
-		graphs = 600
+		graphs = 1200
 	}
 	src := rng.New(7)
 	var ws Workspace
 	for g := 0; g < graphs; g++ {
-		k := 1 + src.Intn(16)
+		var k int
+		switch g % 3 {
+		case 0:
+			k = 1 + src.Intn(8)
+		case 1:
+			k = drawDefectCount(src)
+		default:
+			k = 16 + src.Intn(maxDecoderDefects-15)
+		}
+		micro := g%4 >= 2
+		var edges []Edge
 		if g%2 == 0 {
-			k = 16 - g%4 // 16, 14: keep large graphs between the small ones
+			edges = decoderGraph(src, k, micro)
+		} else {
+			edges = repDecoderGraph(src, k, micro)
 		}
-		edges := decoderGraph(src, k)
-		neg := make([]Edge, len(edges))
-		for i, e := range edges {
-			neg[i] = Edge{I: e.I, J: e.J, W: -e.W}
-		}
-		want := referenceMaxWeightMatching(2*k, neg, true)
-		got, err := ws.MinWeightPerfectMatching(2*k, edges)
-		if err != nil {
-			t.Fatalf("graph %d (k=%d): %v", g, k, err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("graph %d (k=%d, edges %v):\nworkspace %v\nreference %v", g, k, edges, got, want)
-		}
+		checkDecoderGraph(t, &ws, 2*k, edges)
 	}
 }
 
@@ -127,7 +167,7 @@ func TestWarmWorkspaceZeroAlloc(t *testing.T) {
 	src := rng.New(11)
 	graphs := make([][]Edge, 32)
 	for i := range graphs {
-		graphs[i] = decoderGraph(src, 8)
+		graphs[i] = decoderGraph(src, 8, false)
 	}
 	var ws Workspace
 	match := func() {
@@ -185,7 +225,7 @@ func FuzzWorkspaceMatchesReference(f *testing.F) {
 		}
 	}
 	var ws Workspace
-	between := decoderGraph(rng.New(3), 12)
+	between := decoderGraph(rng.New(3), 12, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, maxCard, edges := fuzzGraph(data)
 		want := referenceMaxWeightMatching(n, edges, maxCard)

@@ -211,7 +211,7 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	nbits := c.detectorBits()
 	cacheable := nbits <= memoKeyBits
 	defects := buf.defects
-	var triggered, misses int64
+	var triggered, misses, matched int64
 	for k := 0; k < w; k++ {
 		slow := anyw[k] & live[k]
 		triggered += int64(mathbits.OnesCount64(slow))
@@ -254,6 +254,7 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 				}
 			}
 			misses++
+			matched += int64(len(defects))
 			flipParity := parityOf(c, buf, defects)
 			if cacheable {
 				memo.store(h, k0, k1, flipParity)
@@ -267,28 +268,32 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	if triggered != 0 {
 		memo.triggered.Add(triggered)
 		memo.misses.Add(misses)
+		memo.defects.Add(matched)
 	}
 }
 
 // DecoderCounters is the tile decoders' traffic on one code, both
 // decoders summed: of the lanes that saw a defect, how many reached the
-// miss tier instead of a memo, and what the memos hold. A code whose
-// pattern is too wide for a memo key counts every triggered lane as a
-// matcher call.
+// miss tier instead of a memo, how many defects those matcher calls
+// matched (MatchedDefects / MatcherCalls is the mean defect count k a
+// call pays for), and what the memos hold. A code whose pattern is too
+// wide for a memo key counts every triggered lane as a matcher call.
 type DecoderCounters struct {
 	TriggeredLanes int64
 	MatcherCalls   int64
+	MatchedDefects int64
 	MemoEntries    int64
 }
 
 // DecoderCounters reads the code's decode-tier counters. Safe while
-// campaigns decode; the three numbers are read one after another, not
-// as one snapshot.
+// campaigns decode; the numbers are read one after another, not as one
+// snapshot.
 func (c *Code) DecoderCounters() DecoderCounters {
 	var d DecoderCounters
 	for _, m := range [...]*parityMemo{c.mwpmMemo, c.ufMemo} {
 		d.TriggeredLanes += m.triggered.Load()
 		d.MatcherCalls += m.misses.Load()
+		d.MatchedDefects += m.defects.Load()
 		d.MemoEntries += m.entries()
 	}
 	return d

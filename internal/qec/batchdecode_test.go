@@ -1,6 +1,7 @@
 package qec
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -447,5 +448,49 @@ func TestParityMemoConcurrentGrowth(t *testing.T) {
 	}
 	if got := m.entries(); got < keys/2 {
 		t.Fatalf("only %d entries survived growth under contention", got)
+	}
+}
+
+// TestDecoderCountersSumMatchedDefects: MatchedDefects adds each matcher
+// call's defect count — on a cacheable code the first sighting of each
+// distinct syndrome, on one too wide for a memo key every triggered
+// lane.
+func TestDecoderCountersSumMatchedDefects(t *testing.T) {
+	for _, tc := range []struct {
+		d, rounds int
+		cached    bool
+	}{{5, 2, true}, {15, 9, false}} {
+		c, err := NewRepetitionRounds(tc.d, tc.rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const w = 2
+		rec := tileRecord(c, w, rng.New(uint64(tc.d)))
+		out := make([]uint64, w)
+		c.DecodeTile(rec, w, []uint64{^uint64(0), ^uint64(0)}, out)
+		seen := map[string]bool{}
+		var calls, defects int64
+		bits := make([]int, c.Circ.NumClbits)
+		for k := 0; k < w; k++ {
+			for lane := uint(0); lane < 64; lane++ {
+				for cb := range bits {
+					bits[cb] = int(rec[cb*w+k]>>lane) & 1
+				}
+				ev := c.detectionEvents(nil, bits)
+				if len(ev) == 0 {
+					continue
+				}
+				if key := fmt.Sprint(ev); !tc.cached || !seen[key] {
+					seen[key] = true
+					calls++
+					defects += int64(len(ev))
+				}
+			}
+		}
+		got := c.DecoderCounters()
+		if got.MatcherCalls != calls || got.MatchedDefects != defects {
+			t.Fatalf("rep-%d rounds %d: %d calls / %d defects, want %d / %d",
+				tc.d, tc.rounds, got.MatcherCalls, got.MatchedDefects, calls, defects)
+		}
 	}
 }

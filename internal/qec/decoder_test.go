@@ -245,3 +245,67 @@ func TestMatchDefectsEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchDefectsGraphHasImagePrefix pins the shape of the graph
+// matchDefects hands the matcher, the premise of the blossom's
+// image-pairing replay (see matching.Workspace): weights ≥ 0, and the
+// incident edges of each boundary image nd+j begin with images nd…nd+j-1
+// in ascending order at weight 0. matching's
+// TestImageReplayFiresOnDecoderGraphs pins that graphs of this shape
+// take the replay. Dense random records reach past 36 defects on the
+// deepest memory codes.
+func TestMatchDefectsGraphHasImagePrefix(t *testing.T) {
+	codes := []*Code{}
+	for _, r := range []int{2, 5, 9} {
+		for _, build := range []func() (*Code, error){
+			func() (*Code, error) { return NewRepetitionRounds(5, r) },
+			func() (*Code, error) { return NewRepetitionRounds(9, r) },
+			func() (*Code, error) { return NewXXZZRounds(3, 3, r) },
+		} {
+			c, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes = append(codes, c)
+		}
+	}
+	src := rng.New(61)
+	buf := new(decodeBuf)
+	maxK := 0
+	for _, c := range codes {
+		rec := randomRecord(t, c, src)
+		for lane := uint(0); lane < 64; lane++ {
+			defects := c.detectionEvents(nil, unpackLane(rec, lane))
+			nd := len(defects)
+			maxK = max(maxK, nd)
+			c.matchDefects(buf, defects, func(ws *matching.Workspace, n int, edges []matching.Edge) ([]int, error) {
+				if n != 2*nd {
+					t.Fatalf("%s: %d vertices for %d defects", c.Name, n, nd)
+				}
+				incident := make([][]matching.Edge, n)
+				for _, e := range edges {
+					if e.W < 0 {
+						t.Fatalf("%s: negative weight %v", c.Name, e)
+					}
+					incident[e.I] = append(incident[e.I], e)
+					incident[e.J] = append(incident[e.J], e)
+				}
+				for j := nd + 1; j < n; j++ {
+					if len(incident[j]) < j-nd {
+						t.Fatalf("%s: image %d has %d edges", c.Name, j, len(incident[j]))
+					}
+					for i, e := range incident[j][:j-nd] {
+						if other := e.I + e.J - j; other != nd+i || e.W != 0 {
+							t.Fatalf("%s (k=%d): edge %d of image %d is %v, want image %d at weight 0",
+								c.Name, nd, i, j, e, nd+i)
+						}
+					}
+				}
+				return ws.MinWeightPerfectMatching(n, edges)
+			})
+		}
+	}
+	if maxK < 36 {
+		t.Fatalf("largest defect count %d, want memory-deep's 36 covered", maxK)
+	}
+}

@@ -76,8 +76,9 @@ type parityMemo struct {
 	gen uint64
 	// triggered and misses count the lanes decodeTile found a defect in
 	// and the ones among them that reached the miss tier (a blossom or
-	// union-find call), added once per tile; see Code.DecoderCounters.
-	triggered, misses atomic.Int64
+	// union-find call), defects the defects those calls matched, all
+	// added once per tile; see Code.DecoderCounters.
+	triggered, misses, defects atomic.Int64
 }
 
 // memoGen feeds newParityMemo's identities; it starts handing out at 1

@@ -993,6 +993,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := exp.Registry()
 	write("decoder_triggered_lanes_total", "counter", "Tile-decoded lanes that saw a detection event.", reg.Decoder.TriggeredLanes)
 	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: blossom or union-find calls.", reg.Decoder.MatcherCalls)
+	write("decoder_matched_defects_total", "counter", "Defects the matcher calls matched; over the calls, the mean defect count k.", reg.Decoder.MatchedDefects)
 	write("decoder_memo_entries", "gauge", "Syndromes memoised on the resident codes, both decoders.", reg.Decoder.MemoEntries)
 	write("prepared_hits_total", "counter", "Circuit prepares served from the code registry.", reg.Hits)
 	write("prepared_misses_total", "counter", "Circuit prepares that transpiled.", reg.Misses)
