@@ -18,7 +18,6 @@
 //	-workers N       shared sweep worker pool size (default GOMAXPROCS);
 //	                 all concurrent campaigns are multiplexed fairly
 //	                 over this one budget
-//	-lru N           decoded results held in memory (default 4096)
 //	-peers H1,H2,... static fabric ring, self included: campaigns shard
 //	                 across these nodes by content hash, with results
 //	                 byte-identical to a single-node run. Requires
@@ -64,7 +63,6 @@ func main() {
 	addr := flag.String("addr", ":8423", "listen address")
 	storeDir := flag.String("store", "radqec-store", "result store directory (empty disables persistence)")
 	workers := flag.Int("workers", 0, "shared sweep worker pool size (0 = GOMAXPROCS)")
-	lru := flag.Int("lru", 0, "decoded results held in memory (0 = default)")
 	peers := flag.String("peers", "", "comma-separated static fabric ring, self included (empty = single node)")
 	self := flag.String("self", "", "this node's own address as it appears in -peers")
 	traceSample := flag.String("trace-sample", "off", "default distributed-trace sampling for campaigns: on or off (requests may override per campaign)")
@@ -79,9 +77,6 @@ func main() {
 	}
 	if *workers < 0 {
 		usageError(fmt.Sprintf("-workers %d out of range (want >= 0; 0 = GOMAXPROCS)", *workers))
-	}
-	if *lru < 0 {
-		usageError(fmt.Sprintf("-lru %d out of range (want >= 0; 0 = default)", *lru))
 	}
 	if *traceSample != "on" && *traceSample != "off" {
 		usageError(fmt.Sprintf("-trace-sample %q out of range (want on or off)", *traceSample))
@@ -113,7 +108,7 @@ func main() {
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
-		st, err = store.Open(*storeDir, store.Options{MaxCached: *lru})
+		st, err = store.Open(*storeDir, store.Options{})
 		if err != nil {
 			fatal(err)
 		}

@@ -39,14 +39,16 @@ func run(t *testing.T, args ...string) (out string, exitCode int) {
 }
 
 // TestRemovedFlagsAreUsageErrors: the HTTP server's header and idle
-// limits are constants (no script, CI job or deployment ever set them),
-// so the flags that used to carry them are unknown — exit 2 naming the
-// flag, never a silently ignored option.
+// limits and the store's resident-result bound are constants (no
+// script, CI job or deployment ever set them), so the flags that used
+// to carry them are unknown — exit 2 naming the flag, never a silently
+// ignored option.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-idle-timeout", "1m"},
 		{"-read-header-timeout", "1s"},
 		{"-max-header-bytes", "1"},
+		{"-lru", "8"},
 	} {
 		out, code := run(t, args...)
 		if code != 2 {
@@ -62,7 +64,7 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 // line here, not a drive-by.
 func TestFlagSet(t *testing.T) {
 	want := []string{
-		"addr", "log-format", "log-level", "lru", "peers", "pprof", "self",
+		"addr", "log-format", "log-level", "peers", "pprof", "self",
 		"store", "trace-sample", "workers",
 	}
 	out, code := run(t, "-h")

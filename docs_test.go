@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"radqec/internal/exp"
 	"radqec/internal/telemetry"
 )
 
@@ -23,10 +24,11 @@ func jsonFields(v any) []string {
 }
 
 // TestAPIDocListsSignalAndStatsFields: docs/api.md names exactly the
-// fields the signals stream's two record kinds marshal, in struct order,
-// so the wire contract and its description cannot drift apart. The
-// field list of each kind is the run of backticked names between the
-// paragraph's first colon and its first full stop.
+// fields a campaign stream's point record and the signals stream's two
+// record kinds marshal, in struct order, so the wire contract and its
+// description cannot drift apart. The field list of each kind is the
+// run of backticked names between the paragraph's first colon and its
+// first full stop.
 func TestAPIDocListsSignalAndStatsFields(t *testing.T) {
 	doc, err := os.ReadFile("docs/api.md")
 	if err != nil {
@@ -37,6 +39,7 @@ func TestAPIDocListsSignalAndStatsFields(t *testing.T) {
 		lead string
 		want []string
 	}{
+		{"A point record is", jsonFields(exp.PointRecord{})},
 		{"A signal record is", jsonFields(telemetry.Signal{})},
 		{"The stats record is", jsonFields(telemetry.Stats{})},
 	} {

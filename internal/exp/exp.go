@@ -181,10 +181,10 @@ func (c Config) Defaults() Config {
 // Batches are always aligned to the batched engine's tile
 // (frame.TileShots) — bit-parallel campaigns fill whole tiles, and
 // every engine sees the same chunking, so the default engine and an
-// explicit one produce identical output (tables and tail columns
+// explicit one produce identical output (tables and batch counts
 // alike) for the points they resolve alike. Alignment never changes
 // merged counts (the BatchRunner contract), only how the work is
-// chunked into the per-batch tail statistics.
+// chunked into checkpoint and cancel boundaries and scheduler turns.
 func (c Config) sweepConfig() sweep.Config {
 	return sweep.Config{
 		Policy: sweep.Policy{

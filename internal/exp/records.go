@@ -20,10 +20,6 @@ type PointRecord struct {
 	CIHi       float64 `json:"ci_hi"`
 	HalfWidth  float64 `json:"half_width"`
 	Batches    int     `json:"batches"`
-	Q50        float64 `json:"q50"`
-	Q90        float64 `json:"q90"`
-	Q99        float64 `json:"q99"`
-	CVaR90     float64 `json:"cvar90"`
 	Converged  bool    `json:"converged"`
 	Cached     bool    `json:"cached,omitempty"`
 }
@@ -40,11 +36,7 @@ func NewPointRecord(experiment string, r sweep.Result) PointRecord {
 		CILo:       r.CILo,
 		CIHi:       r.CIHi,
 		HalfWidth:  r.HalfWidth(),
-		Batches:    len(r.BatchRates),
-		Q50:        r.Tail.Q50,
-		Q90:        r.Tail.Q90,
-		Q99:        r.Tail.Q99,
-		CVaR90:     r.Tail.CVaR90,
+		Batches:    r.Batches,
 		Converged:  r.Converged,
 		Cached:     r.Cached,
 	}

@@ -25,7 +25,7 @@ import (
 
 // sweepPoint is a synthetic committed result for lease/lookup tests.
 func sweepPoint() sweep.CachedPoint {
-	return sweep.CachedPoint{Key: "chaos", Shots: 8, Errors: 1, BatchRates: []float64{0.125}, Converged: true}
+	return sweep.CachedPoint{Key: "chaos", Shots: 8, Errors: 1, Batches: 1, Converged: true}
 }
 
 // fabricNode is one in-process ring member.

@@ -34,16 +34,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for input already sorted ascending. It
-// performs no allocation or copying, so hot loops can sort a scratch
-// buffer once and read several quantiles from it.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
 	if q < 0 {
 		q = 0
 	}
@@ -58,39 +48,6 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CVaR returns the conditional value at risk at level alpha: the mean of
-// the values at or above the alpha-quantile (the expected shortfall of
-// the worst (1-alpha) tail). The input is not modified.
-func CVaR(xs []float64, alpha float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return CVaRSorted(sorted, alpha)
-}
-
-// CVaRSorted is CVaR for input already sorted ascending, without
-// allocation.
-func CVaRSorted(sorted []float64, alpha float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	q := QuantileSorted(sorted, alpha)
-	s, n := 0.0, 0
-	for i := len(sorted) - 1; i >= 0 && sorted[i] >= q; i-- {
-		s += sorted[i]
-		n++
-	}
-	if n == 0 {
-		// The interpolated quantile can land a few ULPs above the
-		// maximum when it interpolates between equal values; the tail
-		// is then just that maximum, not 0/0.
-		return sorted[len(sorted)-1]
-	}
-	return s / float64(n)
 }
 
 // MinMax returns the extrema of xs; (0, 0) for an empty slice.

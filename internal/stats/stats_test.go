@@ -59,6 +59,13 @@ func TestQuantileInterpolates(t *testing.T) {
 	if got := Quantile(xs, 0.25); got != 2.5 {
 		t.Fatalf("q0.25 = %v", got)
 	}
+	// Unsorted input is sorted first: {0, 1, 2, 4, 4, 7, 9}.
+	if got := Quantile([]float64{7, 1, 4, 4, 9, 0, 2}, 0.25); got != 1.5 {
+		t.Fatalf("q0.25 of unsorted input = %v", got)
+	}
+	if Quantile(nil, 0.5) != 0 {
+		t.Fatal("Quantile(nil) nonzero")
+	}
 }
 
 func TestMedianProperty(t *testing.T) {
@@ -80,68 +87,6 @@ func TestMedianProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuantileSortedMatchesQuantile(t *testing.T) {
-	xs := []float64{7, 1, 4, 4, 9, 0, 2}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 1} {
-		if got, want := QuantileSorted(sorted, q), Quantile(xs, q); got != want {
-			t.Fatalf("QuantileSorted(%v) = %v, Quantile = %v", q, got, want)
-		}
-	}
-	if QuantileSorted(nil, 0.5) != 0 {
-		t.Fatal("QuantileSorted(nil) nonzero")
-	}
-}
-
-func TestQuantileSortedDoesNotAllocate(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	allocs := testing.AllocsPerRun(100, func() {
-		QuantileSorted(sorted, 0.9)
-		CVaRSorted(sorted, 0.75)
-	})
-	if allocs != 0 {
-		t.Fatalf("sorted-input variants allocated %.1f times per run", allocs)
-	}
-}
-
-func TestCVaR(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	// alpha=0.75 -> quantile 3.25; tail = {4}.
-	if got := CVaR(xs, 0.75); got != 4 {
-		t.Fatalf("CVaR(0.75) = %v", got)
-	}
-	// alpha=0 -> whole distribution.
-	if got := CVaR(xs, 0); got != 2.5 {
-		t.Fatalf("CVaR(0) = %v", got)
-	}
-	// CVaR never falls below the plain quantile.
-	for _, a := range []float64{0.1, 0.5, 0.9} {
-		if CVaR(xs, a) < Quantile(xs, a) {
-			t.Fatalf("CVaR(%v) below quantile", a)
-		}
-	}
-	if CVaR(nil, 0.5) != 0 {
-		t.Fatal("CVaR(nil) nonzero")
-	}
-}
-
-func TestCVaRNeverNaNOnTiedMaxima(t *testing.T) {
-	// Interpolating the quantile between the two equal maxima can land
-	// a few ULPs above them (0.7x + 0.3x > x in float64 for this x);
-	// CVaR must degrade to the maximum, never to 0/0.
-	x := 0.02992021276595745
-	xs := []float64{0.027327127659574468, 0.028804347826086957, 0.02892287234042553,
-		0.029055851063829786, 0.029321808510638297, 0.029787234042553193, x, x}
-	got := CVaRSorted(xs, 0.90)
-	if math.IsNaN(got) {
-		t.Fatal("CVaRSorted returned NaN on tied maxima")
-	}
-	if got != x {
-		t.Fatalf("CVaRSorted = %v, want the tied maximum %v", got, x)
 	}
 }
 

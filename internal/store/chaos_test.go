@@ -22,7 +22,7 @@ import (
 var chaosOpts = Options{RetryBackoff: 50 * time.Microsecond, ProbeInterval: time.Hour}
 
 func pt(key string, shots, errs int) sweep.CachedPoint {
-	return sweep.CachedPoint{Key: key, Shots: shots, Errors: errs, BatchRates: []float64{float64(errs) / float64(shots)}}
+	return sweep.CachedPoint{Key: key, Shots: shots, Errors: errs, Batches: 1}
 }
 
 // TestChaosTransientWriteErrorDoesNotDisableCaching: a one-shot

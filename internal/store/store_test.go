@@ -36,9 +36,9 @@ func openT(t *testing.T, dir string, opts Options) *Store {
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
-	p := sweep.CachedPoint{Key: "fig5/a", Shots: 512, Errors: 3, BatchRates: []float64{0.01, 0}, Converged: true}
+	p := sweep.CachedPoint{Key: "fig5/a", Shots: 512, Errors: 3, Batches: 2, Converged: true}
 	s.Commit("h1", p)
-	s.Checkpoint("h2", sweep.CachedPoint{Shots: 128, Errors: 1, BatchRates: []float64{1.0 / 128}})
+	s.Checkpoint("h2", sweep.CachedPoint{Shots: 128, Errors: 1, Batches: 1})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreCrashMidSegmentIgnoresTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
-	p1 := sweep.CachedPoint{Shots: 64, Errors: 2, BatchRates: []float64{2.0 / 64}, Converged: true}
+	p1 := sweep.CachedPoint{Shots: 64, Errors: 2, Batches: 1, Converged: true}
 	s.Commit("h1", p1)
 	s.Commit("h2", sweep.CachedPoint{Shots: 64, Errors: 0, Converged: true})
 	if err := s.Close(); err != nil {
@@ -231,7 +231,7 @@ func TestStoreClear(t *testing.T) {
 func TestStoreSegmentIsNDJSON(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
-	s.Commit("h1", sweep.CachedPoint{Key: "k", Shots: 8, Errors: 1, BatchRates: []float64{0.125}})
+	s.Commit("h1", sweep.CachedPoint{Key: "k", Shots: 8, Errors: 1, Batches: 1})
 	s.Close()
 	raw, err := os.ReadFile(filepath.Join(dir, SegmentName))
 	if err != nil {
@@ -263,7 +263,7 @@ func TestStoreSegmentIsNDJSON(t *testing.T) {
 // TestResumeMatchesUninterruptedRun is the end-to-end determinism
 // guarantee of the store + sweep pairing: a campaign killed after any
 // batch boundary and resumed from its checkpoints produces exactly the
-// results of an uninterrupted run — same counts, same batch stream.
+// results of an uninterrupted run — same counts, same batch count.
 func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	// A deterministic fake runner honouring the BatchRunner contract:
 	// shot i's outcome depends only on i, so any batch split merges to
@@ -308,14 +308,17 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 		lines := segmentLines(t, refDir)
 		var ckpts []string
 		for _, ln := range lines {
+			if strings.Contains(ln, `"batch_rates"`) {
+				t.Fatalf("cfg %d: the sweep wrote a batch-rate stream: %s", ci, ln)
+			}
 			if strings.Contains(ln, `"kind":"ckpt"`) {
 				ckpts = append(ckpts, ln)
 			}
 		}
 		// Every batch boundary except the last is checkpointed; the
 		// final batch's state ships only in the commit record.
-		if len(ckpts) != len(full.BatchRates)-1 || len(ckpts) < 2 {
-			t.Fatalf("cfg %d: %d checkpoints for %d batches", ci, len(ckpts), len(full.BatchRates))
+		if len(ckpts) != full.Batches-1 || len(ckpts) < 2 {
+			t.Fatalf("cfg %d: %d checkpoints for %d batches", ci, len(ckpts), full.Batches)
 		}
 		// Kill after every batch boundary: the store holds the first k
 		// checkpoints and no commit. Resume and demand the exact
@@ -367,10 +370,10 @@ func assertSameResult(t *testing.T, k int, want, got sweep.Result) {
 	if got.Shots != want.Shots || got.Errors != want.Errors {
 		t.Fatalf("k=%d: counts (%d,%d), want (%d,%d)", k, got.Shots, got.Errors, want.Shots, want.Errors)
 	}
-	if !reflect.DeepEqual(got.BatchRates, want.BatchRates) {
-		t.Fatalf("k=%d: batch rates %v, want %v", k, got.BatchRates, want.BatchRates)
+	if got.Batches != want.Batches {
+		t.Fatalf("k=%d: %d batches, want %d", k, got.Batches, want.Batches)
 	}
-	if got.CILo != want.CILo || got.CIHi != want.CIHi || got.Tail != want.Tail || got.Converged != want.Converged {
+	if got.CILo != want.CILo || got.CIHi != want.CIHi || got.Converged != want.Converged {
 		t.Fatalf("k=%d: derived stats diverged: %+v vs %+v", k, got, want)
 	}
 }

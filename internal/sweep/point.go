@@ -139,7 +139,7 @@ func (pr *pointRun) runBatch(t *turn) {
 	if err := faultinject.Eval(faultinject.WorkerPanic); err != nil {
 		panic(err)
 	}
-	t.Batch, t.Start = len(pr.res.BatchRates), pr.res.Shots
+	t.Batch, t.Start = pr.res.Batches, pr.res.Shots
 	t.runStart = time.Now()
 	c := pr.runner(t.Start, pr.batchN)
 	t.WallNS = time.Since(t.runStart).Nanoseconds()
@@ -183,17 +183,17 @@ func (pr *pointRun) abort() {
 	}
 }
 
-// finalize commits live points to the cache and derives the interval
-// and tail statistics. The point's span stays open: runTurn closes it
-// once the turn's leaf spans are drawn under it.
-func (pr *pointRun) finalize(t *turn, scratch *[]float64) {
+// finalize commits live points to the cache and derives the interval.
+// The point's span stays open: runTurn closes it once the turn's leaf
+// spans are drawn under it.
+func (pr *pointRun) finalize(t *turn) {
 	if pr.cache != nil && !pr.res.Cached {
 		t.commitStart = time.Now()
 		pr.cache.Commit(pr.p.Hash, pr.res.cachedPoint())
 		t.CommitNS = time.Since(t.commitStart).Nanoseconds()
 	}
 	t.Done = true
-	pr.res = pr.res.finalize(scratch)
+	pr.res = pr.res.finalize()
 }
 
 // publish is the one writer of a turn. The decode and store-commit

@@ -79,13 +79,12 @@ func TestTurnIsOnePolicyBatch(t *testing.T) {
 			res, _ := s.Run(context.Background(), Config{Policy: Policy{Shots: tc.shots, Align: 64}, Mechanism: Mechanism{Workers: 1}}, pts)
 			ran <- res
 		}()
-		var scratch []float64
 		var order []int
 		yields := make([]int, len(pts))
 		for left := len(pts); left > 0; {
 			q, i := s.take()
 			order = append(order, i)
-			done, err := q.safeTurn(i, &scratch)
+			done, err := q.safeTurn(i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,9 +105,9 @@ func TestTurnIsOnePolicyBatch(t *testing.T) {
 			t.Fatalf("shots %d: handout order %v, want %v", tc.shots, order, want)
 		}
 		for i, r := range res {
-			if len(r.BatchRates) != tc.batches || yields[i] != tc.batches-1 {
+			if r.Batches != tc.batches || yields[i] != tc.batches-1 {
 				t.Fatalf("shots %d point %d: %d batches, %d yields; want %d batches in %d turns",
-					tc.shots, i, len(r.BatchRates), yields[i], tc.batches, tc.batches)
+					tc.shots, i, r.Batches, yields[i], tc.batches, tc.batches)
 			}
 		}
 	}
@@ -213,7 +212,7 @@ func TestTelemetryObservesCampaign(t *testing.T) {
 	}
 	// One record per turn, one batch per turn: the last batch of a point
 	// and its commit share a record.
-	wantBatches := len(res[0].BatchRates) + len(res[1].BatchRates)
+	wantBatches := res[0].Batches + res[1].Batches
 	sigs, _ := tel.Since(0, telemetry.RingSize)
 	if st.Batches != int64(wantBatches) || len(sigs) != wantBatches {
 		t.Fatalf("%d batches on %d records, the rate streams hold %d", st.Batches, len(sigs), wantBatches)

@@ -214,15 +214,12 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 // the worker or the pool.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	// scratch is the worker's sort buffer for tail statistics, threaded
-	// through the points it finishes.
-	var scratch []float64
 	for {
 		q, i := s.take()
 		if q == nil {
 			return
 		}
-		done, err := q.safeTurn(i, &scratch)
+		done, err := q.safeTurn(i)
 		if err != nil {
 			s.fail(q, i, err)
 			continue
@@ -239,13 +236,13 @@ func (s *Scheduler) worker() {
 // panic anywhere in the point's turn — Prepare, the engine chunk, the
 // decode path — into a *PointError carrying the recovered value and
 // the worker's stack, leaving the worker goroutine intact.
-func (q *schedQueue) safeTurn(i int, scratch *[]float64) (done bool, err error) {
+func (q *schedQueue) safeTurn(i int) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PointError{Key: q.points[i].Key, Hash: q.points[i].Hash, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return q.runTurn(i, scratch), nil
+	return q.runTurn(i), nil
 }
 
 // aborted reports whether the campaign's lifecycle context has been
@@ -267,7 +264,7 @@ func (q *schedQueue) aborted() bool { return q.ctx.Err() != nil }
 // The turn is also the unit of observation: whatever it did — set-up,
 // the engine call, the commit, a cache replay — lands on one record,
 // published once.
-func (q *schedQueue) runTurn(i int, scratch *[]float64) bool {
+func (q *schedQueue) runTurn(i int) bool {
 	pr := &q.runs[i]
 	if q.aborted() {
 		pr.abort()
@@ -288,7 +285,7 @@ func (q *schedQueue) runTurn(i int, scratch *[]float64) bool {
 	case more:
 		pr.checkpoint()
 	default:
-		pr.finalize(&t, scratch)
+		pr.finalize(&t)
 	}
 	pr.publish(&t)
 	switch {

@@ -140,7 +140,7 @@ func TestSchedulerWorkersCapRespected(t *testing.T) {
 
 // TestCacheSkipsPreparedPoints: a committed cache entry short-circuits
 // the point — Prepare must never run — and the replayed result carries
-// recomputed interval and tail statistics.
+// the recomputed interval and the stored batch count.
 func TestCacheSkipsPreparedPoints(t *testing.T) {
 	cache := newMapCache()
 	live := runT(t, Config{Policy: Policy{Shots: 320}, Mechanism: Mechanism{Cache: cache}}, []Point{
@@ -197,14 +197,12 @@ func (c *mapCache) LookupPartial(h string) (CachedPoint, bool) {
 func (c *mapCache) Checkpoint(h string, p CachedPoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p.BatchRates = append([]float64(nil), p.BatchRates...)
 	c.ckpts[h] = p
 }
 
 func (c *mapCache) Commit(h string, p CachedPoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p.BatchRates = append([]float64(nil), p.BatchRates...)
 	c.commits[h] = p
 	delete(c.ckpts, h)
 }

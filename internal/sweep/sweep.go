@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 
 	"radqec/internal/control"
 	"radqec/internal/stats"
@@ -195,17 +194,21 @@ type PointCache interface {
 }
 
 // CachedPoint is the persisted view of a point's progress: the raw
-// counts and the per-batch rate stream — everything needed to resume
-// the shot loop or to rematerialise a Result (the Wilson interval and
-// tail statistics are recomputed on load, so a replayed result is
-// identical to the one originally computed).
+// counts and the batch count — everything needed to resume the shot
+// loop or to rematerialise a Result (the Wilson interval is recomputed
+// on load, so a replayed result is identical to the one originally
+// computed).
 type CachedPoint struct {
 	// Key is the point's human-readable key, carried for cache
 	// listings; it never feeds back into a replayed Result (the hash,
 	// which embeds the key, already guarantees they match).
-	Key        string    `json:"key,omitempty"`
-	Shots      int       `json:"shots"`
-	Errors     int       `json:"errors"`
+	Key     string `json:"key,omitempty"`
+	Shots   int    `json:"shots"`
+	Errors  int    `json:"errors"`
+	Batches int    `json:"batches,omitempty"`
+	// BatchRates is what a record written before Batches existed
+	// carries in its place: the per-batch rate stream. Only its length
+	// is read (loadCached); the sweep never writes it.
 	BatchRates []float64 `json:"batch_rates,omitempty"`
 	Converged  bool      `json:"converged,omitempty"`
 }
@@ -252,11 +255,8 @@ type Result struct {
 	Counts
 	// CILo and CIHi bound the rate with the Wilson 95% interval.
 	CILo, CIHi float64
-	// BatchRates are the per-batch error rates in execution order — the
-	// shot stream's coarse trajectory, input to the tail statistics.
-	BatchRates []float64
-	// Tail summarises the risk profile of the per-batch rates.
-	Tail Tail
+	// Batches is how many policy batches the point ran in.
+	Batches int
 	// Converged reports whether the Wilson half-width target was met
 	// (always true in fixed mode, which has no target).
 	Converged bool
@@ -267,13 +267,6 @@ type Result struct {
 
 // HalfWidth returns half the Wilson interval width.
 func (r Result) HalfWidth() float64 { return (r.CIHi - r.CILo) / 2 }
-
-// Tail captures the upper tail of the per-batch rate distribution: the
-// median and high quantiles, and the CVaR-style expected shortfall of
-// the worst decile — the "how bad do bad batches get" summary.
-type Tail struct {
-	Q50, Q90, Q99, CVaR90 float64
-}
 
 // WorstCaseShots returns the fixed per-point shot count that guarantees
 // a Wilson 95% half-width of at most ci at any error rate. The width is
@@ -347,46 +340,49 @@ func Run(ctx context.Context, cfg Config, points []Point) ([]Result, error) {
 
 // loadCached restores the persisted progress of a point.
 func (r *Result) loadCached(cp CachedPoint) {
-	r.Shots, r.Errors = cp.Shots, cp.Errors
-	r.BatchRates = append([]float64(nil), cp.BatchRates...)
+	r.Shots, r.Errors, r.Batches = cp.Shots, cp.Errors, cp.Batches
+	if r.Batches == 0 {
+		r.Batches = len(cp.BatchRates)
+	}
 	r.Converged = cp.Converged
 }
 
 // cachedPoint is the persisted view of the result's current progress.
 func (r *Result) cachedPoint() CachedPoint {
 	return CachedPoint{
-		Key:        r.Key,
-		Shots:      r.Shots,
-		Errors:     r.Errors,
-		BatchRates: r.BatchRates,
-		Converged:  r.Converged,
+		Key:       r.Key,
+		Shots:     r.Shots,
+		Errors:    r.Errors,
+		Batches:   r.Batches,
+		Converged: r.Converged,
 	}
 }
 
-// finalize derives the interval and tail statistics from the counts
-// and batch stream — the same computation whether the point ran live,
-// resumed, or replayed from the cache.
-func (r Result) finalize(scratch *[]float64) Result {
+// finalize derives the interval from the counts — the same computation
+// whether the point ran live, resumed, or replayed from the cache.
+func (r Result) finalize() Result {
 	r.CILo, r.CIHi = stats.WilsonCI(r.Errors, r.Shots)
-	r.Tail = tailOf(r.BatchRates, scratch)
 	return r
 }
 
-// fixedBatches is how many batches a fixed-shot point is split into for
-// tail statistics. Fixed points execute exactly cfg.Shots shots across
-// those batches (the pointRun state machine in point.go drives the
-// batch loop); the merged counts equal a single contiguous run by the
-// BatchRunner contract. Adaptive points add batches until the Wilson
-// half-width target is met or the cap is exhausted, with the stopping
-// rule evaluated at each batch boundary so a resumed point whose
-// checkpoint already satisfies the target stops without running an
-// extra batch the uninterrupted campaign never ran.
+// fixedBatches is how many batches a fixed-shot point is split into. A
+// batch boundary is where a point checkpoints and where cancellation is
+// observed, and each batch is one scheduler turn, so the split sets how
+// finely an interrupted point resumes and a cancel lands, and lets the
+// pool interleave points and campaigns. Fixed points execute exactly
+// cfg.Shots shots across those batches (the pointRun state machine in
+// point.go drives the batch loop); the merged counts equal a single
+// contiguous run by the BatchRunner contract. Adaptive points add
+// batches until the Wilson half-width target is met or the cap is
+// exhausted, with the stopping rule evaluated at each batch boundary so
+// a resumed point whose checkpoint already satisfies the target stops
+// without running an extra batch the uninterrupted campaign never ran.
 const fixedBatches = 8
 
-// record folds one batch into the running counts and batch-rate stream.
+// record folds one batch into the running counts and batch count.
 func (r *Result) record(c Counts) {
 	r.merge(c)
-	r.BatchRates = append(r.BatchRates, c.Rate())
+	r.Batches++
 }
 
 // nextBatch sizes the next adaptive batch: the estimated shots still
@@ -412,24 +408,6 @@ func nextBatch(cfg Config, c Counts) int {
 		n = remaining
 	}
 	return n
-}
-
-// tailOf computes the tail summary of the batch rates using the shared
-// scratch buffer, so the hot path sorts once and never allocates beyond
-// the buffer's high-water mark.
-func tailOf(batchRates []float64, scratch *[]float64) Tail {
-	if len(batchRates) == 0 {
-		return Tail{}
-	}
-	s := append((*scratch)[:0], batchRates...)
-	sort.Float64s(s)
-	*scratch = s
-	return Tail{
-		Q50:    stats.QuantileSorted(s, 0.50),
-		Q90:    stats.QuantileSorted(s, 0.90),
-		Q99:    stats.QuantileSorted(s, 0.99),
-		CVaR90: stats.CVaRSorted(s, 0.90),
-	}
 }
 
 // Summary aggregates a sweep's shot budget against the fixed-shot

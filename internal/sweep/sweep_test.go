@@ -64,8 +64,8 @@ func TestFixedModeMatchesContiguousRun(t *testing.T) {
 	if !res[0].Converged {
 		t.Fatal("fixed mode should report converged")
 	}
-	if len(res[0].BatchRates) != fixedBatches {
-		t.Fatalf("batch rates = %d, want %d", len(res[0].BatchRates), fixedBatches)
+	if res[0].Batches != fixedBatches {
+		t.Fatalf("batches = %d, want %d", res[0].Batches, fixedBatches)
 	}
 	if lo, hi := stats.WilsonCI(want.Errors, want.Shots); res[0].CILo != lo || res[0].CIHi != hi {
 		t.Fatalf("CI [%v,%v] mismatch", res[0].CILo, res[0].CIHi)
@@ -163,25 +163,6 @@ func TestWorstCaseShots(t *testing.T) {
 	}
 	if WorstCaseShots(0) != 0 {
 		t.Fatal("WorstCaseShots(0) nonzero")
-	}
-}
-
-func TestTailStatistics(t *testing.T) {
-	// One point, fixed mode: tail stats must equal the stats-package
-	// view of the recorded batch rates.
-	res := runT(t, Config{Policy: Policy{Shots: 2000}}, []Point{bernoulliPoint("t", 77, 0.3)})[0]
-	br := res.BatchRates
-	want := Tail{
-		Q50:    stats.Quantile(br, 0.50),
-		Q90:    stats.Quantile(br, 0.90),
-		Q99:    stats.Quantile(br, 0.99),
-		CVaR90: stats.CVaR(br, 0.90),
-	}
-	if res.Tail != want {
-		t.Fatalf("tail %+v, want %+v", res.Tail, want)
-	}
-	if res.Tail.CVaR90 < res.Tail.Q90 {
-		t.Fatal("CVaR below its quantile")
 	}
 }
 

@@ -50,7 +50,6 @@ var reachAllow = map[string]string{
 	"matching.bruteForceMinPerfect":        "oracle",
 	"stab.Tableau.Clone":                   "oracle",
 	"stab.Tableau.ExpectationZ":            "oracle",
-	"stats.CVaR":                           "oracle",
 	"stats.TwoSampleZ":                     "oracle",
 	// Accessors through which tests of construction, routing, the tile
 	// record layout, leases and histograms observe the structure.
