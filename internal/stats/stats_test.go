@@ -59,9 +59,25 @@ func TestQuantileInterpolates(t *testing.T) {
 	if got := Quantile(xs, 0.25); got != 2.5 {
 		t.Fatalf("q0.25 = %v", got)
 	}
-	// Unsorted input is sorted first: {0, 1, 2, 4, 4, 7, 9}.
-	if got := Quantile([]float64{7, 1, 4, 4, 9, 0, 2}, 0.25); got != 1.5 {
+}
+
+func TestQuantileSortedMatchesQuantile(t *testing.T) {
+	// Quantile sorts a copy first, so unsorted input reads the same
+	// quantiles as its sorted form and is left as it was.
+	xs := []float64{7, 1, 4, 4, 9, 0, 2}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 1} {
+		if got, want := Quantile(xs, q), Quantile(sorted, q); got != want {
+			t.Fatalf("Quantile(unsorted, %v) = %v, Quantile(sorted) = %v", q, got, want)
+		}
+	}
+	// {0, 1, 2, 4, 4, 7, 9}: q0.25 sits halfway between 1 and 2.
+	if got := Quantile(xs, 0.25); got != 1.5 {
 		t.Fatalf("q0.25 of unsorted input = %v", got)
+	}
+	if xs[0] != 7 || xs[6] != 2 {
+		t.Fatal("Quantile mutated its input")
 	}
 	if Quantile(nil, 0.5) != 0 {
 		t.Fatal("Quantile(nil) nonzero")
