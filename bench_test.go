@@ -125,7 +125,6 @@ func BenchmarkFrameEnginesFig5Rep(b *testing.B) {
 				Sim:        frame.NewBatch(tr.Circuit, noise.NewDepolarizing(p), ev, 1),
 				DecodeTile: code.DecodeTile,
 				Expected:   code.ExpectedLogical(),
-				Workers:    1,
 			}
 			grid = append(grid, gridRun{camp, uint64(pi*1009 + k*13)})
 		}

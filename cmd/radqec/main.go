@@ -13,7 +13,7 @@
 //
 //	-shots N     shots per measured point (default 2000)
 //	-seed N      campaign seed (default 1)
-//	-workers N   parallel shot runners (default GOMAXPROCS)
+//	-workers N   points run concurrently (default GOMAXPROCS)
 //	-p RATE      intrinsic physical error rate (default 0.01)
 //	-ns N        temporal samples of the fault decay (default 10)
 //	-rounds N    stabilization rounds per code (default 2, the paper's
@@ -94,7 +94,7 @@ import (
 func main() {
 	shots := flag.Int("shots", 2000, "shots per measured point")
 	seed := flag.Uint64("seed", 1, "campaign seed")
-	workers := flag.Int("workers", 0, "parallel shot runners (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "points run concurrently (0 = GOMAXPROCS)")
 	p := flag.Float64("p", 0.01, "intrinsic physical error rate")
 	ns := flag.Int("ns", 10, "temporal samples of the fault decay")
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")

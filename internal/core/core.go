@@ -16,6 +16,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"radqec/internal/arch"
 	"radqec/internal/circuit"
@@ -115,7 +117,8 @@ type Options struct {
 	Shots int
 	// Seed drives every campaign deterministically.
 	Seed uint64
-	// Workers caps shot parallelism (0 = GOMAXPROCS).
+	// Workers caps how many goroutines one campaign runs its shots on
+	// (0 = GOMAXPROCS); see NewEngineRunner.
 	Workers int
 	// Engine selects the simulation engine (EngineTableau or
 	// EngineBatch); empty means EngineBatch.
@@ -270,9 +273,16 @@ type EngineRunner func(start, n int) (shots, errors int)
 // engine prefers decodeTile and falls back to unpacking lanes through
 // decode. seed doubles as the batch engine's reference seed. The unnamed
 // int is inert: the frozen bench/ harness passes a width there.
+//
+// workers caps how many goroutines one call runs its range on (0 means
+// GOMAXPROCS). At 1 the range runs on the caller's goroutine — what the
+// experiment sweeps ask for, since their scheduler's workers are the
+// pool; above 1 the runner cuts it into contiguous sub-ranges (see
+// fanOut), for callers that run one campaign outside a scheduler.
 func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizing,
 	ev *noise.RadiationEvent, seed uint64, expected int,
 	decode func(bits []int) int, decodeTile frame.TileDecodeFunc, _ int, workers int) EngineRunner {
+	var run EngineRunner
 	switch engine {
 	case EngineBatch:
 		if decodeTile == nil {
@@ -282,9 +292,8 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 			Sim:        frame.NewBatch(circ, dep, ev, seed),
 			DecodeTile: decodeTile,
 			Expected:   expected,
-			Workers:    workers,
 		}
-		return func(start, n int) (int, int) {
+		run = func(start, n int) (int, int) {
 			r := camp.RunFrom(seed, start, n)
 			return r.Shots, r.Errors
 		}
@@ -293,9 +302,8 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 			Exec:     inject.NewExecutor(circ, dep, ev),
 			Decode:   decode,
 			Expected: expected,
-			Workers:  workers,
 		}
-		return func(start, n int) (int, int) {
+		run = func(start, n int) (int, int) {
 			r := camp.RunFrom(seed, start, n)
 			return r.Shots, r.Errors
 		}
@@ -304,6 +312,45 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 		// fallback here would forfeit the default unnoticed.
 		panic(fmt.Sprintf("core: NewEngineRunner requires a resolved engine, got %q", engine))
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		return run
+	}
+	return func(start, n int) (int, int) { return fanOut(run, workers, start, n) }
+}
+
+// fanOut runs [start, start+n) as up to workers contiguous sub-ranges
+// cut on the absolute frame.TileShots grid, one goroutine each, and sums
+// their counts. The sum is exact because any partition of a range merges
+// to one run over it; cutting on the tile grid keeps every batched-engine
+// tile whole within one sub-range.
+func fanOut(run EngineRunner, workers, start, n int) (shots, errors int) {
+	const tile = frame.TileShots
+	first := start / tile
+	tiles := (start+n-1)/tile - first + 1
+	if workers = min(workers, tiles); workers <= 1 {
+		// One tile, or an empty range: the engine runs it as it is.
+		return run(start, n)
+	}
+	counts := make([][2]int, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo := max(start, (first+tiles*w/workers)*tile)
+		hi := min(start+n, (first+tiles*(w+1)/workers)*tile)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[w][0], counts[w][1] = run(lo, hi-lo)
+		}()
+	}
+	wg.Wait()
+	for _, c := range counts {
+		shots += c[0]
+		errors += c[1]
+	}
+	return shots, errors
 }
 
 // ResolveEngine maps a configured engine name onto the engine that

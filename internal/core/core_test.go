@@ -158,7 +158,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		sim, err := NewSimulator(Options{
 			Code:     CodeSpec{Family: FamilyRepetition, DZ: 5},
 			Topology: "mesh",
-			Shots:    300,
+			Shots:    1300, // three tiles: eight workers fan out over them
 			Seed:     21,
 			Workers:  workers,
 		})

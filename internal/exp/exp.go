@@ -16,10 +16,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"radqec/internal/arch"
@@ -73,7 +71,9 @@ type Config struct {
 	// Seed makes campaigns reproducible; distinct points derive
 	// distinct streams from it.
 	Seed uint64
-	// Workers caps shot parallelism; 0 means GOMAXPROCS.
+	// Workers caps how many of the experiment's points run concurrently;
+	// 0 means GOMAXPROCS. Each point's engine calls run on the worker
+	// that holds it.
 	Workers int
 	// P is the intrinsic physical error rate (Section IV-C fixes 1%).
 	P float64
@@ -367,10 +367,11 @@ func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed u
 // decoder (scalar and word-parallel views resolved together, so the
 // batched engine decodes lane-for-lane identically to the tableau
 // engine); specs that set decode keep their override. Every engine call
-// reports its decode time in Counts.DecodeNS: two clock reads per
-// 512-shot tile on the batched engine, two per shot on the tableau
-// engine. shotWorkers caps the campaign's internal shot parallelism.
-func (s pointSpec) point(engine, decoder string, shotWorkers int) sweep.Point {
+// runs on the sweep worker's goroutine and reports its decode time in
+// Counts.DecodeNS: two clock reads per 512-shot tile on the batched
+// engine, two per shot on the tableau engine, all inside the call, so
+// the decode time is a part of the call's wall time.
+func (s pointSpec) point(engine, decoder string) sweep.Point {
 	eng := s.engineFor(engine)
 	return sweep.Point{
 		Key: s.key,
@@ -383,13 +384,12 @@ func (s pointSpec) point(engine, decoder string, shotWorkers int) sweep.Point {
 					panic(fmt.Sprintf("exp: %v", err))
 				}
 			}
-			// decNS accumulates across the (possibly parallel) decode
-			// calls of one engine call.
-			var decNS atomic.Int64
+			// decNS accumulates across the decode calls of one engine call.
+			var decNS int64
 			timedDecode := func(bits []int) int {
 				t0 := time.Now()
 				v := decode(bits)
-				decNS.Add(time.Since(t0).Nanoseconds())
+				decNS += time.Since(t0).Nanoseconds()
 				return v
 			}
 			timedTile := dec
@@ -397,56 +397,33 @@ func (s pointSpec) point(engine, decoder string, shotWorkers int) sweep.Point {
 				timedTile = func(rec []uint64, w int, live, out []uint64) {
 					t0 := time.Now()
 					dec(rec, w, live, out)
-					decNS.Add(time.Since(t0).Nanoseconds())
+					decNS += time.Since(t0).Nanoseconds()
 				}
 			}
 			run := core.NewEngineRunner(eng, s.prep.tr.Circuit,
 				noise.NewDepolarizing(s.phys), s.ev, s.seed,
-				s.prep.code.ExpectedLogical(), timedDecode, timedTile, 0, shotWorkers)
+				s.prep.code.ExpectedLogical(), timedDecode, timedTile, 0, 1)
 			return func(start, n int) sweep.Counts {
-				decNS.Store(0)
+				decNS = 0
 				shots, errors := run(start, n)
-				return sweep.Counts{Shots: shots, Errors: errors, DecodeNS: decNS.Load()}
+				return sweep.Counts{Shots: shots, Errors: errors, DecodeNS: decNS}
 			}
 		},
 	}
 }
 
 // runSpecs fans the specs through the sweep engine, returning per-spec
-// results in input order. Point-level sharding and per-campaign shot
-// parallelism split the worker budget between them: a large grid runs
-// single-threaded campaigns on many point workers, while a small sweep
-// (down to one point) keeps shot-level parallelism, so the goroutine
-// count stays near the budget instead of squaring it.
+// results in input order. The sweep's workers are the only pool: each
+// point's engine calls run on the worker holding it, so a campaign never
+// computes on more goroutines than its Workers cap.
 func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 	if len(specs) == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	budget := cfg.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	shotWorkers := (budget + len(specs) - 1) / len(specs)
-	if cfg.Scheduler != nil {
-		// On a shared pool the campaign does not own the budget: other
-		// campaigns' points run concurrently on the same workers, so
-		// splitting "the whole budget" across this campaign's points
-		// would multiply compute goroutines past the pool size with N
-		// clients. Split it by the campaigns sharing the pool instead —
-		// a lone small campaign still fans its shots across the idle
-		// workers, while overlapping campaigns divide the budget. The
-		// denominator is a snapshot (campaigns come and go), so this is
-		// a soft bound, not an exact one; correctness never depends on
-		// it (shot streams are deterministic at any parallelism).
-		shotWorkers = budget / (len(specs) * (cfg.Scheduler.Active() + 1))
-		if shotWorkers < 1 {
-			shotWorkers = 1
-		}
-	}
 	points := make([]sweep.Point, len(specs))
 	for i, s := range specs {
-		points[i] = s.point(cfg.Engine, cfg.Decoder, shotWorkers)
+		points[i] = s.point(cfg.Engine, cfg.Decoder)
 		if cfg.Cache != nil {
 			points[i].Hash = s.fingerprint(cfg)
 		}

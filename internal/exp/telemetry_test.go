@@ -137,12 +137,11 @@ func TestFourReadersAgree(t *testing.T) {
 	}
 }
 
-// TestDecodeSpanInsideParentWithShotWorkers: a lone point fans its shots
-// over two workers, so its decode_ns — summed over the parallel decode
-// calls — can exceed the chunk's wall. The record keeps the sum; the
-// decode span is drawn from the chunk's start no longer than the chunk,
-// so no span of the trace starts before its parent.
-func TestDecodeSpanInsideParentWithShotWorkers(t *testing.T) {
+// TestLonePointDecodeInsideWall: a lone point at Workers 2 computes on
+// the one sweep worker that holds it, however idle the other is, so every
+// turn's decode_ns is a part of its wall_ns and every decode span ends
+// inside the chunk-run span it starts with.
+func TestLonePointDecodeInsideWall(t *testing.T) {
 	code, err := qec.NewXXZZRounds(3, 3, 9) // deep DEM: decode is ~95% of the run
 	if err != nil {
 		t.Fatal(err)
@@ -157,15 +156,41 @@ func TestDecodeSpanInsideParentWithShotWorkers(t *testing.T) {
 	cfg := Config{Shots: 8192, Seed: 9, Workers: 2, Rounds: 9, Telemetry: tel, Trace: root.Context()}.Defaults()
 	runSpecs(cfg, []pointSpec{p.spec("struck", cfg, p.strikeAt(p.usedRoots()[0], 1, false), cfg.Seed)})
 	root.End()
-	spans := rec.Spans()
-	assertNoSpanBeforeParent(t, spans)
-	decodes := 0
-	for _, s := range spans {
-		if s.Name == trace.SpanDecode {
-			decodes++
+
+	sigs, _ := tel.Since(0, telemetry.RingSize)
+	for _, s := range sigs {
+		if s.DecodeNS > s.WallNS {
+			t.Fatalf("batch %d: decode_ns %d exceeds wall_ns %d", s.Batch, s.DecodeNS, s.WallNS)
 		}
 	}
-	if st := tel.Stats(); decodes == 0 || st.DecodeNS == 0 {
-		t.Fatalf("%d decode spans, decode_ns %d: the point never reached the decoder", decodes, st.DecodeNS)
+	spans := rec.Spans()
+	assertNoSpanBeforeParent(t, spans)
+	// A turn's chunk-run and decode spans share its parent and start.
+	type turnAt struct {
+		parent string
+		start  int64
+	}
+	chunkEnd := map[turnAt]int64{}
+	for _, s := range spans {
+		if s.Name == trace.SpanChunkRun {
+			chunkEnd[turnAt{s.Parent, s.StartNS}] = s.StartNS + s.DurNS
+		}
+	}
+	decodes := 0
+	for _, s := range spans {
+		if s.Name != trace.SpanDecode {
+			continue
+		}
+		decodes++
+		end, ok := chunkEnd[turnAt{s.Parent, s.StartNS}]
+		if !ok {
+			t.Fatalf("decode span at %d has no chunk-run span", s.StartNS)
+		}
+		if s.StartNS+s.DurNS > end {
+			t.Fatalf("decode span ends %d ns after its chunk-run span", s.StartNS+s.DurNS-end)
+		}
+	}
+	if st := tel.Stats(); decodes == 0 || st.DecodeNS == 0 || len(sigs) == 0 {
+		t.Fatalf("%d decode spans, %d signals, decode_ns %d: the point never reached the decoder", decodes, len(sigs), st.DecodeNS)
 	}
 }

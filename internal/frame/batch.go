@@ -2,7 +2,6 @@ package frame
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"radqec/internal/circuit"
@@ -354,7 +353,7 @@ func (r Result) Rate() float64 {
 // engine. It honours the sweep.BatchRunner determinism contract at word
 // granularity: shot i always lives in lane i%64 of word i/64, and word w
 // always consumes the stream split(seed, salt^w), so results are
-// invariant under worker count and batch boundaries (word-straddling
+// invariant under how a range is split into calls (word-straddling
 // batches re-run the word with disjoint live masks and merge exactly; a
 // tile is just up to MaxTileWords words sharing one kernel pass, each
 // still on its own word stream, grouped on the absolute word grid).
@@ -369,14 +368,12 @@ type BatchCampaign struct {
 	DecodeTile TileDecodeFunc
 	// Expected is the fault-free decoded output.
 	Expected int
-	// Workers caps parallel tile runners; 0 means GOMAXPROCS.
-	Workers int
-
-	// states recycles worker tile states across RunFrom calls, so a
-	// campaign advanced chunk by chunk (the sweep engine's shape) pays
-	// its state allocation once, not once per chunk. It is a plain free
-	// list, not a sync.Pool: the runtime keeps every used Pool on a
-	// global list for two more GC cycles, and a Pool embedded here pins
+	// states recycles tile states across RunFrom calls, so a campaign
+	// advanced chunk by chunk (the sweep engine's shape) pays its state
+	// allocation once, not once per chunk, and concurrent RunFrom calls
+	// each take their own. It is a plain free list, not a sync.Pool: the
+	// runtime keeps every used Pool on a global list for two more GC
+	// cycles, and a Pool embedded here pins
 	// its whole campaign (simulator, program, tile states) with it — a
 	// sweep of thousands of short points, or a daemon building 160
 	// campaigns per request, then carries cycles' worth of finished
@@ -385,7 +382,7 @@ type BatchCampaign struct {
 	states  []*BatchState
 }
 
-// getState hands a worker a recycled tile state, or a fresh one.
+// getState hands a RunFrom call a recycled tile state, or a fresh one.
 func (c *BatchCampaign) getState() *BatchState {
 	var st *BatchState
 	c.stateMu.Lock()
@@ -400,7 +397,7 @@ func (c *BatchCampaign) getState() *BatchState {
 	return st
 }
 
-// putState returns a worker's tile state for the next RunFrom call.
+// putState returns a call's tile state for the next RunFrom call.
 func (c *BatchCampaign) putState(st *BatchState) {
 	c.stateMu.Lock()
 	c.states = append(c.states, st)
@@ -412,9 +409,11 @@ func (c *BatchCampaign) Run(seed uint64, shots int) Result {
 	return c.RunFrom(seed, 0, shots)
 }
 
-// RunFrom executes the shot range [start, start+shots). Partitioning a
-// campaign into ranges — word-aligned or not — merges to exactly the
-// result of one Run over the whole range.
+// RunFrom executes the shot range [start, start+shots) on the calling
+// goroutine. Partitioning a campaign into ranges — word-aligned or not —
+// merges to exactly the result of one Run over the whole range, so
+// concurrent calls on disjoint ranges (core.NewEngineRunner's fan-out)
+// sum to it too.
 func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 	if c.DecodeTile == nil {
 		panic("frame: BatchCampaign.DecodeTile is nil")
@@ -430,75 +429,46 @@ func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 	// the range being run; edge tiles simply run narrow.
 	firstTile := firstWord / tw
 	lastTile := lastWord / tw
-	tiles := lastTile - firstTile + 1
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tiles {
-		workers = tiles
-	}
 	expected := uint64(0)
 	if c.Expected&1 == 1 {
 		expected = ^uint64(0)
 	}
 	master := rng.New(seed)
-	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := c.getState()
-			defer c.putState(st)
-			// Per-word RNG streams are pooled: SplitInto re-derives each
-			// word's stream into a fixed Source, so the steady-state
-			// loop allocates nothing.
-			var streams [MaxTileWords]rng.Source
-			var srcs [MaxTileWords]*rng.Source
-			for k := range srcs {
-				srcs[k] = &streams[k]
-			}
-			var live, out [MaxTileWords]uint64
-			local := Result{}
-			for tile := firstTile + w; tile <= lastTile; tile += workers {
-				w0 := tile * tw
-				w1 := w0 + tw - 1
-				if w0 < firstWord {
-					w0 = firstWord
-				}
-				if w1 > lastWord {
-					w1 = lastWord
-				}
-				wc := w1 - w0 + 1
-				for k := 0; k < wc; k++ {
-					word := w0 + k
-					lv := ^uint64(0)
-					if word == firstWord {
-						lv &= ^uint64(0) << uint(start&63)
-					}
-					if word == lastWord {
-						endLane := uint((start + shots - 1) & 63)
-						lv &= ^uint64(0) >> (63 - endLane)
-					}
-					live[k] = lv
-					master.SplitInto(batchSplitSalt^uint64(word), &streams[k])
-				}
-				c.Sim.RunTile(srcs[:wc], st)
-				c.DecodeTile(st.Rec, wc, live[:wc], out[:wc])
-				for k := 0; k < wc; k++ {
-					local.Shots += bits.OnesCount64(live[k])
-					local.Errors += bits.OnesCount64((out[k] ^ expected) & live[k])
-				}
-			}
-			results[w] = local
-		}(w)
+	st := c.getState()
+	defer c.putState(st)
+	// Per-word RNG streams are pooled: SplitInto re-derives each word's
+	// stream into a fixed Source, so the steady-state loop allocates
+	// nothing.
+	var streams [MaxTileWords]rng.Source
+	var srcs [MaxTileWords]*rng.Source
+	for k := range srcs {
+		srcs[k] = &streams[k]
 	}
-	wg.Wait()
+	var live, out [MaxTileWords]uint64
 	total := Result{}
-	for _, r := range results {
-		total.Shots += r.Shots
-		total.Errors += r.Errors
+	for tile := firstTile; tile <= lastTile; tile++ {
+		w0 := max(tile*tw, firstWord)
+		w1 := min(tile*tw+tw-1, lastWord)
+		wc := w1 - w0 + 1
+		for k := 0; k < wc; k++ {
+			word := w0 + k
+			lv := ^uint64(0)
+			if word == firstWord {
+				lv &= ^uint64(0) << uint(start&63)
+			}
+			if word == lastWord {
+				endLane := uint((start + shots - 1) & 63)
+				lv &= ^uint64(0) >> (63 - endLane)
+			}
+			live[k] = lv
+			master.SplitInto(batchSplitSalt^uint64(word), &streams[k])
+		}
+		c.Sim.RunTile(srcs[:wc], st)
+		c.DecodeTile(st.Rec, wc, live[:wc], out[:wc])
+		for k := 0; k < wc; k++ {
+			total.Shots += bits.OnesCount64(live[k])
+			total.Errors += bits.OnesCount64((out[k] ^ expected) & live[k])
+		}
 	}
 	return total
 }

@@ -184,17 +184,6 @@ func TestBatchWordBoundaries(t *testing.T) {
 	}
 }
 
-func TestBatchDeterministicAcrossWorkers(t *testing.T) {
-	mk := func(workers int) Result {
-		_, batched := repCampaigns(t, 5, 0.05, 2)
-		batched.Workers = workers
-		return batched.Run(44, 1500)
-	}
-	if a, b := mk(1), mk(8); a != b {
-		t.Fatalf("worker counts disagree: %+v vs %+v", a, b)
-	}
-}
-
 func TestLaneDecodeMatchesWordDecoder(t *testing.T) {
 	// The generic lane-unpacking adapter and the word-parallel decoder
 	// must agree on every lane of real sampled records.
@@ -254,7 +243,6 @@ func BenchmarkFig5RepFrameBatched(b *testing.B) {
 		Sim:        NewBatch(tr.Circuit, noise.NewDepolarizing(1e-3), ev, 1),
 		DecodeTile: code.DecodeTile,
 		Expected:   1,
-		Workers:    1,
 	}
 	const shots = 4096
 	b.ResetTimer()
@@ -270,7 +258,6 @@ func BenchmarkFig5RepFrameBatched(b *testing.B) {
 func BenchmarkImpactRep15FrameBatched(b *testing.B) {
 	_, bat := repCampaigns(b, 15, 0.01, 1)
 	const shots = 2048
-	bat.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bat.Run(uint64(i), shots)
@@ -371,17 +358,6 @@ func TestBatchXXZZWordBoundaries(t *testing.T) {
 	}
 	if merged != whole {
 		t.Fatalf("partitioned runs %+v != whole run %+v", merged, whole)
-	}
-}
-
-func TestBatchXXZZDeterministicAcrossWorkers(t *testing.T) {
-	mk := func(workers int) Result {
-		_, batched := xxzzCampaigns(t, 0.05, xxzzStrike(t), 2)
-		batched.Workers = workers
-		return batched.Run(44, 1500)
-	}
-	if a, b := mk(1), mk(8); a != b {
-		t.Fatalf("worker counts disagree: %+v vs %+v", a, b)
 	}
 }
 

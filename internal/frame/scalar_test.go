@@ -1,9 +1,6 @@
 package frame
 
 import (
-	"runtime"
-	"sync"
-
 	"radqec/internal/circuit"
 	"radqec/internal/noise"
 	"radqec/internal/rng"
@@ -222,12 +219,10 @@ type scalarCampaign struct {
 	Decode func(bits []int) int
 	// Expected is the fault-free decoded output.
 	Expected int
-	// Workers caps parallel shot runners; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // Run executes shots deterministically: shot i consumes stream
-// split(seed, i) regardless of worker count.
+// split(seed, i).
 func (c *scalarCampaign) Run(seed uint64, shots int) Result {
 	return c.RunFrom(seed, 0, shots)
 }
@@ -239,42 +234,17 @@ func (c *scalarCampaign) RunFrom(seed uint64, start, shots int) Result {
 	if shots <= 0 {
 		return Result{}
 	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shots {
-		workers = shots
-	}
 	master := rng.New(seed)
-	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			f := newShotFrame(c.Sim.circ.NumQubits)
-			bits := make([]int, c.Sim.circ.NumClbits)
-			local := Result{}
-			for shot := start + w; shot < start+shots; shot += workers {
-				src := master.Split(uint64(shot))
-				for i := range bits {
-					bits[i] = 0
-				}
-				c.Sim.Run(src, f, bits)
-				local.Shots++
-				if c.Decode(bits) != c.Expected {
-					local.Errors++
-				}
-			}
-			results[w] = local
-		}(w)
-	}
-	wg.Wait()
+	f := newShotFrame(c.Sim.circ.NumQubits)
+	bits := make([]int, c.Sim.circ.NumClbits)
 	total := Result{}
-	for _, r := range results {
-		total.Shots += r.Shots
-		total.Errors += r.Errors
+	for shot := start; shot < start+shots; shot++ {
+		clear(bits)
+		c.Sim.Run(master.Split(uint64(shot)), f, bits)
+		total.Shots++
+		if c.Decode(bits) != c.Expected {
+			total.Errors++
+		}
 	}
 	return total
 }

@@ -1,15 +1,13 @@
 // Package inject executes quantum circuits under the paper's combined
 // noise processes — intrinsic depolarizing noise plus radiation-induced
 // reset faults — and estimates post-decoding logical error rates over
-// many shots. Campaigns are deterministic for a given seed regardless of
-// worker count: every shot owns an independent RNG stream split from the
-// campaign seed.
+// many shots. Campaigns are deterministic for a given seed however their
+// shots are split into calls: every shot owns an independent RNG stream
+// split from the campaign seed.
 package inject
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"radqec/internal/circuit"
 	"radqec/internal/noise"
@@ -39,14 +37,13 @@ func NewExecutor(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.Radia
 	return &Executor{circ: circ, dep: dep, rad: rad, samp: dep.Skip()}
 }
 
-// Run executes one shot and returns the classical measurement record.
-// The caller owns src; identical sources reproduce identical shots. The
-// record comes from the shared buffer pool: callers looping over shots
-// should recycle it with ReleaseBits once consumed (or use RunInto).
+// Run executes one shot and returns its classical measurement record,
+// freshly allocated. The caller owns src; identical sources reproduce
+// identical shots. Loops over shots use RunInto.
 func (e *Executor) Run(src *rng.Source) []int {
 	tab := newPooledTableau(e.circ.NumQubits)
 	defer releaseTableau(tab)
-	bits := GetBits(e.circ.NumClbits)
+	bits := make([]int, e.circ.NumClbits)
 	e.RunInto(src, tab, bits)
 	return bits
 }
@@ -140,12 +137,6 @@ func (r Result) Rate() float64 {
 	return float64(r.Errors) / float64(r.Shots)
 }
 
-// Merge accumulates another result into r.
-func (r *Result) Merge(o Result) {
-	r.Shots += o.Shots
-	r.Errors += o.Errors
-}
-
 // Campaign estimates the logical error rate of a decoded circuit under
 // an executor's noise processes.
 type Campaign struct {
@@ -157,64 +148,39 @@ type Campaign struct {
 	// Expected is the fault-free decoded output (logical |1> = 1 in the
 	// paper's protocol).
 	Expected int
-	// Workers caps the parallel shot runners; 0 means GOMAXPROCS.
-	Workers int
 }
 
-// Run executes shots shots with the given seed and returns the result.
-// The outcome is independent of Workers: shot i always consumes the RNG
-// stream split(seed, i).
+// Run executes shots shots with the given seed and returns the result:
+// shot i always consumes the RNG stream split(seed, i).
 func (c *Campaign) Run(seed uint64, shots int) Result {
 	return c.RunFrom(seed, 0, shots)
 }
 
 // RunFrom executes the shot range [start, start+shots) of the campaign
-// identified by seed. Shot i still consumes the stream split(seed, i),
-// so partitioning a campaign into ranges — however they are batched or
-// parallelised — merges to exactly the result of one Run over the whole
-// range. Adaptive sweeps rely on this to extend a campaign without
-// replaying or perturbing earlier shots.
+// identified by seed, on the calling goroutine. Shot i still consumes the
+// stream split(seed, i), so partitioning a campaign into ranges — however
+// they are batched, or run concurrently as core.NewEngineRunner's fan-out
+// does — merges to exactly the result of one Run over the whole range.
+// Adaptive sweeps rely on this to extend a campaign without replaying or
+// perturbing earlier shots.
 func (c *Campaign) RunFrom(seed uint64, start, shots int) Result {
 	if shots <= 0 {
 		return Result{}
 	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shots {
-		workers = shots
-	}
 	master := rng.New(seed)
-	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tab := newPooledTableau(c.Exec.circ.NumQubits)
-			defer releaseTableau(tab)
-			bits := make([]int, c.Exec.circ.NumClbits)
-			local := Result{}
-			for shot := start + w; shot < start+shots; shot += workers {
-				src := master.Split(uint64(shot))
-				tab.ResetState()
-				for i := range bits {
-					bits[i] = 0
-				}
-				c.Exec.RunInto(src, tab, bits)
-				local.Shots++
-				if c.Decode(bits) != c.Expected {
-					local.Errors++
-				}
-			}
-			results[w] = local
-		}(w)
-	}
-	wg.Wait()
+	tab := newPooledTableau(c.Exec.circ.NumQubits)
+	defer releaseTableau(tab)
+	bits := make([]int, c.Exec.circ.NumClbits)
 	total := Result{}
-	for _, r := range results {
-		total.Merge(r)
+	for shot := start; shot < start+shots; shot++ {
+		src := master.Split(uint64(shot))
+		tab.ResetState()
+		clear(bits)
+		c.Exec.RunInto(src, tab, bits)
+		total.Shots++
+		if c.Decode(bits) != c.Expected {
+			total.Errors++
+		}
 	}
 	return total
 }

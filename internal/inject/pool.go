@@ -24,29 +24,3 @@ func releaseTableau(t *stab.Tableau) {
 		p.(*sync.Pool).Put(t)
 	}
 }
-
-// Classical-record buffers are pooled the same way, so convenience
-// single-shot loops (Executor.Run) stop allocating one []int per shot.
-var bitsPools sync.Map // int -> *sync.Pool
-
-// GetBits returns a zeroed classical-record buffer of length n from the
-// pool. Callers that run shots in a loop should hand it back with
-// ReleaseBits when the record has been consumed.
-func GetBits(n int) []int {
-	p, _ := bitsPools.LoadOrStore(n, &sync.Pool{
-		New: func() any { return make([]int, n) },
-	})
-	bits := p.(*sync.Pool).Get().([]int)
-	for i := range bits {
-		bits[i] = 0
-	}
-	return bits
-}
-
-// ReleaseBits recycles a buffer obtained from GetBits. The caller must
-// not touch the slice afterwards.
-func ReleaseBits(bits []int) {
-	if p, ok := bitsPools.Load(len(bits)); ok {
-		p.(*sync.Pool).Put(bits)
-	}
-}

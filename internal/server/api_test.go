@@ -5,6 +5,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"radqec/internal/client"
 )
 
 // doRaw issues a bare HTTP request against the test server.
@@ -99,20 +103,37 @@ func TestErrorEnvelopeStorelessDaemon(t *testing.T) {
 	}
 }
 
-// TestCampaignBodyBounded: a body past maxCampaignBody is refused with
-// the bad_request envelope once the bound is crossed — the handler
-// neither buffers nor drains the rest.
-func TestCampaignBodyBounded(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	// Valid JSON throughout, so only the size can be at fault.
-	body := `{"experiment":"threshold"` + strings.Repeat(" ", 2<<20) + `}`
-	resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", body, nil)
+// assertBodyTooLarge posts a 2 MiB body — valid JSON throughout, so
+// only its size can be at fault — and expects the bad_request envelope
+// saying so: the handler neither buffers nor drains past maxRequestBody.
+func assertBodyTooLarge(t *testing.T, ts *httptest.Server, path, prefix string) {
+	t.Helper()
+	body := prefix + strings.Repeat(" ", 2<<20) + `}`
+	resp, msg := doRaw(t, ts, http.MethodPost, path, body, nil)
 	var env envelope
 	if resp.StatusCode != 400 || json.Unmarshal(msg, &env) != nil || env.Error.Code != "bad_request" {
-		t.Fatalf("2 MiB body: status=%d body=%q, want 400 bad_request", resp.StatusCode, msg)
+		t.Fatalf("2 MiB body to %s: status=%d body=%q, want 400 bad_request", path, resp.StatusCode, msg)
 	}
 	if !strings.Contains(env.Error.Message, "too large") {
-		t.Fatalf("message %q does not say the body was too large", env.Error.Message)
+		t.Fatalf("%s: message %q does not say the body was too large", path, env.Error.Message)
+	}
+}
+
+// TestCampaignBodyBounded: a campaign body past maxRequestBody is
+// refused with the bad_request envelope once the bound is crossed.
+func TestCampaignBodyBounded(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	assertBodyTooLarge(t, ts, "/v1/campaigns", `{"experiment":"threshold"`)
+}
+
+// TestClaimBodyBounded: the claim endpoint bounds its body the same way,
+// and a normal claim is still granted.
+func TestClaimBodyBounded(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	assertBodyTooLarge(t, ts, "/v1/points/h/claim", `{"owner":"node-a"`)
+	claim, err := client.New(ts.URL, ts.Client()).ClaimPoint(context.Background(), "h", "node-a", time.Second)
+	if err != nil || claim.Status != client.ClaimGranted {
+		t.Fatalf("claim after a refused body = %+v, %v; want granted", claim, err)
 	}
 }
 

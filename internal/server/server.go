@@ -313,11 +313,12 @@ type errorRecord struct {
 // /v1/campaigns/{id}; sweep.Run returns it as the campaign error.
 var errCancelled = errors.New("campaign cancelled by DELETE /v1/campaigns/{id}")
 
-// maxCampaignBody bounds the POST /v1/campaigns body. The largest
-// legitimate request — every field set — is a few hundred bytes; 1 MiB
-// leaves room for any client's formatting and stops one request from
-// growing the daemon's memory.
-const maxCampaignBody = 1 << 20
+// maxRequestBody bounds every body the daemon decodes: POST
+// /v1/campaigns and POST /v1/points/{hash}/claim. The largest legitimate
+// request — a campaign with every field set — is a few hundred bytes;
+// 1 MiB leaves room for any client's formatting and stops one request
+// from growing the daemon's memory.
+const maxRequestBody = 1 << 20
 
 // decodeCampaignRequest parses and validates a POST /v1/campaigns body.
 // On failure code is the envelope's error code; either way the daemon
@@ -335,7 +336,7 @@ func decodeCampaignRequest(body io.Reader) (req CampaignRequest, code string, er
 }
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxCampaignBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	defer io.Copy(io.Discard, r.Body)
 	req, code, err := decodeCampaignRequest(r.Body)
 	if err != nil {
@@ -901,6 +902,7 @@ type claimRequest struct {
 // instead of computing), "granted" (the caller owns the compute until
 // the TTL lapses), or "held" (another node is computing; back off).
 func (s *Server) handlePointClaim(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	defer io.Copy(io.Discard, r.Body)
 	hash := r.PathValue("hash")
 	var req claimRequest

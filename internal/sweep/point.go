@@ -216,12 +216,9 @@ func (pr *pointRun) publish(t *turn) {
 	}
 	if sc.Sampled() {
 		if !t.runStart.IsZero() {
-			wall := time.Duration(t.WallNS)
-			sc.Draw(trace.SpanChunkRun, t.Key, "", t.Shots, t.runStart, wall)
+			sc.Draw(trace.SpanChunkRun, t.Key, "", t.Shots, t.runStart, time.Duration(t.WallNS))
 			if decode > 0 {
-				// DecodeNS sums a point's parallel decode calls and can
-				// exceed the chunk's wall; the span stays inside the chunk.
-				sc.Draw(trace.SpanDecode, t.Key, "", t.Shots, t.runStart, min(decode, wall))
+				sc.Draw(trace.SpanDecode, t.Key, "", t.Shots, t.runStart, decode)
 			}
 		}
 		if commit > 0 {

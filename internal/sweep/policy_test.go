@@ -152,7 +152,12 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 			results[i] = runT(t, cfg, mk())
 		}(i)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.Active() < 2; time.Sleep(time.Millisecond) {
+	queued := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.queues)
+	}
+	for deadline := time.Now().Add(5 * time.Second); queued() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("campaigns never both enqueued")
 		}

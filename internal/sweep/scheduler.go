@@ -91,16 +91,6 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// Active returns the number of campaigns currently holding points in
-// the pool — the denominator callers use to split shot-level
-// parallelism budgets so overlapping campaigns stay within the CPU
-// budget.
-func (s *Scheduler) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues)
-}
-
 // Close stops the workers after their in-flight points finish. Runs
 // still queued complete first: Close only blocks new point handouts
 // once every active campaign has drained.

@@ -8,12 +8,13 @@
 //
 // Determinism contract: a point's BatchRunner must draw shot i of its
 // campaign from RNG streams fixed by the seed and i alone, so any
-// partition of the shots into batches merges to one run —
-// inject.Campaign maps shot i to split(seed, i), frame.BatchCampaign to
-// lane i%64 of word i/64 on that word's own stream. Batch boundaries are pure
-// functions of the observed counts, and points never share random
-// state, so a sweep's per-point shot streams and rates are identical for
-// any Workers setting.
+// partition of the shots into batches merges to one run. The engines'
+// RunFrom honours it: inject.Campaign.RunFrom maps shot i to
+// split(seed, i), frame.BatchCampaign.RunFrom to lane i%64 of word i/64
+// on that word's own stream. Batch boundaries are pure functions of the
+// observed counts, and points never share random state, so a sweep's
+// per-point shot streams and rates are identical for any Workers
+// setting.
 package sweep
 
 import (
@@ -31,10 +32,11 @@ import (
 type Counts struct {
 	Shots, Errors int
 	// DecodeNS is the time one engine call spent in the decoder, summed
-	// over its (possibly parallel) decode calls — how a BatchRunner
-	// reports it to the sweep, which puts it on the turn's telemetry
-	// record. merge never folds it, so it reaches no Result,
-	// CachedPoint, point record or fingerprint.
+	// over its decode calls — how a BatchRunner reports it to the sweep,
+	// which puts it on the turn's telemetry record. The call computes on
+	// the worker's goroutine, so DecodeNS is a part of its wall time.
+	// merge never folds it, so it reaches no Result, CachedPoint, point
+	// record or fingerprint.
 	DecodeNS int64
 }
 
@@ -54,7 +56,8 @@ func (c Counts) Rate() float64 {
 // BatchRunner executes the shot range [start, start+n) of one point's
 // campaign and returns its counts. Shot start+i must consume the RNG
 // stream split(seed, start+i) of the point's campaign seed, so that the
-// union of batches equals one contiguous fixed-shot run.
+// union of batches equals one contiguous fixed-shot run. It runs on the
+// calling worker's goroutine: the scheduler's workers are the pool.
 type BatchRunner func(start, n int) Counts
 
 // Point is one measured configuration of a sweep.

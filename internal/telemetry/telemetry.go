@@ -55,9 +55,8 @@ type Signal struct {
 	PrepareNS int64 `json:"prepare_ns,omitempty"`
 	WallNS    int64 `json:"wall_ns"`
 	// DecodeNS is the part of the engine call spent in the decoder,
-	// summed over its decode calls: a share of WallNS on one shot worker,
-	// up to the worker count times WallNS when a point fans its shots
-	// out.
+	// summed over its decode calls. The call runs on one goroutine, so
+	// DecodeNS ≤ WallNS.
 	DecodeNS int64 `json:"decode_ns,omitempty"`
 	// CommitNS is the time a point's last turn spent committing its
 	// result to the store.

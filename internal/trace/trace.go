@@ -104,15 +104,16 @@ func Traceparent(t TraceID, s SpanID) string {
 	return fmt.Sprintf("00-%s-%s-01", t, s)
 }
 
-// ParseTraceparent parses a W3C traceparent header. It accepts any
-// version byte (per spec, unknown versions parse as 00) and returns
-// the sampled flag; zero trace or span ids are rejected.
+// ParseTraceparent parses a W3C traceparent header and returns the
+// sampled flag. Version ff is invalid and version 00 exactly 55 bytes; a
+// later version parses as 00, ignoring what follows a dash. Zero ids fail.
 func ParseTraceparent(h string) (t TraceID, s SpanID, sampled bool, err error) {
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' ||
+		len(h) > 55 && (h[:2] == "00" || h[55] != '-') {
 		return t, s, false, fmt.Errorf("trace: malformed traceparent %q", h)
 	}
 	var ver [1]byte
-	if _, err = hex.Decode(ver[:], []byte(h[0:2])); err != nil {
+	if _, err = hex.Decode(ver[:], []byte(h[0:2])); err != nil || ver[0] == 0xff {
 		return t, s, false, fmt.Errorf("trace: bad version in %q", h)
 	}
 	if _, err = hex.Decode(t[:], []byte(h[3:35])); err != nil {

@@ -299,3 +299,61 @@ func TestDrawRecordsGivenInterval(t *testing.T) {
 		t.Fatalf("drawn interval start %d dur %d", s.StartNS, s.DurNS)
 	}
 }
+
+// FuzzParseTraceparent: arbitrary header bytes never panic the parser;
+// every rendered header parses back to its ids, sampled; and a header
+// the parser accepts obeys W3C trace-context — version ff is invalid,
+// version 00 is exactly 55 bytes, a longer header of a later version
+// continues with a dash — and a 55-byte one re-renders from the parsed
+// ids to its lower-cased input.
+func FuzzParseTraceparent(f *testing.F) {
+	ids := []byte("\x4b\xf9\x2f\x35\x77\xb3\x4d\xa6\xa3\xce\x92\x9d\x0e\x0e\x47\x36\x00\xf0\x67\xaa\x0b\xa9\x02\xb7")
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"",
+	} {
+		f.Add(h, ids)
+	}
+	f.Add("", []byte{})
+	f.Fuzz(func(t *testing.T, h string, ids []byte) {
+		var tid TraceID
+		var sid SpanID
+		copy(tid[:], ids)
+		copy(sid[:], ids[min(len(ids), len(tid)):])
+		gotT, gotS, sampled, err := ParseTraceparent(Traceparent(tid, sid))
+		switch {
+		case tid.IsZero() || sid.IsZero():
+			if err == nil {
+				t.Fatalf("zero id rendered to %q parsed", Traceparent(tid, sid))
+			}
+		case err != nil || gotT != tid || gotS != sid || !sampled:
+			t.Fatalf("%q parsed to %v %v %v %v", Traceparent(tid, sid), gotT, gotS, sampled, err)
+		}
+
+		pt, ps, _, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		version := strings.ToLower(h[:2])
+		switch {
+		case version == "ff":
+			t.Fatalf("accepted version ff: %q", h)
+		case len(h) > 55 && version == "00":
+			t.Fatalf("accepted a version-00 header of %d bytes: %q", len(h), h)
+		case len(h) > 55 && h[55] != '-':
+			t.Fatalf("accepted %q, whose flags run on past byte 55", h)
+		case len(h) == 55:
+			if re := version + "-" + pt.String() + "-" + ps.String() + "-" + strings.ToLower(h[53:]); re != strings.ToLower(h) {
+				t.Fatalf("accepted %q re-renders to %q", h, re)
+			}
+		}
+	})
+}

@@ -41,8 +41,6 @@ var reachAllow = map[string]string{
 	"frame.Result.Rate":                    "oracle",
 	"inject.Campaign.Run":                  "oracle",
 	"inject.Executor.Run":                  "oracle",
-	"inject.GetBits":                       "oracle",
-	"inject.ReleaseBits":                   "oracle",
 	"inject.Result.Rate":                   "oracle",
 	"matching.MatchingWeight":              "oracle",
 	"matching.MaxWeightMatching":           "oracle",
