@@ -26,8 +26,8 @@
 //	             approximation); tableau is the exact-oracle stabilizer
 //	             tableau
 //	-decoder D   syndrome decoder: mwpm (default, blossom matching) or
-//	             uf (almost-linear union-find); both have tile-parallel
-//	             twins for the batched engine
+//	             uf (almost-linear union-find); one implementation
+//	             each, shared by both engines
 //	-ci W        target Wilson 95% half-width; >0 turns on adaptive
 //	             shot allocation per point (default off)
 //	-maxshots N  adaptive per-point shot cap (0 = worst-case count

@@ -67,10 +67,10 @@ const (
 func Decoders() []string { return []string{DecoderMWPM, DecoderUF} }
 
 // ResolveDecoder maps a decoder name onto a code's scalar and
-// tile-parallel decode functions; both views decode lane-for-lane
-// identically. Empty means DecoderMWPM. Unknown names are an error —
-// the single decoder-selection policy shared by the core façade, the
-// experiment sweeps and the CLI.
+// tile-parallel decode functions, one implementation (the scalar one
+// is the tile decoder on a one-lane tile). Empty means DecoderMWPM.
+// Unknown names are an error — the single decoder-selection policy
+// shared by the core façade, the experiment sweeps and the CLI.
 func ResolveDecoder(name string, code *qec.Code) (func(bits []int) int, frame.TileDecodeFunc, error) {
 	switch name {
 	case "", DecoderMWPM:
@@ -269,10 +269,11 @@ type EngineRunner func(start, n int) (shots, errors int)
 // NewEngineRunner builds the campaign of a resolved engine name and
 // returns its range runner — the single construction point shared by
 // the core façade and the experiment sweeps. decode and decodeTile are
-// the scalar and tile-parallel views of the same decoder; the batched
-// engine prefers decodeTile and falls back to unpacking lanes through
-// decode. seed doubles as the batch engine's reference seed. The unnamed
-// int is inert: the frozen bench/ harness passes a width there.
+// the scalar and tile-parallel views of the same decoder (qec's scalar
+// decoders are its tile decoders on one lane): the tableau engine reads
+// decode, the batched engine requires decodeTile. seed doubles as the
+// batch engine's reference seed. The unnamed int is inert: the frozen
+// bench/ harness passes a width there.
 //
 // workers caps how many goroutines one call runs its range on (0 means
 // GOMAXPROCS). At 1 the range runs on the caller's goroutine — what the
@@ -285,9 +286,6 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 	var run EngineRunner
 	switch engine {
 	case EngineBatch:
-		if decodeTile == nil {
-			decodeTile = frame.LaneDecodeTile(decode, circ.NumClbits)
-		}
 		camp := &frame.BatchCampaign{
 			Sim:        frame.NewBatch(circ, dep, ev, seed),
 			DecodeTile: decodeTile,

@@ -27,11 +27,11 @@ func AblationDecoder(cfg Config) (*Table, error) {
 	}
 	topo := arch.Mesh(5, 6)
 	type decoder struct {
-		name   string
-		decode func([]int) int
-		// decodeTile is the tile-parallel twin, for decoders that have
-		// one (lane-for-lane identical); the rest decode lane-by-lane
-		// when the batched engine runs the campaign.
+		name string
+		// decode and decodeTile are the decoder's scalar and tile
+		// views, one implementation (the tableau engine reads the first,
+		// the batched engine the second).
+		decode     func([]int) int
 		decodeTile frame.TileDecodeFunc
 	}
 	var (
@@ -49,7 +49,7 @@ func AblationDecoder(cfg Config) (*Table, error) {
 		for _, dec := range []decoder{
 			{"blossom", code.Decode, code.DecodeTile},
 			{"union-find", code.DecodeUnionFind, code.DecodeUnionFindTile},
-			{"greedy", code.DecodeGreedy, nil},
+			{"greedy", code.DecodeGreedy, code.DecodeGreedyTile},
 		} {
 			s := p.spec(fmt.Sprintf("ablation-decoder/%s/%s", code.Name, dec.name),
 				cfg, ev, cfg.Seed+uint64(ci))

@@ -19,10 +19,11 @@ import (
 // at two rounds carry seven experiments) nothing.
 //
 // Retained per code: the circuit, the DEM once a decode compiled it
-// (stabs² · (rounds+1) · 8 B of distances) and two parity memos that
-// start empty and top out at 786 KB each, so 64 · 2 · 786 KB ≈ 100 MB
-// is the ceiling on memo bytes, reached only if every resident code met
-// some 24 576 distinct syndromes under both decoders; the 29 codes
+// (stabs² · (rounds+1) · 8 B of distances) and three parity memos (one
+// per decoder) that start empty and top out at 786 KB each, so
+// 64 · 3 · 786 KB ≈ 151 MB is the ceiling on memo bytes, reached only
+// if every resident code met some 24 576 distinct syndromes under all
+// three decoders; the 29 codes
 // above hold 150 k syndromes in 6.9 MB of tables. Per prepared circuit:
 // the routed circuit, its compiled reference, the n² all-pairs
 // distances (34 KB on Brooklyn's 65 qubits) and the circuit literal.
@@ -63,7 +64,7 @@ type preparedEntry struct {
 
 // registry is the process-wide owner of everything that is a pure
 // function of (family, dZ, dX, rounds) — the *qec.Code with its DEM and
-// both parity memos — and of (that code, topology) — the *prepared with
+// its three parity memos — and of (that code, topology) — the *prepared with
 // its routed circuit, compiled reference and circuit literal. The CLI
 // and the daemon resolve every code and every prepare through it, so
 // what one campaign's decoder learned the next campaign finds. Tables

@@ -327,14 +327,14 @@ func newPrepared(code *qec.Code, topo arch.Topology) (*prepared, error) {
 // campaign — the prepared circuit under intrinsic noise at rate phys
 // plus one radiation event, read by one decoder — measured at one seed.
 type pointSpec struct {
-	key    string
-	prep   *prepared
-	phys   float64
-	ev     *noise.RadiationEvent
-	decode func(bits []int) int // nil selects the code's MWPM decoder
-	// decodeTile is the tile-parallel twin of decode for the batched
-	// engine; nil falls back to the code's DecodeTile (when decode is
-	// nil) or a lane-unpacking adapter around decode.
+	key  string
+	prep *prepared
+	phys float64
+	ev   *noise.RadiationEvent
+	// decode and decodeTile override the configured decoder when decode
+	// is set: its scalar view for the tableau engine and its tile view
+	// for the batched engine, which requires it.
+	decode     func(bits []int) int
 	decodeTile frame.TileDecodeFunc
 	seed       uint64
 }
@@ -392,13 +392,10 @@ func (s pointSpec) point(engine, decoder string) sweep.Point {
 				decNS += time.Since(t0).Nanoseconds()
 				return v
 			}
-			timedTile := dec
-			if dec != nil {
-				timedTile = func(rec []uint64, w int, live, out []uint64) {
-					t0 := time.Now()
-					dec(rec, w, live, out)
-					decNS += time.Since(t0).Nanoseconds()
-				}
+			timedTile := func(rec []uint64, w int, live, out []uint64) {
+				t0 := time.Now()
+				dec(rec, w, live, out)
+				decNS += time.Since(t0).Nanoseconds()
 			}
 			run := core.NewEngineRunner(eng, s.prep.tr.Circuit,
 				noise.NewDepolarizing(s.phys), s.ev, s.seed,

@@ -78,6 +78,10 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 		{"fig7/tableau", Fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
 		{"memory", Memory, EngineBatch, 0, "6501078d3c6384019a36424d71b43a21039e586de06e24e7df3beff292ffdac6"},
 		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "b0455718f699062e736cfa9ed89acd95e229b43bbb619daafc45197d537b8815"},
+		// Blossom, union-find and greedy on the tableau engine, recorded
+		// at 15fc049, while that engine still decoded through a scalar
+		// path of its own.
+		{"ablation-decoder/tableau", AblationDecoder, EngineTableau, 256, "5681868430351244584ec5195130e80079dcbb09ecbaf047b74e253d12bb4ad8"},
 		{"fig5", Fig5, EngineBatch, 0, goldenFig5},
 		{"fig7", Fig7, EngineBatch, 0, "56b195874dff391e19dfdd6890ae4cc6e1329dc2e3b57476ca4fc360e90a8b3e"},
 		{"fig8", Fig8, EngineBatch, 512, "5864a79fbc80a01913e56d4e1befae00b975ee1155772f09674ff272f1a3a7d0"},

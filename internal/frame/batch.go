@@ -307,30 +307,9 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 // (rec[c·w+k] holds classical bit c of tile word k) to per-word decoded
 // logical values: out[k] receives word k's decoded word, and only lanes
 // set in live[k] carry meaningful records; a decoder may leave dead
-// lanes arbitrary. qec.(*Code).DecodeTile is the word-parallel
-// implementation; LaneDecodeTile adapts a scalar decoder.
+// lanes arbitrary. qec.(*Code).DecodeTile, DecodeUnionFindTile and
+// DecodeGreedyTile are the implementations.
 type TileDecodeFunc func(rec []uint64, w int, live, out []uint64)
-
-// LaneDecodeTile lifts a scalar record decoder onto packed tiles by
-// unpacking each live lane of each tile word. It is the path for
-// decoders without a word-parallel implementation; the frame
-// propagation is still bit-parallel, only the decode runs per lane.
-func LaneDecodeTile(decode func(bits []int) int, numClbits int) TileDecodeFunc {
-	return func(rec []uint64, w int, live, out []uint64) {
-		scratch := make([]int, numClbits)
-		for k := 0; k < w; k++ {
-			var o uint64
-			for m := live[k]; m != 0; m &= m - 1 {
-				lane := uint(bits.TrailingZeros64(m))
-				for i := range scratch {
-					scratch[i] = int(rec[i*w+k]>>lane) & 1
-				}
-				o |= uint64(decode(scratch)&1) << lane
-			}
-			out[k] = o
-		}
-	}
-}
 
 // batchSplitSalt decorrelates the batched engine's word streams from the
 // tableau engine's per-shot streams derived from the same campaign seed.
@@ -364,7 +343,7 @@ type BatchCampaign struct {
 	// Sim samples the shot words.
 	Sim *BatchSimulator
 	// DecodeTile maps packed record tiles to decoded logical words,
-	// e.g. qec.(*Code).DecodeTile or a LaneDecodeTile adapter. Required.
+	// e.g. qec.(*Code).DecodeTile. Required.
 	DecodeTile TileDecodeFunc
 	// Expected is the fault-free decoded output.
 	Expected int

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	mathbits "math/bits"
 	"testing"
 
 	"radqec/internal/arch"
@@ -51,6 +52,21 @@ func decodeOne(dec TileDecodeFunc, rec []uint64, live uint64) uint64 {
 	var out [1]uint64
 	dec(rec, 1, []uint64{live}, out[:])
 	return out[0]
+}
+
+// laneByLane decodes each live lane of a one-word record on its own
+// through a scalar decoder.
+func laneByLane(decode func(bits []int) int, rec []uint64, live uint64) uint64 {
+	bits := make([]int, len(rec))
+	var o uint64
+	for m := live; m != 0; m &= m - 1 {
+		lane := uint(mathbits.TrailingZeros64(m))
+		for i := range bits {
+			bits[i] = int(rec[i]>>lane) & 1
+		}
+		o |= uint64(decode(bits)&1) << lane
+	}
+	return o
 }
 
 func TestBatchDeterministicCircuitExact(t *testing.T) {
@@ -185,20 +201,19 @@ func TestBatchWordBoundaries(t *testing.T) {
 }
 
 func TestLaneDecodeMatchesWordDecoder(t *testing.T) {
-	// The generic lane-unpacking adapter and the word-parallel decoder
-	// must agree on every lane of real sampled records.
+	// A word of real sampled records decodes as its 64 lanes do one by
+	// one.
 	code, err := qec.NewRepetition(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := NewBatch(code.Circ, noise.NewDepolarizing(0.1), nil, 3)
 	st := sim.NewTileState(1)
-	lane := LaneDecodeTile(code.Decode, code.Circ.NumClbits)
 	for seed := uint64(0); seed < 8; seed++ {
 		runOne(sim, rng.New(seed), st)
 		live := ^uint64(0)
-		if got, want := decodeOne(code.DecodeTile, st.Rec, live), decodeOne(lane, st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeTile %x != LaneDecodeTile %x", seed, got, want)
+		if got, want := decodeOne(code.DecodeTile, st.Rec, live), laneByLane(code.Decode, st.Rec, live); got != want {
+			t.Fatalf("seed %d: DecodeTile %x != lane-by-lane Decode %x", seed, got, want)
 		}
 	}
 }
@@ -362,24 +377,29 @@ func TestBatchXXZZWordBoundaries(t *testing.T) {
 }
 
 func TestLaneDecodeMatchesWordDecoderXXZZ(t *testing.T) {
-	// On XXZZ records the word-parallel MWPM and union-find decoders
-	// must agree lane for lane with their scalar twins.
+	// On XXZZ records each decoder's word must agree lane for lane with
+	// its one-lane scalar decodes.
 	code, err := qec.NewXXZZ(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := NewBatch(code.Circ, noise.NewDepolarizing(0.05), nil, 3)
 	st := sim.NewTileState(1)
-	mwpm := LaneDecodeTile(code.Decode, code.Circ.NumClbits)
-	uf := LaneDecodeTile(code.DecodeUnionFind, code.Circ.NumClbits)
 	for seed := uint64(0); seed < 8; seed++ {
 		runOne(sim, rng.New(seed), st)
 		live := ^uint64(0)
-		if got, want := decodeOne(code.DecodeTile, st.Rec, live), decodeOne(mwpm, st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeTile %x != LaneDecodeTile(Decode) %x", seed, got, want)
-		}
-		if got, want := decodeOne(code.DecodeUnionFindTile, st.Rec, live), decodeOne(uf, st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeUnionFindTile %x != LaneDecodeTile(DecodeUnionFind) %x", seed, got, want)
+		for _, d := range []struct {
+			name string
+			tile TileDecodeFunc
+			lane func([]int) int
+		}{
+			{"mwpm", code.DecodeTile, code.Decode},
+			{"union-find", code.DecodeUnionFindTile, code.DecodeUnionFind},
+			{"greedy", code.DecodeGreedyTile, code.DecodeGreedy},
+		} {
+			if got, want := decodeOne(d.tile, st.Rec, live), laneByLane(d.lane, st.Rec, live); got != want {
+				t.Fatalf("seed %d %s: tile %x != lane-by-lane %x", seed, d.name, got, want)
+			}
 		}
 	}
 }

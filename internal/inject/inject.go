@@ -12,6 +12,7 @@ import (
 	"radqec/internal/circuit"
 	"radqec/internal/noise"
 	"radqec/internal/rng"
+	"radqec/internal/stab"
 )
 
 // Executor runs single shots of a circuit on a stabilizer tableau with
@@ -41,16 +42,14 @@ func NewExecutor(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.Radia
 // freshly allocated. The caller owns src; identical sources reproduce
 // identical shots. Loops over shots use RunInto.
 func (e *Executor) Run(src *rng.Source) []int {
-	tab := newPooledTableau(e.circ.NumQubits)
-	defer releaseTableau(tab)
 	bits := make([]int, e.circ.NumClbits)
-	e.RunInto(src, tab, bits)
+	e.RunInto(src, stab.New(e.circ.NumQubits), bits)
 	return bits
 }
 
 // RunInto is Run with caller-provided state, for allocation-free loops.
 // tab must be freshly reset to |0...0>; bits must have NumClbits slots.
-func (e *Executor) RunInto(src *rng.Source, tab tableau, bits []int) {
+func (e *Executor) RunInto(src *rng.Source, tab *stab.Tableau, bits []int) {
 	// Depolarizing errors are drawn by geometric skip-sampling: for small
 	// P the sampler touches the RNG once per error instead of once per
 	// op-qubit, while sampling the exact same error distribution.
@@ -58,28 +57,14 @@ func (e *Executor) RunInto(src *rng.Source, tab tableau, bits []int) {
 	samp.Reset(src)
 	for _, op := range e.circ.Ops {
 		switch op.Kind {
-		case circuit.KindH:
-			tab.H(op.Qubits[0])
-		case circuit.KindX:
-			tab.X(op.Qubits[0])
-		case circuit.KindY:
-			tab.Y(op.Qubits[0])
-		case circuit.KindZ:
-			tab.Z(op.Qubits[0])
-		case circuit.KindS:
-			tab.S(op.Qubits[0])
-		case circuit.KindCNOT:
-			tab.CNOT(op.Qubits[0], op.Qubits[1])
-		case circuit.KindCZ:
-			tab.CZ(op.Qubits[0], op.Qubits[1])
-		case circuit.KindSWAP:
-			tab.SWAP(op.Qubits[0], op.Qubits[1])
 		case circuit.KindMeasure:
 			bits[op.Clbit] = tab.MeasureZ(op.Qubits[0], src)
 		case circuit.KindReset:
 			tab.Reset(op.Qubits[0], src)
 		case circuit.KindBarrier:
 			continue // no noise on scheduling fences
+		default:
+			tab.Apply(op)
 		}
 		// Intrinsic depolarizing noise: an independent E channel per
 		// involved qubit (E2 = E⊗E after two-qubit gates, Section III-A).
@@ -103,22 +88,6 @@ func (e *Executor) RunInto(src *rng.Source, tab tableau, bits []int) {
 			}
 		}
 	}
-}
-
-// tableau is the minimal stabilizer-simulator surface the executor needs.
-type tableau interface {
-	H(q int)
-	X(q int)
-	Y(q int)
-	Z(q int)
-	S(q int)
-	CNOT(a, b int)
-	CZ(a, b int)
-	SWAP(a, b int)
-	MeasureZ(q int, src *rng.Source) int
-	Reset(q int, src *rng.Source)
-	ResetState()
-	N() int
 }
 
 // Result summarises a campaign.
@@ -168,8 +137,7 @@ func (c *Campaign) RunFrom(seed uint64, start, shots int) Result {
 		return Result{}
 	}
 	master := rng.New(seed)
-	tab := newPooledTableau(c.Exec.circ.NumQubits)
-	defer releaseTableau(tab)
+	tab := stab.New(c.Exec.circ.NumQubits)
 	bits := make([]int, c.Exec.circ.NumClbits)
 	total := Result{}
 	for shot := start; shot < start+shots; shot++ {

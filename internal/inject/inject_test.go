@@ -184,16 +184,3 @@ func TestCampaignSeedSensitivity(t *testing.T) {
 		t.Log("different seeds produced identical results (possible but unlikely)")
 	}
 }
-
-func TestPooledTableauReuse(t *testing.T) {
-	t1 := newPooledTableau(7)
-	t1.X(0)
-	releaseTableau(t1)
-	t2 := newPooledTableau(7)
-	// Pool must hand back a reset tableau.
-	src := rng.New(1)
-	if got := t2.MeasureZ(0, src); got != 0 {
-		t.Fatal("pooled tableau not reset")
-	}
-	releaseTableau(t2)
-}

@@ -92,28 +92,14 @@ func (in *Injector) Run(c *circuit.Circuit, src *rng.Source) []int {
 	bits := make([]int, c.NumClbits)
 	for _, op := range c.Ops {
 		switch op.Kind {
-		case circuit.KindH:
-			tab.H(op.Qubits[0])
-		case circuit.KindX:
-			tab.X(op.Qubits[0])
-		case circuit.KindY:
-			tab.Y(op.Qubits[0])
-		case circuit.KindZ:
-			tab.Z(op.Qubits[0])
-		case circuit.KindS:
-			tab.S(op.Qubits[0])
-		case circuit.KindCNOT:
-			tab.CNOT(op.Qubits[0], op.Qubits[1])
-		case circuit.KindCZ:
-			tab.CZ(op.Qubits[0], op.Qubits[1])
-		case circuit.KindSWAP:
-			tab.SWAP(op.Qubits[0], op.Qubits[1])
 		case circuit.KindMeasure:
 			bits[op.Clbit] = tab.MeasureZ(op.Qubits[0], src)
 		case circuit.KindReset:
 			tab.Reset(op.Qubits[0], src)
 		case circuit.KindBarrier:
 			continue
+		default:
+			tab.Apply(op)
 		}
 		for _, q := range op.Qubits {
 			if src.Bool(in.flipProb(q)) {

@@ -30,18 +30,19 @@ import (
 //     memoised in a lock-free, allocation-free open-addressed table,
 //     so repeated syndromes — the norm under a localised strike — cost
 //     a probe instead of a matching.
-//  3. Only novel syndromes run the scalar blossom matcher over the
-//     compiled detector-error model, reusing the already-extracted
-//     defect words instead of re-deriving events from scalar bits.
+//  3. Only novel syndromes run the blossom matcher over the compiled
+//     detector-error model, on the defect list read off the
+//     already-extracted defect words.
 //
 // All three tiers run tile-wide and none of them allocates once the
 // pooled scratch is warm: extraction and memo probes never did, and a
 // miss builds its defect graph, runs blossom and folds the correction
 // inside the same pooled decodeBuf.
 //
-// Every lane of the result equals Decode of that lane's unpacked record
-// (the memo stores Decode's own matching, so even tie-broken matchings
-// agree bit for bit).
+// Decode is this function on a one-word tile with one live lane, so the
+// two engines decode through one implementation: every lane of the
+// result equals Decode of that lane's unpacked record, tie-broken
+// matchings included.
 func (c *Code) DecodeTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.mwpmMemo, mwpmParity)
 }
@@ -49,10 +50,16 @@ func (c *Code) DecodeTile(rec []uint64, w int, live, out []uint64) {
 // DecodeUnionFindTile is the word-parallel counterpart of
 // DecodeUnionFind: the tile layout, detection-event extraction, fast
 // path and memoisation of DecodeTile, with the union-find grower/peeler
-// in place of the blossom matcher on novel syndromes. Every lane of the
-// result equals DecodeUnionFind of that lane's unpacked record.
+// in place of the blossom matcher on novel syndromes.
 func (c *Code) DecodeUnionFindTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.ufMemo, ufParity)
+}
+
+// DecodeGreedyTile is the word-parallel counterpart of DecodeGreedy:
+// DecodeTile with greedy matching in place of blossom on novel
+// syndromes.
+func (c *Code) DecodeGreedyTile(rec []uint64, w int, live, out []uint64) {
+	c.decodeTile(rec, w, live, out, c.greedyMemo, greedyParity)
 }
 
 // parityOracle evaluates the flip parity of one novel defect pattern on
@@ -61,6 +68,10 @@ type parityOracle func(c *Code, buf *decodeBuf, defects []defect) uint64
 
 func mwpmParity(c *Code, buf *decodeBuf, defects []defect) uint64 {
 	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).MinWeightPerfectMatching))
+}
+
+func greedyParity(c *Code, buf *decodeBuf, defects []defect) uint64 {
+	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).GreedyPerfectMatching))
 }
 
 func ufParity(c *Code, _ *decodeBuf, defects []defect) uint64 {
@@ -133,13 +144,12 @@ func (c *Code) detectionEventTile(rec []uint64, w int, dst, anyw []uint64) {
 // localised strike while keeping the arrays L1-resident (8 KiB).
 const frontSize = 256
 
-// decodeBuf is the pooled scratch of one decode: the extracted
-// detection-event tile, the per-word defect accumulator masks, the
-// defect list of a lane that missed the memo, and everything matching
-// that list needs — the defect-graph edges, the blossom workspace and
-// the correction mask. One pool serves every code, tile-wide and
-// scalar decodes alike — the slices grow to the largest decode seen and
-// are reused verbatim.
+// decodeBuf is the pooled scratch of one decode: a scalar record packed
+// into a one-word tile, the extracted detection-event tile, the per-word
+// defect accumulator masks, the defect list of a lane that missed the
+// memo, and everything matching that list needs — the defect-graph edges, the blossom workspace and
+// the correction mask. One pool serves every code and decoder — the
+// slices grow to the largest decode seen and are reused verbatim.
 //
 // The front arrays are a goroutine-private direct-mapped cache in front
 // of the shared parityMemo: while a buf is checked out its owner probes
@@ -149,6 +159,7 @@ const frontSize = 256
 // (frontGen[i] == 0 means empty), so a buf that migrates between codes,
 // decoders or SetPrior epochs mismatches instead of aliasing.
 type decodeBuf struct {
+	lane    []uint64
 	events  []uint64
 	anyw    []uint64
 	defects []defect
@@ -182,11 +193,34 @@ func (b *decodeBuf) grow(n, w int) (events, anyw []uint64) {
 	return b.events, b.anyw
 }
 
-// decodeTile is the decoder-agnostic tile-parallel core shared by
-// DecodeTile and DecodeUnionFindTile: tiered extraction + memoisation
-// around a flip-parity oracle evaluated only on novel defect patterns.
+// decodeTile is the decoder-agnostic tile-parallel core every decoder
+// runs: tiered extraction + memoisation around a flip-parity oracle
+// evaluated only on novel defect patterns.
 func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityMemo,
 	parityOf parityOracle) {
+	buf := decodeBufPool.Get().(*decodeBuf)
+	c.decodeTileWith(buf, rec, w, live, out, memo, parityOf)
+	decodeBufPool.Put(buf)
+}
+
+// decodeLane decodes one unpacked shot record as the one live lane of a
+// one-word tile: the scalar decoders are decodeTile on their memo.
+func (c *Code) decodeLane(bits []int, memo *parityMemo, parityOf parityOracle) int {
+	buf := decodeBufPool.Get().(*decodeBuf)
+	rec := buf.lane[:0]
+	for _, b := range bits {
+		rec = append(rec, uint64(b&1))
+	}
+	buf.lane = rec
+	live, out := [1]uint64{1}, [1]uint64{}
+	c.decodeTileWith(buf, rec, 1, live[:], out[:], memo, parityOf)
+	decodeBufPool.Put(buf)
+	return int(out[0])
+}
+
+// decodeTileWith is decodeTile on the caller's scratch.
+func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []uint64,
+	memo *parityMemo, parityOf parityOracle) {
 	layers := len(c.CRounds) + 1
 	nz := len(c.zStabData)
 	// Uncorrected logical parity of every lane: the fast-path answer.
@@ -202,7 +236,6 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	if nz == 0 {
 		return
 	}
-	buf := decodeBufPool.Get().(*decodeBuf)
 	defectWords, anyw := buf.grow(nz*layers*w, w)
 	c.detectionEventTile(rec, w, defectWords, anyw)
 	// Key width is fixed per code: up to 64 detector bits fill only the
@@ -241,10 +274,8 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 					continue
 				}
 			}
-			// Defects in detectionEvents order (stabilizer-major, layer
-			// minor) so the correction — and therefore the decoded value —
-			// is bit-identical to the scalar decoder on the unpacked
-			// record.
+			// Defects stabilizer-major, layer-minor: the matcher's input
+			// order, which fixes its tie-breaks.
 			defects = defects[:0]
 			for s := 0; s < nz; s++ {
 				for r := 0; r < layers; r++ {
@@ -264,7 +295,6 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 		}
 	}
 	buf.defects = defects
-	decodeBufPool.Put(buf)
 	if triggered != 0 {
 		memo.triggered.Add(triggered)
 		memo.misses.Add(misses)
@@ -272,12 +302,14 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 	}
 }
 
-// DecoderCounters is the tile decoders' traffic on one code, both
-// decoders summed: of the lanes that saw a defect, how many reached the
-// miss tier instead of a memo, how many defects those matcher calls
-// matched (MatchedDefects / MatcherCalls is the mean defect count k a
-// call pays for), and what the memos hold. A code whose pattern is too
-// wide for a memo key counts every triggered lane as a matcher call.
+// DecoderCounters is the decoders' traffic on one code, all three
+// decoders summed and every decode counted, on either engine (a scalar
+// decode is a one-lane tile): of the lanes that saw a defect, how many
+// reached the miss tier instead of a memo, how many defects those
+// matcher calls matched (MatchedDefects / MatcherCalls is the mean
+// defect count k a call pays for), and what the memos hold. A code whose
+// pattern is too wide for a memo key counts every triggered lane as a
+// matcher call.
 type DecoderCounters struct {
 	TriggeredLanes int64
 	MatcherCalls   int64
@@ -290,7 +322,7 @@ type DecoderCounters struct {
 // snapshot.
 func (c *Code) DecoderCounters() DecoderCounters {
 	var d DecoderCounters
-	for _, m := range [...]*parityMemo{c.mwpmMemo, c.ufMemo} {
+	for _, m := range [...]*parityMemo{c.mwpmMemo, c.ufMemo, c.greedyMemo} {
 		d.TriggeredLanes += m.triggered.Load()
 		d.MatcherCalls += m.misses.Load()
 		d.MatchedDefects += m.defects.Load()

@@ -2,6 +2,7 @@ package qec
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"sync"
 	"testing"
 
@@ -44,9 +45,9 @@ func checkDecodeTileMatches(t *testing.T, c *Code, words int, seed uint64) {
 		rec := randomRecord(t, c, src)
 		got := decodeOne(c.DecodeTile, rec, ^uint64(0))
 		for lane := uint(0); lane < 64; lane++ {
-			want := c.Decode(unpackLane(rec, lane))
+			want := c.oracleDecode(unpackLane(rec, lane))
 			if int((got>>lane)&1) != want {
-				t.Fatalf("word %d lane %d: DecodeTile %d, Decode %d", w, lane, (got>>lane)&1, want)
+				t.Fatalf("word %d lane %d: DecodeTile %d, oracle %d", w, lane, (got>>lane)&1, want)
 			}
 		}
 	}
@@ -150,7 +151,7 @@ func TestDecodeBatchRespectsLiveMask(t *testing.T) {
 	live := uint64(1)<<63 - 1 // lanes 0..62
 	got := decodeOne(c.DecodeTile, rec, live)
 	for lane := uint(0); lane < 63; lane++ {
-		want := c.Decode(unpackLane(rec, lane))
+		want := c.oracleDecode(unpackLane(rec, lane))
 		if int((got>>lane)&1) != want {
 			t.Fatalf("live lane %d wrong", lane)
 		}
@@ -176,9 +177,9 @@ func checkUnionFindTileMatches(t *testing.T, c *Code, words int, seed uint64) {
 		rec := randomRecord(t, c, src)
 		got := decodeOne(c.DecodeUnionFindTile, rec, ^uint64(0))
 		for lane := uint(0); lane < 64; lane++ {
-			want := c.DecodeUnionFind(unpackLane(rec, lane))
+			want := c.oracleUnionFind(unpackLane(rec, lane))
 			if int((got>>lane)&1) != want {
-				t.Fatalf("word %d lane %d: DecodeUnionFindTile %d, DecodeUnionFind %d",
+				t.Fatalf("word %d lane %d: DecodeUnionFindTile %d, oracle %d",
 					w, lane, (got>>lane)&1, want)
 			}
 		}
@@ -207,9 +208,9 @@ func TestDecodeUnionFindBatchMatchesScalarXXZZ(t *testing.T) {
 }
 
 func TestDecoderMemosAreIndependent(t *testing.T) {
-	// MWPM and union-find disagree on some syndromes; sharing a memo
-	// would silently cross-contaminate them. Decode the same records
-	// with both and re-verify each against its scalar twin.
+	// The decoders disagree on some syndromes; sharing a memo would
+	// silently cross-contaminate them. Decode the same records with all
+	// three and re-verify each against its oracle.
 	c, err := NewXXZZ(3, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +220,17 @@ func TestDecoderMemosAreIndependent(t *testing.T) {
 		rec := randomRecord(t, c, src)
 		mwpm := decodeOne(c.DecodeTile, rec, ^uint64(0))
 		uf := decodeOne(c.DecodeUnionFindTile, rec, ^uint64(0))
+		greedy := decodeOne(c.DecodeGreedyTile, rec, ^uint64(0))
 		for lane := uint(0); lane < 64; lane++ {
 			bits := unpackLane(rec, lane)
-			if int((mwpm>>lane)&1) != c.Decode(bits) {
+			if int((mwpm>>lane)&1) != c.oracleDecode(bits) {
 				t.Fatalf("word %d lane %d: MWPM memo contaminated", w, lane)
 			}
-			if int((uf>>lane)&1) != c.DecodeUnionFind(bits) {
+			if int((uf>>lane)&1) != c.oracleUnionFind(bits) {
 				t.Fatalf("word %d lane %d: union-find memo contaminated", w, lane)
+			}
+			if int((greedy>>lane)&1) != c.oracleGreedy(bits) {
+				t.Fatalf("word %d lane %d: greedy memo contaminated", w, lane)
 			}
 		}
 	}
@@ -285,10 +290,10 @@ func tileRecord(c *Code, w int, src *rng.Source) []uint64 {
 }
 
 // TestDecodeTileMatchesScalarOnFigureCodes runs the tile decoder against
-// the scalar one, lane for lane, on every code fig6 and the memory
-// experiment build. Both now match on the same pooled workspace, so the
+// the scalar oracle, lane for lane, on every code fig6 and the memory
+// experiment build. Both match on the same pooled workspace, so the
 // comparison also shows that neither leaves anything behind in it for
-// the other: tile and scalar decodes of different sizes interleave.
+// the other: tile and oracle decodes of different sizes interleave.
 func TestDecodeTileMatchesScalarOnFigureCodes(t *testing.T) {
 	var codes []*Code
 	add := func(c *Code, err error) {
@@ -324,8 +329,8 @@ func TestDecodeTileMatchesScalarOnFigureCodes(t *testing.T) {
 				for cb := 0; cb < c.Circ.NumClbits; cb++ {
 					bits = append(bits, int(rec[cb*w+k]>>lane)&1)
 				}
-				if got, want := int(out[k]>>lane)&1, c.Decode(bits); got != want {
-					t.Fatalf("%s rounds %d word %d lane %d: DecodeTile %d, Decode %d",
+				if got, want := int(out[k]>>lane)&1, c.oracleDecode(bits); got != want {
+					t.Fatalf("%s rounds %d word %d lane %d: DecodeTile %d, oracle %d",
 						c.Name, c.Rounds, k, lane, got, want)
 				}
 			}
@@ -493,4 +498,86 @@ func TestDecoderCountersSumMatchedDefects(t *testing.T) {
 				tc.d, tc.rounds, got.MatcherCalls, got.MatchedDefects, calls, defects)
 		}
 	}
+}
+
+// FuzzTileDecodersMatchScalarOracle draws a code (rep d 3–9 or XXZZ
+// (1,3)/(3,3), rounds 2–4), a w-word tile of record bits (w 1–8, dense
+// or sparse) and live masks, and holds all three decoders, tile and
+// one-lane scalar, to the scalar oracle lane by lane: first each on
+// fresh memos, then both again on the memos that pass filled.
+func FuzzTileDecodersMatchScalarOracle(f *testing.F) {
+	for sel := uint8(0); sel < 6; sel++ {
+		f.Add(sel, sel, sel, uint64(sel), sel%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, codeSel, roundSel, wSel uint8, seed uint64, sparse bool) {
+		rounds := 2 + int(roundSel%3)
+		var (
+			c   *Code
+			err error
+		)
+		switch sel := int(codeSel % 6); {
+		case sel < 4:
+			c, err = NewRepetitionRounds(3+2*sel, rounds)
+		case sel == 4:
+			c, err = NewXXZZRounds(1, 3, rounds)
+		default:
+			c, err = NewXXZZRounds(3, 3, rounds)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := 1 + int(wSel%8)
+		src := rng.New(seed)
+		rec := make([]uint64, c.Circ.NumClbits*w)
+		for i := range rec {
+			rec[i] = src.Uint64()
+			if sparse {
+				rec[i] &= src.Uint64() & src.Uint64()
+			}
+		}
+		live := make([]uint64, w)
+		for k := range live {
+			live[k] = src.Uint64()
+		}
+		type tileFunc = func(rec []uint64, w int, live, out []uint64)
+		decoders := []struct {
+			name         string
+			tile         tileFunc
+			lane, oracle func([]int) int
+		}{
+			{"mwpm", c.DecodeTile, c.Decode, c.oracleDecode},
+			{"union-find", c.DecodeUnionFindTile, c.DecodeUnionFind, c.oracleUnionFind},
+			{"greedy", c.DecodeGreedyTile, c.DecodeGreedy, c.oracleGreedy},
+		}
+		out := make([]uint64, w)
+		bits := make([]int, c.Circ.NumClbits)
+		for _, fresh := range []bool{true, false} {
+			for _, d := range decoders {
+				if fresh {
+					c.newMemos()
+				}
+				d.tile(rec, w, live, out)
+				if fresh {
+					c.newMemos()
+				}
+				for k := 0; k < w; k++ {
+					for m := live[k]; m != 0; m &= m - 1 {
+						lane := uint(mathbits.TrailingZeros64(m))
+						for cb := range bits {
+							bits[cb] = int(rec[cb*w+k]>>lane) & 1
+						}
+						want := d.oracle(bits)
+						if got := int(out[k]>>lane) & 1; got != want {
+							t.Fatalf("%s rounds %d %s (fresh %v): word %d lane %d tile %d, oracle %d",
+								c.Name, c.Rounds, d.name, fresh, k, lane, got, want)
+						}
+						if got := d.lane(bits); got != want {
+							t.Fatalf("%s rounds %d %s (fresh %v): word %d lane %d one-lane %d, oracle %d",
+								c.Name, c.Rounds, d.name, fresh, k, lane, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
 }

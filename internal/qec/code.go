@@ -52,7 +52,7 @@ type Code struct {
 	// Z operator; the decoded logical value is their corrected parity.
 	logicalZ []int
 	// dm is the lazily-compiled detector-error model every decoder view
-	// (MWPM/union-find, scalar/batch) runs against; demMu guards the
+	// (MWPM/union-find/greedy) runs against; demMu guards the
 	// compile so concurrent campaign workers share one build. prior is
 	// the noise prior the model was (or will be) compiled with; its zero
 	// value is the unit prior. See DEM and SetPrior.
@@ -60,15 +60,16 @@ type Code struct {
 	demMu sync.Mutex
 	prior dem.Prior
 
-	// mwpmMemo and ufMemo cache, per space-time defect pattern (packed
-	// into a 128-bit key), the parity of the decoder's correction on the
-	// logical support — the only way the correction enters the decoded
-	// value. Each decoder owns its memo (their corrections differ); both
-	// are shared by every campaign decoding this code, and SetPrior
-	// replaces them (cached parities belong to the compiled model). See
-	// DecodeTile and DecodeUnionFindTile.
-	mwpmMemo *parityMemo
-	ufMemo   *parityMemo
+	// mwpmMemo, ufMemo and greedyMemo cache, per space-time defect
+	// pattern (packed into a 128-bit key), the parity of the decoder's
+	// correction on the logical support — the only way the correction
+	// enters the decoded value. Each decoder owns its memo (their
+	// corrections differ); all three are shared by every campaign
+	// decoding this code, on either engine, and SetPrior replaces them
+	// (cached parities belong to the compiled model). See DecodeTile.
+	mwpmMemo   *parityMemo
+	ufMemo     *parityMemo
+	greedyMemo *parityMemo
 }
 
 // NumQubits returns the total number of physical qubits in the circuit.
@@ -94,6 +95,13 @@ func (c *Code) NumXStabs() int { return len(c.xStabData) }
 // detectorBits is the width of a shot's space-time defect pattern: one
 // bit per Z stabilizer per detection layer.
 func (c *Code) detectorBits() int { return len(c.zStabData) * (len(c.CRounds) + 1) }
+
+// newMemos gives every decoder an empty parity memo.
+func (c *Code) newMemos() {
+	c.mwpmMemo = newParityMemo(c.detectorBits())
+	c.ufMemo = newParityMemo(c.detectorBits())
+	c.greedyMemo = newParityMemo(c.detectorBits())
+}
 
 // ExpectedLogical is the decoded output in the absence of faults.
 func (c *Code) ExpectedLogical() int { return 1 }
@@ -136,8 +144,7 @@ func (c *Code) stabRound(creg circuit.Register) {
 // transversal X, which is applied between the first and second round
 // exactly as in the paper's protocol.
 func (c *Code) finishCircuit(logicalXSupport []int) {
-	c.mwpmMemo = newParityMemo(c.detectorBits())
-	c.ufMemo = newParityMemo(c.detectorBits())
+	c.newMemos()
 	circ := c.Circ
 	c.stabRound(c.CRounds[0])
 	circ.Barrier()

@@ -59,8 +59,7 @@ func (c *Code) SetPrior(pr dem.Prior) error {
 	}
 	c.prior = pr
 	c.dm.Store(m)
-	c.mwpmMemo = newParityMemo(c.detectorBits())
-	c.ufMemo = newParityMemo(c.detectorBits())
+	c.newMemos()
 	return nil
 }
 
@@ -116,57 +115,22 @@ type defect struct {
 // compiled detector-error model: edge weights are the cached space-time
 // shortest-path weights between detection events (log-likelihood
 // weighted; all equal under the default unit prior), and corrections
-// are the flattened flip sets of the matched chains.
+// are the flattened flip sets of the matched chains. The record decodes
+// as the one live lane of a one-word DecodeTile, memo included.
 func (c *Code) Decode(bits []int) int {
-	return c.decodeWith(bits, (*matching.Workspace).MinWeightPerfectMatching)
+	return c.decodeLane(bits, c.mwpmMemo, mwpmParity)
 }
 
 // DecodeGreedy is the ablation decoder: identical detection events and
-// correction model, but greedy matching instead of blossom.
+// correction model, but greedy matching instead of blossom. It is a
+// one-lane DecodeGreedyTile.
 func (c *Code) DecodeGreedy(bits []int) int {
-	return c.decodeWith(bits, (*matching.Workspace).GreedyPerfectMatching)
+	return c.decodeLane(bits, c.greedyMemo, greedyParity)
 }
 
 // matcher perfectly matches a defect graph on a workspace and returns
 // every vertex's mate.
 type matcher func(ws *matching.Workspace, nvertex int, edges []matching.Edge) ([]int, error)
-
-// decodeWith is the scalar decode on pooled scratch: events, graph,
-// matching and correction all live in one decodeBuf.
-func (c *Code) decodeWith(bits []int, match matcher) int {
-	buf := decodeBufPool.Get().(*decodeBuf)
-	buf.defects = c.detectionEvents(buf.defects[:0], bits)
-	v := c.logicalValue(bits, c.matchDefects(buf, buf.defects, match))
-	decodeBufPool.Put(buf)
-	return v
-}
-
-// detectionEvents appends to dst the Z-graph space-time detection
-// events of a shot record: round 0 versus the expected all-zero
-// syndrome, the differences between consecutive rounds, and the
-// last-round/final difference where the final syndrome is recomputed
-// from the data readout parities. With R rounds this yields R+1
-// detection layers.
-func (c *Code) detectionEvents(dst []defect, bits []int) []defect {
-	for s, datas := range c.zStabData {
-		prev := 0
-		for r, creg := range c.CRounds {
-			cur := bits[creg.Start+s]
-			if prev^cur != 0 {
-				dst = append(dst, defect{s, r})
-			}
-			prev = cur
-		}
-		final := 0
-		for _, d := range datas {
-			final ^= bits[c.DataRead.Start+d]
-		}
-		if prev^final != 0 {
-			dst = append(dst, defect{s, len(c.CRounds)})
-		}
-	}
-	return dst
-}
 
 // matchDefects pairs the detection events with match and returns the
 // resulting data-qubit flip multiset as a parity mask. Graph, matching
@@ -224,18 +188,4 @@ func (c *Code) matchDefects(buf *decodeBuf, defects []defect, match matcher) []b
 		}
 	}
 	return flips
-}
-
-// logicalValue applies the correction mask to the data readout and
-// returns the parity of the logical Z support.
-func (c *Code) logicalValue(bits []int, flips []bool) int {
-	v := 0
-	for _, d := range c.logicalZ {
-		b := bits[c.DataRead.Start+d]
-		if flips[d] {
-			b ^= 1
-		}
-		v ^= b
-	}
-	return v
 }

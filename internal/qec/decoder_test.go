@@ -1,6 +1,7 @@
 package qec
 
 import (
+	"fmt"
 	"testing"
 
 	"radqec/internal/matching"
@@ -200,6 +201,28 @@ func TestDetectionEventsOnCleanRecord(t *testing.T) {
 	if defects := c.detectionEvents(nil, bits); len(defects) != 0 {
 		t.Fatalf("clean record produced defects: %v", defects)
 	}
+	checkTileEvents(t, c, bits)
+}
+
+// checkTileEvents holds the defect list decodeTile's miss tier hands
+// the matcher for a one-lane record to the oracle's detectionEvents.
+func checkTileEvents(t *testing.T, c *Code, bits []int) {
+	t.Helper()
+	var got []defect
+	record := func(_ *Code, _ *decodeBuf, defects []defect) uint64 {
+		got = append(got[:0], defects...)
+		return 0
+	}
+	rec := make([]uint64, len(bits))
+	for i, b := range bits {
+		rec[i] = uint64(b)
+	}
+	var out [1]uint64
+	c.decodeTile(rec, 1, []uint64{1}, out[:], newParityMemo(c.detectorBits()), record)
+	want := c.detectionEvents(nil, bits)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("miss tier matched %v, oracle events %v", got, want)
+	}
 }
 
 func TestDetectionEventsLayering(t *testing.T) {
@@ -222,6 +245,7 @@ func TestDetectionEventsLayering(t *testing.T) {
 		(defects[0].round == 1 && defects[1].round == 0)) {
 		t.Fatalf("wrong layers: %v", defects)
 	}
+	checkTileEvents(t, c, bits)
 	// A final-readout flip on data 2 -> defects at layer 2 on stabs 1,2.
 	bits = append([]int(nil), base...)
 	bits[c.DataRead.Start+2] ^= 1
@@ -234,6 +258,7 @@ func TestDetectionEventsLayering(t *testing.T) {
 			t.Fatalf("readout defect misplaced: %v", defects)
 		}
 	}
+	checkTileEvents(t, c, bits)
 }
 
 func TestMatchDefectsEmpty(t *testing.T) {

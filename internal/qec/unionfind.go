@@ -200,9 +200,7 @@ func ufDecode(m *dem.Model, defects []defect, numData int) []bool {
 // DecodeUnionFind decodes a shot record with the union-find decoder
 // instead of MWPM. Detection events, the detector-error model and the
 // correction model are shared with Decode, so accuracy differences
-// isolate the matching strategy.
+// isolate the matching strategy. It is a one-lane DecodeUnionFindTile.
 func (c *Code) DecodeUnionFind(bits []int) int {
-	defects := c.detectionEvents(nil, bits)
-	flips := ufDecode(c.DEM(), defects, c.Data.Size)
-	return c.logicalValue(bits, flips)
+	return c.decodeLane(bits, c.ufMemo, ufParity)
 }

@@ -41,6 +41,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -659,30 +660,12 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 // parseTraceID parses a 32-hex-character trace id.
 func parseTraceID(raw string) (trace.TraceID, bool) {
 	var tid trace.TraceID
-	if len(raw) != 2*len(tid) {
+	b, err := hex.DecodeString(raw)
+	if err != nil || len(b) != len(tid) {
 		return tid, false
 	}
-	for i := 0; i < len(tid); i++ {
-		hi := hexVal(raw[2*i])
-		lo := hexVal(raw[2*i+1])
-		if hi < 0 || lo < 0 {
-			return tid, false
-		}
-		tid[i] = byte(hi<<4 | lo)
-	}
+	copy(tid[:], b)
 	return tid, true
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
 }
 
 // serveTrace renders a recorder's spans — stitched with the peers'
@@ -879,7 +862,7 @@ func (s *Server) handlePointLookup(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if wait <= 0 || !time.Now().Before(deadline) {
-			apiError(w, http.StatusNotFound, codeNotCommitted, fmt.Sprintf("hash %q has no committed result on this node", hash))
+			apiError(w, http.StatusNotFound, client.CodeNotCommitted, fmt.Sprintf("hash %q has no committed result on this node", hash))
 			return
 		}
 		select {
@@ -993,10 +976,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// is the decoder memos' miss rate, high on the first campaign after
 	// start-up and falling as they warm.
 	reg := exp.Registry()
-	write("decoder_triggered_lanes_total", "counter", "Tile-decoded lanes that saw a detection event.", reg.Decoder.TriggeredLanes)
-	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: blossom or union-find calls.", reg.Decoder.MatcherCalls)
+	write("decoder_triggered_lanes_total", "counter", "Decoded lanes that saw a detection event, either engine, all decoders.", reg.Decoder.TriggeredLanes)
+	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: blossom, union-find or greedy calls.", reg.Decoder.MatcherCalls)
 	write("decoder_matched_defects_total", "counter", "Defects the matcher calls matched; over the calls, the mean defect count k.", reg.Decoder.MatchedDefects)
-	write("decoder_memo_entries", "gauge", "Syndromes memoised on the resident codes, both decoders.", reg.Decoder.MemoEntries)
+	write("decoder_memo_entries", "gauge", "Syndromes memoised on the resident codes, all three decoders.", reg.Decoder.MemoEntries)
 	write("prepared_hits_total", "counter", "Circuit prepares served from the code registry.", reg.Hits)
 	write("prepared_misses_total", "counter", "Circuit prepares that transpiled.", reg.Misses)
 	write("prepared_evictions_total", "counter", "Codes dropped from the registry at its cap, with their prepared circuits.", reg.Evictions)
@@ -1070,7 +1053,6 @@ const (
 	codeNotFound        = "not_found"        // campaign, hash, or entry unknown
 	codeNoStore         = "no_store"         // cache/point API on a storeless daemon
 	codeStoreError      = "store_error"      // store operation failed
-	codeNotCommitted    = "point_not_committed"
 )
 
 // apiError writes the uniform v1 error envelope

@@ -181,6 +181,9 @@ func TestTraceEndpointValidation(t *testing.T) {
 		"/v1/traces/zz":                               http.StatusBadRequest,
 		"/v1/traces/" + strings.Repeat("z", 32):       http.StatusBadRequest,
 		"/v1/traces/" + strings.Repeat("a", 32):       http.StatusNotFound,
+		"/v1/traces/" + strings.Repeat("a", 31):       http.StatusBadRequest,
+		"/v1/traces/" + strings.Repeat("a", 33):       http.StatusBadRequest,
+		"/v1/traces/" + strings.Repeat("AB", 16):      http.StatusNotFound,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

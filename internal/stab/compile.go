@@ -132,7 +132,7 @@ func Compile(circ *circuit.Circuit) *Compiled {
 			continue
 		default:
 			c.HasH = c.HasH || op.Kind == circuit.KindH
-			applyGate(tab, op)
+			tab.Apply(op)
 		}
 		for _, q := range op.Qubits {
 			if xs, zs, ok := tab.AnticommutingStabilizer(q); ok {

@@ -50,7 +50,7 @@ func RunReference(circ *circuit.Circuit, seed uint64, observe func(opIndex int, 
 		case circuit.KindReset:
 			tab.Reset(op.Qubits[0], src)
 		default:
-			applyGate(tab, op)
+			tab.Apply(op)
 		}
 		if observe != nil && op.Kind != circuit.KindBarrier {
 			observe(i, tab)
@@ -59,25 +59,28 @@ func RunReference(circ *circuit.Circuit, seed uint64, observe func(opIndex int, 
 	return ref
 }
 
-// applyGate applies a unitary op to the tableau; barriers do nothing.
-func applyGate(tab *Tableau, op circuit.Op) {
+// Apply applies a unitary op to the tableau; barriers, measurements
+// and resets do nothing (they draw coins: see MeasureZ and Reset). It is
+// the one gate switch shared by RunReference, Compile, the tableau
+// engine and the logical-layer injector.
+func (t *Tableau) Apply(op circuit.Op) {
 	switch op.Kind {
 	case circuit.KindH:
-		tab.H(op.Qubits[0])
+		t.H(op.Qubits[0])
 	case circuit.KindX:
-		tab.X(op.Qubits[0])
+		t.X(op.Qubits[0])
 	case circuit.KindY:
-		tab.Y(op.Qubits[0])
+		t.Y(op.Qubits[0])
 	case circuit.KindZ:
-		tab.Z(op.Qubits[0])
+		t.Z(op.Qubits[0])
 	case circuit.KindS:
-		tab.S(op.Qubits[0])
+		t.S(op.Qubits[0])
 	case circuit.KindCNOT:
-		tab.CNOT(op.Qubits[0], op.Qubits[1])
+		t.CNOT(op.Qubits[0], op.Qubits[1])
 	case circuit.KindCZ:
-		tab.CZ(op.Qubits[0], op.Qubits[1])
+		t.CZ(op.Qubits[0], op.Qubits[1])
 	case circuit.KindSWAP:
-		tab.SWAP(op.Qubits[0], op.Qubits[1])
+		t.SWAP(op.Qubits[0], op.Qubits[1])
 	}
 }
 

@@ -71,8 +71,8 @@ func TestReferenceObserveSeesEveryOp(t *testing.T) {
 	var seen []int
 	RunReference(c, 3, func(i int, tab *Tableau) {
 		seen = append(seen, i)
-		if tab.N() != 2 {
-			t.Fatalf("observer saw %d qubits", tab.N())
+		if tab.n != 2 {
+			t.Fatalf("observer saw %d qubits", tab.n)
 		}
 	})
 	want := []int{0, 2, 3} // barrier (op 1) skipped

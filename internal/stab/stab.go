@@ -82,9 +82,6 @@ func newSymbolic(n, maxCoins int) *Tableau {
 	return t
 }
 
-// N returns the number of qubits.
-func (t *Tableau) N() int { return t.n }
-
 // Reset returns the tableau to |0...0> without reallocating.
 func (t *Tableau) ResetState() {
 	for i := range t.x {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -292,9 +293,9 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 		}
 	}
 	for ci, cfg := range []sweep.Config{
-		{Policy: sweep.Policy{Shots: 1000}, Mechanism: sweep.Mechanism{Workers: 1}},                         // fixed mode
-		{Policy: sweep.Policy{CI: 0.02, Batch: 64, MaxShots: 4000}, Mechanism: sweep.Mechanism{Workers: 1}}, // adaptive
-		{Policy: sweep.Policy{CI: 0.02, Batch: 64, MaxShots: 4000, Align: 64}, Mechanism: sweep.Mechanism{Workers: 1}},
+		{Policy: sweep.Policy{Shots: 1000}, Mechanism: sweep.Mechanism{Workers: 1}},              // fixed mode
+		{Policy: sweep.Policy{CI: 0.02, MaxShots: 4000}, Mechanism: sweep.Mechanism{Workers: 1}}, // adaptive
+		{Policy: sweep.Policy{CI: 0.02, MaxShots: 4000, Align: 64}, Mechanism: sweep.Mechanism{Workers: 1}},
 	} {
 		// The reference run writes its own store: its segment then holds
 		// one "ckpt" line per batch plus the final commit — the literal
@@ -376,4 +377,48 @@ func assertSameResult(t *testing.T, k int, want, got sweep.Result) {
 	if got.CILo != want.CILo || got.CIHi != want.CIHi || got.Converged != want.Converged {
 		t.Fatalf("k=%d: derived stats diverged: %+v vs %+v", k, got, want)
 	}
+}
+
+// FuzzSegmentReplay writes a segment of arbitrary bytes, a newline and
+// one valid commit record. Whatever the bytes, Open must succeed,
+// Lookup must serve the commit, and replay must quarantine exactly the
+// lines before it that are not records.
+func FuzzSegmentReplay(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(`{"kind":"commit","hash":"h3","point":{"sho`))
+	f.Add([]byte("\x00\xff\n{}\n{\"crc\":0,\"rec\":{}}\n\n"))
+	want := sweep.CachedPoint{Key: "fuzz-key", Shots: 64, Errors: 5, Batches: 2}
+	del, err := encodeRecord(record{Kind: "del", Hash: "fuzz"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte("junk\n"), bytes.TrimSuffix(del, []byte("\n"))...))
+	commit, err := encodeRecord(record{Kind: "commit", Hash: "fuzz", Point: &want})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, garbage []byte) {
+		head := append(append([]byte(nil), garbage...), '\n')
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SegmentName), append(head, commit...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		if got, ok := s.Lookup("fuzz"); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup = %+v, %v; want %+v", got, ok, want)
+		}
+		bad := 0
+		for _, ln := range bytes.SplitAfter(head, []byte("\n")) {
+			if _, err := decodeLine(ln); len(ln) > 0 && err != nil {
+				bad++
+			}
+		}
+		if got := s.Stats().Quarantined; got != bad {
+			t.Fatalf("quarantined %d lines, %d before the commit are not records", got, bad)
+		}
+	})
 }

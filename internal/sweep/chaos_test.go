@@ -59,7 +59,7 @@ func normalize(rs []Result) []Result {
 // run exactly — counts, batch streams, intervals, tails.
 func TestChaosCancelEveryBoundaryResumesByteIdentical(t *testing.T) {
 	const n = 6
-	pol := Policy{Shots: 600, Batch: 100, Align: 64}
+	pol := Policy{Shots: 600, Align: 64}
 	mech := func(cache PointCache) Mechanism {
 		return Mechanism{Workers: 2, Cache: cache}
 	}
@@ -102,7 +102,7 @@ func TestChaosCancelEveryBoundaryResumesByteIdentical(t *testing.T) {
 // every in-progress point's latest batch boundary in the cache, so a
 // resubmission computes strictly fewer shots than a cold run.
 func TestChaosCancelFlushesPartialCheckpoints(t *testing.T) {
-	pol := Policy{Shots: 800, Batch: 100}
+	pol := Policy{Shots: 800}
 	cache := newMapCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cc := &cancellingCache{PointCache: cache, cancel: cancel, after: 4}
@@ -159,11 +159,11 @@ func TestChaosPanicIsolatedToItsCampaign(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, bombErr = s.Run(context.Background(), Config{Policy: Policy{Shots: 600, Batch: 100}, Mechanism: Mechanism{Workers: 2}}, bomb)
+		_, bombErr = s.Run(context.Background(), Config{Policy: Policy{Shots: 600}, Mechanism: Mechanism{Workers: 2}}, bomb)
 	}()
 	go func() {
 		defer wg.Done()
-		siblingRes, siblingErr = s.Run(context.Background(), Config{Policy: Policy{Shots: 600, Batch: 100}, Mechanism: Mechanism{Workers: 2}}, chaosPoints(6))
+		siblingRes, siblingErr = s.Run(context.Background(), Config{Policy: Policy{Shots: 600}, Mechanism: Mechanism{Workers: 2}}, chaosPoints(6))
 	}()
 	wg.Wait()
 	var pe *PointError
@@ -179,7 +179,7 @@ func TestChaosPanicIsolatedToItsCampaign(t *testing.T) {
 	if siblingErr != nil {
 		t.Fatalf("sibling campaign failed: %v", siblingErr)
 	}
-	want := runT(t, Config{Policy: Policy{Shots: 600, Batch: 100}, Mechanism: Mechanism{Workers: 1}}, chaosPoints(6))
+	want := runT(t, Config{Policy: Policy{Shots: 600}, Mechanism: Mechanism{Workers: 1}}, chaosPoints(6))
 	if !reflect.DeepEqual(normalize(siblingRes), normalize(want)) {
 		t.Fatal("sibling campaign's results diverged while its neighbour panicked")
 	}
@@ -203,7 +203,7 @@ func TestChaosPanicFailpoint(t *testing.T) {
 	if err := faultinject.Enable(faultinject.WorkerPanic, "panic*1@3"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(context.Background(), Config{Policy: Policy{Shots: 400, Batch: 100}, Mechanism: Mechanism{Workers: 2}}, chaosPoints(4))
+	_, err := Run(context.Background(), Config{Policy: Policy{Shots: 400}, Mechanism: Mechanism{Workers: 2}}, chaosPoints(4))
 	var pe *PointError
 	if !errors.As(err, &pe) {
 		t.Fatalf("failpoint-driven panic returned %v, want a *PointError", err)
@@ -212,7 +212,7 @@ func TestChaosPanicFailpoint(t *testing.T) {
 		t.Fatalf("failpoint hits = %d", faultinject.Hits(faultinject.WorkerPanic))
 	}
 	// With the failpoint spent, the same campaign completes.
-	if _, err := Run(context.Background(), Config{Policy: Policy{Shots: 400, Batch: 100}, Mechanism: Mechanism{Workers: 2}}, chaosPoints(4)); err != nil {
+	if _, err := Run(context.Background(), Config{Policy: Policy{Shots: 400}, Mechanism: Mechanism{Workers: 2}}, chaosPoints(4)); err != nil {
 		t.Fatalf("rerun after spent failpoint: %v", err)
 	}
 }

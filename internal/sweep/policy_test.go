@@ -32,7 +32,7 @@ func TestDeterminismOnSharedScheduler(t *testing.T) {
 	}
 	camps := []campaign{
 		{Policy{Shots: 900, Align: 64}, 12},
-		{Policy{CI: 0.04, Batch: 128, Align: 64}, 12},
+		{Policy{CI: 0.04, Align: 64}, 12},
 		{Policy{Shots: 500}, 8},
 	}
 	baselines := make([][]Result, len(camps))

@@ -94,9 +94,6 @@ type Policy struct {
 	// any rate — so adaptive mode can only spend fewer shots than the
 	// equivalent fixed campaign.
 	MaxShots int
-	// Batch is the adaptive first-batch and minimum-batch size
-	// (default 256).
-	Batch int
 	// Align, when above 1, rounds every batch size up to a multiple of
 	// it (capped by the remaining budget, so totals are unchanged).
 	// Bit-parallel campaigns set it to the engine's tile (512 shots,
@@ -223,18 +220,6 @@ func (c Config) withDefaults() Config {
 	if c.CI > 0 && c.MaxShots <= 0 {
 		c.MaxShots = WorstCaseShots(c.CI)
 	}
-	if c.Batch <= 0 {
-		c.Batch = 256
-		// A first batch near the cap would spend the whole budget before
-		// the stopping rule ever fires; keep it a fraction of the cap so
-		// easy points can stop early even at loose targets.
-		if c.CI > 0 && c.Batch > c.MaxShots/8 {
-			c.Batch = c.MaxShots / 8
-			if c.Batch < 16 {
-				c.Batch = 16
-			}
-		}
-	}
 	if c.Align <= 0 {
 		c.Align = 1
 	}
@@ -242,6 +227,18 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
+}
+
+// minBatch is the adaptive first-batch and minimum-batch size: 256,
+// or an eighth of the cap when that is smaller (but at least 16). A
+// first batch near the cap would spend the whole budget before the
+// stopping rule ever fires; a fraction of the cap lets easy points stop
+// early even at loose targets.
+func (c Policy) minBatch() int {
+	if c.CI > 0 && c.MaxShots/8 < 256 {
+		return max(c.MaxShots/8, 16)
+	}
+	return 256
 }
 
 // alignUp rounds n up to the alignment grid.
@@ -389,14 +386,14 @@ func (r *Result) record(c Counts) {
 }
 
 // nextBatch sizes the next adaptive batch: the estimated shots still
-// needed for the target at the observed rate, floored at cfg.Batch and
+// needed for the target at the observed rate, floored at minBatch and
 // ceilinged by the remaining cap. It returns 0 when the cap is spent.
 func nextBatch(cfg Config, c Counts) int {
 	remaining := cfg.MaxShots - c.Shots
 	if remaining <= 0 {
 		return 0
 	}
-	n := cfg.Batch
+	n := cfg.minBatch()
 	if c.Shots > 0 {
 		// Wald-style inversion n* ≈ z²·p(1-p)/ci²; startBatch re-checks
 		// the exact Wilson width, so this only has to land close.

@@ -85,7 +85,7 @@ func TestRunWorkerDeterminism(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Policy: Policy{Shots: 700}},
-		{Policy: Policy{CI: 0.05, Batch: 100}},
+		{Policy: Policy{CI: 0.05}},
 	} {
 		one := cfg
 		one.Workers = 1
@@ -137,7 +137,7 @@ func TestAdaptiveSavesShotsOverFixedGuarantee(t *testing.T) {
 }
 
 func TestAdaptiveRespectsCap(t *testing.T) {
-	cfg := Config{Policy: Policy{CI: 0.001, MaxShots: 500, Batch: 128}}
+	cfg := Config{Policy: Policy{CI: 0.001, MaxShots: 500}}
 	res := runT(t, cfg, []Point{bernoulliPoint("hard", 5, 0.5)})[0]
 	if res.Shots != 500 {
 		t.Fatalf("shots = %d, want the 500 cap", res.Shots)
