@@ -410,8 +410,9 @@ func printStats(st telemetry.Stats, before, after exp.RegistryStats) {
 		if calls > 0 {
 			meanK = float64(after.Decoder.MatchedDefects-before.Decoder.MatchedDefects) / float64(calls)
 		}
-		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls (mean k %.1f defects) for %d triggered lanes, %d memo entries\n",
-			st.Experiment, calls, meanK, lanes, after.Decoder.MemoEntries)
+		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls (mean k %.1f defects) for %d triggered lanes, %d memo entries, %d answered by exact parity\n",
+			st.Experiment, calls, meanK, lanes, after.Decoder.MemoEntries,
+			after.Decoder.ExactParity-before.Decoder.ExactParity)
 	}
 	if st.Engine != "" {
 		fmt.Fprintf(os.Stderr, "radqec: %s: engine %s\n", st.Experiment, st.Engine)

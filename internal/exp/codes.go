@@ -154,6 +154,7 @@ func (r *registry) touch(e *codeEntry) {
 		d := lru.code.DecoderCounters()
 		r.retired.MatcherCalls += d.MatcherCalls
 		r.retired.MatchedDefects += d.MatchedDefects
+		r.retired.ExactParity += d.ExactParity
 		r.retired.TriggeredLanes += d.TriggeredLanes
 	}
 }
@@ -169,7 +170,9 @@ type RegistryStats struct {
 	// Decoder sums the codes' tile-decode counters: MatcherCalls over
 	// TriggeredLanes is the memo miss rate, which falls campaign over
 	// campaign as the memos warm; MatchedDefects over MatcherCalls is the
-	// mean defect count per call. MemoEntries covers resident codes only.
+	// mean defect count per call; ExactParity counts the calls the
+	// exact-parity tier answered without the blossom. MemoEntries covers
+	// resident codes only.
 	Decoder qec.DecoderCounters
 }
 
@@ -183,6 +186,7 @@ func Registry() RegistryStats {
 		d := e.code.DecoderCounters()
 		st.Decoder.MatcherCalls += d.MatcherCalls
 		st.Decoder.MatchedDefects += d.MatchedDefects
+		st.Decoder.ExactParity += d.ExactParity
 		st.Decoder.TriggeredLanes += d.TriggeredLanes
 		st.Decoder.MemoEntries += d.MemoEntries
 	}

@@ -23,15 +23,16 @@
 //
 //	RADQEC_FAILPOINTS='store.write.error=error*1;sweep.worker.panic=panic*1@3'
 //
-// parsed once at process start; a malformed value panics immediately —
-// a chaos rehearsal with a typo'd fault plan should fail loudly, not
-// silently run fault-free.
+// parsed once at process start; a malformed value or an unknown
+// failpoint name panics immediately — a chaos rehearsal with a typo'd
+// fault plan should fail loudly, not silently run fault-free.
 package faultinject
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,6 +68,13 @@ const (
 	// failure detector and the takeover path fire.
 	PeerLookupError = "fabric.peer.lookup.error"
 )
+
+// sites lists every failpoint name Enable accepts: a name no site
+// evaluates would arm nothing.
+var sites = []string{
+	StoreWriteError, StoreWriteSlow, WorkerPanic, StreamStall, StreamDrop,
+	PeerSubmitError, PeerLookupError,
+}
 
 // EnvVar names the environment variable carrying a fault plan.
 const EnvVar = "RADQEC_FAILPOINTS"
@@ -169,10 +177,12 @@ func parseSpec(spec string) (failpoint, error) {
 	return fp, nil
 }
 
-// Enable arms (or re-arms) a failpoint with the given spec.
+// Enable arms (or re-arms) a failpoint with the given spec. The name
+// must be one of the site constants above: a typo'd name is an error,
+// not a plan that silently runs fault-free.
 func Enable(name, spec string) error {
-	if name == "" {
-		return fmt.Errorf("faultinject: empty failpoint name")
+	if !slices.Contains(sites, name) {
+		return fmt.Errorf("faultinject: unknown failpoint %q (want one of %s)", name, strings.Join(sites, ", "))
 	}
 	fp, err := parseSpec(spec)
 	if err != nil {

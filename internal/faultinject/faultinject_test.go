@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -111,12 +112,37 @@ func TestSpecErrors(t *testing.T) {
 		"", "explode", "error*0", "error*x", "error@-1",
 		"sleep", "sleep(nope)", "sleep(50ms", "error(arg)",
 	} {
-		if err := Enable("x", spec); err == nil {
+		if err := Enable(StoreWriteError, spec); err == nil {
 			t.Fatalf("spec %q was accepted", spec)
 		}
 	}
 	if got := Armed(); len(got) != 0 {
 		t.Fatalf("failed Enables left %v armed", got)
+	}
+}
+
+// TestUnknownNameRejected: a name no site evaluates — empty, typo'd or
+// a prefix of a real one — is an error, from Enable and from the
+// environment, and arms nothing.
+func TestUnknownNameRejected(t *testing.T) {
+	Reset()
+	defer Reset()
+	for _, name := range []string{"", "x", "store.writ.error", "store.write", "Store.Write.Error"} {
+		if err := Enable(name, "error*1"); err == nil {
+			t.Fatalf("failpoint name %q was accepted", name)
+		}
+	}
+	t.Setenv(EnvVar, "store.writ.error=error*1")
+	if err := LoadEnv(); err == nil {
+		t.Fatal("LoadEnv accepted a typo'd failpoint name")
+	}
+	if got := Armed(); len(got) != 0 {
+		t.Fatalf("rejected names left %v armed", got)
+	}
+	for _, name := range sites {
+		if err := Enable(name, "error*1"); err != nil {
+			t.Fatalf("site %s rejected: %v", name, err)
+		}
 	}
 }
 
@@ -135,4 +161,47 @@ func TestLoadEnv(t *testing.T) {
 	if err := LoadEnv(); err == nil {
 		t.Fatal("malformed plan was accepted")
 	}
+}
+
+// FuzzParseSpec: parseSpec never panics, an accepted spec is within the
+// grammar's bounds, and re-rendered as mode[(arg)][*count][@skip] it
+// parses to the same failpoint.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"error", "error*1", "error*2@3", "sleep(50ms)", "panic*1", "sleep(1h2m)*3@0",
+		"error@+2", "error*01", "sleep(0)", "sleep(50ms", "error(x)", "*1@2", "",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fp, err := parseSpec(spec)
+		if err != nil {
+			return
+		}
+		switch {
+		case fp.mode != "error" && fp.mode != "panic" && fp.mode != "sleep":
+			t.Fatalf("%q: accepted mode %q", spec, fp.mode)
+		case fp.count < 1 && fp.count != -1:
+			t.Fatalf("%q: accepted count %d", spec, fp.count)
+		case fp.skip < 0 || fp.sleep < 0:
+			t.Fatalf("%q: accepted skip %d, sleep %v", spec, fp.skip, fp.sleep)
+		}
+		out := fp.mode
+		if fp.mode == "sleep" {
+			out += "(" + fp.sleep.String() + ")"
+		}
+		if fp.count != -1 {
+			out += "*" + strconv.FormatInt(fp.count, 10)
+		}
+		if fp.skip != 0 {
+			out += "@" + strconv.FormatInt(fp.skip, 10)
+		}
+		again, err := parseSpec(out)
+		if err != nil {
+			t.Fatalf("%q re-rendered as %q: %v", spec, out, err)
+		}
+		if again != fp {
+			t.Fatalf("%q re-rendered as %q parses to %+v, want %+v", spec, out, again, fp)
+		}
+	})
 }

@@ -30,14 +30,18 @@ import (
 //     memoised in a lock-free, allocation-free open-addressed table,
 //     so repeated syndromes — the norm under a localised strike — cost
 //     a probe instead of a matching.
-//  3. Only novel syndromes run the blossom matcher over the compiled
-//     detector-error model, on the defect list read off the
-//     already-extracted defect words.
+//  3. Only novel syndromes reach the miss tier, on the defect list read
+//     off the already-extracted defect words. For MWPM it first tries
+//     the exact-parity solver (exactparity.go): when every
+//     minimum-weight correction over the compiled detector-error model
+//     has the same logical parity, that parity is the blossom's
+//     whatever its tie-break, and a subset DP over the defects finds it.
+//     Only parity ties and oversized components run the blossom matcher.
 //
 // All three tiers run tile-wide and none of them allocates once the
 // pooled scratch is warm: extraction and memo probes never did, and a
-// miss builds its defect graph, runs blossom and folds the correction
-// inside the same pooled decodeBuf.
+// miss solves its subsets or builds its defect graph, runs blossom and
+// folds the correction inside the same pooled decodeBuf.
 //
 // Decode is this function on a one-word tile with one live lane, so the
 // two engines decode through one implementation: every lane of the
@@ -63,19 +67,26 @@ func (c *Code) DecodeGreedyTile(rec []uint64, w int, live, out []uint64) {
 }
 
 // parityOracle evaluates the flip parity of one novel defect pattern on
-// the tile's scratch: decodeTile's miss tier.
-type parityOracle func(c *Code, buf *decodeBuf, defects []defect) uint64
+// the tile's scratch: decodeTile's miss tier. exact reports that the
+// exact-parity tier answered, so no matcher ran.
+type parityOracle func(c *Code, buf *decodeBuf, defects []defect) (parity uint64, exact bool)
 
-func mwpmParity(c *Code, buf *decodeBuf, defects []defect) uint64 {
-	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).MinWeightPerfectMatching))
+// mwpmParity answers from the exact-parity tier when every
+// minimum-weight correction shares one parity, and runs the blossom
+// otherwise (see exactparity.go).
+func mwpmParity(c *Code, buf *decodeBuf, defects []defect) (uint64, bool) {
+	if p, ok := buf.exact.exactParity(c.compiled(), defects); ok {
+		return p, true
+	}
+	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).MinWeightPerfectMatching)), false
 }
 
-func greedyParity(c *Code, buf *decodeBuf, defects []defect) uint64 {
-	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).GreedyPerfectMatching))
+func greedyParity(c *Code, buf *decodeBuf, defects []defect) (uint64, bool) {
+	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).GreedyPerfectMatching)), false
 }
 
-func ufParity(c *Code, _ *decodeBuf, defects []defect) uint64 {
-	return c.flipParity(ufDecode(c.DEM(), defects, c.Data.Size))
+func ufParity(c *Code, _ *decodeBuf, defects []defect) (uint64, bool) {
+	return c.flipParity(ufDecode(c.DEM(), defects, c.Data.Size)), false
 }
 
 // flipParity folds a correction mask onto the logical support.
@@ -147,7 +158,8 @@ const frontSize = 256
 // decodeBuf is the pooled scratch of one decode: a scalar record packed
 // into a one-word tile, the extracted detection-event tile, the per-word
 // defect accumulator masks, the defect list of a lane that missed the
-// memo, and everything matching that list needs — the defect-graph edges, the blossom workspace and
+// memo, and everything resolving that list needs — the exact-parity
+// solver's tables, the defect-graph edges, the blossom workspace and
 // the correction mask. One pool serves every code and decoder — the
 // slices grow to the largest decode seen and are reused verbatim.
 //
@@ -164,6 +176,7 @@ type decodeBuf struct {
 	anyw    []uint64
 	defects []defect
 
+	exact exactBuf
 	edges []matching.Edge
 	ws    matching.Workspace
 	flips []bool
@@ -244,7 +257,7 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 	nbits := c.detectorBits()
 	cacheable := nbits <= memoKeyBits
 	defects := buf.defects
-	var triggered, misses, matched int64
+	var triggered, misses, matched, exacts int64
 	for k := 0; k < w; k++ {
 		slow := anyw[k] & live[k]
 		triggered += int64(mathbits.OnesCount64(slow))
@@ -286,7 +299,10 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 			}
 			misses++
 			matched += int64(len(defects))
-			flipParity := parityOf(c, buf, defects)
+			flipParity, exact := parityOf(c, buf, defects)
+			if exact {
+				exacts++
+			}
 			if cacheable {
 				memo.store(h, k0, k1, flipParity)
 				buf.frontGen[fi], buf.frontK0[fi], buf.frontK1[fi], buf.frontVal[fi] = memo.gen, k0, k1, flipParity
@@ -299,6 +315,7 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 		memo.triggered.Add(triggered)
 		memo.misses.Add(misses)
 		memo.defects.Add(matched)
+		memo.exact.Add(exacts)
 	}
 }
 
@@ -309,11 +326,14 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 // matcher calls matched (MatchedDefects / MatcherCalls is the mean
 // defect count k a call pays for), and what the memos hold. A code whose
 // pattern is too wide for a memo key counts every triggered lane as a
-// matcher call.
+// matcher call. ExactParity counts the MWPM miss-tier lanes the
+// exact-parity tier answered without the blossom; they are included in
+// MatcherCalls, so the blossom ran MatcherCalls − ExactParity times.
 type DecoderCounters struct {
 	TriggeredLanes int64
 	MatcherCalls   int64
 	MatchedDefects int64
+	ExactParity    int64
 	MemoEntries    int64
 }
 
@@ -326,6 +346,7 @@ func (c *Code) DecoderCounters() DecoderCounters {
 		d.TriggeredLanes += m.triggered.Load()
 		d.MatcherCalls += m.misses.Load()
 		d.MatchedDefects += m.defects.Load()
+		d.ExactParity += m.exact.Load()
 		d.MemoEntries += m.entries()
 	}
 	return d

@@ -52,11 +52,12 @@ type Code struct {
 	// Z operator; the decoded logical value is their corrected parity.
 	logicalZ []int
 	// dm is the lazily-compiled detector-error model every decoder view
-	// (MWPM/union-find/greedy) runs against; demMu guards the
-	// compile so concurrent campaign workers share one build. prior is
-	// the noise prior the model was (or will be) compiled with; its zero
-	// value is the unit prior. See DEM and SetPrior.
-	dm    atomic.Pointer[dem.Model]
+	// (MWPM/union-find/greedy) runs against, with its chain parity
+	// tables; demMu guards the compile so concurrent campaign workers
+	// share one build. prior is the noise prior the model was (or will
+	// be) compiled with; its zero value is the unit prior. See DEM and
+	// SetPrior.
+	dm    atomic.Pointer[compiledDEM]
 	demMu sync.Mutex
 	prior dem.Prior
 

@@ -12,29 +12,72 @@ import (
 // first use (with the unit prior unless SetPrior installed another one).
 // Safe for concurrent use by campaign workers; the compiled model is
 // shared by every decoder view of the code.
-func (c *Code) DEM() *dem.Model {
-	if m := c.dm.Load(); m != nil {
-		return m
+func (c *Code) DEM() *dem.Model { return c.compiled().m }
+
+// compiledDEM is a compiled detector-error model together with the
+// logical flip parity of each of its canonical chains, which is what the
+// MWPM miss tier's exact-parity solver reads. The two are built and
+// replaced as one value, so a SetPrior never pairs a model with another
+// model's parities.
+type compiledDEM struct {
+	m *dem.Model
+	// pairParity[s1·NumStabs+s2] is |PathFlips(s1, s2) ∩ logicalZ| mod 2
+	// and boundaryParity[s] the same for BoundaryFlips(s).
+	pairParity, boundaryParity []uint8
+}
+
+// compiled returns the code's compiledDEM, building it on first use.
+func (c *Code) compiled() *compiledDEM {
+	if cd := c.dm.Load(); cd != nil {
+		return cd
 	}
 	c.demMu.Lock()
 	defer c.demMu.Unlock()
-	if m := c.dm.Load(); m != nil {
-		return m
+	if cd := c.dm.Load(); cd != nil {
+		return cd
 	}
-	m, err := dem.Compile(dem.Spec{
-		Stabs:   c.zStabData,
-		NumData: c.Data.Size,
-		Rounds:  c.Rounds,
-		Prior:   c.prior,
-	})
+	cd, err := c.compile(c.prior)
 	if err != nil {
 		// Spec fields come from a successfully-built code; a compile
 		// failure is a programmer error, like the probability guards in
 		// package noise.
 		panic(fmt.Sprintf("qec: DEM compile failed for %s: %v", c.Name, err))
 	}
-	c.dm.Store(m)
-	return m
+	c.dm.Store(cd)
+	return cd
+}
+
+// compile builds the model under prior pr and its chain parity tables.
+func (c *Code) compile(pr dem.Prior) (*compiledDEM, error) {
+	m, err := dem.Compile(dem.Spec{
+		Stabs:   c.zStabData,
+		NumData: c.Data.Size,
+		Rounds:  c.Rounds,
+		Prior:   pr,
+	})
+	if err != nil {
+		return nil, err
+	}
+	onLogical := make([]uint8, c.Data.Size)
+	for _, d := range c.logicalZ {
+		onLogical[d] ^= 1
+	}
+	parity := func(flips []int) uint8 {
+		var p uint8
+		for _, d := range flips {
+			p ^= onLogical[d]
+		}
+		return p
+	}
+	nz := len(c.zStabData)
+	cd := &compiledDEM{m: m, pairParity: make([]uint8, nz*nz), boundaryParity: make([]uint8, nz)}
+	for s1 := 0; s1 < nz; s1++ {
+		cd.boundaryParity[s1] = parity(m.BoundaryFlips(s1))
+		for s2 := 0; s2 < nz; s2++ {
+			cd.pairParity[s1*nz+s2] = parity(m.PathFlips(s1, s2))
+		}
+	}
+	return cd, nil
 }
 
 // SetPrior recompiles the code's detector-error model against the given
@@ -48,17 +91,12 @@ func (c *Code) DEM() *dem.Model {
 func (c *Code) SetPrior(pr dem.Prior) error {
 	c.demMu.Lock()
 	defer c.demMu.Unlock()
-	m, err := dem.Compile(dem.Spec{
-		Stabs:   c.zStabData,
-		NumData: c.Data.Size,
-		Rounds:  c.Rounds,
-		Prior:   pr,
-	})
+	cd, err := c.compile(pr)
 	if err != nil {
 		return err
 	}
 	c.prior = pr
-	c.dm.Store(m)
+	c.dm.Store(cd)
 	c.newMemos()
 	return nil
 }

@@ -209,9 +209,9 @@ func TestDetectionEventsOnCleanRecord(t *testing.T) {
 func checkTileEvents(t *testing.T, c *Code, bits []int) {
 	t.Helper()
 	var got []defect
-	record := func(_ *Code, _ *decodeBuf, defects []defect) uint64 {
+	record := func(_ *Code, _ *decodeBuf, defects []defect) (uint64, bool) {
 		got = append(got[:0], defects...)
-		return 0
+		return 0, false
 	}
 	rec := make([]uint64, len(bits))
 	for i, b := range bits {

@@ -75,10 +75,11 @@ type parityMemo struct {
 	// memo — not even across a SetPrior swap or a recycled allocation.
 	gen uint64
 	// triggered and misses count the lanes decodeTile found a defect in
-	// and the ones among them that reached the miss tier (a blossom or
-	// union-find call), defects the defects those calls matched, all
-	// added once per tile; see Code.DecoderCounters.
-	triggered, misses, defects atomic.Int64
+	// and the ones among them that reached the miss tier, defects the
+	// defects those lanes held and exact the miss-tier lanes the
+	// exact-parity tier answered without a matcher, all added once per
+	// tile; see Code.DecoderCounters.
+	triggered, misses, defects, exact atomic.Int64
 }
 
 // memoGen feeds newParityMemo's identities; it starts handing out at 1

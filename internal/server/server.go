@@ -977,7 +977,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// start-up and falling as they warm.
 	reg := exp.Registry()
 	write("decoder_triggered_lanes_total", "counter", "Decoded lanes that saw a detection event, either engine, all decoders.", reg.Decoder.TriggeredLanes)
-	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: blossom, union-find or greedy calls.", reg.Decoder.MatcherCalls)
+	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: exact-parity answers plus blossom, union-find or greedy calls.", reg.Decoder.MatcherCalls)
+	write("decoder_exact_parity_total", "counter", "Matcher calls the exact-parity tier answered without the blossom.", reg.Decoder.ExactParity)
 	write("decoder_matched_defects_total", "counter", "Defects the matcher calls matched; over the calls, the mean defect count k.", reg.Decoder.MatchedDefects)
 	write("decoder_memo_entries", "gauge", "Syndromes memoised on the resident codes, all three decoders.", reg.Decoder.MemoEntries)
 	write("prepared_hits_total", "counter", "Circuit prepares served from the code registry.", reg.Hits)

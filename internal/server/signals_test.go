@@ -160,6 +160,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 
 		"decoder_triggered_lanes_total": "counter",
 		"decoder_matcher_calls_total":   "counter",
+		"decoder_exact_parity_total":    "counter",
 		"decoder_matched_defects_total": "counter",
 		"decoder_memo_entries":          "gauge",
 		"prepared_hits_total":           "counter",
