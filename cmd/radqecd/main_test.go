@@ -39,10 +39,10 @@ func run(t *testing.T, args ...string) (out string, exitCode int) {
 }
 
 // TestRemovedFlagsAreUsageErrors: the HTTP server's header and idle
-// limits and the store's resident-result bound are constants (no
-// script, CI job or deployment ever set them), so the flags that used
-// to carry them are unknown — exit 2 naming the flag, never a silently
-// ignored option.
+// limits are constants and the store keeps every committed point
+// resident (no script, CI job or deployment ever set them), so the
+// flags that used to carry them are unknown — exit 2 naming the flag,
+// never a silently ignored option.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-idle-timeout", "1m"},

@@ -152,10 +152,8 @@ func (r *registry) touch(e *codeEntry) {
 		r.prepared -= len(lru.preps)
 		r.evictions++
 		d := lru.code.DecoderCounters()
-		r.retired.MatcherCalls += d.MatcherCalls
-		r.retired.MatchedDefects += d.MatchedDefects
-		r.retired.ExactParity += d.ExactParity
-		r.retired.TriggeredLanes += d.TriggeredLanes
+		d.MemoEntries = 0 // resident codes only
+		r.retired.Add(d)
 	}
 }
 
@@ -183,12 +181,7 @@ func Registry() RegistryStats {
 	defer r.mu.Unlock()
 	st := RegistryStats{Hits: r.hits, Misses: r.misses, Evictions: r.evictions, Decoder: r.retired}
 	for _, e := range r.codes {
-		d := e.code.DecoderCounters()
-		st.Decoder.MatcherCalls += d.MatcherCalls
-		st.Decoder.MatchedDefects += d.MatchedDefects
-		st.Decoder.ExactParity += d.ExactParity
-		st.Decoder.TriggeredLanes += d.TriggeredLanes
-		st.Decoder.MemoEntries += d.MemoEntries
+		st.Decoder.Add(e.code.DecoderCounters())
 	}
 	return st
 }

@@ -337,6 +337,15 @@ type DecoderCounters struct {
 	MemoEntries    int64
 }
 
+// Add sums o into d, field by field.
+func (d *DecoderCounters) Add(o DecoderCounters) {
+	d.TriggeredLanes += o.TriggeredLanes
+	d.MatcherCalls += o.MatcherCalls
+	d.MatchedDefects += o.MatchedDefects
+	d.ExactParity += o.ExactParity
+	d.MemoEntries += o.MemoEntries
+}
+
 // DecoderCounters reads the code's decode-tier counters. Safe while
 // campaigns decode; the numbers are read one after another, not as one
 // snapshot.

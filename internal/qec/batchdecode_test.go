@@ -3,6 +3,7 @@ package qec
 import (
 	"fmt"
 	mathbits "math/bits"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -496,6 +497,24 @@ func TestDecoderCountersSumMatchedDefects(t *testing.T) {
 		if got.MatcherCalls != calls || got.MatchedDefects != defects {
 			t.Fatalf("rep-%d rounds %d: %d calls / %d defects, want %d / %d",
 				tc.d, tc.rounds, got.MatcherCalls, got.MatchedDefects, calls, defects)
+		}
+	}
+}
+
+// TestDecoderCountersAddSumsEveryField fills every field with a
+// distinct value, so a counter added to the struct later fails here
+// until Add sums it too.
+func TestDecoderCountersAddSumsEveryField(t *testing.T) {
+	var a, b DecoderCounters
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(1 + i))
+		vb.Field(i).SetInt(int64(100 * (1 + i)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Int(), int64(101*(1+i)); got != want {
+			t.Errorf("%s: Add left %d, want %d", va.Type().Field(i).Name, got, want)
 		}
 	}
 }

@@ -991,13 +991,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("store_segment_bytes", "gauge", "Bytes in the result store's log segments.", st.SegmentBytes)
 		write("store_hits_total", "counter", "Result-store lookups that hit.", st.Hits)
 		write("store_misses_total", "counter", "Result-store lookups that missed.", st.Misses)
-		write("store_resident", "gauge", "Entries resident in the result store index.", st.Resident)
 		degraded := 0
 		if st.Degraded {
 			degraded = 1
 		}
 		write("store_degraded", "gauge", "1 while the store is in read-through/no-write degraded mode.", degraded)
-		write("store_quarantined_records", "gauge", "Corrupt records quarantined at replay or reload.", st.Quarantined)
+		write("store_quarantined_records", "gauge", "Corrupt records quarantined at replay.", st.Quarantined)
 		write("store_write_retries_total", "counter", "Segment append attempts retried after a transient fault.", st.WriteRetries)
 		write("store_write_errors_total", "counter", "Segment appends that exhausted their retry budget.", st.WriteErrors)
 		write("store_recoveries_total", "counter", "Degraded-to-healthy store transitions.", st.Recoveries)

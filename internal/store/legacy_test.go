@@ -37,23 +37,22 @@ func openLegacy(t *testing.T) *Store {
 
 // TestLegacyBatchRatesRestoreBatchCount: a record that carries
 // `batch_rates` and no `batches` still resumes and replays with the
-// batch count it was written with — the length of its rate stream.
+// batch count it was written with — the length of its rate stream. A
+// commit is folded to that count when it is indexed; a checkpoint stays
+// raw.
 func TestLegacyBatchRatesRestoreBatchCount(t *testing.T) {
 	s := openLegacy(t)
+	if p, ok := s.Lookup(legacyCommitted); !ok || p.Shots != 2000 || p.Batches != 4 || p.BatchRates != nil {
+		t.Fatalf("%.12s: %+v, %v; want 2000 shots in 4 batches and no batch rates", legacyCommitted, p, ok)
+	}
 	for _, c := range []struct {
 		hash         string
-		committed    bool
 		shots, rates int
 	}{
-		{legacyCommitted, true, 2000, 4},
-		{legacyAt2, false, 1024, 2},
-		{legacyAt3, false, 1536, 3},
+		{legacyAt2, 1024, 2},
+		{legacyAt3, 1536, 3},
 	} {
-		lookup := s.LookupPartial
-		if c.committed {
-			lookup = s.Lookup
-		}
-		p, ok := lookup(c.hash)
+		p, ok := s.LookupPartial(c.hash)
 		if !ok || p.Shots != c.shots || p.Batches != 0 || len(p.BatchRates) != c.rates {
 			t.Fatalf("%.12s: %+v, %v; want %d shots and %d batch rates", c.hash, p, ok, c.shots, c.rates)
 		}

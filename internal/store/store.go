@@ -3,9 +3,9 @@
 // spec (exp's specFingerprint). The segment format is append-only
 // NDJSON with batch-level checkpoints, so an interrupted campaign
 // resumes from its last batch boundary and a crash can tear at most the
-// final line (which recovery discards). An in-memory LRU bounds the
-// decoded records held resident, and compaction rewrites the segment
-// atomically.
+// final line (which recovery discards). Every committed point stays
+// resident in the index, so after replay reads never touch the segment,
+// and compaction rewrites the segment atomically from those points.
 package store
 
 import (
@@ -34,11 +34,6 @@ const SegmentName = "segment.ndjson"
 // flock (the segment itself cannot carry it: compaction replaces its
 // inode).
 const lockName = "LOCK"
-
-// DefaultMaxCached bounds the decoded commit records held in memory
-// when Options.MaxCached is unset. Evicted records stay on disk and
-// reload on demand through their remembered segment offset.
-const DefaultMaxCached = 4096
 
 // ErrClosed is recorded when an operation reaches a closed store.
 var ErrClosed = errors.New("store: closed")
@@ -100,15 +95,9 @@ func decodeLine(line []byte) (record, error) {
 
 // Options tunes a store.
 type Options struct {
-	// MaxCached bounds the decoded commit records held resident
-	// (<= 0 picks DefaultMaxCached). Checkpoints are always resident:
-	// they are small, transient, and needed for resume decisions.
+	// MaxCached is accepted and ignored: every committed point stays
+	// resident in the index.
 	MaxCached int
-	// WriteRetries bounds how many times a failed segment append is
-	// retried (with exponential backoff and jitter) before the store
-	// degrades to read-through/no-write mode. 0 picks
-	// DefaultWriteRetries; negative disables retries.
-	WriteRetries int
 	// RetryBackoff is the first retry's backoff; each further attempt
 	// doubles it, with up to 50% random jitter. 0 picks
 	// DefaultRetryBackoff.
@@ -121,10 +110,14 @@ type Options struct {
 
 // Fault-tolerance defaults for Options.
 const (
-	DefaultWriteRetries  = 3
 	DefaultRetryBackoff  = 2 * time.Millisecond
 	DefaultProbeInterval = 5 * time.Second
 )
+
+// writeRetries bounds how many times a failed segment append is retried
+// (with exponential backoff and jitter) before the store degrades to
+// read-through/no-write mode.
+const writeRetries = 3
 
 // Entry describes one committed point in the index.
 type Entry struct {
@@ -141,12 +134,13 @@ type Stats struct {
 	SegmentBytes int64 `json:"segment_bytes"`
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`
-	Resident     int   `json:"resident"`
+	// Resident equals Commits: every committed point is resident.
+	Resident int `json:"resident"`
 	// Degraded reports read-through/no-write mode: persistent write
 	// failure disarmed appends until a background probe re-arms them.
 	Degraded bool `json:"degraded,omitempty"`
-	// Quarantined counts corrupt records skipped at replay or reload —
-	// each one recomputes instead of poisoning the store.
+	// Quarantined counts corrupt records skipped at replay — each one
+	// recomputes instead of poisoning the store.
 	Quarantined int `json:"quarantined,omitempty"`
 	// WriteRetries / WriteErrors count transient append faults and the
 	// attempts they consumed; Recoveries counts degraded→healthy
@@ -164,7 +158,7 @@ type Store struct {
 	opts Options
 
 	mu     sync.Mutex
-	f      *os.File // O_APPEND handle; ReadAt for offset reloads
+	f      *os.File // O_APPEND handle, read only by replay
 	lock   *os.File // holds the directory's single-writer flock
 	size   int64    // current segment size == next append offset
 	closed bool
@@ -177,25 +171,33 @@ type Store struct {
 	probing     bool
 	stopc       chan struct{}
 
-	// commits indexes the latest commit record per hash by segment
-	// offset, with enough metadata to list entries without disk reads.
+	// commits holds the latest committed point per hash. Each one
+	// passed replay's CRC check or arrived through Commit.
 	commits map[string]*commitEntry
 	// ckpts holds the latest checkpoint per hash lacking a commit.
 	ckpts map[string]sweep.CachedPoint
-	// lru is the resident subset of decoded commit points, most
-	// recently used at the tail.
-	lru *pointLRU
 
-	hits, misses             int64
-	quarantined              int
-	writeRetries, writeFails int64
-	recoveries               int64
+	hits, misses        int64
+	quarantined         int
+	retries, writeFails int64
+	recoveries          int64
 }
 
+// commitEntry is one resident committed point, kept leaner than a
+// sweep.CachedPoint because there is one per commit: a legacy record's
+// batch_rates stream is folded into its length when it is indexed.
 type commitEntry struct {
-	off   int64
-	key   string
-	shots int
+	key                    string
+	shots, errors, batches int
+	converged              bool
+}
+
+func newCommitEntry(p *sweep.CachedPoint) *commitEntry {
+	return &commitEntry{key: p.Key, shots: p.Shots, errors: p.Errors, batches: p.BatchCount(), converged: p.Converged}
+}
+
+func (ce *commitEntry) point() sweep.CachedPoint {
+	return sweep.CachedPoint{Key: ce.key, Shots: ce.shots, Errors: ce.errors, Batches: ce.batches, Converged: ce.converged}
 }
 
 // Open opens (creating if needed) the store in dir and replays its
@@ -203,12 +205,6 @@ type commitEntry struct {
 // damage a crash mid-append can cause — is truncated away so the
 // segment stays appendable and every record before it survives.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.MaxCached <= 0 {
-		opts.MaxCached = DefaultMaxCached
-	}
-	if opts.WriteRetries == 0 {
-		opts.WriteRetries = DefaultWriteRetries
-	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
@@ -219,9 +215,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	// One writer per directory: the CLI and the daemon share the store
-	// format, and two processes appending with independent offset maps
-	// would corrupt each other's index. The advisory lock turns that
-	// silent corruption into an immediate open error.
+	// format, and two processes appending with independent indexes
+	// would each compact away the other's records. The advisory lock
+	// turns that silent corruption into an immediate open error.
 	lock, err := os.OpenFile(filepath.Join(dir, lockName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -244,7 +240,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		stopc:   make(chan struct{}),
 		commits: make(map[string]*commitEntry),
 		ckpts:   make(map[string]sweep.CachedPoint),
-		lru:     newPointLRU(opts.MaxCached),
 	}
 	if err := s.replay(); err != nil {
 		f.Close()
@@ -266,7 +261,7 @@ func (s *Store) replay() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	br := bufio.NewReader(s.f)
-	var off int64   // offset of the line being read
+	var off int64   // bytes read so far
 	var valid int64 // end of the last valid record
 	pending := 0    // invalid lines since the last valid record
 	for {
@@ -278,18 +273,17 @@ func (s *Store) replay() error {
 		if err != nil {
 			return fmt.Errorf("store: replay: %w", err)
 		}
+		off += int64(len(line))
 		rec, derr := decodeLine(line)
 		if derr != nil {
 			pending++
-			off += int64(len(line))
 			continue
 		}
 		// A valid record past invalid lines proves the damage was
 		// mid-segment, not a torn tail: quarantine what we skipped.
 		s.quarantined += pending
 		pending = 0
-		s.apply(rec, off)
-		off += int64(len(line))
+		s.apply(rec)
 		valid = off
 	}
 	s.size = valid
@@ -302,14 +296,13 @@ func (s *Store) replay() error {
 }
 
 // apply folds one replayed record into the index.
-func (s *Store) apply(rec record, off int64) {
+func (s *Store) apply(rec record) {
 	switch rec.Kind {
 	case "commit":
 		if rec.Point == nil {
 			return
 		}
-		s.commits[rec.Hash] = &commitEntry{off: off, key: rec.Point.Key, shots: rec.Point.Shots}
-		s.lru.put(rec.Hash, *rec.Point)
+		s.commits[rec.Hash] = newCommitEntry(rec.Point)
 		delete(s.ckpts, rec.Hash)
 	case "ckpt":
 		if rec.Point == nil {
@@ -321,35 +314,33 @@ func (s *Store) apply(rec record, off int64) {
 	case "del":
 		delete(s.commits, rec.Hash)
 		delete(s.ckpts, rec.Hash)
-		s.lru.remove(rec.Hash)
 	}
 }
 
-// append writes one record line and returns its offset. Transient
+// append writes one record line and reports whether it landed. Transient
 // write failures retry with exponential backoff and jitter; exhausting
 // the retry budget degrades the store to read-through/no-write mode (a
 // background probe re-arms writes) instead of failing the sweep hot
 // path. Only structural faults — closed store, unmarshalable record —
 // are fatal.
-func (s *Store) append(rec record) (int64, bool) {
+func (s *Store) append(rec record) bool {
 	if s.closed {
 		s.setFatal(ErrClosed)
-		return 0, false
+		return false
 	}
 	if s.fatal != nil || s.degradedErr != nil {
-		return 0, false
+		return false
 	}
 	line, err := encodeRecord(rec)
 	if err != nil {
 		s.setFatal(err)
-		return 0, false
+		return false
 	}
-	off := s.size
 	if !s.writeRetrying(line) {
-		return 0, false
+		return false
 	}
 	s.size += int64(len(line))
-	return off, true
+	return true
 }
 
 // writeRetrying attempts one line write with bounded
@@ -358,14 +349,11 @@ func (s *Store) append(rec record) (int64, bool) {
 // must not let other writers interleave half-states, and the total
 // worst-case hold (sum of DefaultRetryBackoff doublings) is ~20ms.
 func (s *Store) writeRetrying(line []byte) bool {
-	attempts := 1 + s.opts.WriteRetries
-	if attempts < 1 {
-		attempts = 1
-	}
+	const attempts = 1 + writeRetries
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			s.writeRetries++
+			s.retries++
 			// Exponential backoff with up to 50% jitter, and a
 			// truncate back to the last durable offset so a torn
 			// partial write from the failed attempt can't corrupt the
@@ -477,8 +465,7 @@ func (s *Store) Probe() bool {
 	return true
 }
 
-// Lookup returns the committed result for a hash, reloading it from
-// the segment when LRU pressure evicted the decoded record.
+// Lookup returns the committed result for a hash.
 func (s *Store) Lookup(hash string) (sweep.CachedPoint, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -487,43 +474,8 @@ func (s *Store) Lookup(hash string) (sweep.CachedPoint, bool) {
 		s.misses++
 		return sweep.CachedPoint{}, false
 	}
-	if p, ok := s.lru.get(hash); ok {
-		s.hits++
-		return p, true
-	}
-	p, err := s.readPointAt(ce.off, hash)
-	if err != nil {
-		// The index said committed but the segment disagrees —
-		// quarantine the entry and surface a miss so the point
-		// recomputes, rather than poisoning the whole store over one
-		// rotten record.
-		delete(s.commits, hash)
-		s.lru.remove(hash)
-		s.quarantined++
-		s.misses++
-		return sweep.CachedPoint{}, false
-	}
-	s.lru.put(hash, p)
 	s.hits++
-	return p, true
-}
-
-// readPointAt decodes the record line starting at off and returns its
-// point payload after checking the hash matches.
-func (s *Store) readPointAt(off int64, hash string) (sweep.CachedPoint, error) {
-	r := bufio.NewReader(io.NewSectionReader(s.f, off, s.size-off))
-	line, err := r.ReadBytes('\n')
-	if err != nil && err != io.EOF {
-		return sweep.CachedPoint{}, fmt.Errorf("store: reload %s: %w", hash, err)
-	}
-	rec, err := decodeLine(line)
-	if err != nil {
-		return sweep.CachedPoint{}, fmt.Errorf("store: reload %s: %w", hash, err)
-	}
-	if rec.Hash != hash || rec.Point == nil {
-		return sweep.CachedPoint{}, fmt.Errorf("store: reload %s: offset holds %q", hash, rec.Hash)
-	}
-	return *rec.Point, nil
+	return ce.point(), true
 }
 
 // LookupPartial returns the latest checkpoint of an uncommitted hash.
@@ -538,7 +490,7 @@ func (s *Store) LookupPartial(hash string) (sweep.CachedPoint, bool) {
 func (s *Store) Checkpoint(hash string, p sweep.CachedPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.append(record{Kind: "ckpt", Hash: hash, Point: &p}); ok {
+	if s.append(record{Kind: "ckpt", Hash: hash, Point: &p}) {
 		s.ckpts[hash] = p
 	}
 }
@@ -548,9 +500,8 @@ func (s *Store) Checkpoint(hash string, p sweep.CachedPoint) {
 func (s *Store) Commit(hash string, p sweep.CachedPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off, ok := s.append(record{Kind: "commit", Hash: hash, Point: &p}); ok {
-		s.commits[hash] = &commitEntry{off: off, key: p.Key, shots: p.Shots}
-		s.lru.put(hash, p)
+	if s.append(record{Kind: "commit", Hash: hash, Point: &p}) {
+		s.commits[hash] = newCommitEntry(&p)
 		delete(s.ckpts, hash)
 	}
 }
@@ -565,10 +516,9 @@ func (s *Store) Invalidate(hash string) bool {
 	if !hadCommit && !hadCkpt {
 		return false
 	}
-	if _, ok := s.append(record{Kind: "del", Hash: hash}); ok {
+	if s.append(record{Kind: "del", Hash: hash}) {
 		delete(s.commits, hash)
 		delete(s.ckpts, hash)
-		s.lru.remove(hash)
 		return true
 	}
 	return false
@@ -586,14 +536,15 @@ func (s *Store) Clear() error {
 	}
 	s.commits = make(map[string]*commitEntry)
 	s.ckpts = make(map[string]sweep.CachedPoint)
-	s.lru = newPointLRU(s.opts.MaxCached)
 	return nil
 }
 
 // Compact rewrites the segment to its live records only — the latest
 // commit per hash plus the latest checkpoint of every uncommitted hash
 // — via a temp file and an atomic rename, so readers of the directory
-// always see a whole segment.
+// always see a whole segment. The commits are written from the resident
+// index, so a line that rotted on disk after Open is rewritten from its
+// verified copy instead of dropped.
 //
 // Uncommitted checkpoints survive compaction deliberately: they are
 // what makes a killed campaign resumable. The cost is that a
@@ -615,23 +566,8 @@ func (s *Store) Compact() error {
 	sort.Strings(hashes)
 	recs := make([]record, 0, len(hashes)+len(s.ckpts))
 	for _, h := range hashes {
-		ce := s.commits[h]
-		p, ok := s.lru.get(h)
-		if !ok {
-			var err error
-			p, err = s.readPointAt(ce.off, h)
-			if err != nil {
-				// Unreadable on disk: quarantine the entry instead of
-				// aborting the compaction — the rewrite simply drops it
-				// and the point recomputes on next lookup.
-				delete(s.commits, h)
-				s.lru.remove(h)
-				s.quarantined++
-				continue
-			}
-		}
-		pt := p
-		recs = append(recs, record{Kind: "commit", Hash: h, Point: &pt})
+		p := s.commits[h].point()
+		recs = append(recs, record{Kind: "commit", Hash: h, Point: &p})
 	}
 	ckptHashes := make([]string, 0, len(s.ckpts))
 	for h := range s.ckpts {
@@ -645,8 +581,7 @@ func (s *Store) Compact() error {
 	return s.rewriteLocked(recs)
 }
 
-// rewriteLocked atomically replaces the segment with the given records
-// and reindexes the commit offsets against the new layout.
+// rewriteLocked atomically replaces the segment with the given records.
 func (s *Store) rewriteLocked(recs []record) error {
 	if s.closed {
 		return ErrClosed
@@ -658,8 +593,7 @@ func (s *Store) rewriteLocked(recs []record) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	w := bufio.NewWriter(tmp)
-	offsets := make(map[string]int64, len(recs))
-	var off int64
+	var size int64
 	for i := range recs {
 		line, err := encodeRecord(recs[i])
 		if err != nil {
@@ -670,10 +604,7 @@ func (s *Store) rewriteLocked(recs []record) error {
 			tmp.Close()
 			return fmt.Errorf("store: compact: %w", err)
 		}
-		if recs[i].Kind == "commit" {
-			offsets[recs[i].Hash] = off
-		}
-		off += int64(len(line))
+		size += int64(len(line))
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
@@ -703,13 +634,10 @@ func (s *Store) rewriteLocked(recs []record) error {
 	}
 	s.f.Close()
 	s.f = f
-	s.size = off
+	s.size = size
 	// A whole fresh segment on a new inode: whatever degraded the old
 	// handle no longer applies.
 	s.degradedErr = nil
-	for h, ce := range s.commits {
-		ce.off = offsets[h]
-	}
 	return nil
 }
 
@@ -735,10 +663,10 @@ func (s *Store) Stats() Stats {
 		SegmentBytes: s.size,
 		Hits:         s.hits,
 		Misses:       s.misses,
-		Resident:     s.lru.len(),
+		Resident:     len(s.commits),
 		Degraded:     s.degradedErr != nil,
 		Quarantined:  s.quarantined,
-		WriteRetries: s.writeRetries,
+		WriteRetries: s.retries,
 		WriteErrors:  s.writeFails,
 		Recoveries:   s.recoveries,
 	}
@@ -797,91 +725,4 @@ func (s *Store) Close() error {
 	}
 	s.lock.Close() // releases the directory's single-writer flock
 	return s.errLocked()
-}
-
-// pointLRU is a bounded hash → point map with least-recently-used
-// eviction, implemented over an intrusive doubly linked list.
-type pointLRU struct {
-	cap   int
-	items map[string]*lruNode
-	head  *lruNode // most recent
-	tail  *lruNode // next to evict
-}
-
-type lruNode struct {
-	hash       string
-	point      sweep.CachedPoint
-	prev, next *lruNode
-}
-
-func newPointLRU(capacity int) *pointLRU {
-	return &pointLRU{cap: capacity, items: make(map[string]*lruNode)}
-}
-
-func (l *pointLRU) len() int { return len(l.items) }
-
-func (l *pointLRU) get(hash string) (sweep.CachedPoint, bool) {
-	n, ok := l.items[hash]
-	if !ok {
-		return sweep.CachedPoint{}, false
-	}
-	l.moveFront(n)
-	return n.point, true
-}
-
-func (l *pointLRU) put(hash string, p sweep.CachedPoint) {
-	if n, ok := l.items[hash]; ok {
-		n.point = p
-		l.moveFront(n)
-		return
-	}
-	n := &lruNode{hash: hash, point: p}
-	l.items[hash] = n
-	l.pushFront(n)
-	if len(l.items) > l.cap {
-		evict := l.tail
-		l.unlink(evict)
-		delete(l.items, evict.hash)
-	}
-}
-
-func (l *pointLRU) remove(hash string) {
-	if n, ok := l.items[hash]; ok {
-		l.unlink(n)
-		delete(l.items, hash)
-	}
-}
-
-func (l *pointLRU) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = l.head
-	if l.head != nil {
-		l.head.prev = n
-	}
-	l.head = n
-	if l.tail == nil {
-		l.tail = n
-	}
-}
-
-func (l *pointLRU) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		l.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		l.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (l *pointLRU) moveFront(n *lruNode) {
-	if l.head == n {
-		return
-	}
-	l.unlink(n)
-	l.pushFront(n)
 }

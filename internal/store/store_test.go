@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,28 +169,51 @@ func TestStoreCompactDropsDeadRecordsAndKeepsLive(t *testing.T) {
 	check(openT(t, dir, Options{}))
 }
 
-func TestStoreLRUEvictionReloadsFromDisk(t *testing.T) {
+// TestStoreServesEveryCommitFromMemory: every committed point stays
+// resident, so once the store is open the segment is never read again —
+// damage to it after Open changes no Lookup, and Compact rewrites the
+// verified copies whole.
+func TestStoreServesEveryCommitFromMemory(t *testing.T) {
+	const n = 5000
 	dir := t.TempDir()
-	s := openT(t, dir, Options{MaxCached: 2})
-	pts := map[string]sweep.CachedPoint{
-		"a": {Shots: 1, Errors: 1, Converged: true},
-		"b": {Shots: 2, Errors: 1, Converged: true},
-		"c": {Shots: 3, Errors: 1, Converged: true},
+	s := openT(t, dir, Options{})
+	point := func(i int) sweep.CachedPoint {
+		return sweep.CachedPoint{Key: fmt.Sprintf("k%d", i), Shots: 64 + i, Errors: i % 7, Batches: 1 + i%3, Converged: i%2 == 0}
 	}
-	for _, h := range []string{"a", "b", "c"} {
-		s.Commit(h, pts[h])
+	hash := func(i int) string { return fmt.Sprintf("%064x", i) }
+	for i := 0; i < n; i++ {
+		s.Commit(hash(i), point(i))
 	}
-	if got := s.Stats().Resident; got != 2 {
-		t.Fatalf("resident = %d, want 2 (LRU cap)", got)
-	}
-	// "a" was evicted; the lookup must transparently reload it from the
-	// segment at its remembered offset.
-	got, ok := s.Lookup("a")
-	if !ok || !reflect.DeepEqual(got, pts["a"]) {
-		t.Fatalf("evicted point reload = %+v, %v", got, ok)
-	}
-	if err := s.Err(); err != nil {
+	// Overwrite the middle of the segment behind the open store's back.
+	f, err := os.OpenFile(filepath.Join(dir, SegmentName), os.O_WRONLY, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	size := s.Stats().SegmentBytes
+	if _, err := f.WriteAt(bytes.Repeat([]byte("x"), int(size/4)), size*3/8); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for i := 0; i < n; i++ {
+		if got, ok := s.Lookup(hash(i)); !ok || !reflect.DeepEqual(got, point(i)) {
+			t.Fatalf("Lookup(%d) = %+v, %v; want %+v", i, got, ok, point(i))
+		}
+	}
+	if st := s.Stats(); st.Resident != n || st.Commits != n || st.Quarantined != 0 {
+		t.Fatalf("stats = %+v; want %d commits, all resident, none quarantined", st, n)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r := openT(t, dir, Options{})
+	if st := r.Stats(); st.Commits != n || st.Quarantined != 0 {
+		t.Fatalf("reopen after compact: %+v; want %d commits, none quarantined", st, n)
+	}
+	for i := 0; i < n; i++ {
+		if got, ok := r.Lookup(hash(i)); !ok || !reflect.DeepEqual(got, point(i)) {
+			t.Fatalf("after compact, Lookup(%d) = %+v, %v; want %+v", i, got, ok, point(i))
+		}
 	}
 }
 

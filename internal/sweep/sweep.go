@@ -208,9 +208,18 @@ type CachedPoint struct {
 	Batches int    `json:"batches,omitempty"`
 	// BatchRates is what a record written before Batches existed
 	// carries in its place: the per-batch rate stream. Only its length
-	// is read (loadCached); the sweep never writes it.
+	// is read (BatchCount); the sweep never writes it.
 	BatchRates []float64 `json:"batch_rates,omitempty"`
 	Converged  bool      `json:"converged,omitempty"`
+}
+
+// BatchCount is the number of batches the point ran: Batches, or for a
+// legacy record the length of its rate stream.
+func (c *CachedPoint) BatchCount() int {
+	if c.Batches == 0 {
+		return len(c.BatchRates)
+	}
+	return c.Batches
 }
 
 func (c Config) withDefaults() Config {
@@ -340,10 +349,7 @@ func Run(ctx context.Context, cfg Config, points []Point) ([]Result, error) {
 
 // loadCached restores the persisted progress of a point.
 func (r *Result) loadCached(cp CachedPoint) {
-	r.Shots, r.Errors, r.Batches = cp.Shots, cp.Errors, cp.Batches
-	if r.Batches == 0 {
-		r.Batches = len(cp.BatchRates)
-	}
+	r.Shots, r.Errors, r.Batches = cp.Shots, cp.Errors, cp.BatchCount()
 	r.Converged = cp.Converged
 }
 
