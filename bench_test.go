@@ -133,7 +133,7 @@ func BenchmarkFrameEnginesFig5Rep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range grid {
-			g.camp.Run(g.seed, shots)
+			g.camp.RunFrom(g.seed, 0, shots)
 			total += shots
 		}
 	}

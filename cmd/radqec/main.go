@@ -15,10 +15,11 @@
 //	-seed N      campaign seed (default 1)
 //	-workers N   points run concurrently (default GOMAXPROCS)
 //	-p RATE      intrinsic physical error rate (default 0.01)
-//	-ns N        temporal samples of the fault decay (default 10)
+//	-ns N        temporal samples of the fault decay (default 10, at
+//	             most exp.MaxNS = 1000)
 //	-rounds N    stabilization rounds per code (default 2, the paper's
 //	             protocol; >2 decodes over the multi-round space-time
-//	             detector-error model)
+//	             detector-error model; at most exp.MaxRounds = 100)
 //	-engine E    simulation engine: batch (default) or tableau. batch
 //	             is the bit-parallel Pauli-frame engine, 512 shots per
 //	             tile (universal over the Clifford set; radiation resets
@@ -139,11 +140,11 @@ func main() {
 	if *p < 0 || *p > 1 {
 		usageError(fmt.Sprintf("-p %g out of range (want a probability in [0,1])", *p))
 	}
-	if *ns < 1 {
-		usageError(fmt.Sprintf("-ns %d out of range (want >= 1 temporal samples)", *ns))
+	if *ns < 1 || *ns > exp.MaxNS {
+		usageError(fmt.Sprintf("-ns %d out of range (want 1..%d temporal samples)", *ns, exp.MaxNS))
 	}
-	if *rounds < 2 {
-		usageError(fmt.Sprintf("-rounds %d out of range (want >= 2 stabilization rounds)", *rounds))
+	if *rounds < 2 || *rounds > exp.MaxRounds {
+		usageError(fmt.Sprintf("-rounds %d out of range (want 2..%d stabilization rounds)", *rounds, exp.MaxRounds))
 	}
 	if *workers < 0 {
 		usageError(fmt.Sprintf("-workers %d out of range (want >= 0; 0 = GOMAXPROCS)", *workers))

@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"radqec/internal/exp"
 )
 
 // TestMain lets a test re-execute this binary as the radqec command
@@ -69,6 +72,22 @@ func TestRetiredEnginesAreUsageErrors(t *testing.T) {
 		out, code := run(t, "-engine", engine, "fig5")
 		if code != 2 || !strings.Contains(out, "[tableau batch]") {
 			t.Errorf("radqec -engine %s fig5: exit %d, want 2 naming [tableau batch]\n%s", engine, code, out)
+		}
+	}
+}
+
+// TestCampaignSizeCaps: -ns and -rounds just over exp.MaxNS and
+// exp.MaxRounds exit 2 naming the flag, before any code is built or
+// sample allocated.
+func TestCampaignSizeCaps(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ns", strconv.Itoa(exp.MaxNS + 1)},
+		{"-rounds", strconv.Itoa(exp.MaxRounds + 1)},
+	} {
+		args = append(args, "-shots", "1", "fig3")
+		out, code := run(t, args...)
+		if code != 2 || !strings.Contains(out, args[0]+" "+args[1]+" out of range") {
+			t.Errorf("radqec %v: exit %d, want 2 naming %s\n%s", args, code, args[0], out)
 		}
 	}
 }

@@ -66,19 +66,18 @@ const (
 // Decoders lists the recognised Options.Decoder values.
 func Decoders() []string { return []string{DecoderMWPM, DecoderUF} }
 
-// ResolveDecoder maps a decoder name onto a code's scalar and
-// tile-parallel decode functions, one implementation (the scalar one
-// is the tile decoder on a one-lane tile). Empty means DecoderMWPM.
+// ResolveDecoder maps a decoder name onto a code's tile decode
+// function, which both engines decode through. Empty means DecoderMWPM.
 // Unknown names are an error — the single decoder-selection policy
 // shared by the core façade, the experiment sweeps and the CLI.
-func ResolveDecoder(name string, code *qec.Code) (func(bits []int) int, frame.TileDecodeFunc, error) {
+func ResolveDecoder(name string, code *qec.Code) (frame.TileDecodeFunc, error) {
 	switch name {
 	case "", DecoderMWPM:
-		return code.Decode, code.DecodeTile, nil
+		return code.DecodeTile, nil
 	case DecoderUF:
-		return code.DecodeUnionFind, code.DecodeUnionFindTile, nil
+		return code.DecodeUnionFindTile, nil
 	default:
-		return nil, nil, fmt.Errorf("core: unknown decoder %q (want one of %v)", name, Decoders())
+		return nil, fmt.Errorf("core: unknown decoder %q (want one of %v)", name, Decoders())
 	}
 }
 
@@ -194,9 +193,8 @@ type Simulator struct {
 	code *qec.Code
 	tr   *arch.Transpiled
 	dist [][]int
-	// decode and decodeTile are the scalar and tile-parallel views of
-	// the configured decoder, resolved once at construction.
-	decode     func(bits []int) int
+	// decodeTile is the configured decoder, resolved once at
+	// construction.
 	decodeTile frame.TileDecodeFunc
 }
 
@@ -226,7 +224,7 @@ func NewSimulator(opts Options) (*Simulator, error) {
 	if _, err := ResolveEngine(opts.Engine); err != nil {
 		return nil, err
 	}
-	decode, decodeTile, err := ResolveDecoder(opts.Decoder, code)
+	decodeTile, err := ResolveDecoder(opts.Decoder, code)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +241,6 @@ func NewSimulator(opts Options) (*Simulator, error) {
 		code:       code,
 		tr:         tr,
 		dist:       topo.Graph.AllPairsShortestPaths(),
-		decode:     decode,
 		decodeTile: decodeTile,
 	}, nil
 }
@@ -268,12 +265,12 @@ type EngineRunner func(start, n int) (shots, errors int)
 
 // NewEngineRunner builds the campaign of a resolved engine name and
 // returns its range runner — the single construction point shared by
-// the core façade and the experiment sweeps. decode and decodeTile are
-// the scalar and tile-parallel views of the same decoder (qec's scalar
-// decoders are its tile decoders on one lane): the tableau engine reads
-// decode, the batched engine requires decodeTile. seed doubles as the
-// batch engine's reference seed. The unnamed int is inert: the frozen
-// bench/ harness passes a width there.
+// the core façade and the experiment sweeps. Both engines decode
+// through decodeTile, which is required: the batched engine hands it
+// tiles of up to frame.MaxTileWords words, the tableau engine one-word
+// tiles. seed doubles as the batch engine's reference seed. The unnamed
+// scalar decoder and int are inert: the frozen bench/ harness passes a
+// scalar view of the decoder and a width there.
 //
 // workers caps how many goroutines one call runs its range on (0 means
 // GOMAXPROCS). At 1 the range runs on the caller's goroutine — what the
@@ -282,7 +279,7 @@ type EngineRunner func(start, n int) (shots, errors int)
 // fanOut), for callers that run one campaign outside a scheduler.
 func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizing,
 	ev *noise.RadiationEvent, seed uint64, expected int,
-	decode func(bits []int) int, decodeTile frame.TileDecodeFunc, _ int, workers int) EngineRunner {
+	_ func(bits []int) int, decodeTile frame.TileDecodeFunc, _ int, workers int) EngineRunner {
 	var run EngineRunner
 	switch engine {
 	case EngineBatch:
@@ -291,20 +288,14 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 			DecodeTile: decodeTile,
 			Expected:   expected,
 		}
-		run = func(start, n int) (int, int) {
-			r := camp.RunFrom(seed, start, n)
-			return r.Shots, r.Errors
-		}
+		run = func(start, n int) (int, int) { return camp.RunFrom(seed, start, n) }
 	case EngineTableau:
 		camp := &inject.Campaign{
-			Exec:     inject.NewExecutor(circ, dep, ev),
-			Decode:   decode,
-			Expected: expected,
+			Exec:       inject.NewExecutor(circ, dep, ev),
+			DecodeTile: decodeTile,
+			Expected:   expected,
 		}
-		run = func(start, n int) (int, int) {
-			r := camp.RunFrom(seed, start, n)
-			return r.Shots, r.Errors
-		}
+		run = func(start, n int) (int, int) { return camp.RunFrom(seed, start, n) }
 	default:
 		// "" must go through ResolveEngine first; a silent tableau
 		// fallback here would forfeit the default unnoticed.
@@ -381,7 +372,7 @@ func (s *Simulator) engine() string {
 func (s *Simulator) run(ev *noise.RadiationEvent, seed uint64) Result {
 	run := NewEngineRunner(s.engine(), s.tr.Circuit,
 		noise.NewDepolarizing(s.opts.PhysicalErrorRate), ev, seed,
-		s.code.ExpectedLogical(), s.decode, s.decodeTile, 0, s.opts.Workers)
+		s.code.ExpectedLogical(), nil, s.decodeTile, 0, s.opts.Workers)
 	shots, errors := run(0, s.opts.Shots)
 	return Result{Shots: shots, Errors: errors}
 }

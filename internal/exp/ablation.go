@@ -27,11 +27,7 @@ func AblationDecoder(cfg Config) (*Table, error) {
 	}
 	topo := arch.Mesh(5, 6)
 	type decoder struct {
-		name string
-		// decode and decodeTile are the decoder's scalar and tile
-		// views, one implementation (the tableau engine reads the first,
-		// the batched engine the second).
-		decode     func([]int) int
+		name       string
 		decodeTile frame.TileDecodeFunc
 	}
 	var (
@@ -47,13 +43,12 @@ func AblationDecoder(cfg Config) (*Table, error) {
 		// The three decoders read the same campaign at the same seed, so
 		// they see identical shot streams and differ only in decoding.
 		for _, dec := range []decoder{
-			{"blossom", code.Decode, code.DecodeTile},
-			{"union-find", code.DecodeUnionFind, code.DecodeUnionFindTile},
-			{"greedy", code.DecodeGreedy, code.DecodeGreedyTile},
+			{"blossom", code.DecodeTile},
+			{"union-find", code.DecodeUnionFindTile},
+			{"greedy", code.DecodeGreedyTile},
 		} {
 			s := p.spec(fmt.Sprintf("ablation-decoder/%s/%s", code.Name, dec.name),
 				cfg, ev, cfg.Seed+uint64(ci))
-			s.decode = dec.decode
 			s.decodeTile = dec.decodeTile
 			specs = append(specs, s)
 			names = append(names, dec.name)

@@ -56,6 +56,22 @@ func Engines() []string { return core.Engines() }
 // Decoders lists the recognised Config.Decoder values.
 func Decoders() []string { return core.Decoders() }
 
+// MaxNS and MaxRounds bound the two Config fields that size a campaign
+// before any shot runs. The CLI and the daemon reject larger values as
+// invalid input: noise.TemporalSamples allocates ns samples up front and
+// each becomes a sweep point, so a huge ns dies of out-of-memory — a
+// fatal error no recover boundary stops — and every round lengthens the
+// code circuit and its detector-error model, built while the code
+// registry holds its lock.
+const (
+	// MaxNS is 25 times the deepest sample count any experiment uses
+	// (ablation-ns's 40).
+	MaxNS = 1000
+	// MaxRounds is 11 times the deepest memory point the benchmark
+	// runs (9 rounds).
+	MaxRounds = 100
+)
+
 // Config controls campaign sizes and reproducibility.
 type Config struct {
 	// Context, when set, bounds every sweep the experiment runs:
@@ -331,10 +347,8 @@ type pointSpec struct {
 	prep *prepared
 	phys float64
 	ev   *noise.RadiationEvent
-	// decode and decodeTile override the configured decoder when decode
-	// is set: its scalar view for the tableau engine and its tile view
-	// for the batched engine, which requires it.
-	decode     func(bits []int) int
+	// decodeTile, when set, overrides the configured decoder on both
+	// engines.
 	decodeTile frame.TileDecodeFunc
 	seed       uint64
 }
@@ -363,35 +377,28 @@ func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed u
 // [s, s+n) consumes exactly the streams split(seed, s..s+n-1), and the
 // batched engine maps shot i to lane i%64 of word i/64 with one stream
 // per word — either way batching and workers never perturb rates.
-// Specs that leave decode nil read the campaign through the configured
-// decoder (scalar and word-parallel views resolved together, so the
-// batched engine decodes lane-for-lane identically to the tableau
-// engine); specs that set decode keep their override. Every engine call
-// runs on the sweep worker's goroutine and reports its decode time in
-// Counts.DecodeNS: two clock reads per 512-shot tile on the batched
-// engine, two per shot on the tableau engine, all inside the call, so
-// the decode time is a part of the call's wall time.
+// Specs that leave decodeTile nil read the campaign through the
+// configured decoder; specs that set it keep their override. Both
+// engines decode through the same tile function, so they decode
+// lane-for-lane identically. Every engine call runs on the sweep
+// worker's goroutine and reports its decode time in Counts.DecodeNS:
+// two clock reads per 512-shot tile on the batched engine, two per
+// 64-shot word on the tableau engine, all inside the call, so the decode
+// time is a part of the call's wall time.
 func (s pointSpec) point(engine, decoder string) sweep.Point {
 	eng := s.engineFor(engine)
 	return sweep.Point{
 		Key: s.key,
 		Prepare: func() sweep.BatchRunner {
-			decode, dec := s.decode, s.decodeTile
-			if decode == nil {
+			dec := s.decodeTile
+			if dec == nil {
 				var err error
-				decode, dec, err = core.ResolveDecoder(decoder, s.prep.code)
-				if err != nil {
+				if dec, err = core.ResolveDecoder(decoder, s.prep.code); err != nil {
 					panic(fmt.Sprintf("exp: %v", err))
 				}
 			}
 			// decNS accumulates across the decode calls of one engine call.
 			var decNS int64
-			timedDecode := func(bits []int) int {
-				t0 := time.Now()
-				v := decode(bits)
-				decNS += time.Since(t0).Nanoseconds()
-				return v
-			}
 			timedTile := func(rec []uint64, w int, live, out []uint64) {
 				t0 := time.Now()
 				dec(rec, w, live, out)
@@ -399,7 +406,7 @@ func (s pointSpec) point(engine, decoder string) sweep.Point {
 			}
 			run := core.NewEngineRunner(eng, s.prep.tr.Circuit,
 				noise.NewDepolarizing(s.phys), s.ev, s.seed,
-				s.prep.code.ExpectedLogical(), timedDecode, timedTile, 0, 1)
+				s.prep.code.ExpectedLogical(), nil, timedTile, 0, 1)
 			return func(start, n int) sweep.Counts {
 				decNS = 0
 				shots, errors := run(start, n)

@@ -181,11 +181,13 @@ func TestFixedSweepMatchesDirectCampaign(t *testing.T) {
 	tabCfg := cfg
 	tabCfg.Engine = EngineTableau
 	camp := &inject.Campaign{
-		Exec:     inject.NewExecutor(p.tr.Circuit, noise.NewDepolarizing(cfg.P), ev),
-		Decode:   code.Decode,
-		Expected: code.ExpectedLogical(),
+		Exec:       inject.NewExecutor(p.tr.Circuit, noise.NewDepolarizing(cfg.P), ev),
+		DecodeTile: code.DecodeTile,
+		Expected:   code.ExpectedLogical(),
 	}
-	if got, want := p.rate(tabCfg, ev, 77), camp.Run(77, cfg.Shots).Rate(); got != want {
+	var tab sweep.Counts
+	tab.Shots, tab.Errors = camp.RunFrom(77, 0, cfg.Shots)
+	if got, want := p.rate(tabCfg, ev, 77), tab.Rate(); got != want {
 		t.Fatalf("tableau sweep rate %v != direct campaign rate %v", got, want)
 	}
 
@@ -196,7 +198,8 @@ func TestFixedSweepMatchesDirectCampaign(t *testing.T) {
 		DecodeTile: code.DecodeTile,
 		Expected:   code.ExpectedLogical(),
 	}
-	direct := bcamp.Run(77, cfg.Shots)
+	var direct sweep.Counts
+	direct.Shots, direct.Errors = bcamp.RunFrom(77, 0, cfg.Shots)
 	if got, want := p.rate(batchCfg, ev, 77), direct.Rate(); got != want {
 		t.Fatalf("batched sweep rate %v != direct batched campaign rate %v", got, want)
 	}

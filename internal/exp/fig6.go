@@ -61,7 +61,6 @@ func Fig6(cfg Config) (*Table, error) {
 			key := fmt.Sprintf("fig6/%s/root%d", e.code.Name, root)
 			specs = append(specs, p.spec(key+"/"+cfg.DecoderName(), cfg, ev, seed))
 			raw := p.spec(key+"/raw", cfg, ev, seed+1)
-			raw.decode = e.code.RawLogical
 			raw.decodeTile = e.code.RawLogicalTile
 			specs = append(specs, raw)
 		}

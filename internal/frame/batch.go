@@ -308,25 +308,14 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 // logical values: out[k] receives word k's decoded word, and only lanes
 // set in live[k] carry meaningful records; a decoder may leave dead
 // lanes arbitrary. qec.(*Code).DecodeTile, DecodeUnionFindTile and
-// DecodeGreedyTile are the implementations.
+// DecodeGreedyTile are the implementations, and both engines decode
+// through them: BatchCampaign hands them tiles of up to MaxTileWords
+// words, the tableau engine (package inject) one-word tiles.
 type TileDecodeFunc func(rec []uint64, w int, live, out []uint64)
 
 // batchSplitSalt decorrelates the batched engine's word streams from the
 // tableau engine's per-shot streams derived from the same campaign seed.
 const batchSplitSalt = 0xb5ad4eceda1ce2a9
-
-// Result is the outcome of one campaign range.
-type Result struct {
-	Shots, Errors int
-}
-
-// Rate returns the logical error rate.
-func (r Result) Rate() float64 {
-	if r.Shots == 0 {
-		return 0
-	}
-	return float64(r.Errors) / float64(r.Shots)
-}
 
 // BatchCampaign estimates logical error rates with the bit-parallel
 // engine. It honours the sweep.BatchRunner determinism contract at word
@@ -383,22 +372,18 @@ func (c *BatchCampaign) putState(st *BatchState) {
 	c.stateMu.Unlock()
 }
 
-// Run executes shots shots deterministically (see RunFrom).
-func (c *BatchCampaign) Run(seed uint64, shots int) Result {
-	return c.RunFrom(seed, 0, shots)
-}
-
 // RunFrom executes the shot range [start, start+shots) on the calling
-// goroutine. Partitioning a campaign into ranges — word-aligned or not —
-// merges to exactly the result of one Run over the whole range, so
-// concurrent calls on disjoint ranges (core.NewEngineRunner's fan-out)
-// sum to it too.
-func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
+// goroutine and returns how many shots ran and how many decoded wrong.
+// Partitioning a campaign into ranges — word-aligned or not — merges to
+// exactly the counts of one call over the whole range, so concurrent
+// calls on disjoint ranges (core.NewEngineRunner's fan-out) sum to it
+// too.
+func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) (int, int) {
 	if c.DecodeTile == nil {
 		panic("frame: BatchCampaign.DecodeTile is nil")
 	}
 	if shots <= 0 {
-		return Result{}
+		return 0, 0
 	}
 	const tw = MaxTileWords
 	firstWord := start >> 6
@@ -424,7 +409,7 @@ func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 		srcs[k] = &streams[k]
 	}
 	var live, out [MaxTileWords]uint64
-	total := Result{}
+	errors := 0
 	for tile := firstTile; tile <= lastTile; tile++ {
 		w0 := max(tile*tw, firstWord)
 		w1 := min(tile*tw+tw-1, lastWord)
@@ -445,9 +430,8 @@ func (c *BatchCampaign) RunFrom(seed uint64, start, shots int) Result {
 		c.Sim.RunTile(srcs[:wc], st)
 		c.DecodeTile(st.Rec, wc, live[:wc], out[:wc])
 		for k := 0; k < wc; k++ {
-			total.Shots += bits.OnesCount64(live[k])
-			total.Errors += bits.OnesCount64((out[k] ^ expected) & live[k])
+			errors += bits.OnesCount64((out[k] ^ expected) & live[k])
 		}
 	}
-	return total
+	return shots, errors
 }

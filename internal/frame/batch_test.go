@@ -54,17 +54,17 @@ func decodeOne(dec TileDecodeFunc, rec []uint64, live uint64) uint64 {
 	return out[0]
 }
 
-// laneByLane decodes each live lane of a one-word record on its own
-// through a scalar decoder.
-func laneByLane(decode func(bits []int) int, rec []uint64, live uint64) uint64 {
-	bits := make([]int, len(rec))
+// laneByLane decodes each live lane of a one-word record on its own, as
+// the one live lane of a one-word tile.
+func laneByLane(dec TileDecodeFunc, rec []uint64, live uint64) uint64 {
+	one := make([]uint64, len(rec))
 	var o uint64
 	for m := live; m != 0; m &= m - 1 {
 		lane := uint(mathbits.TrailingZeros64(m))
-		for i := range bits {
-			bits[i] = int(rec[i]>>lane) & 1
+		for i := range one {
+			one[i] = (rec[i] >> lane) & 1
 		}
-		o |= uint64(decode(bits)&1) << lane
+		o |= (decodeOne(dec, one, 1) & 1) << lane
 	}
 	return o
 }
@@ -124,8 +124,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 	// Radiation + depolarizing on the repetition code (frame-exact):
 	// the batched and the scalar campaign sample one distribution.
 	scalar, batched := repCampaigns(t, 15, 0.01, 3)
-	s := scalar.Run(5, crossEngineShots)
-	b := batched.Run(6, crossEngineShots)
+	s := tallyOf(scalar.RunFrom(5, 0, crossEngineShots))
+	b := tallyOf(batched.RunFrom(6, 0, crossEngineShots))
 	if z := stats.TwoSampleZ(b.Errors, b.Shots, s.Errors, s.Shots); math.Abs(z) >= crossEngineZ {
 		t.Fatalf("batched rate %.4f vs scalar %.4f: z = %.2f", b.Rate(), s.Rate(), z)
 	}
@@ -148,8 +148,8 @@ func TestBatchDepolarizingOnlyMatchesScalar(t *testing.T) {
 		Expected:   1,
 	}
 	const shots = 6000
-	s := scalar.Run(11, shots)
-	b := batched.Run(13, shots)
+	s := tallyOf(scalar.RunFrom(11, 0, shots))
+	b := tallyOf(batched.RunFrom(13, 0, shots))
 	if math.Abs(s.Rate()-b.Rate()) > 0.025 {
 		t.Fatalf("engines disagree: scalar %.4f vs batched %.4f", s.Rate(), b.Rate())
 	}
@@ -172,7 +172,7 @@ func TestBatchCleanRunErrorFree(t *testing.T) {
 			DecodeTile: code.DecodeTile,
 			Expected:   1,
 		}
-		if r := camp.Run(1, 500); r.Errors != 0 || r.Shots != 500 {
+		if r := tallyOf(camp.RunFrom(1, 0, 500)); r.Errors != 0 || r.Shots != 500 {
 			t.Fatalf("%s: clean batched campaign produced %+v", code.Name, r)
 		}
 	}
@@ -184,14 +184,14 @@ func TestBatchWordBoundaries(t *testing.T) {
 	// whole-run result.
 	_, batched := repCampaigns(t, 5, 0.02, 2)
 	for _, shots := range []int{1, 63, 64, 65, 100, 1000} {
-		if r := batched.Run(44, shots); r.Shots != shots {
-			t.Fatalf("Run counted %d shots, want %d", r.Shots, shots)
+		if r := tallyOf(batched.RunFrom(44, 0, shots)); r.Shots != shots {
+			t.Fatalf("RunFrom counted %d shots, want %d", r.Shots, shots)
 		}
 	}
-	whole := batched.Run(44, 1000)
-	var merged Result
+	whole := tallyOf(batched.RunFrom(44, 0, 1000))
+	var merged tally
 	for _, r := range [][2]int{{0, 100}, {100, 1}, {101, 27}, {128, 400}, {528, 472}} {
-		part := batched.RunFrom(44, r[0], r[1])
+		part := tallyOf(batched.RunFrom(44, r[0], r[1]))
 		merged.Shots += part.Shots
 		merged.Errors += part.Errors
 	}
@@ -212,8 +212,8 @@ func TestLaneDecodeMatchesWordDecoder(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		runOne(sim, rng.New(seed), st)
 		live := ^uint64(0)
-		if got, want := decodeOne(code.DecodeTile, st.Rec, live), laneByLane(code.Decode, st.Rec, live); got != want {
-			t.Fatalf("seed %d: DecodeTile %x != lane-by-lane Decode %x", seed, got, want)
+		if got, want := decodeOne(code.DecodeTile, st.Rec, live), laneByLane(code.DecodeTile, st.Rec, live); got != want {
+			t.Fatalf("seed %d: DecodeTile %x != lane-by-lane %x", seed, got, want)
 		}
 	}
 }
@@ -229,11 +229,11 @@ func TestBatchExpectedZero(t *testing.T) {
 		DecodeTile: func(rec []uint64, w int, live, out []uint64) { copy(out, rec[:w]) },
 		Expected:   0,
 	}
-	if r := camp.Run(1, 130); r.Errors != 130 {
+	if r := tallyOf(camp.RunFrom(1, 0, 130)); r.Errors != 130 {
 		t.Fatalf("X|0> vs expected 0: %+v", r)
 	}
 	camp.Expected = 1
-	if r := camp.Run(1, 130); r.Errors != 0 {
+	if r := tallyOf(camp.RunFrom(1, 0, 130)); r.Errors != 0 {
 		t.Fatalf("X|0> vs expected 1: %+v", r)
 	}
 }
@@ -262,7 +262,7 @@ func BenchmarkFig5RepFrameBatched(b *testing.B) {
 	const shots = 4096
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		camp.Run(uint64(i), shots)
+		camp.RunFrom(uint64(i), 0, shots)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(shots*b.N)/b.Elapsed().Seconds(), "shots/s")
@@ -275,7 +275,7 @@ func BenchmarkImpactRep15FrameBatched(b *testing.B) {
 	const shots = 2048
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bat.Run(uint64(i), shots)
+		bat.RunFrom(uint64(i), 0, shots)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(shots*b.N)/b.Elapsed().Seconds(), "shots/s")
@@ -331,8 +331,8 @@ func TestBatchXXZZMatchesScalar(t *testing.T) {
 	// the identical validity domain (and approximation), so they sample
 	// one distribution.
 	scalar, batched := xxzzCampaigns(t, 0.01, xxzzStrike(t), 3)
-	s := scalar.Run(5, crossEngineShots)
-	b := batched.Run(6, crossEngineShots)
+	s := tallyOf(scalar.RunFrom(5, 0, crossEngineShots))
+	b := tallyOf(batched.RunFrom(6, 0, crossEngineShots))
 	if z := stats.TwoSampleZ(b.Errors, b.Shots, s.Errors, s.Shots); math.Abs(z) >= crossEngineZ {
 		t.Fatalf("batched XXZZ rate %.4f vs scalar %.4f: z = %.2f", b.Rate(), s.Rate(), z)
 	}
@@ -344,8 +344,8 @@ func TestBatchXXZZMatchesScalar(t *testing.T) {
 func TestBatchXXZZDepolarizingOnlyMatchesScalar(t *testing.T) {
 	scalar, batched := xxzzCampaigns(t, 0.03, nil, 7)
 	const shots = 6000
-	s := scalar.Run(11, shots)
-	b := batched.Run(13, shots)
+	s := tallyOf(scalar.RunFrom(11, 0, shots))
+	b := tallyOf(batched.RunFrom(13, 0, shots))
 	if math.Abs(s.Rate()-b.Rate()) > 0.025 {
 		t.Fatalf("XXZZ engines disagree: scalar %.4f vs batched %.4f", s.Rate(), b.Rate())
 	}
@@ -360,14 +360,14 @@ func TestBatchXXZZWordBoundaries(t *testing.T) {
 	// merges to the whole-run result.
 	_, batched := xxzzCampaigns(t, 0.02, xxzzStrike(t), 2)
 	for _, shots := range []int{1, 63, 64, 65, 100, 1000} {
-		if r := batched.Run(44, shots); r.Shots != shots {
-			t.Fatalf("Run counted %d shots, want %d", r.Shots, shots)
+		if r := tallyOf(batched.RunFrom(44, 0, shots)); r.Shots != shots {
+			t.Fatalf("RunFrom counted %d shots, want %d", r.Shots, shots)
 		}
 	}
-	whole := batched.Run(44, 1000)
-	var merged Result
+	whole := tallyOf(batched.RunFrom(44, 0, 1000))
+	var merged tally
 	for _, r := range [][2]int{{0, 100}, {100, 1}, {101, 27}, {128, 400}, {528, 472}} {
-		part := batched.RunFrom(44, r[0], r[1])
+		part := tallyOf(batched.RunFrom(44, r[0], r[1]))
 		merged.Shots += part.Shots
 		merged.Errors += part.Errors
 	}
@@ -378,7 +378,7 @@ func TestBatchXXZZWordBoundaries(t *testing.T) {
 
 func TestLaneDecodeMatchesWordDecoderXXZZ(t *testing.T) {
 	// On XXZZ records each decoder's word must agree lane for lane with
-	// its one-lane scalar decodes.
+	// its one-lane decodes.
 	code, err := qec.NewXXZZ(3, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -391,13 +391,12 @@ func TestLaneDecodeMatchesWordDecoderXXZZ(t *testing.T) {
 		for _, d := range []struct {
 			name string
 			tile TileDecodeFunc
-			lane func([]int) int
 		}{
-			{"mwpm", code.DecodeTile, code.Decode},
-			{"union-find", code.DecodeUnionFindTile, code.DecodeUnionFind},
-			{"greedy", code.DecodeGreedyTile, code.DecodeGreedy},
+			{"mwpm", code.DecodeTile},
+			{"union-find", code.DecodeUnionFindTile},
+			{"greedy", code.DecodeGreedyTile},
 		} {
-			if got, want := decodeOne(d.tile, st.Rec, live), laneByLane(d.lane, st.Rec, live); got != want {
+			if got, want := decodeOne(d.tile, st.Rec, live), laneByLane(d.tile, st.Rec, live); got != want {
 				t.Fatalf("seed %d %s: tile %x != lane-by-lane %x", seed, d.name, got, want)
 			}
 		}

@@ -51,7 +51,7 @@ func TestBatchMatchesScalarOnFig5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar := map[string]frame.Result{}
+	scalar := map[string]sweep.Counts{}
 	for ji, j := range []struct {
 		code *qec.Code
 		topo arch.Topology
@@ -70,7 +70,9 @@ func TestBatchMatchesScalarOnFig5(t *testing.T) {
 					Decode:   j.code.Decode,
 					Expected: j.code.ExpectedLogical(),
 				}
-				scalar[fmt.Sprintf("fig5/%s/p%.0e/t%d", j.code.Name, phys, k)] = camp.Run(seed, shots)
+				var c sweep.Counts
+				c.Shots, c.Errors = camp.RunFrom(seed, 0, shots)
+				scalar[fmt.Sprintf("fig5/%s/p%.0e/t%d", j.code.Name, phys, k)] = c
 			}
 		}
 	}

@@ -45,17 +45,17 @@ func TestFrameNoiseStatisticsMatchTableau(t *testing.T) {
 	const shots = 6000
 	p := 0.05
 	tabCamp := inject.Campaign{
-		Exec:     inject.NewExecutor(code.Circ, noise.NewDepolarizing(p), nil),
-		Decode:   code.Decode,
-		Expected: 1,
+		Exec:       inject.NewExecutor(code.Circ, noise.NewDepolarizing(p), nil),
+		DecodeTile: code.DecodeTile,
+		Expected:   1,
 	}
 	frCamp := scalarCampaign{
 		Sim:      newScalar(code.Circ, noise.NewDepolarizing(p), nil, 7),
 		Decode:   code.Decode,
 		Expected: 1,
 	}
-	tr := tabCamp.Run(11, shots).Rate()
-	fr := frCamp.Run(13, shots).Rate()
+	tr := tallyOf(tabCamp.RunFrom(11, 0, shots)).Rate()
+	fr := tallyOf(frCamp.RunFrom(13, 0, shots)).Rate()
 	if math.Abs(tr-fr) > 0.025 {
 		t.Fatalf("engines disagree: tableau %.4f vs frame %.4f", tr, fr)
 	}
@@ -79,17 +79,17 @@ func TestFrameRadiationExactOnRepetition(t *testing.T) {
 	ev := noise.NewRadiationEvent(dist[12], 1.0, true)
 	const shots = 4000
 	tabCamp := inject.Campaign{
-		Exec:     inject.NewExecutor(tr.Circuit, noise.NewDepolarizing(0.01), ev),
-		Decode:   code.Decode,
-		Expected: 1,
+		Exec:       inject.NewExecutor(tr.Circuit, noise.NewDepolarizing(0.01), ev),
+		DecodeTile: code.DecodeTile,
+		Expected:   1,
 	}
 	frCamp := scalarCampaign{
 		Sim:      newScalar(tr.Circuit, noise.NewDepolarizing(0.01), ev, 3),
 		Decode:   code.Decode,
 		Expected: 1,
 	}
-	a := tabCamp.Run(5, shots).Rate()
-	b := frCamp.Run(6, shots).Rate()
+	a := tallyOf(tabCamp.RunFrom(5, 0, shots)).Rate()
+	b := tallyOf(frCamp.RunFrom(6, 0, shots)).Rate()
 	if math.Abs(a-b) > 0.03 {
 		t.Fatalf("radiation rates disagree: tableau %.4f vs frame %.4f", a, b)
 	}
@@ -115,14 +115,14 @@ func TestFrameRadiationCloseOnXXZZ(t *testing.T) {
 	dist := tr.Topo.Graph.AllPairsShortestPaths()
 	ev := noise.NewRadiationEvent(dist[2], 1.0, true)
 	const shots = 3000
-	a := (&inject.Campaign{
-		Exec:     inject.NewExecutor(tr.Circuit, noise.NewDepolarizing(0.01), ev),
-		Decode:   code.Decode,
-		Expected: 1,
-	}).Run(5, shots).Rate()
+	a := tallyOf((&inject.Campaign{
+		Exec:       inject.NewExecutor(tr.Circuit, noise.NewDepolarizing(0.01), ev),
+		DecodeTile: code.DecodeTile,
+		Expected:   1,
+	}).RunFrom(5, 0, shots)).Rate()
 	sim := newScalar(tr.Circuit, noise.NewDepolarizing(0.01), ev, 3)
-	scalar := (&scalarCampaign{Sim: sim, Decode: code.Decode, Expected: 1}).Run(6, shots).Rate()
-	batch := (&BatchCampaign{Sim: sim.BatchSimulator, DecodeTile: code.DecodeTile, Expected: 1}).Run(6, shots).Rate()
+	scalar := tallyOf((&scalarCampaign{Sim: sim, Decode: code.Decode, Expected: 1}).RunFrom(6, 0, shots)).Rate()
+	batch := tallyOf((&BatchCampaign{Sim: sim.BatchSimulator, DecodeTile: code.DecodeTile, Expected: 1}).RunFrom(6, 0, shots)).Rate()
 	t.Logf("tableau %.4f, scalar %.4f, batch %.4f", a, scalar, batch)
 	for _, e := range []struct {
 		name string
@@ -151,7 +151,7 @@ func TestFrameCleanRunErrorFree(t *testing.T) {
 			Decode:   code.Decode,
 			Expected: 1,
 		}
-		if r := camp.Run(1, 500); r.Errors != 0 {
+		if r := tallyOf(camp.RunFrom(1, 0, 500)); r.Errors != 0 {
 			t.Fatalf("%s: clean frame campaign produced %d errors", code.Name, r.Errors)
 		}
 	}
@@ -167,10 +167,10 @@ func TestFrameRunFromPartitionsMatchRun(t *testing.T) {
 		Decode:   code.Decode,
 		Expected: 1,
 	}
-	whole := camp.Run(44, 900)
-	var merged Result
+	whole := tallyOf(camp.RunFrom(44, 0, 900))
+	var merged tally
 	for _, r := range [][2]int{{0, 300}, {300, 299}, {599, 301}} {
-		part := camp.RunFrom(44, r[0], r[1])
+		part := tallyOf(camp.RunFrom(44, r[0], r[1]))
 		merged.Shots += part.Shots
 		merged.Errors += part.Errors
 	}
@@ -436,16 +436,16 @@ func TestFrameXXZZDepolarizingMatchesTableau(t *testing.T) {
 	}
 	const shots = 6000
 	p := 0.03
-	a := (&inject.Campaign{
-		Exec:     inject.NewExecutor(code.Circ, noise.NewDepolarizing(p), nil),
-		Decode:   code.Decode,
-		Expected: 1,
-	}).Run(11, shots).Rate()
-	b := (&scalarCampaign{
+	a := tallyOf((&inject.Campaign{
+		Exec:       inject.NewExecutor(code.Circ, noise.NewDepolarizing(p), nil),
+		DecodeTile: code.DecodeTile,
+		Expected:   1,
+	}).RunFrom(11, 0, shots)).Rate()
+	b := tallyOf((&scalarCampaign{
 		Sim:      newScalar(code.Circ, noise.NewDepolarizing(p), nil, 7),
 		Decode:   code.Decode,
 		Expected: 1,
-	}).Run(13, shots).Rate()
+	}).RunFrom(13, 0, shots)).Rate()
 	if math.Abs(a-b) > 0.025 {
 		t.Fatalf("XXZZ depolarizing engines disagree: tableau %.4f vs frame %.4f", a, b)
 	}

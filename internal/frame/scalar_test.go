@@ -211,7 +211,8 @@ func (s *scalarSim) Run(src *rng.Source, f *shotFrame, bits []int) {
 }
 
 // scalarCampaign estimates logical error rates with the scalar oracle;
-// it mirrors inject.Campaign (same seed → shot stream mapping).
+// it mirrors inject.Campaign (same seed → shot stream mapping) but
+// decodes shot by shot.
 type scalarCampaign struct {
 	// Sim samples the shots.
 	Sim *scalarSim
@@ -221,30 +222,35 @@ type scalarCampaign struct {
 	Expected int
 }
 
-// Run executes shots deterministically: shot i consumes stream
-// split(seed, i).
-func (c *scalarCampaign) Run(seed uint64, shots int) Result {
-	return c.RunFrom(seed, 0, shots)
-}
-
-// RunFrom executes the shot range [start, start+shots); it mirrors
-// inject.Campaign.RunFrom, so batched extensions of a campaign merge to
-// exactly the single-Run result.
-func (c *scalarCampaign) RunFrom(seed uint64, start, shots int) Result {
-	if shots <= 0 {
-		return Result{}
-	}
+// RunFrom executes the shot range [start, start+shots) and returns its
+// (shots, errors) counts; shot i consumes stream split(seed, i), so
+// batched extensions of a campaign merge to exactly one call over the
+// whole range.
+func (c *scalarCampaign) RunFrom(seed uint64, start, shots int) (int, int) {
 	master := rng.New(seed)
 	f := newShotFrame(c.Sim.circ.NumQubits)
 	bits := make([]int, c.Sim.circ.NumClbits)
-	total := Result{}
+	errors := 0
 	for shot := start; shot < start+shots; shot++ {
 		clear(bits)
 		c.Sim.Run(master.Split(uint64(shot)), f, bits)
-		total.Shots++
 		if c.Decode(bits) != c.Expected {
-			total.Errors++
+			errors++
 		}
 	}
-	return total
+	return max(shots, 0), errors
+}
+
+// tally is a campaign range's counts, as the tests compare them.
+type tally struct{ Shots, Errors int }
+
+// tallyOf packs a RunFrom's (shots, errors) counts.
+func tallyOf(shots, errors int) tally { return tally{shots, errors} }
+
+// Rate returns the logical error rate.
+func (t tally) Rate() float64 {
+	if t.Shots == 0 {
+		return 0
+	}
+	return float64(t.Errors) / float64(t.Shots)
 }

@@ -117,16 +117,16 @@ func TestTileWidthResultsInvariant(t *testing.T) {
 
 // TestTileRunFromSplitsMerge: partitioning a campaign into RunFrom
 // ranges — mid-word, word-aligned, mid-tile and tile-aligned cuts —
-// merges to exactly the uninterrupted Run. This is the resume contract
+// merges to exactly the uninterrupted run. This is the resume contract
 // the sweep engine's checkpointing relies on.
 func TestTileRunFromSplitsMerge(t *testing.T) {
 	const seed, shots = 17, 1337
 	c := tileCampaign(t, 5, 0.01)
-	ref := c.Run(seed, shots)
+	ref := tallyOf(c.RunFrom(seed, 0, shots))
 	for _, cut := range []int{1, 63, 64, 100, 512, 600, 1024, 1336} {
-		a := c.RunFrom(seed, 0, cut)
-		b := c.RunFrom(seed, cut, shots-cut)
-		got := Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}
+		a := tallyOf(c.RunFrom(seed, 0, cut))
+		b := tallyOf(c.RunFrom(seed, cut, shots-cut))
+		got := tally{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}
 		if got != ref {
 			t.Errorf("cut %d: %+v, want %+v", cut, got, ref)
 		}
@@ -140,12 +140,12 @@ func TestTileRunFromSplitsMerge(t *testing.T) {
 	}
 	for _, r := range noiseRegimes {
 		c := tileCampaignAt(t, code, r.p, r.root)
-		whole := c.Run(seed, 10000)
+		whole := tallyOf(c.RunFrom(seed, 0, 10000))
 		if whole.Errors < 10 {
 			t.Fatalf("%s: whole run %+v saw too few errors to tell runs apart", r.name, whole)
 		}
-		a, b := c.RunFrom(seed, 0, 1000), c.RunFrom(seed, 1000, 9000)
-		if got := (Result{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}); got != whole {
+		a, b := tallyOf(c.RunFrom(seed, 0, 1000)), tallyOf(c.RunFrom(seed, 1000, 9000))
+		if got := (tally{Shots: a.Shots + b.Shots, Errors: a.Errors + b.Errors}); got != whole {
 			t.Errorf("%s: halves merge to %+v, whole run %+v", r.name, got, whole)
 		}
 	}
@@ -158,10 +158,10 @@ func TestBatchCampaignRequiresDecodeTile(t *testing.T) {
 	c.DecodeTile = nil
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "DecodeTile") {
-			t.Fatalf("Run with nil DecodeTile: recovered %q, want a panic naming DecodeTile", msg)
+			t.Fatalf("RunFrom with nil DecodeTile: recovered %q, want a panic naming DecodeTile", msg)
 		}
 	}()
-	c.Run(1, 64)
+	c.RunFrom(1, 0, 64)
 }
 
 // TestRecycledStateCarriesNoCursor: a tile state handed from one tile

@@ -8,6 +8,7 @@ package inject
 
 import (
 	"fmt"
+	"math/bits"
 
 	"radqec/internal/circuit"
 	"radqec/internal/noise"
@@ -90,65 +91,65 @@ func (e *Executor) RunInto(src *rng.Source, tab *stab.Tableau, bits []int) {
 	}
 }
 
-// Result summarises a campaign.
-type Result struct {
-	// Shots is the number of executed shots.
-	Shots int
-	// Errors is the number of shots whose decoded output was wrong.
-	Errors int
-}
-
-// Rate returns the logical error rate.
-func (r Result) Rate() float64 {
-	if r.Shots == 0 {
-		return 0
-	}
-	return float64(r.Errors) / float64(r.Shots)
-}
-
 // Campaign estimates the logical error rate of a decoded circuit under
 // an executor's noise processes.
 type Campaign struct {
 	// Exec runs the shots.
 	Exec *Executor
-	// Decode maps a shot's classical record to the decoded logical
-	// value.
-	Decode func(bits []int) int
+	// DecodeTile maps a tile of packed classical records to decoded
+	// logical words (a frame.TileDecodeFunc, e.g. qec.(*Code).DecodeTile).
+	// The campaign hands it one-word tiles: rec[c] holds classical bit c
+	// of the word's 64 lanes, live[0] masks the lanes that carry shots,
+	// and out[0] receives their decoded values. Required.
+	DecodeTile func(rec []uint64, w int, live, out []uint64)
 	// Expected is the fault-free decoded output (logical |1> = 1 in the
 	// paper's protocol).
 	Expected int
 }
 
-// Run executes shots shots with the given seed and returns the result:
-// shot i always consumes the RNG stream split(seed, i).
-func (c *Campaign) Run(seed uint64, shots int) Result {
-	return c.RunFrom(seed, 0, shots)
-}
-
 // RunFrom executes the shot range [start, start+shots) of the campaign
-// identified by seed, on the calling goroutine. Shot i still consumes the
-// stream split(seed, i), so partitioning a campaign into ranges — however
-// they are batched, or run concurrently as core.NewEngineRunner's fan-out
-// does — merges to exactly the result of one Run over the whole range.
-// Adaptive sweeps rely on this to extend a campaign without replaying or
-// perturbing earlier shots.
-func (c *Campaign) RunFrom(seed uint64, start, shots int) Result {
+// identified by seed, on the calling goroutine, and returns how many
+// shots ran and how many decoded wrong. Shot i consumes the stream
+// split(seed, i) and lives in lane i%64 of word i/64 — the batched
+// engine's grid — and each word is decoded as one tile. So partitioning
+// a campaign into ranges — however they are batched, or run
+// concurrently as core.NewEngineRunner's fan-out does — merges to exactly
+// the counts of one call over the whole range. Adaptive sweeps rely on
+// this to extend a campaign without replaying or perturbing earlier
+// shots.
+func (c *Campaign) RunFrom(seed uint64, start, shots int) (int, int) {
+	if c.DecodeTile == nil {
+		panic("inject: Campaign.DecodeTile is nil")
+	}
 	if shots <= 0 {
-		return Result{}
+		return 0, 0
+	}
+	expected := uint64(0)
+	if c.Expected&1 == 1 {
+		expected = ^uint64(0)
 	}
 	master := rng.New(seed)
 	tab := stab.New(c.Exec.circ.NumQubits)
-	bits := make([]int, c.Exec.circ.NumClbits)
-	total := Result{}
-	for shot := start; shot < start+shots; shot++ {
-		src := master.Split(uint64(shot))
-		tab.ResetState()
-		clear(bits)
-		c.Exec.RunInto(src, tab, bits)
-		total.Shots++
-		if c.Decode(bits) != c.Expected {
-			total.Errors++
+	shotBits := make([]int, c.Exec.circ.NumClbits)
+	rec := make([]uint64, c.Exec.circ.NumClbits)
+	end := start + shots
+	errors := 0
+	for word := start >> 6; word<<6 < end; word++ {
+		clear(rec)
+		var live, out [1]uint64
+		for shot := max(start, word<<6); shot < min(end, word<<6+64); shot++ {
+			src := master.Split(uint64(shot))
+			tab.ResetState()
+			clear(shotBits)
+			c.Exec.RunInto(src, tab, shotBits)
+			lane := uint(shot & 63)
+			for i, b := range shotBits {
+				rec[i] |= uint64(b&1) << lane
+			}
+			live[0] |= 1 << lane
 		}
+		c.DecodeTile(rec, 1, live[:], out[:])
+		errors += bits.OnesCount64((out[0] ^ expected) & live[0])
 	}
-	return total
+	return shots, errors
 }

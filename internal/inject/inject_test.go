@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"math/bits"
 	"testing"
 
 	"radqec/internal/circuit"
@@ -115,6 +116,28 @@ func TestDepolarizingChangesOutcomes(t *testing.T) {
 	}
 }
 
+// bit0Tile decodes each lane as its classical bit 0; parityTile as the
+// parity of bits 0 and 1 (the Bell pair's correlation).
+func bit0Tile(rec []uint64, w int, _, out []uint64) { copy(out[:w], rec[:w]) }
+
+func parityTile(rec []uint64, w int, _, out []uint64) {
+	for k := 0; k < w; k++ {
+		out[k] = rec[k] ^ rec[w+k]
+	}
+}
+
+// laneLog wraps a tile decoder and records the live mask of every word
+// it is handed, so a test sees which lanes each call decoded.
+type laneLog struct {
+	dec   func(rec []uint64, w int, live, out []uint64)
+	masks []uint64
+}
+
+func (l *laneLog) decodeTile(rec []uint64, w int, live, out []uint64) {
+	l.masks = append(l.masks, live[:w]...)
+	l.dec(rec, w, live, out)
+}
+
 func TestCampaignCountsErrors(t *testing.T) {
 	// Decode = bit 0; expected 1; pinned qubit makes every shot wrong.
 	c := circuit.New(1, 1)
@@ -123,62 +146,120 @@ func TestCampaignCountsErrors(t *testing.T) {
 	c.Measure(0, 0)
 	ev := &noise.RadiationEvent{Probs: []float64{1}}
 	camp := &Campaign{
-		Exec:     NewExecutor(c, noise.Depolarizing{}, ev),
-		Decode:   func(bits []int) int { return bits[0] },
-		Expected: 1,
+		Exec:       NewExecutor(c, noise.Depolarizing{}, ev),
+		DecodeTile: bit0Tile,
+		Expected:   1,
 	}
-	res := camp.Run(1, 500)
-	if res.Shots != 500 || res.Errors != 500 {
-		t.Fatalf("result = %+v", res)
-	}
-	if res.Rate() != 1 {
-		t.Fatalf("rate = %v", res.Rate())
+	if shots, errors := camp.RunFrom(1, 0, 500); shots != 500 || errors != 500 {
+		t.Fatalf("counts = (%d, %d), want (500, 500)", shots, errors)
 	}
 }
 
 func TestCampaignZeroShots(t *testing.T) {
+	log := &laneLog{dec: bit0Tile}
 	camp := &Campaign{
-		Exec:     NewExecutor(bellCircuit(), noise.Depolarizing{}, nil),
-		Decode:   func(bits []int) int { return bits[0] },
-		Expected: 0,
+		Exec:       NewExecutor(bellCircuit(), noise.Depolarizing{}, nil),
+		DecodeTile: log.decodeTile,
+		Expected:   0,
 	}
-	res := camp.Run(1, 0)
-	if res.Shots != 0 || res.Rate() != 0 {
-		t.Fatalf("result = %+v", res)
+	if shots, errors := camp.RunFrom(1, 10, 0); shots != 0 || errors != 0 || len(log.masks) != 0 {
+		t.Fatalf("empty range: counts (%d, %d), %d decoded words", shots, errors, len(log.masks))
+	}
+}
+
+// TestCampaignMatchesScalarReference: packing shots into words and
+// decoding each word as a tile counts exactly the errors of running and
+// decoding every shot on its own, shot i on stream split(seed, i).
+func TestCampaignMatchesScalarReference(t *testing.T) {
+	circ := bellCircuit()
+	ex := NewExecutor(circ, noise.NewDepolarizing(0.3), nil)
+	camp := &Campaign{Exec: ex, DecodeTile: parityTile, Expected: 0}
+	master := rng.New(42)
+	for _, r := range [][2]int{{0, 1000}, {37, 130}, {100, 1}, {63, 2}} {
+		want := 0
+		for shot := r[0]; shot < r[0]+r[1]; shot++ {
+			if bits := ex.Run(master.Split(uint64(shot))); bits[0]^bits[1] != 0 {
+				want++
+			}
+		}
+		if shots, errors := camp.RunFrom(42, r[0], r[1]); shots != r[1] || errors != want {
+			t.Fatalf("%v: counts (%d, %d), scalar reference (%d, %d)", r, shots, errors, r[1], want)
+		}
+	}
+}
+
+// TestCampaignWordPacking: shot i lives in lane i%64 of word i/64, each
+// word is decoded once, and only the lanes of the range are live — so a
+// range that starts and ends mid-word decodes exactly its own lanes, a
+// lane dropped or decoded twice showing in the masks.
+func TestCampaignWordPacking(t *testing.T) {
+	all := ^uint64(0)
+	for _, tc := range []struct {
+		start, shots int
+		masks        []uint64
+	}{
+		{37, 130, []uint64{all << 37, all, all >> (63 - 38)}},
+		{100, 1, []uint64{1 << 36}},
+		{63, 2, []uint64{1 << 63, 1}},
+		{128, 64, []uint64{all}},
+	} {
+		log := &laneLog{dec: parityTile}
+		camp := &Campaign{
+			Exec:       NewExecutor(bellCircuit(), noise.NewDepolarizing(0.3), nil),
+			DecodeTile: log.decodeTile,
+			Expected:   0,
+		}
+		camp.RunFrom(42, tc.start, tc.shots)
+		if len(log.masks) != len(tc.masks) {
+			t.Fatalf("[%d, %d): %d decoded words, want %d", tc.start, tc.start+tc.shots, len(log.masks), len(tc.masks))
+		}
+		for i, m := range log.masks {
+			if m != tc.masks[i] {
+				t.Fatalf("[%d, %d): word %d live %#x, want %#x", tc.start, tc.start+tc.shots, i, m, tc.masks[i])
+			}
+		}
 	}
 }
 
 func TestCampaignRunFromPartitionsMatchRun(t *testing.T) {
+	log := &laneLog{dec: parityTile}
 	camp := &Campaign{
-		Exec:     NewExecutor(bellCircuit(), noise.NewDepolarizing(0.3), nil),
-		Decode:   func(bits []int) int { return bits[0] ^ bits[1] },
-		Expected: 0,
+		Exec:       NewExecutor(bellCircuit(), noise.NewDepolarizing(0.3), nil),
+		DecodeTile: log.decodeTile,
+		Expected:   0,
 	}
-	whole := camp.Run(42, 1000)
-	// Any partition of [0, 1000) into ranges must merge to the same
-	// counts — the contract batched sweeps extend campaigns on.
-	var merged Result
-	for _, r := range [][2]int{{0, 100}, {100, 1}, {101, 399}, {500, 500}} {
-		part := camp.RunFrom(42, r[0], r[1])
-		merged.Shots += part.Shots
-		merged.Errors += part.Errors
+	wholeShots, wholeErrors := camp.RunFrom(42, 0, 1000)
+	// Any partition of [0, 1000) into ranges — word-aligned or cut
+	// mid-word — must merge to the same counts, the contract batched
+	// sweeps extend campaigns on, and decode every lane exactly once.
+	log.masks = nil
+	var shots, errors int
+	for _, r := range [][2]int{{0, 37}, {37, 130}, {167, 1}, {168, 232}, {400, 600}} {
+		s, e := camp.RunFrom(42, r[0], r[1])
+		shots += s
+		errors += e
 	}
-	if merged != whole {
-		t.Fatalf("partitioned runs %+v != whole run %+v", merged, whole)
+	if shots != wholeShots || errors != wholeErrors {
+		t.Fatalf("partitioned runs (%d, %d) != whole run (%d, %d)", shots, errors, wholeShots, wholeErrors)
 	}
-	if (camp.RunFrom(42, 10, 0) != Result{}) {
-		t.Fatal("empty range produced shots")
+	decoded := 0
+	for _, m := range log.masks {
+		decoded += bits.OnesCount64(m)
+	}
+	if decoded != 1000 {
+		t.Fatalf("partitioned runs decoded %d lanes, want 1000", decoded)
 	}
 }
 
 func TestCampaignSeedSensitivity(t *testing.T) {
-	mk := func(seed uint64) Result {
+	mk := func(seed uint64) int {
 		camp := &Campaign{
-			Exec:     NewExecutor(bellCircuit(), noise.NewDepolarizing(0.3), nil),
-			Decode:   func(bits []int) int { return bits[0] ^ bits[1] },
-			Expected: 0,
+			Exec:       NewExecutor(bellCircuit(), noise.NewDepolarizing(0.3), nil),
+			DecodeTile: parityTile,
+			Expected:   0,
 		}
-		return camp.Run(seed, 400)
+		_, errors := camp.RunFrom(seed, 0, 400)
+		return errors
 	}
 	if mk(1) == mk(2) {
 		t.Log("different seeds produced identical results (possible but unlikely)")

@@ -28,7 +28,7 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 		var want [2]int
 		for _, workers := range []int{1, 2, 3, 8} {
 			run := core.NewEngineRunner(core.EngineTableau, tr.Circuit, noise.NewDepolarizing(0.05), ev, 99,
-				code.ExpectedLogical(), code.Decode, nil, 0, workers)
+				code.ExpectedLogical(), nil, code.DecodeTile, 0, workers)
 			var got [2]int
 			got[0], got[1] = run(r[0], r[1])
 			if workers == 1 {

@@ -51,17 +51,18 @@ func (c *Code) DecodeTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.mwpmMemo, mwpmParity)
 }
 
-// DecodeUnionFindTile is the word-parallel counterpart of
-// DecodeUnionFind: the tile layout, detection-event extraction, fast
-// path and memoisation of DecodeTile, with the union-find grower/peeler
-// in place of the blossom matcher on novel syndromes.
+// DecodeUnionFindTile decodes with the union-find decoder instead of
+// MWPM: the tile layout, detection-event extraction, fast path and
+// memoisation of DecodeTile, with the union-find grower/peeler in place
+// of the blossom matcher on novel syndromes. Detection events, the
+// detector-error model and the correction model are shared with
+// DecodeTile, so accuracy differences isolate the matching strategy.
 func (c *Code) DecodeUnionFindTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.ufMemo, ufParity)
 }
 
-// DecodeGreedyTile is the word-parallel counterpart of DecodeGreedy:
-// DecodeTile with greedy matching in place of blossom on novel
-// syndromes.
+// DecodeGreedyTile is the ablation decoder: DecodeTile with greedy
+// matching in place of blossom on novel syndromes.
 func (c *Code) DecodeGreedyTile(rec []uint64, w int, live, out []uint64) {
 	c.decodeTile(rec, w, live, out, c.greedyMemo, greedyParity)
 }
@@ -217,7 +218,8 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 }
 
 // decodeLane decodes one unpacked shot record as the one live lane of a
-// one-word tile: the scalar decoders are decodeTile on their memo.
+// one-word tile: Decode, and the tests' scalar views of every decoder,
+// are decodeTile on their memo.
 func (c *Code) decodeLane(bits []int, memo *parityMemo, parityOf parityOracle) int {
 	buf := decodeBufPool.Get().(*decodeBuf)
 	rec := buf.lane[:0]
@@ -320,8 +322,8 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 }
 
 // DecoderCounters is the decoders' traffic on one code, all three
-// decoders summed and every decode counted, on either engine (a scalar
-// decode is a one-lane tile): of the lanes that saw a defect, how many
+// decoders summed and every decode counted, on either engine (both
+// decode tiles): of the lanes that saw a defect, how many
 // reached the miss tier instead of a memo, how many defects those
 // matcher calls matched (MatchedDefects / MatcherCalls is the mean
 // defect count k a call pays for), and what the memos hold. A code whose

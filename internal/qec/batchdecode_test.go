@@ -565,8 +565,8 @@ func FuzzTileDecodersMatchScalarOracle(f *testing.F) {
 			lane, oracle func([]int) int
 		}{
 			{"mwpm", c.DecodeTile, c.Decode, c.oracleDecode},
-			{"union-find", c.DecodeUnionFindTile, c.DecodeUnionFind, c.oracleUnionFind},
-			{"greedy", c.DecodeGreedyTile, c.DecodeGreedy, c.oracleGreedy},
+			{"union-find", c.DecodeUnionFindTile, func(b []int) int { return c.decodeLane(b, c.ufMemo, ufParity) }, c.oracleUnionFind},
+			{"greedy", c.DecodeGreedyTile, func(b []int) int { return c.decodeLane(b, c.greedyMemo, greedyParity) }, c.oracleGreedy},
 		}
 		out := make([]uint64, w)
 		bits := make([]int, c.Circ.NumClbits)

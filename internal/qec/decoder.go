@@ -159,13 +159,6 @@ func (c *Code) Decode(bits []int) int {
 	return c.decodeLane(bits, c.mwpmMemo, mwpmParity)
 }
 
-// DecodeGreedy is the ablation decoder: identical detection events and
-// correction model, but greedy matching instead of blossom. It is a
-// one-lane DecodeGreedyTile.
-func (c *Code) DecodeGreedy(bits []int) int {
-	return c.decodeLane(bits, c.greedyMemo, greedyParity)
-}
-
 // matcher perfectly matches a defect graph on a workspace and returns
 // every vertex's mate.
 type matcher func(ws *matching.Workspace, nvertex int, edges []matching.Edge) ([]int, error)

@@ -148,7 +148,7 @@ func TestWeightedPriorMatchesUnitPriorWhenRatesEqual(t *testing.T) {
 			if ref.Decode(bits) != weighted.Decode(bits) {
 				t.Fatalf("word %d lane %d: equal-rate weighted decode differs from unit decode", w, lane)
 			}
-			if ref.DecodeUnionFind(bits) != weighted.DecodeUnionFind(bits) {
+			if ref.decodeLane(bits, ref.ufMemo, ufParity) != weighted.decodeLane(bits, weighted.ufMemo, ufParity) {
 				t.Fatalf("word %d lane %d: equal-rate weighted UF decode differs", w, lane)
 			}
 		}

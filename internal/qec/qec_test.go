@@ -310,19 +310,19 @@ func TestRadiationDegradesDecoding(t *testing.T) {
 	c := mustRep(t, 5)
 	ev := noise.NewRadiationEvent(distancesFromData(c, 2), 1.0, true)
 	clean := inject.Campaign{
-		Exec:     inject.NewExecutor(c.Circ, noise.Depolarizing{}, nil),
-		Decode:   c.Decode,
-		Expected: 1,
+		Exec:       inject.NewExecutor(c.Circ, noise.Depolarizing{}, nil),
+		DecodeTile: c.DecodeTile,
+		Expected:   1,
 	}
-	if r := clean.Run(1, 300); r.Errors != 0 {
-		t.Fatalf("clean campaign produced %d errors", r.Errors)
+	if _, errors := clean.RunFrom(1, 0, 300); errors != 0 {
+		t.Fatalf("clean campaign produced %d errors", errors)
 	}
 	hot := inject.Campaign{
-		Exec:     inject.NewExecutor(c.Circ, noise.Depolarizing{}, ev),
-		Decode:   c.Decode,
-		Expected: 1,
+		Exec:       inject.NewExecutor(c.Circ, noise.Depolarizing{}, ev),
+		DecodeTile: c.DecodeTile,
+		Expected:   1,
 	}
-	if r := hot.Run(1, 300); r.Errors == 0 {
+	if _, errors := hot.RunFrom(1, 0, 300); errors == 0 {
 		t.Fatal("radiated campaign produced no logical errors")
 	}
 }
@@ -354,7 +354,7 @@ func TestGreedyDecoderAgreesOnSimpleErrors(t *testing.T) {
 	for d := 0; d < 7; d++ {
 		bits := append([]int(nil), base...)
 		bits[c.DataRead.Start+d] ^= 1
-		if got := c.DecodeGreedy(bits); got != 1 {
+		if got := c.decodeLane(bits, c.greedyMemo, greedyParity); got != 1 {
 			t.Fatalf("greedy decoder failed on single flip at %d", d)
 		}
 	}

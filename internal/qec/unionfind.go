@@ -196,11 +196,3 @@ func ufDecode(m *dem.Model, defects []defect, numData int) []bool {
 	}
 	return flips
 }
-
-// DecodeUnionFind decodes a shot record with the union-find decoder
-// instead of MWPM. Detection events, the detector-error model and the
-// correction model are shared with Decode, so accuracy differences
-// isolate the matching strategy. It is a one-lane DecodeUnionFindTile.
-func (c *Code) DecodeUnionFind(bits []int) int {
-	return c.decodeLane(bits, c.ufMemo, ufParity)
-}

@@ -217,11 +217,11 @@ func validateRequest(r CampaignRequest) error {
 	if r.P < 0 || r.P > 1 {
 		return fmt.Errorf("p %g out of range (want a probability in [0,1])", r.P)
 	}
-	if r.NS < 0 {
-		return fmt.Errorf("ns %d out of range (want >= 0; 0 = default)", r.NS)
+	if r.NS < 0 || r.NS > exp.MaxNS {
+		return fmt.Errorf("ns %d out of range (want 0..%d; 0 = default)", r.NS, exp.MaxNS)
 	}
-	if r.Rounds != 0 && r.Rounds < 2 {
-		return fmt.Errorf("rounds %d out of range (want >= 2 stabilization rounds; 0 = default)", r.Rounds)
+	if r.Rounds != 0 && (r.Rounds < 2 || r.Rounds > exp.MaxRounds) {
+		return fmt.Errorf("rounds %d out of range (want 2..%d stabilization rounds; 0 = default)", r.Rounds, exp.MaxRounds)
 	}
 	if r.CI < 0 || r.CI >= 0.5 {
 		return fmt.Errorf("ci %g out of range (want 0 <= ci < 0.5; 0 disables adaptive shots)", r.CI)

@@ -152,6 +152,9 @@ func TestCampaignValidation(t *testing.T) {
 		"ci":           {Experiment: "fig5", CI: 0.7},
 		"rounds":       {Experiment: "fig5", Rounds: 1},
 		"p":            {Experiment: "fig5", P: 1.5},
+		// Just over the caps on the inputs that size a campaign.
+		"ns cap":     {Experiment: "fig5", Shots: 1, NS: exp.MaxNS + 1},
+		"rounds cap": {Experiment: "fig5", Shots: 1, Rounds: exp.MaxRounds + 1},
 	} {
 		body, _ := json.Marshal(req)
 		resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", string(body), nil)

@@ -19,7 +19,7 @@ import (
 )
 
 // chaosOpts keeps retry backoff out of the test wall-clock.
-var chaosOpts = Options{RetryBackoff: 50 * time.Microsecond, ProbeInterval: time.Hour}
+var chaosOpts = Options{retryBackoff: 50 * time.Microsecond, probeInterval: time.Hour}
 
 func pt(key string, shots, errs int) sweep.CachedPoint {
 	return sweep.CachedPoint{Key: key, Shots: shots, Errors: errs, Batches: 1}
@@ -131,7 +131,7 @@ func TestChaosBackgroundProbeRearmsWrites(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
 	opts := chaosOpts
-	opts.ProbeInterval = 5 * time.Millisecond
+	opts.probeInterval = 5 * time.Millisecond
 	s := openT(t, dir, opts)
 	if err := faultinject.Enable(faultinject.StoreWriteError, "error*4"); err != nil {
 		t.Fatal(err)

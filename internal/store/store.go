@@ -98,20 +98,20 @@ type Options struct {
 	// MaxCached is accepted and ignored: every committed point stays
 	// resident in the index.
 	MaxCached int
-	// RetryBackoff is the first retry's backoff; each further attempt
+	// retryBackoff is the first retry's backoff; each further attempt
 	// doubles it, with up to 50% random jitter. 0 picks
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
-	// ProbeInterval is how often a degraded store re-probes the
+	// defaultRetryBackoff. Only the package's fault tests set it.
+	retryBackoff time.Duration
+	// probeInterval is how often a degraded store re-probes the
 	// segment so writes re-arm once the fault clears. 0 picks
-	// DefaultProbeInterval.
-	ProbeInterval time.Duration
+	// defaultProbeInterval. Only the package's fault tests set it.
+	probeInterval time.Duration
 }
 
 // Fault-tolerance defaults for Options.
 const (
-	DefaultRetryBackoff  = 2 * time.Millisecond
-	DefaultProbeInterval = 5 * time.Second
+	defaultRetryBackoff  = 2 * time.Millisecond
+	defaultProbeInterval = 5 * time.Second
 )
 
 // writeRetries bounds how many times a failed segment append is retried
@@ -205,11 +205,11 @@ func (ce *commitEntry) point() sweep.CachedPoint {
 // damage a crash mid-append can cause — is truncated away so the
 // segment stays appendable and every record before it survives.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = DefaultRetryBackoff
+	if opts.retryBackoff <= 0 {
+		opts.retryBackoff = defaultRetryBackoff
 	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = DefaultProbeInterval
+	if opts.probeInterval <= 0 {
+		opts.probeInterval = defaultProbeInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -347,7 +347,7 @@ func (s *Store) append(rec record) bool {
 // exponential-backoff retries. Called with s.mu held; the backoff
 // sleeps hold the lock deliberately — a store whose disk is failing
 // must not let other writers interleave half-states, and the total
-// worst-case hold (sum of DefaultRetryBackoff doublings) is ~20ms.
+// worst-case hold (sum of defaultRetryBackoff doublings) is ~20ms.
 func (s *Store) writeRetrying(line []byte) bool {
 	const attempts = 1 + writeRetries
 	var lastErr error
@@ -358,7 +358,7 @@ func (s *Store) writeRetrying(line []byte) bool {
 			// truncate back to the last durable offset so a torn
 			// partial write from the failed attempt can't corrupt the
 			// segment mid-file.
-			backoff := s.opts.RetryBackoff << (attempt - 1)
+			backoff := s.opts.retryBackoff << (attempt - 1)
 			backoff += time.Duration(rand.Int64N(int64(backoff)/2 + 1))
 			time.Sleep(backoff)
 			if err := s.f.Truncate(s.size); err != nil {
@@ -415,7 +415,7 @@ func (s *Store) degrade(err error) {
 // probeLoop periodically re-probes a degraded segment until writes
 // recover or the store closes.
 func (s *Store) probeLoop() {
-	t := time.NewTicker(s.opts.ProbeInterval)
+	t := time.NewTicker(s.opts.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -435,7 +435,7 @@ func (s *Store) probeLoop() {
 // Probe tests whether a degraded segment accepts writes again and, if
 // so, re-arms appends. Returns true when the store is healthy (or
 // permanently done probing). Exposed so tests and operators can force
-// a recovery check without waiting out ProbeInterval.
+// a recovery check without waiting out probeInterval.
 func (s *Store) Probe() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

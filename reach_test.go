@@ -37,11 +37,7 @@ var reachAllow = map[string]string{
 	"circuit.Circuit.Append":               "oracle",
 	"circuit.Circuit.Clone":                "oracle",
 	"exp.prepared.rate":                    "oracle",
-	"frame.BatchCampaign.Run":              "oracle",
-	"frame.Result.Rate":                    "oracle",
-	"inject.Campaign.Run":                  "oracle",
 	"inject.Executor.Run":                  "oracle",
-	"inject.Result.Rate":                   "oracle",
 	"matching.MatchingWeight":              "oracle",
 	"matching.MaxWeightMatching":           "oracle",
 	"matching.Workspace.MaxWeightMatching": "oracle",
