@@ -27,7 +27,8 @@ func fingerprintFor(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.spec("fp/test", cfg, p.strikeAt(2, 0.5, true), cfg.Seed).fingerprint(cfg)
+	fp := p.spec("fp/test", cfg, p.strikeAt(2, 0.5, true), cfg.Seed).fingerprint(cfg)
+	return newAddresser().address(&fp)
 }
 
 func TestFingerprintStableAndSensitive(t *testing.T) {

@@ -426,10 +426,15 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 	}
 	t0 := time.Now()
 	points := make([]sweep.Point, len(specs))
+	var addr *addresser
+	if cfg.Cache != nil {
+		addr = newAddresser()
+	}
 	for i, s := range specs {
 		points[i] = s.point(cfg.Engine, cfg.Decoder)
-		if cfg.Cache != nil {
-			points[i].Hash = s.fingerprint(cfg)
+		if addr != nil {
+			fp := s.fingerprint(cfg)
+			points[i].Hash = addr.address(&fp)
 		}
 	}
 	if tel := cfg.Telemetry; tel != nil {

@@ -31,38 +31,70 @@ func Fig5(cfg Config) (*Table, error) {
 			"code", "phys_rate", "sample", "root_prob", "logical_error",
 		},
 	}
-	type job struct {
-		code *qec.Code
-		topo arch.Topology
-	}
-	rep, err := cfg.repetition(5)
+	specs, meta, err := fig5Specs(cfg)
 	if err != nil {
 		return nil, err
+	}
+	results := runSpecs(cfg, specs)
+	var impactRates []float64
+	for i, r := range results {
+		m := meta[i]
+		rate := r.Rate()
+		t.Add(m.code.Name,
+			fmt.Sprintf("%.0e", m.phys),
+			fmt.Sprintf("%d", m.k),
+			fmt.Sprintf("%.4f", m.prob),
+			pct(rate))
+		if m.k == 0 {
+			impactRates = append(impactRates, rate)
+		}
+		// The per-code impact note closes when its block of rows ends.
+		if i+1 == len(results) || meta[i+1].code != m.code {
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"%s: mean logical error at impact (root prob 100%%) across phys rates = %s",
+				m.code.Name, pct(stats.Mean(impactRates))))
+			impactRates = impactRates[:0]
+		}
+	}
+	noteAdaptive(t, cfg, results)
+	return t, nil
+}
+
+// fig5Row is the coordinates of one Figure 5 row.
+type fig5Row struct {
+	code *qec.Code
+	phys float64
+	k    int
+	prob float64
+}
+
+// fig5Specs returns Figure 5's specs, one per (code, phys rate, temporal
+// sample) in row order, with each row's coordinates.
+func fig5Specs(cfg Config) ([]pointSpec, []fig5Row, error) {
+	rep, err := cfg.repetition(5)
+	if err != nil {
+		return nil, nil, err
 	}
 	xxzz, err := cfg.xxzz(3, 3)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	jobs := []job{
+	jobs := []struct {
+		code *qec.Code
+		topo arch.Topology
+	}{
 		{rep, arch.Mesh(5, 2)},
 		{xxzz, arch.Mesh(5, 4)},
 	}
 	samples := noise.TemporalSamples(cfg.NS)
-	// One spec per (code, phys rate, temporal sample), in row order.
-	type rowMeta struct {
-		job  job
-		phys float64
-		k    int
-		prob float64
-	}
 	var (
 		specs []pointSpec
-		meta  []rowMeta
+		meta  []fig5Row
 	)
 	for ji, j := range jobs {
 		p, err := prepare(j.code, j.topo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for pi, phys := range Fig5PhysicalRates() {
 			sub := cfg
@@ -72,31 +104,9 @@ func Fig5(cfg Config) (*Table, error) {
 				seed := cfg.Seed + uint64(ji*1000003+pi*1009+k*13)
 				specs = append(specs, p.spec(
 					fmt.Sprintf("fig5/%s/p%.0e/t%d", j.code.Name, phys, k), sub, ev, seed))
-				meta = append(meta, rowMeta{j, phys, k, rootProb})
+				meta = append(meta, fig5Row{j.code, phys, k, rootProb})
 			}
 		}
 	}
-	results := runSpecs(cfg, specs)
-	var impactRates []float64
-	for i, r := range results {
-		m := meta[i]
-		rate := r.Rate()
-		t.Add(m.job.code.Name,
-			fmt.Sprintf("%.0e", m.phys),
-			fmt.Sprintf("%d", m.k),
-			fmt.Sprintf("%.4f", m.prob),
-			pct(rate))
-		if m.k == 0 {
-			impactRates = append(impactRates, rate)
-		}
-		// The per-code impact note closes when its block of rows ends.
-		if i+1 == len(results) || meta[i+1].job.code != m.job.code {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s: mean logical error at impact (root prob 100%%) across phys rates = %s",
-				m.job.code.Name, pct(stats.Mean(impactRates))))
-			impactRates = impactRates[:0]
-		}
-	}
-	noteAdaptive(t, cfg, results)
-	return t, nil
+	return specs, meta, nil
 }

@@ -2,12 +2,14 @@ package exp
 
 import (
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"hash"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"radqec/internal/frame"
@@ -30,10 +32,13 @@ const fingerprintVersion = 2
 // the fault, the seed, the resolved engine and decoder, and the full
 // shot-allocation policy. Its address is the SHA-256 of its canonical
 // JSON: keys sorted, no whitespace, omitempty fields skipped, strings
-// and numbers as encoding/json writes them. appendCanonical writes
-// those bytes directly; FuzzFingerprintMatchesCanonical holds it to the
-// generic marshal -> untyped decode -> re-marshal of this struct, the
-// form every address in an existing store was computed under.
+// and numbers as encoding/json writes them. Three appenders write those
+// bytes directly, in key order: appendPrefix the fields every point of
+// one prepared circuit shares within a campaign, appendEvent the event,
+// appendSuffix the per-point rest. FuzzFingerprintMatchesCanonical
+// holds them to the generic marshal -> untyped decode -> re-marshal of
+// this struct, the form every address in an existing store was
+// computed under.
 type specFingerprint struct {
 	V   int    `json:"v"`
 	Key string `json:"key"`
@@ -52,24 +57,35 @@ type specFingerprint struct {
 	Align    int             `json:"align"`
 }
 
-// appendCanonical appends the fingerprint's canonical JSON to b.
-func (fp *specFingerprint) appendCanonical(b []byte) []byte {
+// appendPrefix appends the document's opening and the align, ci,
+// circuit, decoder and engine fields.
+func (fp *specFingerprint) appendPrefix(b []byte) []byte {
 	b = strconv.AppendInt(append(b, `{"align":`...), int64(fp.Align), 10)
 	if fp.CI != 0 {
 		b = appendJSONFloat(append(b, `,"ci":`...), fp.CI)
 	}
 	b = append(append(b, `,"circuit":`...), fp.Circuit...)
 	b = appendJSONString(append(b, `,"decoder":`...), fp.Decoder)
-	b = appendJSONString(append(b, `,"engine":`...), fp.Engine)
-	if len(fp.Event) > 0 {
-		b = append(b, `,"event":`...)
-		sep := byte('[')
-		for _, p := range fp.Event {
-			b = appendJSONFloat(append(b, sep), p)
-			sep = ','
-		}
-		b = append(b, ']')
+	return appendJSONString(append(b, `,"engine":`...), fp.Engine)
+}
+
+// appendEvent appends the event field, or nothing for an empty event.
+func appendEvent(b []byte, event []float64) []byte {
+	if len(event) == 0 {
+		return b
 	}
+	b = append(b, `,"event":`...)
+	sep := byte('[')
+	for _, p := range event {
+		b = appendJSONFloat(append(b, sep), p)
+		sep = ','
+	}
+	return append(b, ']')
+}
+
+// appendSuffix appends the key, max_shots, phys, seed, shots and v
+// fields and closes the document.
+func (fp *specFingerprint) appendSuffix(b []byte) []byte {
 	b = appendJSONString(append(b, `,"key":`...), fp.Key)
 	if fp.MaxShots != 0 {
 		b = strconv.AppendInt(append(b, `,"max_shots":`...), int64(fp.MaxShots), 10)
@@ -120,24 +136,87 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// fingerprintBufs recycles the document buffers: a daemon replaying a
-// stored campaign addresses every point of it and does nothing else.
-var fingerprintBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// address returns the SHA-256 of the canonical JSON, in hex.
-func (fp *specFingerprint) address() string {
-	buf := fingerprintBufs.Get().(*[]byte)
-	*buf = fp.appendCanonical((*buf)[:0])
-	sum := sha256.Sum256(*buf)
-	fingerprintBufs.Put(buf)
-	return hex.EncodeToString(sum[:])
+// addresser computes the content addresses of one campaign's points.
+// Within a runSpecs call every point of a prepared circuit shares the
+// document prefix and many points share an event, so the addresser
+// hashes each prefix once and resumes the SHA-256 state after it for
+// every point, and formats each distinct event once. It lives for one
+// call and serves one goroutine; nothing it holds outlives the call.
+type addresser struct {
+	h        stateHash
+	prefixes map[prefixKey][]byte // marshalled SHA-256 state after the prefix
+	events   map[string][]byte    // appendEvent's bytes, by the probabilities' bits
+	bits     []byte
+	buf      []byte
+	sum      [sha256.Size]byte
+	hex      [2 * sha256.Size]byte
 }
 
-// fingerprint returns the point's content address under cfg. Specs
+// stateHash is a hash whose running state can be saved and restored.
+type stateHash interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// prefixKey identifies a document prefix. The circuit is identified by
+// its literal's first byte (a JSON string literal is never empty):
+// prepared.circuitLiteral memoises one literal per prepared circuit and
+// never rewrites it.
+type prefixKey struct {
+	circuit         *byte
+	ci              uint64
+	engine, decoder string
+}
+
+func newAddresser() *addresser {
+	return &addresser{
+		h:        sha256.New().(stateHash),
+		prefixes: map[prefixKey][]byte{},
+		events:   map[string][]byte{},
+	}
+}
+
+// address returns the SHA-256 of fp's canonical JSON, in hex.
+func (a *addresser) address(fp *specFingerprint) string {
+	pk := prefixKey{&fp.Circuit[0], math.Float64bits(fp.CI), fp.Engine, fp.Decoder}
+	if state, ok := a.prefixes[pk]; ok {
+		if err := a.h.UnmarshalBinary(state); err != nil {
+			panic(err) // the state is one this hash marshalled
+		}
+	} else {
+		a.h.Reset()
+		a.buf = fp.appendPrefix(a.buf[:0])
+		a.h.Write(a.buf)
+		state, err := a.h.MarshalBinary()
+		if err != nil {
+			panic(err) // SHA-256 always marshals
+		}
+		a.prefixes[pk] = state
+	}
+	if len(fp.Event) > 0 {
+		a.bits = a.bits[:0]
+		for _, p := range fp.Event {
+			a.bits = binary.LittleEndian.AppendUint64(a.bits, math.Float64bits(p))
+		}
+		ev, ok := a.events[string(a.bits)]
+		if !ok {
+			ev = appendEvent(nil, fp.Event)
+			a.events[string(a.bits)] = ev
+		}
+		a.h.Write(ev)
+	}
+	a.buf = fp.appendSuffix(a.buf[:0])
+	a.h.Write(a.buf)
+	hex.Encode(a.hex[:], a.h.Sum(a.sum[:0]))
+	return string(a.hex[:])
+}
+
+// fingerprint returns the point's canonical identity under cfg. Specs
 // that override the decode function are still distinguished, because
 // every such spec carries the variant in its key (e.g. the
 // ablation-decoder rows).
-func (s pointSpec) fingerprint(cfg Config) string {
+func (s pointSpec) fingerprint(cfg Config) specFingerprint {
 	fp := specFingerprint{
 		V:        fingerprintVersion,
 		Key:      s.key,
@@ -154,5 +233,5 @@ func (s pointSpec) fingerprint(cfg Config) string {
 	if s.ev != nil {
 		fp.Event = s.ev.Probs
 	}
-	return fp.address()
+	return fp
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"radqec/internal/arch"
@@ -100,27 +101,41 @@ func fig5PointSpec(tb testing.TB) (pointSpec, Config) {
 }
 
 // TestFingerprintAllocs pins the cost model of addressing a point: the
-// document goes into a recycled buffer and the circuit literal is
-// memoised, so what is left is the returned string. The generic path
-// this replaced read 135.
+// addresser resumes the hash after the campaign's prefix and reuses its
+// event bytes and buffers, so what is left is the returned string. The
+// generic path this replaced read 135.
 func TestFingerprintAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops buffers under the race detector")
-	}
 	spec, cfg := fig5PointSpec(t)
-	if got := testing.AllocsPerRun(200, func() { spec.fingerprint(cfg) }); got > 4 {
-		t.Errorf("fingerprint allocates %v times per point, want at most 4", got)
+	a := newAddresser()
+	fp := spec.fingerprint(cfg)
+	a.address(&fp)
+	if got := testing.AllocsPerRun(200, func() {
+		fp := spec.fingerprint(cfg)
+		a.address(&fp)
+	}); got > 4 {
+		t.Errorf("the addresser allocates %v times per point, want at most 4", got)
 	}
 }
 
 var fingerprintSink string
 
+// BenchmarkFingerprint addresses Figure 5's 160 points as runSpecs
+// does, one addresser per campaign, and reports the cost per point.
 func BenchmarkFingerprint(b *testing.B) {
-	spec, cfg := fig5PointSpec(b)
+	cfg := Config{Shots: 2000, Seed: 1, Engine: EngineBatch}.Defaults()
+	specs, _, err := fig5Specs(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for b.Loop() {
-		fingerprintSink = spec.fingerprint(cfg)
+		a := newAddresser()
+		for _, s := range specs {
+			fp := s.fingerprint(cfg)
+			fingerprintSink = a.address(&fp)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/point")
 }
 
 // fuzzEvent decodes the fuzzer's bytes into an event: eight bytes a
@@ -186,14 +201,35 @@ func FuzzFingerprintMatchesCanonical(f *testing.F) {
 			Phys: phys, Event: fuzzEvent(event), Seed: seed, Engine: engine, Decoder: decoder,
 			Shots: shots, CI: ci, MaxShots: maxShots, Align: 512,
 		}
-		want, err := canonicalHash(fp)
-		if err != nil {
-			t.Fatal(err)
+		// One point alone, then a two-point campaign through one
+		// addresser: the second point shares the prefix, differs in key,
+		// seed and phys, and carries the event reversed (the same bits
+		// when it is a palindrome); the first point then comes back.
+		second := fp
+		second.Key, second.Seed, second.Phys = key+"/2", ^seed, ci
+		second.Event = slices.Clone(fp.Event)
+		slices.Reverse(second.Event)
+		check := func(a *addresser, fp *specFingerprint) {
+			t.Helper()
+			want, err := canonicalHash(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := a.address(fp); got != want {
+				raw, _ := json.Marshal(fp)
+				canon, _ := canonicalJSON(raw)
+				t.Fatalf("address %s, canonical hash %s\ndirect:    %s\ncanonical: %s", got, want, canonicalDoc(fp), canon)
+			}
 		}
-		if got := fp.address(); got != want {
-			raw, _ := json.Marshal(fp)
-			canon, _ := canonicalJSON(raw)
-			t.Fatalf("address %s, canonical hash %s\ndirect:    %s\ncanonical: %s", got, want, fp.appendCanonical(nil), canon)
+		check(newAddresser(), &fp)
+		campaign := newAddresser()
+		for _, p := range []*specFingerprint{&fp, &second, &fp} {
+			check(campaign, p)
 		}
 	})
+}
+
+// canonicalDoc is the whole document the addresser hashes.
+func canonicalDoc(fp *specFingerprint) []byte {
+	return fp.appendSuffix(appendEvent(fp.appendPrefix(nil), fp.Event))
 }

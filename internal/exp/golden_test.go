@@ -168,7 +168,7 @@ func TestFingerprintLiteral(t *testing.T) {
 	adaptive.CI, adaptive.MaxShots = 0.01, 50000
 	oracle.Engine, oracle.Decoder = EngineTableau, DecoderUF
 	low.P = 1e-7
-	for _, g := range []struct {
+	golden := []struct {
 		name string
 		cfg  Config
 		spec pointSpec
@@ -187,10 +187,18 @@ func TestFingerprintLiteral(t *testing.T) {
 			"15717543c8763e04deebfc08432acf33094305abb0db07cbb9618ab9e1e6a2e7"},
 		{"brooklyn", base, brooklyn.spec("golden/brooklyn", base, brooklyn.strikeAt(31, 1e-4, true), 42),
 			"4eb3a70a50414166fd2be0374f9cad908f8e377b20456862577b4b9fedc02a0e"},
-	} {
-		if got := g.spec.fingerprint(g.cfg); got != g.want {
-			t.Errorf("%s: fingerprint of the fixed spec is %s, recorded %s (fingerprintVersion %d)",
-				g.name, got, g.want, fingerprintVersion)
+	}
+	// Each spec alone, then all six as one campaign, twice: three
+	// prepared circuits, and strike and tableau-uf inject the same event
+	// through distinct values.
+	campaign := newAddresser()
+	for pass, a := range []func() *addresser{newAddresser, func() *addresser { return campaign }, func() *addresser { return campaign }} {
+		for _, g := range golden {
+			fp := g.spec.fingerprint(g.cfg)
+			if got := a().address(&fp); got != g.want {
+				t.Errorf("%s (pass %d): fingerprint of the fixed spec is %s, recorded %s (fingerprintVersion %d)",
+					g.name, pass, got, g.want, fingerprintVersion)
+			}
 		}
 	}
 }

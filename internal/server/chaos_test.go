@@ -230,6 +230,79 @@ func TestChaosDegradedStoreReportsAndServes(t *testing.T) {
 	}
 }
 
+// TestChaosStreamStall: a stream whose every record write stalls still
+// delivers every record and the table, and a sibling campaign on the
+// same 2-worker daemon still completes.
+func TestChaosStreamStall(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	_, ts, _ := newTestServerWorkers(t, 2)
+	req := CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)}
+	ref, err := exp.Threshold(exp.Config{Shots: 192, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Enable(faultinject.StreamStall, "sleep(10ms)"); err != nil {
+		t.Fatal(err)
+	}
+	stalled := startCampaign(t, ts, req, true)
+	sibling := startCampaign(t, ts, CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(32)}, true)
+	recs, siblingRecs := drainStream(t, stalled), drainStream(t, sibling)
+	keys := map[string]bool{}
+	for _, r := range recs[:len(recs)-1] {
+		if r.Point == nil {
+			t.Fatalf("stalled stream carried %+v before its table", r)
+		}
+		keys[r.Point.Key] = true
+	}
+	if len(recs) != 16 || len(keys) != 15 {
+		t.Fatalf("stalled stream carried %d records over %d point keys, want 15 points and a table", len(recs), len(keys))
+	}
+	if tab := recs[len(recs)-1].Table; tab == nil || !reflect.DeepEqual(tab.Rows, ref.Rows) {
+		t.Fatalf("stalled stream ended with %+v, want the reference table", recs[len(recs)-1])
+	}
+	if len(siblingRecs) != 16 || siblingRecs[15].Table == nil {
+		t.Fatalf("sibling campaign streamed %d records, want 15 points and a table", len(siblingRecs))
+	}
+	if hits := faultinject.Hits(faultinject.StreamStall); hits < 32 {
+		t.Fatalf("stall failpoint fired %d times, want one per record of both streams", hits)
+	}
+}
+
+// TestChaosStreamDrop: a campaign whose stream drops on its first
+// record still commits every point, so a resubmission is a full cache
+// hit that computes nothing.
+func TestChaosStreamDrop(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	srv, ts, st := newTestServer(t)
+	req := CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)}
+	if err := faultinject.Enable(faultinject.StreamDrop, "error*1"); err != nil {
+		t.Fatal(err)
+	}
+	if recs := drainStream(t, startCampaign(t, ts, req, true)); len(recs) != 0 {
+		t.Fatalf("dropped stream carried %d records", len(recs))
+	}
+	waitIdle(t, srv)
+	if faultinject.Hits(faultinject.StreamDrop) != 1 {
+		t.Fatalf("drop failpoint fired %d times", faultinject.Hits(faultinject.StreamDrop))
+	}
+	if got := st.Stats().Commits; got != 15 {
+		t.Fatalf("store commits = %d, want all 15 points of the dropped campaign", got)
+	}
+	computed := metricValue(t, ts, "points_computed_total")
+	points, _ := submit(t, ts, req)
+	for _, p := range points {
+		if !p.Cached {
+			t.Fatalf("resubmission recomputed %s", p.Key)
+		}
+	}
+	if len(points) != 15 {
+		t.Fatalf("resubmission streamed %d points", len(points))
+	}
+	if got := metricValue(t, ts, "points_computed_total"); got != computed {
+		t.Fatalf("resubmission moved points_computed_total: %v -> %v", computed, got)
+	}
+}
+
 // waitIdle blocks until no campaign is active.
 func waitIdle(t *testing.T, srv *Server) {
 	t.Helper()

@@ -414,36 +414,11 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // keep reverse proxies from batching the stream
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	// OnPoint runs on a shared pool worker, so a stalled client must
-	// never block it indefinitely: each write gets a fresh deadline,
-	// and after the first failed write the stream is considered gone —
-	// later points skip encoding entirely. The campaign itself keeps
-	// running either way, so its points still land in the store for
-	// the next submission.
-	clientGone := false
-	emit := func(v any) {
-		if clientGone {
-			return
-		}
-		// Failpoints for chaos tests: stall one stream write, or drop
-		// the client as a write failure would.
-		faultinject.Eval(faultinject.StreamStall)
-		if faultinject.Eval(faultinject.StreamDrop) != nil {
-			clientGone = true
-			return
-		}
-		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if enc.Encode(v) != nil {
-			clientGone = true
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	// The handler goroutine is the stream's only writer. OnPoint runs
+	// on a shared pool worker and only queues the record; the campaign
+	// runs on its own goroutine and queues its terminal record last.
+	recs := make(chan any, streamQueue)
+	first := true // OnPoint calls are serialised
 	cfg.OnPoint = func(res sweep.Result) {
 		if res.Cached {
 			s.pointsCached.Add(1)
@@ -451,52 +426,117 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			s.pointsComputed.Add(1)
 			s.shotsComputed.Add(int64(res.Shots))
 		}
-		emit(exp.NewPointRecord(e.Name, res))
+		recs <- exp.NewPointRecord(e.Name, res)
+		if first {
+			// The first record is the client's time to first byte: hand
+			// this worker's processor to the writer now, not whenever
+			// the worker next parks. Later records wait and go out as a
+			// burst.
+			first = false
+			runtime.Gosched()
+		}
 	}
 	// The headers go out with the submission, not with the first point:
 	// the id is the client's cancel and signals handle, and the first
 	// point can sit behind another campaign's long batch.
-	if flusher != nil {
+	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()
 	}
+	// A panic in the campaign (a bug in a figure builder; worker panics
+	// are isolated by the scheduler) is re-raised on the handler
+	// goroutine, where net/http recovers it and drops this connection,
+	// not the daemon.
+	var runPanic any
+	go func() {
+		defer close(recs)
+		defer func() { runPanic = recover() }()
+		recs <- s.runCampaign(e, cfg, req, tc.ID(), rec)
+	}()
+	writeStream(w, recs)
+	if runPanic != nil {
+		panic(runPanic)
+	}
+}
+
+// runCampaign runs the experiment and returns the stream's terminal
+// record: the table, or the error that ended the campaign.
+func (s *Server) runCampaign(e exp.Experiment, cfg exp.Config, req CampaignRequest, id int64, rec *trace.Recorder) any {
 	start := time.Now()
 	tab, err := e.Run(cfg)
-	if err != nil {
-		cancelled := errors.Is(err, context.Canceled) || errors.Is(err, errCancelled)
-		var pe *sweep.PointError
-		switch {
-		case errors.As(err, &pe):
-			// A worker panic: the recover boundary converted it into a
-			// per-point error and this campaign alone failed. Log the
-			// captured stack for the operator; siblings and the daemon
-			// keep running.
-			s.workerPanics.Add(1)
-			s.campaignErrors.Add(1)
-			log := s.log
-			if rec.Sampled() {
-				log = log.With("trace_id", rec.TraceID().String())
-			}
-			log.Error("server: sweep worker panic failed the campaign",
-				"campaign", tc.ID(),
-				"experiment", req.Experiment,
-				"point", pe.Key,
-				"hash", pe.Hash,
-				"panic", fmt.Sprint(pe.Value),
-				"stack", string(pe.Stack))
-		case cancelled:
-			s.campaignsCancelled.Add(1)
-		default:
-			s.campaignErrors.Add(1)
-		}
-		// Cancellation flushed partial checkpoints at batch boundaries;
-		// make them durable now so an immediate resubmission resumes.
-		if s.st != nil {
-			s.st.Sync()
-		}
-		emit(errorRecord{Type: "error", Error: err.Error(), Cancelled: cancelled})
-		return
+	if err == nil {
+		return exp.NewTableRecord(e.Name, tab, time.Since(start))
 	}
-	emit(exp.NewTableRecord(e.Name, tab, time.Since(start)))
+	cancelled := errors.Is(err, context.Canceled) || errors.Is(err, errCancelled)
+	var pe *sweep.PointError
+	switch {
+	case errors.As(err, &pe):
+		// A worker panic: the recover boundary converted it into a
+		// per-point error and this campaign alone failed. Log the
+		// captured stack for the operator; siblings and the daemon
+		// keep running.
+		s.workerPanics.Add(1)
+		s.campaignErrors.Add(1)
+		log := s.log
+		if rec.Sampled() {
+			log = log.With("trace_id", rec.TraceID().String())
+		}
+		log.Error("server: sweep worker panic failed the campaign",
+			"campaign", id,
+			"experiment", req.Experiment,
+			"point", pe.Key,
+			"hash", pe.Hash,
+			"panic", fmt.Sprint(pe.Value),
+			"stack", string(pe.Stack))
+	case cancelled:
+		s.campaignsCancelled.Add(1)
+	default:
+		s.campaignErrors.Add(1)
+	}
+	// Cancellation flushed partial checkpoints at batch boundaries;
+	// make them durable now so an immediate resubmission resumes.
+	if s.st != nil {
+		s.st.Sync()
+	}
+	return errorRecord{Type: "error", Error: err.Error(), Cancelled: cancelled}
+}
+
+// writeStream writes a campaign's records as NDJSON until recs closes;
+// it is the only code that touches w. The first record is flushed on
+// its own, so the time to first record does not wait for a burst. After
+// that the stream flushes only when the queue is empty: a burst of
+// records queued while one was being written costs one write, and
+// records arriving one at a time still flush one at a time. Each write
+// gets a fresh deadline, and after the first failed write the stream is
+// gone: the rest are drained unwritten, so a pool worker waits on a
+// full queue at most one streamWriteTimeout. The campaign itself keeps
+// running either way, so its points still land in the store for the
+// next submission.
+func writeStream(w http.ResponseWriter, recs <-chan any) {
+	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
+	enc := json.NewEncoder(w)
+	first, gone := true, false
+	for v := range recs {
+		if gone {
+			continue
+		}
+		// Failpoints for chaos tests: stall one stream write, or drop
+		// the client as a write failure would.
+		faultinject.Eval(faultinject.StreamStall)
+		if faultinject.Eval(faultinject.StreamDrop) != nil {
+			gone = true
+			continue
+		}
+		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+		if enc.Encode(v) != nil {
+			gone = true
+			continue
+		}
+		if (first || len(recs) == 0) && flusher != nil {
+			flusher.Flush()
+		}
+		first = false
+	}
 }
 
 // handleCampaignCancel cancels a running campaign. The campaign
@@ -521,9 +561,17 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamWriteTimeout bounds how long one NDJSON record write may block
-// on a stalled client before the stream is abandoned; it exists so a
-// dead connection can never pin a shared pool worker.
+// on a stalled client before the stream is abandoned. The handler
+// goroutine does the writing; a pool worker only waits when the
+// campaign's record queue is full, so a dead connection can pin a
+// shared pool worker for at most this long.
 const streamWriteTimeout = 30 * time.Second
+
+// streamQueue is a campaign stream's record queue capacity: the records
+// a campaign may run ahead of its writer before a pool worker waits.
+// 256 holds a whole replayed fig5 (161 records) and costs 4 KiB a
+// stream.
+const streamQueue = 256
 
 // Signals-stream tuning: how many ring entries one poll drains, and how
 // long a live follow sleeps when the ring is drained.

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,15 +24,21 @@ import (
 // seed builds the request's optional seed field.
 func seed(v uint64) *uint64 { return &v }
 
-// newTestServer builds a server over a temp store and an httptest
-// frontend.
+// newTestServer builds a server with a 4-worker pool over a temp store
+// and an httptest frontend.
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *store.Store) {
+	t.Helper()
+	return newTestServerWorkers(t, 4)
+}
+
+// newTestServerWorkers is newTestServer with the pool size given.
+func newTestServerWorkers(t *testing.T, workers int) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Store: st, Workers: 4})
+	srv := New(Config{Store: st, Workers: workers})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -391,5 +398,78 @@ func TestCampaignIDFlushedWithSubmission(t *testing.T) {
 	}
 	if !w.flushed || w.id == "" || w.body != 0 {
 		t.Errorf("first flush: happened=%v campaign id %q after %d body bytes; want the id with no body yet", w.flushed, w.id, w.body)
+	}
+}
+
+// flushCounter is a ResponseWriter that records, at every Flush, how
+// many NDJSON records had been written.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushedAt []int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushedAt = append(f.flushedAt, bytes.Count(f.Body.Bytes(), []byte{'\n'}))
+	f.ResponseRecorder.Flush()
+}
+
+// serveCampaign runs one campaign through the handler into a
+// flushCounter and returns it with the stream's records.
+func serveCampaign(t *testing.T, srv *Server, body string) (*flushCounter, []string) {
+	t.Helper()
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/campaigns", strings.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	return w, strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+}
+
+// comparableRecords strips the fields a replay may change, cached and
+// elapsed_ms, and returns the records sorted.
+func comparableRecords(t *testing.T, lines []string) []string {
+	t.Helper()
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatalf("record %d: %v: %s", i, err, l)
+		}
+		delete(m, "cached")
+		delete(m, "elapsed_ms")
+		b, _ := json.Marshal(m)
+		out[i] = string(b)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestCampaignReplayFlushesPerBurst pins the stream's burst rule on a
+// fully cached fig5 (160 points and a table): the first record is
+// flushed alone, later records flush once per drained burst rather
+// than once each, and the replayed stream carries the cold stream's
+// records.
+func TestCampaignReplayFlushesPerBurst(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	const body = `{"experiment":"fig5","shots":512,"seed":7}`
+	_, cold := serveCampaign(t, srv, body)
+	w, warm := serveCampaign(t, srv, body)
+	if len(warm) != 161 {
+		t.Fatalf("replay streamed %d records, want 161", len(warm))
+	}
+	if got := srv.pointsCached.Load(); got != 160 {
+		t.Fatalf("replay served %d cached points, want 160", got)
+	}
+	// The submission flushes the headers, then the first record goes
+	// out alone.
+	if len(w.flushedAt) < 2 || w.flushedAt[0] != 0 || w.flushedAt[1] != 1 {
+		t.Fatalf("records written at each flush: %v, want the headers then the first record alone", w.flushedAt)
+	}
+	if n := len(w.flushedAt); n > 16 || w.flushedAt[n-1] != len(warm) {
+		t.Fatalf("%d flushes for %d records (records written at each: %v), want at most 16 and the last after the table",
+			n, len(warm), w.flushedAt)
+	}
+	if !slices.Equal(comparableRecords(t, warm), comparableRecords(t, cold)) {
+		t.Fatal("replayed records differ from the cold stream's")
 	}
 }

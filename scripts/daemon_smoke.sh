@@ -7,7 +7,9 @@
 #   2. run the same small fig5 campaign through the CLI (no store) and
 #      through the daemon, and assert the streamed tables and per-point
 #      records match exactly (point order is scheduling-dependent, so
-#      points compare keyed; elapsed_ms is timing, so it is stripped)
+#      points compare keyed; elapsed_ms is timing, so it is stripped);
+#      a point record streamed twice, or a point count that differs
+#      between the CLI, cold and warm streams, fails the run
 #   3. re-submit the campaign and assert a full cache hit: every point
 #      streams back flagged cached and the daemon's engine counter
 #      (radqecd_points_computed_total) does not advance; the decode and
@@ -108,6 +110,8 @@ def load(name):
             rec = json.loads(line)
             if rec["type"] == "point":
                 cached = rec.pop("cached", False)
+                if rec["key"] in points:
+                    sys.exit(f"{name}: point {rec['key']} streamed twice")
                 points[rec["key"]] = (rec, cached)
             elif rec["type"] == "table":
                 rec.pop("elapsed_ms")
@@ -122,6 +126,9 @@ cli_pts, cli_tab = load("cli")
 cold_pts, cold_tab = load("cold")
 warm_pts, warm_tab = load("warm")
 
+counts = {n: len(p) for n, p in (("cli", cli_pts), ("cold", cold_pts), ("warm", warm_pts))}
+if len(set(counts.values())) != 1:
+    sys.exit(f"point record counts differ across streams: {counts}")
 if cold_tab != cli_tab:
     sys.exit("cold daemon table differs from CLI table")
 if warm_tab != cli_tab:
@@ -236,6 +243,8 @@ def load(name):
             rec = json.loads(line)
             if rec["type"] == "point":
                 cached = rec.pop("cached", False)
+                if rec["key"] in points:
+                    sys.exit(f"{name}: point {rec['key']} streamed twice")
                 points[rec["key"]] = (rec, cached)
             elif rec["type"] == "table":
                 rec.pop("elapsed_ms")
