@@ -18,12 +18,6 @@
 //	-workers N       shared sweep worker pool size (default GOMAXPROCS);
 //	                 all concurrent campaigns are multiplexed fairly
 //	                 over this one budget
-//	-peers H1,H2,... static fabric ring, self included: campaigns shard
-//	                 across these nodes by content hash, with results
-//	                 byte-identical to a single-node run. Requires
-//	                 -store and -self
-//	-self HOST:PORT  this node's own address exactly as it appears in
-//	                 -peers
 //	-trace-sample on|off  default distributed-trace sampling for
 //	                 campaigns that don't set "trace_sample" (default
 //	                 off); sampled campaigns record spans readable at
@@ -48,12 +42,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
-	"radqec/internal/fabric"
 	"radqec/internal/logsetup"
 	"radqec/internal/server"
 	"radqec/internal/store"
@@ -63,8 +54,6 @@ func main() {
 	addr := flag.String("addr", ":8423", "listen address")
 	storeDir := flag.String("store", "radqec-store", "result store directory (empty disables persistence)")
 	workers := flag.Int("workers", 0, "shared sweep worker pool size (0 = GOMAXPROCS)")
-	peers := flag.String("peers", "", "comma-separated static fabric ring, self included (empty = single node)")
-	self := flag.String("self", "", "this node's own address as it appears in -peers")
 	traceSample := flag.String("trace-sample", "off", "default distributed-trace sampling for campaigns: on or off (requests may override per campaign)")
 	logFormat := flag.String("log-format", "text", "structured-log rendering: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -85,26 +74,6 @@ func main() {
 	if err != nil {
 		usageError(err.Error())
 	}
-	var ring []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				ring = append(ring, p)
-			}
-		}
-		if *self == "" {
-			usageError("-peers requires -self (this node's address as listed in -peers)")
-		}
-		if !slices.Contains(ring, *self) {
-			usageError(fmt.Sprintf("-self %q not in -peers %v", *self, ring))
-		}
-		if *storeDir == "" {
-			usageError("-peers requires -store (fetched peer results land in the store)")
-		}
-	} else if *self != "" {
-		usageError("-self without -peers")
-	}
-
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
@@ -122,19 +91,9 @@ func main() {
 		log.Warn("radqecd: running without a store; every campaign recomputes")
 	}
 
-	var coord *fabric.Coordinator
-	if len(ring) > 0 {
-		var err error
-		coord, err = fabric.New(fabric.Options{Self: *self, Peers: ring, Store: st, Logger: log})
-		if err != nil {
-			fatal(err)
-		}
-		log.Info("radqecd: fabric ring joined", "nodes", len(coord.Peers()), "self", *self)
-	}
 	srv := server.New(server.Config{
 		Store:       st,
 		Workers:     *workers,
-		Fabric:      coord,
 		TraceSample: *traceSample,
 		Logger:      log,
 		Pprof:       *pprofOn,

@@ -64,8 +64,8 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 // line here, not a drive-by.
 func TestFlagSet(t *testing.T) {
 	want := []string{
-		"addr", "log-format", "log-level", "peers", "pprof", "self",
-		"store", "trace-sample", "workers",
+		"addr", "log-format", "log-level", "pprof", "store",
+		"trace-sample", "workers",
 	}
 	out, code := run(t, "-h")
 	if code != 0 {

@@ -1,6 +1,6 @@
 // Package client is the typed Go client of the radqecd v1 API — the
-// one place the calls this tree makes are spelled out. The fabric
-// coordinator, the server's own tests and the smoke harness's Go helper
+// one place the calls this tree makes are spelled out. The benchmark
+// harness, the server's own tests and the smoke harness's Go helper
 // all speak through it instead of hand-rolling http.Get and NDJSON
 // parsing, so a surface change breaks one package loudly rather than
 // three quietly.
@@ -53,21 +53,14 @@ type CampaignRequest struct {
 	// (0 = the whole pool). It never grows the pool.
 	Workers int `json:"workers,omitempty"`
 	// NoCache bypasses the store for this campaign: nothing is read
-	// from or written to it (and the fabric never shards it).
+	// from or written to it.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Fabric marks an intra-ring fan-out submission: the receiving
-	// node runs the campaign in fabric mode (computing only the points
-	// it owns) but does not fan out again. Set by the coordinator,
-	// never by end clients; daemons older than the fabric release
-	// reject it, so a ring must run one release.
-	Fabric bool `json:"fabric,omitempty"`
 	// TraceSample overrides the daemon's -trace-sample default for
 	// this campaign: "on" records a distributed trace (spans at
 	// GET /v1/campaigns/{id}/trace), "off" disables it, omitted takes
 	// the daemon default. Any other value is a 400. Tracing is pure
 	// mechanism — results and content hashes are unchanged by it. An
-	// incoming sampled traceparent header wins over "off", so fan-out
-	// legs of a sampled campaign always stitch.
+	// incoming sampled traceparent header wins over "off".
 	TraceSample string `json:"trace_sample,omitempty"`
 }
 
@@ -132,12 +125,6 @@ func decodeError(resp *http.Response) error {
 }
 
 func (c *Client) do(req *http.Request) (*http.Response, error) {
-	// Every hop of a sampled campaign carries its W3C traceparent —
-	// fan-out submits, point long-polls, lease claims — so a
-	// multi-node campaign stitches into one trace.
-	if tp := trace.FromContext(req.Context()).Traceparent(); tp != "" {
-		req.Header.Set(trace.Header, tp)
-	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -216,7 +203,7 @@ type CampaignStream struct {
 	ID int64
 	// TraceID is the campaign's trace id from the X-Radqec-Trace-Id
 	// response header, empty when the campaign is unsampled — the
-	// handle for TraceByID against any node of the ring.
+	// handle for GET /v1/traces/{trace_id}.
 	TraceID string
 	body    io.ReadCloser
 	sc      *bufio.Scanner
@@ -386,29 +373,9 @@ func (s *SignalStream) Next() (SignalRecord, error) {
 func (s *SignalStream) Close() error { return s.body.Close() }
 
 // TraceSpans fetches a sampled campaign's recorded spans
-// (GET /v1/campaigns/{id}/trace, NDJSON). On a fabric node the server
-// stitches in the peers' spans for the same trace id; localOnly asks
-// for this node's spans alone.
-func (c *Client) TraceSpans(ctx context.Context, id int64, localOnly bool) ([]trace.Span, error) {
+// (GET /v1/campaigns/{id}/trace, NDJSON).
+func (c *Client) TraceSpans(ctx context.Context, id int64) ([]trace.Span, error) {
 	path := "/v1/campaigns/" + strconv.FormatInt(id, 10) + "/trace"
-	if localOnly {
-		path += "?local=1"
-	}
-	return c.traceNDJSON(ctx, path)
-}
-
-// TraceByID fetches spans by trace id (GET /v1/traces/{trace_id}) —
-// how a node that only ran a fan-out leg of a campaign is asked for
-// its part of the distributed trace.
-func (c *Client) TraceByID(ctx context.Context, traceID string, localOnly bool) ([]trace.Span, error) {
-	path := "/v1/traces/" + url.PathEscape(traceID)
-	if localOnly {
-		path += "?local=1"
-	}
-	return c.traceNDJSON(ctx, path)
-}
-
-func (c *Client) traceNDJSON(ctx context.Context, path string) ([]trace.Span, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return nil, err
@@ -458,11 +425,10 @@ type PointResponse struct {
 // committed result.
 const CodeNotCommitted = "point_not_committed"
 
-// LookupPoint fetches the committed result for a content hash from a
-// node's store (GET /v1/points/{hash}) — the fabric's cross-node
-// read-through call. wait > 0 asks the node to hold the request until
-// the point commits or the window expires. Returns ok=false (and no
-// error) when the point is not committed there.
+// LookupPoint fetches the committed result for a content hash from the
+// daemon's store (GET /v1/points/{hash}). wait > 0 asks the daemon to
+// hold the request until the point commits or the window expires.
+// Returns ok=false (and no error) when the point is not committed.
 func (c *Client) LookupPoint(ctx context.Context, hash string, wait time.Duration) (sweep.CachedPoint, bool, error) {
 	path := "/v1/points/" + url.PathEscape(hash)
 	if wait > 0 {
@@ -504,12 +470,12 @@ type claimRequest struct {
 	TTLMS int64  `json:"ttl_ms,omitempty"`
 }
 
-// ClaimPoint asks a node for the compute lease on a content hash — the
-// fabric's cross-node single-flight handshake before a takeover
-// compute. Every outcome is a 200 with a status: "granted" means the
-// caller may compute the point until the TTL lapses, "held" names the
-// node already computing it, and "committed" means the result already
-// exists (fetch it with LookupPoint instead).
+// ClaimPoint asks the daemon for the compute lease on a content hash.
+// Every outcome is a 200 with a status: "granted" means the caller may
+// compute the point until the TTL lapses (the daemon caps the TTL and
+// echoes the one it granted), "held" names the owner already computing
+// it, and "committed" means the result already exists (fetch it with
+// LookupPoint instead).
 func (c *Client) ClaimPoint(ctx context.Context, hash, owner string, ttl time.Duration) (Claim, error) {
 	var out Claim
 	err := c.doJSON(ctx, http.MethodPost, "/v1/points/"+url.PathEscape(hash)+"/claim",

@@ -133,13 +133,6 @@ type Config struct {
 	// — the daemon sets it so concurrent client campaigns share one CPU
 	// budget fairly instead of oversubscribing.
 	Scheduler *sweep.Scheduler
-	// Remote, when set alongside Cache, shards every sweep's points
-	// across a fabric of daemon nodes by content hash: remotely-owned
-	// points park until the owner's committed result is read through
-	// into Cache (or the owner dies and the point computes locally).
-	// Results are byte-identical with or without it — remote points
-	// replay via the same CachedPoint path a warm local cache uses.
-	Remote sweep.RemoteResolver
 	// Control is ignored: the sweep scheduler has one policy. The field
 	// stays only because the frozen bench/ harness sets it.
 	Control *control.Policy
@@ -214,7 +207,6 @@ func (c Config) sweepConfig() sweep.Config {
 			OnResult:  c.OnPoint,
 			Cache:     c.Cache,
 			Scheduler: c.Scheduler,
-			Remote:    c.Remote,
 			Telemetry: c.Telemetry,
 			Trace:     c.Trace,
 		},

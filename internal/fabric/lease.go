@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -12,19 +11,25 @@ type lease struct {
 	expires time.Time
 }
 
-// LeaseTable is a node's in-memory point-lease ledger — the
-// authoritative single-flight arbiter for the hashes the node owns.
-// A lease says "this node is computing this point until the TTL
-// lapses"; it carries no result, only exclusion. Leases are
-// deliberately not persisted: a restarted node has lost its in-flight
-// computes anyway, and an expired or vanished lease merely lets a peer
-// recompute a point — wasted shots, never a wrong table.
+// LeaseTable is the daemon's in-memory point-lease ledger behind
+// POST /v1/points/{hash}/claim. A lease says "this owner is computing
+// this point until the TTL lapses"; it carries no result, only
+// exclusion. Leases are deliberately not persisted: a restarted daemon
+// has lost its in-flight computes anyway.
+//
+// The table holds only what it must: expired leases are dropped by
+// Claim, so one client claiming fresh hashes cannot grow it past twice
+// the leases that were live at its last sweep.
 type LeaseTable struct {
 	mu     sync.Mutex
 	leases map[string]lease
-
-	granted atomic.Int64
-	denied  atomic.Int64
+	// swept is the table's size after its last sweep; Claim sweeps
+	// again once the table has doubled past it, so each sweep is paid
+	// for by the claims that grew the table.
+	swept int
+	// latest is the furthest expiry in the table: once the clock
+	// passes it every lease has lapsed and the table starts over.
+	latest time.Time
 
 	// now is the clock, swappable in tests to exercise expiry without
 	// sleeping.
@@ -48,26 +53,29 @@ func (t *LeaseTable) Claim(hash, owner string, ttl time.Duration) (ok bool, hold
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if l, live := t.leases[hash]; live && l.owner != owner && now.Before(l.expires) {
-		t.denied.Add(1)
 		return false, l.owner, l.expires.Sub(now)
 	}
-	t.leases[hash] = lease{owner: owner, expires: now.Add(ttl)}
-	t.granted.Add(1)
+	if !now.Before(t.latest) {
+		t.leases, t.swept = make(map[string]lease), 0
+	} else if len(t.leases) > 2*t.swept {
+		t.sweep(now)
+	}
+	expires := now.Add(ttl)
+	t.leases[hash] = lease{owner: owner, expires: expires}
+	if expires.After(t.latest) {
+		t.latest = expires
+	}
 	return true, owner, ttl
 }
 
-// Holder returns the live lease holder of hash, or "" when the hash is
-// unleased or the lease has expired.
-func (t *LeaseTable) Holder(hash string) string {
-	now := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l, live := t.leases[hash]; live && now.Before(l.expires) {
-		return l.owner
+// sweep rebuilds the table from its live leases; a fresh map, because
+// a Go map never returns the memory of deleted entries.
+func (t *LeaseTable) sweep(now time.Time) {
+	live := make(map[string]lease, len(t.leases))
+	for h, l := range t.leases {
+		if now.Before(l.expires) {
+			live[h] = l
+		}
 	}
-	return ""
+	t.leases, t.swept = live, len(live)
 }
-
-// Granted and Denied are lifetime claim-outcome counters for /metrics.
-func (t *LeaseTable) Granted() int64 { return t.granted.Load() }
-func (t *LeaseTable) Denied() int64  { return t.denied.Load() }

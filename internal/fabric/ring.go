@@ -1,3 +1,6 @@
+// Package fabric holds a rendezvous ring and a point-lease table. The
+// daemon serves the lease table at POST /v1/points/{hash}/claim; the
+// ring's only caller is the benchmark harness, which times Owner.
 package fabric
 
 import "hash/fnv"
@@ -5,14 +8,11 @@ import "hash/fnv"
 // Ring assigns content hashes to peers by rendezvous (highest-random-
 // weight) hashing: every node scores each (peer, hash) pair and the
 // highest score owns the hash. Unlike a consistent-hash circle,
-// rendezvous needs no virtual nodes to spread load, every node
-// computes ownership locally with no coordination, and removing a peer
-// reassigns only that peer's hashes — exactly the stability the fabric
-// needs when a node is marked down mid-campaign.
+// rendezvous needs no virtual nodes to spread load, and removing a peer
+// reassigns only that peer's hashes.
 //
-// The ring itself is immutable (the static -peers list); callers pass
-// the currently-alive subset to Owner, so failure handling composes
-// with ownership instead of mutating it.
+// The ring itself is immutable; callers pass the alive subset to Owner,
+// so failure handling composes with ownership instead of mutating it.
 type Ring struct {
 	peers []string
 }
@@ -31,9 +31,6 @@ func NewRing(peers []string) *Ring {
 	}
 	return &Ring{peers: out}
 }
-
-// Peers returns the full static peer list in ring order.
-func (r *Ring) Peers() []string { return r.peers }
 
 // score is FNV-1a 64 over peer + NUL + hash. FNV is not a
 // cryptographic hash, but the input already contains a SHA-256 content

@@ -46,8 +46,8 @@ func TestRingSpread(t *testing.T) {
 }
 
 func TestRingRemovalOnlyMovesRemovedPeersHashes(t *testing.T) {
-	// The fabric's failure story depends on this: marking a peer down
-	// must not reshuffle ownership among the survivors.
+	// Marking a peer down must not reshuffle ownership among the
+	// survivors.
 	r := NewRing([]string{"n1:8080", "n2:8080", "n3:8080"})
 	all := map[string]bool{"n1:8080": true, "n2:8080": true, "n3:8080": true}
 	without2 := map[string]bool{"n1:8080": true, "n3:8080": true}
@@ -65,8 +65,8 @@ func TestRingRemovalOnlyMovesRemovedPeersHashes(t *testing.T) {
 
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing([]string{"n1:8080", "n1:8080", "", "n2:8080"})
-	if got := len(r.Peers()); got != 2 {
-		t.Fatalf("duplicate/empty peers not dropped: %v", r.Peers())
+	if got := len(r.peers); got != 2 {
+		t.Fatalf("duplicate/empty peers not dropped: %v", r.peers)
 	}
 	if o := r.Owner("abc", map[string]bool{}); o != "" {
 		t.Fatalf("owner over empty alive set = %q, want \"\"", o)
@@ -100,10 +100,44 @@ func TestLeaseClaimDenyExpiry(t *testing.T) {
 	if ok, _, _ := lt.Claim("h1", "n2", 10*time.Second); !ok {
 		t.Fatal("claim on expired lease denied")
 	}
-	if h := lt.Holder("h1"); h != "n2" {
+	if h := lt.leases["h1"].owner; h != "n2" {
 		t.Fatalf("holder after expiry takeover = %q", h)
 	}
-	if lt.Granted() != 3 || lt.Denied() != 1 {
-		t.Fatalf("counters granted=%d denied=%d, want 3/1", lt.Granted(), lt.Denied())
+}
+
+// TestLeaseTableDropsExpired: a client claiming a fresh hash per call
+// cannot grow the table past its live leases. After 100 000 short
+// claims have lapsed, the next claim leaves only itself, and under
+// churn the table stays within twice its live leases.
+func TestLeaseTableDropsExpired(t *testing.T) {
+	lt := NewLeaseTable()
+	now := time.Unix(1000, 0)
+	lt.now = func() time.Time { return now }
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if ok, _, _ := lt.Claim(fmt.Sprintf("burst-%d", i), "flood", time.Millisecond); !ok {
+			t.Fatalf("fresh claim %d denied", i)
+		}
+	}
+	if got := len(lt.leases); got != n {
+		t.Fatalf("%d live leases held as %d entries", n, got)
+	}
+	now = now.Add(time.Second)
+	if ok, _, _ := lt.Claim("after", "flood", time.Minute); !ok {
+		t.Fatal("claim after expiry denied")
+	}
+	if got := len(lt.leases); got != 1 {
+		t.Fatalf("table holds %d leases after the burst lapsed, want the 1 live one", got)
+	}
+
+	// Churn: one live lease at a time, each expiring before the next
+	// claim, beside the long one above. The sweeps keep the table near
+	// the two live leases.
+	for i := 0; i < n; i++ {
+		now = now.Add(time.Millisecond)
+		lt.Claim(fmt.Sprintf("churn-%d", i), "flood", time.Millisecond/2)
+		if got := len(lt.leases); got > 2*2+1 {
+			t.Fatalf("claim %d: table holds %d leases with 2 live", i, got)
+		}
 	}
 }

@@ -60,20 +60,12 @@ const (
 	// StreamDrop fails one campaign-stream record write in
 	// internal/server, simulating a client that vanished mid-stream.
 	StreamDrop = "server.stream.drop"
-	// PeerSubmitError fails a fabric fan-out submission in
-	// internal/fabric — the peer-down-at-submit fault.
-	PeerSubmitError = "fabric.peer.submit.error"
-	// PeerLookupError fails a fabric remote point lookup in
-	// internal/fabric, making the owner shard look unreachable so the
-	// failure detector and the takeover path fire.
-	PeerLookupError = "fabric.peer.lookup.error"
 )
 
 // sites lists every failpoint name Enable accepts: a name no site
 // evaluates would arm nothing.
 var sites = []string{
 	StoreWriteError, StoreWriteSlow, WorkerPanic, StreamStall, StreamDrop,
-	PeerSubmitError, PeerLookupError,
 }
 
 // EnvVar names the environment variable carrying a fault plan.

@@ -1,7 +1,8 @@
 package server
 
 // v1 surface tests: the uniform error envelope and its stable codes,
-// the request body bound, and the consolidated cache endpoints.
+// the request body bound, the point lookup and claim endpoints, and the
+// consolidated cache endpoints.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"radqec/internal/client"
+	"radqec/internal/sweep"
 )
 
 // doRaw issues a bare HTTP request against the test server.
@@ -63,6 +65,7 @@ func TestErrorEnvelopeUniform(t *testing.T) {
 	}{
 		{http.MethodPost, "/v1/campaigns", `{"experiment":`, 400, "bad_request"},
 		{http.MethodPost, "/v1/campaigns", `{"experiment":"nope"}`, 400, "invalid_argument"},
+		{http.MethodPost, "/v1/campaigns", `{"experiment":"fig5","fabric":true}`, 400, "bad_request"},
 		{http.MethodDelete, "/v1/campaigns/abc", "", 400, "bad_request"},
 		{http.MethodDelete, "/v1/campaigns/999", "", 404, "not_found"},
 		{http.MethodGet, "/v1/campaigns/999/signals", "", 404, "not_found"},
@@ -137,6 +140,88 @@ func TestClaimBodyBounded(t *testing.T) {
 	}
 }
 
+// sweepPoint is a synthetic committed result for the point API tests.
+func sweepPoint() sweep.CachedPoint {
+	return sweep.CachedPoint{Key: "chaos", Shots: 8, Errors: 1, Batches: 1, Converged: true}
+}
+
+// TestFabricPointLookupLongPoll: ?wait holds the lookup open until the point
+// commits, so a caller learns of a commit within the wait window rather
+// than on its next poll.
+func TestFabricPointLookupLongPoll(t *testing.T) {
+	_, ts, st := newTestServer(t)
+	cl := client.New(ts.URL, ts.Client())
+	const hash = "deadbeef-longpoll"
+
+	// Cold miss without wait: immediate not_found.
+	if _, ok, err := cl.LookupPoint(context.Background(), hash, 0); err != nil || ok {
+		t.Fatalf("cold lookup: ok=%v err=%v", ok, err)
+	}
+	// Commit mid-wait: the long poll returns the point early.
+	go func() {
+		time.Sleep(80 * time.Millisecond)
+		st.Commit(hash, sweepPoint())
+	}()
+	start := time.Now()
+	cp, ok, err := cl.LookupPoint(context.Background(), hash, 5*time.Second)
+	if err != nil || !ok {
+		t.Fatalf("long-poll lookup: ok=%v err=%v", ok, err)
+	}
+	if cp.Key != "chaos" {
+		t.Fatalf("long-poll returned wrong point: %+v", cp)
+	}
+	if d := time.Since(start); d >= 5*time.Second {
+		t.Fatalf("long poll did not return early (took %v)", d)
+	}
+}
+
+// TestChaosFabricLeaseExpiryRace: two owners race for the same point's compute
+// lease through the claim endpoint. The rival is held off while the
+// lease is live, the holder renews, the rival wins after expiry, and a
+// committed result ends the race for everyone. A TTL past the cap is
+// granted at the cap, and the grant says so.
+func TestChaosFabricLeaseExpiryRace(t *testing.T) {
+	_, ts, st := newTestServer(t)
+	cl := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+	const hash = "deadbeef-lease-race"
+
+	claim, err := cl.ClaimPoint(ctx, hash, "node-a", 80*time.Millisecond)
+	if err != nil || claim.Status != client.ClaimGranted {
+		t.Fatalf("first claim = %+v, %v; want granted", claim, err)
+	}
+	claim, err = cl.ClaimPoint(ctx, hash, "node-b", 80*time.Millisecond)
+	if err != nil || claim.Status != client.ClaimHeld || claim.Holder != "node-a" {
+		t.Fatalf("rival claim = %+v, %v; want held by node-a", claim, err)
+	}
+	// The holder renews re-entrantly.
+	claim, err = cl.ClaimPoint(ctx, hash, "node-a", 80*time.Millisecond)
+	if err != nil || claim.Status != client.ClaimGranted {
+		t.Fatalf("renewal = %+v, %v; want granted", claim, err)
+	}
+	// After expiry the rival takes the lease.
+	time.Sleep(120 * time.Millisecond)
+	claim, err = cl.ClaimPoint(ctx, hash, "node-b", 80*time.Millisecond)
+	if err != nil || claim.Status != client.ClaimGranted {
+		t.Fatalf("post-expiry claim = %+v, %v; want granted", claim, err)
+	}
+	// A committed result trumps every lease: claims now answer
+	// "committed" and the result is fetchable.
+	st.Commit(hash, sweepPoint())
+	claim, err = cl.ClaimPoint(ctx, hash, "node-a", 80*time.Millisecond)
+	if err != nil || claim.Status != client.ClaimCommitted {
+		t.Fatalf("claim on committed point = %+v, %v; want committed", claim, err)
+	}
+	if _, ok, err := cl.LookupPoint(ctx, hash, 0); err != nil || !ok {
+		t.Fatalf("committed point not fetchable: ok=%v err=%v", ok, err)
+	}
+
+	claim, err = cl.ClaimPoint(ctx, "deadbeef-long-lease", "node-a", 24*time.Hour)
+	if err != nil || claim.Status != client.ClaimGranted || claim.TTLMS != maxClaimTTL.Milliseconds() {
+		t.Fatalf("day-long claim = %+v, %v; want granted for %v", claim, err, maxClaimTTL)
+	}
+}
+
 // TestAPIDocRequestBodyDecodes: the request body docs/api.md shows under
 // POST /v1/campaigns is one the daemon accepts, so the wire doc cannot
 // drift from the validator.
@@ -176,6 +261,7 @@ func FuzzCampaignRequestDecode(f *testing.F) {
 		`{"experiment":"fig5","engine_width":64}`,
 		`{"experiment":"fig5","engine":"frame"}`,
 		`{"experiment":"fig5","engine":"auto"}`,
+		`{"experiment":"fig5","fabric":true}`,
 		`{"experiment":"fig5","p":1e999}`,
 		`{"experiment":"nope"}`,
 		`{"experiment":`,

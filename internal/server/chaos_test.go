@@ -303,6 +303,41 @@ func TestChaosStreamDrop(t *testing.T) {
 	}
 }
 
+// TestChaosFabricDuplicateSubmissionSingleFlight: the same campaign
+// submitted concurrently by two clients computes every point's shots
+// exactly once — the daemon's flight table deduplicates the two
+// campaigns, and both tables equal a direct library run.
+func TestChaosFabricDuplicateSubmissionSingleFlight(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	ref, err := exp.Threshold(exp.Config{Shots: 192, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)}
+
+	results := make(chan exp.TableRecord, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, table := submit(t, ts, req)
+			results <- table
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case table := <-results:
+			if !reflect.DeepEqual(table.Rows, ref.Rows) || !reflect.DeepEqual(table.Notes, ref.Notes) {
+				t.Fatalf("duplicate submission diverged:\n%+v\nvs\n%+v", table, ref)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("duplicate submissions timed out")
+		}
+	}
+	waitIdle(t, srv)
+	if got := metricValue(t, ts, "points_computed_total"); got != 15 {
+		t.Fatalf("points_computed_total = %v, want exactly 15: single-flight leaked duplicate compute", got)
+	}
+}
+
 // waitIdle blocks until no campaign is active.
 func waitIdle(t *testing.T, srv *Server) {
 	t.Helper()

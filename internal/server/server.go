@@ -11,12 +11,6 @@
 // store is attached, every point is content-addressed into it and
 // re-submissions replay from disk without touching the engines.
 //
-// When a fabric coordinator is attached the daemon becomes one node of
-// a static ring: client-submitted campaigns fan out to every peer, each
-// node computes only the points it owns, and the point API below moves
-// committed results between nodes. Tables stay byte-identical to a
-// single-node run.
-//
 // Endpoints (the full surface, with request/response shapes, is
 // documented in docs/api.md):
 //
@@ -75,9 +69,6 @@ type Config struct {
 	Store *store.Store
 	// Workers sizes the shared sweep worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Fabric is this node's ring coordinator; nil runs single-node.
-	// Fabric mode requires a Store — fetched peer results land there.
-	Fabric *fabric.Coordinator
 	// TraceSample is the sampling default for campaigns that do not set
 	// trace_sample: "on" records spans for every campaign, "off" (or
 	// empty) records none. A request's field — or a sampled incoming
@@ -99,18 +90,12 @@ type Server struct {
 	st      *store.Store
 	sched   *sweep.Scheduler
 	workers int
-	fabric  *fabric.Coordinator
-	// leases arbitrates compute claims on this node's owned hashes:
-	// the coordinator's table in fabric mode, a private one otherwise
-	// (so the claim endpoint behaves identically either way).
+	// leases arbitrates POST /v1/points/{hash}/claim.
 	leases *fabric.LeaseTable
 	// tele is the one campaign table: each entry holds the campaign's
 	// telemetry and, when it is sampled, its trace recorder.
 	tele *telemetry.Registry
 	log  *slog.Logger
-	// node names this daemon in trace spans: the fabric self address in
-	// ring mode, "local" single-node.
-	node string
 	// traceDefault samples campaigns that don't set trace_sample.
 	traceDefault bool
 	mux          *http.ServeMux
@@ -141,10 +126,9 @@ func New(cfg Config) *Server {
 		st:           cfg.Store,
 		sched:        sweep.NewScheduler(workers),
 		workers:      workers,
-		fabric:       cfg.Fabric,
+		leases:       fabric.NewLeaseTable(),
 		tele:         telemetry.NewRegistry(),
 		log:          cfg.Logger,
-		node:         "local",
 		traceDefault: cfg.TraceSample == "on",
 		mux:          http.NewServeMux(),
 		start:        time.Now(),
@@ -152,12 +136,6 @@ func New(cfg Config) *Server {
 	}
 	if s.log == nil {
 		s.log = slog.Default()
-	}
-	if s.fabric != nil {
-		s.leases = s.fabric.Leases()
-		s.node = s.fabric.Self()
-	} else {
-		s.leases = fabric.NewLeaseTable()
 	}
 	s.mux.HandleFunc("POST /v1/campaigns", s.handleCampaign)
 	s.mux.HandleFunc("DELETE /v1/campaigns/{id}", s.handleCampaignCancel)
@@ -192,8 +170,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Close() { s.sched.Close() }
 
 // CampaignRequest is the JSON body of POST /v1/campaigns — the wire
-// type lives in package client so the daemon, the fabric coordinator
-// and Go callers share one definition. Zero fields take the CLI
+// type lives in package client so the daemon and Go callers share one
+// definition. Zero fields take the CLI
 // defaults, so {"experiment":"fig5"} is a complete request.
 type CampaignRequest = client.CampaignRequest
 
@@ -240,15 +218,14 @@ func validateRequest(r CampaignRequest) error {
 
 // traceRecorder resolves the campaign's sampling decision and returns
 // its recorder (nil = unsampled). A sampled incoming traceparent wins
-// unconditionally — the originating node already decided to trace this
-// campaign, and a shard that opts out would leave a hole in the
-// stitched trace — then the request's trace_sample, then the daemon
-// default. A malformed traceparent header is ignored per the W3C
-// spec rather than rejected.
+// unconditionally — the caller already decided to trace this campaign
+// — then the request's trace_sample, then the daemon default. A
+// malformed traceparent header is ignored per the W3C spec rather than
+// rejected. Spans name the daemon "local".
 func (s *Server) traceRecorder(r *http.Request, req CampaignRequest) *trace.Recorder {
 	if h := r.Header.Get(trace.Header); h != "" {
 		if tid, sid, sampled, err := trace.ParseTraceparent(h); err == nil && sampled {
-			return trace.Adopt(tid, sid, s.node)
+			return trace.Adopt(tid, sid, "local")
 		}
 	}
 	sample := s.traceDefault
@@ -261,11 +238,11 @@ func (s *Server) traceRecorder(r *http.Request, req CampaignRequest) *trace.Reco
 	if !sample {
 		return nil
 	}
-	return trace.New(s.node)
+	return trace.New("local")
 }
 
 // campaignConfig lowers the request onto an experiment config bound to
-// the server's shared scheduler, store and (in fabric mode) ring.
+// the server's shared scheduler and store.
 func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
 	workers := s.workers
 	if r.Workers > 0 && r.Workers < workers {
@@ -290,12 +267,6 @@ func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
 	}
 	if s.st != nil && !r.NoCache {
 		cfg.Cache = s.st
-		// Shard the campaign over the ring. NoCache campaigns are
-		// never sharded: without content addresses there is nothing to
-		// hash onto peers or fetch back from them.
-		if s.fabric != nil {
-			cfg.Remote = s.fabric
-		}
 	}
 	return cfg
 }
@@ -344,17 +315,11 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
-	if req.Fabric && s.fabric == nil {
-		apiError(w, http.StatusBadRequest, codeInvalidArgument,
-			"fabric submission to a node with no -peers ring")
-		return
-	}
 	e, _ := exp.Find(req.Experiment)
 	cfg := s.campaignConfig(req)
-	// Sampling decision, then the node-local campaign root span (inert
-	// when unsampled). Every local span parents under it, and — when the
-	// campaign arrived over the fabric — it parents under the submitter's
-	// span, so the whole ring stitches into one trace.
+	// Sampling decision, then the campaign root span (inert when
+	// unsampled). Every span parents under it, and it parents under the
+	// caller's span when the request carried a sampled traceparent.
 	rec := s.traceRecorder(r, req)
 	tc := s.tele.New(req.Experiment, rec)
 	defer s.tele.Finish(tc)
@@ -376,10 +341,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithCancelCause(base)
 	defer cancel(nil)
-	// The root span rides the campaign context so every outbound fabric
-	// hop — fan-out submits, point long-polls, lease claims — carries
-	// its traceparent (no-op when unsampled).
-	ctx = trace.ContextWith(ctx, root.Context())
 	cfg.Context = ctx
 	s.cancelMu.Lock()
 	s.cancels[tc.ID()] = cancel
@@ -390,15 +351,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.cancelMu.Unlock()
 	}()
 
-	// A client-originated campaign on a fabric node fans out to every
-	// peer before local execution starts, so the whole ring computes
-	// its shards concurrently. Peer re-submissions carry Fabric and do
-	// not fan out again; peer campaigns are tied to this campaign's
-	// context, so they die with it.
-	if s.fabric != nil && !req.Fabric && cfg.Cache != nil {
-		s.fabric.FanOut(ctx, req)
-	}
-
 	s.campaignsTotal.Add(1)
 	s.campaignsActive.Add(1)
 	defer s.campaignsActive.Add(-1)
@@ -408,8 +360,8 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	// follow it to GET /v1/campaigns/{id}/signals.
 	w.Header().Set("X-Radqec-Campaign-Id", strconv.FormatInt(tc.ID(), 10))
 	if rec.Sampled() {
-		// The trace ID rides a header too, so clients can fetch
-		// GET /v1/traces/{trace_id} from any node of the ring.
+		// The trace ID rides a header too, for
+		// GET /v1/traces/{trace_id}.
 		w.Header().Set("X-Radqec-Trace-Id", rec.TraceID().String())
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -657,17 +609,9 @@ func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// peerTraceTimeout bounds the fan-in to peers when stitching a trace:
-// a slow or dead peer delays the read at most this long and then just
-// contributes no spans.
-const peerTraceTimeout = 5 * time.Second
-
-// handleCampaignTrace serves a campaign's recorded trace spans. By
-// default the response is the whole stitched trace — this node's spans
-// plus every ring peer's shard of the same trace id; ?local=1 restricts
-// it to this node's spans (the form peers use for stitching, so fan-in
-// never recurses). ?format=chrome renders Chrome trace-event JSON
-// loadable in Perfetto instead of NDJSON.
+// handleCampaignTrace serves a campaign's recorded trace spans as
+// NDJSON; ?format=chrome renders Chrome trace-event JSON loadable in
+// Perfetto instead.
 func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
@@ -683,12 +627,12 @@ func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("campaign %d has no recorded trace (unsampled, unknown, or rotated out of the recent-campaign tail)", id))
 		return
 	}
-	s.serveTrace(w, r, rec)
+	serveTrace(w, r, rec)
 }
 
 // handleTraceByID serves a trace by its 32-hex trace id — the handle a
-// peer or a client holds when it doesn't know this node's campaign id
-// for the shard. Same query surface as the campaign form.
+// client holds when it sent the traceparent itself. Same query surface
+// as the campaign form.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	tid, ok := parseTraceID(r.PathValue("trace_id"))
 	if !ok {
@@ -699,10 +643,10 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	rec := s.tele.ByTrace(tid)
 	if rec == nil {
 		apiError(w, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("trace %s not recorded on this node", tid))
+			fmt.Sprintf("trace %s not recorded", tid))
 		return
 	}
-	s.serveTrace(w, r, rec)
+	serveTrace(w, r, rec)
 }
 
 // parseTraceID parses a 32-hex-character trace id.
@@ -716,19 +660,16 @@ func parseTraceID(raw string) (trace.TraceID, bool) {
 	return tid, true
 }
 
-// serveTrace renders a recorder's spans — stitched with the peers'
-// shards unless ?local=1 — as NDJSON span records or, with
-// ?format=chrome, as a Chrome trace-event JSON document.
-func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request, rec *trace.Recorder) {
+// serveTrace renders a recorder's spans in start order as NDJSON span
+// records or, with ?format=chrome, as a Chrome trace-event JSON
+// document.
+func serveTrace(w http.ResponseWriter, r *http.Request, rec *trace.Recorder) {
 	format := r.URL.Query().Get("format")
 	if format != "" && format != "ndjson" && format != "chrome" {
 		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad format %q (want ndjson or chrome)", format))
 		return
 	}
 	spans := rec.Spans()
-	if s.fabric != nil && r.URL.Query().Get("local") != "1" {
-		spans = append(spans, s.peerSpans(r.Context(), rec.TraceID())...)
-	}
 	slices.SortStableFunc(spans, func(a, b trace.Span) int {
 		if a.StartNS != b.StartNS {
 			if a.StartNS < b.StartNS {
@@ -750,39 +691,6 @@ func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request, rec *trace.R
 			return
 		}
 	}
-}
-
-// peerSpans fans in the other ring nodes' shards of a trace. Each peer
-// is asked for its local spans only, so stitching never recurses; a
-// down peer or one that never sampled the trace contributes nothing
-// rather than failing the read.
-func (s *Server) peerSpans(ctx context.Context, tid trace.TraceID) []trace.Span {
-	ctx, cancel := context.WithTimeout(ctx, peerTraceTimeout)
-	defer cancel()
-	var (
-		mu  sync.Mutex
-		out []trace.Span
-		wg  sync.WaitGroup
-	)
-	for _, peer := range s.fabric.Peers() {
-		if peer == s.fabric.Self() {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			spans, err := client.New(peer, nil).TraceByID(ctx, tid.String(), true)
-			if err != nil {
-				s.log.Debug("server: peer trace fetch failed", "peer", peer, "trace_id", tid.String(), "error", err)
-				return
-			}
-			mu.Lock()
-			out = append(out, spans...)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // experimentInfo is one row of GET /v1/experiments.
@@ -883,10 +791,9 @@ const (
 	pointWaitPoll = 25 * time.Millisecond
 )
 
-// handlePointLookup serves one committed result by content hash — the
-// fabric's cross-node read-through. ?wait=DUR long-polls up to the cap
-// so a watcher polling an owner mid-compute picks the result up the
-// moment it commits instead of a full poll interval later.
+// handlePointLookup serves one committed result by content hash.
+// ?wait=DUR long-polls up to the cap, so a caller waiting on a point
+// mid-compute picks the result up the moment it commits.
 func (s *Server) handlePointLookup(w http.ResponseWriter, r *http.Request) {
 	if !s.requireStore(w, r) {
 		return
@@ -910,7 +817,7 @@ func (s *Server) handlePointLookup(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if wait <= 0 || !time.Now().Before(deadline) {
-			apiError(w, http.StatusNotFound, client.CodeNotCommitted, fmt.Sprintf("hash %q has no committed result on this node", hash))
+			apiError(w, http.StatusNotFound, client.CodeNotCommitted, fmt.Sprintf("hash %q has no committed result", hash))
 			return
 		}
 		select {
@@ -927,11 +834,16 @@ type claimRequest struct {
 	TTLMS int64  `json:"ttl_ms,omitempty"`
 }
 
-// handlePointClaim arbitrates the compute lease on a content hash —
-// the fabric's cross-node single-flight handshake. Every outcome is a
-// 200 with a status: "committed" (the result already exists; fetch it
-// instead of computing), "granted" (the caller owns the compute until
-// the TTL lapses), or "held" (another node is computing; back off).
+// maxClaimTTL caps a granted point lease: a client may ask for less,
+// never for more, so no lease outlives it.
+const maxClaimTTL = time.Minute
+
+// handlePointClaim arbitrates the compute lease on a content hash.
+// Every outcome is a 200 with a status: "committed" (the result already
+// exists; fetch it instead of computing), "granted" (the caller owns
+// the compute until the TTL lapses; ttl_ms echoes the TTL granted,
+// capped at maxClaimTTL), or "held" (another owner is computing; back
+// off).
 func (s *Server) handlePointClaim(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	defer io.Copy(io.Discard, r.Body)
@@ -946,7 +858,7 @@ func (s *Server) handlePointClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A committed result beats any lease: the arbitration exists only
-	// to keep two nodes from computing the same point, and a committed
+	// to keep two owners from computing the same point, and a committed
 	// point is past computing.
 	if s.st != nil {
 		if _, ok := s.st.Lookup(hash); ok {
@@ -954,7 +866,7 @@ func (s *Server) handlePointClaim(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ttl := time.Duration(req.TTLMS) * time.Millisecond
+	ttl := min(time.Duration(req.TTLMS)*time.Millisecond, maxClaimTTL)
 	ok, holder, remaining := s.leases.Claim(hash, req.Owner, ttl)
 	if !ok {
 		writeJSON(w, client.Claim{Status: client.ClaimHeld, Holder: holder, RemainingMS: remaining.Milliseconds()})
@@ -977,10 +889,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		body["status"] = "degraded"
 		body["store_degraded"] = true
 	}
-	if s.fabric != nil {
-		body["fabric_peers"] = len(s.fabric.Peers())
-		body["fabric_peers_alive"] = s.fabric.AliveCount()
-	}
 	writeJSON(w, body)
 }
 
@@ -1001,9 +909,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if openMetrics {
 		defer fmt.Fprintln(w, "# EOF")
 	}
-	// Path latency histograms, fed by sampled trace spans: the four
-	// paths that bound campaign wall-clock, each bucket remembering the
-	// trace that last landed in it.
+	// Path latency histograms, fed from every turn record: decode and
+	// store commit, each bucket remembering the sampled trace that last
+	// landed in it.
 	for _, h := range trace.PathHistograms() {
 		h.WritePrometheus(w, "radqecd_"+h.Path()+"_seconds", openMetrics)
 	}
@@ -1049,18 +957,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("store_write_errors_total", "counter", "Segment appends that exhausted their retry budget.", st.WriteErrors)
 		write("store_recoveries_total", "counter", "Degraded-to-healthy store transitions.", st.Recoveries)
 	}
-	if s.fabric != nil {
-		fs := s.fabric.Stats()
-		write("fabric_peers", "gauge", "Static ring size, self included.", fs.Peers)
-		write("fabric_peers_alive", "gauge", "Ring members currently considered alive.", fs.PeersAlive)
-		write("fabric_remote_hits_total", "counter", "Points resolved from a peer's committed result.", fs.RemoteHits)
-		write("fabric_remote_misses_total", "counter", "Owner polls that found no committed result yet.", fs.RemoteMisses)
-		write("fabric_takeovers_total", "counter", "Remotely-owned points computed locally after owner failure or lease grant.", fs.Takeovers)
-		write("fabric_peer_submits_total", "counter", "Campaign fan-out submissions to peers.", fs.PeerSubmits)
-		write("fabric_peer_failures_total", "counter", "Failed calls to peers (any endpoint).", fs.PeerFailures)
-	}
-	write("fabric_leases_granted_total", "counter", "Point compute leases granted by this node.", s.leases.Granted())
-	write("fabric_leases_denied_total", "counter", "Point compute leases denied while held.", s.leases.Denied())
 	// Per-campaign gauges, one labelled line per active campaign under
 	// a single HELP/TYPE block per series.
 	active := s.tele.Active()

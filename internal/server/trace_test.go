@@ -1,10 +1,10 @@
 package server
 
 // Tests for the observability surface: the per-campaign trace
-// endpoints (NDJSON and Chrome trace-event form), traceparent adoption
-// across fabric hops, cross-node trace stitching, structured panic
-// logging, OpenMetrics exemplar negotiation, the signals stream under
-// mid-stream cancellation, and the gated pprof mount.
+// endpoints (NDJSON and Chrome trace-event form), inbound traceparent
+// adoption, structured panic logging, OpenMetrics exemplar
+// negotiation, the signals stream under mid-stream cancellation, and
+// the gated pprof mount.
 
 import (
 	"bytes"
@@ -57,9 +57,9 @@ func spansByID(t *testing.T, spans []trace.Span) map[string]trace.Span {
 	return byID
 }
 
-// assertParentLinks checks the stitched trace is one tree: every span
-// carries the same trace id, exactly one root (the submitting node's
-// campaign span) has no parent, and every other span's parent exists.
+// assertParentLinks checks the trace is one tree: every span carries
+// the same trace id, exactly one root (the campaign span) has no
+// parent, and every other span's parent exists.
 func assertParentLinks(t *testing.T, spans []trace.Span, traceID string) {
 	t.Helper()
 	byID := spansByID(t, spans)
@@ -93,7 +93,7 @@ func TestCampaignTraceEndpoint(t *testing.T) {
 	id, traceID := submitTraced(t, ts, CampaignRequest{Experiment: "threshold", Shots: 128, Seed: seed(7)})
 
 	cl := client.New(ts.URL, ts.Client())
-	spans, err := cl.TraceSpans(context.Background(), id, false)
+	spans, err := cl.TraceSpans(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestCampaignTraceEndpoint(t *testing.T) {
 	}
 
 	// The same trace resolves by trace id.
-	byTrace, err := cl.TraceByID(context.Background(), traceID, false)
-	if err != nil {
-		t.Fatal(err)
+	byTrace, body := doRaw(t, ts, http.MethodGet, "/v1/traces/"+traceID, "", nil)
+	if byTrace.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/traces/%s: status %d", traceID, byTrace.StatusCode)
 	}
-	if len(byTrace) != len(spans) {
-		t.Fatalf("GET /v1/traces/%s returned %d spans, campaign endpoint %d", traceID, len(byTrace), len(spans))
+	if n := bytes.Count(body, []byte("\n")); n != len(spans) {
+		t.Fatalf("GET /v1/traces/%s returned %d spans, campaign endpoint %d", traceID, n, len(spans))
 	}
 
 	// Chrome trace-event rendering parses and carries events.
@@ -220,93 +220,41 @@ func TestTraceEndpointValidation(t *testing.T) {
 }
 
 // TestTraceparentAdoptionWinsOverOff: a submission carrying a sampled
-// traceparent — injected by the typed client from the caller's span
-// context, the same path every fabric hop uses — is traced under the
-// incoming trace id even when the request says trace_sample off, and
-// its campaign span parents under the remote span.
+// traceparent header is traced under the incoming trace id even when
+// the request says trace_sample off, and its campaign span parents
+// under the caller's span.
 func TestTraceparentAdoptionWinsOverOff(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	rec := trace.New("origin")
-	root := rec.Campaign("origin")
-	ctx := trace.ContextWith(context.Background(), root.Context())
-
-	stream, err := client.New(ts.URL, ts.Client()).SubmitCampaign(ctx,
-		CampaignRequest{Experiment: "threshold", Shots: 64, Seed: seed(5), TraceSample: "off"},
-		client.SubmitOptions{})
+	const traceID, parent = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	resp, _ := doRaw(t, ts, http.MethodPost, "/v1/campaigns",
+		`{"experiment":"threshold","shots":64,"seed":5,"trace_sample":"off"}`,
+		map[string]string{trace.Header: "00-" + traceID + "-" + parent + "-01"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced submission: status %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Radqec-Trace-Id"); got != traceID {
+		t.Fatalf("adopted trace id %q, want the caller's %s", got, traceID)
+	}
+	id, err := strconv.ParseInt(resp.Header.Get("X-Radqec-Campaign-Id"), 10, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainStream(t, stream)
-	if stream.TraceID != rec.TraceID().String() {
-		t.Fatalf("adopted trace id %q, want the origin's %s", stream.TraceID, rec.TraceID())
-	}
-	spans, err := client.New(ts.URL, ts.Client()).TraceSpans(context.Background(), stream.ID, false)
+	spans, err := client.New(ts.URL, ts.Client()).TraceSpans(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	campaigns := 0
 	for _, s := range spans {
-		if s.Name == trace.SpanCampaign && s.Parent != root.Context().SpanID().String() {
-			t.Fatalf("adopted campaign span parents under %q, want the origin span %s", s.Parent, root.Context().SpanID())
+		if s.Name == trace.SpanCampaign {
+			campaigns++
+			if s.Parent != parent {
+				t.Fatalf("adopted campaign span parents under %q, want the caller's span %s", s.Parent, parent)
+			}
 		}
 	}
-}
-
-// TestFabricTraceStitchesAcrossNodes: a sampled campaign on a two-node
-// ring yields ONE trace — a single trace id, spans from both peers,
-// parent links intact across the node boundary, and at least one
-// remote-fetch span where a point resolved from the peer — retrievable
-// stitched from either node.
-func TestFabricTraceStitchesAcrossNodes(t *testing.T) {
-	nodes := newFabricRing(t, 2, nil)
-	id, traceID := submitTraced(t, nodes[0].ts, CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)})
-	waitRingIdle(t, nodes)
-
-	stitched, err := client.New(nodes[0].ts.URL, nodes[0].ts.Client()).TraceSpans(context.Background(), id, false)
-	if err != nil {
-		t.Fatal(err)
+	if campaigns != 1 {
+		t.Fatalf("adopted trace has %d campaign spans, want 1", campaigns)
 	}
-	assertParentLinks(t, stitched, traceID)
-	perNode := map[string]int{}
-	kinds := map[string]int{}
-	computed := 0
-	for _, s := range stitched {
-		perNode[s.Node]++
-		kinds[s.Name]++
-		// A point span is a local point lifecycle: points resolved from
-		// the store (including results fetched from the peer) carry the
-		// cache-hit detail; the rest ran engines.
-		if s.Name == trace.SpanPoint && s.Detail != "cache-hit" {
-			computed++
-		}
-	}
-	for _, nd := range nodes {
-		if perNode[nd.addr] == 0 {
-			t.Fatalf("stitched trace has no spans from node %s (per-node: %v)", nd.addr, perNode)
-		}
-	}
-	if kinds[trace.SpanRemoteFetch] == 0 {
-		t.Fatalf("stitched trace has no remote-fetch spans (kinds: %v)", kinds)
-	}
-	if kinds[trace.SpanCampaign] != 2 {
-		t.Fatalf("stitched trace has %d campaign spans, want one per node (kinds: %v)", kinds[trace.SpanCampaign], kinds)
-	}
-	if kinds[trace.SpanPoint] < 15 {
-		t.Fatalf("stitched trace has %d point spans, want at least the 15 points of the sweep", kinds[trace.SpanPoint])
-	}
-	if computed != 15 {
-		t.Fatalf("stitched trace shows %d computed (non-cache-hit) point spans, want each of the 15 points computed exactly once", computed)
-	}
-
-	// The peer — which only knows the trace id, not the submitting
-	// node's campaign id — serves the same stitched trace.
-	fromPeer, err := client.New(nodes[1].ts.URL, nodes[1].ts.Client()).TraceByID(context.Background(), traceID, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromPeer) != len(stitched) {
-		t.Fatalf("peer stitched %d spans, submitting node %d", len(fromPeer), len(stitched))
-	}
-	assertParentLinks(t, fromPeer, traceID)
 }
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing slog
@@ -507,10 +455,14 @@ func TestMetricsOpenMetricsExemplars(t *testing.T) {
 	if !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("classic content type = %q", ct)
 	}
-	for _, name := range []string{"decode", "store_commit", "remote_fetch", "lease_wait"} {
+	for _, name := range []string{"decode", "store_commit"} {
 		if !strings.Contains(classic, "# TYPE radqecd_"+name+"_seconds histogram") {
 			t.Errorf("classic exposition missing the %s histogram", name)
 		}
+	}
+	if strings.Contains(classic, "radqecd_fabric_") || strings.Contains(classic, "radqecd_remote_fetch_") ||
+		strings.Contains(classic, "radqecd_lease_wait_") {
+		t.Error("classic exposition still carries a series of the removed fabric")
 	}
 	if strings.Contains(classic, "# {trace_id=") {
 		t.Error("classic 0.0.4 exposition carries exemplars")

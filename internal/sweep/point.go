@@ -34,10 +34,6 @@ type pointRun struct {
 	batchN int
 	// claimed marks the single-flight claim this point holds.
 	claimed bool
-	// parked marks a point owned by another fabric node: handouts skip
-	// it until the resolver unparks it with the owner's committed
-	// result in the cache (or for local takeover compute).
-	parked bool
 	// aborted marks a point retired by cancellation or a campaign
 	// failure: complete() skips its result and OnResult delivery.
 	aborted bool

@@ -64,9 +64,8 @@ type schedQueue struct {
 	// runs holds each point's execution state machine.
 	runs []pointRun
 	// queue is the pending-point set, FIFO: a point between batches
-	// re-enters at the back. Parked points (remotely owned, awaiting
-	// their fabric resolution) and points behind an in-flight hash stay
-	// in the queue but are skipped by claimable.
+	// re-enters at the back. Points behind an in-flight hash stay in
+	// the queue but are skipped by claimable.
 	queue      []int
 	running    int // points of this campaign currently executing
 	unfinished int // points not yet completed
@@ -139,24 +138,6 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 		q.runs[i] = pointRun{cfg: &q.cfg, p: points[i]}
 		q.queue[i] = i
 	}
-	// Fabric sharding: points owned by another node park before the
-	// campaign is published, so no worker ever claims one. Locally
-	// committed results short-circuit the parking — begin() will replay
-	// them without any remote traffic.
-	var watched []int
-	if cfg.Remote != nil && cfg.Cache != nil {
-		for i := range points {
-			h := points[i].Hash
-			if h == "" || cfg.Remote.Owned(h) {
-				continue
-			}
-			if _, ok := cfg.Cache.Lookup(h); ok {
-				continue
-			}
-			q.runs[i].parked = true
-			watched = append(watched, i)
-		}
-	}
 	if tel := cfg.Telemetry; tel != nil {
 		tel.SetQueueDepth(len(points))
 	}
@@ -168,18 +149,9 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 	s.queues = append([]*schedQueue{q}, s.queues...)
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	// Watches start only after the campaign is published: unpark takes
-	// the scheduler lock, so a resolution can land at any time from
-	// here on without racing the enqueue above.
-	for _, i := range watched {
-		i := i
-		cfg.Remote.Watch(qctx, points[i].Hash, func(takeover bool) {
-			s.unpark(q, i, takeover)
-		})
-	}
 	// Workers blocked in take() poll nothing: a cancellation arriving
-	// while the pool is idle (or this campaign is parked) must wake
-	// them so the abort drain can start immediately.
+	// while the pool is idle must wake them so the abort drain can
+	// start immediately.
 	go func() {
 		select {
 		case <-qctx.Done():
@@ -314,39 +286,8 @@ func (s *Scheduler) fail(q *schedQueue, i int, err error) {
 	s.complete(q, i)
 }
 
-// unpark releases a point parked on its fabric resolution: with
-// takeover=false the owner's committed result is in the cache and the
-// point's next handout replays it; with takeover=true the owner is
-// gone and the point computes locally. Idempotent — late or duplicate
-// resolutions of a point already unparked (or a campaign already
-// retired) are no-ops.
-func (s *Scheduler) unpark(q *schedQueue, i int, takeover bool) {
-	s.mu.Lock()
-	if !q.runs[i].parked {
-		s.mu.Unlock()
-		return
-	}
-	q.runs[i].parked = false
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	if tel := q.cfg.Telemetry; tel != nil {
-		event := telemetry.EventRemoteHit
-		detail := "owner's committed result fetched into the local store"
-		if takeover {
-			event = telemetry.EventTakeover
-			detail = "owner unreachable or lease ceded; computing locally"
-		}
-		tel.Record(telemetry.Signal{
-			TimeNS: time.Now().UnixNano(),
-			Key:    q.points[i].Key,
-			Event:  event,
-			Detail: detail,
-		})
-	}
-}
-
 // take claims the next runnable point, blocking while every campaign is
-// drained, parked, behind an in-flight hash, or at its worker cap. It
+// drained, behind an in-flight hash, or at its worker cap. It
 // returns nil once the pool is closed and no campaign remains.
 func (s *Scheduler) take() (*schedQueue, int) {
 	s.mu.Lock()
@@ -395,19 +336,14 @@ func (s *Scheduler) pick() (*schedQueue, int) {
 }
 
 // claimable returns the queue position of the campaign's first pending
-// point that is neither parked on a fabric resolution nor behind
-// another point computing the same hash.
+// point that is not behind another point computing the same hash.
 func (q *schedQueue) claimable(flights map[string]struct{}) (int, bool) {
 	// Draining a cancelled campaign: any pending point will do — its
-	// handout aborts immediately, so single-flight and fabric parking
-	// no longer apply.
+	// handout aborts immediately, so single-flight no longer applies.
 	draining := q.aborted()
 	for j, i := range q.queue {
 		if draining {
 			return j, true
-		}
-		if q.runs[i].parked {
-			continue
 		}
 		if h := q.flightKey(i); h != "" && !q.runs[i].claimed {
 			if _, busy := flights[h]; busy {

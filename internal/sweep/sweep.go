@@ -126,15 +126,6 @@ type Mechanism struct {
 	// Scheduler, when set, runs the sweep's points on this shared worker
 	// pool (fair across concurrent campaigns) instead of a private one.
 	Scheduler *Scheduler
-	// Remote, when set alongside Cache, shards the campaign's hashed
-	// points across a fabric of nodes: points the resolver does not own
-	// park in the scheduler — no worker is ever blocked on them — while
-	// the resolver fetches the owner's committed result into Cache and
-	// unparks them to replay it (byte-identical by the CachedPoint
-	// replay contract). A point whose owner is declared dead unparks
-	// for local takeover compute instead. Points without a hash, and
-	// campaigns without a Cache, ignore Remote entirely.
-	Remote RemoteResolver
 	// Control is ignored: the scheduler has one policy (see Scheduler).
 	// The field stays only because the frozen bench/ harness sets it.
 	Control *control.Policy
@@ -156,26 +147,6 @@ type Mechanism struct {
 type Config struct {
 	Policy
 	Mechanism
-}
-
-// RemoteResolver shards hashed points across a fabric of nodes. The
-// scheduler consults Owned once per hashed point at campaign start;
-// points owned elsewhere park (skipped by handouts, holding no worker)
-// and Watch is started for each. The resolver must eventually call
-// done exactly once — with takeover=false after the owner's committed
-// result has been written into the campaign's Cache (the unparked
-// point then replays it), or with takeover=true to hand the point back
-// for local compute (owner dead, or its lease ceded). done may be
-// called from any goroutine; calls after the campaign retired are
-// harmless. ctx is the campaign's lifecycle — Watch must stop polling
-// when it is cancelled, and may then drop done entirely (the abort
-// drain retires parked points itself). Implementations live in package
-// fabric; the scheduler only needs this seam.
-type RemoteResolver interface {
-	// Owned reports whether this node computes the hash itself.
-	Owned(hash string) bool
-	// Watch resolves one remotely-owned hash; it must not block.
-	Watch(ctx context.Context, hash string, done func(takeover bool))
 }
 
 // PointCache persists per-point progress keyed by the point's content
@@ -305,7 +276,7 @@ type PointError struct {
 	// Key is the sweep point whose turn panicked.
 	Key string
 	// Hash is the point's content hash, empty for unhashed points —
-	// carried so crash reports correlate with store and fabric state.
+	// carried so crash reports correlate with store state.
 	Hash string
 	// Value is the recovered panic value.
 	Value any

@@ -69,21 +69,16 @@ type Signal struct {
 	// Event marks lifecycle signals rather than turns: EventPanic when
 	// the scheduler's recover boundary caught a panic in the point's
 	// turn, EventCancel when cancellation aborted the point between
-	// batches (its partial progress flushed as a checkpoint first),
-	// EventRemoteHit when a point parked on a fabric peer resolved from
-	// the peer's committed result, EventTakeover when the peer was
-	// declared dead (or ceded its lease) and the point fell back to
-	// local compute. Detail carries the human-readable cause.
+	// batches (its partial progress flushed as a checkpoint first).
+	// Detail carries the human-readable cause.
 	Event  string `json:"event,omitempty"`
 	Detail string `json:"detail,omitempty"`
 }
 
 // Lifecycle event kinds for Signal.Event.
 const (
-	EventPanic     = "panic"
-	EventCancel    = "cancel"
-	EventRemoteHit = "remote_hit"
-	EventTakeover  = "takeover"
+	EventPanic  = "panic"
+	EventCancel = "cancel"
 )
 
 // Campaign is one campaign's telemetry: a lock-free signal ring, the
@@ -112,8 +107,6 @@ type Campaign struct {
 	pointsDone  atomic.Int64
 	panics      atomic.Int64
 	cancels     atomic.Int64
-	remoteHits  atomic.Int64
-	takeovers   atomic.Int64
 
 	// queueDepth is written by the scheduler and read by /metrics.
 	queueDepth atomic.Int64
@@ -168,10 +161,6 @@ func (c *Campaign) Record(s Signal) {
 		c.panics.Add(1)
 	case EventCancel:
 		c.cancels.Add(1)
-	case EventRemoteHit:
-		c.remoteHits.Add(1)
-	case EventTakeover:
-		c.takeovers.Add(1)
 	}
 	s.Seq = c.seq.Add(1) - 1
 	c.slots[s.Seq%RingSize].Store(&s)
@@ -243,8 +232,6 @@ type Stats struct {
 	PointsDone  int64   `json:"points_done"`
 	Panics      int64   `json:"panics,omitempty"`
 	Cancels     int64   `json:"cancels,omitempty"`
-	RemoteHits  int64   `json:"remote_hits,omitempty"`
-	Takeovers   int64   `json:"takeovers,omitempty"`
 	QueueDepth  int64   `json:"queue_depth"`
 	Done        bool    `json:"done"`
 }
@@ -279,8 +266,6 @@ func (c *Campaign) Stats() Stats {
 		PointsDone:  c.pointsDone.Load(),
 		Panics:      c.panics.Load(),
 		Cancels:     c.cancels.Load(),
-		RemoteHits:  c.remoteHits.Load(),
-		Takeovers:   c.takeovers.Load(),
 		QueueDepth:  c.queueDepth.Load(),
 		Done:        c.done.Load(),
 	}
@@ -357,9 +342,9 @@ func (r *Registry) Get(id int64) (*Campaign, bool) {
 }
 
 // ByTrace returns this node's recorder for a trace id, nil if no
-// retained campaign recorded under it (peer fan-in when stitching a
-// distributed trace). When several campaigns share the trace, the first
-// registered — the lowest campaign id — wins.
+// retained campaign recorded under it (GET /v1/traces/{trace_id}). When
+// several campaigns share the trace, the first registered — the lowest
+// campaign id — wins.
 func (r *Registry) ByTrace(id trace.TraceID) *trace.Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()

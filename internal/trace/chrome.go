@@ -26,8 +26,8 @@ type chromeEvent struct {
 // WriteChrome renders spans as a Chrome trace-event JSON document
 // ({"traceEvents": [...]}). Each node becomes a process row and each
 // point a thread row within it, so the timeline groups a point's
-// chunk-run/decode/commit spans on one line; campaign and fabric
-// spans (no point key) share lane 0.
+// chunk-run/decode/commit spans on one line; the campaign span (no
+// point key) has lane 0.
 func WriteChrome(w io.Writer, spans []Span) error {
 	sorted := append([]Span(nil), spans...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].StartNS < sorted[j].StartNS })

@@ -1,10 +1,8 @@
-// Latency histograms for the four paths that bound campaign
-// wall-clock — decode, remote fetch, lease wait, store commit. The
-// sweep feeds decode and store commit from every turn's telemetry
-// record, sampled or not; remote fetch and lease wait are fed when the
-// fabric's sampled spans of those kinds end. A bucket remembers the
-// trace id of its latest sampled observation, so a dashboard outlier
-// links straight to a trace that produced one like it.
+// Latency histograms for the two paths that bound campaign wall-clock
+// — decode and store commit. The sweep feeds both from every turn's
+// telemetry record, sampled or not. A bucket remembers the trace id of
+// its latest sampled observation, so a dashboard outlier links
+// straight to a trace that produced one like it.
 package trace
 
 import (
@@ -15,8 +13,8 @@ import (
 )
 
 // histBuckets are the upper bounds (seconds) of the latency buckets,
-// spanning sub-millisecond decode chunks to multi-second fabric
-// waits; +Inf is implicit.
+// spanning sub-millisecond decode chunks to multi-second commits on a
+// stalled disk; +Inf is implicit.
 var histBuckets = [15]float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
@@ -34,7 +32,7 @@ type Exemplar struct {
 // observation and per-bucket exemplars. Counts are per-bucket (not
 // cumulative); rendering accumulates.
 type Histogram struct {
-	path      string // metric path label: decode, remote_fetch, …
+	path      string // metric path label: decode or store_commit
 	counts    [len(histBuckets) + 1]atomic.Uint64
 	sumNS     atomic.Int64
 	exemplars [len(histBuckets) + 1]atomic.Pointer[Exemplar]
@@ -103,24 +101,11 @@ func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }
 // (standard Prometheus practice).
 var (
 	DecodeHist = NewHistogram("decode")
-	FetchHist  = NewHistogram("remote_fetch")
-	LeaseHist  = NewHistogram("lease_wait")
 	CommitHist = NewHistogram("store_commit")
 )
 
 // PathHistograms returns the process-wide path histograms in a stable
 // order for the /metrics renderer.
 func PathHistograms() []*Histogram {
-	return []*Histogram{DecodeHist, FetchHist, LeaseHist, CommitHist}
-}
-
-// observePath feeds the fabric's two histograms when a span of their
-// kind ends.
-func observePath(name string, d time.Duration, trace TraceID) {
-	switch name {
-	case SpanRemoteFetch:
-		FetchHist.Observe(d, trace)
-	case SpanLeaseWait:
-		LeaseHist.Observe(d, trace)
-	}
+	return []*Histogram{DecodeHist, CommitHist}
 }

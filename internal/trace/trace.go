@@ -1,10 +1,8 @@
-// Package trace is radqec's in-process distributed tracing layer: a
-// span model matching the campaign domain — campaign → point →
-// {chunk-run, decode, store-commit, remote-fetch, lease-wait,
-// takeover} — recorded into bounded lock-free per-campaign rings (the
-// same shape as telemetry.Campaign), with W3C-traceparent-style
-// context carried across fabric hops so a multi-node campaign
-// stitches into one trace.
+// Package trace is radqec's in-process tracing layer: a span model
+// matching the campaign domain — campaign → point → {chunk-run, decode,
+// store-commit} — recorded into bounded lock-free per-campaign rings
+// (the same shape as telemetry.Campaign). A campaign submitted with a
+// sampled W3C traceparent header joins the caller's trace.
 //
 // Cost model: sampling is per-campaign. An unsampled campaign has a
 // nil *Recorder, every entry point is nil-safe, and the zero
@@ -16,7 +14,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
@@ -30,26 +27,19 @@ import (
 // stays dense, so readers can tell spans were dropped).
 const RingSize = 8192
 
-// Span kinds — the domain model. A campaign span is the root (one per
-// node participating in the campaign), point spans are its children,
-// and the leaf kinds hang off a point (chunk-run, decode,
-// store-commit: drawn by the sweep from the numbers of the turn's
-// telemetry record) or off the campaign (the fabric kinds:
-// remote-fetch, lease-wait, takeover, which run while the point is
-// parked and has no span yet).
+// Span kinds — the domain model. A campaign span is the root, point
+// spans are its children, and the leaf kinds hang off a point: drawn
+// by the sweep from the numbers of the turn's telemetry record.
 const (
 	SpanCampaign    = "campaign"
 	SpanPoint       = "point"
 	SpanChunkRun    = "chunk-run"
 	SpanDecode      = "decode"
 	SpanStoreCommit = "store-commit"
-	SpanRemoteFetch = "remote-fetch"
-	SpanLeaseWait   = "lease-wait"
-	SpanTakeover    = "takeover"
 )
 
 // TraceID is the 16-byte W3C trace id shared by every span of one
-// distributed campaign.
+// campaign.
 type TraceID [16]byte
 
 // SpanID is the 8-byte W3C span id.
@@ -94,15 +84,9 @@ func fill(b []byte) {
 	}
 }
 
-// Header is the W3C trace-context header name carried on every fabric
-// hop (campaign fan-out, point long-polls, lease claims).
+// Header is the W3C trace-context header name a campaign submission
+// may carry.
 const Header = "traceparent"
-
-// Traceparent renders the W3C header value: version 00, sampled flag
-// set (radqec only propagates sampled traces).
-func Traceparent(t TraceID, s SpanID) string {
-	return fmt.Sprintf("00-%s-%s-01", t, s)
-}
 
 // ParseTraceparent parses a W3C traceparent header and returns the
 // sampled flag. Version ff is invalid and version 00 exactly 55 bytes; a
@@ -142,18 +126,18 @@ type Span struct {
 	Trace string `json:"trace_id"`
 	// ID is this span's id (16 hex chars).
 	ID string `json:"span_id"`
-	// Parent is the parent span's id; empty only for a root campaign
-	// span on the submitting node.
+	// Parent is the parent span's id; empty only for a campaign span
+	// that adopted no incoming traceparent.
 	Parent string `json:"parent_id,omitempty"`
 	// Name is the span kind (Span* constants).
 	Name string `json:"name"`
-	// Node is the recording node's fabric address, or "local" off-fabric.
+	// Node names the recording process: "local" in the daemon.
 	Node string `json:"node,omitempty"`
 	// Key is the sweep point key, when the span concerns one point.
 	Key string `json:"key,omitempty"`
-	// Hash is the point content hash, when known (fabric spans).
+	// Hash is the point content hash, when known.
 	Hash string `json:"hash,omitempty"`
-	// Detail is a free-form annotation (peer address, cache outcome…).
+	// Detail is a free-form annotation (the cache outcome, …).
 	Detail string `json:"detail,omitempty"`
 	// Shots is the shot count the span covered, when it covered shots.
 	Shots int `json:"shots,omitempty"`
@@ -172,9 +156,9 @@ type Span struct {
 type Recorder struct {
 	traceID TraceID
 	node    string
-	// remoteParent is the submitting node's campaign span id when this
-	// recorder was adopted from an incoming traceparent; the local
-	// campaign span parents under it, stitching the fan-out.
+	// remoteParent is the caller's span id when this recorder was
+	// adopted from an incoming traceparent; the campaign span parents
+	// under it.
 	remoteParent SpanID
 
 	seq   atomic.Uint64
@@ -254,8 +238,8 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// SpanContext names one live span: the handle children parent under
-// and the identity a fabric hop carries. The zero value is inert.
+// SpanContext names one live span: the handle children parent under.
+// The zero value is inert.
 type SpanContext struct {
 	rec  *Recorder
 	span SpanID
@@ -266,18 +250,6 @@ func (sc SpanContext) Sampled() bool { return sc.rec != nil }
 
 // TraceID returns the trace id (zero when unsampled).
 func (sc SpanContext) TraceID() TraceID { return sc.rec.TraceID() }
-
-// SpanID returns this span's id.
-func (sc SpanContext) SpanID() SpanID { return sc.span }
-
-// Traceparent renders the W3C header value for this span, or "" when
-// the campaign is unsampled — callers skip the header entirely.
-func (sc SpanContext) Traceparent() string {
-	if sc.rec == nil {
-		return ""
-	}
-	return Traceparent(sc.rec.traceID, sc.span)
-}
 
 // Start opens a child span under this context. On an unsampled
 // context it returns the inert zero ActiveSpan at the cost of one
@@ -295,28 +267,17 @@ func (sc SpanContext) Start(name, key string) ActiveSpan {
 	}
 }
 
-// StartAt opens a child span with an explicit start time, for callers
-// that only learn a span's kind at its end (the fabric watch loop
-// resolves as remote-fetch or takeover long after the wait began).
-func (sc SpanContext) StartAt(name, key string, start time.Time) ActiveSpan {
-	a := sc.Start(name, key)
-	if a.sc.rec != nil {
-		a.start = start
-	}
-	return a
-}
-
 // Draw records a finished child span from an interval measured
 // elsewhere: the sweep draws a turn's chunk-run, decode and store-commit
 // spans from the same numbers it publishes on the turn's telemetry
 // record, so the two can never disagree. A no-op on an unsampled
 // context.
 func (sc SpanContext) Draw(name, key, hash string, shots int, start time.Time, dur time.Duration) {
-	a := sc.StartAt(name, key, start)
+	a := sc.Start(name, key)
 	if a.sc.rec == nil {
 		return
 	}
-	a.hash, a.shots = hash, shots
+	a.start, a.hash, a.shots = start, hash, shots
 	a.record(dur)
 }
 
@@ -337,8 +298,7 @@ type ActiveSpan struct {
 // Sampled reports whether End will record anything.
 func (a *ActiveSpan) Sampled() bool { return a.sc.rec != nil }
 
-// Context returns the span's context for parenting children or
-// crossing a fabric hop.
+// Context returns the span's context for parenting children.
 func (a *ActiveSpan) Context() SpanContext { return a.sc }
 
 // SetHash annotates the span with a point content hash.
@@ -363,9 +323,7 @@ func (a *ActiveSpan) End() {
 	if a.sc.rec == nil {
 		return
 	}
-	dur := time.Since(a.start)
-	a.record(dur)
-	observePath(a.name, dur, a.sc.rec.traceID)
+	a.record(time.Since(a.start))
 }
 
 // record publishes the span with the given duration.
@@ -388,26 +346,4 @@ func (a *ActiveSpan) record(dur time.Duration) {
 		s.Parent = a.parent.String()
 	}
 	r.record(s)
-}
-
-// ctxKey carries a SpanContext through context.Context; the client
-// reads it to stamp the traceparent header on every fabric hop.
-type ctxKey struct{}
-
-// ContextWith returns ctx carrying sc. An unsampled sc returns ctx
-// unchanged so unsampled campaigns allocate nothing.
-func ContextWith(ctx context.Context, sc SpanContext) context.Context {
-	if sc.rec == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sc)
-}
-
-// FromContext extracts the active span context, zero when absent.
-func FromContext(ctx context.Context) SpanContext {
-	if ctx == nil {
-		return SpanContext{}
-	}
-	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
-	return sc
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -11,12 +10,18 @@ import (
 	"time"
 )
 
+// traceparent renders the W3C header a sampled caller sends: version
+// 00, sampled flag set.
+func traceparent(t TraceID, s SpanID) string {
+	return fmt.Sprintf("00-%s-%s-01", t, s)
+}
+
 // TestTraceparentRoundTrip: a rendered header parses back to the same
 // ids with the sampled flag set.
 func TestTraceparentRoundTrip(t *testing.T) {
 	r := New("node-a")
 	root := r.Campaign("camp")
-	h := root.Context().Traceparent()
+	h := traceparent(r.TraceID(), root.Context().span)
 	tid, sid, sampled, err := ParseTraceparent(h)
 	if err != nil {
 		t.Fatalf("parse %q: %v", h, err)
@@ -24,8 +29,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if !sampled {
 		t.Fatalf("header %q not sampled", h)
 	}
-	if tid != r.TraceID() || sid != root.Context().SpanID() {
-		t.Fatalf("round trip mismatch: %v/%v vs %v/%v", tid, sid, r.TraceID(), root.Context().SpanID())
+	if tid != r.TraceID() || sid != root.Context().span {
+		t.Fatalf("round trip mismatch: %v/%v vs %v/%v", tid, sid, r.TraceID(), root.Context().span)
 	}
 }
 
@@ -67,12 +72,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	child.SetError(fmt.Errorf("boom"))
 	child.End()
 	root.End()
-	if ContextWith(context.Background(), root.Context()) != context.Background() {
-		t.Fatal("unsampled ContextWith allocated a context")
-	}
-	if FromContext(context.Background()).Sampled() {
-		t.Fatal("empty context carried a span")
-	}
 }
 
 // TestSpanHierarchyAndRing: spans record with correct parent links,
@@ -137,13 +136,13 @@ func TestRingBounded(t *testing.T) {
 	}
 }
 
-// TestAdoptStitches: a recorder adopted from a peer's traceparent
-// shares the trace id and parents its campaign span under the remote
-// span — the cross-node stitch.
+// TestAdoptStitches: a recorder adopted from a caller's traceparent
+// shares the trace id and parents its campaign span under the caller's
+// span.
 func TestAdoptStitches(t *testing.T) {
 	a := New("node-a")
 	rootA := a.Campaign("camp")
-	tid, sid, _, err := ParseTraceparent(rootA.Context().Traceparent())
+	tid, sid, _, err := ParseTraceparent(traceparent(a.TraceID(), rootA.Context().span))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +156,8 @@ func TestAdoptStitches(t *testing.T) {
 	if spans[0].Trace != a.TraceID().String() {
 		t.Fatalf("node-b trace %s, want %s", spans[0].Trace, a.TraceID())
 	}
-	if spans[0].Parent != rootA.Context().SpanID().String() {
-		t.Fatalf("node-b campaign parent %q, want node-a campaign %q", spans[0].Parent, rootA.Context().SpanID())
+	if spans[0].Parent != rootA.Context().span.String() {
+		t.Fatalf("node-b campaign parent %q, want node-a campaign %q", spans[0].Parent, rootA.Context().span)
 	}
 }
 
@@ -257,24 +256,20 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestPathHistogramFeed: ending a sampled span of a fabric kind feeds
-// its process-wide histogram; the decode and store-commit histograms
-// are fed by the sweep from the turn record, not by their spans.
+// TestPathHistogramFeed: the decode and store-commit histograms are
+// fed by the sweep from the turn record, not by their spans.
 func TestPathHistogramFeed(t *testing.T) {
-	fetch, decode := FetchHist.Count(), DecodeHist.Count()
+	decode, commit := DecodeHist.Count(), CommitHist.Count()
 	r := New("n")
 	root := r.Campaign("c")
-	f := root.Context().Start(SpanRemoteFetch, "")
-	f.End()
 	d := root.Context().Start(SpanDecode, "k")
 	d.End()
 	root.Context().Draw(SpanDecode, "k", "", 64, time.Now(), time.Millisecond)
+	root.Context().Draw(SpanStoreCommit, "k", "", 64, time.Now(), time.Millisecond)
 	root.End()
-	if FetchHist.Count() != fetch+1 {
-		t.Fatalf("remote-fetch histogram count %d, want %d", FetchHist.Count(), fetch+1)
-	}
-	if DecodeHist.Count() != decode {
-		t.Fatalf("decode histogram moved by %d on span ends", DecodeHist.Count()-decode)
+	if DecodeHist.Count() != decode || CommitHist.Count() != commit {
+		t.Fatalf("decode/store-commit histograms moved by %d/%d on span ends",
+			DecodeHist.Count()-decode, CommitHist.Count()-commit)
 	}
 }
 
@@ -292,7 +287,7 @@ func TestDrawRecordsGivenInterval(t *testing.T) {
 		t.Fatalf("recorded %d spans, want 1", len(spans))
 	}
 	s := spans[0]
-	if s.Name != SpanStoreCommit || s.Key != "k" || s.Hash != "h" || s.Parent != root.Context().SpanID().String() {
+	if s.Name != SpanStoreCommit || s.Key != "k" || s.Hash != "h" || s.Parent != root.Context().span.String() {
 		t.Fatalf("drawn span %+v", s)
 	}
 	if s.StartNS != start.UnixNano() || s.DurNS != 1234 {
@@ -328,14 +323,14 @@ func FuzzParseTraceparent(f *testing.F) {
 		var sid SpanID
 		copy(tid[:], ids)
 		copy(sid[:], ids[min(len(ids), len(tid)):])
-		gotT, gotS, sampled, err := ParseTraceparent(Traceparent(tid, sid))
+		gotT, gotS, sampled, err := ParseTraceparent(traceparent(tid, sid))
 		switch {
 		case tid.IsZero() || sid.IsZero():
 			if err == nil {
-				t.Fatalf("zero id rendered to %q parsed", Traceparent(tid, sid))
+				t.Fatalf("zero id rendered to %q parsed", traceparent(tid, sid))
 			}
 		case err != nil || gotT != tid || gotS != sid || !sampled:
-			t.Fatalf("%q parsed to %v %v %v %v", Traceparent(tid, sid), gotT, gotS, sampled, err)
+			t.Fatalf("%q parsed to %v %v %v %v", traceparent(tid, sid), gotT, gotS, sampled, err)
 		}
 
 		pt, ps, _, err := ParseTraceparent(h)

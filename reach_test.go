@@ -46,8 +46,7 @@ var reachAllow = map[string]string{
 	"stab.Tableau.ExpectationZ":            "oracle",
 	"stats.TwoSampleZ":                     "oracle",
 	// Accessors through which tests of construction, routing, the tile
-	// record layout, leases and histograms observe the structure.
-	"fabric.LeaseTable.Holder":     "oracle",
+	// record layout and histograms observe the structure.
 	"frame.BatchState.Record":      "oracle",
 	"graph.Graph.Connected":        "oracle",
 	"graph.Graph.InducedConnected": "oracle",

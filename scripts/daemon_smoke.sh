@@ -24,7 +24,11 @@
 #      assert the stream ends in a cancelled error record, then resubmit
 #      and assert the resumed table is byte-identical to a CLI reference
 #      run at the same parameters (resume from checkpoints, not restart)
-#   6. SIGTERM the daemon and require a clean exit
+#   6. submit a sampled campaign and read its trace by campaign id and
+#      by trace id: one trace id, the same span set both ways, and a
+#      Perfetto-loadable ?format=chrome export (written to
+#      $TRACE_CHROME_OUT when set, for CI artifacts)
+#   7. SIGTERM the daemon and require a clean exit
 #
 # Builds into BIN_DIR (default: a temp dir). Needs python3 and curl.
 set -euo pipefail
@@ -269,6 +273,44 @@ if ncached == 0:
     sys.exit("resumed run served nothing from the store: cancellation flushed no progress")
 print(f"daemon_smoke: resumed run byte-identical to CLI reference "
       f"({ncached}/{len(res_pts)} points served from the cancelled campaign's store)")
+EOF
+
+echo "== sampled campaign: its trace by campaign id and by trace id"
+"$bindir/smokeclient" -addr "$addr" -experiment "$EXPERIMENT" -shots "$SHOTS" \
+  -seed $((SEED + 1000)) -trace-sample on \
+  >/dev/null 2>"$workdir/traced.stderr"
+trace_cid=$(awk '/smokeclient: campaign /{print $3}' "$workdir/traced.stderr")
+trace_tid=$(awk '/smokeclient: trace /{print $3}' "$workdir/traced.stderr")
+if [[ -z "$trace_cid" || -z "$trace_tid" ]]; then
+  echo "daemon_smoke: sampled run reported no campaign/trace id" >&2
+  cat "$workdir/traced.stderr" >&2
+  exit 1
+fi
+curl -fsS "http://$addr/v1/campaigns/$trace_cid/trace" >"$workdir/trace-by-campaign.ndjson"
+curl -fsS "http://$addr/v1/traces/$trace_tid" >"$workdir/trace-by-id.ndjson"
+chrome_out=${TRACE_CHROME_OUT:-$workdir/trace.chrome.json}
+curl -fsS "http://$addr/v1/campaigns/$trace_cid/trace?format=chrome" >"$chrome_out"
+python3 - "$workdir" "$trace_tid" "$chrome_out" <<'EOF'
+import json, sys
+workdir, tid, chrome_out = sys.argv[1:4]
+
+def load(name):
+    return [json.loads(l) for l in open(f"{workdir}/{name}.ndjson") if l.strip()]
+
+spans = load("trace-by-campaign")
+if not spans:
+    sys.exit("sampled campaign returned an empty trace")
+ids = {s["trace_id"] for s in spans}
+if ids != {tid}:
+    sys.exit(f"trace spans carry trace ids {sorted(ids)}, want {{{tid}}}")
+by_id = load("trace-by-id")
+if {s["span_id"] for s in by_id} != {s["span_id"] for s in spans}:
+    sys.exit(f"trace by id has {len(by_id)} spans, by campaign {len(spans)}: the two views differ")
+chrome = json.load(open(chrome_out))
+if not chrome.get("traceEvents"):
+    sys.exit("chrome export has no traceEvents")
+print(f"daemon_smoke: trace {tid}: {len(spans)} spans by campaign and by id, "
+      f"{len(chrome['traceEvents'])} chrome events")
 EOF
 
 echo "== graceful shutdown"

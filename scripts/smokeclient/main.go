@@ -1,9 +1,9 @@
 // Command smokeclient is the smoke harness's typed campaign client: it
 // submits one campaign through internal/client and re-emits the stream
 // as NDJSON on stdout, replacing the hand-rolled curl legs of
-// daemon_smoke.sh and fabric_smoke.sh with the same client package the
-// fabric coordinator and the server tests use. A campaign that ends in
-// an error record exits nonzero, so shell harnesses fail loudly.
+// daemon_smoke.sh with the same client package the benchmark harness
+// and the server tests use. A campaign that ends in an error record
+// exits nonzero, so shell harnesses fail loudly.
 //
 // Usage:
 //
