@@ -77,16 +77,20 @@ func main() {
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
+		start := time.Now()
 		st, err = store.Open(*storeDir, store.Options{})
 		if err != nil {
 			fatal(err)
 		}
+		replay := time.Since(start)
 		stats := st.Stats()
 		log.Info("radqecd: store opened",
 			"dir", *storeDir,
 			"commits", stats.Commits,
 			"checkpoints", stats.Checkpoints,
-			"segment_bytes", stats.SegmentBytes)
+			"segment_bytes", stats.SegmentBytes,
+			"quarantined", stats.Quarantined,
+			"replay_ms", float64(replay.Microseconds())/1e3)
 	} else {
 		log.Warn("radqecd: running without a store; every campaign recomputes")
 	}

@@ -1,13 +1,19 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+
+	"radqec/internal/store"
+	"radqec/internal/sweep"
 )
 
 // TestMain lets a test re-execute this binary as the radqecd command
@@ -80,4 +86,61 @@ func TestFlagSet(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("radqecd -h lists %d flags %v, want %d %v", len(got), got, len(want), want)
 	}
+}
+
+// TestStoreOpenedLogsReplay: the daemon's "store opened" record says
+// what the restart replayed — the index, the segment, the corrupt lines
+// it quarantined and how long the replay took.
+func TestStoreOpenedLogsReplay(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Checkpoint("h1", sweep.CachedPoint{Key: "k1", Shots: 512, Batches: 1})
+	st.Commit("h2", sweep.CachedPoint{Key: "k2", Shots: 2000, Errors: 3, Batches: 4})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, store.SegmentName)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append([]byte("junk\n"), raw...)
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-store", dir, "-log-format", "json")
+	cmd.Env = append(os.Environ(), "RADQECD_TEST_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	defer cmd.Process.Kill()
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("log line %q: %v", sc.Text(), err)
+		}
+		if rec["msg"] != "radqecd: store opened" {
+			continue
+		}
+		for k, want := range map[string]float64{"commits": 1, "checkpoints": 1, "quarantined": 1, "segment_bytes": float64(len(raw))} {
+			if rec[k] != want {
+				t.Errorf("store opened: %s = %v, want %v", k, rec[k], want)
+			}
+		}
+		if ms, ok := rec["replay_ms"].(float64); !ok || ms < 0 {
+			t.Errorf("store opened: replay_ms = %v, want a duration in ms", rec["replay_ms"])
+		}
+		return
+	}
+	t.Fatalf("radqecd never logged \"store opened\" (%v)", sc.Err())
 }

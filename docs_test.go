@@ -10,6 +10,7 @@ import (
 
 	"radqec/internal/exp"
 	"radqec/internal/telemetry"
+	"radqec/internal/trace"
 )
 
 // jsonFields lists the JSON field names of a struct, in order.
@@ -56,5 +57,48 @@ func TestAPIDocListsSignalAndStatsFields(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("docs/api.md %q lists\n  %v\nthe struct marshals\n  %v", tc.lead, got, tc.want)
 		}
+	}
+}
+
+// TestObservabilityDocListsSpanFields: docs/observability.md names
+// every field a trace.Span marshals — the backticked names between
+// "Every span carries" and the first full stop — and its span-model
+// tree holds exactly the five span kinds, in the order trace declares
+// them.
+func TestObservabilityDocListsSpanFields(t *testing.T) {
+	raw, err := os.ReadFile("docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	_, list, ok := strings.Cut(doc, "Every span carries")
+	if !ok {
+		t.Fatal(`docs/observability.md has no paragraph starting "Every span carries"`)
+	}
+	list, _, _ = strings.Cut(list, ".")
+	var got []string
+	for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(list, -1) {
+		got = append(got, m[1])
+	}
+	want := jsonFields(trace.Span{})
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("docs/observability.md: every span carries\n  %v\ntrace.Span marshals\n  %v", got, want)
+	}
+
+	_, tree, ok := strings.Cut(doc, "Span model:")
+	if !ok {
+		t.Fatal(`docs/observability.md has no "Span model:" tree`)
+	}
+	_, tree, _ = strings.Cut(tree, "```\n")
+	tree, _, _ = strings.Cut(tree, "```")
+	got = nil
+	for _, m := range regexp.MustCompile(`(?m)^(?:[│ ]*[├└]── )?([a-z-]+)`).FindAllStringSubmatch(tree, -1) {
+		got = append(got, m[1])
+	}
+	kinds := []string{trace.SpanCampaign, trace.SpanPoint, trace.SpanChunkRun, trace.SpanDecode, trace.SpanStoreCommit}
+	if !slices.Equal(got, kinds) {
+		t.Errorf("docs/observability.md span model holds %v, trace declares %v", got, kinds)
 	}
 }

@@ -58,6 +58,10 @@ type envelope struct {
 	Rec json.RawMessage `json:"rec"`
 }
 
+// replayBuffer is the size of the buffer replay reads the segment
+// through.
+const replayBuffer = 64 << 10
+
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -76,7 +80,9 @@ func encodeRecord(rec record) ([]byte, error) {
 }
 
 // decodeLine validates one segment line against its envelope's
-// checksum and decodes the record inside.
+// checksum and decodes the record inside. Replay calls it for every
+// line scanLine defers, and it is the reference scanLine is tested
+// against.
 func decodeLine(line []byte) (record, error) {
 	var rec record
 	var env envelope
@@ -256,16 +262,30 @@ func Open(dir string, opts Options) (*Store, error) {
 // serves. An invalid run at the very end is the classic torn tail of a
 // crash mid-append and is truncated away so the segment stays
 // appendable.
+//
+// Lines are read in place from a bounded buffer (only a line longer than
+// it is copied out, into one reused slice) and decoded by scanLine, which
+// copies the strings the index keeps; a line it does not recognise goes
+// to decodeLine.
 func (s *Store) replay() error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	br := bufio.NewReader(s.f)
+	br := bufio.NewReaderSize(s.f, replayBuffer)
+	var long []byte // a line longer than the buffer, reassembled
 	var off int64   // bytes read so far
 	var valid int64 // end of the last valid record
 	pending := 0    // invalid lines since the last valid record
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if err == io.EOF {
 			// No trailing newline: a torn final line. Drop it.
 			break
@@ -274,8 +294,14 @@ func (s *Store) replay() error {
 			return fmt.Errorf("store: replay: %w", err)
 		}
 		off += int64(len(line))
-		rec, derr := decodeLine(line)
-		if derr != nil {
+		rec, verdict := scanLine(line)
+		if verdict == scanDefer {
+			var derr error
+			if rec, derr = decodeLine(line); derr != nil {
+				verdict = scanBad
+			}
+		}
+		if verdict == scanBad {
 			pending++
 			continue
 		}
