@@ -137,7 +137,8 @@ func main() {
 	if *shots < 1 {
 		usageError(fmt.Sprintf("-shots %d out of range (want >= 1)", *shots))
 	}
-	if *p < 0 || *p > 1 {
+	// Written so that NaN, which compares false with everything, fails.
+	if !(*p >= 0 && *p <= 1) {
 		usageError(fmt.Sprintf("-p %g out of range (want a probability in [0,1])", *p))
 	}
 	if *ns < 1 || *ns > exp.MaxNS {
@@ -149,7 +150,7 @@ func main() {
 	if *workers < 0 {
 		usageError(fmt.Sprintf("-workers %d out of range (want >= 0; 0 = GOMAXPROCS)", *workers))
 	}
-	if *ci < 0 || *ci >= 0.5 {
+	if !(*ci >= 0 && *ci < 0.5) {
 		usageError(fmt.Sprintf("-ci %g out of range (want 0 <= ci < 0.5; 0 disables adaptive shots)", *ci))
 	}
 	if *maxShots < 0 {

@@ -77,12 +77,14 @@ func TestRetiredEnginesAreUsageErrors(t *testing.T) {
 }
 
 // TestCampaignSizeCaps: -ns and -rounds just over exp.MaxNS and
-// exp.MaxRounds exit 2 naming the flag, before any code is built or
-// sample allocated.
+// exp.MaxRounds, and a NaN -p or -ci, exit 2 naming the flag, before
+// any code is built or sample allocated.
 func TestCampaignSizeCaps(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ns", strconv.Itoa(exp.MaxNS + 1)},
 		{"-rounds", strconv.Itoa(exp.MaxRounds + 1)},
+		{"-p", "NaN"},
+		{"-ci", "NaN"},
 	} {
 		args = append(args, "-shots", "1", "fig3")
 		out, code := run(t, args...)

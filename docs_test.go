@@ -102,3 +102,51 @@ func TestObservabilityDocListsSpanFields(t *testing.T) {
 		t.Errorf("docs/observability.md span model holds %v, trace declares %v", got, kinds)
 	}
 }
+
+// TestReadmeModuleTableListsPackages: README's module table has a row
+// for every directory under cmd/ and internal/, and names no directory
+// that does not exist. A row's first cell may name several packages,
+// each backticked.
+func TestReadmeModuleTableListsPackages(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "## Module layout")
+	if !ok {
+		t.Fatal(`README.md has no "## Module layout" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	var listed []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		first, _, _ := strings.Cut(strings.TrimPrefix(line, "|"), "|")
+		for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(first, -1) {
+			listed = append(listed, m[1])
+		}
+	}
+	var dirs []string
+	for _, root := range []string{"cmd", "internal"} {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				dirs = append(dirs, root+"/"+e.Name())
+			}
+		}
+	}
+	for _, d := range dirs {
+		if !slices.Contains(listed, d) {
+			t.Errorf("README.md module table has no row for %s", d)
+		}
+	}
+	for _, l := range listed {
+		if !slices.Contains(dirs, l) {
+			t.Errorf("README.md module table names %s, which is not a directory under cmd/ or internal/", l)
+		}
+	}
+}

@@ -2,7 +2,8 @@
 // the post-QEC logical error rates measured at the physical level and
 // propagating them through a logical program. Five surface-code patches
 // prepare a logical GHZ state while a radiation strike hits one patch
-// and spreads to its neighbours.
+// and spreads to its neighbours. The physical campaign runs on
+// exp.Simulator, the experiment layer's façade.
 package main
 
 import (
@@ -10,27 +11,22 @@ import (
 	"fmt"
 	"log"
 
-	"radqec/internal/core"
+	"radqec/internal/exp"
 	"radqec/internal/logical"
 )
 
 func main() {
-	engine := flag.String("engine", core.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", core.DecoderMWPM, "syndrome decoder: mwpm or uf")
+	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
+	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
-	if _, err := core.ResolveEngine(*engine); err != nil {
-		log.Fatal(err)
-	}
 	// Step 1: extract the per-patch fault model from a physical-level
 	// campaign on the XXZZ-(3,3) code.
-	sim, err := core.NewSimulator(core.Options{
-		Code:     core.CodeSpec{Family: core.FamilyXXZZ, DZ: 3, DX: 3},
-		Topology: "mesh",
-		Shots:    2000,
-		Seed:     1,
-		Engine:   *engine,
-		Decoder:  *decoder,
-	})
+	sim, err := exp.NewSimulator(exp.Config{
+		Shots:   2000,
+		Seed:    1,
+		Engine:  *engine,
+		Decoder: *decoder,
+	}, exp.FamilyXXZZ, 3, 3, "mesh")
 	if err != nil {
 		log.Fatal(err)
 	}

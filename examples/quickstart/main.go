@@ -2,11 +2,12 @@
 // mesh device, strike physical qubit 2 with a radiation event and report
 // the post-decoding logical error rate per temporal sample.
 //
-// Engine and decoder selection route through the shared resolution
-// policy (core.ResolveEngine / core.ResolveDecoder inside the
-// simulator), so the default run rides the bit-parallel batch engine
-// exactly like the radqec CLI does; -engine tableau runs the exact
-// oracle.
+// The simulator is the experiment layer's façade: the code and its
+// routed circuit come from the same registry the radqec CLI uses, and
+// engine and decoder selection go through the same resolution policy
+// (core.ResolveEngine / core.ResolveDecoder), so the default run rides
+// the bit-parallel batch engine exactly like the CLI does; -engine
+// tableau runs the exact oracle.
 package main
 
 import (
@@ -15,11 +16,13 @@ import (
 	"log"
 
 	"radqec/internal/core"
+	"radqec/internal/exp"
+	"radqec/internal/stats"
 )
 
 func main() {
-	engine := flag.String("engine", core.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", core.DecoderMWPM, "syndrome decoder: mwpm or uf")
+	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
+	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", 2, "stabilization rounds (>= 2)")
 	flag.Parse()
 
@@ -27,14 +30,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := core.NewSimulator(core.Options{
-		Code:     core.CodeSpec{Family: core.FamilyRepetition, DZ: 5, Rounds: *rounds},
-		Topology: "mesh",
-		Shots:    2000,
-		Seed:     1,
-		Engine:   *engine,
-		Decoder:  *decoder,
-	})
+	sim, err := exp.NewSimulator(exp.Config{
+		Shots:   2000,
+		Seed:    1,
+		Rounds:  *rounds,
+		Engine:  *engine,
+		Decoder: *decoder,
+	}, exp.FamilyRepetition, 5, 1, "mesh")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,11 +50,12 @@ func main() {
 
 	evo := sim.Strike(2) // particle impact on physical qubit 2
 	fmt.Println("\nradiation strike at qubit 2 (full spatial spread):")
-	for k, s := range evo.Samples {
-		lo, hi := s.CI()
+	rates := make([]float64, len(evo))
+	for k, s := range evo {
+		rates[k] = s.Rate()
 		fmt.Printf("  sample %2d: %6.2f%% logical error  (95%% CI %5.2f%%-%5.2f%%)\n",
-			k, 100*s.Rate(), 100*lo, 100*hi)
+			k, 100*s.Rate(), 100*s.CILo, 100*s.CIHi)
 	}
 	fmt.Printf("\noverall over the event: %.2f%% (median %.2f%%)\n",
-		100*evo.Overall(), 100*evo.Median())
+		100*stats.Mean(rates), 100*stats.Median(rates))
 }

@@ -1,7 +1,8 @@
 // Spreadstudy contrasts one spatially-correlated radiation fault with
 // k independent erasures on the distance-(15,1) repetition code — the
 // paper's Figure 7 question: how many simultaneous resets does one
-// spreading strike amount to?
+// spreading strike amount to? Both sides run on one exp.Simulator, the
+// experiment layer's façade.
 package main
 
 import (
@@ -9,27 +10,22 @@ import (
 	"fmt"
 	"log"
 
-	"radqec/internal/core"
+	"radqec/internal/exp"
 	"radqec/internal/graph"
 	"radqec/internal/rng"
 	"radqec/internal/stats"
 )
 
 func main() {
-	engine := flag.String("engine", core.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", core.DecoderMWPM, "syndrome decoder: mwpm or uf")
+	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
+	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
-	if _, err := core.ResolveEngine(*engine); err != nil {
-		log.Fatal(err)
-	}
-	sim, err := core.NewSimulator(core.Options{
-		Code:     core.CodeSpec{Family: core.FamilyRepetition, DZ: 15},
-		Topology: "mesh",
-		Shots:    1000,
-		Seed:     3,
-		Engine:   *engine,
-		Decoder:  *decoder,
-	})
+	sim, err := exp.NewSimulator(exp.Config{
+		Shots:   1000,
+		Seed:    3,
+		Engine:  *engine,
+		Decoder: *decoder,
+	}, exp.FamilyRepetition, 15, 1, "mesh")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,8 +33,8 @@ import (
 	"radqec/internal/trace"
 )
 
-// Simulation engine names for Config.Engine, shared with the core
-// façade (see the core package for per-engine cost and validity).
+// Simulation engine names for Config.Engine (see the core package for
+// per-engine cost and validity).
 // EngineAuto is the empty default, kept as a name because the frozen
 // bench/ harness sets it.
 const (
@@ -43,8 +43,7 @@ const (
 	EngineBatch   = core.EngineBatch
 )
 
-// Syndrome decoder names for Config.Decoder, shared with the core
-// façade.
+// Syndrome decoder names for Config.Decoder.
 const (
 	DecoderMWPM = core.DecoderMWPM
 	DecoderUF   = core.DecoderUF
@@ -110,12 +109,12 @@ type Config struct {
 	// EngineBatch); empty means EngineBatch. Unrecognised
 	// names panic when the sweep is built — programmer error, like the
 	// probability guards in package noise; the CLI validates its flag
-	// first, and library callers can pre-check with core.ResolveEngine.
+	// first, and NewSimulator returns the error.
 	Engine string
 	// Decoder selects the syndrome decoder for every spec that does not
 	// override its decode function (DecoderMWPM or DecoderUF); empty
 	// means DecoderMWPM. Unrecognised names panic like Engine; the CLI
-	// validates its flag first.
+	// validates its flag first, and NewSimulator returns the error.
 	Decoder string
 	// Width is accepted and ignored: the frozen bench/ harness sets it.
 	Width string
@@ -346,9 +345,8 @@ type pointSpec struct {
 }
 
 // engineFor resolves the configured engine for this spec through the
-// shared core.ResolveEngine policy. Unknown names panic, matching the
-// fail-fast validation of core.NewSimulator (the CLI validates before
-// this).
+// shared core.ResolveEngine policy. Unknown names panic (the CLI
+// validates before this; NewSimulator returns the error).
 func (s pointSpec) engineFor(engine string) string {
 	eng, err := core.ResolveEngine(engine)
 	if err != nil {
@@ -396,9 +394,7 @@ func (s pointSpec) point(engine, decoder string) sweep.Point {
 				dec(rec, w, live, out)
 				decNS += time.Since(t0).Nanoseconds()
 			}
-			run := core.NewEngineRunner(eng, s.prep.tr.Circuit,
-				noise.NewDepolarizing(s.phys), s.ev, s.seed,
-				s.prep.code.ExpectedLogical(), nil, timedTile, 0, 1)
+			run := s.runner(eng, timedTile, 1)
 			return func(start, n int) sweep.Counts {
 				decNS = 0
 				shots, errors := run(start, n)
@@ -406,6 +402,14 @@ func (s pointSpec) point(engine, decoder string) sweep.Point {
 			}
 		},
 	}
+}
+
+// runner builds the spec's campaign on a resolved engine, decoding
+// through dec, as a range runner fanned over workers goroutines (see
+// core.NewEngineRunner).
+func (s pointSpec) runner(engine string, dec frame.TileDecodeFunc, workers int) core.EngineRunner {
+	return core.NewEngineRunner(engine, s.prep.tr.Circuit, noise.NewDepolarizing(s.phys), s.ev, s.seed,
+		s.prep.code.ExpectedLogical(), nil, dec, 0, workers)
 }
 
 // runSpecs fans the specs through the sweep engine, returning per-spec

@@ -30,7 +30,7 @@ type Depolarizing struct {
 // NewDepolarizing returns the channel for physical error rate p.
 // It panics unless 0 <= p <= 1.
 func NewDepolarizing(p float64) Depolarizing {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails too
 		panic("noise: physical error rate outside [0,1]")
 	}
 	return Depolarizing{P: p}

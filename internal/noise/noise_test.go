@@ -166,7 +166,7 @@ func TestDepolarizingRates(t *testing.T) {
 }
 
 func TestNewDepolarizingPanics(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.1} {
+	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
