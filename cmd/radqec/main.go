@@ -14,7 +14,8 @@
 //	-shots N     shots per measured point (default 2000)
 //	-seed N      campaign seed (default 1)
 //	-workers N   points run concurrently (default GOMAXPROCS)
-//	-p RATE      intrinsic physical error rate (default 0.01)
+//	-p RATE      intrinsic physical error rate, 0 < RATE <= 1 (default
+//	             0.01)
 //	-ns N        temporal samples of the fault decay (default 10, at
 //	             most exp.MaxNS = 1000)
 //	-rounds N    stabilization rounds per code (default 2, the paper's
@@ -96,7 +97,7 @@ func main() {
 	shots := flag.Int("shots", 2000, "shots per measured point")
 	seed := flag.Uint64("seed", 1, "campaign seed")
 	workers := flag.Int("workers", 0, "points run concurrently (0 = GOMAXPROCS)")
-	p := flag.Float64("p", 0.01, "intrinsic physical error rate")
+	p := flag.Float64("p", 0.01, "intrinsic physical error rate (0 < p <= 1)")
 	ns := flag.Int("ns", 10, "temporal samples of the fault decay")
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
 	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
@@ -138,8 +139,10 @@ func main() {
 		usageError(fmt.Sprintf("-shots %d out of range (want >= 1)", *shots))
 	}
 	// Written so that NaN, which compares false with everything, fails.
-	if !(*p >= 0 && *p <= 1) {
-		usageError(fmt.Sprintf("-p %g out of range (want a probability in [0,1])", *p))
+	// 0 is out too: the experiment layer reads P == 0 as "unset" and
+	// would run the campaign at its 0.01 default.
+	if !(*p > 0 && *p <= 1) {
+		usageError(fmt.Sprintf("-p %g out of range (want 0 < p <= 1, an intrinsic error rate)", *p))
 	}
 	if *ns < 1 || *ns > exp.MaxNS {
 		usageError(fmt.Sprintf("-ns %d out of range (want 1..%d temporal samples)", *ns, exp.MaxNS))

@@ -77,13 +77,15 @@ func TestRetiredEnginesAreUsageErrors(t *testing.T) {
 }
 
 // TestCampaignSizeCaps: -ns and -rounds just over exp.MaxNS and
-// exp.MaxRounds, and a NaN -p or -ci, exit 2 naming the flag, before
+// exp.MaxRounds, a NaN -p or -ci, and a -p of 0 (which the experiment
+// layer would read as its 0.01 default), exit 2 naming the flag, before
 // any code is built or sample allocated.
 func TestCampaignSizeCaps(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ns", strconv.Itoa(exp.MaxNS + 1)},
 		{"-rounds", strconv.Itoa(exp.MaxRounds + 1)},
 		{"-p", "NaN"},
+		{"-p", "0"},
 		{"-ci", "NaN"},
 	} {
 		args = append(args, "-shots", "1", "fig3")

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"radqec/internal/exp"
 	"radqec/internal/faultinject"
 	"radqec/internal/sweep"
+	"radqec/internal/telemetry"
 )
 
 // startCampaign submits a campaign through the typed client and
@@ -98,6 +100,103 @@ func TestChaosDeleteCancelsAndResumesByteIdentical(t *testing.T) {
 	}
 	if table.Title != ref.Title || !reflect.DeepEqual(table.Rows, ref.Rows) || !reflect.DeepEqual(table.Notes, ref.Notes) {
 		t.Fatalf("resumed table diverged from the uninterrupted reference:\n%+v\nvs\n%+v", table, ref)
+	}
+}
+
+// engineShots reads a finished campaign's signals snapshot and returns
+// the shots of its engine turns (neither a cache hit nor a lifecycle
+// event) and its closing stats record.
+func engineShots(t *testing.T, ts *httptest.Server, id int64) (int64, telemetry.Stats) {
+	t.Helper()
+	sig, err := client.New(ts.URL, ts.Client()).Signals(context.Background(), id, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sig.Close()
+	var shots int64
+	var next uint64
+	for {
+		rec, err := sig.Next()
+		if err != nil {
+			t.Fatalf("signals of campaign %d: %v", id, err)
+		}
+		if rec.Stats != nil {
+			if !rec.Stats.Done {
+				t.Fatalf("campaign %d not finished: %+v", id, *rec.Stats)
+			}
+			return shots, *rec.Stats
+		}
+		if rec.Signal.Seq != next {
+			t.Fatalf("campaign %d: signal %d after %d, the ring dropped turns", id, rec.Signal.Seq, next)
+		}
+		next++
+		if rec.Signal.Event == "" && !rec.Signal.CacheHit {
+			shots += int64(rec.Signal.Shots)
+		}
+	}
+}
+
+// TestChaosCancelledShotsCountOnce: the daemon's shot counter is the
+// campaigns' own count. A fig5 campaign cancelled mid-run counts, in
+// radqecd_shots_computed_total, exactly the engine shots its signals and
+// stats record carry; its resubmission adds exactly its own, and every
+// one of its 160 points counts as computed or cached.
+func TestChaosCancelledShotsCountOnce(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	_, ts, _ := newTestServer(t)
+	cl := client.New(ts.URL, ts.Client())
+	req := CampaignRequest{Experiment: "fig5", Shots: 1024, Seed: seed(23)}
+	// Stall every store write so the campaign is still mid-flight when
+	// the DELETE lands.
+	if err := faultinject.Enable(faultinject.StoreWriteSlow, "sleep(15ms)"); err != nil {
+		t.Fatal(err)
+	}
+	stream := startCampaign(t, ts, req, true)
+	follow, err := cl.Signals(context.Background(), stream.ID, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ran := false; !ran; {
+		rec, err := follow.Next()
+		if err != nil {
+			t.Fatalf("campaign ended before an engine turn: %v", err)
+		}
+		ran = rec.Signal != nil && rec.Signal.Event == "" && !rec.Signal.CacheHit && rec.Signal.Shots > 0
+	}
+	follow.Close()
+	if err := cl.Cancel(context.Background(), stream.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	recs := drainStream(t, stream)
+	if last := recs[len(recs)-1]; last.Err == nil || !last.Err.Cancelled {
+		t.Fatalf("cancelled stream ended with %+v, want a cancelled error record", last)
+	}
+	turns, st := engineShots(t, ts, stream.ID)
+	if st.PointsDone >= 160 {
+		t.Fatalf("the campaign finished all %d points before the cancel", st.PointsDone)
+	}
+	got := int64(metricValue(t, ts, "shots_computed_total"))
+	if turns <= 0 || got != turns || got != st.Shots {
+		t.Fatalf("shots_computed_total %d, the cancelled campaign's engine turns %d, its stats record %d: want one positive number",
+			got, turns, st.Shots)
+	}
+
+	faultinject.Reset()
+	points := func() int64 {
+		return int64(metricValue(t, ts, "points_computed_total") + metricValue(t, ts, "points_cached_total"))
+	}
+	pointsBefore := points()
+	id, err := strconv.ParseInt(submitForID(t, ts, req), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	turns2, st2 := engineShots(t, ts, id)
+	if delta := int64(metricValue(t, ts, "shots_computed_total")) - got; delta != turns2 || delta != st2.Shots {
+		t.Fatalf("resubmission moved shots_computed_total by %d; its engine turns ran %d, its stats record says %d",
+			delta, turns2, st2.Shots)
+	}
+	if delta := points() - pointsBefore; delta != 160 {
+		t.Fatalf("resubmission moved points computed + cached by %d, want 160", delta)
 	}
 }
 
@@ -342,7 +441,7 @@ func TestChaosFabricDuplicateSubmissionSingleFlight(t *testing.T) {
 func waitIdle(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for srv.campaignsActive.Load() != 0 {
+	for srv.tele.Counts().Active != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("campaign never finished")
 		}

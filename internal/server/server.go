@@ -93,7 +93,8 @@ type Server struct {
 	// leases arbitrates POST /v1/points/{hash}/claim.
 	leases *fabric.LeaseTable
 	// tele is the one campaign table: each entry holds the campaign's
-	// telemetry and, when it is sampled, its trace recorder.
+	// telemetry and, when it is sampled, its trace recorder. Its Counts
+	// are the daemon's campaign, point and shot counters.
 	tele *telemetry.Registry
 	log  *slog.Logger
 	// traceDefault samples campaigns that don't set trace_sample.
@@ -106,14 +107,9 @@ type Server struct {
 	cancelMu sync.Mutex
 	cancels  map[int64]context.CancelCauseFunc
 
-	campaignsTotal     atomic.Int64
-	campaignsActive    atomic.Int64
 	campaignErrors     atomic.Int64
 	campaignsCancelled atomic.Int64
 	workerPanics       atomic.Int64
-	pointsComputed     atomic.Int64
-	pointsCached       atomic.Int64
-	shotsComputed      atomic.Int64
 }
 
 // New builds the server and starts its shared worker pool.
@@ -351,10 +347,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.cancelMu.Unlock()
 	}()
 
-	s.campaignsTotal.Add(1)
-	s.campaignsActive.Add(1)
-	defer s.campaignsActive.Add(-1)
-
 	// The campaign ID rides a header (not a stream record) so existing
 	// NDJSON consumers keep parsing points and tables untouched; clients
 	// follow it to GET /v1/campaigns/{id}/signals.
@@ -372,12 +364,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	recs := make(chan any, streamQueue)
 	first := true // OnPoint calls are serialised
 	cfg.OnPoint = func(res sweep.Result) {
-		if res.Cached {
-			s.pointsCached.Add(1)
-		} else {
-			s.pointsComputed.Add(1)
-			s.shotsComputed.Add(int64(res.Shots))
-		}
 		recs <- exp.NewPointRecord(e.Name, res)
 		if first {
 			// The first record is the client's time to first byte: hand
@@ -881,7 +867,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"uptime_seconds":   time.Since(s.start).Seconds(),
 		"workers":          s.workers,
 		"store":            s.st != nil,
-		"campaigns_active": s.campaignsActive.Load(),
+		"campaigns_active": s.tele.Counts().Active,
 	}
 	if s.st != nil && s.st.Stats().Degraded {
 		// The store lost its writes but reads still serve: the daemon
@@ -920,14 +906,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	write("uptime_seconds", "gauge", "Seconds since the daemon started.", time.Since(s.start).Seconds())
 	write("workers", "gauge", "Size of the shared sweep worker pool.", s.workers)
-	write("campaigns_total", "counter", "Campaigns accepted since start.", s.campaignsTotal.Load())
-	write("campaigns_active", "gauge", "Campaigns currently running.", s.campaignsActive.Load())
+	// Campaign, point and shot counts are the registry's fold of the
+	// campaigns' turn records, the numbers their own Stats add up to.
+	n := s.tele.Counts()
+	write("campaigns_total", "counter", "Campaigns accepted since start.", n.Campaigns)
+	write("campaigns_active", "gauge", "Campaigns currently running.", n.Active)
 	write("campaign_errors_total", "counter", "Campaigns that ended in an error.", s.campaignErrors.Load())
 	write("campaigns_cancelled_total", "counter", "Campaigns cancelled by DELETE or client disconnect.", s.campaignsCancelled.Load())
 	write("worker_panics_total", "counter", "Worker panics converted into per-campaign errors.", s.workerPanics.Load())
-	write("points_computed_total", "counter", "Sweep points computed by engines (cache misses).", s.pointsComputed.Load())
-	write("points_cached_total", "counter", "Sweep points served from the result store.", s.pointsCached.Load())
-	write("shots_computed_total", "counter", "Monte-Carlo shots executed by engines.", s.shotsComputed.Load())
+	write("points_computed_total", "counter", "Sweep points computed by engines (cache misses).", n.PointsComputed)
+	write("points_cached_total", "counter", "Sweep points served from the result store.", n.PointsCached)
+	write("shots_computed_total", "counter", "Monte-Carlo shots executed by engines.", n.Shots)
 	// The process-wide code registry: matcher calls over triggered lanes
 	// is the decoder memos' miss rate, high on the first campaign after
 	// start-up and falling as they warm.

@@ -457,7 +457,7 @@ func TestCampaignReplayFlushesPerBurst(t *testing.T) {
 	if len(warm) != 161 {
 		t.Fatalf("replay streamed %d records, want 161", len(warm))
 	}
-	if got := srv.pointsCached.Load(); got != 160 {
+	if got := srv.tele.Counts().PointsCached; got != 160 {
 		t.Fatalf("replay served %d cached points, want 160", got)
 	}
 	// The submission flushes the headers, then the first record goes

@@ -2,9 +2,13 @@
 // engine. The sweep scheduler publishes one Signal per turn — one policy
 // batch of one point as one engine call, with the set-up before it and
 // the commit after it when the turn had them — onto a lock-free
-// per-campaign ring, and every aggregate (Stats) folds from those
-// records inside Record. The HTTP daemon's /metrics and signals stream
-// and the CLI's -stats report all read the same structs.
+// per-campaign ring, and every count of a campaign's work folds from
+// those records inside Record: the campaign's Stats and, for a daemon
+// campaign, its Registry's process-wide Counts. Shots and errors are
+// engine work only — the turns that ran an engine call, a cancelled
+// point's included — and never a cache hit's replayed totals. The HTTP
+// daemon's /metrics and signals stream and the CLI's -stats report all
+// read these folds; nothing else counts.
 //
 // Telemetry is strictly observational: nothing in this package feeds
 // back into shot streams, batch boundaries or scheduling, so recording
@@ -12,19 +16,17 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"radqec/internal/trace"
 )
 
-// RingSize is the per-campaign signal ring capacity. It must be a
-// power of two (the ring masks sequence numbers into slots). 1024
-// turns of history is hours of signal for a converged campaign and a
-// few seconds for a hot one — the stream endpoint follows live, so the
-// ring only has to bridge poll gaps, not hold a whole campaign.
+// RingSize is the per-campaign signal ring capacity: hours of turns for
+// a converged campaign, seconds for a hot one. The stream endpoint
+// follows live, so the ring only has to bridge poll gaps.
 const RingSize = 1024
 
 // Signal is the record of one scheduler turn of one sweep point, or of
@@ -44,7 +46,8 @@ type Signal struct {
 	// completed batches before this turn's batch).
 	Batch int `json:"batch"`
 	// Start is the first shot index of the turn's batch; Shots and
-	// Errors are the batch's counts (the replayed totals on a cache hit).
+	// Errors are the batch's counts (the replayed totals on a cache hit,
+	// which no engine ran and no fold counts as shots).
 	Start  int `json:"start"`
 	Shots  int `json:"shots"`
 	Errors int `json:"errors"`
@@ -82,130 +85,124 @@ const (
 )
 
 // Campaign is one campaign's telemetry: a lock-free signal ring, the
-// counters Record folds from it, the queue-depth gauge and — when the
+// Stats Record folds from it, the queue-depth gauge and — when the
 // campaign is sampled — its trace recorder. All methods are safe for
 // concurrent use by any number of sweep workers and readers.
 type Campaign struct {
-	id         int64
-	experiment string
-	start      time.Time
-	rec        *trace.Recorder // nil when the campaign is unsampled
+	tally        // the campaign's Stats; ID and Experiment never change
+	total *tally // the registry's; nil for a standalone campaign
+	start time.Time
+	rec   *trace.Recorder // nil when the campaign is unsampled
+	ring  *trace.Ring[Signal]
+}
 
-	seq   atomic.Uint64                    // next sequence number
-	slots [RingSize]atomic.Pointer[Signal] // seq % RingSize
+// tally is a locked fold of signals, one per campaign and one per
+// registry; a turn is a whole engine batch, so its lock costs nothing.
+type tally struct {
+	mu sync.Mutex
+	st Stats
+}
 
-	shots       atomic.Int64
-	errors      atomic.Int64
-	batches     atomic.Int64
-	wallNS      atomic.Int64
-	decodeNS    atomic.Int64
-	prepareNS   atomic.Int64
-	commitNS    atomic.Int64
-	planNS      atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	pointsDone  atomic.Int64
-	panics      atomic.Int64
-	cancels     atomic.Int64
+// add folds one signal. Only a turn that ran an engine call adds shots
+// and errors; a cache hit counts in CacheHits and PointsDone.
+func (t *tally) add(s Signal) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := &t.st
+	switch s.Event {
+	case "":
+		// Lifecycle events are markers, not turns: they ride the ring
+		// for the signals stream but fold into their own counters.
+		st.PrepareNS += s.PrepareNS
+		st.WallNS += s.WallNS
+		st.DecodeNS += s.DecodeNS
+		st.CommitNS += s.CommitNS
+		switch {
+		case s.CacheHit:
+			st.CacheHits++
+		case s.Shots > 0: // an engine call ran
+			st.Shots += int64(s.Shots)
+			st.Errors += int64(s.Errors)
+			st.Batches++
+		}
+		if s.Done {
+			st.PointsDone++
+			if !s.CacheHit && s.Hash != "" {
+				st.CacheMisses++ // a cached campaign's point the engines computed
+			}
+		}
+	case EventPanic:
+		st.Panics++
+	case EventCancel:
+		st.Cancels++
+	}
+}
 
-	// queueDepth is written by the scheduler and read by /metrics.
-	queueDepth atomic.Int64
+// set applies f to the Stats under the lock.
+func (t *tally) set(f func(*Stats)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f(&t.st)
+}
 
-	engine atomic.Pointer[string]
-	done   atomic.Bool
+// snapshot copies the Stats under the lock.
+func (t *tally) snapshot() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st
 }
 
 // NewCampaign builds a standalone campaign record (the CLI's -stats
 // path); the daemon allocates through a Registry instead.
 func NewCampaign(id int64, experiment string) *Campaign {
-	return &Campaign{id: id, experiment: experiment, start: time.Now()}
+	c := &Campaign{start: time.Now(),
+		ring: trace.NewRing(RingSize, func(s *Signal, seq uint64) { s.Seq = seq })}
+	c.st.ID, c.st.Experiment = id, experiment
+	return c
 }
 
 // ID returns the campaign's identifier.
-func (c *Campaign) ID() int64 { return c.id }
+func (c *Campaign) ID() int64 { return c.st.ID }
 
 // Experiment returns the campaign's experiment name.
-func (c *Campaign) Experiment() string { return c.experiment }
+func (c *Campaign) Experiment() string { return c.st.Experiment }
 
 // Recorder returns the campaign's trace recorder, nil when unsampled.
 func (c *Campaign) Recorder() *trace.Recorder { return c.rec }
 
-// Record publishes one signal: it folds the counters, claims the next
-// sequence number, stamps the signal with it and stores it in its ring
-// slot. Lock-free: concurrent recorders claim distinct slots via the
-// atomic sequence counter.
+// Record publishes one signal: it folds it into the campaign's Stats
+// and its registry's, then appends it to the ring, stamped with the
+// next sequence number.
 func (c *Campaign) Record(s Signal) {
-	switch s.Event {
-	case "":
-		// Lifecycle events are markers, not turns: they ride the ring
-		// for the signals stream but fold into their own counters.
-		c.shots.Add(int64(s.Shots))
-		c.errors.Add(int64(s.Errors))
-		c.prepareNS.Add(s.PrepareNS)
-		c.wallNS.Add(s.WallNS)
-		c.decodeNS.Add(s.DecodeNS)
-		c.commitNS.Add(s.CommitNS)
-		switch {
-		case s.CacheHit:
-			c.cacheHits.Add(1)
-		case s.Shots > 0:
-			c.batches.Add(1) // an engine call ran
-		}
-		if s.Done {
-			c.pointsDone.Add(1)
-			if !s.CacheHit && s.Hash != "" {
-				c.cacheMisses.Add(1) // a cached campaign's point the engines computed
-			}
-		}
-	case EventPanic:
-		c.panics.Add(1)
-	case EventCancel:
-		c.cancels.Add(1)
+	c.add(s)
+	if c.total != nil {
+		c.total.add(s)
 	}
-	s.Seq = c.seq.Add(1) - 1
-	c.slots[s.Seq%RingSize].Store(&s)
+	c.ring.Add(s)
 }
 
 // SetQueueDepth updates the campaign's pending-point gauge.
-func (c *Campaign) SetQueueDepth(depth int) { c.queueDepth.Store(int64(depth)) }
+func (c *Campaign) SetQueueDepth(depth int) { c.set(func(st *Stats) { st.QueueDepth = int64(depth) }) }
 
 // SetEngine records the engine the campaign's points resolved to.
-func (c *Campaign) SetEngine(name string) { c.engine.Store(&name) }
+func (c *Campaign) SetEngine(name string) { c.set(func(st *Stats) { st.Engine = name }) }
 
 // AddPlan adds the time one sweep of the campaign spent before its
 // first turn: building the points and, with a cache, addressing them.
-func (c *Campaign) AddPlan(d time.Duration) { c.planNS.Add(d.Nanoseconds()) }
+func (c *Campaign) AddPlan(d time.Duration) { c.set(func(st *Stats) { st.PlanNS += d.Nanoseconds() }) }
 
 // Finish marks the campaign complete; the signals stream uses it to
 // terminate follows.
-func (c *Campaign) Finish() { c.done.Store(true) }
+func (c *Campaign) Finish() { c.set(func(st *Stats) { st.Done = true }) }
 
 // Done reports whether the campaign has finished.
-func (c *Campaign) Done() bool { return c.done.Load() }
+func (c *Campaign) Done() bool { return c.snapshot().Done }
 
-// Since returns, in sequence order, every retained signal with
-// Seq >= seq, plus the next sequence number to poll from. Signals
-// overwritten before the read (a reader more than RingSize behind) are
-// skipped — the dense Seq numbering makes the gap visible to the
-// consumer. A slot whose writer has claimed a sequence number but not
-// yet stored the signal reads as its previous generation and is
-// filtered by the Seq check; the signal is picked up by the next poll.
+// Since returns, in sequence order, at most max retained signals with
+// Seq >= seq, plus the next sequence number to poll from; a reader more
+// than RingSize behind skips the overwritten ones (trace.Ring.Since).
 func (c *Campaign) Since(seq uint64, max int) ([]Signal, uint64) {
-	head := c.seq.Load()
-	if seq >= head {
-		return nil, head
-	}
-	if head-seq > RingSize {
-		seq = head - RingSize
-	}
-	out := make([]Signal, 0, min(int(head-seq), max))
-	for ; seq < head && len(out) < max; seq++ {
-		p := c.slots[seq%RingSize].Load()
-		if p != nil && p.Seq == seq {
-			out = append(out, *p)
-		}
-	}
-	return out, seq
+	return c.ring.Since(seq, max)
 }
 
 // Stats is the aggregate point-in-time view of a campaign, shared by
@@ -236,93 +233,91 @@ type Stats struct {
 	Done        bool    `json:"done"`
 }
 
-// Stats snapshots the campaign. ShotsPerSec is engine throughput —
-// shots over summed engine wall time, not elapsed time — so it is
-// comparable across campaigns that share a worker pool. It counts the
-// turns' run time only; the points' set-up is PrepareNS, and DecodeNS
-// is the decoder's part of WallNS.
+// Stats snapshots the campaign. Shots and Errors are what the engines
+// ran; a cache hit counts in CacheHits and PointsDone only. ShotsPerSec
+// is engine throughput — those shots over summed engine wall time, not
+// elapsed time — so it is comparable across campaigns that share a
+// worker pool. It counts the turns' run time only; the points' set-up
+// is PrepareNS, and DecodeNS is the decoder's part of WallNS.
 func (c *Campaign) Stats() Stats {
-	wall := c.wallNS.Load()
-	shots := c.shots.Load()
-	var sps float64
-	if wall > 0 {
-		sps = float64(shots) / (float64(wall) / 1e9)
-	}
-	st := Stats{
-		ID:          c.id,
-		Experiment:  c.experiment,
-		ElapsedNS:   time.Since(c.start).Nanoseconds(),
-		Shots:       shots,
-		Errors:      c.errors.Load(),
-		Batches:     c.batches.Load(),
-		WallNS:      wall,
-		DecodeNS:    c.decodeNS.Load(),
-		PrepareNS:   c.prepareNS.Load(),
-		CommitNS:    c.commitNS.Load(),
-		PlanNS:      c.planNS.Load(),
-		ShotsPerSec: sps,
-		CacheHits:   c.cacheHits.Load(),
-		CacheMisses: c.cacheMisses.Load(),
-		PointsDone:  c.pointsDone.Load(),
-		Panics:      c.panics.Load(),
-		Cancels:     c.cancels.Load(),
-		QueueDepth:  c.queueDepth.Load(),
-		Done:        c.done.Load(),
-	}
-	if e := c.engine.Load(); e != nil {
-		st.Engine = *e
+	st := c.snapshot()
+	st.ElapsedNS = time.Since(c.start).Nanoseconds()
+	if st.WallNS > 0 {
+		st.ShotsPerSec = float64(st.Shots) / (float64(st.WallNS) / 1e9)
 	}
 	return st
 }
 
-// Registry is the daemon's campaign table: active campaigns plus a
-// bounded tail of recently finished ones, each holding its telemetry
-// and (when sampled) its trace recorder, so a signals-stream or trace
+// Registry is the daemon's campaign table: every active campaign plus
+// the keepRecent latest finished ones, each holding its telemetry and
+// (when sampled) its trace recorder, so a signals-stream or trace
 // client that connects just after a short campaign completes still
-// finds it.
+// finds it. Its total folds every turn of every campaign it issued.
 type Registry struct {
-	mu     sync.Mutex
-	nextID int64
-	active map[int64]*Campaign
-	recent []*Campaign // oldest first, bounded by keepRecent
+	mu        sync.Mutex
+	nextID    int64
+	campaigns []*Campaign // in ID order
+	total     tally
 }
 
 // keepRecent bounds how many finished campaigns stay queryable.
 const keepRecent = 64
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{active: make(map[int64]*Campaign)}
+func NewRegistry() *Registry { return &Registry{} }
+
+// Counts is the daemon's process-wide fold of the same turn records as
+// its campaigns' Stats: campaigns issued and running, points computed
+// and served from the store, and engine shots, however a campaign ended.
+type Counts struct {
+	Campaigns, Active                   int64
+	PointsComputed, PointsCached, Shots int64
 }
 
-// New allocates the next campaign ID and registers its telemetry and,
-// for a sampled campaign, its recorder (nil otherwise).
+// Counts snapshots the registry: Campaigns is the last ID issued.
+func (r *Registry) Counts() Counts {
+	t := r.total.snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := Counts{Campaigns: r.nextID, PointsComputed: t.PointsDone - t.CacheHits, PointsCached: t.CacheHits, Shots: t.Shots}
+	for _, c := range r.campaigns {
+		if !c.Done() {
+			n.Active++
+		}
+	}
+	return n
+}
+
+// New allocates the next campaign ID and registers its telemetry —
+// folding into the registry's total — and, for a sampled campaign, its
+// recorder (nil otherwise).
 func (r *Registry) New(experiment string, rec *trace.Recorder) *Campaign {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++
 	c := NewCampaign(r.nextID, experiment)
-	c.rec = rec
-	r.active[c.id] = c
+	c.rec, c.total = rec, &r.total
+	r.campaigns = append(r.campaigns, c)
 	return c
 }
 
-// Finish marks the campaign done and moves it to the recent tail. The
-// tail is shifted down in place rather than re-sliced forward: a slice
-// that only advances its start keeps every rotated-out campaign (ring
-// and signals, ~170 KB for a fig5 run) reachable through the backing
-// array until append outgrows it, so the daemon's heap would saw
-// between keepRecent and 2·keepRecent retained campaigns.
+// Finish marks the campaign done and, past keepRecent finished, drops
+// the oldest finished one. slices.Delete clears the vacated slot, so a
+// dropped campaign (~170 KB of ring for a fig5 run) is collectable at
+// once, not parked in the backing array until append outgrows it.
 func (r *Registry) Finish(c *Campaign) {
 	c.Finish()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.active, c.id)
-	r.recent = append(r.recent, c)
-	if over := len(r.recent) - keepRecent; over > 0 {
-		n := copy(r.recent, r.recent[over:])
-		clear(r.recent[n:])
-		r.recent = r.recent[:n]
+	finished := 0
+	for _, o := range r.campaigns {
+		if o.Done() {
+			finished++
+		}
+	}
+	if finished > keepRecent {
+		i := slices.IndexFunc(r.campaigns, (*Campaign).Done)
+		r.campaigns = slices.Delete(r.campaigns, i, i+1)
 	}
 }
 
@@ -330,15 +325,11 @@ func (r *Registry) Finish(c *Campaign) {
 func (r *Registry) Get(id int64) (*Campaign, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.active[id]; ok {
-		return c, true
+	i, ok := slices.BinarySearchFunc(r.campaigns, id, func(c *Campaign, id int64) int { return cmp.Compare(c.ID(), id) })
+	if !ok {
+		return nil, false
 	}
-	for _, c := range r.recent {
-		if c.id == id {
-			return c, true
-		}
-	}
-	return nil, false
+	return r.campaigns[i], true
 }
 
 // ByTrace returns this node's recorder for a trace id, nil if no
@@ -348,32 +339,17 @@ func (r *Registry) Get(id int64) (*Campaign, bool) {
 func (r *Registry) ByTrace(id trace.TraceID) *trace.Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var first *Campaign
-	consider := func(c *Campaign) {
-		if c.rec != nil && c.rec.TraceID() == id && (first == nil || c.id < first.id) {
-			first = c
+	for _, c := range r.campaigns {
+		if c.rec != nil && c.rec.TraceID() == id {
+			return c.rec
 		}
 	}
-	for _, c := range r.active {
-		consider(c)
-	}
-	for _, c := range r.recent {
-		consider(c)
-	}
-	if first == nil {
-		return nil
-	}
-	return first.rec
+	return nil
 }
 
 // Active returns the active campaigns in ID order.
 func (r *Registry) Active() []*Campaign {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Campaign, 0, len(r.active))
-	for _, c := range r.active {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return slices.DeleteFunc(slices.Clone(r.campaigns), (*Campaign).Done)
 }

@@ -117,7 +117,7 @@ func TestStatsAggregation(t *testing.T) {
 	if st.ID != 7 || st.Experiment != "fig6" {
 		t.Fatalf("identity: %+v", st)
 	}
-	if st.Shots != 2500 || st.Errors != 30 || st.Batches != 2 || st.Cancels != 1 {
+	if st.Shots != 2000 || st.Errors != 30 || st.Batches != 2 || st.Cancels != 1 {
 		t.Fatalf("counters: %+v", st)
 	}
 	if st.CacheHits != 1 || st.CacheMisses != 1 || st.PointsDone != 3 {
@@ -126,11 +126,11 @@ func TestStatsAggregation(t *testing.T) {
 	if st.PrepareNS != 4e6 || st.WallNS != 1e9 || st.DecodeNS != 3e8 || st.CommitNS != 7e5 {
 		t.Fatalf("set-up %d, run %d, decode %d, commit %d ns", st.PrepareNS, st.WallNS, st.DecodeNS, st.CommitNS)
 	}
-	// Engine throughput: shots over summed engine wall time (1s here),
-	// so neither the zero-wall cache replay nor set-up moves the rate
-	// base.
-	if st.ShotsPerSec != 2500 {
-		t.Fatalf("shots/s = %v, want 2500", st.ShotsPerSec)
+	// Engine throughput: the engines' shots over summed engine wall
+	// time (1s here). The cache replay's 500 shots are no engine's, and
+	// neither it nor set-up moves the rate base.
+	if st.ShotsPerSec != 2000 {
+		t.Fatalf("shots/s = %v, want 2000", st.ShotsPerSec)
 	}
 	if st.QueueDepth != 9 || st.Engine != "batch" {
 		t.Fatalf("gauge/engine: %+v", st)
@@ -173,6 +173,62 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestRegistryCountsFoldTurns: the registry's Counts are the sum of
+// its campaigns' turn records — the same shots their Stats count, a
+// cancelled campaign's included — and the campaigns it issued.
+func TestRegistryCountsFoldTurns(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.New("fig5", nil), r.New("fig5", nil)
+	a.Record(Signal{Hash: "x", Shots: 300, WallNS: 1})
+	a.Record(Signal{Hash: "x", Shots: 200, WallNS: 1, Done: true})
+	a.Record(Signal{Hash: "y", Shots: 400, CacheHit: true, Done: true})
+	b.Record(Signal{Hash: "z", Shots: 100, WallNS: 1})
+	b.Record(Signal{Key: "z", Shots: 100, Event: EventCancel})
+	r.Finish(b)
+	got := r.Counts()
+	want := Counts{Campaigns: 2, Active: 1, PointsComputed: 1, PointsCached: 1, Shots: 600}
+	if got != want {
+		t.Fatalf("counts = %+v, want %+v", got, want)
+	}
+	if sum := a.Stats().Shots + b.Stats().Shots; sum != got.Shots {
+		t.Fatalf("campaign stats count %d shots, registry %d", sum, got.Shots)
+	}
+	// A standalone campaign folds into no registry.
+	NewCampaign(9, "fig5").Record(Signal{Shots: 50, Done: true})
+	if r.Counts() != got {
+		t.Fatal("a standalone campaign moved the registry's counts")
+	}
+
+	// Campaigns recording at once, read while they record, fold every
+	// turn exactly once.
+	var wg sync.WaitGroup
+	const campaigns, each = 4, 200
+	for i := 0; i < campaigns; i++ {
+		c := r.New("fig5", nil)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				c.Record(Signal{Hash: "h", Shots: 2, WallNS: 1, Done: true})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				r.Counts()
+				c.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	want.Campaigns, want.Active = 2+campaigns, 1+campaigns
+	want.PointsComputed += campaigns * each
+	want.Shots += 2 * campaigns * each
+	if got := r.Counts(); got != want {
+		t.Fatalf("counts after concurrent campaigns = %+v, want %+v", got, want)
+	}
+}
+
 // TestRegistryRecentTailReleasesRotatedOut pins what the tail keeps
 // reachable, not just what Get finds: a rotated-out campaign must be
 // collectable at once, not parked in the tail's backing array until
@@ -186,8 +242,8 @@ func TestRegistryRecentTailReleasesRotatedOut(t *testing.T) {
 	for i := 0; i < keepRecent+1; i++ {
 		r.Finish(r.New("e", nil))
 	}
-	if len(r.recent) != keepRecent {
-		t.Fatalf("tail holds %d campaigns, want %d", len(r.recent), keepRecent)
+	if len(r.campaigns) != keepRecent {
+		t.Fatalf("tail holds %d campaigns, want %d", len(r.campaigns), keepRecent)
 	}
 	runtime.GC()
 	if gone.Value() != nil {

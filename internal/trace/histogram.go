@@ -81,7 +81,7 @@ func (h *Histogram) WritePrometheus(w io.Writer, name string, exemplars bool) {
 		cum += h.counts[i].Load()
 		le := "+Inf"
 		if i < len(histBuckets) {
-			le = trimFloat(histBuckets[i])
+			le = fmt.Sprintf("%g", histBuckets[i]) // shortest exact decimal
 		}
 		fmt.Fprintf(w, "%s_bucket{le=%q} %d", name, le, cum)
 		if ex := h.exemplars[i].Load(); exemplars && ex != nil {
@@ -92,10 +92,6 @@ func (h *Histogram) WritePrometheus(w io.Writer, name string, exemplars bool) {
 	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumNS.Load())/1e9)
 	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }
-
-// trimFloat renders a bucket bound the way Prometheus expects
-// (shortest exact decimal).
-func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }
 
 // Process-wide path histograms. They aggregate across campaigns
 // (standard Prometheus practice).

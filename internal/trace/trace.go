@@ -1,8 +1,8 @@
 // Package trace is radqec's in-process tracing layer: a span model
 // matching the campaign domain — campaign → point → {chunk-run, decode,
-// store-commit} — recorded into bounded lock-free per-campaign rings
-// (the same shape as telemetry.Campaign). A campaign submitted with a
-// sampled W3C traceparent header joins the caller's trace.
+// store-commit} — recorded into a bounded lock-free per-campaign Ring
+// (telemetry.Campaign keeps its signals in one too). A submission with
+// a sampled W3C traceparent header joins the caller's trace.
 //
 // Cost model: sampling is per-campaign. An unsampled campaign has a
 // nil *Recorder, every entry point is nil-safe, and the zero
@@ -17,14 +17,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
-	"sync/atomic"
 	"time"
 )
 
-// RingSize bounds the spans retained per campaign. Like the telemetry
-// ring it is a power of two so the slot index is a mask; a campaign
-// that records more spans than this keeps the most recent ones (Seq
-// stays dense, so readers can tell spans were dropped).
+// RingSize bounds the spans retained per campaign; past it a campaign
+// keeps the most recent ones (Seq stays dense, so the drop shows).
 const RingSize = 8192
 
 // Span kinds — the domain model. A campaign span is the root, point
@@ -149,10 +146,8 @@ type Span struct {
 	DurNS   int64 `json:"dur_ns"`
 }
 
-// Recorder collects the spans one campaign records on one node. The
-// ring is the telemetry.Campaign shape: an atomic dense sequence and
-// RingSize atomic slots, so writers never lock and readers snapshot
-// without stalling them.
+// Recorder collects the spans one campaign records on one node, in a
+// Ring of RingSize slots.
 type Recorder struct {
 	traceID TraceID
 	node    string
@@ -161,19 +156,19 @@ type Recorder struct {
 	// under it.
 	remoteParent SpanID
 
-	seq   atomic.Uint64
-	slots [RingSize]atomic.Pointer[Span]
+	spans *Ring[Span]
 }
 
 // New starts a fresh sampled trace rooted at this node.
 func New(node string) *Recorder {
-	return &Recorder{traceID: NewTraceID(), node: node}
+	return Adopt(NewTraceID(), SpanID{}, node)
 }
 
 // Adopt joins an incoming sampled trace: spans record under the given
 // trace id and the campaign span parents under the remote span.
 func Adopt(id TraceID, parent SpanID, node string) *Recorder {
-	return &Recorder{traceID: id, node: node, remoteParent: parent}
+	return &Recorder{traceID: id, node: node, remoteParent: parent,
+		spans: NewRing(RingSize, func(s *Span, seq uint64) { s.Seq = seq })}
 }
 
 // TraceID returns the recorder's trace id (zero for nil).
@@ -194,16 +189,8 @@ func (r *Recorder) Campaign(key string) ActiveSpan {
 	if r == nil {
 		return ActiveSpan{}
 	}
-	a := ActiveSpan{sc: SpanContext{rec: r, span: newSpanID()}, name: SpanCampaign, start: time.Now()}
-	a.parent = r.remoteParent
-	a.key = key
-	return a
-}
-
-// record publishes one finished span into the ring.
-func (r *Recorder) record(s Span) {
-	s.Seq = r.seq.Add(1) - 1
-	r.slots[s.Seq%RingSize].Store(&s)
+	return ActiveSpan{sc: SpanContext{rec: r, span: newSpanID()}, parent: r.remoteParent,
+		name: SpanCampaign, key: key, start: time.Now()}
 }
 
 // Len returns how many spans the recorder has published (including
@@ -212,30 +199,17 @@ func (r *Recorder) Len() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.spans.Len()
 }
 
-// Spans snapshots the retained spans in sequence order. Spans being
-// overwritten concurrently are skipped (their slot's Seq no longer
-// matches), exactly like telemetry.Campaign.Since.
+// Spans snapshots the retained spans in sequence order, skipping any a
+// concurrent writer is overwriting.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	n := r.seq.Load()
-	first := uint64(0)
-	if n > RingSize {
-		first = n - RingSize
-	}
-	out := make([]Span, 0, n-first)
-	for seq := first; seq < n; seq++ {
-		s := r.slots[seq%RingSize].Load()
-		if s == nil || s.Seq != seq {
-			continue // lapped by a concurrent writer
-		}
-		out = append(out, *s)
-	}
-	return out
+	spans, _ := r.spans.Since(0, RingSize)
+	return spans
 }
 
 // SpanContext names one live span: the handle children parent under.
@@ -345,5 +319,5 @@ func (a *ActiveSpan) record(dur time.Duration) {
 	if !a.parent.IsZero() {
 		s.Parent = a.parent.String()
 	}
-	r.record(s)
+	r.spans.Add(s)
 }
