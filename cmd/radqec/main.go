@@ -17,11 +17,12 @@
 //	-p RATE      intrinsic physical error rate, 0 < RATE <= 1 (default
 //	             0.01)
 //	-ns N        temporal samples of the fault decay (default 10, at
-//	             most exp.MaxNS = 1000)
+//	             most 1000)
 //	-rounds N    stabilization rounds per code (default 2, the paper's
 //	             protocol; >2 decodes over the multi-round space-time
-//	             detector-error model; at most exp.MaxRounds = 100)
-//	-engine E    simulation engine: batch (default) or tableau. batch
+//	             detector-error model; at most 100)
+//	-engine E    simulation engine: batch (default; empty also means
+//	             batch) or tableau. batch
 //	             is the bit-parallel Pauli-frame engine, 512 shots per
 //	             tile (universal over the Clifford set; radiation resets
 //	             on superposed XXZZ sites use the collapsed-branch
@@ -60,6 +61,13 @@
 //	             emit each table as a JSON record
 //	-o FILE      write to FILE instead of stdout
 //
+// The campaign flags (-shots -seed -workers -p -ns -rounds -engine
+// -decoder -ci -maxshots) are the fields of exp.Config, and
+// exp.Config.Validate — the one check of a campaign's domain, shared
+// with the radqecd daemon and the library façade — checks them. A value
+// outside the domain, or an unknown experiment, exits 2 with a message
+// naming the flag, before -store is opened or -o truncated.
+//
 // The first SIGINT/SIGTERM cancels the campaign at its next batch
 // boundary — in-progress points checkpoint, the store and any active
 // pprof profiles flush, and the process exits 128+signal with a
@@ -78,7 +86,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,14 +101,15 @@ import (
 )
 
 func main() {
-	shots := flag.Int("shots", 2000, "shots per measured point")
-	seed := flag.Uint64("seed", 1, "campaign seed")
+	def := exp.Config{}.Defaults()
+	shots := flag.Int("shots", def.Shots, "shots per measured point")
+	seed := flag.Uint64("seed", exp.DefaultSeed, "campaign seed")
 	workers := flag.Int("workers", 0, "points run concurrently (0 = GOMAXPROCS)")
-	p := flag.Float64("p", 0.01, "intrinsic physical error rate (0 < p <= 1)")
-	ns := flag.Int("ns", 10, "temporal samples of the fault decay")
+	p := flag.Float64("p", def.P, "intrinsic physical error rate (0 < p <= 1)")
+	ns := flag.Int("ns", def.NS, "temporal samples of the fault decay")
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
 	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
-	rounds := flag.Int("rounds", 2, "stabilization rounds per code (>= 2; >2 opens the multi-round memory workload)")
+	rounds := flag.Int("rounds", def.Rounds, "stabilization rounds per code (>= 2; >2 opens the multi-round memory workload)")
 	ci := flag.Float64("ci", 0, "target Wilson 95% half-width per point (>0 enables adaptive shots)")
 	maxShots := flag.Int("maxshots", 0, "adaptive per-point shot cap (0 = worst-case count for -ci)")
 	storeDir := flag.String("store", "", "content-addressed result store directory (empty disables caching)")
@@ -122,45 +130,20 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	// Every usage error comes before the first file is touched: the
+	// experiment is selected and every flag validated before the store
+	// is opened and -o truncated.
 	name := flag.Arg(0)
-	// Flag values that select named strategies are validated here, with
-	// a usage error listing the valid names, so a typo can never reach
-	// the panic paths deep in core.NewEngineRunner or the sweep workers.
-	if !slices.Contains(exp.Engines(), *engine) {
-		usageError(fmt.Sprintf("unknown engine %q (want one of %v)", *engine, exp.Engines()))
+	var selected []exp.Experiment
+	for _, e := range exp.Experiments() {
+		if e.Name == name || name == "all" {
+			selected = append(selected, e)
+		}
 	}
-	if !slices.Contains(exp.Decoders(), *decoder) {
-		usageError(fmt.Sprintf("unknown decoder %q (want one of %v)", *decoder, exp.Decoders()))
-	}
-	// Numeric flags are validated the same way: a constraint violation
-	// is a usage error naming the constraint, never a deep panic or a
-	// silently degenerate campaign.
-	if *shots < 1 {
-		usageError(fmt.Sprintf("-shots %d out of range (want >= 1)", *shots))
-	}
-	// Written so that NaN, which compares false with everything, fails.
-	// 0 is out too: the experiment layer reads P == 0 as "unset" and
-	// would run the campaign at its 0.01 default.
-	if !(*p > 0 && *p <= 1) {
-		usageError(fmt.Sprintf("-p %g out of range (want 0 < p <= 1, an intrinsic error rate)", *p))
-	}
-	if *ns < 1 || *ns > exp.MaxNS {
-		usageError(fmt.Sprintf("-ns %d out of range (want 1..%d temporal samples)", *ns, exp.MaxNS))
-	}
-	if *rounds < 2 || *rounds > exp.MaxRounds {
-		usageError(fmt.Sprintf("-rounds %d out of range (want 2..%d stabilization rounds)", *rounds, exp.MaxRounds))
-	}
-	if *workers < 0 {
-		usageError(fmt.Sprintf("-workers %d out of range (want >= 0; 0 = GOMAXPROCS)", *workers))
-	}
-	if !(*ci >= 0 && *ci < 0.5) {
-		usageError(fmt.Sprintf("-ci %g out of range (want 0 <= ci < 0.5; 0 disables adaptive shots)", *ci))
-	}
-	if *maxShots < 0 {
-		usageError(fmt.Sprintf("-maxshots %d out of range (want >= 0; 0 = worst-case count for -ci)", *maxShots))
-	}
-	if _, err := logsetup.Init(os.Stderr, *logFormat, *logLevel); err != nil {
-		usageError(err.Error())
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "radqec: unknown experiment %q\n\n", name)
+		usage()
+		os.Exit(2)
 	}
 	cfg := exp.Config{
 		Shots:    *shots,
@@ -173,6 +156,16 @@ func main() {
 		MaxShots: *maxShots,
 		Engine:   *engine,
 		Decoder:  *decoder,
+	}
+	// The campaign domain is checked in one place for every front end.
+	// The flags are its fields and carry their defaults already, so the
+	// config is validated as given: a zero -shots, -p, -ns or -rounds is
+	// an error, not a default.
+	if err := cfg.Validate(); err != nil {
+		usageError("-" + err.Error())
+	}
+	if _, err := logsetup.Init(os.Stderr, *logFormat, *logLevel); err != nil {
+		usageError(err.Error())
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{})
@@ -201,21 +194,9 @@ func main() {
 		out = f
 	}
 
-	var selected []exp.Experiment
-	for _, e := range exp.Experiments() {
-		if e.Name == name || name == "all" {
-			selected = append(selected, e)
-		}
-	}
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "radqec: unknown experiment %q\n\n", name)
-		usage()
-		os.Exit(2)
-	}
-
 	// Profiling hooks for decode-path optimisation work, started only
-	// after experiment selection so no usage-error exit can strand an
-	// open profile: the CPU profile covers the experiment loop, the
+	// after every usage check so no usage-error exit can strand an open
+	// profile: the CPU profile covers the experiment loop, the
 	// heap profile snapshots
 	// the end state (after a GC, so it shows live campaign structures,
 	// not transient shot buffers). Flushing runs through flushProfiles
@@ -471,36 +452,29 @@ func closeStoreOnce() {
 	})
 }
 
-// dumpTrace writes the run's recorded spans to the -trace-out (NDJSON)
-// and -trace-chrome (Chrome trace-event JSON) files. Best-effort on
-// the way out, like the pprof flush: errors are logged, never fatal.
+// dumpTrace writes the run's recorded spans, in start order, to the
+// -trace-out (NDJSON) and -trace-chrome (Chrome trace-event JSON)
+// files. Best-effort on the way out, like the pprof flush: errors are
+// logged, never fatal.
 func dumpTrace(rec *trace.Recorder, ndPath, chromePath string) {
 	spans := rec.Spans()
-	if ndPath != "" {
-		f, err := os.Create(ndPath)
-		if err != nil {
-			slog.Error("radqec: trace dump failed", "error", err)
-		} else {
-			enc := json.NewEncoder(f)
-			for i := range spans {
-				if err := enc.Encode(&spans[i]); err != nil {
-					slog.Error("radqec: trace dump failed", "error", err)
-					break
-				}
+	for _, f := range []struct {
+		path   string
+		chrome bool
+	}{{ndPath, false}, {chromePath, true}} {
+		if f.path == "" {
+			continue
+		}
+		out, err := os.Create(f.path)
+		if err == nil {
+			err = trace.Write(out, spans, f.chrome)
+			if cerr := out.Close(); err == nil {
+				err = cerr
 			}
-			f.Close()
 		}
-	}
-	if chromePath != "" {
-		f, err := os.Create(chromePath)
 		if err != nil {
 			slog.Error("radqec: trace dump failed", "error", err)
-			return
 		}
-		if err := trace.WriteChrome(f, spans); err != nil {
-			slog.Error("radqec: trace dump failed", "error", err)
-		}
-		f.Close()
 	}
 	slog.Info("radqec: trace written", "trace_id", rec.TraceID().String(), "spans", len(spans))
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -96,6 +99,55 @@ func TestCampaignSizeCaps(t *testing.T) {
 	}
 }
 
+// TestFieldErrorsNameTheFlag: one value outside the campaign domain per
+// field exits 2 with exp.Config.Validate's message, prefixed with the
+// flag's dash. An empty -engine is the default engine, like an empty
+// request field.
+func TestFieldErrorsNameTheFlag(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engine", "warp"},
+		{"-decoder", "oracle"},
+		{"-shots", "0"},
+		{"-p", "2"},
+		{"-ns", "0"},
+		{"-rounds", "1"},
+		{"-workers", "-1"},
+		{"-ci", "0.5"},
+		{"-maxshots", "-1"},
+	} {
+		args = append(args, "fig3")
+		out, code := run(t, args...)
+		if code != 2 || !strings.Contains(out, "radqec: "+args[0]+" ") {
+			t.Errorf("radqec %v: exit %d, want 2 naming %s\n%s", args, code, args[0], out)
+		}
+	}
+	if out, code := run(t, "-engine", "", "-shots", "1", "fig3"); code != 0 {
+		t.Errorf("radqec -engine '' fig3: exit %d, want 0\n%s", code, out)
+	}
+}
+
+// TestUsageErrorsTouchNoFile: an unknown experiment or a bad flag exits
+// 2 before -o is truncated or -store is created.
+func TestUsageErrorsTouchNoFile(t *testing.T) {
+	for _, args := range [][]string{{"fig99"}, {"-shots", "0", "fig5"}} {
+		dir := t.TempDir()
+		outPath, storeDir := filepath.Join(dir, "F"), filepath.Join(dir, "D")
+		if err := os.WriteFile(outPath, []byte("kept\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := run(t, append([]string{"-o", outPath, "-store", storeDir}, args...)...)
+		if code != 2 {
+			t.Errorf("radqec %v: exit %d, want 2\n%s", args, code, out)
+		}
+		if b, err := os.ReadFile(outPath); err != nil || string(b) != "kept\n" {
+			t.Errorf("radqec %v: -o file now holds %q (%v), want it untouched", args, b, err)
+		}
+		if _, err := os.Stat(storeDir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("radqec %v: -store directory exists after a usage error (%v)", args, err)
+		}
+	}
+}
+
 // TestFlagSet pins the CLI's flag surface: a new flag is a reviewed
 // line here, not a drive-by.
 func TestFlagSet(t *testing.T) {
@@ -138,5 +190,43 @@ func TestTraceOutAloneRecordsSpans(t *testing.T) {
 		if !bytes.Contains(spans, []byte(kind)) {
 			t.Errorf("span file has no %s span", kind)
 		}
+	}
+}
+
+// TestTraceOutInStartOrder: the -trace-out file holds the record shape
+// the daemon's trace endpoint serves, in start order — so the campaign
+// span, which is recorded when it ends, comes first.
+func TestTraceOutInStartOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "S.ndjson")
+	if out, code := run(t, "-shots", "64", "-ns", "2", "-csv", "-trace-out", path, "fig5"); code != 0 {
+		t.Fatalf("radqec -trace-out: exit %d\n%s", code, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var names []string
+	var last int64
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var sp struct {
+			Name    string `json:"name"`
+			StartNS int64  `json:"start_ns"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+			t.Fatalf("span line %d: %v", len(names)+1, err)
+		}
+		if sp.StartNS < last {
+			t.Fatalf("span %d (%s) starts at %d, before its predecessor's %d", len(names)+1, sp.Name, sp.StartNS, last)
+		}
+		last = sp.StartNS
+		names = append(names, sp.Name)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 2 || names[0] != "campaign" {
+		t.Fatalf("span file starts %v, want the campaign span first", names[:min(3, len(names))])
 	}
 }

@@ -26,10 +26,6 @@ func main() {
 	rounds := flag.Int("rounds", 2, "stabilization rounds (>= 2)")
 	flag.Parse()
 
-	resolved, err := core.ResolveEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sim, err := exp.NewSimulator(exp.Config{
 		Shots:   2000,
 		Seed:    1,
@@ -40,6 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	resolved, _ := core.ResolveEngine(*engine) // NewSimulator accepted the name
 	fmt.Println("code:", sim.Code())
 	fmt.Printf("engine: %s (resolved from %q), decoder: %s\n", resolved, *engine, *decoder)
 	fmt.Println("device qubits:", sim.NumPhysicalQubits(),

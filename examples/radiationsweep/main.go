@@ -17,12 +17,12 @@ func main() {
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
 	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
-	// Route selection through the shared policy up front so a typo
-	// fails before the sweep starts.
-	resolved, err := core.ResolveEngine(*engine)
-	if err != nil {
+	// Check the campaign flags up front, so a typo fails before the
+	// sweep starts.
+	if err := (exp.Config{Engine: *engine, Decoder: *decoder}).Defaults().Validate(); err != nil {
 		log.Fatal(err)
 	}
+	resolved, _ := core.ResolveEngine(*engine) // Validate accepted the name
 	fmt.Printf("engine %s, decoder %s\n", resolved, *decoder)
 	codes := []struct {
 		family string

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,7 +57,7 @@ func Engines() []string { return core.Engines() }
 func Decoders() []string { return core.Decoders() }
 
 // MaxNS and MaxRounds bound the two Config fields that size a campaign
-// before any shot runs. The CLI and the daemon reject larger values as
+// before any shot runs. Config.Validate rejects larger values as
 // invalid input: noise.TemporalSamples allocates ns samples up front and
 // each becomes a sweep point, so a huge ns dies of out-of-memory — a
 // fatal error no recover boundary stops — and every round lengthens the
@@ -70,6 +71,11 @@ const (
 	// runs (9 rounds).
 	MaxRounds = 100
 )
+
+// DefaultSeed is the campaign seed a front end runs when none is given
+// (the CLI's -seed default, the daemon's omitted "seed"). Seed 0 is a
+// seed like any other, so Config.Defaults leaves Seed alone.
+const DefaultSeed uint64 = 1
 
 // Config controls campaign sizes and reproducibility.
 type Config struct {
@@ -106,15 +112,12 @@ type Config struct {
 	// finishes — the hook behind the CLI's streaming JSON output.
 	OnPoint func(sweep.Result)
 	// Engine selects the simulation engine (EngineTableau or
-	// EngineBatch); empty means EngineBatch. Unrecognised
-	// names panic when the sweep is built — programmer error, like the
-	// probability guards in package noise; the CLI validates its flag
-	// first, and NewSimulator returns the error.
+	// EngineBatch); empty means EngineBatch. Validate rejects any other
+	// name.
 	Engine string
 	// Decoder selects the syndrome decoder for every spec that does not
 	// override its decode function (DecoderMWPM or DecoderUF); empty
-	// means DecoderMWPM. Unrecognised names panic like Engine; the CLI
-	// validates its flag first, and NewSimulator returns the error.
+	// means DecoderMWPM. Validate rejects any other name.
 	Decoder string
 	// Width is accepted and ignored: the frozen bench/ harness sets it.
 	Width string
@@ -167,22 +170,54 @@ func (c Config) DecoderName() string {
 	return c.Decoder
 }
 
-// Defaults returns cfg with unset fields replaced by the paper's
-// defaults.
+// Defaults returns cfg with its zero Shots, P, NS and Rounds replaced
+// by the paper's defaults. Only an exact zero means "unset": a negative
+// value stays, for Validate to reject.
 func (c Config) Defaults() Config {
-	if c.Shots <= 0 {
+	if c.Shots == 0 {
 		c.Shots = 2000
 	}
 	if c.P == 0 {
 		c.P = 0.01
 	}
-	if c.NS <= 0 {
+	if c.NS == 0 {
 		c.NS = noise.DefaultSamples
 	}
-	if c.Rounds <= 0 {
+	if c.Rounds == 0 {
 		c.Rounds = 2
 	}
 	return c
+}
+
+// Validate reports the first field outside a campaign's domain, or nil.
+// It is the one check of that domain: the CLI runs it on its flags, and
+// the daemon's requests, NewSimulator and every Experiment.Run run it
+// after Defaults, so a bad value is an error naming the field, never a
+// panic deep in a sweep or a silently degenerate campaign. A message
+// starts with the field's name, which is also its CLI flag and its
+// request field. Every float bound is written so that NaN fails it.
+func (c Config) Validate() error {
+	switch {
+	case c.Engine != "" && !slices.Contains(Engines(), c.Engine):
+		return fmt.Errorf("engine %q unknown (want one of %v)", c.Engine, Engines())
+	case c.Decoder != "" && !slices.Contains(Decoders(), c.Decoder):
+		return fmt.Errorf("decoder %q unknown (want one of %v)", c.Decoder, Decoders())
+	case c.Shots < 1:
+		return fmt.Errorf("shots %d out of range (want >= 1)", c.Shots)
+	case !(c.P > 0 && c.P <= 1):
+		return fmt.Errorf("p %g out of range (want 0 < p <= 1, an intrinsic error rate)", c.P)
+	case c.NS < 1 || c.NS > MaxNS:
+		return fmt.Errorf("ns %d out of range (want 1..%d temporal samples)", c.NS, MaxNS)
+	case c.Rounds < 2 || c.Rounds > MaxRounds:
+		return fmt.Errorf("rounds %d out of range (want 2..%d stabilization rounds)", c.Rounds, MaxRounds)
+	case c.Workers < 0:
+		return fmt.Errorf("workers %d out of range (want >= 0)", c.Workers)
+	case !(c.CI >= 0 && c.CI < 0.5):
+		return fmt.Errorf("ci %g out of range (want 0 <= ci < 0.5; 0 disables adaptive shots)", c.CI)
+	case c.MaxShots < 0:
+		return fmt.Errorf("maxshots %d out of range (want >= 0; 0 = worst-case count for ci)", c.MaxShots)
+	}
+	return nil
 }
 
 // sweepConfig maps the experiment configuration onto the sweep engine.
@@ -345,8 +380,8 @@ type pointSpec struct {
 }
 
 // engineFor resolves the configured engine for this spec through the
-// shared core.ResolveEngine policy. Unknown names panic (the CLI
-// validates before this; NewSimulator returns the error).
+// shared core.ResolveEngine policy. Unknown names panic: Validate
+// rejects them before any sweep is built.
 func (s pointSpec) engineFor(engine string) string {
 	eng, err := core.ResolveEngine(engine)
 	if err != nil {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -31,6 +32,86 @@ func TestConfigDefaults(t *testing.T) {
 	c = Config{Shots: 5, P: 0.3, NS: 4}.Defaults()
 	if c.Shots != 5 || c.P != 0.3 || c.NS != 4 {
 		t.Fatal("explicit values overridden")
+	}
+	// Only an exact zero is unset: a negative value stays as given, for
+	// Validate to name instead of a default silently replacing it.
+	c = Config{Shots: -1, P: -0.5, NS: -1, Rounds: -1}.Defaults()
+	if c.Shots != -1 || c.P != -0.5 || c.NS != -1 || c.Rounds != -1 {
+		t.Fatalf("Defaults replaced negative values: %+v", c)
+	}
+	if err := (Config{}).Defaults().Validate(); err != nil {
+		t.Fatalf("the default config is outside the domain: %v", err)
+	}
+}
+
+// TestConfigValidateBounds: every field of the campaign domain one step
+// below its low end, at its low end, at its high end and one step past
+// it (NaN too for the floats), each on an otherwise default config. A
+// rejected value's message starts with the field's name.
+func TestConfigValidateBounds(t *testing.T) {
+	type row struct {
+		field string
+		set   func(*Config)
+		ok    bool
+	}
+	tiny, nan := math.SmallestNonzeroFloat64, math.NaN()
+	rows := []row{
+		{"shots", func(c *Config) { c.Shots = 0 }, false},
+		{"shots", func(c *Config) { c.Shots = 1 }, true},
+		{"shots", func(c *Config) { c.Shots = math.MaxInt }, true},
+		{"p", func(c *Config) { c.P = 0 }, false},
+		{"p", func(c *Config) { c.P = tiny }, true},
+		{"p", func(c *Config) { c.P = 1 }, true},
+		{"p", func(c *Config) { c.P = math.Nextafter(1, 2) }, false},
+		{"p", func(c *Config) { c.P = nan }, false},
+		{"ns", func(c *Config) { c.NS = 0 }, false},
+		{"ns", func(c *Config) { c.NS = 1 }, true},
+		{"ns", func(c *Config) { c.NS = MaxNS }, true},
+		{"ns", func(c *Config) { c.NS = MaxNS + 1 }, false},
+		{"rounds", func(c *Config) { c.Rounds = 1 }, false},
+		{"rounds", func(c *Config) { c.Rounds = 2 }, true},
+		{"rounds", func(c *Config) { c.Rounds = MaxRounds }, true},
+		{"rounds", func(c *Config) { c.Rounds = MaxRounds + 1 }, false},
+		{"workers", func(c *Config) { c.Workers = -1 }, false},
+		{"workers", func(c *Config) { c.Workers = 0 }, true},
+		{"workers", func(c *Config) { c.Workers = math.MaxInt }, true},
+		{"ci", func(c *Config) { c.CI = -tiny }, false},
+		{"ci", func(c *Config) { c.CI = 0 }, true},
+		{"ci", func(c *Config) { c.CI = math.Nextafter(0.5, 0) }, true},
+		{"ci", func(c *Config) { c.CI = 0.5 }, false},
+		{"ci", func(c *Config) { c.CI = nan }, false},
+		{"maxshots", func(c *Config) { c.MaxShots = -1 }, false},
+		{"maxshots", func(c *Config) { c.MaxShots = 0 }, true},
+		{"maxshots", func(c *Config) { c.MaxShots = math.MaxInt }, true},
+	}
+	for _, name := range []string{"", EngineTableau, EngineBatch, "frame", "auto"} {
+		rows = append(rows, row{"engine", func(c *Config) { c.Engine = name }, name == "" || slices.Contains(Engines(), name)})
+	}
+	for _, name := range []string{"", DecoderMWPM, DecoderUF, "greedy"} {
+		rows = append(rows, row{"decoder", func(c *Config) { c.Decoder = name }, name == "" || slices.Contains(Decoders(), name)})
+	}
+	for _, r := range rows {
+		c := Config{}.Defaults()
+		r.set(&c)
+		err := c.Validate()
+		switch {
+		case r.ok && err != nil:
+			t.Errorf("%s: %+v rejected: %v", r.field, c, err)
+		case !r.ok && err == nil:
+			t.Errorf("%s: %+v accepted", r.field, c)
+		case !r.ok && !strings.HasPrefix(err.Error(), r.field+" "):
+			t.Errorf("%s: message %q does not start with the field", r.field, err)
+		}
+	}
+}
+
+// TestRunValidatesConfig: an experiment run on a config outside the
+// domain returns Validate's error before anything is built — never the
+// noise layer's panic on a rate above one.
+func TestRunValidatesConfig(t *testing.T) {
+	e, _ := Find("fig5")
+	if _, err := e.Run(Config{P: 2}); err == nil || !strings.HasPrefix(err.Error(), "p ") {
+		t.Fatalf("fig5 at p=2: err %v, want an error naming p", err)
 	}
 }
 

@@ -38,13 +38,18 @@ func Experiments() []Experiment {
 		{"threshold", "intrinsic-noise baseline by distance (no radiation)", Threshold, false},
 		{"logical", "post-QEC logical-layer fault injection (future work)", LogicalLayer, true},
 	}
-	// Outermost guard: a sweep aborted by cancellation or an isolated
-	// worker panic unwinds the figure builder as a runAbort, converted
-	// here into the error Run reports. Any other panic — a genuine bug
-	// in a builder — keeps propagating untouched.
+	// Outermost guard: a config outside the domain (Config.Validate,
+	// after Defaults) is the error Run reports before anything is built,
+	// and a sweep aborted by cancellation or an isolated worker panic
+	// unwinds the figure builder as a runAbort, converted here into the
+	// error Run reports. Any other panic — a genuine bug in a builder —
+	// keeps propagating untouched.
 	for i := range exps {
 		run := exps[i].Run
 		exps[i].Run = func(c Config) (t *Table, err error) {
+			if err := c.Defaults().Validate(); err != nil {
+				return nil, err
+			}
 			defer func() {
 				r := recover()
 				if r == nil {

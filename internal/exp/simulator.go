@@ -40,10 +40,14 @@ type Simulator struct {
 // NewSimulator resolves the code family (FamilyRepetition or
 // FamilyXXZZ; the repetition family ignores dX) at cfg.Rounds through
 // the registry and routes it onto the named topology (see arch.ByName),
-// sized to fit the code. Unset Config fields take Config.Defaults;
-// unknown families, engines, decoders and topologies are errors.
+// sized to fit the code. Unset Config fields take Config.Defaults, and
+// a config outside the domain is Config.Validate's error; unknown
+// families and topologies are errors too.
 func NewSimulator(cfg Config, family string, dZ, dX int, topology string) (*Simulator, error) {
 	cfg = cfg.Defaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	var (
 		code *qec.Code
 		err  error
@@ -59,14 +63,9 @@ func NewSimulator(cfg Config, family string, dZ, dX int, topology string) (*Simu
 	if err != nil {
 		return nil, err
 	}
-	engine, err := core.ResolveEngine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	decodeTile, err := core.ResolveDecoder(cfg.Decoder, code)
-	if err != nil {
-		return nil, err
-	}
+	// Validate accepted both names, so neither resolution can fail.
+	engine, _ := core.ResolveEngine(cfg.Engine)
+	decodeTile, _ := core.ResolveDecoder(cfg.Decoder, code)
 	topo, err := arch.ByName(topology, code.NumQubits())
 	if err != nil {
 		return nil, err

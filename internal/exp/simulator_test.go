@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"radqec/internal/arch"
@@ -78,6 +80,31 @@ func TestSimulatorMatchesFigurePoint(t *testing.T) {
 			if errs == 0 {
 				t.Fatalf("%s-(%d,%d) %s: no errors anywhere; the comparison is vacuous", c.family, c.dZ, c.dX, engine)
 			}
+		}
+	}
+}
+
+// TestNewSimulatorRejectsOutOfDomain: a config outside the campaign
+// domain is NewSimulator's error naming the field, never a simulator
+// whose first call panics. A negative Rounds is one of them: only zero
+// means the default.
+func TestNewSimulatorRejectsOutOfDomain(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"p", Config{P: 2}},
+		{"p", Config{P: -0.5}},
+		{"p", Config{P: math.NaN()}},
+		{"ns", Config{NS: MaxNS + 1}},
+		{"rounds", Config{Rounds: -1}},
+		{"rounds", Config{Rounds: MaxRounds + 1}},
+		{"workers", Config{Workers: -1}},
+	} {
+		sim, err := NewSimulator(tc.cfg, FamilyRepetition, 3, 1, "mesh")
+		if err == nil || !strings.HasPrefix(err.Error(), tc.field+" ") {
+			t.Errorf("NewSimulator with %s out of domain: simulator built %v, err %v; want an error naming %s",
+				tc.field, sim != nil, err, tc.field)
 		}
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,7 +51,6 @@ import (
 	"time"
 
 	"radqec/internal/client"
-	"radqec/internal/core"
 	"radqec/internal/exp"
 	"radqec/internal/fabric"
 	"radqec/internal/faultinject"
@@ -171,45 +169,41 @@ func (s *Server) Close() { s.sched.Close() }
 // defaults, so {"experiment":"fig5"} is a complete request.
 type CampaignRequest = client.CampaignRequest
 
-// validateRequest mirrors the CLI's flag validation so a bad request is
-// a 400 naming the constraint, never a panic in a sweep worker.
+// validateRequest checks a request before anything runs, so a bad one
+// is a 400 naming the field, never a panic in a sweep worker: the
+// experiment and trace_sample here, and every campaign field through
+// the one domain check, exp.Config.Validate, on the config
+// requestConfig lowers it to.
 func validateRequest(r CampaignRequest) error {
 	if _, ok := exp.Find(r.Experiment); !ok {
 		return fmt.Errorf("unknown experiment %q", r.Experiment)
 	}
-	if r.Engine != "" {
-		if _, err := core.ResolveEngine(r.Engine); err != nil {
-			return fmt.Errorf("unknown engine %q (want one of %v)", r.Engine, exp.Engines())
-		}
-	}
-	if r.Decoder != "" && !slices.Contains(exp.Decoders(), r.Decoder) {
-		return fmt.Errorf("unknown decoder %q (want one of %v)", r.Decoder, exp.Decoders())
-	}
-	if r.Shots < 0 {
-		return fmt.Errorf("shots %d out of range (want >= 0; 0 = default)", r.Shots)
-	}
-	if r.P < 0 || r.P > 1 {
-		return fmt.Errorf("p %g out of range (want a probability in [0,1])", r.P)
-	}
-	if r.NS < 0 || r.NS > exp.MaxNS {
-		return fmt.Errorf("ns %d out of range (want 0..%d; 0 = default)", r.NS, exp.MaxNS)
-	}
-	if r.Rounds != 0 && (r.Rounds < 2 || r.Rounds > exp.MaxRounds) {
-		return fmt.Errorf("rounds %d out of range (want 2..%d stabilization rounds; 0 = default)", r.Rounds, exp.MaxRounds)
-	}
-	if r.CI < 0 || r.CI >= 0.5 {
-		return fmt.Errorf("ci %g out of range (want 0 <= ci < 0.5; 0 disables adaptive shots)", r.CI)
-	}
-	if r.MaxShots < 0 {
-		return fmt.Errorf("maxshots %d out of range (want >= 0)", r.MaxShots)
-	}
-	if r.Workers < 0 {
-		return fmt.Errorf("workers %d out of range (want >= 0; 0 = whole pool)", r.Workers)
-	}
 	if r.TraceSample != "" && r.TraceSample != "on" && r.TraceSample != "off" {
 		return fmt.Errorf("bad trace_sample %q (want on or off; empty = daemon default)", r.TraceSample)
 	}
-	return nil
+	return requestConfig(r).Validate()
+}
+
+// requestConfig lowers a request's campaign fields onto the experiment
+// config they name; zero fields take exp.Config.Defaults, and an
+// omitted seed the CLI's -seed default.
+func requestConfig(r CampaignRequest) exp.Config {
+	seed := exp.DefaultSeed
+	if r.Seed != nil {
+		seed = *r.Seed
+	}
+	return exp.Config{
+		Shots:    r.Shots,
+		Seed:     seed,
+		Workers:  r.Workers,
+		P:        r.P,
+		NS:       r.NS,
+		Rounds:   r.Rounds,
+		CI:       r.CI,
+		MaxShots: r.MaxShots,
+		Engine:   r.Engine,
+		Decoder:  r.Decoder,
+	}.Defaults()
 }
 
 // traceRecorder resolves the campaign's sampling decision and returns
@@ -237,30 +231,15 @@ func (s *Server) traceRecorder(r *http.Request, req CampaignRequest) *trace.Reco
 	return trace.New("local")
 }
 
-// campaignConfig lowers the request onto an experiment config bound to
-// the server's shared scheduler and store.
+// campaignConfig binds a validated request's config to the server's
+// shared scheduler and store. A request's workers caps its campaign
+// inside the pool and never grows it; 0 means the whole pool.
 func (s *Server) campaignConfig(r CampaignRequest) exp.Config {
-	workers := s.workers
-	if r.Workers > 0 && r.Workers < workers {
-		workers = r.Workers
+	cfg := requestConfig(r)
+	if cfg.Workers == 0 || cfg.Workers > s.workers {
+		cfg.Workers = s.workers
 	}
-	seed := uint64(1) // the CLI's -seed default
-	if r.Seed != nil {
-		seed = *r.Seed
-	}
-	cfg := exp.Config{
-		Shots:     r.Shots,
-		Seed:      seed,
-		Workers:   workers,
-		P:         r.P,
-		NS:        r.NS,
-		Rounds:    r.Rounds,
-		CI:        r.CI,
-		MaxShots:  r.MaxShots,
-		Engine:    r.Engine,
-		Decoder:   r.Decoder,
-		Scheduler: s.sched,
-	}
+	cfg.Scheduler = s.sched
 	if s.st != nil && !r.NoCache {
 		cfg.Cache = s.st
 	}
@@ -655,28 +634,12 @@ func serveTrace(w http.ResponseWriter, r *http.Request, rec *trace.Recorder) {
 		apiError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad format %q (want ndjson or chrome)", format))
 		return
 	}
-	spans := rec.Spans()
-	slices.SortStableFunc(spans, func(a, b trace.Span) int {
-		if a.StartNS != b.StartNS {
-			if a.StartNS < b.StartNS {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
 	if format == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
-		trace.WriteChrome(w, spans)
-		return
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := range spans {
-		if enc.Encode(&spans[i]) != nil {
-			return
-		}
-	}
+	trace.Write(w, rec.Spans(), format == "chrome")
 }
 
 // experimentInfo is one row of GET /v1/experiments.

@@ -192,6 +192,33 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignFieldErrorsNameTheField: one value outside the campaign
+// domain per request field answers 400 invalid_argument with
+// exp.Config.Validate's message, which starts with the field's name —
+// the same message the CLI prints behind the flag's dash.
+func TestCampaignFieldErrorsNameTheField(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	for field, value := range map[string]string{
+		"engine":   `"warp"`,
+		"decoder":  `"oracle"`,
+		"shots":    `-1`,
+		"p":        `2`,
+		"ns":       `-1`,
+		"rounds":   `1`,
+		"workers":  `-1`,
+		"ci":       `0.5`,
+		"maxshots": `-1`,
+	} {
+		body := `{"experiment":"fig5","` + field + `":` + value + `}`
+		resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", body, nil)
+		var env envelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(msg, &env) != nil ||
+			env.Error.Code != codeInvalidArgument || !strings.HasPrefix(env.Error.Message, field+" ") {
+			t.Errorf("%s: status = %d, body %s; want 400 invalid_argument naming %s", body, resp.StatusCode, msg, field)
+		}
+	}
+}
+
 // TestRequestSeedDefaultsToCLIDefault: an omitted seed matches the
 // CLI's -seed default (1), while an explicit zero stays zero.
 func TestRequestSeedDefaultsToCLIDefault(t *testing.T) {

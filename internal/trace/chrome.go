@@ -1,13 +1,33 @@
-// Chrome trace-event export: converts recorded spans into the JSON
-// the Chrome tracing UI and Perfetto load directly, so a campaign
-// trace opens as a timeline without any converter.
+// Span export: the one writer behind the CLI's -trace-out and
+// -trace-chrome files and the daemon's trace endpoints — NDJSON span
+// records, or the Chrome trace-event JSON that the Chrome tracing UI
+// and Perfetto load directly, so a campaign trace opens as a timeline
+// without any converter.
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 )
+
+// Write sorts spans in place into start order, ties in recording order,
+// and renders them as one NDJSON span record per line or, with chrome
+// set, as one Chrome trace-event JSON document.
+func Write(w io.Writer, spans []Span, chrome bool) error {
+	slices.SortStableFunc(spans, func(a, b Span) int { return cmp.Compare(a.StartNS, b.StartNS) })
+	if chrome {
+		return writeChrome(w, spans)
+	}
+	enc := json.NewEncoder(w)
+	for i := range spans {
+		if err := enc.Encode(&spans[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // chromeEvent is one entry of the Chrome trace-event format. We emit
 // complete ("X") events — one per span — plus metadata ("M") events
@@ -23,18 +43,15 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// WriteChrome renders spans as a Chrome trace-event JSON document
+// writeChrome renders spans as a Chrome trace-event JSON document
 // ({"traceEvents": [...]}). Each node becomes a process row and each
 // point a thread row within it, so the timeline groups a point's
 // chunk-run/decode/commit spans on one line; the campaign span (no
 // point key) has lane 0.
-func WriteChrome(w io.Writer, spans []Span) error {
-	sorted := append([]Span(nil), spans...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].StartNS < sorted[j].StartNS })
-
+func writeChrome(w io.Writer, spans []Span) error {
 	pids := map[string]int{}
 	tids := map[string]int{}
-	events := make([]chromeEvent, 0, len(sorted)+8)
+	events := make([]chromeEvent, 0, len(spans)+8)
 	pid := func(node string) int {
 		if id, ok := pids[node]; ok {
 			return id
@@ -67,40 +84,20 @@ func WriteChrome(w io.Writer, spans []Span) error {
 		})
 		return id
 	}
-	for _, s := range sorted {
-		p := pid(s.Node)
-		args := map[string]any{
-			"trace_id": s.Trace,
-			"span_id":  s.ID,
-		}
-		if s.Parent != "" {
-			args["parent_id"] = s.Parent
-		}
-		if s.Key != "" {
-			args["key"] = s.Key
-		}
-		if s.Hash != "" {
-			args["hash"] = s.Hash
-		}
-		if s.Detail != "" {
-			args["detail"] = s.Detail
+	for _, s := range spans {
+		p, t := pid(s.Node), tid(s.Node, s.Key)
+		args := map[string]any{"trace_id": s.Trace, "span_id": s.ID}
+		for k, v := range map[string]string{"parent_id": s.Parent, "key": s.Key, "hash": s.Hash, "detail": s.Detail, "error": s.Err} {
+			if v != "" {
+				args[k] = v
+			}
 		}
 		if s.Shots != 0 {
 			args["shots"] = s.Shots
 		}
-		if s.Err != "" {
-			args["error"] = s.Err
-		}
-		events = append(events, chromeEvent{
-			Name:  s.Name,
-			Cat:   "radqec",
-			Phase: "X",
-			TS:    float64(s.StartNS) / 1e3,
-			Dur:   float64(s.DurNS) / 1e3,
-			PID:   p,
-			TID:   tid(s.Node, s.Key),
-			Args:  args,
-		})
+		events = append(events, chromeEvent{Name: s.Name, Cat: "radqec", Phase: "X",
+			TS: float64(s.StartNS) / 1e3, Dur: float64(s.DurNS) / 1e3,
+			PID: p, TID: t, Args: args})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {

@@ -230,7 +230,7 @@ func TestWriteChrome(t *testing.T) {
 	pt.End()
 	root.End()
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, r.Spans()); err != nil {
+	if err := Write(&buf, r.Spans(), true); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
