@@ -260,8 +260,9 @@ func main() {
 	// The first signal cancels the campaign context: workers stop at
 	// their next batch boundary with every in-progress point's
 	// checkpoint flushed, and the experiment loop exits through the
-	// graceful path below. A second signal is the escape hatch — flush
-	// and exit immediately without waiting for the boundary.
+	// graceful path below. A second signal is the escape hatch — sync
+	// the store and exit immediately without waiting for the boundary,
+	// leaving the checkpoint trail a kill leaves.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -276,7 +277,11 @@ func main() {
 		sig = <-sigc
 		flushOnce()
 		if resultStore != nil {
-			closeStoreOnce()
+			// Sync, not Close: exiting now must not wait on the
+			// rewrite a clean Close may run.
+			if err := resultStore.Sync(); err != nil {
+				slog.Error("radqec: store sync failed", "error", err)
+			}
 			slog.Warn("radqec: store flushed; rerun with -store to continue", "signal", sig.String(), "store", *storeDir)
 		}
 		if n, ok := sig.(syscall.Signal); ok {

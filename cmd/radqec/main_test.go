@@ -79,10 +79,12 @@ func TestRetiredEnginesAreUsageErrors(t *testing.T) {
 	}
 }
 
-// TestCampaignSizeCaps: -ns and -rounds just over exp.MaxNS and
-// exp.MaxRounds, a NaN -p or -ci, and a -p of 0 (which the experiment
+// TestCampaignSizeCaps: -ns, -rounds and -maxshots just over exp.MaxNS,
+// exp.MaxRounds and exp.MaxShots, a -ci whose worst-case count is over
+// exp.MaxShots, a NaN -p or -ci, and a -p of 0 (which the experiment
 // layer would read as its 0.01 default), exit 2 naming the flag, before
-// any code is built or sample allocated.
+// any code is built or sample allocated. So does a -shots over
+// exp.MaxShots, which used to run silently until killed.
 func TestCampaignSizeCaps(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ns", strconv.Itoa(exp.MaxNS + 1)},
@@ -90,11 +92,20 @@ func TestCampaignSizeCaps(t *testing.T) {
 		{"-p", "NaN"},
 		{"-p", "0"},
 		{"-ci", "NaN"},
+		{"-maxshots", strconv.Itoa(exp.MaxShots + 1)},
+		{"-ci", "1e-06"}, // a worst-case count over exp.MaxShots
 	} {
 		args = append(args, "-shots", "1", "fig3")
 		out, code := run(t, args...)
 		if code != 2 || !strings.Contains(out, args[0]+" "+args[1]+" out of range") {
 			t.Errorf("radqec %v: exit %d, want 2 naming %s\n%s", args, code, args[0], out)
+		}
+	}
+	for _, shots := range []string{strconv.Itoa(exp.MaxShots + 1), "9223372036854775807"} {
+		args := []string{"-shots", shots, "-ns", "1", "threshold"}
+		out, code := run(t, args...)
+		if code != 2 || !strings.Contains(out, "-shots "+shots+" out of range") {
+			t.Errorf("radqec %v: exit %d, want 2 naming -shots\n%s", args, code, out)
 		}
 	}
 }

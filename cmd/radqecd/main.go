@@ -116,11 +116,12 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM: stop accepting, drain in-flight campaigns (their
-	// points keep checkpointing into the store), then flush and close
-	// the store so the directory is immediately reusable. A drain can
-	// take as long as the longest queued campaign, so a second signal
-	// is the escape hatch: flush the store and exit immediately instead
-	// of forcing the operator to SIGKILL past the flush path.
+	// points keep checkpointing into the store), then close the store,
+	// which may compact it, so the directory is immediately reusable. A
+	// drain can take as long as the longest queued campaign, so a second
+	// signal is the escape hatch: sync the store and exit immediately,
+	// without the close-time rewrite, instead of forcing the operator to
+	// SIGKILL past the flush path.
 	done := make(chan error, 1)
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -135,7 +136,11 @@ func main() {
 		sig = <-sigc
 		log.Warn("radqecd: exiting now", "signal", sig.String())
 		if st != nil {
-			st.Close() // sync + close; in-flight appends finish first
+			// Sync, not Close: exiting now must not wait on the rewrite
+			// a clean Close may run. In-flight appends finish first.
+			if err := st.Sync(); err != nil {
+				log.Error("radqecd: store sync failed", "error", err)
+			}
 		}
 		if n, ok := sig.(syscall.Signal); ok {
 			os.Exit(128 + int(n))
@@ -161,7 +166,13 @@ func main() {
 		log.Error("radqecd: drain incomplete; exiting with campaigns in flight", "error", shutdownErr)
 	}
 	if st != nil {
-		if err := st.Close(); err != nil {
+		before, start := st.Stats(), time.Now()
+		err := st.Close()
+		log.Info("radqecd: store closed",
+			"segment_bytes_before", before.SegmentBytes,
+			"segment_bytes_after", st.Stats().SegmentBytes,
+			"close_ms", float64(time.Since(start).Microseconds())/1e3)
+		if err != nil {
 			fatal(err)
 		}
 	}

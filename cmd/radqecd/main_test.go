@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"radqec/internal/store"
@@ -143,4 +145,81 @@ func TestStoreOpenedLogsReplay(t *testing.T) {
 		return
 	}
 	t.Fatalf("radqecd never logged \"store opened\" (%v)", sc.Err())
+}
+
+// TestStoreClosedLogsRewrite: on a clean shutdown the daemon's "store
+// closed" record says what Close did to the segment — its size before
+// and after the close-time rewrite — and how long Close took.
+func TestStoreClosedLogsRewrite(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		h := fmt.Sprintf("h%d", i)
+		for b := 1; b < 4; b++ {
+			st.Checkpoint(h, sweep.CachedPoint{Shots: 512 * b, Batches: b})
+		}
+		st.Commit(h, sweep.CachedPoint{Key: "k" + h, Shots: 2000, Batches: 4})
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Keep the trail a kill would leave: Close compacts it away.
+	seg := filepath.Join(dir, store.SegmentName)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-store", dir, "-log-format", "json")
+	cmd.Env = append(os.Environ(), "RADQECD_TEST_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	sc := bufio.NewScanner(stderr)
+	var closed map[string]any
+	for closed == nil && sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("log line %q: %v", sc.Text(), err)
+		}
+		switch rec["msg"] {
+		case "radqecd: listening":
+			cmd.Process.Signal(syscall.SIGTERM)
+		case "radqecd: store closed":
+			closed = rec
+		}
+	}
+	if closed == nil {
+		t.Fatalf("radqecd never logged \"store closed\" (%v)", sc.Err())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("radqecd after SIGTERM: %v", err)
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]float64{"segment_bytes_before": float64(len(raw)), "segment_bytes_after": float64(after.Size())} {
+		if closed[k] != want {
+			t.Errorf("store closed: %s = %v, want %v", k, closed[k], want)
+		}
+	}
+	if after.Size() >= int64(len(raw)) {
+		t.Errorf("Close left %d bytes of %d: the trail was not compacted", after.Size(), len(raw))
+	}
+	if ms, ok := closed["close_ms"].(float64); !ok || ms < 0 {
+		t.Errorf("store closed: close_ms = %v, want a duration in ms", closed["close_ms"])
+	}
 }

@@ -101,14 +101,19 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 	if got := tableText(t, cold); got != want {
 		t.Fatalf("cold cached run diverged:\n%s\nvs\n%s", got, want)
 	}
-	st.Close()
 
 	// Simulate the kill: a store holding only the checkpoint trail (no
 	// commits), plus a torn final line — what SIGKILL mid-append leaves.
+	// The trail is read after Sync, as a kill leaves it: a clean Close
+	// compacts it away.
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	lines, err := os.ReadFile(filepath.Join(coldDir, store.SegmentName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.Close()
 	var ckpts []string
 	for _, ln := range strings.Split(strings.TrimRight(string(lines), "\n"), "\n") {
 		if strings.Contains(ln, `"kind":"ckpt"`) {
@@ -188,6 +193,66 @@ func TestCancelledStoreRunResumesWithoutAnOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	cancelAfterFirstPoint(t, base, st)
+	assertResumes(t, base, st, ref)
+}
+
+// TestCleanCloseKeepsCheckpointsToResume: a store that a clean Close
+// compacts keeps the latest checkpoint of every point a cancelled
+// campaign left uncommitted, so the campaign resubmitted against the
+// reopened store still starts those points at their checkpoints and
+// prints the byte-identical table.
+func TestCleanCloseKeepsCheckpointsToResume(t *testing.T) {
+	base := Config{Shots: 1024, Seed: 12345, Workers: 1}
+	ref, err := Threshold(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An earlier campaign of eight batches a point leaves seven
+	// superseded checkpoints behind each commit, so the Close below
+	// rewrites the segment.
+	earlier := base
+	earlier.Seed, earlier.Shots, earlier.Cache = 1, 4096, st
+	if _, err := Threshold(earlier); err != nil {
+		t.Fatal(err)
+	}
+	cancelAfterFirstPoint(t, base, st)
+	before := st.Stats()
+	if before.Checkpoints == 0 {
+		t.Fatal("the cancelled campaign left no checkpoints")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, store.SegmentName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	if got, live := len(lines), before.Commits+before.Checkpoints; got != live {
+		t.Fatalf("closed segment holds %d lines, want the %d live records", got, live)
+	}
+	if got := strings.Count(string(raw), `"kind":"ckpt"`); got != before.Checkpoints {
+		t.Fatalf("closed segment holds %d checkpoints, want %d", got, before.Checkpoints)
+	}
+	reopened, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	assertResumes(t, base, reopened, ref)
+}
+
+// cancelAfterFirstPoint runs threshold on base against st and cancels
+// it once the first point is done: with one worker every point has run
+// its first batch by then, so the rest hold one checkpoint each.
+func cancelAfterFirstPoint(t *testing.T, base Config, st *store.Store) {
+	t.Helper()
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cfg := base
 	cfg.Cache = st
@@ -197,7 +262,13 @@ func TestCancelledStoreRunResumesWithoutAnOption(t *testing.T) {
 	if _, err := threshold.Run(cfg); err == nil {
 		t.Fatal("cancelled run reported success")
 	}
+}
 
+// assertResumes reruns threshold on base against st and demands ref's
+// table, at least one point started past shot zero, and fewer engine
+// shots than a cold run.
+func assertResumes(t *testing.T, base Config, st *store.Store, ref *Table) {
+	t.Helper()
 	tel := telemetry.NewCampaign(1, "threshold")
 	rcfg := base
 	rcfg.Cache = st

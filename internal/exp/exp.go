@@ -63,6 +63,11 @@ func Decoders() []string { return core.Decoders() }
 // fatal error no recover boundary stops — and every round lengthens the
 // code circuit and its detector-error model, built while the code
 // registry holds its lock.
+//
+// MaxShots bounds a point's shot budget: Shots, MaxShots and, when CI is
+// set without MaxShots, the worst-case count sweep.WorstCaseShots(CI). A
+// budget far past it keeps one point running, with nothing printed, for
+// longer than anyone waits, and its counts near int's range.
 const (
 	// MaxNS is 25 times the deepest sample count any experiment uses
 	// (ablation-ns's 40).
@@ -70,6 +75,9 @@ const (
 	// MaxRounds is 11 times the deepest memory point the benchmark
 	// runs (9 rounds).
 	MaxRounds = 100
+	// MaxShots is over 2 500 times the largest per-point count any
+	// script runs (400 000).
+	MaxShots = 1 << 30
 )
 
 // DefaultSeed is the campaign seed a front end runs when none is given
@@ -202,8 +210,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine %q unknown (want one of %v)", c.Engine, Engines())
 	case c.Decoder != "" && !slices.Contains(Decoders(), c.Decoder):
 		return fmt.Errorf("decoder %q unknown (want one of %v)", c.Decoder, Decoders())
-	case c.Shots < 1:
-		return fmt.Errorf("shots %d out of range (want >= 1)", c.Shots)
+	case c.Shots < 1 || c.Shots > MaxShots:
+		return fmt.Errorf("shots %d out of range (want 1..%d per point)", c.Shots, MaxShots)
 	case !(c.P > 0 && c.P <= 1):
 		return fmt.Errorf("p %g out of range (want 0 < p <= 1, an intrinsic error rate)", c.P)
 	case c.NS < 1 || c.NS > MaxNS:
@@ -214,8 +222,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workers %d out of range (want >= 0)", c.Workers)
 	case !(c.CI >= 0 && c.CI < 0.5):
 		return fmt.Errorf("ci %g out of range (want 0 <= ci < 0.5; 0 disables adaptive shots)", c.CI)
-	case c.MaxShots < 0:
-		return fmt.Errorf("maxshots %d out of range (want >= 0; 0 = worst-case count for ci)", c.MaxShots)
+	case c.MaxShots < 0 || c.MaxShots > MaxShots:
+		return fmt.Errorf("maxshots %d out of range (want 0..%d; 0 = worst-case count for ci)", c.MaxShots, MaxShots)
+	case c.CI > 0 && c.MaxShots == 0 && sweep.WorstCaseShots(c.CI) > MaxShots:
+		return fmt.Errorf("ci %g out of range without maxshots (its worst-case count is over %d shots per point)", c.CI, MaxShots)
 	}
 	return nil
 }

@@ -58,7 +58,9 @@ func TestConfigValidateBounds(t *testing.T) {
 	rows := []row{
 		{"shots", func(c *Config) { c.Shots = 0 }, false},
 		{"shots", func(c *Config) { c.Shots = 1 }, true},
-		{"shots", func(c *Config) { c.Shots = math.MaxInt }, true},
+		{"shots", func(c *Config) { c.Shots = MaxShots }, true},
+		{"shots", func(c *Config) { c.Shots = MaxShots + 1 }, false},
+		{"shots", func(c *Config) { c.Shots = math.MaxInt }, false},
 		{"p", func(c *Config) { c.P = 0 }, false},
 		{"p", func(c *Config) { c.P = tiny }, true},
 		{"p", func(c *Config) { c.P = 1 }, true},
@@ -82,7 +84,15 @@ func TestConfigValidateBounds(t *testing.T) {
 		{"ci", func(c *Config) { c.CI = nan }, false},
 		{"maxshots", func(c *Config) { c.MaxShots = -1 }, false},
 		{"maxshots", func(c *Config) { c.MaxShots = 0 }, true},
-		{"maxshots", func(c *Config) { c.MaxShots = math.MaxInt }, true},
+		{"maxshots", func(c *Config) { c.MaxShots = MaxShots }, true},
+		{"maxshots", func(c *Config) { c.MaxShots = MaxShots + 1 }, false},
+		{"maxshots", func(c *Config) { c.MaxShots = math.MaxInt }, false},
+		// Without maxshots, ci's worst-case count is the budget: about
+		// 1.07e9 shots at 3e-5, 1.14e9 at 2.9e-5.
+		{"ci", func(c *Config) { c.CI = 3e-5 }, true},
+		{"ci", func(c *Config) { c.CI = 2.9e-5 }, false},
+		{"ci", func(c *Config) { c.CI = tiny }, false},
+		{"ci", func(c *Config) { c.CI, c.MaxShots = tiny, MaxShots }, true},
 	}
 	for _, name := range []string{"", EngineTableau, EngineBatch, "frame", "auto"} {
 		rows = append(rows, row{"engine", func(c *Config) { c.Engine = name }, name == "" || slices.Contains(Engines(), name)})

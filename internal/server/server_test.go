@@ -160,8 +160,11 @@ func TestCampaignValidation(t *testing.T) {
 		"rounds":       {Experiment: "fig5", Rounds: 1},
 		"p":            {Experiment: "fig5", P: 1.5},
 		// Just over the caps on the inputs that size a campaign.
-		"ns cap":     {Experiment: "fig5", Shots: 1, NS: exp.MaxNS + 1},
-		"rounds cap": {Experiment: "fig5", Shots: 1, Rounds: exp.MaxRounds + 1},
+		"ns cap":        {Experiment: "fig5", Shots: 1, NS: exp.MaxNS + 1},
+		"rounds cap":    {Experiment: "fig5", Shots: 1, Rounds: exp.MaxRounds + 1},
+		"shots cap":     {Experiment: "fig5", Shots: exp.MaxShots + 1},
+		"maxshots cap":  {Experiment: "fig5", Shots: 1, CI: 0.01, MaxShots: exp.MaxShots + 1},
+		"ci worst case": {Experiment: "fig5", Shots: 1, CI: 1e-6},
 	} {
 		body, _ := json.Marshal(req)
 		resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", string(body), nil)

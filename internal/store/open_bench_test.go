@@ -56,13 +56,17 @@ func writeDaemonSegment(tb testing.TB, dir string, n int) int {
 	return lines
 }
 
-// BenchmarkOpen times Open on the daemon-replay store's segment
-// (4480 points, 17 920 lines) and reports the replay cost per line.
+// BenchmarkOpen times Open on the segment a killed daemon leaves after
+// filling the daemon-replay store (4480 points, 17 920 lines) and
+// reports the replay cost per line. Each Close compacts that trail, so
+// every iteration writes it again.
 func BenchmarkOpen(b *testing.B) {
 	dir := b.TempDir()
-	lines := writeDaemonSegment(b, dir, benchPoints)
-	b.ResetTimer()
+	var lines int
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lines = writeDaemonSegment(b, dir, benchPoints)
+		b.StartTimer()
 		s, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -77,4 +81,28 @@ func BenchmarkOpen(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+}
+
+// BenchmarkClose times the clean Close of a store opened on that trail:
+// the rewrite to its 4480 commits, fsync and rename included. It
+// reports the cost per record written.
+func BenchmarkClose(b *testing.B) {
+	dir := b.TempDir()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		writeDaemonSegment(b, dir, benchPoints)
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := len(segmentLines(b, dir)); got != benchPoints {
+		b.Fatalf("Close left %d lines, want the %d commits", got, benchPoints)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPoints), "ns/record")
 }

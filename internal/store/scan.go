@@ -13,7 +13,7 @@ import (
 type scanVerdict int
 
 const (
-	// scanDefer: the line is not in the exact shape encodeRecord writes,
+	// scanDefer: the line is not in the exact shape lineEncoder writes,
 	// so decodeLine decides it.
 	scanDefer scanVerdict = iota
 	// scanOK: the line is in that shape and its checksum matches.
@@ -22,7 +22,7 @@ const (
 	scanBad
 )
 
-// scanLine reads a segment line written by encodeRecord without
+// scanLine reads a segment line written by lineEncoder without
 // encoding/json: `{"crc":N,"rec":{"kind":K,"hash":H[,"point":{…}]}}`
 // with no whitespace, the point's members in struct order and any of
 // them omitted, strings free of escapes and invalid UTF-8, integers

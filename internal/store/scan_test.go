@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -46,6 +47,63 @@ func encodeT(tb testing.TB, rec record) []byte {
 		tb.Fatal(err)
 	}
 	return line
+}
+
+// encodeRecord is the reference encoder lineEncoder is held to:
+// json.Marshal of the record in its envelope.
+func encodeRecord(rec record) ([]byte, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	line, err := json.Marshal(envelope{CRC: crc32.Checksum(body, castagnoli), Rec: body})
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
+}
+
+// TestLineEncoderMatchesMarshal: one reused lineEncoder writes, byte
+// for byte, what encodeRecord writes for every record shape, escaped,
+// non-ASCII and invalid-UTF-8 strings included.
+func TestLineEncoderMatchesMarshal(t *testing.T) {
+	recs := shapeRecords()
+	for _, key := range []string{"\u2028\u2029", "\xff\xfe", "\x00\x1f\x7f", "a<b", "-"} {
+		recs = append(recs, record{Kind: "commit", Hash: key, Point: &sweep.CachedPoint{Key: key, Shots: -1, Errors: 1 << 40, Batches: -3}})
+	}
+	var e lineEncoder
+	for _, rec := range recs {
+		got, err := e.encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeT(t, rec); string(got) != string(want) {
+			t.Errorf("lineEncoder(%+v) =\n%s\nwant\n%s", rec, got, want)
+		}
+	}
+}
+
+// FuzzLineEncoderMatchesMarshal: whatever the strings and counts, a
+// reused lineEncoder writes what encodeRecord writes.
+func FuzzLineEncoderMatchesMarshal(f *testing.F) {
+	f.Add("commit", "h1", "fig5/rep-(5,1)/p1e-08/t1", 2000, 42, 4, true, false)
+	f.Add("ckpt", "h2", "", 512, 0, 0, false, false)
+	f.Add("del", "h3", "", 0, 0, 0, false, true)
+	f.Add("commit", "<&>", "\u2028\"\\", -1, -2, -3, true, false)
+	var e lineEncoder
+	f.Fuzz(func(t *testing.T, kind, hash, key string, shots, errs, batches int, converged, noPoint bool) {
+		rec := record{Kind: kind, Hash: hash}
+		if !noPoint {
+			rec.Point = &sweep.CachedPoint{Key: key, Shots: shots, Errors: errs, Batches: batches, Converged: converged}
+		}
+		got, err := e.encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeT(t, rec); string(got) != string(want) {
+			t.Fatalf("lineEncoder(%+v) =\n%s\nwant\n%s", rec, got, want)
+		}
+	})
 }
 
 // flipCRC changes the last digit of a line's checksum.

@@ -6,6 +6,13 @@
 // final line (which recovery discards). Every committed point stays
 // resident in the index, so after replay reads never touch the segment,
 // and compaction rewrites the segment atomically from those points.
+//
+// The store counts the records its segment holds. A clean Close of a
+// healthy store whose superseded records are at least as many as its
+// live ones compacts first, so the next Open replays only live records;
+// each appended record is rewritten O(1) times, amortized. A killed
+// process runs no Close and leaves the whole trail, which is what makes
+// its campaigns resumable.
 package store
 
 import (
@@ -19,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -66,17 +74,74 @@ const replayBuffer = 64 << 10
 // amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeRecord frames one record as a checksummed segment line.
-func encodeRecord(rec record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
+// lineEncoder writes records as checksummed segment lines into buffers
+// it reuses: the bytes json.Marshal writes for the record in its
+// envelope. A record whose strings are plain ASCII and whose point
+// carries no legacy batch_rates, which is every record the sweep
+// writes, is formatted directly; any other goes through json.Marshal.
+// A clean Close rewrites every live record through it, so a rewrite
+// allocates nothing per record.
+type lineEncoder struct{ body, line []byte }
+
+// encode returns rec's line, valid until the next call.
+func (e *lineEncoder) encode(rec record) ([]byte, error) {
+	var err error
+	if e.body, err = appendRecordJSON(e.body[:0], rec); err != nil {
 		return nil, err
 	}
-	line, err := json.Marshal(envelope{CRC: crc32.Checksum(body, castagnoli), Rec: body})
-	if err != nil {
-		return nil, err
+	e.line = append(e.line[:0], `{"crc":`...)
+	e.line = strconv.AppendUint(e.line, uint64(crc32.Checksum(e.body, castagnoli)), 10)
+	e.line = append(e.line, `,"rec":`...)
+	e.line = append(e.line, e.body...)
+	e.line = append(e.line, "}\n"...)
+	return e.line, nil
+}
+
+// appendRecordJSON appends json.Marshal(rec) to dst.
+func appendRecordJSON(dst []byte, rec record) ([]byte, error) {
+	p := rec.Point
+	if !plainJSON(rec.Kind) || !plainJSON(rec.Hash) || p != nil && (!plainJSON(p.Key) || len(p.BatchRates) > 0) {
+		body, err := json.Marshal(rec)
+		return append(dst, body...), err
 	}
-	return append(line, '\n'), nil
+	dst = append(dst, `{"kind":"`...)
+	dst = append(dst, rec.Kind...)
+	dst = append(dst, `","hash":"`...)
+	dst = append(dst, rec.Hash...)
+	dst = append(dst, '"')
+	if p != nil {
+		dst = append(dst, `,"point":{`...)
+		if p.Key != "" {
+			dst = append(dst, `"key":"`...)
+			dst = append(dst, p.Key...)
+			dst = append(dst, `",`...)
+		}
+		dst = append(dst, `"shots":`...)
+		dst = strconv.AppendInt(dst, int64(p.Shots), 10)
+		dst = append(dst, `,"errors":`...)
+		dst = strconv.AppendInt(dst, int64(p.Errors), 10)
+		if p.Batches != 0 {
+			dst = append(dst, `,"batches":`...)
+			dst = strconv.AppendInt(dst, int64(p.Batches), 10)
+		}
+		if p.Converged {
+			dst = append(dst, `,"converged":true`...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// plainJSON reports whether json.Marshal writes s unchanged between its
+// quotes: printable ASCII other than the quote, the backslash and the
+// three characters it escapes for HTML.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // decodeLine validates one segment line against its envelope's
@@ -177,11 +242,17 @@ type Store struct {
 	probing     bool
 	stopc       chan struct{}
 
+	enc lineEncoder // formats every appended line
+
 	// commits holds the latest committed point per hash. Each one
 	// passed replay's CRC check or arrived through Commit.
 	commits map[string]*commitEntry
 	// ckpts holds the latest checkpoint per hash lacking a commit.
 	ckpts map[string]sweep.CachedPoint
+	// lines counts the records the segment holds: the valid lines
+	// replay read plus every line appended or rewritten since. Those
+	// beyond len(commits)+len(ckpts) are superseded.
+	lines int
 
 	hits, misses        int64
 	quarantined         int
@@ -231,6 +302,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := lockFile(lock); err != nil {
 		lock.Close()
 		return nil, fmt.Errorf("store: %s is already open in another process (radqec -store and radqecd cannot share a directory concurrently): %w", dir, err)
+	}
+	// A process killed mid-rewrite leaves its temp segment behind. The
+	// lock is held, so no rewrite is writing one now.
+	stale, _ := filepath.Glob(filepath.Join(dir, SegmentName+".tmp*"))
+	for _, name := range stale {
+		os.Remove(name)
 	}
 	path := filepath.Join(dir, SegmentName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
@@ -310,6 +387,7 @@ func (s *Store) replay() error {
 		s.quarantined += pending
 		pending = 0
 		s.apply(rec)
+		s.lines++
 		valid = off
 	}
 	s.size = valid
@@ -357,7 +435,7 @@ func (s *Store) append(rec record) bool {
 	if s.fatal != nil || s.degradedErr != nil {
 		return false
 	}
-	line, err := encodeRecord(rec)
+	line, err := s.enc.encode(rec)
 	if err != nil {
 		s.setFatal(err)
 		return false
@@ -366,6 +444,7 @@ func (s *Store) append(rec record) bool {
 		return false
 	}
 	s.size += int64(len(line))
+	s.lines++
 	return true
 }
 
@@ -557,7 +636,7 @@ func (s *Store) Invalidate(hash string) bool {
 func (s *Store) Clear() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.rewriteLocked(nil); err != nil {
+	if err := s.rewriteLocked(false); err != nil {
 		return err
 	}
 	s.commits = make(map[string]*commitEntry)
@@ -570,7 +649,9 @@ func (s *Store) Clear() error {
 // — via a temp file and an atomic rename, so readers of the directory
 // always see a whole segment. The commits are written from the resident
 // index, so a line that rotted on disk after Open is rewritten from its
-// verified copy instead of dropped.
+// verified copy instead of dropped. A clean Close runs the same rewrite
+// once superseded records are at least as many as live ones; Compact is
+// how a long-running process shrinks its segment without closing.
 //
 // Uncommitted checkpoints survive compaction deliberately: they are
 // what makes a killed campaign resumable. The cost is that a
@@ -582,33 +663,14 @@ func (s *Store) Clear() error {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	hashes := make([]string, 0, len(s.commits))
-	for h := range s.commits {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	recs := make([]record, 0, len(hashes)+len(s.ckpts))
-	for _, h := range hashes {
-		p := s.commits[h].point()
-		recs = append(recs, record{Kind: "commit", Hash: h, Point: &p})
-	}
-	ckptHashes := make([]string, 0, len(s.ckpts))
-	for h := range s.ckpts {
-		ckptHashes = append(ckptHashes, h)
-	}
-	sort.Strings(ckptHashes)
-	for _, h := range ckptHashes {
-		pt := s.ckpts[h]
-		recs = append(recs, record{Kind: "ckpt", Hash: h, Point: &pt})
-	}
-	return s.rewriteLocked(recs)
+	return s.rewriteLocked(true)
 }
 
-// rewriteLocked atomically replaces the segment with the given records.
-func (s *Store) rewriteLocked(recs []record) error {
+// rewriteLocked atomically replaces the segment with its live records,
+// or with nothing when live is false. The records stream from the
+// hash-sorted index through one buffered writer: commits first, then
+// the checkpoints of uncommitted hashes.
+func (s *Store) rewriteLocked(live bool) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -618,30 +680,33 @@ func (s *Store) rewriteLocked(recs []record) error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	var size int64
-	for i := range recs {
-		line, err := encodeRecord(recs[i])
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compact: %w", err)
+	sw := segmentWriter{w: bufio.NewWriter(tmp)}
+	if live {
+		// One point for every record: a point per record would be a
+		// heap allocation per record.
+		var p sweep.CachedPoint
+		rec := record{Kind: "commit", Point: &p}
+		for _, rec.Hash = range sortedKeys(s.commits) {
+			p = s.commits[rec.Hash].point()
+			sw.write(rec)
 		}
-		if _, err := w.Write(line); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compact: %w", err)
+		rec.Kind = "ckpt"
+		for _, rec.Hash = range sortedKeys(s.ckpts) {
+			p = s.ckpts[rec.Hash]
+			sw.write(rec)
 		}
-		size += int64(len(line))
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
+	if sw.err == nil {
+		sw.err = sw.w.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
+	if sw.err == nil {
+		sw.err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+	if err := tmp.Close(); sw.err == nil {
+		sw.err = err
+	}
+	if sw.err != nil {
+		return fmt.Errorf("store: compact: %w", sw.err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
@@ -660,11 +725,44 @@ func (s *Store) rewriteLocked(recs []record) error {
 	}
 	s.f.Close()
 	s.f = f
-	s.size = size
+	s.size, s.lines = sw.size, sw.lines
 	// A whole fresh segment on a new inode: whatever degraded the old
 	// handle no longer applies.
 	s.degradedErr = nil
 	return nil
+}
+
+// segmentWriter writes whole segment lines through a buffer, counting
+// them; the first failure sticks and later writes are skipped.
+type segmentWriter struct {
+	w     *bufio.Writer
+	enc   lineEncoder
+	size  int64
+	lines int
+	err   error
+}
+
+func (sw *segmentWriter) write(rec record) {
+	if sw.err != nil {
+		return
+	}
+	line, err := sw.enc.encode(rec)
+	if err == nil {
+		_, err = sw.w.Write(line)
+	}
+	sw.err = err
+	sw.size += int64(len(line))
+	sw.lines++
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Entries lists the committed points, hash-sorted.
@@ -735,11 +833,23 @@ func (s *Store) Sync() error {
 // Close syncs and closes the segment. Appends after Close are dropped
 // (recorded as ErrClosed), so a signal handler can Close concurrently
 // with in-flight sweep workers.
+//
+// A healthy store whose segment holds at least as many superseded
+// records as live ones is compacted first (see Compact), so the next
+// Open replays only live records. A degraded or failed store closes
+// without rewriting; a process that must exit at once calls Sync
+// instead. A failed rewrite leaves the segment as it was and is
+// returned once the segment is synced and closed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return s.errLocked()
+	}
+	var compactErr error
+	live := len(s.commits) + len(s.ckpts)
+	if superseded := s.lines - live; superseded > 0 && superseded >= live && s.fatal == nil && s.degradedErr == nil {
+		compactErr = s.rewriteLocked(true)
 	}
 	s.closed = true
 	close(s.stopc) // stops the degraded-mode probe loop, if running
@@ -750,5 +860,8 @@ func (s *Store) Close() error {
 		s.setFatal(err)
 	}
 	s.lock.Close() // releases the directory's single-writer flock
-	return s.errLocked()
+	if err := s.errLocked(); err != nil {
+		return err
+	}
+	return compactErr
 }

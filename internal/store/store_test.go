@@ -323,14 +323,18 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	} {
 		// The reference run writes its own store: its segment then holds
 		// one "ckpt" line per batch plus the final commit — the literal
-		// disk trail an interrupted run leaves behind.
+		// disk trail an interrupted run leaves behind. It is read after
+		// Sync, as a kill leaves it: a clean Close compacts the trail.
 		refDir := t.TempDir()
 		ref := openT(t, refDir, Options{})
 		rcfg := cfg
 		rcfg.Cache = ref
 		full := mustRun(t, rcfg, []sweep.Point{point("h")})[0]
-		ref.Close()
+		if err := ref.Sync(); err != nil {
+			t.Fatal(err)
+		}
 		lines := segmentLines(t, refDir)
+		ref.Close()
 		var ckpts []string
 		for _, ln := range lines {
 			if strings.Contains(ln, `"batch_rates"`) {
@@ -381,11 +385,11 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 }
 
 // segmentLines reads the store segment as its NDJSON lines.
-func segmentLines(t *testing.T, dir string) []string {
-	t.Helper()
+func segmentLines(tb testing.TB, dir string) []string {
+	tb.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, SegmentName))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
 }

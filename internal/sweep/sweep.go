@@ -20,6 +20,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"radqec/internal/control"
@@ -251,12 +252,17 @@ func (r Result) HalfWidth() float64 { return (r.CIHi - r.CILo) / 2 }
 // WorstCaseShots returns the fixed per-point shot count that guarantees
 // a Wilson 95% half-width of at most ci at any error rate. The width is
 // maximal at rate 1/2, where the Wilson interval is never wider than the
-// Wald interval, so the Wald worst case z²/(4·ci²) suffices.
+// Wald interval, so the Wald worst case z²/(4·ci²) suffices. A count
+// past float64's exact integers saturates at math.MaxInt.
 func WorstCaseShots(ci float64) int {
 	if ci <= 0 {
 		return 0
 	}
-	n := int(stats.Z95 * stats.Z95 / (4 * ci * ci))
+	wald := stats.Z95 * stats.Z95 / (4 * ci * ci)
+	if wald >= 1<<53 {
+		return math.MaxInt
+	}
+	n := int(wald)
 	if n < 1 {
 		n = 1
 	}
@@ -396,7 +402,8 @@ type Summary struct {
 	TotalShots int
 	// FixedShots is what the equivalent fixed campaign would have
 	// executed: MaxShots per point in adaptive mode, Shots per point in
-	// fixed mode (where the two are equal by construction).
+	// fixed mode (where the two are equal by construction). A sum past
+	// math.MaxInt saturates there.
 	FixedShots int
 	// Converged counts points that met the half-width target.
 	Converged int
@@ -410,6 +417,9 @@ func Summarize(cfg Config, results []Result) Summary {
 		perPoint = cfg.MaxShots
 	}
 	s := Summary{Points: len(results), FixedShots: perPoint * len(results)}
+	if len(results) > 0 && perPoint > math.MaxInt/len(results) {
+		s.FixedShots = math.MaxInt
+	}
 	for _, r := range results {
 		s.TotalShots += r.Shots
 		if r.Converged {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -163,6 +164,32 @@ func TestWorstCaseShots(t *testing.T) {
 	}
 	if WorstCaseShots(0) != 0 {
 		t.Fatal("WorstCaseShots(0) nonzero")
+	}
+	// Past float64's exact integers the count saturates instead of
+	// wrapping or stepping forever.
+	for _, ci := range []float64{1e-9, math.SmallestNonzeroFloat64} {
+		if n := WorstCaseShots(ci); n != math.MaxInt {
+			t.Fatalf("WorstCaseShots(%v) = %d, want math.MaxInt", ci, n)
+		}
+	}
+}
+
+// TestSummarizeSaturates: the fixed-equivalent count of 15 points at a
+// cap of math.MaxInt saturates at math.MaxInt instead of wrapping to a
+// count below the shots actually run.
+func TestSummarizeSaturates(t *testing.T) {
+	results := make([]Result, 15)
+	for i := range results {
+		results[i].Shots = 1024
+	}
+	for _, cfg := range []Config{
+		{Policy: Policy{CI: 0.01, MaxShots: math.MaxInt}},
+		{Policy: Policy{Shots: math.MaxInt / 2}},
+	} {
+		s := Summarize(cfg, results)
+		if s.FixedShots != math.MaxInt || s.TotalShots != 15*1024 {
+			t.Fatalf("%+v: Summarize = %+v, want FixedShots = math.MaxInt", cfg.Policy, s)
+		}
 	}
 }
 
