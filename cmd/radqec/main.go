@@ -277,8 +277,9 @@ func main() {
 		sig = <-sigc
 		flushOnce()
 		if resultStore != nil {
-			// Sync, not Close: exiting now must not wait on the
-			// rewrite a clean Close may run.
+			// Sync, not Close: a close-time rewrite that has not
+			// started is skipped. Sync takes the store's lock, so one
+			// already running finishes first.
 			if err := resultStore.Sync(); err != nil {
 				slog.Error("radqec: store sync failed", "error", err)
 			}

@@ -119,9 +119,8 @@ func main() {
 	// points keep checkpointing into the store), then close the store,
 	// which may compact it, so the directory is immediately reusable. A
 	// drain can take as long as the longest queued campaign, so a second
-	// signal is the escape hatch: sync the store and exit immediately,
-	// without the close-time rewrite, instead of forcing the operator to
-	// SIGKILL past the flush path.
+	// signal is the escape hatch: sync the store and exit immediately
+	// instead of forcing the operator to SIGKILL past the flush path.
 	done := make(chan error, 1)
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -136,8 +135,9 @@ func main() {
 		sig = <-sigc
 		log.Warn("radqecd: exiting now", "signal", sig.String())
 		if st != nil {
-			// Sync, not Close: exiting now must not wait on the rewrite
-			// a clean Close may run. In-flight appends finish first.
+			// Sync, not Close: a close-time rewrite that has not
+			// started is skipped. Sync takes the store's lock, so one
+			// already running finishes first, as do in-flight appends.
 			if err := st.Sync(); err != nil {
 				log.Error("radqecd: store sync failed", "error", err)
 			}

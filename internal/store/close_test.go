@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -243,6 +245,55 @@ func TestDegradedStoreClosesWithoutRewrite(t *testing.T) {
 	}
 	if string(after) != string(raw) {
 		t.Fatalf("degraded Close rewrote the segment: %d -> %d bytes", len(raw), len(after))
+	}
+}
+
+// TestFailedCloseRewriteStillCloses: a close-time rewrite that fails
+// before its rename (here the temp segment cannot be created, because
+// the directory moved away) is logged as a warning; Close still
+// succeeds, and the segment keeps every record it held.
+func TestFailedCloseRewriteStillCloses(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := openT(t, dir, Options{})
+	var want []sweep.CachedPoint
+	for i := 0; i < 3; i++ {
+		want = append(want, fillTrail(s, fmt.Sprintf("h%d", i), 4))
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, SegmentName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	moved := dir + ".moved"
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a failed rewrite = %v, want nil", err)
+	}
+	if !strings.Contains(logged.String(), "close-time compaction failed") {
+		t.Fatalf("failed rewrite not logged; log = %q", logged.String())
+	}
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, SegmentName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(raw) {
+		t.Fatalf("failed rewrite changed the segment: %d -> %d bytes", len(raw), len(after))
+	}
+	r := openT(t, dir, Options{})
+	for i, p := range want {
+		if got, ok := r.Lookup(fmt.Sprintf("h%d", i)); !ok || !reflect.DeepEqual(got, p) {
+			t.Fatalf("Lookup(h%d) = %+v, %v; want %+v", i, got, ok, p)
+		}
 	}
 }
 

@@ -17,11 +17,13 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -74,74 +76,34 @@ const replayBuffer = 64 << 10
 // amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// lineEncoder writes records as checksummed segment lines into buffers
-// it reuses: the bytes json.Marshal writes for the record in its
-// envelope. A record whose strings are plain ASCII and whose point
-// carries no legacy batch_rates, which is every record the sweep
-// writes, is formatted directly; any other goes through json.Marshal.
-// A clean Close rewrites every live record through it, so a rewrite
-// allocates nothing per record.
-type lineEncoder struct{ body, line []byte }
+// lineEncoder frames records as checksummed segment lines,
+// `{"crc":C,"rec":R}` with R what json.Marshal writes for the record.
+// The record goes through one json.Encoder into a reused buffer and the
+// envelope is framed by hand, so the encoder allocates nothing per
+// line: a close-time rewrite of every live record adds no garbage to
+// the heap.
+type lineEncoder struct {
+	body bytes.Buffer
+	enc  *json.Encoder // writes into body
+	line []byte
+}
 
 // encode returns rec's line, valid until the next call.
-func (e *lineEncoder) encode(rec record) ([]byte, error) {
-	var err error
-	if e.body, err = appendRecordJSON(e.body[:0], rec); err != nil {
+func (e *lineEncoder) encode(rec *record) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.body)
+	}
+	e.body.Reset()
+	if err := e.enc.Encode(rec); err != nil {
 		return nil, err
 	}
+	body := bytes.TrimSuffix(e.body.Bytes(), []byte{'\n'}) // Encode ends the value with one
 	e.line = append(e.line[:0], `{"crc":`...)
-	e.line = strconv.AppendUint(e.line, uint64(crc32.Checksum(e.body, castagnoli)), 10)
+	e.line = strconv.AppendUint(e.line, uint64(crc32.Checksum(body, castagnoli)), 10)
 	e.line = append(e.line, `,"rec":`...)
-	e.line = append(e.line, e.body...)
+	e.line = append(e.line, body...)
 	e.line = append(e.line, "}\n"...)
 	return e.line, nil
-}
-
-// appendRecordJSON appends json.Marshal(rec) to dst.
-func appendRecordJSON(dst []byte, rec record) ([]byte, error) {
-	p := rec.Point
-	if !plainJSON(rec.Kind) || !plainJSON(rec.Hash) || p != nil && (!plainJSON(p.Key) || len(p.BatchRates) > 0) {
-		body, err := json.Marshal(rec)
-		return append(dst, body...), err
-	}
-	dst = append(dst, `{"kind":"`...)
-	dst = append(dst, rec.Kind...)
-	dst = append(dst, `","hash":"`...)
-	dst = append(dst, rec.Hash...)
-	dst = append(dst, '"')
-	if p != nil {
-		dst = append(dst, `,"point":{`...)
-		if p.Key != "" {
-			dst = append(dst, `"key":"`...)
-			dst = append(dst, p.Key...)
-			dst = append(dst, `",`...)
-		}
-		dst = append(dst, `"shots":`...)
-		dst = strconv.AppendInt(dst, int64(p.Shots), 10)
-		dst = append(dst, `,"errors":`...)
-		dst = strconv.AppendInt(dst, int64(p.Errors), 10)
-		if p.Batches != 0 {
-			dst = append(dst, `,"batches":`...)
-			dst = strconv.AppendInt(dst, int64(p.Batches), 10)
-		}
-		if p.Converged {
-			dst = append(dst, `,"converged":true`...)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, '}'), nil
-}
-
-// plainJSON reports whether json.Marshal writes s unchanged between its
-// quotes: printable ASCII other than the quote, the backslash and the
-// three characters it escapes for HTML.
-func plainJSON(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
 }
 
 // decodeLine validates one segment line against its envelope's
@@ -242,8 +204,6 @@ type Store struct {
 	probing     bool
 	stopc       chan struct{}
 
-	enc lineEncoder // formats every appended line
-
 	// commits holds the latest committed point per hash. Each one
 	// passed replay's CRC check or arrived through Commit.
 	commits map[string]*commitEntry
@@ -253,6 +213,7 @@ type Store struct {
 	// replay read plus every line appended or rewritten since. Those
 	// beyond len(commits)+len(ckpts) are superseded.
 	lines int
+	enc   lineEncoder // frames every appended line
 
 	hits, misses        int64
 	quarantined         int
@@ -435,7 +396,7 @@ func (s *Store) append(rec record) bool {
 	if s.fatal != nil || s.degradedErr != nil {
 		return false
 	}
-	line, err := s.enc.encode(rec)
+	line, err := s.enc.encode(&rec)
 	if err != nil {
 		s.setFatal(err)
 		return false
@@ -682,18 +643,18 @@ func (s *Store) rewriteLocked(live bool) error {
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	sw := segmentWriter{w: bufio.NewWriter(tmp)}
 	if live {
-		// One point for every record: a point per record would be a
-		// heap allocation per record.
+		// One record and one point, reused: the rewrite holds a single
+		// line at a time, however large the store.
 		var p sweep.CachedPoint
 		rec := record{Kind: "commit", Point: &p}
 		for _, rec.Hash = range sortedKeys(s.commits) {
 			p = s.commits[rec.Hash].point()
-			sw.write(rec)
+			sw.write(&rec)
 		}
 		rec.Kind = "ckpt"
 		for _, rec.Hash = range sortedKeys(s.ckpts) {
 			p = s.ckpts[rec.Hash]
-			sw.write(rec)
+			sw.write(&rec)
 		}
 	}
 	if sw.err == nil {
@@ -742,7 +703,7 @@ type segmentWriter struct {
 	err   error
 }
 
-func (sw *segmentWriter) write(rec record) {
+func (sw *segmentWriter) write(rec *record) {
 	if sw.err != nil {
 		return
 	}
@@ -838,18 +799,21 @@ func (s *Store) Sync() error {
 // records as live ones is compacted first (see Compact), so the next
 // Open replays only live records. A degraded or failed store closes
 // without rewriting; a process that must exit at once calls Sync
-// instead. A failed rewrite leaves the segment as it was and is
-// returned once the segment is synced and closed.
+// instead. The rewrite is an optimisation: one that fails before its
+// rename leaves the segment whole, so it is logged as a warning and
+// Close still succeeds. Only a failure after the rename, which leaves
+// the store fatal, is returned.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return s.errLocked()
 	}
-	var compactErr error
 	live := len(s.commits) + len(s.ckpts)
 	if superseded := s.lines - live; superseded > 0 && superseded >= live && s.fatal == nil && s.degradedErr == nil {
-		compactErr = s.rewriteLocked(true)
+		if err := s.rewriteLocked(true); err != nil && s.fatal == nil {
+			slog.Warn("store: close-time compaction failed; the segment keeps its superseded records", "dir", s.dir, "error", err)
+		}
 	}
 	s.closed = true
 	close(s.stopc) // stops the degraded-mode probe loop, if running
@@ -860,8 +824,5 @@ func (s *Store) Close() error {
 		s.setFatal(err)
 	}
 	s.lock.Close() // releases the directory's single-writer flock
-	if err := s.errLocked(); err != nil {
-		return err
-	}
-	return compactErr
+	return s.errLocked()
 }
