@@ -86,6 +86,10 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 		{"fig7", Fig7, EngineBatch, 0, "56b195874dff391e19dfdd6890ae4cc6e1329dc2e3b57476ca4fc360e90a8b3e"},
 		{"fig8", Fig8, EngineBatch, 512, "5864a79fbc80a01913e56d4e1befae00b975ee1155772f09674ff272f1a3a7d0"},
 		{"threshold", Threshold, EngineBatch, 0, "45d692233dd88421aa73901ff8f6b7fa767fcb1db0b403a788af672bfde0901b"},
+		// Recorded at b2def25, while the logical layer still ran its
+		// shots in a loop of its own outside the sweep.
+		{"logical", LogicalLayer, EngineBatch, 0, "bdf7b4e13066ce829fc3784c4be0aeced4729d0ff73e4ddcb661628bdda9100e"},
+		{"logical/tableau", LogicalLayer, EngineTableau, 0, "21169513982a3401b6a97a3f504648e2f8c4368ab1aa6892b3a08d27c0d7f2c1"},
 	}
 	check := func(g golden, pass string) {
 		if raceEnabled && g.engine != EngineBatch {
