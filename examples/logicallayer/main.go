@@ -35,31 +35,27 @@ func main() {
 	fmt.Printf("patch model from physical campaign: impact %.2f%%, residual %.3f%%\n\n",
 		100*impact, 100*residual)
 
-	// Step 2: run the logical GHZ workload with that model.
-	inj, err := logical.NewInjector(logical.PatchModel{
-		LogicalErrorAtImpact: impact,
-		IdleError:            residual,
-	})
+	// Step 2: run the logical GHZ workload with that model, once with no
+	// strike and once per struck patch.
+	inj, err := logical.NewInjector(logical.PatchModel{LogicalErrorAtImpact: impact, IdleError: residual})
 	if err != nil {
 		log.Fatal(err)
 	}
 	const patches = 5
 	ghz := logical.GHZCircuit(patches)
-	camp := &logical.Campaign{Injector: inj, Circuit: ghz, Accept: logical.GHZAccept}
+	failure := func(in *logical.Injector) float64 {
+		camp := &logical.Campaign{Injector: in, Circuit: ghz, Accept: logical.GHZAccept}
+		shots, failures := camp.RunFrom(7, 0, 4000)
+		return float64(failures) / float64(shots)
+	}
 
-	inj.SetStrike(nil, 0)
-	fmt.Printf("no strike:          GHZ failure %.2f%%\n", 100*camp.Run(7, 4000))
+	fmt.Printf("no strike:          GHZ failure %.2f%%\n", 100*failure(inj))
 	for struck := 0; struck < patches; struck++ {
 		dist := make([]int, patches)
 		for q := range dist {
-			if q > struck {
-				dist[q] = q - struck
-			} else {
-				dist[q] = struck - q
-			}
+			dist[q] = max(q-struck, struck-q)
 		}
-		inj.SetStrike(dist, 1.0)
-		fmt.Printf("strike on patch %d:  GHZ failure %.2f%%\n", struck, 100*camp.Run(7, 4000))
+		fmt.Printf("strike on patch %d:  GHZ failure %.2f%%\n", struck, 100*failure(inj.Struck(dist)))
 	}
 	fmt.Println("\nA strike on any patch of the logical program is catastrophic for")
 	fmt.Println("entangled workloads: the logical layer inherits the physical layer's")

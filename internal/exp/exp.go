@@ -482,6 +482,13 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 		tel.SetEngine(specs[0].engineFor(cfg.Engine))
 		tel.AddPlan(time.Since(t0))
 	}
+	return runPoints(cfg, points)
+}
+
+// runPoints runs sweep points under the campaign's context, policy and
+// mechanism, returning per-point results in input order. It is the one
+// place an experiment's shots run.
+func runPoints(cfg Config, points []sweep.Point) []sweep.Result {
 	results, err := sweep.Run(cfg.context(), cfg.sweepConfig(), points)
 	if err != nil {
 		// The figure builders compose tables through plain value

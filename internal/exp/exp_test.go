@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -122,6 +124,36 @@ func TestRunValidatesConfig(t *testing.T) {
 	e, _ := Find("fig5")
 	if _, err := e.Run(Config{P: 2}); err == nil || !strings.HasPrefix(err.Error(), "p ") {
 		t.Fatalf("fig5 at p=2: err %v, want an error naming p", err)
+	}
+}
+
+// TestCancelStopsEveryExperiment: every experiment with a sweep stops
+// at the batch boundary after its Context is cancelled and reports the
+// cancellation, wherever its shots run — the logical layer's included.
+// fig3 and fig4 are analytic: they run no point and finish.
+func TestCancelStopsEveryExperiment(t *testing.T) {
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			points := 0
+			cfg := Config{Shots: 512, Seed: 1, Workers: 1, Context: ctx}
+			cfg.OnPoint = func(sweep.Result) {
+				if points++; points == 3 {
+					cancel()
+				}
+			}
+			tab, err := e.Run(cfg)
+			if e.Name == "fig3" || e.Name == "fig4" {
+				if err != nil || points != 0 {
+					t.Fatalf("analytic figure: %d points, err %v", points, err)
+				}
+				return
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled at the third of %d completed points: table %v, err %v, want context.Canceled", points, tab != nil, err)
+			}
+		})
 	}
 }
 

@@ -58,40 +58,3 @@ func Threshold(cfg Config) (*Table, error) {
 	noteAdaptive(t, cfg, results)
 	return t, nil
 }
-
-// LogicalLayer estimates how post-QEC logical error rates propagate into
-// a logical program, the paper's future-work direction (Section VI): a
-// five-patch logical GHZ preparation is run with per-patch error rates
-// extracted from a physical-level strike campaign on the XXZZ-(3,3)
-// code, with the strike spreading across the patch adjacency graph.
-func LogicalLayer(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
-	t := &Table{
-		Title:  "Extension: post-QEC logical-layer fault injection (paper future work)",
-		Header: []string{"workload", "struck_patch", "failure_rate", "no_strike_baseline"},
-	}
-	// Extract the physical-level impact error of one patch.
-	code, err := cfg.xxzz(3, 3)
-	if err != nil {
-		return nil, err
-	}
-	p, err := prepare(code, arch.Mesh(5, 4))
-	if err != nil {
-		return nil, err
-	}
-	results := runSpecs(cfg, []pointSpec{
-		p.spec("logical/impact", cfg, p.strikeAt(Fig5Root, 1.0, true), cfg.Seed),
-		p.spec("logical/residual", cfg, noise.NoRadiation(p.tr.Circuit.NumQubits), cfg.Seed+1),
-	})
-	impact, residual := results[0].Rate(), results[1].Rate()
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"patch model from xxzz-(3,3) campaign: impact error %s, residual %s",
-		pct(impact), pct(residual)))
-	rows, err := logicalLayerRows(cfg, impact, residual)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	noteAdaptive(t, cfg, results)
-	return t, nil
-}

@@ -15,6 +15,7 @@ package logical
 
 import (
 	"fmt"
+	"slices"
 
 	"radqec/internal/circuit"
 	"radqec/internal/noise"
@@ -34,29 +35,30 @@ type PatchModel struct {
 	IdleError float64
 }
 
-// Validate checks the model's probabilities.
+// Validate checks the model's probabilities, so that NaN fails too: a
+// NaN rate would otherwise act as 0, since rng.Bool(NaN) never fires.
 func (m PatchModel) Validate() error {
-	if m.LogicalErrorAtImpact < 0 || m.LogicalErrorAtImpact > 1 {
+	if !(m.LogicalErrorAtImpact >= 0 && m.LogicalErrorAtImpact <= 1) {
 		return fmt.Errorf("logical: impact error %v outside [0,1]", m.LogicalErrorAtImpact)
 	}
-	if m.IdleError < 0 || m.IdleError > 1 {
+	if !(m.IdleError >= 0 && m.IdleError <= 1) {
 		return fmt.Errorf("logical: idle error %v outside [0,1]", m.IdleError)
 	}
 	return nil
 }
 
-// Injector runs logical circuits where each logical qubit is a
-// surface-code patch subject to post-QEC residual errors and radiation
-// strikes that spread across the patch adjacency graph.
+// Injector is one logical fault process: post-QEC residual errors on
+// every patch and, when struck, a radiation event spreading across the
+// patch adjacency graph. It never changes, so campaigns may share one.
 type Injector struct {
 	model PatchModel
 	// patchDist[q] is the patch-graph distance from the struck patch to
-	// patch q (-1 when no strike is active or unreachable).
+	// patch q (-1 when unreachable); nil when no strike is armed.
 	patchDist []int
-	rootProb  float64
 }
 
-// NewInjector builds an injector for the given per-patch model.
+// NewInjector builds the fault process of a per-patch model, with no
+// strike.
 func NewInjector(model PatchModel) (*Injector, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -64,53 +66,25 @@ func NewInjector(model PatchModel) (*Injector, error) {
 	return &Injector{model: model}, nil
 }
 
-// SetStrike arms a radiation strike: dist[q] is the patch-adjacency
-// distance from the struck patch to logical qubit q, and rootProb scales
-// the event (1.0 at the moment of impact). Pass nil to disarm.
-func (in *Injector) SetStrike(dist []int, rootProb float64) {
-	in.patchDist = dist
-	in.rootProb = rootProb
+// Struck returns the injector's model under a strike at the moment of
+// impact: dist[q] is the patch-adjacency distance from the struck patch
+// to logical qubit q. The receiver is unchanged.
+func (in *Injector) Struck(dist []int) *Injector {
+	return &Injector{model: in.model, patchDist: slices.Clone(dist)}
 }
 
 // flipProb returns the logical X probability applied to logical qubit q
 // after one logical operation.
 func (in *Injector) flipProb(q int) float64 {
 	p := in.model.IdleError
-	if in.patchDist != nil && q < len(in.patchDist) && in.patchDist[q] >= 0 {
-		p += in.rootProb * in.model.LogicalErrorAtImpact * noise.Spatial(in.patchDist[q])
+	if q < len(in.patchDist) && in.patchDist[q] >= 0 {
+		p += in.model.LogicalErrorAtImpact * noise.Spatial(in.patchDist[q])
 	}
-	if p > 1 {
-		p = 1
-	}
-	return p
+	return min(p, 1)
 }
 
-// Run executes the logical circuit once, injecting logical X flips after
-// each operation, and returns the classical record.
-func (in *Injector) Run(c *circuit.Circuit, src *rng.Source) []int {
-	tab := stab.New(c.NumQubits)
-	bits := make([]int, c.NumClbits)
-	for _, op := range c.Ops {
-		switch op.Kind {
-		case circuit.KindMeasure:
-			bits[op.Clbit] = tab.MeasureZ(op.Qubits[0], src)
-		case circuit.KindReset:
-			tab.Reset(op.Qubits[0], src)
-		case circuit.KindBarrier:
-			continue
-		default:
-			tab.Apply(op)
-		}
-		for _, q := range op.Qubits {
-			if src.Bool(in.flipProb(q)) {
-				tab.X(q)
-			}
-		}
-	}
-	return bits
-}
-
-// Campaign estimates how often a logical circuit's output survives.
+// Campaign estimates how often a logical circuit's output survives one
+// fault process.
 type Campaign struct {
 	// Injector supplies the logical fault process.
 	Injector *Injector
@@ -120,20 +94,43 @@ type Campaign struct {
 	Accept func(bits []int) bool
 }
 
-// Run executes shots and returns the failure rate.
-func (c *Campaign) Run(seed uint64, shots int) float64 {
-	if shots <= 0 {
-		return 0
-	}
+// RunFrom runs shots [start, start+shots) of the campaign at seed on the
+// calling goroutine, one tableau and one record per call, injecting
+// logical X flips after each operation; it returns the shots run and the
+// records Accept rejected. Shot i draws from split(seed, i) alone: the
+// sweep.BatchRunner range contract.
+func (c *Campaign) RunFrom(seed uint64, start, shots int) (int, int) {
 	master := rng.New(seed)
+	var src rng.Source
+	tab := stab.New(c.Circuit.NumQubits)
+	bits := make([]int, c.Circuit.NumClbits)
 	failures := 0
-	for s := 0; s < shots; s++ {
-		bits := c.Injector.Run(c.Circuit, master.Split(uint64(s)))
+	for s := start; s < start+shots; s++ {
+		master.SplitInto(uint64(s), &src)
+		tab.ResetState()
+		clear(bits)
+		for _, op := range c.Circuit.Ops {
+			switch op.Kind {
+			case circuit.KindMeasure:
+				bits[op.Clbit] = tab.MeasureZ(op.Qubits[0], &src)
+			case circuit.KindReset:
+				tab.Reset(op.Qubits[0], &src)
+			case circuit.KindBarrier:
+				continue
+			default:
+				tab.Apply(op)
+			}
+			for _, q := range op.Qubits {
+				if src.Bool(c.Injector.flipProb(q)) {
+					tab.X(q)
+				}
+			}
+		}
 		if !c.Accept(bits) {
 			failures++
 		}
 	}
-	return float64(failures) / float64(shots)
+	return max(shots, 0), failures
 }
 
 // GHZCircuit prepares an n-qubit logical GHZ state and measures every

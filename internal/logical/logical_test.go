@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"radqec/internal/rng"
+	"radqec/internal/circuit"
 )
 
 func TestPatchModelValidate(t *testing.T) {
@@ -17,6 +17,13 @@ func TestPatchModelValidate(t *testing.T) {
 	if err := (PatchModel{IdleError: -0.1}).Validate(); err == nil {
 		t.Fatal("bad idle error accepted")
 	}
+	// rng.Bool(NaN) never fires, so a NaN rate would silently act as 0.
+	if err := (PatchModel{LogicalErrorAtImpact: math.NaN()}).Validate(); err == nil {
+		t.Fatal("NaN impact error accepted")
+	}
+	if err := (PatchModel{IdleError: math.NaN()}).Validate(); err == nil {
+		t.Fatal("NaN idle error accepted")
+	}
 }
 
 func TestNewInjectorRejectsBadModel(t *testing.T) {
@@ -25,17 +32,27 @@ func TestNewInjectorRejectsBadModel(t *testing.T) {
 	}
 }
 
-func TestGHZCleanRun(t *testing.T) {
-	in, err := NewInjector(PatchModel{})
+// campaign builds a campaign of circ under model, struck at dist (nil:
+// no strike).
+func campaign(t *testing.T, model PatchModel, dist []int, circ *circuit.Circuit, accept func([]int) bool) *Campaign {
+	t.Helper()
+	in, err := NewInjector(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := GHZCircuit(5)
-	for seed := uint64(0); seed < 100; seed++ {
-		bits := in.Run(c, rng.New(seed))
-		if !GHZAccept(bits) {
-			t.Fatalf("clean GHZ rejected: %v", bits)
-		}
+	return &Campaign{Injector: in.Struck(dist), Circuit: circ, Accept: accept}
+}
+
+// rate runs shots [0, shots) of a campaign and returns its failure rate.
+func rate(c *Campaign, seed uint64, shots int) float64 {
+	n, failures := c.RunFrom(seed, 0, shots)
+	return float64(failures) / float64(n)
+}
+
+func TestGHZCleanRun(t *testing.T) {
+	camp := campaign(t, PatchModel{}, nil, GHZCircuit(5), GHZAccept)
+	if shots, failures := camp.RunFrom(0, 0, 100); shots != 100 || failures != 0 {
+		t.Fatalf("clean GHZ: %d of %d shots rejected", failures, shots)
 	}
 }
 
@@ -49,45 +66,28 @@ func TestGHZAccept(t *testing.T) {
 }
 
 func TestTeleportCleanRun(t *testing.T) {
-	in, err := NewInjector(PatchModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := TeleportCircuit()
-	for seed := uint64(0); seed < 200; seed++ {
-		bits := in.Run(c, rng.New(seed))
-		if !TeleportAccept(bits) {
-			t.Fatalf("clean teleport failed: %v", bits)
-		}
+	camp := campaign(t, PatchModel{}, nil, TeleportCircuit(), TeleportAccept)
+	if shots, failures := camp.RunFrom(0, 0, 200); shots != 200 || failures != 0 {
+		t.Fatalf("clean teleport: %d of %d shots failed", failures, shots)
 	}
 }
 
 func TestIdleErrorDegradesGHZ(t *testing.T) {
-	in, err := NewInjector(PatchModel{IdleError: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp := &Campaign{Injector: in, Circuit: GHZCircuit(5), Accept: GHZAccept}
-	rate := camp.Run(1, 2000)
-	if rate == 0 {
+	camp := campaign(t, PatchModel{IdleError: 0.05}, nil, GHZCircuit(5), GHZAccept)
+	r := rate(camp, 1, 2000)
+	if r == 0 {
 		t.Fatal("idle error produced no failures")
 	}
-	if rate > 0.9 {
-		t.Fatalf("idle error rate implausibly high: %v", rate)
+	if r > 0.9 {
+		t.Fatalf("idle error rate implausibly high: %v", r)
 	}
 }
 
 func TestStrikeSpreadsAcrossPatches(t *testing.T) {
-	in, err := NewInjector(PatchModel{LogicalErrorAtImpact: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := PatchModel{LogicalErrorAtImpact: 0.5}
 	// Linear patch layout: strike patch 0 of 5.
-	in.SetStrike([]int{0, 1, 2, 3, 4}, 1.0)
-	camp := &Campaign{Injector: in, Circuit: GHZCircuit(5), Accept: GHZAccept}
-	struck := camp.Run(2, 2000)
-	in.SetStrike(nil, 0)
-	clean := camp.Run(2, 2000)
+	struck := rate(campaign(t, model, []int{0, 1, 2, 3, 4}, GHZCircuit(5), GHZAccept), 2, 2000)
+	clean := rate(campaign(t, model, nil, GHZCircuit(5), GHZAccept), 2, 2000)
 	if struck <= clean {
 		t.Fatalf("strike did not degrade: struck %v vs clean %v", struck, clean)
 	}
@@ -95,17 +95,8 @@ func TestStrikeSpreadsAcrossPatches(t *testing.T) {
 
 func TestStrikeDecaysWithDistance(t *testing.T) {
 	model := PatchModel{LogicalErrorAtImpact: 0.6}
-	rate := func(dist []int) float64 {
-		in, err := NewInjector(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.SetStrike(dist, 1.0)
-		camp := &Campaign{Injector: in, Circuit: GHZCircuit(3), Accept: GHZAccept}
-		return camp.Run(5, 3000)
-	}
-	near := rate([]int{0, 1, 2})
-	far := rate([]int{5, 6, 7})
+	near := rate(campaign(t, model, []int{0, 1, 2}, GHZCircuit(3), GHZAccept), 5, 3000)
+	far := rate(campaign(t, model, []int{5, 6, 7}, GHZCircuit(3), GHZAccept), 5, 3000)
 	if far >= near {
 		t.Fatalf("distant strike (%v) not milder than direct hit (%v)", far, near)
 	}
@@ -116,7 +107,7 @@ func TestFlipProbClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.SetStrike([]int{0}, 1.0)
+	in = in.Struck([]int{0})
 	if p := in.flipProb(0); p != 1 {
 		t.Fatalf("flip prob = %v, want clamped 1", p)
 	}
@@ -126,21 +117,57 @@ func TestFlipProbClamping(t *testing.T) {
 	}
 }
 
+// TestStruckLeavesTheInjectorAlone: Struck neither arms its receiver
+// nor keeps the caller's distances, so points built from one injector
+// share nothing that changes.
+func TestStruckLeavesTheInjectorAlone(t *testing.T) {
+	in, err := NewInjector(PatchModel{LogicalErrorAtImpact: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := []int{0}
+	struck := in.Struck(dist)
+	before := struck.flipProb(0)
+	dist[0] = 9
+	if p := struck.flipProb(0); p != before || p != 0.5 {
+		t.Fatalf("struck flip prob %v, then %v once the caller's distances changed; want 0.5", before, p)
+	}
+	if p := in.flipProb(0); p != 0 {
+		t.Fatalf("Struck armed its receiver: flip prob %v", p)
+	}
+}
+
 func TestCampaignZeroShots(t *testing.T) {
-	in, _ := NewInjector(PatchModel{})
-	camp := &Campaign{Injector: in, Circuit: GHZCircuit(2), Accept: GHZAccept}
-	if rate := camp.Run(1, 0); rate != 0 {
-		t.Fatalf("zero-shot rate = %v", rate)
+	camp := campaign(t, PatchModel{}, nil, GHZCircuit(2), GHZAccept)
+	if shots, failures := camp.RunFrom(1, 0, 0); shots != 0 || failures != 0 {
+		t.Fatalf("zero-shot run = %d shots, %d failures", shots, failures)
 	}
 }
 
 func TestCampaignDeterministic(t *testing.T) {
 	mk := func() float64 {
-		in, _ := NewInjector(PatchModel{IdleError: 0.02})
-		camp := &Campaign{Injector: in, Circuit: GHZCircuit(4), Accept: GHZAccept}
-		return camp.Run(42, 500)
+		return rate(campaign(t, PatchModel{IdleError: 0.02}, nil, GHZCircuit(4), GHZAccept), 42, 500)
 	}
 	if mk() != mk() {
 		t.Fatal("logical campaign not deterministic")
+	}
+}
+
+// TestRunFromPartitionsMatchRun: shots [0, a) plus [a, n) count exactly
+// what [0, n) counts, at every cut — the range contract the sweep's
+// batches rely on.
+func TestRunFromPartitionsMatchRun(t *testing.T) {
+	camp := campaign(t, PatchModel{LogicalErrorAtImpact: 0.4, IdleError: 0.03}, []int{1, 0, 1, 2, 3}, GHZCircuit(5), GHZAccept)
+	const n = 700
+	shots, failures := camp.RunFrom(9, 0, n)
+	if shots != n || failures == 0 {
+		t.Fatalf("whole run: %d failures in %d shots", failures, shots)
+	}
+	for _, a := range []int{1, 63, 64, 350, 699} {
+		s1, f1 := camp.RunFrom(9, 0, a)
+		s2, f2 := camp.RunFrom(9, a, n-a)
+		if s1+s2 != shots || f1+f2 != failures {
+			t.Fatalf("cut at %d: %d+%d failures in %d+%d shots, whole run %d in %d", a, f1, f2, s1, s2, failures, shots)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,6 +198,58 @@ func TestChaosCancelledShotsCountOnce(t *testing.T) {
 	}
 	if delta := points() - pointsBefore; delta != 160 {
 		t.Fatalf("resubmission moved points computed + cached by %d, want 160", delta)
+	}
+}
+
+// TestChaosLogicalLayerRunsInThePool: the logical experiment's layer
+// runs as sweep points like every other experiment's shots. A DELETE
+// that lands while a logical-layer point is running ends the stream
+// with a cancelled error record and no table, and counts one
+// cancellation; a completed default campaign counts all 14 of its
+// points (2 physical, 12 logical) and their 28 000 shots.
+func TestChaosLogicalLayerRunsInThePool(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	cl := client.New(ts.URL, ts.Client())
+	stream := startCampaign(t, ts, CampaignRequest{Experiment: "logical", Shots: 1 << 18, Seed: seed(3)}, true)
+	follow, err := cl.Signals(context.Background(), stream.ID, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ran := false; !ran; {
+		rec, err := follow.Next()
+		if err != nil {
+			t.Fatalf("campaign ended before a logical-layer turn: %v", err)
+		}
+		ran = rec.Signal != nil && rec.Signal.Event == "" && rec.Signal.Shots > 0 && strings.Contains(rec.Signal.Key, "/struck")
+	}
+	follow.Close()
+	if err := cl.Cancel(context.Background(), stream.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	recs := drainStream(t, stream)
+	for _, rec := range recs[:len(recs)-1] {
+		if rec.Table != nil {
+			t.Fatal("cancelled logical campaign streamed its table")
+		}
+	}
+	if last := recs[len(recs)-1]; last.Err == nil || !last.Err.Cancelled {
+		t.Fatalf("cancelled stream ended with %+v, want a cancelled error record", last)
+	}
+	if got := metricValue(t, ts, "campaigns_cancelled_total"); got != 1 {
+		t.Fatalf("campaigns_cancelled_total = %v, want 1", got)
+	}
+
+	pointsBefore := metricValue(t, ts, "points_computed_total")
+	shotsBefore := metricValue(t, ts, "shots_computed_total")
+	points, _ := submit(t, ts, CampaignRequest{Experiment: "logical", Seed: seed(3)})
+	if len(points) != 14 {
+		t.Fatalf("default logical campaign streamed %d point records, want 14", len(points))
+	}
+	if d := metricValue(t, ts, "points_computed_total") - pointsBefore; d != 14 {
+		t.Fatalf("default logical campaign moved points_computed_total by %v, want 14", d)
+	}
+	if d := metricValue(t, ts, "shots_computed_total") - shotsBefore; d != 28000 {
+		t.Fatalf("default logical campaign moved shots_computed_total by %v, want 28000", d)
 	}
 }
 

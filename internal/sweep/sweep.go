@@ -9,9 +9,10 @@
 // Determinism contract: a point's BatchRunner must draw shot i of its
 // campaign from RNG streams fixed by the seed and i alone, so any
 // partition of the shots into batches merges to one run. The engines'
-// RunFrom honours it: inject.Campaign.RunFrom maps shot i to
-// split(seed, i), frame.BatchCampaign.RunFrom to lane i%64 of word i/64
-// on that word's own stream. Batch boundaries are pure functions of the
+// RunFrom honours it: inject.Campaign.RunFrom and
+// logical.Campaign.RunFrom map shot i to split(seed, i),
+// frame.BatchCampaign.RunFrom to lane i%64 of word i/64 on that word's
+// own stream. Batch boundaries are pure functions of the
 // observed counts, and points never share random state, so a sweep's
 // per-point shot streams and rates are identical for any Workers
 // setting.
