@@ -43,7 +43,7 @@
 //	-stats       print a per-experiment telemetry summary to stderr:
 //	             shots/s, chunk/batch counts, set-up vs run time and the
 //	             decode share of run, cache traffic, allocation and the
-//	             engine-routing decision
+//	             engines the points ran on
 //	-trace-out F   record distributed-trace spans for the run and write
 //	             them to F as NDJSON (one span per line, the
 //	             /v1/campaigns/{id}/trace record shape); tracing never
@@ -107,8 +107,8 @@ func main() {
 	workers := flag.Int("workers", 0, "points run concurrently (0 = GOMAXPROCS)")
 	p := flag.Float64("p", def.P, "intrinsic physical error rate (0 < p <= 1)")
 	ns := flag.Int("ns", def.NS, "temporal samples of the fault decay")
-	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
+	engine := flag.String("engine", def.Engine, "simulation engine: batch or tableau")
+	decoder := flag.String("decoder", def.Decoder, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", def.Rounds, "stabilization rounds per code (>= 2; >2 opens the multi-round memory workload)")
 	ci := flag.Float64("ci", 0, "target Wilson 95% half-width per point (>0 enables adaptive shots)")
 	maxShots := flag.Int("maxshots", 0, "adaptive per-point shot cap (0 = worst-case count for -ci)")
@@ -164,6 +164,8 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		usageError("-" + err.Error())
 	}
+	// Past Validate only an empty -engine or -decoder is unset.
+	cfg = cfg.Defaults()
 	if _, err := logsetup.Init(os.Stderr, *logFormat, *logLevel); err != nil {
 		usageError(err.Error())
 	}
@@ -294,11 +296,11 @@ func main() {
 	// sites (collapsed-branch coin; see package frame); say so once on
 	// stderr — only when a selected experiment actually enters that
 	// domain — so default-flag reproduction runs know the exact oracle.
-	if *engine != exp.EngineTableau {
+	if cfg.Engine == exp.EngineBatch {
 		for _, e := range selected {
 			if e.XXZZRad {
 				slog.Warn("radqec: radiation resets on superposed XXZZ sites use the collapsed-branch approximation; -engine tableau is the exact oracle",
-					"engine", *engine)
+					"engine", cfg.Engine)
 				break
 			}
 		}
@@ -369,7 +371,7 @@ func main() {
 // it and the decoder's share of their run time, batch counts, cache
 // traffic, the plan time spent before the sweeps' first turns (building
 // and addressing the points — what a warm -store run costs) and the
-// engine the points ran on. before and after are the process's registry
+// engines the points ran on. before and after are the process's registry
 // counters around the experiment: the matcher calls, their defects and
 // the triggered lanes are this experiment's own, the memo entries what
 // every experiment so far has left behind.

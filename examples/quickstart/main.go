@@ -4,10 +4,9 @@
 //
 // The simulator is the experiment layer's façade: the code and its
 // routed circuit come from the same registry the radqec CLI uses, and
-// engine and decoder selection go through the same resolution policy
-// (core.ResolveEngine / core.ResolveDecoder), so the default run rides
-// the bit-parallel batch engine exactly like the CLI does; -engine
-// tableau runs the exact oracle.
+// empty engine and decoder names take the same exp.Config.Defaults, so
+// the default run rides the bit-parallel batch engine exactly like the
+// CLI does; -engine tableau runs the exact oracle.
 package main
 
 import (
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"log"
 
-	"radqec/internal/core"
 	"radqec/internal/exp"
 	"radqec/internal/stats"
 )
@@ -26,19 +24,19 @@ func main() {
 	rounds := flag.Int("rounds", 2, "stabilization rounds (>= 2)")
 	flag.Parse()
 
-	sim, err := exp.NewSimulator(exp.Config{
+	cfg := exp.Config{
 		Shots:   2000,
 		Seed:    1,
 		Rounds:  *rounds,
 		Engine:  *engine,
 		Decoder: *decoder,
-	}, exp.FamilyRepetition, 5, 1, "mesh")
+	}.Defaults()
+	sim, err := exp.NewSimulator(cfg, exp.FamilyRepetition, 5, 1, "mesh")
 	if err != nil {
 		log.Fatal(err)
 	}
-	resolved, _ := core.ResolveEngine(*engine) // NewSimulator accepted the name
 	fmt.Println("code:", sim.Code())
-	fmt.Printf("engine: %s (resolved from %q), decoder: %s\n", resolved, *engine, *decoder)
+	fmt.Printf("engine: %s (resolved from %q), decoder: %s\n", cfg.Engine, *engine, cfg.Decoder)
 	fmt.Println("device qubits:", sim.NumPhysicalQubits(),
 		"routing SWAPs:", sim.Transpiled().SwapCount)
 

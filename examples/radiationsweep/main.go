@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"radqec/internal/core"
 	"radqec/internal/exp"
 )
 
@@ -19,11 +18,11 @@ func main() {
 	flag.Parse()
 	// Check the campaign flags up front, so a typo fails before the
 	// sweep starts.
-	if err := (exp.Config{Engine: *engine, Decoder: *decoder}).Defaults().Validate(); err != nil {
+	names := exp.Config{Engine: *engine, Decoder: *decoder}.Defaults()
+	if err := names.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	resolved, _ := core.ResolveEngine(*engine) // Validate accepted the name
-	fmt.Printf("engine %s, decoder %s\n", resolved, *decoder)
+	fmt.Printf("engine %s, decoder %s\n", names.Engine, names.Decoder)
 	codes := []struct {
 		family string
 		dZ, dX int

@@ -1,10 +1,9 @@
-// Package core selects how a point is computed: the engine and decoder
-// names with their one resolution policy (ResolveEngine, ResolveDecoder)
-// and the single construction point of an engine campaign,
-// NewEngineRunner, which runs a shot range on one goroutine or fans it
-// over several. Everything above a campaign — codes, routed circuits,
-// radiation events, seeds and the library façade exp.Simulator — lives
-// in package exp.
+// Package core holds the engine names and the single construction point
+// of an engine campaign, NewEngineRunner, which runs a shot range on one
+// goroutine or fans it over several. Everything above a campaign —
+// codes, routed circuits, radiation events, seeds, the decoder names,
+// the campaign config and the library façade exp.Simulator — lives in
+// package exp.
 package core
 
 import (
@@ -16,7 +15,6 @@ import (
 	"radqec/internal/frame"
 	"radqec/internal/inject"
 	"radqec/internal/noise"
-	"radqec/internal/qec"
 )
 
 // Engine names for exp.Config.Engine.
@@ -33,38 +31,12 @@ const (
 )
 
 // EngineAuto is pinned by the frozen bench/ harness, which passes it as
-// exp.Config.Engine; it is the empty name, which resolves to EngineBatch.
+// exp.Config.Engine; it is the empty name, which exp.Config.Defaults
+// fills in as EngineBatch.
 const EngineAuto = ""
 
 // Engines lists the recognised exp.Config.Engine values.
 func Engines() []string { return []string{EngineTableau, EngineBatch} }
-
-// Decoder names for exp.Config.Decoder.
-const (
-	// DecoderMWPM decodes with blossom minimum-weight perfect matching
-	// (the paper's decoder and the default).
-	DecoderMWPM = "mwpm"
-	// DecoderUF decodes with the almost-linear union-find decoder.
-	DecoderUF = "uf"
-)
-
-// Decoders lists the recognised exp.Config.Decoder values.
-func Decoders() []string { return []string{DecoderMWPM, DecoderUF} }
-
-// ResolveDecoder maps a decoder name onto a code's tile decode
-// function, which both engines decode through. Empty means DecoderMWPM.
-// Unknown names are an error — the single decoder-selection policy
-// shared by the experiment layer and the CLI.
-func ResolveDecoder(name string, code *qec.Code) (frame.TileDecodeFunc, error) {
-	switch name {
-	case "", DecoderMWPM:
-		return code.DecodeTile, nil
-	case DecoderUF:
-		return code.DecodeUnionFindTile, nil
-	default:
-		return nil, fmt.Errorf("core: unknown decoder %q (want one of %v)", name, Decoders())
-	}
-}
 
 // WidthAuto is pinned by the frozen bench/ harness, which passes it as
 // exp.Config.Width; the tile width is the constant frame.MaxTileWords.
@@ -110,7 +82,7 @@ func NewEngineRunner(engine string, circ *circuit.Circuit, dep noise.Depolarizin
 		}
 		run = func(start, n int) (int, int) { return camp.RunFrom(seed, start, n) }
 	default:
-		// "" must go through ResolveEngine first; a silent tableau
+		// "" must go through exp.Config.Defaults first; a silent tableau
 		// fallback here would forfeit the default unnoticed.
 		panic(fmt.Sprintf("core: NewEngineRunner requires a resolved engine, got %q", engine))
 	}
@@ -153,22 +125,4 @@ func fanOut(run EngineRunner, workers, start, n int) (shots, errors int) {
 		errors += c[1]
 	}
 	return shots, errors
-}
-
-// ResolveEngine maps a configured engine name onto the engine that
-// will actually run: explicit names resolve to themselves and ""
-// picks EngineBatch — the universal frame engine covers the full
-// Clifford set, so every campaign in the repo rides the bit-parallel
-// fast path (512-shot tiles) by default, with EngineTableau kept as the
-// explicit oracle. Unknown names are an error. This is the single
-// engine-selection policy of the experiment layer and the CLI.
-func ResolveEngine(engine string) (string, error) {
-	switch engine {
-	case EngineTableau, EngineBatch:
-		return engine, nil
-	case "":
-		return EngineBatch, nil
-	default:
-		return "", fmt.Errorf("core: unknown engine %q (want one of %v)", engine, Engines())
-	}
 }

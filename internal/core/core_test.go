@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-	"strings"
 	"testing"
 
 	"radqec/internal/arch"
@@ -41,28 +39,6 @@ func TestEngineRunnerScalarDecodeInert(t *testing.T) {
 			if got := counts(decode); got != want {
 				t.Fatalf("%s: %s scalar decode counts %v, code.Decode %v", engine, name, got, want)
 			}
-		}
-	}
-}
-
-func TestResolveEngineUniversalAuto(t *testing.T) {
-	// Empty resolves to the batched engine for every circuit; the two
-	// names resolve to themselves; anything else — the retired scalar
-	// "frame" and the "auto" alias included — is an error naming the two.
-	if got := Engines(); !slices.Equal(got, []string{EngineTableau, EngineBatch}) {
-		t.Fatalf("Engines() = %v, want [tableau batch]", got)
-	}
-	if eng, err := ResolveEngine(""); err != nil || eng != EngineBatch {
-		t.Fatalf("ResolveEngine(\"\") = %q, %v", eng, err)
-	}
-	for _, name := range Engines() {
-		if eng, err := ResolveEngine(name); err != nil || eng != name {
-			t.Fatalf("ResolveEngine(%q) = %q, %v", name, eng, err)
-		}
-	}
-	for _, name := range []string{"qutrit", "frame", "auto"} {
-		if _, err := ResolveEngine(name); err == nil || !strings.Contains(err.Error(), "[tableau batch]") {
-			t.Fatalf("ResolveEngine(%q): error %v, want one naming [tableau batch]", name, err)
 		}
 	}
 }

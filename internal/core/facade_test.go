@@ -5,6 +5,7 @@ package core_test
 // engines and decoders.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,6 +210,27 @@ func TestNewSimulatorRejectsUnknownEngineAndDecoder(t *testing.T) {
 	}
 }
 
+func TestResolveEngineUniversalAuto(t *testing.T) {
+	// Config.Defaults fills the empty name in as the batched engine for
+	// every circuit; the two names stay as given; anything else — the
+	// retired scalar "frame" and the "auto" alias included — is
+	// Validate's error naming the two.
+	if got := core.Engines(); !slices.Equal(got, []string{core.EngineTableau, core.EngineBatch}) {
+		t.Fatalf("Engines() = %v, want [tableau batch]", got)
+	}
+	for name, want := range map[string]string{"": core.EngineBatch, core.EngineTableau: core.EngineTableau, core.EngineBatch: core.EngineBatch} {
+		cfg := exp.Config{Engine: name}.Defaults()
+		if err := cfg.Validate(); cfg.Engine != want || err != nil {
+			t.Fatalf("Defaults() turned %q into %q (want %q), Validate: %v", name, cfg.Engine, want, err)
+		}
+	}
+	for _, name := range []string{"qutrit", "frame", "auto"} {
+		if err := (exp.Config{Engine: name}).Defaults().Validate(); err == nil || !strings.Contains(err.Error(), "[tableau batch]") {
+			t.Fatalf("engine %q: error %v, want one naming [tableau batch]", name, err)
+		}
+	}
+}
+
 func TestDecoderSelection(t *testing.T) {
 	// Both decoders run the same XXZZ campaign through the batched
 	// engine; rates may differ (union-find is suboptimal) but both must
@@ -225,8 +247,8 @@ func TestDecoderSelection(t *testing.T) {
 		}
 		return sim.Clean()
 	}
-	mwpm := rate(core.DecoderMWPM)
-	uf := rate(core.DecoderUF)
+	mwpm := rate(exp.DecoderMWPM)
+	uf := rate(exp.DecoderUF)
 	if mwpm.Shots != 2000 || uf.Shots != 2000 {
 		t.Fatalf("incomplete campaigns: mwpm %+v uf %+v", mwpm, uf)
 	}
@@ -243,7 +265,7 @@ func TestSimulatorRounds(t *testing.T) {
 	// campaigns run end-to-end on every engine/decoder combination over
 	// the space-time detector-error model.
 	for _, engine := range core.Engines() {
-		for _, decoder := range core.Decoders() {
+		for _, decoder := range exp.Decoders() {
 			sim, err := exp.NewSimulator(exp.Config{
 				Rounds:  5,
 				Shots:   256,

@@ -61,6 +61,44 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 }
 
+// TestSpellingDoesNotMoveTheAddress: a campaign that leaves the engine
+// and decoder empty and one that spells out their defaults address
+// every point alike, whichever runs first, so the second Fig5 run
+// against the same store is all cache hits with the first run's point
+// records.
+func TestSpellingDoesNotMoveTheAddress(t *testing.T) {
+	empty := Config{Shots: 64, Seed: 11}
+	spelled := Config{Shots: 64, Seed: 11, Engine: "batch", Decoder: "mwpm"}
+	for name, order := range map[string][2]Config{"empty first": {empty, spelled}, "spelled first": {spelled, empty}} {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2]map[string]sweep.Result
+		for i, cfg := range order {
+			runs[i] = map[string]sweep.Result{}
+			cfg.Cache = st
+			cfg.OnPoint = func(r sweep.Result) { runs[i][r.Key] = r }
+			if _, err := Fig5(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.Close()
+		if len(runs[1]) != len(runs[0]) || len(runs[0]) == 0 {
+			t.Fatalf("%s: the runs recorded %d and %d points", name, len(runs[0]), len(runs[1]))
+		}
+		for key, cold := range runs[0] {
+			warm, ok := runs[1][key]
+			if !ok || !warm.Cached {
+				t.Fatalf("%s: point %s was not a cache hit on the second run", name, key)
+			}
+			if warm.Cached = false; warm != cold {
+				t.Fatalf("%s: point %s replayed as %+v, computed as %+v", name, key, warm, cold)
+			}
+		}
+	}
+}
+
 // tableText renders a table the way the CLI does.
 func tableText(t *testing.T, tab *Table) string {
 	t.Helper()

@@ -46,15 +46,31 @@ const (
 
 // Syndrome decoder names for Config.Decoder.
 const (
-	DecoderMWPM = core.DecoderMWPM
-	DecoderUF   = core.DecoderUF
+	// DecoderMWPM decodes with blossom minimum-weight perfect matching
+	// (the paper's decoder and the default).
+	DecoderMWPM = "mwpm"
+	// DecoderUF decodes with the almost-linear union-find decoder.
+	DecoderUF = "uf"
 )
 
 // Engines lists the recognised Config.Engine values.
 func Engines() []string { return core.Engines() }
 
 // Decoders lists the recognised Config.Decoder values.
-func Decoders() []string { return core.Decoders() }
+func Decoders() []string { return []string{DecoderMWPM, DecoderUF} }
+
+// tileDecoder maps a decoder name onto the code's tile decode function,
+// which both engines decode through. The name is one Validate accepted
+// and Defaults filled in.
+func tileDecoder(name string, code *qec.Code) frame.TileDecodeFunc {
+	switch name {
+	case DecoderMWPM:
+		return code.DecodeTile
+	case DecoderUF:
+		return code.DecodeUnionFindTile
+	}
+	panic(fmt.Sprintf("exp: tileDecoder requires a resolved decoder, got %q", name))
+}
 
 // MaxNS and MaxRounds bound the two Config fields that size a campaign
 // before any shot runs. Config.Validate rejects larger values as
@@ -120,12 +136,13 @@ type Config struct {
 	// finishes — the hook behind the CLI's streaming JSON output.
 	OnPoint func(sweep.Result)
 	// Engine selects the simulation engine (EngineTableau or
-	// EngineBatch); empty means EngineBatch. Validate rejects any other
-	// name.
+	// EngineBatch); Defaults fills an empty name in as EngineBatch.
+	// Validate rejects any other name.
 	Engine string
 	// Decoder selects the syndrome decoder for every spec that does not
-	// override its decode function (DecoderMWPM or DecoderUF); empty
-	// means DecoderMWPM. Validate rejects any other name.
+	// override its decode function (DecoderMWPM or DecoderUF); Defaults
+	// fills an empty name in as DecoderMWPM. Validate rejects any other
+	// name.
 	Decoder string
 	// Width is accepted and ignored: the frozen bench/ harness sets it.
 	Width string
@@ -168,19 +185,12 @@ func (c Config) xxzz(dZ, dX int) (*qec.Code, error) {
 	return codeRegistry.code(codeKey{xxzz: true, dZ: dZ, dX: dX, rounds: c.Rounds})
 }
 
-// DecoderName returns the decoder that will actually decode the
-// config's default-decoder specs ("" resolves to DecoderMWPM), for
-// labelling sweep-point keys and table notes.
-func (c Config) DecoderName() string {
-	if c.Decoder == "" {
-		return DecoderMWPM
-	}
-	return c.Decoder
-}
-
 // Defaults returns cfg with its zero Shots, P, NS and Rounds replaced
-// by the paper's defaults. Only an exact zero means "unset": a negative
-// value stays, for Validate to reject.
+// by the paper's defaults and its empty Engine and Decoder by
+// EngineBatch and DecoderMWPM. Only an exact zero means "unset": a
+// negative value stays, for Validate to reject. It is the one place the
+// empty engine and decoder names get a meaning; everything downstream
+// reads the names as given.
 func (c Config) Defaults() Config {
 	if c.Shots == 0 {
 		c.Shots = 2000
@@ -193,6 +203,12 @@ func (c Config) Defaults() Config {
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 2
+	}
+	if c.Engine == "" {
+		c.Engine = EngineBatch
+	}
+	if c.Decoder == "" {
+		c.Decoder = DecoderMWPM
 	}
 	return c
 }
@@ -389,17 +405,6 @@ type pointSpec struct {
 	seed       uint64
 }
 
-// engineFor resolves the configured engine for this spec through the
-// shared core.ResolveEngine policy. Unknown names panic: Validate
-// rejects them before any sweep is built.
-func (s pointSpec) engineFor(engine string) string {
-	eng, err := core.ResolveEngine(engine)
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-	return eng
-}
-
 // spec builds the spec measuring one radiation event at cfg's intrinsic
 // rate.
 func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed uint64) pointSpec {
@@ -421,16 +426,12 @@ func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed u
 // 64-shot word on the tableau engine, all inside the call, so the decode
 // time is a part of the call's wall time.
 func (s pointSpec) point(engine, decoder string) sweep.Point {
-	eng := s.engineFor(engine)
 	return sweep.Point{
 		Key: s.key,
 		Prepare: func() sweep.BatchRunner {
 			dec := s.decodeTile
 			if dec == nil {
-				var err error
-				if dec, err = core.ResolveDecoder(decoder, s.prep.code); err != nil {
-					panic(fmt.Sprintf("exp: %v", err))
-				}
+				dec = tileDecoder(decoder, s.prep.code)
 			}
 			// decNS accumulates across the decode calls of one engine call.
 			var decNS int64
@@ -439,7 +440,7 @@ func (s pointSpec) point(engine, decoder string) sweep.Point {
 				dec(rec, w, live, out)
 				decNS += time.Since(t0).Nanoseconds()
 			}
-			run := s.runner(eng, timedTile, 1)
+			run := s.runner(engine, timedTile, 1)
 			return func(start, n int) sweep.Counts {
 				decNS = 0
 				shots, errors := run(start, n)
@@ -479,7 +480,7 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 		}
 	}
 	if tel := cfg.Telemetry; tel != nil {
-		tel.SetEngine(specs[0].engineFor(cfg.Engine))
+		tel.SetEngine(cfg.Engine)
 		tel.AddPlan(time.Since(t0))
 	}
 	return runPoints(cfg, points)

@@ -31,9 +31,18 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Shots != 2000 || c.P != 0.01 || c.NS != 10 {
 		t.Fatalf("defaults = %+v", c)
 	}
+	// The empty engine and decoder names mean the batched engine and
+	// MWPM; Defaults is the one place that says so.
+	if c.Engine != EngineBatch || c.Decoder != DecoderMWPM {
+		t.Fatalf("default engine %q, decoder %q", c.Engine, c.Decoder)
+	}
 	c = Config{Shots: 5, P: 0.3, NS: 4}.Defaults()
 	if c.Shots != 5 || c.P != 0.3 || c.NS != 4 {
 		t.Fatal("explicit values overridden")
+	}
+	c = Config{Engine: EngineTableau, Decoder: DecoderUF}.Defaults()
+	if c.Engine != EngineTableau || c.Decoder != DecoderUF {
+		t.Fatalf("explicit engine and decoder overridden: %q, %q", c.Engine, c.Decoder)
 	}
 	// Only an exact zero is unset: a negative value stays as given, for
 	// Validate to name instead of a default silently replacing it.
@@ -343,8 +352,8 @@ func TestFixedSweepMatchesDirectCampaign(t *testing.T) {
 
 // The default engine must route every circuit — the repetition family
 // AND the XXZZ family — to the batched engine (the universal frame
-// engine covers the full Clifford set), the two engine names resolve to
-// themselves, and the batched rates must agree with the tableau oracle
+// engine covers the full Clifford set), the two engine names stay as
+// given, and the batched rates must agree with the tableau oracle
 // statistically.
 func TestEngineAutoSelection(t *testing.T) {
 	rep, err := qec.NewRepetition(5)
@@ -366,12 +375,19 @@ func TestEngineAutoSelection(t *testing.T) {
 	if got := Engines(); !slices.Equal(got, []string{EngineTableau, EngineBatch}) {
 		t.Fatalf("Engines() = %v, want [tableau batch]", got)
 	}
+	// A point's engine is the fingerprint's: the name the point runs on.
+	engineOf := func(p *prepared, engine string) string {
+		cfg := quickCfg
+		cfg.Engine = engine
+		cfg = cfg.Defaults()
+		return p.spec("", cfg, nil, 1).fingerprint(cfg).Engine
+	}
 	for name, p := range map[string]*prepared{"repetition": pRep, "XXZZ": pXX} {
-		if got := p.spec("", quickCfg, nil, 1).engineFor(""); got != EngineBatch {
+		if got := engineOf(p, ""); got != EngineBatch {
 			t.Fatalf("the default picked %q for %s", got, name)
 		}
 		for _, eng := range Engines() {
-			if got := p.spec("", quickCfg, nil, 1).engineFor(eng); got != eng {
+			if got := engineOf(p, eng); got != eng {
 				t.Fatalf("%s resolved to %q for %s", eng, got, name)
 			}
 		}

@@ -59,7 +59,7 @@ func Fig6(cfg Config) (*Table, error) {
 			ev := p.strikeAt(root, 1.0, false) // erasure: no spatial spread
 			seed := cfg.Seed + uint64(ei*99991+ri*31)
 			key := fmt.Sprintf("fig6/%s/root%d", e.code.Name, root)
-			specs = append(specs, p.spec(key+"/"+cfg.DecoderName(), cfg, ev, seed))
+			specs = append(specs, p.spec(key+"/"+cfg.Decoder, cfg, ev, seed))
 			raw := p.spec(key+"/raw", cfg, ev, seed+1)
 			raw.decodeTile = e.code.RawLogicalTile
 			specs = append(specs, raw)

@@ -223,8 +223,8 @@ func (s pointSpec) fingerprint(cfg Config) specFingerprint {
 		Circuit:  s.prep.circuitLiteral(),
 		Phys:     s.phys,
 		Seed:     s.seed,
-		Engine:   s.engineFor(cfg.Engine),
-		Decoder:  cfg.DecoderName(),
+		Engine:   cfg.Engine,
+		Decoder:  cfg.Decoder,
 		Shots:    cfg.Shots,
 		CI:       cfg.CI,
 		MaxShots: cfg.MaxShots,

@@ -67,6 +67,11 @@ func LogicalLayer(cfg Config) (*Table, error) {
 	}
 	// Teleportation across three patches, strike on the middle one.
 	add("teleport", "1", logical.TeleportCircuit(), logical.TeleportAccept, []int{1, 0, 1}, cfg.Seed+55, cfg.Seed+56)
+	// These points run on the logical layer's own tableau, whatever
+	// cfg.Engine names.
+	if tel := cfg.Telemetry; tel != nil {
+		tel.SetEngine("logical")
+	}
 	layer := runPoints(cfg, points)
 	for i, row := range t.Rows {
 		t.Rows[i] = append(row, pct(layer[2*i].Rate()), pct(layer[2*i+1].Rate()))

@@ -95,7 +95,7 @@ func Memory(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"each round adds a detector layer and a time-like (measurement-error) edge band to the decoding graph",
-		fmt.Sprintf("decoded with %s over the compiled detector-error model; intrinsic p=%g", cfg.DecoderName(), cfg.P))
+		fmt.Sprintf("decoded with %s over the compiled detector-error model; intrinsic p=%g", cfg.Decoder, cfg.P))
 	noteAdaptive(t, cfg, results)
 	return t, nil
 }

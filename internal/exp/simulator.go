@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"radqec/internal/arch"
-	"radqec/internal/core"
 	"radqec/internal/frame"
 	"radqec/internal/noise"
 	"radqec/internal/qec"
@@ -33,7 +32,6 @@ const (
 type Simulator struct {
 	cfg        Config
 	prep       *prepared
-	engine     string
 	decodeTile frame.TileDecodeFunc
 }
 
@@ -63,9 +61,6 @@ func NewSimulator(cfg Config, family string, dZ, dX int, topology string) (*Simu
 	if err != nil {
 		return nil, err
 	}
-	// Validate accepted both names, so neither resolution can fail.
-	engine, _ := core.ResolveEngine(cfg.Engine)
-	decodeTile, _ := core.ResolveDecoder(cfg.Decoder, code)
 	topo, err := arch.ByName(topology, code.NumQubits())
 	if err != nil {
 		return nil, err
@@ -74,7 +69,7 @@ func NewSimulator(cfg Config, family string, dZ, dX int, topology string) (*Simu
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{cfg: cfg, prep: p, engine: engine, decodeTile: decodeTile}, nil
+	return &Simulator{cfg: cfg, prep: p, decodeTile: tileDecoder(cfg.Decoder, code)}, nil
 }
 
 // Code returns the underlying code instance.
@@ -92,7 +87,7 @@ func (s *Simulator) UsedQubits() []int { return s.prep.usedRoots() }
 
 // run measures one spec on the configured engine and decoder.
 func (s *Simulator) run(sp pointSpec) sweep.Result {
-	shots, errors := sp.runner(s.engine, s.decodeTile, s.cfg.Workers)(0, s.cfg.Shots)
+	shots, errors := sp.runner(s.cfg.Engine, s.decodeTile, s.cfg.Workers)(0, s.cfg.Shots)
 	lo, hi := stats.WilsonCI(errors, shots)
 	return sweep.Result{
 		Counts: sweep.Counts{Shots: shots, Errors: errors},

@@ -12,7 +12,9 @@ import (
 )
 
 // TestTelemetryRecordsEngine: an experiment run with telemetry attached
-// records the engine its points resolved to.
+// records the engine its points resolved to. The logical layer's points
+// run on its own tableau, so its campaign reads both engines, in the
+// order they ran.
 func TestTelemetryRecordsEngine(t *testing.T) {
 	tel := telemetry.NewCampaign(1, "threshold")
 	cfg := Config{Shots: 64, Seed: 3, Telemetry: tel}
@@ -21,6 +23,15 @@ func TestTelemetryRecordsEngine(t *testing.T) {
 	}
 	if st := tel.Stats(); st.Shots == 0 || st.Engine != EngineBatch {
 		t.Fatalf("stats missing telemetry: %+v", st)
+	}
+	for engine, want := range map[string]string{"": "batch+logical", EngineTableau: "tableau+logical"} {
+		tel := telemetry.NewCampaign(1, "logical")
+		if _, err := LogicalLayer(Config{Shots: 64, Seed: 3, Engine: engine, Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+		if st := tel.Stats(); st.Engine != want {
+			t.Fatalf("logical under engine %q records engine %q, want %q", engine, st.Engine, want)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ package telemetry
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -184,8 +185,18 @@ func (c *Campaign) Record(s Signal) {
 // SetQueueDepth updates the campaign's pending-point gauge.
 func (c *Campaign) SetQueueDepth(depth int) { c.set(func(st *Stats) { st.QueueDepth = int64(depth) }) }
 
-// SetEngine records the engine the campaign's points resolved to.
-func (c *Campaign) SetEngine(name string) { c.set(func(st *Stats) { st.Engine = name }) }
+// SetEngine adds an engine the campaign's points run on to its set:
+// Stats.Engine joins the distinct names with "+" in first-use order.
+func (c *Campaign) SetEngine(name string) {
+	c.set(func(st *Stats) {
+		switch {
+		case st.Engine == "":
+			st.Engine = name
+		case !slices.Contains(strings.Split(st.Engine, "+"), name):
+			st.Engine += "+" + name
+		}
+	})
+}
 
 // AddPlan adds the time one sweep of the campaign spent before its
 // first turn: building the points and, with a cache, addressing them.
