@@ -44,7 +44,7 @@
 //	             shots/s, chunk/batch counts, set-up vs run time and the
 //	             decode share of run, cache traffic, allocation and the
 //	             engines the points ran on
-//	-trace-out F   record distributed-trace spans for the run and write
+//	-trace-out F   record trace spans for the run and write
 //	             them to F as NDJSON (one span per line, the
 //	             /v1/campaigns/{id}/trace record shape); tracing never
 //	             changes results, only observability
@@ -87,6 +87,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -367,7 +368,8 @@ func main() {
 }
 
 // printStats writes the -stats telemetry summary for one experiment to
-// stderr: aggregate engine throughput, the points' set-up time beside
+// stderr: engine throughput (one rate per engine when the campaign ran
+// more than one), the points' set-up time beside
 // it and the decoder's share of their run time, batch counts, cache
 // traffic, the plan time spent before the sweeps' first turns (building
 // and addressing the points — what a warm -store run costs) and the
@@ -376,10 +378,18 @@ func main() {
 // the triggered lanes are this experiment's own, the memo entries what
 // every experiment so far has left behind.
 func printStats(st telemetry.Stats, before, after exp.RegistryStats) {
+	rate := fmt.Sprintf("%.3g shots/s", st.ShotsPerSec)
+	if len(st.Engines) > 0 {
+		rates := make([]string, len(st.Engines))
+		for i, e := range st.Engines {
+			rates[i] = fmt.Sprintf("%s %.3g shots/s", e.Name, float64(e.Shots)/(float64(max(e.WallNS, 1))/1e9))
+		}
+		rate = strings.Join(rates, ", ")
+	}
 	fmt.Fprintf(os.Stderr,
-		"radqec: %s: %d shots (%d errors) over %d points in %d batches; %.3g shots/s engine throughput; cache %d hits / %d misses\n",
+		"radqec: %s: %d shots (%d errors) over %d points in %d batches; %s engine throughput; cache %d hits / %d misses\n",
 		st.Experiment, st.Shots, st.Errors, st.PointsDone, st.Batches,
-		st.ShotsPerSec, st.CacheHits, st.CacheMisses)
+		rate, st.CacheHits, st.CacheMisses)
 	if engine := st.PrepareNS + st.WallNS; engine > 0 {
 		var decodeShare float64
 		if st.WallNS > 0 {

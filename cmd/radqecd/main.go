@@ -18,11 +18,6 @@
 //	-workers N       shared sweep worker pool size (default GOMAXPROCS);
 //	                 all concurrent campaigns are multiplexed fairly
 //	                 over this one budget
-//	-trace-sample on|off  default distributed-trace sampling for
-//	                 campaigns that don't set "trace_sample" (default
-//	                 off); sampled campaigns record spans readable at
-//	                 GET /v1/campaigns/{id}/trace. Tracing never changes
-//	                 results, only observability
 //	-log-format text|json  structured-log rendering (default text)
 //	-log-level L     minimum log level: debug, info, warn, or error
 //	                 (default info)
@@ -54,7 +49,6 @@ func main() {
 	addr := flag.String("addr", ":8423", "listen address")
 	storeDir := flag.String("store", "radqec-store", "result store directory (empty disables persistence)")
 	workers := flag.Int("workers", 0, "shared sweep worker pool size (0 = GOMAXPROCS)")
-	traceSample := flag.String("trace-sample", "off", "default distributed-trace sampling for campaigns: on or off (requests may override per campaign)")
 	logFormat := flag.String("log-format", "text", "structured-log rendering: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -66,9 +60,6 @@ func main() {
 	}
 	if *workers < 0 {
 		usageError(fmt.Sprintf("-workers %d out of range (want >= 0; 0 = GOMAXPROCS)", *workers))
-	}
-	if *traceSample != "on" && *traceSample != "off" {
-		usageError(fmt.Sprintf("-trace-sample %q out of range (want on or off)", *traceSample))
 	}
 	log, err := logsetup.Init(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
@@ -96,11 +87,10 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Store:       st,
-		Workers:     *workers,
-		TraceSample: *traceSample,
-		Logger:      log,
-		Pprof:       *pprofOn,
+		Store:   st,
+		Workers: *workers,
+		Logger:  log,
+		Pprof:   *pprofOn,
 	})
 	// No blanket ReadTimeout/WriteTimeout: campaign streams legitimately
 	// run for minutes and per-write deadlines already guard them (see
@@ -148,7 +138,7 @@ func main() {
 		os.Exit(1)
 	}()
 
-	log.Info("radqecd: listening", "addr", *addr, "workers", *workers, "trace_sample", *traceSample, "pprof", *pprofOn)
+	log.Info("radqecd: listening", "addr", *addr, "workers", *workers, "pprof", *pprofOn)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		if st != nil {
 			st.Close()

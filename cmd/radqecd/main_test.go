@@ -47,16 +47,18 @@ func run(t *testing.T, args ...string) (out string, exitCode int) {
 }
 
 // TestRemovedFlagsAreUsageErrors: the HTTP server's header and idle
-// limits are constants and the store keeps every committed point
-// resident (no script, CI job or deployment ever set them), so the
-// flags that used to carry them are unknown — exit 2 naming the flag,
-// never a silently ignored option.
+// limits are constants, the store keeps every committed point resident
+// and a campaign is traced only when its request asks (no script, CI
+// job or deployment ever set them), so the flags that used to carry
+// them are unknown — exit 2 naming the flag, never a silently ignored
+// option.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-idle-timeout", "1m"},
 		{"-read-header-timeout", "1s"},
 		{"-max-header-bytes", "1"},
 		{"-lru", "8"},
+		{"-trace-sample", "on"},
 	} {
 		out, code := run(t, args...)
 		if code != 2 {
@@ -72,8 +74,7 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 // line here, not a drive-by.
 func TestFlagSet(t *testing.T) {
 	want := []string{
-		"addr", "log-format", "log-level", "pprof", "store",
-		"trace-sample", "workers",
+		"addr", "log-format", "log-level", "pprof", "store", "workers",
 	}
 	out, code := run(t, "-h")
 	if code != 0 {

@@ -55,12 +55,10 @@ type CampaignRequest struct {
 	// NoCache bypasses the store for this campaign: nothing is read
 	// from or written to it.
 	NoCache bool `json:"no_cache,omitempty"`
-	// TraceSample overrides the daemon's -trace-sample default for
-	// this campaign: "on" records a distributed trace (spans at
-	// GET /v1/campaigns/{id}/trace), "off" disables it, omitted takes
-	// the daemon default. Any other value is a 400. Tracing is pure
-	// mechanism — results and content hashes are unchanged by it. An
-	// incoming sampled traceparent header wins over "off".
+	// TraceSample is the one switch that traces this campaign: "on"
+	// records its spans (at GET /v1/campaigns/{id}/trace), "off" or
+	// omitted records none. Any other value is a 400. Tracing is pure
+	// mechanism — results and content hashes are unchanged by it.
 	TraceSample string `json:"trace_sample,omitempty"`
 }
 

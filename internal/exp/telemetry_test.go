@@ -2,6 +2,7 @@ package exp
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"radqec/internal/arch"
@@ -14,14 +15,16 @@ import (
 // TestTelemetryRecordsEngine: an experiment run with telemetry attached
 // records the engine its points resolved to. The logical layer's points
 // run on its own tableau, so its campaign reads both engines, in the
-// order they ran.
+// order they ran, and splits its shots and run time between them: 64
+// shots on each of the 2 physical and 12 logical-layer points. A
+// single-engine campaign carries no split.
 func TestTelemetryRecordsEngine(t *testing.T) {
 	tel := telemetry.NewCampaign(1, "threshold")
 	cfg := Config{Shots: 64, Seed: 3, Telemetry: tel}
 	if _, err := Threshold(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if st := tel.Stats(); st.Shots == 0 || st.Engine != EngineBatch {
+	if st := tel.Stats(); st.Shots == 0 || st.Engine != EngineBatch || st.Engines != nil {
 		t.Fatalf("stats missing telemetry: %+v", st)
 	}
 	for engine, want := range map[string]string{"": "batch+logical", EngineTableau: "tableau+logical"} {
@@ -29,8 +32,22 @@ func TestTelemetryRecordsEngine(t *testing.T) {
 		if _, err := LogicalLayer(Config{Shots: 64, Seed: 3, Engine: engine, Telemetry: tel}); err != nil {
 			t.Fatal(err)
 		}
-		if st := tel.Stats(); st.Engine != want {
+		st := tel.Stats()
+		if st.Engine != want {
 			t.Fatalf("logical under engine %q records engine %q, want %q", engine, st.Engine, want)
+		}
+		var names []string
+		var shots, wall int64
+		for _, e := range st.Engines {
+			names = append(names, e.Name)
+			shots += e.Shots
+			wall += e.WallNS
+		}
+		if strings.Join(names, "+") != want || shots != st.Shots || wall != st.WallNS {
+			t.Fatalf("logical under engine %q splits %+v, the campaign ran %d shots in %d ns", engine, st.Engines, st.Shots, st.WallNS)
+		}
+		if st.Engines[0].Shots != 2*64 || st.Engines[1].Shots != 12*64 {
+			t.Fatalf("logical under engine %q splits %+v, want 128 physical and 768 logical-layer shots", engine, st.Engines)
 		}
 	}
 }

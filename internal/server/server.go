@@ -67,12 +67,6 @@ type Config struct {
 	Store *store.Store
 	// Workers sizes the shared sweep worker pool (0 = GOMAXPROCS).
 	Workers int
-	// TraceSample is the sampling default for campaigns that do not set
-	// trace_sample: "on" records spans for every campaign, "off" (or
-	// empty) records none. A request's field — or a sampled incoming
-	// traceparent header — overrides it per campaign. Tracing never
-	// changes results or content addresses, only observability.
-	TraceSample string
 	// Logger receives the daemon's structured diagnostics; nil uses
 	// slog.Default().
 	Logger *slog.Logger
@@ -93,12 +87,10 @@ type Server struct {
 	// tele is the one campaign table: each entry holds the campaign's
 	// telemetry and, when it is sampled, its trace recorder. Its Counts
 	// are the daemon's campaign, point and shot counters.
-	tele *telemetry.Registry
-	log  *slog.Logger
-	// traceDefault samples campaigns that don't set trace_sample.
-	traceDefault bool
-	mux          *http.ServeMux
-	start        time.Time
+	tele  *telemetry.Registry
+	log   *slog.Logger
+	mux   *http.ServeMux
+	start time.Time
 
 	// cancels maps an active campaign's telemetry ID to its context
 	// cancel, so DELETE /v1/campaigns/{id} can stop it mid-stream.
@@ -117,16 +109,15 @@ func New(cfg Config) *Server {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		st:           cfg.Store,
-		sched:        sweep.NewScheduler(workers),
-		workers:      workers,
-		leases:       fabric.NewLeaseTable(),
-		tele:         telemetry.NewRegistry(),
-		log:          cfg.Logger,
-		traceDefault: cfg.TraceSample == "on",
-		mux:          http.NewServeMux(),
-		start:        time.Now(),
-		cancels:      make(map[int64]context.CancelCauseFunc),
+		st:      cfg.Store,
+		sched:   sweep.NewScheduler(workers),
+		workers: workers,
+		leases:  fabric.NewLeaseTable(),
+		tele:    telemetry.NewRegistry(),
+		log:     cfg.Logger,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		cancels: make(map[int64]context.CancelCauseFunc),
 	}
 	if s.log == nil {
 		s.log = slog.Default()
@@ -179,7 +170,7 @@ func validateRequest(r CampaignRequest) error {
 		return fmt.Errorf("unknown experiment %q", r.Experiment)
 	}
 	if r.TraceSample != "" && r.TraceSample != "on" && r.TraceSample != "off" {
-		return fmt.Errorf("bad trace_sample %q (want on or off; empty = daemon default)", r.TraceSample)
+		return fmt.Errorf("bad trace_sample %q (want on or off; empty = off)", r.TraceSample)
 	}
 	return requestConfig(r).Validate()
 }
@@ -204,31 +195,6 @@ func requestConfig(r CampaignRequest) exp.Config {
 		Engine:   r.Engine,
 		Decoder:  r.Decoder,
 	}.Defaults()
-}
-
-// traceRecorder resolves the campaign's sampling decision and returns
-// its recorder (nil = unsampled). A sampled incoming traceparent wins
-// unconditionally — the caller already decided to trace this campaign
-// — then the request's trace_sample, then the daemon default. A
-// malformed traceparent header is ignored per the W3C spec rather than
-// rejected. Spans name the daemon "local".
-func (s *Server) traceRecorder(r *http.Request, req CampaignRequest) *trace.Recorder {
-	if h := r.Header.Get(trace.Header); h != "" {
-		if tid, sid, sampled, err := trace.ParseTraceparent(h); err == nil && sampled {
-			return trace.Adopt(tid, sid, "local")
-		}
-	}
-	sample := s.traceDefault
-	switch req.TraceSample {
-	case "on":
-		sample = true
-	case "off":
-		sample = false
-	}
-	if !sample {
-		return nil
-	}
-	return trace.New("local")
 }
 
 // campaignConfig binds a validated request's config to the server's
@@ -292,10 +258,13 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	e, _ := exp.Find(req.Experiment)
 	cfg := s.campaignConfig(req)
-	// Sampling decision, then the campaign root span (inert when
-	// unsampled). Every span parents under it, and it parents under the
-	// caller's span when the request carried a sampled traceparent.
-	rec := s.traceRecorder(r, req)
+	// The request's trace_sample is the campaign's sampling decision;
+	// then the campaign root span (inert when unsampled), which every
+	// span parents under. Spans name the daemon "local".
+	var rec *trace.Recorder
+	if req.TraceSample == "on" {
+		rec = trace.New("local")
+	}
 	tc := s.tele.New(req.Experiment, rec)
 	defer s.tele.Finish(tc)
 	cfg.Telemetry = tc
@@ -595,9 +564,9 @@ func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
 	serveTrace(w, r, rec)
 }
 
-// handleTraceByID serves a trace by its 32-hex trace id — the handle a
-// client holds when it sent the traceparent itself. Same query surface
-// as the campaign form.
+// handleTraceByID serves a trace by its 32-hex trace id — the handle an
+// X-Radqec-Trace-Id header or a metrics exemplar's trace_id gives. Same
+// query surface as the campaign form.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	tid, ok := parseTraceID(r.PathValue("trace_id"))
 	if !ok {

@@ -1,8 +1,8 @@
 package server
 
 // Tests for the observability surface: the per-campaign trace
-// endpoints (NDJSON and Chrome trace-event form), inbound traceparent
-// adoption, structured panic logging, OpenMetrics exemplar
+// endpoints (NDJSON and Chrome trace-event form), the request field as
+// the one sampling switch, structured panic logging, OpenMetrics exemplar
 // negotiation, the signals stream under mid-stream cancellation, and
 // the gated pprof mount.
 
@@ -219,41 +219,24 @@ func TestTraceEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestTraceparentAdoptionWinsOverOff: a submission carrying a sampled
-// traceparent header is traced under the incoming trace id even when
-// the request says trace_sample off, and its campaign span parents
-// under the caller's span.
-func TestTraceparentAdoptionWinsOverOff(t *testing.T) {
+// TestTraceparentHeaderDoesNotSample: the request's trace_sample is the
+// only sampling input. A submission carrying a sampled W3C traceparent
+// header and no trace_sample is not traced: no X-Radqec-Trace-Id, and
+// its trace endpoint answers 404.
+func TestTraceparentHeaderDoesNotSample(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	const traceID, parent = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
 	resp, _ := doRaw(t, ts, http.MethodPost, "/v1/campaigns",
-		`{"experiment":"threshold","shots":64,"seed":5,"trace_sample":"off"}`,
-		map[string]string{trace.Header: "00-" + traceID + "-" + parent + "-01"})
+		`{"experiment":"threshold","shots":64,"seed":5}`,
+		map[string]string{"traceparent": "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced submission: status %d", resp.StatusCode)
+		t.Fatalf("submission: status %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get("X-Radqec-Trace-Id"); got != traceID {
-		t.Fatalf("adopted trace id %q, want the caller's %s", got, traceID)
+	if got := resp.Header.Get("X-Radqec-Trace-Id"); got != "" {
+		t.Fatalf("a traceparent header sampled the campaign under trace id %s", got)
 	}
-	id, err := strconv.ParseInt(resp.Header.Get("X-Radqec-Campaign-Id"), 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans, err := client.New(ts.URL, ts.Client()).TraceSpans(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	campaigns := 0
-	for _, s := range spans {
-		if s.Name == trace.SpanCampaign {
-			campaigns++
-			if s.Parent != parent {
-				t.Fatalf("adopted campaign span parents under %q, want the caller's span %s", s.Parent, parent)
-			}
-		}
-	}
-	if campaigns != 1 {
-		t.Fatalf("adopted trace has %d campaign spans, want 1", campaigns)
+	tr, _ := doRaw(t, ts, http.MethodGet, "/v1/campaigns/"+resp.Header.Get("X-Radqec-Campaign-Id")+"/trace", "", nil)
+	if tr.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET trace of an unsampled campaign: status %d, want 404", tr.StatusCode)
 	}
 }
 

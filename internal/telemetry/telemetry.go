@@ -99,9 +99,12 @@ type Campaign struct {
 
 // tally is a locked fold of signals, one per campaign and one per
 // registry; a turn is a whole engine batch, so its lock costs nothing.
+// engine indexes st.Engines at the entry SetEngine last named: a
+// campaign's sweeps run one after another, so that engine ran the turn.
 type tally struct {
-	mu sync.Mutex
-	st Stats
+	mu     sync.Mutex
+	st     Stats
+	engine int
 }
 
 // add folds one signal. Only a turn that ran an engine call adds shots
@@ -118,6 +121,10 @@ func (t *tally) add(s Signal) {
 		st.WallNS += s.WallNS
 		st.DecodeNS += s.DecodeNS
 		st.CommitNS += s.CommitNS
+		if e := t.engine; e < len(st.Engines) && !s.CacheHit {
+			st.Engines[e].Shots += int64(s.Shots)
+			st.Engines[e].WallNS += s.WallNS
+		}
 		switch {
 		case s.CacheHit:
 			st.CacheHits++
@@ -185,17 +192,20 @@ func (c *Campaign) Record(s Signal) {
 // SetQueueDepth updates the campaign's pending-point gauge.
 func (c *Campaign) SetQueueDepth(depth int) { c.set(func(st *Stats) { st.QueueDepth = int64(depth) }) }
 
-// SetEngine adds an engine the campaign's points run on to its set:
-// Stats.Engine joins the distinct names with "+" in first-use order.
+// SetEngine names the engine the campaign's next turns run on, adding
+// it to the campaign's set: Stats.Engine joins the distinct names with
+// "+" in first-use order, and Stats.Engines splits shots and run time
+// among them.
 func (c *Campaign) SetEngine(name string) {
-	c.set(func(st *Stats) {
-		switch {
-		case st.Engine == "":
-			st.Engine = name
-		case !slices.Contains(strings.Split(st.Engine, "+"), name):
-			st.Engine += "+" + name
-		}
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := &c.st
+	c.engine = slices.IndexFunc(st.Engines, func(e EngineStats) bool { return e.Name == name })
+	if c.engine < 0 {
+		c.engine = len(st.Engines)
+		st.Engines = append(st.Engines, EngineStats{Name: name})
+		st.Engine = strings.TrimPrefix(st.Engine+"+"+name, "+")
+	}
 }
 
 // AddPlan adds the time one sweep of the campaign spent before its
@@ -222,26 +232,35 @@ func (c *Campaign) Since(seq uint64, max int) ([]Signal, uint64) {
 // first turn, reported by its builder) is a fold of the campaign's
 // signals.
 type Stats struct {
-	ID          int64   `json:"id"`
-	Experiment  string  `json:"experiment"`
-	Engine      string  `json:"engine,omitempty"`
-	ElapsedNS   int64   `json:"elapsed_ns"`
-	Shots       int64   `json:"shots"`
-	Errors      int64   `json:"errors"`
-	Batches     int64   `json:"batches"`
-	WallNS      int64   `json:"wall_ns"`
-	DecodeNS    int64   `json:"decode_ns"`
-	PrepareNS   int64   `json:"prepare_ns"`
-	CommitNS    int64   `json:"commit_ns"`
-	PlanNS      int64   `json:"plan_ns"`
-	ShotsPerSec float64 `json:"shots_per_sec"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	PointsDone  int64   `json:"points_done"`
-	Panics      int64   `json:"panics,omitempty"`
-	Cancels     int64   `json:"cancels,omitempty"`
-	QueueDepth  int64   `json:"queue_depth"`
-	Done        bool    `json:"done"`
+	ID          int64         `json:"id"`
+	Experiment  string        `json:"experiment"`
+	Engine      string        `json:"engine,omitempty"`
+	Engines     []EngineStats `json:"engines,omitempty"`
+	ElapsedNS   int64         `json:"elapsed_ns"`
+	Shots       int64         `json:"shots"`
+	Errors      int64         `json:"errors"`
+	Batches     int64         `json:"batches"`
+	WallNS      int64         `json:"wall_ns"`
+	DecodeNS    int64         `json:"decode_ns"`
+	PrepareNS   int64         `json:"prepare_ns"`
+	CommitNS    int64         `json:"commit_ns"`
+	PlanNS      int64         `json:"plan_ns"`
+	ShotsPerSec float64       `json:"shots_per_sec"`
+	CacheHits   int64         `json:"cache_hits"`
+	CacheMisses int64         `json:"cache_misses"`
+	PointsDone  int64         `json:"points_done"`
+	Panics      int64         `json:"panics,omitempty"`
+	Cancels     int64         `json:"cancels,omitempty"`
+	QueueDepth  int64         `json:"queue_depth"`
+	Done        bool          `json:"done"`
+}
+
+// EngineStats is one engine's share of a campaign that ran more than
+// one: the shots it ran and their summed engine-call time.
+type EngineStats struct {
+	Name   string `json:"name"`
+	Shots  int64  `json:"shots"`
+	WallNS int64  `json:"wall_ns"`
 }
 
 // Stats snapshots the campaign. Shots and Errors are what the engines
@@ -251,7 +270,13 @@ type Stats struct {
 // worker pool. It counts the turns' run time only; the points' set-up
 // is PrepareNS, and DecodeNS is the decoder's part of WallNS.
 func (c *Campaign) Stats() Stats {
-	st := c.snapshot()
+	c.mu.Lock()
+	st := c.st
+	st.Engines = nil // only a campaign that ran more than one splits
+	if len(c.st.Engines) > 1 {
+		st.Engines = slices.Clone(c.st.Engines)
+	}
+	c.mu.Unlock()
 	st.ElapsedNS = time.Since(c.start).Nanoseconds()
 	if st.WallNS > 0 {
 		st.ShotsPerSec = float64(st.Shots) / (float64(st.WallNS) / 1e9)
@@ -343,10 +368,8 @@ func (r *Registry) Get(id int64) (*Campaign, bool) {
 	return r.campaigns[i], true
 }
 
-// ByTrace returns this node's recorder for a trace id, nil if no
-// retained campaign recorded under it (GET /v1/traces/{trace_id}). When
-// several campaigns share the trace, the first registered — the lowest
-// campaign id — wins.
+// ByTrace returns the recorder for a trace id, nil if no retained
+// campaign recorded under it (GET /v1/traces/{trace_id}).
 func (r *Registry) ByTrace(id trace.TraceID) *trace.Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()

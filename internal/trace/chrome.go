@@ -31,7 +31,7 @@ func Write(w io.Writer, spans []Span, chrome bool) error {
 
 // chromeEvent is one entry of the Chrome trace-event format. We emit
 // complete ("X") events — one per span — plus metadata ("M") events
-// naming each node's process row.
+// naming the process and thread rows.
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
@@ -44,48 +44,41 @@ type chromeEvent struct {
 }
 
 // writeChrome renders spans as a Chrome trace-event JSON document
-// ({"traceEvents": [...]}). Each node becomes a process row and each
-// point a thread row within it, so the timeline groups a point's
-// chunk-run/decode/commit spans on one line; the campaign span (no
-// point key) has lane 0.
+// ({"traceEvents": [...]}). A recorder belongs to one node, which is
+// the one process row; each span key is a thread row within it — a
+// point's key groups its chunk-run/decode/commit spans on one line, and
+// the campaign span's key is its experiment. A span with no key has
+// lane 0.
 func writeChrome(w io.Writer, spans []Span) error {
-	pids := map[string]int{}
 	tids := map[string]int{}
 	events := make([]chromeEvent, 0, len(spans)+8)
-	pid := func(node string) int {
-		if id, ok := pids[node]; ok {
-			return id
-		}
-		id := len(pids) + 1
-		pids[node] = id
-		name := node
+	if len(spans) > 0 {
+		name := spans[0].Node
 		if name == "" {
 			name = "local"
 		}
 		events = append(events, chromeEvent{
-			Name: "process_name", Phase: "M", PID: id,
+			Name: "process_name", Phase: "M", PID: 1,
 			Args: map[string]any{"name": name},
 		})
-		return id
 	}
-	tid := func(node, key string) int {
+	tid := func(key string) int {
 		if key == "" {
 			return 0
 		}
-		lane := node + "\x00" + key
-		if id, ok := tids[lane]; ok {
+		if id, ok := tids[key]; ok {
 			return id
 		}
 		id := len(tids) + 1
-		tids[lane] = id
+		tids[key] = id
 		events = append(events, chromeEvent{
-			Name: "thread_name", Phase: "M", PID: pids[node], TID: id,
+			Name: "thread_name", Phase: "M", PID: 1, TID: id,
 			Args: map[string]any{"name": key},
 		})
 		return id
 	}
 	for _, s := range spans {
-		p, t := pid(s.Node), tid(s.Node, s.Key)
+		t := tid(s.Key)
 		args := map[string]any{"trace_id": s.Trace, "span_id": s.ID}
 		for k, v := range map[string]string{"parent_id": s.Parent, "key": s.Key, "hash": s.Hash, "detail": s.Detail, "error": s.Err} {
 			if v != "" {
@@ -97,7 +90,7 @@ func writeChrome(w io.Writer, spans []Span) error {
 		}
 		events = append(events, chromeEvent{Name: s.Name, Cat: "radqec", Phase: "X",
 			TS: float64(s.StartNS) / 1e3, Dur: float64(s.DurNS) / 1e3,
-			PID: p, TID: t, Args: args})
+			PID: 1, TID: t, Args: args})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {

@@ -1,21 +1,20 @@
 // Package trace is radqec's in-process tracing layer: a span model
 // matching the campaign domain — campaign → point → {chunk-run, decode,
 // store-commit} — recorded into a bounded lock-free per-campaign Ring
-// (telemetry.Campaign keeps its signals in one too). A submission with
-// a sampled W3C traceparent header joins the caller's trace.
+// (telemetry.Campaign keeps its signals in one too).
 //
-// Cost model: sampling is per-campaign. An unsampled campaign has a
-// nil *Recorder, every entry point is nil-safe, and the zero
-// SpanContext/ActiveSpan values are inert — the hot path pays one
-// pointer test and allocates nothing (the zero-alloc tile guard and
-// the sweep bench gate hold with tracing off). A sampled campaign
-// allocates one Span per recorded span, stored into the ring with a
-// single atomic publish.
+// Cost model: sampling is per-campaign, asked for by the CLI's trace
+// file flags or a daemon request's "trace_sample":"on". An unsampled
+// campaign has a nil *Recorder, every entry point is nil-safe, and the
+// zero SpanContext/ActiveSpan values are inert — the hot path pays one
+// pointer test and allocates nothing (the zero-alloc tile guard and the
+// sweep bench gate hold with tracing off). A sampled campaign allocates
+// one Span per recorded span, stored into the ring with a single atomic
+// publish.
 package trace
 
 import (
 	"encoding/hex"
-	"fmt"
 	"math/rand/v2"
 	"time"
 )
@@ -81,38 +80,6 @@ func fill(b []byte) {
 	}
 }
 
-// Header is the W3C trace-context header name a campaign submission
-// may carry.
-const Header = "traceparent"
-
-// ParseTraceparent parses a W3C traceparent header and returns the
-// sampled flag. Version ff is invalid and version 00 exactly 55 bytes; a
-// later version parses as 00, ignoring what follows a dash. Zero ids fail.
-func ParseTraceparent(h string) (t TraceID, s SpanID, sampled bool, err error) {
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' ||
-		len(h) > 55 && (h[:2] == "00" || h[55] != '-') {
-		return t, s, false, fmt.Errorf("trace: malformed traceparent %q", h)
-	}
-	var ver [1]byte
-	if _, err = hex.Decode(ver[:], []byte(h[0:2])); err != nil || ver[0] == 0xff {
-		return t, s, false, fmt.Errorf("trace: bad version in %q", h)
-	}
-	if _, err = hex.Decode(t[:], []byte(h[3:35])); err != nil {
-		return t, s, false, fmt.Errorf("trace: bad trace id in %q", h)
-	}
-	if _, err = hex.Decode(s[:], []byte(h[36:52])); err != nil {
-		return t, s, false, fmt.Errorf("trace: bad span id in %q", h)
-	}
-	var flags [1]byte
-	if _, err = hex.Decode(flags[:], []byte(h[53:55])); err != nil {
-		return t, s, false, fmt.Errorf("trace: bad flags in %q", h)
-	}
-	if t.IsZero() || s.IsZero() {
-		return t, s, false, fmt.Errorf("trace: zero id in traceparent %q", h)
-	}
-	return t, s, flags[0]&1 != 0, nil
-}
-
 // Span is one recorded interval. Trace/ID/Parent are hex strings so
 // the NDJSON endpoint and the Chrome export marshal them directly.
 type Span struct {
@@ -123,8 +90,8 @@ type Span struct {
 	Trace string `json:"trace_id"`
 	// ID is this span's id (16 hex chars).
 	ID string `json:"span_id"`
-	// Parent is the parent span's id; empty only for a campaign span
-	// that adopted no incoming traceparent.
+	// Parent is the parent span's id; empty only for the campaign span,
+	// the root of its trace.
 	Parent string `json:"parent_id,omitempty"`
 	// Name is the span kind (Span* constants).
 	Name string `json:"name"`
@@ -151,23 +118,12 @@ type Span struct {
 type Recorder struct {
 	traceID TraceID
 	node    string
-	// remoteParent is the caller's span id when this recorder was
-	// adopted from an incoming traceparent; the campaign span parents
-	// under it.
-	remoteParent SpanID
-
-	spans *Ring[Span]
+	spans   *Ring[Span]
 }
 
 // New starts a fresh sampled trace rooted at this node.
 func New(node string) *Recorder {
-	return Adopt(NewTraceID(), SpanID{}, node)
-}
-
-// Adopt joins an incoming sampled trace: spans record under the given
-// trace id and the campaign span parents under the remote span.
-func Adopt(id TraceID, parent SpanID, node string) *Recorder {
-	return &Recorder{traceID: id, node: node, remoteParent: parent,
+	return &Recorder{traceID: NewTraceID(), node: node,
 		spans: NewRing(RingSize, func(s *Span, seq uint64) { s.Seq = seq })}
 }
 
@@ -189,7 +145,7 @@ func (r *Recorder) Campaign(key string) ActiveSpan {
 	if r == nil {
 		return ActiveSpan{}
 	}
-	return ActiveSpan{sc: SpanContext{rec: r, span: newSpanID()}, parent: r.remoteParent,
+	return ActiveSpan{sc: SpanContext{rec: r, span: newSpanID()},
 		name: SpanCampaign, key: key, start: time.Now()}
 }
 

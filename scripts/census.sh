@@ -5,7 +5,9 @@
 # tree instead of by hand: non-test .go lines outside bench/ (with the
 # internal/telemetry + internal/trace share), flag definitions per
 # binary, and the reachability allowlist in reach_test.go by reason.
-# Run from anywhere inside the repository.
+# Exits 1 when internal/telemetry + internal/trace exceed obsBound
+# lines, ROADMAP.md item 7's bound. Run from anywhere inside the
+# repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,12 +15,19 @@ lines() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0
 flags() { grep -cE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\(' "$1"; }
 allowed() { grep -cE '^\s*"[^"]+": +"'"$1"'",$' reach_test.go || true; }
 
+obsBound=944
+
 radqec=$(flags cmd/radqec/main.go)
 radqecd=$(flags cmd/radqecd/main.go)
+obs=$(lines internal/telemetry internal/trace)
 echo "non-test .go lines outside bench/: $(lines .)"
-echo "  internal/telemetry + internal/trace: $(lines internal/telemetry internal/trace)"
+echo "  internal/telemetry + internal/trace: $obs (bound $obsBound)"
 echo "flags: $((radqec + radqecd)) (radqec $radqec + radqecd $radqecd)"
 oracle=$(allowed oracle)
 hook=$(allowed test-hook)
 prior=$(allowed prior)
 echo "reach allowlist: $((oracle + hook + prior)) (oracle $oracle + test-hook $hook + prior $prior)"
+if ((obs > obsBound)); then
+  echo "census: internal/telemetry + internal/trace hold $obs lines, over the bound of $obsBound" >&2
+  exit 1
+fi

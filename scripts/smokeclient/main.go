@@ -32,7 +32,7 @@ func main() {
 	experiment := flag.String("experiment", "", "experiment to run (required)")
 	shots := flag.Int("shots", 0, "shots per point (0 = daemon default)")
 	seedV := flag.Uint64("seed", 1, "base RNG seed")
-	traceSample := flag.String("trace-sample", "", "trace sampling for this campaign: on, off, or empty (daemon default)")
+	traceSample := flag.String("trace-sample", "", "trace sampling for this campaign: on, off, or empty (empty = off)")
 	flag.Parse()
 	if *experiment == "" {
 		fmt.Fprintln(os.Stderr, "smokeclient: -experiment is required")
