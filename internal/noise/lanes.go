@@ -46,9 +46,12 @@ const laneGapBoundary = 1.0 / 32
 type LaneSampler struct {
 	// Arm is the regime p falls in.
 	Arm LaneArm
-	// param is 1/ln(1-p), cached for GeometricSkip, on the gap arm and
-	// p itself, the Bernoulli64 argument, on the word arm.
+	// param is 1/ln(1-p), cached for GeometricSkip, on the gap arm.
 	param float64
+	// thresh is rng.Threshold(p), the fixed-point threshold
+	// rng.BernoulliWord compares against, on the word arm: quantised
+	// once here rather than once per site-word.
+	thresh uint64
 }
 
 // Lanes returns the sampler for event probability p.
@@ -61,7 +64,7 @@ func Lanes(p float64) LaneSampler {
 	case p < laneGapBoundary:
 		return LaneSampler{Arm: LaneGaps, param: 1 / math.Log1p(-p)}
 	default:
-		return LaneSampler{Arm: LaneWord, param: p}
+		return LaneSampler{Arm: LaneWord, thresh: rng.Threshold(p)}
 	}
 }
 
@@ -103,7 +106,7 @@ func (s *LaneSampler) word(src *rng.Source, cur *int64) uint64 {
 	case LaneAlways:
 		return ^uint64(0)
 	case LaneWord:
-		return src.Bernoulli64(s.param)
+		return src.BernoulliWord(s.thresh)
 	}
 	var fire uint64
 	c := *cur
@@ -122,13 +125,18 @@ func (s *LaneSampler) word(src *rng.Source, cur *int64) uint64 {
 // give every pending lane a uniform pair of bits, 01 → X, 10 → Z,
 // 11 → Y, and the lanes that drew 00 are redrawn — exactly uniform, and
 // since a round retires three pending lanes in four, about 2.7 words for
-// the six errors of a p = 0.1 word.
+// the six errors of a p = 0.1 word. The rounds draw on a local copy of
+// the generator state, stored back once.
 func PauliWords(src *rng.Source, errs uint64) (xs, zs uint64) {
+	st := *src
 	for errs != 0 {
-		a, b := src.Uint64(), src.Uint64()
+		var a, b uint64
+		a, st = st.Next()
+		b, st = st.Next()
 		xs |= errs & b
 		zs |= errs & a
 		errs &^= a | b
 	}
+	*src = st
 	return xs, zs
 }

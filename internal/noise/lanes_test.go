@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -226,7 +227,7 @@ func TestPauliWordsUniformIndependentExact(t *testing.T) {
 	var xOrYAt [64]float64 // of which flipped X
 	densities := []float64{0.1, 0.5, 1}
 	for i := 0; i < 1<<17; i++ {
-		errs := masks.Bernoulli64(densities[i%len(densities)])
+		errs := masks.BernoulliWord(rng.Threshold(densities[i%len(densities)]))
 		xs, zs := PauliWords(src, errs)
 		if xs|zs != errs {
 			t.Fatalf("errs %064b: flipped %064b — an error lane left alone or a clean lane flipped", errs, xs|zs)
@@ -275,3 +276,31 @@ func TestPauliWordsUniformIndependentExact(t *testing.T) {
 		t.Error("an empty error word flipped a lane or consumed randomness")
 	}
 }
+
+// BenchmarkLaneSamplerWord times the tile kernel's dense draws per
+// site-word: the word arm at the boundary (1/32), at threshold's
+// depolarizing column (0.1) and at a fair coin (0.5), and the dense
+// depolarizing pair — an error word at 0.1 and its Pauli types.
+func BenchmarkLaneSamplerWord(b *testing.B) {
+	for _, p := range []float64{1.0 / 32, 0.1, 0.5} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			s, src := Lanes(p), rng.New(1)
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink ^= s.Word(src, nil)
+			}
+			benchSink = sink
+		})
+	}
+	b.Run("depolarizing", func(b *testing.B) {
+		s, src := Lanes(0.1), rng.New(1)
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			xs, zs := PauliWords(src, s.Word(src, nil))
+			sink ^= xs ^ zs
+		}
+		benchSink = sink
+	})
+}
+
+var benchSink uint64

@@ -151,6 +151,88 @@ func (c *Code) detectionEventTile(rec []uint64, w int, dst, anyw []uint64) {
 	}
 }
 
+// laneKeys holds the memo keys of one tile word's 64 lanes, built at
+// once: lane l's key carries bit l of detection word i at bit i, for
+// i < nbits <= 128, the low 64 detection words in half 0 and the rest in
+// half 1. Each half is a bit matrix of n <= 64 detection rows by 64
+// lanes; with b the smallest power of two >= n, transposing each of its
+// b×b blocks in place (transposeBlocks) leaves lane l's key in the b
+// bits of rows[l mod b] from bit l - l mod b up. For b = 64 that is the
+// plain 64×64 transpose and the key is rows[l]; the 12-bit patterns of
+// the 2-round family need only the 16×16 blocks, a sixth of the work.
+// Either way it costs the same whatever the number of triggered lanes,
+// where gathering a key's nbits bits one at a time cost nbits
+// shift-and-mask steps per triggered lane.
+type laneKeys struct {
+	rows [2][64]uint64
+	// block is each half's block size b.
+	block [2]uint
+}
+
+// build fills the keys of tile word k of a w-word detection-event tile.
+func (t *laneKeys) build(events []uint64, w, k, nbits int) {
+	for h := 0; h*64 < nbits; h++ {
+		n := min(nbits-h*64, 64)
+		rows := &t.rows[h]
+		for i := 0; i < n; i++ {
+			rows[i] = events[(h*64+i)*w+k]
+		}
+		b := uint(1) << mathbits.Len(uint(n-1))
+		clear(rows[n:b])
+		transposeBlocks(rows, b)
+		t.block[h] = b
+	}
+}
+
+// key returns half h of lane's memo key.
+func (t *laneKeys) key(h int, lane uint) uint64 {
+	b := t.block[h]
+	return t.rows[h][lane&(b-1)&63] >> (lane &^ (b - 1)) & (1<<b - 1)
+}
+
+// transposeBlocks transposes every b×b diagonal block of the bit matrix
+// in a[:b] (b a power of two <= 64): bit c of a[r] and bit r' of a[r']
+// ... trade places within each block, so that for r, c < b bit
+// base+c of a[r] moves to bit base+r of a[c], base a multiple of b.
+// Round j swaps row-index bit j with column-index bit j; the rounds
+// commute, and those for j < b are exactly the block transpose (all six
+// are the full 64×64 transpose, Hacker's Delight 7-3).
+func transposeBlocks(a *[64]uint64, b uint) {
+	if b > 32 {
+		transposeRound(a, b, 32, 0x00000000ffffffff)
+	}
+	if b > 16 {
+		transposeRound(a, b, 16, 0x0000ffff0000ffff)
+	}
+	if b > 8 {
+		transposeRound(a, b, 8, 0x00ff00ff00ff00ff)
+	}
+	if b > 4 {
+		transposeRound(a, b, 4, 0x0f0f0f0f0f0f0f0f)
+	}
+	if b > 2 {
+		transposeRound(a, b, 2, 0x3333333333333333)
+	}
+	if b > 1 {
+		transposeRound(a, b, 1, 0x5555555555555555)
+	}
+}
+
+// transposeRound is one round of transposeBlocks over rows a[:b]: for
+// each of the b/2 rows k with bit j clear, the bits of a[k] whose
+// position has bit j set swap with the bits of a[k|j] whose position
+// has it clear (m marks the latter). Inlined with a constant j, every
+// shift is an immediate; the &63 lets the compiler drop the bounds
+// checks.
+func transposeRound(a *[64]uint64, b, j uint, m uint64) {
+	for n := uint(0); n < b/2; n++ {
+		k := n&(j-1) | (n&^(j-1))<<1
+		t := (a[k&63]>>j ^ a[(k|j)&63]) & m
+		a[(k|j)&63] ^= t
+		a[k&63] ^= t << j
+	}
+}
+
 // frontSize sizes decodeBuf's direct-mapped front cache (a power of
 // two). 256 entries cover the working set of repeated syndromes under a
 // localised strike while keeping the arrays L1-resident (8 KiB).
@@ -158,7 +240,8 @@ const frontSize = 256
 
 // decodeBuf is the pooled scratch of one decode: a scalar record packed
 // into a one-word tile, the extracted detection-event tile, the per-word
-// defect accumulator masks, the defect list of a lane that missed the
+// defect accumulator masks, the memo keys of one tile word's 64 lanes
+// (laneKeys), the defect list of a lane that missed the
 // memo, and everything resolving that list needs — the exact-parity
 // solver's tables, the defect-graph edges, the blossom workspace and
 // the correction mask. One pool serves every code and decoder — the
@@ -181,6 +264,8 @@ type decodeBuf struct {
 	edges []matching.Edge
 	ws    matching.Workspace
 	flips []bool
+
+	keys laneKeys
 
 	frontGen [frontSize]uint64
 	frontK0  [frontSize]uint64
@@ -257,25 +342,28 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 	// low key word (the 2-round hot path), up to 128 both words of the
 	// key that keeps memory-depth campaigns cached.
 	nbits := c.detectorBits()
-	cacheable := nbits <= memoKeyBits
+	cacheable, wide := nbits <= memoKeyBits, nbits > 64
 	defects := buf.defects
+	keys := &buf.keys
 	var triggered, misses, matched, exacts int64
 	for k := 0; k < w; k++ {
 		slow := anyw[k] & live[k]
+		if slow == 0 {
+			continue
+		}
 		triggered += int64(mathbits.OnesCount64(slow))
+		if cacheable {
+			keys.build(defectWords, w, k, nbits)
+		}
 		for m := slow; m != 0; m &= m - 1 {
 			lane := uint(mathbits.TrailingZeros64(m))
 			mask := uint64(1) << lane
 			var k0, k1, h uint64
 			fi := 0
 			if cacheable {
-				for i := 0; i < nbits; i++ {
-					bit := (defectWords[i*w+k] >> lane) & 1
-					if i < 64 {
-						k0 |= bit << uint(i)
-					} else {
-						k1 |= bit << uint(i-64)
-					}
+				k0 = keys.key(0, lane)
+				if wide {
+					k1 = keys.key(1, lane)
 				}
 				h = memoHash(k0, k1)
 				fi = int(h & (frontSize - 1))

@@ -600,3 +600,101 @@ func FuzzTileDecodersMatchScalarOracle(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkDecodeTileHitPath times the memo-hit path fig5 lives on: the
+// rep-5 code at two rounds (a 12-bit detector pattern), 8-word tiles of
+// records whose bits fire independently at 4.5%, so about 45% of lanes
+// see a defect, decoded against a memo every pattern has already
+// reached. It reports ns per tile word and the triggered share it ran
+// at.
+func BenchmarkDecodeTileHitPath(b *testing.B) {
+	c, err := NewRepetition(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const w, tiles = 8, 64
+	src := rng.New(45)
+	recs := make([][]uint64, tiles)
+	live := make([]uint64, w)
+	for k := range live {
+		live[k] = ^uint64(0)
+	}
+	out := make([]uint64, w)
+	var triggered int
+	for t := range recs {
+		rec := make([]uint64, c.Circ.NumClbits*w)
+		for i := range rec {
+			rec[i] = src.BernoulliWord(rng.Threshold(0.045))
+		}
+		recs[t] = rec
+		for k := 0; k < w; k++ {
+			lane := make([]uint64, c.Circ.NumClbits)
+			for i := range lane {
+				lane[i] = rec[i*w+k]
+			}
+			_, any := c.DetectionEventWords(lane, nil)
+			triggered += mathbits.OnesCount64(any)
+		}
+		c.DecodeTile(rec, w, live, out) // warm the memo
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.DecodeTile(recs[i%tiles], w, live, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/word")
+	b.ReportMetric(float64(triggered)/float64(tiles*w*64), "triggered_share")
+}
+
+// laneGatherKey is how decodeTile built a lane's memo key before
+// laneKeys: bit i of the key is bit lane of detection word i, gathered
+// one bit at a time. TestTileKeysMatchLaneGather holds the transposed
+// keys to it.
+func laneGatherKey(events []uint64, w, k, nbits int, lane uint) (k0, k1 uint64) {
+	for i := 0; i < nbits; i++ {
+		bit := (events[i*w+k] >> lane) & 1
+		if i < 64 {
+			k0 |= bit << uint(i)
+		} else {
+			k1 |= bit << uint(i-64)
+		}
+	}
+	return k0, k1
+}
+
+// TestTileKeysMatchLaneGather builds every lane's key by block transpose
+// and by the per-lane gather, for every key width a memo takes (1–128
+// bits: every block size, both halves) and tile widths 1–8, on sparse,
+// half-full and dense event words, reusing one laneKeys throughout so a
+// wide build's rows cannot leak into a narrow one.
+func TestTileKeysMatchLaneGather(t *testing.T) {
+	src := rng.New(1234)
+	var keys laneKeys
+	for nbits := 1; nbits <= memoKeyBits; nbits++ {
+		for w := 1; w <= 8; w++ {
+			events := make([]uint64, nbits*w)
+			for i := range events {
+				switch i % 3 {
+				case 0:
+					events[i] = src.Uint64()
+				case 1:
+					events[i] = src.BernoulliWord(rng.Threshold(0.05))
+				default:
+					events[i] = ^src.BernoulliWord(rng.Threshold(0.05))
+				}
+			}
+			for k := 0; k < w; k++ {
+				keys.build(events, w, k, nbits)
+				for lane := uint(0); lane < 64; lane++ {
+					w0, w1 := laneGatherKey(events, w, k, nbits, lane)
+					g0, g1 := keys.key(0, lane), uint64(0)
+					if nbits > 64 {
+						g1 = keys.key(1, lane)
+					}
+					if g0 != w0 || g1 != w1 {
+						t.Fatalf("nbits %d w %d word %d lane %d: key %#x:%#x, gather %#x:%#x", nbits, w, k, lane, g1, g0, w1, w0)
+					}
+				}
+			}
+		}
+	}
+}

@@ -201,24 +201,28 @@ func BenchmarkFloat64(b *testing.B) {
 
 func TestBernoulli64Edges(t *testing.T) {
 	s := New(1)
-	if got := s.Bernoulli64(0); got != 0 {
+	if got := bernoulli64(s, 0); got != 0 {
 		t.Fatalf("p=0 word = %x", got)
 	}
-	if got := s.Bernoulli64(-1); got != 0 {
+	if got := bernoulli64(s, -1); got != 0 {
 		t.Fatalf("p<0 word = %x", got)
 	}
-	if got := s.Bernoulli64(1); got != ^uint64(0) {
+	if got := bernoulli64(s, 1); got != ^uint64(0) {
 		t.Fatalf("p=1 word = %x", got)
 	}
-	if got := s.Bernoulli64(2); got != ^uint64(0) {
+	if got := bernoulli64(s, 2); got != ^uint64(0) {
 		t.Fatalf("p>1 word = %x", got)
+	}
+	before := *s
+	if got := bernoulli64(s, math.NaN()); got != 0 || *s != before {
+		t.Fatalf("p=NaN word = %x, stream moved %v; NaN never fires and draws nothing", got, *s != before)
 	}
 }
 
 func TestBernoulli64Deterministic(t *testing.T) {
 	a, b := New(9), New(9)
 	for i := 0; i < 100; i++ {
-		if a.Bernoulli64(0.3) != b.Bernoulli64(0.3) {
+		if bernoulli64(a, 0.3) != bernoulli64(b, 0.3) {
 			t.Fatal("identical seeds diverged")
 		}
 	}
@@ -232,7 +236,7 @@ func TestBernoulli64Rates(t *testing.T) {
 		const words = 30000
 		hits := 0
 		for i := 0; i < words; i++ {
-			hits += bits.OnesCount64(s.Bernoulli64(p))
+			hits += bits.OnesCount64(bernoulli64(s, p))
 		}
 		n := float64(words * 64)
 		rate := float64(hits) / n
@@ -252,7 +256,7 @@ func TestBernoulli64LaneIndependence(t *testing.T) {
 	const p = 0.3
 	var perLane [64]int
 	for i := 0; i < words; i++ {
-		w := s.Bernoulli64(p)
+		w := bernoulli64(s, p)
 		for l := 0; l < 64; l++ {
 			perLane[l] += int(w>>l) & 1
 		}
@@ -268,7 +272,7 @@ func TestBernoulli64LaneIndependence(t *testing.T) {
 func BenchmarkBernoulli64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
-		_ = s.Bernoulli64(0.01)
+		_ = bernoulli64(s, 0.01)
 	}
 }
 
@@ -315,3 +319,7 @@ func TestReseedMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// bernoulli64 draws one word at probability p, quantising p at the call
+// as the frozen reference does.
+func bernoulli64(s *Source, p float64) uint64 { return s.BernoulliWord(Threshold(p)) }
