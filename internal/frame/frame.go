@@ -85,8 +85,9 @@ import (
 //     anything; p < 1/32 — fewer than two expected events per 64-lane
 //     word — walks geometric gaps with a persistent cursor, so a site
 //     costs a compare-and-subtract and only an actual event costs a
-//     draw; anything denser takes one rng.Bernoulli64 word per site
-//     (~7.5 RNG words whatever p is). The paper's strikes are sparse by
+//     draw; anything denser takes one rng.BernoulliWord per site
+//     (~7.5 RNG words whatever p is, drawn on register-resident
+//     generator state against a threshold quantised once per sampler). The paper's strikes are sparse by
 //     construction (e^-k over the temporal samples, 1/(d+1)² with
 //     distance: 78% of fig5's struck site-words sit below 1/32, 88% of
 //     fig8's), the saturating root of fig6 is p = 1, and intrinsic

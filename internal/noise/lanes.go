@@ -15,7 +15,7 @@ const (
 	LaneNever LaneArm = iota
 	// LaneGaps: 0 < p < laneGapBoundary, events by geometric gaps.
 	LaneGaps
-	// LaneWord: laneGapBoundary <= p < 1, one rng.Bernoulli64 word per site.
+	// LaneWord: laneGapBoundary <= p < 1, one rng.BernoulliWord per site.
 	LaneWord
 	// LaneAlways: p >= 1, every lane and no draw.
 	LaneAlways
@@ -24,13 +24,22 @@ const (
 // laneGapBoundary is the probability below which a 64-lane word holds
 // fewer than two expected events, where paying one GeometricSkip per
 // event (and a compare-and-subtract per eventless word) beats the ~7.5
-// RNG words rng.Bernoulli64 costs whatever p is. Nobody is asked to
+// RNG words rng.BernoulliWord costs whatever p is. Nobody is asked to
 // tune it because the basin is flat: CPU ms per `-shots 40000 fig5`
 // run with the boundary at 1/8, 1/16, 1/32, 1/64, 1/128 read 1189 /
 // 869 / 910 / 876 / 948 (medians of five on the 2-core box, whose own
 // spread is ±4%), and per `-shots 512 fig8` run 674 / 665 / 708 / 683 /
 // 865. It is the batched counterpart of skipThreshold, which prices a
 // scalar draw per site and so sits elsewhere.
+//
+// The word arm has since got cheaper (its draws stay in registers and
+// its threshold is quantised once per sampler), which on its own would
+// move the crossover down a little. The boundary is not re-tuned for
+// it: the arm a probability falls in decides which draws its sites make,
+// so moving 1/32 by any amount moves the stream of every point with a
+// probability between the old and new boundary — every fig5 and fig8
+// table and a fingerprintVersion bump — for a gain the flat basin above
+// says is inside the box's noise.
 const laneGapBoundary = 1.0 / 32
 
 // LaneSampler is the batched twin of SkipSampler: it samples one

@@ -9,9 +9,9 @@
 // gaps below skipThreshold, a draw per site above. LaneSampler is its
 // batched twin for the 64-lane tile kernel, one site-word at a time,
 // for either channel: nothing drawn at p <= 0 and p >= 1, geometric
-// gaps with a carried cursor below 1/32, one rng.Bernoulli64 word per
-// site from there up; PauliWords types a whole word of depolarizing
-// errors at once.
+// gaps with a carried cursor below 1/32, one rng.BernoulliWord per site
+// from there up; PauliWords types a whole word of depolarizing errors at
+// once.
 package noise
 
 import "math"

@@ -160,9 +160,8 @@ func (c *Code) detectionEventTile(rec []uint64, w int, dst, anyw []uint64) {
 // bits of rows[l mod b] from bit l - l mod b up. For b = 64 that is the
 // plain 64×64 transpose and the key is rows[l]; the 12-bit patterns of
 // the 2-round family need only the 16×16 blocks, a sixth of the work.
-// Either way it costs the same whatever the number of triggered lanes,
-// where gathering a key's nbits bits one at a time cost nbits
-// shift-and-mask steps per triggered lane.
+// The cost is per tile word, whatever the number of triggered lanes; a
+// lane's key is then one shift and mask.
 type laneKeys struct {
 	rows [2][64]uint64
 	// block is each half's block size b.
@@ -190,13 +189,13 @@ func (t *laneKeys) key(h int, lane uint) uint64 {
 	return t.rows[h][lane&(b-1)&63] >> (lane &^ (b - 1)) & (1<<b - 1)
 }
 
-// transposeBlocks transposes every b×b diagonal block of the bit matrix
-// in a[:b] (b a power of two <= 64): bit c of a[r] and bit r' of a[r']
-// ... trade places within each block, so that for r, c < b bit
-// base+c of a[r] moves to bit base+r of a[c], base a multiple of b.
-// Round j swaps row-index bit j with column-index bit j; the rounds
-// commute, and those for j < b are exactly the block transpose (all six
-// are the full 64×64 transpose, Hacker's Delight 7-3).
+// transposeBlocks transposes the b×b blocks of the b×64 bit matrix
+// a[:b] (b a power of two <= 64): for r, c < b and every multiple m of
+// b, bit m+c of a[r] and bit m+r of a[c] trade places. Round j (a power
+// of two) exchanges the j-bit of the row index with the j-bit of the
+// column index; the six rounds commute and together are the full 64×64
+// transpose (Hacker's Delight 7-3), and the rounds j < b alone are the
+// block transpose.
 func transposeBlocks(a *[64]uint64, b uint) {
 	if b > 32 {
 		transposeRound(a, b, 32, 0x00000000ffffffff)
@@ -240,12 +239,12 @@ const frontSize = 256
 
 // decodeBuf is the pooled scratch of one decode: a scalar record packed
 // into a one-word tile, the extracted detection-event tile, the per-word
-// defect accumulator masks, the memo keys of one tile word's 64 lanes
-// (laneKeys), the defect list of a lane that missed the
-// memo, and everything resolving that list needs — the exact-parity
-// solver's tables, the defect-graph edges, the blossom workspace and
-// the correction mask. One pool serves every code and decoder — the
-// slices grow to the largest decode seen and are reused verbatim.
+// defect accumulator masks, the memo keys of one tile word's 64 lanes,
+// the defect list of a lane that missed the memo, and everything
+// resolving that list needs — the exact-parity solver's tables, the
+// defect-graph edges, the blossom workspace and the correction mask.
+// One pool serves every code and decoder — the slices grow to the
+// largest decode seen and are reused verbatim.
 //
 // The front arrays are a goroutine-private direct-mapped cache in front
 // of the shared parityMemo: while a buf is checked out its owner probes

@@ -698,3 +698,46 @@ func TestTileKeysMatchLaneGather(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeTileStoresGatherKeys decodes one tile per code into an empty
+// memo and requires that the memo then holds exactly the per-lane
+// gathered key of every triggered live lane: the keys decodeTile probes
+// and stores are the defect patterns themselves, both key words
+// included. Codes span one block size each side of 64 detector bits
+// (12, 32, 80 and 128 bits), where a high key word mixed up with the low
+// one would alias two patterns without any decoded value showing it.
+func TestDecodeTileStoresGatherKeys(t *testing.T) {
+	for _, tc := range []struct{ d, rounds int }{{5, 2}, {9, 3}, {9, 9}, {17, 7}} {
+		c, err := NewRepetitionRounds(tc.d, tc.rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nbits := c.detectorBits()
+		if nbits > memoKeyBits {
+			t.Fatalf("%s rounds %d: %d detector bits, past a memo key", c.Name, tc.rounds, nbits)
+		}
+		const w = 3
+		rec := tileRecord(c, w, rng.New(uint64(tc.d*100+tc.rounds)))
+		live := []uint64{^uint64(0), 0xf0f0f0f0f0f0f0f0, ^uint64(0)}
+		out := make([]uint64, w)
+		c.mwpmMemo = newParityMemo(nbits)
+		c.DecodeTile(rec, w, live, out)
+		events := make([]uint64, nbits*w)
+		anyw := make([]uint64, w)
+		c.detectionEventTile(rec, w, events, anyw)
+		distinct := map[[2]uint64]bool{}
+		for k := 0; k < w; k++ {
+			for m := anyw[k] & live[k]; m != 0; m &= m - 1 {
+				lane := uint(mathbits.TrailingZeros64(m))
+				k0, k1 := laneGatherKey(events, w, k, nbits, lane)
+				if _, ok := c.mwpmMemo.load(memoHash(k0, k1), k0, k1); !ok {
+					t.Fatalf("%s rounds %d word %d lane %d: pattern %#x:%#x not in the memo", c.Name, tc.rounds, k, lane, k1, k0)
+				}
+				distinct[[2]uint64{k0, k1}] = true
+			}
+		}
+		if got := c.mwpmMemo.entries(); got != int64(len(distinct)) {
+			t.Fatalf("%s rounds %d: memo holds %d entries for %d distinct patterns", c.Name, tc.rounds, got, len(distinct))
+		}
+	}
+}

@@ -156,12 +156,11 @@ func (s *Source) Bool(p float64) bool {
 const thresholdBits = 53
 
 // Threshold quantises an event probability p to the fixed-point
-// threshold BernoulliWord compares against: ceil(p·2^53), the 53-bit
-// grid Float64 lives on, so a lane fires exactly when its implicit
-// uniform would satisfy Float64() < p. Like Bool, !(p > 0) — NaN
-// included — maps to 0, which never fires, and p >= 1 to 2^53, which
-// always does; neither draws. A caller that draws many words at one p
-// quantises it once.
+// threshold BernoulliWord compares against, ceil(p·2^53), so that a lane
+// fires exactly when its implicit uniform would satisfy Float64() < p.
+// As with Bool, !(p > 0) — NaN included — never fires: it maps to 0; p
+// >= 1 maps to 2^53, which always fires. BernoulliWord draws nothing for
+// either. A caller that draws many words at one p quantises it once.
 func Threshold(p float64) uint64 {
 	switch {
 	case !(p > 0):
