@@ -620,6 +620,7 @@ func BenchmarkDecodeTileHitPath(b *testing.B) {
 		live[k] = ^uint64(0)
 	}
 	out := make([]uint64, w)
+	events := make([]uint64, c.detectorBits()*w)
 	var triggered int
 	for t := range recs {
 		rec := make([]uint64, c.Circ.NumClbits*w)
@@ -627,13 +628,10 @@ func BenchmarkDecodeTileHitPath(b *testing.B) {
 			rec[i] = src.BernoulliWord(rng.Threshold(0.045))
 		}
 		recs[t] = rec
-		for k := 0; k < w; k++ {
-			lane := make([]uint64, c.Circ.NumClbits)
-			for i := range lane {
-				lane[i] = rec[i*w+k]
-			}
-			_, any := c.DetectionEventWords(lane, nil)
-			triggered += mathbits.OnesCount64(any)
+		anyw := make([]uint64, w)
+		c.detectionEventTile(rec, w, events, anyw)
+		for _, a := range anyw {
+			triggered += mathbits.OnesCount64(a)
 		}
 		c.DecodeTile(rec, w, live, out) // warm the memo
 	}
