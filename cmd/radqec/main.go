@@ -5,9 +5,9 @@
 //
 //	radqec [flags] <experiment>
 //
-// Experiments: fig3 fig4 fig5 fig6 fig7 fig8 fig8summary
-// ablation-decoder ablation-ns ablation-layout ablation-rounds
-// memory threshold logical all
+// Experiments: fig3 fig4 fig5 fig6 fig7 fig8 ablation-decoder
+// ablation-ns ablation-layout ablation-rounds memory threshold
+// logical all
 //
 // Flags:
 //
@@ -414,7 +414,7 @@ func printStats(st telemetry.Stats, before, after exp.RegistryStats) {
 		if calls > 0 {
 			meanK = float64(after.Decoder.MatchedDefects-before.Decoder.MatchedDefects) / float64(calls)
 		}
-		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls (mean k %.1f defects) for %d triggered lanes, %d memo entries, %d answered by exact parity\n",
+		fmt.Fprintf(os.Stderr, "radqec: %s: decoder: %d matcher calls (mean k %.1f defects) for %d triggered lanes, %d memo entries in the process, %d answered by exact parity\n",
 			st.Experiment, calls, meanK, lanes, after.Decoder.MemoEntries,
 			after.Decoder.ExactParity-before.Decoder.ExactParity)
 	}

@@ -99,6 +99,29 @@ func TestSpellingDoesNotMoveTheAddress(t *testing.T) {
 	}
 }
 
+// TestExperimentsShareNoPoints: no two experiments run the same point.
+// Every experiment runs once against one store, so a point an earlier
+// experiment already computed would come back Cached — a table paid for
+// twice by a run without -store.
+func TestExperimentsShareNoPoints(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, e := range Experiments() {
+		cfg := Config{Shots: 64, Seed: 3, NS: 2, Cache: st}
+		cfg.OnPoint = func(r sweep.Result) {
+			if r.Cached {
+				t.Errorf("%s: point %s was already in the store: an earlier experiment ran it", e.Name, r.Key)
+			}
+		}
+		if _, err := e.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+}
+
 // tableText renders a table the way the CLI does.
 func tableText(t *testing.T, tab *Table) string {
 	t.Helper()

@@ -726,14 +726,55 @@ func TestFig7RunsSmall(t *testing.T) {
 	}
 }
 
-func TestFig8SummaryRunsSmall(t *testing.T) {
-	tab, err := Fig8Summary(Config{Shots: 5, Seed: 2, NS: 2})
+// TestFig8RunsSmall: fig8 covers its 12 (code, architecture) cells —
+// 5 repetition topologies and 7 XXZZ ones — and every row carries its
+// cell's routing overhead, the SWAPs and two-qubit gates of the
+// transpiled circuit.
+func TestFig8RunsSmall(t *testing.T) {
+	cfg := Config{Shots: 5, Seed: 2, NS: 2}
+	tab, err := Fig8(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 repetition topologies + 7 xxzz topologies.
-	if len(tab.Rows) != 12 {
-		t.Fatalf("fig8 rows = %d", len(tab.Rows))
+	if i := slices.Index(tab.Header, "two_qubit_gates"); i != 3 || tab.Header[2] != "swaps" {
+		t.Fatalf("fig8 header %v: want two_qubit_gates right after swaps", tab.Header)
+	}
+	type overhead struct{ swaps, twoQubit string }
+	want := map[string]overhead{}
+	rep, err := cfg.Defaults().repetition(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xxzz, err := cfg.Defaults().xxzz(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for code, topos := range map[*qec.Code][]arch.Topology{rep: Fig8RepTopologies(), xxzz: Fig8XXZZTopologies()} {
+		for _, topo := range topos {
+			tr, err := arch.Transpile(code.Circ, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[code.Name+" on "+topo.Name] = overhead{strconv.Itoa(tr.SwapCount), strconv.Itoa(tr.Circuit.CountTwoQubit())}
+		}
+	}
+	if len(want) != 12 {
+		t.Fatalf("%d fig8 cells, want 12", len(want))
+	}
+	seen := map[string]bool{}
+	for _, row := range tab.Rows {
+		cell := row[0] + " on " + row[1]
+		w, ok := want[cell]
+		if !ok {
+			t.Fatalf("row %v is not a fig8 cell", row)
+		}
+		if got := (overhead{row[2], row[3]}); got != w {
+			t.Errorf("%s: swaps %s, two_qubit_gates %s; transpiled circuit has %s and %s", cell, got.swaps, got.twoQubit, w.swaps, w.twoQubit)
+		}
+		seen[cell] = true
+	}
+	if len(seen) != 12 || len(tab.Notes) != 12 {
+		t.Fatalf("fig8 rendered %d cells and %d notes, want 12 of each", len(seen), len(tab.Notes))
 	}
 }
 

@@ -29,7 +29,6 @@ func Experiments() []Experiment {
 		{"fig6", "criticality by code distance (single erasure)", Fig6, true},
 		{"fig7", "correlated spread vs independent erasures", Fig7, true},
 		{"fig8", "per-qubit criticality across architectures", Fig8, true},
-		{"fig8summary", "architecture comparison summary", Fig8Summary, true},
 		{"ablation-decoder", "blossom vs union-find vs greedy decoding", AblationDecoder, true},
 		{"ablation-ns", "temporal sample count sweep", AblationTemporalSamples, false},
 		{"ablation-layout", "initial layout strategy", AblationLayout, true},

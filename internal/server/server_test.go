@@ -165,6 +165,8 @@ func TestCampaignValidation(t *testing.T) {
 		"shots cap":     {Experiment: "fig5", Shots: exp.MaxShots + 1},
 		"maxshots cap":  {Experiment: "fig5", Shots: 1, CI: 0.01, MaxShots: exp.MaxShots + 1},
 		"ci worst case": {Experiment: "fig5", Shots: 1, CI: 1e-6},
+		// Removed: its table was fig8's grid run a second time.
+		"fig8summary": {Experiment: "fig8summary"},
 	} {
 		body, _ := json.Marshal(req)
 		resp, msg := doRaw(t, ts, http.MethodPost, "/v1/campaigns", string(body), nil)

@@ -4,7 +4,8 @@
 # The size numbers ROADMAP.md and CHANGES.md quote per PR, from the
 # tree instead of by hand: non-test .go lines outside bench/ (with the
 # internal/telemetry + internal/trace share), flag definitions per
-# binary, and the reachability allowlist in reach_test.go by reason.
+# binary, the experiments registered in internal/exp/registry.go, and
+# the reachability allowlist in reach_test.go by reason.
 # Exits 1 when internal/telemetry + internal/trace exceed obsBound
 # lines, ROADMAP.md item 7's bound. Run from anywhere inside the
 # repository.
@@ -23,6 +24,7 @@ obs=$(lines internal/telemetry internal/trace)
 echo "non-test .go lines outside bench/: $(lines .)"
 echo "  internal/telemetry + internal/trace: $obs (bound $obsBound)"
 echo "flags: $((radqec + radqecd)) (radqec $radqec + radqecd $radqecd)"
+echo "experiments: $(grep -cE '^\s*\{"[^"]+", "' internal/exp/registry.go)"
 oracle=$(allowed oracle)
 hook=$(allowed test-hook)
 prior=$(allowed prior)
