@@ -293,14 +293,15 @@ func main() {
 		}
 		os.Exit(1)
 	}()
-	// The batch engine approximates radiation resets on superposed XXZZ
-	// sites (collapsed-branch coin; see package frame); say so once on
-	// stderr — only when a selected experiment actually enters that
-	// domain — so default-flag reproduction runs know the exact oracle.
+	// The batch engine approximates fractional radiation resets on
+	// superposed XXZZ sites (collapsed-branch coin; saturated strikes
+	// are exact, see package frame); say so once on stderr — only when
+	// a selected experiment actually enters that domain — so
+	// default-flag reproduction runs know the exact oracle.
 	if cfg.Engine == exp.EngineBatch {
 		for _, e := range selected {
 			if e.XXZZRad {
-				slog.Warn("radqec: radiation resets on superposed XXZZ sites use the collapsed-branch approximation; -engine tableau is the exact oracle",
+				slog.Warn("radqec: fractional radiation resets on superposed XXZZ sites use the collapsed-branch approximation; -engine tableau is the exact oracle",
 					"engine", cfg.Engine)
 				break
 			}

@@ -24,9 +24,10 @@ const (
 	EngineTableau = "tableau"
 	// EngineBatch (the default) is the bit-parallel Pauli-frame engine:
 	// 64 shots per uint64 word, 512 per tile, exact for the full Clifford
-	// set under depolarizing noise and for radiation resets on
-	// Z-eigenstate sites, with the collapsed-branch approximation
-	// documented in package frame for resets on superposed XXZZ sites.
+	// set under depolarizing noise, for radiation resets on Z-eigenstate
+	// sites and for every saturated (probability-1) strike, with the
+	// collapsed-branch approximation documented in package frame only
+	// for fractional strikes on superposed XXZZ sites.
 	EngineBatch = "batch"
 )
 

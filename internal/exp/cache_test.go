@@ -122,6 +122,26 @@ func TestExperimentsShareNoPoints(t *testing.T) {
 	}
 }
 
+// TestExperimentsStreamEachKeyOnce: within one experiment's stream no
+// two points share a key, so a consumer of -json point records can
+// tell every point apart (fig8 once keyed root<R>/t<K> within each
+// (code, architecture) cell and repeated them across its cells).
+func TestExperimentsStreamEachKeyOnce(t *testing.T) {
+	for _, e := range Experiments() {
+		seen := map[string]bool{}
+		cfg := Config{Shots: 64, Seed: 3, NS: 2}
+		cfg.OnPoint = func(r sweep.Result) {
+			if seen[r.Key] {
+				t.Errorf("%s: key %q streamed twice", e.Name, r.Key)
+			}
+			seen[r.Key] = true
+		}
+		if _, err := e.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+}
+
 // tableText renders a table the way the CLI does.
 func tableText(t *testing.T, tab *Table) string {
 	t.Helper()

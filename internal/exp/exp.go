@@ -344,9 +344,9 @@ func pct(r float64) string { return fmt.Sprintf("%.2f%%", 100*r) }
 // prepared couples a code with its routed circuit on a topology. Every
 // prepared circuit is batch-eligible: the universal frame engine covers
 // the full Clifford set, so the default rides the bit-parallel path for
-// all of them (radiation resets on superposed XXZZ sites carry the
-// collapsed-branch approximation documented in package frame; pass
-// EngineTableau for the exact oracle).
+// all of them (fractional radiation resets on superposed XXZZ sites
+// carry the collapsed-branch approximation documented in package frame;
+// pass EngineTableau for the exact oracle).
 //
 // Concurrent campaigns share one prepared circuit through the registry,
 // so everything here is either written before the value is published or
@@ -575,14 +575,16 @@ func (p *prepared) usedRoots() []int { return p.tr.Used() }
 
 // medianOverRoots computes, per root, the median-over-time logical error
 // of a full strike evolution. All roots' temporal samples go through one
-// sweep, so the whole root × time grid shares the worker pool.
-func (p *prepared) medianOverRoots(cfg Config, seed uint64) ([]int, []float64, []sweep.Result) {
+// sweep, so the whole root × time grid shares the worker pool. Point keys
+// are prefix/root<R>/t<K>; the prefix names the cell, so a campaign over
+// several cells streams no key twice.
+func (p *prepared) medianOverRoots(cfg Config, prefix string, seed uint64) ([]int, []float64, []sweep.Result) {
 	roots := p.usedRoots()
 	ns := len(noise.TemporalSamples(cfg.NS))
 	specs := make([]pointSpec, 0, len(roots)*ns)
 	for i, root := range roots {
 		specs = append(specs,
-			p.evolutionSpecs(fmt.Sprintf("root%d", root), cfg, root, true, seed+uint64(i)*104729)...)
+			p.evolutionSpecs(fmt.Sprintf("%s/root%d", prefix, root), cfg, root, true, seed+uint64(i)*104729)...)
 	}
 	results := runSpecs(cfg, specs)
 	medians := make([]float64, len(roots))

@@ -588,7 +588,15 @@ func TestObservationIV(t *testing.T) {
 
 // Observations V and VI: a single spreading fault is worse than several
 // independent erasures; only erasing more than half the qubits overtakes
-// it (the threshold effect).
+// it (the threshold effect). Each ordering is a pooled two-sample z of
+// at least 3: the spreading strike's point against the errors and shots
+// summed over the sampled erasure sets. With erasures exact on the
+// batched engine (stab.StruckOf), one 64-shot word a point is the
+// smallest power of two that gives both: the rates read 46/64 (spread)
+// against 149/384 (two erasures) and 256/256 (fifteen), z = 4.9 and
+// 8.7 (32 shots give 3.5 and 6.2). Under the collapsed-branch
+// approximation the 15-erasure rate read 0.50, and VI needed 3000
+// shots a point to show at z = 2.7.
 func TestObservationVVI(t *testing.T) {
 	code, err := qec.NewXXZZ(3, 3)
 	if err != nil {
@@ -599,33 +607,39 @@ func TestObservationVVI(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg.Defaults()
-	// The batched engine's collapsed-branch approximation compresses the
-	// spread-vs-erasure gap on XXZZ (both regimes sit nearer the coin
-	// under saturating strikes), so this ordering needs more statistics
-	// than the other observations — cheap now that the campaign rides
-	// the bit-parallel engine.
-	cfg.Shots = 3000
+	cfg.Shots = 64
+	// counts sums the errors and shots of the points.
+	counts := func(specs []pointSpec) (errors, shots int) {
+		for _, r := range runSpecs(cfg, specs) {
+			errors, shots = errors+r.Errors, shots+r.Shots
+		}
+		return errors, shots
+	}
+	erasures := func(subs [][]int, seed uint64) []pointSpec {
+		var specs []pointSpec
+		for si, members := range subs {
+			specs = append(specs, p.spec("", cfg, subgraphEvent(p.tr.Circuit.NumQubits, members, 1.0), seed+uint64(si)))
+		}
+		return specs
+	}
 	// Spreading strike at a data-heavy root.
-	ev := p.strikeAt(p.usedRoots()[0], 1.0, true)
-	spread := p.rate(cfg, ev, 31)
+	spreadK, spreadN := counts([]pointSpec{p.spec("", cfg, p.strikeAt(p.usedRoots()[0], 1.0, true), 31)})
 	// A couple of independent erasures.
 	src := rng.New(17)
-	subs := p.sampleUsedSubgraphs(2, 6, src)
-	var small []float64
-	for si, members := range subs {
-		small = append(small, p.rate(cfg, subgraphEvent(p.tr.Circuit.NumQubits, members, 1.0), uint64(40+si)))
-	}
-	if spread <= stats.Median(small) {
-		t.Fatalf("spreading fault (%.3f) should exceed 2-qubit erasures (%.3f)", spread, stats.Median(small))
-	}
+	smallK, smallN := counts(erasures(p.sampleUsedSubgraphs(2, 6, src), 40))
 	// Erasing most of the chip overtakes the single spreading fault.
-	bigSubs := p.sampleUsedSubgraphs(15, 4, src)
-	var big []float64
-	for si, members := range bigSubs {
-		big = append(big, p.rate(cfg, subgraphEvent(p.tr.Circuit.NumQubits, members, 1.0), uint64(60+si)))
+	bigK, bigN := counts(erasures(p.sampleUsedSubgraphs(15, 4, src), 60))
+	zV := stats.TwoSampleZ(spreadK, spreadN, smallK, smallN)
+	zVI := stats.TwoSampleZ(bigK, bigN, spreadK, spreadN)
+	t.Logf("spread %d/%d, 2-erasures %d/%d, 15-erasures %d/%d: z(V) = %.2f, z(VI) = %.2f",
+		spreadK, spreadN, smallK, smallN, bigK, bigN, zV, zVI)
+	if zV < 3 {
+		t.Errorf("spreading fault (%d/%d) should exceed 2-qubit erasures (%d/%d): z = %.2f",
+			spreadK, spreadN, smallK, smallN, zV)
 	}
-	if stats.Median(big) <= spread {
-		t.Fatalf("15-qubit erasure (%.3f) should exceed the single spreading fault (%.3f)", stats.Median(big), spread)
+	if zVI < 3 {
+		t.Errorf("15-qubit erasures (%d/%d) should exceed the single spreading fault (%d/%d): z = %.2f",
+			bigK, bigN, spreadK, spreadN, zVI)
 	}
 }
 

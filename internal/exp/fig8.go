@@ -74,9 +74,9 @@ func Fig8(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			roots, medians, results := p.medianOverRoots(cfg, cfg.Seed+uint64(ji*5+ti)*179424673)
-			all = append(all, results...)
 			name := j.code.Name
+			roots, medians, results := p.medianOverRoots(cfg, "fig8/"+name+"/"+topo.Name, cfg.Seed+uint64(ji*5+ti)*179424673)
+			all = append(all, results...)
 			swaps, twoQubit := fmt.Sprintf("%d", p.tr.SwapCount), fmt.Sprintf("%d", p.tr.Circuit.CountTwoQubit())
 			for i, root := range roots {
 				role := p.tr.RoleOf(root)

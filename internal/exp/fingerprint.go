@@ -25,7 +25,13 @@ import (
 // geometric gaps and depolarizing rates >= 1/32 by Bernoulli words
 // (noise.LaneSampler), which moved the shot streams of every point with
 // such a probability; results cached under 1 are a different sample.
-const fingerprintVersion = 2
+//
+// 3: a strike with probability 1 on a superposed site is compiled into
+// the batched engine's reference (stab.StruckOf) instead of drawn as a
+// branch coin, which moved every batched point with such a strike (and
+// fig8's point keys gained their cell prefix); results cached under 2
+// are the approximation's sample.
+const fingerprintVersion = 3
 
 // specFingerprint is the canonical serialized identity of one sweep
 // point: everything that determines its result — the routed circuit,

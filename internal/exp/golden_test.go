@@ -56,6 +56,13 @@ func tableHash(tab *Table) string {
 // deleted the fig8summary experiment, with no fingerprint bump: fig8
 // gained the two_qubit_gates column that experiment used to print, and
 // its points, rows and notes are otherwise unchanged.
+// fig6, memory, ablation-decoder, fig5, fig7, fig8 and logical were
+// re-recorded once more, on e5824de plus the change that compiles a
+// probability-1 strike into the batched engine's reference
+// (stab.StruckOf, fingerprintVersion 3): every batched point striking
+// a superposed site with certainty moved from the collapsed-branch
+// approximation to the exact reset (TestStrikesMatchTableau holds those
+// points to the tableau). The tableau rows and threshold did not move.
 // A change that moves one must say why the tables were allowed to move.
 //
 // Every hash was recorded by a process that built its codes per
@@ -77,22 +84,22 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 		want   string
 	}
 	list := []golden{
-		{"fig6", Fig6, EngineBatch, 0, "c96fa7fb3ea6fb2e4ea52c117a54a06ede69973d615f3227331a27db2576a762"},
+		{"fig6", Fig6, EngineBatch, 0, "1bdb4606f761f35bb1381f3e402ff9667932fd4bfdabcb0e0746bd73c7d772a5"},
 		// No fig7/frame row: the scalar frame engine is no longer an -engine value.
 		{"fig7/tableau", Fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
-		{"memory", Memory, EngineBatch, 0, "6501078d3c6384019a36424d71b43a21039e586de06e24e7df3beff292ffdac6"},
-		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "b0455718f699062e736cfa9ed89acd95e229b43bbb619daafc45197d537b8815"},
+		{"memory", Memory, EngineBatch, 0, "cecdb9c07150aed2b7e8df1b72f78b7da15b180177175eb03ec0be376142fc16"},
+		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "d9e42805450e43c3205b6cdec17fb1af742e509c4732ad3a04c0632a5f8d0511"},
 		// Blossom, union-find and greedy on the tableau engine, recorded
 		// at 15fc049, while that engine still decoded through a scalar
 		// path of its own.
 		{"ablation-decoder/tableau", AblationDecoder, EngineTableau, 256, "5681868430351244584ec5195130e80079dcbb09ecbaf047b74e253d12bb4ad8"},
 		{"fig5", Fig5, EngineBatch, 0, goldenFig5},
-		{"fig7", Fig7, EngineBatch, 0, "56b195874dff391e19dfdd6890ae4cc6e1329dc2e3b57476ca4fc360e90a8b3e"},
-		{"fig8", Fig8, EngineBatch, 512, "ab0cea2ffa24ccb42fd3c12472e2d1e82decedaae7edb2bf2553b1c3d6506eb5"},
+		{"fig7", Fig7, EngineBatch, 0, "9df1be4c60cf1058ca5a4df7534a3c1310aef2412dcf3e60fa1f99e268567d88"},
+		{"fig8", Fig8, EngineBatch, 512, "33998c32a18b7859906845c0f86018c2150e026c82ad700f83e0be5764497665"},
 		{"threshold", Threshold, EngineBatch, 0, "45d692233dd88421aa73901ff8f6b7fa767fcb1db0b403a788af672bfde0901b"},
 		// Recorded at b2def25, while the logical layer still ran its
 		// shots in a loop of its own outside the sweep.
-		{"logical", LogicalLayer, EngineBatch, 0, "bdf7b4e13066ce829fc3784c4be0aeced4729d0ff73e4ddcb661628bdda9100e"},
+		{"logical", LogicalLayer, EngineBatch, 0, "84330b791dbd76bc1fb3fc8ce37c97e9a5d60866ac37a9f43dccba4f9d18956d"},
 		{"logical/tableau", LogicalLayer, EngineTableau, 0, "21169513982a3401b6a97a3f504648e2f8c4368ab1aa6892b3a08d27c0d7f2c1"},
 	}
 	check := func(g golden, pass string) {
@@ -121,7 +128,7 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 
 // goldenFig5 is fig5's table at default shots, seed 1, batch engine,
 // mwpm; TestRegistryBounded holds a rebuilt code to it as well.
-const goldenFig5 = "6c4b958680c1da3b59b3b324a4d9f2775dce52540b398e6ae2f8992a1c3db583"
+const goldenFig5 = "fd831774af7301669f62f1c0923dd7857e16168f29b4e4c931f0a9ac4db7b911"
 
 // TestThresholdGapArmCountsAcrossCommits pins, count for count, the
 // twelve threshold points whose depolarizing rate is below 1/32: there
@@ -148,11 +155,11 @@ func TestThresholdGapArmCountsAcrossCommits(t *testing.T) {
 // literals. The address covers fingerprintVersion, so a change to what
 // a cached result means cannot forget the bump silently: it either
 // bumps the version and re-records these strings on purpose, or leaves
-// both alone. The first was recorded at ceb1e49 plus the regime rule
-// (fingerprintVersion 2); the rest at 75793d0, while the address was
-// still the generic marshal -> untyped decode -> re-marshal -> SHA-256
-// (canonicalHash in fingerprint_test.go), one per branch of the direct
-// encoder that replaced it: an all-zero event (what threshold emits),
+// both alone. All six were re-recorded at e5824de plus the struck
+// reference (fingerprintVersion 3); canonicalHash in
+// fingerprint_test.go, the generic marshal -> untyped decode ->
+// re-marshal -> SHA-256 the direct encoder replaced, still agrees with
+// each. There is one per branch of that encoder: an all-zero event (what threshold emits),
 // no event at all (the omitted key), ci and max_shots present, the
 // other engine and decoder names, and a 65-entry event with decayed
 // probabilities on both sides of the 'e' float format.
@@ -183,18 +190,18 @@ func TestFingerprintLiteral(t *testing.T) {
 		want string
 	}{
 		{"strike", base, mesh.spec("golden/rep-(3,1)", base, mesh.strikeAt(Fig5Root, 0.25, true), 42),
-			"ef02ce5640c1a520311b758a52ba04d7c21f1cbca53f00ec59bd9aeac7ae4d0e"},
+			"4d88452c94e2a71dafceef6f76e8060c1e985ae2ac31f0a07106c3ae9575215b"},
 		{"threshold", base, threshold.spec("threshold/rep-(7,1)/p1e-02", base,
 			noise.NoRadiation(threshold.tr.Circuit.NumQubits), 64),
-			"ed4b6b1cded81715861a139aa903e18462baa640a31ae8522ef4dad59a40784f"},
+			"4ba7fb78c81fda5cb38797abeb8a7f40049598d9384b3e5a525f68a1cc2fcbe8"},
 		{"no-event", low, mesh.spec("golden/none", low, nil, 1<<63+5),
-			"adca09d26778bc974fca2b7e152929b3a6b11d208de6d3753686ecfb85a146f9"},
+			"7ea69209c23ffde7feda910ef5a596180699d36471e23435997940e4416c5aaf"},
 		{"adaptive", adaptive, mesh.spec("golden/adaptive", adaptive, mesh.strikeAt(Fig5Root, 1, false), 7),
-			"1052ad5d47d2b6e9fd902689dc01b901d990b32fe9ab2f0742ba170c7dd5dfa6"},
+			"9e601b729c1e616723939800cb788bce464cc76d05e7615642ce6d1d3bda5989"},
 		{"tableau-uf", oracle, mesh.spec("golden/oracle", oracle, mesh.strikeAt(Fig5Root, 0.25, true), 42),
-			"15717543c8763e04deebfc08432acf33094305abb0db07cbb9618ab9e1e6a2e7"},
+			"dd9563df453ecd08434c42f1437e5bef7b3a2e9905fb3d47124df42c53dfde42"},
 		{"brooklyn", base, brooklyn.spec("golden/brooklyn", base, brooklyn.strikeAt(31, 1e-4, true), 42),
-			"4eb3a70a50414166fd2be0374f9cad908f8e377b20456862577b4b9fedc02a0e"},
+			"cceda8d520ba0617d2abdf143893ce7b9a8bb108374a60e9b557ebb5f42b6aee"},
 	}
 	// Each spec alone, then all six as one campaign, twice: three
 	// prepared circuits, and strike and tableau-uf inject the same event

@@ -10,10 +10,12 @@ type Experiment struct {
 	Desc string
 	// Run produces the experiment's table under the given config.
 	Run func(Config) (*Table, error)
-	// XXZZRad marks experiments whose campaigns include radiation
-	// strikes on XXZZ circuits — the collapsed-branch approximation
-	// domain of the batch engine (see package frame). Repetition-only
-	// and radiation-free experiments are frame-exact on every engine.
+	// XXZZRad marks experiments whose campaigns include fractional
+	// (0 < p < 1) radiation strikes on XXZZ circuits — the
+	// collapsed-branch approximation domain of the batch engine (see
+	// package frame). Repetition-only and radiation-free experiments,
+	// and those whose XXZZ strikes are all saturated (fig6's erasures),
+	// are frame-exact on every engine.
 	XXZZRad bool
 }
 
@@ -26,7 +28,7 @@ func Experiments() []Experiment {
 		{"fig3", "temporal decay T(t) and its step approximation", wrap(Fig3), false},
 		{"fig4", "spatial decay S(d) over architecture distance", wrap(Fig4), false},
 		{"fig5", "logical error landscape: noise x radiation", Fig5, true},
-		{"fig6", "criticality by code distance (single erasure)", Fig6, true},
+		{"fig6", "criticality by code distance (single erasure)", Fig6, false},
 		{"fig7", "correlated spread vs independent erasures", Fig7, true},
 		{"fig8", "per-qubit criticality across architectures", Fig8, true},
 		{"ablation-decoder", "blossom vs union-find vs greedy decoding", AblationDecoder, true},

@@ -285,12 +285,12 @@ func (s *BatchSimulator) RunTile(srcs []*rng.Source, st *BatchState) {
 					z[q] &^= fire
 				case 0:
 					coin := fire & src.Uint64()
-					br := s.comp.Branch(site)
+					br, _ := s.comp.Branch(site)
 					for _, a := range br.Xs {
-						x[a*w+k] ^= coin
+						x[int(a)*w+k] ^= coin
 					}
 					for _, a := range br.Zs {
-						z[a*w+k] ^= coin
+						z[int(a)*w+k] ^= coin
 					}
 					x[q] &^= fire
 					z[q] &^= fire

@@ -19,8 +19,9 @@ import (
 // temporal sample of the strike, so every mix of gap-arm and word-arm
 // qubits, against every intrinsic rate from 1e-8 to the dense 1e-1 —
 // as the program runs them (exp.Fig5 on the batch engine) and on the
-// scalar oracle, which shares the kernel's physics (XXZZ approximation
-// included) and none of its sampling. The oracle's points are rebuilt
+// scalar oracle, which shares the kernel's physics (the struck
+// reference of a saturated root, and the XXZZ approximation of the
+// fractional neighbours) and none of its sampling. The oracle's points are rebuilt
 // here from exp.Fig5PhysicalRates and exp.Fig5Root with Fig5's keys and
 // seeds.
 func TestBatchMatchesScalarOnFig5(t *testing.T) {

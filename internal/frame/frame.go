@@ -43,18 +43,25 @@
 //     Z eigenstate: exact (the reset deviation is X^[ref=1], computed
 //     from recorded reference Z-values). The repetition family has only
 //     such sites, so its radiation campaigns are frame-exact.
-//   - Radiation reset faults on superposed sites (XXZZ data qubits
-//     inside X-plaquette extraction, mx qubits mid-plaquette): the
-//     reset projects entangled partners, a nonlocal effect outside the
-//     Pauli-frame formalism. The simulator approximates it at the
-//     collapsed-branch level: a fair branch coin conditionally injects
-//     the recorded branch operator (a reference stabilizer
-//     anti-commuting with Z on the struck site), so entangled partners
-//     take correlated damage, and the struck site is then pinned to
-//     |0>. The residual error is the difference between the projected
-//     and unprojected reference trajectory; the tableau engine
-//     (package inject) remains the oracle for faithful heavy-radiation
-//     XXZZ campaigns.
+//   - Saturated strikes (probability 1) anywhere: exact. The strike
+//     fires on every shot, so it is part of the noiseless execution:
+//     NewBatch runs on the reference struck at the event's saturated
+//     qubits (stab.StruckOf), whose sites there are Z eigenstates, and
+//     the fired strike is the plain reset above. Fig. 6's erasures,
+//     fig7's erasure sets and the root of every full-impact strike
+//     are such strikes.
+//   - Fractional strikes (0 < p < 1) on superposed sites (XXZZ data
+//     qubits inside X-plaquette extraction, mx qubits mid-plaquette):
+//     the reset projects entangled partners on some shots only, a
+//     nonlocal effect outside the Pauli-frame formalism. The simulator
+//     approximates it at the collapsed-branch level: a fair branch coin
+//     conditionally injects the recorded branch operator (a reference
+//     stabilizer anti-commuting with Z on the struck site), so entangled
+//     partners take correlated damage, and the struck site is then
+//     pinned to |0>. The residual error is the difference between the
+//     projected and unprojected reference trajectory; the tableau
+//     engine (package inject) remains the oracle for the spreading
+//     neighbours and temporal tails of XXZZ strikes.
 //
 // The package's tests keep a scalar one-shot-at-a-time engine over the
 // same reference (scalar_test.go) as an independent sampler of this
@@ -103,11 +110,13 @@ import (
 //     decoding (qec.(*Code).DecodeTile).
 type BatchSimulator struct {
 	circ *circuit.Circuit
-	// comp is the circuit's compiled reference: everything about the
+	// comp is the circuit's compiled reference, struck at the event's
+	// saturated qubits where that matters: everything about the
 	// noiseless execution that no seed changes, shared by every
-	// simulator of the circuit. Its branch operator of a superposed
-	// site (a reference stabilizer anti-commuting with Z on the struck
-	// qubit) is what a firing reset injects on a fair coin.
+	// simulator of the circuit and event's saturated set. Its branch
+	// operator of a superposed site (a reference stabilizer
+	// anti-commuting with Z on the struck qubit) is what a firing
+	// fractional reset injects on a fair coin.
 	comp *stab.Compiled
 	// ref is comp evaluated at the reference seed: the measurement
 	// record, with comp's determinism flags and op mapping.
@@ -134,7 +143,10 @@ type BatchSimulator struct {
 // circuit's compiled reference (stab.CompiledOf, built once per circuit)
 // evaluated at the coins of the stream seeded by refSeed — the record
 // and Z-values a tableau run with that seed would give, with no tableau
-// run here; rad may be nil.
+// run here; rad may be nil. Qubits the event strikes with probability
+// 1 are reset in the reference itself (stab.StruckOf, once per circuit
+// and saturated set), so their sites read +1 and a fired strike there
+// is exactly a reset, wherever the unstruck reference was superposed.
 func NewBatch(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.RadiationEvent, refSeed uint64) *BatchSimulator {
 	if rad == nil {
 		rad = noise.NoRadiation(circ.NumQubits)
@@ -144,6 +156,9 @@ func NewBatch(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.Radiatio
 			len(rad.Probs), circ.NumQubits))
 	}
 	comp := stab.CompiledOf(circ)
+	if sat := saturated(rad); sat != nil {
+		comp = stab.StruckOf(circ, sat)
+	}
 	coins := comp.Coins(refSeed)
 	s := &BatchSimulator{
 		circ:   circ,
@@ -182,6 +197,21 @@ func NewBatch(circ *circuit.Circuit, dep noise.Depolarizing, rad *noise.Radiatio
 		s.strike[q] = int32(c)
 	}
 	return s
+}
+
+// saturated marks the qubits the event strikes with certainty, or
+// returns nil when there are none.
+func saturated(rad *noise.RadiationEvent) []bool {
+	var sat []bool
+	for q, p := range rad.Probs {
+		if p >= 1 {
+			if sat == nil {
+				sat = make([]bool, len(rad.Probs))
+			}
+			sat[q] = true
+		}
+	}
+	return sat
 }
 
 // mayFire reports whether the radiation event can strike any qubit of

@@ -97,13 +97,16 @@ func TestFrameRadiationExactOnRepetition(t *testing.T) {
 
 func TestFrameRadiationCloseOnXXZZ(t *testing.T) {
 	// XXZZ has superposed reset sites. A reset there projects entangled
-	// partners — a nonlocal effect no local Pauli frame can represent —
-	// so under saturating strikes the frame engines' collapsed-branch
-	// approximation biases toward a coin where the tableau shows a
-	// pinned-to-|0> bias (the package documents this validity boundary,
-	// and -engine tableau remains the oracle). The test pins the
-	// *bounded* disagreement so a regression that widens it further is
-	// caught; weak strikes (the whole temporal tail) agree to ~0.02.
+	// partners — a nonlocal effect no local Pauli frame can represent.
+	// The strike's saturated root is exact: it is compiled into the
+	// reference (stab.StruckOf) and fires as a plain reset. Its
+	// spreading neighbours (p < 1) still take the collapsed-branch
+	// approximation, the validity boundary the package documents, and
+	// -engine tableau remains the oracle there. The test pins the
+	// bounded disagreement so a regression that widens it is caught: at
+	// 3000 shots the engines read 0.693 (tableau) against 0.665 (scalar)
+	// and 0.662 (batch); before the root was compiled in they read 0.51
+	// and 0.50, and the bound was 0.30.
 	code, err := qec.NewXXZZ(3, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +131,7 @@ func TestFrameRadiationCloseOnXXZZ(t *testing.T) {
 		name string
 		rate float64
 	}{{"scalar", scalar}, {"batch", batch}} {
-		if math.Abs(a-e.rate) > 0.30 {
+		if math.Abs(a-e.rate) > 0.08 {
 			t.Errorf("XXZZ radiation divergence regressed: tableau %.4f vs %s %.4f", a, e.name, e.rate)
 		}
 		if e.rate == 0 {

@@ -8,7 +8,8 @@ import (
 
 // scalarSim is the scalar Pauli-frame engine, the oracle the batch
 // kernel is checked against: it reads the embedded BatchSimulator's
-// reference precompute (circuit, compiled reference, record, strike
+// reference precompute (circuit, compiled reference — struck at the
+// event's saturated qubits where NewBatch struck it — record, strike
 // sites and their reference Z-values) and samples one shot at a time
 // from per-shot streams, so it shares the kernel's physics, collapsed-
 // branch approximation included, and none of its sampling.
@@ -194,12 +195,12 @@ func (s *scalarSim) Run(src *rng.Source, f *shotFrame, bits []int) {
 					f.clearQ(q)
 				case 0:
 					if src.Uint64()&1 == 1 {
-						br := s.comp.Branch(base + j)
+						br, _ := s.comp.Branch(base + j)
 						for _, a := range br.Xs {
-							f.flipX(a)
+							f.flipX(int(a))
 						}
 						for _, a := range br.Zs {
-							f.flipZ(a)
+							f.flipZ(int(a))
 						}
 					}
 					f.clearQ(q)

@@ -616,7 +616,8 @@ type experimentInfo struct {
 	Name string `json:"name"`
 	Desc string `json:"desc"`
 	// XXZZRad marks campaigns entering the collapsed-branch
-	// approximation domain of the batch engine (see package frame).
+	// approximation domain of the batch engine: fractional strikes on
+	// XXZZ circuits (see exp.Experiment.XXZZRad).
 	XXZZRad bool `json:"xxzz_rad"`
 }
 

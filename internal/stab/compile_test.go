@@ -24,13 +24,42 @@ import (
 // Z expectation and, where superposed, the branch operator's supports.
 func checkCompiledMatchesRun(t testing.TB, circ *circuit.Circuit, seeds ...uint64) {
 	t.Helper()
-	comp := stab.Compile(circ)
+	checkStruckMatchesRun(t, circ, nil, seeds...)
+}
+
+// checkStruckMatchesRun is checkCompiledMatchesRun for the reference
+// struck at the saturated set sat (nil: none). The tableau runs the
+// circuit with the struck resets written in — Reset(q) after every
+// non-barrier op touching a saturated q — and each original site is
+// read after its op's resets.
+func checkStruckMatchesRun(t testing.TB, circ *circuit.Circuit, sat []bool, seeds ...uint64) {
+	t.Helper()
+	comp := stab.Compile(circ, sat)
+	written := circuit.New(circ.NumQubits, circ.NumClbits)
+	// origOf maps the written index of the last op of each original op's
+	// group (its last struck reset, or the op itself) to the original
+	// index; firstOf[i] is the written index of original op i.
+	origOf := map[int]int{}
+	firstOf := make([]int, len(circ.Ops))
+	for i, op := range circ.Ops {
+		firstOf[i] = len(written.Ops)
+		written.Ops = append(written.Ops, op)
+		if op.Kind != circuit.KindBarrier {
+			for _, q := range op.Qubits {
+				if sat != nil && sat[q] {
+					written.Ops = append(written.Ops, circuit.Op{Kind: circuit.KindReset, Qubits: []int{q}, Clbit: -1})
+				}
+			}
+		}
+		origOf[len(written.Ops)-1] = i
+	}
 	for _, seed := range seeds {
 		coins := comp.Coins(seed)
 		got := comp.Reference(coins)
 		sites := 0
-		want := stab.RunReference(circ, seed, func(i int, tab *stab.Tableau) {
-			if t.Failed() {
+		want := stab.RunReference(written, seed, func(wi int, tab *stab.Tableau) {
+			i, ok := origOf[wi]
+			if !ok || t.Failed() {
 				return
 			}
 			for j, q := range circ.Ops[i].Qubits {
@@ -40,13 +69,17 @@ func checkCompiledMatchesRun(t testing.TB, circ *circuit.Circuit, seeds ...uint6
 					t.Errorf("seed %d op %d qubit %d: compiled Z = %d, tableau %d", seed, i, q, g, w)
 				}
 				xs, zs, ok := tab.AnticommutingStabilizer(q)
-				br := comp.Branch(site)
-				if ok != (br != nil) {
+				br, has := comp.Branch(site)
+				if ok != has {
 					t.Errorf("seed %d op %d qubit %d: branch operator present %v, tableau superposed %v",
-						seed, i, q, br != nil, ok)
-				} else if ok && (!slices.Equal(br.Xs, xs) || !slices.Equal(br.Zs, zs)) {
+						seed, i, q, has, ok)
+				} else if ok && (!slices.Equal(ints(br.Xs), xs) || !slices.Equal(ints(br.Zs), zs)) {
 					t.Errorf("seed %d op %d qubit %d: branch supports X%v Z%v, tableau X%v Z%v",
 						seed, i, q, br.Xs, br.Zs, xs, zs)
+				}
+				if sat != nil && sat[q] && (has || comp.SiteZ(site, coins) != 1) {
+					t.Errorf("seed %d op %d qubit %d: saturated site reads Z = %d, branch present %v, want +1 and none",
+						seed, i, q, comp.SiteZ(site, coins), has)
 				}
 			}
 		})
@@ -62,10 +95,23 @@ func checkCompiledMatchesRun(t testing.TB, circ *circuit.Circuit, seeds ...uint6
 		if !slices.Equal(got.Deterministic, want.Deterministic) {
 			t.Fatalf("seed %d: determinism flags %v, tableau %v", seed, got.Deterministic, want.Deterministic)
 		}
-		if !slices.Equal(got.MeasIndex, want.MeasIndex) {
-			t.Fatalf("seed %d: MeasIndex %v, tableau %v", seed, got.MeasIndex, want.MeasIndex)
+		wantIndex := make([]int, len(circ.Ops))
+		for i, wi := range firstOf {
+			wantIndex[i] = want.MeasIndex[wi]
+		}
+		if !slices.Equal(got.MeasIndex, wantIndex) {
+			t.Fatalf("seed %d: MeasIndex %v, tableau %v", seed, got.MeasIndex, wantIndex)
 		}
 	}
+}
+
+// ints widens a compiled support list to AnticommutingStabilizer's type.
+func ints(s []int32) []int {
+	out := make([]int, len(s))
+	for i, v := range s {
+		out[i] = int(v)
+	}
+	return out
 }
 
 func seedRange(n int) []uint64 {
@@ -136,14 +182,23 @@ func figureCircuits(t *testing.T) map[string]*circuit.Circuit {
 
 // TestCompiledReferenceMatchesRunOnFigures is the differential test on
 // the circuits the figures actually run: each code on each of its
-// topologies, 64 seeds.
+// topologies, 64 seeds, and struck at a multi-qubit saturated set.
 func TestCompiledReferenceMatchesRunOnFigures(t *testing.T) {
 	seeds := seedRange(64)
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
 	for name, circ := range figureCircuits(t) {
-		t.Run(name, func(t *testing.T) { checkCompiledMatchesRun(t, circ, seeds...) })
+		t.Run(name, func(t *testing.T) {
+			checkCompiledMatchesRun(t, circ, seeds...)
+			// Struck at every fifth qubit: single roots and multi-erasure
+			// sets meet the same resets.
+			sat := make([]bool, circ.NumQubits)
+			for q := 2; q < len(sat); q += 5 {
+				sat[q] = true
+			}
+			checkStruckMatchesRun(t, circ, sat, seeds[:4]...)
+		})
 	}
 }
 
@@ -240,22 +295,37 @@ func TestCompiledReferenceMatchesRunOnRandomCliffords(t *testing.T) {
 	for _, seed := range seeds {
 		circ := randomClifford(randomCliffordBytes(seed, 30+int(seed%7)*60))
 		checkCompiledMatchesRun(t, circ, seedRange(8)...)
+		checkStruckMatchesRun(t, circ, maskSet(circ.NumQubits, uint16(seed*0x9e37)), seedRange(4)...)
 		if t.Failed() {
 			t.Fatalf("circuit seed %d fails (add it to regressionSeeds):\n%s", seed, circ)
 		}
 	}
 }
 
+// FuzzCompiledReferenceMatchesRun: the unstruck reference, and the one
+// struck at the saturated set the input's mask draws (bit q of mask
+// saturates qubit q), against the tableau run of the same circuit.
 func FuzzCompiledReferenceMatchesRun(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		f.Add(randomCliffordBytes(seed, 120), seed)
+		f.Add(randomCliffordBytes(seed, 120), seed, uint16(seed*0x9e37))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, mask uint16) {
 		if len(data) > 4096 {
 			t.Skip("longer than any circuit worth a tableau run per input")
 		}
-		checkCompiledMatchesRun(t, randomClifford(data), seed, seed+1)
+		circ := randomClifford(data)
+		checkCompiledMatchesRun(t, circ, seed, seed+1)
+		checkStruckMatchesRun(t, circ, maskSet(circ.NumQubits, mask), seed, seed+1)
 	})
+}
+
+// maskSet is the saturated set whose qubit q is bit q of mask.
+func maskSet(n int, mask uint16) []bool {
+	sat := make([]bool, n)
+	for q := range sat {
+		sat[q] = mask>>q&1 == 1
+	}
+	return sat
 }
 
 // TestCompiledReferenceMoreThan64Coins: no code in the repo flips more
@@ -275,26 +345,31 @@ func TestCompiledReferenceMoreThan64Coins(t *testing.T) {
 		c.Reset(1)
 	}
 	c.Measure(2, rounds)
-	if got := stab.Compile(c).NumCoins; got != 2*rounds {
+	if got := stab.Compile(c, nil).NumCoins; got != 2*rounds {
 		t.Fatalf("NumCoins = %d, want %d", got, 2*rounds)
 	}
 	checkCompiledMatchesRun(t, c, seedRange(64)...)
 }
 
 // TestCompilesPerFigure: the compiled reference is built once per
-// transpiled circuit, however many points, seeds and workers share it —
-// fig8's 2470 points make 12 compiles. A cache keyed by seed or by
-// point, or none, fails this. A transpiled circuit lives in package
+// transpiled circuit, and once per saturated set that strikes one of
+// its superposed sites, however many points, seeds and workers share
+// them. fig8's 2470 points make 132 compiles: its 12 circuits, plus one
+// struck reference for each XXZZ (cell, root) whose t=0 sample saturates
+// a root the reference holds superposed somewhere (120; the repetition
+// cells hold only Z eigenstates and add none). A cache keyed by seed or
+// by point, or none, fails this. A transpiled circuit lives in package
 // exp's code registry for as long as the process does, so campaigns
 // share it too: of fig5's two circuits, xxzz-(3,3) on mesh-5x4 is one
-// fig8 already compiled, and a second fig8 compiles nothing.
+// fig8 already compiled, struck at fig5's root included, and a second
+// fig8 compiles nothing.
 func TestCompilesPerFigure(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		run  func(exp.Config) (*exp.Table, error)
 		want int64
 	}{
-		{"fig8", exp.Fig8, 12},
+		{"fig8", exp.Fig8, 132},
 		{"fig5", exp.Fig5, 1},
 		{"fig8 again", exp.Fig8, 0},
 	} {
@@ -377,5 +452,77 @@ func TestCompiledCollectedWithCircuit(t *testing.T) {
 	if goneCirc.Value() != nil || goneComp.Value() != nil {
 		t.Fatalf("after dropping the circuit and its simulator: circuit alive %v, compiled reference alive %v",
 			goneCirc.Value() != nil, goneComp.Value() != nil)
+	}
+}
+
+// TestStruckOfCompilesOnlyWhereItMatters: a saturated set whose qubits
+// hold only Z eigenstates in the unstruck reference (every repetition
+// qubit) gets the unstruck reference back and compiles nothing; a set
+// striking a superposed site compiles once and is served from the
+// circuit's memo after, until more than MaxStruck newer sets push it out.
+func TestStruckOfCompilesOnlyWhereItMatters(t *testing.T) {
+	rep, err := qec.NewRepetitionRounds(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := rep.Circ.Clone()
+	base := stab.CompiledOf(rc)
+	all := make([]bool, rc.NumQubits)
+	for q := range all {
+		all[q] = true
+	}
+	before := stab.CompileCount()
+	if stab.StruckOf(rc, all) != base || stab.CompileCount() != before {
+		t.Fatal("a strike on Z eigenstates only compiled a struck reference")
+	}
+
+	x, err := qec.NewXXZZRounds(3, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xc := x.Circ.Clone()
+	xbase := stab.CompiledOf(xc)
+	single := func(q int) []bool {
+		sat := make([]bool, xc.NumQubits)
+		sat[q] = true
+		return sat
+	}
+	before = stab.CompileCount()
+	struck, first := 0, -1
+	for q := 0; q < xc.NumQubits; q++ {
+		c := stab.StruckOf(xc, single(q))
+		if c == xbase {
+			continue
+		}
+		struck++
+		if first < 0 {
+			first = q
+		}
+		if stab.StruckOf(xc, single(q)) != c {
+			t.Fatalf("qubit %d: a second ask for the same set got a different reference", q)
+		}
+	}
+	if struck == 0 {
+		t.Fatal("no XXZZ qubit has a superposed site")
+	}
+	if got := stab.CompileCount() - before; got != int64(struck) {
+		t.Fatalf("%d struck sets compiled %d times", struck, got)
+	}
+	// Push the first set out: MaxStruck newer sets, each the first
+	// superposed qubit plus the others that bits of m+1 pick (distinct
+	// and non-empty for every m).
+	kept := stab.StruckOf(xc, single(first))
+	for m := 1; m <= stab.MaxStruck; m++ {
+		sat := single(first)
+		for b := 0; m>>b > 0; b++ {
+			if m>>b&1 == 1 {
+				sat[(first+1+b)%xc.NumQubits] = true
+			}
+		}
+		stab.StruckOf(xc, sat)
+	}
+	before = stab.CompileCount()
+	if again := stab.StruckOf(xc, single(first)); again == kept || stab.CompileCount()-before != 1 {
+		t.Fatalf("after %d newer sets the oldest was still held (same object %v)", stab.MaxStruck, again == kept)
 	}
 }

@@ -84,30 +84,21 @@ func (t *Tableau) Apply(op circuit.Op) {
 	}
 }
 
-// AnticommutingStabilizer returns the support of one stabilizer
-// generator anti-commuting with Z_q, as sparse X- and Z-component qubit
-// lists, or ok=false when the Z measurement of q is deterministic (no
-// such generator exists). For a non-deterministic measurement this
-// generator is the branch operator: it maps the outcome-0 collapse
-// branch onto the outcome-1 branch, so conditionally injecting it into
-// a Pauli frame reproduces the correlated damage a mid-circuit
-// projection inflicts on the measured qubit's entangled partners.
-func (t *Tableau) AnticommutingStabilizer(q int) (xs, zs []int, ok bool) {
+// anticommutingRow returns the row of the first stabilizer generator
+// with an X component on q, or -1 when there is none (the Z measurement
+// of q is deterministic). For a non-deterministic measurement this
+// generator is the branch operator: it anti-commutes with Z_q and maps
+// the outcome-0 collapse branch onto the outcome-1 branch, so
+// conditionally injecting it into a Pauli frame reproduces the
+// correlated damage a mid-circuit projection inflicts on the measured
+// qubit's entangled partners.
+func (t *Tableau) anticommutingRow(q int) int {
 	t.checkQ(q)
 	w, b := q/64, uint(q%64)
 	for i := t.n; i < 2*t.n; i++ {
-		if (t.x[i][w]>>b)&1 == 0 {
-			continue
+		if (t.x[i][w]>>b)&1 == 1 {
+			return i
 		}
-		for p := 0; p < t.n; p++ {
-			if t.getX(i, p) == 1 {
-				xs = append(xs, p)
-			}
-			if t.getZ(i, p) == 1 {
-				zs = append(zs, p)
-			}
-		}
-		return xs, zs, true
 	}
-	return nil, nil, false
+	return -1
 }
