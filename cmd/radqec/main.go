@@ -22,12 +22,12 @@
 //	             protocol; >2 decodes over the multi-round space-time
 //	             detector-error model; at most 100)
 //	-engine E    simulation engine: batch (default; empty also means
-//	             batch) or tableau. batch
-//	             is the bit-parallel Pauli-frame engine, 512 shots per
-//	             tile (universal over the Clifford set; radiation resets
-//	             on superposed XXZZ sites use the collapsed-branch
-//	             approximation); tableau is the exact-oracle stabilizer
-//	             tableau
+//	             batch) or tableau. batch is the bit-parallel
+//	             Pauli-frame engine, 512 shots per tile (universal over
+//	             the Clifford set and exact for saturated strikes;
+//	             fractional radiation resets on superposed XXZZ sites use
+//	             the collapsed-branch approximation); tableau is the
+//	             exact-oracle stabilizer tableau
 //	-decoder D   syndrome decoder: mwpm (default, blossom matching) or
 //	             uf (almost-linear union-find); one implementation
 //	             each, shared by both engines

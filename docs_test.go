@@ -1,7 +1,10 @@
 package radqec
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -149,4 +152,63 @@ func TestReadmeModuleTableListsPackages(t *testing.T) {
 			t.Errorf("README.md module table names %s, which is not a directory under cmd/ or internal/", l)
 		}
 	}
+}
+
+// TestDocReferencesResolve: every cross-reference between documents is
+// written (FILE, "Heading"), and FILE must have a heading that starts
+// with the quoted text. The scan covers the .go and .md files outside
+// bench/. References wrap across lines, in comments too, so runs of
+// whitespace and // comment markers collapse to one space before
+// matching.
+func TestDocReferencesResolve(t *testing.T) {
+	ref := regexp.MustCompile(`\(([\w./-]+\.md), "([^"]+)"\)`)
+	fold := regexp.MustCompile(`(\s|//)+`)
+	found := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || path == ".git") {
+			return filepath.SkipDir
+		}
+		if ext := filepath.Ext(path); d.IsDir() || ext != ".go" && ext != ".md" {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range ref.FindAllStringSubmatch(fold.ReplaceAllString(string(raw), " "), -1) {
+			found++
+			if ok, err := hasHeading(m[1], m[2]); !ok {
+				t.Errorf("%s: reference (%s, %q) does not resolve: %v", path, m[1], m[2], err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no (FILE, \"Heading\") reference found; the pattern no longer matches the documents")
+	}
+}
+
+// hasHeading reports whether the markdown file has a heading, outside
+// fenced code blocks, that starts with prefix.
+func hasHeading(file, prefix string) (bool, error) {
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		return false, err
+	}
+	fenced := false
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		if !fenced && strings.HasPrefix(line, "#") && strings.HasPrefix(strings.TrimSpace(strings.TrimLeft(line, "#")), prefix) {
+			return true, nil
+		}
+	}
+	return false, fmt.Errorf("%s has no heading starting with it", file)
 }

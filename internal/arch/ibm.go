@@ -7,7 +7,7 @@ package arch
 // the 28-qubit Cambridge hex lattice, and the 65-qubit Hummingbird
 // heavy-hex (Brooklyn). The radiation analysis depends only on the graph
 // structure — degree distribution and inter-qubit distances — which these
-// reconstructions preserve (see DESIGN.md, substitution table).
+// reconstructions preserve.
 
 // Almaden returns the 20-qubit IBM Q Almaden coupling map: four rows of
 // five qubits with vertical rungs on alternating columns.

@@ -498,7 +498,8 @@ func TestObservationI(t *testing.T) {
 // cranking the physical error rate up never lowers the logical error
 // (within statistical margin). Tested on the paper's Figure 5a setup,
 // whose rates sit below the 50% saturation point; above saturation any
-// extra randomness regresses toward a coin flip (see EXPERIMENTS.md).
+// extra randomness regresses toward a coin flip, as fig5's XXZZ impact
+// rows show on both engines (README.md, "Verdict").
 func TestObservationII(t *testing.T) {
 	code, err := qec.NewRepetition(5)
 	if err != nil {

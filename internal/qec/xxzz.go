@@ -21,8 +21,7 @@ import (
 // stabilizers. Logical Z runs horizontally along row 0 (weight dX);
 // logical X vertically along column 0 (weight dZ). The total stabilizer
 // count is always dZ*dX - 1; the Z/X split matches qtcodes exactly for
-// square codes and preserves the distances for rectangular ones (see
-// DESIGN.md).
+// square codes and preserves the distances for rectangular ones.
 func NewXXZZ(dZ, dX int) (*Code, error) {
 	return NewXXZZRounds(dZ, dX, 2)
 }

@@ -4,11 +4,13 @@
 # The size numbers ROADMAP.md and CHANGES.md quote per PR, from the
 # tree instead of by hand: non-test .go lines outside bench/ (with the
 # internal/telemetry + internal/trace share), flag definitions per
-# binary, the experiments registered in internal/exp/registry.go, and
-# the reachability allowlist in reach_test.go by reason.
+# binary, the experiments registered in internal/exp/registry.go, the
+# reachability allowlist in reach_test.go by reason, and the line
+# counts of README.md and docs/*.md.
 # Exits 1 when internal/telemetry + internal/trace exceed obsBound
-# lines, ROADMAP.md item 7's bound. Run from anywhere inside the
-# repository.
+# lines (ROADMAP.md item 9's bound), or when README.md, the
+# reproduction report, exceeds readmeBound lines (ROADMAP.md item 6).
+# Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +19,7 @@ flags() { grep -cE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\(
 allowed() { grep -cE '^\s*"[^"]+": +"'"$1"'",$' reach_test.go || true; }
 
 obsBound=944
+readmeBound=400
 
 radqec=$(flags cmd/radqec/main.go)
 radqecd=$(flags cmd/radqecd/main.go)
@@ -29,7 +32,16 @@ oracle=$(allowed oracle)
 hook=$(allowed test-hook)
 prior=$(allowed prior)
 echo "reach allowlist: $((oracle + hook + prior)) (oracle $oracle + test-hook $hook + prior $prior)"
+readme=$(wc -l <README.md)
+echo "README.md: $readme lines (bound $readmeBound)"
+for f in docs/*.md; do
+  echo "  $f: $(wc -l <"$f") lines"
+done
 if ((obs > obsBound)); then
   echo "census: internal/telemetry + internal/trace hold $obs lines, over the bound of $obsBound" >&2
+  exit 1
+fi
+if ((readme > readmeBound)); then
+  echo "census: README.md holds $readme lines, over the bound of $readmeBound" >&2
   exit 1
 fi
