@@ -1,74 +1,41 @@
-// Package dem compiles detector-error models: the weighted space-time
-// decoding geometry a (code, rounds, noise prior) pair induces. A
-// detector is one stabilizer measurement comparison — stabilizer s at
-// detection layer t — and an error mechanism is an edge between the
-// detectors it flips: a data-qubit error between consecutive layers
-// (space-like edge, flipping the two stabilizers sharing the qubit, or
-// one stabilizer and the open boundary), or a measurement error
-// (time-like edge, flipping the same stabilizer in consecutive layers).
+// Package dem compiles detector-error models: the space-time decoding
+// geometry a (code, rounds) pair induces. A detector is one stabilizer
+// measurement comparison — stabilizer s at detection layer t — and an
+// error mechanism is an edge between the detectors it flips: a
+// data-qubit error between consecutive layers (space-like edge,
+// flipping the two stabilizers sharing the qubit, or one stabilizer and
+// the open boundary), or a measurement error (time-like edge, flipping
+// the same stabilizer in consecutive layers).
 //
-// Each mechanism carries the log-likelihood weight log((1-p)/p) of its
-// probability p in the noise prior, quantized to fixed point
-// (matching.QuantizeWeight) so matching and shortest paths run on exact
-// integer arithmetic. With every mechanism equally likely — the unit
-// prior — all edges share one weight and the model is the unit-weight
-// geometry the paper's qtcodes pipeline decodes on; heterogeneous
-// priors (e.g. qec.(*Code).NoisePrior) tilt matchings toward the more
-// probable error chains.
+// Every mechanism weighs the same, Weight: the model is the unit-weight
+// geometry the paper's qtcodes pipeline decodes on, so every distance is
+// a hop count times Weight and every shortest chain is found by
+// breadth-first search.
 //
-// The model is compiled once per (geometry, rounds, prior) and shared
-// by every decoder view:
+// The model is compiled once per (geometry, rounds) and shared by every
+// decoder view:
 //
-//   - MWPM reads the cached all-pairs shortest-path distances between
-//     detectors (and to the boundary) plus the flattened flip sets
-//     realising them.
+//   - MWPM reads the shortest-path distances between detectors (and to
+//     the boundary) plus the flattened flip sets realising them.
 //   - Union-find grows clusters over the explicit space-time edge list
 //     (Edges/Adj), which enumerates mechanisms in a fixed canonical
 //     order so peeling is deterministic.
 //
-// The time-homogeneous weights make the space-time metric invariant
-// under time translation — dist((s1,t1),(s2,t2)) depends only on
-// (s1, s2, |t1-t2|) — so the all-pairs cache stores numStabs² × layers
-// entries instead of (numStabs·layers)², and deep-memory models
+// With the boundary excluded, the space-time graph is the Cartesian
+// product of the spatial stabilizer graph and the path of layers, so
+// dist((s1,t1),(s2,t2)) = dist(s1,s2) + Weight·|t1-t2|: the model
+// stores only the numStabs² spatial distances, and deep-memory models
 // (rounds ≫ 2) stay small.
 package dem
 
-import (
-	"fmt"
-	"math"
+import "fmt"
 
-	"radqec/internal/matching"
-)
-
-// Prior holds the per-mechanism error probabilities a model's weights
-// derive from. A zero-value Prior (nil slices) selects the unit prior:
-// every mechanism equally likely, all edge weights equal — the
-// unit-weight geometry.
-type Prior struct {
-	// DataFlip[d] is the probability that data qubit d suffers a bit
-	// flip between two consecutive detection layers.
-	DataFlip []float64
-	// MeasFlip[s] is the probability that one measurement of
-	// stabilizer s is read wrong.
-	MeasFlip []float64
-}
-
-// Uniform returns the prior assigning probability p to every mechanism.
-// Any p in (0, 1/2) yields the same (unit-weight-equivalent) model; the
-// value only scales the common weight.
-func Uniform(numData, numStabs int, p float64) Prior {
-	pr := Prior{
-		DataFlip: make([]float64, numData),
-		MeasFlip: make([]float64, numStabs),
-	}
-	for i := range pr.DataFlip {
-		pr.DataFlip[i] = p
-	}
-	for i := range pr.MeasFlip {
-		pr.MeasFlip[i] = p
-	}
-	return pr
-}
+// Weight is the weight of every mechanism. Its value is the fixed-point
+// log-likelihood weight of a mechanism at probability 0.01,
+// round(2^16·ln 99), which the decoders have always matched on: the
+// blossom halves slacks in integer arithmetic, so rescaling the unit
+// could move its tie-breaks.
+const Weight int64 = 301146
 
 // Spec is the input of Compile.
 type Spec struct {
@@ -81,9 +48,6 @@ type Spec struct {
 	// syndrome, consecutive-round differences, and the last round vs
 	// the syndrome recomputed from the data readout.
 	Rounds int
-	// Prior supplies the mechanism probabilities; its zero value is the
-	// unit prior.
-	Prior Prior
 }
 
 // Edge is one error mechanism of the space-time graph.
@@ -94,8 +58,6 @@ type Edge struct {
 	// Data is the data qubit a space-like mechanism flips, or -1 for a
 	// time-like (measurement) mechanism.
 	Data int
-	// W is the quantized log-likelihood weight.
-	W int64
 }
 
 // Model is a compiled detector-error model.
@@ -112,52 +74,22 @@ type Model struct {
 	Edges []Edge
 	Adj   [][]int32
 
-	// spaceW[d] and timeW[s] are the quantized mechanism weights.
-	spaceW, timeW []int64
-
-	// dist[(s1*NumStabs+s2)*Layers+dt] is the space-time shortest-path
-	// weight between detectors (s1,t) and (s2,t+dt) (time-translation
-	// invariant; -1 when the stabilizers are spatially disconnected).
-	// Boundary never shortcuts these paths: a chain through the
-	// boundary is expressed as two boundary matches by the matcher.
+	// dist[s1*NumStabs+s2] is the spatial shortest-path weight between
+	// stabilizers s1 and s2 (-1 when disconnected). Boundary never
+	// shortcuts these paths: a chain through the boundary is expressed
+	// as two boundary matches by the matcher.
 	dist []int64
-	// bdist[s] is the weighted distance from stabilizer s (any layer)
-	// to the boundary; -1 when unreachable.
+	// bdist[s] is the distance from stabilizer s (any layer) to the
+	// boundary; -1 when unreachable.
 	bdist []int64
 	// pathFlips[s1][s2] is the flattened flip set — the data qubits of
-	// a canonical minimum-weight spatial chain between s1 and s2. Time
-	// edges flip no data, so a matched pair's correction is the spatial
-	// projection of its path. Under a heterogeneous prior the space-time
-	// path behind dist may detour spatially to ride cheaper time edges,
-	// so its projection can differ from this spatially-cheapest chain;
-	// the correction then realises a near-minimal chain between the same
-	// endpoints (exactly minimal under any uniform prior, where the two
-	// paths coincide). Matching decoders carry the same class of path
-	// degeneracy through tie-breaking.
+	// a canonical shortest spatial chain between s1 and s2. Time edges
+	// flip no data, so a matched pair's correction is the spatial
+	// projection of its space-time path, which is this chain.
 	pathFlips [][][]int
-	// bpathFlips[s] is the flip set of a canonical minimum-weight chain
-	// from s to the boundary.
+	// bpathFlips[s] is the flip set of a canonical shortest chain from
+	// s to the boundary.
 	bpathFlips [][]int
-}
-
-// weightOf maps a mechanism probability to its quantized log-likelihood
-// weight. Probabilities are clamped into (0, 1/2]: a mechanism more
-// likely than 1/2 would want a negative weight, which the shortest-path
-// and matching layers do not support; the clamp floors it at the
-// cheapest representable edge instead.
-func weightOf(p float64) int64 {
-	const pMin = 1e-12
-	if p < pMin {
-		p = pMin
-	}
-	if p > 0.5 {
-		p = 0.5
-	}
-	w := matching.QuantizeWeight(math.Log((1 - p) / p))
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Node returns the space-time node id of stabilizer s at layer t.
@@ -166,38 +98,33 @@ func (m *Model) Node(s, t int) int { return t*m.NumStabs + s }
 // Dist returns the shortest-path weight between detectors (s1,t1) and
 // (s2,t2), or -1 when they are spatially disconnected.
 func (m *Model) Dist(s1, t1, s2, t2 int) int64 {
+	d := m.dist[s1*m.NumStabs+s2]
+	if d < 0 {
+		return -1
+	}
 	dt := t1 - t2
 	if dt < 0 {
 		dt = -dt
 	}
-	return m.dist[(s1*m.NumStabs+s2)*m.Layers+dt]
+	return d + Weight*int64(dt)
 }
 
-// BoundaryDist returns the weighted distance from stabilizer s to the
-// open boundary (-1 when unreachable).
+// BoundaryDist returns the distance from stabilizer s to the open
+// boundary (-1 when unreachable).
 func (m *Model) BoundaryDist(s int) int64 { return m.bdist[s] }
 
-// PathFlips returns the data-qubit flip set of the canonical
-// minimum-weight chain between stabilizers s1 and s2 (nil when s1 == s2
-// or disconnected). The returned slice is shared; callers must not
-// mutate it.
+// PathFlips returns the data-qubit flip set of the canonical shortest
+// chain between stabilizers s1 and s2 (nil when s1 == s2 or
+// disconnected). The returned slice is shared; callers must not mutate
+// it.
 func (m *Model) PathFlips(s1, s2 int) []int { return m.pathFlips[s1][s2] }
 
-// BoundaryFlips returns the flip set of the canonical minimum-weight
-// chain from stabilizer s to the boundary (shared; do not mutate).
+// BoundaryFlips returns the flip set of the canonical shortest chain
+// from stabilizer s to the boundary (shared; do not mutate).
 func (m *Model) BoundaryFlips(s int) []int { return m.bpathFlips[s] }
 
-// SpaceWeight returns the quantized weight of data qubit d's space-like
-// mechanism.
-func (m *Model) SpaceWeight(d int) int64 { return m.spaceW[d] }
-
-// TimeWeight returns the quantized weight of stabilizer s's time-like
-// mechanism.
-func (m *Model) TimeWeight(s int) int64 { return m.timeW[s] }
-
-// Compile builds the model: mechanism weights from the prior, the
-// canonical space-time edge list, the spatial flip sets, and the
-// translation-invariant all-pairs distance cache.
+// Compile builds the model: the canonical space-time edge list, the
+// spatial distances and the spatial flip sets.
 func Compile(spec Spec) (*Model, error) {
 	n := len(spec.Stabs)
 	if spec.NumData < 0 {
@@ -212,30 +139,6 @@ func Compile(spec Spec) (*Model, error) {
 		NumData:  spec.NumData,
 		Layers:   layers,
 		Boundary: n * layers,
-		spaceW:   make([]int64, spec.NumData),
-		timeW:    make([]int64, n),
-	}
-	pr := spec.Prior
-	if pr.DataFlip != nil && len(pr.DataFlip) != spec.NumData {
-		return nil, fmt.Errorf("dem: prior covers %d data qubits, spec has %d", len(pr.DataFlip), spec.NumData)
-	}
-	if pr.MeasFlip != nil && len(pr.MeasFlip) != n {
-		return nil, fmt.Errorf("dem: prior covers %d stabilizers, spec has %d", len(pr.MeasFlip), n)
-	}
-	const unitP = 0.01 // any common value: the unit prior only needs equal weights
-	for d := range m.spaceW {
-		p := unitP
-		if pr.DataFlip != nil {
-			p = pr.DataFlip[d]
-		}
-		m.spaceW[d] = weightOf(p)
-	}
-	for s := range m.timeW {
-		p := unitP
-		if pr.MeasFlip != nil {
-			p = pr.MeasFlip[s]
-		}
-		m.timeW[s] = weightOf(p)
 	}
 
 	// owner[d] lists the stabilizers covering data qubit d; exactly-one
@@ -260,15 +163,15 @@ func Compile(spec Spec) (*Model, error) {
 		for d, ss := range owner {
 			switch len(ss) {
 			case 1:
-				m.Edges = append(m.Edges, Edge{U: m.Node(ss[0], t), V: m.Boundary, Data: d, W: m.spaceW[d]})
+				m.Edges = append(m.Edges, Edge{U: m.Node(ss[0], t), V: m.Boundary, Data: d})
 			case 2:
-				m.Edges = append(m.Edges, Edge{U: m.Node(ss[0], t), V: m.Node(ss[1], t), Data: d, W: m.spaceW[d]})
+				m.Edges = append(m.Edges, Edge{U: m.Node(ss[0], t), V: m.Node(ss[1], t), Data: d})
 			}
 		}
 	}
 	for t := 0; t+1 < layers; t++ {
 		for s := 0; s < n; s++ {
-			m.Edges = append(m.Edges, Edge{U: m.Node(s, t), V: m.Node(s, t+1), Data: -1, W: m.timeW[s]})
+			m.Edges = append(m.Edges, Edge{U: m.Node(s, t), V: m.Node(s, t+1), Data: -1})
 		}
 	}
 	m.Adj = make([][]int32, n*layers+1)
@@ -278,7 +181,6 @@ func Compile(spec Spec) (*Model, error) {
 	}
 
 	m.compileSpatialPaths(owner)
-	m.compileSpacetimeDistances(owner)
 	return m, nil
 }
 
@@ -286,140 +188,75 @@ func Compile(spec Spec) (*Model, error) {
 // spatial-only graph (stabilizers 0..n-1, boundary n).
 type spatialEdge struct {
 	to, via int
-	w       int64
 }
 
 // spatialAdj builds the spatial adjacency in data-qubit order — the
-// canonical relaxation order that makes path tie-breaking deterministic
-// (and, under the unit prior, identical to breadth-first search).
+// canonical visiting order that makes path tie-breaking deterministic.
 func (m *Model) spatialAdj(owner [][]int) [][]spatialEdge {
 	n := m.NumStabs
 	adj := make([][]spatialEdge, n+1)
 	for d, ss := range owner {
 		switch len(ss) {
 		case 1:
-			adj[ss[0]] = append(adj[ss[0]], spatialEdge{n, d, m.spaceW[d]})
-			adj[n] = append(adj[n], spatialEdge{ss[0], d, m.spaceW[d]})
+			adj[ss[0]] = append(adj[ss[0]], spatialEdge{n, d})
+			adj[n] = append(adj[n], spatialEdge{ss[0], d})
 		case 2:
-			adj[ss[0]] = append(adj[ss[0]], spatialEdge{ss[1], d, m.spaceW[d]})
-			adj[ss[1]] = append(adj[ss[1]], spatialEdge{ss[0], d, m.spaceW[d]})
+			adj[ss[0]] = append(adj[ss[0]], spatialEdge{ss[1], d})
+			adj[ss[1]] = append(adj[ss[1]], spatialEdge{ss[0], d})
 		}
 	}
 	return adj
 }
 
-// heapItem is a lazy-deletion priority-queue entry ordered by (dist,
-// seq): equal-distance nodes pop in insertion order, so the search
-// degenerates to exactly breadth-first order when all weights are equal
-// — preserving the flip-set tie-breaks of the unit-weight decoder.
-type heapItem struct {
-	node int
-	dist int64
-	seq  int
-}
-
-type pathHeap []heapItem
-
-func (h pathHeap) less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *pathHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *pathHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && h.less(l, s) {
-			s = l
-		}
-		if r < last && h.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
-		i = s
-	}
-	return top
-}
-
-// dijkstraSpatial runs the deterministic Dijkstra from src over the
-// spatial graph, skipping the node listed in skip (-1 for none),
-// returning distances (-1 unreachable) and predecessor data qubits.
-func dijkstraSpatial(adj [][]spatialEdge, src, skip int) (dist []int64, prev, prevVia []int) {
+// bfsSpatial runs a FIFO breadth-first search from src over the spatial
+// graph, skipping the node listed in skip (-1 for none), and returns hop
+// counts (-1 unreachable) and predecessor data qubits. A node's
+// predecessor is set when it is first discovered, so the shortest chain
+// read back from it is the canonical one.
+func bfsSpatial(adj [][]spatialEdge, src, skip int) (hops, prev, prevVia []int) {
 	nn := len(adj)
-	dist = make([]int64, nn)
+	hops = make([]int, nn)
 	prev = make([]int, nn)
 	prevVia = make([]int, nn)
-	for i := range dist {
-		dist[i] = -1
+	for i := range hops {
+		hops[i] = -1
 		prev[i] = -1
 		prevVia[i] = -1
 	}
-	var h pathHeap
-	seq := 0
-	dist[src] = 0
-	h.push(heapItem{src, 0, seq})
-	done := make([]bool, nn)
-	for len(h) > 0 {
-		it := h.pop()
-		u := it.node
-		if done[u] || it.dist != dist[u] {
-			continue
-		}
-		done[u] = true
+	hops[src] = 0
+	queue := make([]int, 1, nn)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, e := range adj[u] {
-			if e.to == skip {
+			if e.to == skip || hops[e.to] >= 0 {
 				continue
 			}
-			nd := dist[u] + e.w
-			if dist[e.to] == -1 || nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = u
-				prevVia[e.to] = e.via
-				seq++
-				h.push(heapItem{e.to, nd, seq})
-			}
+			hops[e.to] = hops[u] + 1
+			prev[e.to] = u
+			prevVia[e.to] = e.via
+			queue = append(queue, e.to)
 		}
 	}
-	return dist, prev, prevVia
+	return hops, prev, prevVia
 }
 
-// compileSpatialPaths records the canonical flip sets: minimum-weight
-// spatial chains between every stabilizer pair (boundary excluded as an
-// intermediate) and from every stabilizer to the boundary.
+// compileSpatialPaths records the spatial distances and the canonical
+// flip sets: shortest chains between every stabilizer pair (boundary
+// excluded as an intermediate) and from every stabilizer to the
+// boundary.
 func (m *Model) compileSpatialPaths(owner [][]int) {
 	n := m.NumStabs
 	adj := m.spatialAdj(owner)
+	m.dist = make([]int64, n*n)
 	m.pathFlips = make([][][]int, n)
 	m.bpathFlips = make([][]int, n)
 	for src := 0; src < n; src++ {
-		dist, prev, prevVia := dijkstraSpatial(adj, src, n)
+		hops, prev, prevVia := bfsSpatial(adj, src, n)
 		m.pathFlips[src] = make([][]int, n)
 		for dst := 0; dst < n; dst++ {
-			if dst == src || dist[dst] <= 0 {
+			m.dist[src*n+dst] = weigh(hops[dst])
+			if hops[dst] <= 0 {
 				continue
 			}
 			var flips []int
@@ -430,10 +267,10 @@ func (m *Model) compileSpatialPaths(owner [][]int) {
 		}
 	}
 	m.bdist = make([]int64, n)
-	bd, bprev, bvia := dijkstraSpatial(adj, n, -1)
+	bh, bprev, bvia := bfsSpatial(adj, n, -1)
 	for s := 0; s < n; s++ {
-		m.bdist[s] = bd[s]
-		if bd[s] > 0 {
+		m.bdist[s] = weigh(bh[s])
+		if bh[s] > 0 {
 			var flips []int
 			for v := s; v != n; v = bprev[v] {
 				flips = append(flips, bvia[v])
@@ -443,71 +280,11 @@ func (m *Model) compileSpatialPaths(owner [][]int) {
 	}
 }
 
-// compileSpacetimeDistances fills the translation-invariant all-pairs
-// cache: one Dijkstra per stabilizer from layer 0 over the space-time
-// graph (boundary excluded), reading dist(s1, s2, dt) off node
-// (s2, dt). Time-homogeneous weights guarantee a time-monotone shortest
-// path exists, so anchoring every source at layer 0 loses nothing.
-func (m *Model) compileSpacetimeDistances(owner [][]int) {
-	n, layers := m.NumStabs, m.Layers
-	m.dist = make([]int64, n*n*layers)
-	for i := range m.dist {
-		m.dist[i] = -1
+// weigh converts a hop count into a chain weight, keeping -1 for
+// unreachable.
+func weigh(hops int) int64 {
+	if hops < 0 {
+		return -1
 	}
-	if n == 0 {
-		return
-	}
-	// Space-time adjacency over stabilizer nodes only (boundary and
-	// flip identity are irrelevant here; only weights matter).
-	type stEdge struct {
-		to int
-		w  int64
-	}
-	adj := make([][]stEdge, n*layers)
-	for t := 0; t < layers; t++ {
-		for d, ss := range owner {
-			if len(ss) == 2 {
-				u, v := m.Node(ss[0], t), m.Node(ss[1], t)
-				adj[u] = append(adj[u], stEdge{v, m.spaceW[d]})
-				adj[v] = append(adj[v], stEdge{u, m.spaceW[d]})
-			}
-		}
-	}
-	for t := 0; t+1 < layers; t++ {
-		for s := 0; s < n; s++ {
-			u, v := m.Node(s, t), m.Node(s, t+1)
-			adj[u] = append(adj[u], stEdge{v, m.timeW[s]})
-			adj[v] = append(adj[v], stEdge{u, m.timeW[s]})
-		}
-	}
-	dist := make([]int64, n*layers)
-	for src := 0; src < n; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		var h pathHeap
-		seq := 0
-		dist[src] = 0 // Node(src, 0) == src
-		h.push(heapItem{src, 0, 0})
-		for len(h) > 0 {
-			it := h.pop()
-			u := it.node
-			if it.dist != dist[u] {
-				continue
-			}
-			for _, e := range adj[u] {
-				nd := dist[u] + e.w
-				if dist[e.to] == -1 || nd < dist[e.to] {
-					dist[e.to] = nd
-					seq++
-					h.push(heapItem{e.to, nd, seq})
-				}
-			}
-		}
-		for dst := 0; dst < n; dst++ {
-			for dt := 0; dt < layers; dt++ {
-				m.dist[(src*n+dst)*layers+dt] = dist[m.Node(dst, dt)]
-			}
-		}
-	}
+	return int64(hops) * Weight
 }

@@ -1,10 +1,6 @@
 package dem
 
-import (
-	"testing"
-
-	"radqec/internal/rng"
-)
+import "testing"
 
 // repSpec builds the repetition-chain geometry: d data qubits, d-1
 // weight-2 stabilizers.
@@ -25,22 +21,6 @@ func mustCompile(t *testing.T, spec Spec) *Model {
 	return m
 }
 
-// randomPrior draws mechanism probabilities in (0.001, 0.3).
-func randomPrior(numData, numStabs int, seed uint64) Prior {
-	src := rng.New(seed)
-	pr := Prior{
-		DataFlip: make([]float64, numData),
-		MeasFlip: make([]float64, numStabs),
-	}
-	for i := range pr.DataFlip {
-		pr.DataFlip[i] = 0.001 + 0.3*src.Float64()
-	}
-	for i := range pr.MeasFlip {
-		pr.MeasFlip[i] = 0.001 + 0.3*src.Float64()
-	}
-	return pr
-}
-
 func TestCompileRejectsBadSpecs(t *testing.T) {
 	if _, err := Compile(repSpec(5, 1)); err == nil {
 		t.Fatal("1-round spec accepted")
@@ -50,18 +30,13 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 	if _, err := Compile(bad); err == nil {
 		t.Fatal("out-of-range stabilizer support accepted")
 	}
-	short := repSpec(5, 2)
-	short.Prior = Uniform(3, 4, 0.01)
-	if _, err := Compile(short); err == nil {
-		t.Fatal("mismatched prior accepted")
-	}
 }
 
 func TestDistanceMatrixSymmetry(t *testing.T) {
 	for _, spec := range []Spec{
 		repSpec(7, 2),
 		repSpec(5, 6),
-		{Stabs: repSpec(9, 3).Stabs, NumData: 9, Rounds: 3, Prior: randomPrior(9, 8, 11)},
+		repSpec(9, 3),
 	} {
 		m := mustCompile(t, spec)
 		for s1 := 0; s1 < m.NumStabs; s1++ {
@@ -96,12 +71,12 @@ func bruteDist(m *Model, src int) []int64 {
 			if e.U == m.Boundary || e.V == m.Boundary {
 				continue
 			}
-			if dist[e.U] >= 0 && (dist[e.V] == -1 || dist[e.U]+e.W < dist[e.V]) {
-				dist[e.V] = dist[e.U] + e.W
+			if dist[e.U] >= 0 && (dist[e.V] == -1 || dist[e.U]+Weight < dist[e.V]) {
+				dist[e.V] = dist[e.U] + Weight
 				changed = true
 			}
-			if dist[e.V] >= 0 && (dist[e.U] == -1 || dist[e.V]+e.W < dist[e.U]) {
-				dist[e.U] = dist[e.V] + e.W
+			if dist[e.V] >= 0 && (dist[e.U] == -1 || dist[e.V]+Weight < dist[e.U]) {
+				dist[e.U] = dist[e.V] + Weight
 				changed = true
 			}
 		}
@@ -113,12 +88,10 @@ func bruteDist(m *Model, src int) []int64 {
 }
 
 func TestSpacetimeDistancesMatchBruteForce(t *testing.T) {
-	// The translation-invariant cache must agree with a brute-force
-	// search over the explicit space-time edge list from every layer,
-	// not just layer 0 — pinning both the metric and its invariance.
-	spec := repSpec(7, 4)
-	spec.Prior = randomPrior(7, 6, 3)
-	m := mustCompile(t, spec)
+	// Dist, read off the spatial table plus the layer gap, must agree
+	// with a brute-force search over the explicit space-time edge list
+	// from every layer, not just layer 0.
+	m := mustCompile(t, repSpec(7, 4))
 	for s1 := 0; s1 < m.NumStabs; s1++ {
 		for t1 := 0; t1 < m.Layers; t1++ {
 			brute := bruteDist(m, m.Node(s1, t1))
@@ -140,7 +113,7 @@ func TestBoundaryPathMinimality(t *testing.T) {
 	// must realise exactly the claimed weight.
 	for _, spec := range []Spec{
 		repSpec(9, 2),
-		{Stabs: repSpec(9, 2).Stabs, NumData: 9, Rounds: 2, Prior: randomPrior(9, 8, 7)},
+		repSpec(8, 5),
 	} {
 		m := mustCompile(t, spec)
 		for s := 0; s < m.NumStabs; s++ {
@@ -148,11 +121,7 @@ func TestBoundaryPathMinimality(t *testing.T) {
 			if bd < 0 {
 				continue
 			}
-			var w int64
-			for _, d := range m.BoundaryFlips(s) {
-				w += m.SpaceWeight(d)
-			}
-			if w != bd {
+			if w := int64(len(m.BoundaryFlips(s))) * Weight; w != bd {
 				t.Fatalf("stab %d: boundary flip set weighs %d, bdist %d", s, w, bd)
 			}
 			for o := 0; o < m.NumStabs; o++ {
@@ -167,51 +136,17 @@ func TestBoundaryPathMinimality(t *testing.T) {
 }
 
 func TestPathFlipSetsRealiseDistances(t *testing.T) {
-	// At dt=0 the cached distance is a pure spatial chain; its canonical
+	// At dt=0 the distance is a pure spatial chain; its canonical
 	// flip set must weigh exactly that much.
-	spec := repSpec(9, 3)
-	spec.Prior = randomPrior(9, 8, 19)
-	m := mustCompile(t, spec)
+	m := mustCompile(t, repSpec(9, 3))
 	for i := 0; i < m.NumStabs; i++ {
 		for j := 0; j < m.NumStabs; j++ {
 			if i == j {
 				continue
 			}
-			var w int64
-			for _, d := range m.PathFlips(i, j) {
-				w += m.SpaceWeight(d)
-			}
+			w := int64(len(m.PathFlips(i, j))) * Weight
 			if want := m.Dist(i, 0, j, 0); w != want {
 				t.Fatalf("PathFlips(%d,%d) weighs %d, dist %d", i, j, w, want)
-			}
-		}
-	}
-}
-
-func TestUniformPriorIsUnitWeightEquivalent(t *testing.T) {
-	// Any uniform prior yields one common edge weight, and distances
-	// divided by it reproduce the unweighted hop metric.
-	unit := mustCompile(t, repSpec(7, 3))
-	uni := repSpec(7, 3)
-	uni.Prior = Uniform(7, 6, 0.07)
-	scaled := mustCompile(t, uni)
-	w0 := unit.Edges[0].W
-	w1 := scaled.Edges[0].W
-	for _, e := range scaled.Edges {
-		if e.W != w1 {
-			t.Fatalf("uniform prior produced unequal weights")
-		}
-	}
-	for s1 := 0; s1 < unit.NumStabs; s1++ {
-		for s2 := 0; s2 < unit.NumStabs; s2++ {
-			for dt := 0; dt < unit.Layers; dt++ {
-				a, b := unit.Dist(s1, 0, s2, dt), scaled.Dist(s1, 0, s2, dt)
-				if (a < 0) != (b < 0) {
-					t.Fatalf("reachability differs at (%d,%d,%d)", s1, s2, dt)
-				}
-				if a >= 0 && a/w0 != b/w1 {
-					t.Fatalf("hop metric differs at (%d,%d,%d): %d vs %d", s1, s2, dt, a/w0, b/w1)
-				}
 			}
 		}
 	}

@@ -251,8 +251,8 @@ const frontSize = 256
 // and fills them with plain loads and stores, so the hot repeated
 // syndromes of a steady campaign skip the memo's atomic probe entirely.
 // Entries are tagged with the memo generation they came from
-// (frontGen[i] == 0 means empty), so a buf that migrates between codes,
-// decoders or SetPrior epochs mismatches instead of aliasing.
+// (frontGen[i] == 0 means empty), so a buf that migrates between codes
+// or decoders mismatches instead of aliasing.
 type decodeBuf struct {
 	lane    []uint64
 	events  []uint64

@@ -16,10 +16,8 @@ package qec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"radqec/internal/circuit"
-	"radqec/internal/dem"
 )
 
 // Code is a decodable QEC circuit instance.
@@ -53,21 +51,17 @@ type Code struct {
 	logicalZ []int
 	// dm is the lazily-compiled detector-error model every decoder view
 	// (MWPM/union-find/greedy) runs against, with its chain parity
-	// tables; demMu guards the compile so concurrent campaign workers
-	// share one build. prior is the noise prior the model was (or will
-	// be) compiled with; its zero value is the unit prior. See DEM and
-	// SetPrior.
-	dm    atomic.Pointer[compiledDEM]
-	demMu sync.Mutex
-	prior dem.Prior
+	// tables; dmOnce builds it so concurrent campaign workers share one
+	// compile. See DEM.
+	dm     *compiledDEM
+	dmOnce sync.Once
 
 	// mwpmMemo, ufMemo and greedyMemo cache, per space-time defect
 	// pattern (packed into a 128-bit key), the parity of the decoder's
 	// correction on the logical support — the only way the correction
 	// enters the decoded value. Each decoder owns its memo (their
-	// corrections differ); all three are shared by every campaign
-	// decoding this code, on either engine, and SetPrior replaces them
-	// (cached parities belong to the compiled model). See DecodeTile.
+	// corrections differ); all three are built with the code and shared
+	// by every campaign decoding it, on either engine. See DecodeTile.
 	mwpmMemo   *parityMemo
 	ufMemo     *parityMemo
 	greedyMemo *parityMemo

@@ -2,23 +2,19 @@ package qec
 
 import (
 	"fmt"
-	"math"
 
 	"radqec/internal/dem"
 	"radqec/internal/matching"
 )
 
 // DEM returns the code's compiled detector-error model, building it on
-// first use (with the unit prior unless SetPrior installed another one).
-// Safe for concurrent use by campaign workers; the compiled model is
-// shared by every decoder view of the code.
+// first use. Safe for concurrent use by campaign workers; the compiled
+// model is shared by every decoder view of the code.
 func (c *Code) DEM() *dem.Model { return c.compiled().m }
 
 // compiledDEM is a compiled detector-error model together with the
 // logical flip parity of each of its canonical chains, which is what the
-// MWPM miss tier's exact-parity solver reads. The two are built and
-// replaced as one value, so a SetPrior never pairs a model with another
-// model's parities.
+// MWPM miss tier's exact-parity solver reads.
 type compiledDEM struct {
 	m *dem.Model
 	// pairParity[s1·NumStabs+s2] is |PathFlips(s1, s2) ∩ logicalZ| mod 2
@@ -28,32 +24,25 @@ type compiledDEM struct {
 
 // compiled returns the code's compiledDEM, building it on first use.
 func (c *Code) compiled() *compiledDEM {
-	if cd := c.dm.Load(); cd != nil {
-		return cd
-	}
-	c.demMu.Lock()
-	defer c.demMu.Unlock()
-	if cd := c.dm.Load(); cd != nil {
-		return cd
-	}
-	cd, err := c.compile(c.prior)
-	if err != nil {
-		// Spec fields come from a successfully-built code; a compile
-		// failure is a programmer error, like the probability guards in
-		// package noise.
-		panic(fmt.Sprintf("qec: DEM compile failed for %s: %v", c.Name, err))
-	}
-	c.dm.Store(cd)
-	return cd
+	c.dmOnce.Do(func() {
+		cd, err := c.compile()
+		if err != nil {
+			// Spec fields come from a successfully-built code; a compile
+			// failure is a programmer error, like the probability guards
+			// in package noise.
+			panic(fmt.Sprintf("qec: DEM compile failed for %s: %v", c.Name, err))
+		}
+		c.dm = cd
+	})
+	return c.dm
 }
 
-// compile builds the model under prior pr and its chain parity tables.
-func (c *Code) compile(pr dem.Prior) (*compiledDEM, error) {
+// compile builds the model and its chain parity tables.
+func (c *Code) compile() (*compiledDEM, error) {
 	m, err := dem.Compile(dem.Spec{
 		Stabs:   c.zStabData,
 		NumData: c.Data.Size,
 		Rounds:  c.Rounds,
-		Prior:   pr,
 	})
 	if err != nil {
 		return nil, err
@@ -80,66 +69,6 @@ func (c *Code) compile(pr dem.Prior) (*compiledDEM, error) {
 	return cd, nil
 }
 
-// SetPrior recompiles the code's detector-error model against the given
-// noise prior (see dem.Prior; the zero value restores the unit prior)
-// and resets the batch syndrome memos, which cache decoder outputs of
-// the previous model (their DecoderCounters start again from zero). Call
-// it before campaigns start, on a code no one else holds: it swaps the
-// memos without synchronising against decodes, so it must never be
-// called on a code that came out of package exp's registry, which every
-// campaign of the process shares.
-func (c *Code) SetPrior(pr dem.Prior) error {
-	c.demMu.Lock()
-	defer c.demMu.Unlock()
-	cd, err := c.compile(pr)
-	if err != nil {
-		return err
-	}
-	c.prior = pr
-	c.dm.Store(cd)
-	c.newMemos()
-	return nil
-}
-
-// NoisePrior derives a detector-error-model prior from a uniform
-// depolarizing rate p by counting the error sites feeding each
-// mechanism: a data qubit accumulates one depolarizing site per
-// stabilizer touching it per round (each with X-component probability
-// 2p/3), and a stabilizer's measurement chain accumulates one site per
-// support qubit plus the measure and reset ops. Independent sites
-// XOR-combine as q = (1 - prod(1-2q_i))/2.
-func (c *Code) NoisePrior(p float64) dem.Prior {
-	site := 2 * p / 3 // X-component probability of one depolarizing site
-	combine := func(sites int) float64 {
-		return (1 - math.Pow(1-2*site, float64(sites))) / 2
-	}
-	pr := dem.Prior{
-		DataFlip: make([]float64, c.Data.Size),
-		MeasFlip: make([]float64, len(c.zStabData)),
-	}
-	touches := make([]int, c.Data.Size)
-	for _, datas := range c.zStabData {
-		for _, d := range datas {
-			touches[d]++
-		}
-	}
-	for _, datas := range c.xStabData {
-		for _, d := range datas {
-			touches[d]++
-		}
-	}
-	for d, n := range touches {
-		if n < 1 {
-			n = 1
-		}
-		pr.DataFlip[d] = combine(n)
-	}
-	for s, datas := range c.zStabData {
-		pr.MeasFlip[s] = combine(len(datas) + 2)
-	}
-	return pr
-}
-
 // defect is one detection event in the space-time syndrome history.
 type defect struct {
 	stab  int // Z stabilizer index
@@ -150,11 +79,11 @@ type defect struct {
 // returns the corrected logical value (0 or 1). The record layout is the
 // one produced by the code builders: CRounds hold the syndrome rounds,
 // DataRead the final per-data-qubit measurements. Matching runs on the
-// compiled detector-error model: edge weights are the cached space-time
-// shortest-path weights between detection events (log-likelihood
-// weighted; all equal under the default unit prior), and corrections
-// are the flattened flip sets of the matched chains. The record decodes
-// as the one live lane of a one-word DecodeTile, memo included.
+// compiled detector-error model: edge weights are the space-time
+// shortest-path weights between detection events (every mechanism
+// weighs dem.Weight), and corrections are the flattened flip sets of the
+// matched chains. The record decodes as the one live lane of a one-word
+// DecodeTile, memo included.
 func (c *Code) Decode(bits []int) int {
 	return c.decodeLane(bits, c.mwpmMemo, mwpmParity)
 }

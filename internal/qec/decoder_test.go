@@ -4,28 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"radqec/internal/dem"
 	"radqec/internal/matching"
 	"radqec/internal/rng"
 )
 
-// unitW returns the common mechanism weight of a unit-prior model
-// (every edge shares it by construction).
-func unitW(t *testing.T, c *Code) int64 {
-	t.Helper()
-	m := c.DEM()
-	w := m.Edges[0].W
-	for _, e := range m.Edges {
-		if e.W != w {
-			t.Fatalf("unit prior produced unequal weights: %d vs %d", e.W, w)
-		}
-	}
-	return w
-}
-
 func TestDEMRepetitionGeometry(t *testing.T) {
 	c := mustRep(t, 5)
 	m := c.DEM()
-	w := unitW(t, c)
+	w := dem.Weight
 	if m.NumStabs != 4 || m.Layers != 3 {
 		t.Fatalf("detector grid = %dx%d", m.NumStabs, m.Layers)
 	}
@@ -98,11 +85,11 @@ func TestDEMXXZZConnected(t *testing.T) {
 }
 
 func TestDEMFlipSetsMatchDistances(t *testing.T) {
-	// The flip set realising a unit-prior shortest spatial chain must
+	// The flip set realising a shortest spatial chain must
 	// contain exactly dist/w data qubits; same for boundary paths.
 	for _, c := range []*Code{mustRep(t, 15), mustXXZZ(t, 3, 5), mustXXZZ(t, 5, 3)} {
 		m := c.DEM()
-		w := unitW(t, c)
+		w := dem.Weight
 		for i := 0; i < m.NumStabs; i++ {
 			for j := 0; j < m.NumStabs; j++ {
 				if i == j || m.Dist(i, 0, j, 0) < 0 {
@@ -123,76 +110,78 @@ func TestDEMFlipSetsMatchDistances(t *testing.T) {
 	}
 }
 
-func TestWeightedPriorMatchesUnitPriorWhenRatesEqual(t *testing.T) {
-	// A prior assigning the same probability to every mechanism must
-	// decode every record exactly like the unit prior: the weights all
-	// scale by one constant, which blossom matching is invariant under.
-	ref := mustXXZZ(t, 3, 3)
-	weighted := mustXXZZ(t, 3, 3)
-	pr := weighted.NoisePrior(0.01)
-	q := pr.DataFlip[0]
-	for i := range pr.DataFlip {
-		pr.DataFlip[i] = q
+// bellmanFord returns the unit-weight distances from node src over m's
+// explicit space-time edge list, boundary excluded (-1 unreachable): an
+// oracle for Dist that never reads the model's distance table.
+func bellmanFord(m *dem.Model, src int) []int64 {
+	dist := make([]int64, len(m.Adj))
+	for i := range dist {
+		dist[i] = -1
 	}
-	for i := range pr.MeasFlip {
-		pr.MeasFlip[i] = q
+	dist[src] = 0
+	relax := func(from, to int) bool {
+		if dist[from] < 0 || (dist[to] >= 0 && dist[from]+dem.Weight >= dist[to]) {
+			return false
+		}
+		dist[to] = dist[from] + dem.Weight
+		return true
 	}
-	if err := weighted.SetPrior(pr); err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(17)
-	for w := 0; w < 4; w++ {
-		rec := randomRecord(t, ref, src)
-		for lane := uint(0); lane < 64; lane++ {
-			bits := unpackLane(rec, lane)
-			if ref.Decode(bits) != weighted.Decode(bits) {
-				t.Fatalf("word %d lane %d: equal-rate weighted decode differs from unit decode", w, lane)
+	for changed := true; changed; {
+		changed = false
+		for _, e := range m.Edges {
+			if e.U == m.Boundary || e.V == m.Boundary {
+				continue
 			}
-			if ref.decodeLane(bits, ref.ufMemo, ufParity) != weighted.decodeLane(bits, weighted.ufMemo, ufParity) {
-				t.Fatalf("word %d lane %d: equal-rate weighted UF decode differs", w, lane)
+			if relax(e.U, e.V) {
+				changed = true
+			}
+			if relax(e.V, e.U) {
+				changed = true
 			}
 		}
 	}
+	return dist
 }
 
-func TestNoisePriorChangesWeights(t *testing.T) {
-	// The circuit-derived prior is genuinely heterogeneous on XXZZ
-	// (boundary data qubits see fewer stabilizers than bulk ones), and
-	// decoding with it must still produce valid bits batch-for-scalar.
-	c := mustXXZZ(t, 3, 5)
-	if err := c.SetPrior(c.NoisePrior(0.01)); err != nil {
-		t.Fatal(err)
-	}
-	m := c.DEM()
-	minW, maxW := m.Edges[0].W, m.Edges[0].W
-	for _, e := range m.Edges {
-		if e.W < minW {
-			minW = e.W
+func TestSpacetimeDistancesMatchFigureCodes(t *testing.T) {
+	// Dist is the spatial distance plus Weight per layer of separation.
+	// That holds because the space-time graph without its boundary is
+	// the product of the spatial graph and the layer path; a search over
+	// the explicit edge list checks it on every figure code, including
+	// the 2-D XXZZ geometries, from every detector.
+	var codes []*Code
+	for _, rounds := range []int{2, 3, 9} {
+		for _, d := range RepetitionDistances() {
+			c, err := NewRepetitionRounds(d, rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes = append(codes, c)
 		}
-		if e.W > maxW {
-			maxW = e.W
+		for _, dd := range XXZZDistances() {
+			c, err := NewXXZZRounds(dd[0], dd[1], rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes = append(codes, c)
 		}
 	}
-	if minW == maxW {
-		t.Fatal("NoisePrior produced a flat weight profile on xxzz-(3,5)")
+	for _, c := range codes {
+		m := c.DEM()
+		for s1 := 0; s1 < m.NumStabs; s1++ {
+			for t1 := 0; t1 < m.Layers; t1++ {
+				want := bellmanFord(m, m.Node(s1, t1))
+				for s2 := 0; s2 < m.NumStabs; s2++ {
+					for t2 := 0; t2 < m.Layers; t2++ {
+						if got := m.Dist(s1, t1, s2, t2); got != want[m.Node(s2, t2)] {
+							t.Fatalf("%s rounds %d: Dist(%d,%d,%d,%d) = %d, Bellman-Ford %d",
+								c.Name, c.Rounds, s1, t1, s2, t2, got, want[m.Node(s2, t2)])
+						}
+					}
+				}
+			}
+		}
 	}
-	checkDecodeTileMatches(t, c, 2, 23)
-	checkUnionFindTileMatches(t, c, 2, 29)
-}
-
-func TestSetPriorResetsMemos(t *testing.T) {
-	c := mustRep(t, 5)
-	checkDecodeTileMatches(t, c, 2, 5)
-	if c.batchMemoEntries() == 0 {
-		t.Fatal("memo never populated")
-	}
-	if err := c.SetPrior(c.NoisePrior(0.02)); err != nil {
-		t.Fatal(err)
-	}
-	if c.batchMemoEntries() != 0 {
-		t.Fatal("SetPrior kept stale memo entries")
-	}
-	checkDecodeTileMatches(t, c, 2, 6)
 }
 
 func TestDetectionEventsOnCleanRecord(t *testing.T) {

@@ -38,9 +38,8 @@ import mathbits "math/bits"
 // exactCap is the largest component the tier solves. The DP visits at
 // most 2^exactCap subsets of a component, and its memo takes 13 bytes
 // per subset. In a census at seed 7 (docs/design.md, "The miss tier"),
-// cap 10 answered 99% of the lanes cap 14 answers on fig6 and fig8,
-// and 88% on memory. Caps 8, 10 and 12 took the same CPU time end to end,
-// within run-to-run noise.
+// cap 10 answered 99.6% of the lanes cap 14 answers on fig6, 99.2% on
+// fig8 and 89.6% on memory.
 const exactCap = 10
 
 // exactMaxDefects bounds the defect count the tier looks at: the

@@ -85,16 +85,15 @@ func largestRelevantComponent(cd *compiledDEM, defects []defect) int {
 	return largest
 }
 
-// exactFuzzCodes caches the fuzz target's codes by (selector, rounds,
-// prior): building a circuit and compiling its DEM costs more than the
-// check itself.
+// exactFuzzCodes caches the fuzz target's codes by (selector, rounds):
+// building a circuit and compiling its DEM costs more than the check
+// itself.
 var exactFuzzCodes sync.Map
 
 // exactFuzzCode builds code selector sel (0–3 rep d 3–9, 4 XXZZ (3,3),
-// 5 XXZZ (5,3), 6 XXZZ (3,3) under NoisePrior(p)) at rounds; p is
-// ignored for the unit-prior selectors.
-func exactFuzzCode(t *testing.T, sel, rounds int, p float64) *Code {
-	key := fmt.Sprint(sel, rounds, p)
+// 5 XXZZ (5,3)) at rounds.
+func exactFuzzCode(t *testing.T, sel, rounds int) *Code {
+	key := fmt.Sprint(sel, rounds)
 	if c, ok := exactFuzzCodes.Load(key); ok {
 		return c.(*Code)
 	}
@@ -110,9 +109,6 @@ func exactFuzzCode(t *testing.T, sel, rounds int, p float64) *Code {
 	default:
 		c, err = NewXXZZRounds(3, 3, rounds)
 	}
-	if err == nil && sel == 6 {
-		err = c.SetPrior(c.NoisePrior(p))
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +121,7 @@ func exactFuzzCode(t *testing.T, sel, rounds int, p float64) *Code {
 // tier's contract. It returns whether the tier answered.
 func checkExactParity(t *testing.T, codeSel, roundSel, kSel uint8, seed uint64) bool {
 	t.Helper()
-	sel, p := int(codeSel%7), 0.0
-	if sel == 6 {
-		p = []float64{0.001, 0.01, 0.05, 0.2}[seed%4]
-	}
-	c := exactFuzzCode(t, sel, 2+int(roundSel%8), p)
+	c := exactFuzzCode(t, int(codeSel%6), 2+int(roundSel%8))
 	layers := c.Rounds + 1
 	nbits := len(c.zStabData) * layers
 	src := rng.New(seed)
@@ -152,8 +144,8 @@ func checkExactParity(t *testing.T, codeSel, roundSel, kSel uint8, seed uint64) 
 	got, ok := buf.exact.exactParity(cd, defects)
 	want := c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).MinWeightPerfectMatching))
 	if ok && got != want {
-		t.Fatalf("%s rounds %d prior %v defects %v: exact parity %d, blossom %d",
-			c.Name, c.Rounds, c.prior.DataFlip != nil, defects, got, want)
+		t.Fatalf("%s rounds %d defects %v: exact parity %d, blossom %d",
+			c.Name, c.Rounds, defects, got, want)
 	}
 	// Small enough to enumerate: the tier declines exactly the parity
 	// ties and the syndromes with an oversized relevant component.
@@ -173,15 +165,17 @@ func checkExactParity(t *testing.T, codeSel, roundSel, kSel uint8, seed uint64) 
 }
 
 // FuzzExactParityMatchesBlossom draws random defect lists (k ≤ 24) on rep
-// d 3–9 and XXZZ (3,3)/(5,3) at rounds 2–9, and on an XXZZ (3,3) under
-// SetPrior(NoisePrior(p)). Whenever the exact-parity tier answers, its
-// parity must equal the blossom's correction parity; on lists small
-// enough to enumerate it must answer exactly when every minimum-weight
-// solution shares one parity and no relevant component exceeds exactCap.
+// d 3–9 and XXZZ (3,3)/(5,3) at rounds 2–9. Whenever the exact-parity
+// tier answers, its parity must equal the blossom's correction parity;
+// on lists small enough to enumerate it must answer exactly when every
+// minimum-weight solution shares one parity and no relevant component
+// exceeds exactCap.
 func FuzzExactParityMatchesBlossom(f *testing.F) {
-	for sel := uint8(0); sel < 7; sel++ {
-		f.Add(sel, sel, uint8(3*sel+2), uint64(sel))
-		f.Add(sel, sel+1, uint8(exactCap+1+sel%2), uint64(sel)+7)
+	// Every selector once, and a seventh pair that wraps to rep-3 at
+	// rounds 8 and 9.
+	for i := uint8(0); i < 7; i++ {
+		f.Add(i, i, uint8(3*i+2), uint64(i))
+		f.Add(i, i+1, uint8(exactCap+1+i%2), uint64(i)+7)
 	}
 	f.Fuzz(func(t *testing.T, codeSel, roundSel, kSel uint8, seed uint64) {
 		checkExactParity(t, codeSel, roundSel, kSel, seed)

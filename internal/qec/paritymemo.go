@@ -72,7 +72,7 @@ type parityMemo struct {
 	maxSlots int
 	// gen is this memo's process-unique identity, tagged onto front-cache
 	// entries (see decodeBuf) so an entry can never outlive or alias its
-	// memo — not even across a SetPrior swap or a recycled allocation.
+	// memo — not even across a recycled allocation.
 	gen uint64
 	// triggered and misses count the lanes decodeTile found a defect in
 	// and the ones among them that reached the miss tier, defects the

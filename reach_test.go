@@ -28,8 +28,6 @@ import (
 //	oracle     a test of another behaviour compares against it or
 //	           observes through it (reference code stays where it is)
 //	test-hook  test-only arming/inspection API of a production mechanism
-//	prior      the non-unit-prior producers (weighted DEM edges are the
-//	           matcher's next idea, see ROADMAP)
 var reachAllow = map[string]string{
 	// Reference implementations and the single-call conveniences the
 	// cross-engine and differential tests run them through.
@@ -70,12 +68,6 @@ var reachAllow = map[string]string{
 	"faultinject.Reset":         "test-hook",
 	"qec.Code.batchMemoEntries": "test-hook",
 	"qec.Code.ufMemoEntries":    "test-hook",
-
-	"dem.Model.SpaceWeight": "prior",
-	"dem.Model.TimeWeight":  "prior",
-	"dem.Uniform":           "prior",
-	"qec.Code.NoisePrior":   "prior",
-	"qec.Code.SetPrior":     "prior",
 }
 
 const reachModule = "radqec"
@@ -316,9 +308,9 @@ func TestReachability(t *testing.T) {
 			t.Errorf("reachAllow lists %s (%s) but no such function exists: drop the entry", name, reason)
 		}
 		switch reason {
-		case "oracle", "test-hook", "prior":
+		case "oracle", "test-hook":
 		default:
-			t.Errorf("reachAllow[%s] = %q: want oracle, test-hook or prior", name, reason)
+			t.Errorf("reachAllow[%s] = %q: want oracle or test-hook", name, reason)
 		}
 	}
 	sort.Strings(dead)

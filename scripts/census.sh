@@ -30,8 +30,7 @@ echo "flags: $((radqec + radqecd)) (radqec $radqec + radqecd $radqecd)"
 echo "experiments: $(grep -cE '^\s*\{"[^"]+", "' internal/exp/registry.go)"
 oracle=$(allowed oracle)
 hook=$(allowed test-hook)
-prior=$(allowed prior)
-echo "reach allowlist: $((oracle + hook + prior)) (oracle $oracle + test-hook $hook + prior $prior)"
+echo "reach allowlist: $((oracle + hook)) (oracle $oracle + test-hook $hook)"
 readme=$(wc -l <README.md)
 echo "README.md: $readme lines (bound $readmeBound)"
 for f in docs/*.md; do
