@@ -19,12 +19,12 @@ import (
 // at two rounds carry seven experiments) nothing.
 //
 // Retained per code: the circuit, the DEM once a decode compiled it
-// (stabs² · (rounds+1) · 8 B of distances) and three parity memos (one
-// per decoder) that start empty and top out at 786 KB each, so
-// 64 · 3 · 786 KB ≈ 151 MB is the ceiling on memo bytes, reached only
-// if every resident code met some 24 576 distinct syndromes under all
-// three decoders; the 29 codes
-// above hold 150 k syndromes in 6.9 MB of tables. Per prepared circuit:
+// (stabs² · 8 B of distances and the paths' flip lists) and three
+// parity memos (one per decoder) that start empty and top out at
+// 256 KB each, so 64 · 3 · 256 KB ≈ 50 MB is the ceiling on memo
+// bytes, reached only if every resident code met some 24 576 distinct
+// syndromes under all three decoders; the 29 codes above hold 139 k
+// syndromes in 2.0 MB of tables. Per prepared circuit:
 // the routed circuit, its compiled reference, the n² all-pairs
 // distances (34 KB on Brooklyn's 65 qubits) and the circuit literal.
 const preparedCap = 64

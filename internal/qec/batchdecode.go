@@ -25,11 +25,11 @@ import (
 //  2. Triggered lanes exploit that the correction only enters the
 //     logical value through the parity of the matched flip set on the
 //     logical support, a pure function of the defect pattern. When the
-//     pattern fits in 128 bits (the whole 2-round family and memory
-//     campaigns out to stabs·(rounds+1) <= 128) the blossom result is
-//     memoised in a lock-free, allocation-free open-addressed table,
-//     so repeated syndromes — the norm under a localised strike — cost
-//     a probe instead of a matching.
+//     pattern fits in 62 bits (every figure code, and memory campaigns
+//     out to stabs·(rounds+1) <= 62) the blossom result is memoised in
+//     a lock-free, allocation-free open-addressed table of one-word
+//     entries, so repeated syndromes — the norm under a localised
+//     strike — cost a probe instead of a matching.
 //  3. Only novel syndromes reach the miss tier, on the defect list read
 //     off the already-extracted defect words. For MWPM it first tries
 //     the exact-parity solver (exactparity.go): when every
@@ -153,40 +153,35 @@ func (c *Code) detectionEventTile(rec []uint64, w int, dst, anyw []uint64) {
 
 // laneKeys holds the memo keys of one tile word's 64 lanes, built at
 // once: lane l's key carries bit l of detection word i at bit i, for
-// i < nbits <= 128, the low 64 detection words in half 0 and the rest in
-// half 1. Each half is a bit matrix of n <= 64 detection rows by 64
-// lanes; with b the smallest power of two >= n, transposing each of its
-// b×b blocks in place (transposeBlocks) leaves lane l's key in the b
-// bits of rows[l mod b] from bit l - l mod b up. For b = 64 that is the
-// plain 64×64 transpose and the key is rows[l]; the 12-bit patterns of
-// the 2-round family need only the 16×16 blocks, a sixth of the work.
-// The cost is per tile word, whatever the number of triggered lanes; a
-// lane's key is then one shift and mask.
+// i < nbits <= 64. The detection words are a bit matrix of nbits rows
+// by 64 lanes; with b the smallest power of two >= nbits, transposing
+// each of its b×b blocks in place (transposeBlocks) leaves lane l's key
+// in the b bits of rows[l mod b] from bit l - l mod b up. For b = 64
+// that is the plain 64×64 transpose and the key is rows[l]; the 12-bit
+// patterns of the 2-round family need only the 16×16 blocks, a sixth
+// of the work. The cost is per tile word, whatever the number of
+// triggered lanes; a lane's key is then one shift and mask.
 type laneKeys struct {
-	rows [2][64]uint64
-	// block is each half's block size b.
-	block [2]uint
+	rows [64]uint64
+	// block is the block size b.
+	block uint
 }
 
 // build fills the keys of tile word k of a w-word detection-event tile.
 func (t *laneKeys) build(events []uint64, w, k, nbits int) {
-	for h := 0; h*64 < nbits; h++ {
-		n := min(nbits-h*64, 64)
-		rows := &t.rows[h]
-		for i := 0; i < n; i++ {
-			rows[i] = events[(h*64+i)*w+k]
-		}
-		b := uint(1) << mathbits.Len(uint(n-1))
-		clear(rows[n:b])
-		transposeBlocks(rows, b)
-		t.block[h] = b
+	for i := 0; i < nbits; i++ {
+		t.rows[i] = events[i*w+k]
 	}
+	b := uint(1) << mathbits.Len(uint(nbits-1))
+	clear(t.rows[nbits:b])
+	transposeBlocks(&t.rows, b)
+	t.block = b
 }
 
-// key returns half h of lane's memo key.
-func (t *laneKeys) key(h int, lane uint) uint64 {
-	b := t.block[h]
-	return t.rows[h][lane&(b-1)&63] >> (lane &^ (b - 1)) & (1<<b - 1)
+// key returns lane's memo key.
+func (t *laneKeys) key(lane uint) uint64 {
+	b := t.block
+	return t.rows[lane&(b-1)&63] >> (lane &^ (b - 1)) & (1<<b - 1)
 }
 
 // transposeBlocks transposes the b×b blocks of the b×64 bit matrix
@@ -234,7 +229,7 @@ func transposeRound(a *[64]uint64, b, j uint, m uint64) {
 
 // frontSize sizes decodeBuf's direct-mapped front cache (a power of
 // two). 256 entries cover the working set of repeated syndromes under a
-// localised strike while keeping the arrays L1-resident (8 KiB).
+// localised strike while keeping the arrays L1-resident (4 KiB).
 const frontSize = 256
 
 // decodeBuf is the pooled scratch of one decode: a scalar record packed
@@ -250,9 +245,9 @@ const frontSize = 256
 // of the shared parityMemo: while a buf is checked out its owner probes
 // and fills them with plain loads and stores, so the hot repeated
 // syndromes of a steady campaign skip the memo's atomic probe entirely.
-// Entries are tagged with the memo generation they came from
-// (frontGen[i] == 0 means empty), so a buf that migrates between codes
-// or decoders mismatches instead of aliasing.
+// frontEntry[i] is a memo entry word (memoEntry), tagged with the memo
+// generation it came from (frontGen[i] == 0 means empty), so a buf that
+// migrates between codes or decoders mismatches instead of aliasing.
 type decodeBuf struct {
 	lane    []uint64
 	events  []uint64
@@ -266,10 +261,8 @@ type decodeBuf struct {
 
 	keys laneKeys
 
-	frontGen [frontSize]uint64
-	frontK0  [frontSize]uint64
-	frontK1  [frontSize]uint64
-	frontVal [frontSize]uint64
+	frontGen   [frontSize]uint64
+	frontEntry [frontSize]uint64
 }
 
 var decodeBufPool = sync.Pool{New: func() any { return new(decodeBuf) }}
@@ -337,11 +330,10 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 	}
 	defectWords, anyw := buf.grow(nz*layers*w, w)
 	c.detectionEventTile(rec, w, defectWords, anyw)
-	// Key width is fixed per code: up to 64 detector bits fill only the
-	// low key word (the 2-round hot path), up to 128 both words of the
-	// key that keeps memory-depth campaigns cached.
+	// A code whose pattern outgrows a memo entry decodes every
+	// triggered lane directly.
 	nbits := c.detectorBits()
-	cacheable, wide := nbits <= memoKeyBits, nbits > 64
+	cacheable := nbits <= memoKeyBits
 	defects := buf.defects
 	keys := &buf.keys
 	var triggered, misses, matched, exacts int64
@@ -357,21 +349,18 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 		for m := slow; m != 0; m &= m - 1 {
 			lane := uint(mathbits.TrailingZeros64(m))
 			mask := uint64(1) << lane
-			var k0, k1, h uint64
+			var key, h uint64
 			fi := 0
 			if cacheable {
-				k0 = keys.key(0, lane)
-				if wide {
-					k1 = keys.key(1, lane)
-				}
-				h = memoHash(k0, k1)
+				key = keys.key(lane)
+				h = memoHash(key)
 				fi = int(h & (frontSize - 1))
-				if buf.frontGen[fi] == memo.gen && buf.frontK0[fi] == k0 && buf.frontK1[fi] == k1 {
-					out[k] ^= buf.frontVal[fi] << lane
+				if e := buf.frontEntry[fi]; buf.frontGen[fi] == memo.gen && e>>2 == key {
+					out[k] ^= (e >> 1 & 1) << lane
 					continue
 				}
-				if v, ok := memo.load(h, k0, k1); ok {
-					buf.frontGen[fi], buf.frontK0[fi], buf.frontK1[fi], buf.frontVal[fi] = memo.gen, k0, k1, v
+				if v, ok := memo.load(h, key); ok {
+					buf.frontGen[fi], buf.frontEntry[fi] = memo.gen, memoEntry(key, v)
 					out[k] ^= v << lane
 					continue
 				}
@@ -393,8 +382,8 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 				exacts++
 			}
 			if cacheable {
-				memo.store(h, k0, k1, flipParity)
-				buf.frontGen[fi], buf.frontK0[fi], buf.frontK1[fi], buf.frontVal[fi] = memo.gen, k0, k1, flipParity
+				memo.store(h, key, flipParity)
+				buf.frontGen[fi], buf.frontEntry[fi] = memo.gen, memoEntry(key, flipParity)
 			}
 			out[k] ^= flipParity << lane
 		}
@@ -414,7 +403,7 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 // reached the miss tier instead of a memo, how many defects those
 // matcher calls matched (MatchedDefects / MatcherCalls is the mean
 // defect count k a call pays for), and what the memos hold. A code whose
-// pattern is too wide for a memo key counts every triggered lane as a
+// pattern is too wide for a memo entry counts every triggered lane as a
 // matcher call. ExactParity counts the MWPM miss-tier lanes the
 // exact-parity tier answered without the blossom; they are included in
 // MatcherCalls, so the blossom ran MatcherCalls − ExactParity times.

@@ -77,22 +77,22 @@ func TestDecodeBatchMatchesDecodeXXZZ(t *testing.T) {
 }
 
 func TestDecodeBatchMatchesDecodeManyRounds(t *testing.T) {
-	// 14 stabilizers x 7 layers = 98 defect bits: beyond the old 64-bit
-	// memo key but inside the 128-bit one, so memory-depth campaigns out
-	// to stabs·(rounds+1) <= 128 still ride the syndrome cache.
+	// 14 stabilizers x 7 layers = 98 defect bits: past a one-word memo
+	// entry, so every triggered lane decodes directly and the memo stays
+	// empty.
 	c, err := NewRepetitionRounds(15, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkDecodeTileMatches(t, c, 2, 31)
-	if c.batchMemoEntries() == 0 {
-		t.Fatal("98-bit defect patterns never populated the 128-bit memo")
+	if c.batchMemoEntries() != 0 {
+		t.Fatal("98-bit defect patterns populated the memo")
 	}
 }
 
 func TestDecodeBatchMatchesDecodeUncacheableRounds(t *testing.T) {
-	// 14 stabilizers x 10 layers = 140 defect bits: too wide even for
-	// the 128-bit key, exercising the uncached fallback.
+	// 14 stabilizers x 10 layers = 140 defect bits: far past a memo
+	// entry, exercising the uncached fallback.
 	c, err := NewRepetitionRounds(15, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestDecodeBatchMatchesDecodeUncacheableRounds(t *testing.T) {
 
 func TestUnionFindBatchMatchesScalarManyRounds(t *testing.T) {
 	// Multi-round lane equality for the union-find twin, through the
-	// 128-bit memo (5-round rep-9: 8 stabs x 6 layers = 48 bits) and
+	// memo (5-round rep-9: 8 stabs x 6 layers = 48 bits) and
 	// past it (uncached xxzz case below is covered by the MWPM test's
 	// shared core).
 	c, err := NewRepetitionRounds(9, 5)
@@ -240,9 +240,9 @@ func TestDecoderMemosAreIndependent(t *testing.T) {
 func BenchmarkDecodeUnionFindTileSpacetime(b *testing.B) {
 	// Multi-round union-find decoding over the space-time DEM: rep-9 at
 	// rounds=9 (the canonical rounds=d memory point), a full tile of
-	// moderately dense random syndromes through the 128-bit memo. No
-	// bench/ layer runs this decoder; the MWPM twin is its qec.decode_*
-	// rows.
+	// moderately dense random syndromes; its 80 detector bits are past a
+	// memo entry, so every triggered lane runs the union-find. No bench/
+	// layer runs this decoder; the MWPM twin is its qec.decode_* rows.
 	c, err := NewRepetitionRounds(9, 9)
 	if err != nil {
 		b.Fatal(err)
@@ -389,7 +389,7 @@ func TestDecodeTileMissTierZeroAllocFreshMemo(t *testing.T) {
 // ceiling from the code's detector bits, and growth in between that
 // loses nothing — a small DEM's whole pattern space ends up cached.
 func TestParityMemoGrowsWithContent(t *testing.T) {
-	for _, tc := range []struct{ bits, maxSlots int }{{2, 8}, {12, 8192}, {14, 32768}, {24, 32768}, {128, 32768}} {
+	for _, tc := range []struct{ bits, maxSlots int }{{2, 8}, {12, 8192}, {14, 32768}, {24, 32768}} {
 		if got := newParityMemo(tc.bits).maxSlots; got != tc.maxSlots {
 			t.Errorf("%d detector bits: ceiling %d slots, want %d", tc.bits, got, tc.maxSlots)
 		}
@@ -398,7 +398,7 @@ func TestParityMemoGrowsWithContent(t *testing.T) {
 	if m.table.Load() != nil {
 		t.Fatal("empty memo already holds a table")
 	}
-	m.store(memoHash(1, 0), 1, 0, 1)
+	m.store(memoHash(1), 1, 1)
 	if got := len(m.table.Load().slots); got != 1<<memoMinSlotBits {
 		t.Fatalf("first table has %d slots, want %d", got, 1<<memoMinSlotBits)
 	}
@@ -407,11 +407,11 @@ func TestParityMemoGrowsWithContent(t *testing.T) {
 	// again.
 	for pass := 0; pass < 2; pass++ {
 		for k := uint64(0); k < 1<<12; k++ {
-			m.store(memoHash(k, 0), k, 0, k&1)
+			m.store(memoHash(k), k, k&1)
 		}
 	}
 	for k := uint64(0); k < 1<<12; k++ {
-		if v, ok := m.load(memoHash(k, 0), k, 0); !ok || v != k&1 {
+		if v, ok := m.load(memoHash(k), k); !ok || v != k&1 {
 			t.Fatalf("pattern %#x: load = (%d, %v) after growth", k, v, ok)
 		}
 	}
@@ -438,13 +438,14 @@ func TestParityMemoConcurrentGrowth(t *testing.T) {
 			defer wg.Done()
 			src := rng.New(uint64(g))
 			for i := 0; i < keys; i++ {
-				k := uint64(src.Intn(keys))
-				h := memoHash(k, k>>3)
-				if v, ok := m.load(h, k, k>>3); ok && v != parityOf(k) {
-					t.Errorf("key %d: cached parity %d, want %d", k, v, parityOf(k))
+				// Keys spread over the whole 40-bit pattern space.
+				k := uint64(src.Intn(keys)) * 0x9e3779b9 & (1<<40 - 1)
+				h := memoHash(k)
+				if v, ok := m.load(h, k); ok && v != parityOf(k) {
+					t.Errorf("key %#x: cached parity %d, want %d", k, v, parityOf(k))
 					return
 				}
-				m.store(h, k, k>>3, parityOf(k))
+				m.store(h, k, parityOf(k))
 			}
 		}(g)
 	}
@@ -454,6 +455,122 @@ func TestParityMemoConcurrentGrowth(t *testing.T) {
 	}
 	if got := m.entries(); got < keys/2 {
 		t.Fatalf("only %d entries survived growth under contention", got)
+	}
+}
+
+// TestParityMemoEntryRoundTrip: patterns as wide as an entry takes
+// (bit memoKeyBits-1 set) come back from store, load and every grow with
+// their parity, at both parities, and never alias the pattern that
+// differs from them only in that bit.
+func TestParityMemoEntryRoundTrip(t *testing.T) {
+	const top = uint64(1) << (memoKeyBits - 1)
+	patterns := []uint64{top | 5, top, 1<<memoKeyBits - 1, top | 0x2a5}
+	parity := func(i int) uint64 { return uint64(i & 1) }
+	m := newParityMemo(memoKeyBits)
+	for i, p := range patterns {
+		m.store(memoHash(p), p, parity(i))
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, p := range patterns {
+			if v, ok := m.load(memoHash(p), p); !ok || v != parity(i) {
+				t.Fatalf("%s: pattern %#x: load = (%d, %v), want (%d, true)", when, p, v, ok, parity(i))
+			}
+			if _, ok := m.load(memoHash(p&^top), p&^top); ok {
+				t.Fatalf("%s: pattern %#x answers for %#x", when, p, p&^top)
+			}
+		}
+		if got := m.entries(); got != int64(len(patterns)) {
+			t.Fatalf("%s: %d entries for %d patterns", when, got, len(patterns))
+		}
+	}
+	check("stored")
+	for tab := m.table.Load(); len(tab.slots) < m.maxSlots; {
+		tab = m.grow(tab)
+		check(fmt.Sprintf("grown to %d slots", len(tab.slots)))
+	}
+}
+
+// TestParityMemoNoTableForWideCode decodes a tile under all three
+// decoders on the codes either side of a memo entry's width. Both code
+// families have an even number of Z stabilizers, so no code has 63
+// detector bits: rep-3 at 30 rounds (2 x 31 = 62 bits) is the widest
+// that fills its memos, rep-9 at 7 rounds (8 x 8 = 64) the narrowest
+// that must decode every triggered lane directly and never allocate a
+// memo table.
+func TestParityMemoNoTableForWideCode(t *testing.T) {
+	for _, tc := range []struct{ d, rounds, bits int }{{3, 30, memoKeyBits}, {9, 7, memoKeyBits + 2}} {
+		c, err := NewRepetitionRounds(tc.d, tc.rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.detectorBits(); got != tc.bits {
+			t.Fatalf("%s rounds %d: %d detector bits, want %d", c.Name, tc.rounds, got, tc.bits)
+		}
+		cached := tc.bits <= memoKeyBits
+		checkDecodeTileMatches(t, c, 1, uint64(tc.bits))
+		const w = 2
+		rec := tileRecord(c, w, rng.New(uint64(tc.bits)))
+		live, out := []uint64{^uint64(0), ^uint64(0)}, make([]uint64, w)
+		c.DecodeTile(rec, w, live, out)
+		c.DecodeUnionFindTile(rec, w, live, out)
+		c.DecodeGreedyTile(rec, w, live, out)
+		for name, m := range map[string]*parityMemo{"mwpm": c.mwpmMemo, "uf": c.ufMemo, "greedy": c.greedyMemo} {
+			if has := m.table.Load() != nil; has != cached {
+				t.Errorf("%d-bit code: %s memo holds a table = %v, want %v", tc.bits, name, has, cached)
+			}
+		}
+		if d := c.DecoderCounters(); !cached && d.MatcherCalls != d.TriggeredLanes {
+			t.Fatalf("%d-bit code: %d matcher calls for %d triggered lanes, want every lane", tc.bits, d.MatcherCalls, d.TriggeredLanes)
+		}
+	}
+}
+
+// TestParityMemoOnePatternOneEntry races goroutines storing the same
+// patterns (run under -race): four patterns forced onto one probe
+// sequence, each stored by every goroutine in its own order. Each must
+// end in exactly one slot, because a slot's first writer wins its CAS
+// and a slot that holds the pattern ends every later probe for it.
+func TestParityMemoOnePatternOneEntry(t *testing.T) {
+	const workers, rounds = 16, 50
+	patterns := []uint64{0x1234, 0xabcdef, 1<<memoKeyBits - 1, 7}
+	const h = 42 // one hash for all four: they contend for the same slots
+	m := newParityMemo(24)
+	m.grow(nil) // a table up front: the race is over slots, not growth
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			start.Wait()
+			for r := 0; r < rounds; r++ {
+				for i := range patterns {
+					p := patterns[(i+g)%len(patterns)]
+					m.store(h, p, p&1)
+				}
+			}
+		}(g)
+	}
+	start.Done()
+	wg.Wait()
+	seen := map[uint64]int{}
+	tab := m.table.Load()
+	for i := range tab.slots {
+		if e := tab.slots[i].Load(); e != 0 {
+			seen[e>>2]++
+			if e != memoEntry(e>>2, e>>2&1) {
+				t.Errorf("slot %d holds %#x, not a ready entry of its pattern", i, e)
+			}
+		}
+	}
+	for _, p := range patterns {
+		if seen[p] != 1 {
+			t.Errorf("pattern %#x in %d slots, want 1", p, seen[p])
+		}
+	}
+	if len(seen) != len(patterns) || m.entries() != int64(len(patterns)) {
+		t.Fatalf("%d patterns in %d entries, want %d", len(seen), m.entries(), len(patterns))
 	}
 }
 
@@ -647,23 +764,19 @@ func BenchmarkDecodeTileHitPath(b *testing.B) {
 // laneKeys: bit i of the key is bit lane of detection word i, gathered
 // one bit at a time. TestTileKeysMatchLaneGather holds the transposed
 // keys to it.
-func laneGatherKey(events []uint64, w, k, nbits int, lane uint) (k0, k1 uint64) {
+func laneGatherKey(events []uint64, w, k, nbits int, lane uint) uint64 {
+	var key uint64
 	for i := 0; i < nbits; i++ {
-		bit := (events[i*w+k] >> lane) & 1
-		if i < 64 {
-			k0 |= bit << uint(i)
-		} else {
-			k1 |= bit << uint(i-64)
-		}
+		key |= (events[i*w+k] >> lane) & 1 << uint(i)
 	}
-	return k0, k1
+	return key
 }
 
 // TestTileKeysMatchLaneGather builds every lane's key by block transpose
-// and by the per-lane gather, for every key width a memo takes (1–128
-// bits: every block size, both halves) and tile widths 1–8, on sparse,
-// half-full and dense event words, reusing one laneKeys throughout so a
-// wide build's rows cannot leak into a narrow one.
+// and by the per-lane gather, for every key width a memo takes (1–62
+// bits: every block size) and tile widths 1–8, on sparse, half-full and
+// dense event words, reusing one laneKeys throughout so a wide build's
+// rows cannot leak into a narrow one.
 func TestTileKeysMatchLaneGather(t *testing.T) {
 	src := rng.New(1234)
 	var keys laneKeys
@@ -683,13 +796,8 @@ func TestTileKeysMatchLaneGather(t *testing.T) {
 			for k := 0; k < w; k++ {
 				keys.build(events, w, k, nbits)
 				for lane := uint(0); lane < 64; lane++ {
-					w0, w1 := laneGatherKey(events, w, k, nbits, lane)
-					g0, g1 := keys.key(0, lane), uint64(0)
-					if nbits > 64 {
-						g1 = keys.key(1, lane)
-					}
-					if g0 != w0 || g1 != w1 {
-						t.Fatalf("nbits %d w %d word %d lane %d: key %#x:%#x, gather %#x:%#x", nbits, w, k, lane, g1, g0, w1, w0)
+					if got, want := keys.key(lane), laneGatherKey(events, w, k, nbits, lane); got != want {
+						t.Fatalf("nbits %d w %d word %d lane %d: key %#x, gather %#x", nbits, w, k, lane, got, want)
 					}
 				}
 			}
@@ -700,12 +808,12 @@ func TestTileKeysMatchLaneGather(t *testing.T) {
 // TestDecodeTileStoresGatherKeys decodes one tile per code into an empty
 // memo and requires that the memo then holds exactly the per-lane
 // gathered key of every triggered live lane: the keys decodeTile probes
-// and stores are the defect patterns themselves, both key words
-// included. Codes span one block size each side of 64 detector bits
-// (12, 32, 80 and 128 bits), where a high key word mixed up with the low
-// one would alias two patterns without any decoded value showing it.
+// and stores are the defect patterns themselves. Codes span the block
+// sizes from 16 up to the widest pattern an entry holds (12, 32, 48 and
+// 62 bits), where a pattern bit lost to the entry's parity and ready
+// bits would alias two patterns without any decoded value showing it.
 func TestDecodeTileStoresGatherKeys(t *testing.T) {
-	for _, tc := range []struct{ d, rounds int }{{5, 2}, {9, 3}, {9, 9}, {17, 7}} {
+	for _, tc := range []struct{ d, rounds int }{{5, 2}, {9, 3}, {17, 2}, {3, 30}} {
 		c, err := NewRepetitionRounds(tc.d, tc.rounds)
 		if err != nil {
 			t.Fatal(err)
@@ -723,15 +831,15 @@ func TestDecodeTileStoresGatherKeys(t *testing.T) {
 		events := make([]uint64, nbits*w)
 		anyw := make([]uint64, w)
 		c.detectionEventTile(rec, w, events, anyw)
-		distinct := map[[2]uint64]bool{}
+		distinct := map[uint64]bool{}
 		for k := 0; k < w; k++ {
 			for m := anyw[k] & live[k]; m != 0; m &= m - 1 {
 				lane := uint(mathbits.TrailingZeros64(m))
-				k0, k1 := laneGatherKey(events, w, k, nbits, lane)
-				if _, ok := c.mwpmMemo.load(memoHash(k0, k1), k0, k1); !ok {
-					t.Fatalf("%s rounds %d word %d lane %d: pattern %#x:%#x not in the memo", c.Name, tc.rounds, k, lane, k1, k0)
+				key := laneGatherKey(events, w, k, nbits, lane)
+				if _, ok := c.mwpmMemo.load(memoHash(key), key); !ok {
+					t.Fatalf("%s rounds %d word %d lane %d: pattern %#x not in the memo", c.Name, tc.rounds, k, lane, key)
 				}
-				distinct[[2]uint64{k0, k1}] = true
+				distinct[key] = true
 			}
 		}
 		if got := c.mwpmMemo.entries(); got != int64(len(distinct)) {

@@ -57,9 +57,10 @@ type Code struct {
 	dmOnce sync.Once
 
 	// mwpmMemo, ufMemo and greedyMemo cache, per space-time defect
-	// pattern (packed into a 128-bit key), the parity of the decoder's
-	// correction on the logical support — the only way the correction
-	// enters the decoded value. Each decoder owns its memo (their
+	// pattern (one word with its parity, for codes of at most 62
+	// detector bits), the parity of the decoder's correction on the
+	// logical support — the only way the correction enters the decoded
+	// value. Each decoder owns its memo (their
 	// corrections differ); all three are built with the code and shared
 	// by every campaign decoding it, on either engine. See DecodeTile.
 	mwpmMemo   *parityMemo

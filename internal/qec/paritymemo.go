@@ -9,15 +9,16 @@ import (
 // values, which cost one interface allocation and a runtime hash per
 // decoded lane — the dominant term of the batch-decode hot path once
 // detection-event extraction went word-parallel. parityMemo replaces it
-// with an open-addressed table of 128-bit keys whose lookups and
+// with an open-addressed table of one-word entries whose lookups and
 // inserts allocate nothing; only growing the table does.
 const (
-	// memoKeyBits is the widest defect pattern a memo key holds; a code
-	// with more detector bits decodes every triggered lane directly and
-	// never touches its memos.
-	memoKeyBits = 128
+	// memoKeyBits is the widest defect pattern a memo entry holds: an
+	// entry packs the pattern, its parity and a ready bit into one
+	// word (see memoEntry). A code with more detector bits decodes
+	// every triggered lane directly and never touches its memos.
+	memoKeyBits = 62
 	// memoMinSlotBits and memoMaxSlotBits bound the table: it starts at
-	// 1024 slots (24 KB) and stops growing at 32768 (786 KB) — or at
+	// 1024 slots (8 KB) and stops growing at 32768 (256 KB) — or at
 	// twice the code's pattern space when that is smaller; with the 3/4
 	// load cap below the final entry capacity stays close to the old
 	// batchCacheCap while linear probes stay short.
@@ -32,20 +33,17 @@ const (
 	memoProbeCap = 32
 )
 
-// memoSlot is one table entry. state moves 0 (empty) -> 1 (writing) ->
-// 2 (ready) and never backwards; the key and parity fields are written
-// only between the 0->1 claim and the release store of 2, so a reader
-// that acquire-loads state 2 observes them fully written and immutable.
-type memoSlot struct {
-	state  atomic.Uint32
-	parity uint32
-	k0, k1 uint64
-}
+// memoEntry packs a defect pattern of at most memoKeyBits bits and its
+// flip parity into one table word: pattern<<2 | parity<<1 | 1. The low
+// bit marks the word ready, so 0 is the empty slot and no entry is 0.
+// A slot goes from 0 to its entry in one compare-and-swap and never
+// changes again, so a reader sees either nothing or the whole entry.
+func memoEntry(pattern, parity uint64) uint64 { return pattern<<2 | parity<<1 | 1 }
 
 // memoTable is one generation of a memo's storage: a power-of-two slot
 // array and its population.
 type memoTable struct {
-	slots []memoSlot
+	slots []atomic.Uint64
 	size  atomic.Int64
 }
 
@@ -61,8 +59,8 @@ func (t *memoTable) entryCap() int64 { return int64(len(t.slots)) * 3 / 4 }
 // a daemon replaying stored campaigns, tests — cost a few words), then
 // 1024 slots, then four times more whenever the load cap is reached, up
 // to twice the code's pattern space or 32768 slots. A 12-bit DEM under
-// a localised strike stays at 24 KB where a 24-bit one under saturating
-// strikes climbs to the full 786 KB.
+// a localised strike stays at 8 KB where a 24-bit one under saturating
+// strikes climbs to the full 256 KB.
 type parityMemo struct {
 	table atomic.Pointer[memoTable]
 	// growMu serialises table replacement; lookups and inserts never
@@ -103,10 +101,10 @@ func (m *parityMemo) entries() int64 {
 	return 0
 }
 
-// memoHash mixes a 128-bit defect pattern into a table index
-// (SplitMix64 finaliser over the folded words).
-func memoHash(k0, k1 uint64) uint64 {
-	x := k0 ^ (k1 * 0x9e3779b97f4a7c15)
+// memoHash mixes a defect pattern into a table index (SplitMix64
+// finaliser).
+func memoHash(pattern uint64) uint64 {
+	x := pattern
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -114,51 +112,48 @@ func memoHash(k0, k1 uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// load returns the cached flip parity of the defect pattern (k0, k1).
-// h must be memoHash(k0, k1); callers share one hash across the front
-// cache, the probe and the insert.
-func (m *parityMemo) load(h, k0, k1 uint64) (uint64, bool) {
+// load returns the cached flip parity of the defect pattern. h must be
+// memoHash(pattern); callers share one hash across the front cache,
+// the probe and the insert.
+func (m *parityMemo) load(h, pattern uint64) (uint64, bool) {
 	t := m.table.Load()
 	if t == nil {
 		return 0, false
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := uint64(0); i < min(memoProbeCap, uint64(len(t.slots))); i++ {
-		s := &t.slots[(h+i)&mask]
-		switch s.state.Load() {
-		case 0:
-			// An insert claims the first empty slot of its probe
-			// sequence, so an empty slot proves the key is absent.
+		e := t.slots[(h+i)&mask].Load()
+		if e == 0 {
+			// An insert takes the first empty slot of its probe
+			// sequence, so an empty slot proves the pattern is absent.
 			return 0, false
-		case 2:
-			if s.k0 == k0 && s.k1 == k1 {
-				return uint64(s.parity), true
-			}
 		}
-		// state 1 (mid-write) or a different key: keep probing.
+		if e>>2 == pattern {
+			return e >> 1 & 1, true
+		}
 	}
 	return 0, false
 }
 
-// store caches the flip parity of the defect pattern (k0, k1). Losing a
-// claim race, hitting the entry cap of a full-size table or exhausting
-// the probe budget just skips the insert — correctness never depends on
-// a store landing. h must be memoHash(k0, k1).
-func (m *parityMemo) store(h, k0, k1, parity uint64) {
+// store caches the flip parity of the defect pattern. Hitting the entry
+// cap of a full-size table or exhausting the probe budget just skips
+// the insert — correctness never depends on a store landing. h must be
+// memoHash(pattern).
+func (m *parityMemo) store(h, pattern, parity uint64) {
 	t := m.table.Load()
 	if t == nil || (t.size.Load() >= t.entryCap() && len(t.slots) < m.maxSlots) {
 		t = m.grow(t)
 	}
 	if t.size.Load() < t.entryCap() {
-		t.insert(h, k0, k1, parity)
+		t.insert(h, memoEntry(pattern, parity))
 	}
 }
 
 // grow replaces the table the caller found full (or absent) by the next
-// size up, carrying the ready entries over, and returns the current
-// table. Readers keep using the old table until the swap; an insert
-// that lands in the old table after its slot was carried over is lost,
-// which costs that pattern one more decode and nothing else.
+// size up, carrying the entries over, and returns the current table.
+// Readers keep using the old table until the swap; an insert that lands
+// in the old table after its slot was carried over is lost, which costs
+// that pattern one more decode and nothing else.
 func (m *parityMemo) grow(old *memoTable) *memoTable {
 	m.growMu.Lock()
 	defer m.growMu.Unlock()
@@ -169,11 +164,11 @@ func (m *parityMemo) grow(old *memoTable) *memoTable {
 	if old != nil {
 		nslots = min(len(old.slots)<<memoGrowShift, m.maxSlots)
 	}
-	t := &memoTable{slots: make([]memoSlot, nslots)}
+	t := &memoTable{slots: make([]atomic.Uint64, nslots)}
 	if old != nil {
 		for i := range old.slots {
-			if s := &old.slots[i]; s.state.Load() == 2 {
-				t.insert(memoHash(s.k0, s.k1), s.k0, s.k1, uint64(s.parity))
+			if e := old.slots[i].Load(); e != 0 {
+				t.insert(memoHash(e>>2), e)
 			}
 		}
 	}
@@ -181,28 +176,25 @@ func (m *parityMemo) grow(old *memoTable) *memoTable {
 	return t
 }
 
-// insert claims the first empty slot of the key's probe sequence.
-func (t *memoTable) insert(h, k0, k1, parity uint64) {
+// insert puts entry e in the first empty slot of its pattern's probe
+// sequence. A slot that holds the pattern already, written by this
+// call's rival or an earlier one, ends the probe: one pattern never
+// occupies two slots, because every writer of it walks the same
+// sequence and the first empty slot there is taken exactly once.
+func (t *memoTable) insert(h, e uint64) {
 	mask := uint64(len(t.slots) - 1)
 	for i := uint64(0); i < min(memoProbeCap, uint64(len(t.slots))); i++ {
 		s := &t.slots[(h+i)&mask]
-		st := s.state.Load()
-		if st == 2 {
-			if s.k0 == k0 && s.k1 == k1 {
-				return // already cached
+		cur := s.Load()
+		if cur == 0 {
+			if s.CompareAndSwap(0, e) {
+				t.size.Add(1)
+				return
 			}
-			continue
+			cur = s.Load() // a rival took the slot first
 		}
-		if st == 0 && s.state.CompareAndSwap(0, 1) {
-			s.k0, s.k1 = k0, k1
-			s.parity = uint32(parity)
-			s.state.Store(2)
-			t.size.Add(1)
-			return
+		if cur>>2 == e>>2 {
+			return // already cached
 		}
-		// Claim lost or a writer is mid-flight: treat as occupied. Two
-		// racing writers of the same key may land it in two slots; both
-		// carry the same parity (a pure function of the key), so
-		// duplicates are benign.
 	}
 }

@@ -72,22 +72,24 @@ type Branch struct {
 
 // forms is a flat list of affine GF(2) functions of the coins: function
 // k is konst[k] XOR the parity of the coins in the bitset
-// dep[k*words:(k+1)*words].
+// dep[k*words:(k+1)*words]. words is the width of the widest coin row
+// added, so a list that depends on no coin holds no dependency words.
 type forms struct {
 	konst []uint8
 	dep   []uint64
 	words int
 }
 
-// reserve sizes the list for n functions of words words each.
-func (f *forms) reserve(n, words int) {
+// reserve sizes the list for n functions.
+func (f *forms) reserve(n int) {
 	f.konst = make([]uint8, 0, n)
-	f.dep = make([]uint64, 0, n*words)
-	f.words = words
 }
 
 // add appends the sign of the tableau's row as the next function.
 func (f *forms) add(t *Tableau, row int) {
+	if w := len(t.dep[row]); w > f.words {
+		f.widen(w)
+	}
 	f.konst = append(f.konst, t.r[row])
 	f.dep = append(f.dep, t.dep[row]...)
 }
@@ -99,15 +101,12 @@ func (f *forms) addZero() {
 	f.dep = append(f.dep, make([]uint64, f.words)...)
 }
 
-// shrink drops the dependency words past the first words of every
-// function; the caller knows them to be zero.
-func (f *forms) shrink(words int) {
-	if words == f.words {
-		return
-	}
-	dep := make([]uint64, 0, len(f.konst)*words)
+// widen pads every function to words dependency words, sizing the list
+// for as many functions as reserve did.
+func (f *forms) widen(words int) {
+	dep := make([]uint64, len(f.konst)*words, cap(f.konst)*words)
 	for k := range f.konst {
-		dep = append(dep, f.dep[k*f.words:k*f.words+words]...)
+		copy(dep[k*words:], f.dep[k*f.words:(k+1)*f.words])
 	}
 	f.dep, f.words = dep, words
 }
@@ -156,34 +155,23 @@ func compile(circ *circuit.Circuit, sat []bool, base *Compiled) *Compiled {
 		c.superposed = make([]bool, n)
 	}
 	struck := func(q int) bool { return sat != nil && sat[q] }
-	// Every measurement and reset, written or struck, issues at most one
-	// coin.
-	maxCoins, sites, measures := 0, 0, 0
+	sites, measures := 0, 0
 	for _, op := range circ.Ops {
-		if op.Kind == circuit.KindMeasure || op.Kind == circuit.KindReset {
-			maxCoins++
-		}
 		if op.Kind == circuit.KindMeasure {
 			measures++
 		}
-		if op.Kind == circuit.KindBarrier {
-			continue
-		}
-		sites += len(op.Qubits)
-		for _, q := range op.Qubits {
-			if struck(q) {
-				maxCoins++
-			}
+		if op.Kind != circuit.KindBarrier {
+			sites += len(op.Qubits)
 		}
 	}
-	tab := newSymbolic(n, maxCoins)
+	tab := newSymbolic(n)
 	c.span = make([]branchSpan, 0, sites)
 	// Supports run about one entry per site on the figures' circuits;
 	// twice that rarely grows, and the clone below trims it.
 	c.supp = make([]int32, 0, 2*sites)
 	c.Deterministic = make([]bool, 0, measures)
-	c.meas.reserve(measures, len(tab.dep[0]))
-	c.site.reserve(sites, len(tab.dep[0]))
+	c.meas.reserve(measures)
+	c.site.reserve(sites)
 	for i, op := range circ.Ops {
 		if base == nil {
 			c.MeasIndex[i] = -1
@@ -238,9 +226,6 @@ func compile(circ *circuit.Circuit, sat []bool, base *Compiled) *Compiled {
 	c.NumSites = len(c.span)
 	c.supp = slices.Clone(c.supp)
 	c.NumCoins = tab.coins
-	words := (c.NumCoins + 63) / 64
-	c.meas.shrink(words)
-	c.site.shrink(words)
 	return c
 }
 
@@ -329,7 +314,7 @@ func StruckOf(circ *circuit.Circuit, sat []bool) *Compiled {
 func (c *Compiled) Coins(seed uint64) []uint64 {
 	var src rng.Source
 	src.Reseed(seed)
-	coins := make([]uint64, c.meas.words)
+	coins := make([]uint64, (c.NumCoins+63)/64)
 	for k := 0; k < c.NumCoins; k++ {
 		if src.Bool(0.5) {
 			coins[k/64] |= 1 << (k % 64)

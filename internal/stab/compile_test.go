@@ -351,6 +351,47 @@ func TestCompiledReferenceMoreThan64Coins(t *testing.T) {
 	checkCompiledMatchesRun(t, c, seedRange(64)...)
 }
 
+// TestCompileBytesFollowCoins: a compile's coin rows are as wide as the
+// circuit's coins, not as its count of measurements and resets. Each
+// round of the synthetic circuit measures and resets eight qubits in
+// |0>, which flips no coin; one measurement after a Hadamard flips the
+// only one. Doubling the rounds then about doubles what
+// Compile allocates (each op adds a fixed number of sites), where rows
+// sized from the measurements and resets would widen with the rounds
+// too and come near four times.
+func TestCompileBytesFollowCoins(t *testing.T) {
+	build := func(rounds int) *circuit.Circuit {
+		c := circuit.New(9, 8*rounds+1)
+		c.H(8)
+		c.Measure(8, 8*rounds)
+		for r := 0; r < rounds; r++ {
+			for q := 0; q < 8; q++ {
+				c.Measure(q, 8*r+q)
+				c.Reset(q)
+			}
+		}
+		return c
+	}
+	bytesOf := func(c *circuit.Circuit) uint64 {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if got := stab.Compile(c, nil).NumCoins; got != 1 {
+				t.Fatalf("NumCoins = %d, want 1", got)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	checkCompiledMatchesRun(t, build(40), seedRange(4)...)
+	small, large := bytesOf(build(40)), bytesOf(build(80))
+	t.Logf("Compile allocates %d B at 40 rounds, %d B at 80", small, large)
+	if ratio := float64(large) / float64(small); ratio > 2.5 {
+		t.Fatalf("Compile allocates %d B at 40 rounds and %d B at 80: %.2fx for twice the ops", small, large, ratio)
+	}
+}
+
 // TestCompilesPerFigure: the compiled reference is built once per
 // transpiled circuit, and once per saturated set that strikes one of
 // its superposed sites, however many points, seeds and workers share

@@ -38,8 +38,9 @@ type Tableau struct {
 	r []uint8 // sign bit per row (0 => +1, 1 => -1)
 	// dep is non-nil in symbolic-sign mode: row i's sign is r[i] XOR the
 	// parity of the coins in the bitset dep[i], and a random measurement
-	// issues the next coin instead of drawing one. Only rowsum, measure
-	// and Reset touch it.
+	// takes the next coin instead of drawing one. Every row is as wide
+	// as the coins taken so far need. Only rowsum, measure and Reset
+	// touch it.
 	dep   [][]uint64
 	coins int // coins issued so far (symbolic-sign mode)
 }
@@ -69,17 +70,25 @@ func New(n int) *Tableau {
 	return t
 }
 
-// newSymbolic returns an all-zeros tableau in symbolic-sign mode with
-// room for maxCoins coins.
-func newSymbolic(n, maxCoins int) *Tableau {
+// newSymbolic returns an all-zeros tableau in symbolic-sign mode. Its
+// coin rows start empty: a circuit's measurements and resets bound its
+// coins, but most of them are deterministic and take none, so the rows
+// widen as coins are taken (see widenDep).
+func newSymbolic(n int) *Tableau {
 	t := New(n)
-	dw := (maxCoins + 63) / 64
 	t.dep = make([][]uint64, 2*n+1)
-	backing := make([]uint64, (2*n+1)*dw)
-	for i := range t.dep {
+	return t
+}
+
+// widenDep adds one word to every coin row, making room for coins
+// 64·w to 64·w+63 of rows w words wide.
+func (t *Tableau) widenDep() {
+	dw := len(t.dep[0]) + 1
+	backing := make([]uint64, len(t.dep)*dw)
+	for i, d := range t.dep {
+		copy(backing, d)
 		t.dep[i], backing = backing[:dw:dw], backing[dw:]
 	}
-	return t
 }
 
 // Reset returns the tableau to |0...0> without reallocating.
@@ -318,6 +327,9 @@ func (t *Tableau) measure(q int, src *rng.Source) int {
 		}
 		t.z[p][w] = 1 << b
 		if t.dep != nil {
+			if t.coins == 64*len(t.dep[p]) {
+				t.widenDep()
+			}
 			copy(t.dep[p-t.n], t.dep[p])
 			clear(t.dep[p])
 			t.dep[p][t.coins/64] = 1 << (t.coins % 64)
