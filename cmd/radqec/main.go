@@ -28,9 +28,6 @@
 //	             fractional radiation resets on superposed XXZZ sites use
 //	             the collapsed-branch approximation); tableau is the
 //	             exact-oracle stabilizer tableau
-//	-decoder D   syndrome decoder: mwpm (default, blossom matching) or
-//	             uf (almost-linear union-find); one implementation
-//	             each, shared by both engines
 //	-ci W        target Wilson 95% half-width; >0 turns on adaptive
 //	             shot allocation per point (default off)
 //	-maxshots N  adaptive per-point shot cap (0 = worst-case count
@@ -61,8 +58,12 @@
 //	             emit each table as a JSON record
 //	-o FILE      write to FILE instead of stdout
 //
-// The campaign flags (-shots -seed -workers -p -ns -rounds -engine
-// -decoder -ci -maxshots) are the fields of exp.Config, and
+// Every figure decodes with the paper's decoder, minimum-weight perfect
+// matching (blossom) on the unit-weight graph; ablation-decoder alone
+// compares it with union-find and greedy matching.
+//
+// The campaign flags (-shots -seed -workers -p -ns -rounds -engine -ci
+// -maxshots) are the fields of exp.Config, and
 // exp.Config.Validate — the one check of a campaign's domain, shared
 // with the radqecd daemon and the library façade — checks them. A value
 // outside the domain, or an unknown experiment, exits 2 with a message
@@ -109,7 +110,6 @@ func main() {
 	p := flag.Float64("p", def.P, "intrinsic physical error rate (0 < p <= 1)")
 	ns := flag.Int("ns", def.NS, "temporal samples of the fault decay")
 	engine := flag.String("engine", def.Engine, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", def.Decoder, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", def.Rounds, "stabilization rounds per code (>= 2; >2 opens the multi-round memory workload)")
 	ci := flag.Float64("ci", 0, "target Wilson 95% half-width per point (>0 enables adaptive shots)")
 	maxShots := flag.Int("maxshots", 0, "adaptive per-point shot cap (0 = worst-case count for -ci)")
@@ -156,7 +156,6 @@ func main() {
 		CI:       *ci,
 		MaxShots: *maxShots,
 		Engine:   *engine,
-		Decoder:  *decoder,
 	}
 	// The campaign domain is checked in one place for every front end.
 	// The flags are its fields and carry their defaults already, so the
@@ -165,7 +164,7 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		usageError("-" + err.Error())
 	}
-	// Past Validate only an empty -engine or -decoder is unset.
+	// Past Validate only an empty -engine is unset.
 	cfg = cfg.Defaults()
 	if _, err := logsetup.Init(os.Stderr, *logFormat, *logLevel); err != nil {
 		usageError(err.Error())

@@ -48,14 +48,15 @@ func run(t *testing.T, args ...string) (out string, exitCode int) {
 // TestRemovedFlagsAreUsageErrors: an option that only ever had one
 // value is not a flag — the tile width is a constant, a point with a
 // store always restarts from its checkpoint, and spans are recorded
-// exactly when -trace-out/-trace-chrome name somewhere to write them.
-// Passing the retired flag exits 2 naming it, never a silently ignored
-// option.
+// exactly when -trace-out/-trace-chrome name somewhere to write them,
+// and every figure decodes with MWPM. Passing the retired flag exits 2
+// naming it, never a silently ignored option.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-engine-width", "64", "fig5"},
 		{"-resume", "fig5"},
 		{"-trace-sample", "on", "fig5"},
+		{"-decoder", "uf", "fig5"},
 	} {
 		out, code := run(t, args...)
 		if code != 2 {
@@ -117,7 +118,6 @@ func TestCampaignSizeCaps(t *testing.T) {
 func TestFieldErrorsNameTheFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-engine", "warp"},
-		{"-decoder", "oracle"},
 		{"-shots", "0"},
 		{"-p", "2"},
 		{"-ns", "0"},
@@ -165,9 +165,9 @@ func TestUsageErrorsTouchNoFile(t *testing.T) {
 // line here, not a drive-by.
 func TestFlagSet(t *testing.T) {
 	want := []string{
-		"ci", "cpuprofile", "csv", "decoder", "engine", "json", "log-format",
-		"log-level", "maxshots", "memprofile", "ns", "o", "p", "rounds", "seed",
-		"shots", "stats", "store", "trace-chrome", "trace-out", "workers",
+		"ci", "cpuprofile", "csv", "engine", "json", "log-format", "log-level",
+		"maxshots", "memprofile", "ns", "o", "p", "rounds", "seed", "shots",
+		"stats", "store", "trace-chrome", "trace-out", "workers",
 	}
 	out, code := run(t, "-h")
 	if code != 0 {

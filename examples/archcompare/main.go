@@ -15,7 +15,6 @@ import (
 
 func main() {
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
 	topologies := []string{"complete", "mesh", "almaden", "johannesburg", "cairo", "cambridge", "brooklyn", "linear"}
 
@@ -23,11 +22,10 @@ func main() {
 		"architecture", "swaps", "2q gates", "median err", "worst qubit")
 	for _, name := range topologies {
 		sim, err := exp.NewSimulator(exp.Config{
-			Shots:   400,
-			Seed:    7,
-			NS:      5,
-			Engine:  *engine,
-			Decoder: *decoder,
+			Shots:  400,
+			Seed:   7,
+			NS:     5,
+			Engine: *engine,
 		}, exp.FamilyXXZZ, 3, 3, name)
 		if err != nil {
 			log.Fatal(err)

@@ -17,15 +17,13 @@ import (
 
 func main() {
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
 	// Step 1: extract the per-patch fault model from a physical-level
 	// campaign on the XXZZ-(3,3) code.
 	sim, err := exp.NewSimulator(exp.Config{
-		Shots:   2000,
-		Seed:    1,
-		Engine:  *engine,
-		Decoder: *decoder,
+		Shots:  2000,
+		Seed:   1,
+		Engine: *engine,
 	}, exp.FamilyXXZZ, 3, 3, "mesh")
 	if err != nil {
 		log.Fatal(err)

@@ -4,9 +4,10 @@
 //
 // The simulator is the experiment layer's façade: the code and its
 // routed circuit come from the same registry the radqec CLI uses, and
-// empty engine and decoder names take the same exp.Config.Defaults, so
-// the default run rides the bit-parallel batch engine exactly like the
-// CLI does; -engine tableau runs the exact oracle.
+// an empty engine name takes the same exp.Config.Defaults, so the
+// default run rides the bit-parallel batch engine exactly like the CLI
+// does; -engine tableau runs the exact oracle. Like every figure, it
+// decodes with MWPM.
 package main
 
 import (
@@ -20,23 +21,21 @@ import (
 
 func main() {
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	rounds := flag.Int("rounds", 2, "stabilization rounds (>= 2)")
 	flag.Parse()
 
 	cfg := exp.Config{
-		Shots:   2000,
-		Seed:    1,
-		Rounds:  *rounds,
-		Engine:  *engine,
-		Decoder: *decoder,
+		Shots:  2000,
+		Seed:   1,
+		Rounds: *rounds,
+		Engine: *engine,
 	}.Defaults()
 	sim, err := exp.NewSimulator(cfg, exp.FamilyRepetition, 5, 1, "mesh")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("code:", sim.Code())
-	fmt.Printf("engine: %s (resolved from %q), decoder: %s\n", cfg.Engine, *engine, cfg.Decoder)
+	fmt.Printf("engine: %s (resolved from %q), decoder: %s\n", cfg.Engine, *engine, exp.DecoderMWPM)
 	fmt.Println("device qubits:", sim.NumPhysicalQubits(),
 		"routing SWAPs:", sim.Transpiled().SwapCount)
 

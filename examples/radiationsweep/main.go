@@ -14,15 +14,14 @@ import (
 
 func main() {
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
-	// Check the campaign flags up front, so a typo fails before the
-	// sweep starts.
-	names := exp.Config{Engine: *engine, Decoder: *decoder}.Defaults()
+	// Check the engine flag up front, so a typo fails before the sweep
+	// starts.
+	names := exp.Config{Engine: *engine}.Defaults()
 	if err := names.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine %s, decoder %s\n", names.Engine, names.Decoder)
+	fmt.Printf("engine %s, decoder %s\n", names.Engine, exp.DecoderMWPM)
 	codes := []struct {
 		family string
 		dZ, dX int
@@ -42,11 +41,10 @@ func main() {
 		fmt.Printf("%-12.0e", p)
 		for _, c := range codes {
 			sim, err := exp.NewSimulator(exp.Config{
-				P:       p,
-				Shots:   2000,
-				Seed:    42,
-				Engine:  *engine,
-				Decoder: *decoder,
+				P:      p,
+				Shots:  2000,
+				Seed:   42,
+				Engine: *engine,
 			}, c.family, c.dZ, c.dX, "mesh")
 			if err != nil {
 				log.Fatal(err)

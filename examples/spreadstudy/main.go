@@ -18,13 +18,11 @@ import (
 
 func main() {
 	engine := flag.String("engine", exp.EngineBatch, "simulation engine: batch or tableau")
-	decoder := flag.String("decoder", exp.DecoderMWPM, "syndrome decoder: mwpm or uf")
 	flag.Parse()
 	sim, err := exp.NewSimulator(exp.Config{
-		Shots:   1000,
-		Seed:    3,
-		Engine:  *engine,
-		Decoder: *decoder,
+		Shots:  1000,
+		Seed:   3,
+		Engine: *engine,
 	}, exp.FamilyRepetition, 15, 1, "mesh")
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,6 @@ type CampaignRequest struct {
 	NS       int     `json:"ns,omitempty"`
 	Rounds   int     `json:"rounds,omitempty"`
 	Engine   string  `json:"engine,omitempty"`
-	Decoder  string  `json:"decoder,omitempty"`
 	CI       float64 `json:"ci,omitempty"`
 	MaxShots int     `json:"maxshots,omitempty"`
 	// Workers caps this campaign's concurrency inside the shared pool

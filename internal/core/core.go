@@ -1,9 +1,8 @@
 // Package core holds the engine names and the single construction point
 // of an engine campaign, NewEngineRunner, which runs a shot range on one
 // goroutine or fans it over several. Everything above a campaign —
-// codes, routed circuits, radiation events, seeds, the decoder names,
-// the campaign config and the library façade exp.Simulator — lives in
-// package exp.
+// codes, routed circuits, radiation events, seeds, the campaign config
+// and the library façade exp.Simulator — lives in package exp.
 package core
 
 import (

@@ -2,7 +2,7 @@ package core_test
 
 // The library façade, exp.Simulator, runs every call through
 // core.NewEngineRunner; these tests drive it end to end on both
-// engines and decoders.
+// engines.
 
 import (
 	"slices"
@@ -11,6 +11,8 @@ import (
 
 	"radqec/internal/core"
 	"radqec/internal/exp"
+	"radqec/internal/frame"
+	"radqec/internal/noise"
 	"radqec/internal/stats"
 	"radqec/internal/sweep"
 )
@@ -205,8 +207,10 @@ func TestNewSimulatorRejectsUnknownEngineAndDecoder(t *testing.T) {
 			t.Fatalf("engine %q accepted", engine)
 		}
 	}
-	if _, err := exp.NewSimulator(exp.Config{Decoder: "psychic"}, exp.FamilyRepetition, 5, 1, "mesh"); err == nil {
-		t.Fatal("unknown decoder accepted")
+	for _, decoder := range []string{"psychic", "uf", "greedy"} {
+		if _, err := exp.NewSimulator(exp.Config{Decoder: decoder}, exp.FamilyRepetition, 5, 1, "mesh"); err == nil {
+			t.Fatalf("decoder %q accepted", decoder)
+		}
 	}
 }
 
@@ -232,23 +236,29 @@ func TestResolveEngineUniversalAuto(t *testing.T) {
 }
 
 func TestDecoderSelection(t *testing.T) {
-	// Both decoders run the same XXZZ campaign through the batched
-	// engine; rates may differ (union-find is suboptimal) but both must
+	// The façade decodes with MWPM only; union-find, like in the
+	// ablation-decoder experiment, is a decode function set per
+	// campaign. Both read the same clean XXZZ campaign through the
+	// batched engine at the same seed, so they see identical shot
+	// streams; rates may differ (union-find is suboptimal) but both must
 	// produce full campaigns, and MWPM must be at least as accurate.
-	rate := func(decoder string) sweep.Result {
-		sim, err := exp.NewSimulator(exp.Config{
-			Shots:   2000,
-			Seed:    7,
-			Decoder: decoder,
-			P:       0.05,
-		}, exp.FamilyXXZZ, 3, 3, "mesh")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim.Clean()
+	cfg := exp.Config{Shots: 2000, Seed: 7, P: 0.05}
+	sim, err := exp.NewSimulator(cfg, exp.FamilyXXZZ, 3, 3, "mesh")
+	if err != nil {
+		t.Fatal(err)
 	}
-	mwpm := rate(exp.DecoderMWPM)
-	uf := rate(exp.DecoderUF)
+	code := sim.Code()
+	rate := func(dec frame.TileDecodeFunc) sweep.Result {
+		shots, errors := core.NewEngineRunner(core.EngineBatch, sim.Transpiled().Circuit,
+			noise.NewDepolarizing(cfg.P), noise.NoRadiation(sim.NumPhysicalQubits()), cfg.Seed,
+			code.ExpectedLogical(), nil, dec, 0, 1)(0, cfg.Shots)
+		return sweep.Result{Counts: sweep.Counts{Shots: shots, Errors: errors}}
+	}
+	mwpm := rate(code.DecodeTile)
+	uf := rate(code.DecodeUnionFindTile)
+	if clean := sim.Clean(); clean.Counts != mwpm.Counts {
+		t.Fatalf("façade counts %+v, MWPM campaign %+v", clean.Counts, mwpm.Counts)
+	}
 	if mwpm.Shots != 2000 || uf.Shots != 2000 {
 		t.Fatalf("incomplete campaigns: mwpm %+v uf %+v", mwpm, uf)
 	}
@@ -262,30 +272,27 @@ func TestDecoderSelection(t *testing.T) {
 
 func TestSimulatorRounds(t *testing.T) {
 	// Rounds flows from the config into the built code, and multi-round
-	// campaigns run end-to-end on every engine/decoder combination over
-	// the space-time detector-error model.
+	// campaigns run end-to-end on every engine over the space-time
+	// detector-error model.
 	for _, engine := range core.Engines() {
-		for _, decoder := range exp.Decoders() {
-			sim, err := exp.NewSimulator(exp.Config{
-				Rounds:  5,
-				Shots:   256,
-				Seed:    3,
-				Engine:  engine,
-				Decoder: decoder,
-			}, exp.FamilyRepetition, 5, 1, "mesh")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim.Code().Rounds != 5 {
-				t.Fatalf("code built with %d rounds, want 5", sim.Code().Rounds)
-			}
-			res := sim.Clean()
-			if res.Shots != 256 {
-				t.Fatalf("%s/%s: incomplete campaign %+v", engine, decoder, res)
-			}
-			if res.Rate() > 0.2 {
-				t.Fatalf("%s/%s: 5-round clean campaign at default p errs %.2f", engine, decoder, res.Rate())
-			}
+		sim, err := exp.NewSimulator(exp.Config{
+			Rounds: 5,
+			Shots:  256,
+			Seed:   3,
+			Engine: engine,
+		}, exp.FamilyRepetition, 5, 1, "mesh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Code().Rounds != 5 {
+			t.Fatalf("code built with %d rounds, want 5", sim.Code().Rounds)
+		}
+		res := sim.Clean()
+		if res.Shots != 256 {
+			t.Fatalf("%s: incomplete campaign %+v", engine, res)
+		}
+		if res.Rate() > 0.2 {
+			t.Fatalf("%s: 5-round clean campaign at default p errs %.2f", engine, res.Rate())
 		}
 	}
 	if _, err := exp.NewSimulator(exp.Config{Rounds: 1}, exp.FamilyXXZZ, 3, 3, "mesh"); err == nil {

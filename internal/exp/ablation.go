@@ -9,9 +9,11 @@ import (
 	"radqec/internal/stats"
 )
 
-// AblationDecoder compares the blossom MWPM decoder against the greedy
-// matching baseline under a full-strength strike, quantifying what the
-// optimal matcher buys.
+// AblationDecoder compares the blossom MWPM decoder, which every other
+// experiment decodes with, against union-find and the greedy matching
+// baseline under a full-strength strike, quantifying what the optimal
+// matcher buys. It is the one place union-find and greedy decode a
+// campaign: each column sets its decode function per spec.
 func AblationDecoder(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
 	t := &Table{

@@ -38,12 +38,11 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 	ref := fingerprintFor(t, base)
 	for name, cfg := range map[string]Config{
-		"seed":    {Shots: 64, Seed: 8},
-		"shots":   {Shots: 65, Seed: 7},
-		"engine":  {Shots: 64, Seed: 7, Engine: EngineTableau},
-		"decoder": {Shots: 64, Seed: 7, Decoder: DecoderUF},
-		"ci":      {Shots: 64, Seed: 7, CI: 0.01},
-		"rounds":  {Shots: 64, Seed: 7, Rounds: 3}, // deeper circuit
+		"seed":   {Shots: 64, Seed: 8},
+		"shots":  {Shots: 65, Seed: 7},
+		"engine": {Shots: 64, Seed: 7, Engine: EngineTableau},
+		"ci":     {Shots: 64, Seed: 7, CI: 0.01},
+		"rounds": {Shots: 64, Seed: 7, Rounds: 3}, // deeper circuit
 	} {
 		if got := fingerprintFor(t, cfg); got == ref {
 			t.Errorf("changing %s did not move the fingerprint", name)

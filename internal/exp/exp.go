@@ -44,33 +44,14 @@ const (
 	EngineBatch   = core.EngineBatch
 )
 
-// Syndrome decoder names for Config.Decoder.
-const (
-	// DecoderMWPM decodes with blossom minimum-weight perfect matching
-	// (the paper's decoder and the default).
-	DecoderMWPM = "mwpm"
-	// DecoderUF decodes with the almost-linear union-find decoder.
-	DecoderUF = "uf"
-)
+// DecoderMWPM names the one syndrome decoder, blossom minimum-weight
+// perfect matching on the unit-weight graph (the paper's decoder). It is
+// Config.Decoder's only value and the value every content address
+// carries.
+const DecoderMWPM = "mwpm"
 
 // Engines lists the recognised Config.Engine values.
 func Engines() []string { return core.Engines() }
-
-// Decoders lists the recognised Config.Decoder values.
-func Decoders() []string { return []string{DecoderMWPM, DecoderUF} }
-
-// tileDecoder maps a decoder name onto the code's tile decode function,
-// which both engines decode through. The name is one Validate accepted
-// and Defaults filled in.
-func tileDecoder(name string, code *qec.Code) frame.TileDecodeFunc {
-	switch name {
-	case DecoderMWPM:
-		return code.DecodeTile
-	case DecoderUF:
-		return code.DecodeUnionFindTile
-	}
-	panic(fmt.Sprintf("exp: tileDecoder requires a resolved decoder, got %q", name))
-}
 
 // MaxNS and MaxRounds bound the two Config fields that size a campaign
 // before any shot runs. Config.Validate rejects larger values as
@@ -139,10 +120,11 @@ type Config struct {
 	// EngineBatch); Defaults fills an empty name in as EngineBatch.
 	// Validate rejects any other name.
 	Engine string
-	// Decoder selects the syndrome decoder for every spec that does not
-	// override its decode function (DecoderMWPM or DecoderUF); Defaults
-	// fills an empty name in as DecoderMWPM. Validate rejects any other
-	// name.
+	// Decoder is accepted as DecoderMWPM or empty and read by nothing:
+	// every spec decodes with qec.Code.DecodeTile unless it sets its own
+	// decode function. The field stays only because the frozen bench/
+	// harness sets it; Defaults fills it in and Validate rejects any
+	// other name.
 	Decoder string
 	// Width is accepted and ignored: the frozen bench/ harness sets it.
 	Width string
@@ -189,8 +171,8 @@ func (c Config) xxzz(dZ, dX int) (*qec.Code, error) {
 // by the paper's defaults and its empty Engine and Decoder by
 // EngineBatch and DecoderMWPM. Only an exact zero means "unset": a
 // negative value stays, for Validate to reject. It is the one place the
-// empty engine and decoder names get a meaning; everything downstream
-// reads the names as given.
+// empty engine name gets a meaning; everything downstream reads the
+// name as given.
 func (c Config) Defaults() Config {
 	if c.Shots == 0 {
 		c.Shots = 2000
@@ -224,8 +206,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Engine != "" && !slices.Contains(Engines(), c.Engine):
 		return fmt.Errorf("engine %q unknown (want one of %v)", c.Engine, Engines())
-	case c.Decoder != "" && !slices.Contains(Decoders(), c.Decoder):
-		return fmt.Errorf("decoder %q unknown (want one of %v)", c.Decoder, Decoders())
+	case c.Decoder != "" && c.Decoder != DecoderMWPM:
+		return fmt.Errorf("decoder %q unknown (want %s)", c.Decoder, DecoderMWPM)
 	case c.Shots < 1 || c.Shots > MaxShots:
 		return fmt.Errorf("shots %d out of range (want 1..%d per point)", c.Shots, MaxShots)
 	case !(c.P > 0 && c.P <= 1):
@@ -399,7 +381,7 @@ type pointSpec struct {
 	prep *prepared
 	phys float64
 	ev   *noise.RadiationEvent
-	// decodeTile, when set, overrides the configured decoder on both
+	// decodeTile, when set, replaces qec.Code.DecodeTile on both
 	// engines.
 	decodeTile frame.TileDecodeFunc
 	seed       uint64
@@ -417,21 +399,21 @@ func (p *prepared) spec(key string, cfg Config, ev *noise.RadiationEvent, seed u
 // [s, s+n) consumes exactly the streams split(seed, s..s+n-1), and the
 // batched engine maps shot i to lane i%64 of word i/64 with one stream
 // per word — either way batching and workers never perturb rates.
-// Specs that leave decodeTile nil read the campaign through the
-// configured decoder; specs that set it keep their override. Both
+// Specs that leave decodeTile nil read the campaign through the code's
+// MWPM decoder; specs that set it keep their override. Both
 // engines decode through the same tile function, so they decode
 // lane-for-lane identically. Every engine call runs on the sweep
 // worker's goroutine and reports its decode time in Counts.DecodeNS:
 // two clock reads per 512-shot tile on the batched engine, two per
 // 64-shot word on the tableau engine, all inside the call, so the decode
 // time is a part of the call's wall time.
-func (s pointSpec) point(engine, decoder string) sweep.Point {
+func (s pointSpec) point(engine string) sweep.Point {
 	return sweep.Point{
 		Key: s.key,
 		Prepare: func() sweep.BatchRunner {
 			dec := s.decodeTile
 			if dec == nil {
-				dec = tileDecoder(decoder, s.prep.code)
+				dec = s.prep.code.DecodeTile
 			}
 			// decNS accumulates across the decode calls of one engine call.
 			var decNS int64
@@ -473,7 +455,7 @@ func runSpecs(cfg Config, specs []pointSpec) []sweep.Result {
 		addr = newAddresser()
 	}
 	for i, s := range specs {
-		points[i] = s.point(cfg.Engine, cfg.Decoder)
+		points[i] = s.point(cfg.Engine)
 		if addr != nil {
 			fp := s.fingerprint(cfg)
 			points[i].Hash = addr.address(&fp)

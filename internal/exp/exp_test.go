@@ -40,9 +40,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Shots != 5 || c.P != 0.3 || c.NS != 4 {
 		t.Fatal("explicit values overridden")
 	}
-	c = Config{Engine: EngineTableau, Decoder: DecoderUF}.Defaults()
-	if c.Engine != EngineTableau || c.Decoder != DecoderUF {
-		t.Fatalf("explicit engine and decoder overridden: %q, %q", c.Engine, c.Decoder)
+	c = Config{Engine: EngineTableau}.Defaults()
+	if c.Engine != EngineTableau {
+		t.Fatalf("explicit engine overridden: %q", c.Engine)
 	}
 	// Only an exact zero is unset: a negative value stays as given, for
 	// Validate to name instead of a default silently replacing it.
@@ -108,8 +108,10 @@ func TestConfigValidateBounds(t *testing.T) {
 	for _, name := range []string{"", EngineTableau, EngineBatch, "frame", "auto"} {
 		rows = append(rows, row{"engine", func(c *Config) { c.Engine = name }, name == "" || slices.Contains(Engines(), name)})
 	}
-	for _, name := range []string{"", DecoderMWPM, DecoderUF, "greedy"} {
-		rows = append(rows, row{"decoder", func(c *Config) { c.Decoder = name }, name == "" || slices.Contains(Decoders(), name)})
+	// MWPM is the one decoder: union-find and greedy are ablation
+	// columns, not campaign settings.
+	for _, name := range []string{"", DecoderMWPM, "uf", "greedy"} {
+		rows = append(rows, row{"decoder", func(c *Config) { c.Decoder = name }, name == "" || name == DecoderMWPM})
 	}
 	for _, r := range rows {
 		c := Config{}.Defaults()

@@ -218,10 +218,11 @@ func (a *addresser) address(fp *specFingerprint) string {
 	return string(a.hex[:])
 }
 
-// fingerprint returns the point's canonical identity under cfg. Specs
-// that override the decode function are still distinguished, because
-// every such spec carries the variant in its key (e.g. the
-// ablation-decoder rows).
+// fingerprint returns the point's canonical identity under cfg. Its
+// decoder is always DecoderMWPM, kept in the document so that no
+// address moves. Specs that override the decode function are still
+// distinguished, because every such spec carries the variant in its key
+// (e.g. the ablation-decoder rows).
 func (s pointSpec) fingerprint(cfg Config) specFingerprint {
 	fp := specFingerprint{
 		V:        fingerprintVersion,
@@ -230,7 +231,7 @@ func (s pointSpec) fingerprint(cfg Config) specFingerprint {
 		Phys:     s.phys,
 		Seed:     s.seed,
 		Engine:   cfg.Engine,
-		Decoder:  cfg.Decoder,
+		Decoder:  DecoderMWPM,
 		Shots:    cfg.Shots,
 		CI:       cfg.CI,
 		MaxShots: cfg.MaxShots,

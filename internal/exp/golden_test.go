@@ -161,8 +161,8 @@ func TestThresholdGapArmCountsAcrossCommits(t *testing.T) {
 // re-marshal -> SHA-256 the direct encoder replaced, still agrees with
 // each. There is one per branch of that encoder: an all-zero event (what threshold emits),
 // no event at all (the omitted key), ci and max_shots present, the
-// other engine and decoder names, and a 65-entry event with decayed
-// probabilities on both sides of the 'e' float format.
+// other engine name, and a 65-entry event with decayed probabilities on
+// both sides of the 'e' float format.
 func TestFingerprintLiteral(t *testing.T) {
 	rep := func(d int, topo arch.Topology) *prepared {
 		code, err := qec.NewRepetition(d)
@@ -181,7 +181,7 @@ func TestFingerprintLiteral(t *testing.T) {
 	brooklyn := rep(5, arch.Brooklyn())
 	adaptive, oracle, low := base, base, base
 	adaptive.CI, adaptive.MaxShots = 0.01, 50000
-	oracle.Engine, oracle.Decoder = EngineTableau, DecoderUF
+	oracle.Engine = EngineTableau
 	low.P = 1e-7
 	golden := []struct {
 		name string
@@ -198,13 +198,13 @@ func TestFingerprintLiteral(t *testing.T) {
 			"7ea69209c23ffde7feda910ef5a596180699d36471e23435997940e4416c5aaf"},
 		{"adaptive", adaptive, mesh.spec("golden/adaptive", adaptive, mesh.strikeAt(Fig5Root, 1, false), 7),
 			"9e601b729c1e616723939800cb788bce464cc76d05e7615642ce6d1d3bda5989"},
-		{"tableau-uf", oracle, mesh.spec("golden/oracle", oracle, mesh.strikeAt(Fig5Root, 0.25, true), 42),
-			"dd9563df453ecd08434c42f1437e5bef7b3a2e9905fb3d47124df42c53dfde42"},
+		{"tableau", oracle, mesh.spec("golden/oracle", oracle, mesh.strikeAt(Fig5Root, 0.25, true), 42),
+			"aa12209ad00f333ab8d465033827f1ae9677f28aefd4c31fb043e60a19d4edbe"},
 		{"brooklyn", base, brooklyn.spec("golden/brooklyn", base, brooklyn.strikeAt(31, 1e-4, true), 42),
 			"cceda8d520ba0617d2abdf143893ce7b9a8bb108374a60e9b557ebb5f42b6aee"},
 	}
 	// Each spec alone, then all six as one campaign, twice: three
-	// prepared circuits, and strike and tableau-uf inject the same event
+	// prepared circuits, and strike and tableau inject the same event
 	// through distinct values.
 	campaign := newAddresser()
 	for pass, a := range []func() *addresser{newAddresser, func() *addresser { return campaign }, func() *addresser { return campaign }} {

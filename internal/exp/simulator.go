@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"radqec/internal/arch"
-	"radqec/internal/frame"
 	"radqec/internal/noise"
 	"radqec/internal/qec"
 	"radqec/internal/stats"
@@ -24,15 +23,14 @@ const (
 // helpers the figures use — so a façade point counts exactly what the
 // figure point with the same spec counts.
 //
-// Of its Config it reads Shots, Seed, P, NS, Rounds, Engine, Decoder
-// and Workers. A call runs its point outside any scheduler, fixed-shot,
-// fanned over Workers goroutines (0 means GOMAXPROCS; see
-// core.NewEngineRunner); the sweep fields (CI, Cache, Scheduler,
-// Telemetry and the rest) are not used.
+// Of its Config it reads Shots, Seed, P, NS, Rounds, Engine and
+// Workers, and it decodes with the code's MWPM decoder. A call runs its
+// point outside any scheduler, fixed-shot, fanned over Workers
+// goroutines (0 means GOMAXPROCS; see core.NewEngineRunner); the sweep
+// fields (CI, Cache, Scheduler, Telemetry and the rest) are not used.
 type Simulator struct {
-	cfg        Config
-	prep       *prepared
-	decodeTile frame.TileDecodeFunc
+	cfg  Config
+	prep *prepared
 }
 
 // NewSimulator resolves the code family (FamilyRepetition or
@@ -69,7 +67,7 @@ func NewSimulator(cfg Config, family string, dZ, dX int, topology string) (*Simu
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{cfg: cfg, prep: p, decodeTile: tileDecoder(cfg.Decoder, code)}, nil
+	return &Simulator{cfg: cfg, prep: p}, nil
 }
 
 // Code returns the underlying code instance.
@@ -85,9 +83,9 @@ func (s *Simulator) NumPhysicalQubits() int { return s.prep.tr.Circuit.NumQubits
 // meaningful strike roots.
 func (s *Simulator) UsedQubits() []int { return s.prep.usedRoots() }
 
-// run measures one spec on the configured engine and decoder.
+// run measures one spec on the configured engine.
 func (s *Simulator) run(sp pointSpec) sweep.Result {
-	shots, errors := sp.runner(s.cfg.Engine, s.decodeTile, s.cfg.Workers)(0, s.cfg.Shots)
+	shots, errors := sp.runner(s.cfg.Engine, s.prep.code.DecodeTile, s.cfg.Workers)(0, s.cfg.Shots)
 	lo, hi := stats.WilsonCI(errors, shots)
 	return sweep.Result{
 		Counts: sweep.Counts{Shots: shots, Errors: errors},

@@ -227,11 +227,6 @@ func transposeRound(a *[64]uint64, b, j uint, m uint64) {
 	}
 }
 
-// frontSize sizes decodeBuf's direct-mapped front cache (a power of
-// two). 256 entries cover the working set of repeated syndromes under a
-// localised strike while keeping the arrays L1-resident (4 KiB).
-const frontSize = 256
-
 // decodeBuf is the pooled scratch of one decode: a scalar record packed
 // into a one-word tile, the extracted detection-event tile, the per-word
 // defect accumulator masks, the memo keys of one tile word's 64 lanes,
@@ -239,15 +234,9 @@ const frontSize = 256
 // resolving that list needs — the exact-parity solver's tables, the
 // defect-graph edges, the blossom workspace and the correction mask.
 // One pool serves every code and decoder — the slices grow to the
-// largest decode seen and are reused verbatim.
-//
-// The front arrays are a goroutine-private direct-mapped cache in front
-// of the shared parityMemo: while a buf is checked out its owner probes
-// and fills them with plain loads and stores, so the hot repeated
-// syndromes of a steady campaign skip the memo's atomic probe entirely.
-// frontEntry[i] is a memo entry word (memoEntry), tagged with the memo
-// generation it came from (frontGen[i] == 0 means empty), so a buf that
-// migrates between codes or decoders mismatches instead of aliasing.
+// largest decode seen and are reused verbatim. A buf holds no answers:
+// every lookup goes to the code's shared parityMemo, so what a decode
+// counts never depends on which buf it got.
 type decodeBuf struct {
 	lane    []uint64
 	events  []uint64
@@ -260,9 +249,6 @@ type decodeBuf struct {
 	flips []bool
 
 	keys laneKeys
-
-	frontGen   [frontSize]uint64
-	frontEntry [frontSize]uint64
 }
 
 var decodeBufPool = sync.Pool{New: func() any { return new(decodeBuf) }}
@@ -350,17 +336,10 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 			lane := uint(mathbits.TrailingZeros64(m))
 			mask := uint64(1) << lane
 			var key, h uint64
-			fi := 0
 			if cacheable {
 				key = keys.key(lane)
 				h = memoHash(key)
-				fi = int(h & (frontSize - 1))
-				if e := buf.frontEntry[fi]; buf.frontGen[fi] == memo.gen && e>>2 == key {
-					out[k] ^= (e >> 1 & 1) << lane
-					continue
-				}
 				if v, ok := memo.load(h, key); ok {
-					buf.frontGen[fi], buf.frontEntry[fi] = memo.gen, memoEntry(key, v)
 					out[k] ^= v << lane
 					continue
 				}
@@ -383,7 +362,6 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 			}
 			if cacheable {
 				memo.store(h, key, flipParity)
-				buf.frontGen[fi], buf.frontEntry[fi] = memo.gen, memoEntry(key, flipParity)
 			}
 			out[k] ^= flipParity << lane
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -615,6 +616,67 @@ func TestDecoderCountersSumMatchedDefects(t *testing.T) {
 			t.Fatalf("rep-%d rounds %d: %d calls / %d defects, want %d / %d",
 				tc.d, tc.rounds, got.MatcherCalls, got.MatchedDefects, calls, defects)
 		}
+	}
+}
+
+// TestDecoderCountersRepeatAtMemoCap: once a code's memo is at its
+// entry cap it refuses new patterns, and decoding the same tile again
+// must count the same matcher calls whichever pooled scratch each decode
+// gets. The first pass decodes the tile four times back to back on one
+// goroutine, so the pool hands the same decodeBuf back; the second
+// empties the pool before every decode (two collections clear a
+// sync.Pool), so each starts on fresh scratch. Anything a buf
+// remembered between decodes would answer lanes in the first pass that
+// the second sends to the matcher.
+func TestDecoderCountersRepeatAtMemoCap(t *testing.T) {
+	c, err := NewRepetition(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bits := c.detectorBits(); bits+1 < memoMaxSlotBits {
+		t.Fatalf("rep-(11,1) has %d detector bits; its memo would never reach the slot ceiling", bits)
+	}
+	const w = 8
+	live := make([]uint64, w)
+	for k := range live {
+		live[k] = ^uint64(0)
+	}
+	out := make([]uint64, w)
+	atCap := func() bool {
+		tab := c.mwpmMemo.table.Load()
+		return tab != nil && len(tab.slots) == c.mwpmMemo.maxSlots && tab.size.Load() >= tab.entryCap()
+	}
+	src := rng.New(17)
+	for i := 0; !atCap(); i++ {
+		if i == 200 {
+			t.Fatalf("memo holds %d entries after %d tiles, short of its cap", c.mwpmMemo.entries(), i)
+		}
+		c.DecodeTile(tileRecord(c, w, src), w, live, out)
+	}
+	rec := tileRecord(c, w, src)
+	pass := func(emptyPool bool) DecoderCounters {
+		before := c.DecoderCounters()
+		for r := 0; r < 4; r++ {
+			if emptyPool {
+				runtime.GC()
+				runtime.GC()
+			}
+			c.DecodeTile(rec, w, live, out)
+		}
+		d := c.DecoderCounters()
+		d.Add(DecoderCounters{
+			TriggeredLanes: -before.TriggeredLanes, MatcherCalls: -before.MatcherCalls,
+			MatchedDefects: -before.MatchedDefects, ExactParity: -before.ExactParity,
+			MemoEntries: -before.MemoEntries,
+		})
+		return d
+	}
+	warm, fresh := pass(false), pass(true)
+	if warm != fresh {
+		t.Fatalf("same tile on a capped memo counted %+v on reused scratch, %+v on fresh scratch", warm, fresh)
+	}
+	if warm.MatcherCalls == 0 || warm.MemoEntries != 0 {
+		t.Fatalf("counters %+v: want matcher calls and no new memo entries past the cap", warm)
 	}
 }
 

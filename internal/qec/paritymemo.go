@@ -68,10 +68,6 @@ type parityMemo struct {
 	growMu sync.Mutex
 	// maxSlots is the size the table stops growing at.
 	maxSlots int
-	// gen is this memo's process-unique identity, tagged onto front-cache
-	// entries (see decodeBuf) so an entry can never outlive or alias its
-	// memo — not even across a recycled allocation.
-	gen uint64
 	// triggered and misses count the lanes decodeTile found a defect in
 	// and the ones among them that reached the miss tier, defects the
 	// defects those lanes held and exact the miss-tier lanes the
@@ -80,17 +76,10 @@ type parityMemo struct {
 	triggered, misses, defects, exact atomic.Int64
 }
 
-// memoGen feeds newParityMemo's identities; it starts handing out at 1
-// so the zero generation never matches a memo.
-var memoGen atomic.Uint64
-
-// newParityMemo builds an empty memo with a fresh identity for a code
-// with the given number of detector bits.
+// newParityMemo builds an empty memo for a code with the given number
+// of detector bits.
 func newParityMemo(detectorBits int) *parityMemo {
-	return &parityMemo{
-		maxSlots: 1 << min(memoMaxSlotBits, detectorBits+1),
-		gen:      memoGen.Add(1),
-	}
+	return &parityMemo{maxSlots: 1 << min(memoMaxSlotBits, detectorBits+1)}
 }
 
 // entries reports the memo's population.
@@ -113,8 +102,8 @@ func memoHash(pattern uint64) uint64 {
 }
 
 // load returns the cached flip parity of the defect pattern. h must be
-// memoHash(pattern); callers share one hash across the front cache,
-// the probe and the insert.
+// memoHash(pattern); callers share one hash across the probe and the
+// insert.
 func (m *parityMemo) load(h, pattern uint64) (uint64, bool) {
 	t := m.table.Load()
 	if t == nil {

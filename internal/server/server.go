@@ -193,7 +193,6 @@ func requestConfig(r CampaignRequest) exp.Config {
 		CI:       r.CI,
 		MaxShots: r.MaxShots,
 		Engine:   r.Engine,
-		Decoder:  r.Decoder,
 	}.Defaults()
 }
 

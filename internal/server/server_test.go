@@ -155,7 +155,6 @@ func TestCampaignValidation(t *testing.T) {
 		// The retired scalar engine and the alias of the default.
 		"engine frame": {Experiment: "fig5", Engine: "frame"},
 		"engine auto":  {Experiment: "fig5", Engine: "auto"},
-		"decoder":      {Experiment: "fig5", Decoder: "oracle"},
 		"ci":           {Experiment: "fig5", CI: 0.7},
 		"rounds":       {Experiment: "fig5", Rounds: 1},
 		"p":            {Experiment: "fig5", P: 1.5},
@@ -180,10 +179,13 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	// Unknown body fields are rejected by name, catching client typos
 	// like "shot" for "shots" that would silently fall back to defaults
-	// — and the removed "engine_width", which no longer selects anything.
+	// — and the removed "engine_width" and "decoder", which no longer
+	// select anything (every campaign decodes with MWPM, so even
+	// "mwpm" is refused).
 	for field, body := range map[string]string{
 		"shot":         `{"experiment":"fig5","shot":3}`,
 		"engine_width": `{"experiment":"fig5","engine_width":"64"}`,
+		"decoder":      `{"experiment":"fig5","decoder":"mwpm"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -205,7 +207,6 @@ func TestCampaignFieldErrorsNameTheField(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	for field, value := range map[string]string{
 		"engine":   `"warp"`,
-		"decoder":  `"oracle"`,
 		"shots":    `-1`,
 		"p":        `2`,
 		"ns":       `-1`,

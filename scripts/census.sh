@@ -8,8 +8,10 @@
 # reachability allowlist in reach_test.go by reason, and the line
 # counts of README.md and docs/*.md.
 # Exits 1 when internal/telemetry + internal/trace exceed obsBound
-# lines (ROADMAP.md item 9's bound), or when README.md, the
-# reproduction report, exceeds readmeBound lines (ROADMAP.md item 6).
+# lines (ROADMAP.md item 9's bound), when README.md, the reproduction
+# report, exceeds readmeBound lines (ROADMAP.md item 6), or when radqec
+# and radqecd together define more than flagsBound flags, so a removed
+# knob cannot creep back.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,13 +22,14 @@ allowed() { grep -cE '^\s*"[^"]+": +"'"$1"'",$' reach_test.go || true; }
 
 obsBound=944
 readmeBound=400
+flagsBound=26
 
 radqec=$(flags cmd/radqec/main.go)
 radqecd=$(flags cmd/radqecd/main.go)
 obs=$(lines internal/telemetry internal/trace)
 echo "non-test .go lines outside bench/: $(lines .)"
 echo "  internal/telemetry + internal/trace: $obs (bound $obsBound)"
-echo "flags: $((radqec + radqecd)) (radqec $radqec + radqecd $radqecd)"
+echo "flags: $((radqec + radqecd)) (radqec $radqec + radqecd $radqecd; bound $flagsBound)"
 echo "experiments: $(grep -cE '^\s*\{"[^"]+", "' internal/exp/registry.go)"
 oracle=$(allowed oracle)
 hook=$(allowed test-hook)
@@ -42,5 +45,9 @@ if ((obs > obsBound)); then
 fi
 if ((readme > readmeBound)); then
   echo "census: README.md holds $readme lines, over the bound of $readmeBound" >&2
+  exit 1
+fi
+if ((radqec + radqecd > flagsBound)); then
+  echo "census: radqec and radqecd define $((radqec + radqecd)) flags, over the bound of $flagsBound" >&2
   exit 1
 fi
