@@ -78,7 +78,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -306,17 +305,25 @@ func main() {
 			}
 		}
 	}
-	enc := json.NewEncoder(out)
+	// emit writes one -json record's line, appended to line's storage.
+	// The sweep engine serialises OnResult calls, so line needs no lock.
+	var line []byte
+	emit := func(b []byte, err error) {
+		if err == nil {
+			line = b
+			_, err = out.Write(b)
+		}
+		if err != nil {
+			fatal(err)
+		}
+	}
 	var campaignID int64
 	for _, e := range selected {
 		if *jsonOut {
-			// The sweep engine serialises OnResult calls, so the encoder
-			// needs no extra locking.
 			expName := e.Name
 			cfg.OnPoint = func(r sweep.Result) {
-				if err := enc.Encode(exp.NewPointRecord(expName, r)); err != nil {
-					fatal(err)
-				}
+				rec := exp.NewPointRecord(expName, r)
+				emit(rec.AppendJSON(line[:0]))
 			}
 		}
 		var regBefore exp.RegistryStats
@@ -355,9 +362,8 @@ func main() {
 		}
 		switch {
 		case *jsonOut:
-			if err := enc.Encode(exp.NewTableRecord(e.Name, tab, time.Since(start))); err != nil {
-				fatal(err)
-			}
+			rec := exp.NewTableRecord(e.Name, tab, time.Since(start))
+			emit(rec.AppendJSON(line[:0]), nil)
 		case *csv:
 			tab.WriteCSV(out)
 		default:

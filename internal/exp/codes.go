@@ -26,7 +26,8 @@ import (
 // syndromes under all three decoders; the 29 codes above hold 139 k
 // syndromes in 2.0 MB of tables. Per prepared circuit:
 // the routed circuit, its compiled reference, the n² all-pairs
-// distances (34 KB on Brooklyn's 65 qubits) and the circuit literal.
+// distances (34 KB on Brooklyn's 65 qubits), the circuit literal and
+// the address memo (at most ~380 KB, see addressMemoCap).
 const preparedCap = 64
 
 // codeKey names what a code is a pure function of.

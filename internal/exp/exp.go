@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -320,8 +321,11 @@ func (t *Table) WriteCSV(w io.Writer) {
 	}
 }
 
-// pct formats a rate as a percentage.
-func pct(r float64) string { return fmt.Sprintf("%.2f%%", 100*r) }
+// pct formats a rate as a percentage, as fmt's "%.2f%%" writes it.
+func pct(r float64) string {
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], 100*r, 'f', 2, 64), '%'))
+}
 
 // prepared couples a code with its routed circuit on a topology. Every
 // prepared circuit is batch-eligible: the universal frame engine covers
@@ -332,8 +336,9 @@ func pct(r float64) string { return fmt.Sprintf("%.2f%%", 100*r) }
 //
 // Concurrent campaigns share one prepared circuit through the registry,
 // so everything here is either written before the value is published or
-// synchronised: circuitJSON by its Once, the compiled reference by the
-// circuit's own slot, the code's DEM and memos by the code.
+// synchronised: circuitJSON by its Once, addrMemo by its lock, the
+// compiled reference by the circuit's own slot, the code's DEM and memos
+// by the code.
 type prepared struct {
 	code *qec.Code
 	tr   *arch.Transpiled
@@ -345,6 +350,9 @@ type prepared struct {
 	// cache to address.
 	circuitOnce sync.Once
 	circuitJSON []byte
+	// addrMemo resumes every campaign's content addresses after this
+	// circuit's prefix and each event it has seen (see addressMemo).
+	addrMemo addressMemo
 }
 
 // circuitLiteral returns the memoised circuit literal.
@@ -557,23 +565,30 @@ func (p *prepared) usedRoots() []int { return p.tr.Used() }
 
 // medianOverRoots computes, per root, the median-over-time logical error
 // of a full strike evolution. All roots' temporal samples go through one
-// sweep, so the whole root × time grid shares the worker pool. Point keys
-// are prefix/root<R>/t<K>; the prefix names the cell, so a campaign over
-// several cells streams no key twice.
+// sweep, so the whole root × time grid shares the worker pool.
 func (p *prepared) medianOverRoots(cfg Config, prefix string, seed uint64) ([]int, []float64, []sweep.Result) {
-	roots := p.usedRoots()
-	ns := len(noise.TemporalSamples(cfg.NS))
-	specs := make([]pointSpec, 0, len(roots)*ns)
-	for i, root := range roots {
-		specs = append(specs,
-			p.evolutionSpecs(fmt.Sprintf("%s/root%d", prefix, root), cfg, root, true, seed+uint64(i)*104729)...)
-	}
+	roots, specs := p.rootSpecs(cfg, prefix, seed)
 	results := runSpecs(cfg, specs)
+	ns := len(results) / len(roots)
 	medians := make([]float64, len(roots))
 	for i := range roots {
 		medians[i] = stats.Median(resultRates(results[i*ns : (i+1)*ns]))
 	}
 	return roots, medians, results
+}
+
+// rootSpecs emits the specs of a full strike evolution at every used
+// root, root-major, returning the roots with them. Point keys are
+// prefix/root<R>/t<K>; the prefix names the cell, so a campaign over
+// several cells streams no key twice.
+func (p *prepared) rootSpecs(cfg Config, prefix string, seed uint64) ([]int, []pointSpec) {
+	roots := p.usedRoots()
+	specs := make([]pointSpec, 0, len(roots)*len(noise.TemporalSamples(cfg.NS)))
+	for i, root := range roots {
+		specs = append(specs,
+			p.evolutionSpecs(fmt.Sprintf("%s/root%d", prefix, root), cfg, root, true, seed+uint64(i)*104729)...)
+	}
+	return roots, specs
 }
 
 // subgraphEvent builds the "hypernode" event of Figures 6-7: every qubit

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 
 	"radqec/internal/arch"
 	"radqec/internal/noise"
@@ -40,11 +41,7 @@ func Fig5(cfg Config) (*Table, error) {
 	for i, r := range results {
 		m := meta[i]
 		rate := r.Rate()
-		t.Add(m.code.Name,
-			fmt.Sprintf("%.0e", m.phys),
-			fmt.Sprintf("%d", m.k),
-			fmt.Sprintf("%.4f", m.prob),
-			pct(rate))
+		t.Add(m.code.Name, m.phys, m.sample, m.rootProb, pct(rate))
 		if m.k == 0 {
 			impactRates = append(impactRates, rate)
 		}
@@ -60,16 +57,18 @@ func Fig5(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// fig5Row is the coordinates of one Figure 5 row.
+// fig5Row is the coordinates of one Figure 5 row: its code, its
+// temporal sample and the row's phys_rate, sample and root_prob cells.
 type fig5Row struct {
-	code *qec.Code
-	phys float64
-	k    int
-	prob float64
+	code                   *qec.Code
+	k                      int
+	phys, sample, rootProb string
 }
 
 // fig5Specs returns Figure 5's specs, one per (code, phys rate, temporal
-// sample) in row order, with each row's coordinates.
+// sample) in row order, with each row's coordinates. Each phys rate,
+// sample and root probability is formatted once, as "%.0e", "%d" and
+// "%.4f" write it, and shared by the keys and cells of its rows.
 func fig5Specs(cfg Config) ([]pointSpec, []fig5Row, error) {
 	rep, err := cfg.repetition(5)
 	if err != nil {
@@ -86,25 +85,38 @@ func fig5Specs(cfg Config) ([]pointSpec, []fig5Row, error) {
 		{rep, arch.Mesh(5, 2)},
 		{xxzz, arch.Mesh(5, 4)},
 	}
+	rates := Fig5PhysicalRates()
+	physCells := make([]string, len(rates))
+	for i, phys := range rates {
+		physCells[i] = strconv.FormatFloat(phys, 'e', 0, 64)
+	}
 	samples := noise.TemporalSamples(cfg.NS)
-	var (
-		specs []pointSpec
-		meta  []fig5Row
-	)
+	sampleCells := make([]string, len(samples))
+	probCells := make([]string, len(samples))
+	for k, rootProb := range samples {
+		sampleCells[k] = strconv.Itoa(k)
+		probCells[k] = strconv.FormatFloat(rootProb, 'f', 4, 64)
+	}
+	specs := make([]pointSpec, 0, len(jobs)*len(rates)*len(samples))
+	meta := make([]fig5Row, 0, cap(specs))
 	for ji, j := range jobs {
 		p, err := prepare(j.code, j.topo)
 		if err != nil {
 			return nil, nil, err
 		}
-		for pi, phys := range Fig5PhysicalRates() {
+		// A sample's strike is the same event at every phys rate.
+		events := make([]*noise.RadiationEvent, len(samples))
+		for k, rootProb := range samples {
+			events[k] = p.strikeAt(Fig5Root, rootProb, true)
+		}
+		for pi, phys := range rates {
 			sub := cfg
 			sub.P = phys
-			for k, rootProb := range samples {
-				ev := p.strikeAt(Fig5Root, rootProb, true)
+			prefix := "fig5/" + j.code.Name + "/p" + physCells[pi] + "/t"
+			for k := range samples {
 				seed := cfg.Seed + uint64(ji*1000003+pi*1009+k*13)
-				specs = append(specs, p.spec(
-					fmt.Sprintf("fig5/%s/p%.0e/t%d", j.code.Name, phys, k), sub, ev, seed))
-				meta = append(meta, fig5Row{j.code, phys, k, rootProb})
+				specs = append(specs, p.spec(prefix+sampleCells[k], sub, events[k], seed))
+				meta = append(meta, fig5Row{j.code, k, physCells[pi], sampleCells[k], probCells[k]})
 			}
 		}
 	}

@@ -48,43 +48,9 @@ func Memory(cfg Config) (*Table, error) {
 			"logical_error", "logical_error_at_impact",
 		},
 	}
-	type entry struct {
-		family string
-		build  func(rounds int) (*qec.Code, error)
-		d      int
-	}
-	entries := []entry{
-		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(5) }, 5},
-		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(9) }, 9},
-		{"xxzz", func(r int) (*qec.Code, error) { return Config{Rounds: r}.xxzz(3, 3) }, 3},
-	}
-	topo := arch.Mesh(5, 6)
-	type row struct {
-		family string
-		code   *qec.Code
-		rounds int
-	}
-	var (
-		specs []pointSpec
-		rows  []row
-	)
-	for ei, e := range entries {
-		for ri, r := range memoryRounds(cfg, e.d) {
-			code, err := e.build(r)
-			if err != nil {
-				return nil, err
-			}
-			p, err := prepare(code, topo)
-			if err != nil {
-				return nil, err
-			}
-			seed := cfg.Seed + uint64(ei*99991+ri*31)
-			key := fmt.Sprintf("memory/%s/r%d", code.Name, r)
-			specs = append(specs,
-				p.spec(key+"/clean", cfg, noise.NoRadiation(p.tr.Circuit.NumQubits), seed),
-				p.spec(key+"/impact", cfg, p.strikeAt(Fig5Root, 1.0, true), seed+1))
-			rows = append(rows, row{e.family, code, r})
-		}
+	specs, rows, err := memorySpecs(cfg)
+	if err != nil {
+		return nil, err
 	}
 	results := runSpecs(cfg, specs)
 	for i, rw := range rows {
@@ -98,4 +64,50 @@ func Memory(cfg Config) (*Table, error) {
 		fmt.Sprintf("decoded with %s over the compiled detector-error model; intrinsic p=%g", DecoderMWPM, cfg.P))
 	noteAdaptive(t, cfg, results)
 	return t, nil
+}
+
+// memoryRow is one row of the memory table: a code at one depth.
+type memoryRow struct {
+	family string
+	code   *qec.Code
+	rounds int
+}
+
+// memorySpecs returns the memory experiment's specs, a clean and an
+// impact point per row in row order, with the rows.
+func memorySpecs(cfg Config) ([]pointSpec, []memoryRow, error) {
+	type entry struct {
+		family string
+		build  func(rounds int) (*qec.Code, error)
+		d      int
+	}
+	entries := []entry{
+		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(5) }, 5},
+		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(9) }, 9},
+		{"xxzz", func(r int) (*qec.Code, error) { return Config{Rounds: r}.xxzz(3, 3) }, 3},
+	}
+	topo := arch.Mesh(5, 6)
+	var (
+		specs []pointSpec
+		rows  []memoryRow
+	)
+	for ei, e := range entries {
+		for ri, r := range memoryRounds(cfg, e.d) {
+			code, err := e.build(r)
+			if err != nil {
+				return nil, nil, err
+			}
+			p, err := prepare(code, topo)
+			if err != nil {
+				return nil, nil, err
+			}
+			seed := cfg.Seed + uint64(ei*99991+ri*31)
+			key := fmt.Sprintf("memory/%s/r%d", code.Name, r)
+			specs = append(specs,
+				p.spec(key+"/clean", cfg, noise.NoRadiation(p.tr.Circuit.NumQubits), seed),
+				p.spec(key+"/impact", cfg, p.strikeAt(Fig5Root, 1.0, true), seed+1))
+			rows = append(rows, memoryRow{e.family, code, r})
+		}
+	}
+	return specs, rows, nil
 }

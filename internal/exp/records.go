@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
 	"time"
 
 	"radqec/internal/sweep"
@@ -22,6 +26,42 @@ type PointRecord struct {
 	Batches    int     `json:"batches"`
 	Converged  bool    `json:"converged"`
 	Cached     bool    `json:"cached,omitempty"`
+}
+
+// AppendJSON appends the record's NDJSON line, byte for byte what
+// json.Encoder.Encode writes: json.Marshal's bytes and a newline. A
+// non-finite rate or bound is the error json.Marshal returns, and
+// appends nothing.
+func (r *PointRecord) AppendJSON(b []byte) ([]byte, error) {
+	for _, f := range [...]float64{r.Rate, r.CILo, r.CIHi, r.HalfWidth} {
+		if err := checkFinite(f); err != nil {
+			return b, err
+		}
+	}
+	b = appendMarshalString(append(b, `{"type":`...), r.Type)
+	b = appendMarshalString(append(b, `,"experiment":`...), r.Experiment)
+	b = appendMarshalString(append(b, `,"key":`...), r.Key)
+	b = strconv.AppendInt(append(b, `,"shots":`...), int64(r.Shots), 10)
+	b = strconv.AppendInt(append(b, `,"errors":`...), int64(r.Errors), 10)
+	b = appendJSONFloat(append(b, `,"rate":`...), r.Rate)
+	b = appendJSONFloat(append(b, `,"ci_lo":`...), r.CILo)
+	b = appendJSONFloat(append(b, `,"ci_hi":`...), r.CIHi)
+	b = appendJSONFloat(append(b, `,"half_width":`...), r.HalfWidth)
+	b = strconv.AppendInt(append(b, `,"batches":`...), int64(r.Batches), 10)
+	b = strconv.AppendBool(append(b, `,"converged":`...), r.Converged)
+	if r.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	return append(b, "}\n"...), nil
+}
+
+// checkFinite returns the error encoding/json reports for a float it
+// cannot write, or nil.
+func checkFinite(f float64) error {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return nil
 }
 
 // NewPointRecord projects a sweep result onto its streaming record.
@@ -51,6 +91,50 @@ type TableRecord struct {
 	Rows       [][]string `json:"rows"`
 	Notes      []string   `json:"notes,omitempty"`
 	ElapsedMS  int64      `json:"elapsed_ms"`
+}
+
+// AppendJSON appends the record's NDJSON line, byte for byte what
+// json.Encoder.Encode writes: json.Marshal's bytes and a newline, a nil
+// header or row as null, and no notes omitted.
+func (r *TableRecord) AppendJSON(b []byte) []byte {
+	b = appendMarshalString(append(b, `{"type":`...), r.Type)
+	b = appendMarshalString(append(b, `,"experiment":`...), r.Experiment)
+	b = appendMarshalString(append(b, `,"title":`...), r.Title)
+	b = appendStrings(append(b, `,"header":`...), r.Header)
+	b = append(b, `,"rows":`...)
+	if r.Rows == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, row := range r.Rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendStrings(b, row)
+		}
+		b = append(b, ']')
+	}
+	if len(r.Notes) > 0 {
+		b = appendStrings(append(b, `,"notes":`...), r.Notes)
+	}
+	b = strconv.AppendInt(append(b, `,"elapsed_ms":`...), r.ElapsedMS, 10)
+	return append(b, "}\n"...)
+}
+
+// appendStrings appends a string slice as json.Marshal writes it, nil as
+// null.
+func appendStrings(b []byte, ss []string) []byte {
+	if ss == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendMarshalString(b, s)
+	}
+	return append(b, ']')
 }
 
 // NewTableRecord projects a finished table onto its JSON record.

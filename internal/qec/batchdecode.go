@@ -40,8 +40,9 @@ import (
 //
 // All three tiers run tile-wide and none of them allocates once the
 // pooled scratch is warm: extraction and memo probes never did, and a
-// miss solves its subsets or builds its defect graph, runs blossom and
-// folds the correction inside the same pooled decodeBuf.
+// miss solves its subsets or builds its defect graph and runs blossom
+// inside the same pooled decodeBuf, then folds the matched chains'
+// logical parities from the compiled tables.
 //
 // Decode is this function on a one-word tile with one live lane, so the
 // two engines decode through one implementation: every lane of the
@@ -79,11 +80,11 @@ func mwpmParity(c *Code, buf *decodeBuf, defects []defect) (uint64, bool) {
 	if p, ok := buf.exact.exactParity(c.compiled(), defects); ok {
 		return p, true
 	}
-	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).MinWeightPerfectMatching)), false
+	return c.matchParity(buf, defects, (*matching.Workspace).MinWeightPerfectMatching), false
 }
 
 func greedyParity(c *Code, buf *decodeBuf, defects []defect) (uint64, bool) {
-	return c.flipParity(c.matchDefects(buf, defects, (*matching.Workspace).GreedyPerfectMatching)), false
+	return c.matchParity(buf, defects, (*matching.Workspace).GreedyPerfectMatching), false
 }
 
 func ufParity(c *Code, _ *decodeBuf, defects []defect) (uint64, bool) {
@@ -246,7 +247,6 @@ type decodeBuf struct {
 	exact exactBuf
 	edges []matching.Edge
 	ws    matching.Workspace
-	flips []bool
 
 	keys laneKeys
 }

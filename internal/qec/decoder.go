@@ -92,20 +92,15 @@ func (c *Code) Decode(bits []int) int {
 // every vertex's mate.
 type matcher func(ws *matching.Workspace, nvertex int, edges []matching.Edge) ([]int, error)
 
-// matchDefects pairs the detection events with match and returns the
-// resulting data-qubit flip multiset as a parity mask. Graph, matching
-// and mask all live in buf; the mask is valid until buf's next use.
-func (c *Code) matchDefects(buf *decodeBuf, defects []defect, match matcher) []bool {
-	if cap(buf.flips) < c.Data.Size {
-		buf.flips = make([]bool, c.Data.Size)
-	}
-	flips := buf.flips[:c.Data.Size]
-	for d := range flips {
-		flips[d] = false
-	}
+// matchMates pairs the detection events with match on the defect graph
+// and returns every defect's mate: another defect's index, or nd or
+// above for the defect's boundary image. Graph and matching live in buf;
+// the mates are valid until buf's next use. ok is false when there are
+// no defects or no perfect matching, which corrects nothing.
+func (c *Code) matchMates(buf *decodeBuf, defects []defect, match matcher) (mate []int, ok bool) {
 	nd := len(defects)
 	if nd == 0 {
-		return flips
+		return nil, false
 	}
 	m := c.DEM()
 	// Nodes 0..nd-1 are defects; nd..2nd-1 their private boundary
@@ -133,19 +128,31 @@ func (c *Code) matchDefects(buf *decodeBuf, defects []defect, match matcher) []b
 		// No perfect matching means the syndrome is undecodable (cannot
 		// happen on connected decode graphs); fail open with no
 		// correction rather than crash a campaign.
-		return flips
+		return nil, false
 	}
-	for i, j := range mate[:nd] {
+	return mate[:nd], true
+}
+
+// matchParity is the logical flip parity of the correction match picks:
+// each matched chain's parity read from the compiled tables, folded over
+// the mates. By GF(2) linearity it is the parity of the XORed flip sets
+// on the logical support, without building them.
+func (c *Code) matchParity(buf *decodeBuf, defects []defect, match matcher) uint64 {
+	mate, ok := c.matchMates(buf, defects, match)
+	if !ok {
+		return 0
+	}
+	cd := c.compiled()
+	nz := len(c.zStabData)
+	nd := len(defects)
+	var p uint8
+	for i, j := range mate {
 		switch {
 		case j >= nd:
-			for _, d := range m.BoundaryFlips(defects[i].stab) {
-				flips[d] = !flips[d]
-			}
+			p ^= cd.boundaryParity[defects[i].stab]
 		case i < j:
-			for _, d := range m.PathFlips(defects[i].stab, defects[j].stab) {
-				flips[d] = !flips[d]
-			}
+			p ^= cd.pairParity[defects[i].stab*nz+defects[j].stab]
 		}
 	}
-	return flips
+	return uint64(p)
 }

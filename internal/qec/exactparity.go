@@ -7,7 +7,7 @@ import mathbits "math/bits"
 // flip parity on the logical support.
 //
 // The blossom returns some minimum-weight perfect matching of the
-// defect graph matchDefects builds: defects 0..k-1, a private boundary
+// defect graph matchMates builds: defects 0..k-1, a private boundary
 // image per defect, and zero-cost edges between the images. Unused
 // images pair among themselves for free, so those matchings are exactly
 // the minimum-weight defect-level solutions, in which each defect is

@@ -5,7 +5,7 @@ import "radqec/internal/matching"
 // The scalar oracle: the decode path every decoder had before all of
 // them ran through decodeTile, kept verbatim as the reference the tile
 // and one-lane decoders are compared against. It shares only the
-// matcher call (matchDefects) and ufDecode with production, so a fault
+// matcher call (matchMates, through matchDefects) and ufDecode with production, so a fault
 // in detection-event extraction, the memo tiers or the miss tier's
 // defect list shows up as a disagreement.
 
@@ -26,8 +26,8 @@ func (c *Code) oracleUnionFind(bits []int) int {
 	return c.logicalValue(bits, flips)
 }
 
-// decodeWith is the scalar decode on pooled scratch: events, graph,
-// matching and correction all live in one decodeBuf.
+// decodeWith is the scalar decode on pooled scratch: events, graph and
+// matching live in one decodeBuf, the correction mask beside it.
 func (c *Code) decodeWith(bits []int, match matcher) int {
 	buf := decodeBufPool.Get().(*decodeBuf)
 	buf.defects = c.detectionEvents(buf.defects[:0], bits)
@@ -61,6 +61,32 @@ func (c *Code) detectionEvents(dst []defect, bits []int) []defect {
 		}
 	}
 	return dst
+}
+
+// matchDefects is matchMates' correction as a data-qubit flip mask: the
+// matched chains' flip sets XORed together, the form matchParity folds
+// away. The mask is fresh per call.
+func (c *Code) matchDefects(buf *decodeBuf, defects []defect, match matcher) []bool {
+	flips := make([]bool, c.Data.Size)
+	mate, ok := c.matchMates(buf, defects, match)
+	if !ok {
+		return flips
+	}
+	m := c.DEM()
+	nd := len(defects)
+	for i, j := range mate {
+		switch {
+		case j >= nd:
+			for _, d := range m.BoundaryFlips(defects[i].stab) {
+				flips[d] = !flips[d]
+			}
+		case i < j:
+			for _, d := range m.PathFlips(defects[i].stab, defects[j].stab) {
+				flips[d] = !flips[d]
+			}
+		}
+	}
+	return flips
 }
 
 // logicalValue applies the correction mask to the data readout and

@@ -399,7 +399,12 @@ func (s *Server) runCampaign(e exp.Experiment, cfg exp.Config, req CampaignReque
 func writeStream(w http.ResponseWriter, recs <-chan any) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
+	buf := lineBufs.Get().(*[]byte)
+	line := *buf
+	defer func() {
+		*buf = line[:0]
+		lineBufs.Put(buf)
+	}()
 	first, gone := true, false
 	for v := range recs {
 		if gone {
@@ -413,7 +418,12 @@ func writeStream(w http.ResponseWriter, recs <-chan any) {
 			continue
 		}
 		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if enc.Encode(v) != nil {
+		var err error
+		if line, err = appendRecord(line[:0], v); err != nil {
+			gone = true
+			continue
+		}
+		if _, err = w.Write(line); err != nil {
 			gone = true
 			continue
 		}
@@ -422,6 +432,29 @@ func writeStream(w http.ResponseWriter, recs <-chan any) {
 		}
 		first = false
 	}
+}
+
+// lineBufs recycles writeStream's line buffers across streams: a fig5
+// table's line is ~10 KB, which a fresh buffer would grow to on every
+// campaign.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendRecord appends one stream record's NDJSON line, as
+// json.Encoder.Encode writes it: point and table records through their
+// appenders, anything else (the rare error record) through
+// encoding/json.
+func appendRecord(b []byte, v any) ([]byte, error) {
+	switch r := v.(type) {
+	case exp.PointRecord:
+		return r.AppendJSON(b)
+	case exp.TableRecord:
+		return r.AppendJSON(b), nil
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return b, err
+	}
+	return append(append(b, raw...), '\n'), nil
 }
 
 // handleCampaignCancel cancels a running campaign. The campaign
