@@ -9,13 +9,12 @@ import (
 	"radqec/internal/stats"
 )
 
-// AblationDecoder compares the blossom MWPM decoder, which every other
+// ablationDecoder compares the blossom MWPM decoder, which every other
 // experiment decodes with, against union-find and the greedy matching
 // baseline under a full-strength strike, quantifying what the optimal
 // matcher buys. It is the one place union-find and greedy decode a
 // campaign: each column sets its decode function per spec.
-func AblationDecoder(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func ablationDecoder(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: MWPM (blossom) vs greedy matching decoder",
 		Header: []string{"code", "decoder", "logical_error"},
@@ -27,7 +26,7 @@ func AblationDecoder(cfg Config) (*Table, error) {
 	if c, err := cfg.xxzz(3, 3); err == nil {
 		codes = append(codes, c)
 	}
-	topo := arch.Mesh(5, 6)
+	topo := mesh5x6()
 	type decoder struct {
 		name       string
 		decodeTile frame.TileDecodeFunc
@@ -60,14 +59,12 @@ func AblationDecoder(cfg Config) (*Table, error) {
 	for i, r := range results {
 		t.Add(codes[i/3].Name, names[i], pct(r.Rate()))
 	}
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }
 
-// AblationTemporalSamples sweeps ns, the step-approximation resolution
+// ablationTemporalSamples sweeps ns, the step-approximation resolution
 // of the temporal decay (paper picks 10 as the accuracy/cost trade-off).
-func AblationTemporalSamples(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func ablationTemporalSamples(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: temporal sample count ns",
 		Header: []string{"ns", "mean_logical_error_over_evolution"},
@@ -76,7 +73,7 @@ func AblationTemporalSamples(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := prepare(code, arch.Mesh(5, 2))
+	p, err := prepare(code, mesh5x2())
 	if err != nil {
 		return nil, err
 	}
@@ -95,20 +92,18 @@ func AblationTemporalSamples(cfg Config) (*Table, error) {
 		off += ns
 		t.Add(fmt.Sprintf("%d", ns), pct(stats.Mean(rates)))
 	}
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }
 
-// AblationRounds sweeps the number of stabilization rounds: more rounds
+// ablationRounds sweeps the number of stabilization rounds: more rounds
 // give the decoder more time-like context but also lengthen the
 // radiation exposure window.
-func AblationRounds(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func ablationRounds(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: stabilization rounds",
 		Header: []string{"code", "rounds", "logical_error_at_impact", "two_qubit_gates"},
 	}
-	topo := arch.Mesh(5, 6)
+	topo := mesh5x6()
 	rounds := []int{2, 3, 4, 6}
 	var (
 		specs   []pointSpec
@@ -133,14 +128,12 @@ func AblationRounds(cfg Config) (*Table, error) {
 		t.Add(prepped[i].code.Name, fmt.Sprintf("%d", rounds[i]), pct(r.Rate()),
 			fmt.Sprintf("%d", prepped[i].tr.Circuit.CountTwoQubit()))
 	}
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }
 
-// AblationLayout compares the compact BFS initial layout against the
+// ablationLayout compares the compact BFS initial layout against the
 // trivial identity layout through routing overhead and logical error.
-func AblationLayout(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func ablationLayout(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: initial layout strategy (routing overhead)",
 		Header: []string{"code", "architecture", "layout", "swaps", "logical_error_at_impact"},
@@ -149,7 +142,7 @@ func AblationLayout(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	topos := []arch.Topology{arch.Cairo(), arch.Brooklyn()}
+	topos := []arch.Topology{cairo(), brooklyn()}
 	type variant struct {
 		topo arch.Topology
 		name string
@@ -182,6 +175,5 @@ func AblationLayout(cfg Config) (*Table, error) {
 		t.Add(code.Name, v.topo.Name, v.name,
 			fmt.Sprintf("%d", v.prep.tr.SwapCount), pct(r.Rate()))
 	}
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }

@@ -62,7 +62,7 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 
 // TestSpellingDoesNotMoveTheAddress: a campaign that leaves the engine
 // and decoder empty and one that spells out their defaults address
-// every point alike, whichever runs first, so the second Fig5 run
+// every point alike, whichever runs first, so the second fig5 run
 // against the same store is all cache hits with the first run's point
 // records.
 func TestSpellingDoesNotMoveTheAddress(t *testing.T) {
@@ -78,7 +78,7 @@ func TestSpellingDoesNotMoveTheAddress(t *testing.T) {
 			runs[i] = map[string]sweep.Result{}
 			cfg.Cache = st
 			cfg.OnPoint = func(r sweep.Result) { runs[i][r.Key] = r }
-			if _, err := Fig5(cfg); err != nil {
+			if _, err := fig5(cfg.Defaults()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,7 +160,7 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 	// frame.TileShots) = 512), so the cold run leaves a checkpoint trail
 	// for the kill to preserve.
 	base := Config{Shots: 1024, Seed: 12345}
-	ref, err := Threshold(base)
+	ref, err := threshold(base.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 	}
 	cfg := base
 	cfg.Cache = st
-	cold, err := Threshold(cfg)
+	cold, err := threshold(cfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 			resumedCached++
 		}
 	}
-	resumed, err := Threshold(rcfg)
+	resumed, err := threshold(rcfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 			cached++
 		}
 	}
-	warm, err := Threshold(wcfg)
+	warm, err := threshold(wcfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStoreResumeByteIdenticalTables(t *testing.T) {
 // finishes and triggers the cancel.
 func TestCancelledStoreRunResumesWithoutAnOption(t *testing.T) {
 	base := Config{Shots: 1024, Seed: 12345, Workers: 1}
-	ref, err := Threshold(base)
+	ref, err := threshold(base.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCancelledStoreRunResumesWithoutAnOption(t *testing.T) {
 // prints the byte-identical table.
 func TestCleanCloseKeepsCheckpointsToResume(t *testing.T) {
 	base := Config{Shots: 1024, Seed: 12345, Workers: 1}
-	ref, err := Threshold(base)
+	ref, err := threshold(base.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestCleanCloseKeepsCheckpointsToResume(t *testing.T) {
 	// rewrites the segment.
 	earlier := base
 	earlier.Seed, earlier.Shots, earlier.Cache = 1, 4096, st
-	if _, err := Threshold(earlier); err != nil {
+	if _, err := threshold(earlier.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	cancelAfterFirstPoint(t, base, st)
@@ -353,7 +353,7 @@ func assertResumes(t *testing.T, base Config, st *store.Store, ref *Table) {
 	rcfg := base
 	rcfg.Cache = st
 	rcfg.Telemetry = tel
-	rerun, err := Threshold(rcfg)
+	rerun, err := threshold(rcfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func assertResumes(t *testing.T, base Config, st *store.Store, ref *Table) {
 // private-pool output.
 func TestSharedSchedulerMatchesPrivatePool(t *testing.T) {
 	base := Config{Shots: 200, Seed: 99}
-	ref, err := Threshold(base)
+	ref, err := threshold(base.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestSharedSchedulerMatchesPrivatePool(t *testing.T) {
 	defer sched.Close()
 	cfg := base
 	cfg.Scheduler = sched
-	got, err := Threshold(cfg)
+	got, err := threshold(cfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestSecondCampaignFindsTheMemoWarm(t *testing.T) {
 	cfg := Config{Shots: 2000, Seed: 11, Rounds: 3}
 	calls := func() int64 {
 		before := Registry().Decoder
-		if _, err := Fig5(cfg); err != nil {
+		if _, err := fig5(cfg.Defaults()); err != nil {
 			t.Fatal(err)
 		}
 		after := Registry().Decoder
@@ -63,7 +63,7 @@ func TestConcurrentCampaignsShareCodes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tab, err := Fig5(Config{Shots: 512, Seed: seed, Rounds: 4, Scheduler: sched, Cache: st})
+			tab, err := fig5(Config{Shots: 512, Seed: seed, Rounds: 4, Scheduler: sched, Cache: st}.Defaults())
 			if err != nil {
 				t.Error(err)
 				return
@@ -76,7 +76,7 @@ func TestConcurrentCampaignsShareCodes(t *testing.T) {
 		return
 	}
 	for i, seed := range seeds {
-		solo, err := Fig5(Config{Shots: 512, Seed: seed, Rounds: 4})
+		solo, err := fig5(Config{Shots: 512, Seed: seed, Rounds: 4}.Defaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestRegistryBounded(t *testing.T) {
 	}
 	evictions := Registry().Evictions
 	for rounds := 2; rounds <= preparedCap+40; rounds++ {
-		if _, err := AblationTemporalSamples(Config{Shots: 1, Seed: 3, Rounds: rounds}); err != nil {
+		if _, err := ablationTemporalSamples(Config{Shots: 1, Seed: 3, Rounds: rounds}.Defaults()); err != nil {
 			t.Fatalf("rounds %d: %v", rounds, err)
 		}
 		codeRegistry.mu.Lock()
@@ -122,7 +122,7 @@ func TestRegistryBounded(t *testing.T) {
 	if again == first {
 		t.Fatal("rep-(5,1) at two rounds, least recently used of over a hundred codes, was not evicted")
 	}
-	tab, err := Fig5(Config{Seed: 1, Engine: EngineBatch, Decoder: DecoderMWPM})
+	tab, err := fig5(Config{Seed: 1, Engine: EngineBatch, Decoder: DecoderMWPM}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}

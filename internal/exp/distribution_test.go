@@ -31,7 +31,7 @@ func pointCounts(t *testing.T, run func(Config) (*Table, error), cfg Config) map
 		counts[r.Key] = r.Counts
 		mu.Unlock()
 	}
-	if _, err := run(cfg); err != nil {
+	if _, err := run(cfg.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	return counts

@@ -1,15 +1,16 @@
 // Package exp implements one experiment per figure of the paper's
-// evaluation (Figures 3-8), on top of the code builders, the
-// transpiler, the fault injector and the MWPM decoder. Every experiment
-// returns a Table whose rows reproduce the series the figure plots.
+// evaluation (Figures 3-8) and its ablations, on top of the code
+// builders, the transpiler, the fault injector and the MWPM decoder.
+// Every experiment returns a Table whose rows reproduce the series the
+// figure plots.
 //
-// Experiments no longer run their own shot loops: each figure emits
-// sweep-point specs — one injection campaign per measured point — and
-// the sweep engine fans them across workers, fixed-shot by default or
-// with adaptive Wilson-interval allocation when Config.CI is set. At
-// fixed-shot settings the output is byte-identical to the classic
-// per-figure loops, because every point consumes the same seed-derived
-// shot streams.
+// Experiment.Run, reached through Experiments or Find, is the one entry
+// point: it defaults and validates the Config, and each figure's
+// builder emits sweep-point specs — one injection campaign per measured
+// point — that the sweep engine fans across workers, fixed-shot by
+// default or with adaptive Wilson-interval allocation when Config.CI is
+// set. Every point consumes seed-derived shot streams, so output is a
+// function of the Config alone.
 package exp
 
 import (
@@ -155,6 +156,9 @@ type Config struct {
 	// pure mechanism — deliberately absent from specFingerprint, so
 	// tracing never perturbs results or content addresses.
 	Trace trace.SpanContext
+	// ran, set by Experiment.Run in adaptive mode, collects every sweep
+	// result of the run for its shot-budget note.
+	ran *[]sweep.Result
 }
 
 // repetition and xxzz resolve the code at the configured memory depth
@@ -363,6 +367,18 @@ func (p *prepared) circuitLiteral() []byte {
 	return p.circuitJSON
 }
 
+// The fixed topologies the figures route onto, each built on first use
+// (not at start-up, which every front end pays) and shared by every
+// campaign after: a topology's graph is only read once built.
+var (
+	mesh5x2   = sync.OnceValue(func() arch.Topology { return arch.Mesh(5, 2) })
+	mesh5x4   = sync.OnceValue(func() arch.Topology { return arch.Mesh(5, 4) })
+	mesh5x6   = sync.OnceValue(func() arch.Topology { return arch.Mesh(5, 6) })
+	brooklyn  = sync.OnceValue(arch.Brooklyn)
+	cairo     = sync.OnceValue(arch.Cairo)
+	cambridge = sync.OnceValue(arch.Cambridge)
+)
+
 // prepare returns the code's circuit routed onto the topology, through
 // the registry.
 func prepare(code *qec.Code, topo arch.Topology) (*prepared, error) {
@@ -485,9 +501,11 @@ func runPoints(cfg Config, points []sweep.Point) []sweep.Result {
 		// The figure builders compose tables through plain value
 		// plumbing with no error returns of their own; a sweep's
 		// terminal error (cancellation, or a panic the scheduler
-		// isolated) rides a runAbort panic up to the recover guard
-		// wrapped around every Experiment.Run in the registry.
+		// isolated) rides a runAbort panic up to Experiment.Run.
 		panic(runAbort{err})
+	}
+	if cfg.ran != nil {
+		*cfg.ran = append(*cfg.ran, results...)
 	}
 	return results
 }
@@ -501,8 +519,8 @@ func (c Config) context() context.Context {
 }
 
 // runAbort carries a sweep's terminal error through the figure
-// builders to the registry's recover guard, which converts it back
-// into the error Experiment.Run reports.
+// builders to Experiment.Run, which converts it back into the error it
+// reports.
 type runAbort struct{ err error }
 
 // resultRates projects sweep results onto their rates.
@@ -514,18 +532,11 @@ func resultRates(results []sweep.Result) []float64 {
 	return out
 }
 
-// noteAdaptive appends the sweep's shot-budget note to the table. It is
-// silent in fixed mode, keeping fixed-shot output byte-identical to the
-// classic per-figure loops.
-func noteAdaptive(t *Table, cfg Config, resultSets ...[]sweep.Result) {
-	if cfg.CI <= 0 {
-		return
-	}
-	var all []sweep.Result
-	for _, rs := range resultSets {
-		all = append(all, rs...)
-	}
-	s := sweep.Summarize(cfg.sweepConfig(), all)
+// noteAdaptive appends the shot-budget note of an adaptive run to the
+// table: the shots spent over every point the run measured against the
+// fixed-shot equivalent, and how many points converged.
+func noteAdaptive(t *Table, cfg Config, results []sweep.Result) {
+	s := sweep.Summarize(cfg.sweepConfig(), results)
 	if s.FixedShots == 0 {
 		return
 	}
@@ -566,7 +577,7 @@ func (p *prepared) usedRoots() []int { return p.tr.Used() }
 // medianOverRoots computes, per root, the median-over-time logical error
 // of a full strike evolution. All roots' temporal samples go through one
 // sweep, so the whole root × time grid shares the worker pool.
-func (p *prepared) medianOverRoots(cfg Config, prefix string, seed uint64) ([]int, []float64, []sweep.Result) {
+func (p *prepared) medianOverRoots(cfg Config, prefix string, seed uint64) ([]int, []float64) {
 	roots, specs := p.rootSpecs(cfg, prefix, seed)
 	results := runSpecs(cfg, specs)
 	ns := len(results) / len(roots)
@@ -574,7 +585,7 @@ func (p *prepared) medianOverRoots(cfg Config, prefix string, seed uint64) ([]in
 	for i := range roots {
 		medians[i] = stats.Median(resultRates(results[i*ns : (i+1)*ns]))
 	}
-	return roots, medians, results
+	return roots, medians
 }
 
 // rootSpecs emits the specs of a full strike evolution at every used

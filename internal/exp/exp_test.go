@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -200,7 +201,10 @@ func TestTableWriteCSV(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tab := Fig3(Config{})
+	tab, err := fig3(Config{}.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 51 {
 		t.Fatalf("fig3 rows = %d", len(tab.Rows))
 	}
@@ -222,7 +226,10 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	tab := Fig4(Config{})
+	tab, err := fig4(Config{}.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 11 {
 		t.Fatalf("fig4 rows = %d", len(tab.Rows))
 	}
@@ -420,7 +427,7 @@ func p0RateCounts(t *testing.T, cfg Config, p *prepared, ev *noise.RadiationEven
 // tables, in fixed and in adaptive mode.
 func TestSweepWorkerDeterminism(t *testing.T) {
 	run := func(cfg Config) *Table {
-		tab, err := Fig5(cfg)
+		tab, err := fig5(cfg.Defaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +461,7 @@ func TestAdaptiveFig6SavesShots(t *testing.T) {
 	cfg := Config{Seed: 3, CI: ci, OnPoint: func(r sweep.Result) {
 		results = append(results, r)
 	}}
-	if _, err := Fig6(cfg); err != nil {
+	if _, err := fig6(cfg.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	if len(results) == 0 {
@@ -469,6 +476,45 @@ func TestAdaptiveFig6SavesShots(t *testing.T) {
 	}
 	if fixed := sweep.WorstCaseShots(ci) * len(results); total >= fixed {
 		t.Fatalf("adaptive spent %d shots, fixed guarantee costs %d", total, fixed)
+	}
+}
+
+// TestAdaptiveNoteCountsEveryPoint: an adaptive run's table carries one
+// shot-budget note, and it counts every point the experiment ran —
+// fig8's twelve cell sweeps, logical's physical and logical-layer
+// sweeps on their two engines — as the OnPoint stream saw them.
+func TestAdaptiveNoteCountsEveryPoint(t *testing.T) {
+	const maxShots = 1024
+	for name, wantPoints := range map[string]int{"fig8": 2470, "logical": 14} {
+		var shots, points, converged int
+		cfg := Config{Seed: 7, Shots: 256, CI: 0.2, MaxShots: maxShots, OnPoint: func(r sweep.Result) {
+			shots += r.Shots
+			points++
+			if r.Converged {
+				converged++
+			}
+		}}
+		e, _ := Find(name)
+		tab, err := e.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if points != wantPoints {
+			t.Fatalf("%s streamed %d points, want %d", name, points, wantPoints)
+		}
+		var notes []string
+		for _, n := range tab.Notes {
+			if strings.HasPrefix(n, "adaptive ci=") {
+				notes = append(notes, n)
+			}
+		}
+		want := []string{
+			fmt.Sprintf("%d shots over %d points vs %d fixed-equivalent", shots, points, points*maxShots),
+			fmt.Sprintf("%d/%d points converged", converged, points),
+		}
+		if len(notes) != 1 || !strings.Contains(notes[0], want[0]) || !strings.HasSuffix(notes[0], want[1]) {
+			t.Errorf("%s adaptive notes %q, want one reading %q and %q", name, notes, want[0], want[1])
+		}
 	}
 }
 
@@ -698,22 +744,22 @@ func TestObservationVIII(t *testing.T) {
 // The ablation harnesses must run and produce full tables.
 func TestAblationsRun(t *testing.T) {
 	cfg := Config{Shots: 60, Seed: 5}
-	if tab, err := AblationDecoder(cfg); err != nil || len(tab.Rows) != 6 {
+	if tab, err := ablationDecoder(cfg.Defaults()); err != nil || len(tab.Rows) != 6 {
 		t.Fatalf("decoder ablation: %v rows=%d", err, len(tab.Rows))
 	}
-	if tab, err := AblationTemporalSamples(cfg); err != nil || len(tab.Rows) != 5 {
+	if tab, err := ablationTemporalSamples(cfg.Defaults()); err != nil || len(tab.Rows) != 5 {
 		t.Fatalf("ns ablation: %v", err)
 	}
-	if tab, err := AblationLayout(cfg); err != nil || len(tab.Rows) != 4 {
+	if tab, err := ablationLayout(cfg.Defaults()); err != nil || len(tab.Rows) != 4 {
 		t.Fatalf("layout ablation: %v", err)
 	}
-	if tab, err := AblationRounds(cfg); err != nil || len(tab.Rows) != 4 {
+	if tab, err := ablationRounds(cfg.Defaults()); err != nil || len(tab.Rows) != 4 {
 		t.Fatalf("rounds ablation: %v", err)
 	}
 }
 
 func TestFig5RunsSmall(t *testing.T) {
-	tab, err := Fig5(Config{Shots: 20, Seed: 2, NS: 3})
+	tab, err := fig5(Config{Shots: 20, Seed: 2, NS: 3}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +770,7 @@ func TestFig5RunsSmall(t *testing.T) {
 }
 
 func TestFig6RunsSmall(t *testing.T) {
-	tab, err := Fig6(Config{Shots: 10, Seed: 2})
+	tab, err := fig6(Config{Shots: 10, Seed: 2}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +780,7 @@ func TestFig6RunsSmall(t *testing.T) {
 }
 
 func TestFig7RunsSmall(t *testing.T) {
-	tab, err := Fig7(Config{Shots: 10, Seed: 2})
+	tab, err := fig7(Config{Shots: 10, Seed: 2}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +795,7 @@ func TestFig7RunsSmall(t *testing.T) {
 // transpiled circuit.
 func TestFig8RunsSmall(t *testing.T) {
 	cfg := Config{Shots: 5, Seed: 2, NS: 2}
-	tab, err := Fig8(cfg)
+	tab, err := fig8(cfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,7 +844,7 @@ func TestFig8RunsSmall(t *testing.T) {
 func TestMemoryExperiment(t *testing.T) {
 	cfg := quickCfg
 	cfg.Shots = 128
-	tab, err := Memory(cfg)
+	tab, err := memory(cfg.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -867,7 +913,7 @@ func TestConfigRoundsFlowsIntoFigureCodes(t *testing.T) {
 		t.Fatalf("cfg.xxzz built %d rounds, want 3", x.Rounds)
 	}
 	// A full figure runs end-to-end at 3 rounds.
-	if _, err := Threshold(cfg); err != nil {
+	if _, err := threshold(cfg.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,13 +19,12 @@ func Fig5PhysicalRates() []float64 {
 // Fig5Root is the paper's deterministic root injection point.
 const Fig5Root = 2
 
-// Fig5 reproduces Figure 5: the logical-error landscape of the
+// fig5 reproduces Figure 5: the logical-error landscape of the
 // distance-(5,1) repetition code (on a 5x2 lattice) and the
 // distance-(3,3) XXZZ code (on a 5x4 lattice) over the intrinsic
 // physical error rate and the radiation fault's time evolution, with the
 // strike rooted at qubit index 2.
-func Fig5(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func fig5(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: "Figure 5: logical error landscape (noise x radiation)",
 		Header: []string{
@@ -53,7 +52,6 @@ func Fig5(cfg Config) (*Table, error) {
 			impactRates = impactRates[:0]
 		}
 	}
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }
 
@@ -82,8 +80,8 @@ func fig5Specs(cfg Config) ([]pointSpec, []fig5Row, error) {
 		code *qec.Code
 		topo arch.Topology
 	}{
-		{rep, arch.Mesh(5, 2)},
-		{xxzz, arch.Mesh(5, 4)},
+		{rep, mesh5x2()},
+		{xxzz, mesh5x4()},
 	}
 	rates := Fig5PhysicalRates()
 	physCells := make([]string, len(rates))

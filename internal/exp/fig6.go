@@ -3,19 +3,17 @@ package exp
 import (
 	"fmt"
 
-	"radqec/internal/arch"
 	"radqec/internal/qec"
 	"radqec/internal/stats"
 )
 
-// Fig6 reproduces Figure 6: the criticality of a single non-spreading
+// fig6 reproduces Figure 6: the criticality of a single non-spreading
 // erasure (reset) at t=0 by code distance, for the repetition family
 // (3,1)..(15,1) and the XXZZ family (1,3),(3,1),(3,3),(3,5),(5,3). Each
 // code is transpiled onto the 5x6 reference lattice; every used physical
 // qubit serves as a root once and the median logical error across roots
 // is reported, mirroring the paper's hypernode-median protocol.
-func Fig6(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func fig6(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: "Figure 6: logical error criticality by code distance (single erasure, t=0, no spread)",
 		Header: []string{
@@ -41,7 +39,7 @@ func Fig6(cfg Config) (*Table, error) {
 		}
 		entries = append(entries, entry{"xxzz", c})
 	}
-	topo := arch.Mesh(5, 6)
+	topo := mesh5x6()
 	// Per entry and per root, one decoded spec and one raw-readout spec;
 	// the whole family × root grid runs as a single sweep.
 	var (
@@ -86,6 +84,5 @@ func Fig6(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"median over every used physical qubit acting as the erasure root once",
 		"raw readout = uncorrected ancilla parity bit (no decoding)")
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"radqec/internal/arch"
 	"radqec/internal/qec"
 	"radqec/internal/rng"
 	"radqec/internal/stats"
@@ -13,14 +12,13 @@ import (
 // corruption size.
 const Fig7SubgraphSamples = 12
 
-// Fig7 reproduces Figure 7: the logical error caused by k simultaneous
+// fig7 reproduces Figure 7: the logical error caused by k simultaneous
 // erasure (reset) faults — injected into connected size-k subgraphs of
 // the 5x6 lattice, median across subgraphs — compared against the
 // logical error of a single *spreading* radiation fault at t=0 (the red
 // line of the figure), for the distance-(15,1) repetition code and the
 // distance-(3,3) XXZZ code.
-func Fig7(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func fig7(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: "Figure 7: correlated spread vs multiple independent erasures (t=0)",
 		Header: []string{
@@ -43,7 +41,7 @@ func Fig7(cfg Config) (*Table, error) {
 		{rep, []int{1, 10, 11, 15, 16}},
 		{xxzz, []int{1, 9, 10, 14, 15}},
 	}
-	topo := arch.Mesh(5, 6)
+	topo := mesh5x6()
 	// Emit every campaign of the figure — the per-root spreading
 	// references and the sampled size-k erasure subgraphs — as one spec
 	// list, then run a single sweep over all of it.
@@ -99,6 +97,5 @@ func Fig7(cfg Config) (*Table, error) {
 				pct(stats.Mean(rates)), pct(stats.Median(rates)), pct(reference))
 		}
 	}
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }

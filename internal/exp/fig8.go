@@ -2,40 +2,36 @@ package exp
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"radqec/internal/arch"
 	"radqec/internal/qec"
 	"radqec/internal/stats"
-	"radqec/internal/sweep"
 )
 
 // Fig8RepTopologies lists the architectures the distance-(11,1)
 // repetition code (22 qubits) is transpiled onto in Figure 8a.
-func Fig8RepTopologies() []arch.Topology {
-	return []arch.Topology{
-		arch.Linear(22),
-		arch.Mesh(5, 6),
-		arch.Brooklyn(),
-		arch.Cairo(),
-		arch.Cambridge(),
-	}
-}
+func Fig8RepTopologies() []arch.Topology { return slices.Clone(fig8RepTopologies()) }
 
 // Fig8XXZZTopologies lists the architectures the distance-(3,3) XXZZ
 // code (18 qubits) is transpiled onto in Figure 8b.
-func Fig8XXZZTopologies() []arch.Topology {
-	return []arch.Topology{
-		arch.Complete(18),
-		arch.Linear(18),
-		arch.Mesh(5, 4),
-		arch.Almaden(),
-		arch.Brooklyn(),
-		arch.Cambridge(),
-		arch.Johannesburg(),
-	}
-}
+func Fig8XXZZTopologies() []arch.Topology { return slices.Clone(fig8XXZZTopologies()) }
 
-// Fig8 reproduces Figure 8: per-root-injection-point median logical
+// The two lists fig8 runs, built once; the exported accessors hand out
+// copies.
+var (
+	fig8RepTopologies = sync.OnceValue(func() []arch.Topology {
+		return []arch.Topology{arch.Linear(22), mesh5x6(), brooklyn(), cairo(), cambridge()}
+	})
+	fig8XXZZTopologies = sync.OnceValue(func() []arch.Topology {
+		return []arch.Topology{
+			arch.Complete(18), arch.Linear(18), mesh5x4(), arch.Almaden(), brooklyn(), cambridge(), arch.Johannesburg(),
+		}
+	})
+)
+
+// fig8 reproduces Figure 8: per-root-injection-point median logical
 // error (over the fault's full time evolution) across hardware
 // architectures, for the distance-(11,1) repetition code on
 // Fig8RepTopologies and the distance-(3,3) XXZZ code on
@@ -44,8 +40,7 @@ func Fig8XXZZTopologies() []arch.Topology {
 // samples. Each (code, architecture) cell is one medianOverRoots sweep
 // at the cell's own seed, and its rows carry the cell's routing
 // overhead: SWAPs and two-qubit gates after transpilation.
-func Fig8(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func fig8(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: "Figure 8: logical error rate by corrupted qubit on different architectures",
 		Header: []string{
@@ -64,10 +59,9 @@ func Fig8(cfg Config) (*Table, error) {
 		code  *qec.Code
 		topos []arch.Topology
 	}{
-		{rep, Fig8RepTopologies()},
-		{xxzz, Fig8XXZZTopologies()},
+		{rep, fig8RepTopologies()},
+		{xxzz, fig8XXZZTopologies()},
 	}
-	var all []sweep.Result
 	for ji, j := range jobs {
 		for ti, topo := range j.topos {
 			p, err := prepare(j.code, topo)
@@ -75,8 +69,7 @@ func Fig8(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			name := j.code.Name
-			roots, medians, results := p.medianOverRoots(cfg, "fig8/"+name+"/"+topo.Name, cfg.Seed+uint64(ji*5+ti)*179424673)
-			all = append(all, results...)
+			roots, medians := p.medianOverRoots(cfg, "fig8/"+name+"/"+topo.Name, cfg.Seed+uint64(ji*5+ti)*179424673)
 			swaps, twoQubit := fmt.Sprintf("%d", p.tr.SwapCount), fmt.Sprintf("%d", p.tr.Circuit.CountTwoQubit())
 			for i, root := range roots {
 				role := p.tr.RoleOf(root)
@@ -91,6 +84,5 @@ func Fig8(cfg Config) (*Table, error) {
 				name, topo.Name, pct(stats.Median(medians)), pct(lo), pct(hi), swaps))
 		}
 	}
-	noteAdaptive(t, cfg, all)
 	return t, nil
 }

@@ -84,30 +84,30 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 		want   string
 	}
 	list := []golden{
-		{"fig6", Fig6, EngineBatch, 0, "1bdb4606f761f35bb1381f3e402ff9667932fd4bfdabcb0e0746bd73c7d772a5"},
+		{"fig6", fig6, EngineBatch, 0, "1bdb4606f761f35bb1381f3e402ff9667932fd4bfdabcb0e0746bd73c7d772a5"},
 		// No fig7/frame row: the scalar frame engine is no longer an -engine value.
-		{"fig7/tableau", Fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
-		{"memory", Memory, EngineBatch, 0, "cecdb9c07150aed2b7e8df1b72f78b7da15b180177175eb03ec0be376142fc16"},
-		{"ablation-decoder", AblationDecoder, EngineBatch, 0, "d9e42805450e43c3205b6cdec17fb1af742e509c4732ad3a04c0632a5f8d0511"},
+		{"fig7/tableau", fig7, EngineTableau, 256, "825b4184c2bb229790958813e8016758d220637d85c7cad2d1d156ab3b8a98e6"},
+		{"memory", memory, EngineBatch, 0, "cecdb9c07150aed2b7e8df1b72f78b7da15b180177175eb03ec0be376142fc16"},
+		{"ablation-decoder", ablationDecoder, EngineBatch, 0, "d9e42805450e43c3205b6cdec17fb1af742e509c4732ad3a04c0632a5f8d0511"},
 		// Blossom, union-find and greedy on the tableau engine, recorded
 		// at 15fc049, while that engine still decoded through a scalar
 		// path of its own.
-		{"ablation-decoder/tableau", AblationDecoder, EngineTableau, 256, "5681868430351244584ec5195130e80079dcbb09ecbaf047b74e253d12bb4ad8"},
-		{"fig5", Fig5, EngineBatch, 0, goldenFig5},
-		{"fig7", Fig7, EngineBatch, 0, "9df1be4c60cf1058ca5a4df7534a3c1310aef2412dcf3e60fa1f99e268567d88"},
-		{"fig8", Fig8, EngineBatch, 512, "33998c32a18b7859906845c0f86018c2150e026c82ad700f83e0be5764497665"},
-		{"threshold", Threshold, EngineBatch, 0, "45d692233dd88421aa73901ff8f6b7fa767fcb1db0b403a788af672bfde0901b"},
+		{"ablation-decoder/tableau", ablationDecoder, EngineTableau, 256, "5681868430351244584ec5195130e80079dcbb09ecbaf047b74e253d12bb4ad8"},
+		{"fig5", fig5, EngineBatch, 0, goldenFig5},
+		{"fig7", fig7, EngineBatch, 0, "9df1be4c60cf1058ca5a4df7534a3c1310aef2412dcf3e60fa1f99e268567d88"},
+		{"fig8", fig8, EngineBatch, 512, "33998c32a18b7859906845c0f86018c2150e026c82ad700f83e0be5764497665"},
+		{"threshold", threshold, EngineBatch, 0, "45d692233dd88421aa73901ff8f6b7fa767fcb1db0b403a788af672bfde0901b"},
 		// Recorded at b2def25, while the logical layer still ran its
 		// shots in a loop of its own outside the sweep.
-		{"logical", LogicalLayer, EngineBatch, 0, "84330b791dbd76bc1fb3fc8ce37c97e9a5d60866ac37a9f43dccba4f9d18956d"},
-		{"logical/tableau", LogicalLayer, EngineTableau, 0, "21169513982a3401b6a97a3f504648e2f8c4368ab1aa6892b3a08d27c0d7f2c1"},
+		{"logical", logicalLayer, EngineBatch, 0, "84330b791dbd76bc1fb3fc8ce37c97e9a5d60866ac37a9f43dccba4f9d18956d"},
+		{"logical/tableau", logicalLayer, EngineTableau, 0, "21169513982a3401b6a97a3f504648e2f8c4368ab1aa6892b3a08d27c0d7f2c1"},
 	}
 	check := func(g golden, pass string) {
 		if raceEnabled && g.engine != EngineBatch {
 			return // one deterministic table, ten times slower
 		}
 		cfg := Config{Seed: 1, Shots: g.shots, Engine: g.engine, Decoder: DecoderMWPM}
-		tab, err := g.run(cfg)
+		tab, err := g.run(cfg.Defaults())
 		if err != nil {
 			t.Fatalf("%s (%s): %v", g.name, pass, err)
 		}
@@ -118,7 +118,7 @@ func TestGoldenTablesAcrossCommits(t *testing.T) {
 	for _, g := range list {
 		check(g, "forwards")
 	}
-	if _, err := Fig5(Config{Seed: 2}); err != nil {
+	if _, err := fig5(Config{Seed: 2}.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	for i := len(list) - 1; i >= 0; i-- {
@@ -143,7 +143,7 @@ func TestThresholdGapArmCountsAcrossCommits(t *testing.T) {
 		"threshold/rep-(3,1)/p3e-02": 321, "threshold/rep-(7,1)/p3e-02": 40, "threshold/rep-(11,1)/p3e-02": 6,
 	}
 	cfg := Config{Seed: 1, Shots: 20000, Engine: EngineBatch, Decoder: DecoderMWPM}
-	got := pointCounts(t, Threshold, cfg)
+	got := pointCounts(t, threshold, cfg)
 	for key, errors := range want {
 		if c, ok := got[key]; !ok || c.Errors != errors || c.Shots != cfg.Shots {
 			t.Errorf("%s: %d errors in %d shots, recorded %d in %d", key, c.Errors, c.Shots, errors, cfg.Shots)

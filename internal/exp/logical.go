@@ -3,22 +3,20 @@ package exp
 import (
 	"fmt"
 
-	"radqec/internal/arch"
 	"radqec/internal/circuit"
 	"radqec/internal/logical"
 	"radqec/internal/noise"
 	"radqec/internal/sweep"
 )
 
-// LogicalLayer estimates how post-QEC logical error rates propagate into
+// logicalLayer estimates how post-QEC logical error rates propagate into
 // a logical program, the paper's future-work direction (Section VI): a
 // five-patch logical GHZ preparation is run with per-patch error rates
 // extracted from a physical-level strike campaign on the XXZZ-(3,3)
 // code, with the strike spreading across the patch adjacency graph.
 // Both layers run as sweep points: the two physical campaigns, then
 // every logical workload once struck and once as its no-strike baseline.
-func LogicalLayer(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func logicalLayer(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:  "Extension: post-QEC logical-layer fault injection (paper future work)",
 		Header: []string{"workload", "struck_patch", "failure_rate", "no_strike_baseline"},
@@ -28,7 +26,7 @@ func LogicalLayer(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := prepare(code, arch.Mesh(5, 4))
+	p, err := prepare(code, mesh5x4())
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +74,6 @@ func LogicalLayer(cfg Config) (*Table, error) {
 	for i, row := range t.Rows {
 		t.Rows[i] = append(row, pct(layer[2*i].Rate()), pct(layer[2*i+1].Rate()))
 	}
-	noteAdaptive(t, cfg, results, layer)
 	return t, nil
 }
 

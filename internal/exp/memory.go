@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"radqec/internal/arch"
 	"radqec/internal/noise"
 	"radqec/internal/qec"
 )
@@ -31,7 +30,7 @@ func memoryRounds(cfg Config, d int) []int {
 	return out
 }
 
-// Memory is the multi-round memory experiment the space-time
+// memory is the multi-round memory experiment the space-time
 // detector-error model opens up: logical error versus the number of
 // stabilization rounds at fixed distance, for both code families. Each
 // additional round adds a layer of detectors and a band of time-like
@@ -39,8 +38,7 @@ func memoryRounds(cfg Config, d int) []int {
 // logical error accumulates with depth — the scaling the 2-round paper
 // protocol cannot observe — while the radiation column shows how a
 // strike's damage dilutes into a longer exposure window.
-func Memory(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func memory(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: "Memory: logical error vs stabilization rounds (space-time decoding)",
 		Header: []string{
@@ -62,7 +60,6 @@ func Memory(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"each round adds a detector layer and a time-like (measurement-error) edge band to the decoding graph",
 		fmt.Sprintf("decoded with %s over the compiled detector-error model; intrinsic p=%g", DecoderMWPM, cfg.P))
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }
 
@@ -86,7 +83,7 @@ func memorySpecs(cfg Config) ([]pointSpec, []memoryRow, error) {
 		{"repetition", func(r int) (*qec.Code, error) { return Config{Rounds: r}.repetition(9) }, 9},
 		{"xxzz", func(r int) (*qec.Code, error) { return Config{Rounds: r}.xxzz(3, 3) }, 3},
 	}
-	topo := arch.Mesh(5, 6)
+	topo := mesh5x6()
 	var (
 		specs []pointSpec
 		rows  []memoryRow

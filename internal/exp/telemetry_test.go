@@ -21,7 +21,7 @@ import (
 func TestTelemetryRecordsEngine(t *testing.T) {
 	tel := telemetry.NewCampaign(1, "threshold")
 	cfg := Config{Shots: 64, Seed: 3, Telemetry: tel}
-	if _, err := Threshold(cfg); err != nil {
+	if _, err := threshold(cfg.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	if st := tel.Stats(); st.Shots == 0 || st.Engine != EngineBatch || st.Engines != nil {
@@ -29,7 +29,7 @@ func TestTelemetryRecordsEngine(t *testing.T) {
 	}
 	for engine, want := range map[string]string{"": "batch+logical", EngineTableau: "tableau+logical"} {
 		tel := telemetry.NewCampaign(1, "logical")
-		if _, err := LogicalLayer(Config{Shots: 64, Seed: 3, Engine: engine, Telemetry: tel}); err != nil {
+		if _, err := logicalLayer(Config{Shots: 64, Seed: 3, Engine: engine, Telemetry: tel}.Defaults()); err != nil {
 			t.Fatal(err)
 		}
 		st := tel.Stats()
@@ -91,7 +91,7 @@ func TestFourReadersAgree(t *testing.T) {
 	tel := telemetry.NewCampaign(1, "fig5")
 	decode0, commit0 := trace.DecodeHist.Count(), trace.CommitHist.Count()
 	// Two tile-aligned batches per point: 320 turns, inside both rings.
-	if _, err := Fig5(Config{Shots: 1024, Seed: 5, Cache: st, Telemetry: tel, Trace: root.Context()}); err != nil {
+	if _, err := fig5(Config{Shots: 1024, Seed: 5, Cache: st, Telemetry: tel, Trace: root.Context()}.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -3,25 +3,23 @@ package exp
 import (
 	"fmt"
 
-	"radqec/internal/arch"
 	"radqec/internal/noise"
 )
 
-// Threshold sweeps the intrinsic physical error rate without any
+// threshold sweeps the intrinsic physical error rate without any
 // radiation event, for increasing repetition-code distances. Below the
 // circuit-level threshold, larger distances must win — the sanity
 // baseline behind the paper's remark that "in absence of
 // radiation-induced events all the tested configurations do not present
 // output errors", and the contrast that makes Observation I sting:
 // radiation errors do NOT fall with distance.
-func Threshold(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
+func threshold(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:  "Baseline: intrinsic-noise-only logical error by distance (no radiation)",
 		Header: []string{"phys_rate", "rep-(3,1)", "rep-(7,1)", "rep-(11,1)"},
 	}
 	distances := []int{3, 7, 11}
-	topo := arch.Mesh(5, 6)
+	topo := mesh5x6()
 	var prepped []*prepared
 	for _, d := range distances {
 		code, err := cfg.repetition(d)
@@ -55,6 +53,5 @@ func Threshold(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"below threshold larger distance suppresses the logical error; radiation (Fig 5) does not enjoy this")
-	noteAdaptive(t, cfg, results)
 	return t, nil
 }

@@ -18,11 +18,11 @@ import (
 // TestBatchMatchesScalarOnFig5: all 160 points of Figure 5 — every
 // temporal sample of the strike, so every mix of gap-arm and word-arm
 // qubits, against every intrinsic rate from 1e-8 to the dense 1e-1 —
-// as the program runs them (exp.Fig5 on the batch engine) and on the
+// as the program runs them (the fig5 experiment, batch engine) and on the
 // scalar oracle, which shares the kernel's physics (the struck
 // reference of a saturated root, and the XXZZ approximation of the
 // fractional neighbours) and none of its sampling. The oracle's points are rebuilt
-// here from exp.Fig5PhysicalRates and exp.Fig5Root with Fig5's keys and
+// here from exp.Fig5PhysicalRates and exp.Fig5Root with fig5's keys and
 // seeds.
 func TestBatchMatchesScalarOnFig5(t *testing.T) {
 	if testing.Short() {
@@ -40,7 +40,8 @@ func TestBatchMatchesScalarOnFig5(t *testing.T) {
 		batch[r.Key] = r.Counts
 		mu.Unlock()
 	}
-	if _, err := exp.Fig5(cfg); err != nil {
+	fig5, _ := exp.Find("fig5")
+	if _, err := fig5.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 

@@ -65,10 +65,7 @@ func TestChaosDeleteCancelsAndResumesByteIdentical(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	_, ts, _ := newTestServer(t)
 	req := CampaignRequest{Experiment: "threshold", Shots: 384, Seed: seed(31)}
-	ref, err := exp.Threshold(exp.Config{Shots: 384, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runDirect(t, "threshold", exp.Config{Shots: 384, Seed: 31})
 	// Stall every store write so the campaign is still mid-flight when
 	// the DELETE lands; the stall changes timing only, never results.
 	if err := faultinject.Enable(faultinject.StoreWriteSlow, "sleep(15ms)"); err != nil {
@@ -389,10 +386,7 @@ func TestChaosStreamStall(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	_, ts, _ := newTestServerWorkers(t, 2)
 	req := CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)}
-	ref, err := exp.Threshold(exp.Config{Shots: 192, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runDirect(t, "threshold", exp.Config{Shots: 192, Seed: 31})
 	if err := faultinject.Enable(faultinject.StreamStall, "sleep(10ms)"); err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +455,7 @@ func TestChaosStreamDrop(t *testing.T) {
 // campaigns, and both tables equal a direct library run.
 func TestChaosFabricDuplicateSubmissionSingleFlight(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
-	ref, err := exp.Threshold(exp.Config{Shots: 192, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runDirect(t, "threshold", exp.Config{Shots: 192, Seed: 31})
 	req := CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)}
 
 	results := make(chan exp.TableRecord, 2)

@@ -48,6 +48,21 @@ func newTestServerWorkers(t *testing.T, workers int) (*Server, *httptest.Server,
 	return srv, ts, st
 }
 
+// runDirect runs the named experiment as a library call: the table a
+// daemon campaign with the same config must stream.
+func runDirect(t *testing.T, name string, cfg exp.Config) *exp.Table {
+	t.Helper()
+	e, ok := exp.Find(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
+	}
+	tab, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 // submit posts a campaign through the typed client and returns the
 // decoded stream records.
 func submit(t *testing.T, ts *httptest.Server, req CampaignRequest) (points []exp.PointRecord, table exp.TableRecord) {
@@ -108,10 +123,7 @@ func TestCampaignStreamMatchesDirectRun(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	req := CampaignRequest{Experiment: "threshold", Shots: 192, Seed: seed(31)}
 
-	ref, err := exp.Threshold(exp.Config{Shots: 192, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runDirect(t, "threshold", exp.Config{Shots: 192, Seed: 31})
 
 	points, table := submit(t, ts, req)
 	if len(points) != 15 { // 5 phys rates x 3 distances

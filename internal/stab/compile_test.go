@@ -405,14 +405,16 @@ func TestCompileBytesFollowCoins(t *testing.T) {
 // fig8 already compiled, struck at fig5's root included, and a second
 // fig8 compiles nothing.
 func TestCompilesPerFigure(t *testing.T) {
+	fig5, _ := exp.Find("fig5")
+	fig8, _ := exp.Find("fig8")
 	for _, g := range []struct {
 		name string
 		run  func(exp.Config) (*exp.Table, error)
 		want int64
 	}{
-		{"fig8", exp.Fig8, 132},
-		{"fig5", exp.Fig5, 1},
-		{"fig8 again", exp.Fig8, 0},
+		{"fig8", fig8.Run, 132},
+		{"fig5", fig5.Run, 1},
+		{"fig8 again", fig8.Run, 0},
 	} {
 		before := stab.CompileCount()
 		if _, err := g.run(exp.Config{Shots: 64, Seed: 1}); err != nil {

@@ -151,15 +151,15 @@ func (s *Scheduler) Run(ctx context.Context, cfg Config, points []Point) ([]Resu
 	s.cond.Broadcast()
 	// Workers blocked in take() poll nothing: a cancellation arriving
 	// while the pool is idle must wake them so the abort drain can
-	// start immediately.
-	go func() {
-		select {
-		case <-qctx.Done():
-			s.cond.Broadcast()
-		case <-q.done:
-		}
-	}()
+	// start immediately. The wake-up takes the lock so it cannot land
+	// between a worker's pick and its Wait.
+	stop := context.AfterFunc(qctx, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
 	<-q.done
+	stop()
 	s.mu.Lock()
 	err := q.err
 	s.mu.Unlock()

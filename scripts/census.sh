@@ -9,7 +9,7 @@
 # counts of README.md and docs/*.md.
 # Exits 1 when internal/telemetry + internal/trace exceed obsBound
 # lines (ROADMAP.md item 9's bound), when README.md, the reproduction
-# report, exceeds readmeBound lines (ROADMAP.md item 6), or when radqec
+# report, exceeds readmeBound lines (a standing bound), or when radqec
 # and radqecd together define more than flagsBound flags, so a removed
 # knob cannot creep back.
 # Run from anywhere inside the repository.
