@@ -1,6 +1,6 @@
 package arch
 
-// This file encodes the coupling maps of the retired IBM devices the
+// This file encodes the coupling maps of the decommissioned IBM devices the
 // paper transpiles onto (Section V-D). The maps are reconstructed from
 // the devices' published lattice patterns: the 20-qubit "Penguin" grid
 // family (Almaden, Johannesburg), the 27-qubit Falcon heavy-hex (Cairo),

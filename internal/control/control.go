@@ -1,4 +1,4 @@
-// Package control holds what is left of the retired scoring controller:
+// Package control holds what is left of the removed scoring controller:
 // the Policy struct the frozen bench/ harness constructs. The sweep
 // scheduler has one policy and reads none of it.
 package control

@@ -217,7 +217,7 @@ func TestNewSimulatorRejectsUnknownEngineAndDecoder(t *testing.T) {
 func TestResolveEngineUniversalAuto(t *testing.T) {
 	// Config.Defaults fills the empty name in as the batched engine for
 	// every circuit; the two names stay as given; anything else — the
-	// retired scalar "frame" and the "auto" alias included — is
+	// removed scalar "frame" and the "auto" alias included — is
 	// Validate's error naming the two.
 	if got := core.Engines(); !slices.Equal(got, []string{core.EngineTableau, core.EngineBatch}) {
 		t.Fatalf("Engines() = %v, want [tableau batch]", got)

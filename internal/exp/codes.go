@@ -13,18 +13,19 @@ import (
 // (every value is a new code) and the realistic working set is small
 // and known: every experiment at default rounds, one after another,
 // leaves 29 codes and 41 prepared circuits. Past the cap the least
-// recently used code goes, with its circuits, and merely re-learns when
-// asked for again. LRU rather than a reset at the cap, so that a client
+// recently used code goes, with its circuits and its memo, and merely
+// re-learns when asked for again; what it decoded stays in the process's
+// decode counters. LRU rather than a reset at the cap, so that a client
 // walking `rounds` upward costs the hot codes (rep-(5,1) and xxzz-(3,3)
 // at two rounds carry seven experiments) nothing.
 //
 // Retained per code: the circuit, the DEM once a decode compiled it
-// (stabs² · 8 B of distances and the paths' flip lists) and three
-// parity memos (one per decoder) that start empty and top out at
-// 256 KB each, so 64 · 3 · 256 KB ≈ 50 MB is the ceiling on memo
+// (stabs² · 8 B of distances and the paths' flip lists) and one parity
+// memo (MWPM's; the baseline decoders keep none) that starts empty and
+// tops out at 256 KB, so 64 · 256 KB ≈ 16 MB is the ceiling on memo
 // bytes, reached only if every resident code met some 24 576 distinct
-// syndromes under all three decoders; the 29 codes above hold 139 k
-// syndromes in 2.0 MB of tables. Per prepared circuit:
+// syndromes; the 29 codes above hold 134 k syndromes in 1.9 MB of
+// tables. Per prepared circuit:
 // the routed circuit, its compiled reference, the n² all-pairs
 // distances (34 KB on Brooklyn's 65 qubits), the circuit literal and
 // the address memo (at most ~380 KB, see addressMemoCap).
@@ -65,7 +66,7 @@ type preparedEntry struct {
 
 // registry is the process-wide owner of everything that is a pure
 // function of (family, dZ, dX, rounds) — the *qec.Code with its DEM and
-// its three parity memos — and of (that code, topology) — the *prepared with
+// its parity memo — and of (that code, topology) — the *prepared with
 // its routed circuit, compiled reference and circuit literal. The CLI
 // and the daemon resolve every code and every prepare through it, so
 // what one campaign's decoder learned the next campaign finds. Tables
@@ -78,10 +79,6 @@ type registry struct {
 	prepared int // sum of len(preps) over codes
 
 	hits, misses, evictions int64
-	// retired holds the decode counters of evicted codes, so the totals
-	// RegistryStats reports never step back. Decodes a campaign still
-	// runs on a code after its eviction go uncounted.
-	retired qec.DecoderCounters
 }
 
 var codeRegistry = &registry{
@@ -152,26 +149,24 @@ func (r *registry) touch(e *codeEntry) {
 		delete(r.byCode, lru.code)
 		r.prepared -= len(lru.preps)
 		r.evictions++
-		d := lru.code.DecoderCounters()
-		d.MemoEntries = 0 // resident codes only
-		r.retired.Add(d)
 	}
 }
 
 // RegistryStats is a snapshot of the code registry: the prepare
-// traffic and the decode-tier counters summed over every code the
-// registry has held.
+// traffic, the process's decode-tier counters and the memos of the
+// resident codes.
 type RegistryStats struct {
 	// Hits and Misses count prepares served from the registry and
 	// prepares that had to transpile; Evictions counts codes dropped at
 	// the cap (each with its prepared circuits).
 	Hits, Misses, Evictions int64
-	// Decoder sums the codes' tile-decode counters: MatcherCalls over
+	// Decoder holds the process's tile-decode counters (qec.Counters),
+	// decodes on evicted codes included: MatcherCalls over
 	// TriggeredLanes is the memo miss rate, which falls campaign over
 	// campaign as the memos warm; MatchedDefects over MatcherCalls is the
 	// mean defect count per call; ExactParity counts the calls the
-	// exact-parity tier answered without the blossom. MemoEntries covers
-	// resident codes only.
+	// exact-parity tier answered without the blossom. MemoEntries sums
+	// the resident codes' memos.
 	Decoder qec.DecoderCounters
 }
 
@@ -180,9 +175,9 @@ func Registry() RegistryStats {
 	r := codeRegistry
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RegistryStats{Hits: r.hits, Misses: r.misses, Evictions: r.evictions, Decoder: r.retired}
+	st := RegistryStats{Hits: r.hits, Misses: r.misses, Evictions: r.evictions, Decoder: qec.Counters()}
 	for _, e := range r.codes {
-		st.Decoder.Add(e.code.DecoderCounters())
+		st.Decoder.MemoEntries += e.code.MemoEntries()
 	}
 	return st
 }

@@ -11,8 +11,8 @@ import (
 // The registry is process-wide and has no reset: a test that needs cold
 // codes asks for a `rounds` nothing before it has asked for. Only
 // cache_test.go runs before this file, at two rounds; here the warm-up
-// count takes 3, the concurrent pair 4, and the bounded test, which
-// walks every depth, comes last.
+// count takes 3, the concurrent pair 4, the bounded test walks every
+// depth to 104, and the eviction test after it takes 105 and up.
 
 // TestSecondCampaignFindsTheMemoWarm is what the registry exists for,
 // as a count: a campaign at a new seed reaches the matcher less often
@@ -128,5 +128,44 @@ func TestRegistryBounded(t *testing.T) {
 	}
 	if got := tableHash(tab); got != goldenFig5 {
 		t.Errorf("fig5 on a rebuilt code: sha256 %s, recorded %s", got, goldenFig5)
+	}
+}
+
+// TestEvictedCodeDecodesCount: the decode counters are the process's,
+// not the resident codes', so a campaign still decoding on a code the
+// registry has evicted since handing it out raises them like any other
+// decode.
+func TestEvictedCodeDecodesCount(t *testing.T) {
+	const rounds = preparedCap + 41 // past every depth TestRegistryBounded walks
+	code, err := codeRegistry.code(codeKey{dZ: 3, dX: 1, rounds: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// preparedCap newer codes push it out.
+	for r := rounds + 1; r <= rounds+preparedCap; r++ {
+		if _, err := codeRegistry.code(codeKey{dZ: 3, dX: 1, rounds: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	codeRegistry.mu.Lock()
+	_, resident := codeRegistry.byCode[code]
+	codeRegistry.mu.Unlock()
+	if resident {
+		t.Fatal("the least recently used of preparedCap+1 codes is still resident")
+	}
+	// Every record bit set: each lane sees round 0's two stabilizers and
+	// the final layer fire.
+	rec := make([]uint64, code.Circ.NumClbits)
+	for i := range rec {
+		rec[i] = ^uint64(0)
+	}
+	before := Registry().Decoder
+	code.DecodeTile(rec, 1, []uint64{^uint64(0)}, make([]uint64, 1))
+	after := Registry().Decoder
+	if d := after.TriggeredLanes - before.TriggeredLanes; d < 64 {
+		t.Fatalf("a 64-lane tile on an evicted code raised the triggered lanes by %d", d)
+	}
+	if after.MatcherCalls == before.MatcherCalls {
+		t.Fatal("a tile on an evicted code raised no matcher call")
 	}
 }

@@ -81,15 +81,12 @@ func (st *BatchState) reshape(w int) {
 	st.Clear()
 }
 
-// Width reports the current tile width in words.
-func (st *BatchState) Width() int { return st.w }
-
 // Record returns the packed classical bits of one register as a shared
 // subslice of the full record — e.g. one stabilization round's syndrome
 // words (a qec CRounds register), ready to be XOR-differenced against
 // the neighbouring round word-parallel for detection-event extraction.
 // At tile widths above one the subslice is the register's tile rows
-// (stride Width words per clbit).
+// (stride one tile width, in words, per clbit).
 func (st *BatchState) Record(r circuit.Register) []uint64 {
 	return st.Rec[r.Start*st.w : (r.Start+r.Size)*st.w]
 }

@@ -3,6 +3,7 @@ package qec
 import (
 	mathbits "math/bits"
 	"sync"
+	"sync/atomic"
 
 	"radqec/internal/matching"
 )
@@ -27,12 +28,12 @@ import (
 //     logical support, a pure function of the defect pattern. When the
 //     pattern fits in 62 bits (every figure code, and memory campaigns
 //     out to stabs·(rounds+1) <= 62) the blossom result is memoised in
-//     a lock-free, allocation-free open-addressed table of one-word
-//     entries, so repeated syndromes — the norm under a localised
-//     strike — cost a probe instead of a matching.
+//     the code's one memo, a lock-free, allocation-free open-addressed
+//     table of one-word entries, so repeated syndromes — the norm under
+//     a localised strike — cost a probe instead of a matching.
 //  3. Only novel syndromes reach the miss tier, on the defect list read
-//     off the already-extracted defect words. For MWPM it first tries
-//     the exact-parity solver (exactparity.go): when every
+//     off the already-extracted defect words. It first tries the
+//     exact-parity solver (exactparity.go): when every
 //     minimum-weight correction over the compiled detector-error model
 //     has the same logical parity, that parity is the blossom's
 //     whatever its tie-break, and a subset DP over the defects finds it.
@@ -49,28 +50,30 @@ import (
 // result equals Decode of that lane's unpacked record, tie-broken
 // matchings included.
 func (c *Code) DecodeTile(rec []uint64, w int, live, out []uint64) {
-	c.decodeTile(rec, w, live, out, c.mwpmMemo, mwpmParity)
+	c.decodeTile(rec, w, live, out, c.memo, mwpmParity)
 }
 
 // DecodeUnionFindTile decodes with the union-find decoder instead of
-// MWPM: the tile layout, detection-event extraction, fast path and
-// memoisation of DecodeTile, with the union-find grower/peeler in place
-// of the blossom matcher on novel syndromes. Detection events, the
+// MWPM: the tile layout, detection-event extraction and fast path of
+// DecodeTile, with the union-find grower/peeler in place of the blossom
+// matcher on every triggered lane — a baseline keeps no memo, as a code
+// too wide for a memo entry never does. Detection events, the
 // detector-error model and the correction model are shared with
 // DecodeTile, so accuracy differences isolate the matching strategy.
 func (c *Code) DecodeUnionFindTile(rec []uint64, w int, live, out []uint64) {
-	c.decodeTile(rec, w, live, out, c.ufMemo, ufParity)
+	c.decodeTile(rec, w, live, out, nil, ufParity)
 }
 
 // DecodeGreedyTile is the ablation decoder: DecodeTile with greedy
-// matching in place of blossom on novel syndromes.
+// matching in place of blossom on every triggered lane, memo-less like
+// DecodeUnionFindTile.
 func (c *Code) DecodeGreedyTile(rec []uint64, w int, live, out []uint64) {
-	c.decodeTile(rec, w, live, out, c.greedyMemo, greedyParity)
+	c.decodeTile(rec, w, live, out, nil, greedyParity)
 }
 
-// parityOracle evaluates the flip parity of one novel defect pattern on
-// the tile's scratch: decodeTile's miss tier. exact reports that the
-// exact-parity tier answered, so no matcher ran.
+// parityOracle evaluates the flip parity of one defect pattern no memo
+// answered, on the tile's scratch: decodeTile's miss tier. exact
+// reports that the exact-parity tier answered, so no matcher ran.
 type parityOracle func(c *Code, buf *decodeBuf, defects []defect) (parity uint64, exact bool)
 
 // mwpmParity answers from the exact-parity tier when every
@@ -272,7 +275,8 @@ func (b *decodeBuf) grow(n, w int) (events, anyw []uint64) {
 
 // decodeTile is the decoder-agnostic tile-parallel core every decoder
 // runs: tiered extraction + memoisation around a flip-parity oracle
-// evaluated only on novel defect patterns.
+// evaluated only on novel defect patterns. A nil memo memoises nothing:
+// the oracle runs on every triggered lane.
 func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityMemo,
 	parityOf parityOracle) {
 	buf := decodeBufPool.Get().(*decodeBuf)
@@ -282,7 +286,7 @@ func (c *Code) decodeTile(rec []uint64, w int, live, out []uint64, memo *parityM
 
 // decodeLane decodes one unpacked shot record as the one live lane of a
 // one-word tile: Decode, and the tests' scalar views of every decoder,
-// are decodeTile on their memo.
+// are decodeTile with their memo (nil for the baselines).
 func (c *Code) decodeLane(bits []int, memo *parityMemo, parityOf parityOracle) int {
 	buf := decodeBufPool.Get().(*decodeBuf)
 	rec := buf.lane[:0]
@@ -316,10 +320,10 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 	}
 	defectWords, anyw := buf.grow(nz*layers*w, w)
 	c.detectionEventTile(rec, w, defectWords, anyw)
-	// A code whose pattern outgrows a memo entry decodes every
-	// triggered lane directly.
+	// A decoder without a memo, or a code whose pattern outgrows a memo
+	// entry, decodes every triggered lane directly.
 	nbits := c.detectorBits()
-	cacheable := nbits <= memoKeyBits
+	cacheable := memo != nil && nbits <= memoKeyBits
 	defects := buf.defects
 	keys := &buf.keys
 	var triggered, misses, matched, exacts int64
@@ -368,23 +372,24 @@ func (c *Code) decodeTileWith(buf *decodeBuf, rec []uint64, w int, live, out []u
 	}
 	buf.defects = defects
 	if triggered != 0 {
-		memo.triggered.Add(triggered)
-		memo.misses.Add(misses)
-		memo.defects.Add(matched)
-		memo.exact.Add(exacts)
+		counters.triggered.Add(triggered)
+		counters.misses.Add(misses)
+		counters.defects.Add(matched)
+		counters.exact.Add(exacts)
 	}
 }
 
-// DecoderCounters is the decoders' traffic on one code, all three
-// decoders summed and every decode counted, on either engine (both
-// decode tiles): of the lanes that saw a defect, how many
-// reached the miss tier instead of a memo, how many defects those
-// matcher calls matched (MatchedDefects / MatcherCalls is the mean
-// defect count k a call pays for), and what the memos hold. A code whose
-// pattern is too wide for a memo entry counts every triggered lane as a
-// matcher call. ExactParity counts the MWPM miss-tier lanes the
-// exact-parity tier answered without the blossom; they are included in
-// MatcherCalls, so the blossom ran MatcherCalls − ExactParity times.
+// DecoderCounters is the decoders' traffic in this process, every
+// decoder, code and engine summed (both engines decode tiles): of the
+// lanes that saw a defect, how many reached the miss tier instead of
+// the memo, how many defects those matcher calls matched
+// (MatchedDefects / MatcherCalls is the mean defect count k a call
+// pays for), and what the memos hold. The union-find and greedy
+// baselines, like a code whose pattern is too wide for a memo entry,
+// count every triggered lane as a matcher call. ExactParity counts the
+// MWPM miss-tier lanes the exact-parity tier answered without the
+// blossom; they are included in MatcherCalls, so the blossom ran
+// MatcherCalls − ExactParity times.
 type DecoderCounters struct {
 	TriggeredLanes int64
 	MatcherCalls   int64
@@ -393,29 +398,25 @@ type DecoderCounters struct {
 	MemoEntries    int64
 }
 
-// Add sums o into d, field by field.
-func (d *DecoderCounters) Add(o DecoderCounters) {
-	d.TriggeredLanes += o.TriggeredLanes
-	d.MatcherCalls += o.MatcherCalls
-	d.MatchedDefects += o.MatchedDefects
-	d.ExactParity += o.ExactParity
-	d.MemoEntries += o.MemoEntries
+// counters are the process-wide decode-tier counters, added once per
+// tile by decodeTile.
+var counters struct{ triggered, misses, defects, exact atomic.Int64 }
+
+// Counters reads the process-wide decode-tier counters. Safe while
+// campaigns decode; the numbers are read one after another, not as one
+// snapshot. MemoEntries is left 0: a memo lives and dies with its code,
+// so only the holder of the codes can sum it (see Code.MemoEntries).
+func Counters() DecoderCounters {
+	return DecoderCounters{
+		TriggeredLanes: counters.triggered.Load(),
+		MatcherCalls:   counters.misses.Load(),
+		MatchedDefects: counters.defects.Load(),
+		ExactParity:    counters.exact.Load(),
+	}
 }
 
-// DecoderCounters reads the code's decode-tier counters. Safe while
-// campaigns decode; the numbers are read one after another, not as one
-// snapshot.
-func (c *Code) DecoderCounters() DecoderCounters {
-	var d DecoderCounters
-	for _, m := range [...]*parityMemo{c.mwpmMemo, c.ufMemo, c.greedyMemo} {
-		d.TriggeredLanes += m.triggered.Load()
-		d.MatcherCalls += m.misses.Load()
-		d.MatchedDefects += m.defects.Load()
-		d.ExactParity += m.exact.Load()
-		d.MemoEntries += m.entries()
-	}
-	return d
-}
+// MemoEntries reports how many syndromes the code's memo holds.
+func (c *Code) MemoEntries() int64 { return c.memo.entries() }
 
 // RawLogicalTile is the word-parallel RawLogical: the packed
 // uncorrected ancilla readout of every lane; see DecodeTile for the
@@ -423,11 +424,3 @@ func (c *Code) DecoderCounters() DecoderCounters {
 func (c *Code) RawLogicalTile(rec []uint64, w int, live, out []uint64) {
 	copy(out[:w], rec[c.AncRead.Start*w:c.AncRead.Start*w+w])
 }
-
-// batchMemoEntries reports the current MWPM syndrome-memo population
-// (test hook).
-func (c *Code) batchMemoEntries() int64 { return c.mwpmMemo.entries() }
-
-// ufMemoEntries reports the union-find syndrome-memo population (test
-// hook).
-func (c *Code) ufMemoEntries() int64 { return c.ufMemo.entries() }

@@ -61,7 +61,7 @@ func TestDecodeBatchMatchesDecodeRepetition(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDecodeTileMatches(t, c, 6, 11)
-	if c.batchMemoEntries() == 0 {
+	if c.MemoEntries() == 0 {
 		t.Fatal("dense random syndromes never populated the memo")
 	}
 	// A second pass over fresh random records decodes through the warm
@@ -86,7 +86,7 @@ func TestDecodeBatchMatchesDecodeManyRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDecodeTileMatches(t, c, 2, 31)
-	if c.batchMemoEntries() != 0 {
+	if c.MemoEntries() != 0 {
 		t.Fatal("98-bit defect patterns populated the memo")
 	}
 }
@@ -99,7 +99,7 @@ func TestDecodeBatchMatchesDecodeUncacheableRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDecodeTileMatches(t, c, 1, 37)
-	if c.batchMemoEntries() != 0 {
+	if c.MemoEntries() != 0 {
 		t.Fatal("uncacheable code populated the memo")
 	}
 }
@@ -132,11 +132,11 @@ func TestDecodeBatchZeroSyndromeFastPath(t *testing.T) {
 	for d := 0; d < c.Data.Size; d++ {
 		rec[c.DataRead.Start+d] = ^uint64(0)
 	}
-	before := c.batchMemoEntries()
+	before := c.MemoEntries()
 	if got := decodeOne(c.DecodeTile, rec, ^uint64(0)); got != ^uint64(0) {
 		t.Fatalf("clean record decoded to %x", got)
 	}
-	if c.batchMemoEntries() != before {
+	if c.MemoEntries() != before {
 		t.Fatal("fast path touched the memo")
 	}
 }
@@ -194,10 +194,9 @@ func TestDecodeUnionFindBatchMatchesScalarRepetition(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkUnionFindTileMatches(t, c, 4, 11)
-	if c.ufMemoEntries() == 0 {
-		t.Fatal("dense random syndromes never populated the union-find memo")
+	if c.MemoEntries() != 0 {
+		t.Fatal("union-find decoding populated the memo, which holds MWPM's answers only")
 	}
-	// A second pass decodes through the warm memo; equality must hold.
 	checkUnionFindTileMatches(t, c, 4, 12)
 }
 
@@ -373,7 +372,7 @@ func TestDecodeTileMissTierZeroAllocFreshMemo(t *testing.T) {
 	}
 	next := 0
 	tile := func() {
-		c.mwpmMemo = memos[next]
+		c.memo = memos[next]
 		next++
 		c.DecodeTile(rec, w, live, out)
 	}
@@ -496,9 +495,10 @@ func TestParityMemoEntryRoundTrip(t *testing.T) {
 // decoders on the codes either side of a memo entry's width. Both code
 // families have an even number of Z stabilizers, so no code has 63
 // detector bits: rep-3 at 30 rounds (2 x 31 = 62 bits) is the widest
-// that fills its memos, rep-9 at 7 rounds (8 x 8 = 64) the narrowest
+// that fills its memo, rep-9 at 7 rounds (8 x 8 = 64) the narrowest
 // that must decode every triggered lane directly and never allocate a
-// memo table.
+// memo table. The baselines, memo-less on either code, send every
+// triggered lane to their matcher.
 func TestParityMemoNoTableForWideCode(t *testing.T) {
 	for _, tc := range []struct{ d, rounds, bits int }{{3, 30, memoKeyBits}, {9, 7, memoKeyBits + 2}} {
 		c, err := NewRepetitionRounds(tc.d, tc.rounds)
@@ -513,16 +513,64 @@ func TestParityMemoNoTableForWideCode(t *testing.T) {
 		const w = 2
 		rec := tileRecord(c, w, rng.New(uint64(tc.bits)))
 		live, out := []uint64{^uint64(0), ^uint64(0)}, make([]uint64, w)
-		c.DecodeTile(rec, w, live, out)
-		c.DecodeUnionFindTile(rec, w, live, out)
-		c.DecodeGreedyTile(rec, w, live, out)
-		for name, m := range map[string]*parityMemo{"mwpm": c.mwpmMemo, "uf": c.ufMemo, "greedy": c.greedyMemo} {
-			if has := m.table.Load() != nil; has != cached {
-				t.Errorf("%d-bit code: %s memo holds a table = %v, want %v", tc.bits, name, has, cached)
+		for _, dec := range []struct {
+			name   string
+			tile   func(rec []uint64, w int, live, out []uint64)
+			memoed bool
+		}{{"mwpm", c.DecodeTile, cached}, {"union-find", c.DecodeUnionFindTile, false}, {"greedy", c.DecodeGreedyTile, false}} {
+			before := Counters()
+			dec.tile(rec, w, live, out)
+			d := countersSince(before)
+			if d.TriggeredLanes == 0 {
+				t.Fatalf("%d-bit code, %s: no triggered lane", tc.bits, dec.name)
+			}
+			if !dec.memoed && d.MatcherCalls != d.TriggeredLanes {
+				t.Fatalf("%d-bit code, %s: %d matcher calls for %d triggered lanes, want every lane",
+					tc.bits, dec.name, d.MatcherCalls, d.TriggeredLanes)
 			}
 		}
-		if d := c.DecoderCounters(); !cached && d.MatcherCalls != d.TriggeredLanes {
-			t.Fatalf("%d-bit code: %d matcher calls for %d triggered lanes, want every lane", tc.bits, d.MatcherCalls, d.TriggeredLanes)
+		if has := c.memo.table.Load() != nil; has != cached {
+			t.Errorf("%d-bit code: memo holds a table = %v, want %v", tc.bits, has, cached)
+		}
+	}
+}
+
+// countersSince is the growth of the process-wide decode counters
+// since before, field by field (MemoEntries stays 0: Counters leaves
+// it to the memos' holder).
+func countersSince(before DecoderCounters) DecoderCounters {
+	d := Counters()
+	dv, bv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(before)
+	for i := 0; i < dv.NumField(); i++ {
+		dv.Field(i).SetInt(dv.Field(i).Int() - bv.Field(i).Int())
+	}
+	return d
+}
+
+// TestBaselineDecodersKeepNoMemo: union-find and greedy decode random
+// tiles on a fresh code without a memo probe or insert — the code's one
+// memo, MWPM's, stays empty — and every triggered lane is a matcher
+// call, however often its syndrome repeats.
+func TestBaselineDecodersKeepNoMemo(t *testing.T) {
+	c, err := NewRepetition(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w = 4
+	src := rng.New(61)
+	live, out := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}, make([]uint64, w)
+	for _, dec := range []func(rec []uint64, w int, live, out []uint64){c.DecodeUnionFindTile, c.DecodeGreedyTile} {
+		rec := tileRecord(c, w, src)
+		before := Counters()
+		// The same tile twice: a memo would answer the second pass.
+		dec(rec, w, live, out)
+		dec(rec, w, live, out)
+		d := countersSince(before)
+		if d.TriggeredLanes == 0 || d.MatcherCalls != d.TriggeredLanes {
+			t.Fatalf("%d matcher calls for %d triggered lanes, want one per lane", d.MatcherCalls, d.TriggeredLanes)
+		}
+		if n := c.MemoEntries(); n != 0 {
+			t.Fatalf("baseline decoding left %d memo entries", n)
 		}
 	}
 }
@@ -591,7 +639,9 @@ func TestDecoderCountersSumMatchedDefects(t *testing.T) {
 		const w = 2
 		rec := tileRecord(c, w, rng.New(uint64(tc.d)))
 		out := make([]uint64, w)
+		before := Counters()
 		c.DecodeTile(rec, w, []uint64{^uint64(0), ^uint64(0)}, out)
+		got := countersSince(before)
 		seen := map[string]bool{}
 		var calls, defects int64
 		bits := make([]int, c.Circ.NumClbits)
@@ -611,7 +661,6 @@ func TestDecoderCountersSumMatchedDefects(t *testing.T) {
 				}
 			}
 		}
-		got := c.DecoderCounters()
 		if got.MatcherCalls != calls || got.MatchedDefects != defects {
 			t.Fatalf("rep-%d rounds %d: %d calls / %d defects, want %d / %d",
 				tc.d, tc.rounds, got.MatcherCalls, got.MatchedDefects, calls, defects)
@@ -643,19 +692,19 @@ func TestDecoderCountersRepeatAtMemoCap(t *testing.T) {
 	}
 	out := make([]uint64, w)
 	atCap := func() bool {
-		tab := c.mwpmMemo.table.Load()
-		return tab != nil && len(tab.slots) == c.mwpmMemo.maxSlots && tab.size.Load() >= tab.entryCap()
+		tab := c.memo.table.Load()
+		return tab != nil && len(tab.slots) == c.memo.maxSlots && tab.size.Load() >= tab.entryCap()
 	}
 	src := rng.New(17)
 	for i := 0; !atCap(); i++ {
 		if i == 200 {
-			t.Fatalf("memo holds %d entries after %d tiles, short of its cap", c.mwpmMemo.entries(), i)
+			t.Fatalf("memo holds %d entries after %d tiles, short of its cap", c.MemoEntries(), i)
 		}
 		c.DecodeTile(tileRecord(c, w, src), w, live, out)
 	}
 	rec := tileRecord(c, w, src)
 	pass := func(emptyPool bool) DecoderCounters {
-		before := c.DecoderCounters()
+		before, entries := Counters(), c.MemoEntries()
 		for r := 0; r < 4; r++ {
 			if emptyPool {
 				runtime.GC()
@@ -663,12 +712,8 @@ func TestDecoderCountersRepeatAtMemoCap(t *testing.T) {
 			}
 			c.DecodeTile(rec, w, live, out)
 		}
-		d := c.DecoderCounters()
-		d.Add(DecoderCounters{
-			TriggeredLanes: -before.TriggeredLanes, MatcherCalls: -before.MatcherCalls,
-			MatchedDefects: -before.MatchedDefects, ExactParity: -before.ExactParity,
-			MemoEntries: -before.MemoEntries,
-		})
+		d := countersSince(before)
+		d.MemoEntries = c.MemoEntries() - entries
 		return d
 	}
 	warm, fresh := pass(false), pass(true)
@@ -680,29 +725,12 @@ func TestDecoderCountersRepeatAtMemoCap(t *testing.T) {
 	}
 }
 
-// TestDecoderCountersAddSumsEveryField fills every field with a
-// distinct value, so a counter added to the struct later fails here
-// until Add sums it too.
-func TestDecoderCountersAddSumsEveryField(t *testing.T) {
-	var a, b DecoderCounters
-	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		va.Field(i).SetInt(int64(1 + i))
-		vb.Field(i).SetInt(int64(100 * (1 + i)))
-	}
-	a.Add(b)
-	for i := 0; i < va.NumField(); i++ {
-		if got, want := va.Field(i).Int(), int64(101*(1+i)); got != want {
-			t.Errorf("%s: Add left %d, want %d", va.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
 // FuzzTileDecodersMatchScalarOracle draws a code (rep d 3–9 or XXZZ
 // (1,3)/(3,3), rounds 2–4), a w-word tile of record bits (w 1–8, dense
 // or sparse) and live masks, and holds all three decoders, tile and
-// one-lane scalar, to the scalar oracle lane by lane: first each on
-// fresh memos, then both again on the memos that pass filled.
+// one-lane scalar, to the scalar oracle lane by lane, twice: MWPM first
+// on a fresh memo, then on the memo that pass filled; the memo-less
+// baselines decode the same way both times.
 func FuzzTileDecodersMatchScalarOracle(f *testing.F) {
 	for sel := uint8(0); sel < 6; sel++ {
 		f.Add(sel, sel, sel, uint64(sel), sel%2 == 0)
@@ -744,19 +772,19 @@ func FuzzTileDecodersMatchScalarOracle(f *testing.F) {
 			lane, oracle func([]int) int
 		}{
 			{"mwpm", c.DecodeTile, c.Decode, c.oracleDecode},
-			{"union-find", c.DecodeUnionFindTile, func(b []int) int { return c.decodeLane(b, c.ufMemo, ufParity) }, c.oracleUnionFind},
-			{"greedy", c.DecodeGreedyTile, func(b []int) int { return c.decodeLane(b, c.greedyMemo, greedyParity) }, c.oracleGreedy},
+			{"union-find", c.DecodeUnionFindTile, func(b []int) int { return c.decodeLane(b, nil, ufParity) }, c.oracleUnionFind},
+			{"greedy", c.DecodeGreedyTile, func(b []int) int { return c.decodeLane(b, nil, greedyParity) }, c.oracleGreedy},
 		}
 		out := make([]uint64, w)
 		bits := make([]int, c.Circ.NumClbits)
 		for _, fresh := range []bool{true, false} {
 			for _, d := range decoders {
 				if fresh {
-					c.newMemos()
+					c.memo = newParityMemo(c.detectorBits())
 				}
 				d.tile(rec, w, live, out)
 				if fresh {
-					c.newMemos()
+					c.memo = newParityMemo(c.detectorBits())
 				}
 				for k := 0; k < w; k++ {
 					for m := live[k]; m != 0; m &= m - 1 {
@@ -888,7 +916,7 @@ func TestDecodeTileStoresGatherKeys(t *testing.T) {
 		rec := tileRecord(c, w, rng.New(uint64(tc.d*100+tc.rounds)))
 		live := []uint64{^uint64(0), 0xf0f0f0f0f0f0f0f0, ^uint64(0)}
 		out := make([]uint64, w)
-		c.mwpmMemo = newParityMemo(nbits)
+		c.memo = newParityMemo(nbits)
 		c.DecodeTile(rec, w, live, out)
 		events := make([]uint64, nbits*w)
 		anyw := make([]uint64, w)
@@ -898,13 +926,13 @@ func TestDecodeTileStoresGatherKeys(t *testing.T) {
 			for m := anyw[k] & live[k]; m != 0; m &= m - 1 {
 				lane := uint(mathbits.TrailingZeros64(m))
 				key := laneGatherKey(events, w, k, nbits, lane)
-				if _, ok := c.mwpmMemo.load(memoHash(key), key); !ok {
+				if _, ok := c.memo.load(memoHash(key), key); !ok {
 					t.Fatalf("%s rounds %d word %d lane %d: pattern %#x not in the memo", c.Name, tc.rounds, k, lane, key)
 				}
 				distinct[key] = true
 			}
 		}
-		if got := c.mwpmMemo.entries(); got != int64(len(distinct)) {
+		if got := c.memo.entries(); got != int64(len(distinct)) {
 			t.Fatalf("%s rounds %d: memo holds %d entries for %d distinct patterns", c.Name, tc.rounds, got, len(distinct))
 		}
 	}

@@ -56,16 +56,14 @@ type Code struct {
 	dm     *compiledDEM
 	dmOnce sync.Once
 
-	// mwpmMemo, ufMemo and greedyMemo cache, per space-time defect
-	// pattern (one word with its parity, for codes of at most 62
-	// detector bits), the parity of the decoder's correction on the
-	// logical support — the only way the correction enters the decoded
-	// value. Each decoder owns its memo (their
-	// corrections differ); all three are built with the code and shared
-	// by every campaign decoding it, on either engine. See DecodeTile.
-	mwpmMemo   *parityMemo
-	ufMemo     *parityMemo
-	greedyMemo *parityMemo
+	// memo caches, per space-time defect pattern (one word with its
+	// parity, for codes of at most 62 detector bits), the parity of the
+	// MWPM correction on the logical support — the only way the
+	// correction enters the decoded value. It is built with the code and
+	// shared by every campaign decoding it, on either engine; the
+	// union-find and greedy baselines keep no memo and decode every
+	// triggered lane. See DecodeTile.
+	memo *parityMemo
 }
 
 // NumQubits returns the total number of physical qubits in the circuit.
@@ -91,13 +89,6 @@ func (c *Code) NumXStabs() int { return len(c.xStabData) }
 // detectorBits is the width of a shot's space-time defect pattern: one
 // bit per Z stabilizer per detection layer.
 func (c *Code) detectorBits() int { return len(c.zStabData) * (len(c.CRounds) + 1) }
-
-// newMemos gives every decoder an empty parity memo.
-func (c *Code) newMemos() {
-	c.mwpmMemo = newParityMemo(c.detectorBits())
-	c.ufMemo = newParityMemo(c.detectorBits())
-	c.greedyMemo = newParityMemo(c.detectorBits())
-}
 
 // ExpectedLogical is the decoded output in the absence of faults.
 func (c *Code) ExpectedLogical() int { return 1 }
@@ -140,7 +131,7 @@ func (c *Code) stabRound(creg circuit.Register) {
 // transversal X, which is applied between the first and second round
 // exactly as in the paper's protocol.
 func (c *Code) finishCircuit(logicalXSupport []int) {
-	c.newMemos()
+	c.memo = newParityMemo(c.detectorBits())
 	circ := c.Circ
 	c.stabRound(c.CRounds[0])
 	circ.Barrier()

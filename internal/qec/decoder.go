@@ -85,7 +85,7 @@ type defect struct {
 // matched chains. The record decodes as the one live lane of a one-word
 // DecodeTile, memo included.
 func (c *Code) Decode(bits []int) int {
-	return c.decodeLane(bits, c.mwpmMemo, mwpmParity)
+	return c.decodeLane(bits, c.memo, mwpmParity)
 }
 
 // matcher perfectly matches a defect graph on a workspace and returns

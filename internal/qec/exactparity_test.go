@@ -228,10 +228,11 @@ func TestExactParityDeclinesParityTies(t *testing.T) {
 	if ev := c.detectionEvents(nil, bits); !slices.Equal(ev, tie) {
 		t.Fatalf("premise: record has detection events %v, want %v", ev, tie)
 	}
+	before := Counters()
 	if got, want := c.Decode(bits), c.oracleDecode(bits); got != want {
 		t.Fatalf("Decode = %d, blossom oracle %d", got, want)
 	}
-	if d := c.DecoderCounters(); d.MatcherCalls != 1 || d.ExactParity != 0 {
+	if d := countersSince(before); d.MatcherCalls != 1 || d.ExactParity != 0 {
 		t.Fatalf("after the tie: %d matcher calls, %d exact answers; want 1, 0", d.MatcherCalls, d.ExactParity)
 	}
 
@@ -241,7 +242,7 @@ func TestExactParityDeclinesParityTies(t *testing.T) {
 	if got, want := c.Decode(bits), c.oracleDecode(bits); got != want {
 		t.Fatalf("lone defect: Decode = %d, blossom oracle %d", got, want)
 	}
-	if d := c.DecoderCounters(); d.MatcherCalls != 2 || d.ExactParity != 1 {
+	if d := countersSince(before); d.MatcherCalls != 2 || d.ExactParity != 1 {
 		t.Fatalf("after the lone defect: %d matcher calls, %d exact answers; want 2, 1", d.MatcherCalls, d.ExactParity)
 	}
 }

@@ -15,7 +15,7 @@ const (
 	// memoKeyBits is the widest defect pattern a memo entry holds: an
 	// entry packs the pattern, its parity and a ready bit into one
 	// word (see memoEntry). A code with more detector bits decodes
-	// every triggered lane directly and never touches its memos.
+	// every triggered lane directly and never touches its memo.
 	memoKeyBits = 62
 	// memoMinSlotBits and memoMaxSlotBits bound the table: it starts at
 	// 1024 slots (8 KB) and stops growing at 32768 (256 KB) — or at
@@ -53,12 +53,13 @@ type memoTable struct {
 // taking inserts and lets those decodes run directly.
 func (t *memoTable) entryCap() int64 { return int64(len(t.slots)) * 3 / 4 }
 
-// parityMemo is a bounded lock-free syndrome-to-flip-parity cache. Its
-// table follows what the code actually sees: nothing until the first
-// insert (the many Code values that are built but never batch-decoded —
-// a daemon replaying stored campaigns, tests — cost a few words), then
-// 1024 slots, then four times more whenever the load cap is reached, up
-// to twice the code's pattern space or 32768 slots. A 12-bit DEM under
+// parityMemo is a bounded lock-free syndrome-to-flip-parity cache, one
+// per code, holding MWPM's answers (see Code.memo). Its table follows
+// what the code actually sees: nothing until the first insert (the many
+// Code values that are built but never batch-decoded — a daemon
+// replaying stored campaigns, tests — cost a few words), then 1024
+// slots, then four times more whenever the load cap is reached, up to
+// twice the code's pattern space or 32768 slots. A 12-bit DEM under
 // a localised strike stays at 8 KB where a 24-bit one under saturating
 // strikes climbs to the full 256 KB.
 type parityMemo struct {
@@ -68,12 +69,6 @@ type parityMemo struct {
 	growMu sync.Mutex
 	// maxSlots is the size the table stops growing at.
 	maxSlots int
-	// triggered and misses count the lanes decodeTile found a defect in
-	// and the ones among them that reached the miss tier, defects the
-	// defects those lanes held and exact the miss-tier lanes the
-	// exact-parity tier answered without a matcher, all added once per
-	// tile; see Code.DecoderCounters.
-	triggered, misses, defects, exact atomic.Int64
 }
 
 // newParityMemo builds an empty memo for a code with the given number

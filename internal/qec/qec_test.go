@@ -354,7 +354,7 @@ func TestGreedyDecoderAgreesOnSimpleErrors(t *testing.T) {
 	for d := 0; d < 7; d++ {
 		bits := append([]int(nil), base...)
 		bits[c.DataRead.Start+d] ^= 1
-		if got := c.decodeLane(bits, c.greedyMemo, greedyParity); got != 1 {
+		if got := c.decodeLane(bits, nil, greedyParity); got != 1 {
 			t.Fatalf("greedy decoder failed on single flip at %d", d)
 		}
 	}

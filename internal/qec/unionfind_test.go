@@ -17,7 +17,7 @@ func TestUnionFindCleanDecode(t *testing.T) {
 	for _, c := range codes {
 		for seed := uint64(0); seed < 10; seed++ {
 			bits := cleanRun(t, c, seed)
-			if got := c.decodeLane(bits, c.ufMemo, ufParity); got != 1 {
+			if got := c.decodeLane(bits, nil, ufParity); got != 1 {
 				t.Fatalf("%s seed %d: union-find decoded %d, want 1", c.Name, seed, got)
 			}
 		}
@@ -30,7 +30,7 @@ func TestUnionFindCorrectsSingleReadoutFlip(t *testing.T) {
 		for d := 0; d < c.Data.Size; d++ {
 			bits := append([]int(nil), base...)
 			bits[c.DataRead.Start+d] ^= 1
-			if got := c.decodeLane(bits, c.ufMemo, ufParity); got != 1 {
+			if got := c.decodeLane(bits, nil, ufParity); got != 1 {
 				t.Fatalf("%s: union-find missed single flip at data %d", c.Name, d)
 			}
 		}
@@ -48,7 +48,7 @@ func TestUnionFindCorrectsEarlyError(t *testing.T) {
 		circ.Ops = append(circ.Ops, pre...)
 		ex := inject.NewExecutor(circ, noise.Depolarizing{}, nil)
 		bits := ex.Run(rng.New(3))
-		if got := c.decodeLane(bits, c.ufMemo, ufParity); got != 1 {
+		if got := c.decodeLane(bits, nil, ufParity); got != 1 {
 			t.Fatalf("union-find missed early X on data %d", d)
 		}
 	}
@@ -60,7 +60,7 @@ func TestUnionFindMajorityFlipIsLogicalError(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		bits[c.DataRead.Start+d] ^= 1
 	}
-	if got := c.decodeLane(bits, c.ufMemo, ufParity); got != 0 {
+	if got := c.decodeLane(bits, nil, ufParity); got != 0 {
 		t.Fatalf("union-find decoded all-flip as %d, want 0", got)
 	}
 }
@@ -76,7 +76,7 @@ func TestUnionFindAlwaysReturnsValidBit(t *testing.T) {
 				bits[i] ^= 1
 			}
 		}
-		v := c.decodeLane(bits, c.ufMemo, ufParity)
+		v := c.decodeLane(bits, nil, ufParity)
 		return v == 0 || v == 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -97,7 +97,7 @@ func TestUnionFindMatchesMWPMOnLightNoise(t *testing.T) {
 		if c.Decode(bits) != 1 {
 			mwpmErr++
 		}
-		if c.decodeLane(bits, c.ufMemo, ufParity) != 1 {
+		if c.decodeLane(bits, nil, ufParity) != 1 {
 			ufErr++
 		}
 	}
@@ -138,7 +138,7 @@ func TestMultiRoundCodes(t *testing.T) {
 			if got := c.Decode(bits); got != 1 {
 				t.Fatalf("%d-round rep decoded %d", rounds, got)
 			}
-			if got := c.decodeLane(bits, c.ufMemo, ufParity); got != 1 {
+			if got := c.decodeLane(bits, nil, ufParity); got != 1 {
 				t.Fatalf("%d-round rep union-find decoded %d", rounds, got)
 			}
 		}
@@ -178,7 +178,7 @@ func TestMultiRoundCorrectsMeasurementError(t *testing.T) {
 			if got := c.Decode(bits); got != 1 {
 				t.Fatalf("measurement error round %d stab %d uncorrected", r, s)
 			}
-			if got := c.decodeLane(bits, c.ufMemo, ufParity); got != 1 {
+			if got := c.decodeLane(bits, nil, ufParity); got != 1 {
 				t.Fatalf("union-find: measurement error round %d stab %d uncorrected", r, s)
 			}
 		}

@@ -882,15 +882,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("points_computed_total", "counter", "Sweep points computed by engines (cache misses).", n.PointsComputed)
 	write("points_cached_total", "counter", "Sweep points served from the result store.", n.PointsCached)
 	write("shots_computed_total", "counter", "Monte-Carlo shots executed by engines.", n.Shots)
-	// The process-wide code registry: matcher calls over triggered lanes
-	// is the decoder memos' miss rate, high on the first campaign after
-	// start-up and falling as they warm.
+	// The process-wide decode counters and code registry: matcher calls
+	// over triggered lanes is the MWPM memos' miss rate, high on the
+	// first campaign after start-up and falling as they warm.
 	reg := exp.Registry()
-	write("decoder_triggered_lanes_total", "counter", "Decoded lanes that saw a detection event, either engine, all decoders.", reg.Decoder.TriggeredLanes)
-	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: exact-parity answers plus blossom, union-find or greedy calls.", reg.Decoder.MatcherCalls)
+	write("decoder_triggered_lanes_total", "counter", "Decoded lanes that saw a detection event, either engine, every decoder, evicted codes included.", reg.Decoder.TriggeredLanes)
+	write("decoder_matcher_calls_total", "counter", "Triggered lanes no memo answered: exact-parity answers plus blossom calls, and every union-find or greedy lane.", reg.Decoder.MatcherCalls)
 	write("decoder_exact_parity_total", "counter", "Matcher calls the exact-parity tier answered without the blossom.", reg.Decoder.ExactParity)
 	write("decoder_matched_defects_total", "counter", "Defects the matcher calls matched; over the calls, the mean defect count k.", reg.Decoder.MatchedDefects)
-	write("decoder_memo_entries", "gauge", "Syndromes memoised on the resident codes, all three decoders.", reg.Decoder.MemoEntries)
+	write("decoder_memo_entries", "gauge", "Syndromes in the resident codes' MWPM memos.", reg.Decoder.MemoEntries)
 	write("prepared_hits_total", "counter", "Circuit prepares served from the code registry.", reg.Hits)
 	write("prepared_misses_total", "counter", "Circuit prepares that transpiled.", reg.Misses)
 	write("prepared_evictions_total", "counter", "Codes dropped from the registry at its cap, with their prepared circuits.", reg.Evictions)

@@ -164,7 +164,7 @@ func TestCampaignValidation(t *testing.T) {
 	for name, req := range map[string]CampaignRequest{
 		"experiment": {Experiment: "nope"},
 		"engine":     {Experiment: "fig5", Engine: "warp"},
-		// The retired scalar engine and the alias of the default.
+		// The removed scalar engine and the alias of the default.
 		"engine frame": {Experiment: "fig5", Engine: "frame"},
 		"engine auto":  {Experiment: "fig5", Engine: "auto"},
 		"ci":           {Experiment: "fig5", CI: 0.7},

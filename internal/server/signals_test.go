@@ -191,7 +191,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 
 // TestCampaignGaugesLabelActiveCampaigns: the per-campaign gauges
 // appear in /metrics while a campaign is registered as active, and the
-// retired controller's two are gone.
+// removed controller's two are gone.
 func TestCampaignGaugesLabelActiveCampaigns(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	c := srv.tele.New("fig5", nil)
@@ -222,7 +222,7 @@ func TestCampaignGaugesLabelActiveCampaigns(t *testing.T) {
 	}
 }
 
-// TestControllerRequestValidation: the retired controller's request
+// TestControllerRequestValidation: the removed controller's request
 // fields are unknown fields now — each answers 400 in the structured
 // envelope, naming the field.
 func TestControllerRequestValidation(t *testing.T) {

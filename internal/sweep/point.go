@@ -34,7 +34,7 @@ type pointRun struct {
 	batchN int
 	// claimed marks the single-flight claim this point holds.
 	claimed bool
-	// aborted marks a point retired by cancellation or a campaign
+	// aborted marks a point ended by cancellation or a campaign
 	// failure: complete() skips its result and OnResult delivery.
 	aborted bool
 	// ckptShots is the shot count covered by the point's latest durable

@@ -18,7 +18,9 @@ import (
 // the nine main packages and every internal/ package (non-test files),
 // marks live everything referenced — called or merely named —
 // transitively from main, init and package-level initialisers, keeps
-// every method whose name some interface declares, and fails on any
+// every method whose receiver type (or a pointer to it) implements an
+// interface declaring it — in the module, in a package it imports, or
+// the universe's error — and fails on any
 // function in a non-test internal/ file that is neither live nor on
 // reachAllow. An allowlist entry that has become reachable, or names a
 // function that no longer exists, fails too, so the list cannot rot.
@@ -62,12 +64,16 @@ var reachAllow = map[string]string{
 	"client.Client.TraceSpans": "oracle",
 	"client.SignalStream.Next": "oracle",
 
-	"faultinject.Armed":         "test-hook",
-	"faultinject.Disable":       "test-hook",
-	"faultinject.Hits":          "test-hook",
-	"faultinject.Reset":         "test-hook",
-	"qec.Code.batchMemoEntries": "test-hook",
-	"qec.Code.ufMemoEntries":    "test-hook",
+	"faultinject.Armed":   "test-hook",
+	"faultinject.Disable": "test-hook",
+	"faultinject.Hits":    "test-hook",
+	"faultinject.Reset":   "test-hook",
+	// The store's fault, which the chaos tests read, and the count of
+	// spans published, dropped ones included, which the trace and exp
+	// tests read and Spans cannot give.
+	"store.Store.Err":    "test-hook",
+	"trace.Recorder.Len": "test-hook",
+	"trace.Ring.Len":     "test-hook",
 }
 
 const reachModule = "radqec"
@@ -107,8 +113,9 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 		return nil, err
 	}
 	p := &reachPkg{info: &types.Info{
-		Defs: make(map[*ast.Ident]types.Object),
-		Uses: make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -183,10 +190,18 @@ func TestReachability(t *testing.T) {
 		}
 	}
 
-	// Method names any interface declares — in the module or in a
-	// package it imports — are live: a call through the interface cannot
-	// be attributed to one implementation.
-	ifaceMethods := make(map[string]bool)
+	// A method is live when its type satisfies an interface declaring
+	// it — in the module, in a package it imports, or error: a call
+	// through the interface cannot be attributed to one implementation.
+	// ifaces maps a method name to the interfaces declaring it.
+	ifaces := make(map[string][]*types.Interface)
+	addIface := func(it *types.Interface) {
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			ifaces[name] = append(ifaces[name], it)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	seenPkg := make(map[*types.Package]bool)
 	var scanPkg func(p *types.Package)
 	scanPkg = func(p *types.Package) {
@@ -197,15 +212,25 @@ func TestReachability(t *testing.T) {
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					for i := 0; i < it.NumMethods(); i++ {
-						ifaceMethods[it.Method(i).Name()] = true
-					}
+					addIface(it)
 				}
 			}
 		}
 		for _, imp := range p.Imports() {
 			scanPkg(imp)
 		}
+	}
+	satisfies := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, it := range ifaces[fn.Name()] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
 	}
 
 	// decls[f] holds what function f's body references; roots are main,
@@ -225,11 +250,7 @@ func TestReachability(t *testing.T) {
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							ifaceMethods[id.Name] = true
-						}
-					}
+					addIface(p.info.Types[it].Type.(*types.Interface))
 				}
 				return true
 			})
@@ -269,7 +290,7 @@ func TestReachability(t *testing.T) {
 		t.Errorf("loaded %d main packages, want the 9 entry points (cmd/radqec, cmd/radqecd, five examples, scripts/smokeclient, bench)", mains)
 	}
 	for fn := range decls {
-		if fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+		if fn.Type().(*types.Signature).Recv() != nil && satisfies(fn) {
 			roots = append(roots, fn)
 		}
 	}
